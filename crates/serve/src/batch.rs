@@ -23,6 +23,8 @@
 //!    [`Npu::run_batch`](bw_core::Npu::run_batch) envelope. Results
 //!    split back into per-member responses, and the accounting identity
 //!    `completed + shed + failed == submitted` holds member-for-member.
+//!    (A shard group's window does not coalesce: its members are
+//!    admitted together as separate requests and overlap.)
 //!
 //! The batcher never mixes models in one batch (columns must share the
 //! pinned program) and never holds a request past its own hold budget,

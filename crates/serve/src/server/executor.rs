@@ -1,0 +1,755 @@
+//! The request executor: every request shape — single, coalesced batch,
+//! shard group — is one [`Plan`] driven by one leg driver, one stage
+//! finisher and one request finisher. The lifecycle and its accounting,
+//! network-charging and late-response rules are stated once, in the
+//! [module documentation](super).
+
+use std::sync::atomic::Ordering;
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use bw_core::{RunStats, SpanKind, SpanRecord};
+
+use super::{head_sampled, Leg, Plan, ServerInner};
+use crate::metrics::MetricsSnapshot;
+use crate::request::{
+    Attribution, FlightOutcome, FlightRecord, RequestId, RequestTrace, Response, ServeError,
+};
+use crate::worker::{Columns, Completion, DispatchRefused, Job, Served};
+
+/// An in-process handle for submitting requests.
+#[derive(Clone)]
+pub struct Client {
+    pub(super) inner: Arc<ServerInner>,
+}
+
+impl Client {
+    /// Validates, admits, and dispatches a request; the returned
+    /// [`Pending`] drives the rest of the lifecycle. `deadline` is the
+    /// total end-to-end budget from this call.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServeError::UnknownModel`] / [`ServeError::BadInput`] /
+    /// [`ServeError::SlaUnmeetable`] before admission (not counted), or
+    /// [`ServeError::Shed`] / [`ServeError::NoReplica`] at admission
+    /// (counted).
+    pub fn submit(
+        &self,
+        model: &str,
+        input: &[f32],
+        deadline: Duration,
+    ) -> Result<Pending, ServeError> {
+        let plan = self
+            .inner
+            .resolve(model)
+            .ok_or_else(|| ServeError::UnknownModel(model.to_owned()))?;
+        plan.check(input.len(), deadline)?;
+        let now = Instant::now();
+        let columns = std::iter::once(input.to_vec()).collect();
+        let epochs = std::iter::once((now, now + deadline));
+        Run::admit(&self.inner, plan, columns, epochs).map(|run| Pending { run })
+    }
+
+    /// [`Client::submit`] + [`Pending::wait`] in one call.
+    ///
+    /// # Errors
+    ///
+    /// As [`Client::submit`] and [`Pending::wait`].
+    pub fn call(
+        &self,
+        model: &str,
+        input: &[f32],
+        deadline: Duration,
+    ) -> Result<Response, ServeError> {
+        self.submit(model, input, deadline)?.wait()
+    }
+
+    /// Serves a flushed micro-batch window of same-model requests,
+    /// returning one [`Response`] (or [`ServeError`]) per member, in
+    /// input order. A whole model's window travels as **one**
+    /// multi-column leg; a shard group's members do not coalesce — each
+    /// is admitted as its own request, all of them before any is waited
+    /// on, so they run side by side.
+    ///
+    /// Every member is its own request in the ledger: it gets a request
+    /// id, counts toward `submitted` when admitted, and terminates
+    /// exactly once — also under a mid-batch worker kill, where the leg
+    /// fails over with every member on board. Members that fail
+    /// validation ([`ServeError::BadInput`],
+    /// [`ServeError::SlaUnmeetable`]) are rejected without admission and
+    /// without blocking the rest.
+    ///
+    /// Latency and the deadline are measured from each member's
+    /// [`BatchItem::arrived_at`] and [`BatchItem::deadline_at`], so time
+    /// spent in a batcher window is charged to the request that waited.
+    pub fn call_batch(
+        &self,
+        model: &str,
+        items: &[BatchItem],
+    ) -> Vec<Result<Response, ServeError>> {
+        let inner = &self.inner;
+        let Some(plan) = inner.resolve(model) else {
+            let unknown = Err(ServeError::UnknownModel(model.to_owned()));
+            return vec![unknown; items.len()];
+        };
+        let now = Instant::now();
+        let mut results: Vec<Option<Result<Response, ServeError>>> = items
+            .iter()
+            .map(|item| plan.check(item.input.len(), item.slack(now)).err().map(Err))
+            .collect();
+        let admitted: Vec<usize> = (0..items.len()).filter(|&i| results[i].is_none()).collect();
+        // A one-leg plan takes the whole window as the columns of one
+        // run; any other plan takes each member as a run of its own.
+        let windows: Vec<Vec<usize>> = if !plan.coalesces() {
+            admitted.into_iter().map(|i| vec![i]).collect()
+        } else if admitted.is_empty() {
+            Vec::new()
+        } else {
+            plan.metrics.batches.fetch_add(1, Ordering::Relaxed);
+            plan.metrics
+                .batched_requests
+                .fetch_add(admitted.len() as u64, Ordering::Relaxed);
+            vec![admitted]
+        };
+        let mut runs: Vec<(Vec<usize>, Run)> = Vec::with_capacity(windows.len());
+        for window in windows {
+            let columns = window.iter().map(|&i| items[i].input.clone()).collect();
+            let epochs = window
+                .iter()
+                .map(|&i| (items[i].arrived_at, items[i].deadline_at));
+            match Run::admit(inner, Arc::clone(&plan), columns, epochs) {
+                Ok(run) => runs.push((window, run)),
+                Err(e) => window
+                    .into_iter()
+                    .for_each(|i| results[i] = Some(Err(e.clone()))),
+            }
+        }
+        // Stage by stage across the runs, so their stages overlap.
+        while !runs.is_empty() {
+            runs.retain_mut(|(window, run)| {
+                let Some(outcomes) = run.step() else {
+                    return true;
+                };
+                for (&i, outcome) in window.iter().zip(outcomes) {
+                    results[i] = Some(outcome);
+                }
+                false
+            });
+        }
+        results
+            .into_iter()
+            .map(|r| r.expect("every member settled"))
+            .collect()
+    }
+
+    /// A point-in-time metrics reading (same as [`Server::metrics`](super::Server::metrics)).
+    pub fn metrics(&self) -> MetricsSnapshot {
+        self.inner.snapshot()
+    }
+
+    /// The live metrics as a Prometheus text exposition (same as
+    /// [`Server::prometheus`](super::Server::prometheus)).
+    pub fn prometheus(&self) -> String {
+        self.inner.prometheus()
+    }
+
+    /// The static lower bound on one inference of `model` in
+    /// microseconds, when provable (whole models and shard groups
+    /// alike). This is the bound admission compares deadlines against.
+    pub fn static_bound_us(&self, model: &str) -> Option<u64> {
+        self.inner.resolve(model)?.bound_us
+    }
+
+    /// The input width `model` expects, if registered (whole models and
+    /// shard groups alike).
+    pub fn input_dim_of(&self, model: &str) -> Option<usize> {
+        self.inner.resolve(model).map(|plan| plan.input_dim)
+    }
+
+    /// Addressable model names: registry models in index order, then
+    /// shard-group names.
+    pub fn model_names(&self) -> Vec<String> {
+        self.inner
+            .plans()
+            .iter()
+            .map(|plan| plan.name.clone())
+            .collect()
+    }
+}
+
+/// One member of a coalesced micro-batch handed to
+/// [`Client::call_batch`]. Deadlines are absolute so a batcher can hold
+/// a request without eroding its budget bookkeeping, and `arrived_at`
+/// anchors the member's reported latency to when it actually entered
+/// the system (not when the batch flushed).
+#[derive(Clone, Debug)]
+pub struct BatchItem {
+    /// The member's input vector.
+    pub input: Vec<f32>,
+    /// Absolute deadline for this member.
+    pub deadline_at: Instant,
+    /// When the member entered the system (latency epoch).
+    pub arrived_at: Instant,
+}
+
+impl BatchItem {
+    /// A member arriving now with a relative deadline budget.
+    pub fn new(input: Vec<f32>, deadline: Duration) -> BatchItem {
+        let now = Instant::now();
+        BatchItem {
+            input,
+            deadline_at: now + deadline,
+            arrived_at: now,
+        }
+    }
+
+    /// The member's remaining deadline slack from `now`.
+    pub fn slack(&self, now: Instant) -> Duration {
+        self.deadline_at.saturating_duration_since(now)
+    }
+}
+
+/// An admitted, dispatched request (whole-model or shard-group). Call
+/// [`Pending::wait`] to drive failover and obtain the outcome. Dropping
+/// an unwaited `Pending` records the request as failed (abandoned),
+/// keeping the metrics identity intact.
+pub struct Pending {
+    run: Run,
+}
+
+impl Pending {
+    /// The server-assigned request id.
+    pub fn request_id(&self) -> RequestId {
+        self.run.members[0].id
+    }
+
+    /// Drives the request to termination: waits on the current attempt
+    /// (every shard of the current segment, for a group), failing over to
+    /// replicas on fault, death, or attempt timeout, until completion,
+    /// the deadline, or the retry budget ends it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the terminal [`ServeError`]; every error path is recorded
+    /// in the metrics exactly once.
+    pub fn wait(self) -> Result<Response, ServeError> {
+        let mut run = self.run;
+        loop {
+            if let Some(mut outcomes) = run.step() {
+                return outcomes.pop().expect("one member, one outcome");
+            }
+        }
+    }
+}
+
+impl Plan {
+    /// Whether a window of requests for this plan travels as one
+    /// multi-column leg: a whole model does, a shard group does not.
+    fn coalesces(&self) -> bool {
+        let first = self.stages.first().and_then(|stage| stage.first());
+        first.is_some_and(|leg| leg.member.is_none())
+    }
+}
+
+/// One member request riding a run: one for a single or sharded
+/// request, N for a coalesced window.
+struct Member {
+    id: RequestId,
+    /// The latency epoch.
+    arrived_at: Instant,
+    deadline_at: Instant,
+}
+
+/// One leg of the in-flight stage.
+struct LegRun {
+    /// Workers that already tried this leg.
+    tried: Vec<usize>,
+    /// Failover retries this leg consumed.
+    retries: u32,
+    /// When the leg's first attempt was dispatched (member-row latency).
+    dispatched_at: Instant,
+    /// The current attempt's reply channel.
+    rx: Receiver<Completion>,
+    /// The accepted attempt, once the leg is in.
+    done: Option<Served>,
+}
+
+enum DispatchStopped {
+    /// Every candidate's queue was full.
+    AllFull,
+    /// No live, untried candidate exists.
+    NoReplica,
+}
+
+/// An admitted plan in execution: its member requests, the in-flight
+/// stage, and what the finished stages accumulated.
+struct Run {
+    inner: Arc<ServerInner>,
+    plan: Arc<Plan>,
+    members: Vec<Member>,
+    /// The latest member deadline: workers expire jobs at it and the leg
+    /// driver waits no longer. Earlier member deadlines are checked by
+    /// the late-response rule.
+    deadline: Instant,
+    /// Workers only emit spans when asked at dispatch, and the flight
+    /// recorder decides retention at termination — so an armed recorder
+    /// traces every request and discards the uninteresting ones.
+    collect_spans: bool,
+    /// Index of the in-flight stage.
+    stage: usize,
+    /// The in-flight stage's input columns.
+    input: Columns,
+    legs: Vec<LegRun>,
+    /// Failover retries across all legs and stages.
+    retries: u32,
+    network_s: f64,
+    queue_wait_s: f64,
+    service_s: f64,
+    stats: RunStats,
+    spans: Vec<SpanRecord>,
+    /// The worker of the last finished leg.
+    worker: usize,
+    settled: bool,
+}
+
+impl Run {
+    /// Admits one run of `plan` over `input` — one column and one
+    /// `(arrived_at, deadline_at)` epoch per member request — and
+    /// scatters stage 0, so that a full pool sheds at admission.
+    fn admit(
+        inner: &Arc<ServerInner>,
+        plan: Arc<Plan>,
+        input: Columns,
+        epochs: impl Iterator<Item = (Instant, Instant)>,
+    ) -> Result<Run, ServeError> {
+        let members: Vec<Member> = epochs
+            .map(|(arrived_at, deadline_at)| Member {
+                id: inner.next_request_id(),
+                arrived_at,
+                deadline_at,
+            })
+            .collect();
+        let deadline = members
+            .iter()
+            .map(|m| m.deadline_at)
+            .max()
+            .expect("a run has at least one member");
+        plan.metrics
+            .submitted
+            .fetch_add(members.len() as u64, Ordering::Relaxed);
+        let collect_spans = inner.cfg.flight_recorder.is_some()
+            || members.iter().any(|m| head_sampled(&inner.cfg, m.id));
+        let mut run = Run {
+            inner: Arc::clone(inner),
+            plan,
+            members,
+            deadline,
+            collect_spans,
+            stage: 0,
+            input,
+            legs: Vec::new(),
+            retries: 0,
+            network_s: 0.0,
+            queue_wait_s: 0.0,
+            service_s: 0.0,
+            stats: RunStats::default(),
+            spans: Vec::new(),
+            worker: 0,
+            settled: false,
+        };
+        match run.scatter() {
+            Ok(()) => Ok(run),
+            Err(DispatchStopped::AllFull) => Err(run.settle(ServeError::Shed {
+                model: run.plan.name.clone(),
+            })),
+            Err(DispatchStopped::NoReplica) => Err(run.settle(run.no_replica())),
+        }
+    }
+
+    fn no_replica(&self) -> ServeError {
+        ServeError::NoReplica {
+            model: self.plan.name.clone(),
+        }
+    }
+
+    fn deadline_exceeded(&self) -> ServeError {
+        ServeError::DeadlineExceeded {
+            model: self.plan.name.clone(),
+            retries: self.retries,
+        }
+    }
+
+    /// The terminal error of a leg that cannot be re-dispatched: the
+    /// worker fault that ended its last attempt, or `otherwise` when the
+    /// attempt timed out or its worker died.
+    fn fault_or(&self, fault: Option<String>, otherwise: ServeError) -> ServeError {
+        match fault {
+            Some(message) => ServeError::WorkerFault {
+                model: self.plan.name.clone(),
+                message,
+                retries: self.retries,
+            },
+            None => otherwise,
+        }
+    }
+
+    /// Walks the router's order and enqueues one attempt of `leg` on the
+    /// first worker that pins its slot over a live link and has queue
+    /// room, skipping `tried`. Returns the worker and the attempt's
+    /// reply channel, or what stopped dispatch.
+    fn dispatch(
+        &self,
+        leg: &Leg,
+        tried: &[usize],
+        now: Instant,
+    ) -> Result<(usize, Receiver<Completion>), DispatchStopped> {
+        let inner = &self.inner;
+        let net = inner.network();
+        let order = inner.router.plan_eligible(&inner.workers, tried, |w| {
+            inner.workers[w].pins(leg.slot) && net.link_up(w)
+        });
+        if order.is_empty() {
+            return Err(DispatchStopped::NoReplica);
+        }
+        let mut all_full = true;
+        for worker in order {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let job = Job {
+                model: leg.slot,
+                columns: Arc::clone(&self.input),
+                deadline: self.deadline,
+                reply: tx,
+                trace_id: self.members[0].id,
+                enqueued_at: now,
+                collect_spans: self.collect_spans,
+            };
+            match inner.workers[worker].try_dispatch(job) {
+                Ok(()) => return Ok((worker, rx)),
+                Err(DispatchRefused::QueueFull) => {}
+                Err(DispatchRefused::Dead) => all_full = false,
+            }
+        }
+        if all_full {
+            Err(DispatchStopped::AllFull)
+        } else {
+            Err(DispatchStopped::NoReplica)
+        }
+    }
+
+    /// Dispatches every leg of the in-flight stage. On error the legs
+    /// already dispatched stay in `legs` for the terminal accounting.
+    fn scatter(&mut self) -> Result<(), DispatchStopped> {
+        for leg in &self.plan.stages[self.stage] {
+            if let Some(member) = &leg.member {
+                member.submitted.fetch_add(1, Ordering::Relaxed);
+            }
+            let now = Instant::now();
+            match self.dispatch(leg, &[], now) {
+                Ok((worker, rx)) => self.legs.push(LegRun {
+                    tried: vec![worker],
+                    retries: 0,
+                    dispatched_at: now,
+                    rx,
+                    done: None,
+                }),
+                Err(stop) => {
+                    // Admitted on the member's row but never dispatched:
+                    // terminal for the leg.
+                    if let Some(member) = &leg.member {
+                        member.failed.fetch_add(1, Ordering::Relaxed);
+                    }
+                    return Err(stop);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The leg driver: waits for leg `i` of the in-flight stage, failing
+    /// it over on worker fault, worker death or attempt timeout, until
+    /// an attempt is accepted or the request is terminal.
+    fn drive_leg(&mut self, i: usize) -> Result<(), ServeError> {
+        loop {
+            let now = Instant::now();
+            if now >= self.deadline {
+                return Err(self.deadline_exceeded());
+            }
+            let budget = self.deadline - now;
+            let slice = self
+                .inner
+                .cfg
+                .attempt_timeout
+                .map_or(budget, |t| t.min(budget));
+            let fault = match self.legs[i].rx.recv_timeout(slice) {
+                Ok(Completion::Done(served)) => {
+                    let leg = &mut self.legs[i];
+                    if let Some(member) = &self.plan.stages[self.stage][i].member {
+                        member.record_completed(leg.dispatched_at.elapsed().as_secs_f64());
+                        // Network time is attributed on the request's row.
+                        member.record_attribution(
+                            served.queue_wait_s,
+                            served.service_s,
+                            0.0,
+                            &served.stats,
+                        );
+                    }
+                    leg.done = Some(served);
+                    return Ok(());
+                }
+                Ok(Completion::Fault { worker, message }) => {
+                    Some(format!("worker {worker}: {message}"))
+                }
+                // The worker saw the job after its deadline: terminal.
+                Ok(Completion::Expired) => return Err(self.deadline_exceeded()),
+                Err(RecvTimeoutError::Timeout) if Instant::now() >= self.deadline => {
+                    return Err(self.deadline_exceeded());
+                }
+                // An attempt timeout with budget left, or the worker
+                // died with the job queued or executing.
+                Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => None,
+            };
+            self.failover(i, fault)?;
+        }
+    }
+
+    /// Re-dispatches leg `i` to a worker that has not tried it, or
+    /// returns the error that ends the request.
+    fn failover(&mut self, i: usize, fault: Option<String>) -> Result<(), ServeError> {
+        if self.legs[i].retries >= self.inner.cfg.max_retries {
+            return Err(self.fault_or(fault, self.deadline_exceeded()));
+        }
+        self.retries += 1;
+        self.legs[i].retries += 1;
+        let members = self.members.len() as u64;
+        self.plan
+            .metrics
+            .retries
+            .fetch_add(members, Ordering::Relaxed);
+        let leg = &self.plan.stages[self.stage][i];
+        if let Some(member) = &leg.member {
+            member.retries.fetch_add(1, Ordering::Relaxed);
+        }
+        match self.dispatch(leg, &self.legs[i].tried, Instant::now()) {
+            Ok((worker, rx)) => {
+                self.legs[i].tried.push(worker);
+                self.legs[i].rx = rx;
+                Ok(())
+            }
+            Err(_) => Err(self.fault_or(fault, self.no_replica())),
+        }
+    }
+
+    /// Drives the in-flight stage to its end: gathers its legs, finishes
+    /// the stage, then scatters the next stage (`None`) or finishes the
+    /// request (one outcome per member).
+    fn step(&mut self) -> Option<Vec<Result<Response, ServeError>>> {
+        for i in 0..self.legs.len() {
+            if let Err(e) = self.drive_leg(i) {
+                return Some(self.fail(e));
+            }
+        }
+        let outputs = self.finish_stage();
+        self.stage += 1;
+        if self.stage == self.plan.stages.len() {
+            return Some(self.finish(outputs));
+        }
+        self.input = outputs.into();
+        // Shedding is an admission outcome: past stage 0 a full pool is
+        // a failure like a missing replica.
+        self.scatter().err().map(|_| self.fail(self.no_replica()))
+    }
+
+    /// The stage finisher: charges every leg's request and response
+    /// message, sleeps until the slowest leg's response is delivered,
+    /// accumulates attribution and spans, and concatenates the legs'
+    /// outputs column by column in leg order.
+    fn finish_stage(&mut self) -> Vec<Vec<f32>> {
+        let inner = &self.inner;
+        let net = inner.network();
+        let bytes = |columns: &[Vec<f32>]| columns.iter().map(|c| c.len() * 4).sum::<usize>();
+        let in_bytes = bytes(&self.input);
+        let (mut net_s, mut queue_s, mut service_s) = (0.0f64, 0.0f64, 0.0f64);
+        let mut delivered_at = None;
+        let mut outputs: Vec<Vec<f32>> = Vec::new();
+        let legs = self.plan.stages[self.stage].iter().zip(self.legs.drain(..));
+        for (ordinal, (leg, run)) in legs.enumerate() {
+            let done = run.done.expect("stage gathered");
+            let leg_s = inner.charge_leg(&net, done.worker, in_bytes)
+                + inner.charge_leg(&net, done.worker, bytes(&done.outputs));
+            net_s = net_s.max(leg_s);
+            queue_s = queue_s.max(done.queue_wait_s);
+            service_s = service_s.max(done.service_s);
+            delivered_at = delivered_at.max(Some(done.done_at + Duration::from_secs_f64(leg_s)));
+            self.stats.accumulate(&done.stats);
+            self.worker = done.worker;
+            if leg.member.is_none() {
+                self.spans.extend(done.spans);
+            } else if self.collect_spans {
+                // Re-stamp a shard's NPU spans with the owning worker as
+                // the device, so a gathered trace reads as the spatially
+                // distributed execution it was.
+                self.spans.extend(done.spans.into_iter().map(|mut span| {
+                    span.device = done.worker as u32;
+                    span
+                }));
+                if leg_s > 0.0 {
+                    self.spans.push(SpanRecord {
+                        trace_id: self.members[0].id,
+                        device: done.worker as u32,
+                        kind: SpanKind::NetTransfer,
+                        chain: ordinal as u64 + 1,
+                        start_cycle: 0,
+                        end_cycle: (leg_s * leg.clock_hz) as u64,
+                    });
+                }
+            }
+            if outputs.is_empty() {
+                outputs = done.outputs;
+            } else {
+                for (column, part) in outputs.iter_mut().zip(&done.outputs) {
+                    column.extend_from_slice(part);
+                }
+            }
+        }
+        if net_s > 0.0 {
+            let wait = delivered_at.map(|at| at.saturating_duration_since(Instant::now()));
+            std::thread::sleep(wait.unwrap_or_default());
+            self.network_s += net_s;
+        }
+        self.queue_wait_s += queue_s;
+        self.service_s += service_s;
+        outputs
+    }
+
+    /// The request finisher for a served run: one terminal per member —
+    /// completed, or failed by the late-response rule — with its share
+    /// of the attribution, its trace retention and its response.
+    fn finish(&mut self, outputs: Vec<Vec<f32>>) -> Vec<Result<Response, ServeError>> {
+        self.settled = true;
+        let (inner, plan) = (&self.inner, &self.plan);
+        let delivered_at = Instant::now();
+        let k = self.members.len() as u64;
+        let service_s = self.service_s / k as f64;
+        let network_s = self.network_s / k as f64;
+        let trace_id = self.members[0].id;
+        let members = self.members.iter().zip(outputs).enumerate();
+        members
+            .map(|(p, (member, output))| {
+                if delivered_at >= member.deadline_at {
+                    let err = self.deadline_exceeded();
+                    plan.metrics.failed.fetch_add(1, Ordering::Relaxed);
+                    inner.push_flight_failure(member.id, &plan.name, &err.to_string());
+                    return Err(err);
+                }
+                let latency = delivered_at.saturating_duration_since(member.arrived_at);
+                let share = |total: u64| total / k + u64::from((p as u64) < total % k);
+                let stats = RunStats {
+                    cycles: share(self.stats.cycles),
+                    mvm_macs: share(self.stats.mvm_macs),
+                    dep_stall_cycles: share(self.stats.dep_stall_cycles),
+                    resource_stall_cycles: share(self.stats.resource_stall_cycles),
+                    ..self.stats.clone()
+                };
+                plan.metrics.record_completed(latency.as_secs_f64());
+                plan.metrics
+                    .record_attribution(self.queue_wait_s, service_s, network_s, &stats);
+                let attribution = Attribution {
+                    queue_wait: Duration::from_secs_f64(self.queue_wait_s),
+                    service: Duration::from_secs_f64(service_s),
+                    network: Duration::from_secs_f64(network_s),
+                    npu_cycles: stats.cycles,
+                    npu_macs: stats.mvm_macs,
+                    dep_stall_cycles: stats.dep_stall_cycles,
+                    resource_stall_cycles: stats.resource_stall_cycles,
+                };
+                // Tail sampling keeps the span tree iff the latency
+                // objective was breached; head sampling iff the id was
+                // selected at admission.
+                let breached = inner
+                    .cfg
+                    .flight_recorder
+                    .filter(|fr| latency > fr.latency_objective);
+                let sampled = head_sampled(&inner.cfg, member.id) && !self.spans.is_empty();
+                if breached.is_some() || sampled {
+                    let trace = RequestTrace {
+                        request_id: member.id,
+                        trace_id,
+                        model: plan.name.clone(),
+                        worker: self.worker,
+                        attribution,
+                        stats,
+                        spans: self.spans.clone(),
+                    };
+                    if sampled {
+                        inner.push_trace(trace.clone());
+                    }
+                    if let Some(fr) = breached {
+                        inner.push_flight(FlightRecord {
+                            trace,
+                            outcome: FlightOutcome::LatencyBreach {
+                                latency,
+                                objective: fr.latency_objective,
+                            },
+                        });
+                    }
+                }
+                Ok(Response {
+                    request_id: member.id,
+                    output,
+                    latency,
+                    worker: self.worker,
+                    retries: self.retries,
+                    attribution,
+                })
+            })
+            .collect()
+    }
+
+    /// Ends the request with `err` for every member.
+    fn fail(&mut self, err: ServeError) -> Vec<Result<Response, ServeError>> {
+        vec![Err(self.settle(err)); self.members.len()]
+    }
+
+    /// The request finisher for a run that ends without a response:
+    /// accounts it once and hands the error back.
+    fn settle(&mut self, err: ServeError) -> ServeError {
+        self.settle_unserved(err.is_shed(), &err.to_string());
+        err
+    }
+
+    /// Terminal accounting of an unserved run, exactly once: every
+    /// member counts as shed or failed, every leg still in flight fails
+    /// on its member row (gathered legs already completed there), and
+    /// failures — not sheds, which never got capacity — are
+    /// flight-recorded.
+    fn settle_unserved(&mut self, shed: bool, why: &str) {
+        if std::mem::replace(&mut self.settled, true) {
+            return;
+        }
+        let metrics = &self.plan.metrics;
+        let terminal = if shed { &metrics.shed } else { &metrics.failed };
+        terminal.fetch_add(self.members.len() as u64, Ordering::Relaxed);
+        let stage = self.plan.stages.get(self.stage).into_iter().flatten();
+        for (leg, run) in stage.zip(self.legs.drain(..)) {
+            if let (Some(member), None) = (&leg.member, &run.done) {
+                member.failed.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        if !shed {
+            for member in &self.members {
+                self.inner
+                    .push_flight_failure(member.id, &self.plan.name, why);
+            }
+        }
+    }
+}
+
+impl Drop for Run {
+    fn drop(&mut self) {
+        // Abandoned without waiting: account it as failed so every row's
+        // identity holds.
+        self.settle_unserved(false, "abandoned");
+    }
+}

@@ -1,0 +1,893 @@
+//! The serving runtime: a pool of NPU-backed workers behind a routing
+//! policy, and the one request executor that drives every request shape.
+//!
+//! One [`Server`] is one published pool of hardware-microservice
+//! instances (§II-A). This module holds the configuration, the builder
+//! and the shared pool state; `control` holds the runtime control plane
+//! (pin / unpin / drain / register / kill); `executor` holds the request
+//! path. This page is the one description of that path — DESIGN.md and
+//! ARCHITECTURE.md link here instead of restating it.
+//!
+//! # Plans, stages, legs
+//!
+//! The pool serves one kind of request: *run these columns on a worker
+//! that pins this model, over the datacenter network*. Every published
+//! name resolves to a [`Plan`]: an ordered list of **stages**, each
+//! stage one or more **legs**, a leg being "run the stage's input
+//! columns on a worker that pins registry slot `S`". The three request
+//! shapes are three sizes of the same thing:
+//!
+//! | shape | stages | legs per stage | columns |
+//! |---|---|---|---|
+//! | single (batch-1, the BW default) | 1 | 1 | 1 |
+//! | batched (a coalesced window of N member requests) | 1 | 1 | N |
+//! | sharded (a model partitioned across workers) | segments | K shards | 1 |
+//!
+//! A whole model's plan is one leg on its own slot. A shard group
+//! ([`ServerBuilder::sharded_model`]) gets one stage per scatter/gather
+//! segment and one leg per shard; shard `k` of a `K`-wide segment pins
+//! on the workers with `w % K == k`, so a stage's legs land on distinct
+//! workers. Row sharding keeps the gathered result bit-identical to
+//! single-device execution because BFP block exponents are shared only
+//! along a row's column blocks.
+//!
+//! # Lifecycle
+//!
+//! 1. **resolve** — one catalog read maps the name to its plan (metrics
+//!    row, static bound, input width, stages). Unknown names, wrong
+//!    input widths and deadlines below the static bound are rejected
+//!    here, before anything is counted.
+//! 2. **admit** — every member request gets an id and an absolute
+//!    `(arrived_at, deadline_at)`, counts `submitted`, and stage 0 is
+//!    scattered at once: if every candidate queue is full the request is
+//!    *shed*, if no live worker pins a leg's slot it fails `NoReplica`.
+//! 3. **leg driver** — the only wait loop. It waits on a leg's reply
+//!    channel for the attempt timeout or the remaining deadline,
+//!    whichever is sooner; on worker fault, worker death or attempt
+//!    timeout it re-dispatches the leg to a worker that has not tried it
+//!    (each attempt has a fresh channel, so an abandoned attempt's
+//!    completion is dropped unseen), at most `max_retries` times per leg.
+//! 4. **stage finisher** — once every leg of the stage is in, charges
+//!    the network (rule below), concatenates the legs' outputs column by
+//!    column in leg order, and scatters the next stage with the result.
+//! 5. **request finisher** — terminal accounting, attribution, trace
+//!    retention and the responses, once, for every member.
+//!
+//! # The accounting rule
+//!
+//! Every admitted member request terminates exactly once as completed,
+//! shed or failed on its plan's metrics row, so `completed + shed +
+//! failed == submitted` once nothing is in flight. Shedding is an
+//! admission outcome only: a full pool met after stage 0 is a failure. A
+//! `Pending` dropped unwaited counts as failed. Shard legs keep the same
+//! identity on their member rows: a leg counts `submitted` when
+//! scattered, `completed` when its attempt is accepted, and `failed`
+//! when the request ends first. The N members of one coalesced leg split
+//! its NPU counters into exact integer shares (remainders to the
+//! earliest members) and its service and network time evenly, so the
+//! per-model totals equal the dispatch totals.
+//!
+//! # The network-charging rule
+//!
+//! A leg crosses its worker's link as one request message and one
+//! response message, however many columns it carries: each direction
+//! pays the [`NetworkModel`]'s per-message hop once plus serialization
+//! of all its bytes, metered on the per-link counters. The legs of a
+//! stage travel in parallel, so the stage is delivered when its slowest
+//! leg is — the executor sleeps until then, which makes measured latency
+//! include the modeled network — and the request is charged that
+//! slowest leg per stage. A down link makes its worker unreachable.
+//!
+//! # The late-response rule
+//!
+//! A response delivered at or after its member's `deadline_at` is not a
+//! completion: the member fails `DeadlineExceeded`, counts `failed`, and
+//! is flight-recorded as a failure — whatever the shape, and whether the
+//! time went to queueing, execution, a coalescing hold or the modeled
+//! network.
+
+mod control;
+mod executor;
+
+pub use control::{PinError, Server};
+pub use executor::{BatchItem, Client, Pending};
+
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+
+use bw_core::RunStats;
+use bw_gir::{ModelArtifact, ShardedArtifact};
+use bw_system::{NetworkModel, PreloadModel, Routing};
+use parking_lot::{Mutex, RwLock};
+
+use crate::metrics::{
+    render_prometheus, snapshot_model, LinkMetrics, LinkRow, MetricsSnapshot, ModelMetrics,
+    ModelResidency, WorkerRow,
+};
+use crate::registry::{GroupSegment, ModelRegistry, RegistryError, ShardGroup};
+use crate::request::{
+    Attribution, FlightOutcome, FlightRecord, RequestId, RequestTrace, ServeError,
+};
+use crate::router::Router;
+use crate::worker::{spawn_worker, WorkerHandle};
+
+/// Sampled request traces retained before the oldest is dropped.
+const TRACE_LOG_CAP: usize = 256;
+
+/// Tail-sampling flight-recorder settings ([`ServerConfig::flight_recorder`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct FlightRecorderConfig {
+    /// Completed requests slower than this are retained with their full
+    /// span tree.
+    pub latency_objective: Duration,
+    /// Bounded ring capacity: once full, the oldest record is dropped
+    /// for each new one.
+    pub capacity: usize,
+}
+
+/// Tunables of one server pool.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ServerConfig {
+    /// Workers in the pool; every worker pins every registered model.
+    pub replicas: usize,
+    /// Bounded per-worker queue capacity (jobs).
+    pub queue_cap: usize,
+    /// The routing policy (shared vocabulary with `bw-system`).
+    pub policy: Routing,
+    /// Failover retries permitted per request beyond the first attempt.
+    pub max_retries: u32,
+    /// Per-attempt timeout. `None` gives each attempt the full remaining
+    /// deadline (failover then only triggers on faults and death).
+    pub attempt_timeout: Option<Duration>,
+    /// Seed for the random routing policy.
+    pub seed: u64,
+    /// Span-trace sampling: collect full NPU span traces for one request
+    /// in every `trace_sample` (by request id). `0` disables span
+    /// collection entirely; `1` traces every request. Counter
+    /// attribution (cycles, MACs, stalls, queue/service split) is always
+    /// on regardless.
+    pub trace_sample: u64,
+    /// The datacenter network between the client and the workers: every
+    /// request/response and scatter/gather leg is charged (and slept)
+    /// per this model, and a down link makes its worker unreachable. The
+    /// default ideal network charges nothing, preserving the
+    /// single-machine behavior.
+    pub network: NetworkModel,
+    /// The weight-preload cost model: what pinning a replica at runtime
+    /// costs in simulated time ([`Server::pin_model`]). The default free
+    /// model preloads instantly, preserving pre-fleet behavior.
+    pub preload: PreloadModel,
+    /// Tail-sampling flight recorder: when set, every request is traced
+    /// and the full span tree of each request that breached the latency
+    /// objective or failed is retained in a bounded ring
+    /// ([`Server::take_flight_records`]). Unlike `trace_sample` (head
+    /// sampling, decided at admission), retention is decided at
+    /// termination when the outcome is known. `None` (the default)
+    /// disables the recorder.
+    pub flight_recorder: Option<FlightRecorderConfig>,
+}
+
+impl Default for ServerConfig {
+    fn default() -> Self {
+        ServerConfig {
+            replicas: 2,
+            queue_cap: 32,
+            policy: Routing::RoundRobin,
+            max_retries: 1,
+            attempt_timeout: None,
+            seed: 0,
+            trace_sample: 0,
+            network: NetworkModel::ideal(),
+            preload: PreloadModel::free(),
+            flight_recorder: None,
+        }
+    }
+}
+
+/// Error produced while spawning a server.
+#[derive(Debug)]
+pub enum SpawnError {
+    /// The builder had no registered models.
+    NoModels,
+    /// A model name collided.
+    Registry(RegistryError),
+    /// Pinning an artifact onto a worker failed.
+    Pin {
+        /// The model that failed to pin.
+        model: String,
+        /// The deployment error.
+        error: bw_gir::DeployError,
+    },
+    /// The configuration is unusable (zero replicas or queue capacity).
+    BadConfig(
+        /// What is wrong.
+        String,
+    ),
+    /// A declared SLA budget is provably unmeetable: the model's static
+    /// cycle lower bound already exceeds it, so no request could ever
+    /// finish in time. The registry refuses to pin the model.
+    SlaUnmeetable {
+        /// The model whose budget cannot be met.
+        model: String,
+        /// The static lower bound on one inference, in microseconds.
+        bound_us: u64,
+        /// The declared budget, in microseconds.
+        budget_us: u64,
+    },
+}
+
+impl std::fmt::Display for SpawnError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SpawnError::NoModels => write!(f, "no models registered"),
+            SpawnError::Registry(e) => write!(f, "{e}"),
+            SpawnError::Pin { model, error } => write!(f, "pinning `{model}` failed: {error}"),
+            SpawnError::BadConfig(msg) => write!(f, "bad config: {msg}"),
+            SpawnError::SlaUnmeetable {
+                model,
+                bound_us,
+                budget_us,
+            } => write!(
+                f,
+                "sla unmeetable: `{model}` has a static lower bound of \
+                 {bound_us}us against a {budget_us}us budget"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SpawnError {}
+
+impl From<RegistryError> for SpawnError {
+    fn from(e: RegistryError) -> Self {
+        SpawnError::Registry(e)
+    }
+}
+
+/// Whether `trace_sample` head sampling selects this request for the
+/// trace log.
+fn head_sampled(cfg: &ServerConfig, request_id: RequestId) -> bool {
+    cfg.trace_sample > 0 && request_id.is_multiple_of(cfg.trace_sample)
+}
+
+/// Ceil-converts a cycle count into whole microseconds on `clock_hz`.
+#[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+fn cycles_to_us_ceil(cycles: u64, clock_hz: f64) -> u64 {
+    #[allow(clippy::cast_precision_loss)]
+    let us = (cycles as f64) * 1e6 / clock_hz;
+    if !us.is_finite() {
+        return u64::MAX;
+    }
+    us.ceil() as u64
+}
+
+/// One leg of a plan stage: run the stage's input columns on a worker
+/// that pins `slot`.
+pub(crate) struct Leg {
+    /// The registry slot (worker-side pin index) the leg runs on.
+    slot: usize,
+    /// The slot's device clock, for stamping `NetTransfer` spans.
+    clock_hz: f64,
+    /// The member model's own metrics row when the leg is a shard of a
+    /// group; `None` when the leg is the plan's whole model, whose row
+    /// is the plan's.
+    member: Option<Arc<ModelMetrics>>,
+}
+
+/// What a published name resolves to: everything the executor needs to
+/// validate, admit, run and account a request, fixed at registration.
+pub(crate) struct Plan {
+    /// The published name.
+    name: String,
+    /// The name's metrics row.
+    metrics: Arc<ModelMetrics>,
+    /// Static lower bound on one inference in microseconds (`None`
+    /// where no bound is provable): stage bounds add, and a stage takes
+    /// its slowest leg — the gather waits on it.
+    bound_us: Option<u64>,
+    /// Input width one request consumes.
+    input_dim: usize,
+    /// The legs to run, stage by stage.
+    stages: Vec<Vec<Leg>>,
+}
+
+impl Plan {
+    /// The one-leg plan of the whole model in registry slot `slot`.
+    fn for_model(slot: usize, artifact: &ModelArtifact) -> Plan {
+        let clock_hz = artifact.config().clock_hz();
+        Plan {
+            name: artifact.name().to_owned(),
+            metrics: Arc::new(ModelMetrics::default()),
+            bound_us: artifact
+                .static_bounds()
+                .map(|b| cycles_to_us_ceil(b.lower, clock_hz)),
+            input_dim: artifact.input_dim(),
+            stages: vec![vec![Leg {
+                slot,
+                clock_hz,
+                member: None,
+            }]],
+        }
+    }
+
+    /// The scatter/gather plan of a shard group over its members' plans
+    /// (`models`, indexed by registry slot).
+    fn for_group(group: &ShardGroup, models: &[Arc<Plan>]) -> Plan {
+        let stages: Vec<Vec<Leg>> = group
+            .segments
+            .iter()
+            .map(|segment| {
+                segment
+                    .members()
+                    .into_iter()
+                    .map(|slot| Leg {
+                        slot,
+                        // A member's own plan is its one whole-model leg.
+                        clock_hz: models[slot].stages[0][0].clock_hz,
+                        member: Some(Arc::clone(&models[slot].metrics)),
+                    })
+                    .collect()
+            })
+            .collect();
+        let bound_us = stages.iter().try_fold(0u64, |total, stage| {
+            let slowest = stage
+                .iter()
+                .try_fold(0u64, |mx, leg| Some(mx.max(models[leg.slot].bound_us?)))?;
+            Some(total.saturating_add(slowest))
+        });
+        Plan {
+            name: group.name.clone(),
+            metrics: Arc::new(ModelMetrics::default()),
+            bound_us,
+            input_dim: group.input_dim,
+            stages,
+        }
+    }
+
+    /// Pre-admission validation: the input must have the plan's width,
+    /// and a deadline budget the static lower bound already exceeds is
+    /// dead on arrival. Neither rejection is counted as submitted.
+    fn check(&self, input_len: usize, budget: Duration) -> Result<(), ServeError> {
+        if input_len != self.input_dim {
+            return Err(ServeError::BadInput {
+                expected: self.input_dim,
+                got: input_len,
+            });
+        }
+        let budget_us = u64::try_from(budget.as_micros()).unwrap_or(u64::MAX);
+        match self.bound_us {
+            Some(bound_us) if bound_us > budget_us => Err(ServeError::SlaUnmeetable {
+                model: self.name.clone(),
+                bound_us,
+                budget_us,
+            }),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// The published catalog: the registry plus one resolved [`Plan`] per
+/// published name. Kept under one lock so a reader never sees a model
+/// without its plan.
+pub(crate) struct Catalog {
+    registry: ModelRegistry,
+    /// One plan per registry slot, in slot order; grows with
+    /// [`Server::register_model`].
+    models: Vec<Arc<Plan>>,
+    /// One plan per shard group, fixed at spawn.
+    groups: Vec<Arc<Plan>>,
+}
+
+impl Catalog {
+    /// Every plan, in metrics-row order: registry models, then groups.
+    fn plans(&self) -> impl Iterator<Item = &Arc<Plan>> {
+        self.models.iter().chain(&self.groups)
+    }
+}
+
+pub(crate) struct ServerInner {
+    /// The registry and the plans resolved from it. Behind a lock
+    /// because models can be registered at runtime
+    /// ([`Server::register_model`]); shard groups are fixed at spawn.
+    catalog: RwLock<Catalog>,
+    workers: Vec<WorkerHandle>,
+    /// One client↔worker link per worker, in worker order.
+    links: Vec<LinkMetrics>,
+    router: Router,
+    cfg: ServerConfig,
+    /// The live network model. Replaceable at runtime
+    /// ([`Server::set_network`]) so a fleet controller can inject and
+    /// repair link faults while traffic flows.
+    net: RwLock<NetworkModel>,
+    next_id: AtomicU64,
+    /// Sampled request traces, oldest first, bounded at
+    /// [`TRACE_LOG_CAP`].
+    trace_log: Mutex<VecDeque<RequestTrace>>,
+    /// Tail-sampled flight records, oldest first, bounded at
+    /// `cfg.flight_recorder.capacity`. Empty unless the recorder is
+    /// configured.
+    flight_log: Mutex<VecDeque<FlightRecord>>,
+    /// Extra Prometheus renderers appended to the server's own
+    /// exposition — how higher layers (fleet counters, SLO/alert gauges)
+    /// publish through the one TAG_PROM scrape target. Each must render
+    /// a complete, valid text exposition with family names disjoint from
+    /// every other contributor's.
+    extra_prom: RwLock<Vec<Arc<dyn Fn() -> String + Send + Sync>>>,
+}
+
+impl ServerInner {
+    fn next_request_id(&self) -> RequestId {
+        self.next_id.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// A copy of the live network model.
+    fn network(&self) -> NetworkModel {
+        *self.net.read()
+    }
+
+    /// The plan published as `name` (whole models and shard groups
+    /// alike): the one catalog read of a request.
+    fn resolve(&self, name: &str) -> Option<Arc<Plan>> {
+        let catalog = self.catalog.read();
+        let plan = catalog.plans().find(|p| p.name == name)?;
+        Some(Arc::clone(plan))
+    }
+
+    /// Every plan, in metrics-row order.
+    fn plans(&self) -> Vec<Arc<Plan>> {
+        self.catalog.read().plans().cloned().collect()
+    }
+
+    /// Per-worker model residency: `(model name, seconds pinned)` for
+    /// every slot currently pinned on the worker.
+    fn residency(&self) -> Vec<Vec<ModelResidency>> {
+        let names: Vec<String> = {
+            let catalog = self.catalog.read();
+            catalog.models.iter().map(|p| p.name.clone()).collect()
+        };
+        self.workers
+            .iter()
+            .map(|w| {
+                w.resident_slots()
+                    .into_iter()
+                    .filter_map(|(slot, age)| {
+                        names.get(slot).map(|n| ModelResidency {
+                            model: n.clone(),
+                            pinned_for_s: age.as_secs_f64(),
+                        })
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn snapshot(&self) -> MetricsSnapshot {
+        MetricsSnapshot {
+            models: self
+                .plans()
+                .iter()
+                .map(|p| snapshot_model(&p.name, &p.metrics))
+                .collect(),
+            queue_depths: self.workers.iter().map(WorkerHandle::queue_depth).collect(),
+            workers_alive: self.workers.iter().map(WorkerHandle::is_alive).collect(),
+            worker_processed: self
+                .workers
+                .iter()
+                .map(WorkerHandle::processed_count)
+                .collect(),
+            worker_models: self.residency(),
+            link_transfers: self
+                .links
+                .iter()
+                .map(|l| l.transfers.load(Ordering::Relaxed))
+                .collect(),
+            link_bytes: self
+                .links
+                .iter()
+                .map(|l| l.bytes.load(Ordering::Relaxed))
+                .collect(),
+            link_busy_s: self
+                .links
+                .iter()
+                .map(|l| l.busy_ns.load(Ordering::Relaxed) as f64 * 1e-9)
+                .collect(),
+        }
+    }
+
+    fn push_trace(&self, trace: RequestTrace) {
+        let mut log = self.trace_log.lock();
+        if log.len() >= TRACE_LOG_CAP {
+            log.pop_front();
+        }
+        log.push_back(trace);
+    }
+
+    /// Retains one flight record, bounded at the configured capacity
+    /// (oldest dropped first). No-op when the recorder is off.
+    fn push_flight(&self, record: FlightRecord) {
+        let Some(fr) = self.cfg.flight_recorder else {
+            return;
+        };
+        if fr.capacity == 0 {
+            return;
+        }
+        let mut log = self.flight_log.lock();
+        if log.len() >= fr.capacity {
+            log.pop_front();
+        }
+        log.push_back(record);
+    }
+
+    /// Retains a failure record for a request that ended without a
+    /// response: no accepted inference means no span tree, so the record
+    /// carries the identity and the terminal error (`worker` is
+    /// `usize::MAX`). No-op when the recorder is off.
+    fn push_flight_failure(&self, request_id: RequestId, model: &str, error: &str) {
+        if self.cfg.flight_recorder.is_none() {
+            return;
+        }
+        self.push_flight(FlightRecord {
+            trace: RequestTrace {
+                request_id,
+                trace_id: request_id,
+                model: model.to_owned(),
+                worker: usize::MAX,
+                attribution: Attribution::default(),
+                stats: RunStats::default(),
+                spans: Vec::new(),
+            },
+            outcome: FlightOutcome::Failed {
+                error: error.to_owned(),
+            },
+        });
+    }
+
+    fn prometheus(&self) -> String {
+        let mut text = self.prometheus_base();
+        for render in self.extra_prom.read().iter() {
+            let extra = render();
+            if !extra.is_empty() {
+                text.push_str(&extra);
+            }
+        }
+        text
+    }
+
+    fn prometheus_base(&self) -> String {
+        let plans = self.plans();
+        let models: Vec<(&str, &ModelMetrics)> = plans
+            .iter()
+            .map(|p| (p.name.as_str(), p.metrics.as_ref()))
+            .collect();
+        let residency = self.residency();
+        let workers: Vec<WorkerRow> = self
+            .workers
+            .iter()
+            .zip(residency)
+            .enumerate()
+            .map(|(id, (w, resident))| WorkerRow {
+                id,
+                queue_depth: w.queue_depth(),
+                alive: w.is_alive(),
+                processed: w.processed_count(),
+                resident,
+            })
+            .collect();
+        let links: Vec<LinkRow> = self
+            .links
+            .iter()
+            .enumerate()
+            .map(|(id, l)| LinkRow {
+                id,
+                transfers: l.transfers.load(Ordering::Relaxed),
+                bytes: l.bytes.load(Ordering::Relaxed),
+                busy_s: l.busy_ns.load(Ordering::Relaxed) as f64 * 1e-9,
+            })
+            .collect();
+        render_prometheus(&models, &workers, &links)
+    }
+
+    /// Meters one modeled message of `bytes` over worker `worker`'s link
+    /// and returns its modeled seconds (zero on an ideal network; a
+    /// degraded link multiplies the cost).
+    fn charge_leg(&self, net: &NetworkModel, worker: usize, bytes: usize) -> f64 {
+        if net.is_ideal() {
+            return 0.0;
+        }
+        let s = net.one_way_on(worker, bytes);
+        self.links[worker].record(bytes, s);
+        s
+    }
+}
+
+/// Builds a [`Server`]: register models, set the pool shape, spawn.
+#[derive(Default)]
+pub struct ServerBuilder {
+    registry: ModelRegistry,
+    cfg: ServerConfig,
+    registry_error: Option<RegistryError>,
+    sla_budgets: Vec<(String, Duration)>,
+    placements: Vec<(String, Vec<usize>)>,
+}
+
+impl ServerBuilder {
+    /// Registers a model artifact.
+    pub fn model(mut self, artifact: ModelArtifact) -> Self {
+        if self.registry_error.is_none() {
+            if let Err(e) = self.registry.register(artifact) {
+                self.registry_error = Some(e);
+            }
+        }
+        self
+    }
+
+    /// Registers a sharded model: its member artifacts pin on disjoint
+    /// owner sets and a request for the group name runs scatter/gather
+    /// across them. Requires `replicas >=` the group's widest segment at
+    /// spawn.
+    pub fn sharded_model(mut self, sharded: ShardedArtifact) -> Self {
+        if self.registry_error.is_none() {
+            if let Err(e) = self.registry.register_sharded(sharded) {
+                self.registry_error = Some(e);
+            }
+        }
+        self
+    }
+
+    /// Declares a deadline budget the registry must prove `model` (a
+    /// whole model or a shard group) can meet: spawn refuses with
+    /// [`SpawnError::SlaUnmeetable`] if the model's static cycle lower
+    /// bound already exceeds `budget`.
+    pub fn sla_budget(mut self, model: impl Into<String>, budget: Duration) -> Self {
+        self.sla_budgets.push((model.into(), budget));
+        self
+    }
+
+    /// Sets the client↔worker network model.
+    pub fn network(mut self, network: NetworkModel) -> Self {
+        self.cfg.network = network;
+        self
+    }
+
+    /// Sets the weight-preload cost model charged by
+    /// [`Server::pin_model`].
+    pub fn preload(mut self, preload: PreloadModel) -> Self {
+        self.cfg.preload = preload;
+        self
+    }
+
+    /// Restricts a whole model's boot-time placement to the given
+    /// workers instead of pinning it everywhere. The fleet layer uses
+    /// this to start a model at a small replica count and let the
+    /// controller grow it. Shard-group members keep their ownership rule
+    /// and cannot be placed.
+    pub fn pin_on(mut self, model: impl Into<String>, workers: impl Into<Vec<usize>>) -> Self {
+        self.placements.push((model.into(), workers.into()));
+        self
+    }
+
+    /// Replaces the whole configuration.
+    pub fn config(mut self, cfg: ServerConfig) -> Self {
+        self.cfg = cfg;
+        self
+    }
+
+    /// Sets the worker count.
+    pub fn replicas(mut self, replicas: usize) -> Self {
+        self.cfg.replicas = replicas;
+        self
+    }
+
+    /// Sets the bounded per-worker queue capacity.
+    pub fn queue_cap(mut self, cap: usize) -> Self {
+        self.cfg.queue_cap = cap;
+        self
+    }
+
+    /// Sets the routing policy.
+    pub fn policy(mut self, policy: Routing) -> Self {
+        self.cfg.policy = policy;
+        self
+    }
+
+    /// Sets the failover retry budget.
+    pub fn max_retries(mut self, retries: u32) -> Self {
+        self.cfg.max_retries = retries;
+        self
+    }
+
+    /// Sets the per-attempt timeout.
+    pub fn attempt_timeout(mut self, timeout: Duration) -> Self {
+        self.cfg.attempt_timeout = Some(timeout);
+        self
+    }
+
+    /// Sets span-trace sampling: full NPU span traces for one request in
+    /// every `n` (0 disables, 1 traces all).
+    pub fn trace_sample(mut self, n: u64) -> Self {
+        self.cfg.trace_sample = n;
+        self
+    }
+
+    /// Arms the tail-sampling flight recorder: completed requests slower
+    /// than `latency_objective` (and failed requests) are retained with
+    /// their full span trees in a ring of `capacity` records, drained
+    /// via [`Server::take_flight_records`].
+    pub fn flight_recorder(mut self, latency_objective: Duration, capacity: usize) -> Self {
+        self.cfg.flight_recorder = Some(FlightRecorderConfig {
+            latency_objective,
+            capacity,
+        });
+        self
+    }
+
+    /// Spawns the pool: every worker pins every whole model; shard
+    /// members pin only on their owner set (worker `w` owns shard `k` of
+    /// a `K`-wide segment iff `w % K == k`, so owner sets are disjoint
+    /// across the segment and every shard has `replicas / K` owners).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpawnError`] on an empty registry, a bad configuration
+    /// (including fewer replicas than the widest shard segment), or a
+    /// pin failure.
+    pub fn spawn(self) -> Result<Server, SpawnError> {
+        if let Some(e) = self.registry_error {
+            return Err(e.into());
+        }
+        if self.registry.is_empty() {
+            return Err(SpawnError::NoModels);
+        }
+        if self.cfg.replicas == 0 {
+            return Err(SpawnError::BadConfig("replicas must be positive".into()));
+        }
+        if self.cfg.queue_cap == 0 {
+            return Err(SpawnError::BadConfig("queue_cap must be positive".into()));
+        }
+        let widest = self
+            .registry
+            .groups()
+            .iter()
+            .map(|g| g.max_width())
+            .max()
+            .unwrap_or(1);
+        if self.cfg.replicas < widest {
+            return Err(SpawnError::BadConfig(format!(
+                "{} replicas cannot host a {widest}-shard segment (one distinct worker per shard)",
+                self.cfg.replicas
+            )));
+        }
+
+        // One plan per registry slot, then one per shard group over its
+        // members' plans.
+        let models: Vec<Arc<Plan>> = self
+            .registry
+            .artifacts()
+            .iter()
+            .enumerate()
+            .map(|(slot, a)| Arc::new(Plan::for_model(slot, a)))
+            .collect();
+        let groups: Vec<Arc<Plan>> = self
+            .registry
+            .groups()
+            .iter()
+            .map(|g| Arc::new(Plan::for_group(g, &models)))
+            .collect();
+
+        // Declared budgets are a registration-time contract: refuse to
+        // pin a model whose bound proves its budget unmeetable.
+        for (model, budget) in &self.sla_budgets {
+            let Some(plan) = models.iter().chain(&groups).find(|p| p.name == *model) else {
+                return Err(SpawnError::BadConfig(format!(
+                    "sla budget declared for unregistered model `{model}`"
+                )));
+            };
+            let Some(bound) = plan.bound_us else {
+                return Err(SpawnError::BadConfig(format!(
+                    "sla budget declared for `{model}` but no static cycle \
+                     bound is provable"
+                )));
+            };
+            let budget_us = u64::try_from(budget.as_micros()).unwrap_or(u64::MAX);
+            if bound > budget_us {
+                return Err(SpawnError::SlaUnmeetable {
+                    model: model.clone(),
+                    bound_us: bound,
+                    budget_us,
+                });
+            }
+        }
+
+        // Shard ownership: slot -> (shard ordinal, segment width). Group
+        // membership (sharded or single-segment) disqualifies a slot
+        // from explicit placement.
+        let mut shard_of: Vec<Option<(usize, usize)>> = vec![None; self.registry.len()];
+        let mut in_group: Vec<bool> = vec![false; self.registry.len()];
+        for group in self.registry.groups() {
+            for segment in &group.segments {
+                for slot in segment.members() {
+                    in_group[slot] = true;
+                }
+                if let GroupSegment::Sharded(members) = segment {
+                    for (k, &slot) in members.iter().enumerate() {
+                        shard_of[slot] = Some((k, members.len()));
+                    }
+                }
+            }
+        }
+
+        // Explicit boot placements: whole models only, on known workers,
+        // at least one replica each.
+        let mut placement_of: Vec<Option<Vec<usize>>> = vec![None; self.registry.len()];
+        for (model, workers) in &self.placements {
+            let Some(slot) = self.registry.index_of(model) else {
+                return Err(SpawnError::BadConfig(format!(
+                    "placement declared for unregistered model `{model}`"
+                )));
+            };
+            if in_group[slot] {
+                return Err(SpawnError::BadConfig(format!(
+                    "placement declared for shard-group member `{model}`"
+                )));
+            }
+            if workers.is_empty() {
+                return Err(SpawnError::BadConfig(format!(
+                    "placement for `{model}` names no workers"
+                )));
+            }
+            if let Some(&bad) = workers.iter().find(|&&w| w >= self.cfg.replicas) {
+                return Err(SpawnError::BadConfig(format!(
+                    "placement for `{model}` names worker {bad} but the pool \
+                     has {} replicas",
+                    self.cfg.replicas
+                )));
+            }
+            placement_of[slot] = Some(workers.clone());
+        }
+
+        let mut workers = Vec::with_capacity(self.cfg.replicas);
+        for id in 0..self.cfg.replicas {
+            let mut pinned = Vec::with_capacity(self.registry.len());
+            for (slot, artifact) in self.registry.artifacts().iter().enumerate() {
+                let owns = shard_of[slot].is_none_or(|(k, width)| id % width == k)
+                    && placement_of[slot]
+                        .as_ref()
+                        .is_none_or(|set| set.contains(&id));
+                if !owns {
+                    pinned.push(None);
+                    continue;
+                }
+                let pin = artifact.pin().map_err(|error| SpawnError::Pin {
+                    model: artifact.name().to_owned(),
+                    error,
+                })?;
+                pinned.push(Some(pin));
+            }
+            workers.push(spawn_worker(id, pinned, self.cfg.queue_cap));
+        }
+
+        let links = (0..self.cfg.replicas)
+            .map(|_| LinkMetrics::default())
+            .collect();
+        Ok(Server {
+            inner: Arc::new(ServerInner {
+                router: Router::new(self.cfg.policy, self.cfg.seed),
+                catalog: RwLock::new(Catalog {
+                    registry: self.registry,
+                    models,
+                    groups,
+                }),
+                workers,
+                links,
+                net: RwLock::new(self.cfg.network),
+                cfg: self.cfg,
+                next_id: AtomicU64::new(1),
+                trace_log: Mutex::new(VecDeque::new()),
+                flight_log: Mutex::new(VecDeque::new()),
+                extra_prom: RwLock::new(Vec::new()),
+            }),
+        })
+    }
+}

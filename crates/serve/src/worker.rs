@@ -37,80 +37,57 @@ use bw_core::{RunStats, SpanRecord};
 use bw_gir::PinnedModel;
 use parking_lot::{Mutex, RwLock};
 
-/// What a worker reports back for one attempt.
+/// The input (or output) columns of one leg: one vector per member
+/// request, shared by every attempt of the leg.
+pub(crate) type Columns = Arc<[Vec<f32>]>;
+
+/// A served attempt: the outputs and where the time and NPU work went.
+#[derive(Clone, Debug)]
+pub(crate) struct Served {
+    /// Worker that served it.
+    pub worker: usize,
+    /// Per-column model outputs, in input order.
+    pub outputs: Vec<Vec<f32>>,
+    /// Time the job waited in the queue before this worker popped it.
+    pub queue_wait_s: f64,
+    /// Wall time the (possibly multi-column) inference spent executing.
+    pub service_s: f64,
+    /// When the inference finished: the modeled response message leaves
+    /// the worker at this instant.
+    pub done_at: Instant,
+    /// Accelerator statistics accumulated over every column.
+    pub stats: RunStats,
+    /// NPU spans, when the job asked for span collection (empty
+    /// otherwise).
+    pub spans: Vec<SpanRecord>,
+}
+
+/// What a worker reports back for one attempt. Every attempt has its
+/// own reply channel, so a completion needs no attempt number: one that
+/// outlives its attempt finds the receiver gone.
 #[derive(Clone, Debug)]
 pub(crate) enum Completion {
-    /// The attempt produced an output.
-    Done {
-        /// Attempt number (monotone per request).
-        attempt: u32,
-        /// Worker that served it.
-        worker: usize,
-        /// The model output.
-        output: Vec<f32>,
-        /// Time the job waited in the queue before this worker popped it.
-        queue_wait_s: f64,
-        /// Wall time the inference spent executing.
-        service_s: f64,
-        /// Accelerator statistics of the inference.
-        stats: RunStats,
-        /// NPU spans, when the job asked for span collection (empty
-        /// otherwise).
-        spans: Vec<SpanRecord>,
-    },
-    /// A coalesced batch attempt produced one output per column.
-    BatchDone {
-        /// Attempt number (monotone per batch).
-        attempt: u32,
-        /// Worker that served it.
-        worker: usize,
-        /// Per-column model outputs, in input order.
-        outputs: Vec<Vec<f32>>,
-        /// Time the batch waited in the queue before this worker popped
-        /// it.
-        queue_wait_s: f64,
-        /// Wall time the whole multi-column inference spent executing.
-        service_s: f64,
-        /// Accelerator statistics accumulated over every column.
-        stats: RunStats,
-        /// NPU spans, when the job asked for span collection (empty
-        /// otherwise).
-        spans: Vec<SpanRecord>,
-    },
+    /// The attempt produced one output per column.
+    Done(Served),
     /// The attempt failed in the simulator.
     Fault {
-        /// Attempt number.
-        attempt: u32,
         /// Worker that faulted.
         worker: usize,
         /// The simulator error.
         message: String,
     },
     /// The worker popped the job after its deadline had already passed.
-    Expired {
-        /// Attempt number.
-        attempt: u32,
-    },
+    Expired,
 }
 
-/// What one queued attempt carries: a single request's input, or a
-/// coalesced micro-batch of same-model inputs that the worker dispatches
-/// as one multi-column run.
-#[derive(Clone)]
-pub(crate) enum Payload {
-    /// One request (batch-1, the BW default).
-    Single(Arc<Vec<f32>>),
-    /// A coalesced batch, one column per member request, in admission
-    /// order.
-    Batch(Arc<Vec<Vec<f32>>>),
-}
-
-/// One queued attempt.
+/// One queued attempt of one leg.
 pub(crate) struct Job {
-    pub attempt: u32,
     /// Dense registry index of the model.
     pub model: usize,
-    pub payload: Payload,
+    /// The leg's input columns: one is the batch-1 BW default, N are a
+    /// coalesced micro-batch the worker runs as one multi-column
+    /// dispatch.
+    pub columns: Columns,
     pub deadline: Instant,
     pub reply: Sender<Completion>,
     /// Trace id stamped on emitted spans (the request id).
@@ -375,21 +352,18 @@ pub(crate) fn spawn_worker(
                 };
                 let popped = Instant::now();
                 let completion = if popped >= job.deadline {
-                    Completion::Expired {
-                        attempt: job.attempt,
-                    }
+                    Completion::Expired
                 } else if models.get(job.model).is_none_or(Option::is_none) {
                     // A mis-routed job for a slot this worker does not
                     // pin: fault so the request fails over to an owner.
                     Completion::Fault {
-                        attempt: job.attempt,
                         worker: id,
                         message: format!("model slot {} not pinned on worker {id}", job.model),
                     }
                 } else {
                     let queue_wait_s = (popped - job.enqueued_at).as_secs_f64();
                     let model = models[job.model].as_mut().expect("pinned slot");
-                    serve_payload(model, &job, id, queue_wait_s, popped)
+                    serve(model, &job, id, queue_wait_s, popped)
                 };
                 t_outstanding.fetch_sub(1, Ordering::AcqRel);
                 t_processed.fetch_add(1, Ordering::Relaxed);
@@ -413,69 +387,42 @@ pub(crate) fn spawn_worker(
     }
 }
 
-/// Runs one popped job's payload on its pinned model: a single-column
-/// inference for [`Payload::Single`], one multi-column dispatch for
-/// [`Payload::Batch`].
-fn serve_payload(
+/// Runs one popped job on its pinned model: one column is a batch-1
+/// inference, N columns are one multi-column dispatch.
+fn serve(
     model: &mut PinnedModel,
     job: &Job,
     worker: usize,
     queue_wait_s: f64,
     popped: Instant,
 ) -> Completion {
-    match &job.payload {
-        Payload::Single(input) => {
-            let result = if job.collect_spans {
-                model.infer_traced(input, job.trace_id)
-            } else {
-                model
-                    .infer_with_stats(input)
-                    .map(|(output, stats)| (output, stats, Vec::new()))
-            };
-            let service_s = popped.elapsed().as_secs_f64();
-            match result {
-                Ok((output, stats, spans)) => Completion::Done {
-                    attempt: job.attempt,
-                    worker,
-                    output,
-                    queue_wait_s,
-                    service_s,
-                    stats,
-                    spans,
-                },
-                Err(e) => Completion::Fault {
-                    attempt: job.attempt,
-                    worker,
-                    message: e.to_string(),
-                },
-            }
-        }
-        Payload::Batch(inputs) => {
-            let result = if job.collect_spans {
-                model.infer_batch_traced(inputs, job.trace_id)
-            } else {
-                model
-                    .infer_batch(inputs)
-                    .map(|(outputs, stats)| (outputs, stats, Vec::new()))
-            };
-            let service_s = popped.elapsed().as_secs_f64();
-            match result {
-                Ok((outputs, stats, spans)) => Completion::BatchDone {
-                    attempt: job.attempt,
-                    worker,
-                    outputs,
-                    queue_wait_s,
-                    service_s,
-                    stats,
-                    spans,
-                },
-                Err(e) => Completion::Fault {
-                    attempt: job.attempt,
-                    worker,
-                    message: e.to_string(),
-                },
-            }
-        }
+    let result = match (&*job.columns, job.collect_spans) {
+        ([input], true) => model
+            .infer_traced(input, job.trace_id)
+            .map(|(output, stats, spans)| (vec![output], stats, spans)),
+        ([input], false) => model
+            .infer_with_stats(input)
+            .map(|(output, stats)| (vec![output], stats, Vec::new())),
+        (inputs, true) => model.infer_batch_traced(inputs, job.trace_id),
+        (inputs, false) => model
+            .infer_batch(inputs)
+            .map(|(outputs, stats)| (outputs, stats, Vec::new())),
+    };
+    let done_at = Instant::now();
+    match result {
+        Ok((outputs, stats, spans)) => Completion::Done(Served {
+            worker,
+            outputs,
+            queue_wait_s,
+            service_s: (done_at - popped).as_secs_f64(),
+            done_at,
+            stats,
+            spans,
+        }),
+        Err(e) => Completion::Fault {
+            worker,
+            message: e.to_string(),
+        },
     }
 }
 
@@ -490,11 +437,10 @@ mod tests {
         spawn_worker(0, vec![Some(artifact.pin().unwrap())], queue_cap)
     }
 
-    fn job(attempt: u32, reply: Sender<Completion>) -> Job {
+    fn job(reply: Sender<Completion>) -> Job {
         Job {
-            attempt,
             model: 0,
-            payload: Payload::Single(Arc::new(demo_input(16, 0))),
+            columns: Arc::new([demo_input(16, 0)]),
             deadline: Instant::now() + Duration::from_secs(5),
             reply,
             trace_id: 7,
@@ -507,22 +453,15 @@ mod tests {
     fn worker_serves_jobs() {
         let w = worker_with(4);
         let (tx, rx) = std::sync::mpsc::channel();
-        w.try_dispatch(job(0, tx)).unwrap();
+        w.try_dispatch(job(tx)).unwrap();
         match rx.recv_timeout(Duration::from_secs(10)).unwrap() {
-            Completion::Done {
-                attempt,
-                worker,
-                output,
-                queue_wait_s,
-                service_s,
-                stats,
-                spans,
-            } => {
-                assert_eq!((attempt, worker), (0, 0));
-                assert_eq!(output.len(), 8);
-                assert!(queue_wait_s >= 0.0 && service_s > 0.0);
-                assert!(stats.cycles > 0);
-                assert!(spans.is_empty(), "no spans unless requested");
+            Completion::Done(served) => {
+                assert_eq!(served.worker, 0);
+                assert_eq!(served.outputs.len(), 1, "one output per column");
+                assert_eq!(served.outputs[0].len(), 8);
+                assert!(served.queue_wait_s >= 0.0 && served.service_s > 0.0);
+                assert!(served.stats.cycles > 0);
+                assert!(served.spans.is_empty(), "no spans unless requested");
             }
             other => panic!("unexpected completion {other:?}"),
         }
@@ -536,12 +475,12 @@ mod tests {
     fn traced_jobs_carry_stamped_spans() {
         let w = worker_with(4);
         let (tx, rx) = std::sync::mpsc::channel();
-        let mut j = job(0, tx);
+        let mut j = job(tx);
         j.collect_spans = true;
         j.trace_id = 99;
         w.try_dispatch(j).unwrap();
         match rx.recv_timeout(Duration::from_secs(10)).unwrap() {
-            Completion::Done { stats, spans, .. } => {
+            Completion::Done(Served { stats, spans, .. }) => {
                 assert!(!spans.is_empty());
                 assert!(spans.iter().all(|s| s.trace_id == 99));
                 // The Run spans' cycles reconcile with the stats.
@@ -561,12 +500,12 @@ mod tests {
     fn expired_jobs_are_reported_not_served() {
         let w = worker_with(4);
         let (tx, rx) = std::sync::mpsc::channel();
-        let mut j = job(2, tx);
+        let mut j = job(tx);
         j.deadline = Instant::now() - Duration::from_millis(1);
         w.try_dispatch(j).unwrap();
         assert!(matches!(
             rx.recv_timeout(Duration::from_secs(10)).unwrap(),
-            Completion::Expired { attempt: 2, .. }
+            Completion::Expired
         ));
         w.stop_and_join();
     }
@@ -577,16 +516,16 @@ mod tests {
         // Queue several jobs, then kill: queued replies must disconnect
         // (or complete, if the worker raced past them before the kill).
         let receivers: Vec<_> = (0..4)
-            .map(|i| {
+            .map(|_| {
                 let (tx, rx) = std::sync::mpsc::channel();
-                w.try_dispatch(job(i, tx)).unwrap();
+                w.try_dispatch(job(tx)).unwrap();
                 rx
             })
             .collect();
         w.kill();
         assert!(!w.is_alive());
         let (tx, _rx) = std::sync::mpsc::channel();
-        assert_eq!(w.try_dispatch(job(9, tx)), Err(DispatchRefused::Dead));
+        assert_eq!(w.try_dispatch(job(tx)), Err(DispatchRefused::Dead));
         for rx in receivers {
             match rx.recv_timeout(Duration::from_secs(10)) {
                 Ok(_) | Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {}
@@ -604,8 +543,8 @@ mod tests {
         // dispatching until the bounded queue refuses.
         let (tx, rx) = std::sync::mpsc::channel();
         let mut refused = None;
-        for i in 0..16 {
-            match w.try_dispatch(job(i, tx.clone())) {
+        for _ in 0..16 {
+            match w.try_dispatch(job(tx.clone())) {
                 Ok(()) => {}
                 Err(r) => {
                     refused = Some(r);

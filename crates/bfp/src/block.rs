@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::format::BfpFormat;
+use crate::kernel::{self, exp2, Mantissas, Operand, Rows};
 
 /// Rounding discipline for quantization.
 ///
@@ -47,11 +48,15 @@ pub enum Rounding {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct BfpBlock {
     format: BfpFormat,
-    /// Signed mantissas, one per element; magnitude bounded by
-    /// `format.max_mantissa()`.
-    mantissas: Vec<i32>,
+    /// Signed mantissas, one per element, magnitude bounded by
+    /// `format.max_mantissa()`: `i8` lanes when that bound is ≤ 127, `i32`
+    /// otherwise.
+    mantissas: Mantissas,
     /// One unbiased shared exponent per chunk of `format.block_size()`.
     exponents: Vec<i32>,
+    /// `i8` mantissas widened once, at quantization, to the `i16` lanes the
+    /// MAC kernel multiplies matrix rows by; empty in the `i32` layout.
+    lanes: Vec<i16>,
 }
 
 /// Error produced by [`BfpBlock::dot`] when the operands are incompatible.
@@ -103,15 +108,9 @@ impl BfpBlock {
 
     /// Quantizes with an explicit [`Rounding`] discipline.
     pub fn quantize_with_rounding(values: &[f32], format: BfpFormat, rounding: Rounding) -> Self {
-        let mut mantissas = Vec::with_capacity(values.len());
-        let mut exponents =
-            Vec::with_capacity(values.len().div_ceil((format.block_size() as usize).max(1)));
-        quantize_append(values, format, rounding, &mut mantissas, &mut exponents);
-        BfpBlock {
-            format,
-            mantissas,
-            exponents,
-        }
+        let mut block = Self::empty(format);
+        Self::quantize_into(values, format, rounding, &mut block);
+        block
     }
 
     /// An empty block in the given format, useful as a reusable scratch
@@ -119,8 +118,9 @@ impl BfpBlock {
     pub fn empty(format: BfpFormat) -> Self {
         BfpBlock {
             format,
-            mantissas: Vec::new(),
+            mantissas: Mantissas::with_capacity(format, 0),
             exponents: Vec::new(),
+            lanes: Vec::new(),
         }
     }
 
@@ -129,7 +129,7 @@ impl BfpBlock {
     /// [`BfpBlock::quantize_with_rounding`].
     pub fn quantize_into(values: &[f32], format: BfpFormat, rounding: Rounding, out: &mut Self) {
         out.format = format;
-        out.mantissas.clear();
+        out.mantissas.reset(format);
         out.exponents.clear();
         quantize_append(
             values,
@@ -138,6 +138,10 @@ impl BfpBlock {
             &mut out.mantissas,
             &mut out.exponents,
         );
+        out.lanes.clear();
+        if let Mantissas::Narrow(m) = &out.mantissas {
+            out.lanes.extend(m.iter().map(|&q| i16::from(q)));
+        }
     }
 
     /// The format this block was quantized with.
@@ -149,19 +153,19 @@ impl BfpBlock {
     /// Number of elements.
     #[inline]
     pub fn len(&self) -> usize {
-        self.mantissas.len()
+        self.mantissas.as_slice().len()
     }
 
     /// Returns `true` if the block holds no elements.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.mantissas.is_empty()
+        self.len() == 0
     }
 
-    /// The raw signed mantissas.
-    #[inline]
-    pub fn mantissas(&self) -> &[i32] {
-        &self.mantissas
+    /// The signed mantissas, widened to `i32` from whichever lane width the
+    /// format stores them in.
+    pub fn mantissas(&self) -> impl Iterator<Item = i32> + '_ {
+        self.mantissas.as_slice().iter()
     }
 
     /// The unbiased shared exponents, one per chunk.
@@ -172,61 +176,59 @@ impl BfpBlock {
 
     /// Reconstructs the approximate `f32` values.
     pub fn dequantize(&self) -> Vec<f32> {
-        let chunk = self.format.block_size() as usize;
-        let m = i32::from(self.format.mantissa_bits());
-        let mut out = Vec::with_capacity(self.len());
-        for (gi, group) in self.mantissas.chunks(chunk).enumerate() {
-            let scale = exp2(self.exponents[gi] - (m - 1));
-            for &q in group {
-                out.push((f64::from(q) * scale) as f32);
-            }
+        self.mantissas
+            .as_slice()
+            .dequantize(&self.exponents, self.format)
+    }
+
+    /// This vector as the broadcast operand of a product.
+    pub(crate) fn operand(&self) -> Operand<'_> {
+        Operand {
+            format: self.format,
+            mantissas: self.mantissas.as_slice(),
+            lanes: &self.lanes,
+            exponents: &self.exponents,
         }
-        out
+    }
+
+    /// This vector as the row side of a product.
+    fn as_row(&self) -> Rows<'_> {
+        Rows {
+            format: self.format,
+            cols: self.len(),
+            mantissas: self.mantissas.as_slice(),
+            exponents: &self.exponents,
+        }
     }
 
     /// Dot product of two BFP vectors using integer MACs per chunk.
     ///
-    /// This is the fast kernel: within each chunk the products `q_a * q_b`
-    /// accumulate in a 32-bit integer when the formats guarantee no overflow
-    /// (`block_size * max_mantissa_a * max_mantissa_b <= i32::MAX`, true for
-    /// every narrow-mantissa format the NPU uses), falling back to 64-bit
-    /// otherwise; the chunk sum is then scaled once by the combined exponents
-    /// and accumulated across chunks in double precision. Integer addition is
-    /// exact and the per-chunk scale is an exact power of two, so the result
-    /// is bit-identical to [`BfpBlock::dot_naive`] — the differential
-    /// property tests pin this.
+    /// This is the fast kernel: when both formats store `i8` mantissas
+    /// (≤ 7 mantissa bits — every narrow format the NPU uses) the products
+    /// are packed 16-bit multiply-adds summed in `i32`; wider formats run
+    /// the reference loop. Each chunk sum is then scaled once by the
+    /// combined exponents and accumulated across chunks in double
+    /// precision. Integer addition is exact and the per-chunk scale is an
+    /// exact power of two, so the result is bit-identical to
+    /// [`BfpBlock::dot_naive`] — the differential property tests pin this.
     ///
     /// # Errors
     ///
     /// Returns [`DotError`] if the operands differ in length or chunk size.
     pub fn dot(&self, other: &BfpBlock) -> Result<f32, DotError> {
         self.check_dot_operand(other)?;
-        Ok(dot_flat(
-            &self.mantissas,
-            &self.exponents,
-            self.format,
-            &other.mantissas,
-            &other.exponents,
-            other.format,
-        ))
+        Ok(kernel::dot(self.as_row(), other.operand()))
     }
 
     /// Reference dot product: element-by-element 64-bit accumulation per
-    /// chunk, retained verbatim as the oracle for the fast kernel.
+    /// chunk, retained as the oracle for the fast kernel.
     ///
     /// # Errors
     ///
     /// Returns [`DotError`] if the operands differ in length or chunk size.
     pub fn dot_naive(&self, other: &BfpBlock) -> Result<f32, DotError> {
         self.check_dot_operand(other)?;
-        Ok(dot_flat_naive(
-            &self.mantissas,
-            &self.exponents,
-            self.format,
-            &other.mantissas,
-            &other.exponents,
-            other.format,
-        ))
+        Ok(kernel::dot_naive(self.as_row(), other.operand()))
     }
 
     fn check_dot_operand(&self, other: &BfpBlock) -> Result<(), DotError> {
@@ -256,21 +258,47 @@ impl BfpBlock {
     }
 }
 
-/// `2.0^e` as an `f64` without going through `powi` (exact for the exponent
-/// ranges BFP uses).
-#[inline]
-pub(crate) fn exp2(e: i32) -> f64 {
-    f64::from_bits(((1023 + i64::from(e)) as u64) << 52)
-}
-
 /// Quantization core shared by [`BfpBlock`] and `BfpMatrix`: appends one
-/// chunk-exponent per `block_size` group and one mantissa per element.
+/// chunk-exponent per `block_size` group and one mantissa per element, in
+/// the lane width `mantissas` already has.
 pub(crate) fn quantize_append(
     values: &[f32],
     format: BfpFormat,
     rounding: Rounding,
-    mantissas: &mut Vec<i32>,
+    mantissas: &mut Mantissas,
     exponents: &mut Vec<i32>,
+) {
+    match mantissas {
+        Mantissas::Narrow(m) => quantize_lanes(values, format, rounding, m, exponents, |q| q as i8),
+        Mantissas::Wide(m) => quantize_lanes(values, format, rounding, m, exponents, |q| q),
+    }
+}
+
+/// `|v|`, with non-finite values read as `f32::MAX`. Written as the
+/// select that is one packed `min`, NaN taking the second arm.
+#[inline]
+fn magnitude(v: f32) -> f32 {
+    let a = v.abs();
+    if a < f32::MAX {
+        a
+    } else {
+        f32::MAX
+    }
+}
+
+/// Adding `1.5 · 2^52` to an `f64` of magnitude below `2^31` rounds it to
+/// the nearest integer, ties to even, and leaves that integer in the low 32
+/// bits of the sum as two's complement.
+const ROUND_TO_INT: f64 = 6_755_399_441_055_744.0;
+
+/// `narrow` must be lossless on `-max_mantissa..=max_mantissa`.
+fn quantize_lanes<M>(
+    values: &[f32],
+    format: BfpFormat,
+    rounding: Rounding,
+    mantissas: &mut Vec<M>,
+    exponents: &mut Vec<i32>,
+    narrow: impl Fn(i32) -> M,
 ) {
     // A splitmix64 generator keeps stochastic rounding dependency-free,
     // deterministic in the seed, and well-distributed even for small,
@@ -290,133 +318,67 @@ pub(crate) fn quantize_append(
     let chunk = format.block_size() as usize;
     let max_man = format.max_mantissa();
     let (exp_min, exp_max) = format.exponent_range();
+    let m = i32::from(format.mantissa_bits());
     mantissas.reserve(values.len());
-    exponents.reserve(values.len().div_ceil(chunk.max(1)));
+    exponents.reserve(values.len().div_ceil(chunk));
 
     for group in values.chunks(chunk) {
-        let amax = group
+        // Non-negative floats order like their bit patterns, and an integer
+        // maximum may be taken in any order, so this reduction vectorizes
+        // where a float one is a serial chain.
+        let amax_bits = group
             .iter()
-            .map(|v| if v.is_finite() { v.abs() } else { f32::MAX })
-            .fold(0.0f32, f32::max);
-        let mut e = if amax == 0.0 {
+            .map(|&v| magnitude(v).to_bits() as i32)
+            .fold(0, i32::max);
+        let amax = f32::from_bits(amax_bits as u32);
+        let e = if amax == 0.0 {
             exp_min
         } else {
-            amax.log2().floor() as i32
-        };
-        // Rounding the largest element may overflow the mantissa field
-        // (e.g. 3.9 with 2-bit mantissas); bump the exponent if so.
-        let m = i32::from(format.mantissa_bits());
-        loop {
-            let scale = exp2(e - (m - 1));
-            let q_max = (f64::from(amax) / scale).round() as i64;
-            if q_max <= i64::from(max_man) || e >= exp_max {
-                break;
+            // floor(log2(amax)) is the f32 exponent field. A subnormal reads
+            // -127: at or above its true exponent and at or below anything
+            // storable, so the bump and the clamp land where that would.
+            let mut e = (amax.to_bits() >> 23) as i32 - 127;
+            // Rounding the largest element may overflow the mantissa field
+            // (e.g. 3.9 with 2-bit mantissas); bump the exponent if so. From
+            // the true floor one step always suffices.
+            let q_max = f64::from(amax) * exp2((m - 1) - e);
+            if q_max >= f64::from(max_man) + 0.5 && e < exp_max {
+                e += 1;
             }
-            e += 1;
-        }
-        let e = e.clamp(exp_min, exp_max);
-        let scale = exp2(e - (m - 1));
-        for &v in group {
-            let v = if v.is_finite() {
-                v
-            } else if v.is_sign_negative() {
-                f32::MIN
-            } else {
-                f32::MAX
-            };
-            let exact = f64::from(v) / scale;
-            let q = match rounding {
-                Rounding::Nearest => exact.round() as i64,
-                Rounding::Stochastic(_) => {
-                    let floor = exact.floor();
-                    let frac = exact - floor;
-                    floor as i64 + i64::from(next_unit() < frac)
-                }
-            };
-            let q = q.clamp(-i64::from(max_man), i64::from(max_man));
-            mantissas.push(q as i32);
+            e.clamp(exp_min, exp_max)
+        };
+        // Scaling by the reciprocal power of two is exact, like the divide.
+        let inv_scale = exp2((m - 1) - e);
+        match rounding {
+            // Ties away from zero, without a libm `round` or a float-to-int
+            // cast per element. The scaled value has the input's ≤ 24
+            // significant bits, so it sits at least one unit in its own last
+            // place from any half-integer it is not on. Stretching it by
+            // 1 + 2^-30 — under 1/64 of that unit — therefore moves exact
+            // ties off the tie, away from zero, and nothing else across one;
+            // rounding to nearest-even then rounds half away. Clamping to
+            // `max_man` first keeps the sum in range, whatever saturated.
+            Rounding::Nearest => {
+                let stretched = inv_scale * (1.0 + exp2(-30));
+                let cap = f64::from(max_man);
+                mantissas.extend(group.iter().map(|&v| {
+                    let y = f64::from(magnitude(v).copysign(v)) * stretched;
+                    let y = if y < cap { y } else { cap };
+                    let y = if y > -cap { y } else { -cap };
+                    narrow((y + ROUND_TO_INT).to_bits() as u32 as i32)
+                }));
+            }
+            Rounding::Stochastic(_) => mantissas.extend(group.iter().map(|&v| {
+                let v = magnitude(v).copysign(v);
+                let exact = f64::from(v) * inv_scale;
+                let floor = exact.floor();
+                let frac = exact - floor;
+                let q = floor as i64 + i64::from(next_unit() < frac);
+                narrow(q.clamp(-i64::from(max_man), i64::from(max_man)) as i32)
+            })),
         }
         exponents.push(e);
     }
-}
-
-/// Whether per-chunk MACs for a format pair fit a 32-bit accumulator:
-/// `chunk_len * max_a * max_b` bounds the magnitude of any chunk sum because
-/// quantized mantissas are clamped to `max_mantissa`.
-#[inline]
-fn macs_fit_i32(a_fmt: BfpFormat, b_fmt: BfpFormat, chunk_len: usize) -> bool {
-    let max_a = i64::from(a_fmt.max_mantissa());
-    let max_b = i64::from(b_fmt.max_mantissa());
-    (chunk_len as i64)
-        .saturating_mul(max_a)
-        .saturating_mul(max_b)
-        <= i64::from(i32::MAX)
-}
-
-/// Fast flat dot kernel over pre-extracted mantissa/exponent slabs.
-///
-/// Callers must have validated that lengths and block sizes agree. The chunk
-/// iteration order and the per-chunk exponent recombination expression are
-/// identical to [`dot_flat_naive`], and integer accumulation is exact, so the
-/// two kernels return bit-identical `f32` results.
-pub(crate) fn dot_flat(
-    a_man: &[i32],
-    a_exp: &[i32],
-    a_fmt: BfpFormat,
-    b_man: &[i32],
-    b_exp: &[i32],
-    b_fmt: BfpFormat,
-) -> f32 {
-    let chunk = (a_fmt.block_size() as usize).max(1);
-    let ma = i32::from(a_fmt.mantissa_bits());
-    let mb = i32::from(b_fmt.mantissa_bits());
-    let chunk_len = chunk.min(a_man.len());
-    let mut total = 0.0f64;
-    if macs_fit_i32(a_fmt, b_fmt, chunk_len) {
-        for (gi, (ga, gb)) in a_man.chunks(chunk).zip(b_man.chunks(chunk)).enumerate() {
-            let mut acc: i32 = 0;
-            for (&a, &b) in ga.iter().zip(gb) {
-                acc += a * b;
-            }
-            let scale = exp2(a_exp[gi] - (ma - 1) + b_exp[gi] - (mb - 1));
-            total += f64::from(acc) * scale;
-        }
-    } else {
-        for (gi, (ga, gb)) in a_man.chunks(chunk).zip(b_man.chunks(chunk)).enumerate() {
-            let mut acc: i64 = 0;
-            for (&a, &b) in ga.iter().zip(gb) {
-                acc += i64::from(a) * i64::from(b);
-            }
-            let scale = exp2(a_exp[gi] - (ma - 1) + b_exp[gi] - (mb - 1));
-            total += acc as f64 * scale;
-        }
-    }
-    total as f32
-}
-
-/// Reference flat dot kernel: the original element-by-element 64-bit
-/// accumulation, kept as the oracle the fast kernel is tested against.
-pub(crate) fn dot_flat_naive(
-    a_man: &[i32],
-    a_exp: &[i32],
-    a_fmt: BfpFormat,
-    b_man: &[i32],
-    b_exp: &[i32],
-    b_fmt: BfpFormat,
-) -> f32 {
-    let chunk = (a_fmt.block_size() as usize).max(1);
-    let ma = i32::from(a_fmt.mantissa_bits());
-    let mb = i32::from(b_fmt.mantissa_bits());
-    let mut total = 0.0f64;
-    for (gi, (ga, gb)) in a_man.chunks(chunk).zip(b_man.chunks(chunk)).enumerate() {
-        let mut acc: i64 = 0;
-        for (&a, &b) in ga.iter().zip(gb) {
-            acc += i64::from(a) * i64::from(b);
-        }
-        let scale = exp2(a_exp[gi] - (ma - 1) + b_exp[gi] - (mb - 1));
-        total += acc as f64 * scale;
-    }
-    total as f32
 }
 
 #[cfg(test)]
@@ -426,13 +388,6 @@ mod tests {
 
     const FMT5: BfpFormat = BfpFormat::BFP_1S_5E_5M;
     const FMT2: BfpFormat = BfpFormat::BFP_1S_5E_2M;
-
-    #[test]
-    fn exp2_matches_powi() {
-        for e in -40..=40 {
-            assert_eq!(exp2(e), 2.0f64.powi(e), "exponent {e}");
-        }
-    }
 
     #[test]
     fn zero_vector_quantizes_to_zero() {
@@ -487,7 +442,7 @@ mod tests {
         // 2^20 exceeds a 5-bit exponent's max of 16; mantissas saturate.
         let b = BfpBlock::quantize(&[2.0f32.powi(20)], FMT5);
         assert_eq!(b.exponents()[0], 16);
-        assert_eq!(b.mantissas()[0], 31);
+        assert_eq!(b.mantissas().next(), Some(31));
         // Denormal-small input underflows toward zero.
         let tiny = BfpBlock::quantize(&[2.0f32.powi(-30)], FMT5);
         assert_eq!(tiny.exponents()[0], -15);
@@ -500,8 +455,7 @@ mod tests {
         let back = b.dequantize();
         assert!(back[0] > 0.0);
         assert!(back[1] < 0.0);
-        assert_eq!(b.mantissas()[0], 31);
-        assert_eq!(b.mantissas()[1], -31);
+        assert_eq!(b.mantissas().collect::<Vec<_>>(), [31, -31]);
     }
 
     #[test]
@@ -577,18 +531,32 @@ mod tests {
     }
 
     #[test]
-    fn fast_dot_uses_i64_fallback_for_wide_mantissas() {
-        // 23-bit mantissas with a 128 chunk cannot use the i32 accumulator;
-        // the fallback must still match the naive kernel bit-for-bit.
-        let fmt = BfpFormat::new(8, 23, 128).unwrap();
+    fn wide_and_mixed_layouts_match_the_naive_kernel() {
+        // 23-bit mantissas need 64-bit chunk sums, and a vector may be
+        // quantized wider or narrower than the row it multiplies.
+        let wide = BfpFormat::new(8, 23, 128).unwrap();
         let xs: Vec<f32> = (0..256).map(|i| (i as f32 * 0.13).sin() * 100.0).collect();
         let ys: Vec<f32> = (0..256).map(|i| (i as f32 * 0.29).cos() * 100.0).collect();
-        let a = BfpBlock::quantize(&xs, fmt);
-        let b = BfpBlock::quantize(&ys, fmt);
-        assert_eq!(
-            a.dot(&b).unwrap().to_bits(),
-            a.dot_naive(&b).unwrap().to_bits()
-        );
+        for (fa, fb) in [(wide, wide), (FMT5, wide), (wide, FMT2), (FMT2, FMT5)] {
+            let a = BfpBlock::quantize(&xs, fa);
+            let b = BfpBlock::quantize(&ys, fb);
+            assert_eq!(
+                a.dot(&b).unwrap().to_bits(),
+                a.dot_naive(&b).unwrap().to_bits(),
+                "{fa} x {fb}"
+            );
+        }
+    }
+
+    #[test]
+    fn layout_follows_the_format_alone() {
+        for bits in 1..=23 {
+            let fmt = BfpFormat::new(5, bits, 128).unwrap();
+            let b = BfpBlock::quantize(&[1.0, -2.0, 0.5], fmt);
+            let narrow = matches!(b.mantissas, Mantissas::Narrow(_));
+            assert_eq!(narrow, fmt.max_mantissa() <= i32::from(i8::MAX), "{fmt}");
+            assert_eq!(b.lanes.len(), if narrow { 3 } else { 0 });
+        }
     }
 
     #[test]
@@ -642,6 +610,209 @@ mod tests {
         }
     }
 
+    /// The quantizer as it stood before the exponent-field / reciprocal /
+    /// narrow-lane rewrite, verbatim: `log2().floor()` start, bump loop, `f64`
+    /// divide and `round()` per element. The oracle for [`quantize_append`].
+    fn quantize_append_oracle(
+        values: &[f32],
+        format: BfpFormat,
+        rounding: Rounding,
+        mantissas: &mut Vec<i32>,
+        exponents: &mut Vec<i32>,
+    ) {
+        // A splitmix64 generator keeps stochastic rounding dependency-free,
+        // deterministic in the seed, and well-distributed even for small,
+        // consecutive seeds.
+        let mut rng_state = match rounding {
+            Rounding::Nearest => 0u64,
+            Rounding::Stochastic(seed) => seed,
+        };
+        let mut next_unit = move || -> f64 {
+            rng_state = rng_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = rng_state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            (z >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let chunk = format.block_size() as usize;
+        let max_man = format.max_mantissa();
+        let (exp_min, exp_max) = format.exponent_range();
+        mantissas.reserve(values.len());
+        exponents.reserve(values.len().div_ceil(chunk.max(1)));
+
+        for group in values.chunks(chunk) {
+            let amax = group
+                .iter()
+                .map(|v| if v.is_finite() { v.abs() } else { f32::MAX })
+                .fold(0.0f32, f32::max);
+            let mut e = if amax == 0.0 {
+                exp_min
+            } else {
+                amax.log2().floor() as i32
+            };
+            // Rounding the largest element may overflow the mantissa field
+            // (e.g. 3.9 with 2-bit mantissas); bump the exponent if so.
+            let m = i32::from(format.mantissa_bits());
+            loop {
+                let scale = exp2(e - (m - 1));
+                let q_max = (f64::from(amax) / scale).round() as i64;
+                if q_max <= i64::from(max_man) || e >= exp_max {
+                    break;
+                }
+                e += 1;
+            }
+            let e = e.clamp(exp_min, exp_max);
+            let scale = exp2(e - (m - 1));
+            for &v in group {
+                let v = if v.is_finite() {
+                    v
+                } else if v.is_sign_negative() {
+                    f32::MIN
+                } else {
+                    f32::MAX
+                };
+                let exact = f64::from(v) / scale;
+                let q = match rounding {
+                    Rounding::Nearest => exact.round() as i64,
+                    Rounding::Stochastic(_) => {
+                        let floor = exact.floor();
+                        let frac = exact - floor;
+                        floor as i64 + i64::from(next_unit() < frac)
+                    }
+                };
+                let q = q.clamp(-i64::from(max_man), i64::from(max_man));
+                mantissas.push(q as i32);
+            }
+            exponents.push(e);
+        }
+    }
+
+    /// Asserts the rewritten quantizer and the oracle agree on `values`
+    /// under `format` and `rounding`, element for element.
+    fn assert_matches_oracle(values: &[f32], format: BfpFormat, rounding: Rounding) {
+        let (mut man, mut exp) = (Vec::new(), Vec::new());
+        quantize_append_oracle(values, format, rounding, &mut man, &mut exp);
+        let got = BfpBlock::quantize_with_rounding(values, format, rounding);
+        assert_eq!(got.exponents(), exp, "{format} {rounding:?} exponents");
+        assert_eq!(
+            got.mantissas().collect::<Vec<_>>(),
+            man,
+            "{format} {rounding:?} mantissas of {values:?}"
+        );
+    }
+
+    /// Every supported width up to 16 bits: both layouts and the 7→8
+    /// boundary, under both exponent-field widths the repo uses.
+    fn oracle_formats() -> impl Iterator<Item = BfpFormat> {
+        // The interpreter is ~1000× slower: there, the layout boundary only.
+        let widths = if cfg!(miri) { 7..=8 } else { 1..=16 };
+        widths.flat_map(|bits| {
+            [(5, 128), (8, 128), (5, 3)]
+                .map(|(exp_bits, block)| BfpFormat::new(exp_bits, bits, block).unwrap())
+        })
+    }
+
+    #[test]
+    fn quantizer_matches_oracle_around_powers_of_two() {
+        // `log2().floor()` reads one too high just below a power of two and
+        // the bump loop hides it; the exponent field never does. Both must
+        // land on the same exponent and mantissas.
+        let mut values = Vec::new();
+        for k in [
+            -140, -127, -126, -30, -16, -15, -14, -1, 0, 1, 3, 15, 16, 17, 20, 100, 127,
+        ] {
+            let p = 2.0f64.powi(k) as f32;
+            for ulps in -12i32..=12 {
+                let v = f32::from_bits((p.to_bits() as i32 + ulps).max(0) as u32);
+                values.extend([v, -v]);
+            }
+        }
+        for fmt in oracle_formats() {
+            for &v in &values {
+                assert_matches_oracle(&[v], fmt, Rounding::Nearest);
+                assert_matches_oracle(&[v * 0.37, v, -v * 0.81], fmt, Rounding::Nearest);
+            }
+        }
+    }
+
+    #[test]
+    fn quantizer_matches_oracle_on_subnormals_zeros_and_non_finite() {
+        let tiny = f32::from_bits(1);
+        let largest_subnormal = f32::from_bits(0x007F_FFFF);
+        let cases: [&[f32]; 10] = [
+            &[0.0; 7],
+            &[-0.0, 0.0, -0.0],
+            &[tiny, -tiny, 0.0],
+            &[largest_subnormal, tiny, -largest_subnormal],
+            &[f32::MIN_POSITIVE, largest_subnormal],
+            &[f32::INFINITY, 1.0, -3.5],
+            &[f32::NEG_INFINITY, f32::NAN, -f32::NAN, 0.25],
+            &[f32::MAX, f32::MIN, 1.0e30],
+            // The exponent clamp binds (5-bit exponents top out at 16) and
+            // mantissas saturate; the second chunk of a 3-block does not.
+            &[3.0e6, -2.9e6, 7.0e5, 0.4, -0.1, 0.3],
+            // ... and binds from below: everything underflows toward zero.
+            &[3.0e-6, -2.9e-6, 1.0e-7],
+        ];
+        for fmt in oracle_formats() {
+            for values in cases {
+                assert_matches_oracle(values, fmt, Rounding::Nearest);
+                assert_matches_oracle(values, fmt, Rounding::Stochastic(11));
+            }
+        }
+    }
+
+    #[test]
+    fn quantizer_matches_oracle_on_rounding_ties_and_stochastic_streams() {
+        // Halves round away from zero; the stochastic stream is one draw
+        // per element in order, across chunk boundaries.
+        let ties: Vec<f32> = (-40..=40).map(|i| i as f32 * 0.5).collect();
+        let wave: Vec<f32> = (0..300).map(|i| (i as f32 * 0.77).sin() * 9.0).collect();
+        for fmt in oracle_formats() {
+            assert_matches_oracle(&ties, fmt, Rounding::Nearest);
+            assert_matches_oracle(&wave, fmt, Rounding::Nearest);
+            // Exact ties at the format's own step: leading each group with
+            // max_mantissa · 2^j pins the step at 2^j, and the rest are
+            // odd multiples of half of it, with their f32 neighbours.
+            let max = fmt.max_mantissa();
+            for j in [-9, 0, 6] {
+                let step = 2.0f32.powi(j);
+                let ties_at_step: Vec<i32> =
+                    (0..max.min(90)).chain(max - max.min(4)..max).collect();
+                for group in ties_at_step.chunks(30) {
+                    let mut values = vec![max as f32 * step];
+                    for &n in group {
+                        let tie = (n as f32 + 0.5) * step;
+                        let (below, above) = (tie.to_bits() - 1, tie.to_bits() + 1);
+                        values.extend([tie, -tie, f32::from_bits(below), -f32::from_bits(above)]);
+                    }
+                    assert_matches_oracle(&values, fmt, Rounding::Nearest);
+                }
+            }
+            for seed in [0, 7, u64::MAX] {
+                assert_matches_oracle(&ties, fmt, Rounding::Stochastic(seed));
+                assert_matches_oracle(&wave, fmt, Rounding::Stochastic(seed));
+            }
+        }
+    }
+
+    #[test]
+    fn widest_formats_take_the_tight_exponent_below_a_power_of_two() {
+        // Where the rewrite and the oracle part ways, on purpose: with ≥ 17
+        // mantissa bits the oracle's f32 `log2` can round up to the next
+        // integer so close below a power of two that no bump is needed to
+        // hide it, and the oracle keeps an exponent one larger than the
+        // smallest that fits — which is what `quantize` documents.
+        let fmt = BfpFormat::new(8, 23, 128).unwrap();
+        let v = f32::from_bits(2.0f32.powi(20).to_bits() - 8);
+        let (mut man, mut exp) = (Vec::new(), Vec::new());
+        quantize_append_oracle(&[v], fmt, Rounding::Nearest, &mut man, &mut exp);
+        let got = BfpBlock::quantize(&[v], fmt);
+        assert_eq!((exp[0], got.exponents()[0]), (20, 19));
+        assert_eq!(got.dequantize()[0], v);
+    }
+
     proptest! {
         #[test]
         fn quantize_error_bounded_by_chunk_max(values in prop::collection::vec(-100.0f32..100.0, 1..300)) {
@@ -666,7 +837,7 @@ mod tests {
             for fmt in [FMT2, FMT5, BfpFormat::BFP_1S_5E_3M] {
                 let b = BfpBlock::quantize(&values, fmt);
                 let bound = fmt.max_mantissa();
-                prop_assert!(b.mantissas().iter().all(|&q| q.abs() <= bound));
+                prop_assert!(b.mantissas().all(|q| q.abs() <= bound));
                 let (lo, hi) = fmt.exponent_range();
                 prop_assert!(b.exponents().iter().all(|&e| e >= lo && e <= hi));
             }
@@ -687,22 +858,55 @@ mod tests {
 
         #[test]
         fn fast_dot_bit_identical_to_naive(
-            a in prop::collection::vec(-100.0f32..100.0, 0..400),
-            mantissa_bits in 2u8..=5,
+            len_idx in 0usize..12,
+            free_len in 0usize..400,
+            mantissa_bits in 1u8..=9,
             block_idx in 0usize..5,
+            saturate in 0u8..3,
             seed in 0u64..1000,
         ) {
+            // Lengths at vector-width and chunk tails, plus free ones.
+            let len = [0, 1, 15, 16, 17, 127, 128, 129, 400]
+                .get(len_idx)
+                .copied()
+                .unwrap_or(free_len);
             let block_size = [1u32, 2, 16, 64, 128][block_idx];
             let fmt = BfpFormat::new(5, mantissa_bits, block_size).unwrap();
-            let b: Vec<f32> = a.iter().enumerate()
-                .map(|(i, v)| v * (((i as u64 + seed) % 11) as f32 - 5.0) * 0.1)
+            // `saturate` pins every mantissa of one or both operands to
+            // ±max_mantissa: the i16 product and i32 sum bounds.
+            let wave = |i: usize, k: u64| ((i as u64 * 37 + seed * k) % 201) as f32 - 100.0;
+            let max = fmt.max_mantissa();
+            let a: Vec<f32> = (0..len)
+                .map(|i| if saturate >= 1 { (max as f32).copysign(wave(i, 3)) } else { wave(i, 3) })
+                .collect();
+            let b: Vec<f32> = (0..len)
+                .map(|i| if saturate == 2 { (max as f32).copysign(wave(i, 5)) } else { wave(i, 5) * 0.1 })
                 .collect();
             let qa = BfpBlock::quantize(&a, fmt);
             let qb = BfpBlock::quantize(&b, fmt);
+            if saturate == 2 {
+                prop_assert!(qa.mantissas().chain(qb.mantissas()).all(|q| q.abs() == max));
+            }
             let fast = qa.dot(&qb).unwrap();
             let naive = qa.dot_naive(&qb).unwrap();
             prop_assert_eq!(fast.to_bits(), naive.to_bits(),
                 "fast {} vs naive {}", fast, naive);
+        }
+
+        #[test]
+        fn quantizer_matches_oracle(
+            values in prop::collection::vec(-1.0e4f32..1.0e4, 0..300),
+            mantissa_bits in 1u8..=16,
+            exponent_bits in 3u8..=8,
+            block_idx in 0usize..4,
+            scale_exp in -40i32..40,
+            stochastic in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let fmt = BfpFormat::new(exponent_bits, mantissa_bits, [1u32, 3, 16, 128][block_idx]).unwrap();
+            let scaled: Vec<f32> = values.iter().map(|v| v * 2.0f32.powi(scale_exp)).collect();
+            let rounding = if stochastic { Rounding::Stochastic(seed) } else { Rounding::Nearest };
+            assert_matches_oracle(&scaled, fmt, rounding);
         }
 
         #[test]

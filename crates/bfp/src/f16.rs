@@ -230,6 +230,41 @@ impl F16 {
     }
 }
 
+/// Rounds an `f32` to the nearest binary16 value (ties to even), returned as
+/// an `f32`: exactly `F16::from_f32(value).to_f32()`, without building the
+/// `F16` in the common case.
+///
+/// A value whose result is a normal binary16 (or a zero) is rounded by
+/// integer add-and-mask on its bits: dropping the low 13 mantissa bits with
+/// round-to-nearest-even is `(bits + 0xFFF + lsb) & !0x1FFF`, and a mantissa
+/// carry lands in the exponent field as it should. NaN, infinities, values
+/// at or above 65520 (which round to infinity) and the subnormal range take
+/// the [`F16`] conversions.
+///
+/// # Example
+///
+/// ```
+/// use bw_bfp::round_to_f16;
+///
+/// assert_eq!(round_to_f16(1.0 + 2.0f32.powi(-12)), 1.0);
+/// assert_eq!(round_to_f16(65519.0), 65504.0);
+/// assert!(round_to_f16(65520.0).is_infinite());
+/// ```
+#[inline]
+pub fn round_to_f16(value: f32) -> f32 {
+    /// 2^-14, the smallest normal binary16.
+    const NORMAL_MIN: u32 = 0x3880_0000;
+    /// 65520, halfway from the largest finite binary16 to 2^16.
+    const OVERFLOW: u32 = 0x477F_F000;
+    let bits = value.to_bits();
+    let magnitude = bits & 0x7FFF_FFFF;
+    if magnitude.wrapping_sub(NORMAL_MIN) < OVERFLOW - NORMAL_MIN || magnitude == 0 {
+        f32::from_bits((bits + 0xFFF + ((bits >> 13) & 1)) & !0x1FFF)
+    } else {
+        F16::from_f32(value).to_f32()
+    }
+}
+
 impl From<f32> for F16 {
     fn from(value: f32) -> Self {
         F16::from_f32(value)
@@ -427,6 +462,58 @@ mod tests {
         assert!(a < b);
         assert!(b > a);
         assert!(F16::NAN.partial_cmp(&a).is_none());
+    }
+
+    fn assert_rounds_like_f16(x: f32) {
+        let want = F16::from_f32(x).to_f32();
+        let got = round_to_f16(x);
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "{x:e} ({:#010x})",
+            x.to_bits()
+        );
+    }
+
+    #[test]
+    fn grid_rounding_matches_f16_around_every_binary16_value() {
+        // Every binary16 value, its two f32 neighbours, and the halfway
+        // point to the next binary16 with that point's own neighbours:
+        // ties-to-even on every mantissa, the 65504/65520 overflow edge,
+        // the 2^-14 normal/subnormal edge, ±0 and the NaN payloads.
+        for bits in 0..=u16::MAX {
+            let h = F16::from_bits(bits).to_f32();
+            let next = F16::from_bits(bits.wrapping_add(1)).to_f32();
+            let halfway = if h.is_finite() && next.is_finite() {
+                ((f64::from(h) + f64::from(next)) / 2.0) as f32
+            } else {
+                // Past the largest finite value the tie is 65520.
+                65520.0f32.copysign(h)
+            };
+            for centre in [h, halfway] {
+                for step in [-1i32, 0, 1] {
+                    assert_rounds_like_f16(f32::from_bits(
+                        (centre.to_bits() as i32).wrapping_add(step) as u32,
+                    ));
+                }
+            }
+        }
+        for payload in [1u32, 0x1FFF, 0x2000, 0x3F_FFFF, 0x40_0000, 0x7F_FFFF] {
+            assert_rounds_like_f16(f32::from_bits(0x7F80_0000 | payload));
+            assert_rounds_like_f16(f32::from_bits(0xFF80_0000 | payload));
+        }
+    }
+
+    #[test]
+    #[ignore = "all 2^32 f32 bit patterns: ~20 s in release, run by CI"]
+    fn grid_rounding_matches_f16_on_every_f32() {
+        for bits in 0..=u32::MAX {
+            let x = f32::from_bits(bits);
+            let want = F16::from_f32(x).to_f32();
+            if round_to_f16(x).to_bits() != want.to_bits() {
+                panic!("{x:e} ({bits:#010x})");
+            }
+        }
     }
 
     #[test]

@@ -128,6 +128,13 @@ impl BfpFormat {
         (1i32 << self.mantissa_bits) - 1
     }
 
+    /// Whether mantissas of this format are stored one per `i8`
+    /// (magnitudes ≤ 127) rather than one per `i32`.
+    #[inline]
+    pub(crate) fn is_narrow(self) -> bool {
+        self.mantissa_bits <= 7
+    }
+
     /// The exponent bias; shared exponents are stored biased like IEEE
     /// exponents so a 5-bit field covers `-15..=16` unbiased.
     #[inline]

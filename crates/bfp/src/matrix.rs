@@ -3,8 +3,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::block::{dot_flat, dot_flat_naive, exp2, quantize_append, BfpBlock, DotError, Rounding};
+use crate::block::{quantize_append, BfpBlock, DotError, Rounding};
 use crate::format::BfpFormat;
+use crate::kernel::{self, mac_rows, Mantissas, Rows};
 
 /// A dense matrix quantized to block floating point, row by row.
 ///
@@ -13,9 +14,12 @@ use crate::format::BfpFormat;
 /// multiplying the input vector by one row performs only integer MACs plus a
 /// per-chunk exponent recombination.
 ///
-/// Storage is a single flat mantissa slab (`rows * cols` signed mantissas,
-/// row-major) plus a flat exponent slab (one per chunk per row) — the layout
-/// the fast dot kernel streams through without per-row indirection.
+/// Storage is one flat row-major mantissa slab (`rows * cols` signed
+/// mantissas) plus a flat exponent slab (one per chunk per row), which the
+/// MAC kernel streams through without per-row indirection. The format alone
+/// picks the slab's lane width: `i8` when it has ≤ 7 mantissa bits (every
+/// format the paper deploys, a quarter of the bytes and four times the
+/// elements per vector register), `i32` otherwise.
 ///
 /// # Example
 ///
@@ -34,7 +38,7 @@ pub struct BfpMatrix {
     cols: usize,
     format: BfpFormat,
     /// `rows * cols` signed mantissas, row-major.
-    mantissas: Vec<i32>,
+    mantissas: Mantissas,
     /// `rows * chunks_per_row` shared exponents, row-major.
     exponents: Vec<i32>,
 }
@@ -43,40 +47,38 @@ pub struct BfpMatrix {
 /// flat mantissa/exponent slabs.
 #[derive(Clone, Copy, Debug)]
 pub struct BfpRowRef<'a> {
-    format: BfpFormat,
-    mantissas: &'a [i32],
-    exponents: &'a [i32],
+    row: Rows<'a>,
 }
 
 impl BfpRowRef<'_> {
     /// Number of elements in the row.
     #[inline]
     pub fn len(&self) -> usize {
-        self.mantissas.len()
+        self.row.cols
     }
 
     /// Returns `true` if the row holds no elements.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.mantissas.is_empty()
+        self.len() == 0
     }
 
     /// The quantization format.
     #[inline]
     pub fn format(&self) -> BfpFormat {
-        self.format
+        self.row.format
     }
 
-    /// The row's signed mantissas.
-    #[inline]
-    pub fn mantissas(&self) -> &[i32] {
-        self.mantissas
+    /// The row's signed mantissas, widened to `i32` from whichever lane
+    /// width the format stores them in.
+    pub fn mantissas(&self) -> impl Iterator<Item = i32> + '_ {
+        self.row.mantissas.iter()
     }
 
     /// The row's shared exponents, one per chunk.
     #[inline]
     pub fn exponents(&self) -> &[i32] {
-        self.exponents
+        self.row.exponents
     }
 
     /// Dot product of this row against a quantized vector (fast kernel).
@@ -85,29 +87,15 @@ impl BfpRowRef<'_> {
     ///
     /// Returns [`DotError`] if `x` differs in length or chunk size.
     pub fn dot(&self, x: &BfpBlock) -> Result<f32, DotError> {
-        check_operand(self.format, self.mantissas.len(), x)?;
-        Ok(dot_flat(
-            self.mantissas,
-            self.exponents,
-            self.format,
-            x.mantissas(),
-            x.exponents(),
-            x.format(),
-        ))
+        check_operand(self.row.format, self.len(), x)?;
+        Ok(kernel::dot(self.row, x.operand()))
     }
 
     /// Reconstructs the approximate `f32` values of the row.
     pub fn dequantize(&self) -> Vec<f32> {
-        let chunk = (self.format.block_size() as usize).max(1);
-        let m = i32::from(self.format.mantissa_bits());
-        let mut out = Vec::with_capacity(self.len());
-        for (gi, group) in self.mantissas.chunks(chunk).enumerate() {
-            let scale = exp2(self.exponents[gi] - (m - 1));
-            for &q in group {
-                out.push((f64::from(q) * scale) as f32);
-            }
-        }
-        out
+        self.row
+            .mantissas
+            .dequantize(self.row.exponents, self.row.format)
     }
 }
 
@@ -173,7 +161,7 @@ impl BfpMatrix {
                 len: data.len(),
             });
         }
-        let mut mantissas = Vec::with_capacity(rows * cols);
+        let mut mantissas = Mantissas::with_capacity(format, rows * cols);
         let mut exponents = Vec::new();
         for row in data.chunks(cols.max(1)).take(rows) {
             quantize_append(
@@ -211,13 +199,6 @@ impl BfpMatrix {
         self.format
     }
 
-    /// Exponent groups per row.
-    #[inline]
-    fn chunks_per_row(&self) -> usize {
-        self.cols
-            .div_ceil((self.format.block_size() as usize).max(1))
-    }
-
     /// Borrows one quantized row as slices into the flat slabs.
     ///
     /// # Panics
@@ -226,11 +207,18 @@ impl BfpMatrix {
     #[inline]
     pub fn row(&self, row: usize) -> BfpRowRef<'_> {
         assert!(row < self.rows, "row {row} out of range ({})", self.rows);
-        let cpr = self.chunks_per_row();
         BfpRowRef {
+            row: self.all_rows().row(row),
+        }
+    }
+
+    /// Every row, as the MAC kernel takes them.
+    fn all_rows(&self) -> Rows<'_> {
+        Rows {
             format: self.format,
-            mantissas: &self.mantissas[row * self.cols..(row + 1) * self.cols],
-            exponents: &self.exponents[row * cpr..(row + 1) * cpr],
+            cols: self.cols,
+            mantissas: self.mantissas.as_slice(),
+            exponents: &self.exponents,
         }
     }
 
@@ -261,18 +249,8 @@ impl BfpMatrix {
             return Ok(());
         }
         check_operand(self.format, self.cols, x)?;
-        out.reserve(self.rows);
-        let cpr = self.chunks_per_row();
-        for r in 0..self.rows {
-            out.push(dot_flat(
-                &self.mantissas[r * self.cols..(r + 1) * self.cols],
-                &self.exponents[r * cpr..(r + 1) * cpr],
-                self.format,
-                x.mantissas(),
-                x.exponents(),
-                x.format(),
-            ));
-        }
+        out.resize(self.rows, 0.0);
+        mac_rows::<false>(self.all_rows(), x.operand(), out);
         Ok(())
     }
 
@@ -299,17 +277,7 @@ impl BfpMatrix {
             return Ok(());
         }
         check_operand(self.format, self.cols, x)?;
-        let cpr = self.chunks_per_row();
-        for (r, slot) in acc.iter_mut().enumerate() {
-            *slot += dot_flat(
-                &self.mantissas[r * self.cols..(r + 1) * self.cols],
-                &self.exponents[r * cpr..(r + 1) * cpr],
-                self.format,
-                x.mantissas(),
-                x.exponents(),
-                x.format(),
-            );
-        }
+        mac_rows::<true>(self.all_rows(), x.operand(), acc);
         Ok(())
     }
 
@@ -326,19 +294,10 @@ impl BfpMatrix {
             return Ok(Vec::new());
         }
         check_operand(self.format, self.cols, x)?;
-        let cpr = self.chunks_per_row();
-        (0..self.rows)
-            .map(|r| {
-                Ok(dot_flat_naive(
-                    &self.mantissas[r * self.cols..(r + 1) * self.cols],
-                    &self.exponents[r * cpr..(r + 1) * cpr],
-                    self.format,
-                    x.mantissas(),
-                    x.exponents(),
-                    x.format(),
-                ))
-            })
-            .collect()
+        let (rows, x) = (self.all_rows(), x.operand());
+        Ok((0..self.rows)
+            .map(|r| kernel::dot_naive(rows.row(r), x))
+            .collect())
     }
 
     /// Matrix-vector product; quantizes `x` with this matrix's format first.
@@ -447,7 +406,7 @@ mod tests {
         let m = BfpMatrix::quantize(rows, cols, &data, FMT).unwrap();
         for r in 0..rows {
             let standalone = BfpBlock::quantize(&data[r * cols..(r + 1) * cols], FMT);
-            assert_eq!(m.row(r).mantissas(), standalone.mantissas());
+            assert!(m.row(r).mantissas().eq(standalone.mantissas()));
             assert_eq!(m.row(r).exponents(), standalone.exponents());
             assert_eq!(m.row(r).dequantize(), standalone.dequantize());
         }
@@ -503,29 +462,58 @@ mod tests {
         #[test]
         fn fast_mv_mul_bit_identical_to_naive(
             rows in 0usize..6,
-            cols in 0usize..160,
-            mantissa_bits in 2u8..=5,
+            cols_idx in 0usize..12,
+            free_cols in 0usize..160,
+            mantissa_bits in 1u8..=9,
+            x_mantissa_bits in 1u8..=9,
+            saturate in any::<bool>(),
             seed in 0u64..500,
         ) {
+            // Column counts at vector-width and chunk tails, plus free ones;
+            // both layouts for the matrix and, independently, the vector.
+            let cols = [0, 1, 15, 16, 17, 127, 128, 129, 400]
+                .get(cols_idx)
+                .copied()
+                .unwrap_or(free_cols);
             let fmt = BfpFormat::new(5, mantissa_bits, 128).unwrap();
+            let x_fmt = BfpFormat::new(5, x_mantissa_bits, 128).unwrap();
+            // `saturate` pins every mantissa to ±max_mantissa: the bound on
+            // the i16 products and the i32 chunk sums.
+            let pin = |v: f32, f: BfpFormat| {
+                if saturate { (f.max_mantissa() as f32).copysign(v) } else { v }
+            };
             let data: Vec<f32> = (0..rows * cols)
-                .map(|i| (((i as u64).wrapping_mul(seed + 3)) % 37) as f32 - 18.0)
+                .map(|i| pin((((i as u64).wrapping_mul(seed + 3)) % 37) as f32 - 18.0, fmt))
                 .collect();
             let x: Vec<f32> = (0..cols)
-                .map(|i| (((i as u64).wrapping_mul(seed + 11)) % 23) as f32 * 0.25 - 2.5)
+                .map(|i| pin((((i as u64).wrapping_mul(seed + 11)) % 23) as f32 * 0.25 - 2.5, x_fmt))
                 .collect();
             let m = BfpMatrix::quantize(rows, cols, &data, fmt).unwrap();
-            let qx = BfpBlock::quantize(&x, fmt);
+            let qx = BfpBlock::quantize(&x, x_fmt);
+            if saturate {
+                let max = fmt.max_mantissa();
+                prop_assert!((0..rows).all(|r| m.row(r).mantissas().all(|q| q.abs() == max)));
+                prop_assert!(qx.mantissas().all(|q| q.abs() == x_fmt.max_mantissa()));
+            }
             let fast = m.mv_mul(&qx).unwrap();
             let naive = m.mv_mul_naive(&qx).unwrap();
             prop_assert_eq!(fast.len(), naive.len());
             for (f, n) in fast.iter().zip(&naive) {
                 prop_assert_eq!(f.to_bits(), n.to_bits(), "fast {} vs naive {}", f, n);
             }
-            // mv_mul_into reuses buffers but must produce the same values.
+            // mv_mul_into reuses buffers but must produce the same values,
+            // and mv_mul_acc adds exactly them in f32.
             let mut buf = vec![9.0f32; 3];
             m.mv_mul_into(&qx, &mut buf).unwrap();
             prop_assert_eq!(&buf, &fast);
+            let mut acc = vec![0.75f32; rows];
+            m.mv_mul_acc(&qx, &mut acc).unwrap();
+            for (a, f) in acc.iter().zip(&fast) {
+                prop_assert_eq!(a.to_bits(), (0.75f32 + f).to_bits());
+            }
+            for (r, f) in fast.iter().enumerate() {
+                prop_assert_eq!(m.row(r).dot(&qx).unwrap().to_bits(), f.to_bits());
+            }
         }
     }
 }

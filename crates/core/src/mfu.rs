@@ -12,29 +12,46 @@
 //! irrelevant to the arithmetic, and the flat layout lets the simulator
 //! stream a chain through the MFUs without any per-vector indirection.
 
-use bw_bfp::F16;
+use bw_bfp::{round_to_f16, F16};
 
 use crate::isa::Opcode;
 use crate::npu::SimError;
 
 /// Applies a unary activation in float16, element-wise over the flat chain
-/// value.
+/// value: the input rounds to the binary16 grid, the function evaluates in
+/// `f32`, and the result rounds back — what [`F16::sigmoid`] and
+/// [`F16::tanh`] do, without the `F16` round trip per element.
 pub(crate) fn apply_activation(op: Opcode, chain: &mut [f32]) {
-    for x in chain.iter_mut() {
-        let h = F16::from_f32(*x);
-        let y = match op {
-            Opcode::VRelu => h.relu(),
-            Opcode::VSigm => h.sigmoid(),
-            Opcode::VTanh => h.tanh(),
-            _ => unreachable!("not an activation opcode"),
-        };
-        *x = y.to_f32();
+    fn map(chain: &mut [f32], f: impl Fn(f32) -> f32) {
+        for x in chain {
+            *x = f(round_to_f16(*x));
+        }
+    }
+    match op {
+        // [`F16::relu`]: NaN comes out canonical, negatives and -0.0 as
+        // +0.0. The input is on the grid already, so nothing rounds twice.
+        Opcode::VRelu => {
+            let nan = F16::NAN.to_f32();
+            map(chain, |h| {
+                if h.is_nan() {
+                    nan
+                } else if h > 0.0 {
+                    h
+                } else {
+                    0.0
+                }
+            });
+        }
+        Opcode::VSigm => map(chain, |h| round_to_f16(1.0 / (1.0 + (-h).exp()))),
+        Opcode::VTanh => map(chain, |h| round_to_f16(h.tanh())),
+        _ => unreachable!("not an activation opcode"),
     }
 }
 
 /// Applies a binary point-wise operation in float16: the chain value is the
 /// implicit `IN` operand (`a`), the register file supplies the explicit
-/// operand (`b`).
+/// operand (`b`). Both round to the binary16 grid, the operation runs in
+/// `f32`, and the result rounds back — the [`F16`] operators' definition.
 pub(crate) fn apply_binary(op: Opcode, chain: &mut [f32], operand: &[f32]) -> Result<(), SimError> {
     if chain.len() != operand.len() {
         return Err(SimError::VectorLengthMismatch {
@@ -42,18 +59,31 @@ pub(crate) fn apply_binary(op: Opcode, chain: &mut [f32], operand: &[f32]) -> Re
             actual: operand.len(),
         });
     }
-    for (a, &b) in chain.iter_mut().zip(operand) {
-        let ha = F16::from_f32(*a);
-        let hb = F16::from_f32(b);
-        let y = match op {
-            Opcode::VvAdd => ha + hb,
-            Opcode::VvASubB => ha - hb,
-            Opcode::VvBSubA => hb - ha,
-            Opcode::VvMax => ha.max(hb),
-            Opcode::VvMul => ha * hb,
-            _ => unreachable!("not a binary MFU opcode"),
-        };
-        *a = y.to_f32();
+    fn map(chain: &mut [f32], operand: &[f32], f: impl Fn(f32, f32) -> f32) {
+        for (a, &b) in chain.iter_mut().zip(operand) {
+            *a = f(round_to_f16(*a), round_to_f16(b));
+        }
+    }
+    match op {
+        Opcode::VvAdd => map(chain, operand, |a, b| round_to_f16(a + b)),
+        Opcode::VvASubB => map(chain, operand, |a, b| round_to_f16(a - b)),
+        Opcode::VvBSubA => map(chain, operand, |a, b| round_to_f16(b - a)),
+        Opcode::VvMul => map(chain, operand, |a, b| round_to_f16(a * b)),
+        // [`F16::max`]: the strict comparator turns any NaN into the
+        // canonical one; the winner is on the grid already.
+        Opcode::VvMax => {
+            let nan = F16::NAN.to_f32();
+            map(chain, operand, |a, b| {
+                if a.is_nan() || b.is_nan() {
+                    nan
+                } else if a >= b {
+                    a
+                } else {
+                    b
+                }
+            });
+        }
+        _ => unreachable!("not a binary MFU opcode"),
     }
     Ok(())
 }
@@ -107,6 +137,120 @@ mod tests {
         let mut a = vec![1.0];
         apply_binary(Opcode::VvAdd, &mut a, &[2.0f32.powi(-12)]).unwrap();
         assert_eq!(a[0], 1.0);
+    }
+
+    /// The MFU as it was written over [`F16`] objects: three conversions in
+    /// and three out per binary element. The oracle for the `f32`
+    /// grid-rounding formulation above.
+    fn f16_object_op(op: Opcode, a: f32, b: f32) -> f32 {
+        let (ha, hb) = (F16::from_f32(a), F16::from_f32(b));
+        let y = match op {
+            Opcode::VvAdd => ha + hb,
+            Opcode::VvASubB => ha - hb,
+            Opcode::VvBSubA => hb - ha,
+            Opcode::VvMax => ha.max(hb),
+            Opcode::VvMul => ha * hb,
+            Opcode::VRelu => ha.relu(),
+            Opcode::VSigm => ha.sigmoid(),
+            Opcode::VTanh => ha.tanh(),
+            _ => unreachable!("not an MFU opcode"),
+        };
+        y.to_f32()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn chains_bit_identical_to_the_f16_object_formulation() {
+        // Off-grid values, both zeros, subnormal-range and overflowing
+        // magnitudes, infinities and NaNs of both signs, on either side.
+        let specials = [
+            0.0f32,
+            -0.0,
+            1.0,
+            -1.0,
+            0.1,
+            -0.3,
+            1.0 + 2.0f32.powi(-11),
+            3.0e-6,
+            -5.0e-8,
+            1.0e-10,
+            250.0,
+            -300.0,
+            65504.0,
+            65519.9,
+            65520.0,
+            -1.0e9,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7F80_0001),
+        ];
+        let mut a0 = Vec::new();
+        let mut b0 = Vec::new();
+        for &x in &specials {
+            for &y in &specials {
+                a0.push(x);
+                b0.push(y);
+            }
+        }
+        for i in 0..2000 {
+            a0.push((i as f32 * 0.37).sin() * 2.0f32.powi(i % 23 - 9));
+            b0.push((i as f32 * 0.91).cos() * 2.0f32.powi((i / 7) % 19 - 6));
+        }
+        let binaries = [
+            Opcode::VvAdd,
+            Opcode::VvMul,
+            Opcode::VvMax,
+            Opcode::VvASubB,
+            Opcode::VvBSubA,
+        ];
+        let activations = [Opcode::VSigm, Opcode::VTanh, Opcode::VRelu];
+        // Every op alone on the raw operands ...
+        for op in binaries {
+            let mut got = a0.clone();
+            apply_binary(op, &mut got, &b0).unwrap();
+            let want: Vec<f32> = a0
+                .iter()
+                .zip(&b0)
+                .map(|(&a, &b)| f16_object_op(op, a, b))
+                .collect();
+            assert_eq!(bits(&got), bits(&want), "{op:?}");
+        }
+        for op in activations {
+            let mut got = a0.clone();
+            apply_activation(op, &mut got);
+            let want: Vec<f32> = a0.iter().map(|&a| f16_object_op(op, a, 0.0)).collect();
+            assert_eq!(bits(&got), bits(&want), "{op:?}");
+        }
+        // ... and as chains: add → mul → activation, then max and both
+        // subtract orders over the result, as an LSTM gate strings them.
+        for act in activations {
+            let chain = [
+                Opcode::VvAdd,
+                Opcode::VvMul,
+                act,
+                Opcode::VvMax,
+                Opcode::VvASubB,
+                Opcode::VvBSubA,
+            ];
+            let mut got = a0.clone();
+            let mut want = a0.clone();
+            for op in chain {
+                if activations.contains(&op) {
+                    apply_activation(op, &mut got);
+                } else {
+                    apply_binary(op, &mut got, &b0).unwrap();
+                }
+                for (w, &b) in want.iter_mut().zip(&b0) {
+                    *w = f16_object_op(op, *w, b);
+                }
+                assert_eq!(bits(&got), bits(&want), "after {op:?} in the {act:?} chain");
+            }
+        }
     }
 
     #[test]

@@ -488,8 +488,8 @@ pub fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Option<Vec<u8>>> {
 /// # Errors
 ///
 /// Returns [`WireError::FrameTooLarge`] when the length prefix exceeds
-/// [`MAX_FRAME`] — the connection must be closed, since the byte stream
-/// can no longer be re-synchronised.
+/// the 16 MiB frame-size cap (`MAX_FRAME`) — the connection must be closed,
+/// since the byte stream can no longer be re-synchronised.
 pub fn try_extract_frame(buf: &mut Vec<u8>) -> Result<Option<Vec<u8>>, WireError> {
     if buf.len() < 4 {
         return Ok(None);

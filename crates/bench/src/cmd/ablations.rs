@@ -165,7 +165,7 @@ fn frequency_ablation() {
     );
 }
 
-fn main() {
+pub fn run() {
     println!("Ablations of the Brainwave design choices\n");
     native_dim_ablation();
     dispatch_ablation();

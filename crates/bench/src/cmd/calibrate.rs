@@ -9,7 +9,7 @@ use bw_baselines::titan_xp_point;
 use bw_bench::{render_table, run_suite};
 use bw_models::table5_suite;
 
-fn main() {
+pub fn run() {
     let paper_ms = |name: &str| -> f64 {
         match name {
             "GRU h=2816 t=750" => 1.987,

@@ -6,12 +6,13 @@
 //! (`[text](destination)`) from every `*.md`, and verifies each
 //! relative destination — minus any `#fragment` — exists on disk,
 //! resolved against the linking file's directory. Absolute URLs
-//! (`http:`, `https:`, `mailto:`) are skipped. Exits nonzero listing
-//! every broken link.
-//!
-//! Usage: `cargo run --release -p bw-bench --bin doclinks`
+//! (`http:`, `https:`, `mailto:`) are skipped. Exits 1 listing every
+//! broken link.
 
 use std::path::{Path, PathBuf};
+use std::process::ExitCode;
+
+use crate::cli::{Args, Gate};
 
 fn collect_markdown(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
@@ -70,52 +71,46 @@ fn is_external(dest: &str) -> bool {
         || dest.starts_with('#')
 }
 
-fn main() {
+pub fn run(_: &Args) -> ExitCode {
     let mut files = Vec::new();
     collect_markdown(Path::new("."), &mut files);
     files.sort();
-    assert!(
-        !files.is_empty(),
-        "no markdown files found — run from the repo root"
-    );
+    let mut gate = Gate::default();
+    gate.check(!files.is_empty(), || {
+        "no markdown files found — run from the repo root".to_owned()
+    });
 
     let mut checked = 0usize;
-    let mut broken: Vec<String> = Vec::new();
     for file in &files {
-        let text = std::fs::read_to_string(file)
-            .unwrap_or_else(|e| panic!("read {}: {e}", file.display()));
-        let dir = file.parent().unwrap_or(Path::new("."));
-        for dest in link_destinations(&text) {
-            if is_external(&dest) || dest.is_empty() {
+        let text = match std::fs::read_to_string(file) {
+            Ok(text) => text,
+            Err(e) => {
+                gate.fail(format!("read {}: {e}", file.display()));
                 continue;
             }
+        };
+        let dir = file.parent().unwrap_or(Path::new("."));
+        for dest in link_destinations(&text) {
             let path_part = dest.split('#').next().unwrap_or("");
-            if path_part.is_empty() {
+            if is_external(&dest) || path_part.is_empty() {
                 continue;
             }
             checked += 1;
             let target = dir.join(path_part);
-            if !target.exists() {
-                broken.push(format!(
+            gate.check(target.exists(), || {
+                format!(
                     "{}: [{}] does not resolve ({})",
                     file.display(),
                     dest,
                     target.display()
-                ));
-            }
+                )
+            });
         }
     }
 
     eprintln!(
-        "doclinks: {} markdown files, {} relative links checked, {} broken",
-        files.len(),
-        checked,
-        broken.len()
+        "doclinks: {} markdown files, {checked} relative links checked",
+        files.len()
     );
-    if !broken.is_empty() {
-        for b in &broken {
-            eprintln!("BROKEN {b}");
-        }
-        std::process::exit(1);
-    }
+    gate.finish()
 }

@@ -4,7 +4,7 @@
 use bw_bench::render_table;
 use bw_dataflow::RnnCriticalPath;
 
-fn main() {
+pub fn run() {
     println!("Figure 2: LSTM critical-path analysis\n");
 
     // Panel 1: per-step operations and UDM latency vs. dimension.

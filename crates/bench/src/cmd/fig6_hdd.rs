@@ -5,7 +5,7 @@ use bw_bench::render_table;
 use bw_core::isa::Instruction;
 use bw_core::{HddExpansion, NpuConfig};
 
-fn main() {
+pub fn run() {
     let cfg = NpuConfig::bw_s10();
     println!(
         "Figure 6: hierarchical decode and dispatch on {}\n",

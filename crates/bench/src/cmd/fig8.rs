@@ -13,28 +13,9 @@ use bw_models::{table5_suite, Gru, Lstm, RnnBenchmark, RnnKind};
 /// Simulated BW utilization at a given batch size: the NPU serves the
 /// requests back to back (§VII-B3: "BW executes a single input at a time").
 fn bw_utilization(bench: &RnnBenchmark, batch: u32) -> f64 {
-    let steps = bench.timesteps;
-    let stats = match bench.kind {
-        RnnKind::Gru => {
-            let cfg =
-                bw_s10_sized(Gru::new(&NpuConfig::bw_s10(), bench.dims()).mrf_entries_required());
-            let gru = Gru::new(&cfg, bench.dims());
-            let mut npu = Npu::with_mode(cfg, ExecMode::TimingOnly);
-            gru.prepare_timing_only(&mut npu).expect("sized");
-            npu.push_input_zeros(gru.grid_x() as usize * (steps * batch) as usize);
-            npu.run(&gru.program(steps * batch)).expect("sized")
-        }
-        RnnKind::Lstm => {
-            let cfg =
-                bw_s10_sized(Lstm::new(&NpuConfig::bw_s10(), bench.dims()).mrf_entries_required());
-            let lstm = Lstm::new(&cfg, bench.dims());
-            let mut npu = Npu::with_mode(cfg, ExecMode::TimingOnly);
-            lstm.prepare_timing_only(&mut npu).expect("sized");
-            npu.push_input_zeros(lstm.grid_x() as usize * (steps * batch) as usize);
-            npu.run(&lstm.program(steps * batch)).expect("sized")
-        }
-    };
-    stats.effective_utilization(bench.ops() * u64::from(batch)) * 100.0
+    let mut back_to_back = *bench;
+    back_to_back.timesteps *= batch;
+    run_bw_s10(&back_to_back).utilization_pct
 }
 
 /// Simulated utilization of the batch-interleaved firmware — the §VII-B3
@@ -62,7 +43,7 @@ fn interleaved_utilization(bench: &RnnBenchmark, batch: u32) -> f64 {
     stats.effective_utilization(bench.ops() * u64::from(batch)) * 100.0
 }
 
-fn main() {
+pub fn run() {
     let batches = [1u32, 2, 4, 32];
     // The subset of layers Figure 8 plots (medium and large dims; the
     // t=1500/t=750 layers are truncated to keep run time modest — per-step

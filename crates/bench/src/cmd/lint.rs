@@ -5,14 +5,13 @@
 //! same deployment gate `bw-gir` applies when compiling pipelines.
 //!
 //! ```text
-//! cargo run -p bw-bench --bin lint               # lint LSTM firmware
-//! cargo run -p bw-bench --bin lint -- --hidden 2000 --steps 50
-//! cargo run -p bw-bench --bin lint -- --deny-warnings
-//! cargo run -p bw-bench --bin lint -- --json     # machine-readable report
-//! cargo run -p bw-bench --bin lint -- --demo     # seeded-bug showcase
-//! cargo run -p bw-bench --bin lint -- --artifact --hidden 128
-//!                                # whole-artifact (BW11x/BW12x) analysis
-//! cargo run -p bw-bench --bin lint -- --artifact --sla-us 50 --json
+//! bw-bench lint                          # lint LSTM firmware
+//! bw-bench lint --hidden 2000 --steps 50
+//! bw-bench lint --deny-warnings
+//! bw-bench lint --json                   # machine-readable report
+//! bw-bench lint --demo                   # seeded-bug showcase
+//! bw-bench lint --artifact --hidden 128  # whole-artifact (BW11x/BW12x) analysis
+//! bw-bench lint --artifact --sla-us 50 --json
 //! ```
 //!
 //! `--artifact` switches from single-program linting to whole-artifact
@@ -21,8 +20,8 @@
 //! static cycle-bound passes over the composed plan, emitting the BW11x
 //! and (under `--sla-us`) BW12x diagnostic families.
 //!
-//! Exits nonzero if the report blocks deployment (errors; warnings too
-//! under `--deny-warnings`), so it slots into CI and toolflow scripts.
+//! Exits 1 if the report blocks deployment (errors; warnings too under
+//! `--deny-warnings`), so it slots into CI and toolflow scripts.
 //! `--demo` always exits zero: its diagnostics are the expected output,
 //! not a gate failure.
 
@@ -33,71 +32,52 @@ use bw_core::isa::{MemId, ProgramBuilder};
 use bw_core::{analyze_with, AnalysisOptions, AnalysisReport, Analyzer};
 use bw_gir::{ActFn, GirGraph, GirOp, LowerOptions, ShardedArtifact};
 use bw_models::{Lstm, RnnDims};
+use bw_trace::json::Writer;
 
-struct Args {
+use crate::cli::{Args, Gate};
+
+struct Options {
     hidden: usize,
     steps: u32,
     batch: u32,
     deny_warnings: bool,
     json: bool,
-    demo: bool,
-    artifact: bool,
     sla_us: Option<f64>,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        hidden: 2000,
-        steps: 10,
-        batch: 1,
-        deny_warnings: false,
-        json: false,
-        demo: false,
-        artifact: false,
-        sla_us: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |what: &str| it.next().ok_or_else(|| format!("{what} requires a value"));
-        match flag.as_str() {
-            "--hidden" => args.hidden = value("--hidden")?.parse().map_err(|e| format!("{e}"))?,
-            "--steps" => args.steps = value("--steps")?.parse().map_err(|e| format!("{e}"))?,
-            "--batch" => args.batch = value("--batch")?.parse().map_err(|e| format!("{e}"))?,
-            "--deny-warnings" => args.deny_warnings = true,
-            "--json" => args.json = true,
-            "--demo" => args.demo = true,
-            "--artifact" => args.artifact = true,
-            "--sla-us" => {
-                args.sla_us = Some(value("--sla-us")?.parse().map_err(|e| format!("{e}"))?);
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: lint [--hidden N] [--steps N] [--batch N] \
-                     [--deny-warnings] [--json] [--demo] \
-                     [--artifact] [--sla-us F]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    if args.hidden == 0 || args.steps == 0 || args.batch == 0 {
-        return Err("--hidden, --steps and --batch must be positive".into());
-    }
-    Ok(args)
+/// Exit 1 when the report blocks deployment (the report itself, already
+/// on stdout, says why).
+fn verdict(report: &AnalysisReport, deny_warnings: bool) -> ExitCode {
+    let mut gate = Gate::default();
+    gate.check(!report.blocks_deployment(deny_warnings), || {
+        "the report blocks deployment".to_owned()
+    });
+    gate.finish()
 }
 
-fn print_report(report: &AnalysisReport, args: &Args) {
-    if args.json {
-        // One JSON object on stdout, nothing else: machine-readable for
-        // toolflow scripts. The verdict is embedded so callers need not
-        // re-derive the gate from counts.
-        println!(
-            "{{\"tool\":\"bw-lint\",\"deny_warnings\":{},\"blocking\":{},\"report\":{}}}",
-            args.deny_warnings,
-            report.blocks_deployment(args.deny_warnings),
-            report.to_json()
-        );
+/// Opens the `--json` document: one object on stdout and nothing else,
+/// machine-readable for toolflow scripts. The verdict is embedded so
+/// callers need not re-derive the gate from counts.
+fn json_header(mode: Option<&str>, report: &AnalysisReport, opts: &Options) -> Writer {
+    let mut w = Writer::new();
+    w.begin_object().key("tool").string("bw-lint");
+    if let Some(mode) = mode {
+        w.key("mode").string(mode);
+    }
+    w.key("deny_warnings").bool(opts.deny_warnings);
+    w.key("blocking")
+        .bool(report.blocks_deployment(opts.deny_warnings));
+    w
+}
+
+fn json_finish(mut w: Writer, report: &AnalysisReport) {
+    w.key("report").raw(&report.to_json()).end_object();
+    println!("{}", w.finish());
+}
+
+fn print_report(report: &AnalysisReport, opts: &Options) {
+    if opts.json {
+        json_finish(json_header(None, report, opts), report);
     } else if report.diagnostics.is_empty() {
         println!("clean: no diagnostics");
     } else {
@@ -179,33 +159,31 @@ fn demo_artifact(width: usize) -> Result<ShardedArtifact, String> {
     .map_err(|e| e.to_string())
 }
 
-fn run_artifact(args: &Args) -> ExitCode {
-    let artifact = match demo_artifact(args.hidden) {
+fn run_artifact(opts: &Options) -> ExitCode {
+    let artifact = match demo_artifact(opts.hidden) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("lint: {e}");
             return ExitCode::from(2);
         }
     };
-    let opts = LowerOptions {
-        deny_warnings: args.deny_warnings,
-        sla_us: args.sla_us,
+    let lower = LowerOptions {
+        deny_warnings: opts.deny_warnings,
+        sla_us: opts.sla_us,
     };
-    let report = artifact.analyze(&opts);
+    let report = artifact.analyze(&lower);
     let bounds = artifact.static_bounds();
-    if args.json {
-        let bounds_json = bounds.map_or_else(
-            || "null".to_owned(),
-            |b| format!("{{\"lower\":{},\"upper\":{}}}", b.lower, b.upper),
-        );
-        println!(
-            "{{\"tool\":\"bw-lint\",\"mode\":\"artifact\",\"deny_warnings\":{},\
-             \"blocking\":{},\"bounds\":{},\"report\":{}}}",
-            args.deny_warnings,
-            report.blocks_deployment(args.deny_warnings),
-            bounds_json,
-            report.to_json()
-        );
+    if opts.json {
+        let mut w = json_header(Some("artifact"), &report, opts);
+        w.key("bounds");
+        match bounds {
+            Some(b) => {
+                w.begin_object().key("lower").uint(b.lower);
+                w.key("upper").uint(b.upper).end_object()
+            }
+            None => w.null(),
+        };
+        json_finish(w, &report);
     } else {
         println!(
             "artifact `{}`: {} segment(s), max width {}",
@@ -217,66 +195,56 @@ fn run_artifact(args: &Args) -> ExitCode {
             Some(b) => println!("static cycle bounds: [{}, {}] cycles", b.lower, b.upper),
             None => println!("static cycle bounds: not provable"),
         }
-        if report.diagnostics.is_empty() {
-            println!("clean: no diagnostics");
-        } else {
-            println!("{report}");
-        }
+        print_report(&report, opts);
     }
-    if report.blocks_deployment(args.deny_warnings) {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    verdict(&report, opts.deny_warnings)
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("lint: {e}");
-            return ExitCode::from(2);
-        }
+pub fn run(args: &Args) -> ExitCode {
+    let opts = Options {
+        hidden: args.get("--hidden").unwrap_or(2000),
+        steps: args.get("--steps").unwrap_or(10),
+        batch: args.get("--batch").unwrap_or(1),
+        deny_warnings: args.has("--deny-warnings"),
+        json: args.has("--json"),
+        sla_us: args.get("--sla-us"),
     };
-
-    if args.artifact {
-        return run_artifact(&args);
+    if opts.hidden == 0 || opts.steps == 0 || opts.batch == 0 {
+        args.usage_error("--hidden, --steps and --batch must be positive");
     }
 
-    if args.demo {
-        if !args.json {
+    if args.has("--artifact") {
+        return run_artifact(&opts);
+    }
+
+    if args.has("--demo") {
+        if !opts.json {
             println!("== seeded-bug showcase ==");
         }
-        let report = demo_report();
-        print_report(&report, &args);
+        print_report(&demo_report(), &opts);
         return ExitCode::SUCCESS;
     }
 
-    let dims = RnnDims::square(args.hidden);
+    let dims = RnnDims::square(opts.hidden);
     let cfg_probe = bw_s10_sized(64);
     let sized = Lstm::new(&cfg_probe, dims);
     let cfg = bw_s10_sized(sized.mrf_entries_required());
     let lstm = Lstm::new(&cfg, dims);
-    let program = lstm.program_batched(args.steps, args.batch);
-    let options = lstm.analysis_options_batched(args.steps, args.batch);
+    let program = lstm.program_batched(opts.steps, opts.batch);
+    let options = lstm.analysis_options_batched(opts.steps, opts.batch);
 
-    if !args.json {
+    if !opts.json {
         println!(
             "linting LSTM h={} steps={} batch={} on {} ({} chains, passes: {})",
-            args.hidden,
-            args.steps,
-            args.batch,
+            opts.hidden,
+            opts.steps,
+            opts.batch,
             cfg.name(),
             program.chain_count(),
             Analyzer::new(options.clone()).pass_names().join(", ")
         );
     }
     let report = analyze_with(&program, &cfg, options);
-    print_report(&report, &args);
-
-    if report.blocks_deployment(args.deny_warnings) {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    print_report(&report, &opts);
+    verdict(&report, opts.deny_warnings)
 }

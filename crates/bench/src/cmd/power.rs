@@ -5,7 +5,7 @@ use bw_bench::run_bw_s10;
 use bw_fpga::{gflops_per_watt, Device};
 use bw_models::table5_suite;
 
-fn main() {
+pub fn run() {
     let s10 = Device::stratix_10_280();
     println!("Power efficiency (§VII-B4)\n");
     println!(

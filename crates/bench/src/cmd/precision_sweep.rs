@@ -7,7 +7,7 @@
 use bw_bench::render_table;
 use bw_models::accuracy::lstm_precision_sweep;
 
-fn main() {
+pub fn run() {
     let (hidden, steps) = (48, 8);
     println!(
         "Narrow-precision sweep: {hidden}-dim LSTM over {steps} steps, final hidden\n\

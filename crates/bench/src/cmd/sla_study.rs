@@ -11,7 +11,7 @@ use bw_bench::{render_table, run_bw_s10};
 use bw_models::{RnnBenchmark, RnnKind};
 use bw_system::{simulate, ArrivalProcess, Microservice, ServiceModel};
 
-fn main() {
+pub fn run() {
     // Service time from the simulator: GRU-2048, 25 steps.
     let bench = RnnBenchmark::new(RnnKind::Gru, 2048, 25);
     let bw_service = run_bw_s10(&bench).latency_ms * 1e-3;

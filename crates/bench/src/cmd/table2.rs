@@ -5,7 +5,7 @@
 use bw_bench::render_table;
 use bw_core::isa::Opcode;
 
-fn main() {
+pub fn run() {
     let rows: Vec<(Opcode, &str, &str, &str, &str, &str)> = vec![
         (
             Opcode::VRd,

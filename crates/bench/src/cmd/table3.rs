@@ -27,7 +27,7 @@ fn with_mantissa(cfg: &NpuConfig, m: u8) -> NpuConfig {
         .expect("Table III instances are valid")
 }
 
-fn main() {
+pub fn run() {
     let rows = [
         Row {
             cfg: with_mantissa(&NpuConfig::bw_s5(), 5),

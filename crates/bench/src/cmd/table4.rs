@@ -5,7 +5,7 @@ use bw_bench::render_table;
 use bw_core::NpuConfig;
 use bw_fpga::Device;
 
-fn main() {
+pub fn run() {
     let bw = NpuConfig::bw_s10();
     let s10 = Device::stratix_10_280();
     let rows = vec![

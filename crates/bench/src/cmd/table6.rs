@@ -34,7 +34,7 @@ fn cnn_a10() -> NpuConfig {
         .expect("CNN A10 configuration is valid")
 }
 
-fn main() {
+pub fn run() {
     let layers = resnet50_featurizer();
     let cfg = cnn_a10();
 

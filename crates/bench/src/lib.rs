@@ -1,10 +1,11 @@
 //! Shared harness machinery for regenerating the paper's tables and
 //! figures.
 //!
-//! Each table/figure has a dedicated binary (`table1`, `table5`, `fig7`,
-//! …) listed in `DESIGN.md`'s experiment index; this library holds the
-//! code they share: running a DeepBench point on a simulated BW_S10,
-//! computing the matching SDM bound, and plain-text table formatting.
+//! Each table/figure is a `bw-bench <subcommand>` (`table1`, `table5`,
+//! `fig7`, …; `bw-bench help` lists them); this library holds the code
+//! they share with the golden tests and the ledger: running a DeepBench
+//! point on a simulated BW_S10, computing the matching SDM bound, and
+//! plain-text table formatting.
 //!
 //! ## Quickstart
 //!
@@ -22,7 +23,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use bw_core::{ExecMode, KernelMode, Npu, NpuConfig, RunStats};
+use bw_core::{ExecMode, Npu, NpuConfig, RunStats};
 use bw_dataflow::RnnCriticalPath;
 use bw_models::{Gru, Lstm, RnnBenchmark, RnnKind};
 use serde::{Deserialize, Serialize};
@@ -75,28 +76,12 @@ pub fn bw_s10_sized(mrf_entries: u32) -> NpuConfig {
 /// Panics if the simulation fails — harness configurations are sized to
 /// make that a bug, not a runtime condition.
 pub fn run_bw_s10(bench: &RnnBenchmark) -> BwRnnResult {
-    run_bw_s10_with_kernel(bench, KernelMode::Fast)
-}
-
-/// [`run_bw_s10`] with an explicit simulator kernel selection.
-///
-/// `KernelMode::Reference` replays the pre-optimization allocation and
-/// arithmetic strategy (clone-on-read register files, naive BFP kernels);
-/// the simulated cycle counts are identical in either mode, so this exists
-/// to measure the fast path's wall-clock speedup and to cross-check it.
-///
-/// # Panics
-///
-/// Panics if the simulation fails — harness configurations are sized to
-/// make that a bug, not a runtime condition.
-pub fn run_bw_s10_with_kernel(bench: &RnnBenchmark, kernel: KernelMode) -> BwRnnResult {
     let stats = match bench.kind {
         RnnKind::Gru => {
             let cfg =
                 bw_s10_sized(Gru::new(&NpuConfig::bw_s10(), bench.dims()).mrf_entries_required());
             let gru = Gru::new(&cfg, bench.dims());
             let mut npu = Npu::with_mode(cfg, ExecMode::TimingOnly);
-            npu.set_kernel_mode(kernel);
             gru.run_timing_only(&mut npu, bench.timesteps)
                 .expect("sized configuration runs")
         }
@@ -105,7 +90,6 @@ pub fn run_bw_s10_with_kernel(bench: &RnnBenchmark, kernel: KernelMode) -> BwRnn
                 bw_s10_sized(Lstm::new(&NpuConfig::bw_s10(), bench.dims()).mrf_entries_required());
             let lstm = Lstm::new(&cfg, bench.dims());
             let mut npu = Npu::with_mode(cfg, ExecMode::TimingOnly);
-            npu.set_kernel_mode(kernel);
             lstm.run_timing_only(&mut npu, bench.timesteps)
                 .expect("sized configuration runs")
         }
@@ -123,16 +107,11 @@ pub fn run_bw_s10_with_kernel(bench: &RnnBenchmark, kernel: KernelMode) -> BwRnn
 
 /// Runs a set of DeepBench benchmarks across worker threads (one per
 /// available core) and returns the results in `benches` order.
-pub fn run_suite(benches: &[RnnBenchmark]) -> Vec<BwRnnResult> {
-    run_suite_with_kernel(benches, KernelMode::Fast)
-}
-
-/// [`run_suite`] with an explicit simulator kernel selection.
 ///
 /// # Panics
 ///
 /// Panics if a worker thread panics (i.e. a benchmark fails to simulate).
-pub fn run_suite_with_kernel(benches: &[RnnBenchmark], kernel: KernelMode) -> Vec<BwRnnResult> {
+pub fn run_suite(benches: &[RnnBenchmark]) -> Vec<BwRnnResult> {
     let results: std::sync::Mutex<Vec<Option<BwRnnResult>>> =
         std::sync::Mutex::new(vec![None; benches.len()]);
     let next = std::sync::atomic::AtomicUsize::new(0);
@@ -148,7 +127,7 @@ pub fn run_suite_with_kernel(benches: &[RnnBenchmark], kernel: KernelMode) -> Ve
                 if i >= benches.len() {
                     break;
                 }
-                let result = run_bw_s10_with_kernel(&benches[i], kernel);
+                let result = run_bw_s10(&benches[i]);
                 results.lock().expect("no poisoned lock")[i] = Some(result);
             });
         }

@@ -1,0 +1,208 @@
+//! `bw-bench <subcommand>`: the paper's tables and figures, the firmware
+//! and documentation tools, and the fleet/monitor chaos gates, behind one
+//! dispatch table. `bw-bench help` prints the table.
+//!
+//! Nothing here times this software — that is `ledger/`'s job. The
+//! subcommands print modeled quantities (cycles, utilization, SLA miss
+//! rates) that are the same on every run and every host; `fleet` and
+//! `monitor` drive a live pool, but gate on recovery and alerting, not
+//! on speed.
+//!
+//! Exit status: 0 success, 1 a gate failed, 2 a command-line mistake.
+
+#![forbid(unsafe_code)]
+
+use std::process::ExitCode;
+
+mod cli;
+mod cmd;
+
+use bw_bench::reports;
+use cli::{Args, Command};
+
+const QUICK: (&str, &str) = ("--quick", "");
+
+/// A paper-reproduction subcommand: no flags, nothing to fail.
+fn paper(print: fn()) -> ExitCode {
+    print();
+    ExitCode::SUCCESS
+}
+
+/// `table1`, `table5` and `fig7` print a [`reports`] string verbatim —
+/// the same strings `tests/golden.rs` pins byte for byte.
+fn report(build: fn() -> String) -> ExitCode {
+    print!("{}", build());
+    ExitCode::SUCCESS
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "table1",
+        help: "Table I: critical-path analysis of LSTM, GRU and CNN",
+        flags: &[],
+        run: |_| report(reports::table1_report),
+    },
+    Command {
+        name: "table2",
+        help: "Table II: the ISA reference, rendered from the implementation",
+        flags: &[],
+        run: |_| paper(cmd::table2::run),
+    },
+    Command {
+        name: "table3",
+        help: "Table III: FPGA resources of the three NPU instances vs the paper",
+        flags: &[],
+        run: |_| paper(cmd::table3::run),
+    },
+    Command {
+        name: "table4",
+        help: "Table IV: experiment hardware specifications",
+        flags: &[],
+        run: |_| paper(cmd::table4::run),
+    },
+    Command {
+        name: "table5",
+        help: "Table V: DeepBench RNN inference at batch 1 (SDM, BW, Titan Xp)",
+        flags: &[],
+        run: |_| report(reports::table5_report),
+    },
+    Command {
+        name: "table6",
+        help: "Table VI: ResNet-50 featurizer on BW_CNN_A10 vs the P40",
+        flags: &[],
+        run: |_| paper(cmd::table6::run),
+    },
+    Command {
+        name: "fig2",
+        help: "Figure 2: LSTM critical path vs dimension and functional units",
+        flags: &[],
+        run: |_| paper(cmd::fig2::run),
+    },
+    Command {
+        name: "fig6_hdd",
+        help: "Figure 6: hierarchical decode and dispatch of one mv_mul",
+        flags: &[],
+        run: |_| paper(cmd::fig6_hdd::run),
+    },
+    Command {
+        name: "fig7",
+        help: "Figure 7: utilization across the DeepBench suite at batch 1",
+        flags: &[],
+        run: |_| report(reports::fig7_report),
+    },
+    Command {
+        name: "fig8",
+        help: "Figure 8: utilization vs batch size, BW vs GPU",
+        flags: &[],
+        run: |_| paper(cmd::fig8::run),
+    },
+    Command {
+        name: "ablations",
+        help: "native dimension, dispatch interval and clock frequency sweeps",
+        flags: &[],
+        run: |_| paper(cmd::ablations::run),
+    },
+    Command {
+        name: "precision_sweep",
+        help: "section VI: LSTM accuracy vs BFP mantissa width",
+        flags: &[],
+        run: |_| paper(cmd::precision_sweep::run),
+    },
+    Command {
+        name: "power",
+        help: "section VII-B4: GFLOPS/W at peak chip power",
+        flags: &[],
+        run: |_| paper(cmd::power::run),
+    },
+    Command {
+        name: "sla_study",
+        help: "section I: deadline misses vs load, per-request vs batched serving",
+        flags: &[],
+        run: |_| paper(cmd::sla_study::run),
+    },
+    Command {
+        name: "calibrate",
+        help: "cycle-model calibration against the paper's Table V latencies",
+        flags: &[],
+        run: |_| paper(cmd::calibrate::run),
+    },
+    Command {
+        name: "lint",
+        help: "run the firmware linter; exit 1 if the report blocks deployment",
+        flags: &[
+            ("--hidden", "N"),
+            ("--steps", "N"),
+            ("--batch", "N"),
+            ("--deny-warnings", ""),
+            ("--json", ""),
+            ("--demo", ""),
+            ("--artifact", ""),
+            ("--sla-us", "F"),
+        ],
+        run: cmd::lint::run,
+    },
+    Command {
+        name: "doclinks",
+        help: "check that every relative markdown link under . resolves",
+        flags: &[],
+        run: cmd::doclinks::run,
+    },
+    Command {
+        name: "profile",
+        help: "trace one DeepBench RNN: bottleneck report and Perfetto export",
+        flags: &[
+            ("--kind", "lstm|gru"),
+            ("--hidden", "N"),
+            ("--steps", "N"),
+            QUICK,
+            ("--trace-out", "PATH"),
+            ("--report-out", "PATH"),
+            ("--validate", ""),
+        ],
+        run: cmd::profile::run,
+    },
+    Command {
+        name: "fleet",
+        help: "chaos gate: the fleet controller absorbs load step, kill, slow link",
+        flags: &[QUICK],
+        run: cmd::fleet::run,
+    },
+    Command {
+        name: "monitor",
+        help: "chaos gate: SLO alerts fire within 10 scrapes and clear afterwards",
+        flags: &[QUICK],
+        run: cmd::monitor::run,
+    },
+];
+
+fn help() -> String {
+    let mut out = String::from("usage: bw-bench <subcommand> [flags]\n\nsubcommands:\n");
+    for c in COMMANDS {
+        out.push_str(&format!("  {:<16}{}\n", c.name, c.help));
+    }
+    out.push_str("\n`bw-bench <subcommand> --help` lists a subcommand's flags.\n");
+    out
+}
+
+fn main() -> ExitCode {
+    let mut argv = std::env::args().skip(1);
+    let name = argv.next().unwrap_or_default();
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        print!("{}", help());
+        return ExitCode::SUCCESS;
+    }
+    let Some(command) = COMMANDS.iter().find(|c| c.name == name) else {
+        eprintln!("bw-bench: unknown subcommand `{name}`");
+        eprint!("{}", help());
+        return ExitCode::from(2);
+    };
+    let argv: Vec<String> = argv.collect();
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{}\n{}", command.usage(), command.help);
+        return ExitCode::SUCCESS;
+    }
+    match Args::parse(command, argv.into_iter()) {
+        Ok(args) => (command.run)(&args),
+        Err(message) => command.usage_error(&message),
+    }
+}

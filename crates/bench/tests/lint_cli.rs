@@ -1,14 +1,15 @@
-//! CLI contract of the `lint` binary: `--json` must put exactly one
+//! CLI contract of `bw-bench lint`: `--json` must put exactly one
 //! machine-readable JSON object on stdout (no banners, no prose), with
 //! each diagnostic carrying its code, severity, and segment/item anchor.
 
 use std::process::Command;
 
 fn lint(args: &[&str]) -> std::process::Output {
-    Command::new(env!("CARGO_BIN_EXE_lint"))
+    Command::new(env!("CARGO_BIN_EXE_bw-bench"))
+        .arg("lint")
         .args(args)
         .output()
-        .expect("lint binary runs")
+        .expect("bw-bench runs")
 }
 
 #[test]

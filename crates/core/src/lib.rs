@@ -62,8 +62,8 @@ mod npu;
 mod stats;
 mod trace;
 mod trace_report;
-mod validate;
 
+pub use analysis::capacity::{ValidateError, ValidateErrorKind};
 pub use analysis::{
     analyze, analyze_artifact, analyze_artifact_with, analyze_with, artifact_cycle_bounds,
     cycle_bounds, AnalysisOptions, AnalysisPass, AnalysisReport, Analyzer, ArtifactContext,
@@ -76,4 +76,3 @@ pub use npu::{ChainKind, ChainTrace, ExecMode, KernelMode, Npu, SimError};
 pub use stats::RunStats;
 pub use trace::{SinkHandle, SpanCollector, SpanKind, SpanRecord, TraceId, TraceSink};
 pub use trace_report::{KindSummary, TraceSummary};
-pub use validate::{ValidateError, ValidateErrorKind};

@@ -21,6 +21,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bw_system::{ArrivalProcess, LatencySummary, LoadSchedule};
+use bw_trace::json::Writer;
 use parking_lot::Mutex;
 
 use crate::server::Client;
@@ -74,23 +75,22 @@ pub struct LoadgenReport {
 impl LoadgenReport {
     /// Renders the report as a JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"model\":\"{}\",\"offered\":{},\"completed\":{},",
-                "\"shed\":{},\"failed\":{},\"rejected\":{},\"retries\":{},",
-                "\"duration_s\":{:.6},\"goodput_rps\":{:.3},\"latency\":{}}}"
-            ),
-            self.model,
-            self.offered,
-            self.completed,
-            self.shed,
-            self.failed,
-            self.rejected,
-            self.retries,
-            self.duration_s,
-            self.goodput_rps,
-            self.latency.to_json(),
-        )
+        let mut w = Writer::new();
+        w.begin_object().key("model").string(&self.model);
+        for (key, count) in [
+            ("offered", self.offered as u64),
+            ("completed", self.completed),
+            ("shed", self.shed),
+            ("failed", self.failed),
+            ("rejected", self.rejected),
+            ("retries", self.retries),
+        ] {
+            w.key(key).uint(count);
+        }
+        w.key("duration_s").fixed(self.duration_s, 6);
+        w.key("goodput_rps").fixed(self.goodput_rps, 3);
+        w.key("latency").raw(&self.latency.to_json()).end_object();
+        w.finish()
     }
 }
 

@@ -6,6 +6,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bw_system::LatencySummary;
+use bw_trace::json::Writer;
 use parking_lot::Mutex;
 
 /// Histogram bucket layout: geometric buckets from 1 µs upward, ×1.25 per
@@ -390,118 +391,89 @@ pub struct MetricsSnapshot {
     pub link_busy_s: Vec<f64>,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl MetricsSnapshot {
-    /// Serializes the snapshot as a JSON object (no external
-    /// dependencies; strings escaped per RFC 8259).
+    /// Serializes the snapshot as a JSON object (through the workspace's
+    /// one writer, [`bw_trace::json::Writer`]).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"models\":[");
-        for (i, m) in self.models.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        fn uints(w: &mut Writer, key: &str, values: impl Iterator<Item = u64>) {
+            w.key(key).begin_array();
+            for v in values {
+                w.uint(v);
             }
-            out.push_str(&format!(
-                "{{\"model\":\"{}\",\"submitted\":{},\"completed\":{},\"shed\":{},\
-                 \"failed\":{},\"retries\":{},\"batches\":{},\"batched_requests\":{},\
-                 \"latency\":{},\"npu_cycles\":{},\
-                 \"npu_macs\":{},\"npu_dep_stall_cycles\":{},\
-                 \"npu_resource_stall_cycles\":{},\"queue_wait\":{},\"service\":{},\
-                 \"network\":{}}}",
-                json_escape(&m.model),
-                m.submitted,
-                m.completed,
-                m.shed,
-                m.failed,
-                m.retries,
-                m.batches,
-                m.batched_requests,
-                m.latency.to_json(),
-                m.npu_cycles,
-                m.npu_macs,
-                m.npu_dep_stall_cycles,
-                m.npu_resource_stall_cycles,
-                m.queue_wait.to_json(),
-                m.service.to_json(),
-                m.network.to_json()
-            ));
+            w.end_array();
         }
-        out.push_str("],\"queue_depths\":[");
-        for (i, d) in self.queue_depths.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+
+        let mut w = Writer::new();
+        w.begin_object().key("models").begin_array();
+        for m in &self.models {
+            w.begin_object().key("model").string(&m.model);
+            for (key, count) in [
+                ("submitted", m.submitted),
+                ("completed", m.completed),
+                ("shed", m.shed),
+                ("failed", m.failed),
+                ("retries", m.retries),
+                ("batches", m.batches),
+                ("batched_requests", m.batched_requests),
+            ] {
+                w.key(key).uint(count);
             }
-            out.push_str(&d.to_string());
+            w.key("latency").raw(&m.latency.to_json());
+            for (key, count) in [
+                ("npu_cycles", m.npu_cycles),
+                ("npu_macs", m.npu_macs),
+                ("npu_dep_stall_cycles", m.npu_dep_stall_cycles),
+                ("npu_resource_stall_cycles", m.npu_resource_stall_cycles),
+            ] {
+                w.key(key).uint(count);
+            }
+            for (key, summary) in [
+                ("queue_wait", &m.queue_wait),
+                ("service", &m.service),
+                ("network", &m.network),
+            ] {
+                w.key(key).raw(&summary.to_json());
+            }
+            w.end_object();
         }
-        out.push_str("],\"workers_alive\":[");
-        for (i, a) in self.workers_alive.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(if *a { "true" } else { "false" });
+        w.end_array();
+        uints(
+            &mut w,
+            "queue_depths",
+            self.queue_depths.iter().map(|&d| d as u64),
+        );
+        w.key("workers_alive").begin_array();
+        for &alive in &self.workers_alive {
+            w.bool(alive);
         }
-        out.push_str("],\"worker_processed\":[");
-        for (i, p) in self.worker_processed.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        w.end_array();
+        uints(
+            &mut w,
+            "worker_processed",
+            self.worker_processed.iter().copied(),
+        );
+        w.key("worker_models").begin_array();
+        for models in &self.worker_models {
+            w.begin_array();
+            for r in models {
+                w.begin_object().key("model").string(&r.model);
+                w.key("pinned_for_s").float(r.pinned_for_s).end_object();
             }
-            out.push_str(&p.to_string());
+            w.end_array();
         }
-        out.push_str("],\"worker_models\":[");
-        for (i, models) in self.worker_models.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            for (j, r) in models.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "{{\"model\":\"{}\",\"pinned_for_s\":{}}}",
-                    json_escape(&r.model),
-                    r.pinned_for_s
-                ));
-            }
-            out.push(']');
+        w.end_array();
+        uints(
+            &mut w,
+            "link_transfers",
+            self.link_transfers.iter().copied(),
+        );
+        uints(&mut w, "link_bytes", self.link_bytes.iter().copied());
+        w.key("link_busy_s").begin_array();
+        for &s in &self.link_busy_s {
+            w.float(s);
         }
-        out.push_str("],\"link_transfers\":[");
-        for (i, t) in self.link_transfers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&t.to_string());
-        }
-        out.push_str("],\"link_bytes\":[");
-        for (i, b) in self.link_bytes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&b.to_string());
-        }
-        out.push_str("],\"link_busy_s\":[");
-        for (i, s) in self.link_busy_s.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{s}"));
-        }
-        out.push_str("]}");
-        out
+        w.end_array().end_object();
+        w.finish()
     }
 }
 

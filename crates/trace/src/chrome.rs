@@ -11,6 +11,8 @@
 
 use bw_core::SpanRecord;
 
+use crate::json::Writer;
+
 /// One Chrome trace event (the subset of the format this crate emits).
 #[derive(Clone, Debug, PartialEq)]
 pub struct ChromeEvent {
@@ -103,65 +105,45 @@ pub fn spans_to_chrome(spans: &[SpanRecord], clock_hz: f64, base_ts_us: f64) -> 
     out
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats a non-negative microsecond quantity without float noise.
-fn fmt_us(v: f64) -> String {
+/// Writes a microsecond quantity without float noise: whole values as
+/// integers, the rest to nanosecond resolution.
+fn write_us(w: &mut Writer, v: f64) {
     if v.fract() == 0.0 && v.abs() < 9e15 {
-        format!("{}", v as i64)
+        w.int(v as i64);
     } else {
-        format!("{v:.3}")
+        w.fixed(v, 3);
     }
 }
 
 /// Renders events as a Chrome trace JSON document
 /// (`{"traceEvents": [...]}`) loadable by Perfetto.
 pub fn chrome_trace_json(events: &[ChromeEvent]) -> String {
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{}\",\"ts\":{},\"pid\":{},\"tid\":{}",
-            escape(&e.name),
-            escape(&e.cat),
-            e.ph,
-            fmt_us(e.ts_us),
-            e.pid,
-            e.tid,
-        ));
+    let mut w = Writer::with_capacity(64 + 160 * events.len());
+    w.begin_object().key("displayTimeUnit").string("ms");
+    w.key("traceEvents").begin_array();
+    for e in events {
+        w.begin_object().key("name").string(&e.name);
+        w.key("cat").string(&e.cat);
+        w.key("ph").string(e.ph.encode_utf8(&mut [0; 4]));
+        w.key("ts");
+        write_us(&mut w, e.ts_us);
+        w.key("pid").uint(e.pid).key("tid").uint(e.tid);
         if let Some(dur) = e.dur_us {
-            out.push_str(&format!(",\"dur\":{}", fmt_us(dur)));
+            w.key("dur");
+            write_us(&mut w, dur);
         }
-        out.push_str(",\"args\":{");
-        for (j, (k, v)) in e.args.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
+        w.key("args").begin_object();
+        for (k, v) in &e.args {
+            w.key(k);
             match v {
-                ArgValue::Int(n) => out.push_str(&format!("\"{}\":{n}", escape(k))),
-                ArgValue::Str(s) => out.push_str(&format!("\"{}\":\"{}\"", escape(k), escape(s))),
-            }
+                ArgValue::Int(n) => w.uint(*n),
+                ArgValue::Str(s) => w.string(s),
+            };
         }
-        out.push_str("}}");
+        w.end_object().end_object();
     }
-    out.push_str("]}");
-    out
+    w.end_array().end_object();
+    w.finish()
 }
 
 /// Validates a Chrome trace JSON document: it must parse, carry a

@@ -1,14 +1,18 @@
-//! A minimal JSON parser (RFC 8259 subset) used by the exporters'
-//! validators.
+//! A minimal JSON reader and writer (RFC 8259), the workspace's one
+//! JSON implementation above `bw-core`.
 //!
-//! The workspace deliberately carries no external JSON dependency — the
-//! snapshot and trace emitters hand-roll their output — so round-trip
-//! validation needs a reader on the same terms. This is a straightforward
-//! recursive-descent parser producing an owned [`Value`] tree; it accepts
-//! everything the workspace emits and the standard surface Perfetto
-//! emits back (numbers, strings with escapes, nested arrays/objects).
+//! The workspace deliberately carries no external JSON dependency.
+//! [`parse`] is a straightforward recursive-descent parser producing an
+//! owned [`Value`] tree; it accepts everything the workspace emits and
+//! the standard surface Perfetto emits back (numbers, strings with
+//! escapes, nested arrays/objects). [`Writer`] is its streaming
+//! counterpart: every snapshot, trace and report emitter in `bw-trace`,
+//! `bw-serve` and `bw-bench` builds its document through it, so string
+//! escaping and separator placement live in exactly one place, and
+//! `parse(write(v)) == v` is property-tested below.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -290,9 +294,314 @@ impl Parser<'_> {
     }
 }
 
+/// A streaming writer of compact JSON (no insignificant whitespace).
+///
+/// Calls mirror the document's structure — `begin_object`, `key`, a
+/// value, …, `end_object` — and chain. The writer places the `,`
+/// separators and escapes every string; it does not check that begins
+/// and ends balance or that keys alternate with values, so a caller
+/// that mis-nests produces a malformed document (which [`parse`], and
+/// every round-trip test built on it, rejects).
+///
+/// ```
+/// use bw_trace::json::{parse, Writer};
+///
+/// let mut w = Writer::new();
+/// w.begin_object().key("model").string("mlp \"a\"").key("depths");
+/// w.begin_array().uint(0).uint(2).end_array().end_object();
+/// let text = w.finish();
+/// assert_eq!(text, r#"{"model":"mlp \"a\"","depths":[0,2]}"#);
+/// assert!(parse(&text).is_ok());
+/// ```
+#[derive(Debug, Default)]
+pub struct Writer {
+    out: String,
+    /// Whether the next key or value must be preceded by a `,`: true
+    /// after a value or a closed container, false after an opener or a
+    /// key.
+    need_comma: bool,
+}
+
+impl Writer {
+    /// An empty writer.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An empty writer whose buffer is pre-sized for `bytes` of output.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Writer {
+            out: String::with_capacity(bytes),
+            need_comma: false,
+        }
+    }
+
+    /// The document written so far.
+    pub fn finish(self) -> String {
+        self.out
+    }
+
+    fn sep(&mut self) {
+        if self.need_comma {
+            self.out.push(',');
+        }
+        self.need_comma = true;
+    }
+
+    fn open(&mut self, c: char) -> &mut Self {
+        self.sep();
+        self.out.push(c);
+        self.need_comma = false;
+        self
+    }
+
+    fn close(&mut self, c: char) -> &mut Self {
+        self.out.push(c);
+        self.need_comma = true;
+        self
+    }
+
+    /// Opens an object (as a value).
+    pub fn begin_object(&mut self) -> &mut Self {
+        self.open('{')
+    }
+
+    /// Closes the innermost object.
+    pub fn end_object(&mut self) -> &mut Self {
+        self.close('}')
+    }
+
+    /// Opens an array (as a value).
+    pub fn begin_array(&mut self) -> &mut Self {
+        self.open('[')
+    }
+
+    /// Closes the innermost array.
+    pub fn end_array(&mut self) -> &mut Self {
+        self.close(']')
+    }
+
+    /// Writes an object key; the next call supplies its value.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.string(key);
+        self.out.push(':');
+        self.need_comma = false;
+        self
+    }
+
+    /// Writes a string value, escaped per RFC 8259 §7: the quote, the
+    /// backslash, and every control character below U+0020 (`\n`, `\r`
+    /// and `\t` by their short forms, the rest as `\u00XX`). Everything
+    /// else, including non-BMP text, passes through as UTF-8.
+    pub fn string(&mut self, s: &str) -> &mut Self {
+        self.sep();
+        self.out.push('"');
+        // Copy the clean runs between escapes whole; the bytes that need
+        // escaping are all ASCII, so slicing at them stays on char
+        // boundaries.
+        let mut clean_from = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let short = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0x00..=0x1f => "",
+                _ => continue,
+            };
+            self.out.push_str(&s[clean_from..i]);
+            clean_from = i + 1;
+            if short.is_empty() {
+                let _ = write!(self.out, "\\u{b:04x}");
+            } else {
+                self.out.push_str(short);
+            }
+        }
+        self.out.push_str(&s[clean_from..]);
+        self.out.push('"');
+        self
+    }
+
+    /// Writes an unsigned integer value.
+    pub fn uint(&mut self, n: u64) -> &mut Self {
+        self.sep();
+        let _ = write!(self.out, "{n}");
+        self
+    }
+
+    /// Writes a signed integer value.
+    pub fn int(&mut self, n: i64) -> &mut Self {
+        self.sep();
+        let _ = write!(self.out, "{n}");
+        self
+    }
+
+    /// Writes a float in its shortest form that parses back to the same
+    /// `f64`. JSON has no NaN or infinity; those are written as `null`.
+    pub fn float(&mut self, v: f64) -> &mut Self {
+        if !v.is_finite() {
+            return self.null();
+        }
+        self.sep();
+        let _ = write!(self.out, "{v}");
+        self
+    }
+
+    /// Writes a float with exactly `decimals` digits after the point
+    /// (non-finite values as `null`, as [`Self::float`] does).
+    pub fn fixed(&mut self, v: f64, decimals: usize) -> &mut Self {
+        if !v.is_finite() {
+            return self.null();
+        }
+        self.sep();
+        let _ = write!(self.out, "{v:.decimals$}");
+        self
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, b: bool) -> &mut Self {
+        self.raw(if b { "true" } else { "false" })
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) -> &mut Self {
+        self.raw("null")
+    }
+
+    /// Splices in `json`, which must already be one complete JSON value
+    /// — how the fragments rendered below this crate in the dependency
+    /// graph (`bw_core::AnalysisReport::to_json`,
+    /// `bw_system::LatencySummary::to_json`) enter a document.
+    pub fn raw(&mut self, json: &str) -> &mut Self {
+        self.sep();
+        self.out.push_str(json);
+        self
+    }
+
+    /// Writes a parsed [`Value`] tree.
+    pub fn value(&mut self, v: &Value) -> &mut Self {
+        match v {
+            Value::Null => self.null(),
+            Value::Bool(b) => self.bool(*b),
+            Value::Num(n) => self.float(*n),
+            Value::Str(s) => self.string(s),
+            Value::Arr(items) => {
+                self.begin_array();
+                for item in items {
+                    self.value(item);
+                }
+                self.end_array()
+            }
+            Value::Obj(fields) => {
+                self.begin_object();
+                for (k, field) in fields {
+                    self.key(k).value(field);
+                }
+                self.end_object()
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Builds an arbitrary [`Value`] from an entropy tape: strings draw
+    /// on every class the escaper distinguishes (quote, backslash, all
+    /// 32 control characters, DEL, BMP and non-BMP scalars), numbers on
+    /// integers and arbitrary finite bit patterns.
+    fn value_from(tape: &mut impl Iterator<Item = u64>, depth: u32) -> Value {
+        fn text(tape: &mut impl Iterator<Item = u64>) -> String {
+            let len = tape.next().unwrap_or(0) % 12;
+            (0..len)
+                .map(|_| {
+                    let x = tape.next().unwrap_or(0);
+                    match x % 7 {
+                        0 => char::from((x >> 8) as u8 % 0x20),
+                        1 => ['"', '\\', '/', '\u{7f}'][(x >> 8) as usize % 4],
+                        2 => char::from(b' ' + (x >> 8) as u8 % 95),
+                        3 => {
+                            ['é', '\u{2028}', '\u{ffff}', '😀', '\u{10ffff}'][(x >> 8) as usize % 5]
+                        }
+                        _ => char::from_u32((x >> 8) as u32 % 0x11_0000).unwrap_or('\u{fffd}'),
+                    }
+                })
+                .collect()
+        }
+        let x = tape.next().unwrap_or(0);
+        let width = (x >> 8) as usize % 4;
+        match x % if depth == 0 { 5 } else { 7 } {
+            0 => Value::Null,
+            1 => Value::Bool(x & 0x100 != 0),
+            2 => Value::Num((tape.next().unwrap_or(0) as i64 >> ((x >> 8) % 64)) as f64),
+            3 => {
+                let v = f64::from_bits(tape.next().unwrap_or(0));
+                Value::Num(if v.is_finite() { v } else { 0.5 })
+            }
+            4 => Value::Str(text(tape)),
+            5 => Value::Arr((0..width).map(|_| value_from(tape, depth - 1)).collect()),
+            _ => Value::Obj(
+                (0..width)
+                    .map(|_| (text(tape), value_from(tape, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn parse_inverts_write(tape in prop::collection::vec(any::<u64>(), 1..96)) {
+            let v = value_from(&mut tape.into_iter(), 3);
+            let mut w = Writer::new();
+            w.value(&v);
+            let text = w.finish();
+            prop_assert_eq!(parse(&text), Ok(v), "{}", text);
+        }
+    }
+
+    #[test]
+    fn writer_escapes_every_control_character_and_passes_non_bmp_through() {
+        let all_controls: String = (0u8..0x20).map(char::from).collect();
+        let s = format!("{all_controls}\"\\ é 😀 \u{10ffff}");
+        let mut w = Writer::new();
+        w.string(&s);
+        let text = w.finish();
+        assert!(
+            text.bytes().all(|b| b >= 0x20),
+            "raw control byte in {text:?}"
+        );
+        assert!(text.contains("\\u0000") && text.contains("\\u001f") && text.contains("\\n"));
+        assert!(text.contains("😀"), "non-BMP text is not escaped");
+        assert_eq!(parse(&text).unwrap().as_str(), Some(s.as_str()));
+    }
+
+    #[test]
+    fn writer_places_separators_and_formats_numbers() {
+        let mut w = Writer::new();
+        w.begin_object().key("a").begin_array().end_array();
+        w.key("b")
+            .begin_array()
+            .uint(1)
+            .int(-2)
+            .float(1.5e-4)
+            .fixed(2.0, 3);
+        w.float(f64::NAN).bool(true).null().end_array();
+        w.key("c")
+            .begin_object()
+            .key("d")
+            .raw("{\"e\": 1}")
+            .end_object();
+        w.end_object();
+        assert_eq!(
+            w.finish(),
+            r#"{"a":[],"b":[1,-2,0.00015,2.000,null,true,null],"c":{"d":{"e": 1}}}"#
+        );
+    }
 
     #[test]
     fn parses_the_workspace_snapshot_shape() {

@@ -4,7 +4,7 @@
 //! scheduler would — tracking `rows`/`cols`, register-file ranges and
 //! network-queue traffic — and reports `BW0xx` diagnostics with
 //! severities. `bw-gir` runs the same passes as a deployment gate, and
-//! `cargo run -p bw-bench --bin lint` wraps them in a CLI.
+//! `cargo run -p bw-bench -- lint` wraps them in a CLI.
 //!
 //! This example lints the generated LSTM kernel (clean), then seeds three
 //! classic firmware bugs into a hand-written program and shows the

@@ -1,11 +1,11 @@
 //! Golden snapshot tests: the paper-table reports must match the
 //! checked-in fixtures byte for byte.
 //!
-//! The fixtures under `tests/golden/` are the exact stdout of the
-//! `table1`, `table5`, and `fig7` binaries. Any change to the cycle
+//! The fixtures under `tests/golden/` are the exact stdout of
+//! `bw-bench table1`, `table5`, and `fig7`. Any change to the cycle
 //! model, the BFP kernels, or the table formatting shows up here as a
 //! reviewable fixture diff — regenerate with e.g.
-//! `cargo run --release -p bw-bench --bin table5 > tests/golden/table5.txt`.
+//! `cargo run --release -p bw-bench -- table5 > tests/golden/table5.txt`.
 
 use bw_bench::reports;
 

@@ -11,7 +11,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use brainwave::prelude::*;
-use brainwave::trace::json::Value;
 
 struct CountingAlloc;
 
@@ -141,35 +140,10 @@ fn untraced_hot_path_does_not_allocate() {
     );
     assert_eq!(resumed, untraced, "clearing the sink restores determinism");
 
-    // Simulated-cycle parity against the published baseline: the tracing
-    // plumbing must keep the table-5 suite within 2% of the cycle count
-    // recorded in BENCH_simulator.json (it is exactly equal today; the
-    // margin only tolerates deliberate future timing-model changes).
-    // Skipped when the baseline is absent or came from a --quick run.
-    let baseline_path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_simulator.json");
-    let Ok(text) = std::fs::read_to_string(baseline_path) else {
-        eprintln!("no BENCH_simulator.json baseline; skipping cycle-parity check");
-        return;
-    };
-    let doc = brainwave::trace::json::parse(&text).expect("baseline JSON parses");
-    if doc.get("mode").and_then(Value::as_str) != Some("full") {
-        eprintln!("BENCH_simulator.json is not a full run; skipping cycle-parity check");
-        return;
-    }
-    let baseline = doc
-        .get("table5_suite")
-        .and_then(|t| t.get("fast"))
-        .and_then(|f| f.get("sim_cycles"))
-        .and_then(Value::as_num)
-        .expect("baseline records table5_suite.fast.sim_cycles");
+    // Simulated-cycle parity: the tracing plumbing must leave the Table V
+    // suite at exactly the cycle count `ledger/src/workload.rs` checks on
+    // every benchmark run. A deliberate timing-model change moves both.
     let suite = brainwave::models::table5_suite();
     let total: u64 = bw_bench::run_suite(&suite).iter().map(|r| r.cycles).sum();
-    let drift = (total as f64 - baseline).abs() / baseline;
-    assert!(
-        drift < 0.02,
-        "table-5 suite simulated cycles drifted {:.2}% from baseline ({} vs {})",
-        drift * 100.0,
-        total,
-        baseline
-    );
+    assert_eq!(total, 2_571_339, "Table V suite simulated cycles");
 }

@@ -1,33 +1,31 @@
-//! BW12x — static cycle bounds via abstract interpretation of the chain
-//! schedule.
+//! BW12x — static cycle bounds from the scheduler's own timeline.
 //!
 //! The NPU's scheduler is deterministic: completion cycles depend only on
 //! the program, the [`NpuConfig`] timing parameters, and the arrival
 //! cycles of NetQ input vectors (§V-C of the paper — "the schedule is
-//! static, so latency is known before the first request arrives"). This
-//! module replays that recurrence symbolically, with the *data* abstracted
-//! away and each NetQ input arrival replaced by an interval
-//! `[input_arrival_lo, input_arrival_hi]`. Because every timing equation
-//! in the scheduler is monotone in the arrival times (max-plus algebra:
-//! only `max`, `+` and saturating `-` of cycle counts appear), replaying
-//! once at the lower end and once at the upper end yields guaranteed
-//! bounds:
+//! static, so latency is known before the first request arrives").
+//! [`crate::sched`] states that recurrence and shows it is monotone in the
+//! arrival stamps, and its data-free timeline is the very type an
+//! [`Npu`](crate::Npu) keeps its time with. So a bound over an arrival
+//! window `[input_arrival_lo, input_arrival_hi]` is two runs of that
+//! timeline, one with every declared input arriving at each end:
 //!
 //! ```text
 //! lower <= measured cycles <= upper    for any arrivals in the window
 //! ```
 //!
 //! With the default window `[0, 0]` — the single-device serving runtime
-//! stages every input before `run` — the two replays coincide and the
-//! "bounds" are the *exact* simulator cycle count, which the golden-suite
-//! containment tests pin.
+//! stages every input before `run` — the two runs coincide and the
+//! "bounds" are the simulator's cycle count, by construction.
 //!
-//! The replay is *sound, not total*: [`cycle_bounds`] returns `None`
-//! whenever the timing-only simulator would fault (capacity overflow,
-//! queue underflow against the declared budgets, a zero register write) or
-//! when the program is too large to replay cheaply. A program with no
-//! bounds has no guaranteed latency; deployment gates treat `None` as "not
-//! provable", never as "fits".
+//! The analysis is *sound, not total*: [`cycle_bounds`] returns `None`
+//! whenever the timeline faults (see the fault list in [`crate::sched`];
+//! queue underflow is judged against the declared budgets) — which is
+//! exactly when an [`ExecMode::TimingOnly`](crate::ExecMode::TimingOnly)
+//! NPU given those inputs returns `Err` — or when the program is too large
+//! to schedule cheaply. A program with no bounds has no guaranteed
+//! latency; deployment gates treat `None` as "not provable", never as
+//! "fits".
 //!
 //! [`NpuConfig`]: crate::NpuConfig
 
@@ -35,21 +33,19 @@ use serde::Serialize;
 
 use crate::analysis::{AnalysisPass, Diagnostic, PassContext};
 use crate::config::NpuConfig;
-use crate::isa::{Chain, Instruction, Item, MemId, Program, ScalarReg};
-use crate::{mvm, DiagCode};
+use crate::isa::Program;
+use crate::sched::Timeline;
+use crate::DiagCode;
 
 use super::AnalysisOptions;
 
-/// Replay cost cap: programs whose `Σ items × iterations` exceeds this are
-/// not replayed (`cycle_bounds` returns `None`). Far above any real
-/// firmware (the golden suite tops out near 60k items) while bounding the
-/// analyzer's own runtime on adversarial inputs.
+/// Scheduling cost cap: programs whose `Σ items × iterations` exceeds this
+/// are not run (`cycle_bounds` returns `None`). Far above any real firmware
+/// (the golden suite tops out near 60k items) while bounding the
+/// analyzer's own runtime on adversarial inputs. (Absurd `rows × cols`
+/// grids and DRAM indices need no cap of their own: the timeline faults on
+/// them before it loops or allocates.)
 const MAX_REPLAY_ITEMS: u64 = 2_000_000;
-
-/// Matrix-chain tile cap per chain, and the cap on DRAM scoreboard
-/// indices the replay will track. Corrupt programs can request absurd
-/// `rows × cols` grids; the replay refuses rather than loop.
-const MAX_TILES: u64 = 1 << 22;
 
 /// Guaranteed min/max completion cycles for one program on one config.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
@@ -93,9 +89,9 @@ impl CycleBounds {
 /// input arrivals ranging over `[options.input_arrival_lo,
 /// options.input_arrival_hi]` and queue budgets as declared in `options`.
 ///
-/// Returns `None` when no bound can be proven: the replay would fault
-/// exactly where the timing-only simulator faults (so no measured value
-/// exists either), or the program exceeds the replay size cap
+/// Returns `None` when no bound can be proven: the timeline faults exactly
+/// where the timing-only simulator faults (it is the same code, so no
+/// measured value exists either), or the program exceeds the size cap
 /// (`MAX_REPLAY_ITEMS`, 2M scheduled items).
 #[must_use]
 pub fn cycle_bounds(
@@ -111,414 +107,25 @@ pub fn cycle_bounds(
             return None;
         }
     }
+    // One end of the window: every declared input arrives at `arrival`.
+    let cycles_at = |arrival: u64| {
+        let mut timeline = Timeline::new(config);
+        let arrivals = &mut timeline.arrivals;
+        arrivals.push_vectors(arrival, options.netq_input_vectors.unwrap_or(0));
+        arrivals.push_matrices(options.netq_input_matrices.unwrap_or(0));
+        timeline
+            .run_column(config, program, true, |_, _| Ok(()))
+            .ok()?;
+        Some(timeline.high_water())
+    };
     let lo = options.input_arrival_lo;
     let hi = options.input_arrival_hi.max(lo);
-    let lower = Replay::new(config, options, lo).run(program)?;
-    let upper = if hi == lo {
-        lower
-    } else {
-        Replay::new(config, options, hi).run(program)?
-    };
+    let lower = cycles_at(lo)?;
+    let upper = if hi == lo { lower } else { cycles_at(hi)? };
     Some(CycleBounds {
         lower,
         upper: upper.max(lower),
     })
-}
-
-/// One end-point replay of the scheduler recurrence: a faithful,
-/// data-free mirror of `Npu::run` in timing-only mode with every NetQ
-/// vector arriving at the fixed cycle `arrival`.
-struct Replay<'a> {
-    config: &'a NpuConfig,
-    arrival: u64,
-    vec_budget: Option<u64>,
-    mat_budget: Option<u64>,
-
-    rows: u32,
-    cols: u32,
-    nios_cursor: u64,
-    dispatch_cost: u64,
-    mvm_free_at: u64,
-    mfu_free_at: u64,
-    mem_free_at: u64,
-    cycles: u64,
-
-    /// Ready scoreboards: `[initial, addsub 0.., multiply 0..]`, each
-    /// `vrf_entries` long — mirrors `VectorFile::ready`.
-    vrfs: Vec<Vec<u64>>,
-    mrf_ready: Vec<u64>,
-    mrf_read_until: Vec<u64>,
-    dram_vectors: Vec<u64>,
-    dram_matrices: Vec<u64>,
-
-    vec_pops: u64,
-    mat_pops: u64,
-}
-
-impl<'a> Replay<'a> {
-    fn new(config: &'a NpuConfig, options: &AnalysisOptions, arrival: u64) -> Replay<'a> {
-        let mfus = config.mfus() as usize;
-        let vrf = config.vrf_entries() as usize;
-        let mrf = config.mrf_entries() as usize;
-        Replay {
-            config,
-            arrival,
-            vec_budget: options.netq_input_vectors,
-            mat_budget: options.netq_input_matrices,
-            rows: 1,
-            cols: 1,
-            nios_cursor: 0,
-            dispatch_cost: 0,
-            mvm_free_at: 0,
-            mfu_free_at: 0,
-            mem_free_at: 0,
-            cycles: 0,
-            vrfs: vec![vec![0; vrf]; 1 + 2 * mfus],
-            mrf_ready: vec![0; mrf],
-            mrf_read_until: vec![0; mrf],
-            dram_vectors: Vec::new(),
-            dram_matrices: Vec::new(),
-            vec_pops: 0,
-            mat_pops: 0,
-        }
-    }
-
-    fn run(mut self, program: &Program) -> Option<u64> {
-        let interval = u64::from(self.config.timing().dispatch_interval);
-        for segment in &program.segments {
-            for iteration in 0..segment.iterations {
-                self.dispatch_cost = if iteration == 0 { interval } else { 1 };
-                for item in &segment.items {
-                    match item {
-                        Item::SetReg { reg, value } => self.set_reg(*reg, *value)?,
-                        Item::Chain(chain) => self.chain(chain, interval)?,
-                    }
-                }
-            }
-        }
-        Some(
-            self.cycles
-                .max(self.mvm_free_at.max(self.mfu_free_at).max(self.mem_free_at)),
-        )
-    }
-
-    fn set_reg(&mut self, reg: ScalarReg, value: u32) -> Option<()> {
-        if value == 0 {
-            return None; // SimError::BadRegValue
-        }
-        self.nios_cursor += self.dispatch_cost;
-        match reg {
-            ScalarReg::Rows => self.rows = value,
-            ScalarReg::Cols => self.cols = value,
-        }
-        Some(())
-    }
-
-    fn chain(&mut self, chain: &Chain, interval: u64) -> Option<()> {
-        let n_instr = chain.instructions().len() as u64 + 1;
-        self.nios_cursor += if self.dispatch_cost == interval {
-            n_instr * interval
-        } else {
-            self.dispatch_cost
-        };
-        if chain.is_matrix_chain() {
-            self.matrix_chain(chain)
-        } else {
-            // `validate_chain`: per-chain MFU unit budgets.
-            let mfus = self.config.mfus() as usize;
-            if chain.addsub_ops() > mfus
-                || chain.multiply_ops() > mfus
-                || chain.activation_ops() > mfus
-            {
-                return None; // SimError::MfuCapacityExceeded
-            }
-            self.vector_chain(chain)
-        }
-    }
-
-    fn matrix_chain(&mut self, chain: &Chain) -> Option<()> {
-        let count = u64::from(self.rows).checked_mul(u64::from(self.cols))?;
-        if count > MAX_TILES {
-            return None;
-        }
-        let (src_mem, src_index) = match chain.instructions()[0] {
-            Instruction::MRd { mem, index } => (mem, index),
-            _ => return None,
-        };
-        let (dst_mem, dst_index) = match chain.instructions()[1] {
-            Instruction::MWr { mem, index } => (mem, index),
-            _ => return None,
-        };
-
-        let mut dep_ready: u64 = 0;
-        if dst_mem == MemId::MatrixRf {
-            dep_ready = dep_ready.max(self.mrf_read_until_at(u64::from(dst_index), count));
-        }
-        for i in 0..count {
-            match src_mem {
-                MemId::NetQ => {
-                    // Matrix pops come from a separate queue with no
-                    // arrival stamp — budget accounting only.
-                    self.mat_pops += 1;
-                    match self.mat_budget {
-                        Some(budget) if self.mat_pops <= budget => {}
-                        _ => return None, // SimError::NetQueueEmpty
-                    }
-                }
-                MemId::Dram => {
-                    let idx = u64::from(src_index).checked_add(i)?;
-                    let t = self
-                        .dram_matrices
-                        .get(usize::try_from(idx).ok()?)
-                        .copied()
-                        .unwrap_or(0); // host-staged tiles are ready at 0
-                    dep_ready = dep_ready.max(t);
-                }
-                _ => return None,
-            }
-        }
-
-        let occupancy = count.checked_mul(u64::from(self.config.timing().dram_tile_cycles))?;
-        let start = self.nios_cursor.max(dep_ready).max(self.mem_free_at);
-        let completion = start.checked_add(occupancy)?;
-        self.mem_free_at = completion;
-        self.cycles = self.cycles.max(completion);
-
-        for i in 0..count {
-            let idx = u64::from(dst_index).checked_add(i)?;
-            match dst_mem {
-                MemId::MatrixRf => {
-                    // `MatrixFile::store` faults out of range.
-                    let slot = self.mrf_ready.get_mut(usize::try_from(idx).ok()?)?;
-                    *slot = completion;
-                }
-                MemId::Dram => {
-                    if idx > MAX_TILES {
-                        return None;
-                    }
-                    let idx = usize::try_from(idx).ok()?;
-                    if self.dram_matrices.len() <= idx {
-                        self.dram_matrices.resize(idx + 1, 0);
-                    }
-                    self.dram_matrices[idx] = completion;
-                }
-                _ => return None,
-            }
-        }
-        Some(())
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn vector_chain(&mut self, chain: &Chain) -> Option<()> {
-        let timing = self.config.timing();
-        let vrf_access_depth = u64::from(timing.vrf_access_depth);
-        let net_depth = u64::from(timing.net_depth);
-        let w_in = if chain.has_mv_mul() {
-            self.cols
-        } else {
-            self.rows
-        };
-        let w_out = self.rows;
-
-        let mut dep_ready: u64 = 0;
-        let mut depth: u64 = 0;
-        let mut mvm_occ: u64 = 0;
-        let mut addsub_seen: usize = 0;
-        let mut multiply_seen: usize = 0;
-        let mut mvm_tiles: Option<(u32, u64)> = None;
-        let mut writes: Vec<(MemId, u32)> = Vec::new();
-
-        for instr in chain.instructions() {
-            match *instr {
-                Instruction::VRd { mem, index } => {
-                    match mem {
-                        MemId::NetQ => {
-                            self.vec_pops = self.vec_pops.checked_add(u64::from(w_in))?;
-                            match self.vec_budget {
-                                Some(budget) if self.vec_pops <= budget => {}
-                                _ => return None, // SimError::NetQueueEmpty
-                            }
-                            dep_ready = dep_ready.max(self.arrival.saturating_sub(depth));
-                            depth += net_depth;
-                        }
-                        MemId::Dram => {
-                            let t = self.dram_vector_ready_at(index, w_in);
-                            dep_ready = dep_ready.max(t.saturating_sub(depth));
-                        }
-                        vrf => {
-                            let t = self.vrf_ready_at(vrf, index, w_in)?;
-                            dep_ready = dep_ready.max(t.saturating_sub(depth));
-                        }
-                    }
-                    depth += vrf_access_depth;
-                }
-                Instruction::MvMul { mrf_index } => {
-                    mvm_occ = mvm::occupancy(self.config, self.rows, self.cols);
-                    let count = u64::from(self.rows).checked_mul(u64::from(self.cols))?;
-                    mvm_tiles = Some((mrf_index, count));
-                    // `MatrixFile::ready_at` clamps out-of-range reads.
-                    let t = self.mrf_ready_at(u64::from(mrf_index), count);
-                    dep_ready = dep_ready.max(t.saturating_sub(depth));
-                    depth += u64::from(timing.mvm_depth);
-                }
-                Instruction::VWr { mem, index } => {
-                    depth += vrf_access_depth;
-                    if mem == MemId::NetQ {
-                        depth += net_depth;
-                    }
-                    writes.push((mem, index));
-                }
-                Instruction::VvAdd { index }
-                | Instruction::VvASubB { index }
-                | Instruction::VvBSubA { index }
-                | Instruction::VvMax { index } => {
-                    let mem = MemId::AddSubVrf(u8::try_from(addsub_seen).ok()?);
-                    addsub_seen += 1;
-                    let t = self.vrf_ready_at(mem, index, w_out)?;
-                    dep_ready = dep_ready.max(t.saturating_sub(depth));
-                    depth += u64::from(timing.mfu_op_depth);
-                }
-                Instruction::VvMul { index } => {
-                    let mem = MemId::MultiplyVrf(u8::try_from(multiply_seen).ok()?);
-                    multiply_seen += 1;
-                    let t = self.vrf_ready_at(mem, index, w_out)?;
-                    dep_ready = dep_ready.max(t.saturating_sub(depth));
-                    depth += u64::from(timing.mfu_op_depth);
-                }
-                Instruction::VRelu | Instruction::VSigm | Instruction::VTanh => {
-                    depth += u64::from(timing.mfu_op_depth);
-                }
-                Instruction::MRd { .. }
-                | Instruction::MWr { .. }
-                | Instruction::SWr { .. }
-                | Instruction::EndChain => return None,
-            }
-        }
-
-        let mfu_stream = u64::from(self.config.mfu_stream_cycles());
-        let (free_at, occupancy) = if mvm_occ > 0 {
-            let occ = mvm_occ.max(u64::from(w_out) * mfu_stream);
-            (&mut self.mvm_free_at, occ)
-        } else {
-            let occ = u64::from(w_in.max(w_out)) * mfu_stream;
-            if chain.mfu_ops() > 0 {
-                (&mut self.mfu_free_at, occ)
-            } else {
-                (&mut self.mem_free_at, occ)
-            }
-        };
-        let start = self.nios_cursor.max(dep_ready).max(*free_at);
-        let busy_until = start.checked_add(occupancy)?;
-        *free_at = busy_until;
-        let completion = busy_until.checked_add(depth)?;
-        self.cycles = self.cycles.max(completion);
-
-        if let Some((base, count)) = mvm_tiles {
-            self.mrf_mark_read_until(u64::from(base), count, busy_until);
-        }
-        for (mem, index) in writes {
-            match mem {
-                MemId::NetQ => {} // output queue: no scoreboard
-                MemId::Dram => {
-                    let end = u64::from(index).checked_add(u64::from(w_out))?;
-                    if end > MAX_TILES {
-                        return None;
-                    }
-                    let end = usize::try_from(end).ok()?;
-                    if self.dram_vectors.len() < end {
-                        self.dram_vectors.resize(end, 0);
-                    }
-                    for slot in &mut self.dram_vectors[index as usize..end] {
-                        *slot = completion;
-                    }
-                }
-                vrf => self.vrf_mark_ready(vrf, index, w_out, completion)?,
-            }
-        }
-        Some(())
-    }
-
-    /// Mirrors `Npu::vrf`: `None` exactly where it errors (an MFU-owned
-    /// file beyond `mfus`, or a non-VRF id).
-    fn vrf_slot(&self, mem: MemId) -> Option<usize> {
-        let mfus = self.config.mfus() as usize;
-        match mem {
-            MemId::InitialVrf => Some(0),
-            MemId::AddSubVrf(i) if (i as usize) < mfus => Some(1 + i as usize),
-            MemId::MultiplyVrf(i) if (i as usize) < mfus => Some(1 + mfus + i as usize),
-            _ => None,
-        }
-    }
-
-    /// `VectorFile::read` + `ready_at`: bounds-checked, max over the span.
-    fn vrf_ready_at(&self, mem: MemId, index: u32, width: u32) -> Option<u64> {
-        let file = &self.vrfs[self.vrf_slot(mem)?];
-        let end = index.checked_add(width)? as usize;
-        if end > file.len() || width == 0 {
-            return None; // SimError::VrfIndexOutOfRange
-        }
-        Some(file[index as usize..end].iter().copied().max().unwrap_or(0))
-    }
-
-    /// `VectorFile::write` + `mark_ready`: bounds-checked, exact-set.
-    fn vrf_mark_ready(&mut self, mem: MemId, index: u32, width: u32, at: u64) -> Option<()> {
-        let slot = self.vrf_slot(mem)?;
-        let file = &mut self.vrfs[slot];
-        let end = index.checked_add(width)? as usize;
-        if end > file.len() || width == 0 {
-            return None;
-        }
-        for t in &mut file[index as usize..end] {
-            *t = at;
-        }
-        Some(())
-    }
-
-    /// `MatrixFile::ready_at`: clamps the span, 0 when empty.
-    fn mrf_ready_at(&self, index: u64, count: u64) -> u64 {
-        let len = self.mrf_ready.len() as u64;
-        let start = index.min(len) as usize;
-        let end = index.saturating_add(count).min(len) as usize;
-        self.mrf_ready[start..end]
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// `MatrixFile::read_until_at`: clamps, max over the span.
-    fn mrf_read_until_at(&self, index: u64, count: u64) -> u64 {
-        let len = self.mrf_read_until.len() as u64;
-        let start = index.min(len) as usize;
-        let end = index.saturating_add(count).min(len) as usize;
-        self.mrf_read_until[start..end]
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// `MatrixFile::mark_read_until`: clamps, max-extends.
-    fn mrf_mark_read_until(&mut self, index: u64, count: u64, at: u64) {
-        let len = self.mrf_read_until.len() as u64;
-        let start = index.min(len) as usize;
-        let end = index.saturating_add(count).min(len) as usize;
-        for t in &mut self.mrf_read_until[start..end] {
-            *t = (*t).max(at);
-        }
-    }
-
-    /// `Dram::vector_ready_at`: clamped max, 0 beyond the scoreboard.
-    fn dram_vector_ready_at(&self, index: u32, width: u32) -> u64 {
-        let len = self.dram_vectors.len();
-        let start = (index as usize).min(len);
-        let end = (index as usize).saturating_add(width as usize).min(len);
-        self.dram_vectors[start..end]
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// BW120–BW122: compares the static cycle bound against the SLA declared
@@ -587,7 +194,7 @@ impl AnalysisPass for CycleBoundPass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::isa::ProgramBuilder;
+    use crate::isa::{MemId, ProgramBuilder};
     use crate::{analyze_with, ExecMode, Npu, Severity};
 
     fn cfg() -> NpuConfig {
@@ -648,7 +255,7 @@ mod tests {
             b.lower,
             b.upper
         );
-        assert_eq!(b.lower, m, "replay mirrors the scheduler exactly");
+        assert_eq!(b.lower, m, "the bound is the scheduler's own count");
     }
 
     #[test]

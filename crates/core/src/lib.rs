@@ -19,6 +19,9 @@
 //!   execute functionally (block floating point matrix math, float16
 //!   secondary operations) while a calibrated cycle model tracks latency,
 //!   utilization and stalls ([`RunStats`]).
+//! * [`sched`] — the scheduler's timing recurrence, stated once: the
+//!   data-free timeline both [`Npu::run`] (in either [`ExecMode`]) and
+//!   [`cycle_bounds`] are made of.
 //! * [`analysis`] — a static dataflow linter over firmware: capacity,
 //!   VRF liveness, MRF hazard, network-queue balance, and chain-shape
 //!   passes emitting `BW0xx` diagnostics that gate deployment.
@@ -59,6 +62,7 @@ mod mem;
 mod mfu;
 mod mvm;
 mod npu;
+pub mod sched;
 mod stats;
 mod trace;
 mod trace_report;

@@ -7,10 +7,14 @@
 //!
 //! Storage is slab-backed: a vector register file is one flat `f32` slab
 //! (`entries * native_dim` elements) read and written as borrowed slices, so
-//! the simulator's hot path never clones a vector. Each file also carries
-//! its own RAW scoreboard — per-entry ready cycles the NPU consults for
-//! dependency tracking — replacing the former `HashMap<Slot, u64>` with a
-//! dense array indexed the same way the hardware's scoreboard is.
+//! the simulator's hot path never clones a vector. This module is pure
+//! storage — the data planes an [`ExecMode::Full`] NPU owns and an
+//! [`ExecMode::TimingOnly`] one never builds. *When* an entry becomes
+//! readable is the scheduler's business: every ready / read-until
+//! scoreboard and every NetQ arrival stamp lives in [`crate::sched`].
+//!
+//! [`ExecMode::Full`]: crate::ExecMode::Full
+//! [`ExecMode::TimingOnly`]: crate::ExecMode::TimingOnly
 
 use std::collections::VecDeque;
 
@@ -29,8 +33,6 @@ pub(crate) struct VectorFile {
     capacity: usize,
     /// `capacity * native_dim` elements, zero-initialized.
     data: Vec<f32>,
-    /// Cycle at which each entry's most recent write lands (0 = power-on).
-    ready: Vec<u64>,
 }
 
 impl VectorFile {
@@ -40,7 +42,6 @@ impl VectorFile {
             native_dim,
             capacity,
             data: vec![0.0; capacity * native_dim],
-            ready: vec![0; capacity],
         }
     }
 
@@ -76,27 +77,6 @@ impl VectorFile {
         self.data[start..start + flat.len()].copy_from_slice(flat);
         Ok(())
     }
-
-    /// Latest ready cycle across `width` entries starting at `index`
-    /// (bounds must already be checked).
-    pub(crate) fn ready_at(&self, index: u32, width: u32) -> u64 {
-        self.ready[index as usize..(index + width) as usize]
-            .iter()
-            .copied()
-            .fold(0, u64::max)
-    }
-
-    /// Publishes the ready cycle of `width` entries starting at `index`.
-    pub(crate) fn mark_ready(&mut self, index: u32, width: u32, at: u64) {
-        for t in &mut self.ready[index as usize..(index + width) as usize] {
-            *t = at;
-        }
-    }
-
-    /// Resets the RAW scoreboard (start of a run; data persists).
-    pub(crate) fn clear_ready(&mut self) {
-        self.ready.iter_mut().for_each(|t| *t = 0);
-    }
 }
 
 /// One matrix register file entry.
@@ -119,12 +99,6 @@ pub(crate) struct MatrixFile {
     /// Shared zero tile backing every `Reserved` slot. Set once by
     /// [`MatrixFile::set_zero_template`] before any reservation.
     zero_template: Option<BfpMatrix>,
-    /// Cycle at which each entry's most recent write lands.
-    ready: Vec<u64>,
-    /// Write-after-read tracking: the last cycle at which an in-flight
-    /// `mv_mul` is still streaming each tile. A matrix write into a tile
-    /// must wait for this (double-buffering's correctness condition).
-    read_until: Vec<u64>,
 }
 
 impl MatrixFile {
@@ -132,8 +106,6 @@ impl MatrixFile {
         MatrixFile {
             slots: (0..capacity).map(|_| MrfSlot::Empty).collect(),
             zero_template: None,
-            ready: vec![0; capacity],
-            read_until: vec![0; capacity],
         }
     }
 
@@ -193,44 +165,6 @@ impl MatrixFile {
         *slot = MrfSlot::Reserved;
         Ok(())
     }
-
-    /// Latest ready cycle across `count` entries starting at `index`.
-    pub(crate) fn ready_at(&self, index: u32, count: u32) -> u64 {
-        let end = ((index + count) as usize).min(self.ready.len());
-        self.ready[(index as usize).min(end)..end]
-            .iter()
-            .copied()
-            .fold(0, u64::max)
-    }
-
-    pub(crate) fn mark_ready(&mut self, index: u32, at: u64) {
-        if let Some(t) = self.ready.get_mut(index as usize) {
-            *t = at;
-        }
-    }
-
-    /// Latest in-flight read across `count` entries starting at `index`.
-    pub(crate) fn read_until_at(&self, index: u32, count: u32) -> u64 {
-        let end = ((index + count) as usize).min(self.read_until.len());
-        self.read_until[(index as usize).min(end)..end]
-            .iter()
-            .copied()
-            .fold(0, u64::max)
-    }
-
-    /// Extends the in-flight read window of `count` entries to `until`.
-    pub(crate) fn mark_read_until(&mut self, index: u32, count: u32, until: u64) {
-        let end = ((index + count) as usize).min(self.read_until.len());
-        for t in &mut self.read_until[(index as usize).min(end)..end] {
-            *t = (*t).max(until);
-        }
-    }
-
-    /// Resets both scoreboards (start of a run; tiles persist).
-    pub(crate) fn clear_ready(&mut self) {
-        self.ready.iter_mut().for_each(|t| *t = 0);
-        self.read_until.iter_mut().for_each(|t| *t = 0);
-    }
 }
 
 /// Off-chip DRAM with separate vector and matrix address spaces, growing on
@@ -241,8 +175,6 @@ pub(crate) struct Dram {
     /// Flat vector storage, grown on write; unwritten space reads as zeros.
     vector_data: Vec<f32>,
     matrices: Vec<Option<BfpMatrix>>,
-    vector_ready: Vec<u64>,
-    matrix_ready: Vec<u64>,
 }
 
 impl Dram {
@@ -292,90 +224,43 @@ impl Dram {
         }
         self.matrices[index as usize] = Some(tile);
     }
-
-    /// Latest ready cycle across `width` vector entries starting at `index`
-    /// (entries beyond the scoreboard read as 0 — never written this run).
-    pub(crate) fn vector_ready_at(&self, index: u32, width: u32) -> u64 {
-        let end = ((index + width) as usize).min(self.vector_ready.len());
-        self.vector_ready[(index as usize).min(end)..end]
-            .iter()
-            .copied()
-            .fold(0, u64::max)
-    }
-
-    pub(crate) fn mark_vectors_ready(&mut self, index: u32, width: u32, at: u64) {
-        let end = (index + width) as usize;
-        if end > self.vector_ready.len() {
-            self.vector_ready.resize(end, 0);
-        }
-        for t in &mut self.vector_ready[index as usize..end] {
-            *t = at;
-        }
-    }
-
-    pub(crate) fn matrix_ready_at(&self, index: u32) -> u64 {
-        self.matrix_ready.get(index as usize).copied().unwrap_or(0)
-    }
-
-    pub(crate) fn mark_matrix_ready(&mut self, index: u32, at: u64) {
-        let end = index as usize + 1;
-        if end > self.matrix_ready.len() {
-            self.matrix_ready.resize(end, 0);
-        }
-        self.matrix_ready[index as usize] = at;
-    }
-
-    /// Resets the RAW scoreboards (start of a run; contents persist).
-    pub(crate) fn clear_ready(&mut self) {
-        self.vector_ready.iter_mut().for_each(|t| *t = 0);
-        self.matrix_ready.iter_mut().for_each(|t| *t = 0);
-    }
 }
 
-/// The network input/output queues connecting the NPU to the datacenter
-/// network (Figure 3). Vectors arrive with a timestamp so the cycle model
-/// can represent request arrival.
+/// The data side of the network input/output queues connecting the NPU to
+/// the datacenter network (Figure 3). Arrival stamps and queue depths are
+/// the scheduler's ([`crate::sched::Arrivals`]); this holds the payloads.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct NetQueues {
-    input: VecDeque<(Vec<f32>, u64)>,
+    input: VecDeque<Vec<f32>>,
     output: VecDeque<Vec<f32>>,
     input_matrices: VecDeque<BfpMatrix>,
 }
 
 impl NetQueues {
-    /// Enqueues one native input vector arriving at `at_cycle`.
-    pub(crate) fn push_input(&mut self, vector: Vec<f32>, at_cycle: u64) {
-        self.input.push_back((vector, at_cycle));
+    pub(crate) fn push_input(&mut self, vector: Vec<f32>) {
+        self.input.push_back(vector);
     }
 
     pub(crate) fn push_input_matrix(&mut self, tile: BfpMatrix) {
         self.input_matrices.push_back(tile);
     }
 
-    /// Pops `width` native vectors, appending their contents to `out` when
-    /// one is supplied (timing-only runs pass `None` and skip the copy);
-    /// returns the latest arrival cycle among them (the time the read could
-    /// begin).
+    /// Pops `width` native vectors, appending their contents to `out`.
     pub(crate) fn pop_input_into(
         &mut self,
         width: u32,
-        mut out: Option<&mut Vec<f32>>,
-    ) -> Result<u64, SimError> {
+        out: &mut Vec<f32>,
+    ) -> Result<(), SimError> {
         if (self.input.len() as u64) < u64::from(width) {
             return Err(SimError::NetQueueEmpty {
                 requested: width,
                 available: self.input.len() as u32,
             });
         }
-        let mut ready = 0;
-        for _ in 0..width {
-            let (v, t) = self.input.pop_front().expect("length checked");
-            ready = ready.max(t);
-            if let Some(out) = out.as_deref_mut() {
-                out.extend_from_slice(&v);
-            }
+        for v in self.input.drain(..width as usize) {
+            out.extend_from_slice(&v);
         }
-        Ok(ready)
+        Ok(())
     }
 
     pub(crate) fn pop_input_matrix(&mut self) -> Result<BfpMatrix, SimError> {
@@ -400,10 +285,6 @@ impl NetQueues {
 
     pub(crate) fn output_len(&self) -> usize {
         self.output.len()
-    }
-
-    pub(crate) fn input_len(&self) -> usize {
-        self.input.len()
     }
 }
 
@@ -447,21 +328,6 @@ mod tests {
             }
             other => panic!("unexpected error {other:?}"),
         }
-    }
-
-    #[test]
-    fn vector_file_scoreboard_tracks_ranges() {
-        let mut f = VectorFile::new("test", 8, 2);
-        assert_eq!(f.ready_at(0, 8), 0);
-        f.mark_ready(2, 3, 100);
-        assert_eq!(f.ready_at(2, 1), 100);
-        assert_eq!(f.ready_at(0, 8), 100);
-        assert_eq!(f.ready_at(0, 2), 0);
-        f.mark_ready(3, 1, 50); // overwrite lowers that entry
-        assert_eq!(f.ready_at(3, 1), 50);
-        assert_eq!(f.ready_at(2, 3), 100);
-        f.clear_ready();
-        assert_eq!(f.ready_at(0, 8), 0);
     }
 
     #[test]
@@ -530,42 +396,24 @@ mod tests {
     }
 
     #[test]
-    fn dram_scoreboards_grow_on_demand() {
-        let mut d = Dram::default();
-        assert_eq!(d.vector_ready_at(1000, 4), 0);
-        assert_eq!(d.matrix_ready_at(1000), 0);
-        d.mark_vectors_ready(5, 2, 42);
-        assert_eq!(d.vector_ready_at(4, 4), 42);
-        d.mark_matrix_ready(3, 7);
-        assert_eq!(d.matrix_ready_at(3), 7);
-        d.clear_ready();
-        assert_eq!(d.vector_ready_at(5, 2), 0);
-        assert_eq!(d.matrix_ready_at(3), 0);
-    }
-
-    #[test]
-    fn net_queue_fifo_and_arrival_times() {
+    fn net_queue_input_is_fifo() {
         let mut q = NetQueues::default();
-        q.push_input(vec![1.0], 5);
-        q.push_input(vec![2.0], 9);
-        q.push_input(vec![3.0], 2);
-        assert_eq!(q.input_len(), 3);
-        // Popping two returns the later of their arrival times.
+        q.push_input(vec![1.0]);
+        q.push_input(vec![2.0]);
+        q.push_input(vec![3.0]);
         let mut vs = Vec::new();
-        let ready = q.pop_input_into(2, Some(&mut vs)).unwrap();
+        q.pop_input_into(2, &mut vs).unwrap();
         assert_eq!(vs, vec![1.0, 2.0]);
-        assert_eq!(ready, 9);
         // Underflow reports counts.
         assert!(matches!(
-            q.pop_input_into(2, None),
+            q.pop_input_into(2, &mut vs),
             Err(SimError::NetQueueEmpty {
                 requested: 2,
                 available: 1
             })
         ));
-        // Copy-free pop still dequeues and reports arrival.
-        assert_eq!(q.pop_input_into(1, None).unwrap(), 2);
-        assert_eq!(q.input_len(), 0);
+        q.pop_input_into(1, &mut vs).unwrap();
+        assert_eq!(vs, vec![1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -1,33 +1,11 @@
-//! The assembled NPU: functional execution plus the calibrated cycle model.
+//! The assembled NPU: the scheduler timeline plus functional execution.
 //!
-//! # Timing model
-//!
-//! The microarchitecture (Figure 3) is a single linear vector pipeline —
-//! matrix-vector multiplier at the head, multifunction units in series —
-//! fed by the vector arbitration network. The cycle model follows that
-//! structure:
-//!
-//! * The control processor streams compound instructions at a fixed
-//!   dispatch interval (§V-C: one per four cycles); a chain cannot begin
-//!   before its instructions have been streamed.
-//! * A chain containing an `mv_mul` occupies the matrix-vector multiplier
-//!   for its streaming time (`ceil(rows·cols / engines) · N / lanes`
-//!   cycles); its MFU tail drains in later pipeline stages and overlaps the
-//!   next chain's MVM work. Chains without an `mv_mul` bypass the MVM and
-//!   occupy the MFU stream for their vector streaming time. This keeps the
-//!   pipeline a "continuous, uninterrupted stream of vector elements" (§V).
-//! * A chain's results appear after its occupancy plus the pipeline *depth*
-//!   it traverses (register file access, MVM accumulation tree, one depth
-//!   per MFU operation, network queues). Dependent chains wait for the
-//!   producer's completion — the exposed latency that limits small models
-//!   (§VII-B1: "the deep pipelines ... delay dependent data from being
-//!   written back quickly"). An operand consumed *mid-chain* (e.g. the
-//!   `vv_mul` operand after an `mv_mul`) need only be ready when the stream
-//!   reaches that stage, so its readiness requirement is credited by the
-//!   pipeline depth already traversed — the dataflow forwarding that lets
-//!   an RNN's recurrent chains overlap.
-//! * Matrix moves (`m_rd`→`m_wr`) ride the memory path concurrently with
-//!   the vector pipeline.
+//! Every cycle an [`Npu`] reports comes from [`crate::sched`], which states
+//! the timing recurrence (dispatch, dependency and resource edges) once;
+//! this module adds what a timeline cannot know — the values. In
+//! [`ExecMode::Full`] each chain the timeline schedules is then executed
+//! over the data planes of [`crate::mem`]; in [`ExecMode::TimingOnly`] the
+//! timeline is the whole machine.
 //!
 //! Chains with an `mv_mul` read `cols` native vectors and emit `rows`;
 //! chains without one operate at `rows` width throughout. Binary MFU
@@ -40,58 +18,48 @@ use std::fmt;
 use bw_bfp::BfpMatrix;
 
 use crate::config::NpuConfig;
-use crate::isa::{Chain, Instruction, Item, MemId, Program, ScalarReg};
+use crate::isa::{Chain, Instruction, MemId, Opcode, Program, ScalarReg};
 use crate::mem::{Dram, MatrixFile, NetQueues, VectorFile};
 use crate::mfu;
 use crate::mvm;
+use crate::sched::{vrf_file, ChainTiming, OperandFiles, Timeline};
 use crate::stats::RunStats;
 use crate::trace::{SinkHandle, SpanKind, SpanRecord, TraceId};
 
 /// Whether a run computes real values or only models time.
+///
+/// Either way the cycles come from the same scheduler timeline (see
+/// [`crate::sched`]), so both modes report identical [`RunStats`] and
+/// [`ChainTrace`]s for the same program and arrivals.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ExecMode {
     /// Execute arithmetic functionally (BFP matrix math, float16 MFU ops)
     /// and model cycles. The default.
     #[default]
     Full,
-    /// Model cycles only; data paths move placeholder zeros. Used for large
-    /// performance sweeps where computing tens of gigaMACs in software
-    /// would dominate run time without changing any timing result.
+    /// Model cycles only: the NPU is the scheduler timeline and nothing
+    /// else — no register-file, DRAM or queue contents are allocated, host
+    /// loads are bounds-checked and dropped, and popped outputs are zero
+    /// vectors. Used for large performance sweeps where computing tens of
+    /// gigaMACs in software would dominate run time without changing any
+    /// timing result. Faults that depend on contents (an uninitialized MRF
+    /// entry or DRAM matrix) are not raised.
     TimingOnly,
 }
 
-/// Which functional kernel implementation a run uses. Cycle counts and
-/// computed values are identical in both modes; only host-side wall-clock
-/// cost differs.
+/// Which functional kernel implementation an [`ExecMode::Full`] run uses.
+/// Cycle counts and computed values are identical in both modes; only
+/// host-side wall-clock cost differs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum KernelMode {
-    /// The optimized kernels: slab-backed register files read as borrowed
-    /// slices, reusable MVM quantization scratch, flat-accumulator BFP dot
-    /// products. The default.
+    /// The optimized kernels: reusable MVM quantization scratch and
+    /// flat-accumulator BFP dot products. The default.
     #[default]
     Fast,
-    /// The retained reference kernels: clone-on-read register files, fresh
-    /// quantization and accumulator allocations per chain, naive
-    /// element-by-element BFP dot products. Used as the oracle in the
-    /// differential test suite and as the measured baseline of the `perf`
-    /// benchmark.
+    /// The retained reference kernels: fresh quantization and accumulator
+    /// allocations per `mv_mul` and naive element-by-element BFP dot
+    /// products. The oracle of the differential test suite.
     Reference,
-}
-
-/// Reusable per-chain buffers, retained across chains and runs so the
-/// steady-state hot path performs no allocation.
-#[derive(Clone, Debug, Default)]
-struct ChainScratch {
-    /// The chain's current value: `width` native vectors, flat.
-    cur: Vec<f32>,
-    /// Double buffer for `mv_mul` output (swapped with `cur`).
-    aux: Vec<f32>,
-    /// Zero placeholder written by timing-only runs.
-    zeros: Vec<f32>,
-    /// Pending `v_wr` targets of the chain in flight.
-    writes: Vec<(MemId, u32, u32)>,
-    /// MVM input-quantization scratch.
-    mvm: mvm::MvmScratch,
 }
 
 /// The resource class a traced chain executed on.
@@ -128,7 +96,8 @@ pub struct ChainTrace {
 /// Error produced while loading state or executing a program.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SimError {
-    /// A VRF access fell outside the file's capacity.
+    /// A VRF access fell outside the file's capacity, or a DRAM access
+    /// outside the modelled address space (`file` is then `"Dram"`).
     VrfIndexOutOfRange {
         /// Name of the register file.
         file: &'static str,
@@ -206,6 +175,13 @@ pub enum SimError {
         /// The register written.
         reg: ScalarReg,
     },
+    /// A chain that breaks the ISA's structural rules reached the scheduler.
+    /// [`Chain::new`] and [`Program::decode`] refuse these; only a `Chain`
+    /// deserialized around them can carry one.
+    MalformedChain {
+        /// The instruction out of place.
+        opcode: Opcode,
+    },
     /// A numeric-layer failure (shape mismatch inside the BFP kernels).
     Numeric(
         /// Description of the underlying numeric error.
@@ -272,6 +248,9 @@ impl fmt::Display for SimError {
             SimError::BadRegValue { reg } => {
                 write!(f, "control register {reg} must be non-zero")
             }
+            SimError::MalformedChain { opcode } => {
+                write!(f, "{opcode} is not legal at its position in the chain")
+            }
             SimError::Numeric(e) => write!(f, "numeric error: {e}"),
         }
     }
@@ -279,37 +258,174 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// The Brainwave NPU simulator. See the [crate-level docs](crate) for an
-/// end-to-end example.
-///
-/// RAW/WAR dependency scoreboards live inside the storage components
-/// themselves (the `mem` module) as dense per-entry cycle arrays, indexed
-/// exactly like the hardware's scoreboard.
+/// Register file `mem` of the `1 + 2·mfus` in `vrfs` (a free function so the
+/// borrow stays disjoint from a chain's value buffers).
+fn vrf_mut(vrfs: &mut [VectorFile], mem: MemId) -> Result<&mut VectorFile, SimError> {
+    let mfus = (vrfs.len() / 2) as u32;
+    Ok(&mut vrfs[vrf_file(mem, mfus)?.1])
+}
+
+/// Everything an [`ExecMode::Full`] NPU holds beyond the timeline: storage
+/// contents and the reusable per-chain buffers (retained across chains and
+/// runs so the steady-state hot path performs no allocation).
 #[derive(Clone, Debug)]
-pub struct Npu {
-    config: NpuConfig,
-    mode: ExecMode,
-    kernel: KernelMode,
+struct DataPlanes {
     mrf: MatrixFile,
-    initial_vrf: VectorFile,
-    addsub_vrfs: Vec<VectorFile>,
-    multiply_vrfs: Vec<VectorFile>,
+    /// The `1 + 2·mfus` vector register files, in [`vrf_file`] order.
+    vrfs: Vec<VectorFile>,
     dram: Dram,
     net: NetQueues,
-    rows: u32,
-    cols: u32,
-    scratch: ChainScratch,
-    // --- timing state ---
-    nios_cursor: u64,
-    /// Per-instruction dispatch cost for the current segment iteration:
-    /// the full Nios dispatch interval on an iteration's first pass, one
-    /// cycle of scheduler replay afterwards (§V-C: the Nios streams "T
-    /// iterations of N static instructions" into the buffered top-level
-    /// scheduler, which sustains the pipeline beyond the Nios's own rate).
-    dispatch_cost: u64,
-    mvm_free_at: u64,
-    mfu_free_at: u64,
-    mem_free_at: u64,
+    /// The chain's current value: `width` native vectors, flat.
+    cur: Vec<f32>,
+    /// Double buffer for `mv_mul` output (swapped with `cur`).
+    aux: Vec<f32>,
+    /// MVM input-quantization scratch.
+    mvm: mvm::MvmScratch,
+}
+
+impl DataPlanes {
+    fn new(config: &NpuConfig) -> Self {
+        let nd = config.native_dim() as usize;
+        let vrf_cap = config.vrf_entries() as usize;
+        let files = |name| (0..config.mfus()).map(move |_| VectorFile::new(name, vrf_cap, nd));
+        DataPlanes {
+            mrf: MatrixFile::new(config.mrf_entries() as usize),
+            vrfs: std::iter::once(VectorFile::new("InitialVrf", vrf_cap, nd))
+                .chain(files("AddSubVrf"))
+                .chain(files("MultiplyVrf"))
+                .collect(),
+            dram: Dram::default(),
+            net: NetQueues::default(),
+            cur: Vec::new(),
+            aux: Vec::new(),
+            mvm: mvm::MvmScratch::default(),
+        }
+    }
+
+    /// The data pass of one chain the timeline has already scheduled, and
+    /// so already bounds-checked.
+    fn exec_chain(
+        &mut self,
+        config: &NpuConfig,
+        kernel: KernelMode,
+        chain: &Chain,
+        t: &ChainTiming,
+    ) -> Result<(), SimError> {
+        match *chain.instructions() {
+            [Instruction::MRd { mem, index }, Instruction::MWr { mem: to, index: at }] => {
+                self.move_tiles((mem, index), (to, at), t.w_out)
+            }
+            _ => self.exec_vector_chain(config, kernel, chain, t.w_in, t.w_out),
+        }
+    }
+
+    fn move_tiles(
+        &mut self,
+        (src, from): (MemId, u32),
+        (dst, to): (MemId, u32),
+        count: u32,
+    ) -> Result<(), SimError> {
+        // Read every source tile before writing any, so overlapping DRAM
+        // ranges move as a block.
+        let tiles = (0..count)
+            .map(|i| match src {
+                MemId::NetQ => self.net.pop_input_matrix(),
+                _ => self.dram.read_matrix(from + i),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        for (i, tile) in (0..count).zip(tiles) {
+            match dst {
+                MemId::MatrixRf => self.mrf.store(to + i, tile)?,
+                _ => self.dram.write_matrix(to + i, tile),
+            }
+        }
+        Ok(())
+    }
+
+    fn exec_vector_chain(
+        &mut self,
+        config: &NpuConfig,
+        kernel: KernelMode,
+        chain: &Chain,
+        w_in: u32,
+        w_out: u32,
+    ) -> Result<(), SimError> {
+        let nd = config.native_dim() as usize;
+        let mut operands = OperandFiles::default();
+        self.cur.clear();
+        for instr in chain.instructions() {
+            match *instr {
+                Instruction::VRd { mem, index } => match mem {
+                    MemId::NetQ => self.net.pop_input_into(w_in, &mut self.cur)?,
+                    MemId::Dram => self.dram.read_vectors_into(index, w_in, nd, &mut self.cur),
+                    _ => self
+                        .cur
+                        .extend_from_slice(vrf_mut(&mut self.vrfs, mem)?.read(index, w_in)?),
+                },
+                Instruction::MvMul { mrf_index } => {
+                    let (rows, cols) = (w_out, w_in);
+                    if kernel == KernelMode::Reference {
+                        let inputs: Vec<Vec<f32>> =
+                            self.cur.chunks(nd).map(<[f32]>::to_vec).collect();
+                        let out =
+                            mvm::compute_naive(config, &self.mrf, mrf_index, rows, cols, &inputs)?;
+                        self.cur.clear();
+                        for v in out {
+                            self.cur.extend_from_slice(&v);
+                        }
+                    } else {
+                        mvm::compute_into(
+                            config,
+                            &self.mrf,
+                            mrf_index,
+                            rows,
+                            cols,
+                            &self.cur,
+                            &mut self.aux,
+                            &mut self.mvm,
+                        )?;
+                        std::mem::swap(&mut self.cur, &mut self.aux);
+                    }
+                }
+                Instruction::VvAdd { index }
+                | Instruction::VvASubB { index }
+                | Instruction::VvBSubA { index }
+                | Instruction::VvMax { index }
+                | Instruction::VvMul { index } => {
+                    let file = vrf_mut(&mut self.vrfs, operands.next(instr))?;
+                    mfu::apply_binary(instr.opcode(), &mut self.cur, file.read(index, w_out)?)?;
+                }
+                Instruction::VRelu | Instruction::VSigm | Instruction::VTanh => {
+                    mfu::apply_activation(instr.opcode(), &mut self.cur);
+                }
+                // Writes apply below, once the value is final; anything
+                // else the timeline has already refused.
+                _ => {}
+            }
+        }
+
+        if self.cur.len() != w_out as usize * nd {
+            return Err(SimError::VectorLengthMismatch {
+                expected: w_out as usize,
+                actual: self.cur.len() / nd.max(1),
+            });
+        }
+        for (mem, index) in chain.write_targets() {
+            match mem {
+                MemId::NetQ => self.net.push_output(&self.cur, nd),
+                MemId::Dram => self.dram.write_vectors(index, &self.cur, nd),
+                _ => vrf_mut(&mut self.vrfs, mem)?.write(index, &self.cur)?,
+            }
+        }
+        Ok(())
+    }
+}
+
+/// What a run reports: statistics, the optional chain trace and the
+/// optional span stream — each derived from the timeline's
+/// [`ChainTiming`]s in [`Recorder::record`] and nowhere else.
+#[derive(Clone, Debug, Default)]
+struct Recorder {
     stats: RunStats,
     trace: Option<Vec<ChainTrace>>,
     /// Structured span stream (see [`crate::trace`]); `None` — the
@@ -321,6 +437,96 @@ pub struct Npu {
     trace_device: u32,
 }
 
+impl Recorder {
+    /// Emits one span if a sink is installed.
+    #[inline]
+    fn emit(&self, kind: SpanKind, chain: u64, start_cycle: u64, end_cycle: u64) {
+        if let Some(sink) = &self.sink {
+            sink.emit(&SpanRecord {
+                trace_id: self.trace_id,
+                device: self.trace_device,
+                kind,
+                chain,
+                start_cycle,
+                end_cycle,
+            });
+        }
+    }
+
+    fn record(&mut self, t: &ChainTiming, native_dim: u32) {
+        let s = &mut self.stats;
+        s.chains += 1;
+        s.net_vectors_in += t.net_vectors_in;
+        s.net_vectors_out += t.net_vectors_out;
+        s.mvm_macs += t.mvm_macs;
+        s.mfu_element_ops += t.mfu_ops * u64::from(t.w_out) * u64::from(native_dim);
+
+        // A chain waits on whichever of its three edges is last; the wait
+        // is charged to dependencies if they outlast dispatch and the
+        // resource, else to the resource if it outlasts the other two.
+        let c = &t.trace;
+        let other = c.dispatched_at.max(t.resource_free_at);
+        let ready = c.dispatched_at.max(c.dep_ready_at);
+        let stall = if c.kind == ChainKind::MatrixMove {
+            // Matrix moves ride the memory path beside the vector
+            // pipeline: their waits are traced but are not pipeline stalls.
+            (c.dep_ready_at > c.dispatched_at).then_some((
+                SpanKind::DepStall,
+                c.dispatched_at,
+                c.dep_ready_at,
+            ))
+        } else {
+            s.mvm_busy_cycles += t.mvm_occupancy;
+            s.pipeline_busy_cycles += c.occupancy;
+            if c.dep_ready_at > other {
+                s.dep_stall_cycles += c.dep_ready_at - other;
+                Some((SpanKind::DepStall, other, c.dep_ready_at))
+            } else if t.resource_free_at > ready {
+                s.resource_stall_cycles += t.resource_free_at - ready;
+                Some((SpanKind::ResourceStall, ready, t.resource_free_at))
+            } else {
+                None
+            }
+        };
+
+        if let Some(trace) = &mut self.trace {
+            trace.push(c.clone());
+        }
+        if self.sink.is_some() {
+            let ordinal = self.stats.chains;
+            self.emit(SpanKind::Chain(c.kind), ordinal, c.start, c.completion);
+            let stream = match c.kind {
+                ChainKind::Mvm => Some((SpanKind::MvmStream, c.start, c.start + t.mvm_occupancy)),
+                ChainKind::Mfu => Some((SpanKind::MfuStream, c.start, c.start + c.occupancy)),
+                ChainKind::Move | ChainKind::MatrixMove => None,
+            };
+            for (kind, from, to) in stream.into_iter().chain(stall) {
+                self.emit(kind, ordinal, from, to);
+            }
+        }
+    }
+}
+
+/// The Brainwave NPU simulator. See the [crate-level docs](crate) for an
+/// end-to-end example.
+///
+/// An `Npu` is the scheduler timeline of [`crate::sched`] — all timing
+/// state, scoreboards and NetQ arrival stamps — plus, in
+/// [`ExecMode::Full`], the data planes a second pass over each scheduled
+/// chain computes real values in.
+#[derive(Clone, Debug)]
+pub struct Npu {
+    config: NpuConfig,
+    kernel: KernelMode,
+    timeline: Timeline,
+    /// `Some` exactly in [`ExecMode::Full`].
+    data: Option<DataPlanes>,
+    /// [`ExecMode::TimingOnly`]: output vectors produced and not yet
+    /// popped, materialised as zeros on demand.
+    zero_outputs: usize,
+    rec: Recorder,
+}
+
 impl Npu {
     /// Creates an NPU in [`ExecMode::Full`].
     pub fn new(config: NpuConfig) -> Self {
@@ -329,35 +535,12 @@ impl Npu {
 
     /// Creates an NPU with an explicit execution mode.
     pub fn with_mode(config: NpuConfig, mode: ExecMode) -> Self {
-        let nd = config.native_dim() as usize;
-        let vrf_cap = config.vrf_entries() as usize;
-        let mfus = config.mfus() as usize;
         Npu {
-            mrf: MatrixFile::new(config.mrf_entries() as usize),
-            initial_vrf: VectorFile::new("InitialVrf", vrf_cap, nd),
-            addsub_vrfs: (0..mfus)
-                .map(|_| VectorFile::new("AddSubVrf", vrf_cap, nd))
-                .collect(),
-            multiply_vrfs: (0..mfus)
-                .map(|_| VectorFile::new("MultiplyVrf", vrf_cap, nd))
-                .collect(),
-            dram: Dram::default(),
-            net: NetQueues::default(),
-            rows: 1,
-            cols: 1,
-            scratch: ChainScratch::default(),
-            nios_cursor: 0,
-            dispatch_cost: 0,
-            mvm_free_at: 0,
-            mfu_free_at: 0,
-            mem_free_at: 0,
-            stats: RunStats::default(),
-            trace: None,
-            sink: None,
-            trace_id: 0,
-            trace_device: 0,
+            timeline: Timeline::new(&config),
+            data: (mode == ExecMode::Full).then(|| DataPlanes::new(&config)),
+            zero_outputs: 0,
+            rec: Recorder::default(),
             config,
-            mode,
             kernel: KernelMode::Fast,
         }
     }
@@ -369,7 +552,10 @@ impl Npu {
 
     /// The execution mode.
     pub fn mode(&self) -> ExecMode {
-        self.mode
+        match self.data {
+            Some(_) => ExecMode::Full,
+            None => ExecMode::TimingOnly,
+        }
     }
 
     /// The functional kernel implementation in use.
@@ -379,7 +565,7 @@ impl Npu {
 
     /// Selects the functional kernel implementation. Cycle counts and
     /// computed values are unaffected; [`KernelMode::Reference`] trades
-    /// speed for the original allocate-per-step execution shape.
+    /// speed for the original allocate-per-`mv_mul` naive kernels.
     pub fn set_kernel_mode(&mut self, kernel: KernelMode) {
         self.kernel = kernel;
     }
@@ -387,16 +573,17 @@ impl Npu {
     /// Enables or disables per-chain trace collection. Enabling clears any
     /// previously collected trace.
     pub fn set_trace(&mut self, enabled: bool) {
-        self.trace = if enabled { Some(Vec::new()) } else { None };
+        self.rec.trace = enabled.then(Vec::new);
     }
 
     /// Takes the collected trace (empty if tracing was never enabled).
     /// Tracing stays enabled.
     pub fn take_trace(&mut self) -> Vec<ChainTrace> {
-        match &mut self.trace {
-            Some(t) => std::mem::take(t),
-            None => Vec::new(),
-        }
+        self.rec
+            .trace
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 
     /// Installs (or removes) a structured span sink. While a sink is
@@ -405,30 +592,15 @@ impl Npu {
     /// set by [`Npu::set_trace_context`]. `None` (the default) restores
     /// the zero-cost path. Independent of [`Npu::set_trace`].
     pub fn set_trace_sink(&mut self, sink: Option<SinkHandle>) {
-        self.sink = sink;
+        self.rec.sink = sink;
     }
 
     /// Sets the trace id and device ordinal stamped on every span emitted
     /// from now on. The id is owned by whichever layer defines request
     /// identity (e.g. `bw-serve` uses its request id).
     pub fn set_trace_context(&mut self, trace_id: TraceId, device: u32) {
-        self.trace_id = trace_id;
-        self.trace_device = device;
-    }
-
-    /// Emits one span if a sink is installed.
-    #[inline]
-    fn emit_span(&self, kind: SpanKind, chain: u64, start_cycle: u64, end_cycle: u64) {
-        if let Some(sink) = &self.sink {
-            sink.emit(&SpanRecord {
-                trace_id: self.trace_id,
-                device: self.trace_device,
-                kind,
-                chain,
-                start_cycle,
-                end_cycle,
-            });
-        }
+        self.rec.trace_id = trace_id;
+        self.rec.trace_device = device;
     }
 
     // ------------------------------------------------------------------
@@ -461,7 +633,10 @@ impl Npu {
                 actual: vector.len(),
             });
         }
-        self.net.push_input(vector, at_cycle);
+        self.timeline.arrivals.push_vectors(at_cycle, 1);
+        if let Some(data) = &mut self.data {
+            data.net.push_input(vector);
+        }
         Ok(())
     }
 
@@ -470,37 +645,45 @@ impl Npu {
     pub fn push_input_padded(&mut self, data: &[f32]) -> usize {
         let nd = self.config.native_dim() as usize;
         let count = data.len().div_ceil(nd).max(1);
-        for i in 0..count {
-            let mut v = vec![0.0f32; nd];
-            let start = i * nd;
-            if start < data.len() {
-                let n = nd.min(data.len() - start);
-                v[..n].copy_from_slice(&data[start..start + n]);
+        self.timeline.arrivals.push_vectors(0, count as u64);
+        if let Some(planes) = &mut self.data {
+            for i in 0..count {
+                let mut v = vec![0.0f32; nd];
+                let chunk = &data[(i * nd).min(data.len())..((i + 1) * nd).min(data.len())];
+                v[..chunk.len()].copy_from_slice(chunk);
+                planes.net.push_input(v);
             }
-            self.net.push_input(v, 0);
         }
         count
     }
 
-    /// Enqueues `count` zero native vectors (cheap placeholder inputs for
-    /// [`ExecMode::TimingOnly`] sweeps).
+    /// Enqueues `count` zero native vectors (placeholder inputs for
+    /// [`ExecMode::TimingOnly`] sweeps, where they cost nothing).
     pub fn push_input_zeros(&mut self, count: usize) {
-        let nd = self.config.native_dim() as usize;
-        for _ in 0..count {
-            self.net.push_input(vec![0.0; nd], 0);
+        self.timeline.arrivals.push_vectors(0, count as u64);
+        if let Some(data) = &mut self.data {
+            let nd = self.config.native_dim() as usize;
+            for _ in 0..count {
+                data.net.push_input(vec![0.0; nd]);
+            }
         }
     }
 
     /// Enqueues a native matrix tile on the network queue for a program to
     /// move into the MRF with `m_rd(NetQ)` → `m_wr(MatrixRf)`.
     pub fn push_input_matrix(&mut self, tile: BfpMatrix) {
-        self.net.push_input_matrix(tile);
+        self.timeline.arrivals.push_matrices(1);
+        if let Some(data) = &mut self.data {
+            data.net.push_input_matrix(tile);
+        }
     }
 
     /// Quantizes and pins an `mat_rows × mat_cols` row-major `f32` matrix
     /// into the MRF as a `grid_rows × grid_cols` native tile grid starting
     /// at `base` — the host runtime's model-pinning step. Returns the number
-    /// of MRF entries consumed.
+    /// of MRF entries consumed. ([`ExecMode::TimingOnly`] validates the
+    /// same way and keeps nothing; [`Npu::reserve_matrix_grid`] skips the
+    /// quantization too.)
     ///
     /// # Errors
     ///
@@ -515,16 +698,20 @@ impl Npu {
         mat_cols: usize,
         data: &[f32],
     ) -> Result<u32, SimError> {
+        let entries = self.grid_entries(base, grid_rows, grid_cols)?;
         let tiles = mvm::tile_matrix(&self.config, mat_rows, mat_cols, data, grid_rows, grid_cols)?;
-        for (i, tile) in tiles.into_iter().enumerate() {
-            self.mrf.store(base + i as u32, tile)?;
+        if let Some(planes) = &mut self.data {
+            for (i, tile) in (base..).zip(tiles) {
+                planes.mrf.store(i, tile)?;
+            }
         }
-        Ok(grid_rows * grid_cols)
+        Ok(entries)
     }
 
     /// Reserves the MRF entries of a `grid_rows × grid_cols` grid with
-    /// zero-valued tiles without computing a quantization — the
-    /// [`ExecMode::TimingOnly`] counterpart of [`Npu::load_tiled_matrix`].
+    /// zero-valued tiles without computing a quantization per tile — the
+    /// placeholder counterpart of [`Npu::load_tiled_matrix`]. In
+    /// [`ExecMode::TimingOnly`] this is the bounds check alone.
     ///
     /// # Errors
     ///
@@ -536,25 +723,28 @@ impl Npu {
         grid_rows: u32,
         grid_cols: u32,
     ) -> Result<u32, SimError> {
-        if !self.mrf.has_zero_template() || self.kernel == KernelMode::Reference {
-            let nd = self.config.native_dim() as usize;
-            let zero =
-                BfpMatrix::quantize(nd, nd, &vec![0.0; nd * nd], self.config.matrix_format())
-                    .map_err(|e| SimError::Numeric(e.to_string()))?;
-            if self.kernel == KernelMode::Reference {
-                // The reference execution shape: one full tile clone per
-                // reserved entry, as the original implementation did.
-                for i in 0..grid_rows * grid_cols {
-                    self.mrf.store(base + i, zero.clone())?;
-                }
-                return Ok(grid_rows * grid_cols);
+        let entries = self.grid_entries(base, grid_rows, grid_cols)?;
+        if let Some(data) = &mut self.data {
+            if !data.mrf.has_zero_template() {
+                let nd = self.config.native_dim() as usize;
+                let zero =
+                    BfpMatrix::quantize(nd, nd, &vec![0.0; nd * nd], self.config.matrix_format())
+                        .map_err(|e| SimError::Numeric(e.to_string()))?;
+                data.mrf.set_zero_template(zero);
             }
-            self.mrf.set_zero_template(zero);
+            for i in base..base + entries {
+                data.mrf.reserve(i)?;
+            }
         }
-        for i in 0..grid_rows * grid_cols {
-            self.mrf.reserve(base + i)?;
-        }
-        Ok(grid_rows * grid_cols)
+        Ok(entries)
+    }
+
+    /// The entry count of a tile grid, once it is known to fit the MRF.
+    fn grid_entries(&self, base: u32, grid_rows: u32, grid_cols: u32) -> Result<u32, SimError> {
+        let span = self
+            .timeline
+            .mrf_span(base, u64::from(grid_rows) * u64::from(grid_cols))?;
+        Ok(span.len() as u32)
     }
 
     /// Writes an arbitrary-length vector into consecutive entries of a
@@ -567,31 +757,43 @@ impl Npu {
     pub fn load_vector(&mut self, mem: MemId, index: u32, data: &[f32]) -> Result<u32, SimError> {
         let nd = self.config.native_dim() as usize;
         let count = data.len().div_ceil(nd).max(1);
-        let mut flat = vec![0.0f32; count * nd];
-        flat[..data.len()].copy_from_slice(data);
-        self.vrf_mut(mem)?.write(index, &flat)?;
-        Ok(count as u32)
+        let entries = u32::try_from(count).unwrap_or(u32::MAX);
+        Timeline::vrf_span(&self.config, mem, index, entries)?;
+        if let Some(planes) = &mut self.data {
+            let mut flat = vec![0.0f32; count * nd];
+            flat[..data.len()].copy_from_slice(data);
+            vrf_mut(&mut planes.vrfs, mem)?.write(index, &flat)?;
+        }
+        Ok(entries)
     }
 
     /// Stages a DRAM matrix tile (for `m_rd(DRAM)` initialization paths).
     pub fn load_dram_matrix(&mut self, index: u32, tile: BfpMatrix) {
-        self.dram.write_matrix(index, tile);
+        if let Some(data) = &mut self.data {
+            data.dram.write_matrix(index, tile);
+        }
     }
 
     /// Pops one native vector from the network output queue.
     pub fn pop_output(&mut self) -> Option<Vec<f32>> {
-        self.net.pop_output()
+        match &mut self.data {
+            Some(data) => data.net.pop_output(),
+            None => {
+                self.zero_outputs = self.zero_outputs.checked_sub(1)?;
+                Some(vec![0.0; self.config.native_dim() as usize])
+            }
+        }
     }
 
     /// Pops and concatenates `count` native output vectors, truncated to
     /// `len` elements. Returns `None` if fewer than `count` are available.
     pub fn pop_output_concat(&mut self, count: usize, len: usize) -> Option<Vec<f32>> {
-        if self.net.output_len() < count {
+        if self.output_len() < count {
             return None;
         }
         let mut out = Vec::with_capacity(count * self.config.native_dim() as usize);
         for _ in 0..count {
-            out.extend(self.net.pop_output().expect("length checked"));
+            out.extend(self.pop_output().expect("length checked"));
         }
         out.truncate(len);
         Some(out)
@@ -599,12 +801,15 @@ impl Npu {
 
     /// Native vectors currently waiting in the output queue.
     pub fn output_len(&self) -> usize {
-        self.net.output_len()
+        match &self.data {
+            Some(data) => data.net.output_len(),
+            None => self.zero_outputs,
+        }
     }
 
     /// Native vectors currently waiting in the input queue.
     pub fn input_len(&self) -> usize {
-        self.net.input_len()
+        self.timeline.arrivals.vectors() as usize
     }
 
     // ------------------------------------------------------------------
@@ -643,51 +848,35 @@ impl Npu {
     ///
     /// Returns the first [`SimError`] raised by validation or execution.
     pub fn run_batch(&mut self, program: &Program, batch: usize) -> Result<RunStats, SimError> {
-        self.nios_cursor = 0;
-        self.mvm_free_at = 0;
-        self.mfu_free_at = 0;
-        self.mem_free_at = 0;
-        self.initial_vrf.clear_ready();
-        for f in &mut self.addsub_vrfs {
-            f.clear_ready();
-        }
-        for f in &mut self.multiply_vrfs {
-            f.clear_ready();
-        }
-        self.mrf.clear_ready();
-        self.dram.clear_ready();
-        self.stats = RunStats {
-            peak_flops_per_cycle: self.config.peak_flops_per_cycle(),
-            clock_hz: self.config.clock_hz(),
+        let Npu {
+            config,
+            kernel,
+            timeline,
+            data,
+            zero_outputs,
+            rec,
+        } = self;
+        timeline.begin_run();
+        rec.stats = RunStats {
+            peak_flops_per_cycle: config.peak_flops_per_cycle(),
+            clock_hz: config.clock_hz(),
             ..RunStats::default()
         };
-
-        let interval = u64::from(self.config.timing().dispatch_interval);
         for column in 0..batch {
-            let column_start = self.high_water();
-            for segment in &program.segments {
-                for iteration in 0..segment.iterations {
-                    // First pass streams from the Nios at the dispatch
-                    // interval; replays — later iterations and every
-                    // batch column after the first — come from the
-                    // scheduler's instruction buffer at one cycle per
-                    // instruction.
-                    self.dispatch_cost = if column == 0 && iteration == 0 {
-                        interval
-                    } else {
-                        1
-                    };
-                    for item in &segment.items {
-                        match item {
-                            Item::SetReg { reg, value } => self.exec_set_reg(*reg, *value)?,
-                            Item::Chain(chain) => self.exec_chain(chain)?,
-                        }
+            let column_start = timeline.high_water();
+            timeline.run_column(config, program, column == 0, |chain, t| {
+                rec.record(t, config.native_dim());
+                match data {
+                    Some(data) => data.exec_chain(config, *kernel, chain, t),
+                    None => {
+                        *zero_outputs += t.net_vectors_out as usize;
+                        Ok(())
                     }
                 }
-            }
+            })?;
             if batch > 1 {
-                let column_end = self.high_water();
-                self.emit_span(
+                let column_end = timeline.high_water();
+                rec.emit(
                     SpanKind::BatchColumn,
                     column as u64 + 1,
                     column_start,
@@ -695,480 +884,10 @@ impl Npu {
                 );
             }
         }
-        // The run ends when the last effect lands. Every published ready
-        // time is bounded by a chain completion already folded into
-        // `stats.cycles`, so only the resource frontiers can extend it.
-        self.stats.cycles = self.high_water();
-        self.emit_span(SpanKind::Run, 0, 0, self.stats.cycles);
-        Ok(self.stats.clone())
-    }
-
-    /// The latest architecturally visible effect so far in this run:
-    /// completed chains folded into `stats.cycles`, extended by any
-    /// still-draining resource frontier.
-    fn high_water(&self) -> u64 {
-        self.stats
-            .cycles
-            .max(self.mvm_free_at)
-            .max(self.mfu_free_at)
-            .max(self.mem_free_at)
-    }
-
-    fn exec_set_reg(&mut self, reg: ScalarReg, value: u32) -> Result<(), SimError> {
-        if value == 0 {
-            return Err(SimError::BadRegValue { reg });
-        }
-        self.nios_cursor += self.dispatch_cost;
-        self.stats.instructions += 1;
-        match reg {
-            ScalarReg::Rows => self.rows = value,
-            ScalarReg::Cols => self.cols = value,
-        }
-        Ok(())
-    }
-
-    fn vrf(&self, mem: MemId) -> Result<&VectorFile, SimError> {
-        let mfus = self.config.mfus();
-        match mem {
-            MemId::InitialVrf => Ok(&self.initial_vrf),
-            MemId::AddSubVrf(i) => self
-                .addsub_vrfs
-                .get(i as usize)
-                .ok_or(SimError::BadVrfFileIndex { mem, mfus }),
-            MemId::MultiplyVrf(i) => self
-                .multiply_vrfs
-                .get(i as usize)
-                .ok_or(SimError::BadVrfFileIndex { mem, mfus }),
-            _ => unreachable!("vrf() called on non-VRF target"),
-        }
-    }
-
-    fn vrf_mut(&mut self, mem: MemId) -> Result<&mut VectorFile, SimError> {
-        let mfus = self.config.mfus();
-        match mem {
-            MemId::InitialVrf => Ok(&mut self.initial_vrf),
-            MemId::AddSubVrf(i) => self
-                .addsub_vrfs
-                .get_mut(i as usize)
-                .ok_or(SimError::BadVrfFileIndex { mem, mfus }),
-            MemId::MultiplyVrf(i) => self
-                .multiply_vrfs
-                .get_mut(i as usize)
-                .ok_or(SimError::BadVrfFileIndex { mem, mfus }),
-            _ => unreachable!("vrf_mut() called on non-VRF target"),
-        }
-    }
-
-    fn validate_chain(&self, chain: &Chain) -> Result<(), SimError> {
-        let mfus = self.config.mfus();
-        let checks = [
-            ("add/sub", chain.addsub_ops()),
-            ("multiply", chain.multiply_ops()),
-            ("activation", chain.activation_ops()),
-        ];
-        for (kind, used) in checks {
-            if used > mfus as usize {
-                return Err(SimError::MfuCapacityExceeded {
-                    kind,
-                    used,
-                    available: mfus,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    fn exec_chain(&mut self, chain: &Chain) -> Result<(), SimError> {
-        // Dispatch cost: every chain instruction plus its end_chain on the
-        // first streaming of a segment; a single replay cycle afterwards
-        // (the scheduler re-issues the already-buffered chain as a unit).
-        let n_instr = chain.len() as u64 + 1;
-        let interval = u64::from(self.config.timing().dispatch_interval);
-        self.nios_cursor += if self.dispatch_cost == interval {
-            n_instr * interval
-        } else {
-            self.dispatch_cost
-        };
-        self.stats.instructions += n_instr;
-        self.stats.chains += 1;
-
-        if chain.is_matrix_chain() {
-            return self.exec_matrix_chain(chain);
-        }
-        self.validate_chain(chain)?;
-        self.exec_vector_chain(chain)
-    }
-
-    fn exec_matrix_chain(&mut self, chain: &Chain) -> Result<(), SimError> {
-        let count = self.rows * self.cols;
-        let (src_mem, src_index) = match chain.instructions()[0] {
-            Instruction::MRd { mem, index } => (mem, index),
-            _ => unreachable!("matrix chain head validated"),
-        };
-        let (dst_mem, dst_index) = match chain.instructions()[1] {
-            Instruction::MWr { mem, index } => (mem, index),
-            _ => unreachable!("matrix chain tail validated"),
-        };
-
-        let mut dep_ready = 0u64;
-        if dst_mem == MemId::MatrixRf {
-            // Write-after-read: do not overwrite tiles an earlier mv_mul is
-            // still streaming.
-            dep_ready = dep_ready.max(self.mrf.read_until_at(dst_index, count));
-        }
-        let mut tiles = Vec::with_capacity(count as usize);
-        for i in 0..count {
-            let tile = match src_mem {
-                MemId::NetQ => self.net.pop_input_matrix()?,
-                MemId::Dram => {
-                    dep_ready = dep_ready.max(self.dram.matrix_ready_at(src_index + i));
-                    self.dram.read_matrix(src_index + i)?
-                }
-                _ => unreachable!("matrix source validated"),
-            };
-            tiles.push(tile);
-        }
-
-        let occupancy = u64::from(count) * u64::from(self.config.timing().dram_tile_cycles);
-        let start = self.nios_cursor.max(dep_ready).max(self.mem_free_at);
-        self.mem_free_at = start + occupancy;
-        let completion = start + occupancy;
-        self.stats.cycles = self.stats.cycles.max(completion);
-        if let Some(trace) = &mut self.trace {
-            trace.push(ChainTrace {
-                kind: ChainKind::MatrixMove,
-                dispatched_at: self.nios_cursor,
-                dep_ready_at: dep_ready,
-                start,
-                occupancy,
-                completion,
-            });
-        }
-        if self.sink.is_some() {
-            let ordinal = self.stats.chains;
-            self.emit_span(
-                SpanKind::Chain(ChainKind::MatrixMove),
-                ordinal,
-                start,
-                completion,
-            );
-            if dep_ready > self.nios_cursor {
-                self.emit_span(SpanKind::DepStall, ordinal, self.nios_cursor, dep_ready);
-            }
-        }
-
-        for (i, tile) in tiles.into_iter().enumerate() {
-            let i = i as u32;
-            match dst_mem {
-                MemId::MatrixRf => {
-                    self.mrf.store(dst_index + i, tile)?;
-                    self.mrf.mark_ready(dst_index + i, completion);
-                }
-                MemId::Dram => {
-                    self.dram.write_matrix(dst_index + i, tile);
-                    self.dram.mark_matrix_ready(dst_index + i, completion);
-                }
-                _ => unreachable!("matrix destination validated"),
-            }
-        }
-        Ok(())
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn exec_vector_chain(&mut self, chain: &Chain) -> Result<(), SimError> {
-        let timing = *self.config.timing();
-        let has_mvm = chain.has_mv_mul();
-        let rows = self.rows;
-        let cols = self.cols;
-        let w_in = if has_mvm { cols } else { rows };
-        let w_out = rows;
-        let nd = self.config.native_dim() as usize;
-        let functional = self.mode == ExecMode::Full;
-        let reference = self.kernel == KernelMode::Reference;
-
-        // Reusable chain buffers: taken out of `self` so the borrow checker
-        // sees them as disjoint from the register files, and returned on
-        // success (an error path simply reallocates on the next chain).
-        let mut s = std::mem::take(&mut self.scratch);
-        s.cur.clear();
-        s.writes.clear();
-
-        // `dep_ready` accumulates the earliest legal chain start implied by
-        // each operand: an operand consumed at pipeline offset `depth` may
-        // arrive `depth` cycles after the chain starts streaming.
-        let mut dep_ready = 0u64;
-        let mut depth = 0u64;
-        let mut mvm_occ = 0u64;
-        // Wide counters so chains with pathological op counts reach the
-        // capacity fault instead of wrapping an 8-bit index in debug builds.
-        let mut addsub_seen: usize = 0;
-        let mut multiply_seen: usize = 0;
-        let mut mvm_tiles: Option<(u32, u32)> = None; // (base, count)
-
-        for instr in chain.instructions() {
-            match *instr {
-                Instruction::VRd { mem, index } => {
-                    match mem {
-                        MemId::NetQ => {
-                            s.cur.clear();
-                            let arrival = self
-                                .net
-                                .pop_input_into(w_in, functional.then_some(&mut s.cur))?;
-                            dep_ready = dep_ready.max(arrival.saturating_sub(depth));
-                            self.stats.net_vectors_in += u64::from(w_in);
-                            depth += u64::from(timing.net_depth);
-                        }
-                        MemId::Dram => {
-                            let t = self.dram.vector_ready_at(index, w_in);
-                            dep_ready = dep_ready.max(t.saturating_sub(depth));
-                            if functional {
-                                s.cur.clear();
-                                self.dram.read_vectors_into(index, w_in, nd, &mut s.cur);
-                                if reference {
-                                    // Reference shape: one clone per vector.
-                                    let _c: Vec<Vec<f32>> =
-                                        s.cur.chunks(nd).map(<[f32]>::to_vec).collect();
-                                }
-                            }
-                        }
-                        vrf => {
-                            // Bounds are validated even in timing-only mode.
-                            let file = self.vrf(vrf)?;
-                            let flat = file.read(index, w_in)?;
-                            let t = file.ready_at(index, w_in);
-                            dep_ready = dep_ready.max(t.saturating_sub(depth));
-                            if reference {
-                                // Reference shape: clone-on-read regardless
-                                // of execution mode, as the original
-                                // register files did.
-                                let cloned: Vec<Vec<f32>> =
-                                    flat.chunks(nd).map(<[f32]>::to_vec).collect();
-                                if functional {
-                                    s.cur.clear();
-                                    for v in &cloned {
-                                        s.cur.extend_from_slice(v);
-                                    }
-                                }
-                            } else if functional {
-                                s.cur.clear();
-                                s.cur.extend_from_slice(flat);
-                            }
-                        }
-                    }
-                    depth += u64::from(timing.vrf_access_depth);
-                }
-                Instruction::MvMul { mrf_index } => {
-                    mvm_occ = mvm::occupancy(&self.config, rows, cols);
-                    mvm_tiles = Some((mrf_index, rows * cols));
-                    let t = self.mrf.ready_at(mrf_index, rows * cols);
-                    dep_ready = dep_ready.max(t.saturating_sub(depth));
-                    self.stats.mvm_macs += mvm::macs(&self.config, rows, cols);
-                    if functional {
-                        if reference {
-                            let inputs: Vec<Vec<f32>> =
-                                s.cur.chunks(nd).map(<[f32]>::to_vec).collect();
-                            let out = mvm::compute_naive(
-                                &self.config,
-                                &self.mrf,
-                                mrf_index,
-                                rows,
-                                cols,
-                                &inputs,
-                            )?;
-                            s.cur.clear();
-                            for v in out {
-                                s.cur.extend_from_slice(&v);
-                            }
-                        } else {
-                            mvm::compute_into(
-                                &self.config,
-                                &self.mrf,
-                                mrf_index,
-                                rows,
-                                cols,
-                                &s.cur,
-                                &mut s.aux,
-                                &mut s.mvm,
-                            )?;
-                            std::mem::swap(&mut s.cur, &mut s.aux);
-                        }
-                    }
-                    depth += u64::from(timing.mvm_depth);
-                }
-                Instruction::VWr { mem, index } => {
-                    depth += u64::from(timing.vrf_access_depth);
-                    if mem == MemId::NetQ {
-                        depth += u64::from(timing.net_depth);
-                    }
-                    s.writes.push((mem, index, w_out));
-                }
-                ref op if op.opcode().is_mfu_op() => {
-                    self.stats.mfu_element_ops += u64::from(w_out) * nd as u64;
-                    let opcode = op.opcode();
-                    match *instr {
-                        Instruction::VvAdd { index }
-                        | Instruction::VvASubB { index }
-                        | Instruction::VvBSubA { index }
-                        | Instruction::VvMax { index }
-                        | Instruction::VvMul { index } => {
-                            let mem = if matches!(*instr, Instruction::VvMul { .. }) {
-                                let m = MemId::MultiplyVrf(
-                                    u8::try_from(multiply_seen).unwrap_or(u8::MAX),
-                                );
-                                multiply_seen += 1;
-                                m
-                            } else {
-                                let m =
-                                    MemId::AddSubVrf(u8::try_from(addsub_seen).unwrap_or(u8::MAX));
-                                addsub_seen += 1;
-                                m
-                            };
-                            let file = self.vrf(mem)?;
-                            let operand = file.read(index, w_out)?;
-                            let t = file.ready_at(index, w_out);
-                            dep_ready = dep_ready.max(t.saturating_sub(depth));
-                            if reference {
-                                let _c: Vec<Vec<f32>> =
-                                    operand.chunks(nd).map(<[f32]>::to_vec).collect();
-                            }
-                            if functional {
-                                mfu::apply_binary(opcode, &mut s.cur, operand)?;
-                            }
-                        }
-                        _ => {
-                            if functional {
-                                mfu::apply_activation(opcode, &mut s.cur);
-                            }
-                        }
-                    }
-                    depth += u64::from(timing.mfu_op_depth);
-                }
-                _ => unreachable!("chain contents validated at construction"),
-            }
-        }
-
-        // Chains with an mv_mul are throughput-bound by the MVM (input
-        // vectors stream into the tile engines as part of the tile
-        // occupancy) unless their output side outruns the MFU stream;
-        // compute chains without one stream through the MFU pipeline; pure
-        // data moves (v_rd → v_wr with no arithmetic) ride the vector
-        // arbitration network and leave both compute resources free.
-        let mfu_stream = u64::from(self.config.mfu_stream_cycles());
-        enum Res {
-            Mvm,
-            Mfu,
-            Move,
-        }
-        let (res, resource_free, occupancy) = if mvm_occ > 0 {
-            let out_occ = u64::from(w_out) * mfu_stream;
-            (Res::Mvm, self.mvm_free_at, mvm_occ.max(out_occ))
-        } else {
-            let stream_occ = u64::from(w_in.max(w_out)) * mfu_stream;
-            if chain.mfu_ops() > 0 {
-                (Res::Mfu, self.mfu_free_at, stream_occ)
-            } else {
-                (Res::Move, self.mem_free_at, stream_occ)
-            }
-        };
-
-        let start = self.nios_cursor.max(dep_ready).max(resource_free);
-        let other = self.nios_cursor.max(resource_free);
-        if dep_ready > other {
-            self.stats.dep_stall_cycles += dep_ready - other;
-        } else if resource_free > self.nios_cursor.max(dep_ready) {
-            self.stats.resource_stall_cycles += resource_free - self.nios_cursor.max(dep_ready);
-        }
-
-        match res {
-            Res::Mvm => {
-                self.mvm_free_at = start + occupancy;
-                self.stats.mvm_busy_cycles += mvm_occ;
-            }
-            Res::Mfu => self.mfu_free_at = start + occupancy,
-            Res::Move => self.mem_free_at = start + occupancy,
-        }
-        self.stats.pipeline_busy_cycles += occupancy;
-        let completion = start + occupancy + depth;
-        self.stats.cycles = self.stats.cycles.max(completion);
-        if let Some((base, count)) = mvm_tiles {
-            self.mrf.mark_read_until(base, count, start + occupancy);
-        }
-        let kind = match res {
-            Res::Mvm => ChainKind::Mvm,
-            Res::Mfu => ChainKind::Mfu,
-            Res::Move => ChainKind::Move,
-        };
-        if let Some(trace) = &mut self.trace {
-            trace.push(ChainTrace {
-                kind,
-                dispatched_at: self.nios_cursor,
-                dep_ready_at: dep_ready,
-                start,
-                occupancy,
-                completion,
-            });
-        }
-        if self.sink.is_some() {
-            let ordinal = self.stats.chains;
-            self.emit_span(SpanKind::Chain(kind), ordinal, start, completion);
-            match kind {
-                ChainKind::Mvm => {
-                    self.emit_span(SpanKind::MvmStream, ordinal, start, start + mvm_occ);
-                }
-                ChainKind::Mfu => {
-                    self.emit_span(SpanKind::MfuStream, ordinal, start, start + occupancy);
-                }
-                ChainKind::Move | ChainKind::MatrixMove => {}
-            }
-            if dep_ready > other {
-                self.emit_span(SpanKind::DepStall, ordinal, other, dep_ready);
-            } else {
-                let ready = self.nios_cursor.max(dep_ready);
-                if resource_free > ready {
-                    self.emit_span(SpanKind::ResourceStall, ordinal, ready, resource_free);
-                }
-            }
-        }
-
-        // Apply writes and publish ready times.
-        if functional && s.cur.len() != w_out as usize * nd {
-            return Err(SimError::VectorLengthMismatch {
-                expected: w_out as usize,
-                actual: s.cur.len() / nd.max(1),
-            });
-        }
-        if !functional {
-            s.zeros.clear();
-            s.zeros.resize(w_out as usize * nd, 0.0);
-            if reference {
-                // Reference shape: a fresh zero placeholder per chain.
-                let _placeholder: Vec<Vec<f32>> = vec![vec![0.0; nd]; w_out as usize];
-            }
-        }
-        let values: &[f32] = if functional { &s.cur } else { &s.zeros };
-        for &(mem, index, width) in &s.writes {
-            match mem {
-                MemId::NetQ => {
-                    self.net.push_output(values, nd);
-                    self.stats.net_vectors_out += u64::from(width);
-                }
-                MemId::Dram => {
-                    self.dram.write_vectors(index, values, nd);
-                    self.dram.mark_vectors_ready(index, width, completion);
-                }
-                vrf => {
-                    if reference {
-                        // Reference shape: clone-per-entry into the file.
-                        let _c: Vec<Vec<f32>> = values.chunks(nd).map(<[f32]>::to_vec).collect();
-                    }
-                    let file = self.vrf_mut(vrf)?;
-                    file.write(index, values)?;
-                    file.mark_ready(index, width, completion);
-                }
-            }
-        }
-        self.scratch = s;
-        Ok(())
+        rec.stats.instructions = timeline.instructions();
+        rec.stats.cycles = timeline.high_water();
+        rec.emit(SpanKind::Run, 0, 0, rec.stats.cycles);
+        Ok(rec.stats.clone())
     }
 }
 

@@ -103,8 +103,18 @@ fn build_program(specs: &[ChainSpec]) -> Program {
     b.build()
 }
 
+/// NetQ vectors the program built from `specs` pops.
+fn net_vectors(specs: &[ChainSpec]) -> usize {
+    specs.iter().filter(|s| s.src == 0).count() * MRF_GRID as usize
+}
+
 fn prepare(npu: &mut Npu, specs: &[ChainSpec]) {
-    // Pre-load a well-conditioned tile grid and every VRF's lower half.
+    preload(npu);
+    npu.push_input_zeros(net_vectors(specs));
+}
+
+/// Pre-loads a well-conditioned tile grid and every VRF's lower half.
+fn preload(npu: &mut Npu) {
     let n = (MRF_GRID * ND) as usize;
     let mut m = vec![0.0f32; n * n];
     for i in 0..n {
@@ -122,14 +132,11 @@ fn prepare(npu: &mut Npu, specs: &[ChainSpec]) {
         npu.load_vector(MemId::MultiplyVrf(0), slot, &v).unwrap();
         npu.load_vector(MemId::MultiplyVrf(1), slot, &v).unwrap();
     }
-    let net_reads = specs.iter().filter(|s| s.src == 0).count();
-    npu.push_input_zeros(net_reads * MRF_GRID as usize);
 }
 
 /// The analyzer's view of what [`prepare`] establishes: the tile grid,
 /// every VRF's preloaded slots, and the exact input-vector budget.
 fn fuzz_options(specs: &[ChainSpec]) -> AnalysisOptions {
-    let net_reads = specs.iter().filter(|s| s.src == 0).count();
     AnalysisOptions::default()
         .preload(MemId::MatrixRf, 0, MRF_GRID * MRF_GRID)
         .preload(MemId::InitialVrf, 0, VRF)
@@ -137,7 +144,7 @@ fn fuzz_options(specs: &[ChainSpec]) -> AnalysisOptions {
         .preload(MemId::AddSubVrf(1), 0, VRF)
         .preload(MemId::MultiplyVrf(0), 0, VRF)
         .preload(MemId::MultiplyVrf(1), 0, VRF)
-        .with_input_vectors(net_reads as u64 * u64::from(MRF_GRID))
+        .with_input_vectors(net_vectors(specs) as u64)
 }
 
 proptest! {
@@ -180,6 +187,42 @@ proptest! {
         prop_assert_eq!(fs.instructions, ts.instructions);
     }
 
+    /// The bound's content once exactness at a point is true by
+    /// construction: any per-vector arrival stamps inside the declared
+    /// window — not only "everything staged at 0" — measure inside it.
+    #[test]
+    fn arrivals_inside_the_window_measure_inside_the_bound(
+        specs in prop::collection::vec(chain_strategy(), 1..10),
+        lo in 0u64..400,
+        width in 0u64..3_000,
+        offsets in prop::collection::vec(any::<u64>(), 18..19), // ≥ 9 chains × MRF_GRID
+    ) {
+        let program = build_program(&specs);
+        let hi = lo + width;
+        let bound = cycle_bounds(
+            &program,
+            &cfg(),
+            &fuzz_options(&specs).with_input_arrival(lo, hi),
+        )
+        .expect("a valid program has a provable bound");
+        let staged = cycle_bounds(&program, &cfg(), &fuzz_options(&specs)).expect("bounded");
+        prop_assert!(staged.lower <= bound.lower, "later arrivals never finish sooner");
+
+        for mode in [ExecMode::TimingOnly, ExecMode::Full] {
+            let mut npu = Npu::with_mode(cfg(), mode);
+            preload(&mut npu);
+            for offset in &offsets[..net_vectors(&specs)] {
+                npu.push_input_at(vec![0.0; ND as usize], lo + offset % (width + 1))
+                    .expect("native vector");
+            }
+            let cycles = npu.run(&program).expect("runs").cycles;
+            prop_assert!(
+                bound.contains(cycles),
+                "{:?}: {} outside [{}, {}]", mode, cycles, bound.lower, bound.upper
+            );
+        }
+    }
+
     #[test]
     fn random_valid_programs_lint_without_errors(
         specs in prop::collection::vec(chain_strategy(), 1..12)
@@ -211,6 +254,21 @@ proptest! {
                 let mut npu = Npu::new(cfg());
                 prepare(&mut npu, &specs);
                 let _ = npu.run(&program);
+            }
+            // Whatever the linter made of it: with budgets declared from
+            // what was actually pushed, a bound is unprovable exactly when
+            // the timing-only machine faults, and otherwise is its count.
+            if !looping {
+                let bound = cycle_bounds(&program, &cfg(), &fuzz_options(&specs));
+                let mut npu = Npu::with_mode(cfg(), ExecMode::TimingOnly);
+                prepare(&mut npu, &specs);
+                match npu.run(&program) {
+                    Ok(stats) => prop_assert_eq!(
+                        bound,
+                        Some(CycleBounds { lower: stats.cycles, upper: stats.cycles })
+                    ),
+                    Err(e) => prop_assert_eq!(bound, None, "simulator faulted with {}", e),
+                }
             }
         }
     }

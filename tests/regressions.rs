@@ -136,3 +136,62 @@ fn trace_output_unchanged_by_kernel_mode() {
     assert_eq!(fast_stats, ref_stats);
     assert_eq!(fast_trace, ref_trace);
 }
+
+/// `rows × cols` was once multiplied in unchecked `u32`: a 65 536 × 65 536
+/// grid panicked the simulator in debug builds and wrapped to zero tiles
+/// (an `Ok` of 20 cycles) in release, while `cycle_bounds` said `None`. The
+/// one scheduler both now run does the arithmetic in `u64`, so every
+/// profile sees the same typed fault — and the bound stays `None`.
+#[test]
+fn tile_grid_beyond_u32_is_a_typed_fault_not_a_wrap() {
+    let grid = |build: &dyn Fn(&mut ProgramBuilder)| {
+        let mut b = ProgramBuilder::new();
+        b.set_rows(65_536).set_cols(65_536);
+        build(&mut b);
+        b.build()
+    };
+    let out_of_mrf = SimError::MrfIndexOutOfRange {
+        index: 64,
+        capacity: 64,
+    };
+    let matrix_move = grid(&|b| {
+        b.m_rd(MemId::Dram, 0)
+            .m_wr(MemId::MatrixRf, 0)
+            .end_chain()
+            .unwrap();
+    });
+    let mv_mul = grid(&|b| {
+        b.v_rd(MemId::Dram, 0)
+            .mv_mul(0)
+            .v_wr(MemId::Dram, 0)
+            .end_chain()
+            .unwrap();
+    });
+    for program in [&matrix_move, &mv_mul] {
+        for mode in [ExecMode::TimingOnly, ExecMode::Full] {
+            let mut npu = Npu::with_mode(cfg(), mode);
+            assert_eq!(npu.run(program), Err(out_of_mrf.clone()), "{mode:?}");
+        }
+        assert_eq!(
+            cycle_bounds(program, &cfg(), &AnalysisOptions::default()),
+            None
+        );
+    }
+
+    // With no MRF in the path the grid runs into the end of modelled DRAM.
+    let dram_to_dram = grid(&|b| {
+        b.m_rd(MemId::Dram, 0)
+            .m_wr(MemId::Dram, 0)
+            .end_chain()
+            .unwrap();
+    });
+    let mut npu = Npu::with_mode(cfg(), ExecMode::TimingOnly);
+    assert!(matches!(
+        npu.run(&dram_to_dram),
+        Err(SimError::VrfIndexOutOfRange { file: "Dram", .. })
+    ));
+    assert_eq!(
+        cycle_bounds(&dram_to_dram, &cfg(), &AnalysisOptions::default()),
+        None
+    );
+}

@@ -1,7 +1,9 @@
 //! Pins the cost of disabled tracing and of the steady-state hot path:
 //! with `set_trace(false)` (the default), re-running a warm program
 //! performs **zero** heap allocation, and enabling tracing changes no
-//! cycle statistic.
+//! cycle statistic. The `ExecMode::TimingOnly` counterpart: building the
+//! NPU allocates its scoreboards and nothing that scales with
+//! `native_dim`, and a warm run allocates nothing either.
 //!
 //! This file holds exactly one `#[test]` so no concurrent test can
 //! allocate inside the measurement window of the process-global counting
@@ -15,15 +17,18 @@ use brainwave::prelude::*;
 struct CountingAlloc;
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static BYTES: AtomicUsize = AtomicUsize::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -37,6 +42,11 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn allocations() -> usize {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Bytes requested so far (frees are not subtracted).
+fn allocated_bytes() -> usize {
+    BYTES.load(Ordering::Relaxed)
 }
 
 #[test]
@@ -139,6 +149,56 @@ fn untraced_hot_path_does_not_allocate() {
         "steady-state run with the span sink cleared must not allocate"
     );
     assert_eq!(resumed, untraced, "clearing the sink restores determinism");
+
+    // The timing-only machine at the largest Table V shape (GRU h=2816 on
+    // a BW_S10 sized to hold it) is the scheduler's scoreboards — one u64
+    // per VRF entry per file, two per MRF entry — plus a constant. Nothing
+    // is proportional to native_dim: a single zeroed VRF slab alone
+    // (vrf_entries × native_dim × 4 bytes) would be 50× the whole bound.
+    let largest = brainwave::models::table5_suite()
+        .iter()
+        .map(RnnBenchmark::dims)
+        .max_by_key(|d| d.hidden)
+        .expect("Table V has points");
+    let gru = Gru::new(&NpuConfig::bw_s10(), largest);
+    let cfg = bw_bench::bw_s10_sized(gru.mrf_entries_required());
+    let gru = Gru::new(&cfg, largest);
+    let scoreboards = 8
+        * ((1 + 2 * cfg.mfus() as usize) * cfg.vrf_entries() as usize
+            + 2 * cfg.mrf_entries() as usize);
+    let one_vrf_slab = cfg.vrf_entries() as usize * cfg.native_dim() as usize * 4;
+    let before = allocated_bytes();
+    let mut timing = Npu::with_mode(cfg, ExecMode::TimingOnly);
+    gru.prepare_timing_only(&mut timing)
+        .expect("sized configuration holds the model");
+    let built = allocated_bytes() - before;
+    assert!(
+        built <= scoreboards + 1024,
+        "timing-only NPU allocated {built} bytes, scoreboards are {scoreboards}"
+    );
+    assert!(
+        built < one_vrf_slab,
+        "{built} bytes vs one slab {one_vrf_slab}"
+    );
+
+    // Warm timing-only runs — NetQ traffic included, since queues hold
+    // counts and stamps rather than vectors — allocate nothing.
+    let steps = 3;
+    let program = gru.program(steps);
+    let run = |npu: &mut Npu| {
+        npu.push_input_zeros(gru.grid_x() as usize * steps as usize);
+        let before = allocations();
+        let stats = npu.run(&program).expect("program runs");
+        (stats, allocations() - before)
+    };
+    let (first, _) = run(&mut timing);
+    let (second, allocated) = run(&mut timing);
+    assert_eq!(allocated, 0, "warm timing-only run must not allocate");
+    assert_eq!(second, first, "timing-only runs are deterministic");
+    assert_eq!(
+        timing.output_len(),
+        2 * gru.grid_h() as usize * steps as usize
+    );
 
     // Simulated-cycle parity: the tracing plumbing must leave the Table V
     // suite at exactly the cycle count `ledger/src/workload.rs` checks on

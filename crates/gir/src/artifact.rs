@@ -225,35 +225,6 @@ impl PinnedModel {
         self.deployment.execute(&mut self.npus, input)
     }
 
-    /// [`PinnedModel::infer_with_stats`] with span tracing: installs a
-    /// [`SpanCollector`] on every pinned device for the duration of the
-    /// call, stamping each span with `trace_id` and the device ordinal,
-    /// then uninstalls the sinks and drains the collected spans. Tracing
-    /// state does not persist across calls, so a traced inference leaves
-    /// the instance exactly as a plain one does.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeployError`] on simulator failures.
-    pub fn infer_traced(
-        &mut self,
-        input: &[f32],
-        trace_id: TraceId,
-    ) -> Result<(Vec<f32>, RunStats, Vec<SpanRecord>), DeployError> {
-        let collector = SpanCollector::new();
-        for (d, npu) in self.npus.iter_mut().enumerate() {
-            npu.set_trace_sink(Some(collector.handle()));
-            npu.set_trace_context(trace_id, d as u32);
-        }
-        let result = self.deployment.execute(&mut self.npus, input);
-        for npu in &mut self.npus {
-            npu.set_trace_sink(None);
-            npu.set_trace_context(0, 0);
-        }
-        let (output, stats) = result?;
-        Ok((output, stats, collector.drain()))
-    }
-
     /// Runs a coalesced micro-batch through the pinned devices: one
     /// multi-column dispatch per accelerator segment
     /// ([`Deployment::execute_batch`]), returning per-column outputs in
@@ -271,10 +242,14 @@ impl PinnedModel {
         self.deployment.execute_batch(&mut self.npus, inputs)
     }
 
-    /// [`PinnedModel::infer_batch`] with span tracing, stamping every
-    /// span — including the per-column
-    /// [`SpanKind::BatchColumn`](bw_core::SpanKind) records — with
-    /// `trace_id`. Tracing state does not persist across calls.
+    /// [`PinnedModel::infer_batch`] with span tracing: installs a
+    /// [`SpanCollector`] on every pinned device for the duration of the
+    /// call, stamping each span — including the per-column
+    /// [`SpanKind::BatchColumn`](bw_core::SpanKind) records of a
+    /// multi-column batch — with `trace_id` and the device ordinal, then
+    /// uninstalls the sinks and drains the collected spans. Tracing
+    /// state does not persist across calls, so a traced inference leaves
+    /// the instance exactly as a plain one does.
     ///
     /// # Errors
     ///

@@ -27,13 +27,34 @@
 //!    admitted together as separate requests and overlap.)
 //!
 //! The batcher never mixes models in one batch (columns must share the
-//! pinned program) and never holds a request past its own hold budget,
-//! so a correctly provisioned pool cannot breach a deadline *because
-//! of* coalescing — `tests/batching.rs` pins that property.
+//! pinned program) and never holds a request past its own hold budget
+//! while a dispatcher is free, so a correctly provisioned pool cannot
+//! breach a deadline *because of* coalescing — `tests/batching.rs` pins
+//! that property.
+//!
+//! # What wakes a dispatcher
+//!
+//! The batcher runs one kind of thread, the dispatcher, and the
+//! dispatchers are also the hold timers. All state — the open windows,
+//! the windows that filled, the shutdown flag — sits behind one mutex
+//! with one condvar. An idle dispatcher takes a full window if there is
+//! one, else the open window whose earliest hold deadline has passed,
+//! else sleeps on the condvar until the earliest hold deadline over all
+//! open windows (indefinitely when none is open). Three things end that
+//! sleep:
+//!
+//! - a submit (`notify_one`): the woken dispatcher re-reads the earliest
+//!   deadline, which the new member may have moved or whose window it may
+//!   have filled;
+//! - the deadline itself passing;
+//! - shutdown (`notify_all`), which makes every window due so nothing
+//!   submitted is dropped.
+//!
+//! A dispatcher that leaves with a batch while windows remain wakes one
+//! more, so the timer is never carried off into a blocking dispatch.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::collections::{HashMap, VecDeque};
+use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -54,7 +75,10 @@ pub struct BatchConfig {
     pub slack_fraction: f64,
     /// Threads concurrently driving flushed batches through the
     /// blocking [`Client::call_batch`] lifecycle. Bounds how many
-    /// batches can be in flight at once from this batcher.
+    /// batches can be in flight at once from this batcher. The
+    /// dispatchers are also the hold timers: an idle one sleeps until
+    /// the earliest pending hold deadline, so while every dispatcher is
+    /// inside a dispatch a partial window waits for the first to return.
     pub dispatchers: usize,
 }
 
@@ -69,11 +93,15 @@ impl Default for BatchConfig {
     }
 }
 
+/// What resolves one member: called exactly once with its outcome, or
+/// dropped uncalled if the batcher shuts down first.
+pub(crate) type Reply = Box<dyn FnOnce(Result<Response, ServeError>) + Send>;
+
 /// One queued member plus the instant its hold budget expires.
 struct PendingMember {
     item: BatchItem,
     flush_at: Instant,
-    reply: Sender<Result<Response, ServeError>>,
+    reply: Reply,
 }
 
 /// A flushed batch awaiting dispatch.
@@ -83,8 +111,10 @@ struct BatchWork {
 }
 
 struct BatcherState {
-    /// Per-model pending queues, arrival order.
+    /// Per-model open windows, arrival order. Never holds an empty one.
     queues: HashMap<String, Vec<PendingMember>>,
+    /// Windows that reached `max_batch`: due now, whatever their holds.
+    full: VecDeque<BatchWork>,
     shutdown: bool,
 }
 
@@ -92,10 +122,9 @@ struct BatcherInner {
     client: Client,
     cfg: BatchConfig,
     state: Mutex<BatcherState>,
-    /// Wakes the flusher when work arrives or shutdown starts.
+    /// Wakes one idle dispatcher when a member arrives, when a departing
+    /// dispatcher leaves windows behind, or (all of them) on shutdown.
     cv: Condvar,
-    /// Set once the flusher has drained and exited.
-    done: AtomicBool,
 }
 
 /// The per-model coalescing front: submit requests, receive individual
@@ -104,8 +133,6 @@ struct BatcherInner {
 /// pending and joins its threads.
 pub struct Batcher {
     inner: Arc<BatcherInner>,
-    work_tx: Option<Sender<BatchWork>>,
-    flusher: Option<JoinHandle<()>>,
     dispatchers: Vec<JoinHandle<()>>,
 }
 
@@ -123,46 +150,25 @@ impl Batcher {
             cfg,
             state: Mutex::new(BatcherState {
                 queues: HashMap::new(),
+                full: VecDeque::new(),
                 shutdown: false,
             }),
             cv: Condvar::new(),
-            done: AtomicBool::new(false),
         });
-        let (work_tx, work_rx) = std::sync::mpsc::channel::<BatchWork>();
-        let work_rx = Arc::new(Mutex::new(work_rx));
         let dispatchers = (0..cfg.dispatchers)
             .map(|i| {
                 let inner = Arc::clone(&inner);
-                let work_rx = Arc::clone(&work_rx);
                 std::thread::Builder::new()
                     .name(format!("bw-batch-dispatch-{i}"))
-                    .spawn(move || loop {
-                        let work = {
-                            let rx = work_rx.lock().unwrap_or_else(|e| e.into_inner());
-                            rx.recv()
-                        };
-                        match work {
-                            Ok(work) => dispatch_batch(&inner.client, work),
-                            Err(_) => break, // all senders gone: drained
+                    .spawn(move || {
+                        while let Some(work) = next_work(&inner) {
+                            dispatch_batch(&inner.client, work);
                         }
                     })
                     .expect("dispatcher thread spawns")
             })
             .collect();
-        let flusher = {
-            let inner = Arc::clone(&inner);
-            let work_tx = work_tx.clone();
-            std::thread::Builder::new()
-                .name("bw-batch-flusher".to_owned())
-                .spawn(move || flusher_loop(&inner, &work_tx))
-                .expect("flusher thread spawns")
-        };
-        Batcher {
-            inner,
-            work_tx: Some(work_tx),
-            flusher: Some(flusher),
-            dispatchers,
-        }
+        Batcher { inner, dispatchers }
     }
 
     /// Enqueues one request into its model's coalescing window. Returns
@@ -177,42 +183,50 @@ impl Batcher {
         deadline: Duration,
     ) -> Receiver<Result<Response, ServeError>> {
         let (reply_tx, reply_rx) = std::sync::mpsc::channel();
+        // A caller that stopped listening just drops its receiver; the
+        // request is already accounted in the server metrics.
+        let reply = move |result| drop(reply_tx.send(result));
+        self.submit_with(model, input, deadline, Box::new(reply));
+        reply_rx
+    }
+
+    /// [`Batcher::submit`] with the caller's own completion: `reply`
+    /// runs on the dispatcher thread that resolved the member.
+    pub(crate) fn submit_with(
+        &self,
+        model: &str,
+        input: Vec<f32>,
+        deadline: Duration,
+        reply: Reply,
+    ) {
         let item = BatchItem::new(input, deadline);
         let hold = self.hold_budget(&item);
         let member = PendingMember {
             flush_at: item.arrived_at + hold,
             item,
-            reply: reply_tx,
+            reply,
         };
-        let full = {
+        {
             let mut state = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
             if state.shutdown {
-                // Shutting down: drop the member, disconnecting the
-                // reply channel.
-                return reply_rx;
+                // Shutting down: drop the member and, with it, the reply
+                // undelivered.
+                return;
             }
             let queue = state.queues.entry(model.to_owned()).or_default();
             queue.push(member);
             if queue.len() >= self.inner.cfg.max_batch {
-                Some(BatchWork {
-                    model: model.to_owned(),
-                    members: std::mem::take(queue),
-                })
-            } else {
-                None
+                // The window filled: due now, no hold time wasted.
+                let (model, members) = state
+                    .queues
+                    .remove_entry(model)
+                    .expect("the window just pushed to");
+                state.full.push_back(BatchWork { model, members });
             }
-        };
-        match full {
-            // The window filled: flush inline, no hold time wasted.
-            Some(work) => {
-                if let Some(tx) = &self.work_tx {
-                    let _ = tx.send(work);
-                }
-            }
-            // Otherwise the flusher owns the member's hold deadline.
-            None => self.inner.cv.notify_all(),
         }
-        reply_rx
+        // Whichever dispatcher this wakes takes the full window, or
+        // re-reads the earliest hold deadline this member may have moved.
+        self.inner.cv.notify_one();
     }
 
     /// [`Batcher::submit`] + blocking receive: the drop-in replacement
@@ -255,78 +269,60 @@ impl Drop for Batcher {
             state.shutdown = true;
         }
         self.inner.cv.notify_all();
-        if let Some(flusher) = self.flusher.take() {
-            let _ = flusher.join();
-        }
-        debug_assert!(self.inner.done.load(Ordering::Acquire));
-        // Dropping the last sender lets the dispatcher pool drain the
-        // already-flushed batches and exit.
-        self.work_tx = None;
         for handle in self.dispatchers.drain(..) {
             let _ = handle.join();
         }
     }
 }
 
-/// The flusher: sleeps until the earliest hold deadline (or new work),
-/// then moves every due queue to the dispatcher pool. On shutdown it
-/// flushes everything still pending so no submitted request is dropped.
-fn flusher_loop(inner: &BatcherInner, work_tx: &Sender<BatchWork>) {
+/// Blocks an idle dispatcher until a window is due and takes it: a full
+/// window first, else the open window whose earliest hold deadline has
+/// passed. Shutdown makes every window due, so no submitted request is
+/// dropped; `None` means shut down and drained.
+fn next_work(inner: &BatcherInner) -> Option<BatchWork> {
     let mut state = inner.state.lock().unwrap_or_else(|e| e.into_inner());
-    loop {
-        if state.shutdown {
-            for (model, members) in state.queues.drain() {
-                if !members.is_empty() {
-                    let _ = work_tx.send(BatchWork { model, members });
-                }
-            }
-            inner.done.store(true, Ordering::Release);
-            return;
+    let work = loop {
+        if let Some(work) = state.full.pop_front() {
+            break work;
         }
-        let now = Instant::now();
-        // Flush every queue whose oldest member's hold budget expired
-        // (the inline path in `submit` already handles full queues).
-        let due: Vec<String> = state
+        let earliest = state
             .queues
             .iter()
-            .filter(|(_, q)| q.iter().any(|m| m.flush_at <= now))
-            .map(|(model, _)| model.clone())
-            .collect();
-        for model in due {
-            if let Some(members) = state.queues.remove(&model) {
-                if !members.is_empty() {
-                    let _ = work_tx.send(BatchWork { model, members });
-                }
-            }
-        }
-        let next = state
-            .queues
-            .values()
-            .flat_map(|q| q.iter().map(|m| m.flush_at))
+            .filter_map(|(model, q)| Some((q.iter().map(|m| m.flush_at).min()?, model)))
             .min();
-        state = match next {
-            Some(at) => {
-                let timeout = at.saturating_duration_since(Instant::now());
-                inner
-                    .cv
-                    .wait_timeout(state, timeout)
-                    .unwrap_or_else(|e| e.into_inner())
-                    .0
+        let now = Instant::now();
+        state = match earliest {
+            Some((at, model)) if state.shutdown || at <= now => {
+                let model = model.clone();
+                let members = state.queues.remove(&model).expect("the window just seen");
+                break BatchWork { model, members };
             }
+            Some((at, _)) => {
+                let (state, _timed_out) = inner
+                    .cv
+                    .wait_timeout(state, at - now)
+                    .unwrap_or_else(|e| e.into_inner());
+                state
+            }
+            None if state.shutdown => return None,
             None => inner.cv.wait(state).unwrap_or_else(|e| e.into_inner()),
         };
+    };
+    // This thread is about to block in a dispatch: hand the hold timer to
+    // another idle dispatcher if windows remain.
+    if !(state.full.is_empty() && state.queues.is_empty()) {
+        inner.cv.notify_one();
     }
+    Some(work)
 }
 
 /// Drives one flushed batch through the blocking coalesced lifecycle
-/// and fans the per-member outcomes back to their reply channels.
+/// and fans the per-member outcomes back to their replies.
 fn dispatch_batch(client: &Client, work: BatchWork) {
     let items: Vec<BatchItem> = work.members.iter().map(|m| m.item.clone()).collect();
     let results = client.call_batch(&work.model, &items);
     for (member, result) in work.members.into_iter().zip(results) {
-        // A caller that stopped listening just drops its receiver; the
-        // request is already accounted in the server metrics.
-        let _ = member.reply.send(result);
+        (member.reply)(result);
     }
 }
 
@@ -388,6 +384,37 @@ mod tests {
         assert_eq!(resp.output.len(), 8);
         let m = &server.client().metrics().models[0];
         assert_eq!((m.completed, m.batches, m.batched_requests), (1, 1, 1));
+    }
+
+    /// The one dispatcher is asleep on model A's far-off hold deadline
+    /// when model B's near one arrives: the submit wakes it to re-read
+    /// the earliest deadline, so B is not held for A's sake.
+    #[test]
+    fn a_later_member_with_an_earlier_hold_deadline_flushes_first() {
+        let server = Server::builder()
+            .model(mlp_artifact("a", &[16, 8], 3))
+            .model(mlp_artifact("b", &[16, 8], 4))
+            .replicas(1)
+            .queue_cap(64)
+            .spawn()
+            .unwrap();
+        let batcher = Batcher::new(
+            server.client(),
+            BatchConfig {
+                max_batch: 64,
+                max_hold: Duration::from_secs(60),
+                slack_fraction: 0.005,
+                dispatchers: 1,
+            },
+        );
+        // Holds: 0.005 × 10,000 s = 50 s for A, 0.005 × 1 s = 5 ms for B.
+        let a = batcher.submit("a", demo_input(16, 0), Duration::from_secs(10_000));
+        let b = batcher.submit("b", demo_input(16, 1), Duration::from_secs(1));
+        let resp = b.recv_timeout(Duration::from_secs(20)).unwrap().unwrap();
+        assert_eq!(resp.output.len(), 8);
+        assert_eq!(batcher.pending(), 1, "A is still inside its own hold");
+        drop(batcher);
+        assert!(a.recv_timeout(Duration::from_secs(10)).unwrap().is_ok());
     }
 
     #[test]

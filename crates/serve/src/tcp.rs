@@ -24,10 +24,31 @@
 //! framing errors poison the connection: it stops reading, drains the
 //! responses it still owes, sends one final `Error` frame, and closes.
 //!
+//! # What wakes an event loop
+//!
+//! A loop blocks in one `poll` with no timeout over three kinds of
+//! descriptor, and nothing else ever wakes it:
+//!
+//! - the shared listener and its own connections — a peer connected,
+//!   sent bytes, drained enough for a stalled write to continue, or hung
+//!   up;
+//! - the read end of its *wake channel* (a socket pair): whoever finishes
+//!   a reply for one of its connections — a batcher dispatcher thread —
+//!   first sends the reply, then writes one byte here, so a finished
+//!   reply is a readiness event like any other and goes out as soon as it
+//!   exists;
+//! - the same channel again on [`TcpFrontend::shutdown`], which sets the
+//!   stop flag and writes the byte.
+//!
+//! There is no tick: a connected-but-idle server makes no wake-ups, and
+//! the only timer on the whole TCP path is a coalescing window's own hold
+//! deadline, kept by the batcher's dispatchers (see [`crate::batch`]).
+//!
 //! Readiness itself comes from `poll(2)` issued as a raw syscall on
 //! x86-64 Linux (the workspace vendors no libc binding); other targets
-//! fall back to a short-sleep scan that treats every socket as ready and
-//! relies on the nonblocking reads to sort out who actually was.
+//! fall back to a short-nap scan that treats every socket as ready and
+//! relies on the nonblocking reads to sort out who actually was, so there
+//! a finished reply waits out at most one nap.
 //!
 //! [`wire`]: crate::wire
 
@@ -71,7 +92,8 @@ impl Default for TcpFrontendConfig {
 pub struct TcpFrontend {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    loops: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// Each loop's thread and the wake channel that unblocks its poll.
+    loops: Mutex<Vec<(Arc<Wake>, std::thread::JoinHandle<()>)>>,
     // Held so the coalescing window outlives every event loop; the last
     // Arc drop (after the joins) flushes and joins the batcher's own
     // threads.
@@ -106,19 +128,28 @@ impl TcpFrontend {
         let stop = Arc::new(AtomicBool::new(false));
         let batcher = Arc::new(Batcher::new(server.client(), cfg.batch));
 
-        let loops = (0..cfg.event_loops.max(1))
-            .map(|i| {
+        // Every fallible step comes before the first spawn, so an error
+        // leaves no thread behind.
+        let wakes = (0..cfg.event_loops.max(1))
+            .map(|_| Wake::new().map(Arc::new))
+            .collect::<std::io::Result<Vec<_>>>()?;
+        let loops = wakes
+            .into_iter()
+            .enumerate()
+            .map(|(i, wake)| {
                 let mut event_loop = EventLoop {
                     listener: Arc::clone(&listener),
                     client: server.client(),
                     batcher: Arc::clone(&batcher),
                     stop: Arc::clone(&stop),
+                    wake: Arc::clone(&wake),
                     conns: Vec::new(),
                 };
-                std::thread::Builder::new()
+                let handle = std::thread::Builder::new()
                     .name(format!("bw-serve-loop-{i}"))
                     .spawn(move || event_loop.run())
-                    .expect("event loop thread spawns")
+                    .expect("event loop thread spawns");
+                (wake, handle)
             })
             .collect();
 
@@ -138,7 +169,8 @@ impl TcpFrontend {
     /// Stops the event loops and joins them.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::Release);
-        for handle in self.loops.lock().drain(..) {
+        for (wake, handle) in self.loops.lock().drain(..) {
+            wake.wake();
             let _ = handle.join();
         }
     }
@@ -150,10 +182,10 @@ impl Drop for TcpFrontend {
     }
 }
 
-/// `poll(2)` readiness, issued as a raw syscall: the workspace carries no
-/// libc binding, and spinning a scan over ten thousand idle sockets is
-/// exactly what the readiness loop exists to avoid.
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+/// Readiness for a set of descriptors: `poll(2)` issued as a raw
+/// syscall where the workspace can (it carries no libc binding, and
+/// spinning a scan over ten thousand idle sockets is exactly what the
+/// readiness loop exists to avoid), a nap-and-over-report elsewhere.
 mod readiness {
     /// Matches the kernel's `struct pollfd` layout.
     #[repr(C)]
@@ -168,12 +200,22 @@ mod readiness {
     pub const POLLERR: i16 = 0x008;
     pub const POLLHUP: i16 = 0x010;
 
-    /// `poll(fds, nfds, timeout_ms)`; returns the syscall's raw result
-    /// (ready count, 0 on timeout, negative errno on failure — callers
-    /// treat failures like timeouts and retry).
+    /// `poll(fds, nfds, timeout_ms)`, a negative timeout blocking until
+    /// something is ready; returns the syscall's raw result (ready
+    /// count, 0 on timeout, negative errno on failure — callers treat
+    /// failures like timeouts and retry).
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     pub fn poll(fds: &mut [PollFd], timeout_ms: i32) -> isize {
         const SYS_POLL: isize = 7;
         let ret: isize;
+        // SAFETY: the kernel reads and writes exactly `rsi` `struct pollfd`
+        // records starting at `rdi` — the pointer and length of one
+        // exclusively borrowed slice whose `repr(C)` element has that
+        // struct's layout — so it stays inside memory this call owns.
+        // `syscall` returns in `rax` and clobbers only `rcx` and `r11`,
+        // both declared; it uses no stack (`nostack`), and without `nomem`
+        // the compiler assumes memory changed, so the `revents` the kernel
+        // wrote are re-read.
         unsafe {
             core::arch::asm!(
                 "syscall",
@@ -188,34 +230,67 @@ mod readiness {
         }
         ret
     }
-}
 
-/// Portable fallback: report every registered interest as ready after a
-/// short sleep. The nonblocking reads and writes behind it turn the
-/// over-report into cheap `WouldBlock`s; correctness is identical, only
-/// idle efficiency degrades.
-#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-mod readiness {
-    #[repr(C)]
-    pub struct PollFd {
-        pub fd: i32,
-        pub events: i16,
-        pub revents: i16,
-    }
+    #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+    pub use portable_poll as poll;
 
-    pub const POLLIN: i16 = 0x001;
-    pub const POLLOUT: i16 = 0x004;
-    pub const POLLERR: i16 = 0x008;
-    pub const POLLHUP: i16 = 0x010;
-
-    pub fn poll(fds: &mut [PollFd], timeout_ms: i32) -> isize {
-        std::thread::sleep(std::time::Duration::from_millis(
-            u64::try_from(timeout_ms.clamp(0, 5)).unwrap_or(0),
-        ));
+    /// Portable fallback: report every registered interest as ready
+    /// after a short nap (the longest one when asked to block). The
+    /// nonblocking reads and writes behind it turn the over-report into
+    /// cheap `WouldBlock`s; correctness is identical, only idle
+    /// efficiency degrades.
+    #[cfg(any(test, not(all(target_os = "linux", target_arch = "x86_64"))))]
+    pub fn portable_poll(fds: &mut [PollFd], timeout_ms: i32) -> isize {
+        const LONGEST_NAP_MS: u64 = 5;
+        let nap_ms = u64::try_from(timeout_ms).map_or(LONGEST_NAP_MS, |ms| ms.min(LONGEST_NAP_MS));
+        std::thread::sleep(std::time::Duration::from_millis(nap_ms));
         for f in fds.iter_mut() {
             f.revents = f.events;
         }
         fds.len() as isize
+    }
+}
+
+#[cfg(unix)]
+type WakeStream = std::os::unix::net::UnixStream;
+#[cfg(not(unix))]
+type WakeStream = TcpStream;
+
+/// One event loop's wake channel: a connected stream pair whose read
+/// end sits in the loop's poll set, so anything that happens off the
+/// sockets — a reply finishing on a dispatcher thread, shutdown — is a
+/// readiness event like any other. Both ends live here, so a late wake
+/// never writes to a closed peer.
+struct Wake {
+    tx: WakeStream,
+    rx: WakeStream,
+}
+
+impl Wake {
+    fn new() -> std::io::Result<Wake> {
+        #[cfg(unix)]
+        let (tx, rx) = WakeStream::pair()?;
+        #[cfg(not(unix))]
+        let (tx, rx) = {
+            let listener = TcpListener::bind("127.0.0.1:0")?;
+            let tx = TcpStream::connect(listener.local_addr()?)?;
+            (tx, listener.accept()?.0)
+        };
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        Ok(Wake { tx, rx })
+    }
+
+    /// Makes the loop's next (or current) poll return. A full pipe means
+    /// wakes are already unread, which is all this one would have said.
+    fn wake(&self) {
+        let _ = (&self.tx).write(&[1]);
+    }
+
+    /// Consumes every wake byte, so the next poll blocks again.
+    fn drain(&self) {
+        let mut buf = [0u8; 64];
+        while matches!((&self.rx).read(&mut buf), Ok(n) if n == buf.len()) {}
     }
 }
 
@@ -336,6 +411,7 @@ struct EventLoop {
     client: Client,
     batcher: Arc<Batcher>,
     stop: Arc<AtomicBool>,
+    wake: Arc<Wake>,
     conns: Vec<Conn>,
 }
 
@@ -344,18 +420,14 @@ impl EventLoop {
         use readiness::{PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
 
         while !self.stop.load(Ordering::Acquire) {
-            // Responses can complete without any socket event, so poll
-            // with a short timeout while replies are in flight and a
-            // long one when fully idle.
-            let waiting = self.conns.iter().any(|c| !c.pending.is_empty());
-            let timeout_ms = if waiting { 1 } else { 25 };
-
-            let mut fds = Vec::with_capacity(self.conns.len() + 1);
-            fds.push(PollFd {
-                fd: raw_fd(&*self.listener),
-                events: POLLIN,
-                revents: 0,
-            });
+            let mut fds = Vec::with_capacity(self.conns.len() + 2);
+            for fd in [raw_fd(&*self.listener), raw_fd(&self.wake.rx)] {
+                fds.push(PollFd {
+                    fd,
+                    events: POLLIN,
+                    revents: 0,
+                });
+            }
             for conn in &self.conns {
                 let mut events = 0;
                 if !conn.poisoned {
@@ -370,13 +442,20 @@ impl EventLoop {
                     revents: 0,
                 });
             }
-            readiness::poll(&mut fds, timeout_ms);
+            // Block: replies finishing elsewhere and shutdown arrive as
+            // a byte on the wake channel, so nothing needs a tick.
+            readiness::poll(&mut fds, -1);
 
             if fds[0].revents & POLLIN != 0 {
                 self.accept_ready();
             }
+            if fds[1].revents & POLLIN != 0 {
+                // Before `drain_pending` below: a reply that lands after
+                // this leaves its byte for the next poll.
+                self.wake.drain();
+            }
 
-            for (conn, fd) in self.conns.iter_mut().zip(&fds[1..]) {
+            for (conn, fd) in self.conns.iter_mut().zip(&fds[2..]) {
                 if fd.revents & (POLLERR | POLLHUP) != 0 {
                     // Let the read path observe the close/error so owed
                     // responses are not silently dropped on a half-close.
@@ -384,7 +463,7 @@ impl EventLoop {
                 }
                 if fd.revents & POLLIN != 0 && !conn.poisoned && !conn.closed {
                     conn.read_ready();
-                    parse_frames(conn, &self.client, &self.batcher);
+                    parse_frames(conn, &self.client, &self.batcher, &self.wake);
                 }
             }
 
@@ -430,7 +509,7 @@ impl EventLoop {
 
 /// Peels complete frames off `conn.rbuf` and turns each into a pending
 /// reply ticket. A framing or decode error poisons the connection.
-fn parse_frames(conn: &mut Conn, client: &Client, batcher: &Batcher) {
+fn parse_frames(conn: &mut Conn, client: &Client, batcher: &Batcher, wake: &Arc<Wake>) {
     while !conn.poisoned {
         let payload = match try_extract_frame(&mut conn.rbuf) {
             Ok(Some(p)) => p,
@@ -446,7 +525,16 @@ fn parse_frames(conn: &mut Conn, client: &Client, batcher: &Batcher) {
                 deadline_us,
                 input,
             }) => {
-                let rx = batcher.submit(&model, input, Duration::from_micros(deadline_us));
+                let (tx, rx) = std::sync::mpsc::channel();
+                let wake = Arc::clone(wake);
+                // Send, then wake: the loop that sees the byte finds the
+                // reply already in the channel.
+                let reply = move |result| {
+                    let _ = tx.send(result);
+                    wake.wake();
+                };
+                let deadline = Duration::from_micros(deadline_us);
+                batcher.submit_with(&model, input, deadline, Box::new(reply));
                 conn.pending.push_back(PendingReply::Infer(rx));
             }
             Ok(WireRequest::Metrics) => {
@@ -648,5 +736,90 @@ impl TcpClient {
             .map_err(|_| ServeError::Disconnected)?
             .ok_or(ServeError::Disconnected)?;
         WireResponse::decode(&payload).map_err(|e| ServeError::Remote(e.to_string()))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::readiness::{self, PollFd, POLLHUP, POLLIN, POLLOUT};
+    use std::time::{Duration, Instant};
+
+    /// The fallback cannot know who is ready, so it must report every
+    /// interest (the nonblocking I/O sorts it out) and, asked to block,
+    /// must nap rather than spin.
+    #[test]
+    fn portable_poll_reports_every_interest_and_naps_when_asked_to_block() {
+        let interests = [POLLIN, POLLOUT, POLLIN | POLLOUT, 0];
+        let mut fds: Vec<PollFd> = interests
+            .iter()
+            .map(|&events| PollFd {
+                fd: -1,
+                events,
+                revents: 0,
+            })
+            .collect();
+        let start = Instant::now();
+        assert_eq!(readiness::portable_poll(&mut fds, -1), 4);
+        assert!(start.elapsed() >= Duration::from_millis(5), "spun on -1");
+        let reported: Vec<i16> = fds.iter().map(|f| f.revents).collect();
+        assert_eq!(reported, interests);
+    }
+
+    /// The raw syscall against real descriptors.
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    mod syscall {
+        use super::*;
+        use std::io::Write;
+        use std::os::unix::io::AsRawFd;
+        use std::os::unix::net::UnixStream;
+
+        fn poll_one(stream: &UnixStream, events: i16, timeout_ms: i32) -> (isize, i16) {
+            let mut fds = [PollFd {
+                fd: stream.as_raw_fd(),
+                events,
+                revents: 0,
+            }];
+            let ready = readiness::poll(&mut fds, timeout_ms);
+            (ready, fds[0].revents)
+        }
+
+        #[test]
+        fn nothing_ready_times_out_with_zero() {
+            let (a, _b) = UnixStream::pair().unwrap();
+            assert_eq!(poll_one(&a, POLLIN, 0), (0, 0));
+        }
+
+        #[test]
+        fn a_written_byte_reports_pollin() {
+            let (a, mut b) = UnixStream::pair().unwrap();
+            b.write_all(&[1]).unwrap();
+            assert_eq!(poll_one(&a, POLLIN, 0), (1, POLLIN));
+        }
+
+        #[test]
+        fn an_empty_send_buffer_reports_pollout() {
+            let (a, _b) = UnixStream::pair().unwrap();
+            assert_eq!(poll_one(&a, POLLIN | POLLOUT, 0), (1, POLLOUT));
+        }
+
+        #[test]
+        fn a_dropped_peer_reports_pollhup_unasked() {
+            let (a, b) = UnixStream::pair().unwrap();
+            drop(b);
+            let (ready, revents) = poll_one(&a, 0, 0);
+            assert_eq!(ready, 1);
+            assert_ne!(revents & POLLHUP, 0);
+        }
+
+        /// Whether the write lands before or during the call, a blocking
+        /// poll returns with it; a hang is the failure.
+        #[test]
+        fn a_blocking_poll_returns_when_another_thread_writes() {
+            let (a, b) = UnixStream::pair().unwrap();
+            std::thread::scope(|s| {
+                s.spawn(|| (&b).write_all(&[1]).unwrap());
+                assert_eq!(poll_one(&a, POLLIN, -1), (1, POLLIN));
+            });
+        }
     }
 }

@@ -387,8 +387,8 @@ pub(crate) fn spawn_worker(
     }
 }
 
-/// Runs one popped job on its pinned model: one column is a batch-1
-/// inference, N columns are one multi-column dispatch.
+/// Runs one popped job on its pinned model as one multi-column
+/// dispatch; a single column takes the batch-1 kernel path inside it.
 fn serve(
     model: &mut PinnedModel,
     job: &Job,
@@ -396,17 +396,12 @@ fn serve(
     queue_wait_s: f64,
     popped: Instant,
 ) -> Completion {
-    let result = match (&*job.columns, job.collect_spans) {
-        ([input], true) => model
-            .infer_traced(input, job.trace_id)
-            .map(|(output, stats, spans)| (vec![output], stats, spans)),
-        ([input], false) => model
-            .infer_with_stats(input)
-            .map(|(output, stats)| (vec![output], stats, Vec::new())),
-        (inputs, true) => model.infer_batch_traced(inputs, job.trace_id),
-        (inputs, false) => model
-            .infer_batch(inputs)
-            .map(|(outputs, stats)| (outputs, stats, Vec::new())),
+    let result = if job.collect_spans {
+        model.infer_batch_traced(&job.columns, job.trace_id)
+    } else {
+        model
+            .infer_batch(&job.columns)
+            .map(|(outputs, stats)| (outputs, stats, Vec::new()))
     };
     let done_at = Instant::now();
     match result {

@@ -39,6 +39,94 @@ fn fd_soft_limit() -> usize {
         .unwrap_or(1024)
 }
 
+/// `voluntary_ctxt_switches` (how often the thread has blocked) of every
+/// front-end thread in this process — event loops and batcher threads —
+/// keyed by its `/proc` task directory and carrying its `comm`.
+#[cfg(target_os = "linux")]
+fn frontend_thread_blocks() -> std::collections::BTreeMap<std::path::PathBuf, (String, u64)> {
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|task| {
+            let dir = task.unwrap().path();
+            let status = std::fs::read_to_string(dir.join("status")).ok()?;
+            let field = |key| {
+                status
+                    .lines()
+                    .find_map(|l| Some(l.strip_prefix(key)?.trim()))
+            };
+            let comm = field("Name:")?.to_owned();
+            let blocks = field("voluntary_ctxt_switches:")?.parse().ok()?;
+            (comm.starts_with("bw-serve-loop") || comm.starts_with("bw-batch"))
+                .then_some((dir, (comm, blocks)))
+        })
+        .collect()
+}
+
+/// A connected-but-quiet server makes no wake-ups: every event loop sits
+/// in one blocking poll and every dispatcher in one condvar wait, so no
+/// front-end thread blocks a second time while nothing happens. Waiting
+/// longer only gives a tick more chances to show, so a slow host cannot
+/// fail this.
+#[cfg(target_os = "linux")]
+#[test]
+fn idle_connected_server_makes_no_wakeups() {
+    // Thread names are per process and the sibling tests run front ends
+    // of their own concurrently: observe this one alone, in a child.
+    const CHILD: &str = "BW_IDLE_WAKEUPS_CHILD";
+    if std::env::var_os(CHILD).is_none() {
+        let child = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "idle_connected_server_makes_no_wakeups"])
+            .env(CHILD, "1")
+            .output()
+            .unwrap();
+        assert!(
+            child.status.success(),
+            "{}",
+            String::from_utf8_lossy(&child.stdout)
+        );
+        return;
+    }
+
+    let server = Server::builder()
+        .model(mlp_artifact("mlp", &[16, 8], 2))
+        .spawn()
+        .unwrap();
+    let frontend = TcpFrontend::bind(&server, "127.0.0.1:0").unwrap();
+    let mut client = TcpClient::connect(frontend.addr()).unwrap();
+    client.call("mlp", &demo_input(16, 1), DEADLINE).unwrap();
+
+    let idle_window = || {
+        let before = frontend_thread_blocks();
+        std::thread::sleep(Duration::from_millis(500));
+        (before, frontend_thread_blocks())
+    };
+    // The first window may still catch a thread on its way back to its
+    // wait after serving the request; a periodic wake-up shows in all.
+    let mut window = idle_window();
+    for _ in 0..2 {
+        if window.0 != window.1 {
+            window = idle_window();
+        }
+    }
+    let (before, after) = window;
+    assert_eq!(before, after, "front-end threads woke while idle");
+    let cfg = TcpFrontendConfig::default();
+    assert_eq!(
+        before.len(),
+        cfg.event_loops + cfg.batch.dispatchers,
+        "one thread per loop and per dispatcher, nothing else: {before:?}"
+    );
+    assert!(
+        after
+            .values()
+            .all(|(comm, _)| !comm.starts_with("bw-batch-flushe")),
+        "the batcher still runs a flusher thread: {after:?}"
+    );
+
+    drop(client);
+    frontend.shutdown();
+}
+
 /// Thousands of concurrent idle connections, zero additional threads:
 /// the readiness loop multiplexes them all, and the front end stays
 /// live for real traffic underneath the idle mass. Both endpoints of

@@ -3,7 +3,7 @@
 use std::time::Duration;
 
 use bw_serve::demo::{demo_input, mlp_artifact};
-use bw_serve::{ServeError, Server, TcpClient, TcpFrontend};
+use bw_serve::{BatchConfig, ServeError, Server, TcpClient, TcpFrontend, TcpFrontendConfig};
 
 const DEADLINE: Duration = Duration::from_secs(10);
 
@@ -113,6 +113,72 @@ fn sla_rejections_cross_the_wire_typed() {
     assert_eq!(resp.output.len(), 8);
     let m = server.metrics();
     assert_eq!(m.models[0].submitted, 1, "the rejection was never admitted");
+
+    frontend.shutdown();
+}
+
+/// Nothing ticks, so shutdown itself has to wake a loop that is blocked
+/// in its poll on an idle connection.
+#[test]
+fn shutdown_wakes_a_loop_blocked_on_an_idle_connection() {
+    let server = Server::builder()
+        .model(mlp_artifact("mlp", &[16, 8], 3))
+        .spawn()
+        .unwrap();
+    let frontend = TcpFrontend::bind(&server, "127.0.0.1:0").unwrap();
+    let mut client = TcpClient::connect(frontend.addr()).unwrap();
+    // A served request proves a loop owns the connection.
+    client.call("mlp", &demo_input(16, 0), DEADLINE).unwrap();
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        frontend.shutdown();
+        done_tx.send(()).unwrap();
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("shutdown hung behind a blocked event loop");
+    stopper.join().unwrap();
+
+    // The loops are gone and took the idle connection with them.
+    let err = client
+        .call("mlp", &demo_input(16, 0), DEADLINE)
+        .unwrap_err();
+    assert!(matches!(err, ServeError::Disconnected), "got {err}");
+}
+
+/// A lone request cannot fill a `max_batch: 8` window: its reply exists
+/// only because a dispatcher timed the hold out, and reaches the socket
+/// only because that dispatcher woke the event loop.
+#[test]
+fn a_window_flushed_by_hold_expiry_still_replies_over_tcp() {
+    let server = Server::builder()
+        .model(mlp_artifact("mlp", &[16, 8], 3))
+        .spawn()
+        .unwrap();
+    let hold = Duration::from_millis(20);
+    let frontend = TcpFrontend::bind_with(
+        &server,
+        "127.0.0.1:0",
+        TcpFrontendConfig {
+            event_loops: 1,
+            batch: BatchConfig {
+                max_batch: 8,
+                max_hold: hold,
+                slack_fraction: 1.0,
+                dispatchers: 1,
+            },
+        },
+    )
+    .unwrap();
+    let mut client = TcpClient::connect(frontend.addr()).unwrap();
+
+    let sent = std::time::Instant::now();
+    let resp = client.call("mlp", &demo_input(16, 2), DEADLINE).unwrap();
+    assert_eq!(resp.output.len(), 8);
+    assert!(sent.elapsed() >= hold, "the window flushed before its hold");
+    let m = &server.metrics().models[0];
+    assert_eq!((m.completed, m.batches, m.batched_requests), (1, 1, 1));
 
     frontend.shutdown();
 }

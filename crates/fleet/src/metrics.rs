@@ -146,8 +146,7 @@ impl FleetMetrics {
             ),
         ];
         for (name, help, value) in counters {
-            e.counter(name, help);
-            e.sample(name, &[], value as f64);
+            e.counter(name, help).value(value as f64);
         }
         e.finish()
     }

@@ -70,7 +70,7 @@ impl From<&ModelSnapshot> for ModelObservation {
             completed: snap.completed,
             shed: snap.shed,
             failed: snap.failed,
-            latency: snap.latency_hist.clone(),
+            latency: snap.latency.clone(),
         }
     }
 }

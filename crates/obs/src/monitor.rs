@@ -258,37 +258,43 @@ impl Monitor {
         let engine = &state.engine;
         let mut exp = Exposition::new();
 
-        exp.counter("bw_obs_scrapes_total", "Scrapes taken by the monitor");
-        exp.sample("bw_obs_scrapes_total", &[], engine.scrapes() as f64);
+        const KINDS: [SloKind; 2] = [SloKind::Availability, SloKind::Latency];
+        // Every (spec, SLO kind, burn rule) alert, in exposition order.
+        let alerts = || {
+            engine.specs().iter().flat_map(|spec| {
+                KINDS.into_iter().flat_map(move |kind| {
+                    let alert = move |rule: &BurnRule| Alert {
+                        model: spec.model.clone(),
+                        slo: kind,
+                        speed: rule.speed,
+                    };
+                    engine.rules().iter().map(move |rule| (spec, alert(rule)))
+                })
+            })
+        };
 
+        exp.counter("bw_obs_scrapes_total", "Scrapes taken by the monitor")
+            .value(engine.scrapes() as f64);
+        let objectives = engine.specs().iter();
+        let objectives = objectives.map(|s| ([&s.model], s.latency_objective.as_secs_f64()));
         exp.gauge(
             "bw_slo_latency_objective_seconds",
             "Configured latency objective per model",
-        );
-        for spec in engine.specs() {
-            exp.sample(
-                "bw_slo_latency_objective_seconds",
-                &[("model", &spec.model)],
-                spec.latency_objective.as_secs_f64(),
-            );
-        }
-
+        )
+        .rows(["model"], objectives);
+        let budgets = engine.specs().iter().flat_map(|spec| {
+            KINDS.into_iter().filter_map(move |kind| {
+                let remaining = engine.error_budget_remaining(spec, kind)?;
+                Some(([spec.model.as_str(), kind.label()], remaining))
+            })
+        });
         exp.gauge(
             "bw_slo_error_budget_remaining",
             "Fraction of the error budget unspent since the monitor started (negative when overspent)",
-        );
-        for spec in engine.specs() {
-            for kind in [SloKind::Availability, SloKind::Latency] {
-                if let Some(remaining) = engine.error_budget_remaining(spec, kind) {
-                    exp.sample(
-                        "bw_slo_error_budget_remaining",
-                        &[("model", &spec.model), ("slo", kind.label())],
-                        remaining,
-                    );
-                }
-            }
-        }
+        )
+        .rows(["model", "slo"], budgets);
 
+        // Two families whose samples interleave per (model, window).
         exp.gauge(
             "bw_slo_burn_rate",
             "Error-budget burn rate over each rule window",
@@ -300,7 +306,7 @@ impl Monitor {
         for spec in engine.specs() {
             for rule in engine.rules() {
                 let window = rule.speed.label();
-                for kind in [SloKind::Availability, SloKind::Latency] {
+                for kind in KINDS {
                     if let Some(burn) = engine.burn_rate(spec, kind, rule.window) {
                         exp.sample(
                             "bw_slo_burn_rate",
@@ -325,35 +331,16 @@ impl Monitor {
             }
         }
 
+        let firing = alerts().map(|(spec, alert)| {
+            let labels = [&spec.model, alert.slo.label(), alert.speed.label()];
+            (labels, f64::from(u8::from(engine.is_firing(&alert))))
+        });
         exp.gauge(
             "bw_alert_firing",
             "1 while the burn-rate alert is firing, 0 otherwise",
-        );
-        for spec in engine.specs() {
-            for kind in [SloKind::Availability, SloKind::Latency] {
-                for rule in engine.rules() {
-                    let alert = Alert {
-                        model: spec.model.clone(),
-                        slo: kind,
-                        speed: rule.speed,
-                    };
-                    exp.sample(
-                        "bw_alert_firing",
-                        &[
-                            ("model", &spec.model),
-                            ("slo", kind.label()),
-                            ("window", rule.speed.label()),
-                        ],
-                        if engine.is_firing(&alert) { 1.0 } else { 0.0 },
-                    );
-                }
-            }
-        }
+        )
+        .rows(["model", "slo", "window"], firing);
 
-        exp.counter(
-            "bw_alert_transitions_total",
-            "Alert fire/clear transitions since the monitor started",
-        );
         let mut counts: std::collections::HashMap<(Alert, Transition), u64> =
             std::collections::HashMap::new();
         for event in &state.events {
@@ -361,32 +348,20 @@ impl Monitor {
                 .entry((event.alert.clone(), event.transition))
                 .or_insert(0) += 1;
         }
-        for spec in engine.specs() {
-            for kind in [SloKind::Availability, SloKind::Latency] {
-                for rule in engine.rules() {
-                    for transition in [Transition::Fire, Transition::Clear] {
-                        let alert = Alert {
-                            model: spec.model.clone(),
-                            slo: kind,
-                            speed: rule.speed,
-                        };
-                        let n = counts.get(&(alert, transition)).copied().unwrap_or(0);
-                        if n > 0 {
-                            exp.sample(
-                                "bw_alert_transitions_total",
-                                &[
-                                    ("model", &spec.model),
-                                    ("slo", kind.label()),
-                                    ("window", rule.speed.label()),
-                                    ("transition", transition.label()),
-                                ],
-                                n as f64,
-                            );
-                        }
-                    }
-                }
-            }
-        }
+        let counts = &counts;
+        let transitions = alerts().flat_map(|(spec, alert)| {
+            let (slo, window) = (alert.slo.label(), alert.speed.label());
+            let transitions = [Transition::Fire, Transition::Clear].into_iter();
+            transitions.filter_map(move |t| {
+                let n = *counts.get(&(alert.clone(), t))?;
+                Some(([&spec.model, slo, window, t.label()], n as f64))
+            })
+        });
+        exp.counter(
+            "bw_alert_transitions_total",
+            "Alert fire/clear transitions since the monitor started",
+        )
+        .rows(["model", "slo", "window", "transition"], transitions);
 
         exp.finish()
     }

@@ -13,8 +13,8 @@
 //! - worker threads — each pins every registered model onto its own
 //!   `bw-core` NPUs (fast kernels) and drains a bounded queue, one
 //!   batch-1 inference at a time;
-//! - a router — the same three policies `bw-system` models analytically
-//!   (round-robin / random / least-outstanding), applied to live queues;
+//! - a router — the three policies of `bw_system::Routing` (round-robin
+//!   / random / least-outstanding), applied to live queues;
 //! - a request lifecycle — deadlines, retry-with-failover onto replicas
 //!   on timeout or injected worker fault, and load shedding when every
 //!   replica's queue is full;

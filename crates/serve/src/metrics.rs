@@ -1,7 +1,28 @@
-//! The serving metrics layer: per-model counters and latency histograms
-//! with tail percentiles, queue-depth gauges, and a JSON snapshot — the
-//! observability §II-A's resource manager relies on to publish healthy
-//! instances.
+//! The serving metrics layer — the observability §II-A's resource
+//! manager relies on to publish healthy instances — and the one statement
+//! of what a *reading* of the pool is.
+//!
+//! **One write.** A completion is one [`ModelMetrics::complete`] call: it
+//! takes its row's one lock and records the request's four durations and
+//! four NPU counters together. `completed` *is* the latency histogram's
+//! count, so `completed`, `latency`, `queue_wait`, `service` and `network`
+//! count the same requests in every reading by construction. The
+//! admission-side counters (`submitted`, `shed`, `failed`, `retries`,
+//! `batches`, `batched_requests`) are lock-free; a row's completions are
+//! read before its `submitted`, so `completed <= submitted` always and
+//! `completed + shed + failed == submitted` once nothing is in flight.
+//!
+//! **One reading.** [`MetricsSnapshot`] is the only export of worker,
+//! link and model state. JSON ([`MetricsSnapshot::to_json`]), Prometheus
+//! ([`MetricsSnapshot::to_prometheus`]), the fleet controller and the SLO
+//! monitor all render that one value; nothing re-reads live state.
+//!
+//! **Two time domains.** `latency`, `queue_wait` and `service` are
+//! *host-domain*: wall-clock seconds of this process. `service` is the
+//! host time the NPU simulation took, not NPU time — that is `npu_cycles`
+//! over the device clock. `network` and the per-link busy seconds are
+//! *modeled-domain*: seconds charged by the `NetworkModel`, which
+//! `latency` contains because the executor sleeps them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -216,14 +237,26 @@ impl Histogram {
     }
 }
 
-/// Live counters for one registered model. All increments are lock-free;
-/// the histogram takes a short uncontended lock per completion.
+/// What completions have added to one metrics row. One lock guards all
+/// of it, so a reading sees each completion whole or not at all.
+#[derive(Clone, Debug, Default)]
+struct Completions {
+    latency: Histogram,
+    queue_wait: Histogram,
+    service: Histogram,
+    network: Histogram,
+    npu_cycles: u64,
+    npu_macs: u64,
+    npu_dep_stall_cycles: u64,
+    npu_resource_stall_cycles: u64,
+}
+
+/// Live counters for one registered model: lock-free admission-side
+/// counters plus the completion record under its one lock.
 #[derive(Debug, Default)]
 pub struct ModelMetrics {
     /// Requests admitted (past validation).
     pub submitted: AtomicU64,
-    /// Requests answered with an output.
-    pub completed: AtomicU64,
     /// Requests shed at admission (every replica queue full).
     pub shed: AtomicU64,
     /// Requests that failed after admission (deadline, faults, shutdown).
@@ -235,57 +268,35 @@ pub struct ModelMetrics {
     pub batches: AtomicU64,
     /// Requests that travelled inside a coalesced dispatch.
     pub batched_requests: AtomicU64,
-    /// End-to-end latency of completed requests.
-    pub latency: Mutex<Histogram>,
-    /// NPU cycles attributed to completed requests.
-    pub npu_cycles: AtomicU64,
-    /// MVM multiply-accumulates attributed to completed requests.
-    pub npu_macs: AtomicU64,
-    /// Dependency-stall cycles attributed to completed requests.
-    pub npu_dep_stall_cycles: AtomicU64,
-    /// Resource-stall cycles attributed to completed requests.
-    pub npu_resource_stall_cycles: AtomicU64,
-    /// Time completed requests spent queued before a worker picked them
-    /// up (per winning attempt).
-    pub queue_wait: Mutex<Histogram>,
-    /// Time the winning attempt spent executing on the NPU pool.
-    pub service: Mutex<Histogram>,
-    /// Modeled network transfer time charged per completed request
-    /// (scatter/gather and request/response legs; all-zero on an ideal
-    /// network).
-    pub network: Mutex<Histogram>,
+    completions: Mutex<Completions>,
 }
 
 impl ModelMetrics {
-    /// Records a completion with its end-to-end latency.
-    pub fn record_completed(&self, latency_s: f64) {
-        self.completed.fetch_add(1, Ordering::Relaxed);
-        self.latency.lock().record(latency_s);
-    }
-
-    /// Attributes one completed request's NPU work, queue/service split,
-    /// and modeled network time to this model.
-    pub fn record_attribution(
+    /// Records one completed request — the only write a completion makes:
+    /// its end-to-end latency, the winning attempt's queue wait and
+    /// service time, its modeled network time and its NPU work.
+    pub fn complete(
         &self,
+        latency_s: f64,
         queue_wait_s: f64,
         service_s: f64,
         network_s: f64,
         stats: &bw_core::RunStats,
     ) {
-        self.npu_cycles.fetch_add(stats.cycles, Ordering::Relaxed);
-        self.npu_macs.fetch_add(stats.mvm_macs, Ordering::Relaxed);
-        self.npu_dep_stall_cycles
-            .fetch_add(stats.dep_stall_cycles, Ordering::Relaxed);
-        self.npu_resource_stall_cycles
-            .fetch_add(stats.resource_stall_cycles, Ordering::Relaxed);
-        self.queue_wait.lock().record(queue_wait_s);
-        self.service.lock().record(service_s);
-        self.network.lock().record(network_s);
+        let mut c = self.completions.lock();
+        c.latency.record(latency_s);
+        c.queue_wait.record(queue_wait_s);
+        c.service.record(service_s);
+        c.network.record(network_s);
+        c.npu_cycles += stats.cycles;
+        c.npu_macs += stats.mvm_macs;
+        c.npu_dep_stall_cycles += stats.dep_stall_cycles;
+        c.npu_resource_stall_cycles += stats.resource_stall_cycles;
     }
 }
 
-/// Live counters for one client↔worker network link (the per-link half
-/// of the Prometheus exposition). All increments are lock-free.
+/// Live counters for one client↔worker network link. All increments are
+/// lock-free.
 #[derive(Debug, Default)]
 pub struct LinkMetrics {
     /// Transfer legs charged over this link.
@@ -307,14 +318,17 @@ impl LinkMetrics {
     }
 }
 
-/// A point-in-time reading of one model's metrics.
+/// A point-in-time reading of one model's metrics. The four histograms
+/// are cumulative and come from one lock acquisition; consumers derive
+/// summaries ([`Histogram::summary`]) and windows ([`Histogram::diff`])
+/// from them.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ModelSnapshot {
     /// The model name.
     pub model: String,
     /// Requests admitted.
     pub submitted: u64,
-    /// Requests completed.
+    /// Requests completed: always `latency.count()`.
     pub completed: u64,
     /// Requests shed at admission.
     pub shed: u64,
@@ -326,14 +340,8 @@ pub struct ModelSnapshot {
     pub batches: u64,
     /// Requests that travelled inside a coalesced dispatch.
     pub batched_requests: u64,
-    /// Latency distribution of completed requests.
-    pub latency: LatencySummary,
-    /// The raw cumulative latency histogram behind [`Self::latency`].
-    /// Carried so snapshot consumers can do window math —
-    /// [`Histogram::diff`] between two snapshots recovers the
-    /// distribution of just the requests completed between them. Not
-    /// serialized by [`MetricsSnapshot::to_json`].
-    pub latency_hist: Histogram,
+    /// End-to-end latency of completed requests (host-domain).
+    pub latency: Histogram,
     /// NPU cycles attributed to completed requests.
     pub npu_cycles: u64,
     /// MVM multiply-accumulates attributed to completed requests.
@@ -342,12 +350,15 @@ pub struct ModelSnapshot {
     pub npu_dep_stall_cycles: u64,
     /// Resource-stall cycles attributed to completed requests.
     pub npu_resource_stall_cycles: u64,
-    /// Queue-wait distribution of completed requests.
-    pub queue_wait: LatencySummary,
-    /// NPU service-time distribution of completed requests.
-    pub service: LatencySummary,
-    /// Modeled network-time distribution of completed requests.
-    pub network: LatencySummary,
+    /// Queue wait of each completed request's winning attempt
+    /// (host-domain).
+    pub queue_wait: Histogram,
+    /// Host time each completed request's winning attempt spent
+    /// simulating the NPU (host-domain; not NPU time).
+    pub service: Histogram,
+    /// Network time charged per completed request (modeled-domain;
+    /// all-zero on an ideal network).
+    pub network: Histogram,
 }
 
 impl ModelSnapshot {
@@ -356,7 +367,114 @@ impl ModelSnapshot {
     pub fn accounted(&self) -> u64 {
         self.completed + self.shed + self.failed
     }
+
+    /// The row's counters, stated once for both renderings — `(JSON key,
+    /// Prometheus family, HELP, value)` — in exposition order. JSON puts
+    /// `latency` after the first [`REQUEST_COUNTERS`] of them.
+    fn counters(&self) -> [(&'static str, &'static str, &'static str, u64); 11] {
+        [
+            (
+                "submitted",
+                "bw_requests_submitted_total",
+                "Requests admitted.",
+                self.submitted,
+            ),
+            (
+                "completed",
+                "bw_requests_completed_total",
+                "Requests answered with an output.",
+                self.completed,
+            ),
+            (
+                "shed",
+                "bw_requests_shed_total",
+                "Requests shed at admission.",
+                self.shed,
+            ),
+            (
+                "failed",
+                "bw_requests_failed_total",
+                "Requests failed after admission.",
+                self.failed,
+            ),
+            (
+                "retries",
+                "bw_requests_retries_total",
+                "Failover retries dispatched.",
+                self.retries,
+            ),
+            (
+                "batches",
+                "bw_batches_total",
+                "Coalesced multi-column dispatches issued.",
+                self.batches,
+            ),
+            (
+                "batched_requests",
+                "bw_batched_requests_total",
+                "Requests served inside a coalesced dispatch.",
+                self.batched_requests,
+            ),
+            (
+                "npu_cycles",
+                "bw_npu_cycles_total",
+                "NPU cycles attributed to completed requests.",
+                self.npu_cycles,
+            ),
+            (
+                "npu_macs",
+                "bw_npu_macs_total",
+                "MVM multiply-accumulates attributed to completed requests.",
+                self.npu_macs,
+            ),
+            (
+                "npu_dep_stall_cycles",
+                "bw_npu_dep_stall_cycles_total",
+                "Dependency-stall cycles attributed to completed requests.",
+                self.npu_dep_stall_cycles,
+            ),
+            (
+                "npu_resource_stall_cycles",
+                "bw_npu_resource_stall_cycles_total",
+                "Resource-stall cycles attributed to completed requests.",
+                self.npu_resource_stall_cycles,
+            ),
+        ]
+    }
+
+    /// The row's duration histograms, stated once like the counters; the
+    /// HELP text names the time domain. JSON puts `latency` before the
+    /// NPU counters and the rest after them.
+    fn durations(&self) -> [(&'static str, &'static str, &'static str, &Histogram); 4] {
+        [
+            (
+                "latency",
+                "bw_request_latency_seconds",
+                "End-to-end latency of completed requests (host wall time; includes modeled network).",
+                &self.latency,
+            ),
+            (
+                "queue_wait",
+                "bw_request_queue_wait_seconds",
+                "Queue wait of completed requests, winning attempt (host wall time).",
+                &self.queue_wait,
+            ),
+            (
+                "service",
+                "bw_request_service_seconds",
+                "Host wall time spent simulating the NPU for completed requests (not NPU time).",
+                &self.service,
+            ),
+            (
+                "network",
+                "bw_request_network_seconds",
+                "Network time charged to completed requests (modeled seconds).",
+                &self.network,
+            ),
+        ]
+    }
 }
+const REQUEST_COUNTERS: usize = 7;
 
 /// One model pinned on one worker: the residency half of the fleet
 /// control loop's observability.
@@ -393,12 +511,18 @@ pub struct MetricsSnapshot {
 
 impl MetricsSnapshot {
     /// Serializes the snapshot as a JSON object (through the workspace's
-    /// one writer, [`bw_trace::json::Writer`]).
+    /// one writer, [`bw_trace::json::Writer`]). Durations render as their
+    /// [`Histogram::summary`].
     pub fn to_json(&self) -> String {
-        fn uints(w: &mut Writer, key: &str, values: impl Iterator<Item = u64>) {
+        fn array<T: Copy>(
+            w: &mut Writer,
+            key: &str,
+            values: &[T],
+            put: impl Fn(&mut Writer, T) -> &mut Writer,
+        ) {
             w.key(key).begin_array();
-            for v in values {
-                w.uint(v);
+            for &v in values {
+                put(w, v);
             }
             w.end_array();
         }
@@ -407,50 +531,29 @@ impl MetricsSnapshot {
         w.begin_object().key("models").begin_array();
         for m in &self.models {
             w.begin_object().key("model").string(&m.model);
-            for (key, count) in [
-                ("submitted", m.submitted),
-                ("completed", m.completed),
-                ("shed", m.shed),
-                ("failed", m.failed),
-                ("retries", m.retries),
-                ("batches", m.batches),
-                ("batched_requests", m.batched_requests),
-            ] {
-                w.key(key).uint(count);
-            }
-            w.key("latency").raw(&m.latency.to_json());
-            for (key, count) in [
-                ("npu_cycles", m.npu_cycles),
-                ("npu_macs", m.npu_macs),
-                ("npu_dep_stall_cycles", m.npu_dep_stall_cycles),
-                ("npu_resource_stall_cycles", m.npu_resource_stall_cycles),
-            ] {
-                w.key(key).uint(count);
-            }
-            for (key, summary) in [
-                ("queue_wait", &m.queue_wait),
-                ("service", &m.service),
-                ("network", &m.network),
-            ] {
-                w.key(key).raw(&summary.to_json());
+            let (counters, durations) = (m.counters(), m.durations());
+            let (requests, npu) = counters.split_at(REQUEST_COUNTERS);
+            let (latency, rest) = durations.split_at(1);
+            for (counts, durations) in [(requests, latency), (npu, rest)] {
+                for (key, _, _, n) in counts {
+                    w.key(key).uint(*n);
+                }
+                for (key, _, _, h) in durations {
+                    w.key(key).raw(&h.summary().to_json());
+                }
             }
             w.end_object();
         }
         w.end_array();
-        uints(
-            &mut w,
-            "queue_depths",
-            self.queue_depths.iter().map(|&d| d as u64),
-        );
-        w.key("workers_alive").begin_array();
-        for &alive in &self.workers_alive {
-            w.bool(alive);
-        }
-        w.end_array();
-        uints(
+        array(&mut w, "queue_depths", &self.queue_depths, |w, d| {
+            w.uint(d as u64)
+        });
+        array(&mut w, "workers_alive", &self.workers_alive, Writer::bool);
+        array(
             &mut w,
             "worker_processed",
-            self.worker_processed.iter().copied(),
+            &self.worker_processed,
+            Writer::uint,
         );
         w.key("worker_models").begin_array();
         for models in &self.worker_models {
@@ -462,285 +565,103 @@ impl MetricsSnapshot {
             w.end_array();
         }
         w.end_array();
-        uints(
-            &mut w,
-            "link_transfers",
-            self.link_transfers.iter().copied(),
-        );
-        uints(&mut w, "link_bytes", self.link_bytes.iter().copied());
-        w.key("link_busy_s").begin_array();
-        for &s in &self.link_busy_s {
-            w.float(s);
-        }
-        w.end_array().end_object();
+        array(&mut w, "link_transfers", &self.link_transfers, Writer::uint);
+        array(&mut w, "link_bytes", &self.link_bytes, Writer::uint);
+        array(&mut w, "link_busy_s", &self.link_busy_s, Writer::float);
+        w.end_object();
         w.finish()
+    }
+
+    /// Renders the snapshot as a Prometheus text exposition (format
+    /// 0.0.4): one series per model in the counter and histogram
+    /// families, one per worker or link (labelled by index) in the rest.
+    pub fn to_prometheus(&self) -> String {
+        fn by_index(values: impl Iterator<Item = f64>) -> impl Iterator<Item = ([String; 1], f64)> {
+            values.enumerate().map(|(i, v)| ([i.to_string()], v))
+        }
+
+        let mut e = bw_trace::Exposition::new();
+        let first = self.models.first();
+        let families = first.map(ModelSnapshot::counters).into_iter().flatten();
+        for (c, (_, family, help, _)) in families.enumerate() {
+            let rows = self.models.iter().map(|m| (&m.model, m.counters()[c].3));
+            e.counter(family, help)
+                .rows(["model"], rows.map(|(m, n)| ([m], n as f64)));
+        }
+        let families = first.map(ModelSnapshot::durations).into_iter().flatten();
+        for (d, (_, family, help, _)) in families.enumerate() {
+            let rows = self.models.iter().map(|m| (&m.model, m.durations()[d].3));
+            let rows = rows.map(|(m, h)| ([m], h.cumulative_buckets(), h.sum_s(), h.count()));
+            e.histograms(family, help, ["model"], rows);
+        }
+        let depths = by_index(self.queue_depths.iter().map(|&d| d as f64));
+        e.gauge("bw_worker_queue_depth", "Jobs queued or executing.")
+            .rows(["worker"], depths);
+        let alive = by_index(self.workers_alive.iter().map(|&a| f64::from(u8::from(a))));
+        e.gauge("bw_worker_alive", "Worker liveness (1 = accepting work).")
+            .rows(["worker"], alive);
+        let processed = by_index(self.worker_processed.iter().map(|&n| n as f64));
+        e.counter("bw_worker_processed_total", "Jobs fully processed.")
+            .rows(["worker"], processed);
+        let pins = || {
+            let workers = self.worker_models.iter().enumerate();
+            workers.flat_map(|(w, pins)| pins.iter().map(move |r| (w.to_string(), r)))
+        };
+        let pinned = pins().map(|(w, r)| ([w, r.model.clone()], 1.0));
+        e.gauge(
+            "bw_worker_model_pinned",
+            "Model residency (1 = pinned on the worker).",
+        )
+        .rows(["worker", "model"], pinned);
+        let ages = pins().map(|(w, r)| ([w, r.model.clone()], r.pinned_for_s));
+        e.gauge(
+            "bw_worker_pin_age_seconds",
+            "Seconds each pinned model has been resident on the worker.",
+        )
+        .rows(["worker", "model"], ages);
+        let transfers = by_index(self.link_transfers.iter().map(|&n| n as f64));
+        e.counter(
+            "bw_link_transfers_total",
+            "Modeled network transfer legs charged per client-worker link.",
+        )
+        .rows(["link"], transfers);
+        let bytes = by_index(self.link_bytes.iter().map(|&n| n as f64));
+        e.counter(
+            "bw_link_bytes_total",
+            "Payload bytes moved per client-worker link.",
+        )
+        .rows(["link"], bytes);
+        e.counter(
+            "bw_link_busy_seconds_total",
+            "Busy time per client-worker link (modeled seconds).",
+        )
+        .rows(["link"], by_index(self.link_busy_s.iter().copied()));
+        e.finish()
     }
 }
 
-/// Snapshots one model's live metrics.
+/// Snapshots one model's live metrics: the completion record under its
+/// one lock first, `submitted` last (see the module documentation).
 pub(crate) fn snapshot_model(name: &str, m: &ModelMetrics) -> ModelSnapshot {
-    // One lock acquisition for both the summary and the raw histogram so
-    // the two views of latency agree sample-for-sample.
-    let (latency, latency_hist) = {
-        let h = m.latency.lock();
-        (h.summary(), h.clone())
-    };
+    let c = m.completions.lock().clone();
     ModelSnapshot {
         model: name.to_owned(),
-        submitted: m.submitted.load(Ordering::Relaxed),
-        completed: m.completed.load(Ordering::Relaxed),
+        completed: c.latency.count(),
+        latency: c.latency,
+        queue_wait: c.queue_wait,
+        service: c.service,
+        network: c.network,
+        npu_cycles: c.npu_cycles,
+        npu_macs: c.npu_macs,
+        npu_dep_stall_cycles: c.npu_dep_stall_cycles,
+        npu_resource_stall_cycles: c.npu_resource_stall_cycles,
         shed: m.shed.load(Ordering::Relaxed),
         failed: m.failed.load(Ordering::Relaxed),
         retries: m.retries.load(Ordering::Relaxed),
         batches: m.batches.load(Ordering::Relaxed),
         batched_requests: m.batched_requests.load(Ordering::Relaxed),
-        latency,
-        latency_hist,
-        npu_cycles: m.npu_cycles.load(Ordering::Relaxed),
-        npu_macs: m.npu_macs.load(Ordering::Relaxed),
-        npu_dep_stall_cycles: m.npu_dep_stall_cycles.load(Ordering::Relaxed),
-        npu_resource_stall_cycles: m.npu_resource_stall_cycles.load(Ordering::Relaxed),
-        queue_wait: m.queue_wait.lock().summary(),
-        service: m.service.lock().summary(),
-        network: m.network.lock().summary(),
+        submitted: m.submitted.load(Ordering::Relaxed),
     }
-}
-
-/// Renders the whole server's live metrics as a Prometheus text
-/// exposition (format 0.0.4). Counter families carry one series per
-/// model; request-time histograms render the live bucket layout.
-type CounterCol = (&'static str, &'static str, fn(&ModelMetrics) -> u64);
-type HistogramCol = (
-    &'static str,
-    &'static str,
-    fn(&ModelMetrics) -> &Mutex<Histogram>,
-);
-
-pub(crate) fn render_prometheus(
-    models: &[(&str, &ModelMetrics)],
-    workers: &[WorkerRow],
-    links: &[LinkRow],
-) -> String {
-    use bw_trace::Exposition;
-    let mut e = Exposition::new();
-    let counters: [CounterCol; 11] = [
-        ("bw_requests_submitted_total", "Requests admitted.", |m| {
-            m.submitted.load(Ordering::Relaxed)
-        }),
-        (
-            "bw_requests_completed_total",
-            "Requests answered with an output.",
-            |m| m.completed.load(Ordering::Relaxed),
-        ),
-        (
-            "bw_requests_shed_total",
-            "Requests shed at admission.",
-            |m| m.shed.load(Ordering::Relaxed),
-        ),
-        (
-            "bw_requests_failed_total",
-            "Requests failed after admission.",
-            |m| m.failed.load(Ordering::Relaxed),
-        ),
-        (
-            "bw_requests_retries_total",
-            "Failover retries dispatched.",
-            |m| m.retries.load(Ordering::Relaxed),
-        ),
-        (
-            "bw_batches_total",
-            "Coalesced multi-column dispatches issued.",
-            |m| m.batches.load(Ordering::Relaxed),
-        ),
-        (
-            "bw_batched_requests_total",
-            "Requests served inside a coalesced dispatch.",
-            |m| m.batched_requests.load(Ordering::Relaxed),
-        ),
-        (
-            "bw_npu_cycles_total",
-            "NPU cycles attributed to completed requests.",
-            |m| m.npu_cycles.load(Ordering::Relaxed),
-        ),
-        (
-            "bw_npu_macs_total",
-            "MVM multiply-accumulates attributed to completed requests.",
-            |m| m.npu_macs.load(Ordering::Relaxed),
-        ),
-        (
-            "bw_npu_dep_stall_cycles_total",
-            "Dependency-stall cycles attributed to completed requests.",
-            |m| m.npu_dep_stall_cycles.load(Ordering::Relaxed),
-        ),
-        (
-            "bw_npu_resource_stall_cycles_total",
-            "Resource-stall cycles attributed to completed requests.",
-            |m| m.npu_resource_stall_cycles.load(Ordering::Relaxed),
-        ),
-    ];
-    for (name, help, read) in counters {
-        e.counter(name, help);
-        for &(model, m) in models {
-            e.sample(name, &[("model", model)], read(m) as f64);
-        }
-    }
-    let histograms: [HistogramCol; 4] = [
-        (
-            "bw_request_latency_seconds",
-            "End-to-end latency of completed requests.",
-            |m| &m.latency,
-        ),
-        (
-            "bw_request_queue_wait_seconds",
-            "Queue wait of completed requests (winning attempt).",
-            |m| &m.queue_wait,
-        ),
-        (
-            "bw_request_service_seconds",
-            "NPU service time of completed requests.",
-            |m| &m.service,
-        ),
-        (
-            "bw_request_network_seconds",
-            "Modeled network time of completed requests.",
-            |m| &m.network,
-        ),
-    ];
-    for (name, help, pick) in &histograms {
-        let mut first = true;
-        for &(model, m) in models {
-            let h = pick(m).lock();
-            if first {
-                e.histogram(
-                    name,
-                    help,
-                    &[("model", model)],
-                    &h.cumulative_buckets(),
-                    h.sum_s(),
-                    h.count(),
-                );
-                first = false;
-            } else {
-                e.histogram_series(
-                    name,
-                    &[("model", model)],
-                    &h.cumulative_buckets(),
-                    h.sum_s(),
-                    h.count(),
-                );
-            }
-        }
-    }
-    e.gauge("bw_worker_queue_depth", "Jobs queued or executing.");
-    for w in workers {
-        let id = w.id.to_string();
-        e.sample(
-            "bw_worker_queue_depth",
-            &[("worker", id.as_str())],
-            w.queue_depth as f64,
-        );
-    }
-    e.gauge("bw_worker_alive", "Worker liveness (1 = accepting work).");
-    for w in workers {
-        let id = w.id.to_string();
-        e.sample(
-            "bw_worker_alive",
-            &[("worker", id.as_str())],
-            if w.alive { 1.0 } else { 0.0 },
-        );
-    }
-    e.counter("bw_worker_processed_total", "Jobs fully processed.");
-    for w in workers {
-        let id = w.id.to_string();
-        e.sample(
-            "bw_worker_processed_total",
-            &[("worker", id.as_str())],
-            w.processed as f64,
-        );
-    }
-    e.gauge(
-        "bw_worker_model_pinned",
-        "Model residency (1 = pinned on the worker).",
-    );
-    for w in workers {
-        let id = w.id.to_string();
-        for r in &w.resident {
-            e.sample(
-                "bw_worker_model_pinned",
-                &[("worker", id.as_str()), ("model", r.model.as_str())],
-                1.0,
-            );
-        }
-    }
-    e.gauge(
-        "bw_worker_pin_age_seconds",
-        "Seconds each pinned model has been resident on the worker.",
-    );
-    for w in workers {
-        let id = w.id.to_string();
-        for r in &w.resident {
-            e.sample(
-                "bw_worker_pin_age_seconds",
-                &[("worker", id.as_str()), ("model", r.model.as_str())],
-                r.pinned_for_s,
-            );
-        }
-    }
-    e.counter(
-        "bw_link_transfers_total",
-        "Modeled network transfer legs charged per client-worker link.",
-    );
-    for l in links {
-        let id = l.id.to_string();
-        e.sample(
-            "bw_link_transfers_total",
-            &[("link", id.as_str())],
-            l.transfers as f64,
-        );
-    }
-    e.counter(
-        "bw_link_bytes_total",
-        "Payload bytes moved per client-worker link.",
-    );
-    for l in links {
-        let id = l.id.to_string();
-        e.sample(
-            "bw_link_bytes_total",
-            &[("link", id.as_str())],
-            l.bytes as f64,
-        );
-    }
-    e.counter(
-        "bw_link_busy_seconds_total",
-        "Modeled busy time per client-worker link.",
-    );
-    for l in links {
-        let id = l.id.to_string();
-        e.sample(
-            "bw_link_busy_seconds_total",
-            &[("link", id.as_str())],
-            l.busy_s,
-        );
-    }
-    e.finish()
-}
-
-/// One worker's gauge readings for the Prometheus exposition.
-pub(crate) struct WorkerRow {
-    pub id: usize,
-    pub queue_depth: usize,
-    pub alive: bool,
-    pub processed: u64,
-    pub resident: Vec<ModelResidency>,
-}
-
-/// One client↔worker link's counter readings for the Prometheus
-/// exposition.
-pub(crate) struct LinkRow {
-    pub id: usize,
-    pub transfers: u64,
-    pub bytes: u64,
-    pub busy_s: f64,
 }
 
 #[cfg(test)]
@@ -826,7 +747,7 @@ mod tests {
     }
 
     #[test]
-    fn attribution_accumulates_counters_and_split_histograms() {
+    fn a_completion_is_one_record_on_every_component() {
         let m = ModelMetrics::default();
         let mut stats = bw_core::RunStats {
             cycles: 1000,
@@ -835,62 +756,50 @@ mod tests {
             resource_stall_cycles: 50,
             ..Default::default()
         };
-        m.record_attribution(1e-3, 4e-3, 0.0, &stats);
+        m.complete(6e-3, 1e-3, 4e-3, 0.0, &stats);
         stats.cycles = 500;
-        m.record_attribution(2e-3, 2e-3, 3e-4, &stats);
+        m.complete(5e-3, 2e-3, 2e-3, 3e-4, &stats);
         let s = snapshot_model("m", &m);
+        assert_eq!(s.completed, 2);
         assert_eq!(s.npu_cycles, 1500);
         assert_eq!(s.npu_macs, 8192);
         assert_eq!(s.npu_dep_stall_cycles, 200);
         assert_eq!(s.npu_resource_stall_cycles, 100);
-        assert_eq!(s.queue_wait.count, 2);
-        assert_eq!(s.service.count, 2);
-        assert_eq!(s.queue_wait.max_s, 2e-3);
-        assert_eq!(s.service.max_s, 4e-3);
-        assert_eq!(s.network.count, 2);
-        assert_eq!(s.network.max_s, 3e-4);
+        for h in [&s.latency, &s.queue_wait, &s.service, &s.network] {
+            assert_eq!(h.count(), s.completed);
+        }
+        assert_eq!(s.latency.max_s(), 6e-3);
+        assert_eq!(s.queue_wait.max_s(), 2e-3);
+        assert_eq!(s.service.max_s(), 4e-3);
+        assert_eq!(s.network.max_s(), 3e-4);
+    }
+
+    /// A two-worker, two-link reading with one model pinned on worker 0.
+    fn reading(model: &str, m: &ModelMetrics) -> MetricsSnapshot {
+        MetricsSnapshot {
+            models: vec![snapshot_model(model, m)],
+            queue_depths: vec![1, 0],
+            workers_alive: vec![true, false],
+            worker_processed: vec![2, 0],
+            worker_models: vec![
+                vec![ModelResidency {
+                    model: model.to_owned(),
+                    pinned_for_s: 12.5,
+                }],
+                Vec::new(),
+            ],
+            link_transfers: vec![4, 0],
+            link_bytes: vec![1024, 0],
+            link_busy_s: vec![2e-4, 0.0],
+        }
     }
 
     #[test]
     fn prometheus_exposition_round_trips_the_validator() {
         let m = ModelMetrics::default();
         m.submitted.store(2, Ordering::Relaxed);
-        m.record_completed(2e-3);
-        m.record_attribution(1e-4, 19e-4, 2e-4, &bw_core::RunStats::default());
-        let workers = [
-            WorkerRow {
-                id: 0,
-                queue_depth: 1,
-                alive: true,
-                processed: 2,
-                resident: vec![ModelResidency {
-                    model: "mlp".to_owned(),
-                    pinned_for_s: 12.5,
-                }],
-            },
-            WorkerRow {
-                id: 1,
-                queue_depth: 0,
-                alive: false,
-                processed: 0,
-                resident: Vec::new(),
-            },
-        ];
-        let links = [
-            LinkRow {
-                id: 0,
-                transfers: 4,
-                bytes: 1024,
-                busy_s: 2e-4,
-            },
-            LinkRow {
-                id: 1,
-                transfers: 0,
-                bytes: 0,
-                busy_s: 0.0,
-            },
-        ];
-        let text = render_prometheus(&[("mlp", &m)], &workers, &links);
+        m.complete(2e-3, 1e-4, 19e-4, 2e-4, &bw_core::RunStats::default());
+        let text = reading("mlp", &m).to_prometheus();
         let n = bw_trace::validate_exposition(&text).expect("valid exposition");
         assert!(n >= 9 + 6, "sample lines: {n}");
         assert!(text.contains("bw_requests_submitted_total{model=\"mlp\"} 2"));
@@ -1011,39 +920,24 @@ mod tests {
     fn snapshot_json_shape() {
         let m = ModelMetrics::default();
         m.submitted.store(3, Ordering::Relaxed);
-        m.record_completed(2e-3);
+        m.complete(2e-3, 0.0, 2e-3, 0.0, &bw_core::RunStats::default());
         m.shed.fetch_add(1, Ordering::Relaxed);
         m.failed.fetch_add(1, Ordering::Relaxed);
-        let snap = MetricsSnapshot {
-            models: vec![snapshot_model("mlp \"a\"", &m)],
-            queue_depths: vec![0, 2],
-            workers_alive: vec![true, false],
-            worker_processed: vec![5, 0],
-            worker_models: vec![
-                vec![ModelResidency {
-                    model: "mlp \"a\"".to_owned(),
-                    pinned_for_s: 3.25,
-                }],
-                Vec::new(),
-            ],
-            link_transfers: vec![3, 0],
-            link_bytes: vec![256, 0],
-            link_busy_s: vec![1.5e-4, 0.0],
-        };
+        let snap = reading("mlp \"a\"", &m);
         assert_eq!(snap.models[0].accounted(), 3);
         let j = snap.to_json();
         assert!(j.contains("\"submitted\":3"));
         assert!(j.contains("\"batches\":0"));
         assert!(j.contains("\"batched_requests\":0"));
         assert!(j.contains("\\\"a\\\""));
-        assert!(j.contains("\"queue_depths\":[0,2]"));
+        assert!(j.contains("\"queue_depths\":[1,0]"));
         assert!(j.contains("\"workers_alive\":[true,false]"));
-        assert!(j.contains("\"worker_processed\":[5,0]"));
-        assert!(j.contains("\"pinned_for_s\":3.25"));
+        assert!(j.contains("\"worker_processed\":[2,0]"));
+        assert!(j.contains("\"pinned_for_s\":12.5"));
         assert!(j.contains("],[]]"));
-        assert!(j.contains("\"link_transfers\":[3,0]"));
-        assert!(j.contains("\"link_bytes\":[256,0]"));
-        assert!(j.contains("\"link_busy_s\":[0.00015,0]"));
+        assert!(j.contains("\"link_transfers\":[4,0]"));
+        assert!(j.contains("\"link_bytes\":[1024,0]"));
+        assert!(j.contains("\"link_busy_s\":[0.0002,0]"));
         assert!(j.contains("\"network\""));
         assert!(j.contains("\"p99_s\""));
     }

@@ -1,9 +1,8 @@
 //! Client-side routing over the worker pool.
 //!
-//! Implements the same three policies `bw-system` models analytically
-//! ([`Routing`], §II-A's client-side instance selection) — round-robin,
-//! uniform random, and least-outstanding — but over *live* bounded worker
-//! queues. The router produces a preference order; the dispatcher walks it
+//! Implements the three policies of [`Routing`] (§II-A's client-side
+//! instance selection) — round-robin, uniform random, and
+//! least-outstanding — over *live* bounded worker queues. The router produces a preference order; the dispatcher walks it
 //! skipping dead and saturated replicas, which is what turns a policy into
 //! failover and load shedding.
 

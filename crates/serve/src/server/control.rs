@@ -329,7 +329,8 @@ impl Server {
         self.inner.snapshot()
     }
 
-    /// The live metrics as a Prometheus text exposition (format 0.0.4).
+    /// [`Server::metrics`] rendered by [`MetricsSnapshot::to_prometheus`],
+    /// then every source added with [`Server::add_prometheus_source`].
     pub fn prometheus(&self) -> String {
         self.inner.prometheus()
     }

@@ -149,7 +149,8 @@ impl Client {
         self.inner.snapshot()
     }
 
-    /// The live metrics as a Prometheus text exposition (same as
+    /// [`Client::metrics`] as a Prometheus text exposition, plus the
+    /// registered extra sources (same as
     /// [`Server::prometheus`](super::Server::prometheus)).
     pub fn prometheus(&self) -> String {
         self.inner.prometheus()
@@ -486,9 +487,9 @@ impl Run {
                 Ok(Completion::Done(served)) => {
                     let leg = &mut self.legs[i];
                     if let Some(member) = &self.plan.stages[self.stage][i].member {
-                        member.record_completed(leg.dispatched_at.elapsed().as_secs_f64());
                         // Network time is attributed on the request's row.
-                        member.record_attribution(
+                        member.complete(
+                            leg.dispatched_at.elapsed().as_secs_f64(),
                             served.queue_wait_s,
                             served.service_s,
                             0.0,
@@ -652,9 +653,13 @@ impl Run {
                     resource_stall_cycles: share(self.stats.resource_stall_cycles),
                     ..self.stats.clone()
                 };
-                plan.metrics.record_completed(latency.as_secs_f64());
-                plan.metrics
-                    .record_attribution(self.queue_wait_s, service_s, network_s, &stats);
+                plan.metrics.complete(
+                    latency.as_secs_f64(),
+                    self.queue_wait_s,
+                    service_s,
+                    network_s,
+                    &stats,
+                );
                 let attribution = Attribution {
                     queue_wait: Duration::from_secs_f64(self.queue_wait_s),
                     service: Duration::from_secs_f64(service_s),

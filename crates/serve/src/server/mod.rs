@@ -102,10 +102,7 @@ use bw_gir::{ModelArtifact, ShardedArtifact};
 use bw_system::{NetworkModel, PreloadModel, Routing};
 use parking_lot::{Mutex, RwLock};
 
-use crate::metrics::{
-    render_prometheus, snapshot_model, LinkMetrics, LinkRow, MetricsSnapshot, ModelMetrics,
-    ModelResidency, WorkerRow,
-};
+use crate::metrics::{snapshot_model, LinkMetrics, MetricsSnapshot, ModelMetrics, ModelResidency};
 use crate::registry::{GroupSegment, ModelRegistry, RegistryError, ShardGroup};
 use crate::request::{
     Attribution, FlightOutcome, FlightRecord, RequestId, RequestTrace, ServeError,
@@ -440,58 +437,44 @@ impl ServerInner {
         self.catalog.read().plans().cloned().collect()
     }
 
-    /// Per-worker model residency: `(model name, seconds pinned)` for
-    /// every slot currently pinned on the worker.
-    fn residency(&self) -> Vec<Vec<ModelResidency>> {
-        let names: Vec<String> = {
-            let catalog = self.catalog.read();
-            catalog.models.iter().map(|p| p.name.clone()).collect()
-        };
-        self.workers
-            .iter()
-            .map(|w| {
-                w.resident_slots()
-                    .into_iter()
-                    .filter_map(|(slot, age)| {
-                        names.get(slot).map(|n| ModelResidency {
-                            model: n.clone(),
-                            pinned_for_s: age.as_secs_f64(),
-                        })
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
+    /// The one reading of worker, link and model state that every export
+    /// renders (see [`crate::metrics`]).
     fn snapshot(&self) -> MetricsSnapshot {
+        let (plans, slots) = {
+            let catalog = self.catalog.read();
+            let plans: Vec<Arc<Plan>> = catalog.plans().cloned().collect();
+            (plans, catalog.models.len())
+        };
+        // Residency: the name and pin age of every slot a worker pins.
+        let resident = |w: &WorkerHandle| {
+            let pins = w.resident_slots().into_iter();
+            let pins = pins.filter_map(|(slot, age)| {
+                Some(ModelResidency {
+                    model: plans[..slots].get(slot)?.name.clone(),
+                    pinned_for_s: age.as_secs_f64(),
+                })
+            });
+            pins.collect()
+        };
+        let links = |read: fn(&LinkMetrics) -> &AtomicU64| {
+            let counts = self.links.iter().map(|l| read(l).load(Ordering::Relaxed));
+            counts.collect::<Vec<u64>>()
+        };
+        let workers = self.workers.iter();
         MetricsSnapshot {
-            models: self
-                .plans()
+            models: plans
                 .iter()
                 .map(|p| snapshot_model(&p.name, &p.metrics))
                 .collect(),
-            queue_depths: self.workers.iter().map(WorkerHandle::queue_depth).collect(),
-            workers_alive: self.workers.iter().map(WorkerHandle::is_alive).collect(),
-            worker_processed: self
-                .workers
-                .iter()
-                .map(WorkerHandle::processed_count)
-                .collect(),
-            worker_models: self.residency(),
-            link_transfers: self
-                .links
-                .iter()
-                .map(|l| l.transfers.load(Ordering::Relaxed))
-                .collect(),
-            link_bytes: self
-                .links
-                .iter()
-                .map(|l| l.bytes.load(Ordering::Relaxed))
-                .collect(),
-            link_busy_s: self
-                .links
-                .iter()
-                .map(|l| l.busy_ns.load(Ordering::Relaxed) as f64 * 1e-9)
+            queue_depths: workers.clone().map(WorkerHandle::queue_depth).collect(),
+            workers_alive: workers.clone().map(WorkerHandle::is_alive).collect(),
+            worker_processed: workers.clone().map(WorkerHandle::processed_count).collect(),
+            worker_models: workers.map(resident).collect(),
+            link_transfers: links(|l| &l.transfers),
+            link_bytes: links(|l| &l.bytes),
+            link_busy_s: links(|l| &l.busy_ns)
+                .into_iter()
+                .map(|ns| ns as f64 * 1e-9)
                 .collect(),
         }
     }
@@ -545,48 +528,11 @@ impl ServerInner {
     }
 
     fn prometheus(&self) -> String {
-        let mut text = self.prometheus_base();
+        let mut text = self.snapshot().to_prometheus();
         for render in self.extra_prom.read().iter() {
-            let extra = render();
-            if !extra.is_empty() {
-                text.push_str(&extra);
-            }
+            text.push_str(&render());
         }
         text
-    }
-
-    fn prometheus_base(&self) -> String {
-        let plans = self.plans();
-        let models: Vec<(&str, &ModelMetrics)> = plans
-            .iter()
-            .map(|p| (p.name.as_str(), p.metrics.as_ref()))
-            .collect();
-        let residency = self.residency();
-        let workers: Vec<WorkerRow> = self
-            .workers
-            .iter()
-            .zip(residency)
-            .enumerate()
-            .map(|(id, (w, resident))| WorkerRow {
-                id,
-                queue_depth: w.queue_depth(),
-                alive: w.is_alive(),
-                processed: w.processed_count(),
-                resident,
-            })
-            .collect();
-        let links: Vec<LinkRow> = self
-            .links
-            .iter()
-            .enumerate()
-            .map(|(id, l)| LinkRow {
-                id,
-                transfers: l.transfers.load(Ordering::Relaxed),
-                bytes: l.bytes.load(Ordering::Relaxed),
-                busy_s: l.busy_ns.load(Ordering::Relaxed) as f64 * 1e-9,
-            })
-            .collect();
-        render_prometheus(&models, &workers, &links)
     }
 
     /// Meters one modeled message of `bytes` over worker `worker`'s link

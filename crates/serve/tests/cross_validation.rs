@@ -13,7 +13,7 @@
 //!    multi-worker pool has no real parallel capacity for the analytical
 //!    model to be right about);
 //! 3. run the same (model, rate, policy) point through
-//!    `bw_system::simulate_pool` and a live `bw-serve` pool under the
+//!    `bw_system::simulate` and a live `bw-serve` pool under the
 //!    open-loop load generator;
 //! 4. require order-of-magnitude agreement on p99 and mean: the live
 //!    runtime carries OS scheduling jitter the discrete-event model does
@@ -28,7 +28,7 @@ use bw_core::NpuConfig;
 use bw_gir::{LowerOptions, ModelArtifact};
 use bw_serve::demo::{demo_input, mlp_graph};
 use bw_serve::{run_loadgen, ArrivalProcess, LoadgenConfig, Routing, Server};
-use bw_system::{simulate_pool, Microservice, ServiceModel};
+use bw_system::{simulate, Microservice, ServiceModel};
 
 const MODEL: &str = "xval-mlp";
 const WIDTHS: &[usize] = &[256, 1024, 1024, 256];
@@ -79,13 +79,12 @@ fn live_pool_p99_tracks_the_analytical_simulator() {
     let arrivals = ArrivalProcess::Poisson { rate_per_s: rate };
 
     // 3a. Analytical prediction.
-    let pool = [Microservice {
+    let instance = Microservice {
         service: ServiceModel::PerRequest { seconds: service_s },
         servers: 1,
         network_hop_s: 0.0,
-    }];
-    let offsets = arrivals.generate(REQUESTS, SEED);
-    let predicted = simulate_pool(&offsets, &pool, Routing::RoundRobin, SEED);
+    };
+    let predicted = simulate(&arrivals.generate(REQUESTS, SEED), &instance);
 
     // 3b. Live measurement.
     let server = Server::builder()

@@ -278,7 +278,7 @@ fn network_hops_are_charged_and_metered() {
     assert!(m.link_bytes.iter().sum::<u64>() > 0);
     assert!(m.link_busy_s.iter().sum::<f64>() > 0.0);
     let group = m.models.iter().find(|r| r.model == "big").unwrap();
-    assert!(group.network.mean_s >= 2.0 * 2.0 * hop);
+    assert!(group.network.summary().mean_s >= 2.0 * 2.0 * hop);
 
     let prom = server.prometheus();
     assert!(prom.contains("bw_link_transfers_total"));

@@ -52,8 +52,8 @@ fn one_request_traces_end_to_end() {
     assert_eq!(m.npu_macs, want.mvm_macs);
     assert_eq!(m.npu_dep_stall_cycles, want.dep_stall_cycles);
     assert_eq!(m.npu_resource_stall_cycles, want.resource_stall_cycles);
-    assert_eq!(m.queue_wait.count, 1);
-    assert_eq!(m.service.count, 1);
+    assert_eq!(m.queue_wait.count(), 1);
+    assert_eq!(m.service.count(), 1);
     let json = snap.to_json();
     assert!(json.contains("\"npu_cycles\""));
     assert!(json.contains("\"queue_wait\""));

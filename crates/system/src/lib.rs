@@ -17,12 +17,10 @@
 //!   the `bw-fleet` controller;
 //! * [`LoadSchedule`] — time-varying (step/ramp) offered-load profiles
 //!   for elasticity experiments;
-//! * [`simulate`] / [`simulate_pipeline`] — event-driven simulation with
-//!   percentile latency and utilization reporting, including linear
-//!   multi-FPGA pipelines for partitioned models;
-//! * [`sweep_load`] — parallel offered-load sweeps;
-//! * [`simulate_pool`] — disaggregated instance pools with client-side
-//!   routing policies (§II-A's hardware-microservice pooling);
+//! * [`simulate`] — event-driven simulation of one microservice with
+//!   percentile latency and utilization reporting;
+//! * [`Routing`] — the client-side routing policies of a disaggregated
+//!   instance pool (§II-A), implemented by the live pool in `bw-serve`;
 //! * [`LatencySummary`] / [`nearest_rank`] — the shared latency-statistics
 //!   vocabulary, reused by the live serving runtime (`bw-serve`) so
 //!   analytical predictions and measured latencies compare directly.
@@ -52,14 +50,10 @@ mod preload;
 mod schedule;
 mod sim;
 mod summary;
-mod sweep;
 
 pub use net::NetworkModel;
-pub use pool::{simulate_pool, PoolReport, Routing};
+pub use pool::Routing;
 pub use preload::PreloadModel;
 pub use schedule::{LoadPhase, LoadSchedule};
-pub use sim::{
-    simulate, simulate_pipeline, ArrivalProcess, Microservice, ServiceModel, ServingReport,
-};
+pub use sim::{simulate, ArrivalProcess, Microservice, ServiceModel, ServingReport};
 pub use summary::{nearest_rank, LatencySummary};
-pub use sweep::{sweep_load, SweepPoint};

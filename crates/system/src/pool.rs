@@ -1,17 +1,13 @@
-//! Pooled hardware microservices with client-side routing.
+//! Client-side routing over pooled hardware microservices.
 //!
 //! §II-A: "accelerators can be logically disaggregated and pooled into
 //! instances of hardware microservices ... a given hardware microservice is
 //! published to subscribing CPUs in the system and accessed directly
 //! through an IP address." A subscribing client routes each request to one
-//! instance of the pool; this module compares routing policies over
-//! possibly heterogeneous instances.
+//! instance of the pool; the live pool in `bw-serve` implements these
+//! policies.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-
-use crate::sim::{simulate, Microservice, ServingReport};
 
 /// How a client picks an instance for each request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -24,190 +20,4 @@ pub enum Routing {
     /// resource manager to publish occupancy, as the paper's distributed
     /// resource manager does).
     LeastOutstanding,
-}
-
-/// A pool-level serving report: the merged client view plus per-instance
-/// reports.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct PoolReport {
-    /// Mean end-to-end latency across all requests, seconds.
-    pub mean_latency_s: f64,
-    /// 99th percentile latency across all requests.
-    pub p99_latency_s: f64,
-    /// Total completions per second.
-    pub throughput_rps: f64,
-    /// Per-instance reports, in pool order.
-    pub instances: Vec<ServingReport>,
-}
-
-/// Simulates a pool of microservice instances under the given routing
-/// policy. `arrivals` are absolute seconds, ascending.
-///
-/// # Panics
-///
-/// Panics if the pool is empty.
-pub fn simulate_pool(
-    arrivals: &[f64],
-    pool: &[Microservice],
-    routing: Routing,
-    seed: u64,
-) -> PoolReport {
-    assert!(!pool.is_empty(), "pool needs at least one instance");
-
-    // Route requests to instances.
-    let mut per_instance: Vec<Vec<f64>> = vec![Vec::new(); pool.len()];
-    match routing {
-        Routing::RoundRobin => {
-            for (i, &t) in arrivals.iter().enumerate() {
-                per_instance[i % pool.len()].push(t);
-            }
-        }
-        Routing::Random => {
-            let mut rng = StdRng::seed_from_u64(seed);
-            for &t in arrivals {
-                per_instance[rng.gen_range(0..pool.len())].push(t);
-            }
-        }
-        Routing::LeastOutstanding => {
-            // Track each instance's (approximate) queue by its projected
-            // free time, using the instance's nominal per-request time.
-            let nominal: Vec<f64> = pool
-                .iter()
-                .map(|m| match m.service {
-                    crate::sim::ServiceModel::PerRequest { seconds } => seconds,
-                    crate::sim::ServiceModel::Batched {
-                        base_s, per_item_s, ..
-                    } => base_s + per_item_s,
-                })
-                .collect();
-            let mut free_at = vec![0.0f64; pool.len()];
-            for &t in arrivals {
-                let (best, _) = free_at
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-                    .expect("non-empty pool");
-                per_instance[best].push(t);
-                free_at[best] = free_at[best].max(t) + nominal[best] / pool[best].servers as f64;
-            }
-        }
-    }
-
-    let instances: Vec<ServingReport> = per_instance
-        .iter()
-        .zip(pool)
-        .map(|(a, m)| simulate(a, m))
-        .collect();
-
-    // Merge the client view.
-    let mut latencies: Vec<f64> = instances
-        .iter()
-        .flat_map(|r| r.sorted_latencies.iter().copied())
-        .collect();
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let completed: usize = instances.iter().map(|r| r.completed).sum();
-    let span = instances
-        .iter()
-        .flat_map(|r| r.completion_times.iter().copied())
-        .fold(0.0f64, f64::max)
-        .max(f64::EPSILON);
-    PoolReport {
-        mean_latency_s: latencies.iter().sum::<f64>() / latencies.len().max(1) as f64,
-        p99_latency_s: crate::summary::nearest_rank(&latencies, 0.99),
-        throughput_rps: completed as f64 / span,
-        instances,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::sim::{ArrivalProcess, ServiceModel};
-
-    fn instance_over(service_s: f64, net: &crate::NetworkModel) -> Microservice {
-        // Pool tests model latency-dominated control messages: the
-        // payload term is zero and only the hop charge applies.
-        Microservice::over_network(ServiceModel::PerRequest { seconds: service_s }, 1, net, 0)
-    }
-
-    fn instance(service_s: f64) -> Microservice {
-        instance_over(service_s, &crate::NetworkModel::ideal())
-    }
-
-    #[test]
-    fn pool_scales_capacity() {
-        let arrivals = ArrivalProcess::Poisson { rate_per_s: 800.0 }.generate(4000, 1);
-        let one = simulate_pool(&arrivals, &[instance(2e-3)], Routing::RoundRobin, 0);
-        let four = simulate_pool(&arrivals, &[instance(2e-3); 4], Routing::RoundRobin, 0);
-        // One instance is at 160% load; four are at 40%.
-        assert!(four.mean_latency_s < one.mean_latency_s / 5.0);
-        assert!(four.throughput_rps > one.throughput_rps);
-    }
-
-    #[test]
-    fn least_outstanding_beats_round_robin_on_heterogeneous_pools() {
-        // A pool of one fast and one slow instance: round robin overloads
-        // the slow one; occupancy-aware routing shifts load to the fast
-        // one.
-        let arrivals = ArrivalProcess::Poisson { rate_per_s: 600.0 }.generate(6000, 2);
-        let pool = [instance(1e-3), instance(4e-3)];
-        let rr = simulate_pool(&arrivals, &pool, Routing::RoundRobin, 0);
-        let lo = simulate_pool(&arrivals, &pool, Routing::LeastOutstanding, 0);
-        assert!(
-            lo.p99_latency_s < rr.p99_latency_s / 2.0,
-            "LO p99 {:.4} vs RR p99 {:.4}",
-            lo.p99_latency_s,
-            rr.p99_latency_s
-        );
-        // The fast instance takes more of the load under LO.
-        assert!(lo.instances[0].completed > lo.instances[1].completed);
-    }
-
-    #[test]
-    fn network_hop_shifts_pool_latency() {
-        // The same lightly-loaded pool behind an ideal network and behind
-        // a 500 µs hop: every request pays the hop twice, so the mean
-        // shifts by ~1 ms while throughput is unchanged.
-        let arrivals = ArrivalProcess::Uniform { interval_s: 5e-3 }.generate(400, 0);
-        let hop = crate::NetworkModel::with_hop(500e-6);
-        let near = simulate_pool(
-            &arrivals,
-            &[instance(2e-3), instance(2e-3)],
-            Routing::RoundRobin,
-            0,
-        );
-        let far = simulate_pool(
-            &arrivals,
-            &[instance_over(2e-3, &hop), instance_over(2e-3, &hop)],
-            Routing::RoundRobin,
-            0,
-        );
-        let shift = far.mean_latency_s - near.mean_latency_s;
-        assert!(
-            (shift - 2.0 * 500e-6).abs() < 1e-9,
-            "hop shifted mean by {shift:.6}s, expected 1 ms"
-        );
-        assert_eq!(far.instances[0].completed, near.instances[0].completed);
-    }
-
-    #[test]
-    fn random_routing_is_deterministic_in_seed() {
-        let arrivals = ArrivalProcess::Poisson { rate_per_s: 300.0 }.generate(1000, 3);
-        let pool = vec![instance(2e-3); 3];
-        let a = simulate_pool(&arrivals, &pool, Routing::Random, 7);
-        let b = simulate_pool(&arrivals, &pool, Routing::Random, 7);
-        assert_eq!(a, b);
-        let c = simulate_pool(&arrivals, &pool, Routing::Random, 8);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn merged_throughput_equals_sum_of_instances() {
-        let arrivals = ArrivalProcess::Uniform { interval_s: 1e-3 }.generate(900, 0);
-        let pool = vec![instance(2e-3); 3];
-        let report = simulate_pool(&arrivals, &pool, Routing::RoundRobin, 0);
-        let total: usize = report.instances.iter().map(|r| r.completed).sum();
-        assert_eq!(total, 900);
-        assert_eq!(report.instances[0].completed, 300);
-    }
 }

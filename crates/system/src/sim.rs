@@ -153,8 +153,7 @@ pub struct ServingReport {
     pub mean_batch: f64,
     /// Fraction of simulated time the devices were busy.
     pub server_utilization: f64,
-    /// Per-request completion timestamps (seconds), in completion order —
-    /// feed these to a downstream pipeline stage.
+    /// Per-request completion timestamps (seconds), in completion order.
     pub completion_times: Vec<f64>,
     /// Per-request end-to-end latencies (seconds), sorted ascending.
     pub sorted_latencies: Vec<f64>,
@@ -314,38 +313,6 @@ pub fn simulate(arrivals: &[f64], service: &Microservice) -> ServingReport {
     }
 }
 
-/// Simulates a linear multi-accelerator pipeline (§II-A: "partitionable
-/// problems can be spatially distributed across multiple accelerators"):
-/// each stage's completions become the next stage's arrivals. Returns the
-/// per-stage reports; end-to-end latency statistics are in the last report
-/// measured against the original arrivals.
-pub fn simulate_pipeline(arrivals: &[f64], stages: &[Microservice]) -> Vec<ServingReport> {
-    let mut reports = Vec::with_capacity(stages.len());
-    let mut current: Vec<f64> = arrivals.to_vec();
-    for stage in stages {
-        let report = simulate(&current, stage);
-        current = report.completion_times.clone();
-        current.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        reports.push(report);
-    }
-    // Rewrite the last report's latency stats end-to-end.
-    if let (Some(last), false) = (reports.last_mut(), arrivals.is_empty()) {
-        let mut e2e: Vec<f64> = current
-            .iter()
-            .zip(arrivals)
-            .map(|(done, arr)| done - arr)
-            .collect();
-        e2e.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let pct = |p: f64| e2e[((e2e.len() - 1) as f64 * p) as usize];
-        last.mean_latency_s = e2e.iter().sum::<f64>() / e2e.len() as f64;
-        last.p50_latency_s = pct(0.50);
-        last.p95_latency_s = pct(0.95);
-        last.p99_latency_s = pct(0.99);
-        last.sorted_latencies = e2e;
-    }
-    reports
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,21 +430,21 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_end_to_end_latency_accumulates() {
-        let arrivals = ArrivalProcess::Uniform { interval_s: 0.01 }.generate(200, 0);
-        let stage = Microservice {
-            service: ServiceModel::PerRequest { seconds: 1e-3 },
-            servers: 1,
-            network_hop_s: 5e-6,
-        };
-        let reports = simulate_pipeline(&arrivals, &[stage, stage]);
-        assert_eq!(reports.len(), 2);
-        let expect = 2.0 * (1e-3 + 1e-5);
+    fn network_hop_shifts_latency() {
+        // The same lightly-loaded instance behind an ideal network and
+        // behind a 500 µs hop: every request pays the hop twice, so the
+        // mean shifts by 1 ms while throughput is unchanged. (Zero
+        // payload: only the hop charge applies.)
+        let arrivals = ArrivalProcess::Uniform { interval_s: 5e-3 }.generate(400, 0);
+        let over = |net| Microservice::over_network(BW.service, 1, &net, 0);
+        let near = simulate(&arrivals, &over(crate::NetworkModel::ideal()));
+        let far = simulate(&arrivals, &over(crate::NetworkModel::with_hop(500e-6)));
+        let shift = far.mean_latency_s - near.mean_latency_s;
         assert!(
-            (reports[1].mean_latency_s - expect).abs() < 1e-7,
-            "{}",
-            reports[1].mean_latency_s
+            (shift - 2.0 * 500e-6).abs() < 1e-9,
+            "hop shifted mean by {shift:.6}s, expected 1 ms"
         );
+        assert_eq!(far.completed, near.completed);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Shared latency summarization: one statistics type for analytical
-//! simulations (`simulate`, `simulate_pool`) and for runtimes that measure
-//! real end-to-end latencies (`bw-serve`), so predictions and measurements
-//! compare field-for-field.
+//! simulations (`simulate`) and for runtimes that measure real end-to-end
+//! latencies (`bw-serve`), so predictions and measurements compare
+//! field-for-field.
 
 use serde::{Deserialize, Serialize};
 

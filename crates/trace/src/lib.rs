@@ -47,4 +47,4 @@ pub mod json;
 pub mod prom;
 
 pub use chrome::{chrome_trace_json, spans_to_chrome, validate_chrome_trace, ChromeEvent};
-pub use prom::{validate_exposition, Exposition};
+pub use prom::{validate_exposition, Exposition, Family};

@@ -57,6 +57,11 @@ fn render_labels(labels: &[(&str, &str)]) -> String {
     format!("{{{}}}", body.join(","))
 }
 
+fn zip_labels<'a, V: AsRef<str>>(names: &[&'a str], values: &'a [V]) -> Vec<(&'a str, &'a str)> {
+    let values = values.iter().map(AsRef::as_ref);
+    names.iter().copied().zip(values).collect()
+}
+
 impl Exposition {
     /// An empty document.
     pub fn new() -> Exposition {
@@ -71,13 +76,15 @@ impl Exposition {
     }
 
     /// Starts a counter family.
-    pub fn counter(&mut self, name: &str, help: &str) {
+    pub fn counter<'a>(&'a mut self, name: &'a str, help: &str) -> Family<'a> {
         self.header(name, help, "counter");
+        Family { doc: self, name }
     }
 
     /// Starts a gauge family.
-    pub fn gauge(&mut self, name: &str, help: &str) {
+    pub fn gauge<'a>(&'a mut self, name: &'a str, help: &str) -> Family<'a> {
         self.header(name, help, "gauge");
+        Family { doc: self, name }
     }
 
     /// Adds one sample line to the most recently started family.
@@ -90,53 +97,61 @@ impl Exposition {
         );
     }
 
-    /// Starts a histogram family and renders one labeled series:
-    /// cumulative `(upper_bound, count)` buckets (an implicit `+Inf`
-    /// bucket equal to `count` is appended), then `_sum` and `_count`.
-    pub fn histogram(
+    /// Starts a histogram family and renders one labeled series per row
+    /// `(label values, buckets, sum, count)`: cumulative
+    /// `(upper_bound, count)` buckets (an implicit `+Inf` bucket equal to
+    /// `count` is appended), then `_sum` and `_count`.
+    pub fn histograms<const N: usize, V: AsRef<str>, B: AsRef<[(f64, u64)]>>(
         &mut self,
         name: &str,
         help: &str,
-        labels: &[(&str, &str)],
-        buckets: &[(f64, u64)],
-        sum: f64,
-        count: u64,
+        label_names: [&str; N],
+        rows: impl IntoIterator<Item = ([V; N], B, f64, u64)>,
     ) {
         self.header(name, help, "histogram");
-        self.histogram_series(name, labels, buckets, sum, count);
-    }
-
-    /// Renders one additional labeled series under an already-started
-    /// histogram family.
-    pub fn histogram_series(
-        &mut self,
-        name: &str,
-        labels: &[(&str, &str)],
-        buckets: &[(f64, u64)],
-        sum: f64,
-        count: u64,
-    ) {
-        for &(le, c) in buckets {
-            let le = fmt_value(le);
-            let mut with_le: Vec<(&str, &str)> = labels.to_vec();
-            with_le.push(("le", le.as_str()));
-            let _ = writeln!(self.buf, "{name}_bucket{} {c}", render_labels(&with_le));
+        for (values, buckets, sum, count) in rows {
+            let labels = zip_labels(&label_names, &values);
+            let bounds = buckets.as_ref().iter().map(|&(le, c)| (fmt_value(le), c));
+            for (le, c) in bounds.chain([("+Inf".to_owned(), count)]) {
+                let with_le = [labels.as_slice(), &[("le", le.as_str())]].concat();
+                let _ = writeln!(self.buf, "{name}_bucket{} {c}", render_labels(&with_le));
+            }
+            let labels = render_labels(&labels);
+            let _ = writeln!(self.buf, "{name}_sum{labels} {}", fmt_value(sum));
+            let _ = writeln!(self.buf, "{name}_count{labels} {count}");
         }
-        let mut inf: Vec<(&str, &str)> = labels.to_vec();
-        inf.push(("le", "+Inf"));
-        let _ = writeln!(self.buf, "{name}_bucket{} {count}", render_labels(&inf));
-        let _ = writeln!(
-            self.buf,
-            "{name}_sum{} {}",
-            render_labels(labels),
-            fmt_value(sum)
-        );
-        let _ = writeln!(self.buf, "{name}_count{} {count}", render_labels(labels));
     }
 
     /// The rendered document.
     pub fn finish(self) -> String {
         self.buf
+    }
+}
+
+/// A counter or gauge family just started by [`Exposition::counter`] or
+/// [`Exposition::gauge`]: renders its samples under the family's name.
+pub struct Family<'a> {
+    doc: &'a mut Exposition,
+    name: &'a str,
+}
+
+impl Family<'_> {
+    /// Renders one sample per row: the row's label values under
+    /// `label_names`, then its value.
+    pub fn rows<const N: usize, V: AsRef<str>>(
+        self,
+        label_names: [&str; N],
+        rows: impl IntoIterator<Item = ([V; N], f64)>,
+    ) {
+        for (values, value) in rows {
+            let labels = zip_labels(&label_names, &values);
+            self.doc.sample(self.name, &labels, value);
+        }
+    }
+
+    /// Renders the family's one label-less sample.
+    pub fn value(self, value: f64) {
+        self.doc.sample(self.name, &[], value);
     }
 }
 
@@ -361,11 +376,13 @@ mod tests {
     #[test]
     fn counters_and_gauges_round_trip() {
         let mut e = Exposition::new();
-        e.counter("bw_requests_total", "Requests admitted.");
-        e.sample("bw_requests_total", &[("model", "mlp \"a\"")], 42.0);
-        e.gauge("bw_worker_alive", "Liveness per worker.");
-        e.sample("bw_worker_alive", &[("worker", "0")], 1.0);
-        e.sample("bw_worker_alive", &[("worker", "1")], 0.0);
+        e.counter("bw_requests_total", "Requests admitted.")
+            .rows(["model"], [(["mlp \"a\""], 42.0)]);
+        let alive = [true, false].iter().enumerate();
+        e.gauge("bw_worker_alive", "Liveness per worker.").rows(
+            ["worker"],
+            alive.map(|(w, &up)| ([w.to_string()], f64::from(u8::from(up)))),
+        );
         let text = e.finish();
         assert_eq!(validate_exposition(&text), Ok(3));
         assert!(text.contains("bw_requests_total{model=\"mlp \\\"a\\\"\"} 42"));
@@ -375,13 +392,11 @@ mod tests {
     #[test]
     fn histograms_render_cumulative_and_coherent() {
         let mut e = Exposition::new();
-        e.histogram(
+        e.histograms(
             "bw_latency_seconds",
             "End-to-end latency.",
-            &[("model", "m")],
-            &[(0.001, 3), (0.01, 7), (0.1, 9)],
-            0.05,
-            9,
+            ["model"],
+            [(["m"], [(0.001, 3), (0.01, 7), (0.1, 9)], 0.05, 9)],
         );
         let text = e.finish();
         assert_eq!(validate_exposition(&text), Ok(6));

@@ -87,7 +87,6 @@ pub mod prelude {
     };
     pub use bw_serve::{Server, ServerConfig};
     pub use bw_system::{
-        simulate, simulate_pool, ArrivalProcess, LatencySummary, Microservice, Routing,
-        ServiceModel,
+        simulate, ArrivalProcess, LatencySummary, Microservice, Routing, ServiceModel,
     };
 }

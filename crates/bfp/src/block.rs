@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::format::BfpFormat;
-use crate::kernel::{self, exp2, Mantissas, Operand, Rows};
+use crate::kernel::{self, exp2, Mantissas, Operand, Rows, GROUP};
 
 /// Rounding discipline for quantization.
 ///
@@ -48,15 +48,22 @@ pub enum Rounding {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct BfpBlock {
     format: BfpFormat,
+    len: usize,
     /// Signed mantissas, one per element, magnitude bounded by
-    /// `format.max_mantissa()`: `i8` lanes when that bound is ≤ 127, `i32`
-    /// otherwise.
+    /// `format.max_mantissa()`, in the layout the format calls for: one
+    /// packed row when that bound is ≤ 7, `i8` lanes when it is ≤ 127,
+    /// `i32` otherwise.
     mantissas: Mantissas,
     /// One unbiased shared exponent per chunk of `format.block_size()`.
     exponents: Vec<i32>,
     /// `i8` mantissas widened once, at quantization, to the `i16` lanes the
-    /// MAC kernel multiplies matrix rows by; empty in the `i32` layout.
+    /// MAC kernel multiplies narrow rows by; empty in the other layouts.
     lanes: Vec<i16>,
+    /// What the MAC kernel multiplies packed rows by: the mantissas as `i8`,
+    /// each chunk zero-padded to whole groups, and each chunk's sum. Empty
+    /// in the other layouts.
+    padded: Vec<i8>,
+    sums: Vec<i32>,
 }
 
 /// Error produced by [`BfpBlock::dot`] when the operands are incompatible.
@@ -118,9 +125,12 @@ impl BfpBlock {
     pub fn empty(format: BfpFormat) -> Self {
         BfpBlock {
             format,
-            mantissas: Mantissas::with_capacity(format, 0),
+            len: 0,
+            mantissas: Mantissas::with_capacity(format, 0, 0),
             exponents: Vec::new(),
             lanes: Vec::new(),
+            padded: Vec::new(),
+            sums: Vec::new(),
         }
     }
 
@@ -129,6 +139,7 @@ impl BfpBlock {
     /// [`BfpBlock::quantize_with_rounding`].
     pub fn quantize_into(values: &[f32], format: BfpFormat, rounding: Rounding, out: &mut Self) {
         out.format = format;
+        out.len = values.len();
         out.mantissas.reset(format);
         out.exponents.clear();
         quantize_append(
@@ -137,10 +148,18 @@ impl BfpBlock {
             rounding,
             &mut out.mantissas,
             &mut out.exponents,
+            &mut out.padded,
         );
         out.lanes.clear();
-        if let Mantissas::Narrow(m) = &out.mantissas {
-            out.lanes.extend(m.iter().map(|&q| i16::from(q)));
+        out.sums.clear();
+        match &out.mantissas {
+            Mantissas::Packed(_) => {
+                let stride = (format.block_size() as usize).next_multiple_of(GROUP);
+                let sum = |chunk: &[i8]| chunk.iter().map(|&q| i32::from(q)).sum::<i32>();
+                out.sums.extend(out.padded.chunks(stride).map(sum));
+            }
+            Mantissas::Narrow(m) => out.lanes.extend(m.iter().map(|&q| i16::from(q))),
+            Mantissas::Wide(_) => {}
         }
     }
 
@@ -153,7 +172,7 @@ impl BfpBlock {
     /// Number of elements.
     #[inline]
     pub fn len(&self) -> usize {
-        self.mantissas.as_slice().len()
+        self.len
     }
 
     /// Returns `true` if the block holds no elements.
@@ -162,10 +181,10 @@ impl BfpBlock {
         self.len() == 0
     }
 
-    /// The signed mantissas, widened to `i32` from whichever lane width the
+    /// The signed mantissas, widened to `i32` from whichever layout the
     /// format stores them in.
     pub fn mantissas(&self) -> impl Iterator<Item = i32> + '_ {
-        self.mantissas.as_slice().iter()
+        self.as_row().iter()
     }
 
     /// The unbiased shared exponents, one per chunk.
@@ -176,9 +195,7 @@ impl BfpBlock {
 
     /// Reconstructs the approximate `f32` values.
     pub fn dequantize(&self) -> Vec<f32> {
-        self.mantissas
-            .as_slice()
-            .dequantize(&self.exponents, self.format)
+        self.as_row().dequantize()
     }
 
     /// This vector as the broadcast operand of a product.
@@ -187,6 +204,8 @@ impl BfpBlock {
             format: self.format,
             mantissas: self.mantissas.as_slice(),
             lanes: &self.lanes,
+            padded: &self.padded,
+            sums: &self.sums,
             exponents: &self.exponents,
         }
     }
@@ -203,10 +222,11 @@ impl BfpBlock {
 
     /// Dot product of two BFP vectors using integer MACs per chunk.
     ///
-    /// This is the fast kernel: when both formats store `i8` mantissas
-    /// (≤ 7 mantissa bits — every narrow format the NPU uses) the products
-    /// are packed 16-bit multiply-adds summed in `i32`; wider formats run
-    /// the reference loop. Each chunk sum is then scaled once by the
+    /// This is the fast kernel: when both formats store their mantissas the
+    /// same way, packed (≤ 3 mantissa bits) or as `i8` (≤ 7 — between them
+    /// every format the NPU uses), the products are vector multiply-adds
+    /// summed in `i32`; wider and mixed formats run the reference loop. Each
+    /// chunk sum is then scaled once by the
     /// combined exponents and accumulated across chunks in double
     /// precision. Integer addition is exact and the per-chunk scale is an
     /// exact power of two, so the result is bit-identical to
@@ -259,18 +279,30 @@ impl BfpBlock {
 }
 
 /// Quantization core shared by [`BfpBlock`] and `BfpMatrix`: appends one
-/// chunk-exponent per `block_size` group and one mantissa per element, in
-/// the lane width `mantissas` already has.
+/// chunk-exponent per `block_size` group and one row of mantissas, in the
+/// layout `mantissas` already has. A packed row is quantized as group-padded
+/// `i8` and packed from there; `padded` is left holding that form of it, and
+/// empty by the other layouts.
 pub(crate) fn quantize_append(
     values: &[f32],
     format: BfpFormat,
     rounding: Rounding,
     mantissas: &mut Mantissas,
     exponents: &mut Vec<i32>,
+    padded: &mut Vec<i8>,
 ) {
+    padded.clear();
     match mantissas {
-        Mantissas::Narrow(m) => quantize_lanes(values, format, rounding, m, exponents, |q| q as i8),
-        Mantissas::Wide(m) => quantize_lanes(values, format, rounding, m, exponents, |q| q),
+        Mantissas::Packed(m) => {
+            quantize_lanes(values, format, rounding, padded, exponents, true, |q| {
+                q as i8
+            });
+            kernel::pack_groups(padded, m);
+        }
+        Mantissas::Narrow(m) => {
+            quantize_lanes(values, format, rounding, m, exponents, false, |q| q as i8);
+        }
+        Mantissas::Wide(m) => quantize_lanes(values, format, rounding, m, exponents, false, |q| q),
     }
 }
 
@@ -291,13 +323,15 @@ fn magnitude(v: f32) -> f32 {
 /// bits of the sum as two's complement.
 const ROUND_TO_INT: f64 = 6_755_399_441_055_744.0;
 
-/// `narrow` must be lossless on `-max_mantissa..=max_mantissa`.
-fn quantize_lanes<M>(
+/// `narrow` must be lossless on `-max_mantissa..=max_mantissa`. When
+/// `grouped`, every chunk is zero-padded to whole packed groups.
+fn quantize_lanes<M: Clone + Default>(
     values: &[f32],
     format: BfpFormat,
     rounding: Rounding,
     mantissas: &mut Vec<M>,
     exponents: &mut Vec<i32>,
+    grouped: bool,
     narrow: impl Fn(i32) -> M,
 ) {
     // A splitmix64 generator keeps stochastic rounding dependency-free,
@@ -319,7 +353,11 @@ fn quantize_lanes<M>(
     let max_man = format.max_mantissa();
     let (exp_min, exp_max) = format.exponent_range();
     let m = i32::from(format.mantissa_bits());
-    mantissas.reserve(values.len());
+    mantissas.reserve(if grouped {
+        kernel::padded_len(values.len(), chunk)
+    } else {
+        values.len()
+    });
     exponents.reserve(values.len().div_ceil(chunk));
 
     for group in values.chunks(chunk) {
@@ -378,6 +416,9 @@ fn quantize_lanes<M>(
             })),
         }
         exponents.push(e);
+        if grouped {
+            mantissas.resize(mantissas.len().next_multiple_of(GROUP), M::default());
+        }
     }
 }
 
@@ -553,9 +594,23 @@ mod tests {
         for bits in 1..=23 {
             let fmt = BfpFormat::new(5, bits, 128).unwrap();
             let b = BfpBlock::quantize(&[1.0, -2.0, 0.5], fmt);
-            let narrow = matches!(b.mantissas, Mantissas::Narrow(_));
-            assert_eq!(narrow, fmt.max_mantissa() <= i32::from(i8::MAX), "{fmt}");
+            let (packed, narrow) = match b.mantissas {
+                Mantissas::Packed(_) => (true, false),
+                Mantissas::Narrow(_) => (false, true),
+                Mantissas::Wide(_) => (false, false),
+            };
+            assert_eq!(packed, fmt.max_mantissa() <= 7, "{fmt}");
+            assert_eq!(narrow, !packed && fmt.max_mantissa() <= 127, "{fmt}");
             assert_eq!(b.lanes.len(), if narrow { 3 } else { 0 });
+            assert_eq!(b.padded.len(), if packed { GROUP } else { 0 });
+            assert_eq!(
+                b.sums,
+                if packed {
+                    vec![b.mantissas().sum()]
+                } else {
+                    vec![]
+                }
+            );
         }
     }
 

@@ -252,17 +252,39 @@ impl F16 {
 /// ```
 #[inline]
 pub fn round_to_f16(value: f32) -> f32 {
+    match round_to_f16_in_range(value) {
+        (rounded, true) => rounded,
+        _ => F16::from_f32(value).to_f32(),
+    }
+}
+
+/// The branch-free common case of [`round_to_f16`]: `value` rounded by an
+/// integer add and mask, and whether that is the answer — it is when
+/// `value` is a zero or rounds to a normal binary16; subnormal results,
+/// overflow, infinities and NaNs need [`round_to_f16`]. A loop that calls
+/// this on every lane and ANDs the flags vectorizes, where the rare-case
+/// branch of [`round_to_f16`] does not.
+///
+/// # Example
+///
+/// ```
+/// use bw_bfp::round_to_f16_in_range;
+///
+/// assert_eq!(round_to_f16_in_range(1.0 + 2.0f32.powi(-12)), (1.0, true));
+/// assert!(!round_to_f16_in_range(1.0e-6).1);
+/// assert!(!round_to_f16_in_range(65520.0).1);
+/// ```
+#[inline]
+pub fn round_to_f16_in_range(value: f32) -> (f32, bool) {
     /// 2^-14, the smallest normal binary16.
     const NORMAL_MIN: u32 = 0x3880_0000;
     /// 65520, halfway from the largest finite binary16 to 2^16.
     const OVERFLOW: u32 = 0x477F_F000;
     let bits = value.to_bits();
     let magnitude = bits & 0x7FFF_FFFF;
-    if magnitude.wrapping_sub(NORMAL_MIN) < OVERFLOW - NORMAL_MIN || magnitude == 0 {
-        f32::from_bits((bits + 0xFFF + ((bits >> 13) & 1)) & !0x1FFF)
-    } else {
-        F16::from_f32(value).to_f32()
-    }
+    let rounded = bits.wrapping_add(0xFFF + ((bits >> 13) & 1)) & !0x1FFF;
+    let in_range = (magnitude.wrapping_sub(NORMAL_MIN) < OVERFLOW - NORMAL_MIN) | (magnitude == 0);
+    (f32::from_bits(rounded), in_range)
 }
 
 impl From<f32> for F16 {

@@ -29,6 +29,17 @@ pub struct BfpFormat {
     block_size: u32,
 }
 
+/// The mantissa storage layouts (see the `kernel` module doc).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Layout {
+    /// Magnitudes ≤ 7 — the paper's 1s.5e.2m and 3m: two per byte.
+    Packed,
+    /// Magnitudes ≤ 127: one `i8` each.
+    Narrow,
+    /// Anything wider: one `i32` each.
+    Wide,
+}
+
 /// Error returned when constructing an invalid [`BfpFormat`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FormatError {
@@ -128,11 +139,15 @@ impl BfpFormat {
         (1i32 << self.mantissa_bits) - 1
     }
 
-    /// Whether mantissas of this format are stored one per `i8`
-    /// (magnitudes ≤ 127) rather than one per `i32`.
+    /// How mantissas of this format are stored: the narrowest layout that
+    /// holds `±max_mantissa`. Nothing but the format decides this.
     #[inline]
-    pub(crate) fn is_narrow(self) -> bool {
-        self.mantissa_bits <= 7
+    pub(crate) fn layout(self) -> Layout {
+        match self.mantissa_bits {
+            0..=3 => Layout::Packed,
+            4..=7 => Layout::Narrow,
+            _ => Layout::Wide,
+        }
     }
 
     /// The exponent bias; shared exponents are stored biased like IEEE

@@ -1,29 +1,62 @@
 //! Mantissa storage layouts and the multiply-accumulate kernels over them.
 //!
-//! A format's mantissas are stored in the narrowest lane that holds them:
-//! `i8` when [`BfpFormat::mantissa_bits`] ≤ 7 (magnitudes ≤ 127 — every
-//! format the paper deploys), `i32` otherwise. The format alone picks the
-//! layout; nothing else does.
+//! A format's mantissas are stored in the narrowest layout that holds them,
+//! and the format alone ([`BfpFormat::layout`]) picks it:
 //!
-//! Two kernels compute the same per-chunk integer sums recombined in the
-//! same `f64` order, so they agree bit for bit:
+//! * **packed**, `mantissa_bits` ≤ 3 (magnitudes ≤ 7 — the paper's
+//!   production 1s.5e.2m, and 3m): two mantissas per byte;
+//! * **narrow**, ≤ 7 bits (1s.5e.5m): one `i8` each;
+//! * **wide**: one `i32` each.
 //!
-//! * [`mac_rows`], the hot path. When both operands are narrow it streams
-//!   `i8` rows against the input's mantissas pre-widened to `i16`
-//!   ([`Operand::lanes`]), the shape compilers turn into packed 16-bit
-//!   multiply-adds. The one body is instantiated twice: portably, and on
-//!   x86-64 under `#[target_feature(enable = "avx2")]`, chosen per call by
-//!   runtime detection. Any other layout pairing runs the oracle's loop.
+//! # The packed layout
+//!
+//! Every exponent chunk of a row is padded to whole *groups* of [`GROUP`] =
+//! 64 elements, 32 bytes each. Byte `k` of a group holds element `k` in its
+//! low nibble and element `32 + k` in its high nibble, each as
+//! `mantissa + 8` (1..=15), so one 32-byte load, an `and` and a shift yield
+//! two vectors of unsigned bytes that line up with elements `0..32` and
+//! `32..64` of the operand. Padding is the zero mantissa, byte `0x88`, so a
+//! slab has one canonical form and equal matrices have equal bytes. A
+//! 400-column row in chunks of 128 is 2 + 2 + 2 + 1 groups: 224 bytes for
+//! 400 as `i8`.
+//!
+//! The operand of a packed product ([`Operand::padded`]) is the vector's
+//! mantissas as `i8` in element order, its chunks zero-padded to the same
+//! groups, with each chunk's `Σx` beside them. A chunk's integer sum is then
+//! `Σ(w + 8)·x − 8·Σx`, exactly `Σw·x`: the first term is what unsigned ×
+//! signed byte multiply-adds (`pmaddubsw`) compute, the second costs one
+//! multiply per chunk. Their `i16` lanes take four products of at most
+//! 15 · 128 per group and are widened to `i32` every [`I16_GROUPS`] groups;
+//! the `i32` sums are exact for chunks up to [`PACKED_MAX_CHUNK`] elements,
+//! beyond which the pairing is not taken.
+//!
+//! # Kernels
+//!
+//! All compute the same per-chunk integer sums, scale each by
+//! `2^(row exponent + operand exponent − bias)` and total them in `f64` in
+//! chunk order, so they agree bit for bit:
+//!
+//! * [`mac_rows`], the hot path, has two fast pairings, each with a portable
+//!   instantiation (all there is under miri and off x86-64) and an AVX2 one
+//!   chosen per call by runtime detection. Packed rows × a packed-format
+//!   operand: [`packed_rows_body`] is the readable definition and
+//!   `packed_block_avx2` the `std::arch` body, four rows to one operand load
+//!   and the slab hinted into cache ahead of them (left to the
+//!   autovectoriser the same loop runs at a third of the speed). Narrow rows × a narrow operand pre-widened to `i16`
+//!   ([`Operand::lanes`]): [`narrow_rows_body`], compiled twice. Any other
+//!   pairing runs the oracle's loop.
 //! * [`dot_naive`], the oracle: element-by-element 64-bit accumulation over
-//!   either layout.
+//!   any layout, a packed side unpacked one group at a time.
 
 use serde::{Deserialize, Serialize};
 
-use crate::format::BfpFormat;
+use crate::format::{BfpFormat, Layout};
 
-/// Owned signed mantissas in the lane width their format calls for.
+/// Owned signed mantissas in the layout their format calls for.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub(crate) enum Mantissas {
+    /// `mantissa_bits ≤ 3`: whole rows of nibble pairs (module doc).
+    Packed(Vec<u8>),
     /// `mantissa_bits ≤ 7`: one byte per element.
     Narrow(Vec<i8>),
     /// Wider formats: one `i32` per element.
@@ -31,73 +64,92 @@ pub(crate) enum Mantissas {
 }
 
 impl Mantissas {
-    /// Empty storage in `format`'s layout with room for `capacity` elements.
-    pub(crate) fn with_capacity(format: BfpFormat, capacity: usize) -> Self {
-        if format.is_narrow() {
-            Mantissas::Narrow(Vec::with_capacity(capacity))
-        } else {
-            Mantissas::Wide(Vec::with_capacity(capacity))
+    /// Empty storage in `format`'s layout with room for `rows` rows of
+    /// `cols` elements.
+    pub(crate) fn with_capacity(format: BfpFormat, rows: usize, cols: usize) -> Self {
+        match format.layout() {
+            Layout::Packed => {
+                let row_bytes = padded_len(cols, format.block_size() as usize) / 2;
+                Mantissas::Packed(Vec::with_capacity(rows * row_bytes))
+            }
+            Layout::Narrow => Mantissas::Narrow(Vec::with_capacity(rows * cols)),
+            Layout::Wide => Mantissas::Wide(Vec::with_capacity(rows * cols)),
         }
     }
 
     /// Empties the storage for reuse under `format`, keeping the allocation
     /// when the layout does not change.
     pub(crate) fn reset(&mut self, format: BfpFormat) {
-        match self {
-            Mantissas::Narrow(m) if format.is_narrow() => m.clear(),
-            Mantissas::Wide(m) if !format.is_narrow() => m.clear(),
-            _ => *self = Mantissas::with_capacity(format, 0),
+        match (&mut *self, format.layout()) {
+            (Mantissas::Packed(m), Layout::Packed) => m.clear(),
+            (Mantissas::Narrow(m), Layout::Narrow) => m.clear(),
+            (Mantissas::Wide(m), Layout::Wide) => m.clear(),
+            _ => *self = Mantissas::with_capacity(format, 0, 0),
         }
     }
 
     pub(crate) fn as_slice(&self) -> MantissaSlice<'_> {
         match self {
+            Mantissas::Packed(m) => MantissaSlice::Packed(m),
             Mantissas::Narrow(m) => MantissaSlice::Narrow(m),
             Mantissas::Wide(m) => MantissaSlice::Wide(m),
         }
     }
 }
 
-/// Borrowed mantissas of either layout.
+/// Borrowed mantissas of any layout: whole rows of them.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum MantissaSlice<'a> {
+    Packed(&'a [u8]),
     Narrow(&'a [i8]),
     Wide(&'a [i32]),
 }
 
-impl<'a> MantissaSlice<'a> {
-    pub(crate) fn len(self) -> usize {
+impl MantissaSlice<'_> {
+    /// `range` in storage units: bytes when packed, elements otherwise.
+    fn range(self, range: std::ops::Range<usize>) -> Self {
         match self {
-            MantissaSlice::Narrow(m) => m.len(),
-            MantissaSlice::Wide(m) => m.len(),
-        }
-    }
-
-    pub(crate) fn range(self, range: std::ops::Range<usize>) -> Self {
-        match self {
+            MantissaSlice::Packed(m) => MantissaSlice::Packed(&m[range]),
             MantissaSlice::Narrow(m) => MantissaSlice::Narrow(&m[range]),
             MantissaSlice::Wide(m) => MantissaSlice::Wide(&m[range]),
         }
     }
+}
 
-    /// The mantissas widened to `i32`, whatever their storage.
-    pub(crate) fn iter(self) -> impl Iterator<Item = i32> + 'a {
-        (0..self.len()).map(move |i| match self {
-            MantissaSlice::Narrow(m) => i32::from(m[i]),
-            MantissaSlice::Wide(m) => m[i],
-        })
-    }
+/// Elements in one group of the packed layout: 32 bytes of nibble pairs.
+pub(crate) const GROUP: usize = 64;
 
-    /// Reconstructs approximate `f32` values, one exponent per `format`
-    /// chunk.
-    pub(crate) fn dequantize(self, exponents: &[i32], format: BfpFormat) -> Vec<f32> {
-        let chunk = format.block_size() as usize;
-        let m = i32::from(format.mantissa_bits());
-        self.iter()
-            .enumerate()
-            .map(|(i, q)| (f64::from(q) * exp2(exponents[i / chunk] - (m - 1))) as f32)
-            .collect()
+/// Elements a `cols`-element vector in exponent chunks of `chunk` occupies
+/// once every chunk is padded to whole groups; a packed row is half as many
+/// bytes.
+pub(crate) fn padded_len(cols: usize, chunk: usize) -> usize {
+    cols / chunk * chunk.next_multiple_of(GROUP) + (cols % chunk).next_multiple_of(GROUP)
+}
+
+/// Appends group-padded mantissas (each within ±7) to a packed slab.
+pub(crate) fn pack_groups(lanes: &[i8], out: &mut Vec<u8>) {
+    debug_assert_eq!(lanes.len() % GROUP, 0);
+    let at = out.len();
+    out.resize(at + lanes.len() / 2, 0);
+    for (bytes, group) in out[at..]
+        .chunks_exact_mut(GROUP / 2)
+        .zip(lanes.chunks_exact(GROUP))
+    {
+        let (low, high) = group.split_at(GROUP / 2);
+        for ((byte, &l), &h) in bytes.iter_mut().zip(low).zip(high) {
+            *byte = (l + 8) as u8 | ((h + 8) as u8) << 4;
+        }
     }
+}
+
+/// The 64 mantissas of one packed group, in element order.
+fn unpack_group(bytes: &[u8]) -> [i8; GROUP] {
+    let mut group = [0; GROUP];
+    for (k, &byte) in bytes[..GROUP / 2].iter().enumerate() {
+        group[k] = (byte & 15) as i8 - 8;
+        group[GROUP / 2 + k] = (byte >> 4) as i8 - 8;
+    }
+    group
 }
 
 /// `2.0^e` as an `f64` without going through `powi` (exact for the exponent
@@ -121,12 +173,41 @@ pub(crate) struct Rows<'a> {
 impl<'a> Rows<'a> {
     /// Row `r` alone.
     pub(crate) fn row(self, r: usize) -> Self {
-        let cpr = self.cols.div_ceil(self.format.block_size() as usize);
+        let chunk = self.format.block_size() as usize;
+        let cpr = self.cols.div_ceil(chunk);
+        let stride = match self.mantissas {
+            MantissaSlice::Packed(_) => padded_len(self.cols, chunk) / 2,
+            _ => self.cols,
+        };
         Rows {
-            mantissas: self.mantissas.range(r * self.cols..(r + 1) * self.cols),
+            mantissas: self.mantissas.range(r * stride..(r + 1) * stride),
             exponents: &self.exponents[r * cpr..(r + 1) * cpr],
             ..self
         }
+    }
+
+    /// The first row's mantissas widened to `i32`, whatever their storage.
+    pub(crate) fn iter(self) -> impl Iterator<Item = i32> + 'a {
+        let chunk = self.format.block_size() as usize;
+        (0..self.cols).map(move |i| match self.mantissas {
+            MantissaSlice::Packed(m) => {
+                let group = i / chunk * chunk.div_ceil(GROUP) + i % chunk / GROUP;
+                let (k, byte) = (i % chunk % GROUP, &m[group * (GROUP / 2)..]);
+                i32::from(byte[k % (GROUP / 2)] >> (k / (GROUP / 2) * 4) & 15) - 8
+            }
+            MantissaSlice::Narrow(m) => i32::from(m[i]),
+            MantissaSlice::Wide(m) => m[i],
+        })
+    }
+
+    /// Reconstructs the first row's approximate `f32` values.
+    pub(crate) fn dequantize(self) -> Vec<f32> {
+        let chunk = self.format.block_size() as usize;
+        let m = i32::from(self.format.mantissa_bits());
+        self.iter()
+            .enumerate()
+            .map(|(i, q)| (f64::from(q) * exp2(self.exponents[i / chunk] - (m - 1))) as f32)
+            .collect()
     }
 }
 
@@ -135,8 +216,13 @@ impl<'a> Rows<'a> {
 pub(crate) struct Operand<'a> {
     pub(crate) format: BfpFormat,
     pub(crate) mantissas: MantissaSlice<'a>,
-    /// Narrow mantissas widened to `i16`; empty in the wide layout.
+    /// Narrow mantissas widened to `i16`; empty in the other layouts.
     pub(crate) lanes: &'a [i16],
+    /// Packed mantissas as `i8` in element order, each chunk zero-padded to
+    /// whole groups; empty in the other layouts.
+    pub(crate) padded: &'a [i8],
+    /// `Σx` of each chunk of `padded`.
+    pub(crate) sums: &'a [i32],
     pub(crate) exponents: &'a [i32],
 }
 
@@ -148,10 +234,17 @@ pub(crate) struct Operand<'a> {
 /// [`dot_naive`] row by row: integer sums are exact in any order, and the
 /// per-chunk scale and the cross-chunk `f64` order are the oracle's.
 pub(crate) fn mac_rows<const ACC: bool>(rows: Rows<'_>, x: Operand<'_>, out: &mut [f32]) {
-    if let (MantissaSlice::Narrow(w), MantissaSlice::Narrow(_)) = (rows.mantissas, x.mantissas) {
-        let chunk = rows.format.block_size() as usize;
-        let bias = scale_bias(rows.format, x.format);
-        return narrow_rows::<ACC>(w, rows.exponents, x.lanes, x.exponents, chunk, bias, out);
+    use MantissaSlice::{Narrow, Packed};
+    let chunk = rows.format.block_size() as usize;
+    let bias = scale_bias(rows.format, x.format);
+    match (rows.mantissas, x.mantissas) {
+        (Packed(w), Packed(_)) if chunk <= PACKED_MAX_CHUNK => {
+            return packed_rows::<ACC>(w, rows, x, out);
+        }
+        (Narrow(w), Narrow(_)) => {
+            return narrow_rows::<ACC>(w, rows.exponents, x.lanes, x.exponents, chunk, bias, out);
+        }
+        _ => {}
     }
     for (r, slot) in out.iter_mut().enumerate() {
         let dot = dot_naive(rows.row(r), x);
@@ -171,16 +264,54 @@ pub(crate) fn dot(row: Rows<'_>, x: Operand<'_>) -> f32 {
 }
 
 /// Reference dot kernel of one row with `x`: element-by-element 64-bit
-/// accumulation per chunk, the oracle the narrow kernel is tested against
+/// accumulation per chunk, the oracle the fast pairings are tested against
 /// and the only kernel of the wide layout.
 pub(crate) fn dot_naive(row: Rows<'_>, x: Operand<'_>) -> f32 {
-    use MantissaSlice::{Narrow, Wide};
+    use MantissaSlice::{Narrow, Packed, Wide};
+    let chunk = row.format.block_size() as usize;
     match (row.mantissas, x.mantissas) {
         (Narrow(a), Narrow(b)) => dot_lanes_naive(a, b, row, x),
         (Narrow(a), Wide(b)) => dot_lanes_naive(a, b, row, x),
         (Wide(a), Narrow(b)) => dot_lanes_naive(a, b, row, x),
         (Wide(a), Wide(b)) => dot_lanes_naive(a, b, row, x),
+        // A product commutes, so a packed operand takes the packed side too;
+        // against a packed row it reads as its padded lanes.
+        (Packed(a), Packed(_)) => {
+            dot_packed_naive(a, x.padded, chunk.next_multiple_of(GROUP), row, x)
+        }
+        (Packed(a), Narrow(b)) => dot_packed_naive(a, b, chunk, row, x),
+        (Packed(a), Wide(b)) => dot_packed_naive(a, b, chunk, row, x),
+        (Narrow(a), Packed(b)) => dot_packed_naive(b, a, chunk, row, x),
+        (Wide(a), Packed(b)) => dot_packed_naive(b, a, chunk, row, x),
     }
+}
+
+/// [`dot_lanes_naive`] with one side packed: each group is unpacked to the
+/// stack and multiplied by the elements of `other` it stands for, whose
+/// chunks start every `other_stride` elements.
+fn dot_packed_naive<B: Copy + Into<i64>>(
+    packed: &[u8],
+    other: &[B],
+    other_stride: usize,
+    row: Rows<'_>,
+    x: Operand<'_>,
+) -> f32 {
+    let chunk = row.format.block_size() as usize;
+    let bias = scale_bias(row.format, x.format);
+    let mut groups = packed.chunks_exact(GROUP / 2);
+    let mut total = 0.0f64;
+    for (gi, (&ew, &ex)) in row.exponents.iter().zip(x.exponents).enumerate() {
+        let len = chunk.min(row.cols - gi * chunk);
+        let mut acc: i64 = 0;
+        for (at, bytes) in (0..len).step_by(GROUP).zip(&mut groups) {
+            let b = &other[gi * other_stride + at..][..GROUP.min(len - at)];
+            for (&a, &b) in unpack_group(bytes).iter().zip(b) {
+                acc += i64::from(a) * b.into();
+            }
+        }
+        total += acc as f64 * exp2(ew + ex - bias);
+    }
+    total as f32
 }
 
 fn dot_lanes_naive<A: Copy + Into<i64>, B: Copy + Into<i64>>(
@@ -207,6 +338,204 @@ fn dot_lanes_naive<A: Copy + Into<i64>, B: Copy + Into<i64>>(
 #[inline]
 fn scale_bias(a: BfpFormat, b: BfpFormat) -> i32 {
     i32::from(a.mantissa_bits()) - 1 + i32::from(b.mantissa_bits()) - 1
+}
+
+/// Longest exponent chunk the packed pairing takes: its `i32` chunk sums
+/// are of products of at most `15 · 128`.
+const PACKED_MAX_CHUNK: usize = 1 << 20;
+
+/// Groups between widenings of the packed kernel's `i16` lanes: a lane takes
+/// four products of at most `15 · 128` per group.
+const I16_GROUPS: usize = 4;
+
+/// How far ahead of its loads the AVX2 packed body hints the slab into
+/// cache: a model's tiles are read once per product from beyond L2, where a
+/// hint per cache line takes the kernel from 0.041 to 0.030 ns per MAC (and
+/// costs an in-L2 tile 0.026 → 0.028).
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+const PREFETCH_AHEAD: usize = 4096;
+
+/// Runs the packed pairing — `w` is the packed slab of `rows`, `x` a
+/// packed-format operand — under the widest vector unit the CPU has.
+#[allow(unsafe_code)]
+fn packed_rows<const ACC: bool>(w: &[u8], rows: Rows<'_>, x: Operand<'_>, out: &mut [f32]) {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: a safe `#[target_feature(enable = "avx2")]` function asks
+        // only that the running CPU supports AVX2, which was just detected.
+        // Rows four at a time, then the `rows % 4` tail (all of a `dot`).
+        return unsafe {
+            let done = packed_block_avx2::<4, ACC>(w, rows, x, out, 0);
+            packed_block_avx2::<1, ACC>(w, rows, x, out, done);
+        };
+    }
+    packed_rows_body::<ACC>(w, rows, x, out);
+}
+
+/// Bytes per packed row and per whole chunk of one (a row's last chunk is
+/// what is left of it) and chunks per row, having asserted that every slice
+/// the packed bodies index is exactly `n` rows, or one operand, long.
+fn packed_shape(w: &[u8], rows: Rows<'_>, x: Operand<'_>, n: usize) -> (usize, usize, usize) {
+    let chunk = rows.format.block_size() as usize;
+    let (row_bytes, cpr) = (padded_len(rows.cols, chunk) / 2, rows.cols.div_ceil(chunk));
+    assert!(w.len() == n * row_bytes && rows.exponents.len() == n * cpr);
+    assert!(x.padded.len() == 2 * row_bytes && x.sums.len() == cpr && x.exponents.len() == cpr);
+    (row_bytes, chunk.div_ceil(GROUP) * (GROUP / 2), cpr)
+}
+
+/// The packed pairing, one row and one product at a time: per chunk
+/// `Σ(w + 8)·x` over its groups, less `8·Σx`, scaled and totalled as in
+/// [`narrow_rows_body`].
+fn packed_rows_body<const ACC: bool>(w: &[u8], rows: Rows<'_>, x: Operand<'_>, out: &mut [f32]) {
+    let (row_bytes, chunk_bytes, cpr) = packed_shape(w, rows, x, out.len());
+    let bias = scale_bias(rows.format, x.format);
+    for (r, slot) in out.iter_mut().enumerate() {
+        let (row, row_exp) = (
+            &w[r * row_bytes..][..row_bytes],
+            &rows.exponents[r * cpr..][..cpr],
+        );
+        let mut total = 0.0f64;
+        let mut at = 0;
+        for (ci, (&ew, &ex)) in row_exp.iter().zip(x.exponents).enumerate() {
+            let end = (at + chunk_bytes).min(row_bytes);
+            let mut sum = 0i32;
+            for (bytes, x) in row[at..end]
+                .chunks_exact(GROUP / 2)
+                .zip(x.padded[2 * at..2 * end].chunks_exact(GROUP))
+            {
+                for (k, &byte) in bytes.iter().enumerate() {
+                    sum += i32::from(byte & 15) * i32::from(x[k])
+                        + i32::from(byte >> 4) * i32::from(x[GROUP / 2 + k]);
+                }
+            }
+            total += f64::from(sum - 8 * x.sums[ci]) * exp2(ew + ex - bias);
+            at = end;
+        }
+        if ACC {
+            *slot += total as f32;
+        } else {
+            *slot = total as f32;
+        }
+    }
+}
+
+/// 32 bytes of `lanes` from `at` as one vector.
+///
+/// # Safety
+///
+/// `at + 32 <= lanes.len()`.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx2")]
+#[allow(unsafe_code)]
+#[inline]
+unsafe fn load32<T>(lanes: &[T], at: usize) -> std::arch::x86_64::__m256i {
+    const { assert!(size_of::<T>() == 1) };
+    debug_assert!(at + 32 <= lanes.len());
+    // SAFETY: the caller keeps the 32 one-byte elements from `at` inside
+    // `lanes`, and an unaligned load asks for nothing else.
+    unsafe { std::arch::x86_64::_mm256_loadu_si256(lanes.as_ptr().add(at).cast()) }
+}
+
+/// [`packed_rows_body`] over rows `first..` in blocks of `R` (4 or 1) that
+/// share each load of the operand; returns the first row left over. Per
+/// group and row an `and`, a shift and an `and` split the nibbles, two
+/// `pmaddubsw` multiply them into `i16` pair sums and `pmaddwd` by ones
+/// widens those every [`I16_GROUPS`] groups; per chunk the block's sums are
+/// reduced together, corrected, scaled by a vector of `2^e` built in the
+/// exponent field, and added to its `f64` totals.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx2")]
+#[allow(unsafe_code)]
+#[inline]
+fn packed_block_avx2<const R: usize, const ACC: bool>(
+    w: &[u8],
+    rows: Rows<'_>,
+    x: Operand<'_>,
+    out: &mut [f32],
+    first: usize,
+) -> usize {
+    use std::arch::x86_64::*;
+    const { assert!(R == 1 || R == 4) };
+    let (row_bytes, chunk_bytes, cpr) = packed_shape(w, rows, x, out.len());
+    let bias = scale_bias(rows.format, x.format);
+    let (nibble, ones) = (_mm256_set1_epi8(15), _mm256_set1_epi16(1));
+    let mut row = first;
+    for slots in out[first..].chunks_exact_mut(R) {
+        let (mut ws, mut exps) = ([w; R], [rows.exponents; R]);
+        for r in 0..R {
+            ws[r] = &w[(row + r) * row_bytes..][..row_bytes];
+            exps[r] = &rows.exponents[(row + r) * cpr..][..cpr];
+        }
+        let mut totals = _mm256_setzero_pd();
+        let mut at = 0;
+        for ci in 0..cpr {
+            let end = (at + chunk_bytes).min(row_bytes);
+            let mut wide = [_mm256_setzero_si256(); R];
+            while at < end {
+                let run_end = (at + I16_GROUPS * (GROUP / 2)).min(end);
+                let mut lanes = [_mm256_setzero_si256(); R];
+                while at < run_end {
+                    // SAFETY: `at < end <= row_bytes`, all multiples of 32,
+                    // so `at + 32 <= row_bytes`; `packed_shape` asserted
+                    // that `x.padded` is twice that long.
+                    let (x_low, x_high) =
+                        unsafe { (load32(x.padded, 2 * at), load32(x.padded, 2 * at + 32)) };
+                    for r in 0..R {
+                        // SAFETY: `at + 32 <= row_bytes`, the length `ws[r]`
+                        // was sliced to.
+                        let bytes = unsafe { load32(ws[r], at) };
+                        if at % 64 == 0 {
+                            // A hint: it faults on no address, past the
+                            // slab's end included.
+                            let ahead = ws[r].as_ptr().wrapping_add(at + PREFETCH_AHEAD);
+                            _mm_prefetch::<_MM_HINT_T0>(ahead.cast());
+                        }
+                        let low = _mm256_and_si256(bytes, nibble);
+                        let high = _mm256_and_si256(_mm256_srli_epi16(bytes, 4), nibble);
+                        let pairs = _mm256_add_epi16(
+                            _mm256_maddubs_epi16(low, x_low),
+                            _mm256_maddubs_epi16(high, x_high),
+                        );
+                        lanes[r] = _mm256_add_epi16(lanes[r], pairs);
+                    }
+                    at += GROUP / 2;
+                }
+                for r in 0..R {
+                    wide[r] = _mm256_add_epi32(wide[r], _mm256_madd_epi16(lanes[r], ones));
+                }
+            }
+            // Row `r`'s chunk sum and exponent in lane `r`; a one-row block
+            // has its row in all four.
+            let low = _mm256_hadd_epi32(wide[0], wide[1 % R]);
+            let high = _mm256_hadd_epi32(wide[2 % R], wide[3 % R]);
+            let sums = _mm256_hadd_epi32(low, high);
+            let (low, high) = (
+                _mm256_castsi256_si128(sums),
+                _mm256_extracti128_si256(sums, 1),
+            );
+            let sums = _mm_add_epi32(low, high);
+            let exp = |r: usize| exps[r % R][ci];
+            let exps = _mm_set_epi32(exp(3), exp(2), exp(1), exp(0));
+            let sums = _mm_sub_epi32(sums, _mm_set1_epi32(8 * x.sums[ci]));
+            let exps = _mm_add_epi32(exps, _mm_set1_epi32(1023 + x.exponents[ci] - bias));
+            let scale = _mm256_castsi256_pd(_mm256_slli_epi64(_mm256_cvtepi32_epi64(exps), 52));
+            totals = _mm256_add_pd(totals, _mm256_mul_pd(_mm256_cvtepi32_pd(sums), scale));
+        }
+        let (lo, hi) = (
+            _mm256_castpd256_pd128(totals),
+            _mm256_extractf128_pd(totals, 1),
+        );
+        let totals = [lo, _mm_unpackhi_pd(lo, lo), hi, _mm_unpackhi_pd(hi, hi)];
+        for (slot, total) in slots.iter_mut().zip(totals) {
+            if ACC {
+                *slot += _mm_cvtsd_f64(total) as f32;
+            } else {
+                *slot = _mm_cvtsd_f64(total) as f32;
+            }
+        }
+        row += R;
+    }
+    row
 }
 
 /// Longest run of narrow products an `i32` sums exactly:
@@ -370,6 +699,8 @@ mod tests {
                 format: f,
                 mantissas: MantissaSlice::Narrow(&x8),
                 lanes: &x,
+                padded: &[],
+                sums: &[],
                 exponents: &x_exp,
             };
             let mut got = vec![7.0f32; 3];
@@ -416,7 +747,7 @@ mod tests {
     fn store_keeps_the_sign_of_an_underflowed_total() {
         // A negative total too small for `f32` is `-0.0`; accumulating onto
         // `0.0` would lose the sign that a store keeps.
-        let fmt = BfpFormat::new(8, 2, 128).unwrap();
+        let fmt = BfpFormat::new(8, 5, 128).unwrap();
         let rows = Rows {
             format: fmt,
             cols: 1,
@@ -427,10 +758,237 @@ mod tests {
             format: fmt,
             mantissas: MantissaSlice::Narrow(&[1]),
             lanes: &[1],
+            padded: &[],
+            sums: &[],
             exponents: &[-100],
         };
         let mut out = [1.0f32];
         mac_rows::<false>(rows, x, &mut out);
         assert_eq!(out[0].to_bits(), (-0.0f32).to_bits());
+        // The packed pairing, one row (the tail body) and five (a block and
+        // a tail): every total is -1 · 2^-202.
+        for n in [1, 5] {
+            let case = PackedCase::new(&vec![-1; n], &vec![-100; n], &[1], &[-100], 8, 128);
+            let mut out = vec![1.0f32; n];
+            mac_rows::<false>(case.rows(), case.operand(), &mut out);
+            assert!(out.iter().all(|y| y.to_bits() == (-0.0f32).to_bits()));
+        }
+    }
+
+    /// `chunk`-element chunks of `natural`, each zero-padded to whole groups.
+    fn pad(natural: &[i8], chunk: usize) -> Vec<i8> {
+        let mut padded = Vec::new();
+        for c in natural.chunks(chunk) {
+            padded.extend_from_slice(c);
+            padded.resize(padded.len().next_multiple_of(GROUP), 0);
+        }
+        padded
+    }
+
+    /// Packed rows and a packed-format operand built from mantissas in
+    /// element order.
+    struct PackedCase {
+        format: BfpFormat,
+        cols: usize,
+        w: Vec<u8>,
+        w_exp: Vec<i32>,
+        x: Vec<u8>,
+        padded: Vec<i8>,
+        sums: Vec<i32>,
+        x_exp: Vec<i32>,
+    }
+
+    impl PackedCase {
+        fn new(
+            w: &[i8],
+            w_exp: &[i32],
+            x: &[i8],
+            x_exp: &[i32],
+            exponent_bits: u8,
+            chunk: usize,
+        ) -> Self {
+            let mut case = PackedCase {
+                format: BfpFormat::new(exponent_bits, 3, chunk as u32).unwrap(),
+                cols: x.len(),
+                w: Vec::new(),
+                w_exp: w_exp.to_vec(),
+                x: Vec::new(),
+                padded: pad(x, chunk),
+                sums: x
+                    .chunks(chunk)
+                    .map(|c| c.iter().map(|&q| i32::from(q)).sum())
+                    .collect(),
+                x_exp: x_exp.to_vec(),
+            };
+            for row in w.chunks(x.len().max(1)) {
+                pack_groups(&pad(row, chunk), &mut case.w);
+            }
+            pack_groups(&case.padded, &mut case.x);
+            case
+        }
+
+        /// `rows` rows of `cols` against one input, every mantissa within
+        /// `±max`: rows of all `+max`, of all `−max` and mixed ones in turn,
+        /// against an input of `±max`, so chunk sums reach their bounds in
+        /// both directions.
+        fn saturated(rows: usize, cols: usize, chunk: usize, max: i8, seed: u64) -> Self {
+            let cpr = cols.div_ceil(chunk);
+            let mut state = seed;
+            let mut next = move || {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 33) as i32
+            };
+            let w: Vec<i8> = (0..rows * cols)
+                .map(|i| match (i / cols % 3, next() % 4) {
+                    (0, _) | (2, 0) => max,
+                    (1, _) | (2, 1) => -max,
+                    _ => (next() % (2 * i32::from(max) + 1)) as i8 - max,
+                })
+                .collect();
+            let x: Vec<i8> = (0..cols)
+                .map(|i| match (i as u64 + seed) % 3 {
+                    0 => -max,
+                    _ => max,
+                })
+                .collect();
+            let w_exp: Vec<i32> = (0..rows * cpr).map(|_| next() % 17 - 8).collect();
+            let x_exp: Vec<i32> = (0..cpr).map(|_| next() % 17 - 8).collect();
+            PackedCase::new(&w, &w_exp, &x, &x_exp, 5, chunk)
+        }
+
+        fn rows(&self) -> Rows<'_> {
+            Rows {
+                format: self.format,
+                cols: self.cols,
+                mantissas: MantissaSlice::Packed(&self.w),
+                exponents: &self.w_exp,
+            }
+        }
+
+        fn operand(&self) -> Operand<'_> {
+            Operand {
+                format: self.format,
+                mantissas: MantissaSlice::Packed(&self.x),
+                lanes: &[],
+                padded: &self.padded,
+                sums: &self.sums,
+                exponents: &self.x_exp,
+            }
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    #[test]
+    fn packing_round_trips_every_mantissa_with_canonical_padding() {
+        // The interpreter is ~1000× slower: there, every tenth width.
+        let step = if cfg!(miri) { 10 } else { 1 };
+        for chunk in [16, 64, 128, 400] {
+            for cols in (0..=200).step_by(step) {
+                let natural: Vec<i8> = (0..cols).map(|i| ((i * 7 + cols) % 15) as i8 - 7).collect();
+                let padded = pad(&natural, chunk);
+                assert_eq!(padded.len(), padded_len(cols, chunk), "{cols} in {chunk}s");
+                let mut bytes = Vec::new();
+                pack_groups(&padded, &mut bytes);
+                let row = Rows {
+                    format: BfpFormat::new(5, 3, chunk as u32).unwrap(),
+                    cols,
+                    mantissas: MantissaSlice::Packed(&bytes),
+                    exponents: &[],
+                };
+                assert!(row.iter().eq(natural.iter().map(|&q| i32::from(q))));
+                // Group by group the slab unpacks to the padded lanes, zeros
+                // and all: the same mantissas always pack to the same bytes.
+                let unpacked: Vec<i8> = bytes.chunks(GROUP / 2).flat_map(unpack_group).collect();
+                assert_eq!(unpacked, padded, "{cols} in {chunk}s");
+            }
+        }
+        let all: Vec<i8> = (-7..=7).cycle().take(GROUP).collect();
+        let mut bytes = Vec::new();
+        pack_groups(&all, &mut bytes);
+        assert_eq!(unpack_group(&bytes)[..], all[..]);
+    }
+
+    #[test]
+    fn packed_kernel_intervals_cannot_overflow() {
+        // Four products of an unsigned nibble and an `i8` per lane per group.
+        assert!(I16_GROUPS * 4 * 15 * 128 <= i16::MAX as usize);
+        assert!(PACKED_MAX_CHUNK as i64 * 15 * 128 <= i64::from(i32::MAX));
+    }
+
+    #[test]
+    fn packed_pairing_matches_oracle_at_group_chunk_and_row_block_tails() {
+        let all = [0, 1, 31, 32, 33, 63, 64, 65, 127, 128, 129, 400];
+        let widths = if cfg!(miri) { &all[..8] } else { &all[..] };
+        for max in [7, 3] {
+            for &cols in widths {
+                for n in [1, 2, 3, 4, 5, 7, 8] {
+                    let case = PackedCase::saturated(n, cols, 128, max, (cols + n) as u64);
+                    let (rows, x) = (case.rows(), case.operand());
+                    let dots: Vec<f32> = (0..n).map(|r| dot_naive(rows.row(r), x)).collect();
+                    let mut stored = vec![7.0f32; n];
+                    mac_rows::<false>(rows, x, &mut stored);
+                    assert_eq!(bits(&stored), bits(&dots), "±{max}, {n} × {cols}");
+                    let mut added = vec![0.75f32; n];
+                    mac_rows::<true>(rows, x, &mut added);
+                    let want: Vec<f32> = dots.iter().map(|d| 0.75 + d).collect();
+                    assert_eq!(bits(&added), bits(&want), "±{max}, {n} × {cols}");
+                    // Where AVX2 is detected the dispatcher took that body,
+                    // so this compares the two bodies as well.
+                    let mut scalar = vec![0.75f32; n];
+                    packed_rows_body::<true>(&case.w, rows, x, &mut scalar);
+                    assert_eq!(bits(&scalar), bits(&added), "±{max}, {n} × {cols}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_pairing_pads_chunks_that_are_not_whole_groups() {
+        // Chunks shorter than a group, between one and two, of 400 (six and
+        // a quarter: the `i16` lanes are widened twice per chunk) and of
+        // 2^15, where lanes never widened would overflow after 78 groups.
+        let shapes = [4, 16, 100, 400]
+            .into_iter()
+            .flat_map(|chunk| [3, 4, 5, 100, 101, 400, 900].map(|cols| (chunk, cols)))
+            .chain((!cfg!(miri)).then_some((1 << 15, (1 << 15) + 65)));
+        for (chunk, cols) in shapes {
+            let case = PackedCase::saturated(6, cols, chunk, 7, (chunk + cols) as u64);
+            let (rows, x) = (case.rows(), case.operand());
+            let dots: Vec<f32> = (0..6).map(|r| dot_naive(rows.row(r), x)).collect();
+            let mut got = vec![0.0f32; 6];
+            mac_rows::<false>(rows, x, &mut got);
+            assert_eq!(bits(&got), bits(&dots), "{cols} in {chunk}s");
+        }
+    }
+
+    #[test]
+    fn packed_oracle_matches_the_unpacked_one() {
+        // The same mantissas as `i8` lanes through the loop that was the
+        // oracle before there was a packed layout; and, the product
+        // commuting, with the packed side as the operand.
+        let case = PackedCase::saturated(3, 333, 128, 7, 9);
+        // Chunks of 128 are whole groups, so only the row's tail is padded.
+        let x = &case.padded[..333];
+        let narrow = Operand {
+            mantissas: MantissaSlice::Narrow(x),
+            ..case.operand()
+        };
+        for r in 0..3 {
+            let row = case.rows().row(r);
+            let w: Vec<i8> = row.iter().map(|q| q as i8).collect();
+            let narrow_row = Rows {
+                mantissas: MantissaSlice::Narrow(&w),
+                ..row
+            };
+            let want = dot_naive(narrow_row, narrow).to_bits();
+            assert_eq!(dot_naive(row, case.operand()).to_bits(), want);
+            assert_eq!(dot_naive(row, narrow).to_bits(), want);
+            assert_eq!(dot_naive(narrow_row, case.operand()).to_bits(), want);
+        }
     }
 }

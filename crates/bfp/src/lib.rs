@@ -19,21 +19,26 @@
 //!
 //! # Storage layouts and kernels
 //!
-//! Mantissas are stored in the narrowest lane the format allows, and the
-//! [`BfpFormat`] alone decides which: one `i8` per element when it has at
-//! most 7 mantissa bits (magnitudes ≤ 127: every format the paper deploys),
-//! one `i32` per element otherwise. There is no switch for it anywhere else.
+//! Mantissas are stored in the narrowest layout the format allows, and the
+//! [`BfpFormat`] alone decides which: two per byte when it has at most 3
+//! mantissa bits (the paper's production 1s.5e.2m — the width the paper
+//! stores), one `i8` each up to 7 bits (1s.5e.5m), one `i32` each beyond.
+//! There is no switch for it anywhere else. The `kernel` module's doc is
+//! the one statement of the packed layout.
 //!
 //! The dot-product hot path ([`BfpMatrix::mv_mul_into`],
-//! [`BfpMatrix::mv_mul_acc`], [`BfpBlock::dot`]) multiplies `i8` rows by the
-//! input vector's mantissas, which [`BfpBlock`] keeps widened to `i16` from
-//! the moment it is quantized, and sums the products in `i32` per exponent
-//! chunk — a loop compilers turn into packed 16-bit multiply-adds. That one
-//! loop is compiled twice, for the baseline target and (on x86-64) for AVX2,
-//! and each call takes the AVX2 copy when the CPU has it; that call is the
+//! [`BfpMatrix::mv_mul_acc`], [`BfpBlock::dot`]) has a vector kernel for
+//! each of the first two layouts, taken when the matrix and the input vector
+//! share it: packed rows against the vector's mantissas as zero-padded `i8`
+//! with each chunk's sum (unsigned × signed byte multiply-adds, four rows to
+//! one load of the vector), and `i8` rows against the vector's mantissas
+//! widened to `i16` (packed 16-bit multiply-adds). [`BfpBlock`] keeps either
+//! form from the moment it is quantized. Each kernel has a portable
+//! instantiation and, on x86-64, an AVX2 one that a call takes when the CPU
+//! has it; those calls and the AVX2 packed body's vector loads are the
 //! crate's only `unsafe`. Wide or mixed-layout operands run the reference
 //! loop of [`BfpBlock::dot_naive`] / [`BfpMatrix::mv_mul_naive`]:
-//! element-by-element 64-bit sums over either layout, the oracle all of the
+//! element-by-element 64-bit sums over any layout, the oracle all of the
 //! above is tested bit-for-bit against.
 //!
 //! # Example
@@ -50,8 +55,8 @@
 //! assert!((back[2] - 3.0).abs() < 0.5);
 //! ```
 
-// One `#[allow]`ed call, in `kernel::narrow_rows`, into the AVX2 copy of
-// the MAC loop after detecting the feature.
+// `#[allow]`ed in `kernel` only: the two calls into AVX2 instantiations
+// after detecting the feature, and the packed AVX2 body's vector loads.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -64,6 +69,6 @@ mod matrix;
 
 pub use block::{BfpBlock, DotError, Rounding};
 pub use error::ErrorStats;
-pub use f16::{round_to_f16, F16};
+pub use f16::{round_to_f16, round_to_f16_in_range, F16};
 pub use format::{BfpFormat, FormatError};
 pub use matrix::{BfpMatrix, BfpRowRef, MatrixShapeError};

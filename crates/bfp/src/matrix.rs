@@ -14,12 +14,13 @@ use crate::kernel::{self, mac_rows, Mantissas, Rows};
 /// multiplying the input vector by one row performs only integer MACs plus a
 /// per-chunk exponent recombination.
 ///
-/// Storage is one flat row-major mantissa slab (`rows * cols` signed
-/// mantissas) plus a flat exponent slab (one per chunk per row), which the
-/// MAC kernel streams through without per-row indirection. The format alone
-/// picks the slab's lane width: `i8` when it has ≤ 7 mantissa bits (every
-/// format the paper deploys, a quarter of the bytes and four times the
-/// elements per vector register), `i32` otherwise.
+/// Storage is one flat row-major mantissa slab plus a flat exponent slab
+/// (one per chunk per row), which the MAC kernel streams through without
+/// per-row indirection. The format alone picks the slab's layout, the
+/// narrowest that holds its mantissas: two per byte when it has ≤ 3 mantissa
+/// bits (the paper's production 1s.5e.2m: a 400 × 400 tile is 90 KB), one
+/// `i8` each up to 7 bits, one `i32` each beyond. The `kernel` module doc
+/// defines the packed layout.
 ///
 /// # Example
 ///
@@ -37,7 +38,7 @@ pub struct BfpMatrix {
     rows: usize,
     cols: usize,
     format: BfpFormat,
-    /// `rows * cols` signed mantissas, row-major.
+    /// `rows` rows of `cols` signed mantissas, row-major.
     mantissas: Mantissas,
     /// `rows * chunks_per_row` shared exponents, row-major.
     exponents: Vec<i32>,
@@ -69,10 +70,10 @@ impl BfpRowRef<'_> {
         self.row.format
     }
 
-    /// The row's signed mantissas, widened to `i32` from whichever lane
-    /// width the format stores them in.
+    /// The row's signed mantissas, widened to `i32` from whichever layout
+    /// the format stores them in.
     pub fn mantissas(&self) -> impl Iterator<Item = i32> + '_ {
-        self.row.mantissas.iter()
+        self.row.iter()
     }
 
     /// The row's shared exponents, one per chunk.
@@ -93,9 +94,7 @@ impl BfpRowRef<'_> {
 
     /// Reconstructs the approximate `f32` values of the row.
     pub fn dequantize(&self) -> Vec<f32> {
-        self.row
-            .mantissas
-            .dequantize(self.row.exponents, self.row.format)
+        self.row.dequantize()
     }
 }
 
@@ -161,8 +160,10 @@ impl BfpMatrix {
                 len: data.len(),
             });
         }
-        let mut mantissas = Mantissas::with_capacity(format, rows * cols);
+        let mut mantissas = Mantissas::with_capacity(format, rows, cols);
         let mut exponents = Vec::new();
+        // The one row a packed slab is quantized through.
+        let mut padded = Vec::new();
         for row in data.chunks(cols.max(1)).take(rows) {
             quantize_append(
                 row,
@@ -170,6 +171,7 @@ impl BfpMatrix {
                 Rounding::Nearest,
                 &mut mantissas,
                 &mut exponents,
+                &mut padded,
             );
         }
         Ok(BfpMatrix {
@@ -449,6 +451,83 @@ mod tests {
     fn storage_matches_format_accounting() {
         let m = BfpMatrix::quantize(4, 128, &[1.0; 512], FMT).unwrap();
         assert_eq!(m.storage_bytes(), FMT.storage_bytes(512));
+    }
+
+    #[test]
+    fn narrowest_formats_hold_one_packed_slab() {
+        // A BW_S10 tile: 400 rows of 2 + 2 + 2 + 1 groups of 32 bytes, 90 KB
+        // where `i8` lanes were 160 KB; the format alone picks the layout.
+        let data: Vec<f32> = (0..400 * 400).map(|i| (i % 23) as f32 - 11.0).collect();
+        for (format, bytes) in [
+            (BfpFormat::BFP_1S_5E_2M, 400 * 224),
+            (BfpFormat::BFP_1S_5E_3M, 400 * 224),
+            (FMT, 400 * 400),
+        ] {
+            let m = BfpMatrix::quantize(400, 400, &data, format).unwrap();
+            let owned = match &m.mantissas {
+                Mantissas::Packed(slab) => slab.capacity(),
+                Mantissas::Narrow(slab) => slab.capacity(),
+                Mantissas::Wide(slab) => 4 * slab.capacity(),
+            };
+            assert_eq!(owned, bytes, "{format}");
+            assert_eq!(m, BfpMatrix::quantize(400, 400, &data, format).unwrap());
+        }
+    }
+
+    #[test]
+    fn packed_matrix_takes_the_oracle_against_other_layouts() {
+        // A 1s.5e.2m matrix times a 1s.5e.5m or a 23-bit vector, and the
+        // other way round: no fast pairing, the oracle's answer.
+        let wide = BfpFormat::new(8, 23, 128).unwrap();
+        let packed = BfpFormat::BFP_1S_5E_2M;
+        let (rows, cols) = (5, 300);
+        let data: Vec<f32> = (0..rows * cols)
+            .map(|i| ((i * 31) % 17) as f32 - 8.0)
+            .collect();
+        let x: Vec<f32> = (0..cols).map(|i| ((i * 7) % 13) as f32 - 6.0).collect();
+        for (format, x_format) in [(packed, FMT), (packed, wide), (FMT, packed), (wide, packed)] {
+            let m = BfpMatrix::quantize(rows, cols, &data, format).unwrap();
+            let qx = BfpBlock::quantize(&x, x_format);
+            let naive = m.mv_mul_naive(&qx).unwrap();
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&m.mv_mul(&qx).unwrap()),
+                bits(&naive),
+                "{format} × {x_format}"
+            );
+            let unpacked: Vec<f32> = (0..rows)
+                .map(|r| BfpBlock::quantize(&data[r * cols..][..cols], format).dot_naive(&qx))
+                .collect::<Result<_, _>>()
+                .unwrap();
+            assert_eq!(bits(&unpacked), bits(&naive), "{format} × {x_format}");
+        }
+    }
+
+    #[test]
+    fn packed_matrix_pads_blocks_that_are_not_whole_groups() {
+        // The block-128 formats of the `native_dim(4)` test machines, and
+        // blocks of 16, 100 and 400, all take the packed pairing.
+        for block in [16, 100, 128, 400] {
+            let format = BfpFormat::new(5, 2, block).unwrap();
+            for (rows, cols) in [(4, 4), (3, 100), (9, 401)] {
+                let data: Vec<f32> = (0..rows * cols)
+                    .map(|i| ((i * 13) % 29) as f32 - 14.0)
+                    .collect();
+                let x: Vec<f32> = (0..cols).map(|i| ((i * 5) % 11) as f32 - 5.0).collect();
+                let m = BfpMatrix::quantize(rows, cols, &data, format).unwrap();
+                let qx = BfpBlock::quantize(&x, format);
+                let (fast, naive) = (m.mv_mul(&qx).unwrap(), m.mv_mul_naive(&qx).unwrap());
+                for (f, n) in fast.iter().zip(&naive) {
+                    assert_eq!(f.to_bits(), n.to_bits(), "{rows} × {cols} in {block}s");
+                }
+                // Every row is the vector it was quantized from.
+                for r in 0..rows {
+                    let standalone = BfpBlock::quantize(&data[r * cols..][..cols], format);
+                    assert!(m.row(r).mantissas().eq(standalone.mantissas()));
+                    assert_eq!(m.row(r).dequantize(), standalone.dequantize());
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! the MFUs), mirroring where precision is lost in the hardware.
 //!
 //! Storage is slab-backed: a vector register file is one flat `f32` slab
-//! (`entries * native_dim` elements) read and written as borrowed slices, so
-//! the simulator's hot path never clones a vector. This module is pure
+//! (as many entries as have been touched, `native_dim` elements each) read
+//! and written as borrowed slices, so the simulator's hot path never clones
+//! a vector. This module is pure
 //! storage — the data planes an [`ExecMode::Full`] NPU owns and an
 //! [`ExecMode::TimingOnly`] one never builds. *When* an entry becomes
 //! readable is the scheduler's business: every ready / read-until
@@ -31,7 +32,9 @@ pub(crate) struct VectorFile {
     name: &'static str,
     native_dim: usize,
     capacity: usize,
-    /// `capacity * native_dim` elements, zero-initialized.
+    /// The entries up to the highest one read or written so far, grown
+    /// zero-filled on touch: BW_S10's five files would be 6.25 MiB each
+    /// up front, and an RNN touches a few KB of each.
     data: Vec<f32>,
 }
 
@@ -41,7 +44,7 @@ impl VectorFile {
             name,
             native_dim,
             capacity,
-            data: vec![0.0; capacity * native_dim],
+            data: Vec::new(),
         }
     }
 
@@ -58,13 +61,22 @@ impl VectorFile {
         Ok(())
     }
 
-    /// Borrows `width` consecutive native vectors starting at `index` as one
-    /// flat slice (`width * native_dim` elements).
-    pub(crate) fn read(&self, index: u32, width: u32) -> Result<&[f32], SimError> {
+    /// The checked entries `index..index + width` as one flat slice, grown
+    /// into existence if this is their first touch.
+    fn touch(&mut self, index: u32, width: u32) -> Result<&mut [f32], SimError> {
         self.check(index, width)?;
         let start = index as usize * self.native_dim;
-        let len = width as usize * self.native_dim;
-        Ok(&self.data[start..start + len])
+        let end = start + width as usize * self.native_dim;
+        if end > self.data.len() {
+            self.data.resize(end, 0.0);
+        }
+        Ok(&mut self.data[start..end])
+    }
+
+    /// Borrows `width` consecutive native vectors starting at `index` as one
+    /// flat slice (`width * native_dim` elements).
+    pub(crate) fn read(&mut self, index: u32, width: u32) -> Result<&[f32], SimError> {
+        Ok(self.touch(index, width)?)
     }
 
     /// Writes consecutive native vectors starting at `index` from a flat
@@ -72,9 +84,7 @@ impl VectorFile {
     pub(crate) fn write(&mut self, index: u32, flat: &[f32]) -> Result<(), SimError> {
         debug_assert_eq!(flat.len() % self.native_dim.max(1), 0);
         let width = (flat.len() / self.native_dim.max(1)) as u32;
-        self.check(index, width)?;
-        let start = index as usize * self.native_dim;
-        self.data[start..start + flat.len()].copy_from_slice(flat);
+        self.touch(index, width)?.copy_from_slice(flat);
         Ok(())
     }
 }
@@ -299,8 +309,24 @@ mod tests {
 
     #[test]
     fn vector_file_reads_zeros_before_first_write() {
-        let f = VectorFile::new("test", 4, 3);
+        let mut f = VectorFile::new("test", 4, 3);
         assert_eq!(f.read(0, 2).unwrap(), &[0.0; 6][..]);
+    }
+
+    #[test]
+    fn vector_file_holds_only_what_was_touched() {
+        let mut f = VectorFile::new("test", 1 << 20, 400);
+        assert_eq!(f.data.capacity(), 0);
+        f.write(2, &[1.0; 400]).unwrap();
+        assert_eq!(f.data.len(), 3 * 400);
+        // Entries below and above the written one read as zeros; the read
+        // above grows the file, a faulting one does not.
+        assert_eq!(f.read(0, 2).unwrap(), &[0.0; 800][..]);
+        assert_eq!(f.read(5, 1).unwrap(), &[0.0; 400][..]);
+        assert_eq!(f.data.len(), 6 * 400);
+        assert!(f.read(1 << 20, 1).is_err());
+        assert_eq!(f.data.len(), 6 * 400);
+        assert_eq!(f.read(2, 1).unwrap(), &[1.0; 400][..]);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! irrelevant to the arithmetic, and the flat layout lets the simulator
 //! stream a chain through the MFUs without any per-vector indirection.
 
-use bw_bfp::{round_to_f16, F16};
+use bw_bfp::{round_to_f16, round_to_f16_in_range, F16};
 
 use crate::isa::Opcode;
 use crate::npu::SimError;
@@ -59,29 +59,57 @@ pub(crate) fn apply_binary(op: Opcode, chain: &mut [f32], operand: &[f32]) -> Re
             actual: operand.len(),
         });
     }
-    fn map(chain: &mut [f32], operand: &[f32], f: impl Fn(f32, f32) -> f32) {
-        for (a, &b) in chain.iter_mut().zip(operand) {
-            *a = f(round_to_f16(*a), round_to_f16(b));
+    /// `op` over on-grid operands with the result rounded back, eight
+    /// lanes at a time by the branch-free in-range rounding — a loop that
+    /// vectorizes — and a group again, lane by lane, if any of its inputs or
+    /// results is one of the rare cases that rounding does not cover.
+    fn map(chain: &mut [f32], operand: &[f32], op: impl Fn(f32, f32) -> f32) {
+        const LANES: usize = 8;
+        let exact = |a: &mut f32, b: f32| *a = round_to_f16(op(round_to_f16(*a), round_to_f16(b)));
+        let whole = chain.len() / LANES * LANES;
+        let (groups, rest) = chain.split_at_mut(whole);
+        for (a, b) in groups
+            .chunks_exact_mut(LANES)
+            .zip(operand.chunks_exact(LANES))
+        {
+            let mut rounded = [0.0; LANES];
+            let mut in_range = true;
+            for ((y, &a), &b) in rounded.iter_mut().zip(&*a).zip(b) {
+                let ((a, a_ok), (b, b_ok)) = (round_to_f16_in_range(a), round_to_f16_in_range(b));
+                let (r, r_ok) = round_to_f16_in_range(op(a, b));
+                *y = r;
+                in_range &= a_ok & b_ok & r_ok;
+            }
+            if in_range {
+                a.copy_from_slice(&rounded);
+            } else {
+                a.iter_mut().zip(b).for_each(|(a, &b)| exact(a, b));
+            }
         }
+        rest.iter_mut()
+            .zip(&operand[whole..])
+            .for_each(|(a, &b)| exact(a, b));
     }
     match op {
-        Opcode::VvAdd => map(chain, operand, |a, b| round_to_f16(a + b)),
-        Opcode::VvASubB => map(chain, operand, |a, b| round_to_f16(a - b)),
-        Opcode::VvBSubA => map(chain, operand, |a, b| round_to_f16(b - a)),
-        Opcode::VvMul => map(chain, operand, |a, b| round_to_f16(a * b)),
+        Opcode::VvAdd => map(chain, operand, |a, b| a + b),
+        Opcode::VvASubB => map(chain, operand, |a, b| a - b),
+        Opcode::VvBSubA => map(chain, operand, |a, b| b - a),
+        Opcode::VvMul => map(chain, operand, |a, b| a * b),
         // [`F16::max`]: the strict comparator turns any NaN into the
-        // canonical one; the winner is on the grid already.
+        // canonical one; the winner is on the grid already. Its branches
+        // keep it a lane at a time.
         Opcode::VvMax => {
             let nan = F16::NAN.to_f32();
-            map(chain, operand, |a, b| {
-                if a.is_nan() || b.is_nan() {
+            for (a, &b) in chain.iter_mut().zip(operand) {
+                let (x, y) = (round_to_f16(*a), round_to_f16(b));
+                *a = if x.is_nan() || y.is_nan() {
                     nan
-                } else if a >= b {
-                    a
+                } else if x >= y {
+                    x
                 } else {
-                    b
-                }
-            });
+                    y
+                };
+            }
         }
         _ => unreachable!("not a binary MFU opcode"),
     }

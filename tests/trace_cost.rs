@@ -167,6 +167,18 @@ fn untraced_hot_path_does_not_allocate() {
         * ((1 + 2 * cfg.mfus() as usize) * cfg.vrf_entries() as usize
             + 2 * cfg.mrf_entries() as usize);
     let one_vrf_slab = cfg.vrf_entries() as usize * cfg.native_dim() as usize * 4;
+    // The full machine at that shape adds empty data planes: a register
+    // file grows to the highest entry touched (the warm runs above went
+    // through that growth and still allocated nothing), so five of them
+    // are not five zeroed slabs.
+    let before = allocated_bytes();
+    drop(Npu::with_mode(cfg.clone(), ExecMode::Full));
+    let built = allocated_bytes() - before;
+    assert!(
+        built < 256 * 1024,
+        "full-mode NPU allocated {built} bytes before any load, one slab is {one_vrf_slab}"
+    );
+
     let before = allocated_bytes();
     let mut timing = Npu::with_mode(cfg, ExecMode::TimingOnly);
     gru.prepare_timing_only(&mut timing)

@@ -306,6 +306,15 @@ pub(crate) fn quantize_append(
     }
 }
 
+/// Whether `values`, one exponent chunk, quantize (to nearest) to zero
+/// mantissas only. The chunk's exponent follows from its largest magnitude
+/// alone and rounding is monotone, so that element quantized by itself
+/// decides.
+pub(crate) fn quantizes_to_nothing(values: &[f32], format: BfpFormat) -> bool {
+    let amax = values.iter().map(|&v| magnitude(v)).fold(0.0, f32::max);
+    amax == 0.0 || BfpBlock::quantize(&[amax], format).mantissas().eq([0])
+}
+
 /// `|v|`, with non-finite values read as `f32::MAX`. Written as the
 /// select that is one packed `min`, NaN taking the second arm.
 #[inline]

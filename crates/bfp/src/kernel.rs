@@ -95,6 +95,15 @@ impl Mantissas {
             Mantissas::Wide(m) => MantissaSlice::Wide(m),
         }
     }
+
+    /// Length in storage units: bytes when packed, elements otherwise.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Mantissas::Packed(m) => m.len(),
+            Mantissas::Narrow(m) => m.len(),
+            Mantissas::Wide(m) => m.len(),
+        }
+    }
 }
 
 /// Borrowed mantissas of any layout: whole rows of them.
@@ -106,8 +115,17 @@ pub(crate) enum MantissaSlice<'a> {
 }
 
 impl MantissaSlice<'_> {
-    /// `range` in storage units: bytes when packed, elements otherwise.
-    fn range(self, range: std::ops::Range<usize>) -> Self {
+    /// Storage units — bytes when packed, elements otherwise — that `cols`
+    /// elements in exponent chunks of `chunk` take.
+    fn units(self, cols: usize, chunk: usize) -> usize {
+        match self {
+            MantissaSlice::Packed(_) => padded_len(cols, chunk) / 2,
+            _ => cols,
+        }
+    }
+
+    /// `range` in storage units.
+    pub(crate) fn range(self, range: std::ops::Range<usize>) -> Self {
         match self {
             MantissaSlice::Packed(m) => MantissaSlice::Packed(&m[range]),
             MantissaSlice::Narrow(m) => MantissaSlice::Narrow(&m[range]),
@@ -171,17 +189,48 @@ pub(crate) struct Rows<'a> {
 }
 
 impl<'a> Rows<'a> {
+    /// Storage units from one row to the next.
+    pub(crate) fn stride(self) -> usize {
+        let chunk = self.format.block_size() as usize;
+        self.mantissas.units(self.cols, chunk)
+    }
+
     /// Row `r` alone.
     pub(crate) fn row(self, r: usize) -> Self {
-        let chunk = self.format.block_size() as usize;
-        let cpr = self.cols.div_ceil(chunk);
-        let stride = match self.mantissas {
-            MantissaSlice::Packed(_) => padded_len(self.cols, chunk) / 2,
-            _ => self.cols,
-        };
+        let cpr = self.cols.div_ceil(self.format.block_size() as usize);
+        let stride = self.stride();
         Rows {
             mantissas: self.mantissas.range(r * stride..(r + 1) * stride),
             exponents: &self.exponents[r * cpr..(r + 1) * cpr],
+            ..self
+        }
+    }
+
+    /// The first row at `cols` elements, written to `scratch`: what this
+    /// holds of it — whole exponent chunks — then zero mantissas under the
+    /// format's lowest exponent, the one the quantizer gives a chunk that
+    /// holds nothing.
+    pub(crate) fn widened(self, cols: usize, scratch: &mut (Mantissas, Vec<i32>)) -> Rows<'_> {
+        fn fill<T: Copy>(row: &mut Vec<T>, held: &[T], len: usize, rest: T) {
+            row.clear();
+            row.extend_from_slice(held);
+            row.resize(len, rest);
+        }
+        let chunk = self.format.block_size() as usize;
+        let units = self.mantissas.units(cols, chunk);
+        let (mantissas, exponents) = scratch;
+        match (&mut *mantissas, self.mantissas) {
+            (Mantissas::Packed(row), MantissaSlice::Packed(m)) => fill(row, m, units, 0x88),
+            (Mantissas::Narrow(row), MantissaSlice::Narrow(m)) => fill(row, m, units, 0),
+            (Mantissas::Wide(row), MantissaSlice::Wide(m)) => fill(row, m, units, 0),
+            _ => unreachable!("the scratch row is in the row's layout"),
+        }
+        let lowest = self.format.exponent_range().0;
+        fill(exponents, self.exponents, cols.div_ceil(chunk), lowest);
+        Rows {
+            cols,
+            mantissas: mantissas.as_slice(),
+            exponents,
             ..self
         }
     }
@@ -224,6 +273,24 @@ pub(crate) struct Operand<'a> {
     /// `Σx` of each chunk of `padded`.
     pub(crate) sums: &'a [i32],
     pub(crate) exponents: &'a [i32],
+}
+
+impl Operand<'_> {
+    /// The first `cols` elements — whole exponent chunks, or everything —
+    /// as an operand of their own: what a matrix whose later columns hold
+    /// only zero mantissas multiplies by.
+    pub(crate) fn prefix(self, cols: usize) -> Self {
+        let chunk = self.format.block_size() as usize;
+        let (chunks, padded) = (cols.div_ceil(chunk), padded_len(cols, chunk));
+        Operand {
+            mantissas: self.mantissas.range(0..self.mantissas.units(cols, chunk)),
+            lanes: &self.lanes[..cols.min(self.lanes.len())],
+            padded: &self.padded[..padded.min(self.padded.len())],
+            sums: &self.sums[..chunks.min(self.sums.len())],
+            exponents: &self.exponents[..chunks],
+            ..self
+        }
+    }
 }
 
 /// Dot product of every row with `x`, stored to (`ACC == false`) or added in

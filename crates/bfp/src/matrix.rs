@@ -3,8 +3,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::block::{quantize_append, BfpBlock, DotError, Rounding};
-use crate::format::BfpFormat;
+use crate::block::{quantize_append, quantizes_to_nothing, BfpBlock, DotError, Rounding};
+use crate::format::{BfpFormat, Layout};
 use crate::kernel::{self, mac_rows, Mantissas, Rows};
 
 /// A dense matrix quantized to block floating point, row by row.
@@ -22,6 +22,22 @@ use crate::kernel::{self, mac_rows, Mantissas, Rows};
 /// `i8` each up to 7 bits, one `i32` each beyond. The `kernel` module doc
 /// defines the packed layout.
 ///
+/// # The live extent
+///
+/// **A tile costs the host its live extent; the modeled NPU its full
+/// N × N.** The slabs hold the smallest prefix of rows, and of every row's
+/// exponent chunks, outside which each weight quantizes to the zero mantissa
+/// — found from the data, so a partial tile's padding, an all-zero tile (an
+/// extent of 0 × 0, which allocates nothing) and weights too small for the
+/// format are caught alike, and a dense matrix is the case extent = shape.
+/// A chunk of zero mantissas adds `+0.0` to a row's total, so the products
+/// multiply the stored prefix by the matching prefix of the vector and give
+/// the rows past it `+0.0`: bit for bit what the whole shape gives. All
+/// else ([`rows`](Self::rows), [`row`](Self::row), equality,
+/// [`storage_bytes`](Self::storage_bytes), ...) describes the logical
+/// matrix, and [`mv_mul_naive`](Self::mv_mul_naive) walks all of it, so the
+/// oracle checks this shortcut instead of sharing it.
+///
 /// # Example
 ///
 /// ```
@@ -34,28 +50,91 @@ use crate::kernel::{self, mac_rows, Mantissas, Rows};
 /// # Ok::<(), bw_bfp::MatrixShapeError>(())
 /// ```
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(try_from = "MatrixParts", into = "MatrixParts")]
 pub struct BfpMatrix {
     rows: usize,
     cols: usize,
     format: BfpFormat,
-    /// `rows` rows of `cols` signed mantissas, row-major.
+    /// The live extent: rows `live_rows..` and, in every row, exponent
+    /// chunks `live_chunks..` hold zero mantissas only and are not stored.
+    live_rows: usize,
+    live_chunks: usize,
+    /// `live_rows` rows of `live_cols()` signed mantissas, row-major.
     mantissas: Mantissas,
-    /// `rows * chunks_per_row` shared exponents, row-major.
+    /// `live_rows * live_chunks` shared exponents, row-major. The chunks
+    /// not stored have the format's lowest exponent, the one the quantizer
+    /// gives a chunk that holds nothing.
     exponents: Vec<i32>,
 }
 
-/// A borrowed view of one quantized matrix row: slices into the matrix's
-/// flat mantissa/exponent slabs.
+/// A [`BfpMatrix`] on the wire — shape, format, extent, slabs:
+/// deserializing goes through the `TryFrom` that holds the extent against
+/// the slabs.
+type MatrixParts = (
+    (usize, usize),
+    BfpFormat,
+    (usize, usize),
+    Mantissas,
+    Vec<i32>,
+);
+
+impl From<BfpMatrix> for MatrixParts {
+    fn from(m: BfpMatrix) -> Self {
+        let (shape, live) = ((m.rows, m.cols), (m.live_rows, m.live_chunks));
+        (shape, m.format, live, m.mantissas, m.exponents)
+    }
+}
+
+impl TryFrom<MatrixParts> for BfpMatrix {
+    type Error = &'static str;
+
+    fn try_from(parts: MatrixParts) -> Result<Self, Self::Error> {
+        let ((rows, cols), format, (live_rows, live_chunks), mantissas, exponents) = parts;
+        let mut m = BfpMatrix::zeros(rows, cols, format);
+        let layout = std::mem::discriminant(&mantissas) == std::mem::discriminant(&m.mantissas);
+        let chunk = format.block_size() as usize;
+        let fits = layout && live_rows <= rows && live_chunks <= cols.div_ceil(chunk);
+        if fits {
+            (m.live_rows, m.live_chunks) = (live_rows, live_chunks);
+        }
+        let stride = m.live().stride();
+        let slabs = (
+            stride.checked_mul(live_rows),
+            live_chunks.checked_mul(live_rows),
+        );
+        if !fits || slabs != (Some(mantissas.len()), Some(exponents.len())) {
+            return Err("a BfpMatrix's live extent does not fit its shape or its slabs");
+        }
+        (m.mantissas, m.exponents) = (mantissas, exponents);
+        // And it is the smallest there is, which equality counts on: the
+        // last row and the last chunk column each hold a mantissa.
+        let holds = |r: usize, from: usize| m.live().row(r).iter().skip(from).any(|q| q != 0);
+        let last = live_chunks.saturating_sub(1) * chunk;
+        let smallest = match live_rows {
+            0 => live_chunks == 0,
+            n => holds(n - 1, 0) && (0..n).any(|r| holds(r, last)),
+        };
+        if !smallest {
+            return Err("a BfpMatrix's live extent holds a row or a chunk of zero mantissas");
+        }
+        Ok(m)
+    }
+}
+
+/// A borrowed view of one quantized matrix row at its logical width: what
+/// the matrix stores of it, then zero mantissas.
 #[derive(Clone, Copy, Debug)]
 pub struct BfpRowRef<'a> {
-    row: Rows<'a>,
+    /// The row's stored prefix: slices into the matrix's slabs.
+    stored: Rows<'a>,
+    cols: usize,
 }
 
 impl BfpRowRef<'_> {
     /// Number of elements in the row.
     #[inline]
     pub fn len(&self) -> usize {
-        self.row.cols
+        self.cols
     }
 
     /// Returns `true` if the row holds no elements.
@@ -67,19 +146,24 @@ impl BfpRowRef<'_> {
     /// The quantization format.
     #[inline]
     pub fn format(&self) -> BfpFormat {
-        self.row.format
+        self.stored.format
     }
 
     /// The row's signed mantissas, widened to `i32` from whichever layout
     /// the format stores them in.
     pub fn mantissas(&self) -> impl Iterator<Item = i32> + '_ {
-        self.row.iter()
+        let stored = self.stored.iter();
+        stored.chain(std::iter::repeat(0)).take(self.cols)
     }
 
-    /// The row's shared exponents, one per chunk.
-    #[inline]
-    pub fn exponents(&self) -> &[i32] {
-        self.row.exponents
+    /// The row's shared exponents, one per chunk. An iterator and not a
+    /// slice: the chunks a matrix does not store have no memory to lend.
+    pub fn exponents(&self) -> impl Iterator<Item = i32> + '_ {
+        let format = self.format();
+        let stored = self.stored.exponents.iter().copied();
+        stored
+            .chain(std::iter::repeat(format.exponent_range().0))
+            .take(self.cols.div_ceil(format.block_size() as usize))
     }
 
     /// Dot product of this row against a quantized vector (fast kernel).
@@ -88,13 +172,16 @@ impl BfpRowRef<'_> {
     ///
     /// Returns [`DotError`] if `x` differs in length or chunk size.
     pub fn dot(&self, x: &BfpBlock) -> Result<f32, DotError> {
-        check_operand(self.row.format, self.len(), x)?;
-        Ok(kernel::dot(self.row, x.operand()))
+        check_operand(self.format(), self.cols, x)?;
+        let x = x.operand().prefix(self.stored.cols);
+        Ok(kernel::dot(self.stored, x))
     }
 
     /// Reconstructs the approximate `f32` values of the row.
     pub fn dequantize(&self) -> Vec<f32> {
-        self.row.dequantize()
+        let mut values = self.stored.dequantize();
+        values.resize(self.cols, 0.0);
+        values
     }
 }
 
@@ -160,27 +247,45 @@ impl BfpMatrix {
                 len: data.len(),
             });
         }
-        let mut mantissas = Mantissas::with_capacity(format, rows, cols);
-        let mut exponents = Vec::new();
+        // The live extent (type doc), then only that is quantized.
+        let chunk = format.block_size() as usize;
+        let mut m = BfpMatrix::zeros(rows, cols, format);
+        for (r, row) in data.chunks(cols.max(1)).take(rows).enumerate() {
+            let live = |weights| !quantizes_to_nothing(weights, format);
+            if let Some(last) = row.chunks(chunk).rposition(live) {
+                m.live_rows = r + 1;
+                m.live_chunks = m.live_chunks.max(last + 1);
+            }
+        }
+        let (live_rows, live_cols) = m.live_shape();
+        m.mantissas = Mantissas::with_capacity(format, live_rows, live_cols);
         // The one row a packed slab is quantized through.
         let mut padded = Vec::new();
-        for row in data.chunks(cols.max(1)).take(rows) {
+        for row in data.chunks(cols.max(1)).take(live_rows) {
             quantize_append(
-                row,
+                &row[..live_cols],
                 format,
                 Rounding::Nearest,
-                &mut mantissas,
-                &mut exponents,
+                &mut m.mantissas,
+                &mut m.exponents,
                 &mut padded,
             );
         }
-        Ok(BfpMatrix {
+        Ok(m)
+    }
+
+    /// The `rows × cols` matrix of zeros: a live extent of 0 × 0, which
+    /// allocates nothing.
+    pub fn zeros(rows: usize, cols: usize, format: BfpFormat) -> Self {
+        BfpMatrix {
             rows,
             cols,
             format,
-            mantissas,
-            exponents,
-        })
+            live_rows: 0,
+            live_chunks: 0,
+            mantissas: Mantissas::with_capacity(format, 0, 0),
+            exponents: Vec::new(),
+        }
     }
 
     /// Number of rows.
@@ -201,6 +306,15 @@ impl BfpMatrix {
         self.format
     }
 
+    /// `(rows, cols)` of the live extent (type doc): what the host stores
+    /// and streams, where [`rows`](Self::rows) × [`cols`](Self::cols) is what
+    /// the modeled MVM dispatches.
+    #[inline]
+    pub fn live_shape(&self) -> (usize, usize) {
+        let live_cols = self.live_chunks * self.format.block_size() as usize;
+        (self.live_rows, live_cols.min(self.cols))
+    }
+
     /// Borrows one quantized row as slices into the flat slabs.
     ///
     /// # Panics
@@ -209,16 +323,21 @@ impl BfpMatrix {
     #[inline]
     pub fn row(&self, row: usize) -> BfpRowRef<'_> {
         assert!(row < self.rows, "row {row} out of range ({})", self.rows);
+        // A row past the extent stores nothing.
+        let live = self.live();
+        let cols = if row < self.live_rows { live.cols } else { 0 };
+        let stored = Rows { cols, ..live }.row(row);
         BfpRowRef {
-            row: self.all_rows().row(row),
+            stored,
+            cols: self.cols,
         }
     }
 
-    /// Every row, as the MAC kernel takes them.
-    fn all_rows(&self) -> Rows<'_> {
+    /// The live extent as the matrix it is to the MAC kernel.
+    fn live(&self) -> Rows<'_> {
         Rows {
             format: self.format,
-            cols: self.cols,
+            cols: self.live_shape().1,
             mantissas: self.mantissas.as_slice(),
             exponents: &self.exponents,
         }
@@ -252,7 +371,8 @@ impl BfpMatrix {
         }
         check_operand(self.format, self.cols, x)?;
         out.resize(self.rows, 0.0);
-        mac_rows::<false>(self.all_rows(), x.operand(), out);
+        let (live, out) = (self.live(), &mut out[..self.live_rows]);
+        mac_rows::<false>(live, x.operand().prefix(live.cols), out);
         Ok(())
     }
 
@@ -279,13 +399,20 @@ impl BfpMatrix {
             return Ok(());
         }
         check_operand(self.format, self.cols, x)?;
-        mac_rows::<true>(self.all_rows(), x.operand(), acc);
+        let live = self.live();
+        let (acc, past) = acc.split_at_mut(self.live_rows);
+        mac_rows::<true>(live, x.operand().prefix(live.cols), acc);
+        // A row of zero mantissas adds `+0.0`, which an accumulator of
+        // `-0.0` shows.
+        past.iter_mut().for_each(|a| *a += 0.0);
         Ok(())
     }
 
     /// Matrix-vector product using the retained naive reference kernel;
     /// bit-identical to [`BfpMatrix::mv_mul`] (the differential property
-    /// tests pin this).
+    /// tests pin this). Every row is walked at its logical width, one
+    /// element at a time, with the zero mantissa read where nothing is
+    /// stored.
     ///
     /// # Errors
     ///
@@ -296,9 +423,13 @@ impl BfpMatrix {
             return Ok(Vec::new());
         }
         check_operand(self.format, self.cols, x)?;
-        let (rows, x) = (self.all_rows(), x.operand());
+        // Each row at its logical width, in one scratch row.
+        let mut scratch = (Mantissas::with_capacity(self.format, 0, 0), Vec::new());
         Ok((0..self.rows)
-            .map(|r| kernel::dot_naive(rows.row(r), x))
+            .map(|r| {
+                let row = self.row(r).stored.widened(self.cols, &mut scratch);
+                kernel::dot_naive(row, x.operand())
+            })
             .collect())
     }
 
@@ -321,9 +452,20 @@ impl BfpMatrix {
         out
     }
 
-    /// On-chip storage footprint in bytes under this BFP format.
+    /// The modeled on-chip footprint in bytes under this BFP format: every
+    /// element of the logical `rows × cols`, as the MRF holds a tile.
     pub fn storage_bytes(&self) -> u64 {
         self.format.storage_bytes((self.rows * self.cols) as u64)
+    }
+
+    /// What the host holds for this matrix in bytes: the slabs of the live
+    /// extent, in the host's layout.
+    pub fn host_bytes(&self) -> usize {
+        let unit = match self.format.layout() {
+            Layout::Wide => size_of::<i32>(),
+            _ => 1,
+        };
+        self.mantissas.len() * unit + self.exponents.len() * size_of::<i32>()
     }
 }
 
@@ -409,7 +551,10 @@ mod tests {
         for r in 0..rows {
             let standalone = BfpBlock::quantize(&data[r * cols..(r + 1) * cols], FMT);
             assert!(m.row(r).mantissas().eq(standalone.mantissas()));
-            assert_eq!(m.row(r).exponents(), standalone.exponents());
+            assert!(m
+                .row(r)
+                .exponents()
+                .eq(standalone.exponents().iter().copied()));
             assert_eq!(m.row(r).dequantize(), standalone.dequantize());
         }
     }
@@ -531,10 +676,209 @@ mod tests {
     }
 
     #[test]
+    fn zeros_allocates_nothing_and_equals_a_quantized_zero_matrix() {
+        for format in [
+            BfpFormat::BFP_1S_5E_2M,
+            FMT,
+            BfpFormat::new(8, 12, 128).unwrap(),
+        ] {
+            let zeros = BfpMatrix::zeros(3, 300, format);
+            assert_eq!(
+                zeros,
+                BfpMatrix::quantize(3, 300, &[0.0; 900], format).unwrap()
+            );
+            assert_eq!((zeros.live_shape(), zeros.host_bytes()), ((0, 0), 0));
+            assert_eq!(zeros.storage_bytes(), format.storage_bytes(900));
+            assert_eq!(zeros.dequantize(), vec![0.0; 900]);
+        }
+    }
+
+    #[test]
+    fn host_bytes_follow_the_live_extent() {
+        // A BW_S10 corner tile of an h = 512 model: 112 live rows of one
+        // 128-element chunk each, where the modeled tile is all of 400 × 400.
+        let mut data = vec![0.0f32; 400 * 400];
+        for r in 0..112 {
+            data[r * 400..][..112].fill(1.0);
+        }
+        let m = BfpMatrix::quantize(400, 400, &data, BfpFormat::BFP_1S_5E_2M).unwrap();
+        assert_eq!(m.live_shape(), (112, 128));
+        assert_eq!(m.host_bytes(), 112 * (64 + 4));
+        assert_eq!(
+            m.storage_bytes(),
+            BfpFormat::BFP_1S_5E_2M.storage_bytes(160_000)
+        );
+    }
+
+    #[test]
+    fn a_deserialized_extent_that_disagrees_with_its_slabs_is_rejected() {
+        let data: Vec<f32> = (0..4 * 40).map(|i| (i % 7) as f32 - 3.0).collect();
+        for bits in [2, 5, 9] {
+            let format = BfpFormat::new(5, bits, 16).unwrap();
+            let m = BfpMatrix::quantize(6, 40, &[&data[..], &[0.0; 80]].concat(), format).unwrap();
+            assert_eq!(m.live_shape(), (4, 40));
+            let parts = || MatrixParts::from(m.clone());
+            assert_eq!(BfpMatrix::try_from(parts()), Ok(m.clone()));
+            let other_layout = BfpFormat::new(5, if bits == 5 { 9 } else { 5 }, 16).unwrap();
+            let tampered: [fn(&mut MatrixParts); 8] = [
+                |p| p.0 .0 = 3,          // fewer rows than live rows
+                |p| p.0 .1 = 17,         // fewer chunks than live chunks
+                |p| p.2 .0 += 1,         // a live row the slabs do not hold
+                |p| p.2 .0 = usize::MAX, // whose slab length overflows
+                |p| p.2 .1 -= 1,         // a narrower stride than the slab's
+                |p| p.3 = Mantissas::with_capacity(p.1, 0, 0),
+                |p| p.4.truncate(1),
+                |p| p.4.push(0),
+            ];
+            for tamper in tampered {
+                let mut p = parts();
+                tamper(&mut p);
+                assert!(BfpMatrix::try_from(p).is_err(), "{bits}-bit mantissas");
+            }
+            // Slabs that fit an extent larger than the smallest: one row of
+            // `live` elements widened to `cols`, stored as is — a last chunk
+            // of zero mantissas — and as two rows, the last of them zeros.
+            let mut scratch = (Mantissas::with_capacity(format, 0, 0), Vec::new());
+            for (live, cols, shape, extent) in
+                [(40, 56, (1, 56), (1, 4)), (16, 32, (2, 16), (2, 1))]
+            {
+                let padded = [&data[..live], &vec![0.0; cols - live][..]].concat();
+                let one = BfpMatrix::quantize(1, cols, &padded, format).unwrap();
+                assert_eq!(one.live_shape(), (1, live.next_multiple_of(16)));
+                let mut p = MatrixParts::from(one.clone());
+                one.row(0).stored.widened(cols, &mut scratch);
+                (p.0, p.2, p.3, p.4) = (shape, extent, scratch.0.clone(), scratch.1.clone());
+                assert!(BfpMatrix::try_from(p).is_err(), "{extent:?} of {shape:?}");
+            }
+            let mut p = MatrixParts::from(BfpMatrix::zeros(6, 40, format));
+            p.2 = (0, 1);
+            assert!(BfpMatrix::try_from(p).is_err());
+            // An extent past the shape, even one of nothing.
+            let mut p = MatrixParts::from(BfpMatrix::zeros(6, 40, format));
+            p.2 = (7, 0);
+            assert!(BfpMatrix::try_from(p).is_err());
+            let mut p = parts();
+            p.3 = BfpMatrix::quantize(4, 40, &data, other_layout)
+                .unwrap()
+                .mantissas;
+            assert!(
+                BfpMatrix::try_from(p).is_err(),
+                "{other_layout} slab in {format}"
+            );
+        }
+    }
+
+    #[test]
     fn row_access_and_dequantize_shape() {
         let m = BfpMatrix::quantize(3, 4, &[2.0; 12], FMT).unwrap();
         assert_eq!(m.row(1).len(), 4);
         assert_eq!(m.dequantize().len(), 12);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 32 } else { 768 }))]
+
+        #[test]
+        fn live_extent_changes_no_bit_and_no_reading(
+            mantissa_bits_idx in 0usize..3,
+            block_idx in 0usize..3,
+            rows in 0usize..8,
+            cols_idx in 0usize..8,
+            pattern in 0usize..9,
+            cut_rows in 0usize..8,
+            cut_chunks in 0usize..5,
+            seed in 0u64..1000,
+        ) {
+            // One format per layout; blocks of 16 give a handful of chunks
+            // (and of padded packed groups) at sizes miri can walk.
+            let block: usize = [16, 16, if cfg!(miri) { 16 } else { 128 }][block_idx];
+            let format = BfpFormat::new(5, [2, 5, 9][mantissa_bits_idx], block as u32).unwrap();
+            let cols = [0, 1, block - 1, block, block + 1, 3 * block, 3 * block + 8, 5 * block][cols_idx];
+            let chunks = cols.div_ceil(block);
+            let (dead_rows, dead_chunks) = (cut_rows.min(rows), cut_chunks.min(chunks));
+            // The value of a mantissa of 1 under the lowest exponent.
+            let step = 2.0f32.powi(format.exponent_range().0 - (i32::from(format.mantissa_bits()) - 1));
+            let value = |r: usize, c: usize| {
+                let v = ((r * cols + c) as u64).wrapping_mul(seed + 3) % 37;
+                if v == 18 { 19.0 } else { v as f32 - 18.0 }
+            };
+            let data: Vec<f32> = (0..rows * cols)
+                .map(|i| {
+                    let (r, c) = (i / cols, i % cols);
+                    let (tail_row, tail_chunk) = (r >= rows - dead_rows, c / block >= chunks - dead_chunks);
+                    match pattern {
+                        0 => value(r, c),
+                        1 if tail_row => 0.0,
+                        2 if tail_chunk => 0.0,
+                        3 if tail_row || tail_chunk => 0.0,
+                        // Interior zero chunks are stored, and still right.
+                        4 if c / block == chunks / 2 || r == rows / 2 => 0.0,
+                        // One live element, in the last row's last chunk.
+                        5 if (r, c) != (rows - 1, cols - 1) => 0.0,
+                        6 => 0.0,
+                        // Too small for the format: zero mantissas from
+                        // non-zero weights (and `-0.0`).
+                        7 if tail_row || tail_chunk => [1.0e-30, -0.49 * step, -0.0][i % 3],
+                        // Half the smallest step rounds away from zero: the
+                        // smallest weights that are not nothing.
+                        8 if tail_row || tail_chunk => [0.0, 0.5 * step, 0.49 * step][(r + c) % 3],
+                        _ => value(r, c),
+                    }
+                })
+                .collect();
+            let m = BfpMatrix::quantize(rows, cols, &data, format).unwrap();
+
+            // The untrimmed reference: every row a vector of its own.
+            let reference: Vec<BfpBlock> = (0..rows)
+                .map(|r| BfpBlock::quantize(&data[r * cols..][..cols], format))
+                .collect();
+            let live_chunks = |row: &BfpBlock| {
+                row.mantissas().collect::<Vec<_>>().iter().rposition(|&q| q != 0).map_or(0, |i| i / block + 1)
+            };
+            let live_rows = reference.iter().rposition(|row| live_chunks(row) > 0).map_or(0, |r| r + 1);
+            let live_cols = reference.iter().map(live_chunks).max().unwrap_or(0) * block;
+            prop_assert_eq!(m.live_shape(), (live_rows, live_cols.min(cols)));
+            match pattern {
+                1 | 7 if cols > 0 => prop_assert!(live_rows <= rows - dead_rows),
+                6 => prop_assert_eq!(m.host_bytes(), 0),
+                _ => {}
+            }
+
+            prop_assert_eq!((m.rows(), m.cols()), (rows, cols));
+            for (r, row) in reference.iter().enumerate() {
+                prop_assert!(m.row(r).mantissas().eq(row.mantissas()));
+                prop_assert!(m.row(r).exponents().eq(row.exponents().iter().copied()));
+                prop_assert_eq!(m.row(r).dequantize(), row.dequantize());
+            }
+            let dequantized: Vec<f32> = reference.iter().flat_map(BfpBlock::dequantize).collect();
+            prop_assert_eq!(m.dequantize(), dequantized);
+            // Equality is of the logical matrix: weights that quantize to
+            // nothing are the zeros they quantize to.
+            let flushed: Vec<f32> = data.iter().map(|&v| if v.abs() < 0.495 * step { 0.0 } else { v }).collect();
+            prop_assert_eq!(&m, &BfpMatrix::quantize(rows, cols, &flushed, format).unwrap());
+            prop_assert_eq!(BfpMatrix::try_from(MatrixParts::from(m.clone())), Ok(m.clone()));
+
+            // Products: the oracle walks the whole shape and agrees with the
+            // untrimmed rows; the fast path agrees with the oracle, storing
+            // and accumulating — onto `-0.0` too, which only `+0.0` shows.
+            let x: Vec<f32> = (0..cols)
+                .map(|c| ((c as u64).wrapping_mul(seed + 11) % 23) as f32 * 0.25 - 2.5)
+                .collect();
+            let qx = BfpBlock::quantize(&x, format);
+            let naive = m.mv_mul_naive(&qx).unwrap();
+            let fast = m.mv_mul(&qx).unwrap();
+            prop_assert_eq!(naive.len(), rows);
+            let mut acc: Vec<f32> = (0..rows).map(|r| if r % 2 == 0 { -0.0 } else { 0.75 }).collect();
+            let before = acc.clone();
+            m.mv_mul_acc(&qx, &mut acc).unwrap();
+            for r in 0..rows {
+                prop_assert_eq!(naive[r].to_bits(), reference[r].dot_naive(&qx).unwrap().to_bits());
+                prop_assert_eq!(fast[r].to_bits(), naive[r].to_bits(), "row {}", r);
+                prop_assert_eq!(acc[r].to_bits(), (before[r] + naive[r]).to_bits(), "row {}", r);
+                prop_assert_eq!(m.row(r).dot(&qx).unwrap().to_bits(), naive[r].to_bits());
+            }
+        }
+
     }
 
     proptest! {

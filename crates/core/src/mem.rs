@@ -89,33 +89,19 @@ impl VectorFile {
     }
 }
 
-/// One matrix register file entry.
-#[derive(Clone, Debug)]
-enum MrfSlot {
-    /// Never written: reads are an error (uninitialized weights).
-    Empty,
-    /// Reserved by [`MatrixFile::reserve`]: reads resolve to the shared
-    /// zero-tile template without a per-entry allocation.
-    Reserved,
-    /// Holds a quantized native tile.
-    Tile(BfpMatrix),
-}
-
 /// The matrix register file: banked across tile engines, one native
 /// `N × N` tile per entry, read one row per dot-product engine per cycle.
 #[derive(Clone, Debug)]
 pub(crate) struct MatrixFile {
-    slots: Vec<MrfSlot>,
-    /// Shared zero tile backing every `Reserved` slot. Set once by
-    /// [`MatrixFile::set_zero_template`] before any reservation.
-    zero_template: Option<BfpMatrix>,
+    /// `None` was never written: reading it is an error (uninitialized
+    /// weights).
+    slots: Vec<Option<BfpMatrix>>,
 }
 
 impl MatrixFile {
     pub(crate) fn new(capacity: usize) -> Self {
         MatrixFile {
-            slots: (0..capacity).map(|_| MrfSlot::Empty).collect(),
-            zero_template: None,
+            slots: vec![None; capacity],
         }
     }
 
@@ -124,20 +110,14 @@ impl MatrixFile {
     }
 
     pub(crate) fn tile(&self, index: u32) -> Result<&BfpMatrix, SimError> {
-        match self
-            .slots
+        self.slots
             .get(index as usize)
             .ok_or(SimError::MrfIndexOutOfRange {
                 index,
                 capacity: self.capacity(),
-            })? {
-            MrfSlot::Tile(tile) => Ok(tile),
-            MrfSlot::Reserved => Ok(self
-                .zero_template
-                .as_ref()
-                .expect("Reserved slots require a zero template")),
-            MrfSlot::Empty => Err(SimError::MrfEntryUninitialized { index }),
-        }
+            })?
+            .as_ref()
+            .ok_or(SimError::MrfEntryUninitialized { index })
     }
 
     pub(crate) fn store(&mut self, index: u32, tile: BfpMatrix) -> Result<(), SimError> {
@@ -146,33 +126,7 @@ impl MatrixFile {
             .slots
             .get_mut(index as usize)
             .ok_or(SimError::MrfIndexOutOfRange { index, capacity })?;
-        *slot = MrfSlot::Tile(tile);
-        Ok(())
-    }
-
-    /// Installs the zero-tile template `Reserved` slots resolve to. A no-op
-    /// if already installed (the template depends only on the NPU config).
-    pub(crate) fn set_zero_template(&mut self, tile: BfpMatrix) {
-        if self.zero_template.is_none() {
-            self.zero_template = Some(tile);
-        }
-    }
-
-    pub(crate) fn has_zero_template(&self) -> bool {
-        self.zero_template.is_some()
-    }
-
-    /// Marks an entry as holding the shared zero tile without cloning it —
-    /// the cheap timing-only counterpart of [`MatrixFile::store`].
-    /// [`MatrixFile::set_zero_template`] must have been called first.
-    pub(crate) fn reserve(&mut self, index: u32) -> Result<(), SimError> {
-        debug_assert!(self.zero_template.is_some());
-        let capacity = self.capacity();
-        let slot = self
-            .slots
-            .get_mut(index as usize)
-            .ok_or(SimError::MrfIndexOutOfRange { index, capacity })?;
-        *slot = MrfSlot::Reserved;
+        *slot = Some(tile);
         Ok(())
     }
 }
@@ -301,7 +255,7 @@ impl NetQueues {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bw_bfp::BfpFormat;
+    use bw_bfp::{BfpBlock, BfpFormat};
 
     fn tile(v: f32) -> BfpMatrix {
         BfpMatrix::quantize(2, 2, &[v; 4], BfpFormat::BFP_1S_5E_5M).expect("shape")
@@ -379,20 +333,28 @@ mod tests {
     }
 
     #[test]
-    fn matrix_file_reserved_slots_share_the_zero_template() {
+    fn matrix_file_zero_tiles_multiply_to_positive_zero() {
+        // What `Npu::reserve_matrix_grid` stores: tiles that hold nothing.
+        let fmt = BfpFormat::BFP_1S_5E_5M;
         let mut m = MatrixFile::new(4);
-        m.set_zero_template(tile(0.0));
-        m.reserve(0).unwrap();
-        m.reserve(3).unwrap();
-        assert!(m.reserve(4).is_err());
-        // Reserved entries read as the zero tile; entry 1 stays empty.
-        assert_eq!(m.tile(0).unwrap().dequantize(), vec![0.0; 4]);
-        assert_eq!(m.tile(3).unwrap().dequantize(), vec![0.0; 4]);
+        m.store(0, BfpMatrix::zeros(2, 2, fmt)).unwrap();
+        m.store(3, BfpMatrix::zeros(2, 2, fmt)).unwrap();
+        assert!(m.store(4, BfpMatrix::zeros(2, 2, fmt)).is_err());
+        for index in [0, 3] {
+            let zero = m.tile(index).unwrap();
+            assert_eq!(zero, &tile(0.0));
+            assert_eq!(zero.host_bytes(), 0);
+            let mut acc = [-0.0f32, 1.5];
+            zero.mv_mul_acc(&BfpBlock::quantize(&[-3.0, 7.0], fmt), &mut acc)
+                .unwrap();
+            assert_eq!(acc.map(f32::to_bits), [0.0f32, 1.5].map(f32::to_bits));
+        }
+        // A slot never written stays an error.
         assert!(matches!(
             m.tile(1),
             Err(SimError::MrfEntryUninitialized { index: 1 })
         ));
-        // A real store overrides the reservation.
+        // A real store overrides the placeholder.
         m.store(0, tile(2.0)).unwrap();
         assert!(m.tile(0).unwrap().dequantize()[0] > 1.0);
     }

@@ -11,39 +11,97 @@
 //! concatenated); point-wise semantics make the native-vector boundaries
 //! irrelevant to the arithmetic, and the flat layout lets the simulator
 //! stream a chain through the MFUs without any per-vector indirection.
+//!
+//! # The activation tables
+//!
+//! `v_sigm` and `v_tanh` round their input to the binary16 grid first, so
+//! each is a function of 65,536 possible inputs and is read from a table of
+//! that many results indexed by the input's float16 bits. An entry is filled
+//! on its first touch by the scalar expression — round, evaluate in `f32`,
+//! round back; what [`F16::sigmoid`] and [`F16::tanh`] compute — so the
+//! tables cost no set-up, are bit-identical to evaluating every element by
+//! construction, and hold resident pages only for the binades inputs land in
+//! (1,024 entries, one 4 KiB page, per sign and binade).
+
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use bw_bfp::{round_to_f16, round_to_f16_in_range, F16};
 
 use crate::isa::Opcode;
 use crate::npu::SimError;
 
+/// One activation's result for every binary16 input (module doc). `0` is an
+/// entry not yet filled; a filled one is the result's `f32` bits with bit 0
+/// set, which a value on the binary16 grid leaves clear. `Relaxed` is
+/// enough: an entry publishes nothing but itself, and threads that race to
+/// fill one store the same bits.
+struct Table([AtomicU32; 1 << 16]);
+
+static SIGMOID: Table = Table::new();
+static TANH: Table = Table::new();
+
+impl Table {
+    const fn new() -> Self {
+        Table([const { AtomicU32::new(0) }; 1 << 16])
+    }
+
+    /// `f(x rounded to binary16)` for every `x` of `chain`; `f` fills the
+    /// entries this is the first to touch.
+    fn map(&self, chain: &mut [f32], f: impl Fn(f32) -> f32) {
+        for x in chain {
+            let h = f16_bits(*x);
+            let entry = &self.0[usize::from(h)];
+            *x = match entry.load(Ordering::Relaxed) {
+                0 => {
+                    let y = f(F16::from_bits(h).to_f32());
+                    debug_assert_eq!(y.to_bits() & 1, 0, "{y} is not on the binary16 grid");
+                    entry.store(y.to_bits() | 1, Ordering::Relaxed);
+                    y
+                }
+                filled => f32::from_bits(filled & !1),
+            };
+        }
+    }
+}
+
+/// The binary16 bits `x` rounds to: read off the branch-free in-range
+/// rounding where that is the answer, [`F16::from_f32`]'s otherwise.
+#[inline]
+fn f16_bits(x: f32) -> u16 {
+    let (rounded, in_range) = round_to_f16_in_range(x);
+    if !in_range {
+        return F16::from_f32(x).to_bits();
+    }
+    // Sign, then exponent and mantissa with the exponent rebiased from 127
+    // to 15; a zero has nothing to rebias.
+    let bits = rounded.to_bits();
+    let magnitude = ((bits & 0x7FFF_FFFF) >> 13).saturating_sub((127 - 15) << 10);
+    ((bits >> 16 & 0x8000) | magnitude) as u16
+}
+
 /// Applies a unary activation in float16, element-wise over the flat chain
 /// value: the input rounds to the binary16 grid, the function evaluates in
 /// `f32`, and the result rounds back — what [`F16::sigmoid`] and
-/// [`F16::tanh`] do, without the `F16` round trip per element.
+/// [`F16::tanh`] do, read from the activation tables (module doc).
 pub(crate) fn apply_activation(op: Opcode, chain: &mut [f32]) {
-    fn map(chain: &mut [f32], f: impl Fn(f32) -> f32) {
-        for x in chain {
-            *x = f(round_to_f16(*x));
-        }
-    }
     match op {
         // [`F16::relu`]: NaN comes out canonical, negatives and -0.0 as
         // +0.0. The input is on the grid already, so nothing rounds twice.
         Opcode::VRelu => {
             let nan = F16::NAN.to_f32();
-            map(chain, |h| {
-                if h.is_nan() {
+            for x in chain {
+                let h = round_to_f16(*x);
+                *x = if h.is_nan() {
                     nan
                 } else if h > 0.0 {
                     h
                 } else {
                     0.0
-                }
-            });
+                };
+            }
         }
-        Opcode::VSigm => map(chain, |h| round_to_f16(1.0 / (1.0 + (-h).exp()))),
-        Opcode::VTanh => map(chain, |h| round_to_f16(h.tanh())),
+        Opcode::VSigm => SIGMOID.map(chain, |h| round_to_f16(1.0 / (1.0 + (-h).exp()))),
+        Opcode::VTanh => TANH.map(chain, |h| round_to_f16(h.tanh())),
         _ => unreachable!("not an activation opcode"),
     }
 }
@@ -139,6 +197,88 @@ mod tests {
         assert_eq!(t[0], 0.0);
     }
 
+    /// Every binary16 value as an `f32`, in bit order.
+    fn every_f16() -> Vec<f32> {
+        (0..=u16::MAX).map(|h| F16::from_bits(h).to_f32()).collect()
+    }
+
+    #[test]
+    fn every_binary16_input_reads_what_the_f16_functions_compute() {
+        type Unary = fn(F16) -> F16;
+        let cases: [(Opcode, Unary); 2] =
+            [(Opcode::VSigm, F16::sigmoid), (Opcode::VTanh, F16::tanh)];
+        for (op, f) in cases {
+            let want: Vec<f32> = (0..=u16::MAX)
+                .map(|h| f(F16::from_bits(h)).to_f32())
+                .collect();
+            // The first pass fills whatever no other test has touched, the
+            // second reads a warm table; then inputs off the grid, a quarter
+            // of a step to either side, which round to the same entries.
+            for pass in ["cold", "warm"] {
+                let mut got = every_f16();
+                apply_activation(op, &mut got);
+                assert_eq!(bits(&got), bits(&want), "{op:?}, {pass}");
+            }
+            for nudge in [0x3FF, -0x3FF] {
+                let mut got = every_f16();
+                let finite = |x: &f32| x.is_finite() && x.abs() >= F16::MIN_POSITIVE.to_f32();
+                for x in got.iter_mut().filter(|x| finite(x)) {
+                    *x = f32::from_bits(x.to_bits().wrapping_add_signed(nudge));
+                }
+                apply_activation(op, &mut got);
+                assert_eq!(bits(&got), bits(&want), "{op:?}, nudged by {nudge}");
+            }
+        }
+    }
+
+    #[test]
+    fn table_index_is_the_binary16_encoding() {
+        for h in 0..=u16::MAX {
+            let x = F16::from_bits(h);
+            assert_eq!(f16_bits(x.to_f32()), F16::from_f32(x.to_f32()).to_bits());
+            if !x.is_nan() {
+                assert_eq!(f16_bits(x.to_f32()), h);
+            }
+        }
+        // Out of the in-range rounding: overflow, subnormal results.
+        for x in [65520.0, -1.0e9, 3.0e-6, -5.0e-8, 1.0e-10, 6.1e-5] {
+            assert_eq!(f16_bits(x), F16::from_f32(x).to_bits(), "{x}");
+        }
+    }
+
+    #[test]
+    fn two_threads_filling_one_table_agree() {
+        // A table of this test's own, so that both threads meet it cold; the
+        // barrier starts them on the same entries at the same time, from
+        // opposite ends.
+        static TABLE: Table = Table::new();
+        let f = |h: f32| round_to_f16(h.tanh());
+        let barrier = std::sync::Barrier::new(2);
+        let run = |reversed: bool| {
+            let mut chain = every_f16();
+            if reversed {
+                chain.reverse();
+            }
+            barrier.wait();
+            TABLE.map(&mut chain, f);
+            if reversed {
+                chain.reverse();
+            }
+            chain
+        };
+        let (forward, backward) = std::thread::scope(|s| {
+            let backward = s.spawn(|| run(true));
+            (run(false), backward.join().expect("the filling thread ran"))
+        });
+        let want: Vec<f32> = every_f16().into_iter().map(f).collect();
+        assert_eq!(bits(&forward), bits(&want));
+        assert_eq!(bits(&backward), bits(&want));
+        // And every entry is filled with exactly that.
+        let mut warm = every_f16();
+        TABLE.map(&mut warm, |_| unreachable!("the table is full"));
+        assert_eq!(bits(&warm), bits(&want));
+    }
+
     #[test]
     fn binary_op_semantics() {
         let b = [1.0, 4.0];
@@ -188,6 +328,21 @@ mod tests {
 
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `got` is `want` bit for bit — but for its sign where `either_nan`
+    /// says an element came out of an `f32` operation on two NaNs: which
+    /// operand's that returns is the compiler's choice of operand order,
+    /// not either formulation's.
+    fn assert_bits(got: &[f32], want: &[f32], either_nan: &[bool], what: &str) {
+        let keep = |i: usize| !(u32::from(either_nan[i] && want[i].is_nan()) << 31);
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(
+                g.to_bits() & keep(i),
+                w.to_bits() & keep(i),
+                "{what}, element {i}"
+            );
+        }
     }
 
     #[test]
@@ -246,7 +401,13 @@ mod tests {
                 .zip(&b0)
                 .map(|(&a, &b)| f16_object_op(op, a, b))
                 .collect();
-            assert_eq!(bits(&got), bits(&want), "{op:?}");
+            // `vv_max` answers any NaN with the canonical one.
+            let either_nan: Vec<bool> = a0
+                .iter()
+                .zip(&b0)
+                .map(|(a, b)| op != Opcode::VvMax && a.is_nan() && b.is_nan())
+                .collect();
+            assert_bits(&got, &want, &either_nan, &format!("{op:?}"));
         }
         for op in activations {
             let mut got = a0.clone();
@@ -267,16 +428,25 @@ mod tests {
             ];
             let mut got = a0.clone();
             let mut want = a0.clone();
+            // An either-operand NaN stays one through the sign-preserving
+            // ops, until `vv_max` or `v_relu` makes it the canonical NaN.
+            let mut either_nan = vec![false; a0.len()];
             for op in chain {
                 if activations.contains(&op) {
                     apply_activation(op, &mut got);
                 } else {
                     apply_binary(op, &mut got, &b0).unwrap();
                 }
-                for (w, &b) in want.iter_mut().zip(&b0) {
+                for ((w, &b), either) in want.iter_mut().zip(&b0).zip(&mut either_nan) {
+                    *either = match op {
+                        Opcode::VvMax | Opcode::VRelu => false,
+                        Opcode::VSigm | Opcode::VTanh => *either,
+                        _ => *either || (w.is_nan() && b.is_nan()),
+                    };
                     *w = f16_object_op(op, *w, b);
                 }
-                assert_eq!(bits(&got), bits(&want), "after {op:?} in the {act:?} chain");
+                let what = format!("after {op:?} in the {act:?} chain");
+                assert_bits(&got, &want, &either_nan, &what);
             }
         }
     }

@@ -155,21 +155,20 @@ pub(crate) fn compute_naive(
     Ok(outputs)
 }
 
-/// Quantizes an `rows·N × cols·N` (or smaller, zero-padded) row-major `f32`
-/// matrix into the native tile grid layout and returns the tiles in
-/// `(r, c)` row-major order, ready to be stored at consecutive MRF indices.
-pub(crate) fn tile_matrix(
+/// The shape faults of [`tile_matrix`] without its work: all there is to a
+/// load in [`ExecMode::TimingOnly`](crate::ExecMode::TimingOnly).
+pub(crate) fn check_tiling(
     config: &NpuConfig,
     mat_rows: usize,
     mat_cols: usize,
-    data: &[f32],
+    data_len: usize,
     grid_rows: u32,
     grid_cols: u32,
-) -> Result<Vec<BfpMatrix>, SimError> {
-    if data.len() != mat_rows * mat_cols {
+) -> Result<(), SimError> {
+    if data_len != mat_rows * mat_cols {
         return Err(SimError::VectorLengthMismatch {
             expected: mat_rows * mat_cols,
-            actual: data.len(),
+            actual: data_len,
         });
     }
     let nd = config.native_dim() as usize;
@@ -182,6 +181,22 @@ pub(crate) fn tile_matrix(
             native_dim: config.native_dim(),
         });
     }
+    Ok(())
+}
+
+/// Quantizes an `rows·N × cols·N` (or smaller, zero-padded) row-major `f32`
+/// matrix into the native tile grid layout and returns the tiles in
+/// `(r, c)` row-major order, ready to be stored at consecutive MRF indices.
+pub(crate) fn tile_matrix(
+    config: &NpuConfig,
+    mat_rows: usize,
+    mat_cols: usize,
+    data: &[f32],
+    grid_rows: u32,
+    grid_cols: u32,
+) -> Result<Vec<BfpMatrix>, SimError> {
+    check_tiling(config, mat_rows, mat_cols, data.len(), grid_rows, grid_cols)?;
+    let nd = config.native_dim() as usize;
     let fmt = config.matrix_format();
     let mut tiles = Vec::with_capacity((grid_rows * grid_cols) as usize);
     let mut scratch = vec![0.0f32; nd * nd];

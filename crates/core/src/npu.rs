@@ -681,9 +681,8 @@ impl Npu {
     /// Quantizes and pins an `mat_rows × mat_cols` row-major `f32` matrix
     /// into the MRF as a `grid_rows × grid_cols` native tile grid starting
     /// at `base` — the host runtime's model-pinning step. Returns the number
-    /// of MRF entries consumed. ([`ExecMode::TimingOnly`] validates the
-    /// same way and keeps nothing; [`Npu::reserve_matrix_grid`] skips the
-    /// quantization too.)
+    /// of MRF entries consumed. ([`ExecMode::TimingOnly`] checks the shapes
+    /// the same way and quantizes nothing.)
     ///
     /// # Errors
     ///
@@ -699,11 +698,14 @@ impl Npu {
         data: &[f32],
     ) -> Result<u32, SimError> {
         let entries = self.grid_entries(base, grid_rows, grid_cols)?;
-        let tiles = mvm::tile_matrix(&self.config, mat_rows, mat_cols, data, grid_rows, grid_cols)?;
-        if let Some(planes) = &mut self.data {
-            for (i, tile) in (base..).zip(tiles) {
-                planes.mrf.store(i, tile)?;
-            }
+        let cfg = &self.config;
+        let Some(planes) = &mut self.data else {
+            mvm::check_tiling(cfg, mat_rows, mat_cols, data.len(), grid_rows, grid_cols)?;
+            return Ok(entries);
+        };
+        let tiles = mvm::tile_matrix(cfg, mat_rows, mat_cols, data, grid_rows, grid_cols)?;
+        for (i, tile) in (base..).zip(tiles) {
+            planes.mrf.store(i, tile)?;
         }
         Ok(entries)
     }
@@ -725,15 +727,10 @@ impl Npu {
     ) -> Result<u32, SimError> {
         let entries = self.grid_entries(base, grid_rows, grid_cols)?;
         if let Some(data) = &mut self.data {
-            if !data.mrf.has_zero_template() {
-                let nd = self.config.native_dim() as usize;
-                let zero =
-                    BfpMatrix::quantize(nd, nd, &vec![0.0; nd * nd], self.config.matrix_format())
-                        .map_err(|e| SimError::Numeric(e.to_string()))?;
-                data.mrf.set_zero_template(zero);
-            }
+            let nd = self.config.native_dim() as usize;
             for i in base..base + entries {
-                data.mrf.reserve(i)?;
+                let zero = BfpMatrix::zeros(nd, nd, self.config.matrix_format());
+                data.mrf.store(i, zero)?;
             }
         }
         Ok(entries)
@@ -1172,6 +1169,62 @@ mod tests {
 
         assert_eq!(fs.cycles, ts.cycles);
         assert_eq!(fs.mvm_macs, ts.mvm_macs);
+    }
+
+    #[test]
+    fn load_faults_are_the_same_in_both_modes() {
+        // (grid, shape, data length): a data length that is not the shape's,
+        // a matrix too tall and one too wide for its grid, a grid past the
+        // MRF, and a load that fits.
+        let cases = [
+            ((2, 2), (8, 8), 63),
+            ((2, 1), (9, 4), 36),
+            ((1, 2), (4, 9), 36),
+            ((9, 9), (8, 8), 64),
+            ((2, 2), (5, 7), 35),
+        ];
+        for ((grid_rows, grid_cols), (rows, cols), len) in cases {
+            let load = |mode| {
+                let data = vec![0.5; len];
+                Npu::with_mode(tiny_config(), mode)
+                    .load_tiled_matrix(0, grid_rows, grid_cols, rows, cols, &data)
+            };
+            let (full, timing) = (load(ExecMode::Full), load(ExecMode::TimingOnly));
+            assert_eq!(full, timing, "{rows} x {cols} of {len} elements");
+            assert_eq!(full.is_ok(), len == 35);
+        }
+    }
+
+    #[test]
+    fn reserved_grid_multiplies_to_positive_zero() {
+        let mut npu = Npu::new(tiny_config());
+        npu.reserve_matrix_grid(0, 2, 2).unwrap();
+        npu.push_input_padded(&[-1.0, 2.0, -3.0, 4.0, 5.0, -6.0, 7.0, -8.0]);
+        let mut b = ProgramBuilder::new();
+        b.set_rows(2).set_cols(2);
+        b.v_rd(MemId::NetQ, 0)
+            .mv_mul(0)
+            .v_wr(MemId::NetQ, 0)
+            .end_chain()
+            .unwrap();
+        npu.run(&b.build()).unwrap();
+        for _ in 0..2 {
+            let out = npu.pop_output().expect("two native vectors");
+            assert!(out.len() == 4 && out.iter().all(|v| v.to_bits() == 0));
+        }
+        // An entry no grid reserved is still uninitialized weights.
+        let mut b = ProgramBuilder::new();
+        b.set_rows(1).set_cols(1);
+        b.v_rd(MemId::NetQ, 0)
+            .mv_mul(4)
+            .v_wr(MemId::NetQ, 0)
+            .end_chain()
+            .unwrap();
+        npu.push_input_padded(&[1.0; 4]);
+        assert_eq!(
+            npu.run(&b.build()),
+            Err(SimError::MrfEntryUninitialized { index: 4 })
+        );
     }
 
     #[test]

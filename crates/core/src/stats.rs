@@ -20,7 +20,10 @@ pub struct RunStats {
     pub chains: u64,
     /// Compound instructions streamed by the control processor.
     pub instructions: u64,
-    /// Multiply-accumulates dispatched by the MVM (including padding).
+    /// Multiply-accumulates dispatched by the modeled MVM, padding included;
+    /// the host streams each tile's [`live_shape`] only.
+    ///
+    /// [`live_shape`]: bw_bfp::BfpMatrix::live_shape
     pub mvm_macs: u64,
     /// Point-wise element operations executed by the MFUs.
     pub mfu_element_ops: u64,

@@ -152,8 +152,7 @@ impl StreamedConvNet {
     pub fn run_timing_only(&self, npu: &mut Npu, overlapped: bool) -> Result<RunStats, SimError> {
         let nd = self.native_dim as usize;
         let fmt = npu.config().matrix_format();
-        let zero = bw_bfp::BfpMatrix::quantize(nd, nd, &vec![0.0; nd * nd], fmt)
-            .map_err(|e| SimError::Numeric(e.to_string()))?;
+        let zero = bw_bfp::BfpMatrix::zeros(nd, nd, fmt);
         for i in 0..self.dram_entries() {
             npu.load_dram_matrix(i, zero.clone());
         }

@@ -117,3 +117,78 @@ fn gru_chain_schedule_matches_golden_in_both_modes() {
         assert_eq!(got, fixture("chains_gru.txt"), "{mode:?}");
     }
 }
+
+// ---------------------------------------------------------------------------
+// Functional-output golden. `tests/golden/functional_outputs.txt` holds the
+// output bits of two full-mode runs, written by this same code at the commit
+// *before* a `BfpMatrix` stored only its live extent and `VSigm` / `VTanh`
+// became table reads. The ledger checks a build's outputs against its own
+// first run; this is the check against another build's. Both models are
+// 2 × 2 grids with partial tiles: the LSTM is the ledger's `sim-functional`
+// shape (packed 1s.5e.2m), the GRU a 1s.5e.5m one (the `i8` layout).
+// ---------------------------------------------------------------------------
+
+fn step_inputs(steps: usize, dim: usize) -> Vec<Vec<f32>> {
+    (0..steps)
+        .map(|t| {
+            (0..dim)
+                .map(|i| ((i * 37 + t * 101) % 97) as f32 / 97.0 * 0.8 - 0.4)
+                .collect()
+        })
+        .collect()
+}
+
+/// One line per time step: every element's bits as eight hex digits.
+fn render_outputs(title: &str, outputs: &[Vec<f32>]) -> String {
+    let mut out = format!("{title}\n");
+    for step in outputs {
+        let words: Vec<String> = step
+            .iter()
+            .map(|v| format!("{:08x}", v.to_bits()))
+            .collect();
+        out.push_str(&words.join(" "));
+        out.push('\n');
+    }
+    out
+}
+
+fn functional_outputs(kernel: KernelMode) -> String {
+    let cfg = NpuConfig::bw_s10();
+    let dims = RnnDims::square(512);
+    let lstm = Lstm::new(&cfg, dims);
+    let mut npu = Npu::new(cfg);
+    npu.set_kernel_mode(kernel);
+    lstm.load_weights(&mut npu, &LstmWeights::random(dims, 7))
+        .expect("BW_S10 holds the weights");
+    let (lstm_out, _) = lstm
+        .run(&mut npu, &step_inputs(10, dims.input))
+        .expect("lstm runs");
+
+    let cfg = NpuConfig::bw_cnn_a10();
+    let dims = RnnDims::square(200);
+    let gru = Gru::new(&cfg, dims);
+    let mut npu = Npu::new(cfg);
+    npu.set_kernel_mode(kernel);
+    gru.load_weights(&mut npu, &GruWeights::random(dims, 11))
+        .expect("BW_CNN_A10 holds the weights");
+    let (gru_out, _) = gru
+        .run(&mut npu, &step_inputs(5, dims.input))
+        .expect("gru runs");
+
+    render_outputs("lstm h=512 steps=10 native=400 1s.5e.2m", &lstm_out)
+        + &render_outputs("gru h=200 steps=5 native=128 1s.5e.5m", &gru_out)
+}
+
+#[test]
+fn functional_outputs_match_the_parent_commits_in_both_kernel_modes() {
+    let golden = fixture("functional_outputs.txt");
+    for kernel in [KernelMode::Fast, KernelMode::Reference] {
+        let got = functional_outputs(kernel);
+        // A mismatch names its line (a model's title or a time step)
+        // instead of printing 55 KB twice.
+        for (n, (g, w)) in got.lines().zip(golden.lines()).enumerate() {
+            assert!(g == w, "{kernel:?}: line {} differs", n + 1);
+        }
+        assert_eq!(got.len(), golden.len(), "{kernel:?}");
+    }
+}

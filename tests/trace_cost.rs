@@ -3,7 +3,7 @@
 //! performs **zero** heap allocation, and enabling tracing changes no
 //! cycle statistic. The `ExecMode::TimingOnly` counterpart: building the
 //! NPU allocates its scoreboards and nothing that scales with
-//! `native_dim`, and a warm run allocates nothing either.
+//! `native_dim`, and neither a weight load nor a warm run allocates.
 //!
 //! This file holds exactly one `#[test]` so no concurrent test can
 //! allocate inside the measurement window of the process-global counting
@@ -24,6 +24,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         System.alloc(layout)
+    }
+
+    // Forwarded, so that a large zeroed buffer stays untouched pages.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
@@ -192,6 +199,18 @@ fn untraced_hot_path_does_not_allocate() {
         built < one_vrf_slab,
         "{built} bytes vs one slab {one_vrf_slab}"
     );
+
+    // Loading weights into the timing-only machine checks their shape and
+    // does nothing else: a 4,096 × 4,096 matrix (an 11 × 11 grid of tiles
+    // that a full-mode load quantizes) allocates nothing.
+    let weights = vec![0.0f32; 4096 * 4096];
+    let before = allocations();
+    let entries = timing
+        .load_tiled_matrix(0, 11, 11, 4096, 4096, &weights)
+        .expect("the grid fits the MRF");
+    assert_eq!(allocations() - before, 0, "a timing-only load allocated");
+    assert_eq!(entries, 121);
+    drop(weights);
 
     // Warm timing-only runs — NetQ traffic included, since queues hold
     // counts and stamps rather than vectors — allocate nothing.

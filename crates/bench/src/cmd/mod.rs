@@ -2,14 +2,11 @@
 
 pub mod ablations;
 pub mod calibrate;
-pub mod chaos;
 pub mod doclinks;
 pub mod fig2;
 pub mod fig6_hdd;
 pub mod fig8;
-pub mod fleet;
 pub mod lint;
-pub mod monitor;
 pub mod power;
 pub mod precision_sweep;
 pub mod profile;

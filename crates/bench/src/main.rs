@@ -1,12 +1,12 @@
-//! `bw-bench <subcommand>`: the paper's tables and figures, the firmware
-//! and documentation tools, and the fleet/monitor chaos gates, behind one
-//! dispatch table. `bw-bench help` prints the table.
+//! `bw-bench <subcommand>`: the paper's tables and figures and the
+//! firmware, documentation and profiling tools, behind one dispatch
+//! table. `bw-bench help` prints the table.
 //!
 //! Nothing here times this software — that is `ledger/`'s job. The
 //! subcommands print modeled quantities (cycles, utilization, SLA miss
-//! rates) that are the same on every run and every host; `fleet` and
-//! `monitor` drive a live pool, but gate on recovery and alerting, not
-//! on speed.
+//! rates) that are the same on every run and every host. Fleet recovery
+//! and SLO alerting are step-driven tests in `crates/fleet/tests` and
+//! `crates/obs/tests`, not subcommands.
 //!
 //! Exit status: 0 success, 1 a gate failed, 2 a command-line mistake.
 
@@ -19,8 +19,6 @@ mod cmd;
 
 use bw_bench::reports;
 use cli::{Args, Command};
-
-const QUICK: (&str, &str) = ("--quick", "");
 
 /// A paper-reproduction subcommand: no flags, nothing to fail.
 fn paper(print: fn()) -> ExitCode {
@@ -154,24 +152,12 @@ const COMMANDS: &[Command] = &[
             ("--kind", "lstm|gru"),
             ("--hidden", "N"),
             ("--steps", "N"),
-            QUICK,
+            ("--quick", ""),
             ("--trace-out", "PATH"),
             ("--report-out", "PATH"),
             ("--validate", ""),
         ],
         run: cmd::profile::run,
-    },
-    Command {
-        name: "fleet",
-        help: "chaos gate: the fleet controller absorbs load step, kill, slow link",
-        flags: &[QUICK],
-        run: cmd::fleet::run,
-    },
-    Command {
-        name: "monitor",
-        help: "chaos gate: SLO alerts fire within 10 scrapes and clear afterwards",
-        flags: &[QUICK],
-        run: cmd::monitor::run,
     },
 ];
 

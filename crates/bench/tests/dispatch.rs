@@ -16,7 +16,7 @@ fn bw_bench(args: &[&str]) -> Output {
 /// Every subcommand, in `help` order. A new or renamed dispatcher entry
 /// has to be added here, which is the point: the list is the CLI's
 /// public surface and the docs quote it.
-const SUBCOMMANDS: [&str; 20] = [
+const SUBCOMMANDS: [&str; 18] = [
     "table1",
     "table2",
     "table3",
@@ -35,8 +35,6 @@ const SUBCOMMANDS: [&str; 20] = [
     "lint",
     "doclinks",
     "profile",
-    "fleet",
-    "monitor",
 ];
 
 #[test]

@@ -24,11 +24,11 @@
 //! [`FleetMetrics`] and recorded as a `fleet-op` span.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bw_obs::Alert;
+use bw_obs::{Alert, Ticker};
 use bw_serve::{MetricsSnapshot, NetworkModel, Server};
 
 use crate::metrics::FleetMetrics;
@@ -369,33 +369,19 @@ impl FleetController {
     /// Spawns the control loop on its own thread, ticking every
     /// `cfg.tick` until the returned handle is stopped.
     pub fn run(mut self) -> FleetHandle {
-        let stop = Arc::new(AtomicBool::new(false));
         let metrics = self.metrics();
-        let t_stop = Arc::clone(&stop);
-        let tick = self.cfg.tick;
-        let join = std::thread::Builder::new()
-            .name("bw-fleet-controller".to_owned())
-            .spawn(move || {
-                while !t_stop.load(Ordering::Acquire) {
-                    self.step();
-                    std::thread::sleep(tick);
-                }
-            })
-            .expect("controller thread spawns");
-        FleetHandle {
-            stop,
-            metrics,
-            join: Some(join),
-        }
+        let ticker = Ticker::spawn("bw-fleet-controller", self.cfg.tick, move || {
+            self.step();
+        });
+        FleetHandle { ticker, metrics }
     }
 }
 
 /// A running control loop. Stop it with [`FleetHandle::stop`]; dropping
 /// the handle also stops it.
 pub struct FleetHandle {
-    stop: Arc<AtomicBool>,
+    ticker: Ticker,
     metrics: Arc<FleetMetrics>,
-    join: Option<std::thread::JoinHandle<()>>,
 }
 
 impl FleetHandle {
@@ -405,20 +391,7 @@ impl FleetHandle {
     }
 
     /// Stops the loop and joins the controller thread.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
-    }
-}
-
-impl Drop for FleetHandle {
-    fn drop(&mut self) {
-        self.shutdown();
+    pub fn stop(self) {
+        self.ticker.stop();
     }
 }

@@ -22,8 +22,8 @@
 //!
 //! Spinning up a replica is not free: the server charges each pin a
 //! simulated weight-preload delay from the artifact's MRF fill size and
-//! the pool's [`PreloadModel`](bw_serve::PreloadModel), so the
-//! controller's reaction time is visible in the benches.
+//! the pool's [`PreloadModel`](bw_serve::PreloadModel), and every
+//! [`FleetDecision`] that pins carries the preload it paid.
 //!
 //! ## Quickstart
 //!

@@ -16,8 +16,8 @@ pub struct WorkerView {
 }
 
 /// Ranks candidate workers for a new replica. Implementations must be
-/// deterministic given the same candidate list — the chaos benches
-/// compare controller runs across seeds.
+/// deterministic given the same candidate list — the controller tests
+/// assert exact placements.
 pub trait PlacementPolicy: Send {
     /// Picks a worker id from `candidates`, or `None` to decline the
     /// placement (no candidate acceptable).

@@ -1,15 +1,16 @@
 //! Control-loop behavior: scale up under pressure, repair after loss,
-//! repack off sick links, scale down when idle — all observable in the
-//! decision stream, the server's residency, and the fleet exposition.
+//! repack off sick links, scale down when idle, scale on a live
+//! monitor's pages — all observable in the decision stream, the server's
+//! residency, and the fleet exposition.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bw_fleet::{FleetConfig, FleetController, FleetDecision};
 use bw_serve::demo::{demo_input, mlp_artifact};
-use bw_serve::{NetworkModel, Server};
+use bw_serve::{Client, NetworkModel, Server};
 
 const DEADLINE: Duration = Duration::from_secs(5);
 
@@ -33,24 +34,32 @@ fn eager() -> FleetConfig {
     }
 }
 
-#[test]
-fn shedding_triggers_a_scale_up() {
-    let server = boot(3, 1, vec![0]);
-    let client = server.client();
-    // A concurrent burst against a one-deep queue sheds; the controller
-    // must react.
+/// Submits a concurrent burst of 64 and waits it out; returns how many
+/// were shed at admission, the only way a submit may fail here.
+fn burst(client: &Client) -> usize {
     let mut shed = 0;
     let mut pending = Vec::new();
     for i in 0..64 {
         match client.submit("ctl", &demo_input(16, i), DEADLINE) {
             Ok(p) => pending.push(p),
-            Err(_) => shed += 1,
+            Err(e) => {
+                assert!(e.is_shed(), "unexpected submit error: {e}");
+                shed += 1;
+            }
         }
     }
     for p in pending {
         let _ = p.wait();
     }
-    assert!(shed > 0, "burst did not shed; tighten the queue");
+    shed
+}
+
+#[test]
+fn shedding_triggers_a_scale_up() {
+    let server = boot(3, 1, vec![0]);
+    // A concurrent burst against a one-deep queue sheds; the controller
+    // must react.
+    assert!(burst(&server.client()) > 0, "burst did not shed");
 
     let mut ctl = FleetController::new(Arc::clone(&server), eager());
     let decisions = ctl.step();
@@ -167,6 +176,115 @@ fn a_firing_alert_scales_up_without_queue_pressure() {
     assert_eq!(ctl.metrics().alert_signals.load(Ordering::Relaxed), 0);
 }
 
+/// A real `Monitor`'s firing alerts drive the controller, one scrape and
+/// one tick at a time: a shed burst pages and scales up, a kill's
+/// failures page too, and clean traffic clears every page.
+#[test]
+fn a_live_monitor_feeds_the_controller_through_a_burst_and_a_kill() {
+    use bw_obs::{AlertEvent, Monitor, MonitorConfig, SloKind, SloSpec, Transition};
+
+    let server = boot(3, 1, vec![0]);
+    let client = server.client();
+    let spec = SloSpec::new("ctl", 0.99, Duration::from_secs(1), 0.95);
+    let monitor = Monitor::new(&server, vec![spec], MonitorConfig::default());
+    // Queue depth and idleness never move the replica set here.
+    let cfg = FleetConfig {
+        scale_up_depth: usize::MAX,
+        scale_down_idle_ticks: u32::MAX,
+        ..eager()
+    };
+    let mut ctl =
+        FleetController::new(Arc::clone(&server), cfg).with_alert_source(monitor.alert_source());
+    let pages = |events: &[AlertEvent]| {
+        events
+            .iter()
+            .any(|e| e.transition == Transition::Fire && e.alert.slo == SloKind::Availability)
+    };
+    // One successful call, then one scrape.
+    let clean = |i: u64| {
+        client.call("ctl", &demo_input(16, i), DEADLINE).unwrap();
+        monitor.scrape()
+    };
+    // The fast rule's 5-scrape window ages the fault out well within 10.
+    let clear = |from: u64| {
+        let cleared = (from..from + 10).any(|i| {
+            clean(i);
+            monitor.firing().is_empty()
+        });
+        assert!(cleared, "alerts never cleared: {:?}", monitor.firing());
+    };
+
+    for i in 0..8 {
+        assert!(clean(i).is_empty(), "clean scrapes must not alert");
+        assert!(ctl.step().is_empty());
+    }
+
+    assert!(burst(&client) > 0, "burst did not shed");
+    let events = monitor.scrape();
+    assert!(pages(&events), "shedding must page: {events:?}");
+    let decisions = ctl.step();
+    assert!(
+        decisions
+            .iter()
+            .any(|d| matches!(d, FleetDecision::ScaleUp { .. })),
+        "expected a scale-up, got {decisions:?}"
+    );
+    assert!(ctl.metrics().alert_signals.load(Ordering::Relaxed) >= 1);
+    let replicas = server.pinned_workers("ctl");
+    assert_eq!(replicas.len(), 2);
+    clear(100);
+
+    for &w in &replicas {
+        assert!(server.kill_worker(w));
+    }
+    for i in 0..8 {
+        assert!(client.call("ctl", &demo_input(16, i), DEADLINE).is_err());
+    }
+    let events = monitor.scrape();
+    assert!(pages(&events), "failures must page: {events:?}");
+    assert!(server.metrics().models[0].failed > 0);
+    let decisions = ctl.step();
+    assert!(
+        decisions
+            .iter()
+            .any(|d| matches!(d, FleetDecision::Repair { .. })),
+        "expected a repair, got {decisions:?}"
+    );
+    let repaired = server.pinned_workers("ctl");
+    assert!(repaired.len() == 1 && !replicas.contains(&repaired[0]));
+    clear(200);
+
+    let events = monitor.events();
+    let count = |t: Transition| events.iter().filter(|e| e.transition == t).count();
+    assert_eq!(
+        count(Transition::Fire),
+        count(Transition::Clear),
+        "{events:?}"
+    );
+    let m = server.metrics().models.remove(0);
+    assert_eq!(m.accounted(), m.submitted);
+}
+
+#[test]
+fn stopping_the_loop_does_not_wait_out_the_tick() {
+    let server = boot(3, 32, vec![0]);
+    let cfg = FleetConfig {
+        tick: Duration::from_secs(30),
+        ..eager()
+    };
+    let handle = FleetController::new(Arc::clone(&server), cfg).run();
+    let metrics = handle.metrics();
+    // The first tick is immediate; the loop then waits its 30 s.
+    while metrics.ticks.load(Ordering::Relaxed) == 0 {
+        thread::yield_now();
+    }
+    let started = Instant::now();
+    handle.stop();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "stop took {took:?}");
+    assert_eq!(metrics.ticks.load(Ordering::Relaxed), 1);
+}
+
 #[test]
 fn background_loop_repairs_and_exposes_metrics() {
     let server = boot(3, 32, vec![0]);
@@ -178,10 +296,10 @@ fn background_loop_repairs_and_exposes_metrics() {
     let handle = FleetController::new(Arc::clone(&server), cfg).run();
 
     assert!(server.kill_worker(0));
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let deadline = Instant::now() + Duration::from_secs(5);
     while server.pinned_workers("ctl").is_empty() {
         assert!(
-            std::time::Instant::now() < deadline,
+            Instant::now() < deadline,
             "controller never repaired the model"
         );
         thread::sleep(Duration::from_millis(5));

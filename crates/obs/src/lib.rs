@@ -21,7 +21,9 @@
 //!   `bw-serve` server that feeds the engine, renders `bw_slo_*` /
 //!   `bw_alert_*` Prometheus series (installable onto the server's own
 //!   wire scrape endpoint), emits fire→clear chrome spans, and exposes
-//!   firing alerts as a scale signal for the fleet controller.
+//!   firing alerts as a scale signal for the fleet controller. Its
+//!   background loop is a [`Ticker`], which the fleet controller's loop
+//!   shares: stopping one returns at once, not after an interval.
 //!
 //! The engine is deliberately deterministic so alert behaviour is
 //! testable to the exact scrape:
@@ -62,9 +64,11 @@ pub mod engine;
 pub mod monitor;
 pub mod series;
 pub mod slo;
+mod ticker;
 
 pub use alert::{Alert, AlertEvent, AlertSpeed, SloKind, Transition};
 pub use engine::{ModelObservation, SloEngine};
-pub use monitor::{Monitor, MonitorConfig, MonitorHandle};
+pub use monitor::{Monitor, MonitorConfig};
 pub use series::Series;
 pub use slo::{BurnRule, SloSpec};
+pub use ticker::Ticker;

@@ -24,7 +24,6 @@
 //!   `FleetController::set_alert_source` so burn-rate alerts become
 //!   scale signals.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -36,6 +35,7 @@ use parking_lot::Mutex;
 use crate::alert::{Alert, AlertEvent, AlertSpeed, SloKind, Transition};
 use crate::engine::{ModelObservation, SloEngine};
 use crate::slo::{BurnRule, SloSpec};
+use crate::ticker::Ticker;
 
 /// Scrape-loop configuration.
 #[derive(Clone, Debug)]
@@ -79,33 +79,6 @@ struct MonitorInner {
 #[derive(Clone)]
 pub struct Monitor {
     inner: Arc<MonitorInner>,
-}
-
-/// A running scrape loop. Stop it with [`MonitorHandle::stop`];
-/// dropping the handle also stops it.
-pub struct MonitorHandle {
-    stop: Arc<AtomicBool>,
-    join: Option<std::thread::JoinHandle<()>>,
-}
-
-impl MonitorHandle {
-    /// Stops the loop and joins the scrape thread.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
-    }
-}
-
-impl Drop for MonitorHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
 }
 
 /// Encodes an alert's (objective, speed) pair into a span's `chain`
@@ -186,24 +159,13 @@ impl Monitor {
         events
     }
 
-    /// Starts the scrape loop on a background thread.
-    pub fn run(&self) -> MonitorHandle {
-        let stop = Arc::new(AtomicBool::new(false));
-        let loop_stop = Arc::clone(&stop);
+    /// Starts the scrape loop on a background thread, one scrape per
+    /// configured interval until the returned handle is stopped.
+    pub fn run(&self) -> Ticker {
         let monitor = self.clone();
-        let join = std::thread::Builder::new()
-            .name("bw-monitor".into())
-            .spawn(move || {
-                while !loop_stop.load(Ordering::Acquire) {
-                    monitor.scrape();
-                    std::thread::sleep(monitor.inner.cfg.interval);
-                }
-            })
-            .expect("spawn monitor thread");
-        MonitorHandle {
-            stop,
-            join: Some(join),
-        }
+        Ticker::spawn("bw-monitor", self.interval(), move || {
+            monitor.scrape();
+        })
     }
 
     /// Scrapes taken so far.

@@ -1,9 +1,10 @@
 //! Live-monitor behavior against a real server: scrapes feed the
 //! engine, an induced outage fires and clears the fast availability
-//! alert, resolved alerts become chrome spans, and the Prometheus
-//! output validates and installs onto the server's endpoint.
+//! alert, resolved alerts become chrome spans, the background loop stops
+//! without waiting out its interval, and the Prometheus output validates
+//! and installs onto the server's endpoint.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bw_obs::{Monitor, MonitorConfig, SloKind, SloSpec, Transition};
 use bw_serve::demo::{demo_input, mlp_artifact};
@@ -99,15 +100,38 @@ fn the_background_loop_scrapes_until_stopped() {
         },
     );
     let handle = monitor.run();
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let deadline = Instant::now() + Duration::from_secs(5);
     while monitor.scrapes() < 5 {
-        assert!(std::time::Instant::now() < deadline, "loop never scraped");
+        assert!(Instant::now() < deadline, "loop never scraped");
         std::thread::sleep(Duration::from_millis(2));
     }
     handle.stop();
     let settled = monitor.scrapes();
     std::thread::sleep(Duration::from_millis(10));
     assert_eq!(monitor.scrapes(), settled, "loop kept scraping after stop");
+}
+
+#[test]
+fn stopping_the_loop_does_not_wait_out_the_interval() {
+    let server = boot(32);
+    let monitor = Monitor::new(
+        &server,
+        vec![spec()],
+        MonitorConfig {
+            interval: Duration::from_secs(30),
+            ..MonitorConfig::default()
+        },
+    );
+    let handle = monitor.run();
+    // The first scrape is immediate; the loop then waits its 30 s.
+    while monitor.scrapes() == 0 {
+        std::thread::yield_now();
+    }
+    let started = Instant::now();
+    handle.stop();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "stop took {took:?}");
+    assert_eq!(monitor.scrapes(), 1);
 }
 
 #[test]

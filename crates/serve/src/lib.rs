@@ -87,8 +87,6 @@ pub use tcp::{TcpClient, TcpFrontend, TcpFrontendConfig};
 pub use wire::{read_frame, try_extract_frame, write_frame, WireError, WireRequest, WireResponse};
 
 pub use bw_gir::{ModelArtifact, PinnedModel, ShardedArtifact};
-pub use bw_system::{
-    ArrivalProcess, LatencySummary, LoadPhase, LoadSchedule, NetworkModel, PreloadModel, Routing,
-};
+pub use bw_system::{ArrivalProcess, LatencySummary, NetworkModel, PreloadModel, Routing};
 
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};

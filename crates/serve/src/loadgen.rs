@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bw_system::{ArrivalProcess, LatencySummary, LoadSchedule};
+use bw_system::{ArrivalProcess, LatencySummary};
 use bw_trace::json::Writer;
 use parking_lot::Mutex;
 
@@ -31,20 +31,14 @@ use crate::server::Client;
 pub struct LoadgenConfig {
     /// Registered model to drive.
     pub model: String,
-    /// The arrival process replayed on the wall clock (used when no
-    /// `schedule` is set).
+    /// The arrival process replayed on the wall clock.
     pub arrivals: ArrivalProcess,
-    /// Number of requests to issue (ignored when a `schedule` is set —
-    /// the schedule's rate profile decides the count).
+    /// Number of requests to issue.
     pub requests: usize,
     /// Per-request end-to-end deadline.
     pub deadline: Duration,
     /// Seed for arrival-time generation (and input variation).
     pub seed: u64,
-    /// Optional time-varying offered load: when set, arrivals follow
-    /// this piecewise-linear rate profile (steps and ramps) instead of
-    /// the stationary `arrivals`/`requests` pair.
-    pub schedule: Option<LoadSchedule>,
 }
 
 /// What one run measured.
@@ -104,10 +98,7 @@ fn sender_threads() -> usize {
 
 /// Replays `cfg` against `client`, blocking until every request settles.
 pub fn run_loadgen(client: &Client, cfg: &LoadgenConfig) -> LoadgenReport {
-    let offsets = match &cfg.schedule {
-        Some(schedule) => schedule.generate(cfg.seed),
-        None => cfg.arrivals.generate(cfg.requests, cfg.seed),
-    };
+    let offsets = cfg.arrivals.generate(cfg.requests, cfg.seed);
     let offered = offsets.len();
     // Probe the model's input width once; an unknown model surfaces as
     // `rejected` on every request instead of a panic here.

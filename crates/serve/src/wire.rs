@@ -31,6 +31,9 @@ use std::io::{Read, Write};
 /// must not allocate unboundedly.
 pub const MAX_FRAME: usize = 16 << 20;
 
+/// What [`read_frame`] reserves before a frame's payload arrives.
+const READ_RESERVE: usize = 64 << 10;
+
 /// Frame tags.
 pub const TAG_INFER: u8 = 0x01;
 /// Metrics request tag.
@@ -475,8 +478,16 @@ pub fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Option<Vec<u8>>> {
             WireError::FrameTooLarge(len).to_string(),
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    // The prefix is the peer's claim, not its bytes: reserve at most
+    // `READ_RESERVE` up front and grow with what actually arrives.
+    let mut payload = Vec::with_capacity(len.min(READ_RESERVE));
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "eof inside frame payload",
+        ));
+    }
     Ok(Some(payload))
 }
 

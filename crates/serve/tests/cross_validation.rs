@@ -102,7 +102,6 @@ fn live_pool_p99_tracks_the_analytical_simulator() {
             requests: REQUESTS,
             deadline: Duration::from_secs(30),
             seed: SEED,
-            schedule: None,
         },
     );
 

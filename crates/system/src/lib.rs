@@ -15,8 +15,6 @@
 //! * [`PreloadModel`] — the weight-preload cost model: what pinning a
 //!   model's MRF image onto a worker costs in simulated time, used by
 //!   the `bw-fleet` controller;
-//! * [`LoadSchedule`] — time-varying (step/ramp) offered-load profiles
-//!   for elasticity experiments;
 //! * [`simulate`] — event-driven simulation of one microservice with
 //!   percentile latency and utilization reporting;
 //! * [`Routing`] — the client-side routing policies of a disaggregated
@@ -47,13 +45,11 @@
 mod net;
 mod pool;
 mod preload;
-mod schedule;
 mod sim;
 mod summary;
 
 pub use net::NetworkModel;
 pub use pool::Routing;
 pub use preload::PreloadModel;
-pub use schedule::{LoadPhase, LoadSchedule};
 pub use sim::{simulate, ArrivalProcess, Microservice, ServiceModel, ServingReport};
 pub use summary::{nearest_rank, LatencySummary};

@@ -3,7 +3,8 @@
 //! performs **zero** heap allocation, and enabling tracing changes no
 //! cycle statistic. The `ExecMode::TimingOnly` counterpart: building the
 //! NPU allocates its scoreboards and nothing that scales with
-//! `native_dim`, and neither a weight load nor a warm run allocates.
+//! `native_dim`, and neither a weight load nor a warm run allocates. And
+//! `read_frame` does not reserve a frame a header merely announces.
 //!
 //! This file holds exactly one `#[test]` so no concurrent test can
 //! allocate inside the measurement window of the process-global counting
@@ -237,4 +238,17 @@ fn untraced_hot_path_does_not_allocate() {
     let suite = brainwave::models::table5_suite();
     let total: u64 = bw_bench::run_suite(&suite).iter().map(|r| r.cycles).sum();
     assert_eq!(total, 2_571_339, "Table V suite simulated cycles");
+
+    // A frame's length prefix is the peer's claim, not its bytes: a reader
+    // that announces a full 16 MiB (`MAX_FRAME`) payload and then ends must
+    // fail without the 16 MiB request.
+    let header = (16u32 << 20).to_le_bytes();
+    let before = allocated_bytes();
+    let err = brainwave::serve::read_frame(&mut &header[..]).expect_err("no payload followed");
+    let reserved = allocated_bytes() - before;
+    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+    assert!(
+        reserved < 1 << 20,
+        "a bare header reserved {reserved} bytes"
+    );
 }

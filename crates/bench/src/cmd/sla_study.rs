@@ -51,9 +51,9 @@ pub fn run() {
         rows.push(vec![
             format!("{:.0}", rate),
             format!("{:.0}%", frac * 100.0),
-            format!("{:.2}", b.p99_latency_s * 1e3),
+            format!("{:.2}", b.latency.p99_s * 1e3),
             format!("{:.1}%", b.sla_violation_rate(deadline) * 100.0),
-            format!("{:.2}", g.p99_latency_s * 1e3),
+            format!("{:.2}", g.latency.p99_s * 1e3),
             format!("{:.1}%", g.sla_violation_rate(deadline) * 100.0),
         ]);
     }

@@ -641,11 +641,6 @@ impl Analyzer {
         }
     }
 
-    /// An analyzer with an explicit pass list (for tools that subset).
-    pub fn with_passes(options: AnalysisOptions, passes: Vec<Box<dyn AnalysisPass>>) -> Self {
-        Analyzer { options, passes }
-    }
-
     /// Names of the passes in pipeline order.
     pub fn pass_names(&self) -> Vec<&'static str> {
         self.passes.iter().map(|p| p.name()).collect()

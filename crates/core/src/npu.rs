@@ -558,11 +558,6 @@ impl Npu {
         }
     }
 
-    /// The functional kernel implementation in use.
-    pub fn kernel_mode(&self) -> KernelMode {
-        self.kernel
-    }
-
     /// Selects the functional kernel implementation. Cycle counts and
     /// computed values are unaffected; [`KernelMode::Reference`] trades
     /// speed for the original allocate-per-`mv_mul` naive kernels.

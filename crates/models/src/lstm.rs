@@ -81,12 +81,6 @@ impl Lstm {
         4 * self.grid_h * self.grid_x + 4 * self.grid_h * self.grid_h
     }
 
-    /// VRF entries required in the largest register file.
-    pub fn vrf_entries_required(&self) -> u32 {
-        // AddSubVrf(0) holds 4 biases + 4 xW temporaries.
-        (8 * self.grid_h).max(self.grid_x + 2 * self.grid_h)
-    }
-
     /// True model FLOPs per time step, counting the eight matrix products
     /// at 2 FLOPs per MAC — the paper's accounting (Table I: 64M for
     /// a 2000-dim LSTM).

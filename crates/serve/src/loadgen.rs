@@ -21,7 +21,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bw_system::{ArrivalProcess, LatencySummary};
-use bw_trace::json::Writer;
 use parking_lot::Mutex;
 
 use crate::server::Client;
@@ -64,28 +63,6 @@ pub struct LoadgenReport {
     pub goodput_rps: f64,
     /// Latency summary over completed requests.
     pub latency: LatencySummary,
-}
-
-impl LoadgenReport {
-    /// Renders the report as a JSON object.
-    pub fn to_json(&self) -> String {
-        let mut w = Writer::new();
-        w.begin_object().key("model").string(&self.model);
-        for (key, count) in [
-            ("offered", self.offered as u64),
-            ("completed", self.completed),
-            ("shed", self.shed),
-            ("failed", self.failed),
-            ("rejected", self.rejected),
-            ("retries", self.retries),
-        ] {
-            w.key(key).uint(count);
-        }
-        w.key("duration_s").fixed(self.duration_s, 6);
-        w.key("goodput_rps").fixed(self.goodput_rps, 3);
-        w.key("latency").raw(&self.latency.to_json()).end_object();
-        w.finish()
-    }
 }
 
 /// Sender threads the generator stripes arrivals across: enough to keep

@@ -20,6 +20,9 @@
 //!    not, so the tolerance is a wide ratio band — wide enough for noisy
 //!    single-core CI, tight enough to catch unit mistakes, double
 //!    counting, or a broken queueing model (which show up as 10x-100x).
+//!
+//! The band is measured on the wall clock, so the test is ignored in the
+//! debug profile and runs under `cargo test --release -q` only.
 
 use std::time::{Duration, Instant};
 
@@ -55,6 +58,10 @@ fn artifact() -> ModelArtifact {
 }
 
 #[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "wall-clock ratio band, 13 s unoptimized: runs under `cargo test --release`"
+)]
 fn live_pool_p99_tracks_the_analytical_simulator() {
     // 1. Ground-truth service time on a private replica of the same
     //    artifact (warm: the first inference pays one-time costs).
@@ -110,32 +117,32 @@ fn live_pool_p99_tracks_the_analytical_simulator() {
     assert_eq!(measured.shed + measured.failed + measured.rejected, 0);
 
     // 4. Agreement bands.
-    let p99_ratio = measured.latency.p99_s / predicted.p99_latency_s.max(1e-12);
-    let mean_ratio = measured.latency.mean_s / predicted.mean_latency_s.max(1e-12);
+    let p99_ratio = measured.latency.p99_s / predicted.latency.p99_s.max(1e-12);
+    let mean_ratio = measured.latency.mean_s / predicted.latency.mean_s.max(1e-12);
     eprintln!(
         "service {:.1} µs, rate {:.0} rps; p99 live {:.1} µs vs analytical {:.1} µs (x{:.2}); \
          mean live {:.1} µs vs analytical {:.1} µs (x{:.2})",
         service_s * 1e6,
         rate,
         measured.latency.p99_s * 1e6,
-        predicted.p99_latency_s * 1e6,
+        predicted.latency.p99_s * 1e6,
         p99_ratio,
         measured.latency.mean_s * 1e6,
-        predicted.mean_latency_s * 1e6,
+        predicted.latency.mean_s * 1e6,
         mean_ratio,
     );
     assert!(
         (0.2..10.0).contains(&p99_ratio),
         "live p99 {:.1} µs diverges from analytical {:.1} µs (x{:.2})",
         measured.latency.p99_s * 1e6,
-        predicted.p99_latency_s * 1e6,
+        predicted.latency.p99_s * 1e6,
         p99_ratio
     );
     assert!(
         (0.2..10.0).contains(&mean_ratio),
         "live mean {:.1} µs diverges from analytical {:.1} µs (x{:.2})",
         measured.latency.mean_s * 1e6,
-        predicted.mean_latency_s * 1e6,
+        predicted.latency.mean_s * 1e6,
         mean_ratio
     );
     // The live mean can't beat physics: it includes the full service time.

@@ -30,8 +30,10 @@ const SHARDED_WIDTHS: [usize; 3] = [16, 64, 8];
 const SHARD_BUDGET: u64 = 600;
 const BATCH: usize = 3;
 const LONG: Duration = Duration::from_secs(10);
-/// How long a stalled worker sleeps.
-const STALL: Duration = Duration::from_millis(500);
+/// How long a stalled worker sleeps: longer than the 50 ms attempt
+/// timeout plus a replica's answer, and than the 80 ms deadline, with room
+/// for a slow debug build.
+const STALL: Duration = Duration::from_millis(200);
 
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Shape {

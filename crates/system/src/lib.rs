@@ -36,7 +36,7 @@
 //! };
 //! let arrivals = ArrivalProcess::Poisson { rate_per_s: 100.0 }.generate(1000, 42);
 //! let report = simulate(&arrivals, &service);
-//! assert!(report.p99_latency_s < 0.05);
+//! assert!(report.latency.p99_s < 0.05);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -20,6 +20,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+use crate::summary::{nearest_rank, LatencySummary};
+
 /// How requests arrive at the microservice.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub enum ArrivalProcess {
@@ -139,14 +141,8 @@ impl Microservice {
 pub struct ServingReport {
     /// Requests completed.
     pub completed: usize,
-    /// Mean end-to-end latency, seconds.
-    pub mean_latency_s: f64,
-    /// Median latency.
-    pub p50_latency_s: f64,
-    /// 95th percentile latency.
-    pub p95_latency_s: f64,
-    /// 99th percentile latency.
-    pub p99_latency_s: f64,
+    /// End-to-end latency over every request, seconds.
+    pub latency: LatencySummary,
     /// Completions per second over the busy interval.
     pub throughput_rps: f64,
     /// Mean dispatched batch size (1.0 for per-request service).
@@ -173,16 +169,7 @@ impl ServingReport {
 
     /// The latency at quantile `q` (0 ≤ q ≤ 1), by nearest-rank.
     pub fn latency_quantile(&self, q: f64) -> f64 {
-        if self.sorted_latencies.is_empty() {
-            return 0.0;
-        }
-        crate::summary::nearest_rank(&self.sorted_latencies, q)
-    }
-
-    /// The full [`LatencySummary`](crate::LatencySummary) of this report's
-    /// latency sample.
-    pub fn latency_summary(&self) -> crate::LatencySummary {
-        crate::LatencySummary::from_sorted(&self.sorted_latencies)
+        nearest_rank(&self.sorted_latencies, q)
     }
 }
 
@@ -279,28 +266,16 @@ pub fn simulate(arrivals: &[f64], service: &Microservice) -> ServingReport {
         }
     }
 
-    let mut sorted = latencies.clone();
+    let mut sorted = latencies;
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let pct = |p: f64| -> f64 {
-        if sorted.is_empty() {
-            0.0
-        } else {
-            sorted[((sorted.len() - 1) as f64 * p) as usize]
-        }
-    };
     let span = completions
         .iter()
         .copied()
         .fold(0.0f64, f64::max)
         .max(f64::EPSILON);
-    let mean_latency_s = sorted.iter().sum::<f64>() / sorted.len().max(1) as f64;
-    let (p50, p95, p99) = (pct(0.50), pct(0.95), pct(0.99));
     ServingReport {
         completed,
-        mean_latency_s,
-        p50_latency_s: p50,
-        p95_latency_s: p95,
-        p99_latency_s: p99,
+        latency: LatencySummary::from_sorted(&sorted),
         throughput_rps: completed as f64 / span,
         mean_batch: if batches > 0 {
             batched_requests as f64 / batches as f64
@@ -330,11 +305,11 @@ mod tests {
         assert_eq!(r.completed, 50);
         let expect = 2e-3 + 2.0 * 10e-6;
         assert!(
-            (r.mean_latency_s - expect).abs() < 1e-9,
+            (r.latency.mean_s - expect).abs() < 1e-9,
             "{}",
-            r.mean_latency_s
+            r.latency.mean_s
         );
-        assert!((r.p99_latency_s - expect).abs() < 1e-9);
+        assert!((r.latency.p99_s - expect).abs() < 1e-9);
     }
 
     #[test]
@@ -348,7 +323,7 @@ mod tests {
             &ArrivalProcess::Poisson { rate_per_s: 480.0 }.generate(2000, 1),
             &BW,
         );
-        assert!(high.mean_latency_s > 3.0 * low.mean_latency_s);
+        assert!(high.latency.mean_s > 3.0 * low.latency.mean_s);
         assert!(high.server_utilization > 0.9);
         assert!(low.server_utilization < 0.3);
     }
@@ -365,7 +340,7 @@ mod tests {
                 ..BW
             },
         );
-        let wait = r.mean_latency_s - s;
+        let wait = r.latency.mean_s - s;
         let theory = s / 2.0 * 0.5 / (1.0 - 0.5) * 2.0; // = s/2
         let _ = theory;
         assert!(
@@ -393,7 +368,7 @@ mod tests {
         let bw = simulate(&arrivals, &BW);
         let gp = simulate(&arrivals, &gpu);
         // The batching queue adds formation delay the BW discipline avoids.
-        assert!(gp.mean_latency_s > 2.0 * bw.mean_latency_s);
+        assert!(gp.latency.mean_s > 2.0 * bw.latency.mean_s);
         assert!(gp.mean_batch > 1.5, "mean batch {}", gp.mean_batch);
     }
 
@@ -414,9 +389,9 @@ mod tests {
         assert_eq!(r.completed, 1);
         let expect = 5e-3 + 1e-3 + 0.1e-3;
         assert!(
-            (r.mean_latency_s - expect).abs() < 1e-9,
+            (r.latency.mean_s - expect).abs() < 1e-9,
             "{}",
-            r.mean_latency_s
+            r.latency.mean_s
         );
     }
 
@@ -425,7 +400,7 @@ mod tests {
         let arrivals = ArrivalProcess::Poisson { rate_per_s: 900.0 }.generate(4000, 5);
         let one = simulate(&arrivals, &BW);
         let two = simulate(&arrivals, &Microservice { servers: 2, ..BW });
-        assert!(two.mean_latency_s < one.mean_latency_s / 2.0);
+        assert!(two.latency.mean_s < one.latency.mean_s / 2.0);
         assert!(two.throughput_rps > one.throughput_rps * 0.99);
     }
 
@@ -439,7 +414,7 @@ mod tests {
         let over = |net| Microservice::over_network(BW.service, 1, &net, 0);
         let near = simulate(&arrivals, &over(crate::NetworkModel::ideal()));
         let far = simulate(&arrivals, &over(crate::NetworkModel::with_hop(500e-6)));
-        let shift = far.mean_latency_s - near.mean_latency_s;
+        let shift = far.latency.mean_s - near.latency.mean_s;
         assert!(
             (shift - 2.0 * 500e-6).abs() < 1e-9,
             "hop shifted mean by {shift:.6}s, expected 1 ms"
@@ -463,8 +438,8 @@ mod tests {
             prev = v;
         }
         // Quantiles are consistent with the percentile fields.
-        assert_eq!(r.latency_quantile(0.5), r.p50_latency_s);
-        assert_eq!(r.latency_quantile(0.99), r.p99_latency_s);
+        assert_eq!(r.latency_quantile(0.5), r.latency.p50_s);
+        assert_eq!(r.latency_quantile(0.99), r.latency.p99_s);
         assert!(r.latency_quantile(0.0) <= r.latency_quantile(1.0));
     }
 

@@ -185,7 +185,7 @@ fn serving_latency_grounded_in_simulated_service_time() {
     let arrivals = ArrivalProcess::Uniform { interval_s: 1.0 }.generate(10, 0);
     let report = simulate(&arrivals, &svc);
     let expect = service_s + 1e-5;
-    assert!((report.mean_latency_s - expect).abs() < 1e-9);
+    assert!((report.latency.mean_s - expect).abs() < 1e-9);
 }
 
 #[test]

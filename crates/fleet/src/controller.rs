@@ -160,15 +160,15 @@ impl FleetController {
         Arc::clone(&self.metrics)
     }
 
-    /// The models this controller manages: every registered whole model
-    /// (shard groups have fixed placement and member shards follow their
-    /// ownership rule).
+    /// The models this controller manages: every registered whole model,
+    /// i.e. every name the server quotes a preload for (shard groups and
+    /// their members have fixed placement).
     fn managed_models(&self) -> Vec<String> {
         self.server
             .client()
             .model_names()
             .into_iter()
-            .filter(|name| !name.contains('#') && self.server.preload_cost(name, 0).is_some())
+            .filter(|name| self.server.preload_cost(name, 0).is_some())
             .collect()
     }
 

@@ -9,7 +9,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use bw_fleet::{FleetConfig, FleetController, FleetDecision};
-use bw_serve::demo::{demo_input, mlp_artifact};
+use bw_serve::demo::{demo_input, mlp_artifact, sharded_mlp};
 use bw_serve::{Client, NetworkModel, Server};
 
 const DEADLINE: Duration = Duration::from_secs(5);
@@ -98,6 +98,38 @@ fn worker_death_triggers_a_repair() {
     assert_eq!(resp.output.len(), 8);
     let m = server.metrics().models.remove(0);
     assert_eq!(m.completed + m.shed + m.failed, m.submitted);
+}
+
+#[test]
+fn whole_models_are_managed_by_what_they_are_not_by_their_name() {
+    // A whole model whose name contains `#` is managed; a shard group's
+    // members, whose names do too, are not.
+    let server = Arc::new(
+        Server::builder()
+            .model(mlp_artifact("ranker#v2", &[16, 32, 8], 17))
+            .sharded_model(sharded_mlp("big", &[16, 64, 8], 5, 600))
+            .replicas(3)
+            .pin_on("ranker#v2", vec![0])
+            .spawn()
+            .unwrap(),
+    );
+    // Worker 0 held `ranker#v2` and one of shard 0's two owners.
+    assert!(server.kill_worker(0));
+    let cfg = FleetConfig {
+        min_replicas: 2,
+        ..eager()
+    };
+    let mut ctl = FleetController::new(Arc::clone(&server), cfg);
+    let decisions = ctl.step();
+    for d in &decisions {
+        let (FleetDecision::ScaleUp { model, .. }
+        | FleetDecision::ScaleDown { model, .. }
+        | FleetDecision::Repair { model, .. }) = d;
+        assert_eq!(model, "ranker#v2", "{decisions:?}");
+    }
+    assert_eq!(server.pinned_workers("ranker#v2"), vec![1, 2]);
+    assert_eq!(server.pinned_workers("big#g0s0"), vec![2]);
+    assert_eq!(ctl.metrics().apply_failures.load(Ordering::Relaxed), 0);
 }
 
 #[test]

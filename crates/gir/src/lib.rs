@@ -11,8 +11,9 @@
 //! * [`partition`] — splits the pipeline across accelerators under a
 //!   per-device on-chip weight budget, grouping unsupported operations into
 //!   CPU segments;
-//! * [`split_oversized_stages`] — intra-layer row sharding for single
-//!   layers that exceed one device (§II-A's spatial distribution);
+//! * [`split_oversized_stages`] / [`ShardedArtifact`] — intra-layer row
+//!   sharding for single layers that exceed one device (§II-A's spatial
+//!   distribution), packaged as per-worker artifacts;
 //! * [`Deployment`] — compiles accelerator segments to ISA programs, pins
 //!   weights, and executes the federated pipeline end to end;
 //! * [`ModelArtifact`] / [`PinnedModel`] — packages a compiled deployment
@@ -60,8 +61,6 @@ pub use artifact::{ArtifactError, ModelArtifact, PinnedModel};
 pub use ir::{cpu_op_apply, ActFn, GirError, GirGraph, GirNode, GirNodeId, GirOp};
 pub use lower::{AcceleratorBinary, DeployError, Deployment, LowerOptions};
 pub use model_text::{parse_model, ModelParseError};
-pub use pipeline::{
-    fuse, partition, partition_sharded, PartitionError, PartitionPlan, Pipeline, Placement, Stage,
-};
+pub use pipeline::{fuse, partition, PartitionError, PartitionPlan, Pipeline, Placement, Stage};
 pub use shard::{ShardSegment, ShardedArtifact};
 pub use split::{shard_outputs_concat, split_oversized_stages, SplitError, SplitReport};

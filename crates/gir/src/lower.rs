@@ -477,25 +477,6 @@ impl Deployment {
                 supplied: npus.len(),
             });
         }
-        let batch = inputs.len();
-        // Map each shard stage to its group, so consecutive shard segments
-        // scatter one input and gather (concatenate) their outputs.
-        let mut group_of: std::collections::HashMap<usize, usize> =
-            std::collections::HashMap::new();
-        for (gi, group) in self.plan.shard_groups.iter().enumerate() {
-            for &si in group {
-                group_of.insert(si, gi);
-            }
-        }
-        let segment_group = |segment: &Placement| -> Option<usize> {
-            match segment {
-                Placement::Accelerator { stages, .. } => {
-                    stages.first().and_then(|s| group_of.get(s)).copied()
-                }
-                Placement::Cpu { .. } => None,
-            }
-        };
-
         // One carried value per batch column. Each accelerator segment
         // pushes every column's input before running, and the simulator's
         // FIFO input/output queues keep the columns separated: column b
@@ -504,46 +485,15 @@ impl Deployment {
         let mut values: Vec<Vec<f32>> = inputs.to_vec();
         let mut stats = RunStats::default();
         let mut bin_iter = self.binaries.iter();
-        let mut seg_idx = 0usize;
-        while seg_idx < self.plan.segments.len() {
-            let segment = &self.plan.segments[seg_idx];
+        for segment in &self.plan.segments {
             match segment {
                 Placement::Accelerator { .. } => {
-                    if let Some(group) = segment_group(segment) {
-                        // Scatter/gather across every consecutive segment of
-                        // this shard group.
-                        let scatter = values.clone();
-                        let mut gathered: Vec<Vec<f32>> = vec![Vec::new(); batch];
-                        while seg_idx < self.plan.segments.len()
-                            && segment_group(&self.plan.segments[seg_idx]) == Some(group)
-                        {
-                            let bin = bin_iter.next().ok_or(DeployError::BadPlan)?;
-                            let npu = &mut npus[bin.device];
-                            for column in &scatter {
-                                npu.push_input_padded(column);
-                            }
-                            let run = npu.run_batch(&bin.program, batch)?;
-                            stats.accumulate(&run);
-                            for gathered_column in gathered.iter_mut() {
-                                let shard_out = npu
-                                    .pop_output_concat(bin.output_grid as usize, bin.output_dim)
-                                    .ok_or(DeployError::Sim(SimError::NetQueueEmpty {
-                                        requested: bin.output_grid,
-                                        available: 0,
-                                    }))?;
-                                gathered_column.extend(shard_out);
-                            }
-                            seg_idx += 1;
-                        }
-                        values = gathered;
-                        continue;
-                    }
                     let bin = bin_iter.next().ok_or(DeployError::BadPlan)?;
                     let npu = &mut npus[bin.device];
                     for column in &values {
                         npu.push_input_padded(column);
                     }
-                    let run = npu.run_batch(&bin.program, batch)?;
+                    let run = npu.run_batch(&bin.program, inputs.len())?;
                     stats.accumulate(&run);
                     for value in values.iter_mut() {
                         *value = npu
@@ -566,7 +516,6 @@ impl Deployment {
                     }
                 }
             }
-            seg_idx += 1;
         }
         Ok((values, stats))
     }
@@ -686,58 +635,6 @@ mod tests {
         let (y, _) = dep.execute(&mut npus, &[0.3; 8]).unwrap();
         let sum: f32 = y.iter().sum();
         assert!((sum - 1.0).abs() < 1e-3, "softmax sums to 1, got {sum}");
-    }
-
-    #[test]
-    fn sharded_layer_scatters_and_gathers_across_devices() {
-        use crate::pipeline::partition_sharded;
-        use crate::split::split_oversized_stages;
-        // One 32x16 layer (512 params) under a 200-param budget: splits
-        // into ceil(32/12)=3 row shards, each its own device.
-        let g = mlp_graph(&[16, 32], false);
-        let p = fuse(&g).unwrap();
-        let (sharded, report) = split_oversized_stages(&p, 200).unwrap();
-        assert_eq!(report.groups.len(), 1);
-        let plan = partition_sharded(&sharded, 200, &report).unwrap();
-        assert_eq!(plan.devices_used, report.groups[0].len());
-
-        let cfg = config();
-        let dep = Deployment::compile(&sharded, &plan, &cfg).unwrap();
-        let mut npus: Vec<Npu> = (0..dep.devices_required())
-            .map(|_| Npu::new(cfg.clone()))
-            .collect();
-        dep.deploy(&mut npus).unwrap();
-        let x: Vec<f32> = (0..16).map(|i| ((i as f32) * 0.27).sin() * 0.5).collect();
-        let (y, _) = dep.execute(&mut npus, &x).unwrap();
-        let want = g.evaluate(&x).unwrap();
-        assert_eq!(y.len(), want.len());
-        for (a, b) in y.iter().zip(&want) {
-            assert!((a - b).abs() < 0.1, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn sharded_layer_feeding_downstream_stage() {
-        use crate::pipeline::partition_sharded;
-        use crate::split::split_oversized_stages;
-        // Sharded wide layer followed by a small head: the gather result
-        // feeds the next device.
-        let g = mlp_graph(&[16, 32, 8], false);
-        let p = fuse(&g).unwrap();
-        let (sharded, report) = split_oversized_stages(&p, 200).unwrap();
-        let plan = partition_sharded(&sharded, 200, &report).unwrap();
-        let cfg = config();
-        let dep = Deployment::compile(&sharded, &plan, &cfg).unwrap();
-        let mut npus: Vec<Npu> = (0..dep.devices_required())
-            .map(|_| Npu::new(cfg.clone()))
-            .collect();
-        dep.deploy(&mut npus).unwrap();
-        let x = vec![0.3f32; 16];
-        let (y, _) = dep.execute(&mut npus, &x).unwrap();
-        let want = g.evaluate(&x).unwrap();
-        for (a, b) in y.iter().zip(&want) {
-            assert!((a - b).abs() < 0.1, "{a} vs {b}");
-        }
     }
 
     #[test]

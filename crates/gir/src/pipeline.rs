@@ -172,9 +172,6 @@ pub struct PartitionPlan {
     pub segments: Vec<Placement>,
     /// Number of accelerators used.
     pub devices_used: usize,
-    /// Shard groups (stage indices) that scatter one input and gather
-    /// their outputs; populated by [`crate::partition_sharded`].
-    pub shard_groups: Vec<Vec<usize>>,
 }
 
 /// Error produced by partitioning.
@@ -224,7 +221,6 @@ pub fn partition(
     device_param_budget: u64,
 ) -> Result<PartitionPlan, PartitionError> {
     let mut segments: Vec<Placement> = Vec::new();
-    let mut device = 0usize;
     let mut used: u64 = 0;
     let mut devices_used = 0usize;
 
@@ -251,15 +247,12 @@ pub fn partition(
             _ => true,
         };
         if need_new_device {
-            if devices_used > 0 || !matches!(segments.last(), Some(Placement::Accelerator { .. })) {
-                device = devices_used;
-            }
-            devices_used += 1;
-            used = 0;
             segments.push(Placement::Accelerator {
-                device,
+                device: devices_used,
                 stages: Vec::new(),
             });
+            devices_used += 1;
+            used = 0;
         }
         used += params;
         match segments.last_mut() {
@@ -270,74 +263,6 @@ pub fn partition(
     Ok(PartitionPlan {
         segments,
         devices_used,
-        shard_groups: Vec::new(),
-    })
-}
-
-/// Partitions a *sharded* pipeline (see
-/// [`crate::split_oversized_stages`]): like [`partition`], but every shard
-/// stage is forced onto its own device segment so the federated runtime
-/// can scatter one input across the shards and gather their outputs.
-///
-/// # Errors
-///
-/// Returns [`PartitionError::StageTooLarge`] as [`partition`] does.
-pub fn partition_sharded(
-    pipeline: &Pipeline,
-    device_param_budget: u64,
-    report: &crate::split::SplitReport,
-) -> Result<PartitionPlan, PartitionError> {
-    let sharded: std::collections::BTreeSet<usize> =
-        report.groups.iter().flatten().copied().collect();
-    let mut segments: Vec<Placement> = Vec::new();
-    let mut used: u64 = 0;
-    let mut devices_used = 0usize;
-
-    for (i, stage) in pipeline.stages.iter().enumerate() {
-        if !stage.accelerable() {
-            match segments.last_mut() {
-                Some(Placement::Cpu { stages }) => stages.push(i),
-                _ => segments.push(Placement::Cpu { stages: vec![i] }),
-            }
-            continue;
-        }
-        let params = stage.weight_params();
-        if params > device_param_budget {
-            return Err(PartitionError::StageTooLarge {
-                stage: i,
-                params,
-                budget: device_param_budget,
-            });
-        }
-        // A shard always opens a fresh device; a non-shard opens one when
-        // the current device cannot hold it or follows a shard/CPU segment.
-        let open_new = sharded.contains(&i)
-            || match segments.last() {
-                Some(Placement::Accelerator { stages, .. }) => {
-                    stages.last().is_some_and(|s| sharded.contains(s))
-                        || used + params > device_param_budget
-                }
-                _ => true,
-            };
-        if open_new {
-            let device = devices_used;
-            devices_used += 1;
-            used = 0;
-            segments.push(Placement::Accelerator {
-                device,
-                stages: Vec::new(),
-            });
-        }
-        used += params;
-        match segments.last_mut() {
-            Some(Placement::Accelerator { stages, .. }) => stages.push(i),
-            _ => unreachable!("accelerator segment just ensured"),
-        }
-    }
-    Ok(PartitionPlan {
-        segments,
-        devices_used,
-        shard_groups: report.groups.clone(),
     })
 }
 

@@ -47,8 +47,8 @@ pub struct SplitReport {
     pub splits: Vec<(usize, usize)>,
     /// For each split, the indices of its shard stages in the *rewritten*
     /// pipeline. Shards of one group scatter the same input and gather
-    /// (concatenate) their outputs; [`crate::partition_sharded`] and
-    /// [`crate::Deployment::execute`] honour this.
+    /// (concatenate) their outputs; [`crate::ShardedArtifact::compile`]
+    /// packages each group as one scatter/gather segment.
     pub groups: Vec<Vec<usize>>,
 }
 
@@ -110,13 +110,12 @@ impl std::error::Error for SplitError {}
 /// into row shards that each fit. Returns the rewritten pipeline and a
 /// report of what was split.
 ///
-/// The rewritten pipeline computes the same function: a sharded stage's
-/// shards appear consecutively, and the downstream consumer sees the
-/// concatenation of their outputs. Note that the *whole-layer* partitioner
-/// ([`crate::partition`]) will then naturally place consecutive shards on
-/// consecutive devices; executing such a plan requires the federated
-/// runtime to scatter the shard input and gather the outputs, which
-/// [`shard_outputs_concat`] performs for host-side validation.
+/// The rewritten pipeline computes the same function when a sharded
+/// stage's shards, which appear consecutively, all read the same input and
+/// the downstream consumer sees the concatenation of their outputs.
+/// [`crate::ShardedArtifact::compile`] packages the shards that way for a
+/// serving runtime; [`shard_outputs_concat`] does the same gather on the
+/// host for validation.
 ///
 /// # Example
 ///

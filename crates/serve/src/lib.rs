@@ -8,7 +8,7 @@
 //! analytical serving model (`bw-system`); this crate builds the serving
 //! *runtime* that drives real simulated NPUs:
 //!
-//! - [`ModelRegistry`] — the published catalog of compiled
+//! - [`ServerBuilder`] — registers the published catalog of compiled
 //!   [`ModelArtifact`]s (firmware + BFP weights, via `bw-gir`);
 //! - worker threads — each pins every registered model onto its own
 //!   `bw-core` NPUs (fast kernels) and drains a bounded queue, one
@@ -63,7 +63,6 @@
 mod batch;
 pub mod demo;
 mod metrics;
-mod registry;
 mod request;
 mod router;
 mod server;
@@ -75,13 +74,12 @@ pub mod loadgen;
 
 pub use batch::{BatchConfig, Batcher};
 pub use metrics::{Histogram, LinkMetrics, MetricsSnapshot, ModelResidency, ModelSnapshot};
-pub use registry::{GroupSegment, ModelRegistry, RegistryError, ShardGroup};
 pub use request::{
     Attribution, FlightOutcome, FlightRecord, RequestId, RequestTrace, Response, ServeError,
 };
 pub use server::{
-    BatchItem, Client, FlightRecorderConfig, Pending, PinError, Server, ServerBuilder,
-    ServerConfig, SpawnError,
+    BatchItem, Client, FlightRecorderConfig, Pending, PinError, RegistryError, Server,
+    ServerBuilder, ServerConfig, SpawnError,
 };
 pub use tcp::{TcpClient, TcpFrontend, TcpFrontendConfig};
 pub use wire::{read_frame, try_extract_frame, write_frame, WireError, WireRequest, WireResponse};
@@ -90,3 +88,94 @@ pub use bw_gir::{ModelArtifact, PinnedModel, ShardedArtifact};
 pub use bw_system::{ArrivalProcess, LatencySummary, NetworkModel, PreloadModel, Routing};
 
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};
+
+/// Unit tests of the catalog's registration rules: slot numbering,
+/// shard-group publication and duplicate names. The same rules are
+/// checked at the API surface in `tests/dynamic.rs`.
+#[cfg(test)]
+mod registry {
+    mod tests {
+        use crate::demo::{demo_config, mlp_artifact, mlp_graph};
+        use crate::server::{Catalog, Plan};
+        use crate::{ModelArtifact, RegistryError, ShardedArtifact};
+        use bw_gir::LowerOptions;
+
+        fn add(catalog: &mut Catalog, artifact: ModelArtifact) -> Result<usize, RegistryError> {
+            let plan = Plan::for_model(&artifact);
+            catalog.add_model(artifact, plan)
+        }
+
+        fn names(catalog: &Catalog) -> Vec<&str> {
+            catalog.plans().map(|p| p.name.as_str()).collect()
+        }
+
+        #[test]
+        fn register_lookup_round_trip() {
+            let mut catalog = Catalog::default();
+            assert_eq!(add(&mut catalog, mlp_artifact("a", &[8, 8], 0)), Ok(0));
+            assert_eq!(add(&mut catalog, mlp_artifact("b", &[8, 4], 1)), Ok(1));
+            assert_eq!(catalog.artifacts.len(), 2);
+            assert_eq!(catalog.slot_of("b"), Some(1));
+            assert_eq!(
+                catalog.artifacts[catalog.slot_of("a").unwrap()].output_dim(),
+                8
+            );
+            assert!(catalog.slot_of("c").is_none());
+            assert_eq!(names(&catalog), ["a", "b"]);
+        }
+
+        #[test]
+        fn sharded_registration_publishes_group_and_members() {
+            let graph = mlp_graph(&[16, 64, 8], 5);
+            // 64x16=1024 params over a 600 budget -> 2 shards; the 8x64=512
+            // tail layer fits whole -> one trailing Single segment.
+            let sharded = ShardedArtifact::compile(
+                "big",
+                &graph,
+                600,
+                &demo_config(),
+                &LowerOptions::default(),
+            )
+            .unwrap();
+            assert!(sharded.is_sharded());
+            let mut catalog = Catalog::default();
+            add(&mut catalog, mlp_artifact("plain", &[8, 8], 0)).unwrap();
+            catalog.add_group(&sharded).unwrap();
+            // Members are ordinary slots with their shard names, in segment
+            // order; the group name is not a slot.
+            let slots = ["big#g0s0", "big#g0s1", "big#seg0", "big"].map(|n| catalog.slot_of(n));
+            assert_eq!(slots, [Some(1), Some(2), Some(3), None]);
+            assert_eq!(catalog.member_of(0), None);
+            assert_eq!(catalog.member_of(2), Some((1, 2)));
+            assert_eq!(catalog.member_of(3), Some((0, 1)));
+            assert_eq!(catalog.artifacts[3].output_dim(), 8);
+            // Metrics rows: slots in registration order, then the group,
+            // whose plan runs one stage per segment, one leg per member.
+            assert_eq!(
+                names(&catalog),
+                ["plain", "big#g0s0", "big#g0s1", "big#seg0", "big"]
+            );
+            let group = catalog.plans().last().unwrap();
+            assert_eq!(group.input_dim, 16);
+            let widths: Vec<usize> = group.stages.iter().map(Vec::len).collect();
+            assert_eq!(widths, [2, 1]);
+            // Re-registering collides on the group name and publishes nothing.
+            assert_eq!(
+                catalog.add_group(&sharded),
+                Err(RegistryError::Duplicate("big".into()))
+            );
+            assert_eq!(catalog.artifacts.len(), 4);
+        }
+
+        #[test]
+        fn duplicate_names_are_rejected() {
+            let mut catalog = Catalog::default();
+            add(&mut catalog, mlp_artifact("m", &[8, 8], 0)).unwrap();
+            assert_eq!(
+                add(&mut catalog, mlp_artifact("m", &[8, 4], 1)),
+                Err(RegistryError::Duplicate("m".into()))
+            );
+            assert_eq!(catalog.artifacts.len(), 1);
+        }
+    }
+}

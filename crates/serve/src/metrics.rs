@@ -489,7 +489,7 @@ pub struct ModelResidency {
 /// A point-in-time reading of the whole server.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MetricsSnapshot {
-    /// Per-model readings, in registry order.
+    /// Per-model readings: slots in registration order, then shard groups.
     pub models: Vec<ModelSnapshot>,
     /// Per-worker outstanding requests (queued + executing), in worker
     /// order.

@@ -8,9 +8,8 @@ use std::time::Duration;
 use bw_gir::ModelArtifact;
 use bw_system::NetworkModel;
 
-use super::{Client, Plan, ServerBuilder, ServerConfig, ServerInner};
+use super::{Catalog, Client, Plan, RegistryError, ServerBuilder, ServerConfig, ServerInner};
 use crate::metrics::MetricsSnapshot;
-use crate::registry::{ModelRegistry, RegistryError};
 use crate::request::{FlightRecord, RequestTrace};
 use crate::worker::{Control, WorkerHandle};
 
@@ -24,9 +23,10 @@ pub enum PinError {
         /// The unknown name.
         String,
     ),
-    /// The name addresses a shard group; groups have fixed placement.
+    /// The name addresses a shard group or one of its members; both have
+    /// fixed placement.
     GroupName(
-        /// The group name.
+        /// The group or member name.
         String,
     ),
     /// The worker id is outside the pool.
@@ -73,9 +73,10 @@ impl std::fmt::Display for PinError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PinError::UnknownModel(m) => write!(f, "unknown model `{m}`"),
-            PinError::GroupName(m) => {
-                write!(f, "`{m}` is a shard group; groups have fixed placement")
-            }
+            PinError::GroupName(m) => write!(
+                f,
+                "`{m}` is a shard group or member; shard placement is fixed"
+            ),
             PinError::UnknownWorker(w) => write!(f, "unknown worker {w}"),
             PinError::WorkerDead(w) => write!(f, "worker {w} is dead"),
             PinError::AlreadyPinned { model, worker } => {
@@ -94,15 +95,18 @@ impl std::fmt::Display for PinError {
 
 impl std::error::Error for PinError {}
 
-/// The registry slot of the whole model `model`: what the pin control
-/// plane addresses. Shard groups have fixed placement and are refused.
-fn whole_model_slot(registry: &ModelRegistry, model: &str) -> Result<usize, PinError> {
-    if registry.group_index_of(model).is_some() {
-        return Err(PinError::GroupName(model.to_owned()));
+/// The slot of the whole model `model`: what the pin control plane
+/// addresses. Shard groups and their members have fixed placement and are
+/// refused.
+fn whole_model_slot(catalog: &Catalog, model: &str) -> Result<usize, PinError> {
+    match catalog.slot_of(model) {
+        Some(slot) if catalog.member_of(slot).is_none() => Ok(slot),
+        Some(_) => Err(PinError::GroupName(model.to_owned())),
+        None if catalog.groups.iter().any(|g| g.name == model) => {
+            Err(PinError::GroupName(model.to_owned()))
+        }
+        None => Err(PinError::UnknownModel(model.to_owned())),
     }
-    registry
-        .index_of(model)
-        .ok_or_else(|| PinError::UnknownModel(model.to_owned()))
 }
 
 /// A running serving pool. Dropping the server stops every worker after
@@ -167,8 +171,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Returns [`PinError`] on an unknown model/worker, a shard-group
-    /// name, a dead worker, a double pin, or a deployment failure.
+    /// Returns [`PinError`] on an unknown model/worker, a shard group or
+    /// member name, a dead worker, a double pin, or a deployment failure.
     pub fn pin_model(&self, model: &str, worker: usize) -> Result<Duration, PinError> {
         let inner = &self.inner;
         let Some(handle) = inner.workers.get(worker) else {
@@ -179,9 +183,8 @@ impl Server {
         }
         let (slot, artifact) = {
             let catalog = inner.catalog.read();
-            let slot = whole_model_slot(&catalog.registry, model)?;
-            let artifact = catalog.registry.get(slot).expect("slot valid");
-            (slot, Arc::clone(artifact))
+            let slot = whole_model_slot(&catalog, model)?;
+            (slot, Arc::clone(&catalog.artifacts[slot]))
         };
         if handle.pins(slot) {
             return Err(PinError::AlreadyPinned {
@@ -224,7 +227,7 @@ impl Server {
         let Some(handle) = inner.workers.get(worker) else {
             return Err(PinError::UnknownWorker(worker));
         };
-        let slot = whole_model_slot(&inner.catalog.read().registry, model)?;
+        let slot = whole_model_slot(&inner.catalog.read(), model)?;
         if !handle.pins(slot) {
             return Err(PinError::NotPinned {
                 model: model.to_owned(),
@@ -267,20 +270,17 @@ impl Server {
 
     /// Registers a whole model at runtime without pinning it anywhere;
     /// follow with [`Server::pin_model`] to give it capacity. Returns
-    /// the model's registry slot.
+    /// the model's slot.
     ///
     /// # Errors
     ///
-    /// Returns [`RegistryError`] on a name collision.
+    /// Returns [`RegistryError`] when the name is already published as a
+    /// model, a shard-group member or a shard group.
     pub fn register_model(&self, artifact: ModelArtifact) -> Result<usize, RegistryError> {
         // The static bound is worked out before the lock is taken; the
         // slot is only known under it.
-        let mut plan = Plan::for_model(0, &artifact);
-        let mut catalog = self.inner.catalog.write();
-        let slot = catalog.registry.register(artifact)?;
-        plan.stages[0][0].slot = slot;
-        catalog.models.push(Arc::new(plan));
-        Ok(slot)
+        let plan = Plan::for_model(&artifact);
+        self.inner.catalog.write().add_model(artifact, plan)
     }
 
     /// Replaces the live network model (fault injection and repair).
@@ -299,7 +299,7 @@ impl Server {
     /// The live workers currently pinning `model`, in worker order
     /// (empty for an unknown name).
     pub fn pinned_workers(&self, model: &str) -> Vec<usize> {
-        let Some(slot) = self.inner.catalog.read().registry.index_of(model) else {
+        let Some(slot) = self.inner.catalog.read().slot_of(model) else {
             return Vec::new();
         };
         self.inner
@@ -312,11 +312,13 @@ impl Server {
     }
 
     /// What pinning `model` onto `worker` would cost right now, given
-    /// the live network model (None for an unknown model).
+    /// the live network model: `None` for anything [`Server::pin_model`]
+    /// refuses by name (an unknown model, a shard group or a member).
     pub fn preload_cost(&self, model: &str, worker: usize) -> Option<Duration> {
         let bytes = {
             let catalog = self.inner.catalog.read();
-            usize::try_from(catalog.registry.lookup(model)?.mrf_fill_bytes()).unwrap_or(usize::MAX)
+            let slot = whole_model_slot(&catalog, model).ok()?;
+            usize::try_from(catalog.artifacts[slot].mrf_fill_bytes()).unwrap_or(usize::MAX)
         };
         let net = self.inner.network();
         Some(Duration::from_secs_f64(

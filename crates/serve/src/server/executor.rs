@@ -169,8 +169,8 @@ impl Client {
         self.inner.resolve(model).map(|plan| plan.input_dim)
     }
 
-    /// Addressable model names: registry models in index order, then
-    /// shard-group names.
+    /// Addressable model names in metrics-row order: whole models and
+    /// shard-group members by slot, then shard-group names.
     pub fn model_names(&self) -> Vec<String> {
         self.inner
             .plans()

@@ -14,7 +14,7 @@
 //! that pins this model, over the datacenter network*. Every published
 //! name resolves to a [`Plan`]: an ordered list of **stages**, each
 //! stage one or more **legs**, a leg being "run the stage's input
-//! columns on a worker that pins registry slot `S`". The three request
+//! columns on a worker that pins catalog slot `S`". The three request
 //! shapes are three sizes of the same thing:
 //!
 //! | shape | stages | legs per stage | columns |
@@ -103,7 +103,6 @@ use bw_system::{NetworkModel, PreloadModel, Routing};
 use parking_lot::{Mutex, RwLock};
 
 use crate::metrics::{snapshot_model, LinkMetrics, MetricsSnapshot, ModelMetrics, ModelResidency};
-use crate::registry::{GroupSegment, ModelRegistry, RegistryError, ShardGroup};
 use crate::request::{
     Attribution, FlightOutcome, FlightRecord, RequestId, RequestTrace, ServeError,
 };
@@ -183,6 +182,27 @@ impl Default for ServerConfig {
     }
 }
 
+/// Error produced when a registration would publish a name twice.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RegistryError {
+    /// The name already addresses a model, a shard-group member or a
+    /// shard group.
+    Duplicate(
+        /// The colliding name.
+        String,
+    ),
+}
+
+impl std::fmt::Display for RegistryError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RegistryError::Duplicate(name) => write!(f, "model `{name}` is already registered"),
+        }
+    }
+}
+
+impl std::error::Error for RegistryError {}
+
 /// Error produced while spawning a server.
 #[derive(Debug)]
 pub enum SpawnError {
@@ -204,7 +224,7 @@ pub enum SpawnError {
     ),
     /// A declared SLA budget is provably unmeetable: the model's static
     /// cycle lower bound already exceeds it, so no request could ever
-    /// finish in time. The registry refuses to pin the model.
+    /// finish in time. Spawn refuses to pin the model.
     SlaUnmeetable {
         /// The model whose budget cannot be met.
         model: String,
@@ -263,7 +283,7 @@ fn cycles_to_us_ceil(cycles: u64, clock_hz: f64) -> u64 {
 /// One leg of a plan stage: run the stage's input columns on a worker
 /// that pins `slot`.
 pub(crate) struct Leg {
-    /// The registry slot (worker-side pin index) the leg runs on.
+    /// The catalog slot (worker-side pin index) the leg runs on.
     slot: usize,
     /// The slot's device clock, for stamping `NetTransfer` spans.
     clock_hz: f64,
@@ -277,7 +297,7 @@ pub(crate) struct Leg {
 /// validate, admit, run and account a request, fixed at registration.
 pub(crate) struct Plan {
     /// The published name.
-    name: String,
+    pub(crate) name: String,
     /// The name's metrics row.
     metrics: Arc<ModelMetrics>,
     /// Static lower bound on one inference in microseconds (`None`
@@ -285,14 +305,15 @@ pub(crate) struct Plan {
     /// its slowest leg — the gather waits on it.
     bound_us: Option<u64>,
     /// Input width one request consumes.
-    input_dim: usize,
+    pub(crate) input_dim: usize,
     /// The legs to run, stage by stage.
-    stages: Vec<Vec<Leg>>,
+    pub(crate) stages: Vec<Vec<Leg>>,
 }
 
 impl Plan {
-    /// The one-leg plan of the whole model in registry slot `slot`.
-    fn for_model(slot: usize, artifact: &ModelArtifact) -> Plan {
+    /// The one-leg plan of a whole model; [`Catalog::add_model`] sets
+    /// the leg's slot.
+    pub(crate) fn for_model(artifact: &ModelArtifact) -> Plan {
         let clock_hz = artifact.config().clock_hz();
         Plan {
             name: artifact.name().to_owned(),
@@ -302,44 +323,10 @@ impl Plan {
                 .map(|b| cycles_to_us_ceil(b.lower, clock_hz)),
             input_dim: artifact.input_dim(),
             stages: vec![vec![Leg {
-                slot,
+                slot: 0,
                 clock_hz,
                 member: None,
             }]],
-        }
-    }
-
-    /// The scatter/gather plan of a shard group over its members' plans
-    /// (`models`, indexed by registry slot).
-    fn for_group(group: &ShardGroup, models: &[Arc<Plan>]) -> Plan {
-        let stages: Vec<Vec<Leg>> = group
-            .segments
-            .iter()
-            .map(|segment| {
-                segment
-                    .members()
-                    .into_iter()
-                    .map(|slot| Leg {
-                        slot,
-                        // A member's own plan is its one whole-model leg.
-                        clock_hz: models[slot].stages[0][0].clock_hz,
-                        member: Some(Arc::clone(&models[slot].metrics)),
-                    })
-                    .collect()
-            })
-            .collect();
-        let bound_us = stages.iter().try_fold(0u64, |total, stage| {
-            let slowest = stage
-                .iter()
-                .try_fold(0u64, |mx, leg| Some(mx.max(models[leg.slot].bound_us?)))?;
-            Some(total.saturating_add(slowest))
-        });
-        Plan {
-            name: group.name.clone(),
-            metrics: Arc::new(ModelMetrics::default()),
-            bound_us,
-            input_dim: group.input_dim,
-            stages,
         }
     }
 
@@ -365,12 +352,19 @@ impl Plan {
     }
 }
 
-/// The published catalog: the registry plus one resolved [`Plan`] per
-/// published name. Kept under one lock so a reader never sees a model
-/// without its plan.
+/// The published catalog: the artifacts workers pin, by slot, and one
+/// resolved [`Plan`] per published name. Kept under one lock so a reader
+/// never sees a model without its plan.
+///
+/// A slot holds a whole model or one member of a shard group (named
+/// `model#g0s1`, `model#seg0`, …, by [`ShardedArtifact::compile`]), in
+/// registration order. A group's plan is the only record of which slots
+/// are its members.
+#[derive(Default)]
 pub(crate) struct Catalog {
-    registry: ModelRegistry,
-    /// One plan per registry slot, in slot order; grows with
+    /// What workers pin, by slot.
+    pub(crate) artifacts: Vec<Arc<ModelArtifact>>,
+    /// One plan per slot, in slot order; grows with
     /// [`Server::register_model`].
     models: Vec<Arc<Plan>>,
     /// One plan per shard group, fixed at spawn.
@@ -378,14 +372,85 @@ pub(crate) struct Catalog {
 }
 
 impl Catalog {
-    /// Every plan, in metrics-row order: registry models, then groups.
-    fn plans(&self) -> impl Iterator<Item = &Arc<Plan>> {
+    /// Every plan, in metrics-row order: slots, then groups.
+    pub(crate) fn plans(&self) -> impl Iterator<Item = &Arc<Plan>> {
         self.models.iter().chain(&self.groups)
+    }
+
+    /// The slot of the model or member published as `name`.
+    pub(crate) fn slot_of(&self, name: &str) -> Option<usize> {
+        self.models.iter().position(|p| p.name == name)
+    }
+
+    /// `(shard ordinal, segment width)` of a group member's slot; `None`
+    /// for a whole model.
+    pub(crate) fn member_of(&self, slot: usize) -> Option<(usize, usize)> {
+        let mut stages = self.groups.iter().flat_map(|g| &g.stages);
+        stages.find_map(|legs| {
+            let k = legs.iter().position(|leg| leg.slot == slot)?;
+            Some((k, legs.len()))
+        })
+    }
+
+    /// Publishes `artifact` in the next slot under `plan` (its
+    /// [`Plan::for_model`]), returning the slot.
+    pub(crate) fn add_model(
+        &mut self,
+        artifact: ModelArtifact,
+        mut plan: Plan,
+    ) -> Result<usize, RegistryError> {
+        if self.plans().any(|p| p.name == plan.name) {
+            return Err(RegistryError::Duplicate(plan.name));
+        }
+        let slot = self.artifacts.len();
+        plan.stages[0][0].slot = slot;
+        self.artifacts.push(Arc::new(artifact));
+        self.models.push(Arc::new(plan));
+        Ok(slot)
+    }
+
+    /// Publishes a sharded model: every member takes the next slot, and
+    /// the group name resolves to one stage per segment with one leg per
+    /// member. Nothing is published if the group name or any member name
+    /// is taken.
+    pub(crate) fn add_group(&mut self, sharded: &ShardedArtifact) -> Result<(), RegistryError> {
+        let members = sharded.segments().iter().flat_map(|s| s.members());
+        let mut names = std::iter::once(sharded.name()).chain(members.map(ModelArtifact::name));
+        if let Some(taken) = names.find(|&n| self.plans().any(|p| p.name == n)) {
+            return Err(RegistryError::Duplicate(taken.to_owned()));
+        }
+        let mut stages = Vec::with_capacity(sharded.segments().len());
+        // Stage bounds add; a stage waits on its slowest leg.
+        let mut bound_us = Some(0u64);
+        for segment in sharded.segments() {
+            let mut legs = Vec::with_capacity(segment.width());
+            let mut slowest = Some(0u64);
+            for member in segment.members() {
+                let slot = self.add_model(member.clone(), Plan::for_model(member))?;
+                let own = &self.models[slot];
+                slowest = slowest.zip(own.bound_us).map(|(s, b)| s.max(b));
+                legs.push(Leg {
+                    slot,
+                    clock_hz: own.stages[0][0].clock_hz,
+                    member: Some(Arc::clone(&own.metrics)),
+                });
+            }
+            bound_us = bound_us.zip(slowest).map(|(t, s)| t.saturating_add(s));
+            stages.push(legs);
+        }
+        self.groups.push(Arc::new(Plan {
+            name: sharded.name().to_owned(),
+            metrics: Arc::new(ModelMetrics::default()),
+            bound_us,
+            input_dim: sharded.input_dim(),
+            stages,
+        }));
+        Ok(())
     }
 }
 
 pub(crate) struct ServerInner {
-    /// The registry and the plans resolved from it. Behind a lock
+    /// The published artifacts and their plans. Behind a lock
     /// because models can be registered at runtime
     /// ([`Server::register_model`]); shard groups are fixed at spawn.
     catalog: RwLock<Catalog>,
@@ -551,7 +616,7 @@ impl ServerInner {
 /// Builds a [`Server`]: register models, set the pool shape, spawn.
 #[derive(Default)]
 pub struct ServerBuilder {
-    registry: ModelRegistry,
+    catalog: Catalog,
     cfg: ServerConfig,
     registry_error: Option<RegistryError>,
     sla_budgets: Vec<(String, Duration)>,
@@ -562,9 +627,8 @@ impl ServerBuilder {
     /// Registers a model artifact.
     pub fn model(mut self, artifact: ModelArtifact) -> Self {
         if self.registry_error.is_none() {
-            if let Err(e) = self.registry.register(artifact) {
-                self.registry_error = Some(e);
-            }
+            let plan = Plan::for_model(&artifact);
+            self.registry_error = self.catalog.add_model(artifact, plan).err();
         }
         self
     }
@@ -575,14 +639,12 @@ impl ServerBuilder {
     /// spawn.
     pub fn sharded_model(mut self, sharded: ShardedArtifact) -> Self {
         if self.registry_error.is_none() {
-            if let Err(e) = self.registry.register_sharded(sharded) {
-                self.registry_error = Some(e);
-            }
+            self.registry_error = self.catalog.add_group(&sharded).err();
         }
         self
     }
 
-    /// Declares a deadline budget the registry must prove `model` (a
+    /// Declares a deadline budget the server must prove `model` (a
     /// whole model or a shard group) can meet: spawn refuses with
     /// [`SpawnError::SlaUnmeetable`] if the model's static cycle lower
     /// bound already exceeds `budget`.
@@ -676,14 +738,15 @@ impl ServerBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`SpawnError`] on an empty registry, a bad configuration
-    /// (including fewer replicas than the widest shard segment), or a
-    /// pin failure.
+    /// Returns [`SpawnError`] on a name collision, no models, a bad
+    /// configuration (including fewer replicas than the widest shard
+    /// segment), or a pin failure.
     pub fn spawn(self) -> Result<Server, SpawnError> {
         if let Some(e) = self.registry_error {
             return Err(e.into());
         }
-        if self.registry.is_empty() {
+        let catalog = self.catalog;
+        if catalog.plans().next().is_none() {
             return Err(SpawnError::NoModels);
         }
         if self.cfg.replicas == 0 {
@@ -692,13 +755,8 @@ impl ServerBuilder {
         if self.cfg.queue_cap == 0 {
             return Err(SpawnError::BadConfig("queue_cap must be positive".into()));
         }
-        let widest = self
-            .registry
-            .groups()
-            .iter()
-            .map(|g| g.max_width())
-            .max()
-            .unwrap_or(1);
+        let stages = catalog.groups.iter().flat_map(|g| &g.stages);
+        let widest = stages.map(Vec::len).max().unwrap_or(1);
         if self.cfg.replicas < widest {
             return Err(SpawnError::BadConfig(format!(
                 "{} replicas cannot host a {widest}-shard segment (one distinct worker per shard)",
@@ -706,26 +764,10 @@ impl ServerBuilder {
             )));
         }
 
-        // One plan per registry slot, then one per shard group over its
-        // members' plans.
-        let models: Vec<Arc<Plan>> = self
-            .registry
-            .artifacts()
-            .iter()
-            .enumerate()
-            .map(|(slot, a)| Arc::new(Plan::for_model(slot, a)))
-            .collect();
-        let groups: Vec<Arc<Plan>> = self
-            .registry
-            .groups()
-            .iter()
-            .map(|g| Arc::new(Plan::for_group(g, &models)))
-            .collect();
-
         // Declared budgets are a registration-time contract: refuse to
         // pin a model whose bound proves its budget unmeetable.
         for (model, budget) in &self.sla_budgets {
-            let Some(plan) = models.iter().chain(&groups).find(|p| p.name == *model) else {
+            let Some(plan) = catalog.plans().find(|p| p.name == *model) else {
                 return Err(SpawnError::BadConfig(format!(
                     "sla budget declared for unregistered model `{model}`"
                 )));
@@ -746,34 +788,16 @@ impl ServerBuilder {
             }
         }
 
-        // Shard ownership: slot -> (shard ordinal, segment width). Group
-        // membership (sharded or single-segment) disqualifies a slot
-        // from explicit placement.
-        let mut shard_of: Vec<Option<(usize, usize)>> = vec![None; self.registry.len()];
-        let mut in_group: Vec<bool> = vec![false; self.registry.len()];
-        for group in self.registry.groups() {
-            for segment in &group.segments {
-                for slot in segment.members() {
-                    in_group[slot] = true;
-                }
-                if let GroupSegment::Sharded(members) = segment {
-                    for (k, &slot) in members.iter().enumerate() {
-                        shard_of[slot] = Some((k, members.len()));
-                    }
-                }
-            }
-        }
-
         // Explicit boot placements: whole models only, on known workers,
         // at least one replica each.
-        let mut placement_of: Vec<Option<Vec<usize>>> = vec![None; self.registry.len()];
+        let mut placement_of: Vec<Option<Vec<usize>>> = vec![None; catalog.artifacts.len()];
         for (model, workers) in &self.placements {
-            let Some(slot) = self.registry.index_of(model) else {
+            let Some(slot) = catalog.slot_of(model) else {
                 return Err(SpawnError::BadConfig(format!(
                     "placement declared for unregistered model `{model}`"
                 )));
             };
-            if in_group[slot] {
+            if catalog.member_of(slot).is_some() {
                 return Err(SpawnError::BadConfig(format!(
                     "placement declared for shard-group member `{model}`"
                 )));
@@ -795,9 +819,11 @@ impl ServerBuilder {
 
         let mut workers = Vec::with_capacity(self.cfg.replicas);
         for id in 0..self.cfg.replicas {
-            let mut pinned = Vec::with_capacity(self.registry.len());
-            for (slot, artifact) in self.registry.artifacts().iter().enumerate() {
-                let owns = shard_of[slot].is_none_or(|(k, width)| id % width == k)
+            let mut pinned = Vec::with_capacity(catalog.artifacts.len());
+            for (slot, artifact) in catalog.artifacts.iter().enumerate() {
+                let owns = catalog
+                    .member_of(slot)
+                    .is_none_or(|(k, width)| id % width == k)
                     && placement_of[slot]
                         .as_ref()
                         .is_none_or(|set| set.contains(&id));
@@ -820,11 +846,7 @@ impl ServerBuilder {
         Ok(Server {
             inner: Arc::new(ServerInner {
                 router: Router::new(self.cfg.policy, self.cfg.seed),
-                catalog: RwLock::new(Catalog {
-                    registry: self.registry,
-                    models,
-                    groups,
-                }),
+                catalog: RwLock::new(catalog),
                 workers,
                 links,
                 net: RwLock::new(self.cfg.network),

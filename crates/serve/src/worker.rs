@@ -1,7 +1,7 @@
 //! Worker threads: each owns one live NPU pool per pinned model.
 //!
 //! A worker is one disaggregated instance of the published hardware
-//! microservices (§II-A): at spawn it pins registry artifacts onto its
+//! microservices (§II-A): at spawn it pins catalog artifacts onto its
 //! own `bw-core` NPUs (fast kernels) and then drains a *bounded* request
 //! queue, one batch-1 inference at a time — the BW service discipline.
 //! Ordinary models pin on every worker; shard members of a scatter/gather
@@ -82,7 +82,7 @@ pub(crate) enum Completion {
 
 /// One queued attempt of one leg.
 pub(crate) struct Job {
-    /// Dense registry index of the model.
+    /// Catalog slot of the model.
     pub model: usize,
     /// The leg's input columns: one is the batch-1 BW default, N are a
     /// coalesced micro-batch the worker runs as one multi-column
@@ -104,7 +104,7 @@ pub(crate) enum Control {
     /// Install a pinned replica into `slot`, first sleeping the modeled
     /// weight-preload time (network ship + MRF fill + setup).
     Pin {
-        /// The registry slot to install into.
+        /// The catalog slot to install into.
         slot: usize,
         /// The already-pinned model instance.
         model: Box<PinnedModel>,
@@ -115,7 +115,7 @@ pub(crate) enum Control {
     /// message still execute (FIFO drain); jobs that race in behind it
     /// fault and fail over.
     Unpin {
-        /// The registry slot to clear.
+        /// The catalog slot to clear.
         slot: usize,
     },
     /// No-op: the ack alone is the point — a barrier past everything
@@ -140,7 +140,7 @@ pub(crate) struct WorkerHandle {
     kill: Arc<AtomicBool>,
     /// Jobs the worker has fully processed (for tests and metrics).
     pub processed: Arc<AtomicU64>,
-    /// Which registry slots this worker pins (`true` = can serve).
+    /// Which catalog slots this worker pins (`true` = can serve).
     /// Shared with the worker thread: the thread sets a slot after
     /// applying a `Pin`; the server clears it *before* enqueueing an
     /// `Unpin` so routing stops first and the queue drains.
@@ -200,7 +200,7 @@ impl WorkerHandle {
         self.processed.load(Ordering::Relaxed)
     }
 
-    /// Whether this worker pins registry slot `model`.
+    /// Whether this worker pins catalog slot `model`.
     pub fn pins(&self, model: usize) -> bool {
         self.pins.read().get(model).copied().unwrap_or(false)
     }
@@ -261,7 +261,7 @@ impl WorkerHandle {
     }
 }
 
-/// Spawns a worker that serves `models` (registry order; `None` = not
+/// Spawns a worker that serves `models` (slot order; `None` = not
 /// pinned here) from a bounded queue of `queue_cap` jobs.
 pub(crate) fn spawn_worker(
     id: usize,

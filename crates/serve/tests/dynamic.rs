@@ -1,12 +1,92 @@
 //! The dynamic control plane: runtime pin/unpin/drain, runtime model
-//! registration, live network swaps, and the preload cost model.
+//! registration and the name rules it shares with the builder, live
+//! network swaps, and the preload cost model.
 
 use std::time::Duration;
 
-use bw_serve::demo::{demo_input, mlp_artifact};
-use bw_serve::{NetworkModel, PinError, PreloadModel, Server};
+use bw_serve::demo::{demo_input, mlp_artifact, sharded_mlp};
+use bw_serve::{
+    NetworkModel, PinError, PreloadModel, RegistryError, Server, ServerBuilder, ShardedArtifact,
+    SpawnError,
+};
 
 const DEADLINE: Duration = Duration::from_secs(5);
+
+/// A 64x16 layer over a 600-weight budget: members `big#g0s0`,
+/// `big#g0s1` (one 2-wide segment) and `big#seg0` (the 8x64 tail).
+fn big() -> ShardedArtifact {
+    sharded_mlp("big", &[16, 64, 8], 5, 600)
+}
+
+#[test]
+fn duplicate_names_are_refused_at_spawn_and_at_runtime() {
+    let m = |name: &str| mlp_artifact(name, &[16, 8], 1);
+    let b = Server::builder;
+    let table: [(&str, ServerBuilder, &str); 4] = [
+        ("two whole models", b().model(m("m")).model(m("m")), "m"),
+        (
+            "group name taken",
+            b().model(m("big")).sharded_model(big()),
+            "big",
+        ),
+        (
+            "member name taken",
+            b().model(m("big#g0s1")).sharded_model(big()),
+            "big#g0s1",
+        ),
+        (
+            "group twice",
+            b().sharded_model(big()).sharded_model(big()),
+            "big",
+        ),
+    ];
+    for (case, builder, name) in table {
+        match builder.replicas(2).spawn() {
+            Err(SpawnError::Registry(RegistryError::Duplicate(n))) => assert_eq!(n, name, "{case}"),
+            Err(e) => panic!("{case}: expected a duplicate `{name}`, got {e}"),
+            Ok(_) => panic!("{case}: spawned with a duplicate `{name}`"),
+        }
+    }
+
+    let server = b()
+        .sharded_model(big())
+        .model(m("m"))
+        .replicas(2)
+        .spawn()
+        .unwrap();
+    for name in ["m", "big", "big#g0s0", "big#seg0"] {
+        let err = Err(RegistryError::Duplicate(name.into()));
+        assert_eq!(server.register_model(m(name)), err, "{name}");
+    }
+    // Rows: slots in registration order, then the group.
+    let names = server.client().model_names();
+    assert_eq!(names, ["big#g0s0", "big#g0s1", "big#seg0", "m", "big"]);
+}
+
+#[test]
+fn group_and_member_names_refuse_the_pin_control_plane() {
+    let server = Server::builder()
+        .sharded_model(big())
+        .model(mlp_artifact("solo", &[16, 8], 1))
+        .replicas(2)
+        .spawn()
+        .unwrap();
+    // Worker 1 owns shard 1, not shard 0: a pin would put both shards of
+    // the segment on one worker.
+    for name in ["big", "big#g0s0", "big#seg0"] {
+        assert!(
+            matches!(server.pin_model(name, 1), Err(PinError::GroupName(n)) if n == name),
+            "{name}"
+        );
+        assert!(
+            matches!(server.unpin_model(name, 0), Err(PinError::GroupName(n)) if n == name),
+            "{name}"
+        );
+        assert_eq!(server.preload_cost(name, 1), None, "{name}");
+    }
+    assert_eq!(server.pinned_workers("big#g0s0"), vec![0]);
+    assert!(server.preload_cost("solo", 1).is_some());
+}
 
 #[test]
 fn pin_unpin_round_trip_updates_residency() {

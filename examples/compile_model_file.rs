@@ -1,14 +1,13 @@
 //! The full toolflow (§II-B), end to end: parse a textual model
-//! description into the graph IR, fuse it, shard any oversized layer,
-//! partition across accelerators under an on-chip budget, lower to ISA
-//! binaries, deploy, and serve — validating against the IR's own host
-//! evaluator.
+//! description into the graph IR, fuse it, row-shard any layer over the
+//! per-device budget, partition and lower every segment to ISA binaries,
+//! pin the segments and serve them with a host scatter/gather —
+//! validating against the IR's own host evaluator and, bit for bit,
+//! against the same graph compiled whole.
 //!
 //! Run with: `cargo run --release --example compile_model_file`
 
-use brainwave::gir::{
-    fuse, parse_model, partition_sharded, split_oversized_stages, Deployment, Placement,
-};
+use brainwave::gir::{fuse, parse_model, LowerOptions, ModelArtifact, ShardedArtifact};
 use brainwave::prelude::*;
 
 const MODEL: &str = "\
@@ -41,56 +40,60 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         pipeline.stages.iter().filter(|s| s.accelerable()).count()
     );
 
-    // 3. Shard + partition under a deliberately tight on-chip budget so the
-    //    model needs several devices (the paper's capacity-driven
-    //    multi-FPGA case, §II-B).
+    // 3. Shard, partition and lower under a deliberately tight on-chip
+    //    budget so the model needs several devices (the paper's
+    //    capacity-driven multi-FPGA case, §II-B). Every segment is its own
+    //    pin-able artifact; the oversized layer becomes a scatter/gather
+    //    segment of row shards.
+    let config = |mrf_entries| {
+        NpuConfig::builder()
+            .name("toolflow-node")
+            .native_dim(16)
+            .lanes(8)
+            .tile_engines(2)
+            .mrf_entries(mrf_entries)
+            .vrf_entries(128)
+            .matrix_format(BfpFormat::BFP_1S_5E_5M)
+            .build()
+    };
     let budget = 7_000u64; // parameters per device
-    let (pipeline, report) = split_oversized_stages(&pipeline, budget)?;
-    if report.splits.is_empty() {
-        println!("no stage exceeded the {budget}-parameter device budget");
-    } else {
-        for (stage, shards) in &report.splits {
-            println!("stage {stage} exceeded the budget: row-sharded into {shards} devices' worth");
-        }
+    let opts = LowerOptions::default();
+    let sharded = ShardedArtifact::compile("classifier", &graph, budget, &config(64)?, &opts)?;
+    for (stage, shards) in &sharded.report().splits {
+        println!("stage {stage} exceeded the {budget}-parameter budget: row-sharded {shards} ways");
     }
-    let plan = partition_sharded(&pipeline, budget, &report)?;
-    println!("partitioned onto {} accelerators:", plan.devices_used);
-    for seg in &plan.segments {
-        match seg {
-            Placement::Accelerator { device, stages } => {
-                println!("  device {device}: stages {stages:?}");
+    println!("{} segments:", sharded.segments().len());
+    for segment in sharded.segments() {
+        println!("  width {}:", segment.width());
+        for member in segment.members() {
+            for bin in member.deployment().binaries() {
+                println!(
+                    "    {} device {}: {} -> {}, {} MRF tiles, {} bytes encoded",
+                    member.name(),
+                    bin.device,
+                    bin.input_dim,
+                    bin.output_dim,
+                    bin.mrf_entries,
+                    bin.program.encode().len()
+                );
             }
-            Placement::Cpu { stages } => println!("  host CPU: stages {stages:?}"),
         }
     }
 
-    // 4. Lower + deploy.
-    let cfg = NpuConfig::builder()
-        .name("toolflow-node")
-        .native_dim(16)
-        .lanes(8)
-        .tile_engines(2)
-        .mrf_entries(64)
-        .vrf_entries(128)
-        .matrix_format(BfpFormat::BFP_1S_5E_5M)
-        .build()?;
-    let deployment = Deployment::compile(&pipeline, &plan, &cfg)?;
-    let mut npus: Vec<Npu> = (0..deployment.devices_required())
-        .map(|_| Npu::new(cfg.clone()))
-        .collect();
-    deployment.deploy(&mut npus)?;
-    for bin in deployment.binaries() {
-        println!(
-            "  binary for device {}: {} MRF tiles, {} bytes encoded",
-            bin.device,
-            bin.mrf_entries,
-            bin.program.encode().len()
-        );
-    }
-
-    // 5. Serve and validate.
+    // 4. Pin every member and serve: each member of a segment reads the
+    //    same input, and their outputs concatenate in member order.
     let x: Vec<f32> = (0..64).map(|i| ((i as f32) * 0.17).sin() * 0.5).collect();
-    let (scores, stats) = deployment.execute(&mut npus, &x)?;
+    let mut scores = x.clone();
+    let mut cycles = 0;
+    for segment in sharded.segments() {
+        let mut gathered = Vec::new();
+        for member in segment.members() {
+            let (y, stats) = member.pin()?.infer_with_stats(&scores)?;
+            cycles += stats.cycles;
+            gathered.extend(y);
+        }
+        scores = gathered;
+    }
     let reference = graph.evaluate(&x)?;
     println!("\nscores (NPU)      : {scores:.4?}");
     println!("scores (reference): {reference:.4?}");
@@ -99,11 +102,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .zip(&reference)
         .map(|(a, b)| (a - b).abs())
         .fold(0.0f32, f32::max);
-    println!(
-        "max deviation {worst:.4}; accelerator cycles across devices: {}",
-        stats.cycles
-    );
+    println!("max deviation {worst:.4}; accelerator cycles across members: {cycles}");
     assert!(worst < 0.05, "quantized serving must track the reference");
+
+    // Row sharding changes where a row is computed, never its bits: the
+    // graph compiled whole, on a device whose MRF holds every weight,
+    // answers identically.
+    let whole = ModelArtifact::compile("whole", &graph, 1 << 20, &config(128)?, &opts)?;
+    assert_eq!(scores, whole.pin()?.infer(&x)?, "sharded must match whole");
+    println!("bit-identical to the model compiled whole on one device");
     println!("\nOK: checkpoint-to-microservice, the §II-B pipeline in one run.");
     Ok(())
 }

@@ -12,12 +12,11 @@
 //! Xp remains at under 13% utilization").
 
 use bw_models::RnnBenchmark;
-use serde::{Deserialize, Serialize};
 
 use crate::titan_xp::TitanXpPoint;
 
 /// Batch-scaling model for one RNN benchmark on one GPU.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GpuBatchModel {
     /// Device peak TFLOPS.
     pub peak_tflops: f64,

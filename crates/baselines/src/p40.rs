@@ -1,9 +1,7 @@
 //! The NVIDIA P40 / TensorRT reference points of Table VI.
 
-use serde::{Deserialize, Serialize};
-
 /// A measured CNN-serving data point (ResNet-50 featurizer).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CnnServingPoint {
     /// Batch size.
     pub batch: u32,

@@ -7,10 +7,9 @@
 //! methodology, since no GPU is available here (see `DESIGN.md`).
 
 use bw_models::{RnnBenchmark, RnnKind};
-use serde::{Deserialize, Serialize};
 
 /// The Titan Xp device constants of Table IV.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TitanXp {
     /// Peak single-precision TFLOPS.
     pub peak_tflops: f64,
@@ -28,7 +27,7 @@ pub const TITAN_XP: TitanXp = TitanXp {
 };
 
 /// One measured Titan Xp data point from Table V (batch size 1).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TitanXpPoint {
     /// Cell family.
     pub kind: RnnKind,

@@ -26,12 +26,11 @@
 use bw_core::{ExecMode, Npu, NpuConfig, RunStats};
 use bw_dataflow::RnnCriticalPath;
 use bw_models::{Gru, Lstm, RnnBenchmark, RnnKind};
-use serde::{Deserialize, Serialize};
 
 pub mod reports;
 
 /// The simulated BW result for one DeepBench benchmark.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BwRnnResult {
     /// The benchmark.
     pub bench: RnnBenchmark,
@@ -120,23 +119,22 @@ pub fn run_suite(benches: &[RnnBenchmark]) -> Vec<BwRnnResult> {
         .unwrap_or(4)
         .min(benches.len().max(1));
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 if i >= benches.len() {
                     break;
                 }
                 let result = run_bw_s10(&benches[i]);
-                results.lock().expect("no poisoned lock")[i] = Some(result);
+                results.lock().unwrap()[i] = Some(result);
             });
         }
-    })
-    .expect("suite workers do not panic");
+    });
 
     results
         .into_inner()
-        .expect("no poisoned lock")
+        .unwrap()
         .into_iter()
         .map(|p| p.expect("every index filled"))
         .collect()

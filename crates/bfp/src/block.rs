@@ -1,7 +1,5 @@
 //! Shared-exponent quantized vectors.
 
-use serde::{Deserialize, Serialize};
-
 use crate::format::BfpFormat;
 use crate::kernel::{self, exp2, Mantissas, Operand, Rows, GROUP};
 
@@ -11,7 +9,7 @@ use crate::kernel::{self, exp2, Mantissas, Operand, Rows, GROUP};
 /// paper's "few epochs of fine-tuning", §VI) conventionally uses stochastic
 /// rounding so quantization error is unbiased and gradients survive narrow
 /// mantissas.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Rounding {
     /// Round to the nearest representable mantissa (ties away from zero).
     Nearest,
@@ -45,7 +43,7 @@ pub enum Rounding {
 /// let dot = a.dot(&b).expect("same length and block size");
 /// assert!((dot - 6.0).abs() < 0.2);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BfpBlock {
     format: BfpFormat,
     len: usize,

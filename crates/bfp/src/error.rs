@@ -1,7 +1,5 @@
 //! Quantization-error instrumentation.
 
-use serde::{Deserialize, Serialize};
-
 /// Summary statistics comparing an approximate signal against a reference.
 ///
 /// Used by the narrow-precision experiments to quantify BFP quantization
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(stats.max_abs_error <= 0.021);
 /// assert!(stats.snr_db > 30.0);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ErrorStats {
     /// Largest absolute difference.
     pub max_abs_error: f64,

@@ -12,8 +12,6 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// An IEEE 754 binary16 floating point number (1 sign, 5 exponent, 10
 /// mantissa bits), stored as its raw bit pattern.
 ///
@@ -31,7 +29,7 @@ use serde::{Deserialize, Serialize};
 /// let b = F16::from_f32(2.25);
 /// assert_eq!((a + b).to_f32(), 3.75);
 /// ```
-#[derive(Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default)]
 pub struct F16(u16);
 
 const F16_SIGN_MASK: u16 = 0x8000;

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A block floating point format: a group of `block_size` values shares one
 /// exponent of `exponent_bits`, and each element carries a sign bit plus
 /// `mantissa_bits` of magnitude.
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(fmt.to_string(), "1s.5e.2m/128");
 /// # Ok::<(), bw_bfp::FormatError>(())
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct BfpFormat {
     exponent_bits: u8,
     mantissa_bits: u8,

@@ -48,12 +48,10 @@
 //! * [`dot_naive`], the oracle: element-by-element 64-bit accumulation over
 //!   any layout, a packed side unpacked one group at a time.
 
-use serde::{Deserialize, Serialize};
-
 use crate::format::{BfpFormat, Layout};
 
 /// Owned signed mantissas in the layout their format calls for.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) enum Mantissas {
     /// `mantissa_bits ≤ 3`: whole rows of nibble pairs (module doc).
     Packed(Vec<u8>),

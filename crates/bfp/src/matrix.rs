@@ -1,8 +1,6 @@
 //! Row-quantized BFP matrices, the storage format of the matrix register
 //! file (MRF).
 
-use serde::{Deserialize, Serialize};
-
 use crate::block::{quantize_append, quantizes_to_nothing, BfpBlock, DotError, Rounding};
 use crate::format::{BfpFormat, Layout};
 use crate::kernel::{self, mac_rows, Mantissas, Rows};
@@ -49,8 +47,7 @@ use crate::kernel::{self, mac_rows, Mantissas, Rows};
 /// assert!((y[1] - 2.0).abs() < 0.1);
 /// # Ok::<(), bw_bfp::MatrixShapeError>(())
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-#[serde(try_from = "MatrixParts", into = "MatrixParts")]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BfpMatrix {
     rows: usize,
     cols: usize,
@@ -65,60 +62,6 @@ pub struct BfpMatrix {
     /// not stored have the format's lowest exponent, the one the quantizer
     /// gives a chunk that holds nothing.
     exponents: Vec<i32>,
-}
-
-/// A [`BfpMatrix`] on the wire — shape, format, extent, slabs:
-/// deserializing goes through the `TryFrom` that holds the extent against
-/// the slabs.
-type MatrixParts = (
-    (usize, usize),
-    BfpFormat,
-    (usize, usize),
-    Mantissas,
-    Vec<i32>,
-);
-
-impl From<BfpMatrix> for MatrixParts {
-    fn from(m: BfpMatrix) -> Self {
-        let (shape, live) = ((m.rows, m.cols), (m.live_rows, m.live_chunks));
-        (shape, m.format, live, m.mantissas, m.exponents)
-    }
-}
-
-impl TryFrom<MatrixParts> for BfpMatrix {
-    type Error = &'static str;
-
-    fn try_from(parts: MatrixParts) -> Result<Self, Self::Error> {
-        let ((rows, cols), format, (live_rows, live_chunks), mantissas, exponents) = parts;
-        let mut m = BfpMatrix::zeros(rows, cols, format);
-        let layout = std::mem::discriminant(&mantissas) == std::mem::discriminant(&m.mantissas);
-        let chunk = format.block_size() as usize;
-        let fits = layout && live_rows <= rows && live_chunks <= cols.div_ceil(chunk);
-        if fits {
-            (m.live_rows, m.live_chunks) = (live_rows, live_chunks);
-        }
-        let stride = m.live().stride();
-        let slabs = (
-            stride.checked_mul(live_rows),
-            live_chunks.checked_mul(live_rows),
-        );
-        if !fits || slabs != (Some(mantissas.len()), Some(exponents.len())) {
-            return Err("a BfpMatrix's live extent does not fit its shape or its slabs");
-        }
-        (m.mantissas, m.exponents) = (mantissas, exponents);
-        // And it is the smallest there is, which equality counts on: the
-        // last row and the last chunk column each hold a mantissa.
-        let holds = |r: usize, from: usize| m.live().row(r).iter().skip(from).any(|q| q != 0);
-        let last = live_chunks.saturating_sub(1) * chunk;
-        let smallest = match live_rows {
-            0 => live_chunks == 0,
-            n => holds(n - 1, 0) && (0..n).any(|r| holds(r, last)),
-        };
-        if !smallest {
-            return Err("a BfpMatrix's live extent holds a row or a chunk of zero mantissas");
-        }
-        Ok(m)
-    }
 }
 
 /// A borrowed view of one quantized matrix row at its logical width: what
@@ -271,6 +214,14 @@ impl BfpMatrix {
                 &mut padded,
             );
         }
+        // Derived `PartialEq` counts on the extent being the smallest: the
+        // last row and the last chunk column each hold a mantissa.
+        let holds = |r: usize, from: usize| m.live().row(r).iter().skip(from).any(|q| q != 0);
+        let last = m.live_chunks.saturating_sub(1) * chunk;
+        debug_assert!(match m.live_rows {
+            0 => m.live_chunks == 0,
+            n => holds(n - 1, 0) && (0..n).any(|r| holds(r, last)),
+        });
         Ok(m)
     }
 
@@ -711,64 +662,6 @@ mod tests {
     }
 
     #[test]
-    fn a_deserialized_extent_that_disagrees_with_its_slabs_is_rejected() {
-        let data: Vec<f32> = (0..4 * 40).map(|i| (i % 7) as f32 - 3.0).collect();
-        for bits in [2, 5, 9] {
-            let format = BfpFormat::new(5, bits, 16).unwrap();
-            let m = BfpMatrix::quantize(6, 40, &[&data[..], &[0.0; 80]].concat(), format).unwrap();
-            assert_eq!(m.live_shape(), (4, 40));
-            let parts = || MatrixParts::from(m.clone());
-            assert_eq!(BfpMatrix::try_from(parts()), Ok(m.clone()));
-            let other_layout = BfpFormat::new(5, if bits == 5 { 9 } else { 5 }, 16).unwrap();
-            let tampered: [fn(&mut MatrixParts); 8] = [
-                |p| p.0 .0 = 3,          // fewer rows than live rows
-                |p| p.0 .1 = 17,         // fewer chunks than live chunks
-                |p| p.2 .0 += 1,         // a live row the slabs do not hold
-                |p| p.2 .0 = usize::MAX, // whose slab length overflows
-                |p| p.2 .1 -= 1,         // a narrower stride than the slab's
-                |p| p.3 = Mantissas::with_capacity(p.1, 0, 0),
-                |p| p.4.truncate(1),
-                |p| p.4.push(0),
-            ];
-            for tamper in tampered {
-                let mut p = parts();
-                tamper(&mut p);
-                assert!(BfpMatrix::try_from(p).is_err(), "{bits}-bit mantissas");
-            }
-            // Slabs that fit an extent larger than the smallest: one row of
-            // `live` elements widened to `cols`, stored as is — a last chunk
-            // of zero mantissas — and as two rows, the last of them zeros.
-            let mut scratch = (Mantissas::with_capacity(format, 0, 0), Vec::new());
-            for (live, cols, shape, extent) in
-                [(40, 56, (1, 56), (1, 4)), (16, 32, (2, 16), (2, 1))]
-            {
-                let padded = [&data[..live], &vec![0.0; cols - live][..]].concat();
-                let one = BfpMatrix::quantize(1, cols, &padded, format).unwrap();
-                assert_eq!(one.live_shape(), (1, live.next_multiple_of(16)));
-                let mut p = MatrixParts::from(one.clone());
-                one.row(0).stored.widened(cols, &mut scratch);
-                (p.0, p.2, p.3, p.4) = (shape, extent, scratch.0.clone(), scratch.1.clone());
-                assert!(BfpMatrix::try_from(p).is_err(), "{extent:?} of {shape:?}");
-            }
-            let mut p = MatrixParts::from(BfpMatrix::zeros(6, 40, format));
-            p.2 = (0, 1);
-            assert!(BfpMatrix::try_from(p).is_err());
-            // An extent past the shape, even one of nothing.
-            let mut p = MatrixParts::from(BfpMatrix::zeros(6, 40, format));
-            p.2 = (7, 0);
-            assert!(BfpMatrix::try_from(p).is_err());
-            let mut p = parts();
-            p.3 = BfpMatrix::quantize(4, 40, &data, other_layout)
-                .unwrap()
-                .mantissas;
-            assert!(
-                BfpMatrix::try_from(p).is_err(),
-                "{other_layout} slab in {format}"
-            );
-        }
-    }
-
-    #[test]
     fn row_access_and_dequantize_shape() {
         let m = BfpMatrix::quantize(3, 4, &[2.0; 12], FMT).unwrap();
         assert_eq!(m.row(1).len(), 4);
@@ -856,7 +749,6 @@ mod tests {
             // nothing are the zeros they quantize to.
             let flushed: Vec<f32> = data.iter().map(|&v| if v.abs() < 0.495 * step { 0.0 } else { v }).collect();
             prop_assert_eq!(&m, &BfpMatrix::quantize(rows, cols, &flushed, format).unwrap());
-            prop_assert_eq!(BfpMatrix::try_from(MatrixParts::from(m.clone())), Ok(m.clone()));
 
             // Products: the oracle walks the whole shape and agrees with the
             // untrimmed rows; the fast path agrees with the oracle, storing

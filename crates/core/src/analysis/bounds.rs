@@ -29,8 +29,6 @@
 //!
 //! [`NpuConfig`]: crate::NpuConfig
 
-use serde::Serialize;
-
 use crate::analysis::{AnalysisPass, Diagnostic, PassContext};
 use crate::config::NpuConfig;
 use crate::isa::Program;
@@ -48,7 +46,7 @@ use super::AnalysisOptions;
 const MAX_REPLAY_ITEMS: u64 = 2_000_000;
 
 /// Guaranteed min/max completion cycles for one program on one config.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CycleBounds {
     /// No execution with arrivals inside the declared window finishes in
     /// fewer cycles than this.

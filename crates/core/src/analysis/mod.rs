@@ -56,8 +56,6 @@
 
 use std::fmt;
 
-use serde::Serialize;
-
 use crate::config::NpuConfig;
 use crate::isa::{Chain, Item, Program, ScalarReg};
 
@@ -82,7 +80,7 @@ pub use netq::NetQueuePass;
 pub use shape::ChainShapePass;
 
 /// How serious a diagnostic is. Ordered: `Info < Warning < Error`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     /// Advisory only; never gates deployment.
     Info,
@@ -109,7 +107,7 @@ impl fmt::Display for Severity {
 /// The `BW0xx` string form (see [`DiagCode::as_str`]) is the public name
 /// used in reports, documentation, and suppression lists; the enum keeps
 /// matching in code typo-proof.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DiagCode {
     /// BW001: a `s_wr` wrote zero to `rows`/`cols`.
     ZeroRegister,
@@ -333,7 +331,7 @@ impl fmt::Display for DiagCode {
 /// Artifact-level findings additionally carry the `unit` (shard or
 /// pipeline-segment name) they concern; program-level findings leave it
 /// `None` and render exactly as before.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Diagnostic {
     /// Stable code identifying the kind of finding.
     pub code: DiagCode,
@@ -404,7 +402,7 @@ impl fmt::Display for Diagnostic {
 ///
 /// `MemId::MatrixRf` ranges are in MRF tile entries; VRF ranges are in
 /// native-vector entries of the named file.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PreloadedRange {
     /// The memory the host initializes.
     pub mem: crate::isa::MemId,
@@ -416,7 +414,7 @@ pub struct PreloadedRange {
 
 /// Facts about the deployment environment that static analysis cannot
 /// recover from the program alone.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct AnalysisOptions {
     /// Memory ranges the host initializes before the program runs
     /// (weights, biases, initial recurrent state). Reads from these ranges
@@ -511,7 +509,7 @@ pub trait AnalysisPass {
 }
 
 /// The collected findings of an analyzer run.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AnalysisReport {
     /// All findings, deduplicated and ordered by
     /// `(code, unit, segment, item, message)`.

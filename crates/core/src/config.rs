@@ -9,7 +9,6 @@
 //! three production instances of Table III as named constructors.
 
 use bw_bfp::BfpFormat;
-use serde::{Deserialize, Serialize};
 
 /// A complete synthesis-time configuration of a Brainwave NPU instance.
 ///
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cfg.mac_count(), 96_000);
 /// assert_eq!(cfg.peak_tflops(), 48.0);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NpuConfig {
     name: String,
     native_dim: u32,
@@ -49,7 +48,7 @@ pub struct NpuConfig {
 /// §V-C ("one compound instruction dispatched from the Nios every four clock
 /// cycles"); the pipeline depths are fitted so BW_S10 reproduces the
 /// per-timestep latencies of Table V.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TimingParams {
     /// Cycles between successive compound instructions leaving the control
     /// processor (§V-C: 4).

@@ -9,13 +9,11 @@
 //! producing over 10,000 primitive operations"; the largest GRU dispatches
 //! "over 7 million operations" from one instruction).
 
-use serde::Serialize;
-
 use crate::config::NpuConfig;
 use crate::isa::{Instruction, Opcode};
 
 /// One level of the decode/dispatch hierarchy.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DispatchLevel {
     /// Name of the hardware stage (e.g. `"tile engine decoders"`).
     pub stage: &'static str,
@@ -40,7 +38,7 @@ pub struct DispatchLevel {
 /// let exp = HddExpansion::expand(&cfg, &Instruction::MvMul { mrf_index: 0 }, 8, 8);
 /// assert!(exp.primitive_ops > 7_000_000);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HddExpansion {
     /// The instruction's opcode.
     pub opcode: Opcode,

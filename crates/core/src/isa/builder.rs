@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use super::chain::{Chain, ChainError};
 use super::instruction::{Instruction, MemId, ScalarReg};
 use super::program::{Item, Program, Segment};
@@ -51,7 +49,7 @@ pub struct ProgramBuilder {
 }
 
 /// Error produced while building a program.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BuilderError {
     /// The pending chain violated the ISA chain rules.
     Chain(

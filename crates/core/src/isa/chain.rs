@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use super::instruction::{Instruction, MemId, Opcode};
 
 /// A validated instruction chain (§IV-C).
@@ -43,7 +41,7 @@ use super::instruction::{Instruction, MemId, Opcode};
 /// assert!(chain.has_mv_mul());
 /// # Ok::<(), bw_core::isa::ChainError>(())
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Chain {
     instructions: Vec<Instruction>,
 }

@@ -1,8 +1,6 @@
 //! Binary encoding of programs — the executable format the toolflow
 //! packages and deploys to NPU instances (§II-B).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 use super::chain::Chain;
 use super::instruction::{Instruction, MemId, ScalarReg};
 use super::program::{Item, Program, Segment};
@@ -39,32 +37,34 @@ const VERSION: u8 = 1;
 const TAG_SET_REG: u8 = 0;
 const TAG_CHAIN: u8 = 1;
 
-fn put_mem(buf: &mut BytesMut, mem: MemId) {
-    match mem {
-        MemId::InitialVrf => buf.put_u8(0),
-        MemId::AddSubVrf(i) => {
-            buf.put_u8(1);
-            buf.put_u8(i);
-            return;
-        }
-        MemId::MultiplyVrf(i) => {
-            buf.put_u8(2);
-            buf.put_u8(i);
-            return;
-        }
-        MemId::MatrixRf => buf.put_u8(3),
-        MemId::NetQ => buf.put_u8(4),
-        MemId::Dram => buf.put_u8(5),
-    }
-    buf.put_u8(0); // sub-index placeholder for fixed-width decoding
+fn put_mem(buf: &mut Vec<u8>, mem: MemId) {
+    buf.extend_from_slice(&match mem {
+        MemId::InitialVrf => [0, 0],
+        MemId::AddSubVrf(i) => [1, i],
+        MemId::MultiplyVrf(i) => [2, i],
+        MemId::MatrixRf => [3, 0],
+        MemId::NetQ => [4, 0],
+        MemId::Dram => [5, 0],
+    });
 }
 
-fn get_mem(buf: &mut Bytes) -> Result<MemId, DecodeError> {
-    if buf.remaining() < 2 {
-        return Err(DecodeError::Truncated);
-    }
-    let tag = buf.get_u8();
-    let sub = buf.get_u8();
+/// Splits the next `N` bytes off the front of `buf`.
+fn take<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], DecodeError> {
+    let (head, rest) = buf.split_first_chunk().ok_or(DecodeError::Truncated)?;
+    *buf = rest;
+    Ok(*head)
+}
+
+fn get_u8(buf: &mut &[u8]) -> Result<u8, DecodeError> {
+    Ok(take::<1>(buf)?[0])
+}
+
+fn get_u32(buf: &mut &[u8]) -> Result<u32, DecodeError> {
+    Ok(u32::from_be_bytes(take(buf)?))
+}
+
+fn get_mem(buf: &mut &[u8]) -> Result<MemId, DecodeError> {
+    let [tag, sub] = take(buf)?;
     match tag {
         0 => Ok(MemId::InitialVrf),
         1 => Ok(MemId::AddSubVrf(sub)),
@@ -76,82 +76,54 @@ fn get_mem(buf: &mut Bytes) -> Result<MemId, DecodeError> {
     }
 }
 
-fn put_instruction(buf: &mut BytesMut, instr: &Instruction) {
-    match *instr {
-        Instruction::VRd { mem, index } => {
-            buf.put_u8(0);
-            put_mem(buf, mem);
-            buf.put_u32(index);
-        }
-        Instruction::VWr { mem, index } => {
-            buf.put_u8(1);
-            put_mem(buf, mem);
-            buf.put_u32(index);
-        }
-        Instruction::MRd { mem, index } => {
-            buf.put_u8(2);
-            put_mem(buf, mem);
-            buf.put_u32(index);
-        }
-        Instruction::MWr { mem, index } => {
-            buf.put_u8(3);
-            put_mem(buf, mem);
-            buf.put_u32(index);
-        }
-        Instruction::MvMul { mrf_index } => {
-            buf.put_u8(4);
-            buf.put_u32(mrf_index);
-        }
-        Instruction::VvAdd { index } => {
-            buf.put_u8(5);
-            buf.put_u32(index);
-        }
-        Instruction::VvASubB { index } => {
-            buf.put_u8(6);
-            buf.put_u32(index);
-        }
-        Instruction::VvBSubA { index } => {
-            buf.put_u8(7);
-            buf.put_u32(index);
-        }
-        Instruction::VvMax { index } => {
-            buf.put_u8(8);
-            buf.put_u32(index);
-        }
-        Instruction::VvMul { index } => {
-            buf.put_u8(9);
-            buf.put_u32(index);
-        }
-        Instruction::VRelu => buf.put_u8(10),
-        Instruction::VSigm => buf.put_u8(11),
-        Instruction::VTanh => buf.put_u8(12),
+fn get_reg(buf: &mut &[u8]) -> Result<ScalarReg, DecodeError> {
+    match get_u8(buf)? {
+        0 => Ok(ScalarReg::Rows),
+        1 => Ok(ScalarReg::Cols),
+        t => Err(DecodeError::BadTag(t)),
+    }
+}
+
+fn put_reg(buf: &mut Vec<u8>, reg: ScalarReg, value: u32) {
+    buf.push(match reg {
+        ScalarReg::Rows => 0,
+        ScalarReg::Cols => 1,
+    });
+    buf.extend_from_slice(&value.to_be_bytes());
+}
+
+fn put_instruction(buf: &mut Vec<u8>, instr: &Instruction) {
+    let (op, mem, operand) = match *instr {
+        Instruction::VRd { mem, index } => (0, Some(mem), Some(index)),
+        Instruction::VWr { mem, index } => (1, Some(mem), Some(index)),
+        Instruction::MRd { mem, index } => (2, Some(mem), Some(index)),
+        Instruction::MWr { mem, index } => (3, Some(mem), Some(index)),
+        Instruction::MvMul { mrf_index } => (4, None, Some(mrf_index)),
+        Instruction::VvAdd { index } => (5, None, Some(index)),
+        Instruction::VvASubB { index } => (6, None, Some(index)),
+        Instruction::VvBSubA { index } => (7, None, Some(index)),
+        Instruction::VvMax { index } => (8, None, Some(index)),
+        Instruction::VvMul { index } => (9, None, Some(index)),
+        Instruction::VRelu => (10, None, None),
+        Instruction::VSigm => (11, None, None),
+        Instruction::VTanh => (12, None, None),
         Instruction::SWr { reg, value } => {
-            buf.put_u8(13);
-            buf.put_u8(match reg {
-                ScalarReg::Rows => 0,
-                ScalarReg::Cols => 1,
-            });
-            buf.put_u32(value);
+            buf.push(13);
+            put_reg(buf, reg, value);
+            return;
         }
-        Instruction::EndChain => buf.put_u8(14),
+        Instruction::EndChain => (14, None, None),
+    };
+    buf.push(op);
+    if let Some(mem) = mem {
+        put_mem(buf, mem);
+    }
+    if let Some(operand) = operand {
+        buf.extend_from_slice(&operand.to_be_bytes());
     }
 }
 
-fn get_u32(buf: &mut Bytes) -> Result<u32, DecodeError> {
-    if buf.remaining() < 4 {
-        return Err(DecodeError::Truncated);
-    }
-    Ok(buf.get_u32())
-}
-
-fn get_u8(buf: &mut Bytes) -> Result<u8, DecodeError> {
-    if buf.remaining() < 1 {
-        return Err(DecodeError::Truncated);
-    }
-    Ok(buf.get_u8())
-}
-
-fn get_instruction(buf: &mut Bytes) -> Result<Instruction, DecodeError> {
+fn get_instruction(buf: &mut &[u8]) -> Result<Instruction, DecodeError> {
     let op = get_u8(buf)?;
     Ok(match op {
         0 => Instruction::VRd {
@@ -191,17 +163,10 @@ fn get_instruction(buf: &mut Bytes) -> Result<Instruction, DecodeError> {
         10 => Instruction::VRelu,
         11 => Instruction::VSigm,
         12 => Instruction::VTanh,
-        13 => {
-            let reg = match get_u8(buf)? {
-                0 => ScalarReg::Rows,
-                1 => ScalarReg::Cols,
-                t => return Err(DecodeError::BadTag(t)),
-            };
-            Instruction::SWr {
-                reg,
-                value: get_u32(buf)?,
-            }
-        }
+        13 => Instruction::SWr {
+            reg: get_reg(buf)?,
+            value: get_u32(buf)?,
+        },
         14 => Instruction::EndChain,
         t => return Err(DecodeError::BadTag(t)),
     })
@@ -210,26 +175,21 @@ fn get_instruction(buf: &mut Bytes) -> Result<Instruction, DecodeError> {
 impl Program {
     /// Serializes the program to its executable binary format.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u8(VERSION);
-        buf.put_u32(self.segments.len() as u32);
+        let mut buf = MAGIC.to_vec();
+        buf.push(VERSION);
+        buf.extend_from_slice(&(self.segments.len() as u32).to_be_bytes());
         for seg in &self.segments {
-            buf.put_u32(seg.iterations);
-            buf.put_u32(seg.items.len() as u32);
+            buf.extend_from_slice(&seg.iterations.to_be_bytes());
+            buf.extend_from_slice(&(seg.items.len() as u32).to_be_bytes());
             for item in &seg.items {
                 match item {
                     Item::SetReg { reg, value } => {
-                        buf.put_u8(TAG_SET_REG);
-                        buf.put_u8(match reg {
-                            ScalarReg::Rows => 0,
-                            ScalarReg::Cols => 1,
-                        });
-                        buf.put_u32(*value);
+                        buf.push(TAG_SET_REG);
+                        put_reg(&mut buf, *reg, *value);
                     }
                     Item::Chain(chain) => {
-                        buf.put_u8(TAG_CHAIN);
-                        buf.put_u16(chain.len() as u16);
+                        buf.push(TAG_CHAIN);
+                        buf.extend_from_slice(&(chain.len() as u16).to_be_bytes());
                         for instr in chain.instructions() {
                             put_instruction(&mut buf, instr);
                         }
@@ -237,7 +197,7 @@ impl Program {
                 }
             }
         }
-        buf.to_vec()
+        buf
     }
 
     /// Deserializes a program binary, re-validating every chain.
@@ -247,12 +207,8 @@ impl Program {
     /// Returns a [`DecodeError`] if the header is unrecognized, the buffer
     /// is truncated, a tag byte is unknown, or a decoded chain violates the
     /// ISA rules.
-    pub fn decode(data: &[u8]) -> Result<Program, DecodeError> {
-        let mut buf = Bytes::copy_from_slice(data);
-        if buf.remaining() < 5 || &buf.copy_to_bytes(4)[..] != MAGIC {
-            return Err(DecodeError::BadHeader);
-        }
-        if buf.get_u8() != VERSION {
+    pub fn decode(mut buf: &[u8]) -> Result<Program, DecodeError> {
+        if take(&mut buf) != Ok(*MAGIC) || take(&mut buf) != Ok([VERSION]) {
             return Err(DecodeError::BadHeader);
         }
         let n_segments = get_u32(&mut buf)?;
@@ -263,22 +219,12 @@ impl Program {
             let mut items = Vec::with_capacity(n_items.min(65536) as usize);
             for _ in 0..n_items {
                 match get_u8(&mut buf)? {
-                    TAG_SET_REG => {
-                        let reg = match get_u8(&mut buf)? {
-                            0 => ScalarReg::Rows,
-                            1 => ScalarReg::Cols,
-                            t => return Err(DecodeError::BadTag(t)),
-                        };
-                        items.push(Item::SetReg {
-                            reg,
-                            value: get_u32(&mut buf)?,
-                        });
-                    }
+                    TAG_SET_REG => items.push(Item::SetReg {
+                        reg: get_reg(&mut buf)?,
+                        value: get_u32(&mut buf)?,
+                    }),
                     TAG_CHAIN => {
-                        if buf.remaining() < 2 {
-                            return Err(DecodeError::Truncated);
-                        }
-                        let n = buf.get_u16();
+                        let n = u16::from_be_bytes(take(&mut buf)?);
                         let mut instrs = Vec::with_capacity(usize::from(n));
                         for _ in 0..n {
                             instrs.push(get_instruction(&mut buf)?);
@@ -346,18 +292,47 @@ mod tests {
         assert_eq!(Program::decode(b"BWNP\x63"), Err(DecodeError::BadHeader));
     }
 
+    /// The deployed binary format, byte for byte.
+    const SAMPLE_BINARY: &str = concat!(
+        "42574e50010000000200000001000000030000000000040001000000050100020205000000000703",
+        "0300000000030000001900000002010002000400000000000100000000000001000c000000000000",
+        "00040000000305000000010b09000000020c0800000009060000000b070000000c0a010101000000",
+        "0501040000000000",
+    );
+
+    #[test]
+    fn encoding_is_pinned() {
+        let hex: String = sample_program()
+            .encode()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex, SAMPLE_BINARY);
+    }
+
     #[test]
     fn truncation_detected() {
         let bytes = sample_program().encode();
-        for cut in [6, 10, 20, bytes.len() - 1] {
-            let result = Program::decode(&bytes[..cut]);
-            assert!(
-                matches!(
-                    result,
-                    Err(DecodeError::Truncated) | Err(DecodeError::BadTag(_))
-                ),
-                "cut at {cut}: {result:?}"
-            );
+        for cut in 0..bytes.len() {
+            let want = if cut < 5 {
+                DecodeError::BadHeader
+            } else {
+                DecodeError::Truncated
+            };
+            assert_eq!(Program::decode(&bytes[..cut]), Err(want), "cut at {cut}");
+        }
+        // Any one corrupted byte is rejected or decodes to a program that
+        // round-trips; none panics.
+        for (at, mask) in (0..bytes.len()).flat_map(|at| (1..=255u8).map(move |m| (at, m))) {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= mask;
+            if let Ok(q) = Program::decode(&flipped) {
+                assert_eq!(
+                    Program::decode(&q.encode()),
+                    Ok(q),
+                    "byte {at} ^ {mask:#04x}"
+                );
+            }
         }
     }
 
@@ -374,15 +349,13 @@ mod tests {
     fn decoded_chains_are_revalidated() {
         // Hand-craft a binary whose chain is structurally invalid
         // (v_sigm with no read head).
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u8(VERSION);
-        buf.put_u32(1); // one segment
-        buf.put_u32(1); // one iteration
-        buf.put_u32(1); // one item
-        buf.put_u8(TAG_CHAIN);
-        buf.put_u16(1);
-        buf.put_u8(11); // v_sigm
+        let mut buf = MAGIC.to_vec();
+        buf.push(VERSION);
+        buf.extend([0, 0, 0, 1]); // one segment
+        buf.extend([0, 0, 0, 1]); // one iteration
+        buf.extend([0, 0, 0, 1]); // one item
+        buf.extend([TAG_CHAIN, 0, 1]); // of one instruction
+        buf.push(11); // v_sigm
         let err = Program::decode(&buf).unwrap_err();
         assert!(matches!(err, DecodeError::InvalidChain(_)));
     }

@@ -3,8 +3,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies a memory target of a read or write instruction.
 ///
 /// Vector register files are tightly coupled to specific function units
@@ -12,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// unit owns an `AddSubVrf`, and each multiply unit owns a `MultiplyVrf`.
 /// The index selects the owning MFU (0-based); the paper's two-MFU designs
 /// have `AddSubVrf(0)`, `AddSubVrf(1)`, etc.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MemId {
     /// The vector register file at the pipeline head.
     InitialVrf,
@@ -75,7 +73,7 @@ impl fmt::Display for MemId {
 
 /// Scalar control registers written by `s_wr` (§IV-C, "Mega-SIMD
 /// execution").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ScalarReg {
     /// Row tiling factor: an `mv_mul` treats `rows × cols` consecutive MRF
     /// entries as a tiled matrix producing `rows` native output vectors.
@@ -96,7 +94,7 @@ impl fmt::Display for ScalarReg {
 
 /// The operation class of an [`Instruction`], matching the `Name` column of
 /// Table II.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Opcode {
     /// `v_rd` — vector read.
     VRd,
@@ -183,7 +181,7 @@ impl fmt::Display for Opcode {
 /// positional — it flows from the previous instruction in the [`Chain`].
 ///
 /// [`Chain`]: crate::isa::Chain
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Instruction {
     /// `v_rd mem, index` — read native vector(s); begins a vector chain.
     /// The index is ignored for `NetQ` sources (queues pop in order).

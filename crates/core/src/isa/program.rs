@@ -2,14 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use super::chain::Chain;
 use super::instruction::ScalarReg;
 
 /// One element of a program: either a scalar control register write or a
 /// complete instruction chain.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Item {
     /// `s_wr reg, value` executed by the top-level scheduler.
     SetReg {
@@ -29,7 +27,7 @@ pub enum Item {
 /// becomes one segment whose `iterations` equals the step count. Register
 /// file indices are static across iterations; per-iteration inputs arrive
 /// through the network queue, which pops in order.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Segment {
     /// The static item sequence of one iteration.
     pub items: Vec<Item>,
@@ -51,7 +49,7 @@ pub struct Segment {
 /// assert_eq!(program.chain_count(), 1);
 /// # Ok::<(), bw_core::isa::BuilderError>(())
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Program {
     /// The segments, executed in order.
     pub segments: Vec<Segment>,

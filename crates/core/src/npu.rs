@@ -63,7 +63,7 @@ pub enum KernelMode {
 }
 
 /// The resource class a traced chain executed on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ChainKind {
     /// A chain containing an `mv_mul` (occupies the MVM).
     Mvm,
@@ -176,8 +176,8 @@ pub enum SimError {
         reg: ScalarReg,
     },
     /// A chain that breaks the ISA's structural rules reached the scheduler.
-    /// [`Chain::new`] and [`Program::decode`] refuse these; only a `Chain`
-    /// deserialized around them can carry one.
+    /// [`Chain::new`] and [`Program::decode`] refuse these, so the
+    /// scheduler's own check should never fire.
     MalformedChain {
         /// The instruction out of place.
         opcode: Opcode,

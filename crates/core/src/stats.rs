@@ -1,7 +1,5 @@
 //! Execution statistics produced by a simulated run.
 
-use serde::{Deserialize, Serialize};
-
 /// Cycle-level statistics for one [`Npu::run`].
 ///
 /// [`Npu::run`]: crate::Npu::run
@@ -12,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// exceed *effective* utilization — call [`RunStats::effective_tflops`] and
 /// [`RunStats::effective_utilization`] with the model's true operation count
 /// to reproduce the paper's numbers.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunStats {
     /// Total cycles from first dispatch to last writeback.
     pub cycles: u64,

@@ -15,9 +15,7 @@
 //! nothing (pinned by `tests/trace_cost.rs`).
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
-
-use serde::Serialize;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::npu::ChainKind;
 
@@ -27,7 +25,7 @@ use crate::npu::ChainKind;
 pub type TraceId = u64;
 
 /// What interval of simulated time a span describes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SpanKind {
     /// One whole [`Npu::run`](crate::Npu::run): cycle 0 to the last
     /// architecturally visible effect.
@@ -113,7 +111,7 @@ impl SpanKind {
 /// One emitted span: a half-open cycle interval `[start_cycle,
 /// end_cycle)` on one device, tagged with the propagated trace id and
 /// the ordinal of the chain that produced it (0 for [`SpanKind::Run`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SpanRecord {
     /// The propagated trace identifier (see [`TraceId`]).
     pub trace_id: TraceId,
@@ -162,12 +160,11 @@ impl SinkHandle {
 
     /// Delivers one span to the sink.
     pub fn emit(&self, span: &SpanRecord) {
-        // A sink that panicked mid-span poisoned the mutex; keep the
-        // stream flowing rather than cascading panics into the simulator.
-        let mut sink = match self.0.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        // The exception to the locking rule (bw-serve's `server` module
+        // doc): a caller's sink that panicked mid-span poisoned the mutex;
+        // keep the stream flowing rather than cascading panics into the
+        // simulator.
+        let mut sink = self.0.lock().unwrap_or_else(PoisonError::into_inner);
         sink.span(span);
     }
 }
@@ -195,10 +192,7 @@ struct CollectorSink {
 
 impl TraceSink for CollectorSink {
     fn span(&mut self, span: &SpanRecord) {
-        let mut spans = match self.spans.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut spans = self.spans.lock().unwrap_or_else(PoisonError::into_inner);
         spans.push(*span);
     }
 }
@@ -219,19 +213,16 @@ impl SpanCollector {
 
     /// Takes every span collected so far, leaving the collector empty.
     pub fn drain(&self) -> Vec<SpanRecord> {
-        let mut spans = match self.spans.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut spans = self.spans.lock().unwrap_or_else(PoisonError::into_inner);
         std::mem::take(&mut *spans)
     }
 
     /// Spans collected and not yet drained.
     pub fn len(&self) -> usize {
-        match self.spans.lock() {
-            Ok(g) => g.len(),
-            Err(poisoned) => poisoned.into_inner().len(),
-        }
+        self.spans
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// Whether no spans are pending.

@@ -7,12 +7,10 @@
 
 use std::collections::BTreeMap;
 
-use serde::Serialize;
-
 use crate::npu::{ChainKind, ChainTrace};
 
 /// Rolled-up statistics for one chain kind.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct KindSummary {
     /// Chains of this kind.
     pub chains: u64,
@@ -27,7 +25,7 @@ pub struct KindSummary {
 }
 
 /// A whole-trace summary.
-#[derive(Clone, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TraceSummary {
     /// Per-kind rollups, in a stable order.
     pub kinds: BTreeMap<String, KindSummary>,

@@ -10,8 +10,6 @@
 //! The closed forms here are cross-validated against the explicit graph
 //! machinery in [`graph`](crate::graph) at small dimensions.
 
-use serde::{Deserialize, Serialize};
-
 /// Depth of a length-`n` dot product: one multiply plus a binary reduction
 /// tree, `1 + ceil(log2 n)` cycles.
 ///
@@ -24,7 +22,7 @@ pub fn dot_depth(n: u64) -> u64 {
 }
 
 /// Critical-path characterization of one RNN cell evaluation step.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RnnCriticalPath {
     /// Hidden dimension.
     pub hidden: u64,
@@ -97,7 +95,7 @@ impl RnnCriticalPath {
 }
 
 /// Critical-path characterization of one CNN layer evaluation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ConvCriticalPath {
     /// Output positions (`H_out × W_out`).
     pub positions: u64,

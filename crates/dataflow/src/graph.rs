@@ -5,10 +5,8 @@
 //! unit-latency arithmetic operations, its critical path (the UDM latency),
 //! and a resource-constrained list schedule (the SDM latency).
 
-use serde::{Deserialize, Serialize};
-
 /// A node identifier within a [`Graph`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 /// A dataflow graph of unit-latency operations.
@@ -32,7 +30,7 @@ pub struct NodeId(pub u32);
 /// assert_eq!(g.sdm_cycles(1), 7);   // 7 ops on one FU
 /// # let _ = root;
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Graph {
     /// Predecessor lists, indexed by node.
     preds: Vec<Vec<NodeId>>,

@@ -4,10 +4,10 @@
 //! a Chrome trace next to the request timeline.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use bw_core::{SpanKind, SpanRecord};
-use parking_lot::Mutex;
 
 /// Spans are stamped in nanoseconds-as-cycles: export them with
 /// [`bw_trace::spans_to_chrome`] at this clock and one cycle is one
@@ -75,7 +75,7 @@ impl FleetMetrics {
         let start_ns = started.saturating_duration_since(self.born).as_nanos() as u64;
         let dur_ns = (duration_s.max(0.0) * 1e9) as u64;
         let op = self.next_op.fetch_add(1, Ordering::Relaxed);
-        self.spans.lock().push(SpanRecord {
+        self.spans.lock().unwrap().push(SpanRecord {
             trace_id: op,
             device: worker as u32,
             kind: SpanKind::FleetOp,
@@ -95,7 +95,7 @@ impl FleetMetrics {
     /// Export with [`bw_trace::spans_to_chrome`] at
     /// [`FLEET_SPAN_CLOCK_HZ`].
     pub fn take_spans(&self) -> Vec<SpanRecord> {
-        std::mem::take(&mut *self.spans.lock())
+        std::mem::take(&mut *self.spans.lock().unwrap())
     }
 
     /// The fleet counters as a Prometheus text exposition (format

@@ -1,14 +1,12 @@
 //! The Intel FPGA device catalog (§VII-A).
 
-use serde::{Deserialize, Serialize};
-
 /// An FPGA device's resource envelope.
 ///
 /// The three devices the paper targets span three process generations; the
 /// resource totals below are the public device datasheet values, consistent
 /// with Table III's utilization percentages (e.g. 845,719 ALMs reported as
 /// 91% of a Stratix 10 280's 933,120).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Device {
     /// Marketing name, e.g. `"Stratix 10 280"`.
     pub name: &'static str,

@@ -15,7 +15,6 @@
 
 use bw_core::isa::Program;
 use bw_core::{AnalysisOptions, CycleBounds, NpuConfig};
-use serde::{Deserialize, Serialize};
 
 use crate::device::Device;
 
@@ -36,7 +35,7 @@ const M20K_OVERHEAD: f64 = 1.2;
 const M20K_BASE: f64 = 150.0;
 
 /// An estimated resource footprint for one NPU configuration on one device.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ResourceEstimate {
     /// Adaptive logic modules used.
     pub alms: u64,
@@ -86,7 +85,7 @@ impl ResourceEstimate {
 /// heuristic. Peak TFLOPS says what the datapath *could* stream; this
 /// says what one inference *will* take, dependency and resource stalls
 /// included.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LatencyEstimate {
     /// Guaranteed cycle window for one run of the program.
     pub cycles: CycleBounds,

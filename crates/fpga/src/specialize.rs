@@ -7,13 +7,12 @@
 //! raw peak throughput discounted by tile-padding waste.
 
 use bw_core::NpuConfig;
-use serde::{Deserialize, Serialize};
 
 use crate::device::Device;
 use crate::estimate::ResourceEstimate;
 
 /// What a model demands of a specialized datapath.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ModelRequirements {
     /// The matrix dimensions the model multiplies against (e.g. the hidden
     /// sizes of its layers); padding waste is computed against these.
@@ -26,7 +25,7 @@ pub struct ModelRequirements {
 }
 
 /// The outcome of a specialization search.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SpecializedDesign {
     /// The chosen configuration.
     pub config: NpuConfig,

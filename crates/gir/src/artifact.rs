@@ -9,7 +9,6 @@
 //! of owned [`Npu`]s, ready to serve batch-1 inferences.
 
 use bw_core::{KernelMode, Npu, NpuConfig, RunStats, SpanCollector, SpanRecord, TraceId};
-use serde::{Deserialize, Serialize};
 
 use crate::ir::{GirError, GirGraph};
 use crate::lower::{DeployError, Deployment, LowerOptions};
@@ -78,7 +77,7 @@ impl From<DeployError> for ArtifactError {
 
 /// A compiled, self-contained, pin-able model: everything a worker needs
 /// to stand up a live NPU-backed instance of a hardware microservice.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ModelArtifact {
     name: String,
     config: NpuConfig,

@@ -5,14 +5,12 @@
 //! sequences, partitions the graph across accelerators and CPU, and lowers
 //! accelerator subgraphs to BW ISA programs.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a node within a [`GirGraph`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GirNodeId(pub u32);
 
 /// Activation functions the NPU supports natively.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ActFn {
     /// Rectified linear unit.
     Relu,
@@ -23,7 +21,7 @@ pub enum ActFn {
 }
 
 /// One GIR operation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum GirOp {
     /// Graph input of the given dimension.
     Input {
@@ -79,7 +77,7 @@ pub fn cpu_op_apply(name: &str, x: &[f32]) -> Option<Vec<f32>> {
 }
 
 /// One node: an op plus its input edges.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GirNode {
     /// The operation.
     pub op: GirOp,
@@ -169,7 +167,7 @@ impl std::error::Error for GirError {}
 /// assert_eq!(g.output_dims(), vec![2]);
 /// # Ok::<(), bw_gir::GirError>(())
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct GirGraph {
     nodes: Vec<GirNode>,
     /// Inferred output dimension per node.

@@ -12,13 +12,12 @@ use bw_core::isa::{MemId, Program, ProgramBuilder};
 use bw_core::{
     analyze_with, AnalysisOptions, AnalysisReport, CycleBounds, Npu, NpuConfig, RunStats, SimError,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::ir::{cpu_op_apply, ActFn};
 use crate::pipeline::{PartitionPlan, Pipeline, Placement, Stage};
 
 /// The compiled binary for one accelerator of the deployment.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AcceleratorBinary {
     /// Device index within the deployment's NPU pool.
     pub device: usize,
@@ -178,7 +177,7 @@ impl std::fmt::Display for DeployError {
 impl std::error::Error for DeployError {}
 
 /// A compiled, partitioned model ready for federated execution.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Deployment {
     pipeline: Pipeline,
     plan: PartitionPlan,

@@ -7,12 +7,10 @@
 //! on-chip memory budgets, with unsupported operations grouped into CPU
 //! segments.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ir::{ActFn, GirError, GirGraph, GirOp};
 
 /// One fused pipeline stage.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Stage {
     /// A dense layer, optionally with bias and activation fused.
     Dense {
@@ -67,7 +65,7 @@ impl Stage {
 }
 
 /// A fused linear pipeline: input dimension plus stages in order.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Pipeline {
     /// Model input dimension.
     pub input_dim: usize,
@@ -149,7 +147,7 @@ pub fn fuse(graph: &GirGraph) -> Result<Pipeline, GirError> {
 }
 
 /// Where one contiguous run of stages executes.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Placement {
     /// On accelerator `device` (an index into the deployment's NPU pool).
     Accelerator {
@@ -166,7 +164,7 @@ pub enum Placement {
 }
 
 /// A partitioned deployment plan.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PartitionPlan {
     /// Execution segments in pipeline order.
     pub segments: Vec<Placement>,

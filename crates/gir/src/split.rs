@@ -11,8 +11,6 @@
 //! shard's bias/activation fuse locally, so the shards remain ordinary
 //! pipeline stages.
 
-use serde::{Deserialize, Serialize};
-
 use crate::pipeline::{Pipeline, Stage};
 
 /// How a pipeline was rewritten by [`split_oversized_stages`].
@@ -41,7 +39,7 @@ use crate::pipeline::{Pipeline, Stage};
 /// assert_eq!(rewritten.stages.len(), 2);
 /// # Ok::<(), bw_gir::SplitError>(())
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SplitReport {
     /// `(original_stage_index, shards)` for every stage that was split.
     pub splits: Vec<(usize, usize)>,

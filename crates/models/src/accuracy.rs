@@ -8,14 +8,13 @@
 
 use bw_bfp::{BfpFormat, ErrorStats};
 use bw_core::{Npu, NpuConfig, SimError};
-use serde::{Deserialize, Serialize};
 
 use crate::lstm::Lstm;
 use crate::reference;
 use crate::rnn::{LstmWeights, RnnDims};
 
 /// The accuracy of one precision point.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PrecisionPoint {
     /// Mantissa bits of the weight/activation BFP format.
     pub mantissa_bits: u8,

@@ -8,13 +8,12 @@
 //! hidden states.
 
 use bw_core::{Npu, RunStats, SimError};
-use serde::{Deserialize, Serialize};
 
 use crate::lstm::Lstm;
 use crate::rnn::{LstmWeights, RnnDims};
 
 /// A bidirectional LSTM deployed across two NPUs.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BiLstm {
     forward: Lstm,
     backward: Lstm,
@@ -22,7 +21,7 @@ pub struct BiLstm {
 }
 
 /// The two directions' statistics plus the effective serving latency.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BiRunStats {
     /// Forward device statistics.
     pub forward: RunStats,

@@ -10,12 +10,11 @@ use bw_core::isa::{MemId, Program, ProgramBuilder};
 use bw_core::{Npu, SimError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::reference;
 
 /// The shape of one convolution layer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ConvShape {
     /// Input height.
     pub h: usize,
@@ -87,7 +86,7 @@ impl ConvShape {
 /// assert_eq!(output.len(), 6 * 6 * 4);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ConvLayer {
     shape: ConvShape,
     native_dim: u32,

@@ -1,11 +1,9 @@
 //! The DeepBench RNN inference suite of Table V.
 
-use serde::{Deserialize, Serialize};
-
 use crate::rnn::RnnDims;
 
 /// RNN cell family.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RnnKind {
     /// Long short-term memory (4 gates, 8 matrix products per step).
     Lstm,
@@ -24,7 +22,7 @@ impl std::fmt::Display for RnnKind {
 
 /// One DeepBench RNN inference benchmark point: a square cell evaluated over
 /// a number of time steps at a given batch size.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct RnnBenchmark {
     /// Cell family.
     pub kind: RnnKind,

@@ -2,7 +2,6 @@
 
 use bw_core::isa::{MemId, Program, ProgramBuilder};
 use bw_core::{AnalysisOptions, Npu, SimError};
-use serde::{Deserialize, Serialize};
 
 use crate::rnn::{GruWeights, RnnDims};
 
@@ -37,7 +36,7 @@ use crate::rnn::{GruWeights, RnnDims};
 /// assert_eq!(outputs[0].len(), 8);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Gru {
     dims: RnnDims,
     native_dim: u32,

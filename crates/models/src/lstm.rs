@@ -3,7 +3,6 @@
 
 use bw_core::isa::{MemId, Program, ProgramBuilder};
 use bw_core::{AnalysisOptions, Npu, SimError};
-use serde::{Deserialize, Serialize};
 
 use crate::rnn::{LstmWeights, RnnDims};
 
@@ -35,7 +34,7 @@ use crate::rnn::{LstmWeights, RnnDims};
 /// assert!(stats.cycles > 0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Lstm {
     dims: RnnDims,
     native_dim: u32,

@@ -4,10 +4,9 @@ use bw_core::isa::{MemId, Program, ProgramBuilder};
 use bw_core::{AnalysisOptions, Npu, SimError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Weights of one dense layer.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DenseWeights {
     /// Row-major `out × in` weight matrix.
     pub w: Vec<f32>,
@@ -36,7 +35,7 @@ pub struct DenseWeights {
 /// assert_eq!(y[0].len(), 4);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Mlp {
     dims: Vec<usize>,
     native_dim: u32,

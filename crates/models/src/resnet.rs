@@ -9,12 +9,10 @@
 //! are excluded from the matrix-product op count, matching the paper's
 //! accounting).
 
-use serde::{Deserialize, Serialize};
-
 use crate::cnn::ConvShape;
 
 /// One named convolution of the featurizer.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ResnetLayer {
     /// Layer name, e.g. `"conv3_2b"`.
     pub name: String,

@@ -2,10 +2,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Input and hidden dimensions of an RNN cell.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct RnnDims {
     /// Input (feature) dimension per time step.
     pub input: usize,
@@ -31,7 +30,7 @@ fn random_matrix(rng: &mut StdRng, rows: usize, cols: usize, scale: f32) -> Vec<
 
 /// The eight weight matrices and four bias vectors of an LSTM cell, gate
 /// order `[f, i, o, c̃]`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LstmWeights {
     /// Input projections, each `hidden × input` row-major.
     pub w_x: [Vec<f32>; 4],
@@ -74,7 +73,7 @@ impl LstmWeights {
 /// The six weight matrices and three bias vectors of a GRU cell, gate order
 /// `[r, z, n]` (cuDNN formulation; see
 /// [`reference::gru_cell`](crate::reference::gru_cell)).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GruWeights {
     /// Input projections, each `hidden × input` row-major.
     pub w_x: [Vec<f32>; 3],

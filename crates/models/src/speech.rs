@@ -9,7 +9,6 @@
 //! of two more, the per-step head folded onto the front-end device).
 
 use bw_core::{Npu, NpuConfig, RunStats, SimError};
-use serde::{Deserialize, Serialize};
 
 use crate::birnn::BiLstm;
 use crate::mlp::{DenseWeights, Mlp};
@@ -17,7 +16,7 @@ use crate::rnn::{LstmWeights, RnnDims};
 use crate::text_cnn::{Conv1d, Conv1dShape};
 
 /// Dimensions of the speech model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SpeechModelShape {
     /// Spectrogram frames per utterance.
     pub frames: usize,
@@ -60,7 +59,7 @@ impl SpeechModelShape {
 
 /// The deployed model: a conv front end, a bidirectional LSTM, and a
 /// per-step dense head.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpeechModel {
     shape: SpeechModelShape,
     conv: Conv1d,
@@ -69,7 +68,7 @@ pub struct SpeechModel {
 }
 
 /// The per-device statistics of one utterance.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SpeechRunStats {
     /// Convolution front end (device 0).
     pub conv: RunStats,

@@ -10,12 +10,11 @@
 
 use bw_core::isa::{MemId, Program, ProgramBuilder};
 use bw_core::{Npu, RunStats, SimError};
-use serde::{Deserialize, Serialize};
 
 use crate::cnn::ConvShape;
 
 /// A stack of convolution layers whose kernels stream from DRAM.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StreamedConvNet {
     layers: Vec<ConvShape>,
     native_dim: u32,

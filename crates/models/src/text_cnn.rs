@@ -11,10 +11,9 @@ use bw_core::isa::{MemId, Program, ProgramBuilder};
 use bw_core::{Npu, SimError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Shape of a 1-D convolution layer over a token sequence.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Conv1dShape {
     /// Sequence length (tokens).
     pub seq_len: usize,
@@ -70,7 +69,7 @@ impl Conv1dShape {
 /// assert_eq!(features.len(), 8 * 6); // positions x filters
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Conv1d {
     shape: Conv1dShape,
     grid_out: u32,

@@ -24,13 +24,12 @@
 //!   `FleetController::set_alert_source` so burn-rate alerts become
 //!   scale signals.
 
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 use bw_core::{SpanKind, SpanRecord};
 use bw_serve::{Client, Server};
 use bw_trace::Exposition;
-use parking_lot::Mutex;
 
 use crate::alert::{Alert, AlertEvent, AlertSpeed, SloKind, Transition};
 use crate::engine::{ModelObservation, SloEngine};
@@ -124,7 +123,7 @@ impl Monitor {
             snapshot.models.iter().map(ModelObservation::from).collect();
         let now_ns = self.inner.born.elapsed().as_nanos() as u64;
 
-        let mut state = self.inner.state.lock();
+        let mut state = self.inner.state.lock().unwrap();
         let events = state.engine.observe(&observations);
         for event in &events {
             match event.transition {
@@ -170,17 +169,17 @@ impl Monitor {
 
     /// Scrapes taken so far.
     pub fn scrapes(&self) -> u64 {
-        self.inner.state.lock().engine.scrapes()
+        self.inner.state.lock().unwrap().engine.scrapes()
     }
 
     /// Every transition emitted so far, in order.
     pub fn events(&self) -> Vec<AlertEvent> {
-        self.inner.state.lock().events.clone()
+        self.inner.state.lock().unwrap().events.clone()
     }
 
     /// Alerts currently firing, in deterministic order.
     pub fn firing(&self) -> Vec<Alert> {
-        self.inner.state.lock().engine.firing_alerts()
+        self.inner.state.lock().unwrap().engine.firing_alerts()
     }
 
     /// Drains the fire→clear [`SpanKind::SloAlert`] spans of alerts
@@ -188,7 +187,7 @@ impl Monitor {
     /// nanoseconds since the monitor was born, as cycles at a nominal
     /// 1 GHz (pass `1e9` as the clock to the chrome exporter).
     pub fn take_spans(&self) -> Vec<SpanRecord> {
-        std::mem::take(&mut self.inner.state.lock().spans)
+        std::mem::take(&mut self.inner.state.lock().unwrap().spans)
     }
 
     /// A closure listing currently-firing alerts, shaped for
@@ -216,7 +215,7 @@ impl Monitor {
     /// format. Family names are disjoint from `bw-serve`'s and
     /// `bw-fleet`'s, so the output can be concatenated onto theirs.
     pub fn prometheus(&self) -> String {
-        let state = self.inner.state.lock();
+        let state = self.inner.state.lock().unwrap();
         let engine = &state.engine;
         let mut exp = Exposition::new();
 

@@ -207,7 +207,7 @@ impl Batcher {
             reply,
         };
         {
-            let mut state = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
+            let mut state = self.inner.state.lock().unwrap();
             if state.shutdown {
                 // Shutting down: drop the member and, with it, the reply
                 // undelivered.
@@ -257,7 +257,7 @@ impl Batcher {
 
     /// Requests currently held in coalescing windows (for tests).
     pub fn pending(&self) -> usize {
-        let state = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
+        let state = self.inner.state.lock().unwrap();
         state.queues.values().map(Vec::len).sum()
     }
 }
@@ -265,7 +265,7 @@ impl Batcher {
 impl Drop for Batcher {
     fn drop(&mut self) {
         {
-            let mut state = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
+            let mut state = self.inner.state.lock().unwrap();
             state.shutdown = true;
         }
         self.inner.cv.notify_all();
@@ -280,7 +280,7 @@ impl Drop for Batcher {
 /// passed. Shutdown makes every window due, so no submitted request is
 /// dropped; `None` means shut down and drained.
 fn next_work(inner: &BatcherInner) -> Option<BatchWork> {
-    let mut state = inner.state.lock().unwrap_or_else(|e| e.into_inner());
+    let mut state = inner.state.lock().unwrap();
     let work = loop {
         if let Some(work) = state.full.pop_front() {
             break work;
@@ -298,14 +298,11 @@ fn next_work(inner: &BatcherInner) -> Option<BatchWork> {
                 break BatchWork { model, members };
             }
             Some((at, _)) => {
-                let (state, _timed_out) = inner
-                    .cv
-                    .wait_timeout(state, at - now)
-                    .unwrap_or_else(|e| e.into_inner());
+                let (state, _timed_out) = inner.cv.wait_timeout(state, at - now).unwrap();
                 state
             }
             None if state.shutdown => return None,
-            None => inner.cv.wait(state).unwrap_or_else(|e| e.into_inner()),
+            None => inner.cv.wait(state).unwrap(),
         };
     };
     // This thread is about to block in a dispatch: hand the hold timer to

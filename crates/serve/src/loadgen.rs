@@ -17,11 +17,10 @@
 //! two are comparable field-for-field.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bw_system::{ArrivalProcess, LatencySummary};
-use parking_lot::Mutex;
 
 use crate::server::Client;
 
@@ -125,7 +124,7 @@ pub fn run_loadgen(client: &Client, cfg: &LoadgenConfig) -> LoadgenReport {
                     Ok(resp) => {
                         completed.fetch_add(1, Ordering::Relaxed);
                         retries.fetch_add(u64::from(resp.retries), Ordering::Relaxed);
-                        latencies.lock().push(resp.latency.as_secs_f64());
+                        latencies.lock().unwrap().push(resp.latency.as_secs_f64());
                     }
                     Err(e) if e.is_shed() => {
                         shed.fetch_add(1, Ordering::Relaxed);
@@ -145,7 +144,7 @@ pub fn run_loadgen(client: &Client, cfg: &LoadgenConfig) -> LoadgenReport {
     }
     let duration_s = start.elapsed().as_secs_f64();
 
-    let lat = latencies.lock();
+    let lat = latencies.lock().unwrap();
     let completed = completed.load(Ordering::Relaxed);
     LoadgenReport {
         model: cfg.model.clone(),

@@ -25,10 +25,10 @@
 //! `latency` contains because the executor sleeps them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use bw_system::LatencySummary;
 use bw_trace::json::Writer;
-use parking_lot::Mutex;
 
 /// Histogram bucket layout: geometric buckets from 1 µs upward, ×1.25 per
 /// bucket. 96 buckets reach past 2000 s — far beyond any deadline this
@@ -283,7 +283,7 @@ impl ModelMetrics {
         network_s: f64,
         stats: &bw_core::RunStats,
     ) {
-        let mut c = self.completions.lock();
+        let mut c = self.completions.lock().unwrap();
         c.latency.record(latency_s);
         c.queue_wait.record(queue_wait_s);
         c.service.record(service_s);
@@ -539,7 +539,16 @@ impl MetricsSnapshot {
                     w.key(key).uint(*n);
                 }
                 for (key, _, _, h) in durations {
-                    w.key(key).raw(&h.summary().to_json());
+                    let s = h.summary();
+                    w.key(key).begin_object().key("count").uint(s.count as u64);
+                    let seconds = [s.mean_s, s.p50_s, s.p95_s, s.p99_s, s.p999_s, s.max_s];
+                    for (key, v) in ["mean_s", "p50_s", "p95_s", "p99_s", "p999_s", "max_s"]
+                        .into_iter()
+                        .zip(seconds)
+                    {
+                        w.key(key).fixed(v, 9);
+                    }
+                    w.end_object();
                 }
             }
             w.end_object();
@@ -643,7 +652,7 @@ impl MetricsSnapshot {
 /// Snapshots one model's live metrics: the completion record under its
 /// one lock first, `submitted` last (see the module documentation).
 pub(crate) fn snapshot_model(name: &str, m: &ModelMetrics) -> ModelSnapshot {
-    let c = m.completions.lock().clone();
+    let c = m.completions.lock().unwrap().clone();
     ModelSnapshot {
         model: name.to_owned(),
         completed: c.latency.count(),
@@ -939,6 +948,11 @@ mod tests {
         assert!(j.contains("\"link_bytes\":[1024,0]"));
         assert!(j.contains("\"link_busy_s\":[0.0002,0]"));
         assert!(j.contains("\"network\""));
-        assert!(j.contains("\"p99_s\""));
+        // A duration is its summary: seven keys, seconds to nine places.
+        assert!(j.contains(concat!(
+            "\"latency\":{\"count\":1,\"mean_s\":0.002000000,\"p50_s\":0.002000000,",
+            "\"p95_s\":0.002000000,\"p99_s\":0.002000000,\"p999_s\":0.002000000,",
+            "\"max_s\":0.002000000}",
+        )));
     }
 }

@@ -7,9 +7,9 @@
 //! failover and load shedding.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use bw_system::Routing;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -59,7 +59,7 @@ impl Router {
             Routing::Random => {
                 // Seeded Fisher–Yates: the pick and the failover order are
                 // both uniform and deterministic in the server seed.
-                let mut rng = self.rng.lock();
+                let mut rng = self.rng.lock().unwrap();
                 for i in (1..candidates.len()).rev() {
                     let j = rng.gen_range(0..i + 1);
                     candidates.swap(i, j);

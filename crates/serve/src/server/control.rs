@@ -182,7 +182,7 @@ impl Server {
             return Err(PinError::WorkerDead(worker));
         }
         let (slot, artifact) = {
-            let catalog = inner.catalog.read();
+            let catalog = inner.catalog.read().unwrap();
             let slot = whole_model_slot(&catalog, model)?;
             (slot, Arc::clone(&catalog.artifacts[slot]))
         };
@@ -227,7 +227,7 @@ impl Server {
         let Some(handle) = inner.workers.get(worker) else {
             return Err(PinError::UnknownWorker(worker));
         };
-        let slot = whole_model_slot(&inner.catalog.read(), model)?;
+        let slot = whole_model_slot(&inner.catalog.read().unwrap(), model)?;
         if !handle.pins(slot) {
             return Err(PinError::NotPinned {
                 model: model.to_owned(),
@@ -280,7 +280,11 @@ impl Server {
         // The static bound is worked out before the lock is taken; the
         // slot is only known under it.
         let plan = Plan::for_model(&artifact);
-        self.inner.catalog.write().add_model(artifact, plan)
+        self.inner
+            .catalog
+            .write()
+            .unwrap()
+            .add_model(artifact, plan)
     }
 
     /// Replaces the live network model (fault injection and repair).
@@ -288,7 +292,7 @@ impl Server {
     /// immediately; requests already sleeping a leg finish at the old
     /// cost.
     pub fn set_network(&self, net: NetworkModel) {
-        *self.inner.net.write() = net;
+        *self.inner.net.write().unwrap() = net;
     }
 
     /// A copy of the live network model.
@@ -299,7 +303,7 @@ impl Server {
     /// The live workers currently pinning `model`, in worker order
     /// (empty for an unknown name).
     pub fn pinned_workers(&self, model: &str) -> Vec<usize> {
-        let Some(slot) = self.inner.catalog.read().slot_of(model) else {
+        let Some(slot) = self.inner.catalog.read().unwrap().slot_of(model) else {
             return Vec::new();
         };
         self.inner
@@ -316,7 +320,7 @@ impl Server {
     /// refuses by name (an unknown model, a shard group or a member).
     pub fn preload_cost(&self, model: &str, worker: usize) -> Option<Duration> {
         let bytes = {
-            let catalog = self.inner.catalog.read();
+            let catalog = self.inner.catalog.read().unwrap();
             let slot = whole_model_slot(&catalog, model).ok()?;
             usize::try_from(catalog.artifacts[slot].mrf_fill_bytes()).unwrap_or(usize::MAX)
         };
@@ -341,7 +345,7 @@ impl Server {
     /// first). Traces accumulate only when `trace_sample > 0`; the log
     /// keeps the most recent 256.
     pub fn take_traces(&self) -> Vec<RequestTrace> {
-        self.inner.trace_log.lock().drain(..).collect()
+        self.inner.trace_log.lock().unwrap().drain(..).collect()
     }
 
     /// Drains the tail-sampled flight records collected so far (oldest
@@ -350,7 +354,7 @@ impl Server {
     /// recorder's capacity. Empty unless
     /// [`ServerBuilder::flight_recorder`] armed the recorder.
     pub fn take_flight_records(&self) -> Vec<FlightRecord> {
-        self.inner.flight_log.lock().drain(..).collect()
+        self.inner.flight_log.lock().unwrap().drain(..).collect()
     }
 
     /// Registers an extra Prometheus renderer whose output is appended
@@ -363,7 +367,11 @@ impl Server {
     /// `bw_npu_*`, `bw_worker_*`, `bw_link_*`) and from every other
     /// registered source.
     pub fn add_prometheus_source(&self, render: impl Fn() -> String + Send + Sync + 'static) {
-        self.inner.extra_prom.write().push(Arc::new(render));
+        self.inner
+            .extra_prom
+            .write()
+            .unwrap()
+            .push(Arc::new(render));
     }
 }
 

@@ -85,6 +85,17 @@
 //! is flight-recorded as a failure — whatever the shape, and whether the
 //! time went to queueing, execution, a coalescing hold or the modeled
 //! network.
+//!
+//! # The locking rule
+//!
+//! This rule holds for every lock in the workspace. A lock guards plain
+//! data. No lock is held while the simulator runs (a worker runs its NPU
+//! outside every lock), and no caller code runs under a write guard. A
+//! poisoned lock therefore means a panic in the middle of an update,
+//! which is a bug: `lock()`, `read()`, `write()` and condvar waits are
+//! `.unwrap()`ed, and the panic propagates. The one exception is
+//! `bw_core`'s trace sink handle and span collector: they run a caller's
+//! `TraceSink` under their mutex, so they recover the guard.
 
 mod control;
 mod executor;
@@ -94,13 +105,12 @@ pub use executor::{BatchItem, Client, Pending};
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
 use bw_core::RunStats;
 use bw_gir::{ModelArtifact, ShardedArtifact};
 use bw_system::{NetworkModel, PreloadModel, Routing};
-use parking_lot::{Mutex, RwLock};
 
 use crate::metrics::{snapshot_model, LinkMetrics, MetricsSnapshot, ModelMetrics, ModelResidency};
 use crate::request::{
@@ -486,27 +496,27 @@ impl ServerInner {
 
     /// A copy of the live network model.
     fn network(&self) -> NetworkModel {
-        *self.net.read()
+        *self.net.read().unwrap()
     }
 
     /// The plan published as `name` (whole models and shard groups
     /// alike): the one catalog read of a request.
     fn resolve(&self, name: &str) -> Option<Arc<Plan>> {
-        let catalog = self.catalog.read();
+        let catalog = self.catalog.read().unwrap();
         let plan = catalog.plans().find(|p| p.name == name)?;
         Some(Arc::clone(plan))
     }
 
     /// Every plan, in metrics-row order.
     fn plans(&self) -> Vec<Arc<Plan>> {
-        self.catalog.read().plans().cloned().collect()
+        self.catalog.read().unwrap().plans().cloned().collect()
     }
 
     /// The one reading of worker, link and model state that every export
     /// renders (see [`crate::metrics`]).
     fn snapshot(&self) -> MetricsSnapshot {
         let (plans, slots) = {
-            let catalog = self.catalog.read();
+            let catalog = self.catalog.read().unwrap();
             let plans: Vec<Arc<Plan>> = catalog.plans().cloned().collect();
             (plans, catalog.models.len())
         };
@@ -545,7 +555,7 @@ impl ServerInner {
     }
 
     fn push_trace(&self, trace: RequestTrace) {
-        let mut log = self.trace_log.lock();
+        let mut log = self.trace_log.lock().unwrap();
         if log.len() >= TRACE_LOG_CAP {
             log.pop_front();
         }
@@ -561,7 +571,7 @@ impl ServerInner {
         if fr.capacity == 0 {
             return;
         }
-        let mut log = self.flight_log.lock();
+        let mut log = self.flight_log.lock().unwrap();
         if log.len() >= fr.capacity {
             log.pop_front();
         }
@@ -594,7 +604,7 @@ impl ServerInner {
 
     fn prometheus(&self) -> String {
         let mut text = self.snapshot().to_prometheus();
-        for render in self.extra_prom.read().iter() {
+        for render in self.extra_prom.read().unwrap().iter() {
             text.push_str(&render());
         }
         text

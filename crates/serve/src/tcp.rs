@@ -57,10 +57,8 @@ use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, TryRecvError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use crate::batch::{BatchConfig, Batcher};
 use crate::request::{Attribution, Response, ServeError};
@@ -169,7 +167,7 @@ impl TcpFrontend {
     /// Stops the event loops and joins them.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::Release);
-        for (wake, handle) in self.loops.lock().drain(..) {
+        for (wake, handle) in self.loops.lock().unwrap().drain(..) {
             wake.wake();
             let _ = handle.join();
         }

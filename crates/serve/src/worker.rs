@@ -29,13 +29,12 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bw_core::{RunStats, SpanRecord};
 use bw_gir::PinnedModel;
-use parking_lot::{Mutex, RwLock};
 
 /// The input (or output) columns of one leg: one vector per member
 /// request, shared by every attempt of the leg.
@@ -202,13 +201,18 @@ impl WorkerHandle {
 
     /// Whether this worker pins catalog slot `model`.
     pub fn pins(&self, model: usize) -> bool {
-        self.pins.read().get(model).copied().unwrap_or(false)
+        self.pins
+            .read()
+            .unwrap()
+            .get(model)
+            .copied()
+            .unwrap_or(false)
     }
 
     /// Clears the routing flag for `slot` immediately, so no new work is
     /// dispatched there while an `Unpin` drains the queue behind it.
     pub fn clear_pin(&self, slot: usize) {
-        let mut pins = self.pins.write();
+        let mut pins = self.pins.write().unwrap();
         if let Some(flag) = pins.get_mut(slot) {
             *flag = false;
         }
@@ -220,6 +224,7 @@ impl WorkerHandle {
         let now = Instant::now();
         self.pinned_since
             .lock()
+            .unwrap()
             .iter()
             .enumerate()
             .filter_map(|(slot, since)| since.map(|t| (slot, now.saturating_duration_since(t))))
@@ -255,7 +260,7 @@ impl WorkerHandle {
     /// stop message unblocks when the dying thread drops its receiver).
     pub fn stop_and_join(&self) {
         let _ = self.tx.send(WorkerMsg::Stop);
-        if let Some(handle) = self.join.lock().take() {
+        if let Some(handle) = self.join.lock().unwrap().take() {
             let _ = handle.join();
         }
     }
@@ -320,13 +325,13 @@ pub(crate) fn spawn_worker(
                                 }
                                 models[slot] = Some(*model);
                                 {
-                                    let mut p = t_pins.write();
+                                    let mut p = t_pins.write().unwrap();
                                     if p.len() <= slot {
                                         p.resize(slot + 1, false);
                                     }
                                     p[slot] = true;
                                 }
-                                let mut since = t_pinned_since.lock();
+                                let mut since = t_pinned_since.lock().unwrap();
                                 if since.len() <= slot {
                                     since.resize(slot + 1, None);
                                 }
@@ -336,10 +341,10 @@ pub(crate) fn spawn_worker(
                                 if let Some(m) = models.get_mut(slot) {
                                     *m = None;
                                 }
-                                if let Some(flag) = t_pins.write().get_mut(slot) {
+                                if let Some(flag) = t_pins.write().unwrap().get_mut(slot) {
                                     *flag = false;
                                 }
-                                if let Some(s) = t_pinned_since.lock().get_mut(slot) {
+                                if let Some(s) = t_pinned_since.lock().unwrap().get_mut(slot) {
                                     *s = None;
                                 }
                             }

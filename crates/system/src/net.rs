@@ -11,8 +11,6 @@
 //! with [`NetworkModel::one_way_s`] and consults [`NetworkModel::link_up`]
 //! for injected link faults.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-hop latency + bandwidth + optional link fault injection.
 ///
 /// A transfer of `b` bytes over one hop costs
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// fault injection. The model is `Copy` on purpose — it rides inside
 /// configuration structs — so the fault set is a 64-bit mask: links 64 and
 /// above are always up.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NetworkModel {
     /// One-way per-message latency of a hop, in seconds.
     pub hop_latency_s: f64,

@@ -7,10 +7,8 @@
 //! instance of the pool; the live pool in `bw-serve` implements these
 //! policies.
 
-use serde::{Deserialize, Serialize};
-
 /// How a client picks an instance for each request.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Routing {
     /// Cycle through instances in order.
     RoundRobin,

@@ -12,8 +12,6 @@
 //! [`NetworkModel`](crate::NetworkModel) — including its degraded-link
 //! multiplier, so preloading over a sick link is honestly slower.
 
-use serde::{Deserialize, Serialize};
-
 use crate::NetworkModel;
 
 /// Prices a weight preload: `network transfer + MRF fill + fixed setup`.
@@ -26,7 +24,7 @@ use crate::NetworkModel;
 /// default is [`PreloadModel::free`] — zero cost — so existing
 /// boot-time-pinning setups keep their exact behavior; a fleet
 /// controller opts into a real price.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PreloadModel {
     /// On-chip fill bandwidth in bytes per second. `0.0` (the default)
     /// models an instantaneous fill: only the network and setup terms

@@ -18,12 +18,11 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::summary::{nearest_rank, LatencySummary};
 
 /// How requests arrive at the microservice.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ArrivalProcess {
     /// Poisson arrivals at the given mean rate.
     Poisson {
@@ -69,7 +68,7 @@ impl ArrivalProcess {
 }
 
 /// The service discipline of the microservice.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ServiceModel {
     /// Serve each request individually in `seconds` (the BW discipline).
     PerRequest {
@@ -104,7 +103,7 @@ impl ServiceModel {
 
 /// A hardware microservice: a service model replicated across `servers`
 /// devices, reached over a network hop.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Microservice {
     /// The per-device discipline.
     pub service: ServiceModel,
@@ -137,7 +136,7 @@ impl Microservice {
 }
 
 /// Latency and throughput statistics from one simulation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ServingReport {
     /// Requests completed.
     pub completed: usize,

@@ -3,8 +3,6 @@
 //! latencies (`bw-serve`), so predictions and measurements compare
 //! field-for-field.
 
-use serde::{Deserialize, Serialize};
-
 /// Nearest-rank quantile over an ascending-sorted slice (the convention
 /// every report in this workspace uses). Returns 0.0 on an empty slice.
 pub fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
@@ -16,7 +14,7 @@ pub fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
 
 /// A latency distribution summary: the percentile set the paper's serving
 /// story is judged by (millisecond-scale SLOs hold at the *tail*, §I).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct LatencySummary {
     /// Samples summarized.
     pub count: usize,
@@ -58,16 +56,6 @@ impl LatencySummary {
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
         Self::from_sorted(&sorted)
     }
-
-    /// Renders the summary as a JSON object fragment (no external
-    /// dependencies, mirroring `AnalysisReport::to_json`).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"count\": {}, \"mean_s\": {:.9}, \"p50_s\": {:.9}, \"p95_s\": {:.9}, \
-             \"p99_s\": {:.9}, \"p999_s\": {:.9}, \"max_s\": {:.9}}}",
-            self.count, self.mean_s, self.p50_s, self.p95_s, self.p99_s, self.p999_s, self.max_s
-        )
-    }
 }
 
 #[cfg(test)]
@@ -101,15 +89,5 @@ mod tests {
             LatencySummary::from_unsorted(&samples),
             LatencySummary::from_sorted(&sorted)
         );
-    }
-
-    #[test]
-    fn json_has_every_field() {
-        let j = LatencySummary::from_sorted(&[1e-3, 2e-3]).to_json();
-        for key in [
-            "count", "mean_s", "p50_s", "p95_s", "p99_s", "p999_s", "max_s",
-        ] {
-            assert!(j.contains(&format!("\"{key}\"")), "missing {key} in {j}");
-        }
     }
 }

@@ -69,6 +69,31 @@ fn lstm_firmware_survives_binary_round_trip_and_matches_reference() {
 }
 
 #[test]
+fn lstm_firmware_binary_is_pinned() {
+    // The deployable binary of a 5-step h = 16 LSTM, byte for byte: the
+    // format a deployed device decodes does not move with the encoder.
+    const BINARY: &str = concat!(
+        "42574e500100000001000000050000000e0000000000020100020004000000000001000000000000",
+        "00000000000200010000000201000400000000000000040000000005000000000101000000000801",
+        "000400000000000000040000000405000000020101000000000a0100040000000000000004000000",
+        "0805000000040101000000000c01000400000000000000040000000c05000000060101000000000e",
+        "00010000000201000600000000000004040000001005000000080b09000000000101010000000001",
+        "0005000000000000040400000014050000000a0b0102000000000201000500000000000004040000",
+        "0018050000000c0b0102000000000401000800000000000004040000001c050000000e0c09000000",
+        "0205000000000102000000000001000000000002010005000000000000020c090000000401000000",
+        "00000401040000000000",
+    );
+    let lstm = Lstm::new(&small_cfg(), RnnDims::square(16));
+    let hex: String = lstm
+        .program(5)
+        .encode()
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect();
+    assert_eq!(hex, BINARY);
+}
+
+#[test]
 fn gru_and_lstm_share_one_npu_sequentially() {
     // Two models pinned at disjoint MRF regions would need a layout
     // manager; here we validate the simpler production pattern of

@@ -30,21 +30,37 @@
 //! the `i32` sums are exact for chunks up to [`PACKED_MAX_CHUNK`] elements,
 //! beyond which the pairing is not taken.
 //!
+//! # The narrow layout
+//!
+//! A row is its `i8` mantissas in element order; the operand of a narrow
+//! product ([`Operand::lanes`]) is the vector's mantissas widened once, at
+//! quantization, to `i16`. A chunk's integer sum is `Σw·x` in `i32` runs of
+//! at most [`I32_RUN`] products — each within `127 · 128` — joined in
+//! `i64` (the AVX2 body joins them in `f64`, exactly: they stay below
+//! `2^53`).
+//!
 //! # Kernels
 //!
 //! All compute the same per-chunk integer sums, scale each by
 //! `2^(row exponent + operand exponent − bias)` and total them in `f64` in
 //! chunk order, so they agree bit for bit:
 //!
-//! * [`mac_rows`], the hot path, has two fast pairings, each with a portable
-//!   instantiation (all there is under miri and off x86-64) and an AVX2 one
-//!   chosen per call by runtime detection. Packed rows × a packed-format
-//!   operand: [`packed_rows_body`] is the readable definition and
-//!   `packed_block_avx2` the `std::arch` body, four rows to one operand load
-//!   and the slab hinted into cache ahead of them (left to the
-//!   autovectoriser the same loop runs at a third of the speed). Narrow rows × a narrow operand pre-widened to `i16`
-//!   ([`Operand::lanes`]): [`narrow_rows_body`], compiled twice. Any other
-//!   pairing runs the oracle's loop.
+//! * [`mac_rows`], the hot path, has two fast pairings, packed rows × a
+//!   packed-format operand and narrow rows × a narrow operand. Each has a
+//!   readable portable body ([`packed_rows_body`], [`narrow_rows_body`]:
+//!   all there is under miri and off x86-64) and a `std::arch` AVX2 body
+//!   chosen per call by runtime detection (`packed_block_avx2`,
+//!   `narrow_block_avx2`). Both AVX2 bodies take rows four at a time, then
+//!   the `rows % 4` tail one at a time, and load each group of the operand
+//!   once for the four — the cost of a small tile is per row, not per MAC
+//!   — and reduce the four rows' chunk sums together. The packed body also
+//!   hints the slab into cache ahead of its loads; the narrow one
+//!   sign-extends each row's `i8` and multiplies with `pmaddwd`, and reads
+//!   a group that a chunk's end cuts short from zero-padded copies. (Left
+//!   to the autovectoriser, on a 2-vCPU Xeon, the packed loop runs at a
+//!   third of the speed, and the narrow one at 0.09 ns per MAC against
+//!   0.035 on a 400 × 400 tile and 140 against 60 ns on a 16 × 16 one.)
+//!   Any other pairing runs the oracle's loop.
 //! * [`dot_naive`], the oracle: element-by-element 64-bit accumulation over
 //!   any layout, a packed side unpacked one group at a time.
 
@@ -301,14 +317,11 @@ impl Operand<'_> {
 pub(crate) fn mac_rows<const ACC: bool>(rows: Rows<'_>, x: Operand<'_>, out: &mut [f32]) {
     use MantissaSlice::{Narrow, Packed};
     let chunk = rows.format.block_size() as usize;
-    let bias = scale_bias(rows.format, x.format);
     match (rows.mantissas, x.mantissas) {
         (Packed(w), Packed(_)) if chunk <= PACKED_MAX_CHUNK => {
             return packed_rows::<ACC>(w, rows, x, out);
         }
-        (Narrow(w), Narrow(_)) => {
-            return narrow_rows::<ACC>(w, rows.exponents, x.lanes, x.exponents, chunk, bias, out);
-        }
+        (Narrow(w), Narrow(_)) => return narrow_rows::<ACC>(w, rows, x, out),
         _ => {}
     }
     for (r, slot) in out.iter_mut().enumerate() {
@@ -484,21 +497,38 @@ fn packed_rows_body<const ACC: bool>(w: &[u8], rows: Rows<'_>, x: Operand<'_>, o
     }
 }
 
-/// 32 bytes of `lanes` from `at` as one vector.
+/// The 32 bytes of `lanes` from element `at` as one vector.
 ///
 /// # Safety
 ///
-/// `at + 32 <= lanes.len()`.
+/// `at + 32 / size_of::<T>() <= lanes.len()`.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 #[target_feature(enable = "avx2")]
 #[allow(unsafe_code)]
 #[inline]
 unsafe fn load32<T>(lanes: &[T], at: usize) -> std::arch::x86_64::__m256i {
-    const { assert!(size_of::<T>() == 1) };
-    debug_assert!(at + 32 <= lanes.len());
-    // SAFETY: the caller keeps the 32 one-byte elements from `at` inside
+    const { assert!(size_of::<T>() == 1 || size_of::<T>() == 2) };
+    debug_assert!(at + 32 / size_of::<T>() <= lanes.len());
+    // SAFETY: the caller keeps the 32 bytes from element `at` inside
     // `lanes`, and an unaligned load asks for nothing else.
     unsafe { std::arch::x86_64::_mm256_loadu_si256(lanes.as_ptr().add(at).cast()) }
+}
+
+/// The 16 mantissas of `row` from `at`, sign-extended to `i16` lanes.
+///
+/// # Safety
+///
+/// `at + 16 <= row.len()`.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx2")]
+#[allow(unsafe_code)]
+#[inline]
+unsafe fn widen16(row: &[i8], at: usize) -> std::arch::x86_64::__m256i {
+    use std::arch::x86_64::*;
+    debug_assert!(at + 16 <= row.len());
+    // SAFETY: the caller keeps the 16 bytes from `at` inside `row`, and an
+    // unaligned load asks for nothing else.
+    unsafe { _mm256_cvtepi8_epi16(_mm_loadu_si128(row.as_ptr().add(at).cast())) }
 }
 
 /// [`packed_rows_body`] over rows `first..` in blocks of `R` (4 or 1) that
@@ -569,113 +599,135 @@ fn packed_block_avx2<const R: usize, const ACC: bool>(
                     wide[r] = _mm256_add_epi32(wide[r], _mm256_madd_epi16(lanes[r], ones));
                 }
             }
-            // Row `r`'s chunk sum and exponent in lane `r`; a one-row block
-            // has its row in all four.
-            let low = _mm256_hadd_epi32(wide[0], wide[1 % R]);
-            let high = _mm256_hadd_epi32(wide[2 % R], wide[3 % R]);
-            let sums = _mm256_hadd_epi32(low, high);
-            let (low, high) = (
-                _mm256_castsi256_si128(sums),
-                _mm256_extracti128_si256(sums, 1),
-            );
-            let sums = _mm_add_epi32(low, high);
-            let exp = |r: usize| exps[r % R][ci];
-            let exps = _mm_set_epi32(exp(3), exp(2), exp(1), exp(0));
-            let sums = _mm_sub_epi32(sums, _mm_set1_epi32(8 * x.sums[ci]));
-            let exps = _mm_add_epi32(exps, _mm_set1_epi32(1023 + x.exponents[ci] - bias));
-            let scale = _mm256_castsi256_pd(_mm256_slli_epi64(_mm256_cvtepi32_epi64(exps), 52));
+            let sums = _mm_sub_epi32(row_sums(&wide), _mm_set1_epi32(8 * x.sums[ci]));
+            let scale = chunk_scales(&exps, ci, x.exponents[ci] - bias);
             totals = _mm256_add_pd(totals, _mm256_mul_pd(_mm256_cvtepi32_pd(sums), scale));
         }
-        let (lo, hi) = (
-            _mm256_castpd256_pd128(totals),
-            _mm256_extractf128_pd(totals, 1),
-        );
-        let totals = [lo, _mm_unpackhi_pd(lo, lo), hi, _mm_unpackhi_pd(hi, hi)];
-        for (slot, total) in slots.iter_mut().zip(totals) {
-            if ACC {
-                *slot += _mm_cvtsd_f64(total) as f32;
-            } else {
-                *slot = _mm_cvtsd_f64(total) as f32;
-            }
-        }
+        store_totals::<ACC>(slots, totals);
         row += R;
     }
     row
 }
 
-/// Longest run of narrow products an `i32` sums exactly:
-/// `127 · 127 · 2^17 < 2^31`.
-const I32_RUN: usize = 1 << 17;
+/// Row `r`'s sum of the `i32` lanes of `acc[r]` in lane `r`; a one-row
+/// block has its row in all four.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn row_sums<const R: usize>(acc: &[std::arch::x86_64::__m256i; R]) -> std::arch::x86_64::__m128i {
+    use std::arch::x86_64::*;
+    let low = _mm256_hadd_epi32(acc[0], acc[1 % R]);
+    let high = _mm256_hadd_epi32(acc[2 % R], acc[3 % R]);
+    let sums = _mm256_hadd_epi32(low, high);
+    _mm_add_epi32(
+        _mm256_castsi256_si128(sums),
+        _mm256_extracti128_si256(sums, 1),
+    )
+}
 
-/// Runs [`narrow_rows_body`] under the widest vector unit the CPU has.
+/// `2^(row exponent + e)` of chunk `ci` of row `r` in lane `r`, built in
+/// the exponent field as [`exp2`] builds it, so the two agree bit for bit.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn chunk_scales<const R: usize>(
+    exps: &[&[i32]; R],
+    ci: usize,
+    e: i32,
+) -> std::arch::x86_64::__m256d {
+    use std::arch::x86_64::*;
+    let exp = |r: usize| exps[r % R][ci];
+    let biased = _mm_add_epi32(
+        _mm_set_epi32(exp(3), exp(2), exp(1), exp(0)),
+        _mm_set1_epi32(1023 + e),
+    );
+    _mm256_castsi256_pd(_mm256_slli_epi64(_mm256_cvtepi32_epi64(biased), 52))
+}
+
+/// Stores (`ACC == false`) or adds in `f32` (`ACC == true`) lane `r` of
+/// `totals` to `slots[r]`.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn store_totals<const ACC: bool>(slots: &mut [f32], totals: std::arch::x86_64::__m256d) {
+    use std::arch::x86_64::*;
+    let (lo, hi) = (
+        _mm256_castpd256_pd128(totals),
+        _mm256_extractf128_pd(totals, 1),
+    );
+    let totals = [lo, _mm_unpackhi_pd(lo, lo), hi, _mm_unpackhi_pd(hi, hi)];
+    for (slot, total) in slots.iter_mut().zip(totals) {
+        if ACC {
+            *slot += _mm_cvtsd_f64(total) as f32;
+        } else {
+            *slot = _mm_cvtsd_f64(total) as f32;
+        }
+    }
+}
+
+/// Longest run of narrow products an `i32` sums exactly: a row's mantissa
+/// is within ±127 and an operand's lane within ±128.
+const I32_RUN: usize = 1 << 17;
+const _: () = assert!(127 * 128 * I32_RUN <= i32::MAX as usize);
+
+/// Elements in one group of the narrow AVX2 body: one vector of `i16`
+/// operand lanes.
+const NARROW_GROUP: usize = 16;
+
+/// Runs the narrow pairing — `w` is the `i8` slab of `rows`, `x` a
+/// narrow operand with its [`Operand::lanes`] — under the widest vector
+/// unit the CPU has.
 #[allow(unsafe_code)]
-fn narrow_rows<const ACC: bool>(
-    w: &[i8],
-    w_exp: &[i32],
-    x: &[i16],
-    x_exp: &[i32],
-    chunk: usize,
-    bias: i32,
-    out: &mut [f32],
-) {
+fn narrow_rows<const ACC: bool>(w: &[i8], rows: Rows<'_>, x: Operand<'_>, out: &mut [f32]) {
     // A compile-time fact, not a runtime guess: under miri and off x86-64
-    // only the portable instantiation exists.
+    // only the portable body exists.
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: a safe `#[target_feature(enable = "avx2")]` function asks
         // only that the running CPU supports AVX2, which was just detected.
-        return unsafe { narrow_rows_avx2::<ACC>(w, w_exp, x, x_exp, chunk, bias, out) };
+        // Rows four at a time, then the `rows % 4` tail (all of a `dot`).
+        return unsafe {
+            let done = narrow_block_avx2::<4, ACC>(w, rows, x, out, 0);
+            narrow_block_avx2::<1, ACC>(w, rows, x, out, done);
+        };
     }
-    narrow_rows_body::<ACC>(w, w_exp, x, x_exp, chunk, bias, out);
+    narrow_rows_body::<ACC>(w, rows, x, out);
 }
 
-#[cfg(all(target_arch = "x86_64", not(miri)))]
-#[target_feature(enable = "avx2")]
-fn narrow_rows_avx2<const ACC: bool>(
-    w: &[i8],
-    w_exp: &[i32],
-    x: &[i16],
-    x_exp: &[i32],
-    chunk: usize,
-    bias: i32,
-    out: &mut [f32],
-) {
-    narrow_rows_body::<ACC>(w, w_exp, x, x_exp, chunk, bias, out);
+/// Elements and chunks per row, having asserted that every slice the
+/// narrow bodies index is exactly `n` rows, or one operand, long.
+fn narrow_shape(w: &[i8], rows: Rows<'_>, x: Operand<'_>, n: usize) -> (usize, usize) {
+    let (cols, cpr) = (rows.cols, x.exponents.len());
+    assert!(w.len() == n * cols && rows.exponents.len() == n * cpr);
+    assert!(x.lanes.len() == cols && cpr == cols.div_ceil(rows.format.block_size() as usize));
+    (cols, cpr)
 }
 
-/// The per-tile body: `out.len()` rows of `x.len()` `i8` mantissas in `w`,
-/// each row's chunk sums scaled by `2^(row exponent + x exponent - bias)`
-/// and totalled in `f64` in chunk order.
-#[inline(always)]
-fn narrow_rows_body<const ACC: bool>(
-    w: &[i8],
-    w_exp: &[i32],
-    x: &[i16],
-    x_exp: &[i32],
-    chunk: usize,
-    bias: i32,
-    out: &mut [f32],
-) {
-    let (cols, cpr) = (x.len(), x_exp.len());
-    assert!(w.len() == out.len() * cols && w_exp.len() == out.len() * cpr);
-    assert!(cpr == cols.div_ceil(chunk));
+/// The narrow pairing, one row at a time and the portable definition: each
+/// row's chunk sums — `i32` runs of at most [`I32_RUN`] products joined in
+/// `i64` — scaled by `2^(row exponent + x exponent - bias)` and totalled
+/// in `f64` in chunk order.
+fn narrow_rows_body<const ACC: bool>(w: &[i8], rows: Rows<'_>, x: Operand<'_>, out: &mut [f32]) {
+    let (cols, cpr) = narrow_shape(w, rows, x, out.len());
+    let chunk = rows.format.block_size() as usize;
+    let bias = scale_bias(rows.format, x.format);
     // Offsets advance by addition: `chunks()` divides to size its iterator,
     // once per row and chunk, which costs about what a chunk's MACs do.
     let (mut w_at, mut exp_at) = (0, 0);
     for slot in out.iter_mut() {
         let row = &w[w_at..w_at + cols];
-        let row_exp = &w_exp[exp_at..exp_at + cpr];
+        let row_exp = &rows.exponents[exp_at..exp_at + cpr];
         w_at += cols;
         exp_at += cpr;
         let mut total = 0.0f64;
         let mut at = 0;
-        for (&ew, &ex) in row_exp.iter().zip(x_exp) {
+        for (&ew, &ex) in row_exp.iter().zip(x.exponents) {
             let end = (at + chunk).min(cols);
             let mut sum = 0i64;
             while at < end {
                 let run_end = (at + I32_RUN).min(end);
                 let mut acc = 0i32;
-                for (&w, &x) in row[at..run_end].iter().zip(&x[at..run_end]) {
+                for (&w, &x) in row[at..run_end].iter().zip(&x.lanes[at..run_end]) {
                     acc += i32::from(w) * i32::from(x);
                 }
                 sum += i64::from(acc);
@@ -691,6 +743,84 @@ fn narrow_rows_body<const ACC: bool>(
     }
 }
 
+/// [`narrow_rows_body`] over rows `first..` in blocks of `R` (4 or 1) that
+/// share each load of the operand; returns the first row left over. Per
+/// [`NARROW_GROUP`] elements the operand's `i16` lanes are loaded once, and
+/// each row's mantissas are sign-extended and multiplied into `i32` pair
+/// sums (`pmaddwd`); a group that a chunk's end cuts short is read from
+/// zero-padded copies. Per run of at most [`I32_RUN`] elements the block's
+/// sums are reduced together and added to `f64` chunk sums, exactly: they
+/// stay below `2^53`. Per chunk those are scaled by a vector of `2^e` built
+/// in the exponent field and added to the block's `f64` totals.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx2")]
+#[allow(unsafe_code)]
+#[inline]
+fn narrow_block_avx2<const R: usize, const ACC: bool>(
+    w: &[i8],
+    rows: Rows<'_>,
+    x: Operand<'_>,
+    out: &mut [f32],
+    first: usize,
+) -> usize {
+    use std::arch::x86_64::*;
+    const { assert!(R == 1 || R == 4) };
+    let (cols, cpr) = narrow_shape(w, rows, x, out.len());
+    let chunk = rows.format.block_size() as usize;
+    let bias = scale_bias(rows.format, x.format);
+    let mut row = first;
+    for slots in out[first..].chunks_exact_mut(R) {
+        let (mut ws, mut exps) = ([w; R], [rows.exponents; R]);
+        for r in 0..R {
+            ws[r] = &w[(row + r) * cols..][..cols];
+            exps[r] = &rows.exponents[(row + r) * cpr..][..cpr];
+        }
+        let mut totals = _mm256_setzero_pd();
+        let mut at = 0;
+        for ci in 0..cpr {
+            let end = (at + chunk).min(cols);
+            let mut sums = _mm256_setzero_pd();
+            while at < end {
+                let run_end = (at + I32_RUN).min(end);
+                let mut acc = [_mm256_setzero_si256(); R];
+                while at + NARROW_GROUP <= run_end {
+                    // SAFETY: `at + 16 <= run_end <= cols`, the length
+                    // `narrow_shape` asserted `x.lanes` to have.
+                    let lanes = unsafe { load32(x.lanes, at) };
+                    for r in 0..R {
+                        // SAFETY: `at + 16 <= cols`, the length `ws[r]` was
+                        // sliced to.
+                        let wide = unsafe { widen16(ws[r], at) };
+                        acc[r] = _mm256_add_epi32(acc[r], _mm256_madd_epi16(wide, lanes));
+                    }
+                    at += NARROW_GROUP;
+                }
+                if at < run_end {
+                    let tail = at..run_end;
+                    let mut padded = [0i16; NARROW_GROUP];
+                    padded[..tail.len()].copy_from_slice(&x.lanes[tail.clone()]);
+                    // SAFETY: `padded` is 16 lanes, one group, long.
+                    let lanes = unsafe { load32(&padded, 0) };
+                    for r in 0..R {
+                        let mut padded = [0i8; NARROW_GROUP];
+                        padded[..tail.len()].copy_from_slice(&ws[r][tail.clone()]);
+                        // SAFETY: `padded` is 16 bytes, one group, long.
+                        let wide = unsafe { widen16(&padded, 0) };
+                        acc[r] = _mm256_add_epi32(acc[r], _mm256_madd_epi16(wide, lanes));
+                    }
+                    at = run_end;
+                }
+                sums = _mm256_add_pd(sums, _mm256_cvtepi32_pd(row_sums(&acc)));
+            }
+            let scale = chunk_scales(&exps, ci, x.exponents[ci] - bias);
+            totals = _mm256_add_pd(totals, _mm256_mul_pd(sums, scale));
+        }
+        store_totals::<ACC>(slots, totals);
+        row += R;
+    }
+    row
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -704,106 +834,164 @@ mod tests {
 
     #[test]
     fn longest_i32_run_cannot_overflow() {
-        assert!(127 * 127 * (I32_RUN as i64) <= i64::from(i32::MAX));
+        // Every prefix of a run of the largest products, either sign.
+        for product in [127 * 128, -127 * 128] {
+            let run = (0..I32_RUN).try_fold(0i32, |sum, _| sum.checked_add(product));
+            assert!(run.is_some(), "{product} · {I32_RUN}");
+        }
     }
 
-    /// Three rows against one input: a row of all +127, one of all −127 and
-    /// a mixed one, against an input of ±127, so chunk sums reach their
-    /// bounds in both directions.
-    struct Saturated {
+    /// A deterministic stream of non-negative `i32`s.
+    fn lcg(seed: u64) -> impl FnMut() -> i32 {
+        let mut state = seed;
+        move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as i32
+        }
+    }
+
+    /// `i8` rows and an operand of `i16` lanes at the bounds the narrow
+    /// pairing is written for: rows of all `+127`, of all `−127` and mixed
+    /// ones in turn, against an operand of `±128`, so chunk sums reach
+    /// their bounds in both directions.
+    struct NarrowCase {
+        format: BfpFormat,
+        cols: usize,
         w: Vec<i8>,
         w_exp: Vec<i32>,
-        x: Vec<i16>,
+        lanes: Vec<i16>,
+        /// The operand again for the oracle, as `i32`: `+128` is no `i8`.
+        wide: Vec<i32>,
         x_exp: Vec<i32>,
     }
 
-    impl Saturated {
-        fn new(cols: usize, chunk: usize, seed: u64) -> Self {
+    impl NarrowCase {
+        fn saturated(rows: usize, cols: usize, chunk: usize, seed: u64) -> Self {
             let cpr = cols.div_ceil(chunk);
-            let mut state = seed;
-            let mut next = move || {
-                state = state
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(1_442_695_040_888_963_407);
-                (state >> 33) as i32
-            };
-            let w = (0..3 * cols)
-                .map(|i| match (i / cols, next() % 4) {
+            let mut next = lcg(seed);
+            let w = (0..rows * cols)
+                .map(|i| match (i / cols % 3, next() % 4) {
                     (0, _) | (2, 0) => 127,
                     (1, _) | (2, 1) => -127,
-                    _ => (next() % 128) as i8,
+                    _ => (next() % 255 - 127) as i8,
                 })
                 .collect();
-            let x = (0..cols)
+            let lanes: Vec<i16> = (0..cols)
                 .map(|i| match (i as u64 + seed) % 3 {
-                    0 => -127,
-                    _ => 127,
+                    0 => -128,
+                    _ => 128,
                 })
                 .collect();
-            Saturated {
+            NarrowCase {
+                format: BfpFormat::new(5, 7, chunk as u32).unwrap(),
+                cols,
                 w,
-                w_exp: (0..3 * cpr).map(|_| next() % 17 - 8).collect(),
-                x,
+                w_exp: (0..rows * cpr).map(|_| next() % 17 - 8).collect(),
+                wide: lanes.iter().map(|&x| i32::from(x)).collect(),
+                lanes,
                 x_exp: (0..cpr).map(|_| next() % 17 - 8).collect(),
+            }
+        }
+
+        fn rows(&self) -> Rows<'_> {
+            Rows {
+                format: self.format,
+                cols: self.cols,
+                mantissas: MantissaSlice::Narrow(&self.w),
+                exponents: &self.w_exp,
+            }
+        }
+
+        fn operand(&self) -> Operand<'_> {
+            Operand {
+                format: self.format,
+                mantissas: MantissaSlice::Wide(&self.wide),
+                lanes: &self.lanes,
+                padded: &[],
+                sums: &[],
+                exponents: &self.x_exp,
             }
         }
     }
 
-    fn assert_narrow_matches_oracle(cols: usize, chunk: usize) {
-        let f = BfpFormat::new(5, 7, chunk as u32).unwrap();
-        for seed in 0..4 {
-            let Saturated { w, w_exp, x, x_exp } = Saturated::new(cols, chunk, seed);
-            let x8: Vec<i8> = x.iter().map(|&q| q as i8).collect();
-            let rows = Rows {
-                format: f,
-                cols,
-                mantissas: MantissaSlice::Narrow(&w),
-                exponents: &w_exp,
-            };
-            let operand = Operand {
-                format: f,
-                mantissas: MantissaSlice::Narrow(&x8),
-                lanes: &x,
-                padded: &[],
-                sums: &[],
-                exponents: &x_exp,
-            };
-            let mut got = vec![7.0f32; 3];
-            narrow_rows::<false>(&w, &w_exp, &x, &x_exp, chunk, scale_bias(f, f), &mut got);
-            for (r, got) in got.iter().enumerate() {
-                let want = dot_naive(rows.row(r), operand);
-                assert_eq!(got.to_bits(), want.to_bits(), "cols {cols} row {r}");
-            }
+    /// `n` rows of `cols` in chunks of `chunk` through the narrow pairing
+    /// against the oracle, row by row: stored, and added onto `-0.0` (where
+    /// a skipped `+0.0` would show) and onto `0.75`.
+    fn assert_narrow_matches_oracle(n: usize, cols: usize, chunk: usize, seed: u64) {
+        let case = NarrowCase::saturated(n, cols, chunk, seed);
+        let (rows, x) = (case.rows(), case.operand());
+        let dots: Vec<f32> = (0..n).map(|r| dot_naive(rows.row(r), x)).collect();
+        let mut stored = vec![7.0f32; n];
+        narrow_rows::<false>(&case.w, rows, x, &mut stored);
+        assert_eq!(bits(&stored), bits(&dots), "{n} × {cols} in {chunk}s");
+        for start in [-0.0f32, 0.75] {
+            let mut added = vec![start; n];
+            narrow_rows::<true>(&case.w, rows, x, &mut added);
+            let want: Vec<f32> = dots.iter().map(|d| start + d).collect();
+            assert_eq!(bits(&added), bits(&want), "{n} × {cols} onto {start}");
         }
     }
 
     #[test]
     fn narrow_body_matches_oracle_at_vector_width_and_chunk_tails() {
-        for cols in [0, 1, 15, 16, 17, 127, 128, 129, 400] {
-            assert_narrow_matches_oracle(cols, 128);
+        let all = [0, 1, 15, 16, 17, 31, 32, 33, 127, 128, 129, 400];
+        let widths = if cfg!(miri) { &all[..8] } else { &all[..] };
+        for &cols in widths {
+            for n in [1, 2, 3, 4, 5, 7, 8] {
+                assert_narrow_matches_oracle(n, cols, 128, (cols + n) as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn narrow_pairing_sums_chunks_that_are_not_whole_groups() {
+        // Chunks shorter than a group, one group, between six and seven,
+        // and a vector's worth: tails inside every chunk, or none.
+        for chunk in [4, 16, 100, 128] {
+            for cols in [3, 4, 5, 15, 16, 17, 100, 101, 400] {
+                assert_narrow_matches_oracle(6, cols, chunk, (chunk + cols) as u64);
+            }
         }
     }
 
     #[test]
     #[cfg_attr(miri, ignore = "millions of MACs: too slow under the interpreter")]
     fn narrow_body_sums_exponent_chunks_longer_than_an_i32_run() {
-        assert_narrow_matches_oracle(I32_RUN + 5, 1 << 18);
-        assert_narrow_matches_oracle(2 * I32_RUN + 1, 1 << 18);
+        // A run and a group tail, then two chunks of a run and a bit.
+        assert_narrow_matches_oracle(5, I32_RUN + 5, 1 << 18, 1);
+        assert_narrow_matches_oracle(5, 2 * I32_RUN + 19, I32_RUN + 1, 2);
+    }
+
+    #[test]
+    #[ignore = "every width to 1,024 in six chunk sizes: 5 s unoptimized, run by CI in release"]
+    fn narrow_pairing_matches_oracle_at_every_width_and_chunk() {
+        for chunk in [4, 16, 64, 100, 128, 400] {
+            for cols in 0..=1024 {
+                for n in [1, 4, 9] {
+                    assert_narrow_matches_oracle(n, cols, chunk, (chunk * cols + n) as u64);
+                }
+            }
+        }
     }
 
     #[test]
     fn portable_and_dispatched_instantiations_agree() {
-        // Where AVX2 is detected the dispatcher takes that instantiation,
-        // so this compares the two; elsewhere it compares portable to itself.
-        for cols in [0, 1, 15, 16, 17, 31, 33, 127, 128, 129, 400] {
-            for seed in 0..6 {
-                let Saturated { w, w_exp, x, x_exp } = Saturated::new(cols, 128, seed);
-                let mut portable = vec![0.5f32; 3];
+        // Where AVX2 is detected the dispatcher takes that body, so this
+        // compares the two; elsewhere it compares portable to itself.
+        for cols in [0, 1, 15, 16, 17, 31, 32, 33, 127, 128, 129, 400] {
+            for n in [1, 2, 3, 4, 5, 7, 8] {
+                let case = NarrowCase::saturated(n, cols, 128, (cols * n) as u64);
+                let (rows, x) = (case.rows(), case.operand());
+                let mut portable = vec![0.5f32; n];
                 let mut dispatched = portable.clone();
-                narrow_rows_body::<true>(&w, &w_exp, &x, &x_exp, 128, 12, &mut portable);
-                narrow_rows::<true>(&w, &w_exp, &x, &x_exp, 128, 12, &mut dispatched);
-                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&portable), bits(&dispatched), "cols {cols}");
+                narrow_rows_body::<true>(&case.w, rows, x, &mut portable);
+                narrow_rows::<true>(&case.w, rows, x, &mut dispatched);
+                assert_eq!(bits(&portable), bits(&dispatched), "{n} × {cols}");
+                narrow_rows_body::<false>(&case.w, rows, x, &mut portable);
+                narrow_rows::<false>(&case.w, rows, x, &mut dispatched);
+                assert_eq!(bits(&portable), bits(&dispatched), "{n} × {cols}");
             }
         }
     }
@@ -898,13 +1086,7 @@ mod tests {
         /// both directions.
         fn saturated(rows: usize, cols: usize, chunk: usize, max: i8, seed: u64) -> Self {
             let cpr = cols.div_ceil(chunk);
-            let mut state = seed;
-            let mut next = move || {
-                state = state
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(1_442_695_040_888_963_407);
-                (state >> 33) as i32
-            };
+            let mut next = lcg(seed);
             let w: Vec<i8> = (0..rows * cols)
                 .map(|i| match (i / cols % 3, next() % 4) {
                     (0, _) | (2, 0) => max,

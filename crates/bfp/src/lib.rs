@@ -24,19 +24,19 @@
 //! mantissa bits (the paper's production 1s.5e.2m — the width the paper
 //! stores), one `i8` each up to 7 bits (1s.5e.5m), one `i32` each beyond.
 //! There is no switch for it anywhere else. The `kernel` module's doc is
-//! the one statement of the packed layout.
+//! the one statement of the layouts and their kernels.
 //!
 //! The dot-product hot path ([`BfpMatrix::mv_mul_into`],
 //! [`BfpMatrix::mv_mul_acc`], [`BfpBlock::dot`]) has a vector kernel for
 //! each of the first two layouts, taken when the matrix and the input vector
 //! share it: packed rows against the vector's mantissas as zero-padded `i8`
-//! with each chunk's sum (unsigned × signed byte multiply-adds, four rows to
-//! one load of the vector), and `i8` rows against the vector's mantissas
-//! widened to `i16` (packed 16-bit multiply-adds). [`BfpBlock`] keeps either
-//! form from the moment it is quantized. Each kernel has a portable
-//! instantiation and, on x86-64, an AVX2 one that a call takes when the CPU
-//! has it; those calls and the AVX2 packed body's vector loads are the
-//! crate's only `unsafe`. Wide or mixed-layout operands run the reference
+//! with each chunk's sum (unsigned × signed byte multiply-adds), and `i8`
+//! rows against the vector's mantissas widened to `i16` (16-bit
+//! multiply-adds). [`BfpBlock`] keeps either form from the moment it is
+//! quantized. Each kernel has a portable body and, on x86-64, an AVX2 one,
+//! four rows to one load of the vector, that a call takes when the CPU has
+//! it; those calls and the AVX2 bodies' vector loads are the crate's only
+//! `unsafe`. Wide or mixed-layout operands run the reference
 //! loop of [`BfpBlock::dot_naive`] / [`BfpMatrix::mv_mul_naive`]:
 //! element-by-element 64-bit sums over any layout, the oracle all of the
 //! above is tested bit-for-bit against.
@@ -55,8 +55,8 @@
 //! assert!((back[2] - 3.0).abs() < 0.5);
 //! ```
 
-// `#[allow]`ed in `kernel` only: the two calls into AVX2 instantiations
-// after detecting the feature, and the packed AVX2 body's vector loads.
+// `#[allow]`ed in `kernel` only: the two calls into AVX2 bodies after
+// detecting the feature, and those bodies' vector loads.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -28,7 +28,8 @@
 //!   cycle. `dispatched_at` is the running sum.
 //! * **Dependency.** Every operand has a ready cycle: a VRF/MRF/DRAM entry
 //!   is ready when the last chain that wrote it completed (the scoreboards
-//!   here, one `u64` per entry, cleared each run), a NetQ vector when it
+//!   here, one `u64` per entry, zero at the start of every run: see
+//!   [Scoreboards](#scoreboards)), a NetQ vector when it
 //!   arrived (`Arrivals`), and an MRF tile may be overwritten only after
 //!   the last `mv_mul` streaming it has drained (`mrf_read_until`). An
 //!   operand consumed `depth` pipeline stages into the chain — the `vv_mul`
@@ -54,6 +55,20 @@
 //! output is **monotone in the arrival stamps**: delaying an input can only
 //! delay (never advance) any start or completion. That is what lets
 //! `cycle_bounds` bracket a window of arrivals by running the two ends.
+//!
+//! # Scoreboards
+//!
+//! A scoreboard is one cycle per entry. Every run starts with every entry
+//! at 0, and a run's writes are the only thing that makes one non-zero. So
+//! each board records the extent it was written over — lowest to highest
+//! entry written since its last reset — and the reset at the start of a
+//! run zeroes that extent alone. Every entry outside it is already 0, so
+//! the state is the one a fill of the whole board leaves and no cycle can
+//! depend on the difference; the work is what the last run wrote, never
+//! more than the board, and a warm run of a small program does not pay
+//! for register files it never touched. The VRF and MRF boards are sized
+//! by the [`NpuConfig`]; the DRAM ones grow on write up to
+//! `DRAM_ENTRIES` and read as 0 past their length.
 //!
 //! # Faults
 //!
@@ -92,21 +107,54 @@ fn span(index: u32, count: u64, capacity: u64) -> Option<Range<usize>> {
     (end <= capacity).then_some(index as usize..end as usize)
 }
 
-/// Latest cycle in a scoreboard range; entries past the board's current
-/// length were never written this run and read as 0.
-fn latest(board: &[u64], range: &Range<usize>) -> u64 {
-    let end = range.end.min(board.len());
-    board[range.start.min(end)..end]
-        .iter()
-        .copied()
-        .fold(0, u64::max)
+/// One cycle per entry — ready or read-until — and the extent written since
+/// the last [`Board::reset`] (module docs: [Scoreboards](self#scoreboards)).
+#[derive(Clone, Debug, Default)]
+struct Board {
+    cycles: Vec<u64>,
+    /// Empty, or spans every entry not 0.
+    written: Range<usize>,
 }
 
-fn publish(board: &mut Vec<u64>, range: Range<usize>, at: u64) {
-    if board.len() < range.end {
-        board.resize(range.end, 0);
+impl Board {
+    fn zeros(len: usize) -> Self {
+        Board {
+            cycles: vec![0; len],
+            written: 0..0,
+        }
     }
-    board[range].fill(at);
+
+    /// Latest cycle in `range`; entries past the board's length read as 0.
+    fn latest(&self, range: &Range<usize>) -> u64 {
+        let end = range.end.min(self.cycles.len());
+        self.cycles[range.start.min(end)..end]
+            .iter()
+            .copied()
+            .fold(0, u64::max)
+    }
+
+    /// The entries of `range` to write, the board grown to hold them and
+    /// its written extent widened to cover them.
+    fn write(&mut self, range: Range<usize>) -> &mut [u64] {
+        if !range.is_empty() {
+            if self.cycles.len() < range.end {
+                self.cycles.resize(range.end, 0);
+            }
+            self.written = if self.written.is_empty() {
+                range.clone()
+            } else {
+                self.written.start.min(range.start)..self.written.end.max(range.end)
+            };
+        }
+        &mut self.cycles[range]
+    }
+
+    /// Zeroes what was written since the last reset: all of the board that
+    /// is not already 0.
+    fn reset(&mut self) {
+        self.cycles[self.written.clone()].fill(0);
+        self.written = 0..0;
+    }
 }
 
 /// The NetQ input side as the scheduler sees it: how many vectors and
@@ -254,16 +302,16 @@ pub(crate) struct Timeline {
     free_at: [u64; 3],
     /// Latest chain completion so far.
     completed: u64,
-    /// RAW scoreboards, one cycle per entry: the VRFs as
+    /// RAW scoreboards: the VRFs as
     /// `[initial, addsub 0.., multiply 0..] × vrf_entries`; DRAM grows on
     /// write up to [`DRAM_ENTRIES`].
-    vrf_ready: Vec<u64>,
-    mrf_ready: Vec<u64>,
+    vrf_ready: Board,
+    mrf_ready: Board,
     /// WAR scoreboard: the cycle until which an in-flight `mv_mul` is still
     /// streaming each tile (double-buffering's correctness condition).
-    mrf_read_until: Vec<u64>,
-    dram_vector_ready: Vec<u64>,
-    dram_matrix_ready: Vec<u64>,
+    mrf_read_until: Board,
+    dram_vector_ready: Board,
+    dram_matrix_ready: Board,
 }
 
 impl Timeline {
@@ -279,27 +327,32 @@ impl Timeline {
             instructions: 0,
             free_at: [0; 3],
             completed: 0,
-            vrf_ready: vec![0; files * config.vrf_entries() as usize],
-            mrf_ready: vec![0; mrf],
-            mrf_read_until: vec![0; mrf],
-            dram_vector_ready: Vec::new(),
-            dram_matrix_ready: Vec::new(),
+            vrf_ready: Board::zeros(files * config.vrf_entries() as usize),
+            mrf_ready: Board::zeros(mrf),
+            mrf_read_until: Board::zeros(mrf),
+            dram_vector_ready: Board::default(),
+            dram_matrix_ready: Board::default(),
         }
     }
 
-    /// Restarts the clock: cursor, frontiers and scoreboards go to zero.
-    /// The tiling registers and queued arrivals persist, as the state they
+    /// Restarts the clock: cursor, frontiers and scoreboards go to zero
+    /// (the scoreboards over what the last run wrote: module docs). The
+    /// tiling registers and queued arrivals persist, as the state they
     /// describe does.
     pub(crate) fn begin_run(&mut self) {
         self.nios_cursor = 0;
         self.instructions = 0;
         self.free_at = [0; 3];
         self.completed = 0;
-        self.vrf_ready.fill(0);
-        self.mrf_ready.fill(0);
-        self.mrf_read_until.fill(0);
-        self.dram_vector_ready.clear();
-        self.dram_matrix_ready.clear();
+        for board in [
+            &mut self.vrf_ready,
+            &mut self.mrf_ready,
+            &mut self.mrf_read_until,
+            &mut self.dram_vector_ready,
+            &mut self.dram_matrix_ready,
+        ] {
+            board.reset();
+        }
     }
 
     /// Schedules one pass over `program`, handing each chain's timing to
@@ -395,7 +448,7 @@ impl Timeline {
 
     /// The scoreboard range of `count` MRF entries from `index`.
     pub(crate) fn mrf_span(&self, index: u32, count: u64) -> Result<Range<usize>, SimError> {
-        let capacity = self.mrf_ready.len() as u32;
+        let capacity = self.mrf_ready.cycles.len() as u32;
         span(index, count, u64::from(capacity)).ok_or(SimError::MrfIndexOutOfRange {
             index: index.max(capacity),
             capacity,
@@ -426,7 +479,7 @@ impl Timeline {
         let (dst_span, mut dep_ready) = match dst.0 {
             MemId::MatrixRf => {
                 let s = self.mrf_span(dst.1, count)?;
-                let t = latest(&self.mrf_read_until, &s);
+                let t = self.mrf_read_until.latest(&s);
                 (s, t)
             }
             MemId::Dram => (Self::dram_span(dst.1, count)?, 0),
@@ -437,7 +490,7 @@ impl Timeline {
             MemId::Dram => {
                 // Host-staged tiles were never written this run: ready at 0.
                 let s = Self::dram_span(src.1, count)?;
-                dep_ready = dep_ready.max(latest(&self.dram_matrix_ready, &s));
+                dep_ready = dep_ready.max(self.dram_matrix_ready.latest(&s));
             }
             _ => return Err(malformed(Opcode::MRd)),
         }
@@ -445,10 +498,11 @@ impl Timeline {
         let occupancy = count.saturating_mul(u64::from(config.timing().dram_tile_cycles));
         let width = saturate(count);
         let t = self.place(ChainKind::MatrixMove, dep_ready, occupancy, 0, width, width);
-        match dst.0 {
-            MemId::MatrixRf => self.mrf_ready[dst_span].fill(t.trace.completion),
-            _ => publish(&mut self.dram_matrix_ready, dst_span, t.trace.completion),
-        }
+        let board = match dst.0 {
+            MemId::MatrixRf => &mut self.mrf_ready,
+            _ => &mut self.dram_matrix_ready,
+        };
+        board.write(dst_span).fill(t.trace.completion);
         Ok(t)
     }
 
@@ -539,11 +593,11 @@ impl Timeline {
                         }
                         MemId::Dram => {
                             let s = Self::dram_span(index, u64::from(w_in))?;
-                            latest(&self.dram_vector_ready, &s).saturating_sub(depth)
+                            self.dram_vector_ready.latest(&s).saturating_sub(depth)
                         }
                         vrf => {
                             let s = Self::vrf_span(config, vrf, index, w_in)?;
-                            latest(&self.vrf_ready, &s).saturating_sub(depth)
+                            self.vrf_ready.latest(&s).saturating_sub(depth)
                         }
                     };
                     dep_ready = dep_ready.max(ready);
@@ -553,7 +607,7 @@ impl Timeline {
                     mvm_tiles = self.mrf_span(mrf_index, u64::from(rows) * u64::from(cols))?;
                     mvm_occ = mvm::occupancy(config, rows, cols);
                     mvm_macs += mvm::macs(config, rows, cols);
-                    let ready = latest(&self.mrf_ready, &mvm_tiles);
+                    let ready = self.mrf_ready.latest(&mvm_tiles);
                     dep_ready = dep_ready.max(ready.saturating_sub(depth));
                     depth += u64::from(timing.mvm_depth);
                 }
@@ -569,7 +623,7 @@ impl Timeline {
                 | Instruction::VvMax { index }
                 | Instruction::VvMul { index } => {
                     let s = Self::vrf_span(config, operands.next(instr), index, w_out)?;
-                    let ready = latest(&self.vrf_ready, &s);
+                    let ready = self.vrf_ready.latest(&s);
                     dep_ready = dep_ready.max(ready.saturating_sub(depth));
                     mfu_ops += 1;
                     depth += u64::from(timing.mfu_op_depth);
@@ -611,7 +665,7 @@ impl Timeline {
             ..self.place(kind, dep_ready, occupancy, depth, w_in, w_out)
         };
         let busy_until = t.trace.start.saturating_add(occupancy);
-        for tile in &mut self.mrf_read_until[mvm_tiles] {
+        for tile in self.mrf_read_until.write(mvm_tiles) {
             *tile = (*tile).max(busy_until);
         }
 
@@ -620,11 +674,11 @@ impl Timeline {
                 MemId::NetQ => t.net_vectors_out += u64::from(w_out),
                 MemId::Dram => {
                     let s = Self::dram_span(index, u64::from(w_out))?;
-                    publish(&mut self.dram_vector_ready, s, t.trace.completion);
+                    self.dram_vector_ready.write(s).fill(t.trace.completion);
                 }
                 vrf => {
                     let s = Self::vrf_span(config, vrf, index, w_out)?;
-                    self.vrf_ready[s].fill(t.trace.completion);
+                    self.vrf_ready.write(s).fill(t.trace.completion);
                 }
             }
         }
@@ -653,29 +707,47 @@ mod tests {
     fn vrf_scoreboard_tracks_ranges() {
         let mut t = Timeline::new(&cfg());
         let all = Timeline::vrf_span(&cfg(), MemId::InitialVrf, 0, 8).unwrap();
-        assert_eq!(latest(&t.vrf_ready, &all), 0);
+        assert_eq!(t.vrf_ready.latest(&all), 0);
         let s = Timeline::vrf_span(&cfg(), MemId::InitialVrf, 2, 3).unwrap();
-        t.vrf_ready[s].fill(100);
+        t.vrf_ready.write(s).fill(100);
         let one = |t: &Timeline, i, w| {
-            latest(
-                &t.vrf_ready,
-                &Timeline::vrf_span(&cfg(), MemId::InitialVrf, i, w).unwrap(),
-            )
+            t.vrf_ready
+                .latest(&Timeline::vrf_span(&cfg(), MemId::InitialVrf, i, w).unwrap())
         };
         assert_eq!(one(&t, 2, 1), 100);
         assert_eq!(one(&t, 0, 8), 100);
         assert_eq!(one(&t, 0, 2), 0);
         let s = Timeline::vrf_span(&cfg(), MemId::InitialVrf, 3, 1).unwrap();
-        t.vrf_ready[s].fill(50); // overwrite lowers that entry
+        t.vrf_ready.write(s).fill(50); // overwrite lowers that entry
         assert_eq!(one(&t, 3, 1), 50);
         assert_eq!(one(&t, 2, 3), 100);
         // Files do not alias: the same indices of another file are clear.
         let other = Timeline::vrf_span(&cfg(), MemId::AddSubVrf(1), 0, 8).unwrap();
-        assert_eq!(latest(&t.vrf_ready, &other), 0);
+        assert_eq!(t.vrf_ready.latest(&other), 0);
         t.begin_run();
         assert_eq!(one(&t, 0, 8), 0);
     }
 
+    #[test]
+    fn a_reset_zeroes_the_written_extent_and_leaves_every_entry_zero() {
+        let mut board = Board::zeros(16);
+        board.write(0..0);
+        assert!(board.written.is_empty(), "an empty write widens nothing");
+        board.write(9..11).fill(7);
+        board.write(3..4).fill(5);
+        assert_eq!(board.written, 3..11);
+        board.write(5..6).fill(6);
+        assert_eq!(board.written, 3..11, "inside the extent");
+        board.reset();
+        assert!(board.cycles.iter().all(|&c| c == 0));
+        assert!(board.written.is_empty());
+        // The top entry alone, then the bottom one: the extent spans both.
+        board.write(15..16).fill(1);
+        board.write(0..1).fill(1);
+        assert_eq!(board.written, 0..16);
+        board.reset();
+        assert!(board.cycles.iter().all(|&c| c == 0));
+    }
     #[test]
     fn spans_fault_on_width_file_and_u32_overflow() {
         let t = Timeline::new(&cfg());
@@ -711,13 +783,14 @@ mod tests {
 
     #[test]
     fn dram_scoreboards_grow_on_demand() {
-        let mut board = Vec::new();
-        assert_eq!(latest(&board, &(1000..1004)), 0);
-        publish(&mut board, 5..7, 42);
-        assert_eq!(latest(&board, &(4..8)), 42);
-        assert_eq!(latest(&board, &(7..9)), 0);
-        board.clear();
-        assert_eq!(latest(&board, &(5..7)), 0);
+        let mut board = Board::default();
+        assert_eq!(board.latest(&(1000..1004)), 0);
+        board.write(5..7).fill(42);
+        assert_eq!(board.cycles.len(), 7);
+        assert_eq!(board.latest(&(4..8)), 42);
+        assert_eq!(board.latest(&(7..9)), 0);
+        board.reset();
+        assert_eq!(board.latest(&(5..7)), 0);
     }
 
     #[test]

@@ -59,6 +59,13 @@ fn chain_strategy() -> impl Strategy<Value = ChainSpec> {
 /// Builds a program from specs; every chain is rows=cols=MRF_GRID wide so
 /// the mv_mul grid and the widths stay in bounds.
 fn build_program(specs: &[ChainSpec]) -> Program {
+    build_writing(specs, false)
+}
+
+/// [`build_program`], or with `low` the same chains landing instead in the
+/// lower halves of the files a built program reads: `InitialVrf`,
+/// `AddSubVrf(0)` and `MultiplyVrf(0)`.
+fn build_writing(specs: &[ChainSpec], low: bool) -> Program {
     let mut b = ProgramBuilder::new();
     b.set_rows(MRF_GRID).set_cols(MRF_GRID);
     for s in specs {
@@ -89,12 +96,19 @@ fn build_program(specs: &[ChainSpec]) -> Program {
         if s.ops & 16 != 0 {
             b.vv_max(s.dst_index % (VRF / 2));
         }
-        // Land in the upper half of a VRF so reads of the lower half see
-        // stable preloaded data.
-        b.v_wr(
-            MemId::InitialVrf,
-            VRF / 2 + s.dst_index % (VRF / 2 - MRF_GRID),
-        );
+        if low {
+            let at = s.dst_index % (VRF / 2 - MRF_GRID);
+            b.v_wr(MemId::InitialVrf, at);
+            b.v_wr(MemId::AddSubVrf(0), at);
+            b.v_wr(MemId::MultiplyVrf(0), at);
+        } else {
+            // Land in the upper half of a VRF so reads of the lower half
+            // see stable preloaded data.
+            b.v_wr(
+                MemId::InitialVrf,
+                VRF / 2 + s.dst_index % (VRF / 2 - MRF_GRID),
+            );
+        }
         if s.to_net {
             b.v_wr(MemId::NetQ, 0);
         }
@@ -185,6 +199,30 @@ proptest! {
         prop_assert_eq!(fs.cycles, ts.cycles);
         prop_assert_eq!(fs.mvm_macs, ts.mvm_macs);
         prop_assert_eq!(fs.instructions, ts.instructions);
+    }
+
+    /// Every run starts with its scoreboards at 0: a program run right
+    /// after a different one — which wrote what it reads — schedules
+    /// exactly as on a fresh NPU.
+    #[test]
+    fn a_program_after_another_schedules_as_on_a_fresh_npu(
+        before in prop::collection::vec(chain_strategy(), 1..10),
+        specs in prop::collection::vec(chain_strategy(), 1..10),
+    ) {
+        let (first, program) = (build_writing(&before, true), build_program(&specs));
+        for mode in [ExecMode::TimingOnly, ExecMode::Full] {
+            let schedule = |npu: &mut Npu| {
+                prepare(npu, &specs);
+                npu.set_trace(true);
+                let stats = npu.run(&program).expect("valid program runs");
+                (stats, npu.take_trace())
+            };
+            let mut warm = Npu::with_mode(cfg(), mode);
+            prepare(&mut warm, &before);
+            warm.run(&first).expect("valid program runs");
+            let mut fresh = Npu::with_mode(cfg(), mode);
+            prop_assert_eq!(schedule(&mut warm), schedule(&mut fresh), "{:?}", mode);
+        }
     }
 
     /// The bound's content once exactness at a point is true by

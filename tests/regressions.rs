@@ -195,3 +195,106 @@ fn tile_grid_beyond_u32_is_a_typed_fault_not_a_wrap() {
         None
     );
 }
+
+/// Every run starts with every scoreboard at 0, however little of them the
+/// previous run touched (`crates/core/src/sched.rs`, "Scoreboards"). A
+/// first program writes, late, the top entry of every VRF file, the last
+/// MRF tile (a matrix move into it and an `mv_mul` streaming it) and DRAM
+/// vectors and matrices; a second reads all of them at once. Its chain
+/// trace and statistics must be what a fresh NPU reports, in both modes.
+#[test]
+fn a_run_schedules_as_on_a_fresh_npu_whatever_ran_before() {
+    let (top, last_tile, dram_vector, dram_matrix) = (63, 63, 9, 5);
+    let mut b = ProgramBuilder::new();
+    b.set_rows(1).set_cols(1);
+    // Forty streamed chains first, so that what follows dispatches, and
+    // its writes complete, hundreds of cycles in.
+    for _ in 0..40 {
+        b.v_rd(MemId::InitialVrf, 0)
+            .v_relu()
+            .v_wr(MemId::InitialVrf, 0)
+            .end_chain()
+            .unwrap();
+    }
+    b.m_rd(MemId::Dram, 0)
+        .m_wr(MemId::MatrixRf, last_tile)
+        .end_chain()
+        .unwrap();
+    b.v_rd(MemId::InitialVrf, 0)
+        .mv_mul(last_tile)
+        .v_wr(MemId::InitialVrf, top)
+        .end_chain()
+        .unwrap();
+    b.v_rd(MemId::InitialVrf, 0)
+        .v_wr(MemId::AddSubVrf(0), top)
+        .v_wr(MemId::AddSubVrf(1), top)
+        .v_wr(MemId::MultiplyVrf(0), top)
+        .v_wr(MemId::MultiplyVrf(1), top)
+        .v_wr(MemId::Dram, dram_vector)
+        .end_chain()
+        .unwrap();
+    b.m_rd(MemId::Dram, 0)
+        .m_wr(MemId::Dram, dram_matrix)
+        .end_chain()
+        .unwrap();
+    let first = b.build();
+
+    let mut b = ProgramBuilder::new();
+    b.set_rows(1).set_cols(1);
+    // RAW on InitialVrf's top entry and the last tile; the `mv_mul` then
+    // holds that tile until it has streamed it.
+    b.v_rd(MemId::InitialVrf, top)
+        .mv_mul(last_tile)
+        .v_wr(MemId::InitialVrf, 1)
+        .end_chain()
+        .unwrap();
+    // WAR on the last tile, RAW on a DRAM matrix.
+    b.m_rd(MemId::Dram, dram_matrix)
+        .m_wr(MemId::MatrixRf, last_tile)
+        .end_chain()
+        .unwrap();
+    // RAW on a DRAM vector and the top of both add/sub files...
+    b.v_rd(MemId::Dram, dram_vector)
+        .vv_add(top)
+        .vv_a_sub_b(top)
+        .v_wr(MemId::InitialVrf, 2)
+        .end_chain()
+        .unwrap();
+    // ...and of both multiply files.
+    b.v_rd(MemId::InitialVrf, 1)
+        .vv_mul(top)
+        .vv_mul(top)
+        .v_wr(MemId::InitialVrf, 3)
+        .end_chain()
+        .unwrap();
+    let second = b.build();
+
+    let nd = cfg().native_dim() as usize;
+    let tile = || BfpMatrix::quantize(nd, nd, &vec![0.25; nd * nd], BfpFormat::BFP_1S_5E_5M);
+    let schedule = |npu: &mut Npu| {
+        npu.set_trace(true);
+        let stats = npu.run(&second).expect("the second program runs");
+        (stats, npu.take_trace())
+    };
+    for mode in [ExecMode::TimingOnly, ExecMode::Full] {
+        let prepared = || {
+            let mut npu = Npu::with_mode(cfg(), mode);
+            for index in [0, dram_matrix] {
+                npu.load_dram_matrix(index, tile().expect("a native tile"));
+            }
+            npu.reserve_matrix_grid(last_tile, 1, 1)
+                .expect("the tile fits");
+            npu
+        };
+        let mut fresh = prepared();
+        let mut warm = prepared();
+        warm.set_trace(true);
+        warm.run(&first).expect("the first program runs");
+        let dirtying = &warm.take_trace()[40..];
+        let (want, got) = (schedule(&mut fresh), schedule(&mut warm));
+        // A stale entry would delay the second program: every write it
+        // reads completed after the second program, run alone, ends.
+        assert!(dirtying.iter().all(|c| c.completion > want.0.cycles));
+        assert_eq!(got, want, "{mode:?}");
+    }
+}

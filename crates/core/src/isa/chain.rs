@@ -44,6 +44,10 @@ use super::instruction::{Instruction, MemId, Opcode};
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Chain {
     instructions: Vec<Instruction>,
+    /// Decoded once, by [`Chain::new`]: add/sub, multiply and activation
+    /// operation counts, and whether an `mv_mul` is present.
+    mfu_counts: [usize; 3],
+    has_mv_mul: bool,
 }
 
 /// Error produced when a sequence of instructions violates the chain rules.
@@ -118,7 +122,7 @@ impl Chain {
         let Some(head) = instructions.first() else {
             return Err(ChainError::Empty);
         };
-        match head {
+        let (mfu_counts, has_mv_mul) = match head {
             Instruction::MRd { mem, .. } => {
                 if !mem.matrix_readable() {
                     return Err(ChainError::IllegalMemory {
@@ -141,6 +145,7 @@ impl Chain {
                     }
                     _ => return Err(ChainError::MalformedMatrixChain),
                 }
+                ([0; 3], false)
             }
             Instruction::VRd { mem, .. } => {
                 if !mem.vector_readable() {
@@ -149,14 +154,21 @@ impl Chain {
                         mem: *mem,
                     });
                 }
-                Self::validate_vector_tail(&instructions[1..])?;
+                Self::validate_vector_tail(&instructions[1..])?
             }
             other => return Err(ChainError::BadHead(other.opcode())),
-        }
-        Ok(Chain { instructions })
+        };
+        Ok(Chain {
+            instructions,
+            mfu_counts,
+            has_mv_mul,
+        })
     }
 
-    fn validate_vector_tail(tail: &[Instruction]) -> Result<(), ChainError> {
+    /// Checks a vector chain's tail and counts its MFU operations by kind
+    /// (add/sub, multiply, activation) and its `mv_mul`.
+    fn validate_vector_tail(tail: &[Instruction]) -> Result<([usize; 3], bool), ChainError> {
+        let mut mfu_counts = [0; 3];
         let mut seen_mv_mul = false;
         let mut seen_mfu_op = false;
         let mut seen_write = false;
@@ -188,14 +200,22 @@ impl Chain {
                 Instruction::SWr { .. } | Instruction::EndChain => {
                     return Err(ChainError::ControlInsideChain(op))
                 }
-                _ if op.is_mfu_op() => seen_mfu_op = true,
+                _ if op.is_mfu_op() => {
+                    seen_mfu_op = true;
+                    let kind = match op {
+                        Opcode::VvMul => 1,
+                        _ if op.is_activation() => 2,
+                        _ => 0,
+                    };
+                    mfu_counts[kind] += 1;
+                }
                 _ => unreachable!("all instruction variants handled"),
             }
         }
         if !seen_write {
             return Err(ChainError::MissingWrite);
         }
-        Ok(())
+        Ok((mfu_counts, seen_mv_mul))
     }
 
     /// The validated instruction sequence.
@@ -222,42 +242,32 @@ impl Chain {
     }
 
     /// Returns `true` if the chain contains an `mv_mul`.
+    #[inline]
     pub fn has_mv_mul(&self) -> bool {
-        self.instructions
-            .iter()
-            .any(|i| matches!(i, Instruction::MvMul { .. }))
+        self.has_mv_mul
     }
 
     /// Number of MFU add/sub/max operations.
+    #[inline]
     pub fn addsub_ops(&self) -> usize {
-        self.instructions
-            .iter()
-            .filter(|i| i.opcode().is_addsub())
-            .count()
+        self.mfu_counts[0]
     }
 
     /// Number of MFU Hadamard-product operations.
+    #[inline]
     pub fn multiply_ops(&self) -> usize {
-        self.instructions
-            .iter()
-            .filter(|i| i.opcode() == Opcode::VvMul)
-            .count()
+        self.mfu_counts[1]
     }
 
     /// Number of MFU activation operations.
+    #[inline]
     pub fn activation_ops(&self) -> usize {
-        self.instructions
-            .iter()
-            .filter(|i| i.opcode().is_activation())
-            .count()
+        self.mfu_counts[2]
     }
 
     /// Total MFU operations of any kind.
     pub fn mfu_ops(&self) -> usize {
-        self.instructions
-            .iter()
-            .filter(|i| i.opcode().is_mfu_op())
-            .count()
+        self.mfu_counts.iter().sum()
     }
 
     /// The multicast `v_wr` destinations of a vector chain (empty for matrix
@@ -490,6 +500,34 @@ mod tests {
         assert_eq!(c.multiply_ops(), 1);
         assert_eq!(c.activation_ops(), 1);
         assert_eq!(c.mfu_ops(), 3);
+
+        // Counts by kind, not by opcode; none for a matrix chain.
+        let c = Chain::new(vec![
+            vrd(0),
+            Instruction::VvMax { index: 0 },
+            Instruction::VRelu,
+            Instruction::VvBSubA { index: 1 },
+            Instruction::VTanh,
+            vwr(2),
+        ])
+        .unwrap();
+        let counts = |c: &Chain| {
+            let kinds = (c.addsub_ops(), c.multiply_ops(), c.activation_ops());
+            (c.has_mv_mul(), kinds, c.mfu_ops())
+        };
+        assert_eq!(counts(&c), (false, (2, 0, 2), 4));
+        let m = Chain::new(vec![
+            Instruction::MRd {
+                mem: MemId::NetQ,
+                index: 0,
+            },
+            Instruction::MWr {
+                mem: MemId::MatrixRf,
+                index: 0,
+            },
+        ])
+        .unwrap();
+        assert_eq!(counts(&m), (false, (0, 0, 0), 0));
     }
 
     #[test]

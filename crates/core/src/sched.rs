@@ -70,6 +70,16 @@
 //! by the [`NpuConfig`]; the DRAM ones grow on write up to
 //! `DRAM_ENTRIES` and read as 0 past their length.
 //!
+//! A read scans only the part of its range inside the written extent, for
+//! the same reason: a board no chain of the run wrote — the MRF's when the
+//! weights were pinned before it, DRAM's in most programs — reads in O(1),
+//! whatever the tile grid. The MRF write-after-read board is written as a
+//! fill, not a running `max`: only an `mv_mul` writes it, with the cycle it
+//! leaves the MVM frontier at (`start + occupancy`); the next `mv_mul`
+//! starts at or after that frontier, which never moves back within a run,
+//! batch columns included. So no entry exceeds what the next `mv_mul`
+//! writes (a `debug_assert!` checks it).
+//!
 //! # Faults
 //!
 //! The timeline raises every fault that does not need data:
@@ -124,13 +134,13 @@ impl Board {
         }
     }
 
-    /// Latest cycle in `range`; entries past the board's length read as 0.
+    /// Latest cycle in `range`, read over the written extent alone: every
+    /// entry outside it, or past the board's length, is 0.
     fn latest(&self, range: &Range<usize>) -> u64 {
-        let end = range.end.min(self.cycles.len());
-        self.cycles[range.start.min(end)..end]
-            .iter()
-            .copied()
-            .fold(0, u64::max)
+        let within = range.start.max(self.written.start)..range.end.min(self.written.end);
+        self.cycles
+            .get(within)
+            .map_or(0, |s| s.iter().copied().fold(0, u64::max))
     }
 
     /// The entries of `range` to write, the board grown to hold them and
@@ -294,10 +304,15 @@ pub(crate) struct Timeline {
     rows: u32,
     cols: u32,
     nios_cursor: u64,
-    /// Per-instruction dispatch cost of the current pass: the Nios interval
-    /// when streaming, 1 when the scheduler replays its buffer.
-    dispatch_cost: u64,
+    /// Whether the current pass streams from the Nios (`interval` cycles an
+    /// instruction) or replays the scheduler's buffer (a cycle a unit).
+    streaming: bool,
     instructions: u64,
+    /// Per-config constants, read once: the dispatch interval, an MFU
+    /// vector's streaming cycles and a native tile's MACs.
+    interval: u64,
+    mfu_stream: u64,
+    tile_macs: u64,
     /// When each resource frontier comes free: MVM, MFU stream, memory path.
     free_at: [u64; 3],
     /// Latest chain completion so far.
@@ -323,8 +338,11 @@ impl Timeline {
             rows: 1,
             cols: 1,
             nios_cursor: 0,
-            dispatch_cost: 0,
+            streaming: false,
             instructions: 0,
+            interval: u64::from(config.timing().dispatch_interval),
+            mfu_stream: u64::from(config.mfu_stream_cycles()),
+            tile_macs: mvm::macs(config, 1, 1),
             free_at: [0; 3],
             completed: 0,
             vrf_ready: Board::zeros(files * config.vrf_entries() as usize),
@@ -365,27 +383,15 @@ impl Timeline {
         streamed: bool,
         mut each: impl FnMut(&Chain, &ChainTiming) -> Result<(), SimError>,
     ) -> Result<(), SimError> {
-        let interval = u64::from(config.timing().dispatch_interval);
         for segment in &program.segments {
             for iteration in 0..segment.iterations {
-                self.dispatch_cost = if streamed && iteration == 0 {
-                    interval
-                } else {
-                    1
-                };
+                self.streaming = streamed && iteration == 0;
                 for item in &segment.items {
                     match item {
                         Item::SetReg { reg, value } => self.set_reg(*reg, *value)?,
                         Item::Chain(chain) => {
-                            // Every chain instruction plus its end_chain when
-                            // streamed; one cycle when replayed as a unit.
-                            let n_instr = chain.len() as u64 + 1;
-                            self.instructions += n_instr;
-                            self.nios_cursor += if self.dispatch_cost == interval {
-                                n_instr * interval
-                            } else {
-                                self.dispatch_cost
-                            };
+                            // Every chain instruction plus its end_chain.
+                            self.dispatch(chain.len() as u64 + 1);
                             let timing = if chain.is_matrix_chain() {
                                 self.matrix_chain(config, chain)?
                             } else {
@@ -412,12 +418,18 @@ impl Timeline {
         self.instructions
     }
 
+    /// Charges `n` instructions dispatched as a unit: `interval` cycles each
+    /// when streamed, one cycle for the unit when replayed.
+    fn dispatch(&mut self, n: u64) {
+        self.instructions += n;
+        self.nios_cursor += if self.streaming { n * self.interval } else { 1 };
+    }
+
     fn set_reg(&mut self, reg: ScalarReg, value: u32) -> Result<(), SimError> {
         if value == 0 {
             return Err(SimError::BadRegValue { reg });
         }
-        self.nios_cursor += self.dispatch_cost;
-        self.instructions += 1;
+        self.dispatch(1);
         match reg {
             ScalarReg::Rows => self.rows = value,
             ScalarReg::Cols => self.cols = value,
@@ -577,7 +589,8 @@ impl Timeline {
         let mut depth = 0u64;
         let mut mvm_occ = 0u64;
         let mut mvm_tiles = 0..0;
-        let (mut net_vectors_in, mut mvm_macs, mut mfu_ops) = (0, 0, 0);
+        let (mut net_vectors_in, mut mvm_macs) = (0, 0);
+        let mfu_ops = chain.mfu_ops() as u64;
         let mut operands = OperandFiles::default();
 
         for instr in chain.instructions() {
@@ -604,9 +617,10 @@ impl Timeline {
                     depth += u64::from(timing.vrf_access_depth);
                 }
                 Instruction::MvMul { mrf_index } => {
-                    mvm_tiles = self.mrf_span(mrf_index, u64::from(rows) * u64::from(cols))?;
+                    let tiles = u64::from(rows) * u64::from(cols);
+                    mvm_tiles = self.mrf_span(mrf_index, tiles)?;
                     mvm_occ = mvm::occupancy(config, rows, cols);
-                    mvm_macs += mvm::macs(config, rows, cols);
+                    mvm_macs += tiles * self.tile_macs;
                     let ready = self.mrf_ready.latest(&mvm_tiles);
                     dep_ready = dep_ready.max(ready.saturating_sub(depth));
                     depth += u64::from(timing.mvm_depth);
@@ -625,11 +639,9 @@ impl Timeline {
                     let s = Self::vrf_span(config, operands.next(instr), index, w_out)?;
                     let ready = self.vrf_ready.latest(&s);
                     dep_ready = dep_ready.max(ready.saturating_sub(depth));
-                    mfu_ops += 1;
                     depth += u64::from(timing.mfu_op_depth);
                 }
                 Instruction::VRelu | Instruction::VSigm | Instruction::VTanh => {
-                    mfu_ops += 1;
                     depth += u64::from(timing.mfu_op_depth);
                 }
                 Instruction::MRd { .. }
@@ -649,7 +661,7 @@ impl Timeline {
         // compute chains without one stream through the MFU pipeline; pure
         // data moves (v_rd → v_wr with no arithmetic) ride the vector
         // arbitration network and leave both compute resources free.
-        let mfu_stream = u64::from(config.mfu_stream_cycles());
+        let mfu_stream = self.mfu_stream;
         let (kind, occupancy) = if mvm_occ > 0 {
             (ChainKind::Mvm, mvm_occ.max(u64::from(w_out) * mfu_stream))
         } else if mfu_ops > 0 {
@@ -664,10 +676,12 @@ impl Timeline {
             mfu_ops,
             ..self.place(kind, dep_ready, occupancy, depth, w_in, w_out)
         };
+        // The MVM frontier this chain leaves: at least every entry (module
+        // docs, Scoreboards).
         let busy_until = t.trace.start.saturating_add(occupancy);
-        for tile in self.mrf_read_until.write(mvm_tiles) {
-            *tile = (*tile).max(busy_until);
-        }
+        let read_until = self.mrf_read_until.write(mvm_tiles);
+        debug_assert!(read_until.iter().all(|&c| c <= busy_until));
+        read_until.fill(busy_until);
 
         for (mem, index) in chain.write_targets() {
             match mem {
@@ -748,6 +762,44 @@ mod tests {
         board.reset();
         assert!(board.cycles.iter().all(|&c| c == 0));
     }
+
+    #[test]
+    fn a_read_over_the_written_extent_equals_a_scan_of_the_whole_board() {
+        // Writes (an empty one, one lowering an entry, one of 0) and resets
+        // (`None`), on a DRAM board that grows and a sized one, each
+        // followed by every read of `0..16`, past both boards' lengths.
+        let steps = [
+            Some((4..6, 9)),
+            Some((0..0, 7)),
+            Some((10..12, 3)),
+            Some((5..6, 2)),
+            None,
+            Some((7..8, 5)),
+            Some((2..3, 0)),
+            None,
+            None,
+        ];
+        for mut board in [Board::default(), Board::zeros(12)] {
+            for step in steps.clone() {
+                match step {
+                    Some((range, cycle)) => board.write(range).fill(cycle),
+                    None => board.reset(),
+                }
+                let cycles = board.cycles.iter().copied().enumerate();
+                assert!(cycles
+                    .clone()
+                    .all(|(i, c)| c == 0 || board.written.contains(&i)));
+                for start in 0..16 {
+                    for end in start..16 {
+                        let scan = cycles.clone().filter(|(i, _)| (start..end).contains(i));
+                        let scan = scan.fold(0, |t, (_, c)| t.max(c));
+                        assert_eq!(board.latest(&(start..end)), scan, "{start}..{end}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn spans_fault_on_width_file_and_u32_overflow() {
         let t = Timeline::new(&cfg());

@@ -7,7 +7,7 @@
 //! reviewable fixture diff — regenerate with e.g.
 //! `cargo run --release -p bw-bench -- table5 > tests/golden/table5.txt`.
 
-use brainwave::core::ChainTrace;
+use brainwave::core::{ChainTrace, TimingParams};
 use brainwave::prelude::*;
 use bw_bench::reports;
 
@@ -47,6 +47,10 @@ fn reports_are_deterministic_across_runs() {
 // ---------------------------------------------------------------------------
 
 fn chain_config() -> NpuConfig {
+    timed_chain_config(TimingParams::default())
+}
+
+fn timed_chain_config(timing: TimingParams) -> NpuConfig {
     NpuConfig::builder()
         .native_dim(16)
         .lanes(4)
@@ -55,6 +59,7 @@ fn chain_config() -> NpuConfig {
         .mrf_entries(128)
         .vrf_entries(256)
         .matrix_format(BfpFormat::BFP_1S_5E_5M)
+        .timing(timing)
         .build()
         .expect("valid golden configuration")
 }
@@ -93,8 +98,8 @@ fn render_chains(stats: &RunStats, trace: &[ChainTrace]) -> String {
     out
 }
 
-fn traced(mode: ExecMode, run: impl Fn(&mut Npu) -> RunStats) -> String {
-    let mut npu = Npu::with_mode(chain_config(), mode);
+fn traced(config: NpuConfig, mode: ExecMode, run: impl Fn(&mut Npu) -> RunStats) -> String {
+    let mut npu = Npu::with_mode(config, mode);
     npu.set_trace(true);
     let stats = run(&mut npu);
     render_chains(&stats, &npu.take_trace())
@@ -104,7 +109,9 @@ fn traced(mode: ExecMode, run: impl Fn(&mut Npu) -> RunStats) -> String {
 fn lstm_chain_schedule_matches_golden_in_both_modes() {
     let lstm = Lstm::new(&chain_config(), RnnDims::square(48));
     for mode in [ExecMode::Full, ExecMode::TimingOnly] {
-        let got = traced(mode, |npu| lstm.run_timing_only(npu, 3).expect("lstm runs"));
+        let got = traced(chain_config(), mode, |npu| {
+            lstm.run_timing_only(npu, 3).expect("lstm runs")
+        });
         assert_eq!(got, fixture("chains_lstm.txt"), "{mode:?}");
     }
 }
@@ -113,8 +120,67 @@ fn lstm_chain_schedule_matches_golden_in_both_modes() {
 fn gru_chain_schedule_matches_golden_in_both_modes() {
     let gru = Gru::new(&chain_config(), RnnDims::square(40));
     for mode in [ExecMode::Full, ExecMode::TimingOnly] {
-        let got = traced(mode, |npu| gru.run_timing_only(npu, 4).expect("gru runs"));
+        let got = traced(chain_config(), mode, |npu| {
+            gru.run_timing_only(npu, 4).expect("gru runs")
+        });
         assert_eq!(got, fixture("chains_gru.txt"), "{mode:?}");
+    }
+}
+
+// `tests/golden/chains_matrix_moves.txt` was written at the commit before
+// scoreboard reads stopped at the written extent and the MRF read-until
+// board became a fill. No model program moves a matrix, so this one does:
+// a loop double-buffers two 2 × 2 weight grids. Each half reloads the grid
+// the other half's `mv_mul` may still be streaming (write-after-read), then
+// multiplies by the grid loaded last (read-after-write), with DRAM matrices
+// and vectors in between. DRAM delivers a tile every two cycles, so a move
+// takes as long as the `mv_mul` it races and the hazards decide the starts.
+fn double_buffered_weights() -> Program {
+    let (grid_a, grid_b, staged) = (0, 4, 8);
+    let mut b = ProgramBuilder::new();
+    b.set_rows(2).set_cols(2);
+    b.m_rd(MemId::NetQ, 0).m_wr(MemId::Dram, staged);
+    b.end_chain().unwrap();
+    b.m_rd(MemId::Dram, 0).m_wr(MemId::MatrixRf, grid_a);
+    b.end_chain().unwrap();
+    b.begin_loop(3).unwrap();
+    b.m_rd(MemId::Dram, staged).m_wr(MemId::MatrixRf, grid_b);
+    b.end_chain().unwrap();
+    b.v_rd(MemId::InitialVrf, 0)
+        .mv_mul(grid_a)
+        .v_wr(MemId::Dram, 0);
+    b.end_chain().unwrap();
+    b.m_rd(MemId::NetQ, 0).m_wr(MemId::MatrixRf, grid_a);
+    b.end_chain().unwrap();
+    b.v_rd(MemId::Dram, 0)
+        .mv_mul(grid_b)
+        .v_wr(MemId::InitialVrf, 0)
+        .v_wr(MemId::NetQ, 0);
+    b.end_chain().unwrap();
+    b.end_loop().unwrap();
+    b.build()
+}
+
+#[test]
+fn matrix_move_chain_schedule_matches_golden_in_both_modes() {
+    let config = timed_chain_config(TimingParams {
+        dram_tile_cycles: 2,
+        ..TimingParams::default()
+    });
+    let program = double_buffered_weights();
+    let tile = || BfpMatrix::quantize(16, 16, &[0.25; 256], BfpFormat::BFP_1S_5E_5M).unwrap();
+    for mode in [ExecMode::Full, ExecMode::TimingOnly] {
+        let got = traced(config.clone(), mode, |npu| {
+            for index in 0..4 {
+                npu.load_dram_matrix(index, tile());
+            }
+            // Three columns of a staged grid and three reloads.
+            for _ in 0..3 * 4 * 4 {
+                npu.push_input_matrix(tile());
+            }
+            npu.run_batch(&program, 3).expect("the program runs")
+        });
+        assert_eq!(got, fixture("chains_matrix_moves.txt"), "{mode:?}");
     }
 }
 

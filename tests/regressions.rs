@@ -196,6 +196,49 @@ fn tile_grid_beyond_u32_is_a_typed_fault_not_a_wrap() {
     );
 }
 
+/// A replayed chain costs one dispatch cycle at every dispatch interval. At
+/// an interval of 1 a replay once passed for streaming, whose cost per
+/// instruction is the same, and paid `len + 1` cycles. A loop of one
+/// two-instruction chain streams its first iteration (three instructions
+/// with the `end_chain`) and replays the other two; a second batch column
+/// replays all three.
+#[test]
+fn a_replayed_chain_costs_one_dispatch_cycle_at_every_interval() {
+    let mut b = ProgramBuilder::new();
+    b.begin_loop(3).unwrap();
+    b.v_rd(MemId::InitialVrf, 0)
+        .v_wr(MemId::InitialVrf, 1)
+        .end_chain()
+        .unwrap();
+    b.end_loop().unwrap();
+    let program = b.build();
+    for (interval, batch, want) in [
+        (1, 1, vec![3, 4, 5]),
+        (1, 2, vec![3, 4, 5, 6, 7, 8]),
+        (4, 2, vec![12, 13, 14, 15, 16, 17]),
+    ] {
+        let config = NpuConfig::builder()
+            .native_dim(8)
+            .lanes(4)
+            .timing(brainwave::core::TimingParams {
+                dispatch_interval: interval,
+                ..Default::default()
+            })
+            .build()
+            .expect("valid test configuration");
+        for mode in [ExecMode::TimingOnly, ExecMode::Full] {
+            let mut npu = Npu::with_mode(config.clone(), mode);
+            npu.set_trace(true);
+            npu.run_batch(&program, batch).expect("the loop runs");
+            let dispatched: Vec<u64> = npu.take_trace().iter().map(|c| c.dispatched_at).collect();
+            assert_eq!(
+                dispatched, want,
+                "interval {interval}, batch {batch}, {mode:?}"
+            );
+        }
+    }
+}
+
 /// Every run starts with every scoreboard at 0, however little of them the
 /// previous run touched (`crates/core/src/sched.rs`, "Scoreboards"). A
 /// first program writes, late, the top entry of every VRF file, the last

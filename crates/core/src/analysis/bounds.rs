@@ -32,7 +32,7 @@
 use crate::analysis::{AnalysisPass, Diagnostic, PassContext};
 use crate::config::NpuConfig;
 use crate::isa::Program;
-use crate::sched::Timeline;
+use crate::sched::{FastForward, Timeline};
 use crate::DiagCode;
 
 use super::AnalysisOptions;
@@ -106,13 +106,14 @@ pub fn cycle_bounds(
         }
     }
     // One end of the window: every declared input arrives at `arrival`.
-    let cycles_at = |arrival: u64| {
+    let mut ff = FastForward::default();
+    let mut cycles_at = |arrival: u64| {
         let mut timeline = Timeline::new(config);
         let arrivals = &mut timeline.arrivals;
         arrivals.push_vectors(arrival, options.netq_input_vectors.unwrap_or(0));
         arrivals.push_matrices(options.netq_input_matrices.unwrap_or(0));
         timeline
-            .run_column(config, program, true, |_, _| Ok(()))
+            .run_column(config, program, true, Some(&mut ff), |_| Ok(()))
             .ok()?;
         Some(timeline.high_water())
     };

@@ -22,7 +22,7 @@ use crate::isa::{Chain, Instruction, MemId, Opcode, Program, ScalarReg};
 use crate::mem::{Dram, MatrixFile, NetQueues, VectorFile};
 use crate::mfu;
 use crate::mvm;
-use crate::sched::{vrf_file, ChainTiming, OperandFiles, Timeline};
+use crate::sched::{vrf_file, ChainTiming, FastForward, OperandFiles, Scheduled, Timeline};
 use crate::stats::RunStats;
 use crate::trace::{SinkHandle, SpanKind, SpanRecord, TraceId};
 
@@ -454,41 +454,8 @@ impl Recorder {
     }
 
     fn record(&mut self, t: &ChainTiming, native_dim: u32) {
-        let s = &mut self.stats;
-        s.chains += 1;
-        s.net_vectors_in += t.net_vectors_in;
-        s.net_vectors_out += t.net_vectors_out;
-        s.mvm_macs += t.mvm_macs;
-        s.mfu_element_ops += t.mfu_ops * u64::from(t.w_out) * u64::from(native_dim);
-
-        // A chain waits on whichever of its three edges is last; the wait
-        // is charged to dependencies if they outlast dispatch and the
-        // resource, else to the resource if it outlasts the other two.
+        let stall = t.charge(&mut self.stats, native_dim).span;
         let c = &t.trace;
-        let other = c.dispatched_at.max(t.resource_free_at);
-        let ready = c.dispatched_at.max(c.dep_ready_at);
-        let stall = if c.kind == ChainKind::MatrixMove {
-            // Matrix moves ride the memory path beside the vector
-            // pipeline: their waits are traced but are not pipeline stalls.
-            (c.dep_ready_at > c.dispatched_at).then_some((
-                SpanKind::DepStall,
-                c.dispatched_at,
-                c.dep_ready_at,
-            ))
-        } else {
-            s.mvm_busy_cycles += t.mvm_occupancy;
-            s.pipeline_busy_cycles += c.occupancy;
-            if c.dep_ready_at > other {
-                s.dep_stall_cycles += c.dep_ready_at - other;
-                Some((SpanKind::DepStall, other, c.dep_ready_at))
-            } else if t.resource_free_at > ready {
-                s.resource_stall_cycles += t.resource_free_at - ready;
-                Some((SpanKind::ResourceStall, ready, t.resource_free_at))
-            } else {
-                None
-            }
-        };
-
         if let Some(trace) = &mut self.trace {
             trace.push(c.clone());
         }
@@ -525,6 +492,8 @@ pub struct Npu {
     /// popped, materialised as zeros on demand.
     zero_outputs: usize,
     rec: Recorder,
+    /// Lent to the timeline by a run that keeps no per-chain record.
+    ff: FastForward,
 }
 
 impl Npu {
@@ -540,6 +509,7 @@ impl Npu {
             data: (mode == ExecMode::Full).then(|| DataPlanes::new(&config)),
             zero_outputs: 0,
             rec: Recorder::default(),
+            ff: FastForward::default(),
             config,
             kernel: KernelMode::Fast,
         }
@@ -847,6 +817,7 @@ impl Npu {
             data,
             zero_outputs,
             rec,
+            ff,
         } = self;
         timeline.begin_run();
         rec.stats = RunStats {
@@ -854,16 +825,27 @@ impl Npu {
             clock_hz: config.clock_hz(),
             ..RunStats::default()
         };
+        // Only a run that keeps no per-chain record takes a loop's skipped
+        // iterations as one sum (`sched`'s Fast-forward).
+        let summable = data.is_none() && rec.trace.is_none() && rec.sink.is_none();
         for column in 0..batch {
             let column_start = timeline.high_water();
-            timeline.run_column(config, program, column == 0, |chain, t| {
-                rec.record(t, config.native_dim());
-                match data {
-                    Some(data) => data.exec_chain(config, *kernel, chain, t),
-                    None => {
-                        *zero_outputs += t.net_vectors_out as usize;
-                        Ok(())
+            let ff = summable.then_some(&mut *ff);
+            timeline.run_column(config, program, column == 0, ff, |step| match step {
+                Scheduled::Chain(chain, t) => {
+                    rec.record(t, config.native_dim());
+                    match data {
+                        Some(data) => data.exec_chain(config, *kernel, chain, t),
+                        None => {
+                            *zero_outputs += t.net_vectors_out as usize;
+                            Ok(())
+                        }
                     }
+                }
+                Scheduled::Skipped(stats) => {
+                    rec.stats.accumulate(stats);
+                    *zero_outputs += stats.net_vectors_out as usize;
+                    Ok(())
                 }
             })?;
             if batch > 1 {

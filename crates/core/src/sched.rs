@@ -78,7 +78,58 @@
 //! leaves the MVM frontier at (`start + occupancy`); the next `mv_mul`
 //! starts at or after that frontier, which never moves back within a run,
 //! batch columns included. So no entry exceeds what the next `mv_mul`
-//! writes (a `debug_assert!` checks it).
+//! writes (a `debug_assert!` checks it, except from the extrapolated state
+//! a fast-forward verifies, which no run need reach).
+//!
+//! # Fast-forward
+//!
+//! Every loop iteration after the first replays the same items, so each is
+//! one map F from the state S it starts in to the state after it and its
+//! chains' timings T. S is the cursor, the instruction count, the
+//! frontiers, `completed`, the tiling registers, the queued vector and tile
+//! counts, and every scoreboard entry the iteration writes; an entry it
+//! reads and does not write is a constant of F. F uses only `max`, `+` of
+//! a constant, saturating `−` of a constant (a `max` with 0) and
+//! assignment. So while nothing saturates and every NetQ pop returns the
+//! same stamp, each field of F(S) and T is a max of affine functions of S,
+//! and along any ray S + m·d it is convex in m.
+//!
+//! When the caller takes skipped chains as summed statistics (a
+//! timing-only run with no chain trace and no span sink, or
+//! `cycle_bounds`), `run_column` snapshots S after each iteration. Once
+//! three snapshots in a row step evenly, d = S_{i+1} − S_i = S_{i+2} −
+//! S_{i+1} entry by entry, each entry at its own rate, it tests the line
+//! once, at the far end. It sets the state to S_i + M·d, M reaching the
+//! segment's last iteration, and runs that iteration for real. It accepts
+//! only if the result is S_i + (M+1)·d with timings T_i + M·e, e = T_{i+1}
+//! − T_i. A convex function that meets a line at m = 0, 1 and M is that
+//! line on all of [0, M]. So, by induction, every iteration in between
+//! starts on the ray with timings T_i + m·e, and skipping them is exact.
+//!
+//! The skipped iterations' statistics come from the per-chain charge the
+//! stepped path uses (`ChainTiming::charge`), applied to the timings at the
+//! block's first and last iteration and summed by the trapezoid rule, which
+//! is exact for an affine sequence. Each comparison that classifies a
+//! chain's stall compares two affine functions of m, so the same outcomes
+//! at both ends mean the same outcomes throughout; a chain whose outcomes
+//! differ rejects the block.
+//!
+//! Preconditions, each checked:
+//! * every NetQ pop of the observed, skipped and verifying iterations
+//!   comes from the queue's front run: none emptied while the observed
+//!   iterations ran, and it holds the vectors the later ones pop;
+//! * M is capped by the vectors and tiles queued, so an underflow still
+//!   faults at its own chain, stepped;
+//! * every observed and extrapolated value is at most `u64::MAX / 2`.
+//!   Each saturating `+` yields a value S or T holds, so none saturated
+//!   at m = 0, 1 or M, and the line keeps every value between below the
+//!   bound too.
+//!
+//! A rejected verification restores S_{i+2}, arrivals included, and
+//! retries at half the span. A segment of n iterations gets 2·⌈log₂(n+1)⌉
+//! verifications; then it steps. Full mode, traced runs and short or
+//! aperiodic loops step every chain, and that path is the reference the
+//! tests compare against.
 //!
 //! # Faults
 //!
@@ -98,9 +149,11 @@ use std::collections::VecDeque;
 use std::ops::Range;
 
 use crate::config::NpuConfig;
-use crate::isa::{Chain, Instruction, Item, MemId, Opcode, Program, ScalarReg};
+use crate::isa::{Chain, Instruction, Item, MemId, Opcode, Program, ScalarReg, Segment};
 use crate::mvm;
 use crate::npu::{ChainKind, ChainTrace, SimError};
+use crate::stats::RunStats;
+use crate::trace::SpanKind;
 
 /// Size of the modelled DRAM vector and matrix address spaces, in entries.
 /// DRAM grows on write, so this is what bounds the scoreboards (and the
@@ -115,6 +168,24 @@ fn saturate(n: u64) -> u32 {
 fn span(index: u32, count: u64, capacity: u64) -> Option<Range<usize>> {
     let end = u64::from(index).checked_add(count)?;
     (end <= capacity).then_some(index as usize..end as usize)
+}
+
+/// The largest value a fast-forward observes or extrapolates (module docs:
+/// [Fast-forward](self#fast-forward)).
+const LIMIT: u64 = u64::MAX / 2;
+
+/// `a + m·(b − a)`: the value `m` steps along the line through `a` (at 0)
+/// and `b` (at 1), if it and both ends are at most [`LIMIT`].
+fn line(a: u64, b: u64, m: u64) -> Option<u64> {
+    let at = i128::from(a) + i128::from(m) * (i128::from(b) - i128::from(a));
+    u64::try_from(at).ok().filter(|&v| v.max(a).max(b) <= LIMIT)
+}
+
+/// Whether `b − a == c − b`, entry by entry.
+fn evenly(a: &[u64], b: &[u64], c: &[u64]) -> bool {
+    let ends = a.iter().zip(c);
+    ends.zip(b)
+        .all(|((&a, &c), &b)| u128::from(a) + u128::from(c) == 2 * u128::from(b))
 }
 
 /// One cycle per entry — ready or read-until — and the extent written since
@@ -228,6 +299,25 @@ impl Arrivals {
         Ok(arrival)
     }
 
+    /// The oldest run, `(cycle, vectors)` or `(0, 0)` if none, and how many
+    /// runs are queued.
+    fn front(&self) -> ((u64, u64), usize) {
+        (
+            self.runs.front().copied().unwrap_or((0, 0)),
+            self.runs.len(),
+        )
+    }
+
+    /// Gives the oldest run `front`'s count, putting it back first if pops
+    /// emptied it since [`Arrivals::front`] counted `runs`.
+    fn set_front(&mut self, front: (u64, u64), runs: usize) {
+        if self.runs.len() < runs {
+            self.runs.push_front(front);
+        } else if let Some((_, n)) = self.runs.front_mut() {
+            *n = front.1;
+        }
+    }
+
     fn pop_matrices(&mut self, count: u64) -> Result<(), SimError> {
         if self.matrices < count {
             return Err(SimError::NetQueueEmpty {
@@ -297,6 +387,191 @@ pub(crate) struct ChainTiming {
     pub(crate) mfu_ops: u64,
 }
 
+/// How [`ChainTiming::charge`] classified a chain's wait.
+pub(crate) struct Stall {
+    /// The wait, `(kind, from, to)`, if the chain waited.
+    pub(crate) span: Option<(SpanKind, u64, u64)>,
+    /// One bit per comparison behind the classification: two timings with
+    /// the same bits are charged by one affine formula of their fields.
+    branches: u8,
+}
+
+impl ChainTiming {
+    /// Adds this chain to `stats` and classifies its wait: the one place a
+    /// chain's statistics come from, stepped or summed over a
+    /// fast-forward.
+    pub(crate) fn charge(&self, stats: &mut RunStats, native_dim: u32) -> Stall {
+        let s = stats;
+        s.chains += 1;
+        s.net_vectors_in += self.net_vectors_in;
+        s.net_vectors_out += self.net_vectors_out;
+        s.mvm_macs += self.mvm_macs;
+        s.mfu_element_ops += self.mfu_ops * u64::from(self.w_out) * u64::from(native_dim);
+
+        // A chain waits on whichever of its three edges is last; the wait
+        // is charged to dependencies if they outlast dispatch and the
+        // resource, else to the resource if it outlasts the other two.
+        let c = &self.trace;
+        let other = c.dispatched_at.max(self.resource_free_at);
+        let ready = c.dispatched_at.max(c.dep_ready_at);
+        let comparisons = [
+            c.dispatched_at >= self.resource_free_at,
+            c.dispatched_at >= c.dep_ready_at,
+            c.dep_ready_at > other,
+            self.resource_free_at > ready,
+        ];
+        let branches = comparisons
+            .iter()
+            .fold(0, |bits, &b| bits << 1 | u8::from(b));
+        let span = if c.kind == ChainKind::MatrixMove {
+            // Matrix moves ride the memory path beside the vector
+            // pipeline: their waits are traced but are not pipeline stalls.
+            (c.dep_ready_at > c.dispatched_at).then_some((
+                SpanKind::DepStall,
+                c.dispatched_at,
+                c.dep_ready_at,
+            ))
+        } else {
+            s.mvm_busy_cycles += self.mvm_occupancy;
+            s.pipeline_busy_cycles += c.occupancy;
+            if c.dep_ready_at > other {
+                s.dep_stall_cycles += c.dep_ready_at - other;
+                Some((SpanKind::DepStall, other, c.dep_ready_at))
+            } else if self.resource_free_at > ready {
+                s.resource_stall_cycles += self.resource_free_at - ready;
+                Some((SpanKind::ResourceStall, ready, self.resource_free_at))
+            } else {
+                None
+            }
+        };
+        Stall { span, branches }
+    }
+
+    /// Every cycle and count, in a fixed order.
+    fn fields(&self) -> [u64; 13] {
+        let c = &self.trace;
+        [
+            c.dispatched_at,
+            c.dep_ready_at,
+            c.start,
+            c.occupancy,
+            c.completion,
+            self.resource_free_at,
+            self.mvm_occupancy,
+            u64::from(self.w_in),
+            u64::from(self.w_out),
+            self.net_vectors_in,
+            self.net_vectors_out,
+            self.mvm_macs,
+            self.mfu_ops,
+        ]
+    }
+
+    /// The timing `m` steps along the line from this one (at 0) through
+    /// `next` (at 1), field by field, if no field leaves `0..=LIMIT`.
+    fn on_line(&self, next: &ChainTiming, m: u64) -> Option<ChainTiming> {
+        let mut f = self.fields();
+        for (x, y) in f.iter_mut().zip(next.fields()) {
+            *x = line(*x, y, m)?;
+        }
+        let [dispatched_at, dep_ready_at, start, occupancy, completion, resource_free_at, ..] = f;
+        let [.., mvm_occupancy, w_in, w_out, net_vectors_in, net_vectors_out, mvm_macs, mfu_ops] =
+            f;
+        Some(ChainTiming {
+            trace: ChainTrace {
+                kind: self.trace.kind,
+                dispatched_at,
+                dep_ready_at,
+                start,
+                occupancy,
+                completion,
+            },
+            resource_free_at,
+            mvm_occupancy,
+            w_in: saturate(w_in),
+            w_out: saturate(w_out),
+            net_vectors_in,
+            net_vectors_out,
+            mvm_macs,
+            mfu_ops,
+        })
+    }
+}
+
+/// What [`Timeline::run_column`] hands its caller.
+pub(crate) enum Scheduled<'a> {
+    /// One chain, as its place in the schedule is fixed.
+    Chain(&'a Chain, &'a ChainTiming),
+    /// The summed statistics of the loop iterations a fast-forward skipped
+    /// (module docs: [Fast-forward](self#fast-forward)). Only a caller that
+    /// asked for sums receives one.
+    Skipped(&'a RunStats),
+}
+
+/// Names one of a [`Timeline`]'s scoreboards.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum BoardId {
+    Vrf,
+    Mrf,
+    MrfReadUntil,
+    DramVector,
+    DramMatrix,
+}
+
+/// Whether board writes are logged for a fast-forward, and whether the
+/// iteration writing them started from an extrapolated state.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+enum Logging {
+    #[default]
+    Off,
+    Observing,
+    Verifying,
+}
+
+/// The written `(board, range)`s of one iteration, in order: the layout of
+/// a snapshot's scoreboard part.
+type Writes = Vec<(BoardId, Range<usize>)>;
+
+/// A snapshot's scalars: cursor, instructions, the three frontiers,
+/// `completed`, rows, cols, queued vectors and queued tiles.
+const SCALARS: usize = 10;
+const VECTORS: usize = 8;
+const MATRICES: usize = 9;
+
+/// The fast-forward's scratch (module docs:
+/// [Fast-forward](self#fast-forward)), which a caller keeps across runs so
+/// that a warm run allocates nothing.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct FastForward {
+    /// The board writes of the last iteration observed.
+    writes: Writes,
+    /// Snapshots at the last three iteration boundaries, oldest first,
+    /// then room for an extrapolated one and the one a verification
+    /// expects.
+    states: [Vec<u64>; 5],
+    /// The arrival queue's front at each of the three boundaries.
+    fronts: [((u64, u64), usize); 3],
+    /// The chain timings of the last two iterations, then of the one
+    /// being stepped.
+    timings: [Vec<ChainTiming>; 3],
+    /// Snapshots in a row taken over the same writes.
+    seen: u32,
+    /// Verifications left in this segment.
+    attempts: u32,
+    #[cfg(test)]
+    rejected: u32,
+}
+
+impl FastForward {
+    /// Prepares for a segment of `iterations`; false if it is too short to
+    /// skip any, with three observed and one verified.
+    fn begin(&mut self, iterations: u32) -> bool {
+        self.seen = 0;
+        self.attempts = 2 * (u32::BITS - iterations.leading_zeros());
+        iterations >= 6
+    }
+}
+
 /// The scheduler's whole state: see the [module docs](self).
 #[derive(Clone, Debug)]
 pub(crate) struct Timeline {
@@ -327,6 +602,10 @@ pub(crate) struct Timeline {
     mrf_read_until: Board,
     dram_vector_ready: Board,
     dram_matrix_ready: Board,
+    /// While a fast-forward observes or verifies an iteration, its board
+    /// writes land in `log`.
+    logging: Logging,
+    log: Writes,
 }
 
 impl Timeline {
@@ -350,6 +629,8 @@ impl Timeline {
             mrf_read_until: Board::zeros(mrf),
             dram_vector_ready: Board::default(),
             dram_matrix_ready: Board::default(),
+            logging: Logging::Off,
+            log: Writes::new(),
         }
     }
 
@@ -375,35 +656,298 @@ impl Timeline {
 
     /// Schedules one pass over `program`, handing each chain's timing to
     /// `each` as it is fixed. `streamed` is false for a batch column after
-    /// the first, whose every instruction is a scheduler replay.
+    /// the first, whose every instruction is a scheduler replay. Given
+    /// fast-forward scratch, `each` may instead get the summed statistics
+    /// of loop iterations skipped (module docs:
+    /// [Fast-forward](self#fast-forward)).
     pub(crate) fn run_column(
         &mut self,
         config: &NpuConfig,
         program: &Program,
         streamed: bool,
-        mut each: impl FnMut(&Chain, &ChainTiming) -> Result<(), SimError>,
+        mut ff: Option<&mut FastForward>,
+        mut each: impl FnMut(Scheduled<'_>) -> Result<(), SimError>,
     ) -> Result<(), SimError> {
-        for segment in &program.segments {
-            for iteration in 0..segment.iterations {
-                self.streaming = streamed && iteration == 0;
-                for item in &segment.items {
-                    match item {
-                        Item::SetReg { reg, value } => self.set_reg(*reg, *value)?,
-                        Item::Chain(chain) => {
-                            // Every chain instruction plus its end_chain.
-                            self.dispatch(chain.len() as u64 + 1);
-                            let timing = if chain.is_matrix_chain() {
-                                self.matrix_chain(config, chain)?
-                            } else {
-                                self.vector_chain(config, chain)?
-                            };
-                            each(chain, &timing)?;
-                        }
-                    }
+        let result = program.segments.iter().try_for_each(|segment| {
+            let ff = ff
+                .as_deref_mut()
+                .and_then(|ff| ff.begin(segment.iterations).then_some(ff));
+            self.run_segment(config, segment, streamed, ff, &mut each)
+        });
+        self.logging = Logging::Off;
+        result
+    }
+
+    fn run_segment<F: FnMut(Scheduled<'_>) -> Result<(), SimError>>(
+        &mut self,
+        config: &NpuConfig,
+        segment: &Segment,
+        streamed: bool,
+        mut ff: Option<&mut FastForward>,
+        each: &mut F,
+    ) -> Result<(), SimError> {
+        let mut iteration = 0;
+        while iteration < segment.iterations {
+            self.streaming = streamed && iteration == 0;
+            iteration += 1;
+            let Some(ff) = ff.as_deref_mut().filter(|ff| ff.attempts > 0) else {
+                self.step(config, &segment.items, |chain, t| {
+                    each(Scheduled::Chain(chain, &t))
+                })?;
+                continue;
+            };
+            self.logging = Logging::Observing;
+            self.log.clear();
+            let current = &mut ff.timings[2];
+            current.clear();
+            self.step(config, &segment.items, |chain, t| {
+                each(Scheduled::Chain(chain, &t))?;
+                current.push(t);
+                Ok(())
+            })?;
+            self.logging = Logging::Off;
+            self.observe(ff);
+            let remaining = segment.iterations - iteration;
+            iteration += self.fast_forward(config, &segment.items, remaining, ff, each)?;
+        }
+        Ok(())
+    }
+
+    /// Schedules one iteration of `items`, handing over each chain's timing.
+    fn step(
+        &mut self,
+        config: &NpuConfig,
+        items: &[Item],
+        mut each: impl FnMut(&Chain, ChainTiming) -> Result<(), SimError>,
+    ) -> Result<(), SimError> {
+        for item in items {
+            match item {
+                Item::SetReg { reg, value } => self.set_reg(*reg, *value)?,
+                Item::Chain(chain) => {
+                    // Every chain instruction plus its end_chain.
+                    self.dispatch(chain.len() as u64 + 1);
+                    let timing = if chain.is_matrix_chain() {
+                        self.matrix_chain(config, chain)?
+                    } else {
+                        self.vector_chain(config, chain)?
+                    };
+                    each(chain, timing)?;
                 }
             }
         }
         Ok(())
+    }
+
+    /// Closes an observed iteration: its writes become the snapshot layout,
+    /// and the state after it the newest snapshot.
+    fn observe(&mut self, ff: &mut FastForward) {
+        ff.seen = if self.log == ff.writes {
+            ff.seen.saturating_add(1)
+        } else {
+            1
+        };
+        std::mem::swap(&mut self.log, &mut ff.writes);
+        ff.states[..3].rotate_left(1);
+        ff.fronts.rotate_left(1);
+        ff.timings.rotate_left(1);
+        self.snapshot(&ff.writes, &mut ff.states[2]);
+        ff.fronts[2] = self.arrivals.front();
+    }
+
+    /// After an observed iteration `i + 1`, with `remaining` to go: if the
+    /// last three snapshots step evenly, skips along the line they start,
+    /// as far as one verified iteration proves it. Returns how many
+    /// iterations it advanced.
+    fn fast_forward(
+        &mut self,
+        config: &NpuConfig,
+        items: &[Item],
+        remaining: u32,
+        ff: &mut FastForward,
+        each: &mut impl FnMut(Scheduled<'_>) -> Result<(), SimError>,
+    ) -> Result<u32, SimError> {
+        let [s0, s1, s2, ..] = &ff.states;
+        let (t0, t1) = (&ff.timings[0], &ff.timings[1]);
+        let kinds = t0.iter().zip(t1).all(|(a, b)| a.trace.kind == b.trace.kind);
+        let ((_, front), runs) = ff.fronts[2];
+        // No run emptied while the observed iterations popped.
+        if ff.seen < 3 || !kinds || ff.fronts[0].1 != runs || !evenly(s0, s1, s2) {
+            return Ok(0);
+        }
+        // Span M: from S_i to the last iteration, or as far as the queues
+        // fund the M − 1 iterations from S_{i+2} on.
+        let mut span = u64::from(remaining) + 1;
+        for (queued, used) in [
+            (front, s0[VECTORS] - s1[VECTORS]),
+            (s2[MATRICES], s0[MATRICES] - s1[MATRICES]),
+        ] {
+            if let Some(funded) = queued.checked_div(used) {
+                span = span.min(funded + 1);
+            }
+        }
+        while span >= 3 && ff.attempts > 0 {
+            ff.attempts -= 1;
+            if let Some(skipped) = self.verify(config, items, span, ff) {
+                each(Scheduled::Skipped(&skipped))?;
+                let chains = items.iter().filter_map(|item| match item {
+                    Item::Chain(chain) => Some(chain),
+                    Item::SetReg { .. } => None,
+                });
+                for (chain, t) in chains.zip(&ff.timings[2]) {
+                    each(Scheduled::Chain(chain, t))?;
+                }
+                ff.seen = 0;
+                return Ok(u32::try_from(span - 1).expect("within the segment"));
+            }
+            #[cfg(test)]
+            {
+                ff.rejected += 1;
+            }
+            span /= 2;
+        }
+        Ok(0)
+    }
+
+    /// Runs iteration `i + span` from `S_i + span·d` and returns the
+    /// statistics of iterations `i + 2 .. i + span`, skipped, if it lands
+    /// on the line; its timings are left in `ff.timings[2]`. Otherwise
+    /// restores `S_{i+2}` and returns `None`.
+    fn verify(
+        &mut self,
+        config: &NpuConfig,
+        items: &[Item],
+        span: u64,
+        ff: &mut FastForward,
+    ) -> Option<RunStats> {
+        let [s0, s1, s2, start, expected] = &mut ff.states;
+        start.clear();
+        expected.clear();
+        for (&a, &b) in s0.iter().zip(s1.iter()) {
+            start.push(line(a, b, span)?);
+            expected.push(line(a, b, span + 1)?);
+        }
+        let ((stamp, front), runs) = ff.fronts[2];
+        let popped = (span - 2) * (s0[VECTORS] - s1[VECTORS]);
+        self.restore(&ff.writes, start);
+        self.arrivals.set_front((stamp, front - popped), runs);
+        self.streaming = false;
+        self.logging = Logging::Verifying;
+        self.log.clear();
+        let [t0, t1, tv] = &mut ff.timings;
+        tv.clear();
+        let stepped = self.step(config, items, |_, t| {
+            tv.push(t);
+            Ok(())
+        });
+        self.logging = Logging::Off;
+        self.snapshot(&ff.writes, start);
+        let landed = stepped.is_ok()
+            && self.log == ff.writes
+            && start == expected
+            && tv.len() == t0.len()
+            && t0.iter().zip(t1.iter()).zip(tv.iter()).all(|((a, b), v)| {
+                let want = a.on_line(b, span);
+                want.is_some_and(|w| w.trace.kind == v.trace.kind && w.fields() == v.fields())
+            });
+        let skipped = landed
+            .then(|| Self::skipped(t0, t1, span, config.native_dim()))
+            .flatten();
+        if skipped.is_none() {
+            self.restore(&ff.writes, s2);
+            self.arrivals.set_front((stamp, front), runs);
+        }
+        skipped
+    }
+
+    /// The summed statistics of the `span − 2` iterations from `T_i + 2·e`
+    /// to `T_i + (span − 1)·e`, by the trapezoid rule, if every chain's
+    /// stall is charged by one formula across them.
+    fn skipped(
+        t0: &[ChainTiming],
+        t1: &[ChainTiming],
+        span: u64,
+        native_dim: u32,
+    ) -> Option<RunStats> {
+        let mut sum = RunStats::default();
+        for (a, b) in t0.iter().zip(t1) {
+            let (mut first, mut last) = (RunStats::default(), RunStats::default());
+            let from = a.on_line(b, 2)?.charge(&mut first, native_dim);
+            let to = a.on_line(b, span - 1)?.charge(&mut last, native_dim);
+            if from.branches != to.branches {
+                return None;
+            }
+            sum.add_arithmetic(&first, &last, span - 2);
+        }
+        Some(sum)
+    }
+
+    /// Writes the state an iteration starts from into `out`: the
+    /// [`SCALARS`], then every entry of `writes`.
+    fn snapshot(&self, writes: &[(BoardId, Range<usize>)], out: &mut Vec<u64>) {
+        out.clear();
+        out.extend([
+            self.nios_cursor,
+            self.instructions,
+            self.free_at[0],
+            self.free_at[1],
+            self.free_at[2],
+            self.completed,
+            u64::from(self.rows),
+            u64::from(self.cols),
+            self.arrivals.vectors,
+            self.arrivals.matrices,
+        ]);
+        for (board, range) in writes {
+            out.extend_from_slice(&self.board(*board).cycles[range.clone()]);
+        }
+    }
+
+    /// Sets the state [`Timeline::snapshot`] reads; the arrival queue's
+    /// runs are the caller's.
+    fn restore(&mut self, writes: &[(BoardId, Range<usize>)], state: &[u64]) {
+        let (scalars, mut entries) = state.split_at(SCALARS);
+        let [cursor, instructions, mvm, mfu, memory, completed, rows, cols, vectors, matrices] =
+            <[u64; SCALARS]>::try_from(scalars).expect("a snapshot's scalars");
+        self.nios_cursor = cursor;
+        self.instructions = instructions;
+        self.free_at = [mvm, mfu, memory];
+        self.completed = completed;
+        (self.rows, self.cols) = (saturate(rows), saturate(cols));
+        (self.arrivals.vectors, self.arrivals.matrices) = (vectors, matrices);
+        for (board, range) in writes {
+            let (these, rest) = entries.split_at(range.len());
+            self.board_mut(*board).cycles[range.clone()].copy_from_slice(these);
+            entries = rest;
+        }
+    }
+
+    fn board(&self, board: BoardId) -> &Board {
+        match board {
+            BoardId::Vrf => &self.vrf_ready,
+            BoardId::Mrf => &self.mrf_ready,
+            BoardId::MrfReadUntil => &self.mrf_read_until,
+            BoardId::DramVector => &self.dram_vector_ready,
+            BoardId::DramMatrix => &self.dram_matrix_ready,
+        }
+    }
+
+    fn board_mut(&mut self, board: BoardId) -> &mut Board {
+        match board {
+            BoardId::Vrf => &mut self.vrf_ready,
+            BoardId::Mrf => &mut self.mrf_ready,
+            BoardId::MrfReadUntil => &mut self.mrf_read_until,
+            BoardId::DramVector => &mut self.dram_vector_ready,
+            BoardId::DramMatrix => &mut self.dram_matrix_ready,
+        }
+    }
+
+    /// The entries of `range` of `board` to write, logged while a
+    /// fast-forward watches.
+    fn write(&mut self, board: BoardId, range: Range<usize>) -> &mut [u64] {
+        if self.logging != Logging::Off && !range.is_empty() {
+            self.log.push((board, range.clone()));
+        }
+        self.board_mut(board).write(range)
     }
 
     /// The latest architecturally visible effect so far in this run. Every
@@ -511,10 +1055,10 @@ impl Timeline {
         let width = saturate(count);
         let t = self.place(ChainKind::MatrixMove, dep_ready, occupancy, 0, width, width);
         let board = match dst.0 {
-            MemId::MatrixRf => &mut self.mrf_ready,
-            _ => &mut self.dram_matrix_ready,
+            MemId::MatrixRf => BoardId::Mrf,
+            _ => BoardId::DramMatrix,
         };
-        board.write(dst_span).fill(t.trace.completion);
+        self.write(board, dst_span).fill(t.trace.completion);
         Ok(t)
     }
 
@@ -679,8 +1223,9 @@ impl Timeline {
         // The MVM frontier this chain leaves: at least every entry (module
         // docs, Scoreboards).
         let busy_until = t.trace.start.saturating_add(occupancy);
-        let read_until = self.mrf_read_until.write(mvm_tiles);
-        debug_assert!(read_until.iter().all(|&c| c <= busy_until));
+        let extrapolated = self.logging == Logging::Verifying;
+        let read_until = self.write(BoardId::MrfReadUntil, mvm_tiles);
+        debug_assert!(extrapolated || read_until.iter().all(|&c| c <= busy_until));
         read_until.fill(busy_until);
 
         for (mem, index) in chain.write_targets() {
@@ -688,11 +1233,11 @@ impl Timeline {
                 MemId::NetQ => t.net_vectors_out += u64::from(w_out),
                 MemId::Dram => {
                     let s = Self::dram_span(index, u64::from(w_out))?;
-                    self.dram_vector_ready.write(s).fill(t.trace.completion);
+                    self.write(BoardId::DramVector, s).fill(t.trace.completion);
                 }
                 vrf => {
                     let s = Self::vrf_span(config, vrf, index, w_out)?;
-                    self.vrf_ready.write(s).fill(t.trace.completion);
+                    self.write(BoardId::Vrf, s).fill(t.trace.completion);
                 }
             }
         }
@@ -902,8 +1447,10 @@ mod tests {
             }
             t.begin_run();
             let mut out = Vec::new();
-            t.run_column(&cfg(), &program, true, |_, c| {
-                out.push((c.trace.start, c.trace.completion));
+            t.run_column(&cfg(), &program, true, None, |step| {
+                if let Scheduled::Chain(_, c) = step {
+                    out.push((c.trace.start, c.trace.completion));
+                }
                 Ok(())
             })
             .unwrap();
@@ -916,5 +1463,175 @@ mod tests {
             .zip(&late)
             .all(|(e, l)| e.0 <= l.0 && e.1 <= l.1));
         assert!(early_end < late_end);
+    }
+
+    /// One column of `program` with `(cycle, vectors)` runs queued, stepped
+    /// or fast-forwarded: the fault if any, the statistics summed as `Npu`
+    /// sums them, the chains handed over one by one, and the scratch.
+    fn schedule(
+        program: &Program,
+        stamps: &[(u64, u64)],
+        fast: bool,
+    ) -> (Result<(), SimError>, RunStats, u64, FastForward) {
+        let mut t = Timeline::new(&cfg());
+        for &(at, n) in stamps {
+            t.arrivals.push_vectors(at, n);
+        }
+        t.begin_run();
+        let (mut stats, mut handed) = (RunStats::default(), 0);
+        let mut ff = FastForward::default();
+        let lent = fast.then_some(&mut ff);
+        let result = t.run_column(&cfg(), program, true, lent, |step| {
+            match step {
+                Scheduled::Chain(_, c) => {
+                    c.charge(&mut stats, cfg().native_dim());
+                    handed += 1;
+                }
+                Scheduled::Skipped(skipped) => stats.accumulate(skipped),
+            }
+            Ok(())
+        });
+        stats.instructions = t.instructions();
+        stats.cycles = t.high_water();
+        (result, stats, handed, ff)
+    }
+
+    /// A GRU time step on 1 × 1 grids, laid out as `bw_models::Gru` lays
+    /// out its firmware: eight chains, one NetQ pop and one push.
+    fn gru_loop(steps: u32) -> Program {
+        let mut b = ProgramBuilder::new();
+        b.begin_loop(steps).unwrap();
+        b.v_rd(MemId::NetQ, 0).v_wr(MemId::InitialVrf, 0);
+        b.end_chain().unwrap();
+        for (gate, out) in [(0, MemId::AddSubVrf(0)), (1, MemId::AddSubVrf(0))] {
+            b.v_rd(MemId::InitialVrf, 0).mv_mul(gate).vv_add(3 + gate);
+            b.v_wr(out, gate).end_chain().unwrap();
+        }
+        b.v_rd(MemId::InitialVrf, 0)
+            .mv_mul(2)
+            .v_wr(MemId::AddSubVrf(1), 0);
+        b.end_chain().unwrap();
+        for (gate, at) in [(3, 0), (4, 1)] {
+            b.v_rd(MemId::InitialVrf, 1)
+                .mv_mul(gate)
+                .vv_add(at)
+                .v_sigm();
+            b.v_wr(MemId::MultiplyVrf(0), at).end_chain().unwrap();
+        }
+        b.v_rd(MemId::InitialVrf, 1).mv_mul(5).vv_add(5).vv_mul(0);
+        b.vv_add(0).v_tanh().v_wr(MemId::AddSubVrf(0), 2);
+        b.v_wr(MemId::AddSubVrf(1), 1).end_chain().unwrap();
+        b.v_rd(MemId::InitialVrf, 1)
+            .vv_a_sub_b(2)
+            .vv_mul(1)
+            .vv_add(1);
+        b.v_wr(MemId::InitialVrf, 1).v_wr(MemId::NetQ, 0);
+        b.end_chain().unwrap();
+        b.end_loop().unwrap();
+        b.build()
+    }
+
+    #[test]
+    fn a_periodic_loop_hands_over_a_few_iterations_and_the_same_sums() {
+        let steps = 500;
+        let program = gru_loop(steps);
+        let stamps = [(0, u64::from(steps))];
+        let (stepped, want, all, _) = schedule(&program, &stamps, false);
+        let (fast, got, handed, _) = schedule(&program, &stamps, true);
+        assert_eq!((stepped, fast), (Ok(()), Ok(())));
+        assert_eq!(all, 8 * u64::from(steps));
+        assert!(handed <= 8 * 6, "{handed} chains handed over one by one");
+        assert_eq!(got, want);
+        assert!(want.resource_stall_cycles > want.cycles, "{want:?}");
+    }
+
+    #[test]
+    fn a_line_that_bends_late_is_rejected_and_still_stepped_exactly() {
+        // Q runs a recurrent vector through two activations, 86 cycles an
+        // iteration; replaying 82 set-regs and three chains takes 85. A
+        // late first vector puts Q behind dispatch from the start. C reads
+        // the vector P moved from the queue at its head and Q's deep in
+        // the pipeline, after an `mv_mul`. P's binds first; Q's gains a
+        // cycle an iteration and overtakes it mid-loop. No comparison
+        // behind a stall changes sides along the early line, so only the
+        // verified far end shows the bend.
+        let steps = 300;
+        let mut b = ProgramBuilder::new();
+        b.v_rd(MemId::NetQ, 0).v_wr(MemId::InitialVrf, 1);
+        b.end_chain().unwrap();
+        b.begin_loop(steps).unwrap();
+        for _ in 0..82 {
+            b.set_rows(1);
+        }
+        b.v_rd(MemId::NetQ, 0).v_wr(MemId::InitialVrf, 0); // P
+        b.end_chain().unwrap();
+        b.v_rd(MemId::InitialVrf, 1).v_relu().v_tanh(); // Q
+        b.v_wr(MemId::InitialVrf, 1).v_wr(MemId::AddSubVrf(0), 1);
+        b.end_chain().unwrap();
+        b.v_rd(MemId::InitialVrf, 0).mv_mul(0).vv_add(1); // C
+        b.v_wr(MemId::InitialVrf, 2).end_chain().unwrap();
+        b.end_loop().unwrap();
+        let program = b.build();
+        let stamps = [(450, 1), (0, u64::from(steps))];
+        let (stepped, want, all, _) = schedule(&program, &stamps, false);
+        let (fast, got, handed, ff) = schedule(&program, &stamps, true);
+        assert_eq!((stepped, fast), (Ok(()), Ok(())));
+        assert_eq!(got, want);
+        assert!(ff.rejected > 0, "the far end is off the early line");
+        assert!(handed < all, "some iterations are skipped before the bend");
+    }
+
+    #[test]
+    fn a_block_whose_stall_changes_cause_is_not_summed_as_one() {
+        // Every pop waits for vectors stamped at cycle 300, so the move's
+        // starts step at its memory-path occupancy while replay dispatch,
+        // three units an iteration, catches up a cycle an iteration. It
+        // passes the stamp near iteration 95, which moves where each
+        // resource stall is counted from while the starts still step
+        // evenly, and overtakes the starts near iteration 280.
+        let steps = 400;
+        let mut b = ProgramBuilder::new();
+        b.begin_loop(steps).unwrap();
+        b.set_rows(1).set_rows(1);
+        b.v_rd(MemId::NetQ, 0).v_wr(MemId::InitialVrf, 0);
+        b.end_chain().unwrap();
+        b.end_loop().unwrap();
+        let program = b.build();
+        let stamps = [(300, u64::from(steps))];
+        let (stepped, want, all, _) = schedule(&program, &stamps, false);
+        let (fast, got, handed, ff) = schedule(&program, &stamps, true);
+        assert_eq!((stepped, fast), (Ok(()), Ok(())));
+        assert!(ff.rejected > 0, "the far end is off the early line");
+        assert!(handed < all, "some iterations are skipped");
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn a_loop_popping_several_arrival_runs_skips_within_each() {
+        let program = gru_loop(120);
+        let stamps = [(0, 30), (3_000, 30), (1_000, 30), (9_000, 30)];
+        let (stepped, want, all, _) = schedule(&program, &stamps, false);
+        let (fast, got, handed, _) = schedule(&program, &stamps, true);
+        assert_eq!((stepped, fast), (Ok(()), Ok(())));
+        assert_eq!(got, want);
+        assert!(handed < all / 2, "{handed} of {all} chains handed over");
+    }
+
+    #[test]
+    fn a_queue_that_runs_dry_mid_loop_faults_at_the_same_chain() {
+        let program = gru_loop(300);
+        let stamps = [(0, 200)];
+        let (stepped, want, _, _) = schedule(&program, &stamps, false);
+        let (fast, got, _, _) = schedule(&program, &stamps, true);
+        assert_eq!(
+            stepped,
+            Err(SimError::NetQueueEmpty {
+                requested: 1,
+                available: 0
+            })
+        );
+        assert_eq!(fast, stepped);
+        assert_eq!(got, want, "the same chains ran before the fault");
+        assert_eq!(want.chains, 200 * 8);
     }
 }

@@ -29,11 +29,16 @@ pub struct RunStats {
     pub mvm_busy_cycles: u64,
     /// Cycles the vector pipeline (MVM head + MFUs) was occupied.
     pub pipeline_busy_cycles: u64,
-    /// Cycles chains spent waiting on data dependencies beyond any resource
-    /// or dispatch wait.
+    /// Summed over chains: each chain's wait on data dependencies beyond
+    /// its dispatch and its resource, counted from whichever of those came
+    /// later. Chains wait concurrently, so this is not a count of cycles
+    /// the pipeline stood still and can exceed [`RunStats::cycles`].
     pub dep_stall_cycles: u64,
-    /// Cycles chains spent waiting for the pipeline to drain beyond any
-    /// dependency or dispatch wait.
+    /// Summed over chains: each chain's wait for its resource to drain
+    /// beyond its dispatch and its dependencies. In a loop, replay runs
+    /// ahead of the chains it dispatches, so every iteration's chains wait
+    /// longer than the last and the sum grows with the square of the
+    /// iteration count: a long RNN reads many times its `cycles` here.
     pub resource_stall_cycles: u64,
     /// Native vectors consumed from the network input queue.
     pub net_vectors_in: u64,
@@ -105,21 +110,57 @@ impl RunStats {
     /// Merges another run's statistics into this one, extending the cycle
     /// count (used when a model executes as several back-to-back programs).
     pub fn accumulate(&mut self, other: &RunStats) {
-        self.cycles += other.cycles;
-        self.chains += other.chains;
-        self.instructions += other.instructions;
-        self.mvm_macs += other.mvm_macs;
-        self.mfu_element_ops += other.mfu_element_ops;
-        self.mvm_busy_cycles += other.mvm_busy_cycles;
-        self.pipeline_busy_cycles += other.pipeline_busy_cycles;
-        self.dep_stall_cycles += other.dep_stall_cycles;
-        self.resource_stall_cycles += other.resource_stall_cycles;
-        self.net_vectors_in += other.net_vectors_in;
-        self.net_vectors_out += other.net_vectors_out;
+        for (sum, x) in self.counters_mut().into_iter().zip(other.counters()) {
+            *sum += x;
+        }
         if self.peak_flops_per_cycle == 0 {
             self.peak_flops_per_cycle = other.peak_flops_per_cycle;
             self.clock_hz = other.clock_hz;
         }
+    }
+
+    /// Adds `count` statistics that step evenly from `first` to `last`,
+    /// counter by counter: the trapezoid rule, exact for an arithmetic
+    /// sequence.
+    pub(crate) fn add_arithmetic(&mut self, first: &RunStats, last: &RunStats, count: u64) {
+        let ends = first.counters().into_iter().zip(last.counters());
+        for (sum, (a, b)) in self.counters_mut().into_iter().zip(ends) {
+            let total = (u128::from(a) + u128::from(b)) * u128::from(count) / 2;
+            *sum = sum.saturating_add(u64::try_from(total).unwrap_or(u64::MAX));
+        }
+    }
+
+    /// Every counter, in declaration order: what adds across runs.
+    fn counters(&self) -> [u64; 11] {
+        [
+            self.cycles,
+            self.chains,
+            self.instructions,
+            self.mvm_macs,
+            self.mfu_element_ops,
+            self.mvm_busy_cycles,
+            self.pipeline_busy_cycles,
+            self.dep_stall_cycles,
+            self.resource_stall_cycles,
+            self.net_vectors_in,
+            self.net_vectors_out,
+        ]
+    }
+
+    fn counters_mut(&mut self) -> [&mut u64; 11] {
+        [
+            &mut self.cycles,
+            &mut self.chains,
+            &mut self.instructions,
+            &mut self.mvm_macs,
+            &mut self.mfu_element_ops,
+            &mut self.mvm_busy_cycles,
+            &mut self.pipeline_busy_cycles,
+            &mut self.dep_stall_cycles,
+            &mut self.resource_stall_cycles,
+            &mut self.net_vectors_in,
+            &mut self.net_vectors_out,
+        ]
     }
 }
 
@@ -171,5 +212,23 @@ mod tests {
         assert_eq!(a.cycles, 2000);
         assert_eq!(a.mvm_macs, 100_000_000);
         assert_eq!(a.peak_flops_per_cycle, 192_000);
+    }
+
+    #[test]
+    fn an_arithmetic_sequence_sums_by_its_ends() {
+        // 3 + 6 + 9 + 12 stalls, and one chain each of the four.
+        let first = RunStats {
+            chains: 1,
+            dep_stall_cycles: 3,
+            ..RunStats::default()
+        };
+        let last = RunStats {
+            dep_stall_cycles: 12,
+            ..first.clone()
+        };
+        let mut sum = sample();
+        sum.add_arithmetic(&first, &last, 4);
+        assert_eq!((sum.chains, sum.dep_stall_cycles), (4, 30));
+        assert_eq!((sum.cycles, sum.clock_hz), (1000, 250e6));
     }
 }

@@ -346,9 +346,15 @@ pub struct ModelSnapshot {
     pub npu_cycles: u64,
     /// MVM multiply-accumulates attributed to completed requests.
     pub npu_macs: u64,
-    /// Dependency-stall cycles attributed to completed requests.
+    /// [`RunStats::dep_stall_cycles`] attributed to completed requests: a
+    /// sum of every chain's wait, not of pipeline cycles.
+    ///
+    /// [`RunStats::dep_stall_cycles`]: bw_core::RunStats::dep_stall_cycles
     pub npu_dep_stall_cycles: u64,
-    /// Resource-stall cycles attributed to completed requests.
+    /// [`RunStats::resource_stall_cycles`] attributed to completed requests:
+    /// a sum of every chain's wait, which can exceed `npu_cycles` many times.
+    ///
+    /// [`RunStats::resource_stall_cycles`]: bw_core::RunStats::resource_stall_cycles
     pub npu_resource_stall_cycles: u64,
     /// Queue wait of each completed request's winning attempt
     /// (host-domain).
@@ -430,13 +436,13 @@ impl ModelSnapshot {
             (
                 "npu_dep_stall_cycles",
                 "bw_npu_dep_stall_cycles_total",
-                "Dependency-stall cycles attributed to completed requests.",
+                "Per-chain dependency waits, summed over chains, of completed requests; not pipeline cycles.",
                 self.npu_dep_stall_cycles,
             ),
             (
                 "npu_resource_stall_cycles",
                 "bw_npu_resource_stall_cycles_total",
-                "Resource-stall cycles attributed to completed requests.",
+                "Per-chain resource waits, summed over chains, of completed requests; can exceed the NPU cycles.",
                 self.npu_resource_stall_cycles,
             ),
         ]

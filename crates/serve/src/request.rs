@@ -28,9 +28,12 @@ pub struct Attribution {
     pub npu_cycles: u64,
     /// MVM multiply-accumulates the inference performed.
     pub npu_macs: u64,
-    /// Cycles the NPU pipeline stalled on chain dependencies.
+    /// Each chain's wait on its dependencies, summed over chains
+    /// ([`bw_core::RunStats::dep_stall_cycles`]); not pipeline cycles.
     pub dep_stall_cycles: u64,
-    /// Cycles chains waited on busy resources.
+    /// Each chain's wait on its resource, summed over chains
+    /// ([`bw_core::RunStats::resource_stall_cycles`]); can exceed
+    /// `npu_cycles`.
     pub resource_stall_cycles: u64,
 }
 

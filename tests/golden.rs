@@ -31,6 +31,39 @@ fn fig7_matches_golden() {
     assert_eq!(reports::fig7_report(), fixture("fig7.txt"));
 }
 
+/// Table V without its shortcut: the point `bw_bench::run_bw_s10` runs,
+/// traced. A chain trace needs every chain, so this run steps each one.
+fn stepped_table5_point(bench: &RnnBenchmark) -> RunStats {
+    let (dims, steps) = (bench.dims(), bench.timesteps);
+    let traced = |required| {
+        let mut npu = Npu::with_mode(bw_bench::bw_s10_sized(required), ExecMode::TimingOnly);
+        npu.set_trace(true);
+        npu
+    };
+    let stats = match bench.kind {
+        RnnKind::Gru => {
+            let mut npu = traced(Gru::new(&NpuConfig::bw_s10(), dims).mrf_entries_required());
+            Gru::new(&npu.config().clone(), dims).run_timing_only(&mut npu, steps)
+        }
+        RnnKind::Lstm => {
+            let mut npu = traced(Lstm::new(&NpuConfig::bw_s10(), dims).mrf_entries_required());
+            Lstm::new(&npu.config().clone(), dims).run_timing_only(&mut npu, steps)
+        }
+    };
+    stats.expect("sized configuration runs")
+}
+
+/// Untraced, a timing-only run skips the periodic middle of each point's
+/// step loop (`bw_core::sched`, "Fast-forward"); traced, it steps every
+/// chain. The two agree on every statistic, the stall sums included.
+#[test]
+fn table5_fast_forward_equals_stepping_on_every_statistic() {
+    for bench in table5_suite() {
+        let fast = bw_bench::run_bw_s10(&bench).stats;
+        assert_eq!(fast, stepped_table5_point(&bench), "{bench:?}");
+    }
+}
+
 #[test]
 fn reports_are_deterministic_across_runs() {
     // The parallel suite must not introduce ordering nondeterminism.

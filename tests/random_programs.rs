@@ -2,6 +2,7 @@
 //! programs must execute without panics, produce finite outputs, and agree
 //! between functional and timing-only modes on every cycle count.
 
+use brainwave::core::isa::{Item, ScalarReg, Segment};
 use brainwave::prelude::*;
 use proptest::prelude::*;
 
@@ -117,6 +118,74 @@ fn build_writing(specs: &[ChainSpec], low: bool) -> Program {
     b.build()
 }
 
+/// A random loop: an optional straight-line prelude, then `body` inside
+/// `begin_loop(iterations)` behind `padding` set-reg items.
+#[derive(Clone, Debug)]
+struct LoopSpec {
+    prelude: Vec<ChainSpec>,
+    body: Vec<ChainSpec>,
+    iterations: u32,
+    padding: usize,
+    /// Every input vector's arrival stamp: 0, or one cycle in the future.
+    arrival: u64,
+}
+
+fn loop_strategy() -> impl Strategy<Value = LoopSpec> {
+    (
+        prop::collection::vec(chain_strategy(), 0..4),
+        prop::collection::vec(chain_strategy(), 1..5),
+        2u32..300,
+        0usize..4,
+        any::<bool>(),
+        1u64..5_000,
+    )
+        .prop_map(
+            |(prelude, body, iterations, padding, staged, future)| LoopSpec {
+                prelude,
+                body,
+                iterations,
+                padding,
+                arrival: if staged { 0 } else { future },
+            },
+        )
+}
+
+/// [`build_program`]'s items for the prelude and, behind the padding, for
+/// the loop body.
+fn build_loop(spec: &LoopSpec) -> Program {
+    let items = |specs: &[ChainSpec]| {
+        build_program(specs)
+            .segments
+            .into_iter()
+            .flat_map(|s| s.items)
+    };
+    let padding = (0..spec.padding).map(|_| Item::SetReg {
+        reg: ScalarReg::Cols,
+        value: MRF_GRID,
+    });
+    let prelude = Segment {
+        items: items(&spec.prelude).collect(),
+        iterations: 1,
+    };
+    let body = Segment {
+        items: padding.chain(items(&spec.body)).collect(),
+        iterations: spec.iterations,
+    };
+    Program {
+        segments: if spec.prelude.is_empty() {
+            vec![body]
+        } else {
+            vec![prelude, body]
+        },
+    }
+}
+
+/// NetQ vectors the program built from `spec` pops.
+fn loop_vectors(spec: &LoopSpec) -> u64 {
+    let per = |specs: &[ChainSpec]| net_vectors(specs) as u64;
+    per(&spec.prelude) + per(&spec.body) * u64::from(spec.iterations)
+}
+
 /// NetQ vectors the program built from `specs` pops.
 fn net_vectors(specs: &[ChainSpec]) -> usize {
     specs.iter().filter(|s| s.src == 0).count() * MRF_GRID as usize
@@ -151,6 +220,11 @@ fn preload(npu: &mut Npu) {
 /// The analyzer's view of what [`prepare`] establishes: the tile grid,
 /// every VRF's preloaded slots, and the exact input-vector budget.
 fn fuzz_options(specs: &[ChainSpec]) -> AnalysisOptions {
+    budget_options(net_vectors(specs) as u64)
+}
+
+/// [`fuzz_options`] for a budget of `vectors` input vectors.
+fn budget_options(vectors: u64) -> AnalysisOptions {
     AnalysisOptions::default()
         .preload(MemId::MatrixRf, 0, MRF_GRID * MRF_GRID)
         .preload(MemId::InitialVrf, 0, VRF)
@@ -158,7 +232,7 @@ fn fuzz_options(specs: &[ChainSpec]) -> AnalysisOptions {
         .preload(MemId::AddSubVrf(1), 0, VRF)
         .preload(MemId::MultiplyVrf(0), 0, VRF)
         .preload(MemId::MultiplyVrf(1), 0, VRF)
-        .with_input_vectors(net_vectors(specs) as u64)
+        .with_input_vectors(vectors)
 }
 
 proptest! {
@@ -259,6 +333,33 @@ proptest! {
                 "{:?}: {} outside [{}, {}]", mode, cycles, bound.lower, bound.upper
             );
         }
+    }
+
+    /// Untraced, a timing-only run may skip the periodic middle of a loop
+    /// (`bw_core::sched`, "Fast-forward"); traced, it steps every chain.
+    /// Both, and the static bound at the arrivals' one stamp, agree.
+    #[test]
+    fn untraced_loops_schedule_exactly_as_traced_ones(spec in loop_strategy()) {
+        let program = build_loop(&spec);
+        let vectors = loop_vectors(&spec);
+        let run = |traced: bool| {
+            let mut npu = Npu::with_mode(cfg(), ExecMode::TimingOnly);
+            preload(&mut npu);
+            for _ in 0..vectors {
+                npu.push_input_at(vec![0.0; ND as usize], spec.arrival)
+                    .expect("native vector");
+            }
+            npu.set_trace(traced);
+            let stats = npu.run(&program).expect("valid program runs");
+            (stats, npu.output_len())
+        };
+        let fast = run(false);
+        prop_assert_eq!(&fast, &run(true));
+        let options = budget_options(vectors).with_input_arrival(spec.arrival, spec.arrival);
+        prop_assert_eq!(
+            cycle_bounds(&program, &cfg(), &options),
+            Some(CycleBounds { lower: fast.0.cycles, upper: fast.0.cycles })
+        );
     }
 
     #[test]

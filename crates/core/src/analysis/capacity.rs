@@ -1,72 +1,31 @@
-//! Capacity and structural checks: the toolflow's pre-deployment gate,
-//! as [`Program::validate`] and as the [`CapacityPass`] diagnostics.
+//! Capacity checks: the toolflow's pre-deployment gate, as
+//! [`Program::validate`] and as the [`CapacityPass`] diagnostics.
 //!
-//! A program that passes [`Program::validate`] against a configuration
-//! will not hit capacity or structural faults at run time (network queue
-//! underflow is inherently dynamic and is checked during execution). This
-//! is the §II-B toolflow's final gate before an executable is "packaged
-//! and deployed".
+//! Every check is the timeline's own, called in the timeline's order over
+//! the runtime walk, so the gate is the §II-B toolflow's guarantee before
+//! an executable is "packaged and deployed": the contract, and why walking
+//! a loop body twice is exact, is the scheduler's
+//! [Faults](crate::sched#faults).
+
+use std::ops::Range;
 
 use crate::config::NpuConfig;
-use crate::isa::{Chain, Instruction, Item, MemId, Program, ScalarReg};
+use crate::isa::{Chain, Instruction, Item, MemId, Program};
+use crate::npu::SimError;
+use crate::sched::{dram_span, mfu_units, mrf_span, reg_write, vrf_span, OperandFiles};
 
-use super::{walk, AnalysisPass, DiagCode, Diagnostic, PassContext, WalkMode};
+use super::{walk, AnalysisPass, DiagCode, Diagnostic, PassContext};
 
-/// A static validation failure, with the segment and item it occurred at.
+/// A capacity fault the timeline would raise, with the segment and item it
+/// raises it at.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ValidateError {
     /// Segment index within the program.
     pub segment: usize,
     /// Item index within the segment.
     pub item: usize,
-    /// What is wrong.
-    pub kind: ValidateErrorKind,
-}
-
-/// The kinds of static validation failure.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ValidateErrorKind {
-    /// A tiling register write of zero.
-    ZeroRegister(
-        /// The register.
-        ScalarReg,
-    ),
-    /// A VRF access `[index, index+width)` exceeds the file's capacity.
-    VrfOverflow {
-        /// The accessed memory.
-        mem: MemId,
-        /// First entry.
-        index: u32,
-        /// Entries accessed.
-        width: u32,
-        /// Capacity in entries.
-        capacity: u32,
-    },
-    /// An MRF access exceeds capacity.
-    MrfOverflow {
-        /// First entry.
-        index: u32,
-        /// Entries accessed (`rows × cols`).
-        tiles: u32,
-        /// Capacity in entries.
-        capacity: u32,
-    },
-    /// An `AddSubVrf(i)`/`MultiplyVrf(i)` references a missing MFU.
-    MissingMfu {
-        /// The referenced memory.
-        mem: MemId,
-        /// MFUs available.
-        mfus: u32,
-    },
-    /// A chain needs more function units of one kind than exist.
-    MfuCapacity {
-        /// `"add/sub"`, `"multiply"`, or `"activation"`.
-        kind: &'static str,
-        /// Units used by the chain.
-        used: usize,
-        /// Units available.
-        available: u32,
-    },
+    /// The fault.
+    pub fault: SimError,
 }
 
 impl std::fmt::Display for ValidateError {
@@ -74,222 +33,119 @@ impl std::fmt::Display for ValidateError {
         write!(
             f,
             "segment {} item {}: {}",
-            self.segment, self.item, self.kind
+            self.segment, self.item, self.fault
         )
-    }
-}
-
-impl std::fmt::Display for ValidateErrorKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ValidateErrorKind::ZeroRegister(reg) => write!(f, "register {reg} set to zero"),
-            ValidateErrorKind::VrfOverflow {
-                mem,
-                index,
-                width,
-                capacity,
-            } => write!(
-                f,
-                "{mem} access [{index}, {index}+{width}) exceeds capacity {capacity}"
-            ),
-            ValidateErrorKind::MrfOverflow {
-                index,
-                tiles,
-                capacity,
-            } => write!(
-                f,
-                "MRF access [{index}, {index}+{tiles}) exceeds capacity {capacity}"
-            ),
-            ValidateErrorKind::MissingMfu { mem, mfus } => {
-                write!(f, "{mem} does not exist with {mfus} MFUs")
-            }
-            ValidateErrorKind::MfuCapacity {
-                kind,
-                used,
-                available,
-            } => write!(f, "chain uses {used} {kind} units, only {available} exist"),
-        }
     }
 }
 
 impl std::error::Error for ValidateError {}
 
-/// Capacity of the vector register file `mem`, or `None` when the config
-/// lacks the MFU hosting it.
-///
-/// Only meaningful for VRF memories: callers gate on [`MemId::is_vrf`]
-/// first (the single source of truth for VRF-ness), which keeps the
-/// non-VRF arm unreachable — there is no sentinel capacity for NetQ, DRAM,
-/// or the MRF.
-fn vrf_capacity(config: &NpuConfig, mem: MemId) -> Option<u32> {
-    debug_assert!(mem.is_vrf(), "vrf_capacity is only defined for VRFs");
-    match mem {
-        MemId::InitialVrf => Some(config.vrf_entries()),
-        MemId::AddSubVrf(i) | MemId::MultiplyVrf(i) => {
-            (u32::from(i) < config.mfus()).then(|| config.vrf_entries())
-        }
-        MemId::MatrixRf | MemId::NetQ | MemId::Dram => None,
-    }
-}
-
-/// MFU operand files are addressed by an 8-bit index; chains with more
-/// seen operands than that saturate (the per-kind capacity check has
-/// already errored long before 256 MFUs could exist).
-fn operand_file(seen: usize) -> u8 {
-    u8::try_from(seen).unwrap_or(u8::MAX)
-}
-
-fn check_vrf(
-    config: &NpuConfig,
-    at: (usize, usize),
-    mem: MemId,
-    index: u32,
-    width: u32,
-    errors: &mut Vec<ValidateError>,
-) {
-    if !mem.is_vrf() {
-        return;
-    }
-    let Some(capacity) = vrf_capacity(config, mem) else {
-        errors.push(ValidateError {
-            segment: at.0,
-            item: at.1,
-            kind: ValidateErrorKind::MissingMfu {
-                mem,
-                mfus: config.mfus(),
-            },
-        });
-        return;
-    };
-    if u64::from(index) + u64::from(width) > u64::from(capacity) {
-        errors.push(ValidateError {
-            segment: at.0,
-            item: at.1,
-            kind: ValidateErrorKind::VrfOverflow {
-                mem,
-                index,
-                width,
-                capacity,
-            },
-        });
-    }
-}
-
-fn check_mrf(
-    config: &NpuConfig,
-    at: (usize, usize),
-    index: u32,
-    tiles: u32,
-    errors: &mut Vec<ValidateError>,
-) {
-    let capacity = config.mrf_entries();
-    if u64::from(index) + u64::from(tiles) > u64::from(capacity) {
-        errors.push(ValidateError {
-            segment: at.0,
-            item: at.1,
-            kind: ValidateErrorKind::MrfOverflow {
-                index,
-                tiles,
-                capacity,
-            },
-        });
-    }
-}
-
+/// Every capacity fault `chain` raises at `rows × cols`, in the order the
+/// timeline raises them: the MFU units; then, in instruction order, the
+/// head read, the `mv_mul` and the MFU operands; then the write targets.
+/// A matrix chain checks its destination, then its source. NetQ pops are
+/// skipped: they depend on what the host queued.
 fn check_chain(
     config: &NpuConfig,
-    at: (usize, usize),
     rows: u32,
     cols: u32,
     chain: &Chain,
-    errors: &mut Vec<ValidateError>,
+    fault: &mut impl FnMut(SimError),
 ) {
-    // MFU unit capacity.
-    let mfus = config.mfus();
-    for (kind, used) in [
-        ("add/sub", chain.addsub_ops()),
-        ("multiply", chain.multiply_ops()),
-        ("activation", chain.activation_ops()),
-    ] {
-        if used > mfus as usize {
-            errors.push(ValidateError {
-                segment: at.0,
-                item: at.1,
-                kind: ValidateErrorKind::MfuCapacity {
-                    kind,
-                    used,
-                    available: mfus,
-                },
-            });
-        }
+    // A matrix chain has no MFU operations, so this never faults for one.
+    if let Err(e) = mfu_units(config, chain) {
+        fault(e);
     }
-
-    let has_mvm = chain.has_mv_mul();
-    let w_in = if has_mvm { cols } else { rows };
-    let w_out = rows;
-    let mut addsub_seen: usize = 0;
-    let mut multiply_seen: usize = 0;
+    let mut check = |span: Result<Range<usize>, SimError>| {
+        if let Err(e) = span {
+            fault(e);
+        }
+    };
+    let tiles = u64::from(rows) * u64::from(cols);
+    if chain.is_matrix_chain() {
+        for instr in chain.instructions().iter().rev() {
+            match *instr {
+                Instruction::MWr {
+                    mem: MemId::MatrixRf,
+                    index,
+                } => check(mrf_span(config, index, tiles)),
+                Instruction::MWr {
+                    mem: MemId::Dram,
+                    index,
+                }
+                | Instruction::MRd {
+                    mem: MemId::Dram,
+                    index,
+                } => check(dram_span(index, tiles)),
+                _ => {}
+            }
+        }
+        return;
+    }
+    let (w_in, w_out) = chain.widths(rows, cols);
+    let mut operands = OperandFiles::default();
     for instr in chain.instructions() {
         match *instr {
-            Instruction::VRd { mem, index } => check_vrf(config, at, mem, index, w_in, errors),
-            Instruction::VWr { mem, index } => check_vrf(config, at, mem, index, w_out, errors),
-            Instruction::MvMul { mrf_index } => {
-                check_mrf(config, at, mrf_index, rows.saturating_mul(cols), errors);
-            }
-            Instruction::MWr {
-                mem: MemId::MatrixRf,
-                index,
-            } => check_mrf(config, at, index, rows.saturating_mul(cols), errors),
+            Instruction::VRd { mem, index } => match mem {
+                MemId::NetQ => {}
+                MemId::Dram => check(dram_span(index, u64::from(w_in))),
+                vrf => check(vrf_span(config, vrf, index, w_in)),
+            },
+            Instruction::MvMul { mrf_index } => check(mrf_span(config, mrf_index, tiles)),
             Instruction::VvAdd { index }
             | Instruction::VvASubB { index }
             | Instruction::VvBSubA { index }
-            | Instruction::VvMax { index } => {
-                let mem = MemId::AddSubVrf(operand_file(addsub_seen));
-                check_vrf(config, at, mem, index, w_out, errors);
-                addsub_seen += 1;
-            }
-            Instruction::VvMul { index } => {
-                let mem = MemId::MultiplyVrf(operand_file(multiply_seen));
-                check_vrf(config, at, mem, index, w_out, errors);
-                multiply_seen += 1;
+            | Instruction::VvMax { index }
+            | Instruction::VvMul { index } => {
+                check(vrf_span(config, operands.next(instr), index, w_out));
             }
             _ => {}
+        }
+    }
+    for (mem, index) in chain.write_targets() {
+        match mem {
+            MemId::NetQ => {}
+            MemId::Dram => check(dram_span(index, u64::from(w_out))),
+            vrf => check(vrf_span(config, vrf, index, w_out)),
         }
     }
 }
 
 impl Program {
-    /// Statically validates every access of this program against a
-    /// configuration, returning all violations (empty = clean).
+    /// Every capacity fault the timeline would raise running this program
+    /// against a configuration, each located fault once, in the order the
+    /// run meets them (empty = clean).
     ///
-    /// Register state is tracked through the stream as the scheduler
-    /// would, with one deliberate divergence: a zero register write is
-    /// reported and the *previous* value is retained for the rest of the
-    /// walk, whereas the scheduler faults and stops at the bad `s_wr`.
-    /// Downstream errors computed from the stale value are therefore
-    /// hypothetical; the diagnostic pipeline records the divergence as a
-    /// BW006 info note (see [`crate::analysis`]).
+    /// The walk follows the run: segments that never run are skipped and
+    /// loop bodies are walked twice (module docs). One deliberate
+    /// divergence: after a zero register write the walk keeps the
+    /// *previous* value, where the scheduler faults and stops. Faults
+    /// found after one are therefore hypothetical; the diagnostic pipeline
+    /// records that as a BW006 info note (see [`crate::analysis`]).
     ///
-    /// [`CapacityPass`] reports the same findings as `BW00x`
-    /// diagnostics by calling this method, so the two frontends cannot
-    /// disagree. One static iteration per segment suffices because
-    /// accesses do not change across iterations.
+    /// [`CapacityPass`] reports the same faults as `BW00x` diagnostics by
+    /// calling this method, so the two frontends cannot disagree.
     pub fn validate(&self, config: &NpuConfig) -> Vec<ValidateError> {
         let mut errors = Vec::new();
-        walk(self, WalkMode::Static, |step| {
-            let at = (step.segment, step.item);
+        walk(self, |step| {
+            let mut located = |fault| {
+                let e = ValidateError {
+                    segment: step.segment,
+                    item: step.item,
+                    fault,
+                };
+                if !errors.contains(&e) {
+                    errors.push(e);
+                }
+            };
             match step.item_ref {
                 Item::SetReg { reg, value } => {
-                    if *value == 0 {
-                        errors.push(ValidateError {
-                            segment: at.0,
-                            item: at.1,
-                            kind: ValidateErrorKind::ZeroRegister(*reg),
-                        });
+                    if let Err(fault) = reg_write(*reg, *value) {
+                        located(fault);
                     }
                 }
                 Item::Chain(chain) => {
-                    check_chain(config, at, step.rows, step.cols, chain, &mut errors);
+                    check_chain(config, step.rows, step.cols, chain, &mut located);
                 }
             }
         });
@@ -297,11 +153,12 @@ impl Program {
     }
 }
 
-/// BW001–BW006: capacity and structural checks as a diagnostic pass.
+/// BW001–BW006: capacity checks as a diagnostic pass.
 ///
 /// Runs [`Program::validate`], so the two frontends can never disagree;
-/// each structured [`ValidateError`] becomes a diagnostic, and every rejected zero register write additionally gets
-/// a BW006 info note recording the analyzer/scheduler divergence.
+/// each located fault becomes a diagnostic whose message is the fault's,
+/// and every rejected zero register write additionally gets a BW006 info
+/// note recording the analyzer/scheduler divergence.
 pub struct CapacityPass;
 
 impl AnalysisPass for CapacityPass {
@@ -311,29 +168,26 @@ impl AnalysisPass for CapacityPass {
 
     fn run(&self, cx: &PassContext<'_>, out: &mut Vec<Diagnostic>) {
         for err in cx.program.validate(cx.config) {
-            let code = match err.kind {
-                ValidateErrorKind::ZeroRegister(_) => DiagCode::ZeroRegister,
-                ValidateErrorKind::VrfOverflow { .. } => DiagCode::VrfOverflow,
-                ValidateErrorKind::MrfOverflow { .. } => DiagCode::MrfOverflow,
-                ValidateErrorKind::MissingMfu { .. } => DiagCode::MissingMfu,
-                ValidateErrorKind::MfuCapacity { .. } => DiagCode::MfuCapacity,
-            };
-            let stale = match &err.kind {
-                ValidateErrorKind::ZeroRegister(reg) => Some(format!(
-                    "analysis continues with the previous {reg} value after the \
-                     rejected zero write; the scheduler faults at dispatch instead, \
-                     so later diagnostics in this report assume the stale value"
-                )),
-                _ => None,
-            };
             let (segment, item) = (err.segment, err.item);
-            out.push(Diagnostic::new(code, segment, item, err.kind.to_string()));
-            if let Some(message) = stale {
+            let code = match err.fault {
+                SimError::BadRegValue { .. } => DiagCode::ZeroRegister,
+                SimError::VrfIndexOutOfRange { .. } => DiagCode::VrfOverflow,
+                SimError::MrfIndexOutOfRange { .. } => DiagCode::MrfOverflow,
+                SimError::BadVrfFileIndex { .. } => DiagCode::MissingMfu,
+                SimError::MfuCapacityExceeded { .. } => DiagCode::MfuCapacity,
+                _ => unreachable!("validate raises capacity faults only"),
+            };
+            out.push(Diagnostic::new(code, segment, item, err.fault.to_string()));
+            if let SimError::BadRegValue { reg } = err.fault {
                 out.push(Diagnostic::new(
                     DiagCode::StaleRegister,
                     segment,
                     item,
-                    message,
+                    format!(
+                        "analysis continues with the previous {reg} value after the \
+                         rejected zero write; the scheduler faults at dispatch instead, \
+                         so later diagnostics in this report assume the stale value"
+                    ),
                 ));
             }
         }
@@ -344,7 +198,7 @@ impl AnalysisPass for CapacityPass {
 mod tests {
     use super::*;
     use crate::analysis::{analyze, Severity};
-    use crate::isa::ProgramBuilder;
+    use crate::isa::{ProgramBuilder, ScalarReg};
 
     fn cfg() -> NpuConfig {
         NpuConfig::builder()
@@ -380,6 +234,7 @@ mod tests {
             (caps[0].segment, caps[0].item),
             (errors[0].segment, errors[0].item)
         );
+        assert_eq!(caps[0].message, errors[0].fault.to_string());
         assert_eq!(caps[0].severity, Severity::Error);
     }
 
@@ -410,10 +265,18 @@ mod tests {
     #[test]
     fn non_vrf_memories_have_no_capacity() {
         let cfg = cfg();
-        assert_eq!(vrf_capacity(&cfg, MemId::InitialVrf), Some(32));
-        assert_eq!(vrf_capacity(&cfg, MemId::AddSubVrf(1)), Some(32));
-        assert_eq!(vrf_capacity(&cfg, MemId::AddSubVrf(2)), None);
-        assert_eq!(vrf_capacity(&cfg, MemId::MultiplyVrf(200)), None);
+        assert_eq!(vrf_span(&cfg, MemId::InitialVrf, 0, 32), Ok(0..32));
+        assert_eq!(vrf_span(&cfg, MemId::AddSubVrf(1), 0, 32), Ok(64..96));
+        for mem in [
+            MemId::AddSubVrf(2),
+            MemId::MultiplyVrf(200),
+            MemId::MatrixRf,
+            MemId::NetQ,
+            MemId::Dram,
+        ] {
+            let fault = SimError::BadVrfFileIndex { mem, mfus: 2 };
+            assert_eq!(vrf_span(&cfg, mem, 0, 1), Err(fault));
+        }
     }
 
     #[test]
@@ -440,15 +303,15 @@ mod tests {
             .unwrap();
         let errors = b.build().validate(&cfg());
         assert_eq!(errors.len(), 1);
-        assert!(matches!(
-            errors[0].kind,
-            ValidateErrorKind::VrfOverflow {
+        assert_eq!(
+            errors[0].fault,
+            SimError::VrfIndexOutOfRange {
+                file: "InitialVrf",
                 index: 30,
                 width: 4,
                 capacity: 32,
-                ..
             }
-        ));
+        );
     }
 
     #[test]
@@ -461,14 +324,11 @@ mod tests {
             .end_chain()
             .unwrap();
         let errors = b.build().validate(&cfg());
-        assert!(errors.iter().any(|e| matches!(
-            e.kind,
-            ValidateErrorKind::MrfOverflow {
-                index: 1,
-                tiles: 16,
-                ..
-            }
-        )));
+        let fault = SimError::MrfIndexOutOfRange {
+            index: 16,
+            capacity: 16,
+        };
+        assert!(errors.iter().any(|e| e.fault == fault), "{errors:?}");
     }
 
     #[test]
@@ -480,13 +340,13 @@ mod tests {
             .end_chain()
             .unwrap();
         let errors = b.build().validate(&cfg());
-        assert!(matches!(
-            errors[0].kind,
-            ValidateErrorKind::MissingMfu {
+        assert_eq!(
+            errors[0].fault,
+            SimError::BadVrfFileIndex {
                 mem: MemId::AddSubVrf(5),
                 mfus: 2
             }
-        ));
+        );
     }
 
     #[test]
@@ -502,8 +362,8 @@ mod tests {
             .unwrap();
         let errors = b.build().validate(&cfg());
         assert!(errors.iter().any(|e| matches!(
-            e.kind,
-            ValidateErrorKind::MfuCapacity {
+            e.fault,
+            SimError::MfuCapacityExceeded {
                 kind: "activation",
                 used: 3,
                 ..
@@ -517,8 +377,10 @@ mod tests {
         b.set_rows(0);
         let errors = b.build().validate(&cfg());
         assert_eq!(
-            errors[0].kind,
-            ValidateErrorKind::ZeroRegister(ScalarReg::Rows)
+            errors[0].fault,
+            SimError::BadRegValue {
+                reg: ScalarReg::Rows
+            }
         );
     }
 
@@ -561,7 +423,8 @@ mod tests {
         // Regression: the operand-file counters used to be `u8` and would
         // wrap (panicking in debug builds) on chains with more than 255
         // vector-vector ops of one kind, before the MfuCapacity error was
-        // ever reported.
+        // ever reported. The units are checked first, as the timeline
+        // checks them; each missing operand file is then reported once.
         let mut b = ProgramBuilder::new();
         b.set_rows(1);
         b.v_rd(MemId::NetQ, 0);
@@ -571,15 +434,15 @@ mod tests {
         }
         b.v_wr(MemId::NetQ, 0).end_chain().unwrap();
         let errors = b.build().validate(&cfg());
-        for kind in ["add/sub", "multiply"] {
-            assert!(errors.iter().any(|e| matches!(
-                e.kind,
-                ValidateErrorKind::MfuCapacity {
-                    kind: k,
-                    used: 300,
-                    ..
-                } if k == kind
-            )));
-        }
+        assert_eq!(
+            errors[0].fault,
+            SimError::MfuCapacityExceeded {
+                kind: "add/sub",
+                used: 300,
+                available: 2
+            }
+        );
+        // AddSubVrf and MultiplyVrf 2..=255: one fault each.
+        assert_eq!(errors.len(), 1 + 2 * 254, "{:?}", &errors[..3]);
     }
 }

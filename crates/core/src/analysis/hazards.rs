@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use crate::isa::{Instruction, Item, MemId};
 
-use super::{format_ranges, walk, AnalysisPass, DiagCode, Diagnostic, PassContext, WalkMode};
+use super::{format_ranges, walk, AnalysisPass, DiagCode, Diagnostic, PassContext};
 
 /// MRF tile ranges a chain touches: `mv_mul` reads, `m_wr(MatrixRf)`
 /// writes, both `rows × cols` tiles wide.
@@ -88,7 +88,7 @@ impl AnalysisPass for HazardPass {
 
         // Phase 0: tiles the whole program ever reads.
         let mut ever_read: HashSet<u32> = HashSet::new();
-        walk(cx.program, WalkMode::Runtime, |step| {
+        walk(cx.program, |step| {
             if let Some(TileAccess::Read { start, count }) =
                 tile_accesses(step.item_ref, step.rows, step.cols)
             {
@@ -104,7 +104,7 @@ impl AnalysisPass for HazardPass {
         let mut uninit: BTreeMap<(usize, usize), BTreeSet<u32>> = BTreeMap::new();
         let mut dead: BTreeMap<(usize, usize), BTreeSet<u32>> = BTreeMap::new();
         let mut war: BTreeMap<(usize, usize), BTreeSet<u32>> = BTreeMap::new();
-        walk(cx.program, WalkMode::Runtime, |step| {
+        walk(cx.program, |step| {
             match tile_accesses(step.item_ref, step.rows, step.cols) {
                 Some(TileAccess::Read { start, count }) => {
                     for t in clamp(start, count) {

@@ -16,8 +16,9 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use crate::isa::{Chain, Instruction, Item, MemId};
+use crate::sched::{vrf_file, OperandFiles};
 
-use super::{format_ranges, walk, AnalysisPass, DiagCode, Diagnostic, PassContext, WalkMode};
+use super::{format_ranges, walk, AnalysisPass, DiagCode, Diagnostic, PassContext};
 
 /// One VRF range touched by a chain, in instruction order.
 enum Access {
@@ -26,15 +27,12 @@ enum Access {
 }
 
 /// Collects the VRF ranges `chain` touches under the given register state,
-/// in pipeline order. MFU operand reads mirror the scheduler's assignment:
-/// the k-th add/sub-family op reads `AddSubVrf(k)`, the k-th `vv_mul`
-/// reads `MultiplyVrf(k)`; operands addressed to MFUs the config lacks are
+/// in pipeline order. MFU operand reads are in the scheduler's files
+/// ([`OperandFiles`]); operands addressed to MFUs the config lacks are
 /// skipped here (the capacity pass already errors on them).
 fn chain_accesses(chain: &Chain, rows: u32, cols: u32, mfus: u32) -> Vec<Access> {
-    let w_in = if chain.has_mv_mul() { cols } else { rows };
-    let w_out = rows;
-    let mut addsub_seen: usize = 0;
-    let mut multiply_seen: usize = 0;
+    let (w_in, w_out) = chain.widths(rows, cols);
+    let mut operands = OperandFiles::default();
     let mut out = Vec::new();
     for instr in chain.instructions() {
         match *instr {
@@ -51,25 +49,16 @@ fn chain_accesses(chain: &Chain, rows: u32, cols: u32, mfus: u32) -> Vec<Access>
             Instruction::VvAdd { index }
             | Instruction::VvASubB { index }
             | Instruction::VvBSubA { index }
-            | Instruction::VvMax { index } => {
-                if (addsub_seen as u64) < u64::from(mfus) {
+            | Instruction::VvMax { index }
+            | Instruction::VvMul { index } => {
+                let mem = operands.next(instr);
+                if vrf_file(mem, mfus).is_ok() {
                     out.push(Access::Read {
-                        mem: MemId::AddSubVrf(addsub_seen as u8),
+                        mem,
                         start: index,
                         width: w_out,
                     });
                 }
-                addsub_seen += 1;
-            }
-            Instruction::VvMul { index } => {
-                if (multiply_seen as u64) < u64::from(mfus) {
-                    out.push(Access::Read {
-                        mem: MemId::MultiplyVrf(multiply_seen as u8),
-                        start: index,
-                        width: w_out,
-                    });
-                }
-                multiply_seen += 1;
             }
             _ => {}
         }
@@ -113,7 +102,7 @@ impl AnalysisPass for LivenessPass {
         // Phase 0: which entries does the whole program ever read or write?
         let mut ever_read: HashSet<(MemId, u32)> = HashSet::new();
         let mut ever_written: HashSet<(MemId, u32)> = HashSet::new();
-        walk(cx.program, WalkMode::Runtime, |step| {
+        walk(cx.program, |step| {
             if let Item::Chain(chain) = step.item_ref {
                 for access in chain_accesses(chain, step.rows, step.cols, mfus) {
                     match access {
@@ -133,7 +122,7 @@ impl AnalysisPass for LivenessPass {
         let mut last_write: HashMap<(MemId, u32), WriteRec> = HashMap::new();
         let mut uninit: BTreeMap<(usize, usize, MemId, bool), BTreeSet<u32>> = BTreeMap::new();
         let mut dead: BTreeMap<(usize, usize, MemId), BTreeSet<u32>> = BTreeMap::new();
-        walk(cx.program, WalkMode::Runtime, |step| {
+        walk(cx.program, |step| {
             let Item::Chain(chain) = step.item_ref else {
                 return;
             };

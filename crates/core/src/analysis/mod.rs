@@ -1,14 +1,19 @@
 //! Static dataflow analysis of NPU firmware — a linter over [`Program`]s.
 //!
 //! The analyzer runs a pipeline of [`AnalysisPass`]es over a program. Each
-//! pass walks the segments and items of the program with the scheduler's
+//! pass walks the program in the scheduler's runtime order, with its
 //! `rows`/`cols` tiling state tracked alongside, and emits [`Diagnostic`]s
-//! identified by a stable `BW0xx` code with a fixed [`Severity`]:
+//! identified by a stable `BW0xx` code with a fixed [`Severity`].
+//! [`Analyzer::new`] runs six: [`CapacityPass`] (BW001–BW006, the
+//! timeline's own checks: [Faults](crate::sched#faults)),
+//! [`LivenessPass`] (BW010–BW012), [`HazardPass`] (BW020–BW022),
+//! [`NetQueuePass`] (BW030–BW032), [`ChainShapePass`] (BW040–BW043) and
+//! [`CycleBoundPass`] (BW120–BW122).
 //!
 //! | code  | severity | meaning |
 //! |-------|----------|---------|
 //! | BW001 | error    | tiling register written with zero |
-//! | BW002 | error    | VRF access out of range |
+//! | BW002 | error    | VRF or DRAM access out of range |
 //! | BW003 | error    | MRF access out of range |
 //! | BW004 | error    | VRF attached to an MFU the config lacks |
 //! | BW005 | error    | chain exceeds per-kind MFU capacity |
@@ -57,7 +62,7 @@
 use std::fmt;
 
 use crate::config::NpuConfig;
-use crate::isa::{Chain, Item, Program, ScalarReg};
+use crate::isa::{Item, Program, ScalarReg};
 
 pub mod artifact;
 pub mod bounds;
@@ -111,7 +116,8 @@ impl fmt::Display for Severity {
 pub enum DiagCode {
     /// BW001: a `s_wr` wrote zero to `rows`/`cols`.
     ZeroRegister,
-    /// BW002: a vector access runs past the end of a VRF.
+    /// BW002: a vector access runs past the end of a VRF or of DRAM's
+    /// address space.
     VrfOverflow,
     /// BW003: a matrix access runs past the end of the MRF.
     MrfOverflow,
@@ -690,19 +696,6 @@ pub fn analyze_with(
 // ---------------------------------------------------------------------------
 // Shared walking machinery for passes.
 
-/// How to linearize a program for a walk.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WalkMode {
-    /// Every segment body once, ignoring iteration counts. Mirrors
-    /// `Program::validate`: accesses are static across iterations.
-    Static,
-    /// Runtime-faithful order: segments with zero iterations are skipped
-    /// and looped segments are unrolled twice, so loop-carried def-use
-    /// chains (a read at the loop head of a write at the loop tail)
-    /// resolve without unrolling the full trip count.
-    Runtime,
-}
-
 /// One visited item of a linearized walk, with the scheduler's register
 /// state at that point.
 pub(crate) struct Step<'a> {
@@ -722,37 +715,20 @@ pub(crate) struct Step<'a> {
     pub item_ref: &'a Item,
 }
 
-impl Step<'_> {
-    /// Input width of `chain` under this step's register state: `cols`
-    /// native vectors into an `mv_mul`, `rows` otherwise.
-    pub fn w_in(&self, chain: &Chain) -> u32 {
-        if chain.has_mv_mul() {
-            self.cols
-        } else {
-            self.rows
-        }
-    }
-
-    /// Output width of any chain: `rows` native vectors.
-    pub fn w_out(&self) -> u32 {
-        self.rows
-    }
-}
-
-/// Linearizes `program` per `mode`, tracking `rows`/`cols` exactly as the
-/// scheduler would — with one deliberate divergence: a rejected zero write
-/// keeps the stale value (the scheduler faults instead; BW001/BW006 record
-/// this).
-pub(crate) fn walk<'a>(program: &'a Program, mode: WalkMode, mut visit: impl FnMut(&Step<'a>)) {
+/// Linearizes `program` in runtime order: segments with zero iterations
+/// are skipped and looped segments are unrolled twice. Twice sees every
+/// register state a loop runs in (its second iteration starts where every
+/// later one does) and resolves loop-carried def-use chains (a read at the
+/// loop head of a write at the loop tail). `rows`/`cols` are tracked
+/// exactly as the scheduler would, with one deliberate divergence: a
+/// rejected zero write keeps the stale value (the scheduler faults instead;
+/// BW001/BW006 record this).
+pub(crate) fn walk<'a>(program: &'a Program, mut visit: impl FnMut(&Step<'a>)) {
     let mut rows = 1u32;
     let mut cols = 1u32;
     let mut tiling_set = false;
     for (si, segment) in program.segments.iter().enumerate() {
-        let unrolls = match mode {
-            WalkMode::Static => 1,
-            WalkMode::Runtime => segment.iterations.min(2),
-        };
-        for unroll in 0..unrolls {
+        for unroll in 0..segment.iterations.min(2) {
             for (ii, item) in segment.items.iter().enumerate() {
                 visit(&Step {
                     segment: si,
@@ -836,7 +812,7 @@ mod tests {
             .unwrap();
         let p = b.build();
         let mut seen = Vec::new();
-        walk(&p, WalkMode::Static, |s| {
+        walk(&p, |s| {
             seen.push((s.item, s.rows, s.cols, s.tiling_set));
         });
         assert_eq!(seen[0], (0, 1, 1, false)); // before set_rows(3)
@@ -853,19 +829,21 @@ mod tests {
             .v_wr(MemId::NetQ, 0)
             .end_chain()
             .unwrap();
+        b.set_rows(2);
         b.end_loop().unwrap();
-        let p = b.build();
-        let mut static_items = 0;
-        walk(&p, WalkMode::Static, |_| static_items += 1);
-        let mut runtime_items = 0;
-        let mut max_unroll = 0;
-        walk(&p, WalkMode::Runtime, |s| {
-            runtime_items += 1;
-            max_unroll = max_unroll.max(s.unroll);
-        });
-        assert_eq!(static_items, 2); // set_rows + chain
-        assert_eq!(runtime_items, 3); // set_rows + chain x2
-        assert_eq!(max_unroll, 1);
+        let mut p = b.build();
+        let mut seen = Vec::new();
+        walk(&p, |s| seen.push((s.segment, s.item, s.unroll, s.rows)));
+        // set_rows, then the body twice: the second pass at the width the
+        // body's own write leaves, as every later iteration runs.
+        let body = [(1, 0, 0, 1), (1, 1, 0, 1), (1, 0, 1, 2), (1, 1, 1, 2)];
+        assert_eq!(seen[0], (0, 0, 0, 1));
+        assert_eq!(seen[1..], body);
+        // A segment that never runs is never walked.
+        p.segments[1].iterations = 0;
+        let mut items = 0;
+        walk(&p, |_| items += 1);
+        assert_eq!(items, 1);
     }
 
     #[test]

@@ -84,8 +84,7 @@ fn item_traffic(item: &Item, rows: &mut u32, cols: &mut u32) -> Traffic {
             }
         }
         Item::Chain(chain) => {
-            let w_in = if chain.has_mv_mul() { *cols } else { *rows };
-            let w_out = *rows;
+            let (w_in, w_out) = chain.widths(*rows, *cols);
             for instr in chain.instructions() {
                 match *instr {
                     Instruction::VRd {

@@ -14,7 +14,7 @@
 
 use crate::isa::{Chain, Instruction, Item, MemId, Opcode};
 
-use super::{walk, AnalysisPass, DiagCode, Diagnostic, PassContext, Step, WalkMode};
+use super::{walk, AnalysisPass, DiagCode, Diagnostic, PassContext, Step};
 
 fn overlaps(a: u32, a_w: u32, b: u32, b_w: u32) -> bool {
     u64::from(a) < u64::from(b) + u64::from(b_w) && u64::from(b) < u64::from(a) + u64::from(a_w)
@@ -22,8 +22,7 @@ fn overlaps(a: u32, a_w: u32, b: u32, b_w: u32) -> bool {
 
 fn check_chain(step: &Step<'_>, chain: &Chain, out: &mut Vec<Diagnostic>) {
     let (segment, item) = (step.segment, step.item);
-    let w_in = step.w_in(chain);
-    let w_out = step.w_out();
+    let (w_in, w_out) = chain.widths(step.rows, step.cols);
 
     if chain.has_mv_mul() && !step.tiling_set {
         out.push(Diagnostic::new(
@@ -112,7 +111,7 @@ impl AnalysisPass for ChainShapePass {
     }
 
     fn run(&self, cx: &PassContext<'_>, out: &mut Vec<Diagnostic>) {
-        walk(cx.program, WalkMode::Runtime, |step| {
+        walk(cx.program, |step| {
             if step.unroll > 0 {
                 return;
             }

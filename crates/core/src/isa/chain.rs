@@ -247,6 +247,15 @@ impl Chain {
         self.has_mv_mul
     }
 
+    /// Native vectors a vector chain reads at its head and carries from its
+    /// `mv_mul` on, under tiling registers `rows` and `cols`: an `mv_mul`
+    /// reads `cols` and emits `rows`; a chain without one is `rows` wide
+    /// throughout.
+    #[inline]
+    pub fn widths(&self, rows: u32, cols: u32) -> (u32, u32) {
+        (if self.has_mv_mul { cols } else { rows }, rows)
+    }
+
     /// Number of MFU add/sub/max operations.
     #[inline]
     pub fn addsub_ops(&self) -> usize {
@@ -500,6 +509,7 @@ mod tests {
         assert_eq!(c.multiply_ops(), 1);
         assert_eq!(c.activation_ops(), 1);
         assert_eq!(c.mfu_ops(), 3);
+        assert_eq!(c.widths(2, 3), (3, 2), "cols in, rows out");
 
         // Counts by kind, not by opcode; none for a matrix chain.
         let c = Chain::new(vec![
@@ -516,6 +526,7 @@ mod tests {
             (c.has_mv_mul(), kinds, c.mfu_ops())
         };
         assert_eq!(counts(&c), (false, (2, 0, 2), 4));
+        assert_eq!(c.widths(2, 3), (2, 2), "rows throughout");
         let m = Chain::new(vec![
             Instruction::MRd {
                 mem: MemId::NetQ,

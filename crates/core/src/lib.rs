@@ -67,7 +67,7 @@ mod stats;
 mod trace;
 mod trace_report;
 
-pub use analysis::capacity::{ValidateError, ValidateErrorKind};
+pub use analysis::capacity::ValidateError;
 pub use analysis::{
     analyze, analyze_artifact, analyze_artifact_with, analyze_with, artifact_cycle_bounds,
     cycle_bounds, AnalysisOptions, AnalysisPass, AnalysisReport, Analyzer, ArtifactContext,

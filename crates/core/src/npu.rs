@@ -22,7 +22,9 @@ use crate::isa::{Chain, Instruction, MemId, Opcode, Program, ScalarReg};
 use crate::mem::{Dram, MatrixFile, NetQueues, VectorFile};
 use crate::mfu;
 use crate::mvm;
-use crate::sched::{vrf_file, ChainTiming, FastForward, OperandFiles, Scheduled, Timeline};
+use crate::sched::{
+    mrf_span, vrf_file, vrf_span, ChainTiming, FastForward, OperandFiles, Scheduled, Timeline,
+};
 use crate::stats::RunStats;
 use crate::trace::{SinkHandle, SpanKind, SpanRecord, TraceId};
 
@@ -703,10 +705,8 @@ impl Npu {
 
     /// The entry count of a tile grid, once it is known to fit the MRF.
     fn grid_entries(&self, base: u32, grid_rows: u32, grid_cols: u32) -> Result<u32, SimError> {
-        let span = self
-            .timeline
-            .mrf_span(base, u64::from(grid_rows) * u64::from(grid_cols))?;
-        Ok(span.len() as u32)
+        let tiles = u64::from(grid_rows) * u64::from(grid_cols);
+        Ok(mrf_span(&self.config, base, tiles)?.len() as u32)
     }
 
     /// Writes an arbitrary-length vector into consecutive entries of a
@@ -720,7 +720,7 @@ impl Npu {
         let nd = self.config.native_dim() as usize;
         let count = data.len().div_ceil(nd).max(1);
         let entries = u32::try_from(count).unwrap_or(u32::MAX);
-        Timeline::vrf_span(&self.config, mem, index, entries)?;
+        vrf_span(&self.config, mem, index, entries)?;
         if let Some(planes) = &mut self.data {
             let mut flat = vec![0.0f32; count * nd];
             flat[..data.len()].copy_from_slice(data);

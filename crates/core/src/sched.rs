@@ -144,6 +144,19 @@
 //! Faults that need contents ([`SimError::MrfEntryUninitialized`],
 //! [`SimError::DramMatrixUninitialized`], [`SimError::Numeric`]) belong to
 //! the data pass and so only to `ExecMode::Full`.
+//!
+//! Each capacity fault is raised by one function here: `reg_write`,
+//! `mfu_units`, `vrf_span` (with `OperandFiles` naming an MFU operand's
+//! file), `mrf_span` and `dram_span`. The deploy gate,
+//! [`Program::validate`] (the linter's BW001–BW005), calls the same
+//! functions in the same order over the runtime walk: zero-iteration
+//! segments skipped, loop bodies twice. Twice is exact, because a loop's
+//! second iteration starts in the register state every later one does.
+//! Only NetQ pops are left out; their budget is the NetQ pass's. So:
+//! * a program `validate` passes raises no data-free fault but
+//!   [`SimError::NetQueueEmpty`];
+//! * a program the timeline faults on otherwise has that fault first in
+//!   `validate`'s list, located at the item that raised it.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -363,6 +376,76 @@ impl OperandFiles {
         *seen += 1;
         file(u8::try_from(*seen - 1).unwrap_or(u8::MAX))
     }
+}
+
+/// A tiling register write: `rows` and `cols` must be non-zero.
+pub(crate) fn reg_write(reg: ScalarReg, value: u32) -> Result<(), SimError> {
+    if value == 0 {
+        return Err(SimError::BadRegValue { reg });
+    }
+    Ok(())
+}
+
+/// A vector chain's MFU operations of each kind fit the units there are:
+/// one of each kind per MFU.
+pub(crate) fn mfu_units(config: &NpuConfig, chain: &Chain) -> Result<(), SimError> {
+    for (kind, used) in [
+        ("add/sub", chain.addsub_ops()),
+        ("multiply", chain.multiply_ops()),
+        ("activation", chain.activation_ops()),
+    ] {
+        if used > config.mfus() as usize {
+            return Err(SimError::MfuCapacityExceeded {
+                kind,
+                used,
+                available: config.mfus(),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// The scoreboard range of `width` entries of VRF `mem` from `index`.
+pub(crate) fn vrf_span(
+    config: &NpuConfig,
+    mem: MemId,
+    index: u32,
+    width: u32,
+) -> Result<Range<usize>, SimError> {
+    let (file, slot) = vrf_file(mem, config.mfus())?;
+    let capacity = config.vrf_entries();
+    let within =
+        span(index, u64::from(width), u64::from(capacity)).ok_or(SimError::VrfIndexOutOfRange {
+            file,
+            index,
+            width,
+            capacity,
+        })?;
+    let base = slot * capacity as usize;
+    Ok(base + within.start..base + within.end)
+}
+
+/// The scoreboard range of `count` MRF entries from `index`.
+pub(crate) fn mrf_span(
+    config: &NpuConfig,
+    index: u32,
+    count: u64,
+) -> Result<Range<usize>, SimError> {
+    let capacity = config.mrf_entries();
+    span(index, count, u64::from(capacity)).ok_or(SimError::MrfIndexOutOfRange {
+        index: index.max(capacity),
+        capacity,
+    })
+}
+
+/// The scoreboard range of `count` DRAM entries from `index`.
+pub(crate) fn dram_span(index: u32, count: u64) -> Result<Range<usize>, SimError> {
+    span(index, count, DRAM_ENTRIES).ok_or(SimError::VrfIndexOutOfRange {
+        file: "Dram",
+        index,
+        width: saturate(count),
+        capacity: DRAM_ENTRIES as u32,
+    })
 }
 
 /// One chain's place in the schedule: the record [`Npu::take_trace`]
@@ -970,54 +1053,13 @@ impl Timeline {
     }
 
     fn set_reg(&mut self, reg: ScalarReg, value: u32) -> Result<(), SimError> {
-        if value == 0 {
-            return Err(SimError::BadRegValue { reg });
-        }
+        reg_write(reg, value)?;
         self.dispatch(1);
         match reg {
             ScalarReg::Rows => self.rows = value,
             ScalarReg::Cols => self.cols = value,
         }
         Ok(())
-    }
-
-    /// The scoreboard range of `width` entries of VRF `mem` from `index`.
-    pub(crate) fn vrf_span(
-        config: &NpuConfig,
-        mem: MemId,
-        index: u32,
-        width: u32,
-    ) -> Result<Range<usize>, SimError> {
-        let (file, slot) = vrf_file(mem, config.mfus())?;
-        let capacity = config.vrf_entries();
-        let within = span(index, u64::from(width), u64::from(capacity)).ok_or(
-            SimError::VrfIndexOutOfRange {
-                file,
-                index,
-                width,
-                capacity,
-            },
-        )?;
-        let base = slot * capacity as usize;
-        Ok(base + within.start..base + within.end)
-    }
-
-    /// The scoreboard range of `count` MRF entries from `index`.
-    pub(crate) fn mrf_span(&self, index: u32, count: u64) -> Result<Range<usize>, SimError> {
-        let capacity = self.mrf_ready.cycles.len() as u32;
-        span(index, count, u64::from(capacity)).ok_or(SimError::MrfIndexOutOfRange {
-            index: index.max(capacity),
-            capacity,
-        })
-    }
-
-    fn dram_span(index: u32, count: u64) -> Result<Range<usize>, SimError> {
-        span(index, count, DRAM_ENTRIES).ok_or(SimError::VrfIndexOutOfRange {
-            file: "Dram",
-            index,
-            width: saturate(count),
-            capacity: DRAM_ENTRIES as u32,
-        })
     }
 
     fn matrix_chain(&mut self, config: &NpuConfig, chain: &Chain) -> Result<ChainTiming, SimError> {
@@ -1034,18 +1076,18 @@ impl Timeline {
         // still streaming.
         let (dst_span, mut dep_ready) = match dst.0 {
             MemId::MatrixRf => {
-                let s = self.mrf_span(dst.1, count)?;
+                let s = mrf_span(config, dst.1, count)?;
                 let t = self.mrf_read_until.latest(&s);
                 (s, t)
             }
-            MemId::Dram => (Self::dram_span(dst.1, count)?, 0),
+            MemId::Dram => (dram_span(dst.1, count)?, 0),
             _ => return Err(malformed(Opcode::MWr)),
         };
         match src.0 {
             MemId::NetQ => self.arrivals.pop_matrices(count)?,
             MemId::Dram => {
                 // Host-staged tiles were never written this run: ready at 0.
-                let s = Self::dram_span(src.1, count)?;
+                let s = dram_span(src.1, count)?;
                 dep_ready = dep_ready.max(self.dram_matrix_ready.latest(&s));
             }
             _ => return Err(malformed(Opcode::MRd)),
@@ -1105,26 +1147,10 @@ impl Timeline {
     }
 
     fn vector_chain(&mut self, config: &NpuConfig, chain: &Chain) -> Result<ChainTiming, SimError> {
-        for (kind, used) in [
-            ("add/sub", chain.addsub_ops()),
-            ("multiply", chain.multiply_ops()),
-            ("activation", chain.activation_ops()),
-        ] {
-            if used > config.mfus() as usize {
-                return Err(SimError::MfuCapacityExceeded {
-                    kind,
-                    used,
-                    available: config.mfus(),
-                });
-            }
-        }
-
+        mfu_units(config, chain)?;
         let timing = config.timing();
         let (rows, cols) = (self.rows, self.cols);
-        // Chains with an mv_mul read `cols` native vectors and emit `rows`;
-        // chains without one are `rows` wide throughout.
-        let w_in = if chain.has_mv_mul() { cols } else { rows };
-        let w_out = rows;
+        let (w_in, w_out) = chain.widths(rows, cols);
 
         // `dep_ready` accumulates the earliest legal chain start implied by
         // each operand: an operand consumed at pipeline offset `depth` may
@@ -1149,11 +1175,11 @@ impl Timeline {
                             credited
                         }
                         MemId::Dram => {
-                            let s = Self::dram_span(index, u64::from(w_in))?;
+                            let s = dram_span(index, u64::from(w_in))?;
                             self.dram_vector_ready.latest(&s).saturating_sub(depth)
                         }
                         vrf => {
-                            let s = Self::vrf_span(config, vrf, index, w_in)?;
+                            let s = vrf_span(config, vrf, index, w_in)?;
                             self.vrf_ready.latest(&s).saturating_sub(depth)
                         }
                     };
@@ -1162,7 +1188,7 @@ impl Timeline {
                 }
                 Instruction::MvMul { mrf_index } => {
                     let tiles = u64::from(rows) * u64::from(cols);
-                    mvm_tiles = self.mrf_span(mrf_index, tiles)?;
+                    mvm_tiles = mrf_span(config, mrf_index, tiles)?;
                     mvm_occ = mvm::occupancy(config, rows, cols);
                     mvm_macs += tiles * self.tile_macs;
                     let ready = self.mrf_ready.latest(&mvm_tiles);
@@ -1180,7 +1206,7 @@ impl Timeline {
                 | Instruction::VvBSubA { index }
                 | Instruction::VvMax { index }
                 | Instruction::VvMul { index } => {
-                    let s = Self::vrf_span(config, operands.next(instr), index, w_out)?;
+                    let s = vrf_span(config, operands.next(instr), index, w_out)?;
                     let ready = self.vrf_ready.latest(&s);
                     dep_ready = dep_ready.max(ready.saturating_sub(depth));
                     depth += u64::from(timing.mfu_op_depth);
@@ -1232,11 +1258,11 @@ impl Timeline {
             match mem {
                 MemId::NetQ => t.net_vectors_out += u64::from(w_out),
                 MemId::Dram => {
-                    let s = Self::dram_span(index, u64::from(w_out))?;
+                    let s = dram_span(index, u64::from(w_out))?;
                     self.write(BoardId::DramVector, s).fill(t.trace.completion);
                 }
                 vrf => {
-                    let s = Self::vrf_span(config, vrf, index, w_out)?;
+                    let s = vrf_span(config, vrf, index, w_out)?;
                     self.write(BoardId::Vrf, s).fill(t.trace.completion);
                 }
             }
@@ -1265,23 +1291,23 @@ mod tests {
     #[test]
     fn vrf_scoreboard_tracks_ranges() {
         let mut t = Timeline::new(&cfg());
-        let all = Timeline::vrf_span(&cfg(), MemId::InitialVrf, 0, 8).unwrap();
+        let all = vrf_span(&cfg(), MemId::InitialVrf, 0, 8).unwrap();
         assert_eq!(t.vrf_ready.latest(&all), 0);
-        let s = Timeline::vrf_span(&cfg(), MemId::InitialVrf, 2, 3).unwrap();
+        let s = vrf_span(&cfg(), MemId::InitialVrf, 2, 3).unwrap();
         t.vrf_ready.write(s).fill(100);
         let one = |t: &Timeline, i, w| {
             t.vrf_ready
-                .latest(&Timeline::vrf_span(&cfg(), MemId::InitialVrf, i, w).unwrap())
+                .latest(&vrf_span(&cfg(), MemId::InitialVrf, i, w).unwrap())
         };
         assert_eq!(one(&t, 2, 1), 100);
         assert_eq!(one(&t, 0, 8), 100);
         assert_eq!(one(&t, 0, 2), 0);
-        let s = Timeline::vrf_span(&cfg(), MemId::InitialVrf, 3, 1).unwrap();
+        let s = vrf_span(&cfg(), MemId::InitialVrf, 3, 1).unwrap();
         t.vrf_ready.write(s).fill(50); // overwrite lowers that entry
         assert_eq!(one(&t, 3, 1), 50);
         assert_eq!(one(&t, 2, 3), 100);
         // Files do not alias: the same indices of another file are clear.
-        let other = Timeline::vrf_span(&cfg(), MemId::AddSubVrf(1), 0, 8).unwrap();
+        let other = vrf_span(&cfg(), MemId::AddSubVrf(1), 0, 8).unwrap();
         assert_eq!(t.vrf_ready.latest(&other), 0);
         t.begin_run();
         assert_eq!(one(&t, 0, 8), 0);
@@ -1347,10 +1373,9 @@ mod tests {
 
     #[test]
     fn spans_fault_on_width_file_and_u32_overflow() {
-        let t = Timeline::new(&cfg());
-        assert!(Timeline::vrf_span(&cfg(), MemId::InitialVrf, 7, 1).is_ok());
+        assert!(vrf_span(&cfg(), MemId::InitialVrf, 7, 1).is_ok());
         assert_eq!(
-            Timeline::vrf_span(&cfg(), MemId::MultiplyVrf(0), 7, 2),
+            vrf_span(&cfg(), MemId::MultiplyVrf(0), 7, 2),
             Err(SimError::VrfIndexOutOfRange {
                 file: "MultiplyVrf",
                 index: 7,
@@ -1358,24 +1383,24 @@ mod tests {
                 capacity: 8
             })
         );
-        assert!(Timeline::vrf_span(&cfg(), MemId::InitialVrf, u32::MAX, u32::MAX).is_err());
+        assert!(vrf_span(&cfg(), MemId::InitialVrf, u32::MAX, u32::MAX).is_err());
         for mem in [MemId::AddSubVrf(2), MemId::MatrixRf, MemId::NetQ] {
             assert_eq!(
-                Timeline::vrf_span(&cfg(), mem, 0, 1),
+                vrf_span(&cfg(), mem, 0, 1),
                 Err(SimError::BadVrfFileIndex { mem, mfus: 2 })
             );
         }
-        assert_eq!(t.mrf_span(12, 4), Ok(12..16));
+        assert_eq!(mrf_span(&cfg(), 12, 4), Ok(12..16));
         assert_eq!(
-            t.mrf_span(12, 5),
+            mrf_span(&cfg(), 12, 5),
             Err(SimError::MrfIndexOutOfRange {
                 index: 16,
                 capacity: 16
             })
         );
-        assert!(t.mrf_span(0, 1 << 32).is_err());
-        assert!(Timeline::dram_span(0, DRAM_ENTRIES).is_ok());
-        assert!(Timeline::dram_span(1, DRAM_ENTRIES).is_err());
+        assert!(mrf_span(&cfg(), 0, 1 << 32).is_err());
+        assert!(dram_span(0, DRAM_ENTRIES).is_ok());
+        assert!(dram_span(1, DRAM_ENTRIES).is_err());
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! clean, and seeded bugs surface as the documented `BW0xx` diagnostics
 //! anchored to the offending segment and item.
 
+use brainwave::core::isa::{Item, Segment};
 use brainwave::gir;
 use brainwave::prelude::*;
 
@@ -63,6 +64,106 @@ fn seeded_out_of_range_read_yields_bw002() {
     let d = find(&report, DiagCode::VrfOverflow);
     assert_eq!((d.segment, d.item), (0, 1), "{report}");
     assert_eq!(d.severity, Severity::Error);
+}
+
+/// `program`'s timing-only run with plenty of input vectors queued.
+fn run_timing(program: &Program, cfg: &NpuConfig) -> Result<RunStats, SimError> {
+    let mut npu = Npu::with_mode(cfg.clone(), ExecMode::TimingOnly);
+    npu.push_input_zeros(64);
+    npu.run(program)
+}
+
+/// The one capacity finding of `program`: its code and location, and
+/// that its message is the fault the timing-only run stops at.
+fn lint_and_run(program: &Program, cfg: &NpuConfig) -> (DiagCode, usize, usize, String) {
+    let report = analyze(program, cfg);
+    let errors = program.validate(cfg);
+    assert_eq!(errors.len(), 1, "{report}");
+    let fault = run_timing(program, cfg).expect_err("the gate's fault is the run's");
+    assert_eq!(errors[0].fault, fault);
+    let d = report
+        .diagnostics
+        .iter()
+        .find(|d| d.message == fault.to_string())
+        .unwrap_or_else(|| panic!("{fault} missing from:\n{report}"));
+    (d.code, d.segment, d.item, d.message.clone())
+}
+
+#[test]
+fn a_dram_write_past_the_address_space_yields_bw002() {
+    let mut b = ProgramBuilder::new();
+    b.set_rows(2);
+    b.v_rd(MemId::NetQ, 0)
+        .v_wr(MemId::Dram, (1 << 22) - 1)
+        .end_chain()
+        .unwrap();
+    let (code, segment, item, message) = lint_and_run(&b.build(), &cfg());
+    assert_eq!((code, segment, item), (DiagCode::VrfOverflow, 0, 1));
+    assert!(message.contains("Dram"), "{message}");
+}
+
+#[test]
+fn a_loop_body_that_widens_its_own_chains_is_checked_at_the_new_width() {
+    // Iteration 1 writes InitialVrf[30..31]; iteration 2 runs the same
+    // chain at the rows the body's tail set, [30..34) of 32 entries.
+    let mut b = ProgramBuilder::new();
+    b.set_rows(1);
+    b.begin_loop(2).unwrap();
+    b.v_rd(MemId::NetQ, 0)
+        .v_wr(MemId::InitialVrf, 30)
+        .end_chain()
+        .unwrap();
+    b.set_rows(4);
+    b.end_loop().unwrap();
+    let (code, segment, item, _) = lint_and_run(&b.build(), &cfg());
+    assert_eq!((code, segment, item), (DiagCode::VrfOverflow, 1, 0));
+
+    // A 2 × 2 mv_mul fits a 4-entry MRF; iteration 2's 2 × 4 does not.
+    let small = NpuConfig::builder()
+        .native_dim(8)
+        .lanes(4)
+        .tile_engines(2)
+        .mfus(2)
+        .mrf_entries(4)
+        .vrf_entries(32)
+        .build()
+        .unwrap();
+    let mut b = ProgramBuilder::new();
+    b.set_rows(2).set_cols(2);
+    b.begin_loop(2).unwrap();
+    b.v_rd(MemId::NetQ, 0)
+        .mv_mul(0)
+        .v_wr(MemId::NetQ, 0)
+        .end_chain()
+        .unwrap();
+    b.set_cols(4);
+    b.end_loop().unwrap();
+    let (code, segment, item, _) = lint_and_run(&b.build(), &small);
+    assert_eq!((code, segment, item), (DiagCode::MrfOverflow, 1, 0));
+}
+
+#[test]
+fn a_segment_that_never_runs_is_not_an_error() {
+    let chain = Chain::new(vec![
+        Instruction::VRd {
+            mem: MemId::InitialVrf,
+            index: 99,
+        },
+        Instruction::VWr {
+            mem: MemId::NetQ,
+            index: 0,
+        },
+    ])
+    .unwrap();
+    let program = Program {
+        segments: vec![Segment {
+            items: vec![Item::Chain(chain)],
+            iterations: 0,
+        }],
+    };
+    assert_eq!(program.validate(&cfg()), vec![]);
+    assert!(!analyze(&program, &cfg()).has_errors());
+    assert!(run_timing(&program, &cfg()).is_ok());
 }
 
 #[test]

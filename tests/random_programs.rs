@@ -180,6 +180,70 @@ fn build_loop(spec: &LoopSpec) -> Program {
     }
 }
 
+/// A loop that resizes its own chains: [`build_program`]'s register writes
+/// as a one-pass prelude, then its chains, optionally a chain writing DRAM
+/// near the top of its address space, and `set_rows`/`set_cols` as a body
+/// of `iterations`.
+#[derive(Clone, Debug)]
+struct ResizingSpec {
+    chains: Vec<ChainSpec>,
+    dram: Option<u32>,
+    iterations: u32,
+    rows: u32,
+    cols: u32,
+}
+
+fn resizing_strategy() -> impl Strategy<Value = ResizingSpec> {
+    (
+        prop::collection::vec(chain_strategy(), 1..6),
+        any::<bool>(),
+        (1u32 << 22) - 8..1 << 22,
+        1u32..=4,
+        1u32..=4,
+        1u32..=4,
+    )
+        .prop_map(|(chains, dram, at, iterations, rows, cols)| ResizingSpec {
+            chains,
+            dram: dram.then_some(at),
+            iterations,
+            rows,
+            cols,
+        })
+}
+
+fn build_resizing(spec: &ResizingSpec) -> Program {
+    let items = build_program(&spec.chains).segments.remove(0).items;
+    let (prelude, mut body): (Vec<_>, Vec<_>) = items
+        .into_iter()
+        .partition(|item| matches!(item, Item::SetReg { .. }));
+    if let Some(at) = spec.dram {
+        let mut b = ProgramBuilder::new();
+        b.v_rd(MemId::NetQ, 0).v_wr(MemId::Dram, at);
+        b.end_chain().expect("a valid chain");
+        body.extend(b.build().segments.remove(0).items);
+    }
+    body.push(Item::SetReg {
+        reg: ScalarReg::Rows,
+        value: spec.rows,
+    });
+    body.push(Item::SetReg {
+        reg: ScalarReg::Cols,
+        value: spec.cols,
+    });
+    Program {
+        segments: vec![
+            Segment {
+                items: prelude,
+                iterations: 1,
+            },
+            Segment {
+                items: body,
+                iterations: spec.iterations,
+            },
+        ],
+    }
+}
+
 /// NetQ vectors the program built from `spec` pops.
 fn loop_vectors(spec: &LoopSpec) -> u64 {
     let per = |specs: &[ChainSpec]| net_vectors(specs) as u64;
@@ -362,6 +426,27 @@ proptest! {
         );
     }
 
+    /// The deploy gate's contract (`bw_core::sched`, "Faults"), on loops
+    /// whose bodies resize their own chains and may write past DRAM: a
+    /// program `validate` passes raises no data-free fault but an empty
+    /// queue, and the fault a run raises is the first `validate` reports.
+    /// (And it rejects no program that runs to the end.)
+    #[test]
+    fn the_gate_and_the_timeline_raise_the_same_faults(spec in resizing_strategy()) {
+        let program = build_resizing(&spec);
+        let errors = program.validate(&cfg());
+        let mut npu = Npu::with_mode(cfg(), ExecMode::TimingOnly);
+        npu.push_input_zeros(1 << 30);
+        match npu.run(&program) {
+            Ok(_) => prop_assert!(errors.is_empty(), "ran clean, rejected: {:?}", errors),
+            Err(SimError::NetQueueEmpty { .. }) => {}
+            Err(e) => {
+                prop_assert!(!errors.is_empty(), "validate passed; the run raised {}", e);
+                prop_assert_eq!(&errors[0].fault, &e);
+            }
+        }
+    }
+
     #[test]
     fn random_valid_programs_lint_without_errors(
         specs in prop::collection::vec(chain_strategy(), 1..12)
@@ -390,9 +475,22 @@ proptest! {
             let caught = report.error_count() > 0;
             let looping = program.segments.iter().any(|s| s.iterations > 1_000);
             if !caught && !looping {
+                // A lint-clean program raises no capacity fault: only an
+                // empty queue or a fault of the data pass.
                 let mut npu = Npu::new(cfg());
                 prepare(&mut npu, &specs);
-                let _ = npu.run(&program);
+                let result = npu.run(&program);
+                prop_assert!(
+                    matches!(
+                        result,
+                        Ok(_)
+                            | Err(SimError::NetQueueEmpty { .. }
+                                | SimError::MrfEntryUninitialized { .. }
+                                | SimError::DramMatrixUninitialized { .. }
+                                | SimError::Numeric(_))
+                    ),
+                    "a lint-clean program faulted: {:?}", result.err()
+                );
             }
             // Whatever the linter made of it: with budgets declared from
             // what was actually pushed, a bound is unprovable exactly when

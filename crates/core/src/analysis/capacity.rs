@@ -7,8 +7,6 @@
 //! a loop body twice is exact, is the scheduler's
 //! [Faults](crate::sched#faults).
 
-use std::ops::Range;
-
 use crate::config::NpuConfig;
 use crate::isa::{Chain, Instruction, Item, MemId, Program};
 use crate::npu::SimError;
@@ -56,8 +54,8 @@ fn check_chain(
     if let Err(e) = mfu_units(config, chain) {
         fault(e);
     }
-    let mut check = |span: Result<Range<usize>, SimError>| {
-        if let Err(e) = span {
+    let mut check = |span: Option<SimError>| {
+        if let Some(e) = span {
             fault(e);
         }
     };
@@ -68,7 +66,7 @@ fn check_chain(
                 Instruction::MWr {
                     mem: MemId::MatrixRf,
                     index,
-                } => check(mrf_span(config, index, tiles)),
+                } => check(mrf_span(config, index, tiles).err()),
                 Instruction::MWr {
                     mem: MemId::Dram,
                     index,
@@ -76,7 +74,7 @@ fn check_chain(
                 | Instruction::MRd {
                     mem: MemId::Dram,
                     index,
-                } => check(dram_span(index, tiles)),
+                } => check(dram_span(index, tiles).err()),
                 _ => {}
             }
         }
@@ -88,16 +86,16 @@ fn check_chain(
         match *instr {
             Instruction::VRd { mem, index } => match mem {
                 MemId::NetQ => {}
-                MemId::Dram => check(dram_span(index, u64::from(w_in))),
-                vrf => check(vrf_span(config, vrf, index, w_in)),
+                MemId::Dram => check(dram_span(index, u64::from(w_in)).err()),
+                vrf => check(vrf_span(config, vrf, index, w_in).err()),
             },
-            Instruction::MvMul { mrf_index } => check(mrf_span(config, mrf_index, tiles)),
+            Instruction::MvMul { mrf_index } => check(mrf_span(config, mrf_index, tiles).err()),
             Instruction::VvAdd { index }
             | Instruction::VvASubB { index }
             | Instruction::VvBSubA { index }
             | Instruction::VvMax { index }
             | Instruction::VvMul { index } => {
-                check(vrf_span(config, operands.next(instr), index, w_out));
+                check(vrf_span(config, operands.next(instr), index, w_out).err());
             }
             _ => {}
         }
@@ -105,8 +103,8 @@ fn check_chain(
     for (mem, index) in chain.write_targets() {
         match mem {
             MemId::NetQ => {}
-            MemId::Dram => check(dram_span(index, u64::from(w_out))),
-            vrf => check(vrf_span(config, vrf, index, w_out)),
+            MemId::Dram => check(dram_span(index, u64::from(w_out)).err()),
+            vrf => check(vrf_span(config, vrf, index, w_out).err()),
         }
     }
 }
@@ -171,7 +169,9 @@ impl AnalysisPass for CapacityPass {
             let (segment, item) = (err.segment, err.item);
             let code = match err.fault {
                 SimError::BadRegValue { .. } => DiagCode::ZeroRegister,
-                SimError::VrfIndexOutOfRange { .. } => DiagCode::VrfOverflow,
+                SimError::VrfIndexOutOfRange { .. } | SimError::DramIndexOutOfRange { .. } => {
+                    DiagCode::VrfOverflow
+                }
                 SimError::MrfIndexOutOfRange { .. } => DiagCode::MrfOverflow,
                 SimError::BadVrfFileIndex { .. } => DiagCode::MissingMfu,
                 SimError::MfuCapacityExceeded { .. } => DiagCode::MfuCapacity,
@@ -265,8 +265,8 @@ mod tests {
     #[test]
     fn non_vrf_memories_have_no_capacity() {
         let cfg = cfg();
-        assert_eq!(vrf_span(&cfg, MemId::InitialVrf, 0, 32), Ok(0..32));
-        assert_eq!(vrf_span(&cfg, MemId::AddSubVrf(1), 0, 32), Ok(64..96));
+        assert_eq!(vrf_span(&cfg, MemId::InitialVrf, 0, 32), Ok((0, 0..32)));
+        assert_eq!(vrf_span(&cfg, MemId::AddSubVrf(1), 0, 32), Ok((2, 0..32)));
         for mem in [
             MemId::AddSubVrf(2),
             MemId::MultiplyVrf(200),

@@ -98,8 +98,7 @@ pub struct ChainTrace {
 /// Error produced while loading state or executing a program.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SimError {
-    /// A VRF access fell outside the file's capacity, or a DRAM access
-    /// outside the modelled address space (`file` is then `"Dram"`).
+    /// A VRF access fell outside the file's capacity.
     VrfIndexOutOfRange {
         /// Name of the register file.
         file: &'static str,
@@ -108,6 +107,15 @@ pub enum SimError {
         /// Number of entries accessed.
         width: u32,
         /// File capacity in entries.
+        capacity: u32,
+    },
+    /// A DRAM access fell outside the modelled address space.
+    DramIndexOutOfRange {
+        /// First entry accessed.
+        index: u32,
+        /// Number of entries accessed.
+        width: u32,
+        /// Entries in the modelled address space.
         capacity: u32,
     },
     /// An MRF access fell outside its capacity.
@@ -202,6 +210,14 @@ impl fmt::Display for SimError {
             } => write!(
                 f,
                 "{file} access [{index}, {index}+{width}) exceeds capacity {capacity}"
+            ),
+            SimError::DramIndexOutOfRange {
+                index,
+                width,
+                capacity,
+            } => write!(
+                f,
+                "Dram access [{index}, {index}+{width}) exceeds capacity {capacity}"
             ),
             SimError::MrfIndexOutOfRange { index, capacity } => {
                 write!(f, "MRF entry {index} exceeds capacity {capacity}")

@@ -58,17 +58,24 @@
 //!
 //! # Scoreboards
 //!
-//! A scoreboard is one cycle per entry. Every run starts with every entry
-//! at 0, and a run's writes are the only thing that makes one non-zero. So
-//! each board records the extent it was written over — lowest to highest
-//! entry written since its last reset — and the reset at the start of a
-//! run zeroes that extent alone. Every entry outside it is already 0, so
-//! the state is the one a fill of the whole board leaves and no cycle can
-//! depend on the difference; the work is what the last run wrote, never
-//! more than the board, and a warm run of a small program does not pay
-//! for register files it never touched. The VRF and MRF boards are sized
-//! by the [`NpuConfig`]; the DRAM ones grow on write up to
-//! `DRAM_ENTRIES` and read as 0 past their length.
+//! A scoreboard is one cycle per entry of one store: each VRF has its own,
+//! the MRF two (ready and read-until), DRAM two (vectors and matrices).
+//! Every run starts with every entry at 0, and a run's writes are the only
+//! thing that makes one non-zero. So a board holds only the entries up to
+//! the highest one ever written, zeroed as a write first reaches them, and
+//! reads every entry past them as 0 — the rule the data-plane register
+//! files follow. The VRF and MRF boards reserve their [`NpuConfig`]
+//! capacity when the timeline is built, which zeroes nothing, so a write
+//! never moves them; the DRAM ones grow on write up to `DRAM_ENTRIES`. A
+//! cold run pays for the entries it writes, not for the configuration.
+//!
+//! Each board also records the extent it was written over — lowest to
+//! highest entry written since its last reset — and the reset at the start
+//! of a run zeroes that extent alone. Every entry outside it is already 0,
+//! so the state is the one a fill of the whole board leaves and no cycle
+//! can depend on the difference; the work is what the last run wrote,
+//! never more than the board, and a warm run of a small program does not
+//! pay for register files it never touched.
 //!
 //! A read scans only the part of its range inside the written extent, for
 //! the same reason: a board no chain of the run wrote — the MRF's when the
@@ -87,19 +94,32 @@
 //! one map F from the state S it starts in to the state after it and its
 //! chains' timings T. S is the cursor, the instruction count, the
 //! frontiers, `completed`, the tiling registers, the queued vector and tile
-//! counts, and every scoreboard entry the iteration writes; an entry it
+//! counts, and the scoreboard entries the iteration writes; an entry it
 //! reads and does not write is a constant of F. F uses only `max`, `+` of
 //! a constant, saturating `−` of a constant (a `max` with 0) and
 //! assignment. So while nothing saturates and every NetQ pop returns the
 //! same stamp, each field of F(S) and T is a max of affine functions of S,
 //! and along any ray S + m·d it is convex in m.
 //!
+//! S holds those entries as the fills that wrote them. Every scoreboard
+//! write is a fill of one cycle over a range, and the snapshots compared
+//! below come from iterations that made the same fills over the same
+//! ranges in the same order. So each entry is the value of the last fill
+//! over it, a fixed selection of the iteration's fill values, and a
+//! snapshot stores one value per fill, not one per entry (a `mv_mul`'s
+//! read-until fill covers its whole tile grid). Restoring S replays the
+//! fills in order, which leaves every entry what the iteration left it. A
+//! fixed selection is linear: fill values that step evenly give entries
+//! that step evenly, a line through fill values selects a line through
+//! entries, and F and T are still max-affine in them. The argument is the
+//! same over fills as over entries.
+//!
 //! When the caller takes skipped chains as summed statistics (a
 //! timing-only run with no chain trace and no span sink, or
 //! `cycle_bounds`), `run_column` snapshots S after each iteration. Once
 //! three snapshots in a row step evenly, d = S_{i+1} − S_i = S_{i+2} −
-//! S_{i+1} entry by entry, each entry at its own rate, it tests the line
-//! once, at the far end. It sets the state to S_i + M·d, M reaching the
+//! S_{i+1} value by value, each at its own rate, it tests the line once,
+//! at the far end. It sets the state to S_i + M·d, M reaching the
 //! segment's last iteration, and runs that iteration for real. It accepts
 //! only if the result is S_i + (M+1)·d with timings T_i + M·e, e = T_{i+1}
 //! − T_i. A convex function that meets a line at m = 0, 1 and M is that
@@ -135,9 +155,10 @@
 //!
 //! The timeline raises every fault that does not need data:
 //! [`SimError::BadRegValue`], [`SimError::MfuCapacityExceeded`],
-//! [`SimError::BadVrfFileIndex`], [`SimError::VrfIndexOutOfRange`] (also
-//! for DRAM beyond the 2²²-entry modelled address space),
-//! [`SimError::MrfIndexOutOfRange`], [`SimError::NetQueueEmpty`] and
+//! [`SimError::BadVrfFileIndex`], [`SimError::VrfIndexOutOfRange`],
+//! [`SimError::DramIndexOutOfRange`] (beyond the 2²²-entry modelled
+//! address space), [`SimError::MrfIndexOutOfRange`],
+//! [`SimError::NetQueueEmpty`] and
 //! [`SimError::MalformedChain`]. All index arithmetic is done in `u64`
 //! before any scoreboard is touched, so a `rows × cols` grid that overflows
 //! `u32` is an out-of-range fault, not a wrap, and cycle sums saturate.
@@ -205,15 +226,18 @@ fn evenly(a: &[u64], b: &[u64], c: &[u64]) -> bool {
 /// the last [`Board::reset`] (module docs: [Scoreboards](self#scoreboards)).
 #[derive(Clone, Debug, Default)]
 struct Board {
+    /// Zeroed as far as writes have reached; every entry past its length
+    /// is 0.
     cycles: Vec<u64>,
     /// Empty, or spans every entry not 0.
     written: Range<usize>,
 }
 
 impl Board {
-    fn zeros(len: usize) -> Self {
+    /// A board of `capacity` entries, reserved and not yet zeroed.
+    fn reserved(capacity: usize) -> Self {
         Board {
-            cycles: vec![0; len],
+            cycles: Vec::with_capacity(capacity),
             written: 0..0,
         }
     }
@@ -227,20 +251,21 @@ impl Board {
             .map_or(0, |s| s.iter().copied().fold(0, u64::max))
     }
 
-    /// The entries of `range` to write, the board grown to hold them and
-    /// its written extent widened to cover them.
-    fn write(&mut self, range: Range<usize>) -> &mut [u64] {
-        if !range.is_empty() {
-            if self.cycles.len() < range.end {
-                self.cycles.resize(range.end, 0);
-            }
-            self.written = if self.written.is_empty() {
-                range.clone()
-            } else {
-                self.written.start.min(range.start)..self.written.end.max(range.end)
-            };
+    /// Sets every entry of `range` to `cycle`: the board is zeroed as far
+    /// as `range` reaches and its written extent widened to cover it.
+    fn fill(&mut self, range: Range<usize>, cycle: u64) {
+        if range.is_empty() {
+            return;
         }
-        &mut self.cycles[range]
+        if self.cycles.len() < range.end {
+            self.cycles.resize(range.end, 0);
+        }
+        self.written = if self.written.is_empty() {
+            range.clone()
+        } else {
+            self.written.start.min(range.start)..self.written.end.max(range.end)
+        };
+        self.cycles[range].fill(cycle);
     }
 
     /// Zeroes what was written since the last reset: all of the board that
@@ -405,13 +430,14 @@ pub(crate) fn mfu_units(config: &NpuConfig, chain: &Chain) -> Result<(), SimErro
     Ok(())
 }
 
-/// The scoreboard range of `width` entries of VRF `mem` from `index`.
+/// The ordinal of VRF `mem` (its scoreboard, in [`vrf_file`] order) and the
+/// range of `width` entries from `index` in it.
 pub(crate) fn vrf_span(
     config: &NpuConfig,
     mem: MemId,
     index: u32,
     width: u32,
-) -> Result<Range<usize>, SimError> {
+) -> Result<(usize, Range<usize>), SimError> {
     let (file, slot) = vrf_file(mem, config.mfus())?;
     let capacity = config.vrf_entries();
     let within =
@@ -421,8 +447,7 @@ pub(crate) fn vrf_span(
             width,
             capacity,
         })?;
-    let base = slot * capacity as usize;
-    Ok(base + within.start..base + within.end)
+    Ok((slot, within))
 }
 
 /// The scoreboard range of `count` MRF entries from `index`.
@@ -440,8 +465,7 @@ pub(crate) fn mrf_span(
 
 /// The scoreboard range of `count` DRAM entries from `index`.
 pub(crate) fn dram_span(index: u32, count: u64) -> Result<Range<usize>, SimError> {
-    span(index, count, DRAM_ENTRIES).ok_or(SimError::VrfIndexOutOfRange {
-        file: "Dram",
+    span(index, count, DRAM_ENTRIES).ok_or(SimError::DramIndexOutOfRange {
         index,
         width: saturate(count),
         capacity: DRAM_ENTRIES as u32,
@@ -594,7 +618,8 @@ pub(crate) enum Scheduled<'a> {
 /// Names one of a [`Timeline`]'s scoreboards.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum BoardId {
-    Vrf,
+    /// A vector register file, by its [`vrf_file`] ordinal.
+    Vrf(usize),
     Mrf,
     MrfReadUntil,
     DramVector,
@@ -611,8 +636,8 @@ enum Logging {
     Verifying,
 }
 
-/// The written `(board, range)`s of one iteration, in order: the layout of
-/// a snapshot's scoreboard part.
+/// Where the fills of one iteration landed, `(board, range)` in order: the
+/// layout of a snapshot's scoreboard part, which holds their values.
 type Writes = Vec<(BoardId, Range<usize>)>;
 
 /// A snapshot's scalars: cursor, instructions, the three frontiers,
@@ -626,7 +651,7 @@ const MATRICES: usize = 9;
 /// that a warm run allocates nothing.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct FastForward {
-    /// The board writes of the last iteration observed.
+    /// Where the fills of the last iteration observed landed.
     writes: Writes,
     /// Snapshots at the last three iteration boundaries, oldest first,
     /// then room for an extrapolated one and the one a verification
@@ -675,25 +700,27 @@ pub(crate) struct Timeline {
     free_at: [u64; 3],
     /// Latest chain completion so far.
     completed: u64,
-    /// RAW scoreboards: the VRFs as
-    /// `[initial, addsub 0.., multiply 0..] × vrf_entries`; DRAM grows on
-    /// write up to [`DRAM_ENTRIES`].
-    vrf_ready: Board,
+    /// RAW scoreboards: one per VRF, in [`vrf_file`] order, and the MRF's,
+    /// each reserved at its capacity; DRAM's grow on write up to
+    /// [`DRAM_ENTRIES`].
+    vrf_ready: Vec<Board>,
     mrf_ready: Board,
     /// WAR scoreboard: the cycle until which an in-flight `mv_mul` is still
     /// streaming each tile (double-buffering's correctness condition).
     mrf_read_until: Board,
     dram_vector_ready: Board,
     dram_matrix_ready: Board,
-    /// While a fast-forward observes or verifies an iteration, its board
-    /// writes land in `log`.
+    /// While a fast-forward observes or verifies an iteration, where its
+    /// fills land goes to `log` and their values to `logged`.
     logging: Logging,
     log: Writes,
+    logged: Vec<u64>,
 }
 
 impl Timeline {
     pub(crate) fn new(config: &NpuConfig) -> Self {
         let files = 1 + 2 * config.mfus() as usize;
+        let vrf = config.vrf_entries() as usize;
         let mrf = config.mrf_entries() as usize;
         Timeline {
             arrivals: Arrivals::default(),
@@ -707,13 +734,14 @@ impl Timeline {
             tile_macs: mvm::macs(config, 1, 1),
             free_at: [0; 3],
             completed: 0,
-            vrf_ready: Board::zeros(files * config.vrf_entries() as usize),
-            mrf_ready: Board::zeros(mrf),
-            mrf_read_until: Board::zeros(mrf),
+            vrf_ready: (0..files).map(|_| Board::reserved(vrf)).collect(),
+            mrf_ready: Board::reserved(mrf),
+            mrf_read_until: Board::reserved(mrf),
             dram_vector_ready: Board::default(),
             dram_matrix_ready: Board::default(),
             logging: Logging::Off,
             log: Writes::new(),
+            logged: Vec::new(),
         }
     }
 
@@ -726,13 +754,13 @@ impl Timeline {
         self.instructions = 0;
         self.free_at = [0; 3];
         self.completed = 0;
-        for board in [
-            &mut self.vrf_ready,
+        let rest = [
             &mut self.mrf_ready,
             &mut self.mrf_read_until,
             &mut self.dram_vector_ready,
             &mut self.dram_matrix_ready,
-        ] {
+        ];
+        for board in self.vrf_ready.iter_mut().chain(rest) {
             board.reset();
         }
     }
@@ -779,8 +807,7 @@ impl Timeline {
                 })?;
                 continue;
             };
-            self.logging = Logging::Observing;
-            self.log.clear();
+            self.start_logging(Logging::Observing);
             let current = &mut ff.timings[2];
             current.clear();
             self.step(config, &segment.items, |chain, t| {
@@ -821,8 +848,8 @@ impl Timeline {
         Ok(())
     }
 
-    /// Closes an observed iteration: its writes become the snapshot layout,
-    /// and the state after it the newest snapshot.
+    /// Closes an observed iteration: where its fills landed becomes the
+    /// snapshot layout, and the state after it the newest snapshot.
     fn observe(&mut self, ff: &mut FastForward) {
         ff.seen = if self.log == ff.writes {
             ff.seen.saturating_add(1)
@@ -833,7 +860,7 @@ impl Timeline {
         ff.states[..3].rotate_left(1);
         ff.fronts.rotate_left(1);
         ff.timings.rotate_left(1);
-        self.snapshot(&ff.writes, &mut ff.states[2]);
+        self.snapshot(&mut ff.states[2]);
         ff.fronts[2] = self.arrivals.front();
     }
 
@@ -914,8 +941,7 @@ impl Timeline {
         self.restore(&ff.writes, start);
         self.arrivals.set_front((stamp, front - popped), runs);
         self.streaming = false;
-        self.logging = Logging::Verifying;
-        self.log.clear();
+        self.start_logging(Logging::Verifying);
         let [t0, t1, tv] = &mut ff.timings;
         tv.clear();
         let stepped = self.step(config, items, |_, t| {
@@ -923,7 +949,7 @@ impl Timeline {
             Ok(())
         });
         self.logging = Logging::Off;
-        self.snapshot(&ff.writes, start);
+        self.snapshot(start);
         let landed = stepped.is_ok()
             && self.log == ff.writes
             && start == expected
@@ -965,8 +991,8 @@ impl Timeline {
     }
 
     /// Writes the state an iteration starts from into `out`: the
-    /// [`SCALARS`], then every entry of `writes`.
-    fn snapshot(&self, writes: &[(BoardId, Range<usize>)], out: &mut Vec<u64>) {
+    /// [`SCALARS`], then the value of each fill the last iteration logged.
+    fn snapshot(&self, out: &mut Vec<u64>) {
         out.clear();
         out.extend([
             self.nios_cursor,
@@ -980,15 +1006,14 @@ impl Timeline {
             self.arrivals.vectors,
             self.arrivals.matrices,
         ]);
-        for (board, range) in writes {
-            out.extend_from_slice(&self.board(*board).cycles[range.clone()]);
-        }
+        out.extend_from_slice(&self.logged);
     }
 
-    /// Sets the state [`Timeline::snapshot`] reads; the arrival queue's
-    /// runs are the caller's.
+    /// Sets the state [`Timeline::snapshot`] reads, replaying its fills in
+    /// order where `writes` says they landed; the arrival queue's runs are
+    /// the caller's.
     fn restore(&mut self, writes: &[(BoardId, Range<usize>)], state: &[u64]) {
-        let (scalars, mut entries) = state.split_at(SCALARS);
+        let (scalars, fills) = state.split_at(SCALARS);
         let [cursor, instructions, mvm, mfu, memory, completed, rows, cols, vectors, matrices] =
             <[u64; SCALARS]>::try_from(scalars).expect("a snapshot's scalars");
         self.nios_cursor = cursor;
@@ -997,26 +1022,14 @@ impl Timeline {
         self.completed = completed;
         (self.rows, self.cols) = (saturate(rows), saturate(cols));
         (self.arrivals.vectors, self.arrivals.matrices) = (vectors, matrices);
-        for (board, range) in writes {
-            let (these, rest) = entries.split_at(range.len());
-            self.board_mut(*board).cycles[range.clone()].copy_from_slice(these);
-            entries = rest;
-        }
-    }
-
-    fn board(&self, board: BoardId) -> &Board {
-        match board {
-            BoardId::Vrf => &self.vrf_ready,
-            BoardId::Mrf => &self.mrf_ready,
-            BoardId::MrfReadUntil => &self.mrf_read_until,
-            BoardId::DramVector => &self.dram_vector_ready,
-            BoardId::DramMatrix => &self.dram_matrix_ready,
+        for ((board, range), &cycle) in writes.iter().zip(fills) {
+            self.board_mut(*board).fill(range.clone(), cycle);
         }
     }
 
     fn board_mut(&mut self, board: BoardId) -> &mut Board {
         match board {
-            BoardId::Vrf => &mut self.vrf_ready,
+            BoardId::Vrf(file) => &mut self.vrf_ready[file],
             BoardId::Mrf => &mut self.mrf_ready,
             BoardId::MrfReadUntil => &mut self.mrf_read_until,
             BoardId::DramVector => &mut self.dram_vector_ready,
@@ -1024,13 +1037,29 @@ impl Timeline {
         }
     }
 
-    /// The entries of `range` of `board` to write, logged while a
-    /// fast-forward watches.
-    fn write(&mut self, board: BoardId, range: Range<usize>) -> &mut [u64] {
+    /// Logs fills afresh, as `logging` says.
+    fn start_logging(&mut self, logging: Logging) {
+        self.logging = logging;
+        self.log.clear();
+        self.logged.clear();
+    }
+
+    /// Fills `range` of `board` with `cycle`, logged while a fast-forward
+    /// watches.
+    fn write(&mut self, board: BoardId, range: Range<usize>, cycle: u64) {
+        // No read-until entry exceeds the MVM frontier the next `mv_mul`
+        // leaves (module docs, Scoreboards), except in the extrapolated
+        // state a verification starts from.
+        debug_assert!(
+            board != BoardId::MrfReadUntil
+                || self.logging == Logging::Verifying
+                || self.mrf_read_until.latest(&range) <= cycle
+        );
         if self.logging != Logging::Off && !range.is_empty() {
             self.log.push((board, range.clone()));
+            self.logged.push(cycle);
         }
-        self.board_mut(board).write(range)
+        self.board_mut(board).fill(range, cycle);
     }
 
     /// The latest architecturally visible effect so far in this run. Every
@@ -1100,7 +1129,7 @@ impl Timeline {
             MemId::MatrixRf => BoardId::Mrf,
             _ => BoardId::DramMatrix,
         };
-        self.write(board, dst_span).fill(t.trace.completion);
+        self.write(board, dst_span, t.trace.completion);
         Ok(t)
     }
 
@@ -1179,8 +1208,8 @@ impl Timeline {
                             self.dram_vector_ready.latest(&s).saturating_sub(depth)
                         }
                         vrf => {
-                            let s = vrf_span(config, vrf, index, w_in)?;
-                            self.vrf_ready.latest(&s).saturating_sub(depth)
+                            let (file, s) = vrf_span(config, vrf, index, w_in)?;
+                            self.vrf_ready[file].latest(&s).saturating_sub(depth)
                         }
                     };
                     dep_ready = dep_ready.max(ready);
@@ -1206,8 +1235,8 @@ impl Timeline {
                 | Instruction::VvBSubA { index }
                 | Instruction::VvMax { index }
                 | Instruction::VvMul { index } => {
-                    let s = vrf_span(config, operands.next(instr), index, w_out)?;
-                    let ready = self.vrf_ready.latest(&s);
+                    let (file, s) = vrf_span(config, operands.next(instr), index, w_out)?;
+                    let ready = self.vrf_ready[file].latest(&s);
                     dep_ready = dep_ready.max(ready.saturating_sub(depth));
                     depth += u64::from(timing.mfu_op_depth);
                 }
@@ -1249,21 +1278,18 @@ impl Timeline {
         // The MVM frontier this chain leaves: at least every entry (module
         // docs, Scoreboards).
         let busy_until = t.trace.start.saturating_add(occupancy);
-        let extrapolated = self.logging == Logging::Verifying;
-        let read_until = self.write(BoardId::MrfReadUntil, mvm_tiles);
-        debug_assert!(extrapolated || read_until.iter().all(|&c| c <= busy_until));
-        read_until.fill(busy_until);
+        self.write(BoardId::MrfReadUntil, mvm_tiles, busy_until);
 
         for (mem, index) in chain.write_targets() {
             match mem {
                 MemId::NetQ => t.net_vectors_out += u64::from(w_out),
                 MemId::Dram => {
                     let s = dram_span(index, u64::from(w_out))?;
-                    self.write(BoardId::DramVector, s).fill(t.trace.completion);
+                    self.write(BoardId::DramVector, s, t.trace.completion);
                 }
                 vrf => {
-                    let s = vrf_span(config, vrf, index, w_out)?;
-                    self.write(BoardId::Vrf, s).fill(t.trace.completion);
+                    let (file, s) = vrf_span(config, vrf, index, w_out)?;
+                    self.write(BoardId::Vrf(file), s, t.trace.completion);
                 }
             }
         }
@@ -1291,47 +1317,73 @@ mod tests {
     #[test]
     fn vrf_scoreboard_tracks_ranges() {
         let mut t = Timeline::new(&cfg());
-        let all = vrf_span(&cfg(), MemId::InitialVrf, 0, 8).unwrap();
-        assert_eq!(t.vrf_ready.latest(&all), 0);
-        let s = vrf_span(&cfg(), MemId::InitialVrf, 2, 3).unwrap();
-        t.vrf_ready.write(s).fill(100);
-        let one = |t: &Timeline, i, w| {
-            t.vrf_ready
-                .latest(&vrf_span(&cfg(), MemId::InitialVrf, i, w).unwrap())
+        let one = |t: &Timeline, mem, i, w| {
+            let (file, s) = vrf_span(&cfg(), mem, i, w).unwrap();
+            t.vrf_ready[file].latest(&s)
         };
-        assert_eq!(one(&t, 2, 1), 100);
-        assert_eq!(one(&t, 0, 8), 100);
-        assert_eq!(one(&t, 0, 2), 0);
-        let s = vrf_span(&cfg(), MemId::InitialVrf, 3, 1).unwrap();
-        t.vrf_ready.write(s).fill(50); // overwrite lowers that entry
-        assert_eq!(one(&t, 3, 1), 50);
-        assert_eq!(one(&t, 2, 3), 100);
+        let fill = |t: &mut Timeline, i, w, cycle| {
+            let (file, s) = vrf_span(&cfg(), MemId::InitialVrf, i, w).unwrap();
+            t.write(BoardId::Vrf(file), s, cycle);
+        };
+        assert_eq!(one(&t, MemId::InitialVrf, 0, 8), 0);
+        fill(&mut t, 2, 3, 100);
+        assert_eq!(one(&t, MemId::InitialVrf, 2, 1), 100);
+        assert_eq!(one(&t, MemId::InitialVrf, 0, 8), 100);
+        assert_eq!(one(&t, MemId::InitialVrf, 0, 2), 0);
+        fill(&mut t, 3, 1, 50); // overwrite lowers that entry
+        assert_eq!(one(&t, MemId::InitialVrf, 3, 1), 50);
+        assert_eq!(one(&t, MemId::InitialVrf, 2, 3), 100);
         // Files do not alias: the same indices of another file are clear.
-        let other = vrf_span(&cfg(), MemId::AddSubVrf(1), 0, 8).unwrap();
-        assert_eq!(t.vrf_ready.latest(&other), 0);
+        assert_eq!(one(&t, MemId::AddSubVrf(1), 0, 8), 0);
         t.begin_run();
-        assert_eq!(one(&t, 0, 8), 0);
+        assert_eq!(one(&t, MemId::InitialVrf, 0, 8), 0);
     }
 
     #[test]
     fn a_reset_zeroes_the_written_extent_and_leaves_every_entry_zero() {
-        let mut board = Board::zeros(16);
-        board.write(0..0);
+        let mut board = Board::reserved(16);
+        board.fill(0..0, 3);
         assert!(board.written.is_empty(), "an empty write widens nothing");
-        board.write(9..11).fill(7);
-        board.write(3..4).fill(5);
+        assert!(board.cycles.is_empty(), "and zeroes nothing");
+        board.fill(9..11, 7);
+        board.fill(3..4, 5);
         assert_eq!(board.written, 3..11);
-        board.write(5..6).fill(6);
+        board.fill(5..6, 6);
         assert_eq!(board.written, 3..11, "inside the extent");
         board.reset();
         assert!(board.cycles.iter().all(|&c| c == 0));
         assert!(board.written.is_empty());
         // The top entry alone, then the bottom one: the extent spans both.
-        board.write(15..16).fill(1);
-        board.write(0..1).fill(1);
+        board.fill(15..16, 1);
+        board.fill(0..1, 1);
         assert_eq!(board.written, 0..16);
         board.reset();
         assert!(board.cycles.iter().all(|&c| c == 0));
+    }
+
+    #[test]
+    fn a_run_zeroes_and_resets_only_the_files_it_writes() {
+        // `InitialVrf[0]` and the last `MultiplyVrf`'s top entry: two
+        // one-entry extents. (One board over all five files spanned them
+        // as 4·vrf_entries entries.)
+        let config = cfg();
+        let mut b = ProgramBuilder::new();
+        b.v_rd(MemId::NetQ, 0).v_wr(MemId::InitialVrf, 0);
+        b.v_wr(MemId::MultiplyVrf(1), 7).end_chain().unwrap();
+        let mut t = Timeline::new(&config);
+        assert!(t.vrf_ready.iter().all(|board| board.cycles.is_empty()));
+        t.arrivals.push_vectors(0, 1);
+        t.begin_run();
+        t.run_column(&config, &b.build(), true, None, |_| Ok(()))
+            .unwrap();
+        let written: Vec<_> = t.vrf_ready.iter().map(|b| b.written.clone()).collect();
+        assert_eq!(written, [0..1, 0..0, 0..0, 0..0, 7..8]);
+        // Zeroed as far as the writes reach, in the files they reach.
+        let zeroed: Vec<_> = t.vrf_ready.iter().map(|b| b.cycles.len()).collect();
+        assert_eq!(zeroed, [1, 0, 0, 0, 8]);
+        assert!(t.vrf_ready.iter().all(|b| b.cycles.capacity() == 8));
+        t.begin_run();
+        assert!(t.vrf_ready.iter().all(|b| b.latest(&(0..8)) == 0));
     }
 
     #[test]
@@ -1350,10 +1402,10 @@ mod tests {
             None,
             None,
         ];
-        for mut board in [Board::default(), Board::zeros(12)] {
+        for mut board in [Board::default(), Board::reserved(12)] {
             for step in steps.clone() {
                 match step {
-                    Some((range, cycle)) => board.write(range).fill(cycle),
+                    Some((range, cycle)) => board.fill(range, cycle),
                     None => board.reset(),
                 }
                 let cycles = board.cycles.iter().copied().enumerate();
@@ -1407,7 +1459,7 @@ mod tests {
     fn dram_scoreboards_grow_on_demand() {
         let mut board = Board::default();
         assert_eq!(board.latest(&(1000..1004)), 0);
-        board.write(5..7).fill(42);
+        board.fill(5..7, 42);
         assert_eq!(board.cycles.len(), 7);
         assert_eq!(board.latest(&(4..8)), 42);
         assert_eq!(board.latest(&(7..9)), 0);
@@ -1640,6 +1692,39 @@ mod tests {
         assert_eq!((stepped, fast), (Ok(()), Ok(())));
         assert_eq!(got, want);
         assert!(handed < all / 2, "{handed} of {all} chains handed over");
+    }
+
+    #[test]
+    fn fills_that_overlap_within_an_iteration_are_restored_in_order() {
+        // Each iteration fills VRF [0, 4) then [2, 3) with a later cycle,
+        // and read-until tiles 0..4 then tile 1 with a later one. The next
+        // iteration's first chains read both overlaps — A's head reads
+        // [0, 4), the matrix move's WAR tile 1 — so a state restored with
+        // the earlier fill on top would start them early.
+        let steps = 200;
+        let mut b = ProgramBuilder::new();
+        b.begin_loop(steps).unwrap();
+        b.set_rows(1).set_cols(1);
+        b.m_rd(MemId::Dram, 0).m_wr(MemId::MatrixRf, 1);
+        b.end_chain().unwrap();
+        b.set_rows(4);
+        b.v_rd(MemId::InitialVrf, 0).v_relu(); // A
+        b.v_wr(MemId::InitialVrf, 0).end_chain().unwrap();
+        b.set_rows(2).set_cols(2);
+        b.v_rd(MemId::InitialVrf, 0).mv_mul(0);
+        b.v_wr(MemId::AddSubVrf(0), 0).end_chain().unwrap();
+        b.set_rows(1).set_cols(1);
+        b.v_rd(MemId::AddSubVrf(0), 0).v_tanh().v_sigm();
+        b.v_wr(MemId::InitialVrf, 2).end_chain().unwrap();
+        b.v_rd(MemId::InitialVrf, 2).mv_mul(1);
+        b.v_wr(MemId::InitialVrf, 5).end_chain().unwrap();
+        b.end_loop().unwrap();
+        let program = b.build();
+        let (stepped, want, all, _) = schedule(&program, &[], false);
+        let (fast, got, handed, _) = schedule(&program, &[], true);
+        assert_eq!((stepped, fast), (Ok(()), Ok(())));
+        assert!(handed < all / 10, "{handed} of {all} chains handed over");
+        assert_eq!(got, want);
     }
 
     #[test]

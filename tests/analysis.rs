@@ -97,9 +97,17 @@ fn a_dram_write_past_the_address_space_yields_bw002() {
         .v_wr(MemId::Dram, (1 << 22) - 1)
         .end_chain()
         .unwrap();
-    let (code, segment, item, message) = lint_and_run(&b.build(), &cfg());
+    let program = b.build();
+    let (code, segment, item, _) = lint_and_run(&program, &cfg());
     assert_eq!((code, segment, item), (DiagCode::VrfOverflow, 0, 1));
-    assert!(message.contains("Dram"), "{message}");
+    // The gate's fault is the run's (`lint_and_run`), and it is DRAM's.
+    let fault = SimError::DramIndexOutOfRange {
+        index: (1 << 22) - 1,
+        width: 2,
+        capacity: 1 << 22,
+    };
+    assert_eq!(run_timing(&program, &cfg()), Err(fault.clone()));
+    assert_eq!(program.validate(&cfg())[0].fault, fault);
 }
 
 #[test]

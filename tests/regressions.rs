@@ -188,7 +188,7 @@ fn tile_grid_beyond_u32_is_a_typed_fault_not_a_wrap() {
     let mut npu = Npu::with_mode(cfg(), ExecMode::TimingOnly);
     assert!(matches!(
         npu.run(&dram_to_dram),
-        Err(SimError::VrfIndexOutOfRange { file: "Dram", .. })
+        Err(SimError::DramIndexOutOfRange { .. })
     ));
     assert_eq!(
         cycle_bounds(&dram_to_dram, &cfg(), &AnalysisOptions::default()),

@@ -2,8 +2,9 @@
 //! with `set_trace(false)` (the default), re-running a warm program
 //! performs **zero** heap allocation, and enabling tracing changes no
 //! cycle statistic. The `ExecMode::TimingOnly` counterpart: building the
-//! NPU allocates its scoreboards and nothing that scales with
-//! `native_dim`, and neither a weight load nor a warm run allocates. And
+//! NPU reserves its scoreboards, zeroes none of them and allocates nothing
+//! that scales with `native_dim`; its first run zeroes only what it
+//! writes; and neither a weight load nor a warm run allocates. And
 //! `read_frame` does not reserve a frame a header merely announces.
 //!
 //! This file holds exactly one `#[test]` so no concurrent test can
@@ -11,7 +12,8 @@
 //! allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use brainwave::prelude::*;
 
@@ -19,28 +21,83 @@ struct CountingAlloc;
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 static BYTES: AtomicUsize = AtomicUsize::new(0);
+static ZEROED: AtomicUsize = AtomicUsize::new(0);
+
+/// While set, each plain allocation is filled with `POISON` bytes and
+/// recorded in `WATCHED`, so that the test can count the words of those
+/// blocks the program has written since, zeroing included.
+static WATCHING: AtomicBool = AtomicBool::new(false);
+const POISON: u8 = 0xA5;
+
+#[derive(Clone, Copy)]
+struct Watched {
+    /// `(address, size)` of each block allocated while watching.
+    blocks: [(usize, usize); 32],
+    len: usize,
+    /// Whether a watched block was freed or moved, or did not fit
+    /// `blocks`: the count would then miss or misread it.
+    lost: bool,
+}
+
+static WATCHED: Mutex<Watched> = Mutex::new(Watched {
+    blocks: [(0, 0); 32],
+    len: 0,
+    lost: false,
+});
+
+/// The watch list, recovered if a panic poisoned it: the allocator must
+/// not panic.
+fn watch_list() -> MutexGuard<'static, Watched> {
+    WATCHED.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Marks the watch lost if `ptr` is a watched block.
+fn forget(ptr: *mut u8) {
+    let mut w = watch_list();
+    let len = w.len;
+    if w.blocks[..len].iter().any(|&(at, _)| at == ptr as usize) {
+        w.lost = true;
+    }
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(layout.size(), Ordering::Relaxed);
-        System.alloc(layout)
+        let ptr = System.alloc(layout);
+        if WATCHING.load(Ordering::Relaxed) && !ptr.is_null() {
+            // SAFETY: `ptr` is a fresh allocation of `layout.size()` bytes.
+            ptr.write_bytes(POISON, layout.size());
+            let mut w = watch_list();
+            let len = w.len;
+            match w.blocks.get_mut(len) {
+                Some(slot) => {
+                    *slot = (ptr as usize, layout.size());
+                    w.len += 1;
+                }
+                None => w.lost = true,
+            }
+        }
+        ptr
     }
 
     // Forwarded, so that a large zeroed buffer stays untouched pages.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        ZEROED.fetch_add(1, Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(new_size, Ordering::Relaxed);
+        forget(ptr);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        forget(ptr);
         System.dealloc(ptr, layout);
     }
 }
@@ -55,6 +112,33 @@ fn allocations() -> usize {
 /// Bytes requested so far (frees are not subtracted).
 fn allocated_bytes() -> usize {
     BYTES.load(Ordering::Relaxed)
+}
+
+/// `alloc_zeroed` calls so far.
+fn zeroed_allocations() -> usize {
+    ZEROED.load(Ordering::Relaxed)
+}
+
+/// Runs `build` with every block it allocates watched.
+fn watched<T>(build: impl FnOnce() -> T) -> T {
+    WATCHING.store(true, Ordering::Relaxed);
+    let built = build();
+    WATCHING.store(false, Ordering::Relaxed);
+    built
+}
+
+/// Whole words of the watched blocks that no longer hold `POISON`.
+fn written_words() -> usize {
+    let w = *watch_list();
+    assert!(!w.lost, "a watched block was freed, moved or not recorded");
+    let poison = u64::from_ne_bytes([POISON; 8]);
+    let written = w.blocks[..w.len].iter().flat_map(|&(at, size)| {
+        // SAFETY: no watched block was freed or moved (asserted above), and
+        // this thread is the only one running, so each is `size` live
+        // bytes, all written: `POISON` first, the program's values since.
+        (0..size / 8).map(move |i| unsafe { (at as *const u64).add(i).read_unaligned() })
+    });
+    written.filter(|&word| word != poison).count()
 }
 
 #[test]
@@ -160,9 +244,10 @@ fn untraced_hot_path_does_not_allocate() {
 
     // The timing-only machine at the largest Table V shape (GRU h=2816 on
     // a BW_S10 sized to hold it) is the scheduler's scoreboards — one u64
-    // per VRF entry per file, two per MRF entry — plus a constant. Nothing
-    // is proportional to native_dim: a single zeroed VRF slab alone
-    // (vrf_entries × native_dim × 4 bytes) would be 50× the whole bound.
+    // reserved per VRF entry per file, two per MRF entry — plus a
+    // constant. Nothing is proportional to native_dim: a single zeroed VRF
+    // slab alone (vrf_entries × native_dim × 4 bytes) would be 50× the
+    // whole bound.
     let largest = brainwave::models::table5_suite()
         .iter()
         .map(RnnBenchmark::dims)
@@ -187,8 +272,11 @@ fn untraced_hot_path_does_not_allocate() {
         "full-mode NPU allocated {built} bytes before any load, one slab is {one_vrf_slab}"
     );
 
-    let before = allocated_bytes();
-    let mut timing = Npu::with_mode(cfg, ExecMode::TimingOnly);
+    // Reserved, not zeroed: building it calls `alloc_zeroed` (`calloc`)
+    // for no scoreboard.
+    let (before, zeroed) = (allocated_bytes(), zeroed_allocations());
+    let mut timing = watched(|| Npu::with_mode(cfg.clone(), ExecMode::TimingOnly));
+    assert_eq!(zeroed_allocations() - zeroed, 0, "a scoreboard was zeroed");
     gru.prepare_timing_only(&mut timing)
         .expect("sized configuration holds the model");
     let built = allocated_bytes() - before;
@@ -200,6 +288,22 @@ fn untraced_hot_path_does_not_allocate() {
         built < one_vrf_slab,
         "{built} bytes vs one slab {one_vrf_slab}"
     );
+
+    // Its first run zeroes only what the program writes: of the 21,248
+    // entries reserved, the read-until board of the MRF tiles its
+    // `mv_mul`s stream and, in each VRF, the entries up to its highest
+    // slot (`AddSubVrf(0)`'s n_t, at 5·grid_h).
+    let files = 1 + 2 * cfg.mfus() as usize;
+    let reach = cfg.mrf_entries() as usize + files * 6 * gru.grid_h() as usize;
+    let before = written_words();
+    timing.push_input_zeros(gru.grid_x() as usize * 3);
+    timing.run(&gru.program(3)).expect("program runs");
+    let zeroed = written_words() - before;
+    assert!(
+        0 < zeroed && zeroed <= reach,
+        "the first run wrote {zeroed} scoreboard words, the program reaches {reach}"
+    );
+    while timing.pop_output().is_some() {}
 
     // Loading weights into the timing-only machine checks their shape and
     // does nothing else: a 4,096 × 4,096 matrix (an 11 × 11 grid of tiles

@@ -9,6 +9,7 @@
 //! bw-bench lint --hidden 2000 --steps 50
 //! bw-bench lint --deny-warnings
 //! bw-bench lint --json                   # machine-readable report
+//! bw-bench lint --sla-us 50              # BW12x verdict on its cycle bound
 //! bw-bench lint --demo                   # seeded-bug showcase
 //! bw-bench lint --artifact --hidden 128  # whole-artifact (BW11x/BW12x) analysis
 //! bw-bench lint --artifact --sla-us 50 --json
@@ -17,8 +18,10 @@
 //! `--artifact` switches from single-program linting to whole-artifact
 //! analysis: it shards an MLP (`hidden → 2·hidden → hidden`) into a
 //! scatter/gather serving plan and runs the cross-shard dataflow and
-//! static cycle-bound passes over the composed plan, emitting the BW11x
-//! and (under `--sla-us`) BW12x diagnostic families.
+//! static cycle-bound checks over the composed plan, emitting the BW11x
+//! and (under `--sla-us`) BW12x diagnostic families. In either mode
+//! `--sla-us` declares the SLA, converted to cycles on the target's clock
+//! by `LowerOptions::sla_cycles`.
 //!
 //! Exits 1 if the report blocks deployment (errors; warnings too under
 //! `--deny-warnings`), so it slots into CI and toolflow scripts.
@@ -29,7 +32,7 @@ use std::process::ExitCode;
 
 use bw_bench::bw_s10_sized;
 use bw_core::isa::{MemId, ProgramBuilder};
-use bw_core::{analyze_with, AnalysisOptions, AnalysisReport, Analyzer};
+use bw_core::{analyze_with, check_names, AnalysisOptions, AnalysisReport};
 use bw_gir::{ActFn, GirGraph, GirOp, LowerOptions, ShardedArtifact};
 use bw_models::{Lstm, RnnDims};
 use bw_trace::json::Writer;
@@ -40,9 +43,9 @@ struct Options {
     hidden: usize,
     steps: u32,
     batch: u32,
-    deny_warnings: bool,
     json: bool,
-    sla_us: Option<f64>,
+    /// `--deny-warnings` and `--sla-us`, in both modes.
+    lower: LowerOptions,
 }
 
 /// Exit 1 when the report blocks deployment (the report itself, already
@@ -64,9 +67,9 @@ fn json_header(mode: Option<&str>, report: &AnalysisReport, opts: &Options) -> W
     if let Some(mode) = mode {
         w.key("mode").string(mode);
     }
-    w.key("deny_warnings").bool(opts.deny_warnings);
+    w.key("deny_warnings").bool(opts.lower.deny_warnings);
     w.key("blocking")
-        .bool(report.blocks_deployment(opts.deny_warnings));
+        .bool(report.blocks_deployment(opts.lower.deny_warnings));
     w
 }
 
@@ -167,11 +170,7 @@ fn run_artifact(opts: &Options) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let lower = LowerOptions {
-        deny_warnings: opts.deny_warnings,
-        sla_us: opts.sla_us,
-    };
-    let report = artifact.analyze(&lower);
+    let report = artifact.analyze(&opts.lower);
     let bounds = artifact.static_bounds();
     if opts.json {
         let mut w = json_header(Some("artifact"), &report, opts);
@@ -197,7 +196,7 @@ fn run_artifact(opts: &Options) -> ExitCode {
         }
         print_report(&report, opts);
     }
-    verdict(&report, opts.deny_warnings)
+    verdict(&report, opts.lower.deny_warnings)
 }
 
 pub fn run(args: &Args) -> ExitCode {
@@ -205,9 +204,11 @@ pub fn run(args: &Args) -> ExitCode {
         hidden: args.get("--hidden").unwrap_or(2000),
         steps: args.get("--steps").unwrap_or(10),
         batch: args.get("--batch").unwrap_or(1),
-        deny_warnings: args.has("--deny-warnings"),
         json: args.has("--json"),
-        sla_us: args.get("--sla-us"),
+        lower: LowerOptions {
+            deny_warnings: args.has("--deny-warnings"),
+            sla_us: args.get("--sla-us"),
+        },
     };
     if opts.hidden == 0 || opts.steps == 0 || opts.batch == 0 {
         args.usage_error("--hidden, --steps and --batch must be positive");
@@ -231,7 +232,10 @@ pub fn run(args: &Args) -> ExitCode {
     let cfg = bw_s10_sized(sized.mrf_entries_required());
     let lstm = Lstm::new(&cfg, dims);
     let program = lstm.program_batched(opts.steps, opts.batch);
-    let options = lstm.analysis_options_batched(opts.steps, opts.batch);
+    let mut options = lstm.analysis_options_batched(opts.steps, opts.batch);
+    if let Some(cycles) = opts.lower.sla_cycles(&cfg) {
+        options = options.with_sla_cycles(cycles);
+    }
 
     if !opts.json {
         println!(
@@ -241,10 +245,10 @@ pub fn run(args: &Args) -> ExitCode {
             opts.batch,
             cfg.name(),
             program.chain_count(),
-            Analyzer::new(options.clone()).pass_names().join(", ")
+            check_names().join(", ")
         );
     }
     let report = analyze_with(&program, &cfg, options);
     print_report(&report, &opts);
-    verdict(&report, opts.deny_warnings)
+    verdict(&report, opts.lower.deny_warnings)
 }

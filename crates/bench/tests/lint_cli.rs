@@ -64,3 +64,11 @@ fn bad_flags_exit_with_usage_error() {
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("unknown flag"));
 }
+
+#[test]
+fn program_mode_judges_the_declared_sla() {
+    let out = lint(&["--hidden", "256", "--steps", "4", "--sla-us", "0.001"]);
+    assert_eq!(out.status.code(), Some(1), "an unmeetable SLA blocks");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains("error[BW120]"), "{stdout}");
+}

@@ -6,8 +6,8 @@
 //! linter cannot see cross-shard contracts: a shard that pops more input
 //! vectors than its peers scatter blocks forever on its NetQ, and no
 //! amount of per-device linting will say so. This module models the
-//! artifact as a dataflow graph over per-unit *summaries* and proves (or
-//! refutes) the scatter/gather transfer contract:
+//! artifact as a dataflow graph over each unit's closed-form NetQ totals
+//! and proves (or refutes) the scatter/gather transfer contract:
 //!
 //! * every stage's input availability is solved by a worklist fixpoint
 //!   over the stage graph — a stage whose input never becomes available
@@ -30,8 +30,8 @@
 //! which worker executes them, so the balance proof is ownership-
 //! independent: it quantifies over the transfers themselves.
 
-use super::bounds::{cycle_bounds, CycleBounds};
-use super::netq::{program_traffic, TrafficTotals};
+use super::bounds::{cycle_bounds, sla_verdict, CycleBounds};
+use super::netq::traffic;
 use super::{AnalysisOptions, AnalysisReport, DiagCode, Diagnostic};
 use crate::config::NpuConfig;
 use crate::isa::Program;
@@ -96,7 +96,7 @@ enum StageInput {
     Stage(usize),
 }
 
-/// The whole-artifact view the interprocedural passes run over.
+/// The whole-artifact view [`analyze_artifact`] runs over.
 #[derive(Clone, Debug)]
 pub struct ArtifactView<'a> {
     name: String,
@@ -188,51 +188,14 @@ impl<'a> ArtifactView<'a> {
     }
 }
 
-/// Closed-form facts about one unit, computed once and shared by every
-/// artifact pass — the "per-segment summary" of the fixpoint engine.
-#[derive(Clone, Debug)]
-pub struct UnitSummary {
-    /// Input vectors the program pops from its NetQ per run.
-    pub vec_pops: u128,
-    /// Output vectors the program pushes per run.
-    pub vec_pushes: u128,
-    /// Matrix tiles the program pops per run.
-    pub mat_pops: u128,
-    /// Static cycle bounds, when provable.
-    pub bounds: Option<CycleBounds>,
-}
-
 /// The solved dataflow facts of one stage.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StageFlow {
+struct StageFlow {
     /// The element width delivered to this stage, once its producer is
     /// known to complete. `None` = unresolved (ordering cycle).
-    pub input_dim: Option<usize>,
+    input_dim: Option<usize>,
     /// The stage's gathered output width: the concatenation of member
     /// outputs.
-    pub output_dim: usize,
-}
-
-/// Everything an [`ArtifactPass`] sees.
-pub struct ArtifactContext<'a, 'v> {
-    /// The artifact under analysis.
-    pub view: &'v ArtifactView<'a>,
-    /// Per-unit summaries, indexed like [`ArtifactView::units`].
-    pub summaries: &'v [UnitSummary],
-    /// Per-stage solved flows, indexed like [`ArtifactView::stages`].
-    pub flows: &'v [StageFlow],
-}
-
-/// An artifact-level analysis pass. The program-level [`AnalysisPass`]
-/// sees one `Program`; an `ArtifactPass` sees the whole pipeline with
-/// summaries and solved flows.
-///
-/// [`AnalysisPass`]: super::AnalysisPass
-pub trait ArtifactPass {
-    /// Short stable name for tooling.
-    fn name(&self) -> &'static str;
-    /// Appends diagnostics for the artifact.
-    fn run(&self, cx: &ArtifactContext<'_, '_>, out: &mut Vec<Diagnostic>);
+    output_dim: usize,
 }
 
 fn producer_of(view: &ArtifactView<'_>, stage: usize) -> StageInput {
@@ -284,135 +247,110 @@ fn solve_flows(view: &ArtifactView<'_>) -> Vec<StageFlow> {
     flows
 }
 
-fn summarize(view: &ArtifactView<'_>) -> Vec<UnitSummary> {
-    view.units
-        .iter()
-        .map(|u| {
-            let t: TrafficTotals = program_traffic(u.program);
-            UnitSummary {
-                vec_pops: t.vec_pops,
-                vec_pushes: t.vec_pushes,
-                mat_pops: t.mat_pops,
-                bounds: cycle_bounds(u.program, u.config, &u.options),
-            }
-        })
-        .collect()
-}
-
 /// BW110/BW111/BW113/BW114: the cross-shard NetQ balance and
 /// scatter/gather deadlock proof.
-pub struct ShardBalancePass;
-
-impl ArtifactPass for ShardBalancePass {
-    fn name(&self) -> &'static str {
-        "shard-balance"
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn run(&self, cx: &ArtifactContext<'_, '_>, out: &mut Vec<Diagnostic>) {
-        for (si, stage) in cx.view.stages().iter().enumerate() {
-            if let ArtifactStage::Sharded(members) = stage {
-                if members.len() == 1 {
-                    let name = cx
-                        .view
-                        .units()
-                        .get(members[0])
-                        .map_or_else(|| cx.view.name().to_owned(), |u| u.name.clone());
-                    out.push(Diagnostic::for_unit(
-                        DiagCode::ShardDegenerate,
-                        name,
-                        si,
-                        0,
-                        "scatter/gather group of one shard: the split adds network \
-                         hops without dividing any work"
-                            .to_owned(),
-                    ));
-                }
+fn shard_balance(view: &ArtifactView<'_>, flows: &[StageFlow], out: &mut Vec<Diagnostic>) {
+    for (si, stage) in view.stages().iter().enumerate() {
+        if let ArtifactStage::Sharded(members) = stage {
+            if members.len() == 1 {
+                let name = view
+                    .units()
+                    .get(members[0])
+                    .map_or_else(|| view.name().to_owned(), |u| u.name.clone());
+                out.push(Diagnostic::for_unit(
+                    DiagCode::ShardDegenerate,
+                    name,
+                    si,
+                    0,
+                    "scatter/gather group of one shard: the split adds network \
+                     hops without dividing any work"
+                        .to_owned(),
+                ));
             }
-            for &ui in stage.members() {
-                let Some(unit) = cx.view.units().get(ui) else {
-                    continue;
-                };
-                let s = &cx.summaries[ui];
+        }
+        for &ui in stage.members() {
+            let Some(unit) = view.units().get(ui) else {
+                continue;
+            };
+            let t = traffic(unit.program);
 
-                if s.mat_pops > 0 {
+            if t.mat_pops > 0 {
+                out.push(Diagnostic::for_unit(
+                    DiagCode::ShardMatrixPop,
+                    unit.name.clone(),
+                    si,
+                    0,
+                    format!(
+                        "program pops {} matrix tile(s) from its NetQ, but the \
+                         serving runtime only scatters vectors — the pop blocks \
+                         forever",
+                        t.mat_pops
+                    ),
+                ));
+            }
+
+            // Scatter side: what peers push vs what the shard pops.
+            if let Some(dim) = flows[si].input_dim {
+                let supply = unit.vectors_for(dim);
+                if t.vec_pops > supply {
                     out.push(Diagnostic::for_unit(
-                        DiagCode::ShardMatrixPop,
+                        DiagCode::ShardPopUnmatched,
                         unit.name.clone(),
                         si,
                         0,
                         format!(
-                            "program pops {} matrix tile(s) from its NetQ, but the \
-                             serving runtime only scatters vectors — the pop blocks \
-                             forever",
-                            s.mat_pops
+                            "shard pops {} input vector(s) per request but the \
+                             scatter of a {dim}-element payload supplies only \
+                             {supply} — no peer push matches the excess pop and \
+                             the shard deadlocks",
+                            t.vec_pops
+                        ),
+                    ));
+                } else if t.vec_pops < supply {
+                    out.push(Diagnostic::for_unit(
+                        DiagCode::ShardPushExcess,
+                        unit.name.clone(),
+                        si,
+                        0,
+                        format!(
+                            "scatter supplies {supply} input vector(s) per request \
+                             but the shard pops only {} — the residue is consumed \
+                             by the next request and corrupts it",
+                            t.vec_pops
                         ),
                     ));
                 }
+            }
 
-                // Scatter side: what peers push vs what the shard pops.
-                if let Some(dim) = cx.flows[si].input_dim {
-                    let supply = unit.vectors_for(dim);
-                    if s.vec_pops > supply {
-                        out.push(Diagnostic::for_unit(
-                            DiagCode::ShardPopUnmatched,
-                            unit.name.clone(),
-                            si,
-                            0,
-                            format!(
-                                "shard pops {} input vector(s) per request but the \
-                                 scatter of a {dim}-element payload supplies only \
-                                 {supply} — no peer push matches the excess pop and \
-                                 the shard deadlocks",
-                                s.vec_pops
-                            ),
-                        ));
-                    } else if s.vec_pops < supply {
-                        out.push(Diagnostic::for_unit(
-                            DiagCode::ShardPushExcess,
-                            unit.name.clone(),
-                            si,
-                            0,
-                            format!(
-                                "scatter supplies {supply} input vector(s) per request \
-                                 but the shard pops only {} — the residue is consumed \
-                                 by the next request and corrupts it",
-                                s.vec_pops
-                            ),
-                        ));
-                    }
-                }
-
-                // Gather side: what the shard pushes vs what the runtime
-                // collects.
-                if let Some(expected) = unit.options.netq_expected_outputs {
-                    let expected = u128::from(expected);
-                    if s.vec_pushes < expected {
-                        out.push(Diagnostic::for_unit(
-                            DiagCode::ShardPopUnmatched,
-                            unit.name.clone(),
-                            si,
-                            0,
-                            format!(
-                                "gather waits for {expected} output vector(s) but the \
-                                 shard pushes only {} — the gather blocks forever",
-                                s.vec_pushes
-                            ),
-                        ));
-                    } else if s.vec_pushes > expected {
-                        out.push(Diagnostic::for_unit(
-                            DiagCode::ShardPushExcess,
-                            unit.name.clone(),
-                            si,
-                            0,
-                            format!(
-                                "shard pushes {} output vector(s) but the gather \
-                                 collects only {expected} — the residue poisons the \
-                                 next gather",
-                                s.vec_pushes
-                            ),
-                        ));
-                    }
+            // Gather side: what the shard pushes vs what the runtime
+            // collects.
+            if let Some(expected) = unit.options.netq_expected_outputs {
+                let expected = u128::from(expected);
+                if t.vec_pushes < expected {
+                    out.push(Diagnostic::for_unit(
+                        DiagCode::ShardPopUnmatched,
+                        unit.name.clone(),
+                        si,
+                        0,
+                        format!(
+                            "gather waits for {expected} output vector(s) but the \
+                             shard pushes only {} — the gather blocks forever",
+                            t.vec_pushes
+                        ),
+                    ));
+                } else if t.vec_pushes > expected {
+                    out.push(Diagnostic::for_unit(
+                        DiagCode::ShardPushExcess,
+                        unit.name.clone(),
+                        si,
+                        0,
+                        format!(
+                            "shard pushes {} output vector(s) but the gather \
+                             collects only {expected} — the residue poisons the \
+                             next gather",
+                            t.vec_pushes
+                        ),
+                    ));
                 }
             }
         }
@@ -421,127 +359,57 @@ impl ArtifactPass for ShardBalancePass {
 
 /// BW112/BW115: inter-stage dimension agreement and ordering-cycle
 /// detection over the solved flows.
-pub struct StageFlowPass;
-
-impl ArtifactPass for StageFlowPass {
-    fn name(&self) -> &'static str {
-        "stage-flow"
-    }
-
-    fn run(&self, cx: &ArtifactContext<'_, '_>, out: &mut Vec<Diagnostic>) {
-        for (si, stage) in cx.view.stages().iter().enumerate() {
-            let anchor = stage
-                .members()
-                .first()
-                .and_then(|&u| cx.view.units().get(u))
-                .map_or_else(|| cx.view.name().to_owned(), |u| u.name.clone());
-            let Some(dim) = cx.flows[si].input_dim else {
-                out.push(Diagnostic::for_unit(
-                    DiagCode::ShardOrderingCycle,
-                    anchor,
-                    si,
-                    0,
-                    "stage input depends (transitively) on the stage's own output \
-                     — the scatter/gather ordering is cyclic and never starts"
-                        .to_owned(),
-                ));
+fn stage_flow(view: &ArtifactView<'_>, flows: &[StageFlow], out: &mut Vec<Diagnostic>) {
+    for (si, stage) in view.stages().iter().enumerate() {
+        let anchor = stage
+            .members()
+            .first()
+            .and_then(|&u| view.units().get(u))
+            .map_or_else(|| view.name().to_owned(), |u| u.name.clone());
+        let Some(dim) = flows[si].input_dim else {
+            out.push(Diagnostic::for_unit(
+                DiagCode::ShardOrderingCycle,
+                anchor,
+                si,
+                0,
+                "stage input depends (transitively) on the stage's own output \
+                 — the scatter/gather ordering is cyclic and never starts"
+                    .to_owned(),
+            ));
+            continue;
+        };
+        for &ui in stage.members() {
+            let Some(unit) = view.units().get(ui) else {
                 continue;
             };
-            for &ui in stage.members() {
-                let Some(unit) = cx.view.units().get(ui) else {
-                    continue;
-                };
-                if unit.input_dim != dim {
-                    out.push(Diagnostic::for_unit(
-                        DiagCode::ShardDimMismatch,
-                        unit.name.clone(),
-                        si,
-                        0,
-                        format!(
-                            "member consumes {}-element inputs but the upstream stage \
-                             gathers {dim} elements",
-                            unit.input_dim
-                        ),
-                    ));
-                }
+            if unit.input_dim != dim {
+                out.push(Diagnostic::for_unit(
+                    DiagCode::ShardDimMismatch,
+                    unit.name.clone(),
+                    si,
+                    0,
+                    format!(
+                        "member consumes {}-element inputs but the upstream stage \
+                         gathers {dim} elements",
+                        unit.input_dim
+                    ),
+                ));
             }
         }
     }
 }
 
-/// BW120–BW122 at artifact scope: composes per-unit bounds across the
-/// pipeline and compares against the artifact SLA.
-pub struct ArtifactSlaPass;
-
-impl ArtifactPass for ArtifactSlaPass {
-    fn name(&self) -> &'static str {
-        "artifact-sla"
-    }
-
-    fn run(&self, cx: &ArtifactContext<'_, '_>, out: &mut Vec<Diagnostic>) {
-        let Some(sla) = cx.view.sla_cycles else {
-            return;
-        };
-        let name = cx.view.name().to_owned();
-        let Some(bounds) = compose_bounds(cx.view, cx.summaries) else {
-            out.push(Diagnostic::for_unit(
-                DiagCode::SlaViolation,
-                name,
-                0,
-                0,
-                format!(
-                    "no static cycle bound is provable for the artifact, so the \
-                     declared SLA of {sla} cycles cannot be guaranteed"
-                ),
-            ));
-            return;
-        };
-        if bounds.lower > sla {
-            out.push(Diagnostic::for_unit(
-                DiagCode::SlaViolation,
-                name,
-                0,
-                0,
-                format!(
-                    "guaranteed minimum of {} cycles across the pipeline exceeds the \
-                     declared SLA of {sla} cycles — unmeetable on this config",
-                    bounds.lower
-                ),
-            ));
-        } else if bounds.upper > sla {
-            out.push(Diagnostic::for_unit(
-                DiagCode::SlaAtRisk,
-                name,
-                0,
-                0,
-                format!(
-                    "worst-case pipeline bound of {} cycles exceeds the declared SLA \
-                     of {sla} cycles (best case {})",
-                    bounds.upper, bounds.lower
-                ),
-            ));
-        } else {
-            out.push(Diagnostic::for_unit(
-                DiagCode::SlaMet,
-                name,
-                0,
-                0,
-                format!(
-                    "static pipeline bound [{}, {}] cycles meets the declared SLA of \
-                     {sla} cycles",
-                    bounds.lower, bounds.upper
-                ),
-            ));
-        }
-    }
-}
-
-fn compose_bounds(view: &ArtifactView<'_>, summaries: &[UnitSummary]) -> Option<CycleBounds> {
+/// Composed static cycle bounds for the whole artifact: sequential stages
+/// add, parallel shards take the max (the gather waits for the slowest).
+/// `None` when any unit has no provable bound.
+#[must_use]
+pub fn artifact_cycle_bounds(view: &ArtifactView<'_>) -> Option<CycleBounds> {
     let mut total = CycleBounds { lower: 0, upper: 0 };
     for stage in view.stages() {
         let mut stage_bounds: Option<CycleBounds> = None;
         for &ui in stage.members() {
-            let b = summaries.get(ui)?.bounds?;
+            let u = view.units.get(ui)?;
+            let b = cycle_bounds(u.program, u.config, &u.options)?;
             stage_bounds = Some(match stage_bounds {
                 Some(acc) => acc.join_max(&b),
                 None => b,
@@ -552,38 +420,19 @@ fn compose_bounds(view: &ArtifactView<'_>, summaries: &[UnitSummary]) -> Option<
     Some(total)
 }
 
-/// Composed static cycle bounds for the whole artifact: sequential stages
-/// add, parallel shards take the max (the gather waits for the slowest).
-/// `None` when any unit has no provable bound.
-#[must_use]
-pub fn artifact_cycle_bounds(view: &ArtifactView<'_>) -> Option<CycleBounds> {
-    compose_bounds(view, &summarize(view))
-}
-
-/// Runs the default artifact passes — [`ShardBalancePass`],
-/// [`StageFlowPass`], [`ArtifactSlaPass`] — over `view` and returns the
-/// deduplicated, deterministically ordered report.
+/// Runs the artifact checks over `view` — the cross-shard NetQ balance
+/// (BW110/BW111/BW113/BW114), the stage flows (BW112/BW115) and, with an
+/// SLA declared, the composed bound's verdict (BW120–BW122) — and returns
+/// the deduplicated, deterministically ordered report.
 #[must_use]
 pub fn analyze_artifact(view: &ArtifactView<'_>) -> AnalysisReport {
-    analyze_artifact_with(view, &[&ShardBalancePass, &StageFlowPass, &ArtifactSlaPass])
-}
-
-/// Runs a custom artifact pass list over `view`.
-#[must_use]
-pub fn analyze_artifact_with(
-    view: &ArtifactView<'_>,
-    passes: &[&dyn ArtifactPass],
-) -> AnalysisReport {
-    let summaries = summarize(view);
     let flows = solve_flows(view);
-    let cx = ArtifactContext {
-        view,
-        summaries: &summaries,
-        flows: &flows,
-    };
     let mut diagnostics = Vec::new();
-    for pass in passes {
-        pass.run(&cx, &mut diagnostics);
+    shard_balance(view, &flows, &mut diagnostics);
+    stage_flow(view, &flows, &mut diagnostics);
+    if let Some(sla) = view.sla_cycles {
+        let bounds = artifact_cycle_bounds(view);
+        diagnostics.push(sla_verdict(sla, bounds, Some(&view.name), 0));
     }
     super::finish_report(diagnostics)
 }

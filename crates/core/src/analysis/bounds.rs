@@ -29,13 +29,11 @@
 //!
 //! [`NpuConfig`]: crate::NpuConfig
 
-use crate::analysis::{AnalysisPass, Diagnostic, PassContext};
 use crate::config::NpuConfig;
 use crate::isa::Program;
 use crate::sched::{FastForward, Timeline};
-use crate::DiagCode;
 
-use super::AnalysisOptions;
+use super::{AnalysisOptions, DiagCode, Diagnostic};
 
 /// Scheduling cost cap: programs whose `Σ items × iterations` exceeds this
 /// are not run (`cycle_bounds` returns `None`). Far above any real firmware
@@ -127,66 +125,70 @@ pub fn cycle_bounds(
     })
 }
 
-/// BW120–BW122: compares the static cycle bound against the SLA declared
-/// in [`AnalysisOptions::sla_cycles`]. Silent when no SLA is declared, so
-/// the default pipeline stays quiet on plain lint runs.
-pub struct CycleBoundPass;
-
-impl AnalysisPass for CycleBoundPass {
-    fn name(&self) -> &'static str {
-        "cycle-bounds"
+/// BW120–BW122: the verdict of `bounds` against a declared SLA of `sla`
+/// cycles, at `segment`. A named `artifact` gets the pipeline-scope
+/// wording and is the diagnostic's unit; `None` is one program's.
+pub(crate) fn sla_verdict(
+    sla: u64,
+    bounds: Option<CycleBounds>,
+    artifact: Option<&str>,
+    segment: usize,
+) -> Diagnostic {
+    let (subject, across, bound) = match artifact {
+        Some(_) => ("the artifact", " across the pipeline", "pipeline bound"),
+        None => ("this program", "", "bound"),
+    };
+    let (code, message) = match bounds {
+        None => (
+            DiagCode::SlaViolation,
+            format!(
+                "no static cycle bound is provable for {subject}, so the declared \
+                 SLA of {sla} cycles cannot be guaranteed"
+            ),
+        ),
+        Some(b) if b.lower > sla => (
+            DiagCode::SlaViolation,
+            format!(
+                "guaranteed minimum of {} cycles{across} exceeds the declared SLA of \
+                 {sla} cycles — unmeetable on this config",
+                b.lower
+            ),
+        ),
+        Some(b) if b.upper > sla => (
+            DiagCode::SlaAtRisk,
+            format!(
+                "worst-case {bound} of {} cycles exceeds the declared SLA of {sla} \
+                 cycles (best case {})",
+                b.upper, b.lower
+            ),
+        ),
+        Some(b) => (
+            DiagCode::SlaMet,
+            format!(
+                "static {bound} [{}, {}] cycles meets the declared SLA of {sla} cycles",
+                b.lower, b.upper
+            ),
+        ),
+    };
+    Diagnostic {
+        unit: artifact.map(str::to_owned),
+        ..Diagnostic::new(code, segment, 0, message)
     }
+}
 
-    fn run(&self, cx: &PassContext<'_>, out: &mut Vec<Diagnostic>) {
-        let Some(sla) = cx.options.sla_cycles else {
-            return;
-        };
-        let last_segment = cx.program.segments.len().saturating_sub(1);
-        let Some(bounds) = cycle_bounds(cx.program, cx.config, cx.options) else {
-            out.push(Diagnostic::new(
-                DiagCode::SlaViolation,
-                last_segment,
-                0,
-                format!(
-                    "no static cycle bound is provable for this program, so the declared \
-                     SLA of {sla} cycles cannot be guaranteed"
-                ),
-            ));
-            return;
-        };
-        if bounds.lower > sla {
-            out.push(Diagnostic::new(
-                DiagCode::SlaViolation,
-                last_segment,
-                0,
-                format!(
-                    "guaranteed minimum of {} cycles exceeds the declared SLA of {sla} \
-                     cycles — unmeetable on this config",
-                    bounds.lower
-                ),
-            ));
-        } else if bounds.upper > sla {
-            out.push(Diagnostic::new(
-                DiagCode::SlaAtRisk,
-                last_segment,
-                0,
-                format!(
-                    "worst-case bound of {} cycles exceeds the declared SLA of {sla} \
-                     cycles (best case {})",
-                    bounds.upper, bounds.lower
-                ),
-            ));
-        } else {
-            out.push(Diagnostic::new(
-                DiagCode::SlaMet,
-                last_segment,
-                0,
-                format!(
-                    "static bound [{}, {}] cycles meets the declared SLA of {sla} cycles",
-                    bounds.lower, bounds.upper
-                ),
-            ));
-        }
+/// BW120–BW122 for one program, against the SLA declared in
+/// [`AnalysisOptions::sla_cycles`]. Silent when none is declared, so plain
+/// lint runs stay quiet.
+pub(super) fn check(
+    program: &Program,
+    config: &NpuConfig,
+    options: &AnalysisOptions,
+    out: &mut Vec<Diagnostic>,
+) {
+    if let Some(sla) = options.sla_cycles {
+        let bounds = cycle_bounds(program, config, options);
+        let last_segment = program.segments.len().saturating_sub(1);
+        out.push(sla_verdict(sla, bounds, None, last_segment));
     }
 }
 

@@ -1,5 +1,5 @@
 //! Capacity checks: the toolflow's pre-deployment gate, as
-//! [`Program::validate`] and as the [`CapacityPass`] diagnostics.
+//! [`Program::validate`] and as its BW001–BW006 diagnostics.
 //!
 //! Every check is the timeline's own, called in the timeline's order over
 //! the runtime walk, so the gate is the §II-B toolflow's guarantee before
@@ -12,7 +12,7 @@ use crate::isa::{Chain, Instruction, Item, MemId, Program};
 use crate::npu::SimError;
 use crate::sched::{dram_span, mfu_units, mrf_span, reg_write, vrf_span, OperandFiles};
 
-use super::{walk, AnalysisPass, DiagCode, Diagnostic, PassContext};
+use super::{walk, AnalysisOptions, DiagCode, Diagnostic};
 
 /// A capacity fault the timeline would raise, with the segment and item it
 /// raises it at.
@@ -121,7 +121,7 @@ impl Program {
     /// found after one are therefore hypothetical; the diagnostic pipeline
     /// records that as a BW006 info note (see [`crate::analysis`]).
     ///
-    /// [`CapacityPass`] reports the same faults as `BW00x` diagnostics by
+    /// The linter reports the same faults as `BW00x` diagnostics by
     /// calling this method, so the two frontends cannot disagree.
     pub fn validate(&self, config: &NpuConfig) -> Vec<ValidateError> {
         let mut errors = Vec::new();
@@ -151,45 +151,42 @@ impl Program {
     }
 }
 
-/// BW001–BW006: capacity checks as a diagnostic pass.
+/// BW001–BW006: capacity checks as diagnostics.
 ///
 /// Runs [`Program::validate`], so the two frontends can never disagree;
 /// each located fault becomes a diagnostic whose message is the fault's,
 /// and every rejected zero register write additionally gets a BW006 info
 /// note recording the analyzer/scheduler divergence.
-pub struct CapacityPass;
-
-impl AnalysisPass for CapacityPass {
-    fn name(&self) -> &'static str {
-        "capacity"
-    }
-
-    fn run(&self, cx: &PassContext<'_>, out: &mut Vec<Diagnostic>) {
-        for err in cx.program.validate(cx.config) {
-            let (segment, item) = (err.segment, err.item);
-            let code = match err.fault {
-                SimError::BadRegValue { .. } => DiagCode::ZeroRegister,
-                SimError::VrfIndexOutOfRange { .. } | SimError::DramIndexOutOfRange { .. } => {
-                    DiagCode::VrfOverflow
-                }
-                SimError::MrfIndexOutOfRange { .. } => DiagCode::MrfOverflow,
-                SimError::BadVrfFileIndex { .. } => DiagCode::MissingMfu,
-                SimError::MfuCapacityExceeded { .. } => DiagCode::MfuCapacity,
-                _ => unreachable!("validate raises capacity faults only"),
-            };
-            out.push(Diagnostic::new(code, segment, item, err.fault.to_string()));
-            if let SimError::BadRegValue { reg } = err.fault {
-                out.push(Diagnostic::new(
-                    DiagCode::StaleRegister,
-                    segment,
-                    item,
-                    format!(
-                        "analysis continues with the previous {reg} value after the \
-                         rejected zero write; the scheduler faults at dispatch instead, \
-                         so later diagnostics in this report assume the stale value"
-                    ),
-                ));
+pub(super) fn check(
+    program: &Program,
+    config: &NpuConfig,
+    _: &AnalysisOptions,
+    out: &mut Vec<Diagnostic>,
+) {
+    for err in program.validate(config) {
+        let (segment, item) = (err.segment, err.item);
+        let code = match err.fault {
+            SimError::BadRegValue { .. } => DiagCode::ZeroRegister,
+            SimError::VrfIndexOutOfRange { .. } | SimError::DramIndexOutOfRange { .. } => {
+                DiagCode::VrfOverflow
             }
+            SimError::MrfIndexOutOfRange { .. } => DiagCode::MrfOverflow,
+            SimError::BadVrfFileIndex { .. } => DiagCode::MissingMfu,
+            SimError::MfuCapacityExceeded { .. } => DiagCode::MfuCapacity,
+            _ => unreachable!("validate raises capacity faults only"),
+        };
+        out.push(Diagnostic::new(code, segment, item, err.fault.to_string()));
+        if let SimError::BadRegValue { reg } = err.fault {
+            out.push(Diagnostic::new(
+                DiagCode::StaleRegister,
+                segment,
+                item,
+                format!(
+                    "analysis continues with the previous {reg} value after the \
+                     rejected zero write; the scheduler faults at dispatch instead, \
+                     so later diagnostics in this report assume the stale value"
+                ),
+            ));
         }
     }
 }

@@ -17,9 +17,10 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
-use crate::isa::{Instruction, Item, MemId};
+use crate::config::NpuConfig;
+use crate::isa::{Instruction, Item, MemId, Program};
 
-use super::{format_ranges, walk, AnalysisPass, DiagCode, Diagnostic, PassContext};
+use super::{format_ranges, walk, AnalysisOptions, DiagCode, Diagnostic};
 
 /// MRF tile ranges a chain touches: `mv_mul` reads, `m_wr(MatrixRf)`
 /// writes, both `rows × cols` tiles wide.
@@ -63,127 +64,122 @@ struct LoadRec {
 }
 
 /// BW020–BW022: RAW/WAR/WAW interval analysis over MRF tiles.
-pub struct HazardPass;
+pub(super) fn check(
+    program: &Program,
+    config: &NpuConfig,
+    options: &AnalysisOptions,
+    out: &mut Vec<Diagnostic>,
+) {
+    // Per-tile tracking is clamped to the MRF capacity: tiles past the
+    // end are the capacity check's BW003 territory, and clamping keeps
+    // corrupt (e.g. bit-flipped) programs from inflating the tile sets.
+    let cap = config.mrf_entries();
+    let clamp = move |start: u32, count: u32| start.min(cap)..start.saturating_add(count).min(cap);
 
-impl AnalysisPass for HazardPass {
-    fn name(&self) -> &'static str {
-        "mrf-hazards"
+    let preloaded: HashSet<u32> = options
+        .preloaded
+        .iter()
+        .filter(|r| r.mem == MemId::MatrixRf)
+        .flat_map(|r| clamp(r.start, r.len))
+        .collect();
+
+    // Phase 0: tiles the whole program ever reads.
+    let mut ever_read: HashSet<u32> = HashSet::new();
+    walk(program, |step| {
+        if let Some(TileAccess::Read { start, count }) =
+            tile_accesses(step.item_ref, step.rows, step.cols)
+        {
+            ever_read.extend(clamp(start, count));
+        }
+    });
+
+    // Phase 1: interval walk. `loaded` tracks program loads, keyed per
+    // tile; `last_reader` the most recent mv_mul over each tile, reset
+    // on overwrite so repeated streaming reports each WAR site once.
+    let mut loaded: HashMap<u32, LoadRec> = HashMap::new();
+    let mut last_reader: HashMap<u32, (usize, usize)> = HashMap::new();
+    let mut uninit: BTreeMap<(usize, usize), BTreeSet<u32>> = BTreeMap::new();
+    let mut dead: BTreeMap<(usize, usize), BTreeSet<u32>> = BTreeMap::new();
+    let mut war: BTreeMap<(usize, usize), BTreeSet<u32>> = BTreeMap::new();
+    walk(program, |step| {
+        match tile_accesses(step.item_ref, step.rows, step.cols) {
+            Some(TileAccess::Read { start, count }) => {
+                for t in clamp(start, count) {
+                    if let Some(rec) = loaded.get_mut(&t) {
+                        rec.read = true;
+                    } else if !preloaded.contains(&t) && step.unroll == 0 {
+                        uninit
+                            .entry((step.segment, step.item))
+                            .or_default()
+                            .insert(t);
+                    }
+                    last_reader.insert(t, (step.segment, step.item));
+                }
+            }
+            Some(TileAccess::Write { start, count }) => {
+                for t in clamp(start, count) {
+                    if last_reader.remove(&t).is_some() {
+                        war.entry((step.segment, step.item)).or_default().insert(t);
+                    }
+                    let rec = LoadRec {
+                        segment: step.segment,
+                        item: step.item,
+                        read: false,
+                    };
+                    if let Some(prev) = loaded.insert(t, rec) {
+                        if !prev.read {
+                            dead.entry((prev.segment, prev.item)).or_default().insert(t);
+                        }
+                    }
+                }
+            }
+            None => {}
+        }
+    });
+
+    // Loads that survive to the end unread, with the tile unread
+    // program-wide, are dead.
+    for (t, rec) in &loaded {
+        if !rec.read && !ever_read.contains(t) {
+            dead.entry((rec.segment, rec.item)).or_default().insert(*t);
+        }
     }
 
-    fn run(&self, cx: &PassContext<'_>, out: &mut Vec<Diagnostic>) {
-        // Per-tile tracking is clamped to the MRF capacity: tiles past the
-        // end are the capacity pass's BW003 territory, and clamping keeps
-        // corrupt (e.g. bit-flipped) programs from inflating the tile sets.
-        let cap = cx.config.mrf_entries();
-        let clamp =
-            move |start: u32, count: u32| start.min(cap)..start.saturating_add(count).min(cap);
-
-        let preloaded: HashSet<u32> = cx
-            .options
-            .preloaded
-            .iter()
-            .filter(|r| r.mem == MemId::MatrixRf)
-            .flat_map(|r| clamp(r.start, r.len))
-            .collect();
-
-        // Phase 0: tiles the whole program ever reads.
-        let mut ever_read: HashSet<u32> = HashSet::new();
-        walk(cx.program, |step| {
-            if let Some(TileAccess::Read { start, count }) =
-                tile_accesses(step.item_ref, step.rows, step.cols)
-            {
-                ever_read.extend(clamp(start, count));
-            }
-        });
-
-        // Phase 1: interval walk. `loaded` tracks program loads, keyed per
-        // tile; `last_reader` the most recent mv_mul over each tile, reset
-        // on overwrite so repeated streaming reports each WAR site once.
-        let mut loaded: HashMap<u32, LoadRec> = HashMap::new();
-        let mut last_reader: HashMap<u32, (usize, usize)> = HashMap::new();
-        let mut uninit: BTreeMap<(usize, usize), BTreeSet<u32>> = BTreeMap::new();
-        let mut dead: BTreeMap<(usize, usize), BTreeSet<u32>> = BTreeMap::new();
-        let mut war: BTreeMap<(usize, usize), BTreeSet<u32>> = BTreeMap::new();
-        walk(cx.program, |step| {
-            match tile_accesses(step.item_ref, step.rows, step.cols) {
-                Some(TileAccess::Read { start, count }) => {
-                    for t in clamp(start, count) {
-                        if let Some(rec) = loaded.get_mut(&t) {
-                            rec.read = true;
-                        } else if !preloaded.contains(&t) && step.unroll == 0 {
-                            uninit
-                                .entry((step.segment, step.item))
-                                .or_default()
-                                .insert(t);
-                        }
-                        last_reader.insert(t, (step.segment, step.item));
-                    }
-                }
-                Some(TileAccess::Write { start, count }) => {
-                    for t in clamp(start, count) {
-                        if last_reader.remove(&t).is_some() {
-                            war.entry((step.segment, step.item)).or_default().insert(t);
-                        }
-                        let rec = LoadRec {
-                            segment: step.segment,
-                            item: step.item,
-                            read: false,
-                        };
-                        if let Some(prev) = loaded.insert(t, rec) {
-                            if !prev.read {
-                                dead.entry((prev.segment, prev.item)).or_default().insert(t);
-                            }
-                        }
-                    }
-                }
-                None => {}
-            }
-        });
-
-        // Loads that survive to the end unread, with the tile unread
-        // program-wide, are dead.
-        for (t, rec) in &loaded {
-            if !rec.read && !ever_read.contains(t) {
-                dead.entry((rec.segment, rec.item)).or_default().insert(*t);
-            }
-        }
-
-        for ((segment, item), tiles) in uninit {
-            out.push(Diagnostic::new(
-                DiagCode::MrfUninitializedRead,
-                segment,
-                item,
-                format!(
-                    "mv_mul reads MRF tiles {} never loaded by the program and \
-                     not declared host-preloaded",
-                    format_ranges(tiles)
-                ),
-            ));
-        }
-        for ((segment, item), tiles) in dead {
-            out.push(Diagnostic::new(
-                DiagCode::MrfDeadLoad,
-                segment,
-                item,
-                format!(
-                    "MRF tiles {} loaded here are overwritten or unused before \
-                     any mv_mul reads them",
-                    format_ranges(tiles)
-                ),
-            ));
-        }
-        for ((segment, item), tiles) in war {
-            out.push(Diagnostic::new(
-                DiagCode::MrfWriteAfterRead,
-                segment,
-                item,
-                format!(
-                    "m_wr overwrites MRF tiles {} previously read by mv_mul; the \
-                     double-buffered stream serializes here until the read drains",
-                    format_ranges(tiles)
-                ),
-            ));
-        }
+    for ((segment, item), tiles) in uninit {
+        out.push(Diagnostic::new(
+            DiagCode::MrfUninitializedRead,
+            segment,
+            item,
+            format!(
+                "mv_mul reads MRF tiles {} never loaded by the program and \
+                 not declared host-preloaded",
+                format_ranges(tiles)
+            ),
+        ));
+    }
+    for ((segment, item), tiles) in dead {
+        out.push(Diagnostic::new(
+            DiagCode::MrfDeadLoad,
+            segment,
+            item,
+            format!(
+                "MRF tiles {} loaded here are overwritten or unused before \
+                 any mv_mul reads them",
+                format_ranges(tiles)
+            ),
+        ));
+    }
+    for ((segment, item), tiles) in war {
+        out.push(Diagnostic::new(
+            DiagCode::MrfWriteAfterRead,
+            segment,
+            item,
+            format!(
+                "m_wr overwrites MRF tiles {} previously read by mv_mul; the \
+                 double-buffered stream serializes here until the read drains",
+                format_ranges(tiles)
+            ),
+        ));
     }
 }
 

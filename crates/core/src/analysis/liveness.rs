@@ -15,10 +15,11 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
-use crate::isa::{Chain, Instruction, Item, MemId};
+use crate::config::NpuConfig;
+use crate::isa::{Chain, Instruction, Item, MemId, Program};
 use crate::sched::{vrf_file, OperandFiles};
 
-use super::{format_ranges, walk, AnalysisPass, DiagCode, Diagnostic, PassContext};
+use super::{format_ranges, walk, AnalysisOptions, DiagCode, Diagnostic};
 
 /// One VRF range touched by a chain, in instruction order.
 enum Access {
@@ -29,7 +30,7 @@ enum Access {
 /// Collects the VRF ranges `chain` touches under the given register state,
 /// in pipeline order. MFU operand reads are in the scheduler's files
 /// ([`OperandFiles`]); operands addressed to MFUs the config lacks are
-/// skipped here (the capacity pass already errors on them).
+/// skipped here (the capacity check already errors on them).
 fn chain_accesses(chain: &Chain, rows: u32, cols: u32, mfus: u32) -> Vec<Access> {
     let (w_in, w_out) = chain.widths(rows, cols);
     let mut operands = OperandFiles::default();
@@ -73,142 +74,136 @@ struct WriteRec {
 }
 
 /// BW010–BW012: def-use/liveness over VRF address ranges.
-pub struct LivenessPass;
+pub(super) fn check(
+    program: &Program,
+    config: &NpuConfig,
+    options: &AnalysisOptions,
+    out: &mut Vec<Diagnostic>,
+) {
+    let mfus = config.mfus();
+    // Per-entry tracking is clamped to the file capacity: entries past
+    // the end of a VRF are the capacity check's BW002 territory, and
+    // clamping keeps corrupt (e.g. bit-flipped) programs from inflating
+    // the entry sets.
+    let cap = config.vrf_entries();
+    let clamp = move |start: u32, width: u32| start.min(cap)..start.saturating_add(width).min(cap);
 
-impl AnalysisPass for LivenessPass {
-    fn name(&self) -> &'static str {
-        "vrf-liveness"
-    }
+    let preloaded: HashSet<(MemId, u32)> = options
+        .preloaded
+        .iter()
+        .filter(|r| r.mem.is_vrf())
+        .flat_map(|r| clamp(r.start, r.len).map(move |e| (r.mem, e)))
+        .collect();
 
-    #[allow(clippy::too_many_lines)]
-    fn run(&self, cx: &PassContext<'_>, out: &mut Vec<Diagnostic>) {
-        let mfus = cx.config.mfus();
-        // Per-entry tracking is clamped to the file capacity: entries past
-        // the end of a VRF are the capacity pass's BW002 territory, and
-        // clamping keeps corrupt (e.g. bit-flipped) programs from inflating
-        // the entry sets.
-        let cap = cx.config.vrf_entries();
-        let clamp =
-            move |start: u32, width: u32| start.min(cap)..start.saturating_add(width).min(cap);
-
-        let preloaded: HashSet<(MemId, u32)> = cx
-            .options
-            .preloaded
-            .iter()
-            .filter(|r| r.mem.is_vrf())
-            .flat_map(|r| clamp(r.start, r.len).map(move |e| (r.mem, e)))
-            .collect();
-
-        // Phase 0: which entries does the whole program ever read or write?
-        let mut ever_read: HashSet<(MemId, u32)> = HashSet::new();
-        let mut ever_written: HashSet<(MemId, u32)> = HashSet::new();
-        walk(cx.program, |step| {
-            if let Item::Chain(chain) = step.item_ref {
-                for access in chain_accesses(chain, step.rows, step.cols, mfus) {
-                    match access {
-                        Access::Read { mem, start, width } => {
-                            ever_read.extend(clamp(start, width).map(|e| (mem, e)));
-                        }
-                        Access::Write { mem, start, width } => {
-                            ever_written.extend(clamp(start, width).map(|e| (mem, e)));
-                        }
-                    }
-                }
-            }
-        });
-
-        // Phase 1: def-use walk. Findings are grouped per offending site
-        // and memory so each diagnostic covers a compact entry range.
-        let mut last_write: HashMap<(MemId, u32), WriteRec> = HashMap::new();
-        let mut uninit: BTreeMap<(usize, usize, MemId, bool), BTreeSet<u32>> = BTreeMap::new();
-        let mut dead: BTreeMap<(usize, usize, MemId), BTreeSet<u32>> = BTreeMap::new();
-        walk(cx.program, |step| {
-            let Item::Chain(chain) = step.item_ref else {
-                return;
-            };
+    // Phase 0: which entries does the whole program ever read or write?
+    let mut ever_read: HashSet<(MemId, u32)> = HashSet::new();
+    let mut ever_written: HashSet<(MemId, u32)> = HashSet::new();
+    walk(program, |step| {
+        if let Item::Chain(chain) = step.item_ref {
             for access in chain_accesses(chain, step.rows, step.cols, mfus) {
                 match access {
                     Access::Read { mem, start, width } => {
-                        for e in clamp(start, width) {
-                            if let Some(rec) = last_write.get_mut(&(mem, e)) {
-                                rec.read = true;
-                            } else if !preloaded.contains(&(mem, e)) && step.unroll == 0 {
-                                // Unwritten at the second unrolled copy
-                                // implies unwritten at the first, so the
-                                // site was already recorded then.
-                                let written_later = ever_written.contains(&(mem, e));
-                                uninit
-                                    .entry((step.segment, step.item, mem, written_later))
+                        ever_read.extend(clamp(start, width).map(|e| (mem, e)));
+                    }
+                    Access::Write { mem, start, width } => {
+                        ever_written.extend(clamp(start, width).map(|e| (mem, e)));
+                    }
+                }
+            }
+        }
+    });
+
+    // Phase 1: def-use walk. Findings are grouped per offending site
+    // and memory so each diagnostic covers a compact entry range.
+    let mut last_write: HashMap<(MemId, u32), WriteRec> = HashMap::new();
+    let mut uninit: BTreeMap<(usize, usize, MemId, bool), BTreeSet<u32>> = BTreeMap::new();
+    let mut dead: BTreeMap<(usize, usize, MemId), BTreeSet<u32>> = BTreeMap::new();
+    walk(program, |step| {
+        let Item::Chain(chain) = step.item_ref else {
+            return;
+        };
+        for access in chain_accesses(chain, step.rows, step.cols, mfus) {
+            match access {
+                Access::Read { mem, start, width } => {
+                    for e in clamp(start, width) {
+                        if let Some(rec) = last_write.get_mut(&(mem, e)) {
+                            rec.read = true;
+                        } else if !preloaded.contains(&(mem, e)) && step.unroll == 0 {
+                            // Unwritten at the second unrolled copy
+                            // implies unwritten at the first, so the
+                            // site was already recorded then.
+                            let written_later = ever_written.contains(&(mem, e));
+                            uninit
+                                .entry((step.segment, step.item, mem, written_later))
+                                .or_default()
+                                .insert(e);
+                        }
+                    }
+                }
+                Access::Write { mem, start, width } => {
+                    for e in clamp(start, width) {
+                        let rec = WriteRec {
+                            segment: step.segment,
+                            item: step.item,
+                            read: false,
+                        };
+                        if let Some(prev) = last_write.insert((mem, e), rec) {
+                            if !prev.read {
+                                dead.entry((prev.segment, prev.item, mem))
                                     .or_default()
                                     .insert(e);
                             }
                         }
                     }
-                    Access::Write { mem, start, width } => {
-                        for e in clamp(start, width) {
-                            let rec = WriteRec {
-                                segment: step.segment,
-                                item: step.item,
-                                read: false,
-                            };
-                            if let Some(prev) = last_write.insert((mem, e), rec) {
-                                if !prev.read {
-                                    dead.entry((prev.segment, prev.item, mem))
-                                        .or_default()
-                                        .insert(e);
-                                }
-                            }
-                        }
-                    }
                 }
             }
-        });
-
-        // Final writes that nothing in the whole program ever reads. (A
-        // final write to an entry read earlier in the loop body is live
-        // state for the next run, not a dead store.)
-        for ((mem, e), rec) in &last_write {
-            if !rec.read && !ever_read.contains(&(*mem, *e)) {
-                dead.entry((rec.segment, rec.item, *mem))
-                    .or_default()
-                    .insert(*e);
-            }
         }
+    });
 
-        for ((segment, item, mem, written_later), entries) in uninit {
-            let ranges = format_ranges(entries);
-            if written_later {
-                out.push(Diagnostic::new(
-                    DiagCode::ReadBeforeWrite,
-                    segment,
-                    item,
-                    format!(
-                        "{mem}{ranges} is read before its first write; the first \
-                         iteration observes reset (zero) contents — declare the \
-                         range preloaded if the host initializes it"
-                    ),
-                ));
-            } else {
-                out.push(Diagnostic::new(
-                    DiagCode::UninitializedRead,
-                    segment,
-                    item,
-                    format!(
-                        "{mem}{ranges} is read but never written by the program \
-                         and not declared host-preloaded"
-                    ),
-                ));
-            }
+    // Final writes that nothing in the whole program ever reads. (A
+    // final write to an entry read earlier in the loop body is live
+    // state for the next run, not a dead store.)
+    for ((mem, e), rec) in &last_write {
+        if !rec.read && !ever_read.contains(&(*mem, *e)) {
+            dead.entry((rec.segment, rec.item, *mem))
+                .or_default()
+                .insert(*e);
         }
-        for ((segment, item, mem), entries) in dead {
-            let ranges = format_ranges(entries);
+    }
+
+    for ((segment, item, mem, written_later), entries) in uninit {
+        let ranges = format_ranges(entries);
+        if written_later {
             out.push(Diagnostic::new(
-                DiagCode::DeadStore,
+                DiagCode::ReadBeforeWrite,
                 segment,
                 item,
-                format!("dead store: {mem}{ranges} written here is never read"),
+                format!(
+                    "{mem}{ranges} is read before its first write; the first \
+                     iteration observes reset (zero) contents — declare the \
+                     range preloaded if the host initializes it"
+                ),
+            ));
+        } else {
+            out.push(Diagnostic::new(
+                DiagCode::UninitializedRead,
+                segment,
+                item,
+                format!(
+                    "{mem}{ranges} is read but never written by the program \
+                     and not declared host-preloaded"
+                ),
             ));
         }
+    }
+    for ((segment, item, mem), entries) in dead {
+        let ranges = format_ranges(entries);
+        out.push(Diagnostic::new(
+            DiagCode::DeadStore,
+            segment,
+            item,
+            format!("dead store: {mem}{ranges} written here is never read"),
+        ));
     }
 }
 

@@ -1,14 +1,14 @@
 //! Static dataflow analysis of NPU firmware — a linter over [`Program`]s.
 //!
-//! The analyzer runs a pipeline of [`AnalysisPass`]es over a program. Each
-//! pass walks the program in the scheduler's runtime order, with its
-//! `rows`/`cols` tiling state tracked alongside, and emits [`Diagnostic`]s
-//! identified by a stable `BW0xx` code with a fixed [`Severity`].
-//! [`Analyzer::new`] runs six: [`CapacityPass`] (BW001–BW006, the
-//! timeline's own checks: [Faults](crate::sched#faults)),
-//! [`LivenessPass`] (BW010–BW012), [`HazardPass`] (BW020–BW022),
-//! [`NetQueuePass`] (BW030–BW032), [`ChainShapePass`] (BW040–BW043) and
-//! [`CycleBoundPass`] (BW120–BW122).
+//! [`analyze_with`] runs six plain functions over a program, in this
+//! order: `capacity::check` (BW001–BW006, the timeline's own checks:
+//! [Faults](crate::sched#faults)), `liveness::check` (BW010–BW012),
+//! `hazards::check` (BW020–BW022), `netq::check` (BW030–BW032),
+//! `shape::check` (BW040–BW043) and `bounds::check` (BW120–BW122). All
+//! but the last read the one runtime walk (`walk`: the scheduler's order,
+//! with its `rows`/`cols` tiling state alongside); the last runs the
+//! timeline itself. Each emits [`Diagnostic`]s identified by a stable
+//! `BW0xx` code with a fixed [`Severity`].
 //!
 //! | code  | severity | meaning |
 //! |-------|----------|---------|
@@ -51,7 +51,7 @@
 //! Severities gate deployment: the toolflow refuses to lower a model onto a
 //! device when the report contains errors (and, optionally, warnings — see
 //! `AnalysisReport::is_clean`). Because VRFs and the MRF are host-visible,
-//! a purely static pass cannot see host preloads (weights, biases, initial
+//! a purely static check cannot see host preloads (weights, biases, initial
 //! recurrent state); [`AnalysisOptions`] lets the firmware generator declare
 //! those ranges so that legitimate reads do not trip BW010/BW022.
 //!
@@ -73,16 +73,9 @@ mod netq;
 mod shape;
 
 pub use artifact::{
-    analyze_artifact, analyze_artifact_with, artifact_cycle_bounds, ArtifactContext, ArtifactPass,
-    ArtifactSlaPass, ArtifactStage, ArtifactUnit, ArtifactView, ShardBalancePass, StageFlow,
-    StageFlowPass, UnitSummary,
+    analyze_artifact, artifact_cycle_bounds, ArtifactStage, ArtifactUnit, ArtifactView,
 };
-pub use bounds::{cycle_bounds, CycleBoundPass, CycleBounds};
-pub use capacity::CapacityPass;
-pub use hazards::HazardPass;
-pub use liveness::LivenessPass;
-pub use netq::NetQueuePass;
-pub use shape::ChainShapePass;
+pub use bounds::{cycle_bounds, CycleBounds};
 
 /// How serious a diagnostic is. Ordered: `Info < Warning < Error`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -436,8 +429,8 @@ pub struct AnalysisOptions {
     /// `None` disables BW032.
     pub netq_expected_outputs: Option<u64>,
     /// Declared service-level agreement in cycles, if any. With an SLA
-    /// declared, [`CycleBoundPass`] compares the static cycle bounds
-    /// against it (BW120–BW122); `None` keeps the pass silent.
+    /// declared, the static cycle bounds are judged against it
+    /// (BW120–BW122); `None` keeps that check silent.
     pub sla_cycles: Option<u64>,
     /// Earliest cycle any NetQ input vector can arrive (relative to the
     /// run start). The default `0` models host-staged inputs.
@@ -493,25 +486,6 @@ impl AnalysisOptions {
         self.input_arrival_hi = hi.max(lo);
         self
     }
-}
-
-/// Everything a pass needs: the program, the hardware shape, and the
-/// deployment facts.
-pub struct PassContext<'a> {
-    /// The firmware under analysis.
-    pub program: &'a Program,
-    /// The device configuration it targets.
-    pub config: &'a NpuConfig,
-    /// Deployment facts (preloads, queue budgets).
-    pub options: &'a AnalysisOptions,
-}
-
-/// One analysis over a whole program.
-pub trait AnalysisPass {
-    /// Stable name of the pass (for logs and pass selection).
-    fn name(&self) -> &'static str;
-    /// Runs the pass, appending findings to `out`.
-    fn run(&self, cx: &PassContext<'_>, out: &mut Vec<Diagnostic>);
 }
 
 /// The collected findings of an analyzer run.
@@ -623,52 +597,28 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// A configured pipeline of analysis passes.
-pub struct Analyzer {
-    options: AnalysisOptions,
-    passes: Vec<Box<dyn AnalysisPass>>,
+/// A program check: appends its findings to `out`.
+type Check = fn(&Program, &NpuConfig, &AnalysisOptions, &mut Vec<Diagnostic>);
+
+/// The checks [`analyze_with`] runs, in order, by name.
+const CHECKS: [(&str, Check); 6] = [
+    ("capacity", capacity::check),
+    ("vrf-liveness", liveness::check),
+    ("mrf-hazards", hazards::check),
+    ("netq-balance", netq::check),
+    ("chain-shape", shape::check),
+    ("cycle-bounds", bounds::check),
+];
+
+/// Names of the checks [`analyze_with`] runs, in the order it runs them.
+#[must_use]
+pub fn check_names() -> [&'static str; 6] {
+    CHECKS.map(|(name, _)| name)
 }
 
-impl Analyzer {
-    /// An analyzer running the default pass pipeline with `options`.
-    pub fn new(options: AnalysisOptions) -> Self {
-        Analyzer {
-            options,
-            passes: vec![
-                Box::new(CapacityPass),
-                Box::new(LivenessPass),
-                Box::new(HazardPass),
-                Box::new(NetQueuePass),
-                Box::new(ChainShapePass),
-                Box::new(CycleBoundPass),
-            ],
-        }
-    }
-
-    /// Names of the passes in pipeline order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name()).collect()
-    }
-
-    /// Runs every pass over `program` and returns the combined report,
-    /// deduplicated and deterministically ordered.
-    pub fn analyze(&self, program: &Program, config: &NpuConfig) -> AnalysisReport {
-        let cx = PassContext {
-            program,
-            config,
-            options: &self.options,
-        };
-        let mut diagnostics = Vec::new();
-        for pass in &self.passes {
-            pass.run(&cx, &mut diagnostics);
-        }
-        finish_report(diagnostics)
-    }
-}
-
-/// Normalizes raw pass output into a deterministic report: sorted by
+/// Normalizes raw check output into a deterministic report: sorted by
 /// `(code, unit, segment, item, message)` and deduplicated, so identical
-/// findings from overlapping passes collapse and serialized reports are
+/// findings from overlapping checks collapse and serialized reports are
 /// byte-stable across runs.
 pub(crate) fn finish_report(mut diagnostics: Vec<Diagnostic>) -> AnalysisReport {
     diagnostics.sort_by(|a, b| {
@@ -681,20 +631,25 @@ pub(crate) fn finish_report(mut diagnostics: Vec<Diagnostic>) -> AnalysisReport 
 
 /// Analyzes `program` with default options (no preloads, no queue budgets).
 pub fn analyze(program: &Program, config: &NpuConfig) -> AnalysisReport {
-    Analyzer::new(AnalysisOptions::default()).analyze(program, config)
+    analyze_with(program, config, AnalysisOptions::default())
 }
 
-/// Analyzes `program` with explicit deployment facts.
+/// Analyzes `program` with explicit deployment facts: runs every check and
+/// returns the combined report, deduplicated and deterministically ordered.
 pub fn analyze_with(
     program: &Program,
     config: &NpuConfig,
     options: AnalysisOptions,
 ) -> AnalysisReport {
-    Analyzer::new(options).analyze(program, config)
+    let mut diagnostics = Vec::new();
+    for (_, check) in CHECKS {
+        check(program, config, &options, &mut diagnostics);
+    }
+    finish_report(diagnostics)
 }
 
 // ---------------------------------------------------------------------------
-// Shared walking machinery for passes.
+// The one walk every check runs over.
 
 /// One visited item of a linearized walk, with the scheduler's register
 /// state at that point.
@@ -910,7 +865,7 @@ mod tests {
 
     #[test]
     fn reports_are_deduplicated_and_byte_stable() {
-        // Two passes reporting the same finding, plus out-of-order input:
+        // Two checks reporting the same finding, plus out-of-order input:
         // the report must collapse duplicates and impose the canonical
         // (code, unit, segment, item, message) order.
         let twice = vec![

@@ -1,9 +1,9 @@
 //! Conservative static network-queue balance checking.
 //!
 //! The input queue is host-fed: the program only pops from it, so a purely
-//! static pass cannot prove underflow without knowing how much the host
+//! static check cannot prove underflow without knowing how much the host
 //! pushes per run. [`super::AnalysisOptions`] declares those budgets; with
-//! one declared, this pass accounts pushes and pops per segment across
+//! one declared, [`check`] accounts pushes and pops per segment across
 //! loop iterations in closed form and reports the first item whose
 //! cumulative pops exceed the budget:
 //!
@@ -11,267 +11,217 @@
 //! * **BW031** (error) — input matrix-tile pops can underflow the queue.
 //! * **BW032** (info) — the program's output vector count differs from the
 //!   declared expected count.
+//!
+//! The same count, [`count`], totals a whole run for the artifact checks
+//! ([`traffic`]).
 
-use crate::isa::{Instruction, Item, MemId, ScalarReg};
+use crate::config::NpuConfig;
+use crate::isa::{Instruction, Item, MemId, Program};
 
-use super::{AnalysisPass, DiagCode, Diagnostic, PassContext};
+use super::{walk, AnalysisOptions, DiagCode, Diagnostic, Step};
 
-/// Network-queue traffic of one item under the current register state.
-#[derive(Clone, Copy, Default)]
-struct Traffic {
-    vec_pops: u64,
-    mat_pops: u64,
-    vec_pushes: u64,
-}
-
-/// Whole-run network-queue traffic of a program: the closed-form totals
-/// the artifact-level passes compare against peer supply (see
-/// [`super::artifact`]).
+/// Network-queue traffic: of one item at one register state, or summed
+/// over a run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct TrafficTotals {
+pub(crate) struct Traffic {
+    /// Input vectors popped.
     pub(crate) vec_pops: u128,
+    /// Input matrix tiles popped.
     pub(crate) mat_pops: u128,
+    /// Output vectors pushed.
     pub(crate) vec_pushes: u128,
 }
 
-/// Totals a program's NetQ traffic across all segments and iterations in
-/// closed form: the first two iterations of each segment are walked
-/// explicitly (register state stabilizes after one pass), the rest are
-/// multiplied out.
-pub(crate) fn program_traffic(program: &crate::isa::Program) -> TrafficTotals {
-    let mut rows = 1u32;
-    let mut cols = 1u32;
-    let mut totals = TrafficTotals::default();
-    for segment in &program.segments {
-        if segment.iterations == 0 {
-            continue;
-        }
-        let explicit = u128::from(segment.iterations.min(2));
-        let mut stable = Traffic::default();
-        for _ in 0..explicit {
-            stable = Traffic::default();
-            for item in &segment.items {
-                let t = item_traffic(item, &mut rows, &mut cols);
-                totals.vec_pops += u128::from(t.vec_pops);
-                totals.mat_pops += u128::from(t.mat_pops);
-                totals.vec_pushes += u128::from(t.vec_pushes);
-                stable.vec_pops += t.vec_pops;
-                stable.mat_pops += t.mat_pops;
-                stable.vec_pushes += t.vec_pushes;
+impl Traffic {
+    /// The traffic of the item `step` visits, at the step's `rows × cols`:
+    /// vector reads pop `w_in`, matrix reads pop `rows × cols` tiles,
+    /// vector writes push `w_out` — each per NetQ-addressed instruction.
+    fn at(step: &Step<'_>) -> Traffic {
+        let mut t = Traffic::default();
+        let Item::Chain(chain) = step.item_ref else {
+            return t;
+        };
+        let (w_in, w_out) = chain.widths(step.rows, step.cols);
+        for instr in chain.instructions() {
+            match *instr {
+                Instruction::VRd {
+                    mem: MemId::NetQ, ..
+                } => t.vec_pops += u128::from(w_in),
+                Instruction::MRd {
+                    mem: MemId::NetQ, ..
+                } => t.mat_pops += u128::from(step.rows) * u128::from(step.cols),
+                Instruction::VWr {
+                    mem: MemId::NetQ, ..
+                } => t.vec_pushes += u128::from(w_out),
+                _ => {}
             }
         }
-        let rest = u128::from(segment.iterations) - explicit;
-        totals.vec_pops += rest * u128::from(stable.vec_pops);
-        totals.mat_pops += rest * u128::from(stable.mat_pops);
-        totals.vec_pushes += rest * u128::from(stable.vec_pushes);
+        t
     }
-    totals
 }
 
-/// Mirrors the scheduler's register updates while computing an item's
-/// queue traffic: vector reads pop `w_in`, matrix reads pop `rows × cols`
-/// tiles, vector writes push `w_out` — each per NetQ-addressed
-/// instruction.
-fn item_traffic(item: &Item, rows: &mut u32, cols: &mut u32) -> Traffic {
-    let mut t = Traffic::default();
-    match item {
-        Item::SetReg { reg, value } => {
-            if *value != 0 {
-                match reg {
-                    ScalarReg::Rows => *rows = *value,
-                    ScalarReg::Cols => *cols = *value,
-                }
+/// The one NetQ count. Hands `visit(segment, iteration, times, items)`
+/// each walked iteration in runtime order — a segment's first, then its
+/// second (1-based `iteration`, `times` 1) — and, for a loop of more, the
+/// remaining `iterations − 2` at once: `iteration` 3, `times` that count.
+/// They repeat the second exactly ([`walk`]: its register state is every
+/// later iteration's). `items` are the iteration's items that touch the
+/// queue, with their index and traffic.
+fn count(program: &Program, mut visit: impl FnMut(usize, u128, u128, &[(usize, Traffic)])) {
+    let mut items: Vec<(usize, Traffic)> = Vec::new();
+    let mut current: Option<(usize, u32)> = None;
+    let mut flush = |(segment, unroll): (usize, u32), items: &mut Vec<(usize, Traffic)>| {
+        visit(segment, u128::from(unroll) + 1, 1, items);
+        let rest = u128::from(program.segments[segment].iterations).saturating_sub(2);
+        if unroll == 1 && rest > 0 {
+            visit(segment, 3, rest, items);
+        }
+        items.clear();
+    };
+    walk(program, |step| {
+        let at = (step.segment, step.unroll);
+        if current != Some(at) {
+            if let Some(done) = current.replace(at) {
+                flush(done, &mut items);
             }
         }
-        Item::Chain(chain) => {
-            let (w_in, w_out) = chain.widths(*rows, *cols);
-            for instr in chain.instructions() {
-                match *instr {
-                    Instruction::VRd {
-                        mem: MemId::NetQ, ..
-                    } => t.vec_pops += u64::from(w_in),
-                    Instruction::MRd {
-                        mem: MemId::NetQ, ..
-                    } => {
-                        t.mat_pops += u64::from(*rows) * u64::from(*cols);
-                    }
-                    Instruction::VWr {
-                        mem: MemId::NetQ, ..
-                    } => t.vec_pushes += u64::from(w_out),
-                    _ => {}
-                }
-            }
+        let t = Traffic::at(step);
+        if t != Traffic::default() {
+            items.push((step.item, t));
         }
+    });
+    if let Some(done) = current {
+        flush(done, &mut items);
     }
-    t
 }
 
-/// Running balance of one pop stream against an optional budget.
+/// Whole-run network-queue traffic of a program: the totals the artifact
+/// checks compare against peer supply (see [`super::artifact`]).
+pub(crate) fn traffic(program: &Program) -> Traffic {
+    let mut total = Traffic::default();
+    count(program, |_, _, times, items| {
+        for (_, t) in items {
+            total.vec_pops += times * t.vec_pops;
+            total.mat_pops += times * t.mat_pops;
+            total.vec_pushes += times * t.vec_pushes;
+        }
+    });
+    total
+}
+
+/// Running balance of one pop stream against an optional budget (none:
+/// the stream is not checked).
 struct PopStream {
     budget: Option<u64>,
     total: u128,
     flagged: bool,
     code: DiagCode,
     what: &'static str,
+    pops: fn(&Traffic) -> u128,
 }
 
 impl PopStream {
-    fn new(budget: Option<u64>, code: DiagCode, what: &'static str) -> Self {
-        PopStream {
-            budget,
-            total: 0,
-            flagged: false,
-            code,
-            what,
-        }
-    }
-
-    /// Accounts `pops` at `(segment, item)` during `iteration` (1-based),
-    /// flagging the first prefix that exceeds the budget.
-    fn pop(
+    /// Accounts `times` runs of one iteration's `items`, the first of
+    /// them iteration `iteration` of `segment`: as many whole runs as fit
+    /// the budget at once, then, if one does not, that run item by item
+    /// to flag the pop that underflows. A flagged stream stops counting.
+    fn run(
         &mut self,
-        pops: u64,
         segment: usize,
-        item: usize,
         iteration: u128,
+        times: u128,
+        items: &[(usize, Traffic)],
         out: &mut Vec<Diagnostic>,
     ) {
-        if pops == 0 || self.flagged {
+        let Some(budget) = self.budget else {
+            return;
+        };
+        let per_run: u128 = items.iter().map(|(_, t)| (self.pops)(t)).sum();
+        if self.flagged || per_run == 0 {
             return;
         }
-        self.total += u128::from(pops);
-        if let Some(budget) = self.budget {
+        let headroom = u128::from(budget).saturating_sub(self.total);
+        let fit = (headroom / per_run).min(times);
+        self.total += fit * per_run;
+        if fit == times {
+            return;
+        }
+        for (item, t) in items {
+            let pops = (self.pops)(t);
+            self.total += pops;
             if self.total > u128::from(budget) {
                 self.flagged = true;
                 out.push(Diagnostic::new(
                     self.code,
                     segment,
-                    item,
+                    *item,
                     format!(
                         "pop of {pops} {what} on iteration {iteration} raises total \
                          consumption to {total}, but the host only provides {budget} \
                          per run — the queue underflows here",
                         what = self.what,
+                        iteration = iteration + fit,
                         total = self.total,
                     ),
                 ));
+                return;
             }
-        }
-    }
-
-    /// How many more full iterations of `per_iter` pops fit in the budget,
-    /// capped at `count`. Flagged or unbudgeted streams never constrain.
-    fn fits(&self, per_iter: u64, count: u128) -> u128 {
-        if per_iter == 0 || self.flagged {
-            return count;
-        }
-        match self.budget {
-            Some(budget) => {
-                let headroom = u128::from(budget).saturating_sub(self.total);
-                (headroom / u128::from(per_iter)).min(count)
-            }
-            None => count,
-        }
-    }
-
-    /// Accounts `count` full iterations of `per_iter` pops at once.
-    fn advance(&mut self, per_iter: u64, count: u128) {
-        if !self.flagged {
-            self.total += count * u128::from(per_iter);
         }
     }
 }
 
 /// BW030–BW032: static push/pop accounting for the network queues.
-pub struct NetQueuePass;
-
-impl AnalysisPass for NetQueuePass {
-    fn name(&self) -> &'static str {
-        "netq-balance"
-    }
-
-    fn run(&self, cx: &PassContext<'_>, out: &mut Vec<Diagnostic>) {
-        let mut rows = 1u32;
-        let mut cols = 1u32;
-        let mut vectors = PopStream::new(
-            cx.options.netq_input_vectors,
-            DiagCode::NetUnderflow,
-            "input vectors",
-        );
-        let mut matrices = PopStream::new(
-            cx.options.netq_input_matrices,
-            DiagCode::NetMatrixUnderflow,
-            "input matrix tiles",
-        );
-        let mut pushed: u128 = 0;
-        let mut last_push: Option<(usize, usize)> = None;
-
-        for (si, segment) in cx.program.segments.iter().enumerate() {
-            if segment.iterations == 0 {
-                continue;
+pub(super) fn check(
+    program: &Program,
+    _: &NpuConfig,
+    options: &AnalysisOptions,
+    out: &mut Vec<Diagnostic>,
+) {
+    let stream = |budget, code, what, pops| PopStream {
+        budget,
+        total: 0,
+        flagged: false,
+        code,
+        what,
+        pops,
+    };
+    let mut vectors = stream(
+        options.netq_input_vectors,
+        DiagCode::NetUnderflow,
+        "input vectors",
+        |t: &Traffic| t.vec_pops,
+    );
+    let mut matrices = stream(
+        options.netq_input_matrices,
+        DiagCode::NetMatrixUnderflow,
+        "input matrix tiles",
+        |t: &Traffic| t.mat_pops,
+    );
+    let mut pushed: u128 = 0;
+    let mut last_push: Option<(usize, usize)> = None;
+    count(program, |segment, iteration, times, items| {
+        vectors.run(segment, iteration, times, items, out);
+        matrices.run(segment, iteration, times, items, out);
+        for (item, t) in items {
+            if t.vec_pushes > 0 {
+                pushed += times * t.vec_pushes;
+                last_push = Some((segment, *item));
             }
-            // Walk the first two iterations explicitly: the first runs
-            // under inherited register state, the second under the
-            // segment's own (stabilized) state. Later iterations repeat
-            // the second exactly, so they are accounted in closed form.
-            let explicit = u128::from(segment.iterations.min(2));
-            let mut stable = Traffic::default();
-            for iteration in 0..explicit {
-                stable = Traffic::default();
-                for (ii, item) in segment.items.iter().enumerate() {
-                    let t = item_traffic(item, &mut rows, &mut cols);
-                    vectors.pop(t.vec_pops, si, ii, iteration + 1, out);
-                    matrices.pop(t.mat_pops, si, ii, iteration + 1, out);
-                    if t.vec_pushes > 0 {
-                        pushed += u128::from(t.vec_pushes);
-                        last_push = Some((si, ii));
-                    }
-                    stable.vec_pops += t.vec_pops;
-                    stable.mat_pops += t.mat_pops;
-                    stable.vec_pushes += t.vec_pushes;
-                }
-            }
-            let rest = u128::from(segment.iterations) - explicit;
-            // Both streams advance through the remaining iterations in
-            // lockstep (the min of what fits each budget); whenever a
-            // stream would underflow, that one iteration is replayed
-            // item-by-item under the stabilized register state to find the
-            // offending item, then bulk accounting resumes.
-            let mut remaining = rest;
-            while remaining > 0 {
-                let fit = vectors
-                    .fits(stable.vec_pops, remaining)
-                    .min(matrices.fits(stable.mat_pops, remaining));
-                vectors.advance(stable.vec_pops, fit);
-                matrices.advance(stable.mat_pops, fit);
-                remaining -= fit;
-                if remaining == 0 {
-                    break;
-                }
-                let iteration = explicit + (rest - remaining) + 1;
-                for (ii, item) in segment.items.iter().enumerate() {
-                    let t = item_traffic(item, &mut rows, &mut cols);
-                    vectors.pop(t.vec_pops, si, ii, iteration, out);
-                    matrices.pop(t.mat_pops, si, ii, iteration, out);
-                }
-                remaining -= 1;
-            }
-            pushed += rest * u128::from(stable.vec_pushes);
         }
+    });
 
-        if let Some(expected) = cx.options.netq_expected_outputs {
-            if pushed != u128::from(expected) {
-                let (segment, item) = last_push.unwrap_or((0, 0));
-                out.push(Diagnostic::new(
-                    DiagCode::NetOutputMismatch,
-                    segment,
-                    item,
-                    format!(
-                        "program pushes {pushed} output vectors per run, but the \
-                         host expects {expected}"
-                    ),
-                ));
-            }
+    if let Some(expected) = options.netq_expected_outputs {
+        if pushed != u128::from(expected) {
+            let (segment, item) = last_push.unwrap_or((0, 0));
+            out.push(Diagnostic::new(
+                DiagCode::NetOutputMismatch,
+                segment,
+                item,
+                format!(
+                    "program pushes {pushed} output vectors per run, but the \
+                     host expects {expected}"
+                ),
+            ));
         }
     }
 }

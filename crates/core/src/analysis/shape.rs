@@ -12,9 +12,10 @@
 //!   overlapping ranges of the same memory at different widths (`cols`
 //!   native vectors in, `rows` out): an aliasing width mismatch.
 
-use crate::isa::{Chain, Instruction, Item, MemId, Opcode};
+use crate::config::NpuConfig;
+use crate::isa::{Chain, Instruction, Item, MemId, Opcode, Program};
 
-use super::{walk, AnalysisPass, DiagCode, Diagnostic, PassContext, Step};
+use super::{walk, AnalysisOptions, DiagCode, Diagnostic, Step};
 
 fn overlaps(a: u32, a_w: u32, b: u32, b_w: u32) -> bool {
     u64::from(a) < u64::from(b) + u64::from(b_w) && u64::from(b) < u64::from(a) + u64::from(a_w)
@@ -103,23 +104,20 @@ fn check_chain(step: &Step<'_>, chain: &Chain, out: &mut Vec<Diagnostic>) {
 }
 
 /// BW040–BW043: chain-shape lints.
-pub struct ChainShapePass;
-
-impl AnalysisPass for ChainShapePass {
-    fn name(&self) -> &'static str {
-        "chain-shape"
-    }
-
-    fn run(&self, cx: &PassContext<'_>, out: &mut Vec<Diagnostic>) {
-        walk(cx.program, |step| {
-            if step.unroll > 0 {
-                return;
-            }
-            if let Item::Chain(chain) = step.item_ref {
-                check_chain(step, chain, out);
-            }
-        });
-    }
+pub(super) fn check(
+    program: &Program,
+    _: &NpuConfig,
+    _: &AnalysisOptions,
+    out: &mut Vec<Diagnostic>,
+) {
+    walk(program, |step| {
+        if step.unroll > 0 {
+            return;
+        }
+        if let Item::Chain(chain) = step.item_ref {
+            check_chain(step, chain, out);
+        }
+    });
 }
 
 #[cfg(test)]

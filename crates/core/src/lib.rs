@@ -69,10 +69,9 @@ mod trace_report;
 
 pub use analysis::capacity::ValidateError;
 pub use analysis::{
-    analyze, analyze_artifact, analyze_artifact_with, analyze_with, artifact_cycle_bounds,
-    cycle_bounds, AnalysisOptions, AnalysisPass, AnalysisReport, Analyzer, ArtifactContext,
-    ArtifactPass, ArtifactStage, ArtifactUnit, ArtifactView, CycleBounds, DiagCode, Diagnostic,
-    PreloadedRange, Severity, StageFlow, UnitSummary,
+    analyze, analyze_artifact, analyze_with, artifact_cycle_bounds, check_names, cycle_bounds,
+    AnalysisOptions, AnalysisReport, ArtifactStage, ArtifactUnit, ArtifactView, CycleBounds,
+    DiagCode, Diagnostic, PreloadedRange, Severity,
 };
 pub use config::{ConfigError, NpuConfig, NpuConfigBuilder, TimingParams};
 pub use hdd::{DispatchLevel, HddExpansion};

@@ -173,7 +173,7 @@
 //! functions in the same order over the runtime walk: zero-iteration
 //! segments skipped, loop bodies twice. Twice is exact, because a loop's
 //! second iteration starts in the register state every later one does.
-//! Only NetQ pops are left out; their budget is the NetQ pass's. So:
+//! Only NetQ pops are left out; their budget is the NetQ check's. So:
 //! * a program `validate` passes raises no data-free fault but
 //!   [`SimError::NetQueueEmpty`];
 //! * a program the timeline faults on otherwise has that fault first in

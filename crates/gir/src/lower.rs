@@ -66,7 +66,7 @@ impl AcceleratorBinary {
 
     /// Runs the linter with the [`LowerOptions`] policy applied: a
     /// declared SLA is converted into a per-binary cycle budget so the
-    /// static cycle-bound pass (BW120–BW122) participates in the gate.
+    /// static cycle-bound check (BW120–BW122) participates in the gate.
     pub fn lint_with(&self, config: &NpuConfig, opts: &LowerOptions) -> AnalysisReport {
         let mut options = self.analysis_options();
         if let Some(cycles) = opts.sla_cycles(config) {

@@ -308,7 +308,7 @@ impl ShardedArtifact {
         view
     }
 
-    /// Runs the artifact-level analysis passes (BW11x cross-shard
+    /// Runs the artifact-level analysis checks (BW11x cross-shard
     /// dataflow, BW12x SLA when `opts.sla_us` is declared) over the
     /// serving plan.
     pub fn analyze(&self, opts: &LowerOptions) -> AnalysisReport {

@@ -71,8 +71,8 @@ pub mod prelude {
     pub use bw_core::isa::{Chain, Instruction, MemId, Opcode, Program, ProgramBuilder};
     pub use bw_core::{
         analyze, analyze_artifact, analyze_with, artifact_cycle_bounds, cycle_bounds,
-        AnalysisOptions, AnalysisReport, Analyzer, ArtifactStage, ArtifactUnit, ArtifactView,
-        CycleBounds, DiagCode, Diagnostic, Severity,
+        AnalysisOptions, AnalysisReport, ArtifactStage, ArtifactUnit, ArtifactView, CycleBounds,
+        DiagCode, Diagnostic, Severity,
     };
     pub use bw_core::{
         ExecMode, HddExpansion, KernelMode, Npu, NpuConfig, RunStats, SimError, SpanCollector,

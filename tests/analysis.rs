@@ -289,3 +289,133 @@ fn gir_deployment_gate_passes_clean_pipelines_and_blocks_bad_binaries() {
     };
     assert!(bad.lint(&cfg()).blocks_deployment(false));
 }
+
+/// A loop popping two vectors per iteration through an `mv_mul`, with the
+/// deployment facts that let it run.
+fn sla_program() -> (Program, AnalysisOptions) {
+    let mut b = ProgramBuilder::new();
+    b.set_rows(2).set_cols(2);
+    b.begin_loop(3).unwrap();
+    b.v_rd(MemId::NetQ, 0)
+        .mv_mul(0)
+        .v_wr(MemId::InitialVrf, 8)
+        .end_chain()
+        .unwrap();
+    b.v_rd(MemId::InitialVrf, 8)
+        .v_wr(MemId::NetQ, 0)
+        .end_chain()
+        .unwrap();
+    b.end_loop().unwrap();
+    let options = AnalysisOptions::default()
+        .preload(MemId::MatrixRf, 0, 4)
+        .with_input_vectors(6);
+    (b.build(), options)
+}
+
+fn sla_lines(report: &AnalysisReport) -> Vec<String> {
+    let sla = [
+        DiagCode::SlaViolation,
+        DiagCode::SlaAtRisk,
+        DiagCode::SlaMet,
+    ];
+    report
+        .diagnostics
+        .iter()
+        .filter(|d| sla.contains(&d.code))
+        .map(ToString::to_string)
+        .collect()
+}
+
+/// BW120–BW122 word for word, for one program and for a two-shard artifact
+/// of it: an SLA at the bound, one an arrival window puts at risk, one
+/// below the bound, and one no bound can meet (no input budget declared).
+#[test]
+fn sla_verdicts_keep_their_wording_at_both_scopes() {
+    let cfg = cfg();
+    let (program, options) = sla_program();
+    let exact = cycle_bounds(&program, &cfg, &options).unwrap().lower;
+    let unbudgeted = AnalysisOptions::default().preload(MemId::MatrixRf, 0, 4);
+    let windowed = options.clone().with_input_arrival(0, 1_000);
+    let late = cycle_bounds(&program, &cfg, &windowed).unwrap().upper;
+    let cases = [
+        (options.clone(), exact),
+        (windowed, exact),
+        (options.clone(), exact - 1),
+        (unbudgeted, exact),
+    ];
+
+    let program_lines: Vec<String> = cases
+        .iter()
+        .flat_map(|(o, sla)| {
+            let report = analyze_with(&program, &cfg, o.clone().with_sla_cycles(*sla));
+            sla_lines(&report)
+        })
+        .collect();
+    let below = exact - 1;
+    assert_eq!(
+        program_lines,
+        [
+            format!(
+                "info[BW122] segment 1, item 0: static bound [{exact}, {exact}] cycles \
+                 meets the declared SLA of {exact} cycles"
+            ),
+            format!(
+                "warning[BW121] segment 1, item 0: worst-case bound of {late} cycles \
+                 exceeds the declared SLA of {exact} cycles (best case {exact})"
+            ),
+            format!(
+                "error[BW120] segment 1, item 0: guaranteed minimum of {exact} cycles \
+                 exceeds the declared SLA of {below} cycles — unmeetable on this config"
+            ),
+            format!(
+                "error[BW120] segment 1, item 0: no static cycle bound is provable for \
+                 this program, so the declared SLA of {exact} cycles cannot be guaranteed"
+            ),
+        ],
+        "program scope"
+    );
+
+    let artifact_lines: Vec<String> = cases
+        .iter()
+        .flat_map(|(o, sla)| {
+            let mut view = ArtifactView::new("pair", 16);
+            let shards = ["pair#g0s0", "pair#g0s1"].map(|name| {
+                view.add_unit(ArtifactUnit {
+                    name: name.to_owned(),
+                    program: &program,
+                    config: &cfg,
+                    options: o.clone(),
+                    input_dim: 16,
+                    output_dim: 8,
+                })
+            });
+            view.push_sharded(shards.to_vec());
+            sla_lines(&analyze_artifact(&view.with_sla_cycles(*sla)))
+        })
+        .collect();
+    assert_eq!(
+        artifact_lines,
+        [
+            format!(
+                "info[BW122] unit pair, segment 0, item 0: static pipeline bound \
+                 [{exact}, {exact}] cycles meets the declared SLA of {exact} cycles"
+            ),
+            format!(
+                "warning[BW121] unit pair, segment 0, item 0: worst-case pipeline bound \
+                 of {late} cycles exceeds the declared SLA of {exact} cycles (best case \
+                 {exact})"
+            ),
+            format!(
+                "error[BW120] unit pair, segment 0, item 0: guaranteed minimum of {exact} \
+                 cycles across the pipeline exceeds the declared SLA of {below} cycles — \
+                 unmeetable on this config"
+            ),
+            format!(
+                "error[BW120] unit pair, segment 0, item 0: no static cycle bound is \
+                 provable for the artifact, so the declared SLA of {exact} cycles cannot \
+                 be guaranteed"
+            ),
+        ],
+        "artifact scope"
+    );
+}

@@ -523,6 +523,45 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The NetQ count against the timeline, on loops whose bodies resize
+    /// their own chains: the vectors a gate-clean run pops are the least
+    /// budget free of BW030 (one fewer and the run faults on an empty
+    /// queue), and the vectors it pushes the one count free of BW032.
+    #[test]
+    fn the_netq_count_agrees_with_the_timeline(spec in resizing_strategy()) {
+        let program = build_resizing(&spec);
+        if !program.validate(&cfg()).is_empty() {
+            return Ok(());
+        }
+        let queued = 1usize << 30;
+        let mut npu = Npu::with_mode(cfg(), ExecMode::TimingOnly);
+        npu.push_input_zeros(queued);
+        let ran = npu.run(&program);
+        prop_assert!(ran.is_ok(), "a gate-clean program faulted: {:?}", ran);
+        let needed = (queued - npu.input_len()) as u64;
+        let outputs = npu.output_len() as u64;
+        let flags = |options: AnalysisOptions, code: DiagCode| {
+            let report = analyze_with(&program, &cfg(), options);
+            report.diagnostics.iter().any(|d| d.code == code)
+        };
+        prop_assert!(!flags(budget_options(needed), DiagCode::NetUnderflow));
+        if needed > 0 {
+            prop_assert!(flags(budget_options(needed - 1), DiagCode::NetUnderflow));
+            let mut short = Npu::with_mode(cfg(), ExecMode::TimingOnly);
+            short.push_input_zeros(needed as usize - 1);
+            let fault = short.run(&program);
+            let empty = matches!(fault, Err(SimError::NetQueueEmpty { .. }));
+            prop_assert!(empty, "{} vectors: {:?}", needed - 1, fault);
+        }
+        let expecting = |count| budget_options(needed).with_expected_outputs(count);
+        prop_assert!(!flags(expecting(outputs), DiagCode::NetOutputMismatch));
+        prop_assert!(flags(expecting(outputs + 1), DiagCode::NetOutputMismatch));
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Whole-artifact plan fuzzing: scatter/gather pipelines assembled from
 // random shard programs, checked against a reference executor. The
@@ -744,7 +783,7 @@ proptest! {
     }
 
     /// Bit-level corruption of one shard's firmware: whatever the bytes
-    /// decode to, the artifact passes classify it — they never panic.
+    /// decode to, the artifact checks classify it — they never panic.
     #[test]
     fn byte_corrupted_shard_plans_never_panic_the_artifact_passes(
         v0 in 1u32..4,

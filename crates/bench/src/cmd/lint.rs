@@ -30,11 +30,11 @@
 
 use std::process::ExitCode;
 
-use bw_bench::bw_s10_sized;
+use bw_bench::{bw_s10_rnn, bw_s10_sized};
 use bw_core::isa::{MemId, ProgramBuilder};
 use bw_core::{analyze_with, check_names, AnalysisOptions, AnalysisReport};
 use bw_gir::{ActFn, GirGraph, GirOp, LowerOptions, ShardedArtifact};
-use bw_models::{Lstm, RnnDims};
+use bw_models::{RnnDims, RnnKind};
 use bw_trace::json::Writer;
 
 use crate::cli::{Args, Gate};
@@ -226,11 +226,7 @@ pub fn run(args: &Args) -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let dims = RnnDims::square(opts.hidden);
-    let cfg_probe = bw_s10_sized(64);
-    let sized = Lstm::new(&cfg_probe, dims);
-    let cfg = bw_s10_sized(sized.mrf_entries_required());
-    let lstm = Lstm::new(&cfg, dims);
+    let (cfg, lstm) = bw_s10_rnn(RnnKind::Lstm, RnnDims::square(opts.hidden));
     let program = lstm.program_batched(opts.steps, opts.batch);
     let mut options = lstm.analysis_options_batched(opts.steps, opts.batch);
     if let Some(cycles) = opts.lower.sla_cycles(&cfg) {

@@ -5,7 +5,6 @@ pub mod calibrate;
 pub mod doclinks;
 pub mod fig2;
 pub mod fig6_hdd;
-pub mod fig8;
 pub mod lint;
 pub mod power;
 pub mod precision_sweep;

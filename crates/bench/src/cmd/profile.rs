@@ -19,9 +19,9 @@
 
 use std::process::ExitCode;
 
-use bw_bench::bw_s10_sized;
-use bw_core::{ExecMode, KernelMode, Npu, NpuConfig, SpanCollector, SpanKind, TraceSummary};
-use bw_models::{Gru, Lstm, RnnBenchmark, RnnKind};
+use bw_bench::bw_s10_rnn;
+use bw_core::{ExecMode, KernelMode, Npu, SpanCollector, SpanKind, TraceSummary};
+use bw_models::{RnnBenchmark, RnnKind};
 use bw_trace::json::Writer;
 use bw_trace::{chrome_trace_json, spans_to_chrome, validate_chrome_trace};
 
@@ -53,35 +53,17 @@ pub fn run(args: &Args) -> ExitCode {
     // Perfetto export).
     let collector = SpanCollector::new();
     let (clock_hz, stats, chain_trace) = {
-        let base_cfg = NpuConfig::bw_s10();
-        let run = |cfg: NpuConfig, f: &dyn Fn(&mut Npu) -> bw_core::RunStats| {
-            let clock_hz = cfg.clock_hz();
-            let mut npu = Npu::with_mode(cfg, ExecMode::TimingOnly);
-            npu.set_kernel_mode(KernelMode::Fast);
-            npu.set_trace(true);
-            npu.set_trace_sink(Some(collector.handle()));
-            npu.set_trace_context(1, 0);
-            let stats = f(&mut npu);
-            (clock_hz, stats, npu.take_trace())
-        };
-        match bench.kind {
-            RnnKind::Lstm => {
-                let cfg = bw_s10_sized(Lstm::new(&base_cfg, bench.dims()).mrf_entries_required());
-                let lstm = Lstm::new(&cfg, bench.dims());
-                run(cfg, &|npu| {
-                    lstm.run_timing_only(npu, bench.timesteps)
-                        .expect("sized configuration runs")
-                })
-            }
-            RnnKind::Gru => {
-                let cfg = bw_s10_sized(Gru::new(&base_cfg, bench.dims()).mrf_entries_required());
-                let gru = Gru::new(&cfg, bench.dims());
-                run(cfg, &|npu| {
-                    gru.run_timing_only(npu, bench.timesteps)
-                        .expect("sized configuration runs")
-                })
-            }
-        }
+        let (cfg, rnn) = bw_s10_rnn(bench.kind, bench.dims());
+        let clock_hz = cfg.clock_hz();
+        let mut npu = Npu::with_mode(cfg, ExecMode::TimingOnly);
+        npu.set_kernel_mode(KernelMode::Fast);
+        npu.set_trace(true);
+        npu.set_trace_sink(Some(collector.handle()));
+        npu.set_trace_context(1, 0);
+        let stats = rnn
+            .run_timing_only(&mut npu, bench.timesteps)
+            .expect("sized configuration runs");
+        (clock_hz, stats, npu.take_trace())
     };
     let spans = collector.drain();
 

@@ -25,7 +25,7 @@
 
 use bw_core::{ExecMode, Npu, NpuConfig, RunStats};
 use bw_dataflow::RnnCriticalPath;
-use bw_models::{Gru, Lstm, RnnBenchmark, RnnKind};
+use bw_models::{Rnn, RnnBenchmark, RnnDims, RnnKind};
 
 pub mod reports;
 
@@ -67,6 +67,14 @@ pub fn bw_s10_sized(mrf_entries: u32) -> NpuConfig {
         .expect("BW_S10-shaped configuration is valid")
 }
 
+/// A recurrent cell planned on BW_S10, and the BW_S10-shaped
+/// configuration sized for its weights ([`bw_s10_sized`]): the Table V
+/// set-up every harness runs.
+pub fn bw_s10_rnn(kind: RnnKind, dims: RnnDims) -> (NpuConfig, Rnn) {
+    let rnn = Rnn::new(kind, &NpuConfig::bw_s10(), dims);
+    (bw_s10_sized(rnn.mrf_entries_required()), rnn)
+}
+
 /// Runs one DeepBench RNN benchmark on the simulated BW_S10 in
 /// timing-only mode and reports the paper's Table V metrics.
 ///
@@ -75,24 +83,11 @@ pub fn bw_s10_sized(mrf_entries: u32) -> NpuConfig {
 /// Panics if the simulation fails — harness configurations are sized to
 /// make that a bug, not a runtime condition.
 pub fn run_bw_s10(bench: &RnnBenchmark) -> BwRnnResult {
-    let stats = match bench.kind {
-        RnnKind::Gru => {
-            let cfg =
-                bw_s10_sized(Gru::new(&NpuConfig::bw_s10(), bench.dims()).mrf_entries_required());
-            let gru = Gru::new(&cfg, bench.dims());
-            let mut npu = Npu::with_mode(cfg, ExecMode::TimingOnly);
-            gru.run_timing_only(&mut npu, bench.timesteps)
-                .expect("sized configuration runs")
-        }
-        RnnKind::Lstm => {
-            let cfg =
-                bw_s10_sized(Lstm::new(&NpuConfig::bw_s10(), bench.dims()).mrf_entries_required());
-            let lstm = Lstm::new(&cfg, bench.dims());
-            let mut npu = Npu::with_mode(cfg, ExecMode::TimingOnly);
-            lstm.run_timing_only(&mut npu, bench.timesteps)
-                .expect("sized configuration runs")
-        }
-    };
+    let (cfg, rnn) = bw_s10_rnn(bench.kind, bench.dims());
+    let mut npu = Npu::with_mode(cfg, ExecMode::TimingOnly);
+    let stats = rnn
+        .run_timing_only(&mut npu, bench.timesteps)
+        .expect("sized configuration runs");
     let ops = bench.ops();
     BwRnnResult {
         bench: *bench,
@@ -143,10 +138,7 @@ pub fn run_suite(benches: &[RnnBenchmark]) -> Vec<BwRnnResult> {
 /// The SDM latency (ms) for a DeepBench benchmark at BW_S10's clock and
 /// MAC budget — the "SDM" rows of Table V.
 pub fn sdm_latency_ms(bench: &RnnBenchmark) -> f64 {
-    let cp = match bench.kind {
-        RnnKind::Lstm => RnnCriticalPath::lstm(bench.hidden as u64, bench.hidden as u64),
-        RnnKind::Gru => RnnCriticalPath::gru(bench.hidden as u64, bench.hidden as u64),
-    };
+    let cp = RnnCriticalPath::new(bench.kind, bench.hidden as u64, bench.hidden as u64);
     let cycles = cp.sdm_cycles(u64::from(bench.timesteps), 96_000);
     cycles as f64 / 250e6 * 1e3
 }

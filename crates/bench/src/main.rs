@@ -26,7 +26,7 @@ fn paper(print: fn()) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `table1`, `table5` and `fig7` print a [`reports`] string verbatim —
+/// `table1`, `table5`, `fig7` and `fig8` print a [`reports`] string verbatim —
 /// the same strings `tests/golden.rs` pins byte for byte.
 fn report(build: fn() -> String) -> ExitCode {
     print!("{}", build());
@@ -92,7 +92,7 @@ const COMMANDS: &[Command] = &[
         name: "fig8",
         help: "Figure 8: utilization vs batch size, BW vs GPU",
         flags: &[],
-        run: |_| paper(cmd::fig8::run),
+        run: |_| report(reports::fig8_report),
     },
     Command {
         name: "ablations",

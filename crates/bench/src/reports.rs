@@ -1,17 +1,17 @@
 //! Report builders for the paper's tables and figures.
 //!
 //! Each builder returns the full plain-text report as a `String`. The
-//! binaries (`table1`, `table5`, `fig7`) print these verbatim, and the
+//! binaries (`table1`, `table5`, `fig7`, `fig8`) print these verbatim, and the
 //! golden snapshot tests in `tests/golden.rs` compare them byte-for-byte
 //! against checked-in fixtures — so a change to the cycle model, the BFP
 //! kernels, or the table formatting shows up as a reviewable fixture diff.
 
-use bw_baselines::titan_xp_point;
+use bw_baselines::{titan_xp_point, GpuBatchModel, TITAN_XP};
 use bw_core::{ExecMode, Npu, NpuConfig};
 use bw_dataflow::{ConvCriticalPath, RnnCriticalPath};
 use bw_models::{table5_suite, ConvLayer, ConvShape, RnnBenchmark, RnnKind};
 
-use crate::{render_table, run_suite, sdm_latency_ms, BwRnnResult};
+use crate::{bw_s10_rnn, render_table, run_bw_s10, run_suite, sdm_latency_ms, BwRnnResult};
 
 /// Builds the Table V report: DeepBench RNN inference at batch 1 — SDM
 /// bound, simulated BW NPU, and the Titan Xp published baseline.
@@ -111,6 +111,81 @@ pub fn fig7_report() -> String {
     out
 }
 
+/// Builds the Figure 8 report: utilization scaling with batch size.
+///
+/// BW executes a single input at a time, so its utilization is flat in
+/// batch (verified by simulating the requests back to back, §VII-B3); the
+/// GPU's utilization climbs with batch per the analytic model anchored at
+/// the published batch-1 points. The "BW interleaved" rows run the
+/// batch-interleaved firmware, the paper's §VII-B3 future-work
+/// optimization ("interleaving the computation for each RNN timestep
+/// among all input batches").
+///
+/// # Panics
+///
+/// Panics if the baseline dataset does not cover the suite.
+pub fn fig8_report() -> String {
+    let back_to_back = |bench: &RnnBenchmark, batch: u32| {
+        let mut seq = *bench;
+        seq.timesteps *= batch;
+        run_bw_s10(&seq).utilization_pct
+    };
+    let interleaved = |bench: &RnnBenchmark, batch: u32| {
+        let (cfg, rnn) = bw_s10_rnn(bench.kind, bench.dims());
+        let mut npu = Npu::with_mode(cfg, ExecMode::TimingOnly);
+        let stats = rnn
+            .run_timing_only_batched(&mut npu, bench.timesteps, batch)
+            .expect("sized");
+        stats.effective_utilization(bench.ops() * u64::from(batch)) * 100.0
+    };
+
+    let row = |layer: String, device: &str, cells: [f64; 4]| -> Vec<String> {
+        let cells = cells.iter().map(|v| format!("{v:.1}"));
+        [layer, device.to_owned()]
+            .into_iter()
+            .chain(cells)
+            .collect()
+    };
+
+    let batches = [1u32, 2, 4, 32];
+    let mut rows = Vec::new();
+    // The medium and large layers Figure 8 plots, truncated to at most 50
+    // steps (per-step behaviour is batch-independent); the GPU model reads
+    // the suite entry's own published point.
+    for canonical in table5_suite().into_iter().filter(|b| b.hidden >= 1024) {
+        let xp_b1 = titan_xp_point(&canonical).expect("dataset covers the suite");
+        let gpu = GpuBatchModel::from_point(&xp_b1, TITAN_XP.peak_tflops);
+        let bench = RnnBenchmark {
+            timesteps: canonical.timesteps.min(50),
+            ..canonical
+        };
+        let layer = format!("{} {}", bench.kind, bench.hidden);
+        let bw = batches.map(|b| back_to_back(&bench, b));
+        let il = batches.map(|b| interleaved(&bench, b));
+        let gpu = batches.map(|b| gpu.utilization(b) * 100.0);
+        rows.push(row(layer, "BW (sim)", bw));
+        rows.push(row(String::new(), "BW interleaved", il));
+        rows.push(row(String::new(), "Titan Xp", gpu));
+    }
+
+    let mut out = String::new();
+    out.push_str("Figure 8: % utilization vs. batch size\n");
+    out.push_str("(BW utilization is flat — it serves requests one at a time; the GPU\n");
+    out.push_str(" needs batching to fill its SMs. 'BW interleaved' implements the\n");
+    out.push_str(" paper's §VII-B3 future-work timestep interleaving for LSTMs.)\n\n");
+    out.push_str(&render_table(
+        &["layer", "device", "b=1", "b=2", "b=4", "b=32"],
+        &rows,
+    ));
+    // Consistency check against the single-request harness.
+    let check = run_bw_s10(&table5_suite()[2]);
+    out.push_str(&format!(
+        "\ncross-check: GRU-2048 single-request utilization {:.1}%\n",
+        check.utilization_pct
+    ));
+    out
+}
+
 /// A per-layer CNN specialization at the BW_S10 MAC budget (~96,000 MACs
 /// at 250 MHz): the native dimension matches the layer's channel counts
 /// and the MFU stream is widened to one native vector per cycle (§VII-B2's
@@ -162,10 +237,7 @@ pub fn table1_report() -> String {
             .collect::<Vec<_>>(),
     );
     for ((label, kind, dim, paper_bw), sim) in rnn_cases.into_iter().zip(&sims) {
-        let cp = match kind {
-            RnnKind::Lstm => RnnCriticalPath::lstm(dim as u64, dim as u64),
-            RnnKind::Gru => RnnCriticalPath::gru(dim as u64, dim as u64),
-        };
+        let cp = RnnCriticalPath::new(kind, dim as u64, dim as u64);
         rows.push(vec![
             label.to_owned(),
             format!("{}M", cp.ops_per_step / 1_000_000),

@@ -6,38 +6,21 @@
 //! window collapses to the exact measured count — containment here is an
 //! equality-strength check, not a loose envelope.
 
-use bw_bench::bw_s10_sized;
-use bw_core::{cycle_bounds, CycleBounds, ExecMode, Npu, NpuConfig, RunStats};
-use bw_models::{table5_suite, Gru, Lstm, RnnBenchmark, RnnKind};
+use bw_bench::bw_s10_rnn;
+use bw_core::{cycle_bounds, CycleBounds, ExecMode, Npu, RunStats};
+use bw_models::{table5_suite, RnnBenchmark, RnnKind};
 
 /// Runs one benchmark point at `steps` timesteps and returns the static
 /// bound alongside the simulator's measurement.
 fn bound_and_measure(bench: &RnnBenchmark, steps: u32) -> (CycleBounds, RunStats) {
-    let probe = NpuConfig::bw_s10();
-    match bench.kind {
-        RnnKind::Lstm => {
-            let cfg = bw_s10_sized(Lstm::new(&probe, bench.dims()).mrf_entries_required());
-            let lstm = Lstm::new(&cfg, bench.dims());
-            let b = cycle_bounds(&lstm.program(steps), &cfg, &lstm.analysis_options(steps))
-                .expect("a clean kernel has a provable bound");
-            let mut npu = Npu::with_mode(cfg, ExecMode::TimingOnly);
-            let stats = lstm
-                .run_timing_only(&mut npu, steps)
-                .expect("sized configuration runs");
-            (b, stats)
-        }
-        RnnKind::Gru => {
-            let cfg = bw_s10_sized(Gru::new(&probe, bench.dims()).mrf_entries_required());
-            let gru = Gru::new(&cfg, bench.dims());
-            let b = cycle_bounds(&gru.program(steps), &cfg, &gru.analysis_options(steps))
-                .expect("a clean kernel has a provable bound");
-            let mut npu = Npu::with_mode(cfg, ExecMode::TimingOnly);
-            let stats = gru
-                .run_timing_only(&mut npu, steps)
-                .expect("sized configuration runs");
-            (b, stats)
-        }
-    }
+    let (cfg, rnn) = bw_s10_rnn(bench.kind, bench.dims());
+    let b = cycle_bounds(&rnn.program(steps), &cfg, &rnn.analysis_options(steps))
+        .expect("a clean kernel has a provable bound");
+    let mut npu = Npu::with_mode(cfg, ExecMode::TimingOnly);
+    let stats = rnn
+        .run_timing_only(&mut npu, steps)
+        .expect("sized configuration runs");
+    (b, stats)
 }
 
 #[test]

@@ -10,6 +10,8 @@
 //! The closed forms here are cross-validated against the explicit graph
 //! machinery in [`graph`](crate::graph) at small dimensions.
 
+use bw_models::RnnKind;
+
 /// Depth of a length-`n` dot product: one multiply plus a binary reduction
 /// tree, `1 + ceil(log2 n)` cycles.
 ///
@@ -39,35 +41,38 @@ pub struct RnnCriticalPath {
 }
 
 impl RnnCriticalPath {
-    /// LSTM: 8 matrix products per step; the critical path runs through a
-    /// dot product, the x/h combine, bias, sigmoid, the `c` update
-    /// (two point-wise ops), tanh, and the output gate product —
-    /// `dot_depth + 7` (19 for a 2000-dim LSTM, Table I).
-    pub fn lstm(hidden: u64, input: u64) -> Self {
-        let macs = 4 * (hidden * input + hidden * hidden);
+    /// One step of a `kind` cell: two matrix products per gate. The UDM
+    /// critical path of an LSTM runs through a dot product, the x/h
+    /// combine, bias, sigmoid, the `c` update (two point-wise ops), tanh,
+    /// and the output gate product — `dot_depth + 7` (19 for a 2000-dim
+    /// LSTM, Table I). A GRU (standard formulation, reset gate applied
+    /// before the candidate matrix product) has two serialized dot
+    /// products plus five point-wise stages — `2·dot_depth + 5` (31 for a
+    /// 2800-dim GRU, Table I).
+    pub fn new(kind: RnnKind, hidden: u64, input: u64) -> Self {
+        let macs = u64::from(kind.gates()) * (hidden * input + hidden * hidden);
+        let depth = dot_depth(hidden.max(input));
         RnnCriticalPath {
             hidden,
             input,
             macs_per_step: macs,
             ops_per_step: 2 * macs,
-            udm_step_cycles: dot_depth(hidden.max(input)) + 7,
+            udm_step_cycles: match kind {
+                RnnKind::Lstm => depth + 7,
+                RnnKind::Gru => 2 * depth + 5,
+            },
             weight_params: macs,
         }
     }
 
-    /// GRU (standard formulation, reset gate applied before the candidate
-    /// matrix product): two serialized dot products plus five point-wise
-    /// stages — `2·dot_depth + 5` (31 for a 2800-dim GRU, Table I).
+    /// An LSTM step ([`RnnCriticalPath::new`]).
+    pub fn lstm(hidden: u64, input: u64) -> Self {
+        Self::new(RnnKind::Lstm, hidden, input)
+    }
+
+    /// A GRU step ([`RnnCriticalPath::new`]).
     pub fn gru(hidden: u64, input: u64) -> Self {
-        let macs = 3 * (hidden * input + hidden * hidden);
-        RnnCriticalPath {
-            hidden,
-            input,
-            macs_per_step: macs,
-            ops_per_step: 2 * macs,
-            udm_step_cycles: 2 * dot_depth(hidden.max(input)) + 5,
-            weight_params: macs,
-        }
+        Self::new(RnnKind::Gru, hidden, input)
     }
 
     /// UDM latency over `steps` serialized time steps.

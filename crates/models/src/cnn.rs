@@ -89,7 +89,6 @@ impl ConvShape {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ConvLayer {
     shape: ConvShape,
-    native_dim: u32,
     /// Native tile rows: `ceil(c_out / N)`.
     grid_out: u32,
     /// Native tile columns: `ceil(patch_len / N)`.
@@ -102,7 +101,6 @@ impl ConvLayer {
         let nd = config.native_dim();
         ConvLayer {
             shape,
-            native_dim: nd,
             grid_out: (shape.c_out as u32).div_ceil(nd),
             grid_in: (shape.patch_len() as u32).div_ceil(nd),
         }

@@ -11,6 +11,17 @@ pub enum RnnKind {
     Gru,
 }
 
+impl RnnKind {
+    /// Gates per cell: each gate owns one input and one recurrent matrix
+    /// product per step.
+    pub fn gates(self) -> u32 {
+        match self {
+            RnnKind::Lstm => 4,
+            RnnKind::Gru => 3,
+        }
+    }
+}
+
 impl std::fmt::Display for RnnKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -57,10 +68,7 @@ impl RnnBenchmark {
 
     /// Matrix products per time step (8 for LSTM, 6 for GRU).
     pub fn matmuls_per_step(&self) -> u64 {
-        match self.kind {
-            RnnKind::Lstm => 8,
-            RnnKind::Gru => 6,
-        }
+        2 * u64::from(self.kind.gates())
     }
 
     /// True model FLOPs per time step per sample (square cell:

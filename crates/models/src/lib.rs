@@ -4,9 +4,12 @@
 //!
 //! * [`mod@reference`] — plain `f32` golden models (LSTM/GRU cells, dense
 //!   layers, 2-D convolution) that tests validate the NPU against;
-//! * firmware generators ([`Lstm`], [`Gru`], [`Mlp`], [`ConvLayer`]) that
-//!   emit BW ISA programs, plan MRF/VRF layouts, pin weights, and drive
-//!   end-to-end runs;
+//! * firmware generators ([`Rnn`], [`Mlp`], [`ConvLayer`]) that emit BW
+//!   ISA programs, plan MRF/VRF layouts, pin weights, and drive end-to-end
+//!   runs. [`Rnn`] is one skeleton for both recurrent cells, picked by
+//!   [`RnnKind`]: a cell is a VRF layout, the chains of one step, and its
+//!   recurrent-state slots. [`Lstm`] and [`Gru`] are `Rnn`s of a fixed
+//!   kind;
 //! * workload definitions: the DeepBench RNN inference suite of Table V
 //!   ([`deepbench`]) and the ResNet-50 featurizer of Table VI ([`resnet`]).
 //!
@@ -14,14 +17,14 @@
 //!
 //! ```
 //! use bw_core::{ExecMode, Npu, NpuConfig};
-//! use bw_models::{Gru, RnnDims};
+//! use bw_models::{Rnn, RnnDims, RnnKind};
 //!
 //! // Time the paper's largest GRU on BW_S10 (timing-only: no weights).
 //! let cfg = NpuConfig::builder()
 //!     .native_dim(400).lanes(40).tile_engines(6)
 //!     .mrf_entries(1024).clock_mhz(250.0)
 //!     .build()?;
-//! let gru = Gru::new(&cfg, RnnDims::square(2816));
+//! let gru = Rnn::new(RnnKind::Gru, &cfg, RnnDims::square(2816));
 //! let mut npu = Npu::with_mode(cfg, ExecMode::TimingOnly);
 //! let stats = gru.run_timing_only(&mut npu, 10)?;
 //! println!("{} cycles/step", stats.cycles / 10);
@@ -51,7 +54,7 @@ pub use deepbench::{table5_suite, RnnBenchmark, RnnKind};
 pub use gru::Gru;
 pub use lstm::Lstm;
 pub use mlp::{DenseWeights, Mlp};
-pub use rnn::{GruWeights, LstmWeights, RnnDims};
+pub use rnn::{GruWeights, LstmWeights, Rnn, RnnDims, RnnWeights};
 pub use speech::{SpeechModel, SpeechModelShape, SpeechRunStats};
 pub use streamed::StreamedConvNet;
 pub use text_cnn::{Conv1d, Conv1dShape};

@@ -38,7 +38,6 @@ pub struct DenseWeights {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Mlp {
     dims: Vec<usize>,
-    native_dim: u32,
     grids: Vec<u32>,
 }
 
@@ -55,7 +54,6 @@ impl Mlp {
         let nd = config.native_dim();
         Mlp {
             dims: dims.to_vec(),
-            native_dim: nd,
             grids: dims.iter().map(|&d| (d as u32).div_ceil(nd)).collect(),
         }
     }

@@ -82,7 +82,7 @@ pub mod prelude {
     pub use bw_fpga::{Device, ModelRequirements, ResourceEstimate};
     pub use bw_models::{
         table5_suite, BiLstm, Conv1d, Conv1dShape, ConvLayer, ConvShape, Gru, GruWeights, Lstm,
-        LstmWeights, Mlp, RnnBenchmark, RnnDims, RnnKind, SpeechModel, SpeechModelShape,
+        LstmWeights, Mlp, Rnn, RnnBenchmark, RnnDims, RnnKind, SpeechModel, SpeechModelShape,
         StreamedConvNet,
     };
     pub use bw_serve::{Server, ServerConfig};

@@ -2,7 +2,7 @@
 //! checked-in fixtures byte for byte.
 //!
 //! The fixtures under `tests/golden/` are the exact stdout of
-//! `bw-bench table1`, `table5`, and `fig7`. Any change to the cycle
+//! `bw-bench table1`, `table5`, `fig7` and `fig8`. Any change to the cycle
 //! model, the BFP kernels, or the table formatting shows up here as a
 //! reviewable fixture diff — regenerate with e.g.
 //! `cargo run --release -p bw-bench -- table5 > tests/golden/table5.txt`.
@@ -31,26 +31,23 @@ fn fig7_matches_golden() {
     assert_eq!(reports::fig7_report(), fixture("fig7.txt"));
 }
 
+/// `tests/golden/fig8.txt` was written by `bw-bench fig8` at the commit
+/// before the LSTM and GRU generators merged into one; Figure 8 is the
+/// one report that runs both cells' batch-interleaved firmware at Table V
+/// sizes.
+#[test]
+fn fig8_matches_golden() {
+    assert_eq!(reports::fig8_report(), fixture("fig8.txt"));
+}
+
 /// Table V without its shortcut: the point `bw_bench::run_bw_s10` runs,
 /// traced. A chain trace needs every chain, so this run steps each one.
 fn stepped_table5_point(bench: &RnnBenchmark) -> RunStats {
-    let (dims, steps) = (bench.dims(), bench.timesteps);
-    let traced = |required| {
-        let mut npu = Npu::with_mode(bw_bench::bw_s10_sized(required), ExecMode::TimingOnly);
-        npu.set_trace(true);
-        npu
-    };
-    let stats = match bench.kind {
-        RnnKind::Gru => {
-            let mut npu = traced(Gru::new(&NpuConfig::bw_s10(), dims).mrf_entries_required());
-            Gru::new(&npu.config().clone(), dims).run_timing_only(&mut npu, steps)
-        }
-        RnnKind::Lstm => {
-            let mut npu = traced(Lstm::new(&NpuConfig::bw_s10(), dims).mrf_entries_required());
-            Lstm::new(&npu.config().clone(), dims).run_timing_only(&mut npu, steps)
-        }
-    };
-    stats.expect("sized configuration runs")
+    let (cfg, rnn) = bw_bench::bw_s10_rnn(bench.kind, bench.dims());
+    let mut npu = Npu::with_mode(cfg, ExecMode::TimingOnly);
+    npu.set_trace(true);
+    rnn.run_timing_only(&mut npu, bench.timesteps)
+        .expect("sized configuration runs")
 }
 
 /// Untraced, a timing-only run skips the periodic middle of each point's
@@ -215,6 +212,46 @@ fn matrix_move_chain_schedule_matches_golden_in_both_modes() {
         });
         assert_eq!(got, fixture("chains_matrix_moves.txt"), "{mode:?}");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Firmware golden. `tests/golden/rnn_programs.txt` holds the program text
+// and deployment facts of both cells, written at the commit before the LSTM
+// and GRU generators merged into one. The input dimension differs from the
+// hidden one, and batch 2 interleaves two sequences, so every slot of both
+// layouts shows; the chain goldens above are square and batch 1.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn rnn_programs_match_golden() {
+    use std::fmt::Write as _;
+    let cfg = NpuConfig::builder()
+        .native_dim(8)
+        .lanes(4)
+        .tile_engines(2)
+        .matrix_format(BfpFormat::BFP_1S_5E_5M)
+        .build()
+        .expect("valid golden configuration");
+    let dims = RnnDims {
+        input: 20,
+        hidden: 12,
+    };
+    let steps = 2;
+    let mut got = String::new();
+    for kind in [RnnKind::Lstm, RnnKind::Gru] {
+        let rnn = Rnn::new(kind, &cfg, dims);
+        for batch in [1, 2] {
+            let facts = rnn.analysis_options_batched(steps, batch);
+            write!(
+                got,
+                "== {kind} input=20 hidden=12 native=8 steps={steps} batch={batch}\n{}\
+                 analysis options: {facts:?}\n",
+                rnn.program_batched(steps, batch)
+            )
+            .expect("writing to a String");
+        }
+    }
+    assert_eq!(got, fixture("rnn_programs.txt"));
 }
 
 // ---------------------------------------------------------------------------

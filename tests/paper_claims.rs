@@ -7,29 +7,7 @@ use brainwave::prelude::*;
 
 /// Runs a Table V benchmark on a BW_S10-shaped instance (timing only).
 fn simulate_bw(bench: &RnnBenchmark) -> RunStats {
-    let base = NpuConfig::bw_s10();
-    let mrf = match bench.kind {
-        RnnKind::Gru => Gru::new(&base, bench.dims()).mrf_entries_required(),
-        RnnKind::Lstm => Lstm::new(&base, bench.dims()).mrf_entries_required(),
-    };
-    let cfg = NpuConfig::builder()
-        .native_dim(400)
-        .lanes(40)
-        .tile_engines(6)
-        .mrf_entries(mrf.max(306))
-        .vrf_entries(4096)
-        .clock_mhz(250.0)
-        .build()
-        .expect("valid");
-    let mut npu = Npu::with_mode(cfg.clone(), ExecMode::TimingOnly);
-    match bench.kind {
-        RnnKind::Gru => Gru::new(&cfg, bench.dims())
-            .run_timing_only(&mut npu, bench.timesteps)
-            .expect("sized"),
-        RnnKind::Lstm => Lstm::new(&cfg, bench.dims())
-            .run_timing_only(&mut npu, bench.timesteps)
-            .expect("sized"),
-    }
+    bw_bench::run_bw_s10(bench).stats
 }
 
 #[test]
@@ -94,10 +72,7 @@ fn bw_within_small_factor_of_sdm_for_large_models() {
     // the large GRUs and LSTMs (dimension > 2000)". Allow 3x for the
     // simulator.
     for bench in table5_suite().iter().filter(|b| b.hidden > 2000) {
-        let cp = match bench.kind {
-            RnnKind::Lstm => RnnCriticalPath::lstm(bench.hidden as u64, bench.hidden as u64),
-            RnnKind::Gru => RnnCriticalPath::gru(bench.hidden as u64, bench.hidden as u64),
-        };
+        let cp = RnnCriticalPath::new(bench.kind, bench.hidden as u64, bench.hidden as u64);
         let sdm = cp.sdm_cycles(u64::from(bench.timesteps), 96_000);
         let bw = simulate_bw(bench).cycles;
         let factor = bw as f64 / sdm as f64;
@@ -130,24 +105,10 @@ fn steady_state_step_latency_is_nearly_model_size_independent() {
 fn bw_utilization_flat_in_batch_gpu_grows() {
     // §VII-B3 / Figure 8.
     let bench = RnnBenchmark::new(RnnKind::Gru, 2048, 25);
+    // BW serves the batch's requests back to back.
     let util_at = |batch: u32| {
-        let base = NpuConfig::bw_s10();
-        let gru = Gru::new(&base, bench.dims());
-        let cfg = NpuConfig::builder()
-            .native_dim(400)
-            .lanes(40)
-            .tile_engines(6)
-            .mrf_entries(gru.mrf_entries_required())
-            .vrf_entries(4096)
-            .clock_mhz(250.0)
-            .build()
-            .unwrap();
-        let mut npu = Npu::with_mode(cfg, ExecMode::TimingOnly);
-        let gru = Gru::new(npu.config(), bench.dims());
-        gru.prepare_timing_only(&mut npu).unwrap();
-        npu.push_input_zeros(gru.grid_x() as usize * (bench.timesteps * batch) as usize);
-        let stats = npu.run(&gru.program(bench.timesteps * batch)).unwrap();
-        stats.effective_utilization(bench.ops() * u64::from(batch))
+        let back_to_back = RnnBenchmark::new(bench.kind, bench.hidden, bench.timesteps * batch);
+        simulate_bw(&back_to_back).effective_utilization(bench.ops() * u64::from(batch))
     };
     let u1 = util_at(1);
     let u4 = util_at(4);

@@ -94,11 +94,8 @@ proptest! {
     ) {
         let cfg = small_cfg();
         let dims = RnnDims::square(hidden);
-        let program = if lstm_not_gru {
-            Lstm::new(&cfg, dims).program(steps)
-        } else {
-            Gru::new(&cfg, dims).program(steps)
-        };
+        let kind = if lstm_not_gru { RnnKind::Lstm } else { RnnKind::Gru };
+        let program = Rnn::new(kind, &cfg, dims).program(steps);
         let decoded = Program::decode(&program.encode()).unwrap();
         prop_assert_eq!(program, decoded);
     }

@@ -253,9 +253,7 @@ fn untraced_hot_path_does_not_allocate() {
         .map(RnnBenchmark::dims)
         .max_by_key(|d| d.hidden)
         .expect("Table V has points");
-    let gru = Gru::new(&NpuConfig::bw_s10(), largest);
-    let cfg = bw_bench::bw_s10_sized(gru.mrf_entries_required());
-    let gru = Gru::new(&cfg, largest);
+    let (cfg, gru) = bw_bench::bw_s10_rnn(RnnKind::Gru, largest);
     let scoreboards = 8
         * ((1 + 2 * cfg.mfus() as usize) * cfg.vrf_entries() as usize
             + 2 * cfg.mrf_entries() as usize);

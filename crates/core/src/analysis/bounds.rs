@@ -38,7 +38,12 @@ use super::{AnalysisOptions, DiagCode, Diagnostic};
 /// Scheduling cost cap: programs whose `Σ items × iterations` exceeds this
 /// are not run (`cycle_bounds` returns `None`). Far above any real firmware
 /// (the golden suite tops out near 60k items) while bounding the
-/// analyzer's own runtime on adversarial inputs. (Absurd `rows × cols`
+/// analyzer's own runtime on adversarial inputs. It counts the items a
+/// program schedules, not the fewer that a fast-forward steps
+/// ([`crate::sched`]): those are known only once the run is over, and a
+/// loop whose line bends more often than its verifications allow — a
+/// `completed` set by one chain's slope early and a steeper chain's later —
+/// spends them and steps every iteration left. (Absurd `rows × cols`
 /// grids and DRAM indices need no cap of their own: the timeline faults on
 /// them before it loops or allocates.)
 const MAX_REPLAY_ITEMS: u64 = 2_000_000;

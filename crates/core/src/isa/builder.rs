@@ -37,15 +37,38 @@ use super::program::{Item, Program, Segment};
 /// assert_eq!(program.chain_count(), 25);
 /// # Ok::<(), bw_core::isa::BuilderError>(())
 /// ```
-#[derive(Debug, Default)]
+///
+/// The builder writes into two buffers it reserves once — the open
+/// segment's items and the pending chain's instructions — and commits each
+/// chain and each segment as a copy of its exact size, so generating a
+/// program whose chains and segments fit them reallocates nothing.
+#[derive(Debug)]
 pub struct ProgramBuilder {
     segments: Vec<Segment>,
-    /// Items accumulated outside any explicit loop.
-    top_items: Vec<Item>,
-    /// `Some((items, iterations))` while inside a `begin_loop`.
-    in_loop: Option<(Vec<Item>, u32)>,
+    /// Items of the open segment: the loop's while inside a `begin_loop`,
+    /// else those accumulated outside any loop.
+    items: Vec<Item>,
+    /// `Some(iterations)` while inside a `begin_loop`.
+    in_loop: Option<u32>,
     /// Instructions of the chain currently being written.
     pending: Vec<Instruction>,
+}
+
+/// What the builder's buffers hold before they grow: more than a
+/// recurrent cell's time step writes (eight instructions in its longest
+/// chain, at most fourteen items a sequence, so four batched sequences).
+const RESERVED_ITEMS: usize = 64;
+const RESERVED_INSTRUCTIONS: usize = 16;
+
+impl Default for ProgramBuilder {
+    fn default() -> Self {
+        ProgramBuilder {
+            segments: Vec::new(),
+            items: Vec::with_capacity(RESERVED_ITEMS),
+            in_loop: None,
+            pending: Vec::with_capacity(RESERVED_INSTRUCTIONS),
+        }
+    }
 }
 
 /// Error produced while building a program.
@@ -96,26 +119,23 @@ impl ProgramBuilder {
         ProgramBuilder::default()
     }
 
-    fn push_item(&mut self, item: Item) {
-        match &mut self.in_loop {
-            Some((items, _)) => items.push(item),
-            None => self.top_items.push(item),
-        }
+    /// Commits the open segment's items, at their exact size.
+    fn commit(&mut self, iterations: u32) {
+        self.segments.push(Segment {
+            items: self.items.drain(..).collect(),
+            iterations,
+        });
     }
 
     fn flush_top(&mut self) {
-        if !self.top_items.is_empty() {
-            let items = std::mem::take(&mut self.top_items);
-            self.segments.push(Segment {
-                items,
-                iterations: 1,
-            });
+        if !self.items.is_empty() {
+            self.commit(1);
         }
     }
 
     /// Writes the `rows` tiling register (`s_wr rows, n`).
     pub fn set_rows(&mut self, rows: u32) -> &mut Self {
-        self.push_item(Item::SetReg {
+        self.items.push(Item::SetReg {
             reg: ScalarReg::Rows,
             value: rows,
         });
@@ -124,7 +144,7 @@ impl ProgramBuilder {
 
     /// Writes the `cols` tiling register (`s_wr cols, n`).
     pub fn set_cols(&mut self, cols: u32) -> &mut Self {
-        self.push_item(Item::SetReg {
+        self.items.push(Item::SetReg {
             reg: ScalarReg::Cols,
             value: cols,
         });
@@ -148,7 +168,7 @@ impl ProgramBuilder {
             return Err(BuilderError::ZeroIterations);
         }
         self.flush_top();
-        self.in_loop = Some((Vec::new(), iterations));
+        self.in_loop = Some(iterations);
         Ok(self)
     }
 
@@ -161,8 +181,8 @@ impl ProgramBuilder {
         if !self.pending.is_empty() {
             return Err(BuilderError::LoopInsideChain);
         }
-        let (items, iterations) = self.in_loop.take().ok_or(BuilderError::NotInLoop)?;
-        self.segments.push(Segment { items, iterations });
+        let iterations = self.in_loop.take().ok_or(BuilderError::NotInLoop)?;
+        self.commit(iterations);
         Ok(self)
     }
 
@@ -251,9 +271,9 @@ impl ProgramBuilder {
     /// Returns [`BuilderError::Chain`] if the pending instructions violate
     /// the chain rules; the pending buffer is cleared either way.
     pub fn end_chain(&mut self) -> Result<&mut Self, BuilderError> {
-        let instructions = std::mem::take(&mut self.pending);
-        let chain = Chain::new(instructions)?;
-        self.push_item(Item::Chain(chain));
+        let chain = Chain::new(self.pending.to_vec());
+        self.pending.clear();
+        self.items.push(Item::Chain(chain?));
         Ok(self)
     }
 

@@ -52,10 +52,12 @@ pub(crate) fn macs(config: &NpuConfig, rows: u32, cols: u32) -> u64 {
 
 /// Reusable buffers for [`compute_into`]: one quantized input block per
 /// grid column, retained across chains so steady-state MVM execution
-/// performs no allocation.
+/// performs no allocation, and the bits of the input they hold. A scratch
+/// serves one configuration: its blocks are in that matrix format.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct MvmScratch {
     qinputs: Vec<BfpBlock>,
+    quantized: Vec<u32>,
 }
 
 /// Functionally computes the tiled matrix-vector product into a reusable
@@ -89,12 +91,20 @@ pub(crate) fn compute_into(
 
     // Quantize each native input vector once into retained scratch blocks;
     // every tile in a column reuses the same quantized vector, as the
-    // hardware broadcasts it.
-    while scratch.qinputs.len() < cols as usize {
-        scratch.qinputs.push(BfpBlock::empty(fmt));
-    }
-    for (c, chunk) in input.chunks(nd).enumerate() {
-        BfpBlock::quantize_into(chunk, fmt, Rounding::Nearest, &mut scratch.qinputs[c]);
+    // hardware broadcasts it. Quantizing is a function of the input's bits
+    // alone (the format is the NPU's, the rounding `Nearest`), so an input
+    // bit-identical to the last one is already in the blocks: a recurrent
+    // cell quantizes `x_t` and `h_{t-1}` once a step, not once a gate.
+    let bits = input.iter().map(|x| x.to_bits());
+    if !scratch.quantized.iter().copied().eq(bits.clone()) {
+        while scratch.qinputs.len() < cols as usize {
+            scratch.qinputs.push(BfpBlock::empty(fmt));
+        }
+        for (c, chunk) in input.chunks(nd).enumerate() {
+            BfpBlock::quantize_into(chunk, fmt, Rounding::Nearest, &mut scratch.qinputs[c]);
+        }
+        scratch.quantized.clear();
+        scratch.quantized.extend(bits);
     }
 
     out.clear();
@@ -363,6 +373,44 @@ mod tests {
         assert_eq!(fast.len(), naive_flat.len());
         for (f, nv) in fast.iter().zip(&naive_flat) {
             assert_eq!(f.to_bits(), nv.to_bits(), "fast {f} vs naive {nv}");
+        }
+    }
+
+    #[test]
+    fn a_kept_scratch_requantizes_exactly_when_the_input_bits_change() {
+        let cfg = tiny_config();
+        let mut mrf = MatrixFile::new(64);
+        let n = 8;
+        let data: Vec<f32> = (0..n * n).map(|i| ((i * 5) % 9) as f32 - 4.0).collect();
+        for (i, t) in tile_matrix(&cfg, n, n, &data, 2, 2)
+            .unwrap()
+            .into_iter()
+            .enumerate()
+        {
+            mrf.store(i as u32, t).unwrap();
+        }
+        let x: Vec<f32> = (0..n).map(|i| (i as f32 * 0.61).cos() * 2.0).collect();
+        let mut nudged = x.clone();
+        nudged[5] = f32::from_bits(nudged[5].to_bits() + 1);
+        let scaled: Vec<f32> = x.iter().map(|v| v * 3.0).collect();
+        let mut scratch = MvmScratch::default();
+        let mut out = Vec::new();
+        // Repeats, a one-ulp change, a new input, a narrower grid.
+        let calls = [
+            (&x, 2),
+            (&x, 2),
+            (&nudged, 2),
+            (&x, 2),
+            (&scaled, 2),
+            (&x, 1),
+            (&x, 2),
+        ];
+        for (input, cols) in calls {
+            let input = &input[..cols as usize * 4];
+            compute_into(&cfg, &mrf, 0, 2, cols, input, &mut out, &mut scratch).unwrap();
+            let fresh = compute_flat(&cfg, &mrf, 0, 2, cols, input).unwrap();
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out), bits(&fresh), "{input:?}");
         }
     }
 

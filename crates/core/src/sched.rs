@@ -116,7 +116,9 @@
 //!
 //! When the caller takes skipped chains as summed statistics (a
 //! timing-only run with no chain trace and no span sink, or
-//! `cycle_bounds`), `run_column` snapshots S after each iteration. Once
+//! `cycle_bounds`), `run_column` snapshots S after each iteration. It sizes
+//! each scratch buffer once per segment, from the segment's chains and
+//! fills: a cold run allocates each buffer once, a warm one none. Once
 //! three snapshots in a row step evenly, d = S_{i+1} − S_i = S_{i+2} −
 //! S_{i+1} value by value, each at its own rate, it tests the line once,
 //! at the far end. It sets the state to S_i + M·d, M reaching the
@@ -127,12 +129,13 @@
 //! starts on the ray with timings T_i + m·e, and skipping them is exact.
 //!
 //! The skipped iterations' statistics come from the per-chain charge the
-//! stepped path uses (`ChainTiming::charge`), applied to the timings at the
-//! block's first and last iteration and summed by the trapezoid rule, which
-//! is exact for an affine sequence. Each comparison that classifies a
-//! chain's stall compares two affine functions of m, so the same outcomes
-//! at both ends mean the same outcomes throughout; a chain whose outcomes
-//! differ rejects the block.
+//! stepped path uses (`ChainTiming::charge`), applied to two timings the
+//! run holds: T_{i+1}, observed at m = 1, and the verified one at m = M.
+//! Both are on the line, so the M − 2 iterations between sum by the
+//! trapezoid rule, (M − 2)·(f(1) + f(M))/2, exact for an integer affine f.
+//! Each comparison that classifies a chain's stall compares two affine
+//! functions of m, so the same outcomes at 1 and M mean the same outcomes
+//! on all of [1, M]; a chain whose outcomes differ rejects the block.
 //!
 //! Preconditions, each checked:
 //! * every NetQ pop of the observed, skipped and verifying iterations
@@ -574,34 +577,15 @@ impl ChainTiming {
         ]
     }
 
-    /// The timing `m` steps along the line from this one (at 0) through
-    /// `next` (at 1), field by field, if no field leaves `0..=LIMIT`.
-    fn on_line(&self, next: &ChainTiming, m: u64) -> Option<ChainTiming> {
-        let mut f = self.fields();
-        for (x, y) in f.iter_mut().zip(next.fields()) {
-            *x = line(*x, y, m)?;
-        }
-        let [dispatched_at, dep_ready_at, start, occupancy, completion, resource_free_at, ..] = f;
-        let [.., mvm_occupancy, w_in, w_out, net_vectors_in, net_vectors_out, mvm_macs, mfu_ops] =
-            f;
-        Some(ChainTiming {
-            trace: ChainTrace {
-                kind: self.trace.kind,
-                dispatched_at,
-                dep_ready_at,
-                start,
-                occupancy,
-                completion,
-            },
-            resource_free_at,
-            mvm_occupancy,
-            w_in: saturate(w_in),
-            w_out: saturate(w_out),
-            net_vectors_in,
-            net_vectors_out,
-            mvm_macs,
-            mfu_ops,
-        })
+    /// Whether `at` is the timing `m` steps along the line from this one
+    /// (at 0) through `next` (at 1), field by field, with no field outside
+    /// `0..=LIMIT`.
+    fn lands(&self, next: &ChainTiming, m: u64, at: &ChainTiming) -> bool {
+        let ends = self.fields().into_iter().zip(next.fields());
+        at.trace.kind == self.trace.kind
+            && ends
+                .zip(at.fields())
+                .all(|((a, b), v)| line(a, b, m) == Some(v))
     }
 }
 
@@ -653,15 +637,16 @@ const MATRICES: usize = 9;
 pub(crate) struct FastForward {
     /// Where the fills of the last iteration observed landed.
     writes: Writes,
-    /// Snapshots at the last three iteration boundaries, oldest first,
-    /// then room for an extrapolated one and the one a verification
-    /// expects.
-    states: [Vec<u64>; 5],
+    /// Snapshots at the last three iteration boundaries, oldest first, of
+    /// `SCALARS + writes.len()` values each.
+    states: Vec<u64>,
     /// The arrival queue's front at each of the three boundaries.
     fronts: [((u64, u64), usize); 3],
     /// The chain timings of the last two iterations, then of the one
-    /// being stepped.
-    timings: [Vec<ChainTiming>; 3],
+    /// being stepped, `chains` each.
+    timings: Vec<ChainTiming>,
+    /// Chains in one iteration of the segment.
+    chains: usize,
     /// Snapshots in a row taken over the same writes.
     seen: u32,
     /// Verifications left in this segment.
@@ -671,13 +656,51 @@ pub(crate) struct FastForward {
 }
 
 impl FastForward {
-    /// Prepares for a segment of `iterations`; false if it is too short to
-    /// skip any, with three observed and one verified.
-    fn begin(&mut self, iterations: u32) -> bool {
+    /// Prepares for `segment`; false if it is too short to skip any, with
+    /// three observed and one verified. Otherwise sizes every buffer that
+    /// holds an iteration, the timeline's fill log (`log`, `logged`)
+    /// included, from the segment's chains and fills.
+    fn begin(&mut self, segment: &Segment, log: &mut Writes, logged: &mut Vec<u64>) -> bool {
         self.seen = 0;
-        self.attempts = 2 * (u32::BITS - iterations.leading_zeros());
-        iterations >= 6
+        self.attempts = 2 * (u32::BITS - segment.iterations.leading_zeros());
+        if segment.iterations < 6 {
+            return false;
+        }
+        // At most one fill per matrix move, per `mv_mul`'s read-until and
+        // per VRF or DRAM write target (`Timeline::write`).
+        let (chains, fills) = chains(&segment.items).fold((0, 0), |(n, fills), chain| {
+            let targets = chain.write_targets().filter(|&(mem, _)| mem != MemId::NetQ);
+            let extra = chain.is_matrix_chain() || chain.has_mv_mul();
+            (n + 1, fills + usize::from(extra) + targets.count())
+        });
+        self.chains = chains;
+        for buffer in [&mut self.writes, log] {
+            buffer.clear();
+            buffer.reserve(fills);
+        }
+        for (buffer, len) in [(&mut self.states, 3 * (SCALARS + fills)), (logged, fills)] {
+            buffer.clear();
+            buffer.reserve(len);
+        }
+        self.timings.clear();
+        self.timings.reserve(3 * chains);
+        true
     }
+}
+
+/// The last three snapshots in `states`, laid out over `writes`.
+fn snapshots<'a>(states: &'a [u64], writes: &Writes) -> (&'a [u64], &'a [u64], &'a [u64]) {
+    let (s0, s) = states.split_at(SCALARS + writes.len());
+    let (s1, s2) = s.split_at(s0.len());
+    (s0, s1, s2)
+}
+
+/// The chains among `items`.
+fn chains(items: &[Item]) -> impl Iterator<Item = &Chain> {
+    items.iter().filter_map(|item| match item {
+        Item::Chain(chain) => Some(chain),
+        Item::SetReg { .. } => None,
+    })
 }
 
 /// The scheduler's whole state: see the [module docs](self).
@@ -780,9 +803,10 @@ impl Timeline {
         mut each: impl FnMut(Scheduled<'_>) -> Result<(), SimError>,
     ) -> Result<(), SimError> {
         let result = program.segments.iter().try_for_each(|segment| {
-            let ff = ff
-                .as_deref_mut()
-                .and_then(|ff| ff.begin(segment.iterations).then_some(ff));
+            let ff = ff.as_deref_mut().and_then(|ff| {
+                ff.begin(segment, &mut self.log, &mut self.logged)
+                    .then_some(ff)
+            });
             self.run_segment(config, segment, streamed, ff, &mut each)
         });
         self.logging = Logging::Off;
@@ -808,11 +832,10 @@ impl Timeline {
                 continue;
             };
             self.start_logging(Logging::Observing);
-            let current = &mut ff.timings[2];
-            current.clear();
+            let timings = &mut ff.timings;
             self.step(config, &segment.items, |chain, t| {
                 each(Scheduled::Chain(chain, &t))?;
-                current.push(t);
+                timings.push(t);
                 Ok(())
             })?;
             self.logging = Logging::Off;
@@ -849,19 +872,25 @@ impl Timeline {
     }
 
     /// Closes an observed iteration: where its fills landed becomes the
-    /// snapshot layout, and the state after it the newest snapshot.
+    /// snapshot layout, the state after it the newest snapshot, and its
+    /// timings the newest of the two kept.
     fn observe(&mut self, ff: &mut FastForward) {
-        ff.seen = if self.log == ff.writes {
-            ff.seen.saturating_add(1)
+        if self.log == ff.writes {
+            ff.seen = ff.seen.saturating_add(1);
         } else {
-            1
-        };
+            ff.seen = 1;
+            ff.states.clear();
+        }
         std::mem::swap(&mut self.log, &mut ff.writes);
-        ff.states[..3].rotate_left(1);
+        let stride = SCALARS + ff.writes.len();
+        if ff.states.len() == 3 * stride {
+            ff.states.drain(..stride);
+        }
+        ff.states.extend(self.state());
         ff.fronts.rotate_left(1);
-        ff.timings.rotate_left(1);
-        self.snapshot(&mut ff.states[2]);
         ff.fronts[2] = self.arrivals.front();
+        let older = ff.timings.len().saturating_sub(2 * ff.chains);
+        ff.timings.drain(..older);
     }
 
     /// After an observed iteration `i + 1`, with `remaining` to go: if the
@@ -876,12 +905,15 @@ impl Timeline {
         ff: &mut FastForward,
         each: &mut impl FnMut(Scheduled<'_>) -> Result<(), SimError>,
     ) -> Result<u32, SimError> {
-        let [s0, s1, s2, ..] = &ff.states;
-        let (t0, t1) = (&ff.timings[0], &ff.timings[1]);
+        if ff.seen < 3 {
+            return Ok(0);
+        }
+        let (s0, s1, s2) = snapshots(&ff.states, &ff.writes);
+        let (t0, t1) = ff.timings.split_at(ff.chains);
         let kinds = t0.iter().zip(t1).all(|(a, b)| a.trace.kind == b.trace.kind);
         let ((_, front), runs) = ff.fronts[2];
         // No run emptied while the observed iterations popped.
-        if ff.seen < 3 || !kinds || ff.fronts[0].1 != runs || !evenly(s0, s1, s2) {
+        if !kinds || ff.fronts[0].1 != runs || !evenly(s0, s1, s2) {
             return Ok(0);
         }
         // Span M: from S_i to the last iteration, or as far as the queues
@@ -899,12 +931,8 @@ impl Timeline {
             ff.attempts -= 1;
             if let Some(skipped) = self.verify(config, items, span, ff) {
                 each(Scheduled::Skipped(&skipped))?;
-                let chains = items.iter().filter_map(|item| match item {
-                    Item::Chain(chain) => Some(chain),
-                    Item::SetReg { .. } => None,
-                });
-                for (chain, t) in chains.zip(&ff.timings[2]) {
-                    each(Scheduled::Chain(chain, t))?;
+                for (chain, t) in chains(items).zip(ff.timings.drain(2 * ff.chains..)) {
+                    each(Scheduled::Chain(chain, &t))?;
                 }
                 ff.seen = 0;
                 return Ok(u32::try_from(span - 1).expect("within the segment"));
@@ -920,8 +948,8 @@ impl Timeline {
 
     /// Runs iteration `i + span` from `S_i + span·d` and returns the
     /// statistics of iterations `i + 2 .. i + span`, skipped, if it lands
-    /// on the line; its timings are left in `ff.timings[2]`. Otherwise
-    /// restores `S_{i+2}` and returns `None`.
+    /// on the line, its timings left after the observed two. Otherwise
+    /// restores `S_{i+2}` and those two, and returns `None`.
     fn verify(
         &mut self,
         config: &NpuConfig,
@@ -929,60 +957,64 @@ impl Timeline {
         span: u64,
         ff: &mut FastForward,
     ) -> Option<RunStats> {
-        let [s0, s1, s2, start, expected] = &mut ff.states;
-        start.clear();
-        expected.clear();
-        for (&a, &b) in s0.iter().zip(s1.iter()) {
-            start.push(line(a, b, span)?);
-            expected.push(line(a, b, span + 1)?);
+        let (s0, s1, s2) = snapshots(&ff.states, &ff.writes);
+        let ends = || s0.iter().copied().zip(s1.iter().copied());
+        // Within `LIMIT` at `span + 1` means within it at `span`, nearer `b`.
+        if !ends().all(|(a, b)| line(a, b, span + 1).is_some()) {
+            return None;
         }
         let ((stamp, front), runs) = ff.fronts[2];
         let popped = (span - 2) * (s0[VECTORS] - s1[VECTORS]);
+        let start = ends().map(|(a, b)| line(a, b, span).expect("within LIMIT at span + 1"));
         self.restore(&ff.writes, start);
         self.arrivals.set_front((stamp, front - popped), runs);
         self.streaming = false;
         self.start_logging(Logging::Verifying);
-        let [t0, t1, tv] = &mut ff.timings;
-        tv.clear();
+        let timings = &mut ff.timings;
         let stepped = self.step(config, items, |_, t| {
-            tv.push(t);
+            timings.push(t);
             Ok(())
         });
+        let (t0, t) = timings.split_at(ff.chains);
+        let (t1, tv) = t.split_at(ff.chains);
         self.logging = Logging::Off;
-        self.snapshot(start);
         let landed = stepped.is_ok()
             && self.log == ff.writes
-            && start == expected
+            && ends()
+                .zip(self.state())
+                .all(|((a, b), v)| line(a, b, span + 1) == Some(v))
             && tv.len() == t0.len()
-            && t0.iter().zip(t1.iter()).zip(tv.iter()).all(|((a, b), v)| {
-                let want = a.on_line(b, span);
-                want.is_some_and(|w| w.trace.kind == v.trace.kind && w.fields() == v.fields())
-            });
+            && t0
+                .iter()
+                .zip(t1)
+                .zip(tv)
+                .all(|((a, b), v)| a.lands(b, span, v));
         let skipped = landed
-            .then(|| Self::skipped(t0, t1, span, config.native_dim()))
+            .then(|| Self::skipped(t1, tv, span, config.native_dim()))
             .flatten();
         if skipped.is_none() {
-            self.restore(&ff.writes, s2);
+            ff.timings.truncate(2 * ff.chains);
+            self.restore(&ff.writes, s2.iter().copied());
             self.arrivals.set_front((stamp, front), runs);
         }
         skipped
     }
 
-    /// The summed statistics of the `span − 2` iterations from `T_i + 2·e`
-    /// to `T_i + (span − 1)·e`, by the trapezoid rule, if every chain's
-    /// stall is charged by one formula across them.
+    /// The summed statistics of the `span − 2` iterations strictly between
+    /// `t1`, at m = 1, and `tv`, at m = `span`, both on the line: by the
+    /// trapezoid rule, `(span − 2)·(f(1) + f(span))/2`, if every chain's
+    /// stall is charged by one formula at both ends.
     fn skipped(
-        t0: &[ChainTiming],
         t1: &[ChainTiming],
+        tv: &[ChainTiming],
         span: u64,
         native_dim: u32,
     ) -> Option<RunStats> {
         let mut sum = RunStats::default();
-        for (a, b) in t0.iter().zip(t1) {
+        for (a, v) in t1.iter().zip(tv) {
             let (mut first, mut last) = (RunStats::default(), RunStats::default());
-            let from = a.on_line(b, 2)?.charge(&mut first, native_dim);
-            let to = a.on_line(b, span - 1)?.charge(&mut last, native_dim);
-            if from.branches != to.branches {
+            let from = a.charge(&mut first, native_dim);
+            if from.branches != v.charge(&mut last, native_dim).branches {
                 return None;
             }
             sum.add_arithmetic(&first, &last, span - 2);
@@ -990,11 +1022,10 @@ impl Timeline {
         Some(sum)
     }
 
-    /// Writes the state an iteration starts from into `out`: the
-    /// [`SCALARS`], then the value of each fill the last iteration logged.
-    fn snapshot(&self, out: &mut Vec<u64>) {
-        out.clear();
-        out.extend([
+    /// The state an iteration starts from: the [`SCALARS`], then the value
+    /// of each fill the last iteration logged.
+    fn state(&self) -> impl Iterator<Item = u64> + '_ {
+        let scalars = [
             self.nios_cursor,
             self.instructions,
             self.free_at[0],
@@ -1005,24 +1036,23 @@ impl Timeline {
             u64::from(self.cols),
             self.arrivals.vectors,
             self.arrivals.matrices,
-        ]);
-        out.extend_from_slice(&self.logged);
+        ];
+        scalars.into_iter().chain(self.logged.iter().copied())
     }
 
-    /// Sets the state [`Timeline::snapshot`] reads, replaying its fills in
+    /// Sets the state [`Timeline::state`] reads, replaying its fills in
     /// order where `writes` says they landed; the arrival queue's runs are
     /// the caller's.
-    fn restore(&mut self, writes: &[(BoardId, Range<usize>)], state: &[u64]) {
-        let (scalars, fills) = state.split_at(SCALARS);
+    fn restore(&mut self, writes: &Writes, mut state: impl Iterator<Item = u64>) {
         let [cursor, instructions, mvm, mfu, memory, completed, rows, cols, vectors, matrices] =
-            <[u64; SCALARS]>::try_from(scalars).expect("a snapshot's scalars");
+            std::array::from_fn(|_| state.next().expect("a snapshot's scalars"));
         self.nios_cursor = cursor;
         self.instructions = instructions;
         self.free_at = [mvm, mfu, memory];
         self.completed = completed;
         (self.rows, self.cols) = (saturate(rows), saturate(cols));
         (self.arrivals.vectors, self.arrivals.matrices) = (vectors, matrices);
-        for ((board, range), &cycle) in writes.iter().zip(fills) {
+        for ((board, range), cycle) in writes.iter().zip(state) {
             self.board_mut(*board).fill(range.clone(), cycle);
         }
     }
@@ -1688,10 +1718,13 @@ mod tests {
         let program = gru_loop(120);
         let stamps = [(0, 30), (3_000, 30), (1_000, 30), (9_000, 30)];
         let (stepped, want, all, _) = schedule(&program, &stamps, false);
-        let (fast, got, handed, _) = schedule(&program, &stamps, true);
+        let (fast, got, handed, ff) = schedule(&program, &stamps, true);
         assert_eq!((stepped, fast), (Ok(()), Ok(())));
         assert_eq!(got, want);
         assert!(handed < all / 2, "{handed} of {all} chains handed over");
+        // Blocks skipped between stepped iterations leave the scratch as
+        // the segment sized it.
+        assert_eq!(ff.timings.capacity(), 3 * ff.chains);
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! cycle statistic. The `ExecMode::TimingOnly` counterpart: building the
 //! NPU reserves its scoreboards, zeroes none of them and allocates nothing
 //! that scales with `native_dim`; its first run zeroes only what it
-//! writes; and neither a weight load nor a warm run allocates. And
-//! `read_frame` does not reserve a frame a header merely announces.
+//! writes; its first fast-forwarded run allocates each scratch buffer once
+//! and reallocates none; generating its firmware reallocates nothing; and
+//! neither a weight load nor a warm run allocates. And `read_frame` does
+//! not reserve a frame a header merely announces.
 //!
 //! This file holds exactly one `#[test]` so no concurrent test can
 //! allocate inside the measurement window of the process-global counting
@@ -19,7 +21,9 @@ use brainwave::prelude::*;
 
 struct CountingAlloc;
 
+/// Allocator calls: allocations and reallocations.
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static REALLOCS: AtomicUsize = AtomicUsize::new(0);
 static BYTES: AtomicUsize = AtomicUsize::new(0);
 static ZEROED: AtomicUsize = AtomicUsize::new(0);
 
@@ -91,6 +95,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        REALLOCS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(new_size, Ordering::Relaxed);
         forget(ptr);
         System.realloc(ptr, layout, new_size)
@@ -107,6 +112,10 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn allocations() -> usize {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+fn reallocations() -> usize {
+    REALLOCS.load(Ordering::Relaxed)
 }
 
 /// Bytes requested so far (frees are not subtracted).
@@ -315,19 +324,37 @@ fn untraced_hot_path_does_not_allocate() {
     assert_eq!(entries, 121);
     drop(weights);
 
+    // The first run that skips a loop's periodic middle allocates the
+    // fast-forward's scratch, sized from the loop, one call per buffer
+    // (`allocations` counts reallocations too): `FastForward::{writes,
+    // states, timings}` and the fill log, `Timeline::{log, logged}`. The
+    // 3-step loop is too short to skip, and it already ran above.
+    const SCRATCH_BUFFERS: usize = 5;
     // Warm timing-only runs — NetQ traffic included, since queues hold
     // counts and stamps rather than vectors — allocate nothing: stepped
     // (3 steps), or skipping a loop's periodic middle (64 steps), whose
     // snapshots reuse the timeline's scratch.
-    for steps in [3, 64] {
+    for (steps, cold) in [(3, 0), (64, SCRATCH_BUFFERS)] {
+        // Generating the firmware reallocates nothing: every chain and
+        // the loop's items are allocated at their size.
+        let before = reallocations();
         let program = gru.program(steps);
+        assert_eq!(
+            reallocations() - before,
+            0,
+            "gru.program({steps}) reallocated"
+        );
         let run = |npu: &mut Npu| {
             npu.push_input_zeros(gru.grid_x() as usize * steps as usize);
             let before = allocations();
             let stats = npu.run(&program).expect("program runs");
             (stats, allocations() - before)
         };
-        let (first, _) = run(&mut timing);
+        let (first, allocated) = run(&mut timing);
+        assert!(
+            allocated <= cold,
+            "first timing-only run of {steps} steps made {allocated} allocator calls"
+        );
         let (second, allocated) = run(&mut timing);
         assert_eq!(
             allocated, 0,

@@ -73,8 +73,30 @@ fn json_header(mode: Option<&str>, report: &AnalysisReport, opts: &Options) -> W
     w
 }
 
+/// Writes the report as one object: its diagnostics, each anchored and
+/// classified (`unit` only on artifact findings), then the counts.
+fn write_report(w: &mut Writer, report: &AnalysisReport) {
+    w.begin_object().key("diagnostics").begin_array();
+    for d in &report.diagnostics {
+        w.begin_object().key("code").string(d.code.as_str());
+        w.key("severity").string(&d.severity.to_string());
+        if let Some(unit) = &d.unit {
+            w.key("unit").string(unit);
+        }
+        w.key("segment").uint(d.segment as u64);
+        w.key("item").uint(d.item as u64);
+        w.key("message").string(&d.message).end_object();
+    }
+    w.end_array();
+    w.key("errors").uint(report.error_count() as u64);
+    w.key("warnings").uint(report.warning_count() as u64);
+    w.key("infos").uint(report.info_count() as u64).end_object();
+}
+
 fn json_finish(mut w: Writer, report: &AnalysisReport) {
-    w.key("report").raw(&report.to_json()).end_object();
+    w.key("report");
+    write_report(&mut w, report);
+    w.end_object();
     println!("{}", w.finish());
 }
 
@@ -247,4 +269,74 @@ pub fn run(args: &Args) -> ExitCode {
     let report = analyze_with(&program, &cfg, options);
     print_report(&report, &opts);
     verdict(&report, opts.lower.deny_warnings)
+}
+
+#[cfg(test)]
+mod tests {
+    use bw_core::{analyze, DiagCode, Diagnostic};
+
+    use super::*;
+
+    fn to_json(report: &AnalysisReport) -> String {
+        let mut w = Writer::new();
+        write_report(&mut w, report);
+        w.finish()
+    }
+
+    #[test]
+    fn report_counts_and_json_round_trip_shape() {
+        let report = AnalysisReport {
+            diagnostics: vec![
+                Diagnostic::new(DiagCode::VrfOverflow, 0, 1, "a \"quoted\" msg".into()),
+                Diagnostic::new(DiagCode::DeadStore, 1, 2, "dead".into()),
+                Diagnostic::new(DiagCode::StaleRegister, 0, 0, "stale".into()),
+            ],
+        };
+        assert_eq!(report.error_count(), 1);
+        assert_eq!(report.warning_count(), 1);
+        assert_eq!(report.info_count(), 1);
+        assert!(!report.is_clean());
+        assert!(report.has_errors());
+        assert!(report.blocks_deployment(false));
+        let json = to_json(&report);
+        assert!(json.contains("\"code\":\"BW002\""));
+        assert!(json.contains("\\\"quoted\\\""));
+        assert!(json.contains("\"errors\":1"));
+        let shown = report.to_string();
+        assert!(shown.contains("error[BW002] segment 0, item 1"));
+        assert!(shown.contains("1 error(s), 1 warning(s), 1 info(s)"));
+    }
+
+    #[test]
+    fn unit_diagnostics_render_and_serialize_with_their_anchor() {
+        let d = Diagnostic::for_unit(DiagCode::ShardPopUnmatched, "big#g0s1", 2, 0, "pop".into());
+        assert_eq!(
+            d.to_string(),
+            "error[BW110] unit big#g0s1, segment 2, item 0: pop"
+        );
+        let report = AnalysisReport {
+            diagnostics: vec![d],
+        };
+        let json = to_json(&report);
+        assert!(json.contains("\"unit\":\"big#g0s1\""));
+        // Program-level findings keep their exact historical shape.
+        let plain = AnalysisReport {
+            diagnostics: vec![Diagnostic::new(DiagCode::VrfOverflow, 0, 1, "x".into())],
+        };
+        assert!(!to_json(&plain).contains("\"unit\""));
+    }
+
+    #[test]
+    fn report_serializes_for_toolflow_logs() {
+        let mut b = ProgramBuilder::new();
+        b.set_rows(1);
+        b.v_rd(MemId::InitialVrf, 0)
+            .v_wr(MemId::NetQ, 0)
+            .end_chain()
+            .unwrap();
+        let report = analyze(&b.build(), &bw_s10_sized(64));
+        let json = to_json(&report);
+        assert!(json.contains("\"BW010\""), "{json}");
+        assert!(json.contains("\"severity\":\"error\""), "{json}");
+    }
 }

@@ -20,7 +20,7 @@
 use std::process::ExitCode;
 
 use bw_bench::bw_s10_rnn;
-use bw_core::{ExecMode, KernelMode, Npu, SpanCollector, SpanKind, TraceSummary};
+use bw_core::{ExecMode, KernelMode, Npu, SpanKind, TraceSummary};
 use bw_models::{RnnBenchmark, RnnKind};
 use bw_trace::json::Writer;
 use bw_trace::{chrome_trace_json, spans_to_chrome, validate_chrome_trace};
@@ -48,24 +48,19 @@ pub fn run(args: &Args) -> ExitCode {
     let bench = RnnBenchmark::new(kind, hidden, steps);
     eprintln!("profiling {} on BW_S10 (timing-only, traced)", bench.name());
 
-    // Same harness as `run_bw_s10`, with both trace paths armed: the
-    // chain trace (for the bottleneck rollup) and a span sink (for the
-    // Perfetto export).
-    let collector = SpanCollector::new();
-    let (clock_hz, stats, chain_trace) = {
+    // Same harness as `run_bw_s10`, traced: the chain records feed the
+    // bottleneck rollup and the spans the Perfetto export.
+    let (clock_hz, stats, chain_trace, spans) = {
         let (cfg, rnn) = bw_s10_rnn(bench.kind, bench.dims());
         let clock_hz = cfg.clock_hz();
         let mut npu = Npu::with_mode(cfg, ExecMode::TimingOnly);
         npu.set_kernel_mode(KernelMode::Fast);
         npu.set_trace(true);
-        npu.set_trace_sink(Some(collector.handle()));
-        npu.set_trace_context(1, 0);
         let stats = rnn
             .run_timing_only(&mut npu, bench.timesteps)
             .expect("sized configuration runs");
-        (clock_hz, stats, npu.take_trace())
+        (clock_hz, stats, npu.take_trace(), npu.take_spans())
     };
-    let spans = collector.drain();
 
     let mut gate = Gate::default();
 

@@ -533,37 +533,6 @@ impl AnalysisReport {
     pub fn blocks_deployment(&self, deny_warnings: bool) -> bool {
         self.has_errors() || (deny_warnings && self.warning_count() > 0)
     }
-
-    /// Serializes the report as a JSON object (no external dependencies;
-    /// messages are escaped per RFC 8259).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"diagnostics\":[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let unit = match &d.unit {
-                Some(u) => format!("\"unit\":\"{}\",", json_escape(u)),
-                None => String::new(),
-            };
-            out.push_str(&format!(
-                "{{\"code\":\"{}\",\"severity\":\"{}\",{}\"segment\":{},\"item\":{},\"message\":\"{}\"}}",
-                d.code,
-                d.severity,
-                unit,
-                d.segment,
-                d.item,
-                json_escape(&d.message)
-            ));
-        }
-        out.push_str(&format!(
-            "],\"errors\":{},\"warnings\":{},\"infos\":{}}}",
-            self.error_count(),
-            self.warning_count(),
-            self.info_count()
-        ));
-        out
-    }
 }
 
 impl fmt::Display for AnalysisReport {
@@ -579,22 +548,6 @@ impl fmt::Display for AnalysisReport {
             self.info_count()
         )
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A program check: appends its findings to `out`.
@@ -802,30 +755,6 @@ mod tests {
     }
 
     #[test]
-    fn report_counts_and_json_round_trip_shape() {
-        let report = AnalysisReport {
-            diagnostics: vec![
-                Diagnostic::new(DiagCode::VrfOverflow, 0, 1, "a \"quoted\" msg".into()),
-                Diagnostic::new(DiagCode::DeadStore, 1, 2, "dead".into()),
-                Diagnostic::new(DiagCode::StaleRegister, 0, 0, "stale".into()),
-            ],
-        };
-        assert_eq!(report.error_count(), 1);
-        assert_eq!(report.warning_count(), 1);
-        assert_eq!(report.info_count(), 1);
-        assert!(!report.is_clean());
-        assert!(report.has_errors());
-        assert!(report.blocks_deployment(false));
-        let json = report.to_json();
-        assert!(json.contains("\"code\":\"BW002\""));
-        assert!(json.contains("\\\"quoted\\\""));
-        assert!(json.contains("\"errors\":1"));
-        let shown = report.to_string();
-        assert!(shown.contains("error[BW002] segment 0, item 1"));
-        assert!(shown.contains("1 error(s), 1 warning(s), 1 info(s)"));
-    }
-
-    #[test]
     fn clean_program_analyzes_clean() {
         let mut b = ProgramBuilder::new();
         b.set_rows(2).set_cols(2);
@@ -842,25 +771,6 @@ mod tests {
             .with_input_vectors(2);
         let report = analyze_with(&b.build(), &cfg(), options);
         assert!(report.is_clean(), "unexpected findings:\n{report}");
-    }
-
-    #[test]
-    fn unit_diagnostics_render_and_serialize_with_their_anchor() {
-        let d = Diagnostic::for_unit(DiagCode::ShardPopUnmatched, "big#g0s1", 2, 0, "pop".into());
-        assert_eq!(
-            d.to_string(),
-            "error[BW110] unit big#g0s1, segment 2, item 0: pop"
-        );
-        let report = AnalysisReport {
-            diagnostics: vec![d],
-        };
-        let json = report.to_json();
-        assert!(json.contains("\"unit\":\"big#g0s1\""));
-        // Program-level findings keep their exact historical shape.
-        let plain = AnalysisReport {
-            diagnostics: vec![Diagnostic::new(DiagCode::VrfOverflow, 0, 1, "x".into())],
-        };
-        assert!(!plain.to_json().contains("\"unit\""));
     }
 
     #[test]
@@ -881,11 +791,11 @@ mod tests {
         assert_eq!(report.diagnostics[1].unit.as_deref(), Some("m#seg0"));
         assert_eq!(report.diagnostics[2].code, DiagCode::DeadStore);
 
-        // Byte stability: any permutation of the raw findings serializes
-        // identically.
+        // Byte stability: any permutation of the raw findings yields the
+        // same report.
         let mut reversed = twice;
         reversed.reverse();
-        assert_eq!(report.to_json(), finish_report(reversed).to_json());
+        assert_eq!(report.diagnostics, finish_report(reversed).diagnostics);
     }
 
     #[test]

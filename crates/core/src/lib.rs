@@ -77,5 +77,5 @@ pub use config::{ConfigError, NpuConfig, NpuConfigBuilder, TimingParams};
 pub use hdd::{DispatchLevel, HddExpansion};
 pub use npu::{ChainKind, ChainTrace, ExecMode, KernelMode, Npu, SimError};
 pub use stats::RunStats;
-pub use trace::{SinkHandle, SpanCollector, SpanKind, SpanRecord, TraceId, TraceSink};
+pub use trace::{SpanKind, SpanRecord, TraceId};
 pub use trace_report::{KindSummary, TraceSummary};

@@ -26,7 +26,7 @@ use crate::sched::{
     mrf_span, vrf_file, vrf_span, ChainTiming, FastForward, OperandFiles, Scheduled, Timeline,
 };
 use crate::stats::RunStats;
-use crate::trace::{SinkHandle, SpanKind, SpanRecord, TraceId};
+use crate::trace::{SpanKind, SpanRecord};
 
 /// Whether a run computes real values or only models time.
 ///
@@ -439,55 +439,55 @@ impl DataPlanes {
     }
 }
 
-/// What a run reports: statistics, the optional chain trace and the
-/// optional span stream — each derived from the timeline's
-/// [`ChainTiming`]s in [`Recorder::record`] and nowhere else.
+/// What a run reports: statistics and, while tracing is armed, the chain
+/// records and spans — each derived from the timeline's [`ChainTiming`]s
+/// in [`Recorder::record`] and nowhere else.
 #[derive(Clone, Debug, Default)]
 struct Recorder {
     stats: RunStats,
-    trace: Option<Vec<ChainTrace>>,
-    /// Structured span stream (see [`crate::trace`]); `None` — the
-    /// default — costs one branch per chain and allocates nothing.
-    sink: Option<SinkHandle>,
-    /// Propagated into every emitted [`SpanRecord`].
-    trace_id: TraceId,
-    /// Device ordinal propagated into every emitted [`SpanRecord`].
-    trace_device: u32,
+    /// `Some` exactly while [`Npu::set_trace`] has tracing armed.
+    trace: Option<Trace>,
+}
+
+/// What an armed NPU has recorded and not yet handed out.
+#[derive(Clone, Debug, Default)]
+struct Trace {
+    chains: Vec<ChainTrace>,
+    spans: Vec<SpanRecord>,
+}
+
+impl Trace {
+    /// Records one span. The NPU stamps no identity: `trace_id` and
+    /// `device` are left 0 for the layer that owns them.
+    fn span(&mut self, kind: SpanKind, chain: u64, start_cycle: u64, end_cycle: u64) {
+        self.spans.push(SpanRecord {
+            trace_id: 0,
+            device: 0,
+            kind,
+            chain,
+            start_cycle,
+            end_cycle,
+        });
+    }
 }
 
 impl Recorder {
-    /// Emits one span if a sink is installed.
-    #[inline]
-    fn emit(&self, kind: SpanKind, chain: u64, start_cycle: u64, end_cycle: u64) {
-        if let Some(sink) = &self.sink {
-            sink.emit(&SpanRecord {
-                trace_id: self.trace_id,
-                device: self.trace_device,
-                kind,
-                chain,
-                start_cycle,
-                end_cycle,
-            });
-        }
-    }
-
     fn record(&mut self, t: &ChainTiming, native_dim: u32) {
         let stall = t.charge(&mut self.stats, native_dim).span;
+        let Some(trace) = &mut self.trace else {
+            return;
+        };
         let c = &t.trace;
-        if let Some(trace) = &mut self.trace {
-            trace.push(c.clone());
-        }
-        if self.sink.is_some() {
-            let ordinal = self.stats.chains;
-            self.emit(SpanKind::Chain(c.kind), ordinal, c.start, c.completion);
-            let stream = match c.kind {
-                ChainKind::Mvm => Some((SpanKind::MvmStream, c.start, c.start + t.mvm_occupancy)),
-                ChainKind::Mfu => Some((SpanKind::MfuStream, c.start, c.start + c.occupancy)),
-                ChainKind::Move | ChainKind::MatrixMove => None,
-            };
-            for (kind, from, to) in stream.into_iter().chain(stall) {
-                self.emit(kind, ordinal, from, to);
-            }
+        trace.chains.push(c.clone());
+        let ordinal = self.stats.chains;
+        let stream = match c.kind {
+            ChainKind::Mvm => Some((SpanKind::MvmStream, c.start, c.start + t.mvm_occupancy)),
+            ChainKind::Mfu => Some((SpanKind::MfuStream, c.start, c.start + c.occupancy)),
+            ChainKind::Move | ChainKind::MatrixMove => None,
+        };
+        let chain = (SpanKind::Chain(c.kind), c.start, c.completion);
+        for (kind, from, to) in [chain].into_iter().chain(stream).chain(stall) {
+            trace.span(kind, ordinal, from, to);
         }
     }
 }
@@ -553,37 +553,42 @@ impl Npu {
         self.kernel = kernel;
     }
 
-    /// Enables or disables per-chain trace collection. Enabling clears any
-    /// previously collected trace.
+    /// The NPU's one tracing switch. Armed, every run records, off the
+    /// same scheduler events, one [`ChainTrace`] per chain (drained by
+    /// [`Npu::take_trace`]) and the span tree (drained by
+    /// [`Npu::take_spans`]): per chain a [`SpanKind::Chain`] span, its
+    /// MVM or MFU streaming span and its exposed stall, per column of a
+    /// multi-column batch a [`SpanKind::BatchColumn`] span, and per run a
+    /// [`SpanKind::Run`] envelope. Spans carry `trace_id` and `device` 0:
+    /// the layer that owns request identity stamps them.
+    ///
+    /// Tracing changes the records kept, never a statistic. A traced run
+    /// steps every chain; an untraced timing-only run may fast-forward a
+    /// loop ([`crate::sched`], "Fast-forward"), and a warm untraced run
+    /// allocates nothing (pinned by `tests/trace_cost.rs`). Arming clears
+    /// what an earlier arming recorded; disarming drops it.
     pub fn set_trace(&mut self, enabled: bool) {
-        self.rec.trace = enabled.then(Vec::new);
+        self.rec.trace = enabled.then(Trace::default);
     }
 
-    /// Takes the collected trace (empty if tracing was never enabled).
-    /// Tracing stays enabled.
+    /// Takes the chain records kept so far (empty unless
+    /// [tracing](Npu::set_trace) is armed). Tracing stays armed.
     pub fn take_trace(&mut self) -> Vec<ChainTrace> {
         self.rec
             .trace
             .as_mut()
-            .map(std::mem::take)
+            .map(|t| std::mem::take(&mut t.chains))
             .unwrap_or_default()
     }
 
-    /// Installs (or removes) a structured span sink. While a sink is
-    /// installed every run emits [`SpanRecord`]s — chain, MVM/MFU
-    /// streaming, stall, and run-envelope spans — tagged with the context
-    /// set by [`Npu::set_trace_context`]. `None` (the default) restores
-    /// the zero-cost path. Independent of [`Npu::set_trace`].
-    pub fn set_trace_sink(&mut self, sink: Option<SinkHandle>) {
-        self.rec.sink = sink;
-    }
-
-    /// Sets the trace id and device ordinal stamped on every span emitted
-    /// from now on. The id is owned by whichever layer defines request
-    /// identity (e.g. `bw-serve` uses its request id).
-    pub fn set_trace_context(&mut self, trace_id: TraceId, device: u32) {
-        self.rec.trace_id = trace_id;
-        self.rec.trace_device = device;
+    /// Takes the spans recorded so far (empty unless
+    /// [tracing](Npu::set_trace) is armed). Tracing stays armed.
+    pub fn take_spans(&mut self) -> Vec<SpanRecord> {
+        self.rec
+            .trace
+            .as_mut()
+            .map(|t| std::mem::take(&mut t.spans))
+            .unwrap_or_default()
     }
 
     // ------------------------------------------------------------------
@@ -843,7 +848,7 @@ impl Npu {
         };
         // Only a run that keeps no per-chain record takes a loop's skipped
         // iterations as one sum (`sched`'s Fast-forward).
-        let summable = data.is_none() && rec.trace.is_none() && rec.sink.is_none();
+        let summable = data.is_none() && rec.trace.is_none();
         for column in 0..batch {
             let column_start = timeline.high_water();
             let ff = summable.then_some(&mut *ff);
@@ -864,19 +869,16 @@ impl Npu {
                     Ok(())
                 }
             })?;
-            if batch > 1 {
-                let column_end = timeline.high_water();
-                rec.emit(
-                    SpanKind::BatchColumn,
-                    column as u64 + 1,
-                    column_start,
-                    column_end,
-                );
+            if let Some(trace) = rec.trace.as_mut().filter(|_| batch > 1) {
+                let (ordinal, end) = (column as u64 + 1, timeline.high_water());
+                trace.span(SpanKind::BatchColumn, ordinal, column_start, end);
             }
         }
         rec.stats.instructions = timeline.instructions();
         rec.stats.cycles = timeline.high_water();
-        rec.emit(SpanKind::Run, 0, 0, rec.stats.cycles);
+        if let Some(trace) = &mut rec.trace {
+            trace.span(SpanKind::Run, 0, 0, rec.stats.cycles);
+        }
         Ok(rec.stats.clone())
     }
 }

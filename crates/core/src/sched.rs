@@ -114,9 +114,9 @@
 //! entries, and F and T are still max-affine in them. The argument is the
 //! same over fills as over entries.
 //!
-//! When the caller takes skipped chains as summed statistics (a
-//! timing-only run with no chain trace and no span sink, or
-//! `cycle_bounds`), `run_column` snapshots S after each iteration. It sizes
+//! When the caller takes skipped chains as summed statistics (an
+//! untraced timing-only run, or `cycle_bounds`), `run_column` snapshots
+//! S after each iteration. It sizes
 //! each scratch buffer once per segment, from the segment's chains and
 //! fills: a cold run allocates each buffer once, a warm one none. Once
 //! three snapshots in a row step evenly, d = S_{i+1} − S_i = S_{i+2} −

@@ -1,27 +1,15 @@
-//! Structured span tracing: the generalized, propagating form of
-//! [`ChainTrace`](crate::ChainTrace) collection.
-//!
-//! [`Npu::set_trace`](crate::Npu::set_trace) collects flat per-chain
-//! timing records for post-hoc analysis. This module generalizes that
-//! into an *event stream*: the simulator emits [`SpanRecord`]s — chain
-//! dispatch/retire, MVM tile streaming, MFU stream occupancy, stall
-//! intervals, and whole-run envelopes — into a caller-supplied
-//! [`TraceSink`], each record carrying a propagated [`TraceId`] and
-//! device ordinal so a serving layer can attribute accelerator work to
-//! the request that caused it.
-//!
-//! The stream is zero-cost when disabled: with no sink installed the
-//! simulator performs one `Option` check per chain and allocates
-//! nothing (pinned by `tests/trace_cost.rs`).
-
-use std::fmt;
-use std::sync::{Arc, Mutex, PoisonError};
+//! Span records: what an NPU armed with
+//! [`Npu::set_trace`](crate::Npu::set_trace) records besides its
+//! [`ChainTrace`](crate::ChainTrace)s — chain dispatch to retire, MVM and
+//! MFU stream occupancy, stall intervals, batch columns and whole-run
+//! envelopes — and what the serving, fleet and observability layers add
+//! to the same tree. `set_trace` states the contract.
 
 use crate::npu::ChainKind;
 
-/// A propagated trace identifier. The layer that owns request identity
-/// (for example a serving front end) assigns it; the simulator only
-/// carries it into every span it emits.
+/// A trace identifier. The layer that owns request identity (for example
+/// a serving front end) assigns it and stamps it on the spans it gathers;
+/// the simulator leaves it 0.
 pub type TraceId = u64;
 
 /// What interval of simulated time a span describes.
@@ -109,11 +97,11 @@ impl SpanKind {
 }
 
 /// One emitted span: a half-open cycle interval `[start_cycle,
-/// end_cycle)` on one device, tagged with the propagated trace id and
+/// end_cycle)` on one device, tagged with the trace id and
 /// the ordinal of the chain that produced it (0 for [`SpanKind::Run`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SpanRecord {
-    /// The propagated trace identifier (see [`TraceId`]).
+    /// The trace identifier (see [`TraceId`]).
     pub trace_id: TraceId,
     /// Device ordinal within the traced deployment.
     pub device: u32,
@@ -135,102 +123,6 @@ impl SpanRecord {
     }
 }
 
-/// A consumer of emitted spans. Implementations must be cheap: the
-/// simulator calls [`TraceSink::span`] synchronously on its execution
-/// path.
-pub trait TraceSink: Send {
-    /// Receives one span.
-    fn span(&mut self, span: &SpanRecord);
-}
-
-/// A cloneable, shareable handle to a [`TraceSink`], installable on an
-/// [`Npu`](crate::Npu) with
-/// [`Npu::set_trace_sink`](crate::Npu::set_trace_sink).
-///
-/// Cloning the handle (or cloning an `Npu` carrying one) shares the
-/// underlying sink; emission takes a short mutex.
-#[derive(Clone)]
-pub struct SinkHandle(Arc<Mutex<dyn TraceSink>>);
-
-impl SinkHandle {
-    /// Wraps a sink in a shareable handle.
-    pub fn new(sink: impl TraceSink + 'static) -> SinkHandle {
-        SinkHandle(Arc::new(Mutex::new(sink)))
-    }
-
-    /// Delivers one span to the sink.
-    pub fn emit(&self, span: &SpanRecord) {
-        // The exception to the locking rule (bw-serve's `server` module
-        // doc): a caller's sink that panicked mid-span poisoned the mutex;
-        // keep the stream flowing rather than cascading panics into the
-        // simulator.
-        let mut sink = self.0.lock().unwrap_or_else(PoisonError::into_inner);
-        sink.span(span);
-    }
-}
-
-impl fmt::Debug for SinkHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("SinkHandle")
-    }
-}
-
-/// The standard in-memory sink: accumulates every span it receives.
-///
-/// The collector and the [`SinkHandle`]s produced by
-/// [`SpanCollector::handle`] share storage, so spans emitted through
-/// any handle are visible to [`SpanCollector::drain`] — no downcasting
-/// through the trait object is ever needed.
-#[derive(Clone, Debug, Default)]
-pub struct SpanCollector {
-    spans: Arc<Mutex<Vec<SpanRecord>>>,
-}
-
-struct CollectorSink {
-    spans: Arc<Mutex<Vec<SpanRecord>>>,
-}
-
-impl TraceSink for CollectorSink {
-    fn span(&mut self, span: &SpanRecord) {
-        let mut spans = self.spans.lock().unwrap_or_else(PoisonError::into_inner);
-        spans.push(*span);
-    }
-}
-
-impl SpanCollector {
-    /// Creates an empty collector.
-    pub fn new() -> SpanCollector {
-        SpanCollector::default()
-    }
-
-    /// A sink handle feeding this collector. Install one per device;
-    /// handles share storage.
-    pub fn handle(&self) -> SinkHandle {
-        SinkHandle::new(CollectorSink {
-            spans: Arc::clone(&self.spans),
-        })
-    }
-
-    /// Takes every span collected so far, leaving the collector empty.
-    pub fn drain(&self) -> Vec<SpanRecord> {
-        let mut spans = self.spans.lock().unwrap_or_else(PoisonError::into_inner);
-        std::mem::take(&mut *spans)
-    }
-
-    /// Spans collected and not yet drained.
-    pub fn len(&self) -> usize {
-        self.spans
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
-    }
-
-    /// Whether no spans are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,21 +136,6 @@ mod tests {
             start_cycle: start,
             end_cycle: end,
         }
-    }
-
-    #[test]
-    fn collector_handles_share_storage() {
-        let collector = SpanCollector::new();
-        let a = collector.handle();
-        let b = collector.handle();
-        a.emit(&span(SpanKind::Run, 0, 10));
-        b.emit(&span(SpanKind::MvmStream, 2, 6));
-        assert_eq!(collector.len(), 2);
-        let drained = collector.drain();
-        assert_eq!(drained.len(), 2);
-        assert!(collector.is_empty());
-        assert_eq!(drained[0].cycles(), 10);
-        assert_eq!(drained[1].kind, SpanKind::MvmStream);
     }
 
     /// Every kind instance: one per enum variant, one per `ChainKind`.

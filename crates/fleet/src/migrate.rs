@@ -47,6 +47,13 @@ pub struct MigrationReport {
 /// [`PinError`]. On the dual-pin failing, the pool is untouched. On the
 /// cutover failing (for example `from` already unpinned concurrently),
 /// the destination pin is left in place — capacity only ever grows.
+///
+/// A source that dies is the rule's edge. Dead before the check, it no
+/// longer counts as pinning the model: `migrate` returns
+/// [`PinError::NotPinned`] and does not re-home a model whose only
+/// replica it was — the [`FleetController`](crate::FleetController)'s
+/// repair does. Dead at any later step, the migration completes and
+/// leaves the model on `to`: a dead source unpins and drains at once.
 pub fn migrate(
     server: &Server,
     model: &str,

@@ -7,9 +7,9 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use bw_fleet::{migrate, FleetMetrics};
+use bw_fleet::{migrate, FleetConfig, FleetController, FleetDecision, FleetMetrics};
 use bw_serve::demo::{demo_input, mlp_artifact};
-use bw_serve::Server;
+use bw_serve::{PinError, Server};
 use proptest::prelude::*;
 
 const DEADLINE: Duration = Duration::from_secs(5);
@@ -104,66 +104,110 @@ fn migration_under_sustained_traffic_is_bit_identical_and_lossless() {
     );
 }
 
+/// Where, among `migrate`'s steps, the source worker dies.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Kill {
+    BeforeCheck,
+    BetweenPinAndUnpin,
+    BetweenUnpinAndDrain,
+    AfterDrain,
+}
+
 #[test]
 fn mid_migration_worker_kill_keeps_the_accounting_identity() {
-    let server = boot(3, 0);
-    let stop = Arc::new(AtomicBool::new(false));
-
-    let traffic: Vec<_> = (0..2)
-        .map(|t| {
-            let server = Arc::clone(&server);
-            let stop = Arc::clone(&stop);
-            thread::spawn(move || {
-                let client = server.client();
-                let mut ok = 0u64;
-                let mut i = t;
-                while !stop.load(Ordering::Acquire) {
-                    // Errors are legal here (the source dies under us);
-                    // lost accounting is not — checked below.
-                    if client
-                        .call("mig", &demo_input(INPUT_DIM, i % 8), DEADLINE)
-                        .is_ok()
-                    {
-                        ok += 1;
+    use Kill::*;
+    for kill in [
+        BeforeCheck,
+        BetweenPinAndUnpin,
+        BetweenUnpinAndDrain,
+        AfterDrain,
+    ] {
+        let server = boot(3, 0);
+        let stop = Arc::new(AtomicBool::new(false));
+        let traffic: Vec<_> = (0..2)
+            .map(|t| {
+                let server = Arc::clone(&server);
+                let stop = Arc::clone(&stop);
+                thread::spawn(move || {
+                    let client = server.client();
+                    let mut ok = 0u64;
+                    let mut i = t;
+                    while !stop.load(Ordering::Acquire) {
+                        // Errors are legal here (the source dies under
+                        // us); lost accounting is not — checked below.
+                        let input = demo_input(INPUT_DIM, i % 8);
+                        ok += u64::from(client.call("mig", &input, DEADLINE).is_ok());
+                        i += 2;
                     }
-                    i += 2;
-                }
-                ok
+                    ok
+                })
             })
-        })
-        .collect();
+            .collect();
+        while server.metrics().models[0].completed == 0 {
+            thread::yield_now();
+        }
 
-    thread::sleep(Duration::from_millis(20));
-    let killer = {
-        let server = Arc::clone(&server);
-        thread::spawn(move || {
-            thread::sleep(Duration::from_millis(2));
-            server.kill_worker(0)
-        })
-    };
-    let fm = FleetMetrics::new();
-    // The source may die at any point of the dual-pin → cutover → drain;
-    // either outcome must leave the destination serving.
-    let _ = migrate(&server, "mig", 0, 1, &fm);
-    assert!(killer.join().unwrap());
-    thread::sleep(Duration::from_millis(20));
+        // Each ordering is run, not raced: `migrate` whole at either end,
+        // its server steps in sequence in between.
+        let fm = FleetMetrics::new();
+        let kill_if = |at: Kill| {
+            if kill == at {
+                assert!(server.kill_worker(0));
+            }
+        };
+        match kill {
+            BeforeCheck => {
+                assert!(server.kill_worker(0));
+                let outcome = migrate(&server, "mig", 0, 1, &fm);
+                assert!(
+                    matches!(outcome, Err(PinError::NotPinned { worker: 0, .. })),
+                    "{outcome:?}"
+                );
+            }
+            AfterDrain => {
+                let report = migrate(&server, "mig", 0, 1, &fm).unwrap();
+                assert_eq!((report.from, report.to), (0, 1));
+                assert!(server.kill_worker(0));
+            }
+            _ => {
+                server.pin_model("mig", 1).unwrap();
+                kill_if(BetweenPinAndUnpin);
+                server.unpin_model("mig", 0).unwrap();
+                kill_if(BetweenUnpinAndDrain);
+                server.drain_worker(0).unwrap();
+            }
+        }
+        stop.store(true, Ordering::Release);
+        let served: u64 = traffic.into_iter().map(|t| t.join().unwrap()).sum();
+        assert!(served > 0);
 
-    stop.store(true, Ordering::Release);
-    let served: u64 = traffic.into_iter().map(|t| t.join().unwrap()).sum();
-    assert!(served > 0);
-    assert_eq!(server.pinned_workers("mig"), vec![1]);
-    let client = server.client();
-    let resp = client
-        .call("mig", &demo_input(INPUT_DIM, 0), DEADLINE)
-        .unwrap();
-    assert_eq!(resp.output.len(), 8);
+        // A kill before the check leaves the model pinned nowhere:
+        // `migrate` does not re-home it, the controller's repair does.
+        // Any later kill leaves it on the destination.
+        if kill == BeforeCheck {
+            assert_eq!(server.pinned_workers("mig"), Vec::<usize>::new());
+            let mut ctl = FleetController::new(Arc::clone(&server), FleetConfig::default());
+            let repaired = ctl.step();
+            assert!(
+                matches!(repaired[..], [FleetDecision::Repair { worker: 1 | 2, .. }]),
+                "{repaired:?}"
+            );
+        } else {
+            assert_eq!(server.pinned_workers("mig"), vec![1], "{kill:?}");
+        }
+        let resp = server
+            .client()
+            .call("mig", &demo_input(INPUT_DIM, 0), DEADLINE)
+            .unwrap();
+        assert_eq!(resp.output.len(), 8);
 
-    let m = server.metrics().models.remove(0);
-    assert_eq!(
-        m.completed + m.shed + m.failed,
-        m.submitted,
-        "identity must survive a mid-migration kill"
-    );
+        let m = server.metrics().models.remove(0);
+        assert_eq!(
+            m.completed + m.shed + m.failed,
+            m.submitted,
+            "{kill:?}: identity must survive a mid-migration kill"
+        );
+    }
 }
 
 proptest! {

@@ -8,7 +8,7 @@
 //! [`PinnedModel`] is one live instance: the artifact deployed onto a set
 //! of owned [`Npu`]s, ready to serve batch-1 inferences.
 
-use bw_core::{KernelMode, Npu, NpuConfig, RunStats, SpanCollector, SpanRecord, TraceId};
+use bw_core::{KernelMode, Npu, NpuConfig, RunStats, SpanRecord};
 
 use crate::ir::{GirError, GirGraph};
 use crate::lower::{DeployError, Deployment, LowerOptions};
@@ -241,14 +241,13 @@ impl PinnedModel {
         self.deployment.execute_batch(&mut self.npus, inputs)
     }
 
-    /// [`PinnedModel::infer_batch`] with span tracing: installs a
-    /// [`SpanCollector`] on every pinned device for the duration of the
-    /// call, stamping each span — including the per-column
-    /// [`SpanKind::BatchColumn`](bw_core::SpanKind) records of a
-    /// multi-column batch — with `trace_id` and the device ordinal, then
-    /// uninstalls the sinks and drains the collected spans. Tracing
-    /// state does not persist across calls, so a traced inference leaves
-    /// the instance exactly as a plain one does.
+    /// [`PinnedModel::infer_batch`] with span tracing: arms every pinned
+    /// device ([`Npu::set_trace`]) for the duration of the call, then
+    /// drains each device's spans in device order — the order they ran
+    /// in, one device per accelerator segment — stamping each with its
+    /// device ordinal. Every device is disarmed again, even when the run
+    /// fails, so a traced inference leaves the instance exactly as a
+    /// plain one does. The spans' `trace_id` is left for the caller.
     ///
     /// # Errors
     ///
@@ -257,20 +256,21 @@ impl PinnedModel {
     pub fn infer_batch_traced(
         &mut self,
         inputs: &[Vec<f32>],
-        trace_id: TraceId,
     ) -> Result<(Vec<Vec<f32>>, RunStats, Vec<SpanRecord>), DeployError> {
-        let collector = SpanCollector::new();
-        for (d, npu) in self.npus.iter_mut().enumerate() {
-            npu.set_trace_sink(Some(collector.handle()));
-            npu.set_trace_context(trace_id, d as u32);
+        for npu in &mut self.npus {
+            npu.set_trace(true);
         }
         let result = self.deployment.execute_batch(&mut self.npus, inputs);
-        for npu in &mut self.npus {
-            npu.set_trace_sink(None);
-            npu.set_trace_context(0, 0);
+        let mut spans = Vec::new();
+        for (d, npu) in self.npus.iter_mut().enumerate() {
+            spans.extend(npu.take_spans().into_iter().map(|mut span| {
+                span.device = d as u32;
+                span
+            }));
+            npu.set_trace(false);
         }
         let (outputs, stats) = result?;
-        Ok((outputs, stats, collector.drain()))
+        Ok((outputs, stats, spans))
     }
 
     /// Input dimension one inference consumes.

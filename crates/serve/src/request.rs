@@ -62,8 +62,8 @@ pub struct Response {
 pub struct RequestTrace {
     /// The request the spans belong to.
     pub request_id: RequestId,
-    /// The span `trace_id` stamped on every record (equals
-    /// `request_id`).
+    /// The span `trace_id` stamped on every record: the id of the first
+    /// request of its run (`request_id` unless coalesced into a batch).
     pub trace_id: TraceId,
     /// The model served.
     pub model: String,

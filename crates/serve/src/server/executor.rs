@@ -422,7 +422,6 @@ impl Run {
                 columns: Arc::clone(&self.input),
                 deadline: self.deadline,
                 reply: tx,
-                trace_id: self.members[0].id,
                 enqueued_at: now,
                 collect_spans: self.collect_spans,
             };
@@ -585,19 +584,21 @@ impl Run {
             delivered_at = delivered_at.max(Some(done.done_at + Duration::from_secs_f64(leg_s)));
             self.stats.accumulate(&done.stats);
             self.worker = done.worker;
-            if leg.member.is_none() {
-                self.spans.extend(done.spans);
-            } else if self.collect_spans {
-                // Re-stamp a shard's NPU spans with the owning worker as
-                // the device, so a gathered trace reads as the spatially
-                // distributed execution it was.
+            if self.collect_spans {
+                // Stamp the request's trace id, and a shard's NPU spans
+                // with the owning worker as the device, so a gathered
+                // trace reads as the spatially distributed execution it
+                // was.
+                let trace_id = self.members[0].id;
+                let shard = leg.member.is_some().then_some(done.worker as u32);
                 self.spans.extend(done.spans.into_iter().map(|mut span| {
-                    span.device = done.worker as u32;
+                    span.trace_id = trace_id;
+                    span.device = shard.unwrap_or(span.device);
                     span
                 }));
-                if leg_s > 0.0 {
+                if shard.is_some() && leg_s > 0.0 {
                     self.spans.push(SpanRecord {
-                        trace_id: self.members[0].id,
+                        trace_id,
                         device: done.worker as u32,
                         kind: SpanKind::NetTransfer,
                         chain: ordinal as u64 + 1,

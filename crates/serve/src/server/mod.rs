@@ -93,9 +93,7 @@
 //! outside every lock), and no caller code runs under a write guard. A
 //! poisoned lock therefore means a panic in the middle of an update,
 //! which is a bug: `lock()`, `read()`, `write()` and condvar waits are
-//! `.unwrap()`ed, and the panic propagates. The one exception is
-//! `bw_core`'s trace sink handle and span collector: they run a caller's
-//! `TraceSink` under their mutex, so they recover the guard.
+//! `.unwrap()`ed, and the panic propagates.
 
 mod control;
 mod executor;

@@ -89,8 +89,6 @@ pub(crate) struct Job {
     pub columns: Columns,
     pub deadline: Instant,
     pub reply: Sender<Completion>,
-    /// Trace id stamped on emitted spans (the request id).
-    pub trace_id: u64,
     /// When the job entered the queue (for queue-wait measurement).
     pub enqueued_at: Instant,
     /// Whether to collect NPU spans for this attempt.
@@ -402,7 +400,7 @@ fn serve(
     popped: Instant,
 ) -> Completion {
     let result = if job.collect_spans {
-        model.infer_batch_traced(&job.columns, job.trace_id)
+        model.infer_batch_traced(&job.columns)
     } else {
         model
             .infer_batch(&job.columns)
@@ -443,7 +441,6 @@ mod tests {
             columns: Arc::new([demo_input(16, 0)]),
             deadline: Instant::now() + Duration::from_secs(5),
             reply,
-            trace_id: 7,
             enqueued_at: Instant::now(),
             collect_spans: false,
         }
@@ -477,12 +474,13 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         let mut j = job(tx);
         j.collect_spans = true;
-        j.trace_id = 99;
         w.try_dispatch(j).unwrap();
         match rx.recv_timeout(Duration::from_secs(10)).unwrap() {
             Completion::Done(Served { stats, spans, .. }) => {
                 assert!(!spans.is_empty());
-                assert!(spans.iter().all(|s| s.trace_id == 99));
+                // The one-device model's ordinal; the executor stamps the
+                // request's trace id.
+                assert!(spans.iter().all(|s| s.device == 0 && s.trace_id == 0));
                 // The Run spans' cycles reconcile with the stats.
                 let run_cycles: u64 = spans
                     .iter()

@@ -2,7 +2,8 @@
 //! over the three request shapes — single, sharded, coalesced batch —
 //! and asserts the terminal variant, `Response::retries`, bit-identity
 //! where served, and `completed + shed + failed == submitted` on every
-//! metrics row (group and member rows alike).
+//! metrics row (group and member rows alike). A traced request of each
+//! shape checks how the executor stamps its spans.
 //!
 //! Faults are scripted, not raced. A worker is *stalled* by pinning a
 //! throw-away model onto it under a preload model with a fixed set-up
@@ -15,6 +16,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use bw_core::{SpanKind, SpanRecord};
 use bw_serve::demo::{demo_input, mlp_artifact, sharded_mlp};
 use bw_serve::{
     BatchConfig, BatchItem, Batcher, Client, FlightOutcome, NetworkModel, PreloadModel, Response,
@@ -344,6 +346,57 @@ fn late_response_is_a_deadline_failure_on_every_shape() {
                 "{shape:?}: {:?}",
                 record.outcome
             );
+        }
+    }
+}
+
+/// A sampled trace is stamped by the executor: every span carries the
+/// trace's id (the first member's request id), a shard leg's NPU spans
+/// carry that leg's worker as the device, and each device run left one
+/// run envelope.
+#[test]
+fn sampled_traces_carry_their_trace_id_on_every_shape() {
+    for shape in SHAPES {
+        let case = Case::boot(shape, |b| {
+            b.trace_sample(1).network(NetworkModel::with_hop(0.001))
+        });
+        let outcomes = case.request(LONG);
+        let first = outcomes[0].as_ref().map(|r| r.request_id).unwrap();
+        case.assert_served(outcomes, 0, "traced");
+        let traces = case.server.take_traces();
+        assert_eq!(traces.len() as u64, case.members(), "{shape:?}");
+        // A sharded request runs three legs, all of group members
+        // (`SHARDED_WIDTHS`).
+        let (runs, shard_legs) = if shape == Shape::Sharded {
+            (3, 3)
+        } else {
+            (1, 0)
+        };
+        for t in &traces {
+            assert_eq!(t.trace_id, first, "{shape:?}");
+            assert!(
+                t.spans.iter().all(|s| s.trace_id == t.trace_id),
+                "{shape:?}"
+            );
+            let run_spans = t.spans.iter().filter(|s| s.kind == SpanKind::Run);
+            assert_eq!(
+                run_spans.count(),
+                runs,
+                "{shape:?}: one run span per device run"
+            );
+            // A shard leg's NPU spans come just before its transfer span,
+            // which names the leg's worker.
+            let legs: Vec<&[SpanRecord]> = t
+                .spans
+                .split_inclusive(|s| s.kind == SpanKind::NetTransfer)
+                .filter(|leg| leg.last().unwrap().kind == SpanKind::NetTransfer)
+                .collect();
+            assert_eq!(legs.len(), shard_legs, "{shape:?}");
+            for leg in legs {
+                let (transfer, npu) = leg.split_last().unwrap();
+                assert!(!npu.is_empty());
+                assert!(npu.iter().all(|s| s.device == transfer.device), "{leg:?}");
+            }
         }
     }
 }

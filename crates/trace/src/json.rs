@@ -470,9 +470,8 @@ impl Writer {
     }
 
     /// Splices in `json`, which must already be one complete JSON value
-    /// — how a fragment rendered below this crate in the dependency
-    /// graph (`bw_core::AnalysisReport::to_json`) enters a document.
-    pub fn raw(&mut self, json: &str) -> &mut Self {
+    /// (the literals).
+    fn raw(&mut self, json: &str) -> &mut Self {
         self.sep();
         self.out.push_str(json);
         self

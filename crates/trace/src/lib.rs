@@ -1,7 +1,7 @@
 //! # bw-trace: observability exporters for the Brainwave stack
 //!
-//! `bw-core` emits structured [`SpanRecord`](bw_core::SpanRecord)s
-//! through its [`TraceSink`](bw_core::TraceSink) stream and `bw-serve`
+//! `bw-core` records structured [`SpanRecord`](bw_core::SpanRecord)s
+//! ([`Npu::set_trace`](bw_core::Npu::set_trace)) and `bw-serve`
 //! attributes them to requests; this crate turns both into the two
 //! industry-standard wire formats a performance engineer actually
 //! opens:

@@ -75,8 +75,8 @@ pub mod prelude {
         DiagCode, Diagnostic, Severity,
     };
     pub use bw_core::{
-        ExecMode, HddExpansion, KernelMode, Npu, NpuConfig, RunStats, SimError, SpanCollector,
-        SpanKind, SpanRecord,
+        ExecMode, HddExpansion, KernelMode, Npu, NpuConfig, RunStats, SimError, SpanKind,
+        SpanRecord,
     };
     pub use bw_dataflow::{ConvCriticalPath, RnnCriticalPath};
     pub use bw_fpga::{Device, ModelRequirements, ResourceEstimate};

@@ -227,20 +227,6 @@ fn seeded_unbalanced_netq_pop_yields_bw030() {
 }
 
 #[test]
-fn report_serializes_for_toolflow_logs() {
-    let mut b = ProgramBuilder::new();
-    b.set_rows(1);
-    b.v_rd(MemId::InitialVrf, 0)
-        .v_wr(MemId::NetQ, 0)
-        .end_chain()
-        .unwrap();
-    let report = analyze(&b.build(), &cfg());
-    let json = report.to_json();
-    assert!(json.contains("\"BW010\""), "{json}");
-    assert!(json.contains("\"severity\":\"error\""), "{json}");
-}
-
-#[test]
 fn gir_deployment_gate_passes_clean_pipelines_and_blocks_bad_binaries() {
     let mut g = gir::GirGraph::new();
     let input = g.add(gir::GirOp::Input { dim: 8 }, &[]).unwrap();

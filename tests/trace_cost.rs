@@ -210,46 +210,55 @@ fn untraced_hot_path_does_not_allocate() {
     );
     assert_eq!(untraced, warm, "steady-state runs are deterministic");
 
-    // Tracing changes the records kept, never the simulated timing.
+    // Tracing changes the records kept, never the simulated timing: one
+    // chain record per executed chain, and a span tree whose run envelope
+    // covers the run, with one chain span per chain.
     npu.set_trace(true);
     let traced = npu.run(&program).expect("program runs");
     assert_eq!(traced, untraced, "tracing must not perturb statistics");
-    assert_eq!(npu.take_trace().len(), 10, "one record per executed chain");
-    npu.set_trace(false);
-
-    // An armed span sink records the span tree but, like the chain trace,
-    // never perturbs the simulated timing.
-    let collector = SpanCollector::new();
-    npu.set_trace_sink(Some(collector.handle()));
-    npu.set_trace_context(42, 0);
-    let sinked = npu.run(&program).expect("program runs");
-    assert_eq!(sinked, untraced, "a span sink must not perturb statistics");
-    let spans = collector.drain();
-    assert!(spans.iter().all(|s| s.trace_id == 42 && s.device == 0));
+    let chains = npu.take_trace();
+    let spans = npu.take_spans();
+    assert_eq!(chains.len(), 10, "one record per executed chain");
+    assert!(
+        spans.iter().all(|s| s.trace_id == 0 && s.device == 0),
+        "the NPU stamps no identity"
+    );
     let run_cycles: u64 = spans
         .iter()
         .filter(|s| s.kind == SpanKind::Run)
         .map(|s| s.cycles())
         .sum();
-    assert_eq!(run_cycles, sinked.cycles, "run spans cover the whole run");
-    let chain_spans = spans
+    assert_eq!(run_cycles, traced.cycles, "run spans cover the whole run");
+    let chain_spans: Vec<&SpanRecord> = spans
         .iter()
         .filter(|s| matches!(s.kind, SpanKind::Chain(_)))
-        .count() as u64;
-    assert_eq!(chain_spans, sinked.chains, "one chain span per chain");
+        .collect();
+    assert_eq!(
+        chain_spans.len() as u64,
+        traced.chains,
+        "one chain span per chain"
+    );
+    // Both records come off the same scheduler events: the k-th chain
+    // span is the k-th chain record's start to completion.
+    for (span, chain) in chain_spans.iter().zip(&chains) {
+        assert_eq!(
+            (span.kind, span.start_cycle, span.end_cycle),
+            (SpanKind::Chain(chain.kind), chain.start, chain.completion)
+        );
+    }
 
-    // Clearing the sink restores the zero-allocation steady state: the
-    // disabled-TraceSink path must cost nothing.
-    npu.set_trace_sink(None);
+    // Disarming restores the zero-allocation steady state: the untraced
+    // path must cost nothing.
+    npu.set_trace(false);
     let before = allocations();
     let resumed = npu.run(&program).expect("program runs");
     let after = allocations();
     assert_eq!(
         after - before,
         0,
-        "steady-state run with the span sink cleared must not allocate"
+        "steady-state run with tracing disarmed must not allocate"
     );
-    assert_eq!(resumed, untraced, "clearing the sink restores determinism");
+    assert_eq!(resumed, untraced, "disarming restores determinism");
 
     // The timing-only machine at the largest Table V shape (GRU h=2816 on
     // a BW_S10 sized to hold it) is the scheduler's scoreboards — one u64

@@ -116,7 +116,7 @@ pub fn cycle_bounds(
         arrivals.push_vectors(arrival, options.netq_input_vectors.unwrap_or(0));
         arrivals.push_matrices(options.netq_input_matrices.unwrap_or(0));
         timeline
-            .run_column(config, program, true, Some(&mut ff), |_| Ok(()))
+            .run_column(config, program, true, Some(&mut ff), |_| {})
             .ok()?;
         Some(timeline.high_water())
     };

@@ -250,9 +250,14 @@ impl Chain {
     /// Native vectors a vector chain reads at its head and carries from its
     /// `mv_mul` on, under tiling registers `rows` and `cols`: an `mv_mul`
     /// reads `cols` and emits `rows`; a chain without one is `rows` wide
-    /// throughout.
+    /// throughout. A matrix chain moves `rows·cols` tiles, saturating at
+    /// `u32::MAX`.
     #[inline]
     pub fn widths(&self, rows: u32, cols: u32) -> (u32, u32) {
+        if self.is_matrix_chain() {
+            let tiles = rows.saturating_mul(cols);
+            return (tiles, tiles);
+        }
         (if self.has_mv_mul { cols } else { rows }, rows)
     }
 
@@ -539,6 +544,8 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(counts(&m), (false, (0, 0, 0), 0));
+        assert_eq!(m.widths(2, 3), (6, 6), "rows·cols tiles");
+        assert_eq!(m.widths(1 << 16, 1 << 16), (u32::MAX, u32::MAX));
     }
 
     #[test]

@@ -97,9 +97,8 @@ impl Program {
     }
 
     /// Iterates over `(segment_index, item)` in stream order, expanding
-    /// iteration counts. Intended for tests and small programs; the
-    /// simulator iterates segments directly to avoid materializing large
-    /// unrolls.
+    /// iteration counts. The iterator is lazy, so a large unroll is never
+    /// materialized: the simulator's data pass walks a run through it.
     pub fn stream(&self) -> impl Iterator<Item = (usize, &Item)> + '_ {
         self.segments.iter().enumerate().flat_map(|(si, seg)| {
             (0..seg.iterations).flat_map(move |_| seg.items.iter().map(move |it| (si, it)))

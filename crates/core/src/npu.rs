@@ -2,10 +2,11 @@
 //!
 //! Every cycle an [`Npu`] reports comes from [`crate::sched`], which states
 //! the timing recurrence (dispatch, dependency and resource edges) once;
-//! this module adds what a timeline cannot know — the values. In
-//! [`ExecMode::Full`] each chain the timeline schedules is then executed
-//! over the data planes of [`crate::mem`]; in [`ExecMode::TimingOnly`] the
-//! timeline is the whole machine.
+//! this module adds what a timeline cannot know — the values. A run is two
+//! passes: the timeline schedules the whole of it, then, in
+//! [`ExecMode::Full`], a pass that reads no timing executes the chains it
+//! scheduled, in program order, over the data planes of [`crate::mem`]. In
+//! [`ExecMode::TimingOnly`] the timeline is the whole machine.
 //!
 //! Chains with an `mv_mul` read `cols` native vectors and emit `rows`;
 //! chains without one operate at `rows` width throughout. Binary MFU
@@ -18,7 +19,7 @@ use std::fmt;
 use bw_bfp::BfpMatrix;
 
 use crate::config::NpuConfig;
-use crate::isa::{Chain, Instruction, MemId, Opcode, Program, ScalarReg};
+use crate::isa::{Chain, Instruction, Item, MemId, Opcode, Program, ScalarReg};
 use crate::mem::{Dram, MatrixFile, NetQueues, VectorFile};
 use crate::mfu;
 use crate::mvm;
@@ -293,6 +294,8 @@ struct DataPlanes {
     vrfs: Vec<VectorFile>,
     dram: Dram,
     net: NetQueues,
+    /// The MVM kernel `mv_mul` runs.
+    kernel: KernelMode,
     /// The chain's current value: `width` native vectors, flat.
     cur: Vec<f32>,
     /// Double buffer for `mv_mul` output (swapped with `cur`).
@@ -314,27 +317,38 @@ impl DataPlanes {
                 .collect(),
             dram: Dram::default(),
             net: NetQueues::default(),
+            kernel: KernelMode::Fast,
             cur: Vec::new(),
             aux: Vec::new(),
             mvm: mvm::MvmScratch::default(),
         }
     }
 
-    /// The data pass of one chain the timeline has already scheduled, and
-    /// so already bounds-checked.
-    fn exec_chain(
+    /// The data pass: `batch` columns of `program` from tiling registers
+    /// `regs`, as far as its first `chains` chains, the ones the timeline
+    /// placed before any fault ([`crate::sched`], "Faults").
+    fn run(
         &mut self,
         config: &NpuConfig,
-        kernel: KernelMode,
-        chain: &Chain,
-        t: &ChainTiming,
+        program: &Program,
+        batch: usize,
+        (mut rows, mut cols): (u32, u32),
+        mut chains: u64,
     ) -> Result<(), SimError> {
-        match *chain.instructions() {
-            [Instruction::MRd { mem, index }, Instruction::MWr { mem: to, index: at }] => {
-                self.move_tiles((mem, index), (to, at), t.w_out)
+        for (_, item) in (0..batch).flat_map(|_| program.stream()) {
+            match *item {
+                Item::SetReg { reg, value } => match reg {
+                    ScalarReg::Rows => rows = value,
+                    ScalarReg::Cols => cols = value,
+                },
+                Item::Chain(_) if chains == 0 => break,
+                Item::Chain(ref chain) => {
+                    chains -= 1;
+                    self.exec_chain(config, chain, chain.widths(rows, cols))?;
+                }
             }
-            _ => self.exec_vector_chain(config, kernel, chain, t.w_in, t.w_out),
         }
+        Ok(())
     }
 
     fn move_tiles(
@@ -360,14 +374,19 @@ impl DataPlanes {
         Ok(())
     }
 
-    fn exec_vector_chain(
+    /// One chain, `w_in` native vectors in and `w_out` out, which the
+    /// timeline has already bounds-checked.
+    fn exec_chain(
         &mut self,
         config: &NpuConfig,
-        kernel: KernelMode,
         chain: &Chain,
-        w_in: u32,
-        w_out: u32,
+        (w_in, w_out): (u32, u32),
     ) -> Result<(), SimError> {
+        if let [Instruction::MRd { mem, index }, Instruction::MWr { mem: to, index: at }] =
+            *chain.instructions()
+        {
+            return self.move_tiles((mem, index), (to, at), w_out);
+        }
         let nd = config.native_dim() as usize;
         let mut operands = OperandFiles::default();
         self.cur.clear();
@@ -382,7 +401,7 @@ impl DataPlanes {
                 },
                 Instruction::MvMul { mrf_index } => {
                     let (rows, cols) = (w_out, w_in);
-                    if kernel == KernelMode::Reference {
+                    if self.kernel == KernelMode::Reference {
                         let inputs: Vec<Vec<f32>> =
                             self.cur.chunks(nd).map(<[f32]>::to_vec).collect();
                         let out =
@@ -422,12 +441,9 @@ impl DataPlanes {
             }
         }
 
-        if self.cur.len() != w_out as usize * nd {
-            return Err(SimError::VectorLengthMismatch {
-                expected: w_out as usize,
-                actual: self.cur.len() / nd.max(1),
-            });
-        }
+        // A valid chain's head reads `w_in`, its `mv_mul` emits `w_out`
+        // and every MFU operation keeps the width (`Chain::widths`).
+        debug_assert_eq!(self.cur.len(), w_out as usize * nd);
         for (mem, index) in chain.write_targets() {
             match mem {
                 MemId::NetQ => self.net.push_output(&self.cur, nd),
@@ -497,12 +513,11 @@ impl Recorder {
 ///
 /// An `Npu` is the scheduler timeline of [`crate::sched`] — all timing
 /// state, scoreboards and NetQ arrival stamps — plus, in
-/// [`ExecMode::Full`], the data planes a second pass over each scheduled
-/// chain computes real values in.
+/// [`ExecMode::Full`], the data planes in which a data pass, run after the
+/// timeline, computes real values.
 #[derive(Clone, Debug)]
 pub struct Npu {
     config: NpuConfig,
-    kernel: KernelMode,
     timeline: Timeline,
     /// `Some` exactly in [`ExecMode::Full`].
     data: Option<DataPlanes>,
@@ -529,7 +544,6 @@ impl Npu {
             rec: Recorder::default(),
             ff: FastForward::default(),
             config,
-            kernel: KernelMode::Fast,
         }
     }
 
@@ -546,11 +560,14 @@ impl Npu {
         }
     }
 
-    /// Selects the functional kernel implementation. Cycle counts and
-    /// computed values are unaffected; [`KernelMode::Reference`] trades
-    /// speed for the original allocate-per-`mv_mul` naive kernels.
+    /// Selects the functional kernel implementation of the data pass (a
+    /// [`ExecMode::TimingOnly`] NPU has none). Cycle counts and computed
+    /// values are unaffected; [`KernelMode::Reference`] trades speed for
+    /// the original allocate-per-`mv_mul` naive kernels.
     pub fn set_kernel_mode(&mut self, kernel: KernelMode) {
-        self.kernel = kernel;
+        if let Some(data) = &mut self.data {
+            data.kernel = kernel;
+        }
     }
 
     /// The NPU's one tracing switch. Armed, every run records, off the
@@ -563,8 +580,8 @@ impl Npu {
     /// the layer that owns request identity stamps them.
     ///
     /// Tracing changes the records kept, never a statistic. A traced run
-    /// steps every chain; an untraced timing-only run may fast-forward a
-    /// loop ([`crate::sched`], "Fast-forward"), and a warm untraced run
+    /// steps every chain; an untraced run may fast-forward a loop
+    /// ([`crate::sched`], "Fast-forward"), and a warm untraced run
     /// allocates nothing (pinned by `tests/trace_cost.rs`). Arming clears
     /// what an earlier arming recorded; disarming drops it.
     pub fn set_trace(&mut self, enabled: bool) {
@@ -829,51 +846,53 @@ impl Npu {
     ///
     /// # Errors
     ///
-    /// Returns the first [`SimError`] raised by validation or execution.
+    /// Returns the first [`SimError`] raised by validation or execution
+    /// (which is first: [`crate::sched`], "Faults"). A run that faults
+    /// empties the network input and output queues, in either mode, so
+    /// nothing queued before it reaches the next run.
     pub fn run_batch(&mut self, program: &Program, batch: usize) -> Result<RunStats, SimError> {
         let Npu {
             config,
-            kernel,
             timeline,
             data,
             zero_outputs,
             rec,
             ff,
         } = self;
+        let regs = (timeline.rows, timeline.cols);
         timeline.begin_run();
         rec.stats = RunStats {
             peak_flops_per_cycle: config.peak_flops_per_cycle(),
             clock_hz: config.clock_hz(),
             ..RunStats::default()
         };
-        // Only a run that keeps no per-chain record takes a loop's skipped
-        // iterations as one sum (`sched`'s Fast-forward).
-        let summable = data.is_none() && rec.trace.is_none();
-        for column in 0..batch {
+        let timed = (0..batch).try_for_each(|column| {
             let column_start = timeline.high_water();
-            let ff = summable.then_some(&mut *ff);
+            // Only a run that keeps no per-chain record takes a loop's
+            // skipped iterations as one sum (`sched`'s Fast-forward).
+            let ff = rec.trace.is_none().then_some(&mut *ff);
             timeline.run_column(config, program, column == 0, ff, |step| match step {
-                Scheduled::Chain(chain, t) => {
-                    rec.record(t, config.native_dim());
-                    match data {
-                        Some(data) => data.exec_chain(config, *kernel, chain, t),
-                        None => {
-                            *zero_outputs += t.net_vectors_out as usize;
-                            Ok(())
-                        }
-                    }
-                }
-                Scheduled::Skipped(stats) => {
-                    rec.stats.accumulate(stats);
-                    *zero_outputs += stats.net_vectors_out as usize;
-                    Ok(())
-                }
+                Scheduled::Chain(t) => rec.record(t, config.native_dim()),
+                Scheduled::Skipped(stats) => rec.stats.accumulate(stats),
             })?;
             if let Some(trace) = rec.trace.as_mut().filter(|_| batch > 1) {
                 let (ordinal, end) = (column as u64 + 1, timeline.high_water());
                 trace.span(SpanKind::BatchColumn, ordinal, column_start, end);
             }
+            Ok(())
+        });
+        let computed = data.as_mut().map_or(Ok(()), |data| {
+            data.run(config, program, batch, regs, rec.stats.chains)
+        });
+        if let Err(e) = computed.and(timed) {
+            timeline.arrivals = Default::default();
+            *zero_outputs = 0;
+            if let Some(data) = data {
+                data.net = Default::default();
+            }
+            return Err(e);
         }
+        *zero_outputs += rec.stats.net_vectors_out as usize;
         rec.stats.instructions = timeline.instructions();
         rec.stats.cycles = timeline.high_water();
         if let Some(trace) = &mut rec.trace {
@@ -1465,6 +1484,48 @@ mod tests {
             .unwrap();
         npu.run(&b.build()).unwrap();
         assert!(npu.take_trace().is_empty());
+    }
+
+    #[test]
+    fn a_faulted_run_leaves_no_queued_vectors_for_the_next() {
+        // Chain 0 moves the first of two inputs to the output queue; chain
+        // 1 faults, on weights never written (a fault of the data pass) or
+        // past the VRF (one of the timeline).
+        let copy = |b: &mut ProgramBuilder| {
+            b.set_rows(1).set_cols(1);
+            b.v_rd(MemId::NetQ, 0).v_wr(MemId::NetQ, 0);
+            b.end_chain().unwrap();
+        };
+        let unwritten = SimError::MrfEntryUninitialized { index: 7 };
+        let past_vrf = SimError::VrfIndexOutOfRange {
+            file: "InitialVrf",
+            index: 64,
+            width: 1,
+            capacity: 64,
+        };
+        for (mode, index, fault) in [
+            (ExecMode::Full, 0, unwritten),
+            (ExecMode::Full, 64, past_vrf.clone()),
+            (ExecMode::TimingOnly, 64, past_vrf),
+        ] {
+            let mut npu = Npu::with_mode(tiny_config(), mode);
+            npu.push_input(vec![1.0, 2.0, 3.0, 4.0]).unwrap();
+            npu.push_input(vec![5.0; 4]).unwrap();
+            let mut b = ProgramBuilder::new();
+            copy(&mut b);
+            b.v_rd(MemId::InitialVrf, index).mv_mul(7);
+            b.v_wr(MemId::NetQ, 0).end_chain().unwrap();
+            assert_eq!(npu.run(&b.build()), Err(fault));
+            assert_eq!((npu.input_len(), npu.output_len()), (0, 0), "{mode:?}");
+
+            npu.push_input(vec![9.0; 4]).unwrap();
+            let mut b = ProgramBuilder::new();
+            copy(&mut b);
+            npu.run(&b.build()).unwrap();
+            let nine = if mode == ExecMode::Full { 9.0 } else { 0.0 };
+            assert_eq!(npu.pop_output(), Some(vec![nine; 4]), "{mode:?}");
+            assert_eq!(npu.output_len(), 0);
+        }
     }
 
     #[test]

@@ -115,8 +115,8 @@
 //! same over fills as over entries.
 //!
 //! When the caller takes skipped chains as summed statistics (an
-//! untraced timing-only run, or `cycle_bounds`), `run_column` snapshots
-//! S after each iteration. It sizes
+//! untraced run, or `cycle_bounds`), `run_column` snapshots S after each
+//! iteration. It sizes
 //! each scratch buffer once per segment, from the segment's chains and
 //! fills: a cold run allocates each buffer once, a warm one none. Once
 //! three snapshots in a row step evenly, d = S_{i+1} − S_i = S_{i+2} −
@@ -150,9 +150,9 @@
 //!
 //! A rejected verification restores S_{i+2}, arrivals included, and
 //! retries at half the span. A segment of n iterations gets 2·⌈log₂(n+1)⌉
-//! verifications; then it steps. Full mode, traced runs and short or
-//! aperiodic loops step every chain, and that path is the reference the
-//! tests compare against.
+//! verifications; then it steps. Traced runs and short or aperiodic loops
+//! step every chain, and that path is the reference the tests compare
+//! against.
 //!
 //! # Faults
 //!
@@ -168,6 +168,11 @@
 //! Faults that need contents ([`SimError::MrfEntryUninitialized`],
 //! [`SimError::DramMatrixUninitialized`], [`SimError::Numeric`]) belong to
 //! the data pass and so only to `ExecMode::Full`.
+//!
+//! The data pass runs after the whole timeline, over the chains it placed
+//! before its first fault. A data fault among them is the earlier one and
+//! is the run's; otherwise the timeline's is. So a chain that raises both
+//! raises the timing fault, as if the passes ran chain by chain.
 //!
 //! Each capacity fault is raised by one function here: `reg_write`,
 //! `mfu_units`, `vrf_span` (with `OperandFiles` naming an MFU operand's
@@ -476,8 +481,8 @@ pub(crate) fn dram_span(index: u32, count: u64) -> Result<Range<usize>, SimError
 }
 
 /// One chain's place in the schedule: the record [`Npu::take_trace`]
-/// publishes, plus the widths and counts the statistics, spans and data
-/// pass derive from.
+/// publishes, plus the widths and counts the statistics and spans derive
+/// from.
 ///
 /// [`Npu::take_trace`]: crate::Npu::take_trace
 #[derive(Clone, Debug)]
@@ -487,9 +492,8 @@ pub(crate) struct ChainTiming {
     pub(crate) resource_free_at: u64,
     /// The MVM's share of `trace.occupancy` (0 without an `mv_mul`).
     pub(crate) mvm_occupancy: u64,
-    /// Native vectors read at the head / carried from `mv_mul` onward. For
-    /// a matrix chain both are the tile count.
-    pub(crate) w_in: u32,
+    /// Native vectors carried from `mv_mul` onward, or a matrix chain's
+    /// tiles ([`Chain::widths`]).
     pub(crate) w_out: u32,
     pub(crate) net_vectors_in: u64,
     pub(crate) net_vectors_out: u64,
@@ -558,7 +562,7 @@ impl ChainTiming {
     }
 
     /// Every cycle and count, in a fixed order.
-    fn fields(&self) -> [u64; 13] {
+    fn fields(&self) -> [u64; 12] {
         let c = &self.trace;
         [
             c.dispatched_at,
@@ -568,7 +572,6 @@ impl ChainTiming {
             c.completion,
             self.resource_free_at,
             self.mvm_occupancy,
-            u64::from(self.w_in),
             u64::from(self.w_out),
             self.net_vectors_in,
             self.net_vectors_out,
@@ -592,7 +595,7 @@ impl ChainTiming {
 /// What [`Timeline::run_column`] hands its caller.
 pub(crate) enum Scheduled<'a> {
     /// One chain, as its place in the schedule is fixed.
-    Chain(&'a Chain, &'a ChainTiming),
+    Chain(&'a ChainTiming),
     /// The summed statistics of the loop iterations a fast-forward skipped
     /// (module docs: [Fast-forward](self#fast-forward)). Only a caller that
     /// asked for sums receives one.
@@ -668,7 +671,10 @@ impl FastForward {
         }
         // At most one fill per matrix move, per `mv_mul`'s read-until and
         // per VRF or DRAM write target (`Timeline::write`).
-        let (chains, fills) = chains(&segment.items).fold((0, 0), |(n, fills), chain| {
+        let (chains, fills) = segment.items.iter().fold((0, 0), |(n, fills), item| {
+            let Item::Chain(chain) = item else {
+                return (n, fills);
+            };
             let targets = chain.write_targets().filter(|&(mem, _)| mem != MemId::NetQ);
             let extra = chain.is_matrix_chain() || chain.has_mv_mul();
             (n + 1, fills + usize::from(extra) + targets.count())
@@ -695,20 +701,13 @@ fn snapshots<'a>(states: &'a [u64], writes: &Writes) -> (&'a [u64], &'a [u64], &
     (s0, s1, s2)
 }
 
-/// The chains among `items`.
-fn chains(items: &[Item]) -> impl Iterator<Item = &Chain> {
-    items.iter().filter_map(|item| match item {
-        Item::Chain(chain) => Some(chain),
-        Item::SetReg { .. } => None,
-    })
-}
-
 /// The scheduler's whole state: see the [module docs](self).
 #[derive(Clone, Debug)]
 pub(crate) struct Timeline {
     pub(crate) arrivals: Arrivals,
-    rows: u32,
-    cols: u32,
+    /// The tiling registers, which persist across runs.
+    pub(crate) rows: u32,
+    pub(crate) cols: u32,
     nios_cursor: u64,
     /// Whether the current pass streams from the Nios (`interval` cycles an
     /// instruction) or replays the scheduler's buffer (a cycle a unit).
@@ -800,7 +799,7 @@ impl Timeline {
         program: &Program,
         streamed: bool,
         mut ff: Option<&mut FastForward>,
-        mut each: impl FnMut(Scheduled<'_>) -> Result<(), SimError>,
+        mut each: impl FnMut(Scheduled<'_>),
     ) -> Result<(), SimError> {
         let result = program.segments.iter().try_for_each(|segment| {
             let ff = ff.as_deref_mut().and_then(|ff| {
@@ -813,7 +812,7 @@ impl Timeline {
         result
     }
 
-    fn run_segment<F: FnMut(Scheduled<'_>) -> Result<(), SimError>>(
+    fn run_segment<F: FnMut(Scheduled<'_>)>(
         &mut self,
         config: &NpuConfig,
         segment: &Segment,
@@ -826,22 +825,19 @@ impl Timeline {
             self.streaming = streamed && iteration == 0;
             iteration += 1;
             let Some(ff) = ff.as_deref_mut().filter(|ff| ff.attempts > 0) else {
-                self.step(config, &segment.items, |chain, t| {
-                    each(Scheduled::Chain(chain, &t))
-                })?;
+                self.step(config, &segment.items, |t| each(Scheduled::Chain(&t)))?;
                 continue;
             };
             self.start_logging(Logging::Observing);
             let timings = &mut ff.timings;
-            self.step(config, &segment.items, |chain, t| {
-                each(Scheduled::Chain(chain, &t))?;
+            self.step(config, &segment.items, |t| {
+                each(Scheduled::Chain(&t));
                 timings.push(t);
-                Ok(())
             })?;
             self.logging = Logging::Off;
             self.observe(ff);
             let remaining = segment.iterations - iteration;
-            iteration += self.fast_forward(config, &segment.items, remaining, ff, each)?;
+            iteration += self.fast_forward(config, &segment.items, remaining, ff, each);
         }
         Ok(())
     }
@@ -851,7 +847,7 @@ impl Timeline {
         &mut self,
         config: &NpuConfig,
         items: &[Item],
-        mut each: impl FnMut(&Chain, ChainTiming) -> Result<(), SimError>,
+        mut each: impl FnMut(ChainTiming),
     ) -> Result<(), SimError> {
         for item in items {
             match item {
@@ -864,7 +860,7 @@ impl Timeline {
                     } else {
                         self.vector_chain(config, chain)?
                     };
-                    each(chain, timing)?;
+                    each(timing);
                 }
             }
         }
@@ -903,10 +899,10 @@ impl Timeline {
         items: &[Item],
         remaining: u32,
         ff: &mut FastForward,
-        each: &mut impl FnMut(Scheduled<'_>) -> Result<(), SimError>,
-    ) -> Result<u32, SimError> {
+        each: &mut impl FnMut(Scheduled<'_>),
+    ) -> u32 {
         if ff.seen < 3 {
-            return Ok(0);
+            return 0;
         }
         let (s0, s1, s2) = snapshots(&ff.states, &ff.writes);
         let (t0, t1) = ff.timings.split_at(ff.chains);
@@ -914,7 +910,7 @@ impl Timeline {
         let ((_, front), runs) = ff.fronts[2];
         // No run emptied while the observed iterations popped.
         if !kinds || ff.fronts[0].1 != runs || !evenly(s0, s1, s2) {
-            return Ok(0);
+            return 0;
         }
         // Span M: from S_i to the last iteration, or as far as the queues
         // fund the M − 1 iterations from S_{i+2} on.
@@ -930,12 +926,12 @@ impl Timeline {
         while span >= 3 && ff.attempts > 0 {
             ff.attempts -= 1;
             if let Some(skipped) = self.verify(config, items, span, ff) {
-                each(Scheduled::Skipped(&skipped))?;
-                for (chain, t) in chains(items).zip(ff.timings.drain(2 * ff.chains..)) {
-                    each(Scheduled::Chain(chain, &t))?;
+                each(Scheduled::Skipped(&skipped));
+                for t in ff.timings.drain(2 * ff.chains..) {
+                    each(Scheduled::Chain(&t));
                 }
                 ff.seen = 0;
-                return Ok(u32::try_from(span - 1).expect("within the segment"));
+                return u32::try_from(span - 1).expect("within the segment");
             }
             #[cfg(test)]
             {
@@ -943,7 +939,7 @@ impl Timeline {
             }
             span /= 2;
         }
-        Ok(0)
+        0
     }
 
     /// Runs iteration `i + span` from `S_i + span·d` and returns the
@@ -971,10 +967,7 @@ impl Timeline {
         self.streaming = false;
         self.start_logging(Logging::Verifying);
         let timings = &mut ff.timings;
-        let stepped = self.step(config, items, |_, t| {
-            timings.push(t);
-            Ok(())
-        });
+        let stepped = self.step(config, items, |t| timings.push(t));
         let (t0, t) = timings.split_at(ff.chains);
         let (t1, tv) = t.split_at(ff.chains);
         self.logging = Logging::Off;
@@ -1123,6 +1116,7 @@ impl Timeline {
 
     fn matrix_chain(&mut self, config: &NpuConfig, chain: &Chain) -> Result<ChainTiming, SimError> {
         let count = u64::from(self.rows) * u64::from(self.cols);
+        let (width, _) = chain.widths(self.rows, self.cols);
         let malformed = |opcode| SimError::MalformedChain { opcode };
         let (src, dst) = match *chain.instructions() {
             [Instruction::MRd { mem, index }, Instruction::MWr { mem: to, index: at }] => {
@@ -1153,8 +1147,7 @@ impl Timeline {
         }
 
         let occupancy = count.saturating_mul(u64::from(config.timing().dram_tile_cycles));
-        let width = saturate(count);
-        let t = self.place(ChainKind::MatrixMove, dep_ready, occupancy, 0, width, width);
+        let t = self.place(ChainKind::MatrixMove, dep_ready, occupancy, 0, width);
         let board = match dst.0 {
             MemId::MatrixRf => BoardId::Mrf,
             _ => BoardId::DramMatrix,
@@ -1172,7 +1165,6 @@ impl Timeline {
         dep_ready_at: u64,
         occupancy: u64,
         depth: u64,
-        w_in: u32,
         w_out: u32,
     ) -> ChainTiming {
         let frontier = &mut self.free_at[match kind {
@@ -1196,7 +1188,6 @@ impl Timeline {
             },
             resource_free_at,
             mvm_occupancy: 0,
-            w_in,
             w_out,
             net_vectors_in: 0,
             net_vectors_out: 0,
@@ -1303,7 +1294,7 @@ impl Timeline {
             net_vectors_in,
             mvm_macs,
             mfu_ops,
-            ..self.place(kind, dep_ready, occupancy, depth, w_in, w_out)
+            ..self.place(kind, dep_ready, occupancy, depth, w_out)
         };
         // The MVM frontier this chain leaves: at least every entry (module
         // docs, Scoreboards).
@@ -1404,7 +1395,7 @@ mod tests {
         assert!(t.vrf_ready.iter().all(|board| board.cycles.is_empty()));
         t.arrivals.push_vectors(0, 1);
         t.begin_run();
-        t.run_column(&config, &b.build(), true, None, |_| Ok(()))
+        t.run_column(&config, &b.build(), true, None, |_| {})
             .unwrap();
         let written: Vec<_> = t.vrf_ready.iter().map(|b| b.written.clone()).collect();
         assert_eq!(written, [0..1, 0..0, 0..0, 0..0, 7..8]);
@@ -1555,10 +1546,9 @@ mod tests {
             t.begin_run();
             let mut out = Vec::new();
             t.run_column(&cfg(), &program, true, None, |step| {
-                if let Scheduled::Chain(_, c) = step {
+                if let Scheduled::Chain(c) = step {
                     out.push((c.trace.start, c.trace.completion));
                 }
-                Ok(())
             })
             .unwrap();
             (out, t.high_water())
@@ -1588,15 +1578,12 @@ mod tests {
         let (mut stats, mut handed) = (RunStats::default(), 0);
         let mut ff = FastForward::default();
         let lent = fast.then_some(&mut ff);
-        let result = t.run_column(&cfg(), program, true, lent, |step| {
-            match step {
-                Scheduled::Chain(_, c) => {
-                    c.charge(&mut stats, cfg().native_dim());
-                    handed += 1;
-                }
-                Scheduled::Skipped(skipped) => stats.accumulate(skipped),
+        let result = t.run_column(&cfg(), program, true, lent, |step| match step {
+            Scheduled::Chain(c) => {
+                c.charge(&mut stats, cfg().native_dim());
+                handed += 1;
             }
-            Ok(())
+            Scheduled::Skipped(skipped) => stats.accumulate(skipped),
         });
         stats.instructions = t.instructions();
         stats.cycles = t.high_water();

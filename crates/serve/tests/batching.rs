@@ -113,7 +113,12 @@ fn mid_batch_worker_kill_keeps_the_accounting_identity() {
     let killer = {
         let server = Arc::clone(&server);
         std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(5));
+            // Kill worker 0 mid-run, once a member has been served.
+            let give_up = Instant::now() + DEADLINE;
+            while server.metrics().models[0].completed == 0 {
+                assert!(Instant::now() < give_up, "no member was served");
+                std::thread::yield_now();
+            }
             assert!(server.kill_worker(0));
         })
     };

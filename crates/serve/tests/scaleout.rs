@@ -9,13 +9,13 @@
 //! and shows up in the per-link counters.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bw_bfp::BfpFormat;
 use bw_core::NpuConfig;
 use bw_gir::{LowerOptions, ModelArtifact, ShardedArtifact};
 use bw_serve::demo::{demo_input, mlp_graph};
-use bw_serve::{NetworkModel, ServeError, Server};
+use bw_serve::{ModelSnapshot, NetworkModel, ServeError, Server};
 
 const DEADLINE: Duration = Duration::from_secs(10);
 const WIDTHS: &[usize] = &[64, 256, 32];
@@ -181,8 +181,14 @@ fn killed_shard_owner_mid_run_loses_no_request() {
     let killer = {
         let server = Arc::clone(&server);
         std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(5));
-            // Worker 0 owns shard 0 of the wide segment (0 % 2 == 0).
+            // Kill mid-run, once a group request has been served. Worker 0
+            // owns shard 0 of the wide segment (0 % 2 == 0).
+            let give_up = Instant::now() + DEADLINE;
+            let served = |r: &ModelSnapshot| r.model == "big" && r.completed > 0;
+            while !server.metrics().models.iter().any(served) {
+                assert!(Instant::now() < give_up, "no request was served");
+                std::thread::yield_now();
+            }
             assert!(server.kill_worker(0));
         })
     };

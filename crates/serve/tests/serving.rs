@@ -4,7 +4,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bw_serve::demo::{demo_input, mlp_artifact};
 use bw_serve::{Routing, ServeError, Server, SpawnError};
@@ -224,8 +224,12 @@ fn killed_worker_mid_run_loses_no_request() {
     let killer = {
         let server = Arc::clone(&server);
         std::thread::spawn(move || {
-            // Let some requests land first, then kill worker 0 mid-run.
-            std::thread::sleep(Duration::from_millis(5));
+            // Kill worker 0 mid-run, once a request has been served.
+            let give_up = Instant::now() + DEADLINE;
+            while server.metrics().models[0].completed == 0 {
+                assert!(Instant::now() < give_up, "no request was served");
+                std::thread::yield_now();
+            }
             assert!(server.kill_worker(0));
         })
     };

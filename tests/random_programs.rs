@@ -399,26 +399,33 @@ proptest! {
         }
     }
 
-    /// Untraced, a timing-only run may skip the periodic middle of a loop
+    /// Untraced, a run in either mode may skip the periodic middle of a loop
     /// (`bw_core::sched`, "Fast-forward"); traced, it steps every chain.
-    /// Both, and the static bound at the arrivals' one stamp, agree.
+    /// Both agree, statistic for statistic and output bit for bit, the two
+    /// modes on every statistic, and the static bound at the arrivals' one
+    /// stamp on the cycles.
     #[test]
     fn untraced_loops_schedule_exactly_as_traced_ones(spec in loop_strategy()) {
         let program = build_loop(&spec);
         let vectors = loop_vectors(&spec);
-        let run = |traced: bool| {
-            let mut npu = Npu::with_mode(cfg(), ExecMode::TimingOnly);
+        let run = |mode, traced: bool| {
+            let mut npu = Npu::with_mode(cfg(), mode);
             preload(&mut npu);
-            for _ in 0..vectors {
-                npu.push_input_at(vec![0.0; ND as usize], spec.arrival)
-                    .expect("native vector");
+            for i in 0..vectors {
+                let v = (0..u64::from(ND)).map(|j| ((i * 7 + j) as f32 * 0.31).cos()).collect();
+                npu.push_input_at(v, spec.arrival).expect("native vector");
             }
             npu.set_trace(traced);
             let stats = npu.run(&program).expect("valid program runs");
-            (stats, npu.output_len())
+            let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let outputs: Vec<_> = std::iter::from_fn(|| npu.pop_output()).map(bits).collect();
+            (stats, outputs)
         };
-        let fast = run(false);
-        prop_assert_eq!(&fast, &run(true));
+        let fast = run(ExecMode::TimingOnly, false);
+        prop_assert_eq!(&fast, &run(ExecMode::TimingOnly, true));
+        let full = run(ExecMode::Full, false);
+        prop_assert_eq!(&full, &run(ExecMode::Full, true));
+        prop_assert_eq!(&full.0, &fast.0);
         let options = budget_options(vectors).with_input_arrival(spec.arrival, spec.arrival);
         prop_assert_eq!(
             cycle_bounds(&program, &cfg(), &options),

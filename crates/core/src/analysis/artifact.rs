@@ -9,10 +9,9 @@
 //! artifact as a dataflow graph over each unit's closed-form NetQ totals
 //! and proves (or refutes) the scatter/gather transfer contract:
 //!
-//! * every stage's input availability is solved by a worklist fixpoint
-//!   over the stage graph — a stage whose input never becomes available
-//!   is part of an ordering cycle (BW115);
-//! * for each shard of a resolved stage, the runtime scatters
+//! * the stages form a chain: stage 0 takes the artifact input, and each
+//!   later stage the gathered outputs of the one before it;
+//! * for each shard of a stage, the runtime scatters
 //!   `ceil(incoming_dim / native_dim)` vectors and gathers the shard's
 //!   declared output grid; the program's closed-form pop/push totals must
 //!   match exactly, or the artifact deadlocks (BW110) / leaves residue
@@ -84,18 +83,6 @@ impl ArtifactStage {
     }
 }
 
-/// Where a stage's input comes from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum StageInput {
-    /// The linear default: the previous stage, or the artifact input for
-    /// stage 0.
-    Default,
-    /// The artifact's external input.
-    External,
-    /// The gathered output of a specific stage.
-    Stage(usize),
-}
-
 /// The whole-artifact view [`analyze_artifact`] runs over.
 #[derive(Clone, Debug)]
 pub struct ArtifactView<'a> {
@@ -103,7 +90,6 @@ pub struct ArtifactView<'a> {
     input_dim: usize,
     units: Vec<ArtifactUnit<'a>>,
     stages: Vec<ArtifactStage>,
-    stage_inputs: Vec<StageInput>,
     sla_cycles: Option<u64>,
 }
 
@@ -116,7 +102,6 @@ impl<'a> ArtifactView<'a> {
             input_dim,
             units: Vec::new(),
             stages: Vec::new(),
-            stage_inputs: Vec::new(),
             sla_cycles: None,
         }
     }
@@ -130,7 +115,6 @@ impl<'a> ArtifactView<'a> {
     /// Appends a single-unit stage; returns the stage index.
     pub fn push_single(&mut self, unit: usize) -> usize {
         self.stages.push(ArtifactStage::Single(unit));
-        self.stage_inputs.push(StageInput::Default);
         self.stages.len() - 1
     }
 
@@ -138,21 +122,7 @@ impl<'a> ArtifactView<'a> {
     /// index.
     pub fn push_sharded(&mut self, units: Vec<usize>) -> usize {
         self.stages.push(ArtifactStage::Sharded(units));
-        self.stage_inputs.push(StageInput::Default);
         self.stages.len() - 1
-    }
-
-    /// Overrides which stage feeds `stage` (default: the previous one).
-    /// Declaring a self or mutually-referential producer creates an
-    /// ordering cycle the fixpoint will refuse (BW115).
-    pub fn set_stage_input(&mut self, stage: usize, producer: usize) {
-        self.stage_inputs[stage] = StageInput::Stage(producer);
-    }
-
-    /// Declares that `stage` consumes the artifact's external input
-    /// rather than a predecessor's gather.
-    pub fn set_stage_input_external(&mut self, stage: usize) {
-        self.stage_inputs[stage] = StageInput::External;
     }
 
     /// Declares the artifact-level SLA in cycles (of the slowest-clock
@@ -188,68 +158,24 @@ impl<'a> ArtifactView<'a> {
     }
 }
 
-/// The solved dataflow facts of one stage.
-struct StageFlow {
-    /// The element width delivered to this stage, once its producer is
-    /// known to complete. `None` = unresolved (ordering cycle).
-    input_dim: Option<usize>,
-    /// The stage's gathered output width: the concatenation of member
-    /// outputs.
-    output_dim: usize,
-}
-
-fn producer_of(view: &ArtifactView<'_>, stage: usize) -> StageInput {
-    match view.stage_inputs[stage] {
-        StageInput::Default if stage == 0 => StageInput::External,
-        StageInput::Default => StageInput::Stage(stage - 1),
-        declared => declared,
-    }
-}
-
-/// The worklist fixpoint: propagates input availability through the stage
-/// graph. Stages fed by the artifact input seed the worklist; resolving a
-/// stage releases its consumers. Anything left unresolved depends —
-/// directly or transitively — on its own output.
-fn solve_flows(view: &ArtifactView<'_>) -> Vec<StageFlow> {
-    let n = view.stages.len();
-    let mut flows: Vec<StageFlow> = view
-        .stages
+/// The element width delivered to each stage: the artifact input to stage
+/// 0, and to stage k the gathered output of stage k − 1, its members'
+/// outputs concatenated.
+fn stage_inputs(view: &ArtifactView<'_>) -> Vec<usize> {
+    let gathered = |stage: &ArtifactStage| {
+        let members = stage.members().iter().filter_map(|&u| view.units.get(u));
+        members.map(|u| u.output_dim).sum()
+    };
+    let mut dim = view.input_dim;
+    view.stages
         .iter()
-        .map(|stage| StageFlow {
-            input_dim: None,
-            output_dim: stage
-                .members()
-                .iter()
-                .filter_map(|&u| view.units.get(u))
-                .map(|u| u.output_dim)
-                .sum(),
-        })
-        .collect();
-
-    let mut worklist: Vec<usize> = (0..n)
-        .filter(|&s| producer_of(view, s) == StageInput::External)
-        .collect();
-    while let Some(s) = worklist.pop() {
-        if flows[s].input_dim.is_some() {
-            continue;
-        }
-        flows[s].input_dim = Some(match producer_of(view, s) {
-            StageInput::External => view.input_dim,
-            StageInput::Stage(p) if p < n => flows[p].output_dim,
-            _ => continue, // dangling producer: stays unresolved
-        });
-        for (c, f) in flows.iter().enumerate() {
-            if producer_of(view, c) == StageInput::Stage(s) && f.input_dim.is_none() {
-                worklist.push(c);
-            }
-        }
-    }
-    flows
+        .map(|stage| std::mem::replace(&mut dim, gathered(stage)))
+        .collect()
 }
 
 /// BW110/BW111/BW113/BW114: the cross-shard NetQ balance and
 /// scatter/gather deadlock proof.
-fn shard_balance(view: &ArtifactView<'_>, flows: &[StageFlow], out: &mut Vec<Diagnostic>) {
+fn shard_balance(view: &ArtifactView<'_>, inputs: &[usize], out: &mut Vec<Diagnostic>) {
     for (si, stage) in view.stages().iter().enumerate() {
         if let ArtifactStage::Sharded(members) = stage {
             if members.len() == 1 {
@@ -290,36 +216,35 @@ fn shard_balance(view: &ArtifactView<'_>, flows: &[StageFlow], out: &mut Vec<Dia
             }
 
             // Scatter side: what peers push vs what the shard pops.
-            if let Some(dim) = flows[si].input_dim {
-                let supply = unit.vectors_for(dim);
-                if t.vec_pops > supply {
-                    out.push(Diagnostic::for_unit(
-                        DiagCode::ShardPopUnmatched,
-                        unit.name.clone(),
-                        si,
-                        0,
-                        format!(
-                            "shard pops {} input vector(s) per request but the \
-                             scatter of a {dim}-element payload supplies only \
-                             {supply} — no peer push matches the excess pop and \
-                             the shard deadlocks",
-                            t.vec_pops
-                        ),
-                    ));
-                } else if t.vec_pops < supply {
-                    out.push(Diagnostic::for_unit(
-                        DiagCode::ShardPushExcess,
-                        unit.name.clone(),
-                        si,
-                        0,
-                        format!(
-                            "scatter supplies {supply} input vector(s) per request \
-                             but the shard pops only {} — the residue is consumed \
-                             by the next request and corrupts it",
-                            t.vec_pops
-                        ),
-                    ));
-                }
+            let dim = inputs[si];
+            let supply = unit.vectors_for(dim);
+            if t.vec_pops > supply {
+                out.push(Diagnostic::for_unit(
+                    DiagCode::ShardPopUnmatched,
+                    unit.name.clone(),
+                    si,
+                    0,
+                    format!(
+                        "shard pops {} input vector(s) per request but the \
+                         scatter of a {dim}-element payload supplies only \
+                         {supply} — no peer push matches the excess pop and \
+                         the shard deadlocks",
+                        t.vec_pops
+                    ),
+                ));
+            } else if t.vec_pops < supply {
+                out.push(Diagnostic::for_unit(
+                    DiagCode::ShardPushExcess,
+                    unit.name.clone(),
+                    si,
+                    0,
+                    format!(
+                        "scatter supplies {supply} input vector(s) per request \
+                         but the shard pops only {} — the residue is consumed \
+                         by the next request and corrupts it",
+                        t.vec_pops
+                    ),
+                ));
             }
 
             // Gather side: what the shard pushes vs what the runtime
@@ -357,27 +282,9 @@ fn shard_balance(view: &ArtifactView<'_>, flows: &[StageFlow], out: &mut Vec<Dia
     }
 }
 
-/// BW112/BW115: inter-stage dimension agreement and ordering-cycle
-/// detection over the solved flows.
-fn stage_flow(view: &ArtifactView<'_>, flows: &[StageFlow], out: &mut Vec<Diagnostic>) {
-    for (si, stage) in view.stages().iter().enumerate() {
-        let anchor = stage
-            .members()
-            .first()
-            .and_then(|&u| view.units().get(u))
-            .map_or_else(|| view.name().to_owned(), |u| u.name.clone());
-        let Some(dim) = flows[si].input_dim else {
-            out.push(Diagnostic::for_unit(
-                DiagCode::ShardOrderingCycle,
-                anchor,
-                si,
-                0,
-                "stage input depends (transitively) on the stage's own output \
-                 — the scatter/gather ordering is cyclic and never starts"
-                    .to_owned(),
-            ));
-            continue;
-        };
+/// BW112: each stage member's input width against what reaches the stage.
+fn stage_flow(view: &ArtifactView<'_>, inputs: &[usize], out: &mut Vec<Diagnostic>) {
+    for (si, (stage, &dim)) in view.stages().iter().zip(inputs).enumerate() {
         for &ui in stage.members() {
             let Some(unit) = view.units().get(ui) else {
                 continue;
@@ -421,15 +328,15 @@ pub fn artifact_cycle_bounds(view: &ArtifactView<'_>) -> Option<CycleBounds> {
 }
 
 /// Runs the artifact checks over `view` — the cross-shard NetQ balance
-/// (BW110/BW111/BW113/BW114), the stage flows (BW112/BW115) and, with an
+/// (BW110/BW111/BW113/BW114), the stage widths (BW112) and, with an
 /// SLA declared, the composed bound's verdict (BW120–BW122) — and returns
 /// the deduplicated, deterministically ordered report.
 #[must_use]
 pub fn analyze_artifact(view: &ArtifactView<'_>) -> AnalysisReport {
-    let flows = solve_flows(view);
+    let inputs = stage_inputs(view);
     let mut diagnostics = Vec::new();
-    shard_balance(view, &flows, &mut diagnostics);
-    stage_flow(view, &flows, &mut diagnostics);
+    shard_balance(view, &inputs, &mut diagnostics);
+    stage_flow(view, &inputs, &mut diagnostics);
     if let Some(sla) = view.sla_cycles {
         let bounds = artifact_cycle_bounds(view);
         diagnostics.push(sla_verdict(sla, bounds, Some(&view.name), 0));
@@ -610,58 +517,6 @@ mod tests {
             .diagnostics
             .iter()
             .any(|d| d.code == DiagCode::ShardMatrixPop));
-    }
-
-    #[test]
-    fn ordering_cycle_is_refused_by_the_fixpoint() {
-        let config = cfg();
-        let p = shard_program(1, 1);
-        let mut view = ArtifactView::new("m", 8);
-        let a = view.add_unit(unit("m#seg0", &p, &config, 8, 8, 1));
-        let b = view.add_unit(unit("m#seg1", &p, &config, 8, 8, 1));
-        let s0 = view.push_single(a);
-        let s1 = view.push_single(b);
-        // s0 consumes s1's output while s1 consumes s0's: a cycle.
-        view.set_stage_input(s0, s1);
-        view.set_stage_input(s1, s0);
-        let report = analyze_artifact(&view);
-        assert_eq!(
-            report
-                .diagnostics
-                .iter()
-                .filter(|d| d.code == DiagCode::ShardOrderingCycle)
-                .count(),
-            2,
-            "{report}"
-        );
-    }
-
-    #[test]
-    fn producer_declared_after_consumer_still_resolves() {
-        let config = cfg();
-        let p = shard_program(1, 1);
-        // s0 is fed by s1, s1 by the artifact input: legal, just written
-        // out of stage order — the worklist must still converge.
-        let mut view = ArtifactView::new("m", 8);
-        let a = view.add_unit(unit("m#seg0", &p, &config, 8, 8, 1));
-        let b = view.add_unit(unit("m#seg1", &p, &config, 8, 8, 1));
-        let s0 = view.push_single(a);
-        let s1 = view.push_single(b);
-        view.set_stage_input(s0, s1);
-        view.set_stage_input_external(s1);
-        let report = analyze_artifact(&view);
-        assert!(report.is_clean(), "{report}");
-
-        // A dangling producer reference never resolves: BW115.
-        let mut view = ArtifactView::new("m", 8);
-        let a = view.add_unit(unit("m#seg0", &p, &config, 8, 8, 1));
-        let s0 = view.push_single(a);
-        view.set_stage_input(s0, 7);
-        let report = analyze_artifact(&view);
-        assert!(report
-            .diagnostics
-            .iter()
-            .any(|d| d.code == DiagCode::ShardOrderingCycle));
     }
 
     #[test]

@@ -308,7 +308,7 @@ mod tests {
             let tile =
                 bw_bfp::BfpMatrix::quantize(nd, nd, &vec![0.25; nd * nd], cfg().matrix_format())
                     .unwrap();
-            npu.push_input_matrix(tile);
+            npu.push_input_matrix(tile).unwrap();
         }
         let m = npu.run(&program).unwrap().cycles;
         assert_eq!(bounds.lower, m);

@@ -43,7 +43,6 @@
 //! | BW112 | error    | inter-stage dimension mismatch |
 //! | BW113 | error    | shard pops matrix tiles the serving runtime never pushes |
 //! | BW114 | warning  | degenerate scatter/gather group of one shard |
-//! | BW115 | error    | scatter/gather ordering cycle — the pipeline never starts |
 //! | BW120 | error    | static cycle lower bound exceeds the declared SLA |
 //! | BW121 | warning  | static cycle upper bound exceeds the declared SLA |
 //! | BW122 | info     | static cycle bounds meet the declared SLA |
@@ -170,9 +169,6 @@ pub enum DiagCode {
     ShardMatrixPop,
     /// BW114: a scatter/gather group of exactly one shard.
     ShardDegenerate,
-    /// BW115: the stage graph's transfer ordering is cyclic; no stage's
-    /// input ever becomes available.
-    ShardOrderingCycle,
     /// BW120: the static cycle lower bound exceeds the declared SLA (or no
     /// bound is provable at all) — the SLA is unmeetable.
     SlaViolation,
@@ -185,7 +181,7 @@ pub enum DiagCode {
 
 impl DiagCode {
     /// Every code the analyzer can emit, in numeric order.
-    pub const ALL: [DiagCode; 28] = [
+    pub const ALL: [DiagCode; 27] = [
         DiagCode::ZeroRegister,
         DiagCode::VrfOverflow,
         DiagCode::MrfOverflow,
@@ -210,7 +206,6 @@ impl DiagCode {
         DiagCode::ShardDimMismatch,
         DiagCode::ShardMatrixPop,
         DiagCode::ShardDegenerate,
-        DiagCode::ShardOrderingCycle,
         DiagCode::SlaViolation,
         DiagCode::SlaAtRisk,
         DiagCode::SlaMet,
@@ -243,7 +238,6 @@ impl DiagCode {
             DiagCode::ShardDimMismatch => "BW112",
             DiagCode::ShardMatrixPop => "BW113",
             DiagCode::ShardDegenerate => "BW114",
-            DiagCode::ShardOrderingCycle => "BW115",
             DiagCode::SlaViolation => "BW120",
             DiagCode::SlaAtRisk => "BW121",
             DiagCode::SlaMet => "BW122",
@@ -266,7 +260,6 @@ impl DiagCode {
             | DiagCode::ShardPushExcess
             | DiagCode::ShardDimMismatch
             | DiagCode::ShardMatrixPop
-            | DiagCode::ShardOrderingCycle
             | DiagCode::SlaViolation => Severity::Error,
             DiagCode::DeadStore
             | DiagCode::MrfDeadLoad
@@ -311,7 +304,6 @@ impl DiagCode {
             DiagCode::ShardDimMismatch => "inter-stage dimension mismatch",
             DiagCode::ShardMatrixPop => "matrix pop in a serving shard",
             DiagCode::ShardDegenerate => "degenerate shard group",
-            DiagCode::ShardOrderingCycle => "scatter/gather ordering cycle",
             DiagCode::SlaViolation => "SLA unmeetable",
             DiagCode::SlaAtRisk => "SLA at risk",
             DiagCode::SlaMet => "SLA met",

@@ -5,6 +5,11 @@
 //! happens at the datapath boundaries (BFP at the MVM input, float16 inside
 //! the MFUs), mirroring where precision is lost in the hardware.
 //!
+//! Every access here is one the timeline has already checked
+//! ([`crate::sched`], "Faults"): register-file and DRAM bounds, queue
+//! depths and vector widths cannot fail, and only reading an MRF entry or
+//! DRAM matrix never written can.
+//!
 //! Storage is slab-backed: a vector register file is one flat `f32` slab
 //! (as many entries as have been touched, `native_dim` elements each) read
 //! and written as borrowed slices, so the simulator's hot path never clones
@@ -23,15 +28,13 @@ use bw_bfp::BfpMatrix;
 
 use crate::npu::SimError;
 
-/// A vector register file: fixed capacity, one native vector per entry.
+/// A vector register file: one native vector per entry.
 ///
 /// Uninitialized entries read as zero vectors, matching SRAM power-on state
 /// and the firmware convention that initial RNN state is zero.
 #[derive(Clone, Debug)]
 pub(crate) struct VectorFile {
-    name: &'static str,
     native_dim: usize,
-    capacity: usize,
     /// The entries up to the highest one read or written so far, grown
     /// zero-filled on touch: BW_S10's five files would be 6.25 MiB each
     /// up front, and an RNN touches a few KB of each.
@@ -39,53 +42,36 @@ pub(crate) struct VectorFile {
 }
 
 impl VectorFile {
-    pub(crate) fn new(name: &'static str, capacity: usize, native_dim: usize) -> Self {
+    pub(crate) fn new(native_dim: usize) -> Self {
         VectorFile {
-            name,
             native_dim,
-            capacity,
             data: Vec::new(),
         }
     }
 
-    pub(crate) fn check(&self, index: u32, width: u32) -> Result<(), SimError> {
-        let end = index as u64 + u64::from(width);
-        if end > self.capacity as u64 {
-            return Err(SimError::VrfIndexOutOfRange {
-                file: self.name,
-                index,
-                width,
-                capacity: self.capacity as u32,
-            });
-        }
-        Ok(())
-    }
-
-    /// The checked entries `index..index + width` as one flat slice, grown
-    /// into existence if this is their first touch.
-    fn touch(&mut self, index: u32, width: u32) -> Result<&mut [f32], SimError> {
-        self.check(index, width)?;
+    /// The entries `index..index + width` as one flat slice, grown into
+    /// existence if this is their first touch.
+    fn touch(&mut self, index: u32, width: u32) -> &mut [f32] {
         let start = index as usize * self.native_dim;
         let end = start + width as usize * self.native_dim;
         if end > self.data.len() {
             self.data.resize(end, 0.0);
         }
-        Ok(&mut self.data[start..end])
+        &mut self.data[start..end]
     }
 
     /// Borrows `width` consecutive native vectors starting at `index` as one
     /// flat slice (`width * native_dim` elements).
-    pub(crate) fn read(&mut self, index: u32, width: u32) -> Result<&[f32], SimError> {
-        Ok(self.touch(index, width)?)
+    pub(crate) fn read(&mut self, index: u32, width: u32) -> &[f32] {
+        self.touch(index, width)
     }
 
     /// Writes consecutive native vectors starting at `index` from a flat
     /// slice whose length must be a multiple of `native_dim`.
-    pub(crate) fn write(&mut self, index: u32, flat: &[f32]) -> Result<(), SimError> {
+    pub(crate) fn write(&mut self, index: u32, flat: &[f32]) {
         debug_assert_eq!(flat.len() % self.native_dim.max(1), 0);
         let width = (flat.len() / self.native_dim.max(1)) as u32;
-        self.touch(index, width)?.copy_from_slice(flat);
-        Ok(())
+        self.touch(index, width).copy_from_slice(flat);
     }
 }
 
@@ -105,29 +91,14 @@ impl MatrixFile {
         }
     }
 
-    pub(crate) fn capacity(&self) -> u32 {
-        self.slots.len() as u32
-    }
-
     pub(crate) fn tile(&self, index: u32) -> Result<&BfpMatrix, SimError> {
-        self.slots
-            .get(index as usize)
-            .ok_or(SimError::MrfIndexOutOfRange {
-                index,
-                capacity: self.capacity(),
-            })?
+        self.slots[index as usize]
             .as_ref()
             .ok_or(SimError::MrfEntryUninitialized { index })
     }
 
-    pub(crate) fn store(&mut self, index: u32, tile: BfpMatrix) -> Result<(), SimError> {
-        let capacity = self.capacity();
-        let slot = self
-            .slots
-            .get_mut(index as usize)
-            .ok_or(SimError::MrfIndexOutOfRange { index, capacity })?;
-        *slot = Some(tile);
-        Ok(())
+    pub(crate) fn store(&mut self, index: u32, tile: BfpMatrix) {
+        self.slots[index as usize] = Some(tile);
     }
 }
 
@@ -210,30 +181,16 @@ impl NetQueues {
     }
 
     /// Pops `width` native vectors, appending their contents to `out`.
-    pub(crate) fn pop_input_into(
-        &mut self,
-        width: u32,
-        out: &mut Vec<f32>,
-    ) -> Result<(), SimError> {
-        if (self.input.len() as u64) < u64::from(width) {
-            return Err(SimError::NetQueueEmpty {
-                requested: width,
-                available: self.input.len() as u32,
-            });
-        }
+    pub(crate) fn pop_input_into(&mut self, width: u32, out: &mut Vec<f32>) {
         for v in self.input.drain(..width as usize) {
             out.extend_from_slice(&v);
         }
-        Ok(())
     }
 
-    pub(crate) fn pop_input_matrix(&mut self) -> Result<BfpMatrix, SimError> {
+    pub(crate) fn pop_input_matrix(&mut self) -> BfpMatrix {
         self.input_matrices
             .pop_front()
-            .ok_or(SimError::NetQueueEmpty {
-                requested: 1,
-                available: 0,
-            })
+            .expect("the timeline popped this tile from its arrivals first")
     }
 
     /// Pushes native vectors from a flat slice (`native_dim` elements each).
@@ -263,73 +220,32 @@ mod tests {
 
     #[test]
     fn vector_file_reads_zeros_before_first_write() {
-        let mut f = VectorFile::new("test", 4, 3);
-        assert_eq!(f.read(0, 2).unwrap(), &[0.0; 6][..]);
+        let mut f = VectorFile::new(3);
+        assert_eq!(f.read(0, 2), &[0.0; 6][..]);
     }
 
     #[test]
     fn vector_file_holds_only_what_was_touched() {
-        let mut f = VectorFile::new("test", 1 << 20, 400);
+        let mut f = VectorFile::new(400);
         assert_eq!(f.data.capacity(), 0);
-        f.write(2, &[1.0; 400]).unwrap();
+        f.write(2, &[1.0; 400]);
         assert_eq!(f.data.len(), 3 * 400);
         // Entries below and above the written one read as zeros; the read
-        // above grows the file, a faulting one does not.
-        assert_eq!(f.read(0, 2).unwrap(), &[0.0; 800][..]);
-        assert_eq!(f.read(5, 1).unwrap(), &[0.0; 400][..]);
+        // above grows the file.
+        assert_eq!(f.read(0, 2), &[0.0; 800][..]);
+        assert_eq!(f.read(5, 1), &[0.0; 400][..]);
         assert_eq!(f.data.len(), 6 * 400);
-        assert!(f.read(1 << 20, 1).is_err());
-        assert_eq!(f.data.len(), 6 * 400);
-        assert_eq!(f.read(2, 1).unwrap(), &[1.0; 400][..]);
+        assert_eq!(f.read(2, 1), &[1.0; 400][..]);
     }
 
     #[test]
     fn vector_file_round_trips_multi_entry_writes() {
-        let mut f = VectorFile::new("test", 8, 2);
-        f.write(3, &[1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert_eq!(f.read(3, 2).unwrap(), &[1.0, 2.0, 3.0, 4.0][..]);
+        let mut f = VectorFile::new(2);
+        f.write(3, &[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(f.read(3, 2), &[1.0, 2.0, 3.0, 4.0][..]);
         // Neighbours untouched.
-        assert_eq!(f.read(2, 1).unwrap(), &[0.0, 0.0][..]);
-        assert_eq!(f.read(5, 1).unwrap(), &[0.0, 0.0][..]);
-    }
-
-    #[test]
-    fn vector_file_bounds_include_width() {
-        let mut f = VectorFile::new("test", 4, 2);
-        assert!(f.read(3, 1).is_ok());
-        assert!(f.read(3, 2).is_err());
-        assert!(f.write(4, &[0.0, 0.0]).is_err());
-        // Error carries the file name and capacity.
-        let err = f.read(2, 3).unwrap_err();
-        match err {
-            SimError::VrfIndexOutOfRange { file, capacity, .. } => {
-                assert_eq!(file, "test");
-                assert_eq!(capacity, 4);
-            }
-            other => panic!("unexpected error {other:?}"),
-        }
-    }
-
-    #[test]
-    fn matrix_file_distinguishes_oob_and_uninitialized() {
-        let mut m = MatrixFile::new(2);
-        assert!(matches!(
-            m.tile(5),
-            Err(SimError::MrfIndexOutOfRange {
-                index: 5,
-                capacity: 2
-            })
-        ));
-        assert!(matches!(
-            m.tile(1),
-            Err(SimError::MrfEntryUninitialized { index: 1 })
-        ));
-        m.store(1, tile(1.0)).unwrap();
-        assert!(m.tile(1).is_ok());
-        assert!(matches!(
-            m.store(2, tile(0.0)),
-            Err(SimError::MrfIndexOutOfRange { .. })
-        ));
+        assert_eq!(f.read(2, 1), &[0.0, 0.0][..]);
+        assert_eq!(f.read(5, 1), &[0.0, 0.0][..]);
     }
 
     #[test]
@@ -337,9 +253,8 @@ mod tests {
         // What `Npu::reserve_matrix_grid` stores: tiles that hold nothing.
         let fmt = BfpFormat::BFP_1S_5E_5M;
         let mut m = MatrixFile::new(4);
-        m.store(0, BfpMatrix::zeros(2, 2, fmt)).unwrap();
-        m.store(3, BfpMatrix::zeros(2, 2, fmt)).unwrap();
-        assert!(m.store(4, BfpMatrix::zeros(2, 2, fmt)).is_err());
+        m.store(0, BfpMatrix::zeros(2, 2, fmt));
+        m.store(3, BfpMatrix::zeros(2, 2, fmt));
         for index in [0, 3] {
             let zero = m.tile(index).unwrap();
             assert_eq!(zero, &tile(0.0));
@@ -355,7 +270,7 @@ mod tests {
             Err(SimError::MrfEntryUninitialized { index: 1 })
         ));
         // A real store overrides the placeholder.
-        m.store(0, tile(2.0)).unwrap();
+        m.store(0, tile(2.0));
         assert!(m.tile(0).unwrap().dequantize()[0] > 1.0);
     }
 
@@ -390,17 +305,9 @@ mod tests {
         q.push_input(vec![2.0]);
         q.push_input(vec![3.0]);
         let mut vs = Vec::new();
-        q.pop_input_into(2, &mut vs).unwrap();
+        q.pop_input_into(2, &mut vs);
         assert_eq!(vs, vec![1.0, 2.0]);
-        // Underflow reports counts.
-        assert!(matches!(
-            q.pop_input_into(2, &mut vs),
-            Err(SimError::NetQueueEmpty {
-                requested: 2,
-                available: 1
-            })
-        ));
-        q.pop_input_into(1, &mut vs).unwrap();
+        q.pop_input_into(1, &mut vs);
         assert_eq!(vs, vec![1.0, 2.0, 3.0]);
     }
 
@@ -417,9 +324,10 @@ mod tests {
     #[test]
     fn net_queue_matrices() {
         let mut q = NetQueues::default();
-        assert!(q.pop_input_matrix().is_err());
         q.push_input_matrix(tile(1.5));
-        assert!(q.pop_input_matrix().is_ok());
-        assert!(q.pop_input_matrix().is_err());
+        q.push_input_matrix(tile(-2.0));
+        assert_eq!(q.pop_input_matrix(), tile(1.5));
+        assert_eq!(q.pop_input_matrix(), tile(-2.0));
+        assert!(q.input_matrices.is_empty());
     }
 }

@@ -28,7 +28,6 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use bw_bfp::{round_to_f16, round_to_f16_in_range, F16};
 
 use crate::isa::Opcode;
-use crate::npu::SimError;
 
 /// One activation's result for every binary16 input (module doc). `0` is an
 /// entry not yet filled; a filled one is the result's `f32` bits with bit 0
@@ -110,13 +109,8 @@ pub(crate) fn apply_activation(op: Opcode, chain: &mut [f32]) {
 /// implicit `IN` operand (`a`), the register file supplies the explicit
 /// operand (`b`). Both round to the binary16 grid, the operation runs in
 /// `f32`, and the result rounds back — the [`F16`] operators' definition.
-pub(crate) fn apply_binary(op: Opcode, chain: &mut [f32], operand: &[f32]) -> Result<(), SimError> {
-    if chain.len() != operand.len() {
-        return Err(SimError::VectorLengthMismatch {
-            expected: chain.len(),
-            actual: operand.len(),
-        });
-    }
+pub(crate) fn apply_binary(op: Opcode, chain: &mut [f32], operand: &[f32]) {
+    debug_assert_eq!(chain.len(), operand.len());
     /// `op` over on-grid operands with the result rounded back, eight
     /// lanes at a time by the branch-free in-range rounding — a loop that
     /// vectorizes — and a group again, lane by lane, if any of its inputs or
@@ -171,7 +165,6 @@ pub(crate) fn apply_binary(op: Opcode, chain: &mut [f32], operand: &[f32]) -> Re
         }
         _ => unreachable!("not a binary MFU opcode"),
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -283,19 +276,19 @@ mod tests {
     fn binary_op_semantics() {
         let b = [1.0, 4.0];
         let mut a = vec![3.0, 1.0];
-        apply_binary(Opcode::VvASubB, &mut a, &b).unwrap();
+        apply_binary(Opcode::VvASubB, &mut a, &b);
         assert_eq!(a, vec![2.0, -3.0]);
 
         let mut a = vec![3.0, 1.0];
-        apply_binary(Opcode::VvBSubA, &mut a, &b).unwrap();
+        apply_binary(Opcode::VvBSubA, &mut a, &b);
         assert_eq!(a, vec![-2.0, 3.0]);
 
         let mut a = vec![3.0, 1.0];
-        apply_binary(Opcode::VvMax, &mut a, &b).unwrap();
+        apply_binary(Opcode::VvMax, &mut a, &b);
         assert_eq!(a, vec![3.0, 4.0]);
 
         let mut a = vec![3.0, 1.0];
-        apply_binary(Opcode::VvMul, &mut a, &b).unwrap();
+        apply_binary(Opcode::VvMul, &mut a, &b);
         assert_eq!(a, vec![3.0, 4.0]);
     }
 
@@ -303,7 +296,7 @@ mod tests {
     fn results_round_to_f16_grid() {
         // 1 + 2^-12 is below half-precision resolution at 1.0.
         let mut a = vec![1.0];
-        apply_binary(Opcode::VvAdd, &mut a, &[2.0f32.powi(-12)]).unwrap();
+        apply_binary(Opcode::VvAdd, &mut a, &[2.0f32.powi(-12)]);
         assert_eq!(a[0], 1.0);
     }
 
@@ -395,7 +388,7 @@ mod tests {
         // Every op alone on the raw operands ...
         for op in binaries {
             let mut got = a0.clone();
-            apply_binary(op, &mut got, &b0).unwrap();
+            apply_binary(op, &mut got, &b0);
             let want: Vec<f32> = a0
                 .iter()
                 .zip(&b0)
@@ -435,7 +428,7 @@ mod tests {
                 if activations.contains(&op) {
                     apply_activation(op, &mut got);
                 } else {
-                    apply_binary(op, &mut got, &b0).unwrap();
+                    apply_binary(op, &mut got, &b0);
                 }
                 for ((w, &b), either) in want.iter_mut().zip(&b0).zip(&mut either_nan) {
                     *either = match op {
@@ -449,13 +442,5 @@ mod tests {
                 assert_bits(&got, &want, &either_nan, &what);
             }
         }
-    }
-
-    #[test]
-    fn mismatched_shapes_error() {
-        let mut a = vec![1.0];
-        assert!(apply_binary(Opcode::VvAdd, &mut a, &[1.0, 2.0]).is_err());
-        let mut a = vec![1.0, 2.0];
-        assert!(apply_binary(Opcode::VvAdd, &mut a, &[1.0]).is_err());
     }
 }

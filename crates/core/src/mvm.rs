@@ -60,6 +60,11 @@ pub(crate) struct MvmScratch {
     quantized: Vec<u32>,
 }
 
+/// Why a BFP kernel cannot refuse an MRF tile: the host loaders admit only
+/// native `N × N` tiles in the configuration's format, and inputs quantize
+/// in that format from `N`-element native vectors.
+const NATIVE: &str = "MRF tiles and inputs are native to the configuration";
+
 /// Functionally computes the tiled matrix-vector product into a reusable
 /// flat output buffer.
 ///
@@ -82,12 +87,6 @@ pub(crate) fn compute_into(
 ) -> Result<(), SimError> {
     let nd = config.native_dim() as usize;
     let fmt = config.matrix_format();
-    if input.len() != cols as usize * nd {
-        return Err(SimError::VectorLengthMismatch {
-            expected: cols as usize * nd,
-            actual: input.len(),
-        });
-    }
 
     // Quantize each native input vector once into retained scratch blocks;
     // every tile in a column reuses the same quantized vector, as the
@@ -114,7 +113,7 @@ pub(crate) fn compute_into(
         for c in 0..cols {
             let tile = mrf.tile(base + r * cols + c)?;
             tile.mv_mul_acc(&scratch.qinputs[c as usize], acc)
-                .map_err(|e| SimError::Numeric(e.to_string()))?;
+                .expect(NATIVE);
         }
     }
     Ok(())
@@ -137,27 +136,14 @@ pub(crate) fn compute_naive(
     let nd = config.native_dim() as usize;
     let fmt = config.matrix_format();
 
-    let qinputs: Vec<BfpBlock> = inputs
-        .iter()
-        .map(|v| {
-            if v.len() != nd {
-                return Err(SimError::VectorLengthMismatch {
-                    expected: nd,
-                    actual: v.len(),
-                });
-            }
-            Ok(BfpBlock::quantize(v, fmt))
-        })
-        .collect::<Result<_, _>>()?;
+    let qinputs: Vec<BfpBlock> = inputs.iter().map(|v| BfpBlock::quantize(v, fmt)).collect();
 
     let mut outputs = Vec::with_capacity(rows as usize);
     for r in 0..rows {
         let mut acc = vec![0.0f32; nd];
         for c in 0..cols {
             let tile = mrf.tile(base + r * cols + c)?;
-            let partial = tile
-                .mv_mul_naive(&qinputs[c as usize])
-                .map_err(|e| SimError::Numeric(e.to_string()))?;
+            let partial = tile.mv_mul_naive(&qinputs[c as usize]).expect(NATIVE);
             for (a, p) in acc.iter_mut().zip(partial) {
                 *a += p;
             }
@@ -167,38 +153,10 @@ pub(crate) fn compute_naive(
     Ok(outputs)
 }
 
-/// The shape faults of [`tile_matrix`] without its work: all there is to a
-/// load in [`ExecMode::TimingOnly`](crate::ExecMode::TimingOnly).
-pub(crate) fn check_tiling(
-    config: &NpuConfig,
-    mat_rows: usize,
-    mat_cols: usize,
-    data_len: usize,
-    grid_rows: u32,
-    grid_cols: u32,
-) -> Result<(), SimError> {
-    if data_len != mat_rows * mat_cols {
-        return Err(SimError::VectorLengthMismatch {
-            expected: mat_rows * mat_cols,
-            actual: data_len,
-        });
-    }
-    let nd = config.native_dim() as usize;
-    if mat_rows > grid_rows as usize * nd || mat_cols > grid_cols as usize * nd {
-        return Err(SimError::MatrixDoesNotFitGrid {
-            mat_rows,
-            mat_cols,
-            grid_rows,
-            grid_cols,
-            native_dim: config.native_dim(),
-        });
-    }
-    Ok(())
-}
-
 /// Quantizes an `rows·N × cols·N` (or smaller, zero-padded) row-major `f32`
 /// matrix into the native tile grid layout and returns the tiles in
 /// `(r, c)` row-major order, ready to be stored at consecutive MRF indices.
+/// The host loader has checked that the matrix fits the grid.
 pub(crate) fn tile_matrix(
     config: &NpuConfig,
     mat_rows: usize,
@@ -206,8 +164,7 @@ pub(crate) fn tile_matrix(
     data: &[f32],
     grid_rows: u32,
     grid_cols: u32,
-) -> Result<Vec<BfpMatrix>, SimError> {
-    check_tiling(config, mat_rows, mat_cols, data.len(), grid_rows, grid_cols)?;
+) -> Vec<BfpMatrix> {
     let nd = config.native_dim() as usize;
     let fmt = config.matrix_format();
     let mut tiles = Vec::with_capacity((grid_rows * grid_cols) as usize);
@@ -228,12 +185,10 @@ pub(crate) fn tile_matrix(
                 let src = &data[src_r * mat_cols + src_c0..src_r * mat_cols + src_c0 + n];
                 scratch[local_r * nd..local_r * nd + n].copy_from_slice(src);
             }
-            let tile = BfpMatrix::quantize(nd, nd, &scratch, fmt)
-                .map_err(|e| SimError::Numeric(e.to_string()))?;
-            tiles.push(tile);
+            tiles.push(BfpMatrix::quantize(nd, nd, &scratch, fmt).expect("an N × N buffer"));
         }
     }
-    Ok(tiles)
+    tiles
 }
 
 #[cfg(test)]
@@ -299,7 +254,7 @@ mod tests {
         for i in 0..n {
             data[i * n + i] = 1.0;
         }
-        let tiles = tile_matrix(&cfg, n, n, &data, 2, 2).unwrap();
+        let tiles = tile_matrix(&cfg, n, n, &data, 2, 2);
         assert_eq!(tiles.len(), 4);
         // Diagonal tiles are identities; off-diagonal are zero.
         let d0 = tiles[0].dequantize();
@@ -314,7 +269,7 @@ mod tests {
         let cfg = tiny_config();
         // A 3x5 matrix in a 1x2 grid of 4x4 tiles.
         let data: Vec<f32> = (0..15).map(|i| i as f32).collect();
-        let tiles = tile_matrix(&cfg, 3, 5, &data, 1, 2).unwrap();
+        let tiles = tile_matrix(&cfg, 3, 5, &data, 1, 2);
         assert_eq!(tiles.len(), 2);
         let t1 = tiles[1].dequantize();
         // Second tile holds column 4 only; the rest is padding.
@@ -327,8 +282,11 @@ mod tests {
 
     #[test]
     fn tile_matrix_rejects_oversized_input() {
-        let cfg = tiny_config();
-        let err = tile_matrix(&cfg, 9, 4, &[0.0; 36], 2, 1).unwrap_err();
+        // The grid-fit check sits in the host loader, ahead of tiling, so an
+        // oversized matrix never reaches `tile_matrix`.
+        let err = crate::Npu::new(tiny_config())
+            .load_tiled_matrix(0, 2, 1, 9, 4, &[0.0; 36])
+            .unwrap_err();
         assert!(matches!(err, SimError::MatrixDoesNotFitGrid { .. }));
     }
 
@@ -339,9 +297,9 @@ mod tests {
         // 8x8 matrix = 2x2 grid; input 8 = 2 native vectors.
         let n = 8;
         let data: Vec<f32> = (0..n * n).map(|i| ((i % 5) as f32 - 2.0) / 4.0).collect();
-        let tiles = tile_matrix(&cfg, n, n, &data, 2, 2).unwrap();
+        let tiles = tile_matrix(&cfg, n, n, &data, 2, 2);
         for (i, t) in tiles.into_iter().enumerate() {
-            mrf.store(i as u32, t).unwrap();
+            mrf.store(i as u32, t);
         }
         let x: Vec<f32> = (0..n).map(|i| (i as f32 - 3.0) / 3.0).collect();
         let out = compute_flat(&cfg, &mrf, 0, 2, 2, &x).unwrap();
@@ -361,9 +319,9 @@ mod tests {
         let mut mrf = MatrixFile::new(64);
         let n = 8;
         let data: Vec<f32> = (0..n * n).map(|i| ((i * 7) % 11) as f32 - 5.0).collect();
-        let tiles = tile_matrix(&cfg, n, n, &data, 2, 2).unwrap();
+        let tiles = tile_matrix(&cfg, n, n, &data, 2, 2);
         for (i, t) in tiles.into_iter().enumerate() {
-            mrf.store(i as u32, t).unwrap();
+            mrf.store(i as u32, t);
         }
         let x: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin() * 3.0).collect();
         let fast = compute_flat(&cfg, &mrf, 0, 2, 2, &x).unwrap();
@@ -382,12 +340,8 @@ mod tests {
         let mut mrf = MatrixFile::new(64);
         let n = 8;
         let data: Vec<f32> = (0..n * n).map(|i| ((i * 5) % 9) as f32 - 4.0).collect();
-        for (i, t) in tile_matrix(&cfg, n, n, &data, 2, 2)
-            .unwrap()
-            .into_iter()
-            .enumerate()
-        {
-            mrf.store(i as u32, t).unwrap();
+        for (i, t) in tile_matrix(&cfg, n, n, &data, 2, 2).into_iter().enumerate() {
+            mrf.store(i as u32, t);
         }
         let x: Vec<f32> = (0..n).map(|i| (i as f32 * 0.61).cos() * 2.0).collect();
         let mut nudged = x.clone();
@@ -420,17 +374,5 @@ mod tests {
         let mrf = MatrixFile::new(4);
         let err = compute_flat(&cfg, &mrf, 0, 1, 1, &[0.0; 4]).unwrap_err();
         assert!(matches!(err, SimError::MrfEntryUninitialized { index: 0 }));
-    }
-
-    #[test]
-    fn compute_errors_on_bad_vector_length() {
-        let cfg = tiny_config();
-        let mut mrf = MatrixFile::new(4);
-        let tiles = tile_matrix(&cfg, 4, 4, &[1.0; 16], 1, 1).unwrap();
-        mrf.store(0, tiles.into_iter().next().unwrap()).unwrap();
-        let err = compute_flat(&cfg, &mrf, 0, 1, 1, &[0.0; 3]).unwrap_err();
-        assert!(matches!(err, SimError::VectorLengthMismatch { .. }));
-        let err = compute_naive(&cfg, &mrf, 0, 1, 1, &[vec![0.0; 3]]).unwrap_err();
-        assert!(matches!(err, SimError::VectorLengthMismatch { .. }));
     }
 }

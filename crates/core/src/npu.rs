@@ -16,15 +16,16 @@
 
 use std::fmt;
 
-use bw_bfp::BfpMatrix;
+use bw_bfp::{BfpFormat, BfpMatrix};
 
 use crate::config::NpuConfig;
-use crate::isa::{Chain, Instruction, Item, MemId, Opcode, Program, ScalarReg};
+use crate::isa::{Chain, Instruction, Item, MemId, Program, ScalarReg};
 use crate::mem::{Dram, MatrixFile, NetQueues, VectorFile};
 use crate::mfu;
 use crate::mvm;
 use crate::sched::{
-    mrf_span, vrf_file, vrf_span, ChainTiming, FastForward, OperandFiles, Scheduled, Timeline,
+    dram_span, mrf_span, vrf_file, vrf_span, ChainTiming, FastForward, OperandFiles, Scheduled,
+    Timeline,
 };
 use crate::stats::RunStats;
 use crate::trace::{SpanKind, SpanRecord};
@@ -42,9 +43,9 @@ pub enum ExecMode {
     Full,
     /// Model cycles only: the NPU is the scheduler timeline and nothing
     /// else — no register-file, DRAM or queue contents are allocated, host
-    /// loads are bounds-checked and dropped, and popped outputs are zero
-    /// vectors. Used for large performance sweeps where computing tens of
-    /// gigaMACs in software would dominate run time without changing any
+    /// loads are checked as in `Full` and dropped, and popped outputs are
+    /// zero vectors. Used for large performance sweeps where computing tens
+    /// of gigaMACs in software would dominate run time without changing any
     /// timing result. Faults that depend on contents (an uninitialized MRF
     /// entry or DRAM matrix) are not raised.
     TimingOnly,
@@ -97,6 +98,11 @@ pub struct ChainTrace {
 }
 
 /// Error produced while loading state or executing a program.
+///
+/// # Errors
+///
+/// Each variant has one source — the host loaders, the timeline or the
+/// data pass — named in [Faults](crate::sched#faults).
 #[derive(Clone, Debug, PartialEq)]
 pub enum SimError {
     /// A VRF access fell outside the file's capacity.
@@ -186,18 +192,16 @@ pub enum SimError {
         /// The register written.
         reg: ScalarReg,
     },
-    /// A chain that breaks the ISA's structural rules reached the scheduler.
-    /// [`Chain::new`] and [`Program::decode`] refuse these, so the
-    /// scheduler's own check should never fire.
-    MalformedChain {
-        /// The instruction out of place.
-        opcode: Opcode,
+    /// A host-supplied matrix tile is not one native `N × N` tile in the
+    /// configuration's matrix format.
+    ForeignTile {
+        /// Tile rows.
+        rows: usize,
+        /// Tile columns.
+        cols: usize,
+        /// The tile's block floating-point format.
+        format: BfpFormat,
     },
-    /// A numeric-layer failure (shape mismatch inside the BFP kernels).
-    Numeric(
-        /// Description of the underlying numeric error.
-        String,
-    ),
 }
 
 impl fmt::Display for SimError {
@@ -267,21 +271,25 @@ impl fmt::Display for SimError {
             SimError::BadRegValue { reg } => {
                 write!(f, "control register {reg} must be non-zero")
             }
-            SimError::MalformedChain { opcode } => {
-                write!(f, "{opcode} is not legal at its position in the chain")
+            SimError::ForeignTile { rows, cols, format } => {
+                write!(
+                    f,
+                    "{rows}x{cols} {format} tile is not a native tile of this NPU"
+                )
             }
-            SimError::Numeric(e) => write!(f, "numeric error: {e}"),
         }
     }
 }
 
 impl std::error::Error for SimError {}
 
-/// Register file `mem` of the `1 + 2·mfus` in `vrfs` (a free function so the
-/// borrow stays disjoint from a chain's value buffers).
-fn vrf_mut(vrfs: &mut [VectorFile], mem: MemId) -> Result<&mut VectorFile, SimError> {
+/// Register file `mem` of the `1 + 2·mfus` in `vrfs`, a file the timeline
+/// has checked exists (a free function so the borrow stays disjoint from a
+/// chain's value buffers).
+fn vrf_mut(vrfs: &mut [VectorFile], mem: MemId) -> &mut VectorFile {
     let mfus = (vrfs.len() / 2) as u32;
-    Ok(&mut vrfs[vrf_file(mem, mfus)?.1])
+    let (_, file) = vrf_file(mem, mfus).expect("the timeline checked the file");
+    &mut vrfs[file]
 }
 
 /// Everything an [`ExecMode::Full`] NPU holds beyond the timeline: storage
@@ -307,14 +315,9 @@ struct DataPlanes {
 impl DataPlanes {
     fn new(config: &NpuConfig) -> Self {
         let nd = config.native_dim() as usize;
-        let vrf_cap = config.vrf_entries() as usize;
-        let files = |name| (0..config.mfus()).map(move |_| VectorFile::new(name, vrf_cap, nd));
         DataPlanes {
             mrf: MatrixFile::new(config.mrf_entries() as usize),
-            vrfs: std::iter::once(VectorFile::new("InitialVrf", vrf_cap, nd))
-                .chain(files("AddSubVrf"))
-                .chain(files("MultiplyVrf"))
-                .collect(),
+            vrfs: vec![VectorFile::new(nd); 1 + 2 * config.mfus() as usize],
             dram: Dram::default(),
             net: NetQueues::default(),
             kernel: KernelMode::Fast,
@@ -361,13 +364,13 @@ impl DataPlanes {
         // ranges move as a block.
         let tiles = (0..count)
             .map(|i| match src {
-                MemId::NetQ => self.net.pop_input_matrix(),
+                MemId::NetQ => Ok(self.net.pop_input_matrix()),
                 _ => self.dram.read_matrix(from + i),
             })
             .collect::<Result<Vec<_>, _>>()?;
         for (i, tile) in (0..count).zip(tiles) {
             match dst {
-                MemId::MatrixRf => self.mrf.store(to + i, tile)?,
+                MemId::MatrixRf => self.mrf.store(to + i, tile),
                 _ => self.dram.write_matrix(to + i, tile),
             }
         }
@@ -375,7 +378,7 @@ impl DataPlanes {
     }
 
     /// One chain, `w_in` native vectors in and `w_out` out, which the
-    /// timeline has already bounds-checked.
+    /// timeline has already checked: only a content fault can arise.
     fn exec_chain(
         &mut self,
         config: &NpuConfig,
@@ -393,11 +396,11 @@ impl DataPlanes {
         for instr in chain.instructions() {
             match *instr {
                 Instruction::VRd { mem, index } => match mem {
-                    MemId::NetQ => self.net.pop_input_into(w_in, &mut self.cur)?,
+                    MemId::NetQ => self.net.pop_input_into(w_in, &mut self.cur),
                     MemId::Dram => self.dram.read_vectors_into(index, w_in, nd, &mut self.cur),
                     _ => self
                         .cur
-                        .extend_from_slice(vrf_mut(&mut self.vrfs, mem)?.read(index, w_in)?),
+                        .extend_from_slice(vrf_mut(&mut self.vrfs, mem).read(index, w_in)),
                 },
                 Instruction::MvMul { mrf_index } => {
                     let (rows, cols) = (w_out, w_in);
@@ -429,8 +432,8 @@ impl DataPlanes {
                 | Instruction::VvBSubA { index }
                 | Instruction::VvMax { index }
                 | Instruction::VvMul { index } => {
-                    let file = vrf_mut(&mut self.vrfs, operands.next(instr))?;
-                    mfu::apply_binary(instr.opcode(), &mut self.cur, file.read(index, w_out)?)?;
+                    let file = vrf_mut(&mut self.vrfs, operands.next(instr));
+                    mfu::apply_binary(instr.opcode(), &mut self.cur, file.read(index, w_out));
                 }
                 Instruction::VRelu | Instruction::VSigm | Instruction::VTanh => {
                     mfu::apply_activation(instr.opcode(), &mut self.cur);
@@ -448,7 +451,7 @@ impl DataPlanes {
             match mem {
                 MemId::NetQ => self.net.push_output(&self.cur, nd),
                 MemId::Dram => self.dram.write_vectors(index, &self.cur, nd),
-                _ => vrf_mut(&mut self.vrfs, mem)?.write(index, &self.cur)?,
+                _ => vrf_mut(&mut self.vrfs, mem).write(index, &self.cur),
             }
         }
         Ok(())
@@ -676,11 +679,30 @@ impl Npu {
 
     /// Enqueues a native matrix tile on the network queue for a program to
     /// move into the MRF with `m_rd(NetQ)` → `m_wr(MatrixRf)`.
-    pub fn push_input_matrix(&mut self, tile: BfpMatrix) {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::ForeignTile`], and queues nothing, unless the
+    /// tile is `native_dim × native_dim` in the configuration's matrix
+    /// format. Both modes check it.
+    pub fn push_input_matrix(&mut self, tile: BfpMatrix) -> Result<(), SimError> {
+        self.native_tile(&tile)?;
         self.timeline.arrivals.push_matrices(1);
         if let Some(data) = &mut self.data {
             data.net.push_input_matrix(tile);
         }
+        Ok(())
+    }
+
+    /// The host's check of a matrix tile: one native tile in the
+    /// configuration's format, the only kind the MVM multiplies.
+    fn native_tile(&self, tile: &BfpMatrix) -> Result<(), SimError> {
+        let nd = self.config.native_dim() as usize;
+        let (rows, cols, format) = (tile.rows(), tile.cols(), tile.format());
+        if (rows, cols, format) != (nd, nd, self.config.matrix_format()) {
+            return Err(SimError::ForeignTile { rows, cols, format });
+        }
+        Ok(())
     }
 
     /// Quantizes and pins an `mat_rows × mat_cols` row-major `f32` matrix
@@ -704,13 +726,27 @@ impl Npu {
     ) -> Result<u32, SimError> {
         let entries = self.grid_entries(base, grid_rows, grid_cols)?;
         let cfg = &self.config;
-        let Some(planes) = &mut self.data else {
-            mvm::check_tiling(cfg, mat_rows, mat_cols, data.len(), grid_rows, grid_cols)?;
-            return Ok(entries);
-        };
-        let tiles = mvm::tile_matrix(cfg, mat_rows, mat_cols, data, grid_rows, grid_cols)?;
-        for (i, tile) in (base..).zip(tiles) {
-            planes.mrf.store(i, tile)?;
+        if mat_rows.checked_mul(mat_cols) != Some(data.len()) {
+            return Err(SimError::VectorLengthMismatch {
+                expected: mat_rows.saturating_mul(mat_cols),
+                actual: data.len(),
+            });
+        }
+        let nd = cfg.native_dim() as usize;
+        if mat_rows > grid_rows as usize * nd || mat_cols > grid_cols as usize * nd {
+            return Err(SimError::MatrixDoesNotFitGrid {
+                mat_rows,
+                mat_cols,
+                grid_rows,
+                grid_cols,
+                native_dim: cfg.native_dim(),
+            });
+        }
+        if let Some(planes) = &mut self.data {
+            let tiles = mvm::tile_matrix(cfg, mat_rows, mat_cols, data, grid_rows, grid_cols);
+            for (i, tile) in (base..).zip(tiles) {
+                planes.mrf.store(i, tile);
+            }
         }
         Ok(entries)
     }
@@ -735,7 +771,7 @@ impl Npu {
             let nd = self.config.native_dim() as usize;
             for i in base..base + entries {
                 let zero = BfpMatrix::zeros(nd, nd, self.config.matrix_format());
-                data.mrf.store(i, zero)?;
+                data.mrf.store(i, zero);
             }
         }
         Ok(entries)
@@ -762,16 +798,26 @@ impl Npu {
         if let Some(planes) = &mut self.data {
             let mut flat = vec![0.0f32; count * nd];
             flat[..data.len()].copy_from_slice(data);
-            vrf_mut(&mut planes.vrfs, mem)?.write(index, &flat)?;
+            vrf_mut(&mut planes.vrfs, mem).write(index, &flat);
         }
         Ok(entries)
     }
 
     /// Stages a DRAM matrix tile (for `m_rd(DRAM)` initialization paths).
-    pub fn load_dram_matrix(&mut self, index: u32, tile: BfpMatrix) {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::DramIndexOutOfRange`] if `index` lies beyond the
+    /// modelled address space, and [`SimError::ForeignTile`] unless the
+    /// tile is native, as [`Npu::push_input_matrix`] does. Both modes check
+    /// both; a refused load stages nothing.
+    pub fn load_dram_matrix(&mut self, index: u32, tile: BfpMatrix) -> Result<(), SimError> {
+        dram_span(index, 1)?;
+        self.native_tile(&tile)?;
         if let Some(data) = &mut self.data {
             data.dram.write_matrix(index, tile);
         }
+        Ok(())
     }
 
     /// Pops one native vector from the network output queue.
@@ -1187,25 +1233,101 @@ mod tests {
 
     #[test]
     fn load_faults_are_the_same_in_both_modes() {
-        // (grid, shape, data length): a data length that is not the shape's,
-        // a matrix too tall and one too wide for its grid, a grid past the
-        // MRF, and a load that fits.
+        // (grid, shape, data length, result): a data length that is not the
+        // shape's, a shape whose size overflows, a matrix too tall and one
+        // too wide for its grid, a grid past the MRF, and a load that fits.
+        let short = |expected, actual| SimError::VectorLengthMismatch { expected, actual };
+        let unfit = |grid_rows, grid_cols, mat_rows, mat_cols| SimError::MatrixDoesNotFitGrid {
+            mat_rows,
+            mat_cols,
+            grid_rows,
+            grid_cols,
+            native_dim: 4,
+        };
+        let past = SimError::MrfIndexOutOfRange {
+            index: 64,
+            capacity: 64,
+        };
         let cases = [
-            ((2, 2), (8, 8), 63),
-            ((2, 1), (9, 4), 36),
-            ((1, 2), (4, 9), 36),
-            ((9, 9), (8, 8), 64),
-            ((2, 2), (5, 7), 35),
+            ((2, 2), (8, 8), 63, Err(short(64, 63))),
+            ((1, 1), (usize::MAX, 2), 0, Err(short(usize::MAX, 0))),
+            ((2, 1), (9, 4), 36, Err(unfit(2, 1, 9, 4))),
+            ((1, 2), (4, 9), 36, Err(unfit(1, 2, 4, 9))),
+            ((9, 9), (8, 8), 64, Err(past)),
+            ((2, 2), (5, 7), 35, Ok(4)),
         ];
-        for ((grid_rows, grid_cols), (rows, cols), len) in cases {
-            let load = |mode| {
+        for ((grid_rows, grid_cols), (rows, cols), len, want) in cases {
+            for mode in [ExecMode::Full, ExecMode::TimingOnly] {
                 let data = vec![0.5; len];
-                Npu::with_mode(tiny_config(), mode)
-                    .load_tiled_matrix(0, grid_rows, grid_cols, rows, cols, &data)
-            };
-            let (full, timing) = (load(ExecMode::Full), load(ExecMode::TimingOnly));
-            assert_eq!(full, timing, "{rows} x {cols} of {len} elements");
-            assert_eq!(full.is_ok(), len == 35);
+                let got = Npu::with_mode(tiny_config(), mode)
+                    .load_tiled_matrix(0, grid_rows, grid_cols, rows, cols, &data);
+                assert_eq!(got, want, "{rows} x {cols} of {len} elements, {mode:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn host_tiles_are_checked_where_they_enter() {
+        let cfg = tiny_config();
+        let native = BfpMatrix::zeros(4, 4, cfg.matrix_format());
+        let small = BfpMatrix::zeros(2, 2, cfg.matrix_format());
+        let coarse = BfpMatrix::zeros(4, 4, BfpFormat::BFP_1S_5E_2M);
+        let foreign = |t: &BfpMatrix| {
+            Err(SimError::ForeignTile {
+                rows: t.rows(),
+                cols: t.cols(),
+                format: t.format(),
+            })
+        };
+        let past = |index| {
+            Err(SimError::DramIndexOutOfRange {
+                index,
+                width: 1,
+                capacity: 1 << 22,
+            })
+        };
+        let move_tile = |from, index| {
+            let mut b = ProgramBuilder::new();
+            b.set_rows(1).set_cols(1);
+            b.m_rd(from, index)
+                .m_wr(MemId::MatrixRf, 0)
+                .end_chain()
+                .unwrap();
+            b.build()
+        };
+        for mode in [ExecMode::Full, ExecMode::TimingOnly] {
+            let mut npu = Npu::with_mode(cfg.clone(), mode);
+            for tile in [&small, &coarse] {
+                assert_eq!(
+                    npu.push_input_matrix(tile.clone()),
+                    foreign(tile),
+                    "{mode:?}"
+                );
+                assert_eq!(
+                    npu.load_dram_matrix(0, tile.clone()),
+                    foreign(tile),
+                    "{mode:?}"
+                );
+            }
+            for index in [u32::MAX, 1 << 22] {
+                assert_eq!(
+                    npu.load_dram_matrix(index, native.clone()),
+                    past(index),
+                    "{mode:?}"
+                );
+            }
+            // A refused tile is neither queued nor staged.
+            assert!(matches!(
+                npu.run(&move_tile(MemId::NetQ, 0)),
+                Err(SimError::NetQueueEmpty { .. })
+            ));
+            let unwritten = SimError::DramMatrixUninitialized { index: 0 };
+            let staged = npu.run(&move_tile(MemId::Dram, 0)).err();
+            assert_eq!(staged, (mode == ExecMode::Full).then_some(unwritten));
+            npu.push_input_matrix(native.clone()).unwrap();
+            npu.load_dram_matrix(3, native.clone()).unwrap();
+            npu.run(&move_tile(MemId::NetQ, 0)).unwrap();
+            npu.run(&move_tile(MemId::Dram, 3)).unwrap();
         }
     }
 
@@ -1247,7 +1369,7 @@ mod tests {
         let nd = 4;
         let data: Vec<f32> = (0..16).map(|i| i as f32 / 8.0).collect();
         let tile = BfpMatrix::quantize(nd, nd, &data, npu.config().matrix_format()).unwrap();
-        npu.load_dram_matrix(5, tile);
+        npu.load_dram_matrix(5, tile).unwrap();
         npu.push_input(vec![1.0, 0.0, 0.0, 0.0]).unwrap();
         let mut b = ProgramBuilder::new();
         b.set_rows(1).set_cols(1);
@@ -1280,7 +1402,7 @@ mod tests {
         let nd = 4;
         let data: Vec<f32> = (0..16).map(|i| ((i % 5) as f32 - 2.0) / 4.0).collect();
         let tile = BfpMatrix::quantize(nd, nd, &data, npu.config().matrix_format()).unwrap();
-        npu.push_input_matrix(tile);
+        npu.push_input_matrix(tile).unwrap();
         npu.push_input(vec![0.0, 1.0, 0.0, 0.0]).unwrap();
         let mut b = ProgramBuilder::new();
         b.set_rows(1).set_cols(1);
@@ -1320,7 +1442,7 @@ mod tests {
         let nd = 4;
         let data: Vec<f32> = (0..16).map(|i| i as f32 / 8.0).collect();
         let tile = BfpMatrix::quantize(nd, nd, &data, npu.config().matrix_format()).unwrap();
-        npu.load_dram_matrix(0, tile);
+        npu.load_dram_matrix(0, tile).unwrap();
         let mut b = ProgramBuilder::new();
         b.set_rows(1).set_cols(1);
         // DRAM -> DRAM round trip through the matrix path.

@@ -156,23 +156,33 @@
 //!
 //! # Faults
 //!
-//! The timeline raises every fault that does not need data:
-//! [`SimError::BadRegValue`], [`SimError::MfuCapacityExceeded`],
-//! [`SimError::BadVrfFileIndex`], [`SimError::VrfIndexOutOfRange`],
-//! [`SimError::DramIndexOutOfRange`] (beyond the 2²²-entry modelled
-//! address space), [`SimError::MrfIndexOutOfRange`],
-//! [`SimError::NetQueueEmpty`] and
-//! [`SimError::MalformedChain`]. All index arithmetic is done in `u64`
-//! before any scoreboard is touched, so a `rows × cols` grid that overflows
-//! `u32` is an out-of-range fault, not a wrap, and cycle sums saturate.
-//! Faults that need contents ([`SimError::MrfEntryUninitialized`],
-//! [`SimError::DramMatrixUninitialized`], [`SimError::Numeric`]) belong to
-//! the data pass and so only to `ExecMode::Full`.
+//! Each [`SimError`] has one source:
+//! * **The host loaders** check outside data where it enters, in both
+//!   modes, before anything is queued or stored: a vector of the wrong
+//!   length ([`SimError::VectorLengthMismatch`]), a tile that is not native
+//!   ([`SimError::ForeignTile`]), a matrix too big for its grid
+//!   ([`SimError::MatrixDoesNotFitGrid`]), and a target out of range, by
+//!   the same span functions a chain's accesses use.
+//! * **The timeline** raises every fault of a run that needs no data:
+//!   [`SimError::BadRegValue`], [`SimError::MfuCapacityExceeded`],
+//!   [`SimError::BadVrfFileIndex`], [`SimError::VrfIndexOutOfRange`],
+//!   [`SimError::DramIndexOutOfRange`] (beyond the 2²²-entry modelled
+//!   address space), [`SimError::MrfIndexOutOfRange`] and
+//!   [`SimError::NetQueueEmpty`]. All index arithmetic is done in `u64`
+//!   before any scoreboard is touched, so a `rows × cols` grid that
+//!   overflows `u32` is an out-of-range fault, not a wrap, and cycle sums
+//!   saturate. A chain that breaks the ISA's rules never reaches it:
+//!   [`Chain::new`] is the only way to build one.
+//! * **The data pass** raises only the two faults that need contents,
+//!   [`SimError::MrfEntryUninitialized`] and
+//!   [`SimError::DramMatrixUninitialized`], and so only in
+//!   `ExecMode::Full`. Every other access it makes, the timeline or a
+//!   loader has checked.
 //!
 //! The data pass runs after the whole timeline, over the chains it placed
 //! before its first fault. A data fault among them is the earlier one and
-//! is the run's; otherwise the timeline's is. So a chain that raises both
-//! raises the timing fault, as if the passes ran chain by chain.
+//! is the run's; otherwise the timeline's is, as if the passes ran chain by
+//! chain.
 //!
 //! Each capacity fault is raised by one function here: `reg_write`,
 //! `mfu_units`, `vrf_span` (with `OperandFiles` naming an MFU operand's
@@ -191,7 +201,7 @@ use std::collections::VecDeque;
 use std::ops::Range;
 
 use crate::config::NpuConfig;
-use crate::isa::{Chain, Instruction, Item, MemId, Opcode, Program, ScalarReg, Segment};
+use crate::isa::{Chain, Instruction, Item, MemId, Program, ScalarReg, Segment};
 use crate::mvm;
 use crate::npu::{ChainKind, ChainTrace, SimError};
 use crate::stats::RunStats;
@@ -1117,38 +1127,35 @@ impl Timeline {
     fn matrix_chain(&mut self, config: &NpuConfig, chain: &Chain) -> Result<ChainTiming, SimError> {
         let count = u64::from(self.rows) * u64::from(self.cols);
         let (width, _) = chain.widths(self.rows, self.cols);
-        let malformed = |opcode| SimError::MalformedChain { opcode };
-        let (src, dst) = match *chain.instructions() {
-            [Instruction::MRd { mem, index }, Instruction::MWr { mem: to, index: at }] => {
-                ((mem, index), (to, at))
-            }
-            _ => return Err(malformed(Opcode::MRd)),
+        // `Chain::new` admits no other matrix chain: `m_rd` reads NetQ or
+        // DRAM, `m_wr` writes the MRF or DRAM.
+        use Instruction::{MRd, MWr};
+        let [MRd { mem, index }, MWr { mem: to, index: at }] = *chain.instructions() else {
+            unreachable!("a matrix chain is m_rd → m_wr")
         };
 
         // Write-after-read: do not overwrite tiles an earlier mv_mul is
         // still streaming.
-        let (dst_span, mut dep_ready) = match dst.0 {
+        let (dst_span, mut dep_ready) = match to {
             MemId::MatrixRf => {
-                let s = mrf_span(config, dst.1, count)?;
+                let s = mrf_span(config, at, count)?;
                 let t = self.mrf_read_until.latest(&s);
                 (s, t)
             }
-            MemId::Dram => (dram_span(dst.1, count)?, 0),
-            _ => return Err(malformed(Opcode::MWr)),
+            _ => (dram_span(at, count)?, 0),
         };
-        match src.0 {
+        match mem {
             MemId::NetQ => self.arrivals.pop_matrices(count)?,
-            MemId::Dram => {
+            _ => {
                 // Host-staged tiles were never written this run: ready at 0.
-                let s = dram_span(src.1, count)?;
+                let s = dram_span(index, count)?;
                 dep_ready = dep_ready.max(self.dram_matrix_ready.latest(&s));
             }
-            _ => return Err(malformed(Opcode::MRd)),
         }
 
         let occupancy = count.saturating_mul(u64::from(config.timing().dram_tile_cycles));
         let t = self.place(ChainKind::MatrixMove, dep_ready, occupancy, 0, width);
-        let board = match dst.0 {
+        let board = match to {
             MemId::MatrixRf => BoardId::Mrf,
             _ => BoardId::DramMatrix,
         };
@@ -1267,11 +1274,7 @@ impl Timeline {
                 Instruction::MRd { .. }
                 | Instruction::MWr { .. }
                 | Instruction::SWr { .. }
-                | Instruction::EndChain => {
-                    return Err(SimError::MalformedChain {
-                        opcode: instr.opcode(),
-                    })
-                }
+                | Instruction::EndChain => unreachable!("`Chain::new` refuses {instr} here"),
             }
         }
 

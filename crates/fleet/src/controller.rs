@@ -10,7 +10,7 @@
 //!   available worker, paying the weight-preload cost;
 //! - **scale up** — shedding since the last tick, a mean outstanding
 //!   depth at or above `scale_up_depth`, or a firing SLO alert from an
-//!   installed [alert source](FleetController::set_alert_source) grows
+//!   installed [alert source](FleetController::with_alert_source) grows
 //!   the replica set by one;
 //! - **repack** — a replica sitting on a degraded link moves to a
 //!   healthy worker (pin the new home first, then unpin the old — the
@@ -32,7 +32,7 @@ use bw_obs::{Alert, Ticker};
 use bw_serve::{MetricsSnapshot, NetworkModel, Server};
 
 use crate::metrics::FleetMetrics;
-use crate::policy::{LeastLoaded, PlacementPolicy, WorkerView};
+use crate::policy::{least_loaded, WorkerView};
 
 /// Control-loop tunables.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -104,33 +104,22 @@ struct ModelState {
     cooldown: u32,
 }
 
-/// The fleet controller: owns per-model control state and a placement
-/// policy, acts on a shared [`Server`].
+/// The fleet controller: owns per-model control state, places replicas on
+/// the least-loaded candidate, acts on a shared [`Server`].
 pub struct FleetController {
     server: Arc<Server>,
     cfg: FleetConfig,
-    policy: Box<dyn PlacementPolicy>,
     metrics: Arc<FleetMetrics>,
     state: HashMap<String, ModelState>,
     alert_source: Option<Box<dyn Fn() -> Vec<Alert> + Send>>,
 }
 
 impl FleetController {
-    /// A controller with the default [`LeastLoaded`] placement policy.
+    /// A controller over `server`'s pool.
     pub fn new(server: Arc<Server>, cfg: FleetConfig) -> FleetController {
-        FleetController::with_policy(server, cfg, Box::new(LeastLoaded))
-    }
-
-    /// A controller with a custom placement policy.
-    pub fn with_policy(
-        server: Arc<Server>,
-        cfg: FleetConfig,
-        policy: Box<dyn PlacementPolicy>,
-    ) -> FleetController {
         FleetController {
             server,
             cfg,
-            policy,
             metrics: Arc::new(FleetMetrics::new()),
             state: HashMap::new(),
             alert_source: None,
@@ -142,16 +131,11 @@ impl FleetController {
     /// firing counts as pressured on every tick the alert stays up, so
     /// burn-rate alerts drive scale-up even before queue depth or
     /// shedding show it.
-    pub fn set_alert_source(&mut self, source: impl Fn() -> Vec<Alert> + Send + 'static) {
-        self.alert_source = Some(Box::new(source));
-    }
-
-    /// Builder-style [`set_alert_source`](Self::set_alert_source).
     pub fn with_alert_source(
         mut self,
         source: impl Fn() -> Vec<Alert> + Send + 'static,
     ) -> FleetController {
-        self.set_alert_source(source);
+        self.alert_source = Some(Box::new(source));
         self
     }
 
@@ -261,7 +245,7 @@ impl FleetController {
             // down links come back on the best available candidates.
             while replicas < self.cfg.min_replicas {
                 let cands = self.candidates(&snap, &net, &hosts);
-                let Some(worker) = self.policy.choose(&model, &cands) else {
+                let Some(worker) = least_loaded(&cands) else {
                     break;
                 };
                 let Some(preload) = self.apply_pin(&model, worker) else {
@@ -287,7 +271,7 @@ impl FleetController {
                         .into_iter()
                         .filter(|c| !c.degraded)
                         .collect();
-                    if let Some(worker) = self.policy.choose(&model, &cands) {
+                    if let Some(worker) = least_loaded(&cands) {
                         if let Some(preload) = self.apply_pin(&model, worker) {
                             self.metrics.repairs.fetch_add(1, Ordering::Relaxed);
                             decisions.push(FleetDecision::Repair {
@@ -320,7 +304,7 @@ impl FleetController {
                     shed_delta > 0 || mean_depth >= self.cfg.scale_up_depth.max(1) || alerted;
                 if pressured && replicas < self.cfg.max_replicas {
                     let cands = self.candidates(&snap, &net, &hosts);
-                    if let Some(worker) = self.policy.choose(&model, &cands) {
+                    if let Some(worker) = least_loaded(&cands) {
                         if let Some(preload) = self.apply_pin(&model, worker) {
                             self.metrics.scale_ups.fetch_add(1, Ordering::Relaxed);
                             decisions.push(FleetDecision::ScaleUp {

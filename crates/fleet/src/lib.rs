@@ -10,9 +10,9 @@
 //!   [`NetworkModel`](bw_serve::NetworkModel): scales replica counts up
 //!   under queue pressure or shedding, back down when idle, re-pins
 //!   replicas lost to worker death or link faults, and repacks replicas
-//!   off degraded links;
-//! - [`PlacementPolicy`] — a pluggable ranking over candidate workers
-//!   ([`LeastLoaded`] by default) deciding where new replicas land;
+//!   off degraded links, placing each new replica on the least-loaded
+//!   candidate (healthy link, then shallowest queue, then fewest resident
+//!   models);
 //! - [`migrate`] — live migration of a pinned model between workers via
 //!   dual-pin → cutover → drain, with zero dropped requests and
 //!   bit-identical responses;
@@ -61,4 +61,3 @@ mod policy;
 pub use controller::{FleetConfig, FleetController, FleetDecision, FleetHandle};
 pub use metrics::{FleetMetrics, FLEET_SPAN_CLOCK_HZ};
 pub use migrate::{migrate, MigrationReport};
-pub use policy::{LeastLoaded, PlacementPolicy, WorkerView};

@@ -328,12 +328,13 @@ fn background_loop_repairs_and_exposes_metrics() {
     let handle = FleetController::new(Arc::clone(&server), cfg).run();
 
     assert!(server.kill_worker(0));
-    let deadline = Instant::now() + Duration::from_secs(5);
+    let deadline = Instant::now() + DEADLINE;
     while server.pinned_workers("ctl").is_empty() {
         assert!(
             Instant::now() < deadline,
             "controller never repaired the model"
         );
+        // Poll once per controller tick.
         thread::sleep(Duration::from_millis(5));
     }
     let client = server.client();

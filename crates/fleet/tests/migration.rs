@@ -5,7 +5,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bw_fleet::{migrate, FleetConfig, FleetController, FleetDecision, FleetMetrics};
 use bw_serve::demo::{demo_input, mlp_artifact};
@@ -25,6 +25,20 @@ fn boot(workers: usize, home: usize) -> Arc<Server> {
             .spawn()
             .unwrap(),
     )
+}
+
+/// Waits, at most [`DEADLINE`], until `completed` has moved past `since`;
+/// returns the count it reached.
+fn advanced(completed: &AtomicU64, since: u64) -> u64 {
+    let start = Instant::now();
+    loop {
+        let now = completed.load(Ordering::Relaxed);
+        if now > since {
+            return now;
+        }
+        assert!(start.elapsed() < DEADLINE, "traffic stalled at {since}");
+        thread::yield_now();
+    }
 }
 
 /// Expected outputs from a pool nobody migrates, one per input seed.
@@ -77,15 +91,16 @@ fn migration_under_sustained_traffic_is_bit_identical_and_lossless() {
         })
         .collect();
 
-    // Let traffic establish, then walk the model across the pool.
-    thread::sleep(Duration::from_millis(30));
+    // Walk the model across the pool, each hop once traffic has completed
+    // since the one before, and stop once it has completed since the last.
     let fm = FleetMetrics::new();
+    let seen = advanced(&completed, 0);
     let hop1 = migrate(&server, "mig", 0, 1, &fm).unwrap();
     assert_eq!((hop1.from, hop1.to), (0, 1));
-    thread::sleep(Duration::from_millis(30));
+    let seen = advanced(&completed, seen);
     let hop2 = migrate(&server, "mig", 1, 2, &fm).unwrap();
     assert_eq!((hop2.from, hop2.to), (1, 2));
-    thread::sleep(Duration::from_millis(30));
+    advanced(&completed, seen);
 
     stop.store(true, Ordering::Release);
     for t in traffic {

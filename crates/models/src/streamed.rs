@@ -153,7 +153,7 @@ impl StreamedConvNet {
         let fmt = npu.config().matrix_format();
         let zero = bw_bfp::BfpMatrix::zeros(nd, nd, fmt);
         for i in 0..self.dram_entries() {
-            npu.load_dram_matrix(i, zero.clone());
+            npu.load_dram_matrix(i, zero.clone())?;
         }
         for (k, shape) in self.layers.iter().enumerate() {
             npu.push_input_zeros(self.grids[k].1 as usize * shape.positions());

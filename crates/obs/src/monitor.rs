@@ -21,7 +21,7 @@
 //!   time — for the chrome trace timeline.
 //! - [`alert_source`](Monitor::alert_source) returns a closure listing
 //!   currently-firing alerts, shaped for
-//!   `FleetController::set_alert_source` so burn-rate alerts become
+//!   `FleetController::with_alert_source` so burn-rate alerts become
 //!   scale signals.
 
 use std::sync::{Arc, Mutex, Weak};
@@ -191,7 +191,7 @@ impl Monitor {
     }
 
     /// A closure listing currently-firing alerts, shaped for
-    /// `FleetController::set_alert_source`.
+    /// `FleetController::with_alert_source`.
     pub fn alert_source(&self) -> impl Fn() -> Vec<Alert> + Send + Sync + 'static {
         let monitor = self.clone();
         move || monitor.firing()

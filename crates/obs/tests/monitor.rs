@@ -103,10 +103,12 @@ fn the_background_loop_scrapes_until_stopped() {
     let deadline = Instant::now() + Duration::from_secs(5);
     while monitor.scrapes() < 5 {
         assert!(Instant::now() < deadline, "loop never scraped");
+        // Poll once per scrape interval.
         std::thread::sleep(Duration::from_millis(2));
     }
     handle.stop();
     let settled = monitor.scrapes();
+    // A window of five intervals, in which a running loop would scrape.
     std::thread::sleep(Duration::from_millis(10));
     assert_eq!(monitor.scrapes(), settled, "loop kept scraping after stop");
 }

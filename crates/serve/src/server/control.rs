@@ -201,14 +201,12 @@ impl Server {
         let bytes = usize::try_from(artifact.mrf_fill_bytes()).unwrap_or(usize::MAX);
         let net = inner.network();
         let preload_s = inner.cfg.preload.preload_s(bytes, &net, worker);
-        if preload_s > 0.0 && bytes > 0 {
-            inner.links[worker].record(bytes, preload_s);
-        }
         handle
             .control(Control::Pin {
                 slot,
                 model: Box::new(pin),
                 preload_s,
+                bytes,
             })
             .map_err(|_| PinError::WorkerDead(worker))?;
         Ok(Duration::from_secs_f64(preload_s))

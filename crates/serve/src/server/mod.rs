@@ -463,8 +463,6 @@ pub(crate) struct ServerInner {
     /// ([`Server::register_model`]); shard groups are fixed at spawn.
     catalog: RwLock<Catalog>,
     workers: Vec<WorkerHandle>,
-    /// One client↔worker link per worker, in worker order.
-    links: Vec<LinkMetrics>,
     router: Router,
     cfg: ServerConfig,
     /// The live network model. Replaceable at runtime
@@ -530,7 +528,10 @@ impl ServerInner {
             pins.collect()
         };
         let links = |read: fn(&LinkMetrics) -> &AtomicU64| {
-            let counts = self.links.iter().map(|l| read(l).load(Ordering::Relaxed));
+            let counts = self
+                .workers
+                .iter()
+                .map(|w| read(&w.link).load(Ordering::Relaxed));
             counts.collect::<Vec<u64>>()
         };
         let workers = self.workers.iter();
@@ -616,7 +617,7 @@ impl ServerInner {
             return 0.0;
         }
         let s = net.one_way_on(worker, bytes);
-        self.links[worker].record(bytes, s);
+        self.workers[worker].link.record(bytes, s);
         s
     }
 }
@@ -848,15 +849,11 @@ impl ServerBuilder {
             workers.push(spawn_worker(id, pinned, self.cfg.queue_cap));
         }
 
-        let links = (0..self.cfg.replicas)
-            .map(|_| LinkMetrics::default())
-            .collect();
         Ok(Server {
             inner: Arc::new(ServerInner {
                 router: Router::new(self.cfg.policy, self.cfg.seed),
                 catalog: RwLock::new(catalog),
                 workers,
-                links,
                 net: RwLock::new(self.cfg.network),
                 cfg: self.cfg,
                 next_id: AtomicU64::new(1),

@@ -36,6 +36,8 @@ use std::time::{Duration, Instant};
 use bw_core::{RunStats, SpanRecord};
 use bw_gir::PinnedModel;
 
+use crate::metrics::LinkMetrics;
+
 /// The input (or output) columns of one leg: one vector per member
 /// request, shared by every attempt of the leg.
 pub(crate) type Columns = Arc<[Vec<f32>]>;
@@ -107,6 +109,8 @@ pub(crate) enum Control {
         model: Box<PinnedModel>,
         /// Modeled preload seconds to sleep before the replica serves.
         preload_s: f64,
+        /// Weight bytes the preload ships over the worker's link.
+        bytes: usize,
     },
     /// Drop the replica in `slot`. Jobs already queued ahead of this
     /// message still execute (FIFO drain); jobs that race in behind it
@@ -137,6 +141,8 @@ pub(crate) struct WorkerHandle {
     kill: Arc<AtomicBool>,
     /// Jobs the worker has fully processed (for tests and metrics).
     pub processed: Arc<AtomicU64>,
+    /// This worker's client↔worker network link.
+    pub link: Arc<LinkMetrics>,
     /// Which catalog slots this worker pins (`true` = can serve).
     /// Shared with the worker thread: the thread sets a slot after
     /// applying a `Pin`; the server clears it *before* enqueueing an
@@ -287,11 +293,13 @@ pub(crate) fn spawn_worker(
     let alive = Arc::new(AtomicBool::new(true));
     let kill = Arc::new(AtomicBool::new(false));
     let processed = Arc::new(AtomicU64::new(0));
+    let link = Arc::new(LinkMetrics::default());
 
     let t_outstanding = Arc::clone(&outstanding);
     let t_alive = Arc::clone(&alive);
     let t_kill = Arc::clone(&kill);
     let t_processed = Arc::clone(&processed);
+    let t_link = Arc::clone(&link);
     let t_pins = Arc::clone(&pins);
     let t_pinned_since = Arc::clone(&pinned_since);
     let join = std::thread::Builder::new()
@@ -312,10 +320,15 @@ pub(crate) fn spawn_worker(
                                 slot,
                                 model,
                                 preload_s,
+                                bytes,
                             } => {
                                 // The device is busy streaming weights
-                                // for the modeled preload window.
+                                // for the modeled preload window, metered
+                                // on its link as the window opens.
                                 if preload_s > 0.0 {
+                                    if bytes > 0 {
+                                        t_link.record(bytes, preload_s);
+                                    }
                                     std::thread::sleep(Duration::from_secs_f64(preload_s));
                                 }
                                 if models.len() <= slot {
@@ -384,6 +397,7 @@ pub(crate) fn spawn_worker(
         alive,
         kill,
         processed,
+        link,
         pins,
         pinned_since,
         join: Mutex::new(Some(join)),

@@ -258,6 +258,7 @@ proptest! {
         );
         let receivers: Vec<_> = (0..n)
             .map(|i| {
+                // Arrival pacing: the gap before request `i`.
                 std::thread::sleep(Duration::from_millis(gaps[i]));
                 (
                     seeds[i],

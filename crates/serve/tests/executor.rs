@@ -101,8 +101,8 @@ impl Case {
         request(self.shape, &self.client, &self.inputs, deadline)
     }
 
-    /// Stalls `worker` for [`STALL`]. Returns once the stall's `Pin`
-    /// message is on the worker's queue; join the handle to wait it out.
+    /// Stalls `worker` for [`STALL`]. Returns once the worker has taken
+    /// the stall's `Pin` off its queue; join the handle to wait it out.
     fn stall(&self, worker: usize) -> JoinHandle<()> {
         let before = self.server.metrics().link_transfers[worker];
         let handle = {
@@ -112,12 +112,13 @@ impl Case {
                 let _ = server.pin_model("aux", worker);
             })
         };
-        // `pin_model` meters the preload on the worker's link in the
-        // statement before it queues the `Pin`.
+        // The worker meters the preload on its link as it takes the `Pin`
+        // and falls asleep.
+        let start = Instant::now();
         while self.server.metrics().link_transfers[worker] == before {
+            assert!(start.elapsed() < LONG, "the stall's pin never queued");
             std::thread::yield_now();
         }
-        std::thread::sleep(Duration::from_millis(25));
         handle
     }
 
@@ -425,6 +426,7 @@ fn sharded_members_of_a_window_overlap_and_are_charged_their_hold() {
     );
     let hold = Duration::from_millis(150);
     let first = batcher.submit(MODEL, input.clone(), LONG);
+    // The hold under test: the window keeps `first` this long.
     std::thread::sleep(hold);
     let flushed = Instant::now();
     let rest: Vec<_> = (1..BATCH)

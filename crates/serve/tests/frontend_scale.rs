@@ -5,7 +5,7 @@
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bw_serve::demo::{demo_input, mlp_artifact};
 use bw_serve::{
@@ -106,6 +106,7 @@ fn idle_connected_server_makes_no_wakeups() {
 
     let idle_window = || {
         let before = frontend_thread_blocks();
+        // The measurement window.
         std::thread::sleep(Duration::from_millis(500));
         (before, frontend_thread_blocks())
     };
@@ -241,7 +242,10 @@ fn slow_reader_sees_backpressure_not_lost_or_reordered_frames() {
     // Wait until all 512 are served: their responses pile up against the
     // unread socket, the kernel buffers fill and the front end's wbuf
     // takes the overflow.
+    let start = Instant::now();
     while server.metrics().models[0].completed < 512 + 512 {
+        assert!(start.elapsed() < DEADLINE, "the pipelined requests stalled");
+        // Poll interval: each check takes a metrics snapshot.
         std::thread::sleep(Duration::from_millis(1));
     }
 
@@ -263,6 +267,7 @@ fn slow_reader_sees_backpressure_not_lost_or_reordered_frames() {
             other => panic!("response {i}: unexpected frame {other:?}"),
         }
         if i % 64 == 0 {
+            // Read slowly: the front end must keep buffering meanwhile.
             std::thread::sleep(Duration::from_millis(10));
         }
     }

@@ -202,11 +202,11 @@ fn matrix_move_chain_schedule_matches_golden_in_both_modes() {
     for mode in [ExecMode::Full, ExecMode::TimingOnly] {
         let got = traced(config.clone(), mode, |npu| {
             for index in 0..4 {
-                npu.load_dram_matrix(index, tile());
+                npu.load_dram_matrix(index, tile()).unwrap();
             }
             // Three columns of a staged grid and three reloads.
             for _ in 0..3 * 4 * 4 {
-                npu.push_input_matrix(tile());
+                npu.push_input_matrix(tile()).unwrap();
             }
             npu.run_batch(&program, 3).expect("the program runs")
         });

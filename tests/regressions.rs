@@ -323,7 +323,8 @@ fn a_run_schedules_as_on_a_fresh_npu_whatever_ran_before() {
         let prepared = || {
             let mut npu = Npu::with_mode(cfg(), mode);
             for index in [0, dram_matrix] {
-                npu.load_dram_matrix(index, tile().expect("a native tile"));
+                npu.load_dram_matrix(index, tile().expect("a native tile"))
+                    .expect("a native tile in range");
             }
             npu.reserve_matrix_grid(last_tile, 1, 1)
                 .expect("the tile fits");

@@ -22,7 +22,7 @@
 //! [`ExecMode::Full`]: crate::ExecMode::Full
 //! [`ExecMode::TimingOnly`]: crate::ExecMode::TimingOnly
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use bw_bfp::BfpMatrix;
 
@@ -102,19 +102,21 @@ impl MatrixFile {
     }
 }
 
-/// Off-chip DRAM with separate vector and matrix address spaces, growing on
-/// write. Used to stage CNN weights that do not fit the MRF (§V-A) and as a
-/// spill target.
+/// Off-chip DRAM with separate vector and matrix address spaces, each
+/// holding only the entries written, so a write costs its width wherever
+/// it lands in the 2²²-entry space. Used to stage CNN weights that do not
+/// fit the MRF (§V-A) and as a spill target.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Dram {
-    /// Flat vector storage, grown on write; unwritten space reads as zeros.
-    vector_data: Vec<f32>,
-    matrices: Vec<Option<BfpMatrix>>,
+    /// One native vector per written entry; unwritten entries read as
+    /// zeros.
+    vectors: BTreeMap<u32, Vec<f32>>,
+    matrices: BTreeMap<u32, BfpMatrix>,
 }
 
 impl Dram {
     /// Appends `width` native vectors starting at `index` to `out`;
-    /// unwritten space reads as zeros.
+    /// unwritten entries read as zeros.
     pub(crate) fn read_vectors_into(
         &self,
         index: u32,
@@ -122,42 +124,32 @@ impl Dram {
         native_dim: usize,
         out: &mut Vec<f32>,
     ) {
-        let start = index as usize * native_dim;
-        let len = width as usize * native_dim;
-        let have_end = self.vector_data.len().min(start + len);
-        if start < have_end {
-            out.extend_from_slice(&self.vector_data[start..have_end]);
+        for entry in index..index + width {
+            match self.vectors.get(&entry) {
+                Some(vector) => out.extend_from_slice(vector),
+                None => out.resize(out.len() + native_dim, 0.0),
+            }
         }
-        out.resize(
-            out.len() + (start + len).saturating_sub(have_end.max(start)),
-            0.0,
-        );
     }
 
-    /// Writes native vectors from a flat slice starting at `index`, growing
-    /// the address space as needed.
+    /// Writes native vectors from a flat slice starting at `index`.
     pub(crate) fn write_vectors(&mut self, index: u32, flat: &[f32], native_dim: usize) {
-        let start = index as usize * native_dim;
-        let end = start + flat.len();
-        if end > self.vector_data.len() {
-            self.vector_data.resize(end, 0.0);
+        for (entry, vector) in (index..).zip(flat.chunks_exact(native_dim)) {
+            let stored = self.vectors.entry(entry).or_default();
+            stored.clear();
+            stored.extend_from_slice(vector);
         }
-        self.vector_data[start..end].copy_from_slice(flat);
     }
 
     pub(crate) fn read_matrix(&self, index: u32) -> Result<BfpMatrix, SimError> {
         self.matrices
-            .get(index as usize)
-            .and_then(|m| m.clone())
+            .get(&index)
+            .cloned()
             .ok_or(SimError::DramMatrixUninitialized { index })
     }
 
     pub(crate) fn write_matrix(&mut self, index: u32, tile: BfpMatrix) {
-        let end = index as usize + 1;
-        if end > self.matrices.len() {
-            self.matrices.resize(end, None);
-        }
-        self.matrices[index as usize] = Some(tile);
+        self.matrices.insert(index, tile);
     }
 }
 
@@ -296,6 +288,28 @@ mod tests {
         ));
         d.write_matrix(3, tile(2.0));
         assert!(d.read_matrix(3).is_ok());
+    }
+
+    #[test]
+    fn dram_stores_only_the_entries_written() {
+        // The last entries of the 2²²-entry space: one vector write of
+        // width 2 and one matrix hold three entries, not the space below.
+        let top = (1u32 << 22) - 2;
+        let mut d = Dram::default();
+        d.write_vectors(top, &[1.0, 2.0, 3.0, 4.0], 2);
+        d.write_matrix(top + 1, tile(2.0));
+        assert_eq!((d.vectors.len(), d.matrices.len()), (2, 1));
+        // A rewrite replaces the entry in place.
+        d.write_vectors(top + 1, &[5.0, 6.0], 2);
+        assert_eq!(d.vectors.len(), 2);
+        let mut out = Vec::new();
+        d.read_vectors_into(top - 1, 3, 2, &mut out);
+        assert_eq!(out, vec![0.0, 0.0, 1.0, 2.0, 5.0, 6.0]);
+        assert!(d.read_matrix(top + 1).is_ok());
+        assert!(matches!(
+            d.read_matrix(top),
+            Err(SimError::DramMatrixUninitialized { index }) if index == top
+        ));
     }
 
     #[test]

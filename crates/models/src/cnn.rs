@@ -7,7 +7,7 @@
 //! position produces all `C_out` channels.
 
 use bw_core::isa::{MemId, Program, ProgramBuilder};
-use bw_core::{Npu, SimError};
+use bw_core::{Npu, NpuConfig, SimError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -65,6 +65,101 @@ impl ConvShape {
     }
 }
 
+/// A layer lowered onto one `mv_mul` chain per output position: an
+/// `outputs × inputs` matrix pinned in the MRF, and one input vector per
+/// position streamed in and out through the network queue. 2-D and 1-D
+/// convolution differ only in the shape and in how they cut the inputs.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct MvLayer {
+    positions: usize,
+    outputs: usize,
+    inputs: usize,
+    /// Native tile rows: `ceil(outputs / N)`.
+    grid_out: u32,
+    /// Native tile columns: `ceil(inputs / N)`.
+    grid_in: u32,
+}
+
+impl MvLayer {
+    pub(crate) fn new(config: &NpuConfig, positions: usize, outputs: usize, inputs: usize) -> Self {
+        let nd = config.native_dim();
+        MvLayer {
+            positions,
+            outputs,
+            inputs,
+            grid_out: (outputs as u32).div_ceil(nd),
+            grid_in: (inputs as u32).div_ceil(nd),
+        }
+    }
+
+    pub(crate) fn mrf_entries_required(&self) -> u32 {
+        self.grid_out * self.grid_in
+    }
+
+    /// One chain per position, streaming from the network queue. `relu`
+    /// fuses the activation.
+    pub(crate) fn program(&self, mrf_base: u32, relu: bool) -> Program {
+        let mut b = ProgramBuilder::new();
+        let ok = "statically valid conv firmware";
+        b.set_rows(self.grid_out).set_cols(self.grid_in);
+        b.begin_loop(self.positions as u32).expect(ok);
+        b.v_rd(MemId::NetQ, 0).mv_mul(mrf_base);
+        if relu {
+            b.v_relu();
+        }
+        b.v_wr(MemId::NetQ, 0).end_chain().expect(ok);
+        b.end_loop().expect(ok);
+        b.build()
+    }
+
+    pub(crate) fn load_weights(
+        &self,
+        npu: &mut Npu,
+        mrf_base: u32,
+        weights: &[f32],
+    ) -> Result<(), SimError> {
+        let (rows, cols) = (self.outputs, self.inputs);
+        npu.load_tiled_matrix(mrf_base, self.grid_out, self.grid_in, rows, cols, weights)?;
+        Ok(())
+    }
+
+    pub(crate) fn load_random_weights(
+        &self,
+        npu: &mut Npu,
+        mrf_base: u32,
+        seed: u64,
+    ) -> Result<(), SimError> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let scale = 1.0 / (self.inputs as f32).sqrt();
+        let weights: Vec<f32> = (0..self.outputs * self.inputs)
+            .map(|_| rng.gen_range(-scale..scale))
+            .collect();
+        self.load_weights(npu, mrf_base, &weights)
+    }
+
+    /// Runs the program over the inputs already pushed, one per position,
+    /// and returns the `positions × outputs` results.
+    pub(crate) fn run(
+        &self,
+        npu: &mut Npu,
+        mrf_base: u32,
+        relu: bool,
+    ) -> Result<(Vec<f32>, bw_core::RunStats), SimError> {
+        let stats = npu.run(&self.program(mrf_base, relu))?;
+        let mut output = vec![0.0f32; self.positions * self.outputs];
+        for row in output.chunks_exact_mut(self.outputs) {
+            let y = npu
+                .pop_output_concat(self.grid_out as usize, self.outputs)
+                .ok_or(SimError::NetQueueEmpty {
+                    requested: self.grid_out,
+                    available: 0,
+                })?;
+            row.copy_from_slice(&y);
+        }
+        Ok((output, stats))
+    }
+}
+
 /// A convolution layer mapped onto a BW NPU.
 ///
 /// # Example
@@ -89,21 +184,14 @@ impl ConvShape {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ConvLayer {
     shape: ConvShape,
-    /// Native tile rows: `ceil(c_out / N)`.
-    grid_out: u32,
-    /// Native tile columns: `ceil(patch_len / N)`.
-    grid_in: u32,
+    layer: MvLayer,
 }
 
 impl ConvLayer {
     /// Plans a convolution layer for an NPU configuration.
     pub fn new(config: &bw_core::NpuConfig, shape: ConvShape) -> Self {
-        let nd = config.native_dim();
-        ConvLayer {
-            shape,
-            grid_out: (shape.c_out as u32).div_ceil(nd),
-            grid_in: (shape.patch_len() as u32).div_ceil(nd),
-        }
+        let layer = MvLayer::new(config, shape.positions(), shape.c_out, shape.patch_len());
+        ConvLayer { shape, layer }
     }
 
     /// The layer shape.
@@ -113,33 +201,13 @@ impl ConvLayer {
 
     /// MRF entries the kernel matrix occupies.
     pub fn mrf_entries_required(&self) -> u32 {
-        self.grid_out * self.grid_in
-    }
-
-    /// Native tile rows of the output channels.
-    pub fn grid_out(&self) -> u32 {
-        self.grid_out
-    }
-
-    /// Native tile columns of the im2col patch.
-    pub fn grid_in(&self) -> u32 {
-        self.grid_in
+        self.layer.mrf_entries_required()
     }
 
     /// Generates firmware: one chain per output position, streaming patches
     /// from the network queue. `relu` fuses the activation.
     pub fn program(&self, mrf_base: u32, relu: bool) -> Program {
-        let mut b = ProgramBuilder::new();
-        let ok = "statically valid conv firmware";
-        b.set_rows(self.grid_out).set_cols(self.grid_in);
-        b.begin_loop(self.shape.positions() as u32).expect(ok);
-        b.v_rd(MemId::NetQ, 0).mv_mul(mrf_base);
-        if relu {
-            b.v_relu();
-        }
-        b.v_wr(MemId::NetQ, 0).end_chain().expect(ok);
-        b.end_loop().expect(ok);
-        b.build()
+        self.layer.program(mrf_base, relu)
     }
 
     /// Pins the kernel (layout `C_out × K·K·C_in`, matching
@@ -154,15 +222,7 @@ impl ConvLayer {
         mrf_base: u32,
         kernel: &[f32],
     ) -> Result<(), SimError> {
-        npu.load_tiled_matrix(
-            mrf_base,
-            self.grid_out,
-            self.grid_in,
-            self.shape.c_out,
-            self.shape.patch_len(),
-            kernel,
-        )?;
-        Ok(())
+        self.layer.load_weights(npu, mrf_base, kernel)
     }
 
     /// Pins a random kernel (deterministic in `seed`).
@@ -176,12 +236,7 @@ impl ConvLayer {
         mrf_base: u32,
         seed: u64,
     ) -> Result<(), SimError> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let scale = 1.0 / (self.shape.patch_len() as f32).sqrt();
-        let kernel: Vec<f32> = (0..self.shape.weight_count())
-            .map(|_| rng.gen_range(-scale..scale))
-            .collect();
-        self.load_weights(npu, mrf_base, &kernel)
+        self.layer.load_random_weights(npu, mrf_base, seed)
     }
 
     /// Runs the layer on an `H × W × C_in` HWC input, returning the
@@ -211,18 +266,7 @@ impl ConvLayer {
                 npu.push_input_padded(&patch);
             }
         }
-        let stats = npu.run(&self.program(mrf_base, relu))?;
-        let mut output = vec![0.0f32; s.positions() * s.c_out];
-        for p in 0..s.positions() {
-            let y = npu
-                .pop_output_concat(self.grid_out as usize, s.c_out)
-                .ok_or(SimError::NetQueueEmpty {
-                    requested: self.grid_out,
-                    available: 0,
-                })?;
-            output[p * s.c_out..(p + 1) * s.c_out].copy_from_slice(&y);
-        }
-        Ok((output, stats))
+        self.layer.run(npu, mrf_base, relu)
     }
 
     /// Timing-only evaluation: reserves the kernel grid, pushes placeholder
@@ -237,8 +281,11 @@ impl ConvLayer {
         npu: &mut Npu,
         mrf_base: u32,
     ) -> Result<bw_core::RunStats, SimError> {
-        npu.reserve_matrix_grid(mrf_base, self.grid_out, self.grid_in)?;
-        npu.push_input_zeros(self.grid_in as usize * self.shape.positions());
+        let MvLayer {
+            grid_out, grid_in, ..
+        } = self.layer;
+        npu.reserve_matrix_grid(mrf_base, grid_out, grid_in)?;
+        npu.push_input_zeros(grid_in as usize * self.shape.positions());
         npu.run(&self.program(mrf_base, true))
     }
 }

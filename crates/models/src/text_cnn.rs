@@ -7,10 +7,10 @@
 //! matrix-vector lowering as 2-D convolution with a one-dimensional
 //! sliding window.
 
-use bw_core::isa::{MemId, Program, ProgramBuilder};
+use bw_core::isa::Program;
 use bw_core::{Npu, SimError};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+
+use crate::cnn::MvLayer;
 
 /// Shape of a 1-D convolution layer over a token sequence.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -72,8 +72,7 @@ impl Conv1dShape {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Conv1d {
     shape: Conv1dShape,
-    grid_out: u32,
-    grid_in: u32,
+    layer: MvLayer,
 }
 
 impl Conv1d {
@@ -84,12 +83,8 @@ impl Conv1d {
     /// Panics if the window exceeds the sequence.
     pub fn new(config: &bw_core::NpuConfig, shape: Conv1dShape) -> Self {
         assert!(shape.k <= shape.seq_len, "window exceeds sequence");
-        let nd = config.native_dim();
-        Conv1d {
-            shape,
-            grid_out: (shape.filters as u32).div_ceil(nd),
-            grid_in: (shape.window_len() as u32).div_ceil(nd),
-        }
+        let layer = MvLayer::new(config, shape.positions(), shape.filters, shape.window_len());
+        Conv1d { shape, layer }
     }
 
     /// The layer shape.
@@ -99,23 +94,12 @@ impl Conv1d {
 
     /// MRF entries the filter matrix occupies.
     pub fn mrf_entries_required(&self) -> u32 {
-        self.grid_out * self.grid_in
+        self.layer.mrf_entries_required()
     }
 
     /// Generates the firmware: one fused `mv_mul`+ReLU chain per position.
     pub fn program(&self, mrf_base: u32) -> Program {
-        let mut b = ProgramBuilder::new();
-        let ok = "statically valid conv1d firmware";
-        b.set_rows(self.grid_out).set_cols(self.grid_in);
-        b.begin_loop(self.shape.positions() as u32).expect(ok);
-        b.v_rd(MemId::NetQ, 0)
-            .mv_mul(mrf_base)
-            .v_relu()
-            .v_wr(MemId::NetQ, 0)
-            .end_chain()
-            .expect(ok);
-        b.end_loop().expect(ok);
-        b.build()
+        self.layer.program(mrf_base, true)
     }
 
     /// Pins the filter matrix (layout `filters × k·embed`, window-major).
@@ -129,15 +113,7 @@ impl Conv1d {
         mrf_base: u32,
         filters: &[f32],
     ) -> Result<(), SimError> {
-        npu.load_tiled_matrix(
-            mrf_base,
-            self.grid_out,
-            self.grid_in,
-            self.shape.filters,
-            self.shape.window_len(),
-            filters,
-        )?;
-        Ok(())
+        self.layer.load_weights(npu, mrf_base, filters)
     }
 
     /// Pins random filters (deterministic in `seed`).
@@ -151,12 +127,7 @@ impl Conv1d {
         mrf_base: u32,
         seed: u64,
     ) -> Result<(), SimError> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let scale = 1.0 / (self.shape.window_len() as f32).sqrt();
-        let filters: Vec<f32> = (0..self.shape.weight_count())
-            .map(|_| rng.gen_range(-scale..scale))
-            .collect();
-        self.load_weights(npu, mrf_base, &filters)
+        self.layer.load_random_weights(npu, mrf_base, seed)
     }
 
     /// Runs the layer over a `seq_len × embed` row-major token matrix,
@@ -182,18 +153,7 @@ impl Conv1d {
             let window = &tokens[p * s.embed..(p + s.k) * s.embed];
             npu.push_input_padded(window);
         }
-        let stats = npu.run(&self.program(mrf_base))?;
-        let mut out = vec![0.0f32; s.positions() * s.filters];
-        for p in 0..s.positions() {
-            let y = npu
-                .pop_output_concat(self.grid_out as usize, s.filters)
-                .ok_or(SimError::NetQueueEmpty {
-                    requested: self.grid_out,
-                    available: 0,
-                })?;
-            out[p * s.filters..(p + 1) * s.filters].copy_from_slice(&y);
-        }
-        Ok((out, stats))
+        self.layer.run(npu, mrf_base, true)
     }
 }
 

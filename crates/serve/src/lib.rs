@@ -28,12 +28,12 @@
 //!   histograms (p50/p99/p99.9) with the accounting identity
 //!   `completed + shed + failed == submitted`, plus per-link network
 //!   counters;
-//! - a tail-sampling flight recorder
-//!   ([`ServerBuilder::flight_recorder`]) — a bounded ring of full
-//!   [`RequestTrace`] span trees retained only for requests that
-//!   breached the latency objective or failed, so a p99.9 outlier can
-//!   be diagnosed after the fact without head-sampling every request
-//!   into the trace log;
+//! - one bounded log of [`RequestTrace`] span trees
+//!   ([`Server::take_traces`]): head sampling
+//!   ([`ServerBuilder::trace_sample`]) keeps one request in `n`, tail
+//!   sampling ([`ServerBuilder::tail_sample`]) every request that failed
+//!   or breached a latency objective, so a p99.9 outlier can be
+//!   diagnosed after the fact;
 //! - a TCP front end ([`TcpFrontend`] / [`TcpClient`]) speaking a
 //!   length-prefixed binary protocol ([`WireRequest`] / [`WireResponse`]);
 //! - an open-loop load generator ([`run_loadgen`]) replaying
@@ -74,12 +74,10 @@ pub mod loadgen;
 
 pub use batch::{BatchConfig, Batcher};
 pub use metrics::{Histogram, LinkMetrics, MetricsSnapshot, ModelResidency, ModelSnapshot};
-pub use request::{
-    Attribution, FlightOutcome, FlightRecord, RequestId, RequestTrace, Response, ServeError,
-};
+pub use request::{Attribution, RequestId, RequestTrace, Response, ServeError};
 pub use server::{
-    BatchItem, Client, FlightRecorderConfig, Pending, PinError, RegistryError, Server,
-    ServerBuilder, ServerConfig, SpawnError,
+    BatchItem, Client, Pending, PinError, RegistryError, Server, ServerBuilder, ServerConfig,
+    SpawnError,
 };
 pub use tcp::{TcpClient, TcpFrontend, TcpFrontendConfig};
 pub use wire::{read_frame, try_extract_frame, write_frame, WireError, WireRequest, WireResponse};

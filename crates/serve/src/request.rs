@@ -54,10 +54,11 @@ pub struct Response {
     pub attribution: Attribution,
 }
 
-/// One sampled request's full trace: its attribution plus the raw
-/// [`SpanRecord`]s the NPUs emitted while serving it. Collected only for
-/// requests matched by the server's `trace_sample` knob and drained via
-/// `Server::take_traces`.
+/// One request's kept trace: its outcome and attribution plus the raw
+/// [`SpanRecord`]s the NPUs emitted while serving it. The server keeps a
+/// trace iff the request was head-sampled (`trace_sample`), or it failed
+/// or took longer than the `tail_sample` objective; why can be read off
+/// `latency` and `error`. Drained via `Server::take_traces`.
 #[derive(Clone, Debug)]
 pub struct RequestTrace {
     /// The request the spans belong to.
@@ -67,49 +68,22 @@ pub struct RequestTrace {
     pub trace_id: TraceId,
     /// The model served.
     pub model: String,
-    /// Worker that produced the accepted attempt.
-    pub worker: usize,
-    /// Queue/service split and attributed NPU counters.
+    /// Worker that produced the accepted attempt; `None` if the request
+    /// failed.
+    pub worker: Option<usize>,
+    /// Time from admission to the request's end.
+    pub latency: Duration,
+    /// The rendered terminal error of a failed request.
+    pub error: Option<String>,
+    /// Queue/service split and attributed NPU counters (zeroed if the
+    /// request failed).
     pub attribution: Attribution,
-    /// Full accelerator statistics of the winning attempt.
+    /// Full accelerator statistics of the winning attempt (zeroed if the
+    /// request failed).
     pub stats: RunStats,
-    /// Spans the NPU pool emitted, in emission order.
+    /// Spans the NPU pool emitted, in emission order (for a failed
+    /// request, whatever its finished stages produced).
     pub spans: Vec<SpanRecord>,
-}
-
-/// Why the tail-sampling flight recorder retained a request.
-#[derive(Clone, Debug, PartialEq)]
-pub enum FlightOutcome {
-    /// The request completed, but slower than the configured latency
-    /// objective.
-    LatencyBreach {
-        /// The measured end-to-end latency.
-        latency: Duration,
-        /// The objective it breached.
-        objective: Duration,
-    },
-    /// The request terminated in a [`ServeError`] after admission.
-    Failed {
-        /// The rendered terminal error.
-        error: String,
-    },
-}
-
-/// One retained flight-recorder entry: the full trace of a request that
-/// breached the latency objective or failed. This is *tail* sampling —
-/// the decision to keep the trace is made at termination, once the
-/// outcome is known, so the bounded ring holds only the requests worth
-/// diagnosing (the p99.9 outliers), not a head-sampled cross-section.
-/// Drained via `Server::take_flight_records`.
-#[derive(Clone, Debug)]
-pub struct FlightRecord {
-    /// The retained trace. For a completed-but-slow request this carries
-    /// the full NPU span tree; for a failed request the spans are
-    /// whatever the failed attempts produced (often empty — the request
-    /// never completed an inference).
-    pub trace: RequestTrace,
-    /// Why the recorder kept it.
-    pub outcome: FlightOutcome,
 }
 
 /// Why a request did not complete. Every in-flight request terminates in

@@ -10,7 +10,7 @@ use bw_system::NetworkModel;
 
 use super::{Catalog, Client, Plan, RegistryError, ServerBuilder, ServerConfig, ServerInner};
 use crate::metrics::MetricsSnapshot;
-use crate::request::{FlightRecord, RequestTrace};
+use crate::request::RequestTrace;
 use crate::worker::{Control, WorkerHandle};
 
 /// Error produced by the runtime pin/unpin control plane
@@ -339,20 +339,12 @@ impl Server {
         self.inner.prometheus()
     }
 
-    /// Drains the sampled request traces collected so far (oldest
-    /// first). Traces accumulate only when `trace_sample > 0`; the log
-    /// keeps the most recent 256.
+    /// Drains the kept request traces (oldest first): those of
+    /// head-sampled requests (`trace_sample > 0`) and, under
+    /// [`ServerBuilder::tail_sample`], of every request that failed or
+    /// breached the objective. The log keeps the most recent 256.
     pub fn take_traces(&self) -> Vec<RequestTrace> {
         self.inner.trace_log.lock().unwrap().drain(..).collect()
-    }
-
-    /// Drains the tail-sampled flight records collected so far (oldest
-    /// first): the full span tree of every request that breached the
-    /// configured latency objective or failed, bounded at the
-    /// recorder's capacity. Empty unless
-    /// [`ServerBuilder::flight_recorder`] armed the recorder.
-    pub fn take_flight_records(&self) -> Vec<FlightRecord> {
-        self.inner.flight_log.lock().unwrap().drain(..).collect()
     }
 
     /// Registers an extra Prometheus renderer whose output is appended

@@ -11,11 +11,9 @@ use std::time::{Duration, Instant};
 
 use bw_core::{RunStats, SpanKind, SpanRecord};
 
-use super::{head_sampled, Leg, Plan, ServerInner};
+use super::{head_sampled, Leg, Plan, ServerInner, TRACE_LOG_CAP};
 use crate::metrics::MetricsSnapshot;
-use crate::request::{
-    Attribution, FlightOutcome, FlightRecord, RequestId, RequestTrace, Response, ServeError,
-};
+use crate::request::{Attribution, RequestId, RequestTrace, Response, ServeError};
 use crate::worker::{Columns, Completion, DispatchRefused, Job, Served};
 
 /// An in-process handle for submitting requests.
@@ -294,9 +292,10 @@ struct Run {
     /// driver waits no longer. Earlier member deadlines are checked by
     /// the late-response rule.
     deadline: Instant,
-    /// Workers only emit spans when asked at dispatch, and the flight
-    /// recorder decides retention at termination — so an armed recorder
-    /// traces every request and discards the uninteresting ones.
+    /// Workers only emit spans when asked at dispatch, and tail sampling
+    /// decides retention at termination — so when armed, every request
+    /// collects spans and the retention rule discards the uninteresting
+    /// ones.
     collect_spans: bool,
     /// Index of the in-flight stage.
     stage: usize,
@@ -340,7 +339,7 @@ impl Run {
         plan.metrics
             .submitted
             .fetch_add(members.len() as u64, Ordering::Relaxed);
-        let collect_spans = inner.cfg.flight_recorder.is_some()
+        let collect_spans = inner.cfg.tail_sample.is_some()
             || members.iter().any(|m| head_sampled(&inner.cfg, m.id));
         let mut run = Run {
             inner: Arc::clone(inner),
@@ -630,22 +629,21 @@ impl Run {
     /// of the attribution, its trace retention and its response.
     fn finish(&mut self, outputs: Vec<Vec<f32>>) -> Vec<Result<Response, ServeError>> {
         self.settled = true;
-        let (inner, plan) = (&self.inner, &self.plan);
+        let plan = &self.plan;
         let delivered_at = Instant::now();
         let k = self.members.len() as u64;
         let service_s = self.service_s / k as f64;
         let network_s = self.network_s / k as f64;
-        let trace_id = self.members[0].id;
         let members = self.members.iter().zip(outputs).enumerate();
         members
             .map(|(p, (member, output))| {
+                let latency = delivered_at.saturating_duration_since(member.arrived_at);
                 if delivered_at >= member.deadline_at {
                     let err = self.deadline_exceeded();
                     plan.metrics.failed.fetch_add(1, Ordering::Relaxed);
-                    inner.push_flight_failure(member.id, &plan.name, &err.to_string());
+                    self.retain(member, latency, Err(&err.to_string()));
                     return Err(err);
                 }
-                let latency = delivered_at.saturating_duration_since(member.arrived_at);
                 let share = |total: u64| total / k + u64::from((p as u64) < total % k);
                 let stats = RunStats {
                     cycles: share(self.stats.cycles),
@@ -670,37 +668,7 @@ impl Run {
                     dep_stall_cycles: stats.dep_stall_cycles,
                     resource_stall_cycles: stats.resource_stall_cycles,
                 };
-                // Tail sampling keeps the span tree iff the latency
-                // objective was breached; head sampling iff the id was
-                // selected at admission.
-                let breached = inner
-                    .cfg
-                    .flight_recorder
-                    .filter(|fr| latency > fr.latency_objective);
-                let sampled = head_sampled(&inner.cfg, member.id) && !self.spans.is_empty();
-                if breached.is_some() || sampled {
-                    let trace = RequestTrace {
-                        request_id: member.id,
-                        trace_id,
-                        model: plan.name.clone(),
-                        worker: self.worker,
-                        attribution,
-                        stats,
-                        spans: self.spans.clone(),
-                    };
-                    if sampled {
-                        inner.push_trace(trace.clone());
-                    }
-                    if let Some(fr) = breached {
-                        inner.push_flight(FlightRecord {
-                            trace,
-                            outcome: FlightOutcome::LatencyBreach {
-                                latency,
-                                objective: fr.latency_objective,
-                            },
-                        });
-                    }
-                }
+                self.retain(member, latency, Ok((attribution, stats)));
                 Ok(Response {
                     request_id: member.id,
                     output,
@@ -728,8 +696,8 @@ impl Run {
     /// Terminal accounting of an unserved run, exactly once: every
     /// member counts as shed or failed, every leg still in flight fails
     /// on its member row (gathered legs already completed there), and
-    /// failures — not sheds, which never got capacity — are
-    /// flight-recorded.
+    /// failures — not sheds, which never got capacity — pass through
+    /// the retention rule.
     fn settle_unserved(&mut self, shed: bool, why: &str) {
         if std::mem::replace(&mut self.settled, true) {
             return;
@@ -744,11 +712,49 @@ impl Run {
             }
         }
         if !shed {
+            let now = Instant::now();
             for member in &self.members {
-                self.inner
-                    .push_flight_failure(member.id, &self.plan.name, why);
+                let latency = now.saturating_duration_since(member.arrived_at);
+                self.retain(member, latency, Err(why));
             }
         }
+    }
+
+    /// The one retention rule, applied once to each member that served
+    /// or failed: its trace is kept iff it was head-sampled, or tail
+    /// sampling is armed and it failed or took longer than the
+    /// objective. The log keeps the latest [`TRACE_LOG_CAP`].
+    fn retain(
+        &self,
+        member: &Member,
+        latency: Duration,
+        outcome: Result<(Attribution, RunStats), &str>,
+    ) {
+        let cfg = &self.inner.cfg;
+        let tail = |objective| outcome.is_err() || latency > objective;
+        if !head_sampled(cfg, member.id) && !cfg.tail_sample.is_some_and(tail) {
+            return;
+        }
+        let (worker, (attribution, stats), error) = match outcome {
+            Ok(served) => (Some(self.worker), served, None),
+            Err(error) => (None, Default::default(), Some(error.to_owned())),
+        };
+        let trace = RequestTrace {
+            request_id: member.id,
+            trace_id: self.members[0].id,
+            model: self.plan.name.clone(),
+            worker,
+            latency,
+            error,
+            attribution,
+            stats,
+            spans: self.spans.clone(),
+        };
+        let mut log = self.inner.trace_log.lock().unwrap();
+        if log.len() >= TRACE_LOG_CAP {
+            log.pop_front();
+        }
+        log.push_back(trace);
     }
 }
 

@@ -82,7 +82,7 @@
 //!
 //! A response delivered at or after its member's `deadline_at` is not a
 //! completion: the member fails `DeadlineExceeded`, counts `failed`, and
-//! is flight-recorded as a failure — whatever the shape, and whether the
+//! tail sampling keeps its trace — whatever the shape, and whether the
 //! time went to queueing, execution, a coalescing hold or the modeled
 //! network.
 //!
@@ -106,30 +106,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
-use bw_core::RunStats;
 use bw_gir::{ModelArtifact, ShardedArtifact};
 use bw_system::{NetworkModel, PreloadModel, Routing};
 
 use crate::metrics::{snapshot_model, LinkMetrics, MetricsSnapshot, ModelMetrics, ModelResidency};
-use crate::request::{
-    Attribution, FlightOutcome, FlightRecord, RequestId, RequestTrace, ServeError,
-};
+use crate::request::{RequestId, RequestTrace, ServeError};
 use crate::router::Router;
 use crate::worker::{spawn_worker, WorkerHandle};
 
-/// Sampled request traces retained before the oldest is dropped.
+/// Request traces the log keeps before it drops the oldest.
 const TRACE_LOG_CAP: usize = 256;
-
-/// Tail-sampling flight-recorder settings ([`ServerConfig::flight_recorder`]).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FlightRecorderConfig {
-    /// Completed requests slower than this are retained with their full
-    /// span tree.
-    pub latency_objective: Duration,
-    /// Bounded ring capacity: once full, the oldest record is dropped
-    /// for each new one.
-    pub capacity: usize,
-}
 
 /// Tunables of one server pool.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -163,14 +149,13 @@ pub struct ServerConfig {
     /// costs in simulated time ([`Server::pin_model`]). The default free
     /// model preloads instantly, preserving pre-fleet behavior.
     pub preload: PreloadModel,
-    /// Tail-sampling flight recorder: when set, every request is traced
-    /// and the full span tree of each request that breached the latency
-    /// objective or failed is retained in a bounded ring
-    /// ([`Server::take_flight_records`]). Unlike `trace_sample` (head
-    /// sampling, decided at admission), retention is decided at
-    /// termination when the outcome is known. `None` (the default)
-    /// disables the recorder.
-    pub flight_recorder: Option<FlightRecorderConfig>,
+    /// Tail sampling: when set, every request collects spans, and the
+    /// trace of each request that failed or took longer than this
+    /// objective joins the head-sampled ones ([`Server::take_traces`]).
+    /// Unlike `trace_sample` (decided at admission), this is decided at
+    /// termination, when the outcome is known. `None` (the default)
+    /// disables it.
+    pub tail_sample: Option<Duration>,
 }
 
 impl Default for ServerConfig {
@@ -185,7 +170,7 @@ impl Default for ServerConfig {
             trace_sample: 0,
             network: NetworkModel::ideal(),
             preload: PreloadModel::free(),
-            flight_recorder: None,
+            tail_sample: None,
         }
     }
 }
@@ -470,13 +455,9 @@ pub(crate) struct ServerInner {
     /// repair link faults while traffic flows.
     net: RwLock<NetworkModel>,
     next_id: AtomicU64,
-    /// Sampled request traces, oldest first, bounded at
-    /// [`TRACE_LOG_CAP`].
+    /// Kept request traces (head- and tail-sampled), oldest first,
+    /// bounded at [`TRACE_LOG_CAP`].
     trace_log: Mutex<VecDeque<RequestTrace>>,
-    /// Tail-sampled flight records, oldest first, bounded at
-    /// `cfg.flight_recorder.capacity`. Empty unless the recorder is
-    /// configured.
-    flight_log: Mutex<VecDeque<FlightRecord>>,
     /// Extra Prometheus renderers appended to the server's own
     /// exposition — how higher layers (fleet counters, SLO/alert gauges)
     /// publish through the one TAG_PROM scrape target. Each must render
@@ -551,54 +532,6 @@ impl ServerInner {
                 .map(|ns| ns as f64 * 1e-9)
                 .collect(),
         }
-    }
-
-    fn push_trace(&self, trace: RequestTrace) {
-        let mut log = self.trace_log.lock().unwrap();
-        if log.len() >= TRACE_LOG_CAP {
-            log.pop_front();
-        }
-        log.push_back(trace);
-    }
-
-    /// Retains one flight record, bounded at the configured capacity
-    /// (oldest dropped first). No-op when the recorder is off.
-    fn push_flight(&self, record: FlightRecord) {
-        let Some(fr) = self.cfg.flight_recorder else {
-            return;
-        };
-        if fr.capacity == 0 {
-            return;
-        }
-        let mut log = self.flight_log.lock().unwrap();
-        if log.len() >= fr.capacity {
-            log.pop_front();
-        }
-        log.push_back(record);
-    }
-
-    /// Retains a failure record for a request that ended without a
-    /// response: no accepted inference means no span tree, so the record
-    /// carries the identity and the terminal error (`worker` is
-    /// `usize::MAX`). No-op when the recorder is off.
-    fn push_flight_failure(&self, request_id: RequestId, model: &str, error: &str) {
-        if self.cfg.flight_recorder.is_none() {
-            return;
-        }
-        self.push_flight(FlightRecord {
-            trace: RequestTrace {
-                request_id,
-                trace_id: request_id,
-                model: model.to_owned(),
-                worker: usize::MAX,
-                attribution: Attribution::default(),
-                stats: RunStats::default(),
-                spans: Vec::new(),
-            },
-            outcome: FlightOutcome::Failed {
-                error: error.to_owned(),
-            },
-        });
     }
 
     fn prometheus(&self) -> String {
@@ -728,15 +661,10 @@ impl ServerBuilder {
         self
     }
 
-    /// Arms the tail-sampling flight recorder: completed requests slower
-    /// than `latency_objective` (and failed requests) are retained with
-    /// their full span trees in a ring of `capacity` records, drained
-    /// via [`Server::take_flight_records`].
-    pub fn flight_recorder(mut self, latency_objective: Duration, capacity: usize) -> Self {
-        self.cfg.flight_recorder = Some(FlightRecorderConfig {
-            latency_objective,
-            capacity,
-        });
+    /// Sets tail sampling: also keep the trace of every request that
+    /// fails or takes longer than `objective`.
+    pub fn tail_sample(mut self, objective: Duration) -> Self {
+        self.cfg.tail_sample = Some(objective);
         self
     }
 
@@ -858,7 +786,6 @@ impl ServerBuilder {
                 cfg: self.cfg,
                 next_id: AtomicU64::new(1),
                 trace_log: Mutex::new(VecDeque::new()),
-                flight_log: Mutex::new(VecDeque::new()),
                 extra_prom: RwLock::new(Vec::new()),
             }),
         })

@@ -19,8 +19,8 @@ use std::time::{Duration, Instant};
 use bw_core::{SpanKind, SpanRecord};
 use bw_serve::demo::{demo_input, mlp_artifact, sharded_mlp};
 use bw_serve::{
-    BatchConfig, BatchItem, Batcher, Client, FlightOutcome, NetworkModel, PreloadModel, Response,
-    Routing, ServeError, Server, ServerBuilder,
+    BatchConfig, BatchItem, Batcher, Client, NetworkModel, PreloadModel, Response, Routing,
+    ServeError, Server, ServerBuilder,
 };
 
 const MODEL: &str = "m";
@@ -330,7 +330,7 @@ fn late_response_is_a_deadline_failure_on_every_shape() {
     ] {
         let case = Case::boot(shape, |b| {
             b.network(NetworkModel::with_hop(hop_s))
-                .flight_recorder(Duration::from_secs(100), 16)
+                .tail_sample(Duration::from_secs(100))
         });
         let started = Instant::now();
         let outcomes = case.request(deadline);
@@ -339,14 +339,11 @@ fn late_response_is_a_deadline_failure_on_every_shape() {
             matches!(e, ServeError::DeadlineExceeded { retries: 0, .. })
         });
         assert_eq!(case.settled("late"), (0, 0, case.members()));
-        let records = case.server.take_flight_records();
-        assert_eq!(records.len(), case.inputs.len(), "{shape:?}");
-        for record in &records {
-            assert!(
-                matches!(record.outcome, FlightOutcome::Failed { .. }),
-                "{shape:?}: {:?}",
-                record.outcome
-            );
+        let traces = case.server.take_traces();
+        assert_eq!(traces.len(), case.inputs.len(), "{shape:?}");
+        for trace in &traces {
+            assert!(trace.error.is_some(), "{shape:?}: {trace:?}");
+            assert_eq!(trace.worker, None, "{shape:?}");
         }
     }
 }

@@ -80,7 +80,9 @@ fn one_request_traces_end_to_end() {
     assert_eq!(t.request_id, resp.request_id);
     assert_eq!(t.trace_id, resp.request_id);
     assert_eq!(t.model, "mlp");
-    assert_eq!(t.worker, resp.worker);
+    assert_eq!(t.worker, Some(resp.worker));
+    assert_eq!(t.latency, resp.latency);
+    assert_eq!(t.error, None);
     assert_eq!(t.attribution, a);
     assert!(t.spans.iter().all(|s| s.trace_id == resp.request_id));
     let run_cycles: u64 = t

@@ -6,8 +6,9 @@
 //! that scales with `native_dim`; its first run zeroes only what it
 //! writes; its first fast-forwarded run allocates each scratch buffer once
 //! and reallocates none; generating its firmware reallocates nothing; and
-//! neither a weight load nor a warm run allocates. And `read_frame` does
-//! not reserve a frame a header merely announces.
+//! neither a weight load nor a warm run allocates. A full-mode DRAM write
+//! costs its width wherever it lands. And `read_frame` does not reserve a
+//! frame a header merely announces.
 //!
 //! This file holds exactly one `#[test]` so no concurrent test can
 //! allocate inside the measurement window of the process-global counting
@@ -180,7 +181,7 @@ fn untraced_hot_path_does_not_allocate() {
     b.end_loop().unwrap();
     let program = b.build();
 
-    let mut npu = Npu::new(cfg);
+    let mut npu = Npu::new(cfg.clone());
     let ident: Vec<f32> = {
         let n = 2 * nd;
         let mut m = vec![0.0; n * n];
@@ -259,6 +260,45 @@ fn untraced_hot_path_does_not_allocate() {
         "steady-state run with tracing disarmed must not allocate"
     );
     assert_eq!(resumed, untraced, "disarming restores determinism");
+
+    // DRAM holds only the entries written, wherever they land in its 2²²
+    // entries: staging a tile at the last matrix entry, or a chain's
+    // `v_wr Dram` at the top of the vector space, costs the entries
+    // written, not a slab reaching them (at native 4, a slab up to the last
+    // tile is 402,653,184 bytes).
+    let tile = BfpMatrix::zeros(nd, nd, cfg.matrix_format());
+    let mut full = Npu::with_mode(cfg.clone(), ExecMode::Full);
+    let before = allocated_bytes();
+    full.load_dram_matrix((1 << 22) - 1, tile).unwrap();
+    let staged = allocated_bytes() - before;
+    assert!(
+        staged <= 4096,
+        "staging the last DRAM tile allocated {staged} bytes"
+    );
+    let s10 = NpuConfig::bw_s10();
+    const WIDTH: u32 = 8;
+    let mut b = ProgramBuilder::new();
+    b.set_rows(WIDTH);
+    b.v_rd(MemId::NetQ, 0);
+    b.v_wr(MemId::Dram, (1 << 22) - WIDTH);
+    b.end_chain().unwrap();
+    let spill = b.build();
+    let spilled = |mode| {
+        let mut npu = Npu::with_mode(s10.clone(), mode);
+        npu.push_input_zeros(WIDTH as usize);
+        let before = allocated_bytes();
+        npu.run(&spill).expect("program runs");
+        allocated_bytes() - before
+    };
+    let (full, timing) = (spilled(ExecMode::Full), spilled(ExecMode::TimingOnly));
+    let written = WIDTH as usize * s10.native_dim() as usize * 4;
+    // Beyond the timeline both modes share, the data pass grows its
+    // scratch to the chain's width and stores the entries written.
+    assert!(
+        full - timing <= 4 * written,
+        "a full-mode v_wr of {written} bytes to DRAM allocated {} bytes more than timing-only",
+        full - timing
+    );
 
     // The timing-only machine at the largest Table V shape (GRU h=2816 on
     // a BW_S10 sized to hold it) is the scheduler's scoreboards — one u64

@@ -26,8 +26,8 @@ fn paper(print: fn()) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `table1`, `table5`, `fig7` and `fig8` print a [`reports`] string verbatim —
-/// the same strings `tests/golden.rs` pins byte for byte.
+/// A report subcommand prints its [`reports`] string verbatim — the same
+/// string `tests/golden.rs` pins byte for byte.
 fn report(build: fn() -> String) -> ExitCode {
     print!("{}", build());
     ExitCode::SUCCESS
@@ -68,7 +68,7 @@ const COMMANDS: &[Command] = &[
         name: "table6",
         help: "Table VI: ResNet-50 featurizer on BW_CNN_A10 vs the P40",
         flags: &[],
-        run: |_| paper(cmd::table6::run),
+        run: |_| report(reports::table6_report),
     },
     Command {
         name: "fig2",
@@ -98,31 +98,31 @@ const COMMANDS: &[Command] = &[
         name: "ablations",
         help: "native dimension, dispatch interval and clock frequency sweeps",
         flags: &[],
-        run: |_| paper(cmd::ablations::run),
+        run: |_| report(reports::ablations_report),
     },
     Command {
         name: "precision_sweep",
         help: "section VI: LSTM accuracy vs BFP mantissa width",
         flags: &[],
-        run: |_| paper(cmd::precision_sweep::run),
+        run: |_| report(reports::precision_sweep_report),
     },
     Command {
         name: "power",
         help: "section VII-B4: GFLOPS/W at peak chip power",
         flags: &[],
-        run: |_| paper(cmd::power::run),
+        run: |_| report(reports::power_report),
     },
     Command {
         name: "sla_study",
         help: "section I: deadline misses vs load, per-request vs batched serving",
         flags: &[],
-        run: |_| paper(cmd::sla_study::run),
+        run: |_| report(reports::sla_study_report),
     },
     Command {
         name: "calibrate",
         help: "cycle-model calibration against the paper's Table V latencies",
         flags: &[],
-        run: |_| paper(cmd::calibrate::run),
+        run: |_| report(reports::calibrate_report),
     },
     Command {
         name: "lint",

@@ -75,7 +75,7 @@ pub use analysis::{
 };
 pub use config::{ConfigError, NpuConfig, NpuConfigBuilder, TimingParams};
 pub use hdd::{DispatchLevel, HddExpansion};
-pub use npu::{ChainKind, ChainTrace, ExecMode, KernelMode, Npu, SimError};
+pub use npu::{ChainKind, ChainTrace, ExecMode, KernelMode, Npu, Schedule, SimError};
 pub use stats::RunStats;
 pub use trace::{SpanKind, SpanRecord, TraceId};
 pub use trace_report::{KindSummary, TraceSummary};

@@ -3,10 +3,15 @@
 //! Every cycle an [`Npu`] reports comes from [`crate::sched`], which states
 //! the timing recurrence (dispatch, dependency and resource edges) once;
 //! this module adds what a timeline cannot know — the values. A run is two
-//! passes: the timeline schedules the whole of it, then, in
-//! [`ExecMode::Full`], a pass that reads no timing executes the chains it
-//! scheduled, in program order, over the data planes of [`crate::mem`]. In
-//! [`ExecMode::TimingOnly`] the timeline is the whole machine.
+//! passes. [`Npu::schedule`] runs the timeline over the whole of it and
+//! returns a [`Schedule`]; [`Npu::execute`] runs a pass that reads no
+//! timing over the chains it placed, in program order, over the data
+//! planes of [`crate::mem`] (in [`ExecMode::Full`]; in
+//! [`ExecMode::TimingOnly`] the timeline is the whole machine), and applies
+//! the run's queue and register effects. [`Npu::run_batch`] is the two
+//! calls. A schedule depends only on the program, the configuration, the
+//! batch size, the tiling registers and the queued arrival stamps, so it
+//! can be kept and executed again from the same start state.
 //!
 //! Chains with an `mv_mul` read `cols` native vectors and emit `rows`;
 //! chains without one operate at `rows` width throughout. Binary MFU
@@ -24,8 +29,8 @@ use crate::mem::{Dram, MatrixFile, NetQueues, VectorFile};
 use crate::mfu;
 use crate::mvm;
 use crate::sched::{
-    dram_span, mrf_span, vrf_file, vrf_span, ChainTiming, FastForward, OperandFiles, Scheduled,
-    Timeline,
+    dram_span, mrf_span, vrf_file, vrf_span, ChainTiming, FastForward, OperandFiles, Queued,
+    Scheduled, Timeline,
 };
 use crate::stats::RunStats;
 use crate::trace::{SpanKind, SpanRecord};
@@ -202,6 +207,9 @@ pub enum SimError {
         /// The tile's block floating-point format.
         format: BfpFormat,
     },
+    /// A [`Schedule`] was executed on an NPU whose tiling registers or
+    /// queued arrivals are not the ones it was computed from.
+    StaleSchedule,
 }
 
 impl fmt::Display for SimError {
@@ -277,6 +285,10 @@ impl fmt::Display for SimError {
                     "{rows}x{cols} {format} tile is not a native tile of this NPU"
                 )
             }
+            SimError::StaleSchedule => write!(
+                f,
+                "schedule was computed from other tiling registers or queued arrivals"
+            ),
         }
     }
 }
@@ -875,7 +887,8 @@ impl Npu {
     }
 
     /// Runs a program `batch` times inside one run envelope — the
-    /// multi-column entry point the serving batcher dispatches through.
+    /// multi-column entry point the serving batcher dispatches through —
+    /// as its two halves, [`Npu::schedule`] then [`Npu::execute`].
     ///
     /// Column 0 streams from the Nios exactly as [`Npu::run`] does;
     /// every later column replays the already-buffered instructions at
@@ -897,15 +910,24 @@ impl Npu {
     /// empties the network input and output queues, in either mode, so
     /// nothing queued before it reaches the next run.
     pub fn run_batch(&mut self, program: &Program, batch: usize) -> Result<RunStats, SimError> {
+        let schedule = self.schedule(program, batch);
+        self.execute(program, &schedule)
+    }
+
+    /// The timeline half of [`Npu::run_batch`]: places `batch` columns of
+    /// `program` from this NPU's tiling registers and queued arrivals, and
+    /// changes neither. Armed [tracing](Npu::set_trace) records the run's
+    /// chains and spans here; a faulting run's [`SpanKind::Run`] envelope
+    /// is left out.
+    pub fn schedule(&mut self, program: &Program, batch: usize) -> Schedule {
         let Npu {
             config,
             timeline,
-            data,
-            zero_outputs,
             rec,
             ff,
+            ..
         } = self;
-        let regs = (timeline.rows, timeline.cols);
+        let (regs, queued) = ((timeline.rows, timeline.cols), timeline.arrivals.snapshot());
         timeline.begin_run();
         rec.stats = RunStats {
             peak_flops_per_cycle: config.peak_flops_per_cycle(),
@@ -927,9 +949,68 @@ impl Npu {
             }
             Ok(())
         });
+        rec.stats.instructions = timeline.instructions();
+        rec.stats.cycles = timeline.high_water();
+        if let Some(trace) = rec.trace.as_mut().filter(|_| timed.is_ok()) {
+            trace.span(SpanKind::Run, 0, 0, rec.stats.cycles);
+        }
+        let arrivals = &mut timeline.arrivals;
+        let left = (arrivals.vectors(), arrivals.matrices());
+        arrivals.restore(&queued);
+        let end_regs = (timeline.rows, timeline.cols);
+        (timeline.rows, timeline.cols) = regs;
+        Schedule {
+            batch,
+            regs,
+            queued,
+            stats: rec.stats.clone(),
+            fault: timed.err(),
+            end_regs,
+            left,
+        }
+    }
+
+    /// Whether this NPU stands where `schedule` started: the same tiling
+    /// registers, and the same vectors, tiles and arrival stamps queued.
+    pub fn can_execute(&self, schedule: &Schedule) -> bool {
+        let timeline = &self.timeline;
+        (timeline.rows, timeline.cols) == schedule.regs && timeline.arrivals.is(&schedule.queued)
+    }
+
+    /// The data half of [`Npu::run_batch`]: computes the values of the
+    /// chains `schedule` placed, in program order, then leaves the tiling
+    /// registers and the queues as the run does. `schedule` must have been
+    /// computed for `program` on an NPU of this configuration; it may be
+    /// executed any number of times, each from the state it started from.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::StaleSchedule`], and changes nothing, unless
+    /// [`Npu::can_execute`]. Otherwise faults as [`Npu::run_batch`] does:
+    /// a fault of the data pass among the chains placed before the
+    /// schedule's, else the schedule's, and either empties the network
+    /// input and output queues.
+    pub fn execute(
+        &mut self,
+        program: &Program,
+        schedule: &Schedule,
+    ) -> Result<RunStats, SimError> {
+        if !self.can_execute(schedule) {
+            return Err(SimError::StaleSchedule);
+        }
+        let Npu {
+            config,
+            timeline,
+            data,
+            zero_outputs,
+            ..
+        } = self;
         let computed = data.as_mut().map_or(Ok(()), |data| {
-            data.run(config, program, batch, regs, rec.stats.chains)
+            let chains = schedule.stats.chains;
+            data.run(config, program, schedule.batch, schedule.regs, chains)
         });
+        (timeline.rows, timeline.cols) = schedule.end_regs;
+        let timed = schedule.fault.clone().map_or(Ok(()), Err);
         if let Err(e) = computed.and(timed) {
             timeline.arrivals = Default::default();
             *zero_outputs = 0;
@@ -938,13 +1019,43 @@ impl Npu {
             }
             return Err(e);
         }
-        *zero_outputs += rec.stats.net_vectors_out as usize;
-        rec.stats.instructions = timeline.instructions();
-        rec.stats.cycles = timeline.high_water();
-        if let Some(trace) = &mut rec.trace {
-            trace.span(SpanKind::Run, 0, 0, rec.stats.cycles);
-        }
-        Ok(rec.stats.clone())
+        let (vectors, matrices) = schedule.left;
+        timeline.arrivals.leave(vectors, matrices);
+        *zero_outputs += schedule.stats.net_vectors_out as usize;
+        Ok(schedule.stats.clone())
+    }
+}
+
+/// One run's place in time, computed by [`Npu::schedule`] and applied by
+/// [`Npu::execute`].
+///
+/// A run's timeline is a function of the program, the configuration, the
+/// batch size and what the run starts from: the tiling registers and the
+/// queued arrival stamps ([`crate::sched`]). A `Schedule` records that
+/// start, the run's [`RunStats`] (which count the chains placed before a
+/// fault), the fault, and the registers and queue counts the run leaves.
+/// So one computed schedule serves every run that starts where it did;
+/// [`Npu::execute`] checks that it does.
+#[derive(Clone, Debug)]
+pub struct Schedule {
+    batch: usize,
+    /// Tiling registers and queued inputs the run starts from.
+    regs: (u32, u32),
+    queued: Queued,
+    /// What the timeline counted; its `chains` are the chains placed
+    /// before the fault, if there is one.
+    stats: RunStats,
+    fault: Option<SimError>,
+    /// Tiling registers the run leaves, and the vectors and tiles it
+    /// leaves queued (a fault empties the queues instead).
+    end_regs: (u32, u32),
+    left: (u64, u64),
+}
+
+impl Schedule {
+    /// Columns the schedule runs.
+    pub fn batch(&self) -> usize {
+        self.batch
     }
 }
 

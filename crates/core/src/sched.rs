@@ -66,16 +66,18 @@
 //! reads every entry past them as 0 — the rule the data-plane register
 //! files follow. The VRF and MRF boards reserve their [`NpuConfig`]
 //! capacity when the timeline is built, which zeroes nothing, so a write
-//! never moves them; the DRAM ones grow on write up to `DRAM_ENTRIES`. A
-//! cold run pays for the entries it writes, not for the configuration.
+//! never moves them. The DRAM ones are pages of 4,096 entries, each
+//! reserved when a write first reaches it and kept sorted; a page no write
+//! reached reads 0. A cold run pays for the entries it writes, and for the
+//! pages they lie in, not for the configuration or the highest address.
 //!
-//! Each board also records the extent it was written over — lowest to
-//! highest entry written since its last reset — and the reset at the start
-//! of a run zeroes that extent alone. Every entry outside it is already 0,
-//! so the state is the one a fill of the whole board leaves and no cycle
-//! can depend on the difference; the work is what the last run wrote,
-//! never more than the board, and a warm run of a small program does not
-//! pay for register files it never touched.
+//! Each board, and each DRAM page, also records the extent it was written
+//! over — lowest to highest entry written since its last reset — and the
+//! reset at the start of a run zeroes that extent alone. Every entry
+//! outside it is already 0, so the state is the one a fill of the whole
+//! board leaves and no cycle can depend on the difference; the work is
+//! what the last run wrote, never more than the board, and a warm run of a
+//! small program does not pay for register files it never touched.
 //!
 //! A read scans only the part of its range inside the written extent, for
 //! the same reason: a board no chain of the run wrote — the MRF's when the
@@ -178,6 +180,10 @@
 //!   [`SimError::DramMatrixUninitialized`], and so only in
 //!   `ExecMode::Full`. Every other access it makes, the timeline or a
 //!   loader has checked.
+//! * **[`Npu::execute`](crate::Npu::execute)** refuses, with
+//!   [`SimError::StaleSchedule`] and before anything else, a schedule
+//!   whose start state — tiling registers, queued arrivals — is not the
+//!   NPU's.
 //!
 //! The data pass runs after the whole timeline, over the chains it placed
 //! before its first fault. A data fault among them is the earlier one and
@@ -207,9 +213,8 @@ use crate::npu::{ChainKind, ChainTrace, SimError};
 use crate::stats::RunStats;
 use crate::trace::SpanKind;
 
-/// Size of the modelled DRAM vector and matrix address spaces, in entries.
-/// DRAM grows on write, so this is what bounds the scoreboards (and the
-/// data planes behind them) against indices from a corrupt program.
+/// Size of the modelled DRAM vector and matrix address spaces, in entries:
+/// the range an index from a corrupt program is checked against.
 pub(crate) const DRAM_ENTRIES: u64 = 1 << 22;
 
 fn saturate(n: u64) -> u32 {
@@ -294,6 +299,66 @@ impl Board {
     }
 }
 
+/// Entries in one page of a DRAM scoreboard.
+const PAGE: usize = 4096;
+
+/// A DRAM scoreboard: a [`Board`] of [`PAGE`] entries per page a write has
+/// reached, sorted by page. A page no write reached reads 0, so a write at
+/// the top of the 2²² entries costs one page, not a board reaching it
+/// (module docs: [Scoreboards](self#scoreboards)).
+#[derive(Clone, Debug, Default)]
+struct Paged {
+    /// `(page number, page)`, ascending.
+    pages: Vec<(usize, Board)>,
+}
+
+impl Paged {
+    /// Each page `range` reaches, with the part of `range` inside it as
+    /// the page's own entries.
+    fn split(range: &Range<usize>) -> impl Iterator<Item = (usize, Range<usize>)> {
+        let (first, last) = (range.start / PAGE, range.end.saturating_sub(1) / PAGE);
+        let (start, end) = (range.start, range.end);
+        (first..=last).filter(move |_| start < end).map(move |n| {
+            (
+                n,
+                start.max(n * PAGE) - n * PAGE..end.min((n + 1) * PAGE) - n * PAGE,
+            )
+        })
+    }
+
+    /// Latest cycle in `range`; pages never written read 0.
+    fn latest(&self, range: &Range<usize>) -> u64 {
+        Self::split(range)
+            .filter_map(|(n, within)| {
+                let i = self.pages.binary_search_by_key(&n, |&(k, _)| k).ok()?;
+                Some(self.pages[i].1.latest(&within))
+            })
+            .fold(0, u64::max)
+    }
+
+    /// Sets every entry of `range` to `cycle`, reserving a page the first
+    /// time a write reaches it.
+    fn fill(&mut self, range: Range<usize>, cycle: u64) {
+        for (n, within) in Self::split(&range) {
+            let i = match self.pages.binary_search_by_key(&n, |&(k, _)| k) {
+                Ok(i) => i,
+                Err(i) => {
+                    self.pages.insert(i, (n, Board::reserved(PAGE)));
+                    i
+                }
+            };
+            self.pages[i].1.fill(within, cycle);
+        }
+    }
+
+    /// Zeroes what was written since the last reset, page by page.
+    fn reset(&mut self) {
+        for (_, page) in &mut self.pages {
+            page.reset();
+        }
+    }
+}
+
 /// The NetQ input side as the scheduler sees it: how many vectors and
 /// matrix tiles are queued and when each vector arrived. The one thing a
 /// [`Timeline`] is parameterised by — an [`Npu`](crate::Npu) pushes a stamp
@@ -330,16 +395,57 @@ impl Arrivals {
         self.vectors
     }
 
+    /// Matrix tiles currently queued.
+    pub(crate) fn matrices(&self) -> u64 {
+        self.matrices
+    }
+
+    /// The queue as it stands.
+    pub(crate) fn snapshot(&self) -> Queued {
+        let mut runs = self.runs.iter().copied();
+        Queued {
+            vectors: self.vectors,
+            matrices: self.matrices,
+            front: runs.next(),
+            rest: runs.collect(),
+        }
+    }
+
+    /// Whether the queue is `queued`, run for run.
+    pub(crate) fn is(&self, queued: &Queued) -> bool {
+        (self.vectors, self.matrices) == (queued.vectors, queued.matrices)
+            && self.runs.iter().eq(queued.front.iter().chain(&queued.rest))
+    }
+
+    /// Sets the queue to `queued`.
+    pub(crate) fn restore(&mut self, queued: &Queued) {
+        self.runs.clear();
+        self.runs.extend(queued.front.iter().chain(&queued.rest));
+        (self.vectors, self.matrices) = (queued.vectors, queued.matrices);
+    }
+
+    /// Leaves `vectors` and `matrices` queued, taking the vectors from the
+    /// front, as a run that popped the rest does.
+    pub(crate) fn leave(&mut self, vectors: u64, matrices: u64) {
+        self.take(self.vectors - vectors);
+        self.matrices = matrices;
+    }
+
     /// Pops `width` vectors; returns the latest arrival among them (the
     /// cycle the read could begin).
     fn pop_vectors(&mut self, width: u32) -> Result<u64, SimError> {
-        let mut need = u64::from(width);
-        if self.vectors < need {
+        if self.vectors < u64::from(width) {
             return Err(SimError::NetQueueEmpty {
                 requested: width,
                 available: saturate(self.vectors),
             });
         }
+        Ok(self.take(u64::from(width)))
+    }
+
+    /// Pops `need` of the queued vectors, oldest first; returns the latest
+    /// arrival among them.
+    fn take(&mut self, mut need: u64) -> u64 {
         self.vectors -= need;
         let mut arrival = 0;
         while need > 0 {
@@ -352,7 +458,7 @@ impl Arrivals {
                 self.runs.pop_front();
             }
         }
-        Ok(arrival)
+        arrival
     }
 
     /// The oldest run, `(cycle, vectors)` or `(0, 0)` if none, and how many
@@ -384,6 +490,19 @@ impl Arrivals {
         self.matrices -= count;
         Ok(())
     }
+}
+
+/// A copy of the NetQ input side: what a
+/// [`Schedule`](crate::Schedule) records a run started from. The oldest
+/// run is held inline, so a queue of one stamp — a served request's, a
+/// sweep's — is copied without allocating.
+#[derive(Clone, Debug)]
+pub(crate) struct Queued {
+    vectors: u64,
+    matrices: u64,
+    front: Option<(u64, u64)>,
+    /// Every later run, oldest first.
+    rest: Vec<(u64, u64)>,
 }
 
 /// Name and ordinal of vector register file `mem` among the `1 + 2·mfus` an
@@ -733,15 +852,15 @@ pub(crate) struct Timeline {
     /// Latest chain completion so far.
     completed: u64,
     /// RAW scoreboards: one per VRF, in [`vrf_file`] order, and the MRF's,
-    /// each reserved at its capacity; DRAM's grow on write up to
+    /// each reserved at its capacity; DRAM's are paged over
     /// [`DRAM_ENTRIES`].
     vrf_ready: Vec<Board>,
     mrf_ready: Board,
     /// WAR scoreboard: the cycle until which an in-flight `mv_mul` is still
     /// streaming each tile (double-buffering's correctness condition).
     mrf_read_until: Board,
-    dram_vector_ready: Board,
-    dram_matrix_ready: Board,
+    dram_vector_ready: Paged,
+    dram_matrix_ready: Paged,
     /// While a fast-forward observes or verifies an iteration, where its
     /// fills land goes to `log` and their values to `logged`.
     logging: Logging,
@@ -769,8 +888,8 @@ impl Timeline {
             vrf_ready: (0..files).map(|_| Board::reserved(vrf)).collect(),
             mrf_ready: Board::reserved(mrf),
             mrf_read_until: Board::reserved(mrf),
-            dram_vector_ready: Board::default(),
-            dram_matrix_ready: Board::default(),
+            dram_vector_ready: Paged::default(),
+            dram_matrix_ready: Paged::default(),
             logging: Logging::Off,
             log: Writes::new(),
             logged: Vec::new(),
@@ -786,15 +905,12 @@ impl Timeline {
         self.instructions = 0;
         self.free_at = [0; 3];
         self.completed = 0;
-        let rest = [
-            &mut self.mrf_ready,
-            &mut self.mrf_read_until,
-            &mut self.dram_vector_ready,
-            &mut self.dram_matrix_ready,
-        ];
+        let rest = [&mut self.mrf_ready, &mut self.mrf_read_until];
         for board in self.vrf_ready.iter_mut().chain(rest) {
             board.reset();
         }
+        self.dram_vector_ready.reset();
+        self.dram_matrix_ready.reset();
     }
 
     /// Schedules one pass over `program`, handing each chain's timing to
@@ -1056,17 +1172,17 @@ impl Timeline {
         (self.rows, self.cols) = (saturate(rows), saturate(cols));
         (self.arrivals.vectors, self.arrivals.matrices) = (vectors, matrices);
         for ((board, range), cycle) in writes.iter().zip(state) {
-            self.board_mut(*board).fill(range.clone(), cycle);
+            self.fill(*board, range.clone(), cycle);
         }
     }
 
-    fn board_mut(&mut self, board: BoardId) -> &mut Board {
+    fn fill(&mut self, board: BoardId, range: Range<usize>, cycle: u64) {
         match board {
-            BoardId::Vrf(file) => &mut self.vrf_ready[file],
-            BoardId::Mrf => &mut self.mrf_ready,
-            BoardId::MrfReadUntil => &mut self.mrf_read_until,
-            BoardId::DramVector => &mut self.dram_vector_ready,
-            BoardId::DramMatrix => &mut self.dram_matrix_ready,
+            BoardId::Vrf(file) => self.vrf_ready[file].fill(range, cycle),
+            BoardId::Mrf => self.mrf_ready.fill(range, cycle),
+            BoardId::MrfReadUntil => self.mrf_read_until.fill(range, cycle),
+            BoardId::DramVector => self.dram_vector_ready.fill(range, cycle),
+            BoardId::DramMatrix => self.dram_matrix_ready.fill(range, cycle),
         }
     }
 
@@ -1092,7 +1208,7 @@ impl Timeline {
             self.log.push((board, range.clone()));
             self.logged.push(cycle);
         }
-        self.board_mut(board).fill(range, cycle);
+        self.fill(board, range, cycle);
     }
 
     /// The latest architecturally visible effect so far in this run. Every
@@ -1481,14 +1597,120 @@ mod tests {
 
     #[test]
     fn dram_scoreboards_grow_on_demand() {
-        let mut board = Board::default();
+        let mut board = Paged::default();
         assert_eq!(board.latest(&(1000..1004)), 0);
         board.fill(5..7, 42);
-        assert_eq!(board.cycles.len(), 7);
+        assert_eq!(board.pages.len(), 1);
+        assert_eq!(board.pages[0].1.cycles.len(), 7);
         assert_eq!(board.latest(&(4..8)), 42);
         assert_eq!(board.latest(&(7..9)), 0);
+        // A write at the top of DRAM reserves the one page it lies in, and
+        // one across a page boundary the two it reaches.
+        let top = DRAM_ENTRIES as usize;
+        board.fill(top - 8..top, 9);
+        board.fill(2 * PAGE - 1..2 * PAGE + 1, 3);
+        let pages: Vec<_> = board.pages.iter().map(|&(n, _)| n).collect();
+        assert_eq!(pages, [0, 1, 2, top / PAGE - 1]);
+        assert!(board.pages.iter().all(|(_, p)| p.cycles.capacity() == PAGE));
+        assert_eq!(board.latest(&(0..top)), 42);
+        assert_eq!(board.latest(&(PAGE..top - 8)), 3);
+        assert_eq!(board.latest(&(top - 1..top)), 9);
         board.reset();
-        assert_eq!(board.latest(&(5..7)), 0);
+        assert_eq!(board.latest(&(0..top)), 0);
+        assert_eq!(board.pages.len(), 4, "a reset keeps the pages");
+    }
+
+    #[test]
+    fn a_paged_board_reads_as_one_board() {
+        // Fills and resets across page boundaries, each followed by reads
+        // from and to every point near a boundary, against one board
+        // spanning the pages.
+        let steps = [
+            Some((PAGE - 2..PAGE + 2, 9)),
+            Some((3 * PAGE - 1..3 * PAGE, 4)),
+            Some((PAGE..PAGE, 7)),
+            Some((0..1, 5)),
+            Some((PAGE + 1..2 * PAGE + 1, 2)),
+            None,
+            Some((2 * PAGE..2 * PAGE + 1, 6)),
+            None,
+        ];
+        let points = [
+            0,
+            1,
+            PAGE - 1,
+            PAGE,
+            PAGE + 1,
+            2 * PAGE,
+            2 * PAGE + 1,
+            3 * PAGE,
+        ];
+        let (mut paged, mut flat) = (Paged::default(), Board::default());
+        for step in steps {
+            match step {
+                Some((range, cycle)) => {
+                    paged.fill(range.clone(), cycle);
+                    flat.fill(range, cycle);
+                }
+                None => {
+                    paged.reset();
+                    flat.reset();
+                }
+            }
+            for (i, &start) in points.iter().enumerate() {
+                for &end in &points[i..] {
+                    let range = start..end;
+                    assert_eq!(paged.latest(&range), flat.latest(&range), "{range:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_schedule_is_refused_where_it_did_not_start() {
+        use crate::Npu;
+        let mut b = ProgramBuilder::new();
+        b.set_rows(1).set_cols(1);
+        b.v_rd(MemId::NetQ, 0).v_relu().v_wr(MemId::NetQ, 0);
+        b.end_chain().unwrap();
+        let program = b.build();
+        let input = |at| {
+            let mut npu = Npu::new(cfg());
+            let v = (0..8).map(|i| i as f32 - 3.5).collect();
+            npu.push_input_at(v, at).unwrap();
+            npu
+        };
+        let mut npu = input(0);
+        let schedule = npu.schedule(&program, 1);
+        assert_eq!(npu.input_len(), 1, "scheduling leaves the queue");
+
+        // One more vector queued, a later stamp, other tiling registers.
+        let mut more = input(0);
+        more.push_input(vec![0.0; 8]).unwrap();
+        let mut later = input(5);
+        let mut wider = input(0);
+        let mut b = ProgramBuilder::new();
+        b.set_rows(2);
+        wider.run(&b.build()).unwrap();
+        for stale in [&mut more, &mut later, &mut wider] {
+            let queued = stale.input_len();
+            assert!(!stale.can_execute(&schedule));
+            assert_eq!(
+                stale.execute(&program, &schedule),
+                Err(SimError::StaleSchedule)
+            );
+            assert_eq!((stale.input_len(), stale.output_len()), (queued, 0));
+        }
+
+        // Where it started, as often as it stands there again.
+        let fresh = input(0).run(&program);
+        for _ in 0..2 {
+            assert_eq!(npu.execute(&program, &schedule), fresh);
+            let relu = (0..8).map(|i| (i as f32 - 3.5).max(0.0)).collect();
+            assert_eq!(npu.pop_output(), Some(relu));
+            npu.push_input((0..8).map(|i| i as f32 - 3.5).collect())
+                .unwrap();
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use bw_fleet::{FleetConfig, FleetController, FleetDecision};
 use bw_serve::demo::{demo_input, mlp_artifact, sharded_mlp};
-use bw_serve::{Client, NetworkModel, Server};
+use bw_serve::{Client, NetworkModel, PreloadModel, Server};
 
 const DEADLINE: Duration = Duration::from_secs(5);
 
@@ -215,7 +215,24 @@ fn a_firing_alert_scales_up_without_queue_pressure() {
 fn a_live_monitor_feeds_the_controller_through_a_burst_and_a_kill() {
     use bw_obs::{AlertEvent, Monitor, MonitorConfig, SloKind, SloSpec, Transition};
 
-    let server = boot(3, 1, vec![0]);
+    // The burst's sheds are scripted, not raced: while it runs, the one
+    // home of `ctl` is stalled, preloading a model 64 times its size for
+    // `STALL` (the preload is priced by fill bandwidth, so a `ctl` pin
+    // costs 1/64 of that), and every submit after the first finds the
+    // one-deep queue full.
+    const STALL: Duration = Duration::from_millis(100);
+    let stall = mlp_artifact("stall", &[256, 256], 1);
+    let fill = stall.mrf_fill_bytes() as f64 / STALL.as_secs_f64();
+    let server = Arc::new(
+        Server::builder()
+            .model(mlp_artifact("ctl", &[16, 32, 8], 17))
+            .replicas(3)
+            .queue_cap(1)
+            .pin_on("ctl", vec![0])
+            .preload(PreloadModel::free().fill_bandwidth(fill))
+            .spawn()
+            .unwrap(),
+    );
     let client = server.client();
     let spec = SloSpec::new("ctl", 0.99, Duration::from_secs(1), 0.95);
     let monitor = Monitor::new(&server, vec![spec], MonitorConfig::default());
@@ -251,7 +268,22 @@ fn a_live_monitor_feeds_the_controller_through_a_burst_and_a_kill() {
         assert!(ctl.step().is_empty());
     }
 
+    // Registered only now, so that no step before repairs it onto a
+    // worker. The worker meters the preload on its link as it takes the
+    // pin and falls asleep; the pin returns once it wakes.
+    server.register_model(stall).unwrap();
+    let before = server.metrics().link_transfers[0];
+    let stalled = {
+        let server = Arc::clone(&server);
+        thread::spawn(move || server.pin_model("stall", 0).map(|_| ()))
+    };
+    let start = Instant::now();
+    while server.metrics().link_transfers[0] == before {
+        assert!(start.elapsed() < DEADLINE, "the stall's pin never queued");
+        thread::yield_now();
+    }
     assert!(burst(&client) > 0, "burst did not shed");
+    stalled.join().unwrap().unwrap();
     let events = monitor.scrape();
     assert!(pages(&events), "shedding must page: {events:?}");
     let decisions = ctl.step();

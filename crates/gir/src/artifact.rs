@@ -8,7 +8,7 @@
 //! [`PinnedModel`] is one live instance: the artifact deployed onto a set
 //! of owned [`Npu`]s, ready to serve batch-1 inferences.
 
-use bw_core::{KernelMode, Npu, NpuConfig, RunStats, SpanRecord};
+use bw_core::{KernelMode, Npu, NpuConfig, RunStats, Schedule, SpanRecord};
 
 use crate::ir::{GirError, GirGraph};
 use crate::lower::{DeployError, Deployment, LowerOptions};
@@ -188,6 +188,7 @@ impl ModelArtifact {
         Ok(PinnedModel {
             deployment: self.deployment.clone(),
             npus,
+            schedules: vec![Vec::new(); self.deployment.binaries().len()],
         })
     }
 }
@@ -196,10 +197,23 @@ impl ModelArtifact {
 /// owned NPUs. Not `Sync` by design — a pinned model is a single device
 /// pool serving one request at a time, exactly like the hardware; replicas
 /// are separate pins.
+///
+/// The model schedules once per pin, as the hardware's static schedule
+/// does (§V-C). It keeps every [`Schedule`] its accelerator segments have
+/// computed, keyed by batch size and by the tiling registers and queued
+/// arrivals the run starts from, and a run whose device stands where a
+/// kept schedule started ([`Npu::can_execute`]) executes that schedule:
+/// the data pass alone. Any other run schedules, and its schedule is
+/// kept. A segment keeps at most one schedule per (batch size, start
+/// state), so the batch sizes a caller sends bound the cache: a served
+/// model keeps one per batch size, from where every run after the first
+/// starts, and the first run's, from the reset registers.
 #[derive(Clone, Debug)]
 pub struct PinnedModel {
     deployment: Deployment,
     npus: Vec<Npu>,
+    /// The kept schedules of each accelerator binary, in binary order.
+    schedules: Vec<Vec<Schedule>>,
 }
 
 impl PinnedModel {
@@ -209,9 +223,7 @@ impl PinnedModel {
     ///
     /// Returns [`DeployError`] on simulator failures.
     pub fn infer(&mut self, input: &[f32]) -> Result<Vec<f32>, DeployError> {
-        self.deployment
-            .execute(&mut self.npus, input)
-            .map(|(y, _)| y)
+        self.infer_with_stats(input).map(|(y, _)| y)
     }
 
     /// [`PinnedModel::infer`] returning the accumulated accelerator
@@ -221,7 +233,8 @@ impl PinnedModel {
     ///
     /// Returns [`DeployError`] on simulator failures.
     pub fn infer_with_stats(&mut self, input: &[f32]) -> Result<(Vec<f32>, RunStats), DeployError> {
-        self.deployment.execute(&mut self.npus, input)
+        let (mut outputs, stats) = self.infer_batch(std::slice::from_ref(&input.to_vec()))?;
+        Ok((outputs.pop().expect("batch of one"), stats))
     }
 
     /// Runs a coalesced micro-batch through the pinned devices: one
@@ -238,7 +251,19 @@ impl PinnedModel {
         &mut self,
         inputs: &[Vec<f32>],
     ) -> Result<(Vec<Vec<f32>>, RunStats), DeployError> {
-        self.deployment.execute_batch(&mut self.npus, inputs)
+        let schedules = &mut self.schedules;
+        self.deployment
+            .execute_with(&mut self.npus, inputs, |k, npu, program, batch| {
+                let kept = &mut schedules[k];
+                let found = kept
+                    .iter()
+                    .position(|s| s.batch() == batch && npu.can_execute(s));
+                let i = found.unwrap_or_else(|| {
+                    kept.push(npu.schedule(program, batch));
+                    kept.len() - 1
+                });
+                npu.execute(program, &kept[i])
+            })
     }
 
     /// [`PinnedModel::infer_batch`] with span tracing: arms every pinned
@@ -247,7 +272,9 @@ impl PinnedModel {
     /// in, one device per accelerator segment — stamping each with its
     /// device ordinal. Every device is disarmed again, even when the run
     /// fails, so a traced inference leaves the instance exactly as a
-    /// plain one does. The spans' `trace_id` is left for the caller.
+    /// plain one does. The spans come from the timeline, so a traced call
+    /// schedules afresh and neither reads nor fills the kept schedules.
+    /// The spans' `trace_id` is left for the caller.
     ///
     /// # Errors
     ///
@@ -375,6 +402,37 @@ mod tests {
         // Replicas keep serving identically after divergent histories.
         let _ = a.infer(&[0.9f32; 8]).unwrap();
         assert_eq!(a.infer(&x).unwrap(), b.infer(&x).unwrap());
+    }
+
+    #[test]
+    fn a_kept_schedule_serves_as_a_fresh_pin_does() {
+        // Two devices, so each segment keeps its own schedules.
+        let g = mlp(&[16, 16, 16, 16, 16]);
+        let artifact =
+            ModelArtifact::compile("deep", &g, 512, &config(), &LowerOptions::default()).unwrap();
+        let x: Vec<f32> = (0..16).map(|i| (i as f32 - 7.5) / 9.0).collect();
+        let batch = vec![x.clone(), vec![0.3; 16], x.clone()];
+        let first = artifact.pin().unwrap().infer_with_stats(&x).unwrap();
+        let first_batch = artifact.pin().unwrap().infer_batch(&batch).unwrap();
+
+        let mut warm = artifact.pin().unwrap();
+        for _ in 0..3 {
+            assert_eq!(warm.infer_with_stats(&x).unwrap(), first);
+            assert_eq!(warm.infer(&x).unwrap(), first.0);
+            assert_eq!(warm.infer_batch(&batch).unwrap(), first_batch);
+        }
+        // Per segment, the first call's schedule (from the reset registers)
+        // and one per batch size from where every later run starts.
+        let kept: Vec<_> = warm.schedules.iter().map(Vec::len).collect();
+        assert_eq!(kept, [3, 3]);
+        // A traced call schedules afresh and leaves the kept ones alone.
+        let (outputs, stats, spans) = warm.infer_batch_traced(&batch).unwrap();
+        assert_eq!((outputs, stats), first_batch);
+        assert!(!spans.is_empty());
+        assert_eq!(
+            warm.schedules.iter().map(Vec::len).collect::<Vec<_>>(),
+            kept
+        );
     }
 
     #[test]

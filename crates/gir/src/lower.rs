@@ -461,6 +461,10 @@ impl Deployment {
     /// simulator's functional path is timing-independent). The returned
     /// [`RunStats`] accumulates every column.
     ///
+    /// Each call schedules every segment afresh; a
+    /// [`PinnedModel`](crate::PinnedModel) keeps the schedules and runs
+    /// only their data pass.
+    ///
     /// # Errors
     ///
     /// Returns [`DeployError`] on device shortfall, unknown CPU ops, or
@@ -469,6 +473,19 @@ impl Deployment {
         &self,
         npus: &mut [Npu],
         inputs: &[Vec<f32>],
+    ) -> Result<(Vec<Vec<f32>>, RunStats), DeployError> {
+        self.execute_with(npus, inputs, |_, npu, program, batch| {
+            npu.run_batch(program, batch)
+        })
+    }
+
+    /// [`Deployment::execute_batch`], with `run(k, npu, program, batch)`
+    /// running the `k`-th accelerator binary's program.
+    pub(crate) fn execute_with(
+        &self,
+        npus: &mut [Npu],
+        inputs: &[Vec<f32>],
+        mut run: impl FnMut(usize, &mut Npu, &Program, usize) -> Result<RunStats, SimError>,
     ) -> Result<(Vec<Vec<f32>>, RunStats), DeployError> {
         if npus.len() < self.plan.devices_used {
             return Err(DeployError::NotEnoughDevices {
@@ -483,16 +500,16 @@ impl Deployment {
         // the same order.
         let mut values: Vec<Vec<f32>> = inputs.to_vec();
         let mut stats = RunStats::default();
-        let mut bin_iter = self.binaries.iter();
+        let mut bin_iter = self.binaries.iter().enumerate();
         for segment in &self.plan.segments {
             match segment {
                 Placement::Accelerator { .. } => {
-                    let bin = bin_iter.next().ok_or(DeployError::BadPlan)?;
+                    let (k, bin) = bin_iter.next().ok_or(DeployError::BadPlan)?;
                     let npu = &mut npus[bin.device];
                     for column in &values {
                         npu.push_input_padded(column);
                     }
-                    let run = npu.run_batch(&bin.program, inputs.len())?;
+                    let run = run(k, npu, &bin.program, inputs.len())?;
                     stats.accumulate(&run);
                     for value in values.iter_mut() {
                         *value = npu

@@ -1,10 +1,11 @@
 //! Golden snapshot tests: the paper-table reports must match the
 //! checked-in fixtures byte for byte.
 //!
-//! The fixtures under `tests/golden/` are the exact stdout of
-//! `bw-bench table1`, `table5`, `fig7` and `fig8`. Any change to the cycle
-//! model, the BFP kernels, or the table formatting shows up here as a
-//! reviewable fixture diff — regenerate with e.g.
+//! The report fixtures under `tests/golden/` are the exact stdout of
+//! `bw-bench table1`, `table5`, `table6`, `fig7`, `fig8`, `ablations`,
+//! `calibrate`, `power`, `precision_sweep` and `sla_study`. Any change to
+//! the cycle model, the BFP kernels, or the table formatting shows up here
+//! as a reviewable fixture diff — regenerate with e.g.
 //! `cargo run --release -p bw-bench -- table5 > tests/golden/table5.txt`.
 
 use brainwave::core::{ChainTrace, TimingParams};
@@ -38,6 +39,44 @@ fn fig7_matches_golden() {
 #[test]
 fn fig8_matches_golden() {
     assert_eq!(reports::fig8_report(), fixture("fig8.txt"));
+}
+
+// The six reports below run the simulator (`sla_study` takes its service
+// time from it) and were pinned by nothing before these fixtures, written by
+// `bw-bench` at the commit before a run became `Npu::schedule` then
+// `Npu::execute`.
+
+#[test]
+fn table6_matches_golden() {
+    assert_eq!(reports::table6_report(), fixture("table6.txt"));
+}
+
+#[test]
+fn ablations_match_golden() {
+    assert_eq!(reports::ablations_report(), fixture("ablations.txt"));
+}
+
+#[test]
+fn calibrate_matches_golden() {
+    assert_eq!(reports::calibrate_report(), fixture("calibrate.txt"));
+}
+
+#[test]
+fn power_matches_golden() {
+    assert_eq!(reports::power_report(), fixture("power.txt"));
+}
+
+#[test]
+fn precision_sweep_matches_golden() {
+    assert_eq!(
+        reports::precision_sweep_report(),
+        fixture("precision_sweep.txt")
+    );
+}
+
+#[test]
+fn sla_study_matches_golden() {
+    assert_eq!(reports::sla_study_report(), fixture("sla_study.txt"));
 }
 
 /// Table V without its shortcut: the point `bw_bench::run_bw_s10` runs,

@@ -433,6 +433,86 @@ proptest! {
         );
     }
 
+    /// A run is its two halves, `Npu::schedule` then `Npu::execute`, and a
+    /// schedule is a value: executed on a twin primed as its own NPU was,
+    /// or round after round where it started, it gives what a fresh
+    /// `run_batch` gives — statistics, output bits and fault, with a fault
+    /// emptying the queues — in either mode, at batch sizes 1 to 4. The
+    /// programs are straight ones with an input short (a fault of the
+    /// timeline) or no weights (one of the data pass), or resizing loops
+    /// that may write the top of DRAM, fault past a register file or leave
+    /// vectors queued; without their prelude, such a loop's first chains
+    /// run at the registers the last run left.
+    #[test]
+    fn a_kept_schedule_runs_as_a_fresh_one(
+        specs in prop::collection::vec(chain_strategy(), 1..10),
+        resize in resizing_strategy(),
+        resized in any::<bool>(),
+        bare in any::<bool>(),
+        batch in 1usize..=4,
+        later in any::<bool>(),
+        short in any::<bool>(),
+        weighted in any::<bool>(),
+    ) {
+        let (program, vectors) = if resized {
+            let mut program = build_resizing(&resize);
+            if bare {
+                program.segments.remove(0);
+            }
+            (program, 16 * batch)
+        } else {
+            let needed = net_vectors(&specs) * batch;
+            (build_program(&specs), needed.saturating_sub(usize::from(short)))
+        };
+        let at = if later { 700 } else { 0 };
+        for mode in [ExecMode::TimingOnly, ExecMode::Full] {
+            let machine = || {
+                let mut npu = Npu::with_mode(cfg(), mode);
+                if weighted {
+                    preload(&mut npu);
+                }
+                npu
+            };
+            let prime = |npu: &mut Npu| {
+                for i in 0..vectors {
+                    let v = (0..ND).map(|j| ((i as u32 * 5 + j) as f32 * 0.37).sin()).collect();
+                    npu.push_input_at(v, at).expect("native vector");
+                }
+            };
+            let outcome = |npu: &mut Npu, result: Result<RunStats, SimError>| {
+                let queued = (npu.input_len(), npu.output_len());
+                let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let outputs: Vec<_> = std::iter::from_fn(|| npu.pop_output()).map(bits).collect();
+                (result, queued, outputs)
+            };
+            let (mut fresh, mut own, mut twin) = (machine(), machine(), machine());
+            let mut kept = None;
+            for round in 0..3 {
+                for npu in [&mut fresh, &mut own, &mut twin] {
+                    prime(npu);
+                }
+                let ran = fresh.run_batch(&program, batch);
+                let want = outcome(&mut fresh, ran);
+                if want.0.is_err() {
+                    prop_assert_eq!(want.1, (0, 0), "{:?} round {}", mode, round);
+                }
+                // `own` schedules only where no kept schedule starts; the
+                // twin executes the kept one, or refuses it exactly when
+                // `own` does.
+                let reused = kept.as_ref().filter(|s| own.can_execute(s)).is_some();
+                if !reused {
+                    kept = Some(own.schedule(&program, batch));
+                }
+                let schedule = kept.as_ref().expect("kept");
+                prop_assert_eq!(twin.can_execute(schedule), true);
+                let ran = twin.execute(&program, schedule);
+                prop_assert_eq!(&outcome(&mut twin, ran), &want, "{:?} round {}", mode, round);
+                let ran = own.execute(&program, schedule);
+                prop_assert_eq!(&outcome(&mut own, ran), &want, "{:?} round {}", mode, round);
+            }
+        }
+    }
+
     /// The deploy gate's contract (`bw_core::sched`, "Faults"), on loops
     /// whose bodies resize their own chains and may write past DRAM: a
     /// program `validate` passes raises no data-free fault but an empty

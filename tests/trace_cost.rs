@@ -291,6 +291,14 @@ fn untraced_hot_path_does_not_allocate() {
         allocated_bytes() - before
     };
     let (full, timing) = (spilled(ExecMode::Full), spilled(ExecMode::TimingOnly));
+    // The timeline's DRAM scoreboards are paged: the write costs the page
+    // of 4,096 eight-byte entries it lies in, not a board reaching the top
+    // of DRAM (33,554,432 bytes).
+    const PAGE_BYTES: usize = 4096 * 8;
+    assert!(
+        timing <= PAGE_BYTES + 1024,
+        "a timing-only v_wr to the top of DRAM allocated {timing} bytes, one page is {PAGE_BYTES}"
+    );
     let written = WIDTH as usize * s10.native_dim() as usize * 4;
     // Beyond the timeline both modes share, the data pass grows its
     // scratch to the chain's width and stores the entries written.

@@ -19,10 +19,9 @@
 
 use std::process::ExitCode;
 
-use bw_bench::bw_s10_rnn;
-use bw_core::{ExecMode, KernelMode, Npu, SpanKind, TraceSummary};
+use bw_bench::reports::{profile, Profile};
+use bw_core::SpanKind;
 use bw_models::{RnnBenchmark, RnnKind};
-use bw_trace::json::Writer;
 use bw_trace::{chrome_trace_json, spans_to_chrome, validate_chrome_trace};
 
 use crate::cli::{Args, Gate};
@@ -47,20 +46,11 @@ pub fn run(args: &Args) -> ExitCode {
     let steps = args.get("--steps").unwrap_or(if quick { 5 } else { 25 });
     let bench = RnnBenchmark::new(kind, hidden, steps);
     eprintln!("profiling {} on BW_S10 (timing-only, traced)", bench.name());
-
-    // Same harness as `run_bw_s10`, traced: the chain records feed the
-    // bottleneck rollup and the spans the Perfetto export.
-    let (clock_hz, stats, chain_trace, spans) = {
-        let (cfg, rnn) = bw_s10_rnn(bench.kind, bench.dims());
-        let clock_hz = cfg.clock_hz();
-        let mut npu = Npu::with_mode(cfg, ExecMode::TimingOnly);
-        npu.set_kernel_mode(KernelMode::Fast);
-        npu.set_trace(true);
-        let stats = rnn
-            .run_timing_only(&mut npu, bench.timesteps)
-            .expect("sized configuration runs");
-        (clock_hz, stats, npu.take_trace(), npu.take_spans())
-    };
+    let Profile {
+        report,
+        spans,
+        clock_hz,
+    } = profile(&bench, if quick { "quick" } else { "full" });
 
     let mut gate = Gate::default();
 
@@ -72,40 +62,6 @@ pub fn run(args: &Args) -> ExitCode {
         eprintln!("{} spans; open at https://ui.perfetto.dev", spans.len());
     }
 
-    // Bottleneck report.
-    let summary = TraceSummary::from_trace(&chain_trace);
-    let ops = bench.ops();
-    let mut w = Writer::new();
-    w.begin_object().key("bench").string("profile");
-    w.key("model").string(&bench.name());
-    w.key("mode").string(if quick { "quick" } else { "full" });
-    w.key("cycles").uint(stats.cycles);
-    w.key("latency_ms").fixed(stats.latency_ms(), 6);
-    w.key("tflops").fixed(stats.effective_tflops(ops), 3);
-    w.key("utilization_pct")
-        .fixed(stats.effective_utilization(ops) * 100.0, 2);
-    w.key("end_cycle").uint(summary.end_cycle);
-    w.key("worst_dep_stall");
-    match summary.worst_dep_stall {
-        Some((idx, cycles)) => {
-            w.begin_object().key("trace_index").uint(idx as u64);
-            w.key("exposed_cycles").uint(cycles).end_object()
-        }
-        None => w.null(),
-    };
-    w.key("span_count").uint(spans.len() as u64);
-    w.key("kinds").begin_object();
-    for (name, k) in &summary.kinds {
-        w.key(name).begin_object();
-        w.key("chains").uint(k.chains);
-        w.key("busy_cycles").uint(k.busy_cycles);
-        w.key("resource_wait_cycles").uint(k.resource_wait_cycles);
-        w.key("dep_wait_cycles").uint(k.dep_wait_cycles);
-        w.key("occupancy").fixed(summary.occupancy(name), 4);
-        w.end_object();
-    }
-    w.end_object().end_object();
-    let report = w.finish();
     println!("{report}");
     if let Some(path) = args.get::<String>("--report-out") {
         write_file(&mut gate, &path, &report);

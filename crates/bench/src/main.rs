@@ -20,12 +20,6 @@ mod cmd;
 use bw_bench::reports;
 use cli::{Args, Command};
 
-/// A paper-reproduction subcommand: no flags, nothing to fail.
-fn paper(print: fn()) -> ExitCode {
-    print();
-    ExitCode::SUCCESS
-}
-
 /// A report subcommand prints its [`reports`] string verbatim — the same
 /// string `tests/golden.rs` pins byte for byte.
 fn report(build: fn() -> String) -> ExitCode {
@@ -44,19 +38,19 @@ const COMMANDS: &[Command] = &[
         name: "table2",
         help: "Table II: the ISA reference, rendered from the implementation",
         flags: &[],
-        run: |_| paper(cmd::table2::run),
+        run: |_| report(reports::table2_report),
     },
     Command {
         name: "table3",
         help: "Table III: FPGA resources of the three NPU instances vs the paper",
         flags: &[],
-        run: |_| paper(cmd::table3::run),
+        run: |_| report(reports::table3_report),
     },
     Command {
         name: "table4",
         help: "Table IV: experiment hardware specifications",
         flags: &[],
-        run: |_| paper(cmd::table4::run),
+        run: |_| report(reports::table4_report),
     },
     Command {
         name: "table5",
@@ -74,13 +68,13 @@ const COMMANDS: &[Command] = &[
         name: "fig2",
         help: "Figure 2: LSTM critical path vs dimension and functional units",
         flags: &[],
-        run: |_| paper(cmd::fig2::run),
+        run: |_| report(reports::fig2_report),
     },
     Command {
         name: "fig6_hdd",
         help: "Figure 6: hierarchical decode and dispatch of one mv_mul",
         flags: &[],
-        run: |_| paper(cmd::fig6_hdd::run),
+        run: |_| report(reports::fig6_hdd_report),
     },
     Command {
         name: "fig7",

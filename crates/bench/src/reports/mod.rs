@@ -19,16 +19,30 @@ macro_rules! outln {
 
 mod ablations;
 mod calibrate;
+mod fig2;
+mod fig6_hdd;
+mod lint;
 mod power;
 mod precision_sweep;
+mod profile;
 mod sla_study;
+mod table2;
+mod table3;
+mod table4;
 mod table6;
 
 pub use ablations::ablations_report;
 pub use calibrate::calibrate_report;
+pub use fig2::fig2_report;
+pub use fig6_hdd::fig6_hdd_report;
+pub use lint::{lint_report, LintRequest, LintTarget};
 pub use power::power_report;
 pub use precision_sweep::precision_sweep_report;
+pub use profile::{profile, Profile};
 pub use sla_study::sla_study_report;
+pub use table2::table2_report;
+pub use table3::table3_report;
+pub use table4::table4_report;
 pub use table6::table6_report;
 
 use bw_baselines::{titan_xp_point, GpuBatchModel, TITAN_XP};

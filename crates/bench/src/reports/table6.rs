@@ -17,30 +17,13 @@ use bw_models::ConvLayer;
 /// transfer time over PCI express".
 const PCIE_MS: f64 = 0.1;
 
-fn cnn_a10() -> NpuConfig {
-    let base = NpuConfig::bw_cnn_a10();
-    NpuConfig::builder()
-        .name("BW_CNN_A10")
-        .native_dim(base.native_dim())
-        .lanes(base.lanes())
-        .tile_engines(base.tile_engines())
-        .mfus(base.mfus())
-        .mrf_entries(1024)
-        .vrf_entries(4096)
-        .clock_mhz(base.clock_hz() / 1e6)
-        .matrix_format(base.matrix_format())
-        .mfu_lanes(base.native_dim())
-        .build()
-        .expect("CNN A10 configuration is valid")
-}
-
 /// Builds the Table VI report: the ResNet-50 featurizer's 53
 /// convolutions, timing-only on BW_CNN_A10, against the published P40
 /// points.
 pub fn table6_report() -> String {
     let mut out = String::new();
     let layers = resnet50_featurizer();
-    let cfg = cnn_a10();
+    let cfg = NpuConfig::bw_cnn_a10();
 
     let mut total_cycles = 0u64;
     let mut total_macs = 0u64;

@@ -83,7 +83,12 @@ fn command_line_mistakes_print_usage_and_exit_2() {
 fn report_subcommands_print_the_golden_strings() {
     for (name, report) in [
         ("table1", reports::table1_report as fn() -> String),
+        ("table2", reports::table2_report),
+        ("table3", reports::table3_report),
+        ("table4", reports::table4_report),
         ("table5", reports::table5_report),
+        ("fig2", reports::fig2_report),
+        ("fig6_hdd", reports::fig6_hdd_report),
         ("fig7", reports::fig7_report),
     ] {
         let out = bw_bench(&[name]);

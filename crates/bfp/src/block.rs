@@ -23,7 +23,7 @@ pub enum Rounding {
 
 /// A vector quantized to block floating point.
 ///
-/// The vector is split into chunks of [`BfpFormat::block_size`] elements;
+/// The vector is split into chunks of the format's block size;
 /// each chunk shares one exponent while every element keeps a private sign
 /// and narrow mantissa. This mirrors the MVM datapath (§VI): "a single 5-bit
 /// exponent per 128 independent signs and mantissas". Dot products between
@@ -112,7 +112,11 @@ impl BfpBlock {
     }
 
     /// Quantizes with an explicit [`Rounding`] discipline.
-    pub fn quantize_with_rounding(values: &[f32], format: BfpFormat, rounding: Rounding) -> Self {
+    pub(crate) fn quantize_with_rounding(
+        values: &[f32],
+        format: BfpFormat,
+        rounding: Rounding,
+    ) -> Self {
         let mut block = Self::empty(format);
         Self::quantize_into(values, format, rounding, &mut block);
         block
@@ -133,8 +137,8 @@ impl BfpBlock {
     }
 
     /// Quantizes into an existing block, reusing its mantissa/exponent
-    /// allocations. Produces exactly the same result as
-    /// [`BfpBlock::quantize_with_rounding`].
+    /// allocations. Produces exactly the block a fresh quantization with
+    /// `rounding` would.
     pub fn quantize_into(values: &[f32], format: BfpFormat, rounding: Rounding, out: &mut Self) {
         out.format = format;
         out.len = values.len();
@@ -169,25 +173,27 @@ impl BfpBlock {
 
     /// Number of elements.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// Returns `true` if the block holds no elements.
+    #[cfg(test)]
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// The signed mantissas, widened to `i32` from whichever layout the
     /// format stores them in.
-    pub fn mantissas(&self) -> impl Iterator<Item = i32> + '_ {
+    pub(crate) fn mantissas(&self) -> impl Iterator<Item = i32> + '_ {
         self.as_row().iter()
     }
 
     /// The unbiased shared exponents, one per chunk.
+    #[cfg(test)]
     #[inline]
-    pub fn exponents(&self) -> &[i32] {
+    pub(crate) fn exponents(&self) -> &[i32] {
         &self.exponents
     }
 
@@ -227,8 +233,9 @@ impl BfpBlock {
     /// chunk sum is then scaled once by the
     /// combined exponents and accumulated across chunks in double
     /// precision. Integer addition is exact and the per-chunk scale is an
-    /// exact power of two, so the result is bit-identical to
-    /// [`BfpBlock::dot_naive`] — the differential property tests pin this.
+    /// exact power of two, so the result is bit-identical to the
+    /// element-by-element reference loop — the differential property tests
+    /// pin this.
     ///
     /// # Errors
     ///
@@ -244,7 +251,8 @@ impl BfpBlock {
     /// # Errors
     ///
     /// Returns [`DotError`] if the operands differ in length or chunk size.
-    pub fn dot_naive(&self, other: &BfpBlock) -> Result<f32, DotError> {
+    #[cfg(test)]
+    pub(crate) fn dot_naive(&self, other: &BfpBlock) -> Result<f32, DotError> {
         self.check_dot_operand(other)?;
         Ok(kernel::dot_naive(self.as_row(), other.operand()))
     }
@@ -271,7 +279,8 @@ impl BfpBlock {
     /// # Errors
     ///
     /// Returns [`DotError::LengthMismatch`] if the lengths differ.
-    pub fn dot_f32(&self, other: &[f32]) -> Result<f32, DotError> {
+    #[cfg(test)]
+    pub(crate) fn dot_f32(&self, other: &[f32]) -> Result<f32, DotError> {
         self.dot(&BfpBlock::quantize(other, self.format))
     }
 }

@@ -38,21 +38,26 @@ const F16_MAN_MASK: u16 = 0x03FF;
 
 impl F16 {
     /// Positive zero.
-    pub const ZERO: F16 = F16(0x0000);
+    pub(crate) const ZERO: F16 = F16(0x0000);
     /// One.
-    pub const ONE: F16 = F16(0x3C00);
+    #[cfg(test)]
+    pub(crate) const ONE: F16 = F16(0x3C00);
     /// Positive infinity.
-    pub const INFINITY: F16 = F16(0x7C00);
+    #[cfg(test)]
+    pub(crate) const INFINITY: F16 = F16(0x7C00);
     /// Negative infinity.
-    pub const NEG_INFINITY: F16 = F16(0xFC00);
+    #[cfg(test)]
+    pub(crate) const NEG_INFINITY: F16 = F16(0xFC00);
     /// A quiet NaN.
     pub const NAN: F16 = F16(0x7E00);
     /// The largest finite value, 65504.
-    pub const MAX: F16 = F16(0x7BFF);
+    #[cfg(test)]
+    pub(crate) const MAX: F16 = F16(0x7BFF);
     /// The smallest positive normal value, 2^-14.
     pub const MIN_POSITIVE: F16 = F16(0x0400);
     /// The difference between 1.0 and the next larger representable value.
-    pub const EPSILON: F16 = F16(0x1400);
+    #[cfg(test)]
+    pub(crate) const EPSILON: F16 = F16(0x1400);
 
     /// Creates an `F16` from its raw bit pattern.
     #[inline]
@@ -161,28 +166,17 @@ impl F16 {
     }
 
     /// Returns `true` if this value is positive or negative infinity.
+    #[cfg(test)]
     #[inline]
-    pub fn is_infinite(self) -> bool {
+    pub(crate) fn is_infinite(self) -> bool {
         (self.0 & !F16_SIGN_MASK) == F16_EXP_MASK
-    }
-
-    /// Returns `true` if this value is neither infinite nor NaN.
-    #[inline]
-    pub fn is_finite(self) -> bool {
-        (self.0 & F16_EXP_MASK) != F16_EXP_MASK
     }
 
     /// Returns `true` if the sign bit is set (including `-0.0` and NaNs with
     /// the sign bit set).
     #[inline]
-    pub fn is_sign_negative(self) -> bool {
+    pub(crate) fn is_sign_negative(self) -> bool {
         (self.0 & F16_SIGN_MASK) != 0
-    }
-
-    /// The absolute value.
-    #[inline]
-    pub fn abs(self) -> Self {
-        F16(self.0 & !F16_SIGN_MASK)
     }
 
     /// The larger of two values, propagating NaN like `f32::max` does not:
@@ -250,39 +244,17 @@ impl F16 {
 /// ```
 #[inline]
 pub fn round_to_f16(value: f32) -> f32 {
-    match round_to_f16_in_range(value) {
-        (rounded, true) => rounded,
-        _ => F16::from_f32(value).to_f32(),
-    }
-}
-
-/// The branch-free common case of [`round_to_f16`]: `value` rounded by an
-/// integer add and mask, and whether that is the answer — it is when
-/// `value` is a zero or rounds to a normal binary16; subnormal results,
-/// overflow, infinities and NaNs need [`round_to_f16`]. A loop that calls
-/// this on every lane and ANDs the flags vectorizes, where the rare-case
-/// branch of [`round_to_f16`] does not.
-///
-/// # Example
-///
-/// ```
-/// use bw_bfp::round_to_f16_in_range;
-///
-/// assert_eq!(round_to_f16_in_range(1.0 + 2.0f32.powi(-12)), (1.0, true));
-/// assert!(!round_to_f16_in_range(1.0e-6).1);
-/// assert!(!round_to_f16_in_range(65520.0).1);
-/// ```
-#[inline]
-pub fn round_to_f16_in_range(value: f32) -> (f32, bool) {
     /// 2^-14, the smallest normal binary16.
     const NORMAL_MIN: u32 = 0x3880_0000;
     /// 65520, halfway from the largest finite binary16 to 2^16.
     const OVERFLOW: u32 = 0x477F_F000;
     let bits = value.to_bits();
     let magnitude = bits & 0x7FFF_FFFF;
-    let rounded = bits.wrapping_add(0xFFF + ((bits >> 13) & 1)) & !0x1FFF;
-    let in_range = (magnitude.wrapping_sub(NORMAL_MIN) < OVERFLOW - NORMAL_MIN) | (magnitude == 0);
-    (f32::from_bits(rounded), in_range)
+    if magnitude.wrapping_sub(NORMAL_MIN) < OVERFLOW - NORMAL_MIN || magnitude == 0 {
+        f32::from_bits(bits.wrapping_add(0xFFF + ((bits >> 13) & 1)) & !0x1FFF)
+    } else {
+        F16::from_f32(value).to_f32()
+    }
 }
 
 impl From<f32> for F16 {

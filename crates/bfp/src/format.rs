@@ -84,7 +84,8 @@ impl BfpFormat {
     };
 
     /// A 3-bit mantissa variant, in the paper's validated 2–5 bit range.
-    pub const BFP_1S_5E_3M: BfpFormat = BfpFormat {
+    #[cfg(test)]
+    pub(crate) const BFP_1S_5E_3M: BfpFormat = BfpFormat {
         exponent_bits: 5,
         mantissa_bits: 3,
         block_size: 128,
@@ -114,8 +115,9 @@ impl BfpFormat {
     }
 
     /// Width of the shared exponent in bits.
+    #[cfg(test)]
     #[inline]
-    pub fn exponent_bits(self) -> u8 {
+    pub(crate) fn exponent_bits(self) -> u8 {
         self.exponent_bits
     }
 
@@ -127,13 +129,13 @@ impl BfpFormat {
 
     /// Number of elements sharing one exponent.
     #[inline]
-    pub fn block_size(self) -> u32 {
+    pub(crate) fn block_size(self) -> u32 {
         self.block_size
     }
 
     /// The largest representable mantissa magnitude, `2^m - 1`.
     #[inline]
-    pub fn max_mantissa(self) -> i32 {
+    pub(crate) fn max_mantissa(self) -> i32 {
         (1i32 << self.mantissa_bits) - 1
     }
 
@@ -151,13 +153,13 @@ impl BfpFormat {
     /// The exponent bias; shared exponents are stored biased like IEEE
     /// exponents so a 5-bit field covers `-15..=16` unbiased.
     #[inline]
-    pub fn exponent_bias(self) -> i32 {
+    pub(crate) fn exponent_bias(self) -> i32 {
         (1i32 << (self.exponent_bits - 1)) - 1
     }
 
     /// The smallest and largest storable unbiased exponents.
     #[inline]
-    pub fn exponent_range(self) -> (i32, i32) {
+    pub(crate) fn exponent_range(self) -> (i32, i32) {
         let bias = self.exponent_bias();
         (-bias, (1i32 << self.exponent_bits) - 1 - bias)
     }

@@ -10,7 +10,8 @@
 //! This crate implements both numeric systems from scratch:
 //!
 //! * [`F16`] — software IEEE 754 binary16 with correct round-to-nearest-even
-//!   conversions, used by the multifunction units.
+//!   conversions, and the element loops the multifunction units run over
+//!   `f32` slices in binary16 ([`f16_binary`], [`f16_bits`]).
 //! * [`BfpFormat`], [`BfpBlock`], [`BfpMatrix`] — shared-exponent block
 //!   quantization, the integer dot-product semantics the MVM datapath uses,
 //!   and dequantization.
@@ -35,11 +36,19 @@
 //! multiply-adds). [`BfpBlock`] keeps either form from the moment it is
 //! quantized. Each kernel has a portable body and, on x86-64, an AVX2 one,
 //! four rows to one load of the vector, that a call takes when the CPU has
-//! it; those calls and the AVX2 bodies' vector loads are the crate's only
-//! `unsafe`. Wide or mixed-layout operands run the reference
-//! loop of [`BfpBlock::dot_naive`] / [`BfpMatrix::mv_mul_naive`]:
+//! it. Wide or mixed-layout operands run the reference
+//! loop of [`BfpMatrix::mv_mul_naive`]:
 //! element-by-element 64-bit sums over any layout, the oracle all of the
 //! above is tested bit-for-bit against.
+//!
+//! # Unsafe code
+//!
+//! The MAC kernels (the `kernel` module) and the binary16 element loops
+//! (the `lanes` module, AVX2 + F16C) each pair a portable body with a
+//! `std::arch` one. The crate's only `unsafe` is theirs: calling a
+//! `#[target_feature]` body once the feature is detected, and unaligned
+//! vector loads and stores; each use states why it holds. Under miri and
+//! off x86-64 only the portable bodies exist.
 //!
 //! # Example
 //!
@@ -55,20 +64,22 @@
 //! assert!((back[2] - 3.0).abs() < 0.5);
 //! ```
 
-// `#[allow]`ed in `kernel` only: the two calls into AVX2 bodies after
-// detecting the feature, and those bodies' vector loads.
+// `#[allow]`ed in `kernel` and `lanes` only (crate doc, "Unsafe code").
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod block;
 mod error;
 mod f16;
 mod format;
 mod kernel;
+mod lanes;
 mod matrix;
 
 pub use block::{BfpBlock, DotError, Rounding};
 pub use error::ErrorStats;
-pub use f16::{round_to_f16, round_to_f16_in_range, F16};
+pub use f16::{round_to_f16, F16};
 pub use format::{BfpFormat, FormatError};
-pub use matrix::{BfpMatrix, BfpRowRef, MatrixShapeError};
+pub use lanes::{f16_binary, f16_binary_portable, f16_bits, f16_bits_portable, F16BinaryOp};
+pub use matrix::{BfpMatrix, MatrixShapeError};

@@ -31,7 +31,7 @@ use crate::kernel::{self, mac_rows, Mantissas, Rows};
 /// A chunk of zero mantissas adds `+0.0` to a row's total, so the products
 /// multiply the stored prefix by the matching prefix of the vector and give
 /// the rows past it `+0.0`: bit for bit what the whole shape gives. All
-/// else ([`rows`](Self::rows), [`row`](Self::row), equality,
+/// else ([`rows`](Self::rows), equality,
 /// [`storage_bytes`](Self::storage_bytes), ...) describes the logical
 /// matrix, and [`mv_mul_naive`](Self::mv_mul_naive) walks all of it, so the
 /// oracle checks this shortcut instead of sharing it.
@@ -67,7 +67,7 @@ pub struct BfpMatrix {
 /// A borrowed view of one quantized matrix row at its logical width: what
 /// the matrix stores of it, then zero mantissas.
 #[derive(Clone, Copy, Debug)]
-pub struct BfpRowRef<'a> {
+pub(crate) struct BfpRowRef<'a> {
     /// The row's stored prefix: slices into the matrix's slabs.
     stored: Rows<'a>,
     cols: usize,
@@ -75,33 +75,31 @@ pub struct BfpRowRef<'a> {
 
 impl BfpRowRef<'_> {
     /// Number of elements in the row.
+    #[cfg(test)]
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.cols
     }
 
-    /// Returns `true` if the row holds no elements.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The quantization format.
+    #[cfg(test)]
     #[inline]
-    pub fn format(&self) -> BfpFormat {
+    pub(crate) fn format(&self) -> BfpFormat {
         self.stored.format
     }
 
     /// The row's signed mantissas, widened to `i32` from whichever layout
     /// the format stores them in.
-    pub fn mantissas(&self) -> impl Iterator<Item = i32> + '_ {
+    #[cfg(test)]
+    pub(crate) fn mantissas(&self) -> impl Iterator<Item = i32> + '_ {
         let stored = self.stored.iter();
         stored.chain(std::iter::repeat(0)).take(self.cols)
     }
 
     /// The row's shared exponents, one per chunk. An iterator and not a
     /// slice: the chunks a matrix does not store have no memory to lend.
-    pub fn exponents(&self) -> impl Iterator<Item = i32> + '_ {
+    #[cfg(test)]
+    pub(crate) fn exponents(&self) -> impl Iterator<Item = i32> + '_ {
         let format = self.format();
         let stored = self.stored.exponents.iter().copied();
         stored
@@ -114,14 +112,15 @@ impl BfpRowRef<'_> {
     /// # Errors
     ///
     /// Returns [`DotError`] if `x` differs in length or chunk size.
-    pub fn dot(&self, x: &BfpBlock) -> Result<f32, DotError> {
+    #[cfg(test)]
+    pub(crate) fn dot(&self, x: &BfpBlock) -> Result<f32, DotError> {
         check_operand(self.format(), self.cols, x)?;
         let x = x.operand().prefix(self.stored.cols);
         Ok(kernel::dot(self.stored, x))
     }
 
     /// Reconstructs the approximate `f32` values of the row.
-    pub fn dequantize(&self) -> Vec<f32> {
+    pub(crate) fn dequantize(&self) -> Vec<f32> {
         let mut values = self.stored.dequantize();
         values.resize(self.cols, 0.0);
         values
@@ -272,7 +271,7 @@ impl BfpMatrix {
     ///
     /// Panics if `row >= self.rows()`.
     #[inline]
-    pub fn row(&self, row: usize) -> BfpRowRef<'_> {
+    pub(crate) fn row(&self, row: usize) -> BfpRowRef<'_> {
         assert!(row < self.rows, "row {row} out of range ({})", self.rows);
         // A row past the extent stores nothing.
         let live = self.live();
@@ -300,7 +299,7 @@ impl BfpMatrix {
     ///
     /// Returns [`DotError`] if `x` does not match the column count or chunk
     /// size.
-    pub fn mv_mul(&self, x: &BfpBlock) -> Result<Vec<f32>, DotError> {
+    pub(crate) fn mv_mul(&self, x: &BfpBlock) -> Result<Vec<f32>, DotError> {
         let mut out = Vec::new();
         self.mv_mul_into(x, &mut out)?;
         Ok(out)
@@ -329,16 +328,14 @@ impl BfpMatrix {
 
     /// Matrix-vector product *accumulated* into `acc`: `acc[r] += row_r · x`.
     ///
-    /// The per-row dot is computed as an `f32` (exactly as [`mv_mul`]
-    /// produces it) and then added in `f32`, matching the MVM datapath's
+    /// The per-row dot is computed as an `f32` (exactly as
+    /// [`mv_mul_into`](Self::mv_mul_into) produces it) and then added in `f32`, matching the MVM datapath's
     /// tile-accumulation order bit-for-bit.
     ///
     /// # Errors
     ///
     /// Returns [`DotError`] if `x` does not match the column count or chunk
     /// size, or [`DotError::LengthMismatch`] if `acc.len() != self.rows()`.
-    ///
-    /// [`mv_mul`]: BfpMatrix::mv_mul
     pub fn mv_mul_acc(&self, x: &BfpBlock, acc: &mut [f32]) -> Result<(), DotError> {
         if acc.len() != self.rows {
             return Err(DotError::LengthMismatch {
@@ -360,7 +357,7 @@ impl BfpMatrix {
     }
 
     /// Matrix-vector product using the retained naive reference kernel;
-    /// bit-identical to [`BfpMatrix::mv_mul`] (the differential property
+    /// bit-identical to [`BfpMatrix::mv_mul_into`] (the differential property
     /// tests pin this). Every row is walked at its logical width, one
     /// element at a time, with the zero mantissa read where nothing is
     /// stored.

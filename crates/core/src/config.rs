@@ -165,7 +165,9 @@ impl NpuConfig {
     }
 
     /// The BW_CNN_A10 variant used for the ResNet-50 featurizer of Table VI:
-    /// the Arria 10 datapath specialized with the 5-bit-mantissa BFP format.
+    /// the Arria 10 datapath specialized with the 5-bit-mantissa BFP format,
+    /// its MFU stream widened to one native vector per cycle for the
+    /// position-heavy layers (§VII-B2's "increasing MFU resources").
     pub fn bw_cnn_a10() -> NpuConfig {
         NpuConfig::builder()
             .name("BW_CNN_A10")
@@ -174,6 +176,7 @@ impl NpuConfig {
             .tile_engines(8)
             .mfus(2)
             .mrf_entries(1024)
+            .mfu_lanes(128)
             .clock_mhz(300.0)
             .matrix_format(BfpFormat::BFP_1S_5E_5M)
             .build()

@@ -12,22 +12,42 @@
 //! irrelevant to the arithmetic, and the flat layout lets the simulator
 //! stream a chain through the MFUs without any per-vector indirection.
 //!
+//! # Binary operations
+//!
+//! `vv_add`, both subtracts and `vv_mul` round both operands to the
+//! binary16 grid, operate in `f32` and round the result back — the [`F16`]
+//! operators' definition, which bw-bfp's [`f16_binary`] loops compute eight
+//! lanes at a time with the host's float16 conversions where it has them
+//! (its `lanes` module doc). `vv_max` and `v_relu` round lane by lane.
+//!
 //! # The activation tables
 //!
 //! `v_sigm` and `v_tanh` round their input to the binary16 grid first, so
 //! each is a function of 65,536 possible inputs and is read from a table of
-//! that many results indexed by the input's float16 bits. An entry is filled
-//! on its first touch by the scalar expression — round, evaluate in `f32`,
-//! round back; what [`F16::sigmoid`] and [`F16::tanh`] compute — so the
-//! tables cost no set-up, are bit-identical to evaluating every element by
-//! construction, and hold resident pages only for the binades inputs land in
-//! (1,024 entries, one 4 KiB page, per sign and binade).
+//! that many results indexed by the input's float16 bits, which
+//! [`f16_bits`] encodes a block of the chain at a time onto the stack. An
+//! entry is filled on its first touch by the scalar expression — round,
+//! evaluate in `f32`, round back; what [`F16::sigmoid`] and [`F16::tanh`]
+//! compute — so the tables cost no set-up, are bit-identical to evaluating
+//! every element by construction, and hold resident pages only for the
+//! binades inputs land in (1,024 entries, one 4 KiB page, per sign and
+//! binade). Lookups and fills are single atomic loads and stores, never a
+//! vector gather, which could race a thread filling the same table.
+//!
+//! # Kernel modes
+//!
+//! [`KernelMode::Reference`] runs bw-bfp's portable bodies
+//! ([`f16_binary_portable`], [`f16_bits_portable`]), as it runs the naive
+//! MVM, so every run that compares the two modes compares the bodies.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use bw_bfp::{round_to_f16, round_to_f16_in_range, F16};
+use bw_bfp::{
+    f16_binary, f16_binary_portable, f16_bits, f16_bits_portable, round_to_f16, F16BinaryOp, F16,
+};
 
 use crate::isa::Opcode;
+use crate::KernelMode;
 
 /// One activation's result for every binary16 input (module doc). `0` is an
 /// entry not yet filled; a filled one is the result's `f32` bits with bit 0
@@ -39,50 +59,47 @@ struct Table([AtomicU32; 1 << 16]);
 static SIGMOID: Table = Table::new();
 static TANH: Table = Table::new();
 
+/// Chain elements encoded per [`f16_bits`] call, into a stack buffer.
+const BLOCK: usize = 64;
+
 impl Table {
     const fn new() -> Self {
         Table([const { AtomicU32::new(0) }; 1 << 16])
     }
 
-    /// `f(x rounded to binary16)` for every `x` of `chain`; `f` fills the
-    /// entries this is the first to touch.
-    fn map(&self, chain: &mut [f32], f: impl Fn(f32) -> f32) {
-        for x in chain {
-            let h = f16_bits(*x);
-            let entry = &self.0[usize::from(h)];
-            *x = match entry.load(Ordering::Relaxed) {
-                0 => {
-                    let y = f(F16::from_bits(h).to_f32());
-                    debug_assert_eq!(y.to_bits() & 1, 0, "{y} is not on the binary16 grid");
-                    entry.store(y.to_bits() | 1, Ordering::Relaxed);
-                    y
-                }
-                filled => f32::from_bits(filled & !1),
-            };
+    /// `f(x rounded to binary16)` for every `x` of `chain`, indexed by
+    /// `encode`'s bits; `f` fills the entries this is the first to touch.
+    fn map(&self, chain: &mut [f32], encode: fn(&[f32], &mut [u16]), f: impl Fn(f32) -> f32) {
+        let mut bits = [0u16; BLOCK];
+        for block in chain.chunks_mut(BLOCK) {
+            let bits = &mut bits[..block.len()];
+            encode(block, bits);
+            for (x, &h) in block.iter_mut().zip(&*bits) {
+                let entry = &self.0[usize::from(h)];
+                *x = match entry.load(Ordering::Relaxed) {
+                    0 => {
+                        let y = f(F16::from_bits(h).to_f32());
+                        debug_assert_eq!(y.to_bits() & 1, 0, "{y} is not on the binary16 grid");
+                        entry.store(y.to_bits() | 1, Ordering::Relaxed);
+                        y
+                    }
+                    filled => f32::from_bits(filled & !1),
+                };
+            }
         }
     }
 }
 
-/// The binary16 bits `x` rounds to: read off the branch-free in-range
-/// rounding where that is the answer, [`F16::from_f32`]'s otherwise.
-#[inline]
-fn f16_bits(x: f32) -> u16 {
-    let (rounded, in_range) = round_to_f16_in_range(x);
-    if !in_range {
-        return F16::from_f32(x).to_bits();
-    }
-    // Sign, then exponent and mantissa with the exponent rebiased from 127
-    // to 15; a zero has nothing to rebias.
-    let bits = rounded.to_bits();
-    let magnitude = ((bits & 0x7FFF_FFFF) >> 13).saturating_sub((127 - 15) << 10);
-    ((bits >> 16 & 0x8000) | magnitude) as u16
-}
-
 /// Applies a unary activation in float16, element-wise over the flat chain
 /// value: the input rounds to the binary16 grid, the function evaluates in
-/// `f32`, and the result rounds back — what [`F16::sigmoid`] and
-/// [`F16::tanh`] do, read from the activation tables (module doc).
-pub(crate) fn apply_activation(op: Opcode, chain: &mut [f32]) {
+/// `f32`, and the result rounds back — what [`F16::relu`],
+/// [`F16::sigmoid`] and [`F16::tanh`] do, the latter two read from the
+/// activation tables (module doc).
+pub(crate) fn apply_activation(op: Opcode, chain: &mut [f32], kernel: KernelMode) {
+    let encode = match kernel {
+        KernelMode::Fast => f16_bits,
+        KernelMode::Reference => f16_bits_portable,
+    };
     match op {
         // [`F16::relu`]: NaN comes out canonical, negatives and -0.0 as
         // +0.0. The input is on the grid already, so nothing rounds twice.
@@ -99,57 +116,27 @@ pub(crate) fn apply_activation(op: Opcode, chain: &mut [f32]) {
                 };
             }
         }
-        Opcode::VSigm => SIGMOID.map(chain, |h| round_to_f16(1.0 / (1.0 + (-h).exp()))),
-        Opcode::VTanh => TANH.map(chain, |h| round_to_f16(h.tanh())),
+        Opcode::VSigm => SIGMOID.map(chain, encode, |h| round_to_f16(1.0 / (1.0 + (-h).exp()))),
+        Opcode::VTanh => TANH.map(chain, encode, |h| round_to_f16(h.tanh())),
         _ => unreachable!("not an activation opcode"),
     }
 }
 
-/// Applies a binary point-wise operation in float16: the chain value is the
-/// implicit `IN` operand (`a`), the register file supplies the explicit
-/// operand (`b`). Both round to the binary16 grid, the operation runs in
-/// `f32`, and the result rounds back — the [`F16`] operators' definition.
-pub(crate) fn apply_binary(op: Opcode, chain: &mut [f32], operand: &[f32]) {
-    debug_assert_eq!(chain.len(), operand.len());
-    /// `op` over on-grid operands with the result rounded back, eight
-    /// lanes at a time by the branch-free in-range rounding — a loop that
-    /// vectorizes — and a group again, lane by lane, if any of its inputs or
-    /// results is one of the rare cases that rounding does not cover.
-    fn map(chain: &mut [f32], operand: &[f32], op: impl Fn(f32, f32) -> f32) {
-        const LANES: usize = 8;
-        let exact = |a: &mut f32, b: f32| *a = round_to_f16(op(round_to_f16(*a), round_to_f16(b)));
-        let whole = chain.len() / LANES * LANES;
-        let (groups, rest) = chain.split_at_mut(whole);
-        for (a, b) in groups
-            .chunks_exact_mut(LANES)
-            .zip(operand.chunks_exact(LANES))
-        {
-            let mut rounded = [0.0; LANES];
-            let mut in_range = true;
-            for ((y, &a), &b) in rounded.iter_mut().zip(&*a).zip(b) {
-                let ((a, a_ok), (b, b_ok)) = (round_to_f16_in_range(a), round_to_f16_in_range(b));
-                let (r, r_ok) = round_to_f16_in_range(op(a, b));
-                *y = r;
-                in_range &= a_ok & b_ok & r_ok;
-            }
-            if in_range {
-                a.copy_from_slice(&rounded);
-            } else {
-                a.iter_mut().zip(b).for_each(|(a, &b)| exact(a, b));
-            }
-        }
-        rest.iter_mut()
-            .zip(&operand[whole..])
-            .for_each(|(a, &b)| exact(a, b));
-    }
+/// Applies a binary point-wise operation in float16 (module doc): the
+/// chain value is the implicit `IN` operand (`a`), the register file
+/// supplies the explicit operand (`b`).
+pub(crate) fn apply_binary(op: Opcode, chain: &mut [f32], operand: &[f32], kernel: KernelMode) {
+    let binary = match kernel {
+        KernelMode::Fast => f16_binary,
+        KernelMode::Reference => f16_binary_portable,
+    };
     match op {
-        Opcode::VvAdd => map(chain, operand, |a, b| a + b),
-        Opcode::VvASubB => map(chain, operand, |a, b| a - b),
-        Opcode::VvBSubA => map(chain, operand, |a, b| b - a),
-        Opcode::VvMul => map(chain, operand, |a, b| a * b),
+        Opcode::VvAdd => binary(F16BinaryOp::Add, chain, operand),
+        Opcode::VvASubB => binary(F16BinaryOp::ASubB, chain, operand),
+        Opcode::VvBSubA => binary(F16BinaryOp::BSubA, chain, operand),
+        Opcode::VvMul => binary(F16BinaryOp::Mul, chain, operand),
         // [`F16::max`]: the strict comparator turns any NaN into the
-        // canonical one; the winner is on the grid already. Its branches
-        // keep it a lane at a time.
+        // canonical one; the winner is on the grid already.
         Opcode::VvMax => {
             let nan = F16::NAN.to_f32();
             for (a, &b) in chain.iter_mut().zip(operand) {
@@ -170,6 +157,42 @@ pub(crate) fn apply_binary(op: Opcode, chain: &mut [f32], operand: &[f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The MFU as a `Fast` run computes it, checked against what a
+    /// `Reference` run computes (module doc, "Kernel modes") but for the
+    /// sign of a NaN, which neither pins.
+    fn apply_binary(op: Opcode, chain: &mut [f32], operand: &[f32]) {
+        let mut portable = chain.to_vec();
+        super::apply_binary(op, &mut portable, operand, KernelMode::Reference);
+        super::apply_binary(op, chain, operand, KernelMode::Fast);
+        assert_same_but_nan_signs(chain, &portable, op);
+    }
+
+    /// [`apply_binary`]'s counterpart for the activations.
+    fn apply_activation(op: Opcode, chain: &mut [f32]) {
+        let mut portable = chain.to_vec();
+        super::apply_activation(op, &mut portable, KernelMode::Reference);
+        super::apply_activation(op, chain, KernelMode::Fast);
+        assert_same_but_nan_signs(chain, &portable, op);
+    }
+
+    fn assert_same_but_nan_signs(fast: &[f32], reference: &[f32], op: Opcode) {
+        for (i, (f, r)) in fast.iter().zip(reference).enumerate() {
+            let mask = if f.is_nan() { !(1 << 31) } else { !0 };
+            assert_eq!(
+                f.to_bits() & mask,
+                r.to_bits() & mask,
+                "{op:?}, element {i}"
+            );
+        }
+    }
+
+    /// The table index [`Table::map`] reads for `x` in a `Fast` run.
+    fn table_index(x: f32) -> u16 {
+        let mut h = [0];
+        f16_bits(&[x], &mut h);
+        h[0]
+    }
 
     #[test]
     fn relu_clamps_negative() {
@@ -228,14 +251,14 @@ mod tests {
     fn table_index_is_the_binary16_encoding() {
         for h in 0..=u16::MAX {
             let x = F16::from_bits(h);
-            assert_eq!(f16_bits(x.to_f32()), F16::from_f32(x.to_f32()).to_bits());
+            assert_eq!(table_index(x.to_f32()), F16::from_f32(x.to_f32()).to_bits());
             if !x.is_nan() {
-                assert_eq!(f16_bits(x.to_f32()), h);
+                assert_eq!(table_index(x.to_f32()), h);
             }
         }
-        // Out of the in-range rounding: overflow, subnormal results.
+        // Overflow, subnormal results.
         for x in [65520.0, -1.0e9, 3.0e-6, -5.0e-8, 1.0e-10, 6.1e-5] {
-            assert_eq!(f16_bits(x), F16::from_f32(x).to_bits(), "{x}");
+            assert_eq!(table_index(x), F16::from_f32(x).to_bits(), "{x}");
         }
     }
 
@@ -253,7 +276,7 @@ mod tests {
                 chain.reverse();
             }
             barrier.wait();
-            TABLE.map(&mut chain, f);
+            TABLE.map(&mut chain, f16_bits, f);
             if reversed {
                 chain.reverse();
             }
@@ -268,7 +291,7 @@ mod tests {
         assert_eq!(bits(&backward), bits(&want));
         // And every entry is filled with exactly that.
         let mut warm = every_f16();
-        TABLE.map(&mut warm, |_| unreachable!("the table is full"));
+        TABLE.map(&mut warm, f16_bits, |_| unreachable!("the table is full"));
         assert_eq!(bits(&warm), bits(&want));
     }
 

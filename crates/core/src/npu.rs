@@ -61,13 +61,15 @@ pub enum ExecMode {
 /// host-side wall-clock cost differs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum KernelMode {
-    /// The optimized kernels: reusable MVM quantization scratch and
-    /// flat-accumulator BFP dot products. The default.
+    /// The optimized kernels: reusable MVM quantization scratch,
+    /// flat-accumulator BFP dot products and the MFU's float16 loops at
+    /// the host's vector width. The default.
     #[default]
     Fast,
     /// The retained reference kernels: fresh quantization and accumulator
-    /// allocations per `mv_mul` and naive element-by-element BFP dot
-    /// products. The oracle of the differential test suite.
+    /// allocations per `mv_mul`, naive element-by-element BFP dot products
+    /// and the MFU's portable float16 loops. The oracle of the
+    /// differential test suite.
     Reference,
 }
 
@@ -314,7 +316,7 @@ struct DataPlanes {
     vrfs: Vec<VectorFile>,
     dram: Dram,
     net: NetQueues,
-    /// The MVM kernel `mv_mul` runs.
+    /// The kernels `mv_mul` and the MFUs run.
     kernel: KernelMode,
     /// The chain's current value: `width` native vectors, flat.
     cur: Vec<f32>,
@@ -445,10 +447,15 @@ impl DataPlanes {
                 | Instruction::VvMax { index }
                 | Instruction::VvMul { index } => {
                     let file = vrf_mut(&mut self.vrfs, operands.next(instr));
-                    mfu::apply_binary(instr.opcode(), &mut self.cur, file.read(index, w_out));
+                    mfu::apply_binary(
+                        instr.opcode(),
+                        &mut self.cur,
+                        file.read(index, w_out),
+                        self.kernel,
+                    );
                 }
                 Instruction::VRelu | Instruction::VSigm | Instruction::VTanh => {
-                    mfu::apply_activation(instr.opcode(), &mut self.cur);
+                    mfu::apply_activation(instr.opcode(), &mut self.cur, self.kernel);
                 }
                 // Writes apply below, once the value is final; anything
                 // else the timeline has already refused.
@@ -578,7 +585,8 @@ impl Npu {
     /// Selects the functional kernel implementation of the data pass (a
     /// [`ExecMode::TimingOnly`] NPU has none). Cycle counts and computed
     /// values are unaffected; [`KernelMode::Reference`] trades speed for
-    /// the original allocate-per-`mv_mul` naive kernels.
+    /// the original allocate-per-`mv_mul` naive kernels and the portable
+    /// MFU loops.
     pub fn set_kernel_mode(&mut self, kernel: KernelMode) {
         if let Some(data) = &mut self.data {
             data.kernel = kernel;

@@ -243,3 +243,86 @@ fn specialized_design_actually_simulates() {
         .unwrap();
     assert!(stats.cycles > 0);
 }
+
+/// A kernel written by hand with the firmware builder — a gated residual
+/// update, the kind of fused subgraph the chain ISA was designed for:
+///
+/// ```text
+/// g = sigmoid(W·x + b)   (one chain: read, mv_mul, add, sigmoid)
+/// y = g ∘ x + x          (one chain: read, mul, add, out to the network)
+/// ```
+///
+/// on an 8-wide NPU, in both kernel modes. Its MFU ops are the [`F16`]
+/// operators bit for bit: `W` is the identity and `x` lies on its block's
+/// grid, so `W·x` is `x` exactly.
+#[test]
+fn a_hand_written_kernel_computes_the_f16_operators_bit_for_bit() {
+    let cfg = NpuConfig::builder()
+        .name("kernel-demo")
+        .native_dim(8)
+        .lanes(4)
+        .tile_engines(2)
+        .mrf_entries(64)
+        .vrf_entries(64)
+        .matrix_format(BfpFormat::BFP_1S_5E_5M)
+        .build()
+        .unwrap();
+    const IVRF_X: u32 = 0;
+    const MRF_W: u32 = 0;
+    const ASVRF0_B: u32 = 0;
+    const ASVRF0_X: u32 = 1; // x again, as the residual's add operand
+    const MULVRF0_G: u32 = 0;
+
+    let mut b = ProgramBuilder::new();
+    b.set_rows(1).set_cols(1);
+    // Stage x from the network into every file that needs it.
+    b.v_rd(MemId::NetQ, 0)
+        .v_wr(MemId::InitialVrf, IVRF_X)
+        .v_wr(MemId::AddSubVrf(0), ASVRF0_X)
+        .end_chain()
+        .unwrap();
+    b.v_rd(MemId::InitialVrf, IVRF_X)
+        .mv_mul(MRF_W)
+        .vv_add(ASVRF0_B)
+        .v_sigm()
+        .v_wr(MemId::MultiplyVrf(0), MULVRF0_G)
+        .end_chain()
+        .unwrap();
+    b.v_rd(MemId::InitialVrf, IVRF_X)
+        .vv_mul(MULVRF0_G)
+        .vv_add(ASVRF0_X)
+        .v_wr(MemId::NetQ, 0)
+        .end_chain()
+        .unwrap();
+    let program = b.build();
+    assert_eq!(Program::decode(&program.encode()).unwrap(), program);
+
+    let x = [0.5f32, -0.5, 1.0, -1.0, 2.0, -2.0, 0.0, 0.25];
+    let bias = [0.0f32, 0.125, -0.25, 0.5, -1.0, 1.5, -2.0, 3.0];
+    let on_grid = BfpBlock::quantize(&x, cfg.matrix_format()).dequantize();
+    assert_eq!(on_grid, x, "x is on its block's grid");
+    let want: Vec<u32> = x
+        .iter()
+        .zip(&bias)
+        .map(|(&x, &b)| {
+            let (x, b) = (F16::from_f32(x), F16::from_f32(b));
+            let g = (x + b).sigmoid();
+            (g * x + x).to_f32().to_bits()
+        })
+        .collect();
+
+    for kernel in [KernelMode::Fast, KernelMode::Reference] {
+        let mut npu = Npu::new(cfg.clone());
+        npu.set_kernel_mode(kernel);
+        let identity: Vec<f32> = (0..64).map(|i| f32::from(i % 9 == 0)).collect();
+        npu.load_tiled_matrix(MRF_W, 1, 1, 8, 8, &identity).unwrap();
+        npu.load_vector(MemId::AddSubVrf(0), ASVRF0_B, &bias)
+            .unwrap();
+        npu.push_input(x.to_vec()).unwrap();
+        let stats = npu.run(&program).unwrap();
+        let y = npu.pop_output().expect("the kernel writes one vector");
+        let got: Vec<u32> = y.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want, "{kernel:?}");
+        assert_eq!(stats.chains, 3, "{kernel:?}");
+    }
+}

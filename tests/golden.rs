@@ -2,8 +2,9 @@
 //! checked-in fixtures byte for byte.
 //!
 //! The report fixtures under `tests/golden/` are the exact stdout of
-//! `bw-bench table1`, `table5`, `table6`, `fig7`, `fig8`, `ablations`,
-//! `calibrate`, `power`, `precision_sweep` and `sla_study`. Any change to
+//! every `bw-bench` paper report (`table1`–`table6`, `fig2`, `fig6_hdd`,
+//! `fig7`, `fig8`, `ablations`, `calibrate`, `power`, `precision_sweep`,
+//! `sla_study`), of CI's `lint` lines and of `profile --quick`. Any change to
 //! the cycle model, the BFP kernels, or the table formatting shows up here
 //! as a reviewable fixture diff — regenerate with e.g.
 //! `cargo run --release -p bw-bench -- table5 > tests/golden/table5.txt`.
@@ -77,6 +78,77 @@ fn precision_sweep_matches_golden() {
 #[test]
 fn sla_study_matches_golden() {
     assert_eq!(reports::sla_study_report(), fixture("sla_study.txt"));
+}
+
+// The five reports below run no simulator, and `lint_ci.txt` and
+// `profile_quick.txt` are the `--json` output of the `lint` lines CI runs
+// and the report of `bw-bench profile --quick`. All were written by
+// `bw-bench` at the commit before the MFU's float16 loops moved into
+// bw-bfp.
+
+#[test]
+fn table2_matches_golden() {
+    assert_eq!(reports::table2_report(), fixture("table2.txt"));
+}
+
+#[test]
+fn table3_matches_golden() {
+    assert_eq!(reports::table3_report(), fixture("table3.txt"));
+}
+
+#[test]
+fn table4_matches_golden() {
+    assert_eq!(reports::table4_report(), fixture("table4.txt"));
+}
+
+#[test]
+fn fig2_matches_golden() {
+    assert_eq!(reports::fig2_report(), fixture("fig2.txt"));
+}
+
+#[test]
+fn fig6_hdd_matches_golden() {
+    assert_eq!(reports::fig6_hdd_report(), fixture("fig6_hdd.txt"));
+}
+
+/// CI's five `lint` lines, each with `--json`: the LSTM firmware at
+/// batch 1, at batch 4, at batch 4 under a 50 µs SLA, and the sharded
+/// artifact without and with that SLA. None blocks deployment.
+#[test]
+fn ci_lint_reports_match_golden() {
+    use reports::{LintRequest, LintTarget};
+    let lines = [
+        (LintTarget::Lstm, 256, 1, None),
+        (LintTarget::Lstm, 256, 4, None),
+        (LintTarget::Lstm, 256, 4, Some(50.0)),
+        (LintTarget::Artifact, 128, 1, None),
+        (LintTarget::Artifact, 128, 1, Some(50.0)),
+    ];
+    let mut got = String::new();
+    for (target, hidden, batch, sla_us) in lines {
+        let request = LintRequest {
+            target,
+            hidden,
+            steps: 4,
+            batch,
+            json: true,
+            lower: brainwave::gir::LowerOptions {
+                deny_warnings: true,
+                sla_us,
+            },
+        };
+        let (report, blocking) = reports::lint_report(&request).expect("the artifact compiles");
+        assert!(!blocking, "{request:?}");
+        got += &report;
+    }
+    assert_eq!(got, fixture("lint_ci.txt"));
+}
+
+#[test]
+fn profile_quick_matches_golden() {
+    let bench = RnnBenchmark::new(RnnKind::Lstm, 256, 5);
+    let profile = reports::profile(&bench, "quick");
+    assert_eq!(profile.report + "\n", fixture("profile_quick.txt"));
 }
 
 /// Table V without its shortcut: the point `bw_bench::run_bw_s10` runs,

@@ -9,7 +9,8 @@
 //! *runtime* that drives real simulated NPUs:
 //!
 //! - [`ServerBuilder`] — registers the published catalog of compiled
-//!   [`ModelArtifact`]s (firmware + BFP weights, via `bw-gir`);
+//!   [`ModelArtifact`](bw_gir::ModelArtifact)s (firmware + BFP weights,
+//!   via `bw-gir`);
 //! - worker threads — each pins every registered model onto its own
 //!   `bw-core` NPUs (fast kernels) and drains a bounded queue, one
 //!   batch-1 inference at a time;
@@ -60,8 +61,11 @@
 //! assert_eq!(m.models[0].completed, 1);
 //! ```
 
+#![warn(unreachable_pub)]
+
 mod batch;
 pub mod demo;
+mod loadgen;
 mod metrics;
 mod request;
 mod router;
@@ -70,11 +74,9 @@ mod tcp;
 mod wire;
 mod worker;
 
-pub mod loadgen;
-
 pub use batch::{BatchConfig, Batcher};
-pub use metrics::{Histogram, LinkMetrics, MetricsSnapshot, ModelResidency, ModelSnapshot};
-pub use request::{Attribution, RequestId, RequestTrace, Response, ServeError};
+pub use metrics::{Histogram, MetricsSnapshot, ModelResidency, ModelSnapshot};
+pub use request::{Attribution, RequestTrace, Response, ServeError};
 pub use server::{
     BatchItem, Client, Pending, PinError, RegistryError, Server, ServerBuilder, ServerConfig,
     SpawnError,
@@ -82,8 +84,8 @@ pub use server::{
 pub use tcp::{TcpClient, TcpFrontend, TcpFrontendConfig};
 pub use wire::{read_frame, try_extract_frame, write_frame, WireError, WireRequest, WireResponse};
 
-pub use bw_gir::{ModelArtifact, PinnedModel, ShardedArtifact};
-pub use bw_system::{ArrivalProcess, LatencySummary, NetworkModel, PreloadModel, Routing};
+pub use bw_gir::ShardedArtifact;
+pub use bw_system::{ArrivalProcess, NetworkModel, PreloadModel, Routing};
 
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};
 
@@ -95,8 +97,8 @@ mod registry {
     mod tests {
         use crate::demo::{demo_config, mlp_artifact, mlp_graph};
         use crate::server::{Catalog, Plan};
-        use crate::{ModelArtifact, RegistryError, ShardedArtifact};
-        use bw_gir::LowerOptions;
+        use crate::{RegistryError, ShardedArtifact};
+        use bw_gir::{LowerOptions, ModelArtifact};
 
         fn add(catalog: &mut Catalog, artifact: ModelArtifact) -> Result<usize, RegistryError> {
             let plan = Plan::for_model(&artifact);

@@ -12,10 +12,11 @@
 //! read before its `submitted`, so `completed <= submitted` always and
 //! `completed + shed + failed == submitted` once nothing is in flight.
 //!
-//! **One reading.** [`MetricsSnapshot`] is the only export of worker,
-//! link and model state. JSON ([`MetricsSnapshot::to_json`]), Prometheus
-//! ([`MetricsSnapshot::to_prometheus`]), the fleet controller and the SLO
-//! monitor all render that one value; nothing re-reads live state.
+//! **One reading, one format.** [`MetricsSnapshot`] is the only export
+//! of worker, link and model state, and Prometheus text
+//! ([`MetricsSnapshot::to_prometheus`]) its only rendering. The scrape,
+//! the fleet controller and the SLO monitor all read that one value;
+//! nothing re-reads live state.
 //!
 //! **Two time domains.** `latency`, `queue_wait` and `service` are
 //! *host-domain*: wall-clock seconds of this process. `service` is the
@@ -28,7 +29,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use bw_system::LatencySummary;
-use bw_trace::json::Writer;
 
 /// Histogram bucket layout: geometric buckets from 1 µs upward, ×1.25 per
 /// bucket. 96 buckets reach past 2000 s — far beyond any deadline this
@@ -254,7 +254,7 @@ struct Completions {
 /// Live counters for one registered model: lock-free admission-side
 /// counters plus the completion record under its one lock.
 #[derive(Debug, Default)]
-pub struct ModelMetrics {
+pub(crate) struct ModelMetrics {
     /// Requests admitted (past validation).
     pub submitted: AtomicU64,
     /// Requests shed at admission (every replica queue full).
@@ -275,7 +275,7 @@ impl ModelMetrics {
     /// Records one completed request — the only write a completion makes:
     /// its end-to-end latency, the winning attempt's queue wait and
     /// service time, its modeled network time and its NPU work.
-    pub fn complete(
+    pub(crate) fn complete(
         &self,
         latency_s: f64,
         queue_wait_s: f64,
@@ -298,7 +298,7 @@ impl ModelMetrics {
 /// Live counters for one client↔worker network link. All increments are
 /// lock-free.
 #[derive(Debug, Default)]
-pub struct LinkMetrics {
+pub(crate) struct LinkMetrics {
     /// Transfer legs charged over this link.
     pub transfers: AtomicU64,
     /// Payload bytes moved over this link.
@@ -310,7 +310,7 @@ pub struct LinkMetrics {
 impl LinkMetrics {
     /// Records one transfer leg of `bytes` taking `seconds` of modeled
     /// link time.
-    pub fn record(&self, bytes: usize, seconds: f64) {
+    pub(crate) fn record(&self, bytes: usize, seconds: f64) {
         self.transfers.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
         self.busy_ns
@@ -374,73 +374,61 @@ impl ModelSnapshot {
         self.completed + self.shed + self.failed
     }
 
-    /// The row's counters, stated once for both renderings — `(JSON key,
-    /// Prometheus family, HELP, value)` — in exposition order. JSON puts
-    /// `latency` after the first [`REQUEST_COUNTERS`] of them.
-    fn counters(&self) -> [(&'static str, &'static str, &'static str, u64); 11] {
+    /// The row's counters, stated once — `(Prometheus family, HELP,
+    /// value)` — in exposition order.
+    fn counters(&self) -> [(&'static str, &'static str, u64); 11] {
         [
             (
-                "submitted",
                 "bw_requests_submitted_total",
                 "Requests admitted.",
                 self.submitted,
             ),
             (
-                "completed",
                 "bw_requests_completed_total",
                 "Requests answered with an output.",
                 self.completed,
             ),
             (
-                "shed",
                 "bw_requests_shed_total",
                 "Requests shed at admission.",
                 self.shed,
             ),
             (
-                "failed",
                 "bw_requests_failed_total",
                 "Requests failed after admission.",
                 self.failed,
             ),
             (
-                "retries",
                 "bw_requests_retries_total",
                 "Failover retries dispatched.",
                 self.retries,
             ),
             (
-                "batches",
                 "bw_batches_total",
                 "Coalesced multi-column dispatches issued.",
                 self.batches,
             ),
             (
-                "batched_requests",
                 "bw_batched_requests_total",
                 "Requests served inside a coalesced dispatch.",
                 self.batched_requests,
             ),
             (
-                "npu_cycles",
                 "bw_npu_cycles_total",
                 "NPU cycles attributed to completed requests.",
                 self.npu_cycles,
             ),
             (
-                "npu_macs",
                 "bw_npu_macs_total",
                 "MVM multiply-accumulates attributed to completed requests.",
                 self.npu_macs,
             ),
             (
-                "npu_dep_stall_cycles",
                 "bw_npu_dep_stall_cycles_total",
                 "Per-chain dependency waits, summed over chains, of completed requests; not pipeline cycles.",
                 self.npu_dep_stall_cycles,
             ),
             (
-                "npu_resource_stall_cycles",
                 "bw_npu_resource_stall_cycles_total",
                 "Per-chain resource waits, summed over chains, of completed requests; can exceed the NPU cycles.",
                 self.npu_resource_stall_cycles,
@@ -449,30 +437,25 @@ impl ModelSnapshot {
     }
 
     /// The row's duration histograms, stated once like the counters; the
-    /// HELP text names the time domain. JSON puts `latency` before the
-    /// NPU counters and the rest after them.
-    fn durations(&self) -> [(&'static str, &'static str, &'static str, &Histogram); 4] {
+    /// HELP text names the time domain.
+    fn durations(&self) -> [(&'static str, &'static str, &Histogram); 4] {
         [
             (
-                "latency",
                 "bw_request_latency_seconds",
                 "End-to-end latency of completed requests (host wall time; includes modeled network).",
                 &self.latency,
             ),
             (
-                "queue_wait",
                 "bw_request_queue_wait_seconds",
                 "Queue wait of completed requests, winning attempt (host wall time).",
                 &self.queue_wait,
             ),
             (
-                "service",
                 "bw_request_service_seconds",
                 "Host wall time spent simulating the NPU for completed requests (not NPU time).",
                 &self.service,
             ),
             (
-                "network",
                 "bw_request_network_seconds",
                 "Network time charged to completed requests (modeled seconds).",
                 &self.network,
@@ -480,7 +463,6 @@ impl ModelSnapshot {
         ]
     }
 }
-const REQUEST_COUNTERS: usize = 7;
 
 /// One model pinned on one worker: the residency half of the fleet
 /// control loop's observability.
@@ -516,77 +498,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Serializes the snapshot as a JSON object (through the workspace's
-    /// one writer, [`bw_trace::json::Writer`]). Durations render as their
-    /// [`Histogram::summary`].
-    pub fn to_json(&self) -> String {
-        fn array<T: Copy>(
-            w: &mut Writer,
-            key: &str,
-            values: &[T],
-            put: impl Fn(&mut Writer, T) -> &mut Writer,
-        ) {
-            w.key(key).begin_array();
-            for &v in values {
-                put(w, v);
-            }
-            w.end_array();
-        }
-
-        let mut w = Writer::new();
-        w.begin_object().key("models").begin_array();
-        for m in &self.models {
-            w.begin_object().key("model").string(&m.model);
-            let (counters, durations) = (m.counters(), m.durations());
-            let (requests, npu) = counters.split_at(REQUEST_COUNTERS);
-            let (latency, rest) = durations.split_at(1);
-            for (counts, durations) in [(requests, latency), (npu, rest)] {
-                for (key, _, _, n) in counts {
-                    w.key(key).uint(*n);
-                }
-                for (key, _, _, h) in durations {
-                    let s = h.summary();
-                    w.key(key).begin_object().key("count").uint(s.count as u64);
-                    let seconds = [s.mean_s, s.p50_s, s.p95_s, s.p99_s, s.p999_s, s.max_s];
-                    for (key, v) in ["mean_s", "p50_s", "p95_s", "p99_s", "p999_s", "max_s"]
-                        .into_iter()
-                        .zip(seconds)
-                    {
-                        w.key(key).fixed(v, 9);
-                    }
-                    w.end_object();
-                }
-            }
-            w.end_object();
-        }
-        w.end_array();
-        array(&mut w, "queue_depths", &self.queue_depths, |w, d| {
-            w.uint(d as u64)
-        });
-        array(&mut w, "workers_alive", &self.workers_alive, Writer::bool);
-        array(
-            &mut w,
-            "worker_processed",
-            &self.worker_processed,
-            Writer::uint,
-        );
-        w.key("worker_models").begin_array();
-        for models in &self.worker_models {
-            w.begin_array();
-            for r in models {
-                w.begin_object().key("model").string(&r.model);
-                w.key("pinned_for_s").float(r.pinned_for_s).end_object();
-            }
-            w.end_array();
-        }
-        w.end_array();
-        array(&mut w, "link_transfers", &self.link_transfers, Writer::uint);
-        array(&mut w, "link_bytes", &self.link_bytes, Writer::uint);
-        array(&mut w, "link_busy_s", &self.link_busy_s, Writer::float);
-        w.end_object();
-        w.finish()
-    }
-
     /// Renders the snapshot as a Prometheus text exposition (format
     /// 0.0.4): one series per model in the counter and histogram
     /// families, one per worker or link (labelled by index) in the rest.
@@ -598,14 +509,14 @@ impl MetricsSnapshot {
         let mut e = bw_trace::Exposition::new();
         let first = self.models.first();
         let families = first.map(ModelSnapshot::counters).into_iter().flatten();
-        for (c, (_, family, help, _)) in families.enumerate() {
-            let rows = self.models.iter().map(|m| (&m.model, m.counters()[c].3));
+        for (c, (family, help, _)) in families.enumerate() {
+            let rows = self.models.iter().map(|m| (&m.model, m.counters()[c].2));
             e.counter(family, help)
                 .rows(["model"], rows.map(|(m, n)| ([m], n as f64)));
         }
         let families = first.map(ModelSnapshot::durations).into_iter().flatten();
-        for (d, (_, family, help, _)) in families.enumerate() {
-            let rows = self.models.iter().map(|m| (&m.model, m.durations()[d].3));
+        for (d, (family, help, _)) in families.enumerate() {
+            let rows = self.models.iter().map(|m| (&m.model, m.durations()[d].2));
             let rows = rows.map(|(m, h)| ([m], h.cumulative_buckets(), h.sum_s(), h.count()));
             e.histograms(family, help, ["model"], rows);
         }
@@ -812,23 +723,35 @@ mod tests {
     #[test]
     fn prometheus_exposition_round_trips_the_validator() {
         let m = ModelMetrics::default();
-        m.submitted.store(2, Ordering::Relaxed);
+        m.submitted.store(3, Ordering::Relaxed);
         m.complete(2e-3, 1e-4, 19e-4, 2e-4, &bw_core::RunStats::default());
-        let text = reading("mlp", &m).to_prometheus();
+        m.shed.fetch_add(1, Ordering::Relaxed);
+        m.failed.fetch_add(1, Ordering::Relaxed);
+        let snap = reading("mlp", &m);
+        assert_eq!(snap.models[0].accounted(), 3);
+        let text = snap.to_prometheus();
         let n = bw_trace::validate_exposition(&text).expect("valid exposition");
         assert!(n >= 9 + 6, "sample lines: {n}");
-        assert!(text.contains("bw_requests_submitted_total{model=\"mlp\"} 2"));
+        assert!(text.contains("bw_requests_submitted_total{model=\"mlp\"} 3"));
+        assert!(text.contains("bw_requests_shed_total{model=\"mlp\"} 1"));
+        assert!(text.contains("bw_requests_failed_total{model=\"mlp\"} 1"));
         assert!(text.contains("bw_batches_total{model=\"mlp\"} 0"));
         assert!(text.contains("bw_batched_requests_total{model=\"mlp\"} 0"));
         assert!(text.contains("# TYPE bw_request_latency_seconds histogram"));
         assert!(text.contains("bw_request_latency_seconds_count{model=\"mlp\"} 1"));
         assert!(text.contains("bw_request_network_seconds_count{model=\"mlp\"} 1"));
         assert!(text.contains("bw_worker_alive{worker=\"1\"} 0"));
+        assert!(text.contains("bw_worker_queue_depth{worker=\"0\"} 1"));
+        assert!(text.contains("bw_worker_processed_total{worker=\"0\"} 2"));
         assert!(text.contains("bw_worker_model_pinned{worker=\"0\",model=\"mlp\"} 1"));
         assert!(text.contains("bw_worker_pin_age_seconds{worker=\"0\",model=\"mlp\"} 12.5"));
         assert!(text.contains("bw_link_transfers_total{link=\"0\"} 4"));
         assert!(text.contains("bw_link_bytes_total{link=\"0\"} 1024"));
         assert!(text.contains("bw_link_busy_seconds_total{link=\"1\"} 0"));
+        // A quote in a model name is escaped inside its label.
+        let quoted = reading("mlp \"a\"", &m).to_prometheus();
+        bw_trace::validate_exposition(&quoted).expect("valid exposition");
+        assert!(quoted.contains(r#"bw_requests_submitted_total{model="mlp \"a\""} 3"#));
     }
 
     #[test]
@@ -929,36 +852,5 @@ mod tests {
         assert_eq!(h.count(), 2);
         assert_eq!(h.quantile(0.0), 0.0);
         assert_eq!(h.quantile(1.0), 1e9);
-    }
-
-    #[test]
-    fn snapshot_json_shape() {
-        let m = ModelMetrics::default();
-        m.submitted.store(3, Ordering::Relaxed);
-        m.complete(2e-3, 0.0, 2e-3, 0.0, &bw_core::RunStats::default());
-        m.shed.fetch_add(1, Ordering::Relaxed);
-        m.failed.fetch_add(1, Ordering::Relaxed);
-        let snap = reading("mlp \"a\"", &m);
-        assert_eq!(snap.models[0].accounted(), 3);
-        let j = snap.to_json();
-        assert!(j.contains("\"submitted\":3"));
-        assert!(j.contains("\"batches\":0"));
-        assert!(j.contains("\"batched_requests\":0"));
-        assert!(j.contains("\\\"a\\\""));
-        assert!(j.contains("\"queue_depths\":[1,0]"));
-        assert!(j.contains("\"workers_alive\":[true,false]"));
-        assert!(j.contains("\"worker_processed\":[2,0]"));
-        assert!(j.contains("\"pinned_for_s\":12.5"));
-        assert!(j.contains("],[]]"));
-        assert!(j.contains("\"link_transfers\":[4,0]"));
-        assert!(j.contains("\"link_bytes\":[1024,0]"));
-        assert!(j.contains("\"link_busy_s\":[0.0002,0]"));
-        assert!(j.contains("\"network\""));
-        // A duration is its summary: seven keys, seconds to nine places.
-        assert!(j.contains(concat!(
-            "\"latency\":{\"count\":1,\"mean_s\":0.002000000,\"p50_s\":0.002000000,",
-            "\"p95_s\":0.002000000,\"p99_s\":0.002000000,\"p999_s\":0.002000000,",
-            "\"max_s\":0.002000000}",
-        )));
     }
 }

@@ -7,7 +7,7 @@ use std::time::Duration;
 use bw_core::{RunStats, SpanRecord, TraceId};
 
 /// A server-assigned request identifier, unique per server instance.
-pub type RequestId = u64;
+pub(crate) type RequestId = u64;
 
 /// Where one completed request's time and NPU work went: the queue-wait
 /// vs service split of the winning attempt plus the accelerator counters

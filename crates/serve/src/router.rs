@@ -23,7 +23,7 @@ pub(crate) struct Router {
 }
 
 impl Router {
-    pub fn new(policy: Routing, seed: u64) -> Router {
+    pub(crate) fn new(policy: Routing, seed: u64) -> Router {
         Router {
             policy,
             rr: AtomicUsize::new(0),
@@ -37,7 +37,7 @@ impl Router {
     /// dispatcher passes "pins this model slot over a live network
     /// link"). The first element is the policy's pick; the rest are the
     /// failover order.
-    pub fn plan_eligible(
+    pub(crate) fn plan_eligible(
         &self,
         workers: &[WorkerHandle],
         exclude: &[usize],

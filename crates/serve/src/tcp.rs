@@ -19,10 +19,10 @@
 //! Inference requests are routed through a [`Batcher`], which coalesces
 //! compatible same-model requests inside a deadline-slack-derived hold
 //! window into one multi-column NPU dispatch (`max_batch: 1` restores
-//! strict batch-1 semantics). Metrics and Prometheus requests are
-//! answered inline. Errors inside a request become `Error` frames;
-//! framing errors poison the connection: it stops reading, drains the
-//! responses it still owes, sends one final `Error` frame, and closes.
+//! strict batch-1 semantics). Prometheus scrapes are answered inline.
+//! Errors inside a request become `Error` frames; framing errors poison
+//! the connection: it stops reading, drains the responses it still owes,
+//! sends one final `Error` frame, and closes.
 //!
 //! # What wakes an event loop
 //!
@@ -63,7 +63,7 @@ use std::time::Duration;
 use crate::batch::{BatchConfig, Batcher};
 use crate::request::{Attribution, Response, ServeError};
 use crate::server::{Client, Server};
-use crate::wire::{read_frame, try_extract_frame, write_frame, WireRequest, WireResponse};
+use crate::wire::{read_frame, try_extract_frame, write_frame, WireRequest, WireResponse, MAX_STR};
 
 /// Tuning for one [`TcpFrontend`].
 #[derive(Clone, Copy, Debug)]
@@ -187,23 +187,23 @@ impl Drop for TcpFrontend {
 mod readiness {
     /// Matches the kernel's `struct pollfd` layout.
     #[repr(C)]
-    pub struct PollFd {
-        pub fd: i32,
-        pub events: i16,
-        pub revents: i16,
+    pub(super) struct PollFd {
+        pub(super) fd: i32,
+        pub(super) events: i16,
+        pub(super) revents: i16,
     }
 
-    pub const POLLIN: i16 = 0x001;
-    pub const POLLOUT: i16 = 0x004;
-    pub const POLLERR: i16 = 0x008;
-    pub const POLLHUP: i16 = 0x010;
+    pub(super) const POLLIN: i16 = 0x001;
+    pub(super) const POLLOUT: i16 = 0x004;
+    pub(super) const POLLERR: i16 = 0x008;
+    pub(super) const POLLHUP: i16 = 0x010;
 
     /// `poll(fds, nfds, timeout_ms)`, a negative timeout blocking until
     /// something is ready; returns the syscall's raw result (ready
     /// count, 0 on timeout, negative errno on failure — callers treat
     /// failures like timeouts and retry).
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    pub fn poll(fds: &mut [PollFd], timeout_ms: i32) -> isize {
+    pub(super) fn poll(fds: &mut [PollFd], timeout_ms: i32) -> isize {
         const SYS_POLL: isize = 7;
         let ret: isize;
         // SAFETY: the kernel reads and writes exactly `rsi` `struct pollfd`
@@ -230,7 +230,7 @@ mod readiness {
     }
 
     #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-    pub use portable_poll as poll;
+    pub(super) use portable_poll as poll;
 
     /// Portable fallback: report every registered interest as ready
     /// after a short nap (the longest one when asked to block). The
@@ -238,7 +238,7 @@ mod readiness {
     /// cheap `WouldBlock`s; correctness is identical, only idle
     /// efficiency degrades.
     #[cfg(any(test, not(all(target_os = "linux", target_arch = "x86_64"))))]
-    pub fn portable_poll(fds: &mut [PollFd], timeout_ms: i32) -> isize {
+    pub(super) fn portable_poll(fds: &mut [PollFd], timeout_ms: i32) -> isize {
         const LONGEST_NAP_MS: u64 = 5;
         let nap_ms = u64::try_from(timeout_ms).map_or(LONGEST_NAP_MS, |ms| ms.min(LONGEST_NAP_MS));
         std::thread::sleep(std::time::Duration::from_millis(nap_ms));
@@ -304,7 +304,7 @@ fn raw_fd<T>(_s: &T) -> i32 {
 
 /// A response owed to the peer, in request order.
 enum PendingReply {
-    /// Already computed (metrics, Prometheus): the encoded payload.
+    /// Already computed (a Prometheus scrape): the encoded payload.
     Ready(Vec<u8>),
     /// An inference in flight behind the coalescing window.
     Infer(Receiver<Result<Response, ServeError>>),
@@ -535,11 +535,6 @@ fn parse_frames(conn: &mut Conn, client: &Client, batcher: &Batcher, wake: &Arc<
                 batcher.submit_with(&model, input, deadline, Box::new(reply));
                 conn.pending.push_back(PendingReply::Infer(rx));
             }
-            Ok(WireRequest::Metrics) => {
-                conn.pending.push_back(PendingReply::Ready(
-                    WireResponse::Metrics(client.metrics().to_json()).encode(),
-                ));
-            }
             Ok(WireRequest::Prometheus) => {
                 conn.pending.push_back(PendingReply::Ready(
                     WireResponse::Prometheus(client.prometheus()).encode(),
@@ -645,14 +640,21 @@ impl TcpClient {
     /// # Errors
     ///
     /// [`ServeError::Remote`] carries server-side failures (including
-    /// shed/deadline errors rendered as text); [`ServeError::Disconnected`]
-    /// covers transport loss.
+    /// shed/deadline errors rendered as text) and, before anything is
+    /// sent, a model name longer than the wire's 65,535 bytes;
+    /// [`ServeError::Disconnected`] covers transport loss.
     pub fn call(
         &mut self,
         model: &str,
         input: &[f32],
         deadline: Duration,
     ) -> Result<Response, ServeError> {
+        if model.len() > MAX_STR {
+            let len = model.len();
+            return Err(ServeError::Remote(format!(
+                "a model name of {len} bytes does not fit a frame"
+            )));
+        }
         let req = WireRequest::Infer {
             model: model.to_owned(),
             deadline_us: deadline.as_micros() as u64,
@@ -698,19 +700,6 @@ impl TcpClient {
                 bound_us,
                 budget_us,
             }),
-            _ => Err(ServeError::Remote("unexpected response frame".into())),
-        }
-    }
-
-    /// Fetches the server's metrics snapshot as JSON.
-    ///
-    /// # Errors
-    ///
-    /// As [`TcpClient::call`].
-    pub fn metrics_json(&mut self) -> Result<String, ServeError> {
-        match self.round_trip(&WireRequest::Metrics)? {
-            WireResponse::Metrics(json) => Ok(json),
-            WireResponse::Error(msg) => Err(ServeError::Remote(msg)),
             _ => Err(ServeError::Remote("unexpected response frame".into())),
         }
     }

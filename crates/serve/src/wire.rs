@@ -16,41 +16,44 @@
 //! error    := u8 tag=0xEE | u16 msg_len | msg bytes (utf-8)
 //! sla error := u8 tag=0xEF | u16 model_len | model bytes (utf-8)
 //!             | u64 bound_us | u64 budget_us
-//! metrics request  := u8 tag=0x02
-//! metrics response := u8 tag=0x82 | u32 json_len | json bytes (utf-8)
 //! prometheus request  := u8 tag=0x03
 //! prometheus response := u8 tag=0x83 | u32 text_len | text bytes (utf-8)
 //! ```
 //!
-//! Frames are capped at [`MAX_FRAME`] bytes; oversized or malformed
+//! Prometheus text is the only metrics format; tags `0x02` and `0x82`,
+//! once a JSON pair, are unknown tags. A `u16`-length string holds at most
+//! 65,535 bytes: an error or SLA response cuts a longer one on a char
+//! boundary, and a request naming a longer model cannot be encoded (a cut
+//! name could name another model).
+//!
+//! Frames are capped at `MAX_FRAME` bytes; oversized or malformed
 //! frames terminate the connection with a decode error.
 
 use std::io::{Read, Write};
 
 /// Hard cap on one frame's payload (16 MiB) — a malformed length prefix
 /// must not allocate unboundedly.
-pub const MAX_FRAME: usize = 16 << 20;
+const MAX_FRAME: usize = 16 << 20;
 
 /// What [`read_frame`] reserves before a frame's payload arrives.
 const READ_RESERVE: usize = 64 << 10;
 
+/// The longest string a `u16` length prefix carries, in bytes.
+pub(crate) const MAX_STR: usize = u16::MAX as usize;
+
 /// Frame tags.
-pub const TAG_INFER: u8 = 0x01;
-/// Metrics request tag.
-pub const TAG_METRICS: u8 = 0x02;
+const TAG_INFER: u8 = 0x01;
 /// Prometheus exposition request tag.
-pub const TAG_PROM: u8 = 0x03;
+const TAG_PROM: u8 = 0x03;
 /// Inference response tag.
-pub const TAG_RESPONSE: u8 = 0x81;
-/// Metrics response tag.
-pub const TAG_METRICS_RESPONSE: u8 = 0x82;
+const TAG_RESPONSE: u8 = 0x81;
 /// Prometheus exposition response tag.
-pub const TAG_PROM_RESPONSE: u8 = 0x83;
+const TAG_PROM_RESPONSE: u8 = 0x83;
 /// Error response tag.
-pub const TAG_ERROR: u8 = 0xEE;
+const TAG_ERROR: u8 = 0xEE;
 /// Typed SLA-rejection response tag: the request's deadline budget is
 /// below the model's static cycle lower bound.
-pub const TAG_SLA_ERROR: u8 = 0xEF;
+const TAG_SLA_ERROR: u8 = 0xEF;
 
 /// A decoded client→server message.
 #[derive(Clone, Debug, PartialEq)]
@@ -64,8 +67,6 @@ pub enum WireRequest {
         /// The input vector.
         input: Vec<f32>,
     },
-    /// Fetch the metrics snapshot as JSON.
-    Metrics,
     /// Fetch the metrics as a Prometheus text exposition.
     Prometheus,
 }
@@ -101,8 +102,6 @@ pub enum WireResponse {
         /// The output vector.
         output: Vec<f32>,
     },
-    /// The metrics snapshot as a JSON string.
-    Metrics(String),
     /// The metrics as a Prometheus text exposition.
     Prometheus(String),
     /// The request failed; the message is the `ServeError` rendering.
@@ -228,6 +227,14 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Writes `s` with a `u16` length, cut to the longest prefix of at most
+/// [`MAX_STR`] bytes that ends on a char boundary.
+fn put_str16(buf: &mut Vec<u8>, s: &str) {
+    let s = &s[..s.floor_char_boundary(MAX_STR)];
+    put_u16(buf, s.len() as u16);
+    buf.extend_from_slice(s.as_bytes());
+}
+
 fn put_f32s(buf: &mut Vec<u8>, vs: &[f32]) {
     for v in vs {
         buf.extend_from_slice(&v.to_le_bytes());
@@ -236,6 +243,11 @@ fn put_f32s(buf: &mut Vec<u8>, vs: &[f32]) {
 
 impl WireRequest {
     /// Encodes the payload (no length prefix).
+    ///
+    /// # Panics
+    ///
+    /// If an `Infer` model name is longer than 65,535 bytes, which its
+    /// `u16` length cannot carry whole.
     pub fn encode(&self) -> Vec<u8> {
         match self {
             WireRequest::Infer {
@@ -243,16 +255,19 @@ impl WireRequest {
                 deadline_us,
                 input,
             } => {
+                assert!(
+                    model.len() <= MAX_STR,
+                    "a model name of {} bytes does not fit a frame",
+                    model.len()
+                );
                 let mut buf = Vec::with_capacity(1 + 2 + model.len() + 8 + 4 + input.len() * 4);
                 buf.push(TAG_INFER);
-                put_u16(&mut buf, model.len() as u16);
-                buf.extend_from_slice(model.as_bytes());
+                put_str16(&mut buf, model);
                 put_u64(&mut buf, *deadline_us);
                 put_u32(&mut buf, input.len() as u32);
                 put_f32s(&mut buf, input);
                 buf
             }
-            WireRequest::Metrics => vec![TAG_METRICS],
             WireRequest::Prometheus => vec![TAG_PROM],
         }
     }
@@ -277,10 +292,6 @@ impl WireRequest {
                     deadline_us,
                     input,
                 })
-            }
-            TAG_METRICS => {
-                c.done("metrics request")?;
-                Ok(WireRequest::Metrics)
             }
             TAG_PROM => {
                 c.done("prometheus request")?;
@@ -326,13 +337,6 @@ impl WireResponse {
                 put_f32s(&mut buf, output);
                 buf
             }
-            WireResponse::Metrics(json) => {
-                let mut buf = Vec::with_capacity(1 + 4 + json.len());
-                buf.push(TAG_METRICS_RESPONSE);
-                put_u32(&mut buf, json.len() as u32);
-                buf.extend_from_slice(json.as_bytes());
-                buf
-            }
             WireResponse::Prometheus(text) => {
                 let mut buf = Vec::with_capacity(1 + 4 + text.len());
                 buf.push(TAG_PROM_RESPONSE);
@@ -343,8 +347,7 @@ impl WireResponse {
             WireResponse::Error(msg) => {
                 let mut buf = Vec::with_capacity(1 + 2 + msg.len());
                 buf.push(TAG_ERROR);
-                put_u16(&mut buf, msg.len().min(u16::MAX as usize) as u16);
-                buf.extend_from_slice(&msg.as_bytes()[..msg.len().min(u16::MAX as usize)]);
+                put_str16(&mut buf, msg);
                 buf
             }
             WireResponse::SlaUnmeetable {
@@ -354,8 +357,7 @@ impl WireResponse {
             } => {
                 let mut buf = Vec::with_capacity(1 + 2 + model.len() + 8 + 8);
                 buf.push(TAG_SLA_ERROR);
-                put_u16(&mut buf, model.len().min(u16::MAX as usize) as u16);
-                buf.extend_from_slice(&model.as_bytes()[..model.len().min(u16::MAX as usize)]);
+                put_str16(&mut buf, model);
                 put_u64(&mut buf, *bound_us);
                 put_u64(&mut buf, *budget_us);
                 buf
@@ -400,12 +402,6 @@ impl WireResponse {
                     network_us,
                     output,
                 })
-            }
-            TAG_METRICS_RESPONSE => {
-                let len = c.u32("metrics json length")? as usize;
-                let json = c.string(len, "metrics json")?;
-                c.done("metrics response")?;
-                Ok(WireResponse::Metrics(json))
             }
             TAG_PROM_RESPONSE => {
                 let len = c.u32("prometheus text length")? as usize;
@@ -529,10 +525,17 @@ mod tests {
             input: vec![0.5, -1.25, 3.0],
         };
         assert_eq!(WireRequest::decode(&req.encode()).unwrap(), req);
-        assert_eq!(
-            WireRequest::decode(&WireRequest::Metrics.encode()).unwrap(),
-            WireRequest::Metrics
-        );
+        // The longest name round-trips; one byte more is refused, never
+        // cut into another model's name.
+        let named = |len| WireRequest::Infer {
+            model: "m".repeat(len),
+            deadline_us: 1,
+            input: vec![1.0],
+        };
+        let longest = named(MAX_STR);
+        assert_eq!(WireRequest::decode(&longest.encode()).unwrap(), longest);
+        let encoded = std::panic::catch_unwind(|| named(70_000).encode());
+        assert!(encoded.is_err(), "a 70,000-byte name encoded");
         assert_eq!(
             WireRequest::decode(&WireRequest::Prometheus.encode()).unwrap(),
             WireRequest::Prometheus
@@ -564,8 +567,19 @@ mod tests {
             budget_us: 250,
         };
         assert_eq!(WireResponse::decode(&sla.encode()).unwrap(), sla);
-        let m = WireResponse::Metrics("{\"models\":[]}".into());
-        assert_eq!(WireResponse::decode(&m.encode()).unwrap(), m);
+        // An over-long string is cut on a char boundary: the two-byte `é`
+        // straddling byte 65,535 is dropped whole.
+        let long = "x".repeat(MAX_STR - 1) + "é";
+        let cut = "x".repeat(MAX_STR - 1);
+        let err = WireResponse::Error(long.clone());
+        let want = WireResponse::Error(cut.clone());
+        assert_eq!(WireResponse::decode(&err.encode()), Ok(want));
+        let sla = |model| WireResponse::SlaUnmeetable {
+            model,
+            bound_us: 900,
+            budget_us: 250,
+        };
+        assert_eq!(WireResponse::decode(&sla(long).encode()), Ok(sla(cut)));
         let p = WireResponse::Prometheus("# TYPE bw_worker_alive gauge\n".into());
         assert_eq!(WireResponse::decode(&p.encode()).unwrap(), p);
     }
@@ -583,9 +597,14 @@ mod tests {
             WireRequest::decode(&buf),
             Err(WireError::Truncated(_))
         ));
-        assert_eq!(WireRequest::decode(&[0x7F]), Err(WireError::BadTag(0x7F)));
+        // 0x02 and 0x82 were the retired JSON metrics pair.
+        for tag in [0x7F, 0x02] {
+            assert_eq!(WireRequest::decode(&[tag]), Err(WireError::BadTag(tag)));
+        }
+        let json = [0x82, 2, 0, 0, 0, b'{', b'}'];
+        assert_eq!(WireResponse::decode(&json), Err(WireError::BadTag(0x82)));
         // Trailing garbage is a schema disagreement, not ignorable.
-        let mut ok = WireRequest::Metrics.encode();
+        let mut ok = WireRequest::Prometheus.encode();
         ok.push(0);
         assert!(WireRequest::decode(&ok).is_err());
     }

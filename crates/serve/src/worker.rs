@@ -171,7 +171,7 @@ pub(crate) enum ControlRefused {
 
 impl WorkerHandle {
     /// Attempts to enqueue a job without blocking.
-    pub fn try_dispatch(&self, job: Job) -> Result<(), DispatchRefused> {
+    pub(crate) fn try_dispatch(&self, job: Job) -> Result<(), DispatchRefused> {
         if !self.alive.load(Ordering::Acquire) {
             return Err(DispatchRefused::Dead);
         }
@@ -189,22 +189,22 @@ impl WorkerHandle {
     }
 
     /// Jobs queued or executing.
-    pub fn queue_depth(&self) -> usize {
+    pub(crate) fn queue_depth(&self) -> usize {
         self.outstanding.load(Ordering::Acquire)
     }
 
     /// Whether the worker accepts work.
-    pub fn is_alive(&self) -> bool {
+    pub(crate) fn is_alive(&self) -> bool {
         self.alive.load(Ordering::Acquire)
     }
 
     /// Jobs this worker has fully processed.
-    pub fn processed_count(&self) -> u64 {
+    pub(crate) fn processed_count(&self) -> u64 {
         self.processed.load(Ordering::Relaxed)
     }
 
     /// Whether this worker pins catalog slot `model`.
-    pub fn pins(&self, model: usize) -> bool {
+    pub(crate) fn pins(&self, model: usize) -> bool {
         self.pins
             .read()
             .unwrap()
@@ -215,7 +215,7 @@ impl WorkerHandle {
 
     /// Clears the routing flag for `slot` immediately, so no new work is
     /// dispatched there while an `Unpin` drains the queue behind it.
-    pub fn clear_pin(&self, slot: usize) {
+    pub(crate) fn clear_pin(&self, slot: usize) {
         let mut pins = self.pins.write().unwrap();
         if let Some(flag) = pins.get_mut(slot) {
             *flag = false;
@@ -224,7 +224,7 @@ impl WorkerHandle {
 
     /// `(slot, resident_for)` for every model currently pinned here, in
     /// slot order.
-    pub fn resident_slots(&self) -> Vec<(usize, Duration)> {
+    pub(crate) fn resident_slots(&self) -> Vec<(usize, Duration)> {
         let now = Instant::now();
         self.pinned_since
             .lock()
@@ -238,7 +238,7 @@ impl WorkerHandle {
     /// Sends a control message and blocks until the worker acks it —
     /// i.e. until everything queued ahead of it has been served. Errors
     /// if the worker is dead (or dies mid-wait).
-    pub fn control(&self, op: Control) -> Result<(), ControlRefused> {
+    pub(crate) fn control(&self, op: Control) -> Result<(), ControlRefused> {
         if !self.alive.load(Ordering::Acquire) {
             return Err(ControlRefused::Dead);
         }
@@ -254,7 +254,7 @@ impl WorkerHandle {
 
     /// Injects a fault: the worker stops accepting work immediately and
     /// its thread exits at the next queue pop, dropping queued jobs.
-    pub fn kill(&self) {
+    pub(crate) fn kill(&self) {
         self.kill.store(true, Ordering::Release);
         self.alive.store(false, Ordering::Release);
     }
@@ -262,7 +262,7 @@ impl WorkerHandle {
     /// Graceful shutdown: asks the thread to stop after the work already
     /// queued, then joins it. Safe to call on killed workers (the blocked
     /// stop message unblocks when the dying thread drops its receiver).
-    pub fn stop_and_join(&self) {
+    pub(crate) fn stop_and_join(&self) {
         let _ = self.tx.send(WorkerMsg::Stop);
         if let Some(handle) = self.join.lock().unwrap().take() {
             let _ = handle.join();

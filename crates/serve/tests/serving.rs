@@ -332,16 +332,15 @@ fn dropped_pending_counts_as_failed() {
 }
 
 #[test]
-fn metrics_json_is_well_formed_enough_to_grep() {
+fn the_scrape_is_well_formed_enough_to_grep() {
     let server = Server::builder()
         .model(mlp_artifact("mlp", &[16, 8], 1))
         .spawn()
         .unwrap();
     let client = server.client();
     client.call("mlp", &demo_input(16, 0), DEADLINE).unwrap();
-    let json = server.metrics().to_json();
-    assert!(json.contains("\"model\":\"mlp\""));
-    assert!(json.contains("\"completed\":1"));
-    assert!(json.contains("\"queue_depths\""));
-    assert!(json.contains("\"workers_alive\""));
+    let text = server.prometheus();
+    assert!(text.contains("bw_requests_completed_total{model=\"mlp\"} 1"));
+    assert!(text.contains("bw_worker_queue_depth{worker=\"0\"}"));
+    assert!(text.contains("bw_worker_alive{worker=\"0\"} 1"));
 }

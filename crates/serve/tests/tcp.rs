@@ -32,10 +32,17 @@ fn tcp_round_trip_matches_in_process_result() {
         .unwrap_err();
     assert!(matches!(err, ServeError::Remote(_)), "got {err}");
 
+    // A name longer than the wire's 16-bit length is refused before any
+    // frame is sent, so the connection stays usable.
+    let long = "m".repeat(70_000);
+    let err = client
+        .call(&long, &demo_input(16, 0), DEADLINE)
+        .unwrap_err();
+    assert!(matches!(err, ServeError::Remote(_)), "got {err}");
+
     // Metrics are fetchable over the same connection.
-    let json = client.metrics_json().unwrap();
-    assert!(json.contains("\"model\":\"mlp\""));
-    assert!(json.contains("\"completed\":2"));
+    let text = client.prometheus().unwrap();
+    assert!(text.contains("bw_requests_completed_total{model=\"mlp\"} 2"));
 
     frontend.shutdown();
 }

@@ -54,9 +54,6 @@ fn one_request_traces_end_to_end() {
     assert_eq!(m.npu_resource_stall_cycles, want.resource_stall_cycles);
     assert_eq!(m.queue_wait.count(), 1);
     assert_eq!(m.service.count(), 1);
-    let json = snap.to_json();
-    assert!(json.contains("\"npu_cycles\""));
-    assert!(json.contains("\"queue_wait\""));
 
     // 3. The Prometheus exposition validates and shows the counters.
     let prom = server.prometheus();

@@ -4,9 +4,10 @@
 //! The report fixtures under `tests/golden/` are the exact stdout of
 //! every `bw-bench` paper report (`table1`–`table6`, `fig2`, `fig6_hdd`,
 //! `fig7`, `fig8`, `ablations`, `calibrate`, `power`, `precision_sweep`,
-//! `sla_study`), of CI's `lint` lines and of `profile --quick`. Any change to
-//! the cycle model, the BFP kernels, or the table formatting shows up here
-//! as a reviewable fixture diff — regenerate with e.g.
+//! `sla_study`), of CI's `lint` lines, of `lint --demo` and of
+//! `profile --quick` for both cells. Any change to the cycle model, the
+//! BFP kernels, or the table formatting shows up here as a reviewable
+//! fixture diff — regenerate with e.g.
 //! `cargo run --release -p bw-bench -- table5 > tests/golden/table5.txt`.
 
 use brainwave::core::{ChainTrace, TimingParams};
@@ -149,6 +150,32 @@ fn profile_quick_matches_golden() {
     let bench = RnnBenchmark::new(RnnKind::Lstm, 256, 5);
     let profile = reports::profile(&bench, "quick");
     assert_eq!(profile.report + "\n", fixture("profile_quick.txt"));
+}
+
+// `lint_demo.txt` and `profile_quick_gru.txt` are the stdout of
+// `bw-bench lint --demo` and `bw-bench profile --quick --kind gru`, written
+// at the commit whose metrics had two formats.
+
+#[test]
+fn lint_demo_matches_golden() {
+    let request = reports::LintRequest {
+        target: reports::LintTarget::Demo,
+        hidden: 2000,
+        steps: 10,
+        batch: 1,
+        json: false,
+        lower: brainwave::gir::LowerOptions::default(),
+    };
+    let (report, blocking) = reports::lint_report(&request).expect("the demo lints");
+    assert!(!blocking, "the showcase never blocks");
+    assert_eq!(report, fixture("lint_demo.txt"));
+}
+
+#[test]
+fn profile_quick_gru_matches_golden() {
+    let bench = RnnBenchmark::new(RnnKind::Gru, 256, 5);
+    let profile = reports::profile(&bench, "quick");
+    assert_eq!(profile.report + "\n", fixture("profile_quick_gru.txt"));
 }
 
 /// Table V without its shortcut: the point `bw_bench::run_bw_s10` runs,

@@ -67,6 +67,7 @@ mod batch;
 pub mod demo;
 mod loadgen;
 mod metrics;
+mod reply_slot;
 mod request;
 mod router;
 mod server;

@@ -5,7 +5,6 @@
 //! [module documentation](super).
 
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -13,6 +12,7 @@ use bw_core::{RunStats, SpanKind, SpanRecord};
 
 use super::{head_sampled, Leg, Plan, ServerInner, TRACE_LOG_CAP};
 use crate::metrics::MetricsSnapshot;
+use crate::reply_slot::{reply_slot, ReplySlot, Unfilled};
 use crate::request::{Attribution, RequestId, RequestTrace, Response, ServeError};
 use crate::worker::{Columns, Completion, DispatchRefused, Job, Served};
 
@@ -269,8 +269,8 @@ struct LegRun {
     retries: u32,
     /// When the leg's first attempt was dispatched (member-row latency).
     dispatched_at: Instant,
-    /// The current attempt's reply channel.
-    rx: Receiver<Completion>,
+    /// The current attempt's reply slot.
+    reply: ReplySlot<Completion>,
     /// The accepted attempt, once the leg is in.
     done: Option<Served>,
 }
@@ -398,13 +398,13 @@ impl Run {
     /// Walks the router's order and enqueues one attempt of `leg` on the
     /// first worker that pins its slot over a live link and has queue
     /// room, skipping `tried`. Returns the worker and the attempt's
-    /// reply channel, or what stopped dispatch.
+    /// reply slot, or what stopped dispatch.
     fn dispatch(
         &self,
         leg: &Leg,
         tried: &[usize],
         now: Instant,
-    ) -> Result<(usize, Receiver<Completion>), DispatchStopped> {
+    ) -> Result<(usize, ReplySlot<Completion>), DispatchStopped> {
         let inner = &self.inner;
         let net = inner.network();
         let order = inner.router.plan_eligible(&inner.workers, tried, |w| {
@@ -415,17 +415,17 @@ impl Run {
         }
         let mut all_full = true;
         for worker in order {
-            let (tx, rx) = std::sync::mpsc::channel();
+            let (fill, reply) = reply_slot();
             let job = Job {
                 model: leg.slot,
                 columns: Arc::clone(&self.input),
                 deadline: self.deadline,
-                reply: tx,
+                reply: fill,
                 enqueued_at: now,
                 collect_spans: self.collect_spans,
             };
             match inner.workers[worker].try_dispatch(job) {
-                Ok(()) => return Ok((worker, rx)),
+                Ok(()) => return Ok((worker, reply)),
                 Err(DispatchRefused::QueueFull) => {}
                 Err(DispatchRefused::Dead) => all_full = false,
             }
@@ -446,11 +446,11 @@ impl Run {
             }
             let now = Instant::now();
             match self.dispatch(leg, &[], now) {
-                Ok((worker, rx)) => self.legs.push(LegRun {
+                Ok((worker, reply)) => self.legs.push(LegRun {
                     tried: vec![worker],
                     retries: 0,
                     dispatched_at: now,
-                    rx,
+                    reply,
                     done: None,
                 }),
                 Err(stop) => {
@@ -481,7 +481,7 @@ impl Run {
                 .cfg
                 .attempt_timeout
                 .map_or(budget, |t| t.min(budget));
-            let fault = match self.legs[i].rx.recv_timeout(slice) {
+            let fault = match self.legs[i].reply.wait_timeout(slice) {
                 Ok(Completion::Done(served)) => {
                     let leg = &mut self.legs[i];
                     if let Some(member) = &self.plan.stages[self.stage][i].member {
@@ -502,12 +502,12 @@ impl Run {
                 }
                 // The worker saw the job after its deadline: terminal.
                 Ok(Completion::Expired) => return Err(self.deadline_exceeded()),
-                Err(RecvTimeoutError::Timeout) if Instant::now() >= self.deadline => {
+                Err(Unfilled::Timeout) if Instant::now() >= self.deadline => {
                     return Err(self.deadline_exceeded());
                 }
                 // An attempt timeout with budget left, or the worker
                 // died with the job queued or executing.
-                Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => None,
+                Err(Unfilled::Timeout | Unfilled::Disconnected) => None,
             };
             self.failover(i, fault)?;
         }
@@ -531,9 +531,9 @@ impl Run {
             member.retries.fetch_add(1, Ordering::Relaxed);
         }
         match self.dispatch(leg, &self.legs[i].tried, Instant::now()) {
-            Ok((worker, rx)) => {
+            Ok((worker, reply)) => {
                 self.legs[i].tried.push(worker);
-                self.legs[i].rx = rx;
+                self.legs[i].reply = reply;
                 Ok(())
             }
             Err(_) => Err(self.fault_or(fault, self.no_replica())),

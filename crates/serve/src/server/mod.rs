@@ -42,10 +42,10 @@
 //!    scattered at once: if every candidate queue is full the request is
 //!    *shed*, if no live worker pins a leg's slot it fails `NoReplica`.
 //! 3. **leg driver** — the only wait loop. It waits on a leg's reply
-//!    channel for the attempt timeout or the remaining deadline,
+//!    slot for the attempt timeout or the remaining deadline,
 //!    whichever is sooner; on worker fault, worker death or attempt
 //!    timeout it re-dispatches the leg to a worker that has not tried it
-//!    (each attempt has a fresh channel, so an abandoned attempt's
+//!    (each attempt has a fresh slot, so an abandoned attempt's
 //!    completion is dropped unseen), at most `max_retries` times per leg.
 //! 4. **stage finisher** — once every leg of the stage is in, charges
 //!    the network (rule below), concatenates the legs' outputs column by

@@ -56,11 +56,11 @@ use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::batch::{BatchConfig, Batcher};
+use crate::reply_slot::{reply_slot, ReplySlot, Unfilled};
 use crate::request::{Attribution, Response, ServeError};
 use crate::server::{Client, Server};
 use crate::wire::{read_frame, try_extract_frame, write_frame, WireRequest, WireResponse, MAX_STR};
@@ -306,8 +306,9 @@ fn raw_fd<T>(_s: &T) -> i32 {
 enum PendingReply {
     /// Already computed (a Prometheus scrape): the encoded payload.
     Ready(Vec<u8>),
-    /// An inference in flight behind the coalescing window.
-    Infer(Receiver<Result<Response, ServeError>>),
+    /// An inference in flight behind the coalescing window: its reply
+    /// slot, filled by the batcher's dispatcher.
+    Infer(ReplySlot<Result<Response, ServeError>>),
 }
 
 /// One multiplexed connection.
@@ -523,17 +524,17 @@ fn parse_frames(conn: &mut Conn, client: &Client, batcher: &Batcher, wake: &Arc<
                 deadline_us,
                 input,
             }) => {
-                let (tx, rx) = std::sync::mpsc::channel();
+                let (fill, slot) = reply_slot();
                 let wake = Arc::clone(wake);
-                // Send, then wake: the loop that sees the byte finds the
-                // reply already in the channel.
+                // Fill, then wake: the loop that sees the byte finds the
+                // reply already in the slot.
                 let reply = move |result| {
-                    let _ = tx.send(result);
+                    fill.fill(result);
                     wake.wake();
                 };
                 let deadline = Duration::from_micros(deadline_us);
                 batcher.submit_with(&model, input, deadline, Box::new(reply));
-                conn.pending.push_back(PendingReply::Infer(rx));
+                conn.pending.push_back(PendingReply::Infer(slot));
             }
             Ok(WireRequest::Prometheus) => {
                 conn.pending.push_back(PendingReply::Ready(
@@ -558,10 +559,10 @@ fn drain_pending(conn: &mut Conn) {
     while let Some(front) = conn.pending.front_mut() {
         let payload = match front {
             PendingReply::Ready(p) => std::mem::take(p),
-            PendingReply::Infer(rx) => match rx.try_recv() {
+            PendingReply::Infer(slot) => match slot.wait_timeout(Duration::ZERO) {
                 Ok(result) => encode_outcome(result),
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
+                Err(Unfilled::Timeout) => break,
+                Err(Unfilled::Disconnected) => {
                     WireResponse::Error(ServeError::Disconnected.to_string()).encode()
                 }
             },

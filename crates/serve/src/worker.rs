@@ -13,8 +13,8 @@
 //! Fault injection: a worker can be killed. The kill takes effect
 //! immediately for routing (the liveness flag drops, so no new work is
 //! admitted to it) and at the next queue pop for the thread, which exits
-//! *without* draining — every queued job is dropped, its reply channel
-//! disconnects, and the request lifecycle fails over to a replica.
+//! *without* draining — every queued job is dropped, its reply slot
+//! closes unfilled, and the request lifecycle fails over to a replica.
 //!
 //! # Control plane
 //!
@@ -24,11 +24,11 @@
 //! travel the same bounded FIFO queue as jobs. FIFO ordering is the
 //! correctness lever: an `Unpin` enqueued after the routing flag is
 //! cleared drains every job already queued for the slot before the model
-//! is actually dropped, so cutover loses nothing; the ack channel turns
+//! is actually dropped, so cutover loses nothing; the ack slot turns
 //! any control message into a barrier.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -37,6 +37,7 @@ use bw_core::{RunStats, SpanRecord};
 use bw_gir::PinnedModel;
 
 use crate::metrics::LinkMetrics;
+use crate::reply_slot::{reply_slot, Fill};
 
 /// The input (or output) columns of one leg: one vector per member
 /// request, shared by every attempt of the leg.
@@ -64,8 +65,8 @@ pub(crate) struct Served {
 }
 
 /// What a worker reports back for one attempt. Every attempt has its
-/// own reply channel, so a completion needs no attempt number: one that
-/// outlives its attempt finds the receiver gone.
+/// own reply slot, so a completion needs no attempt number: one that
+/// outlives its attempt finds the reader gone.
 #[derive(Clone, Debug)]
 pub(crate) enum Completion {
     /// The attempt produced one output per column.
@@ -90,7 +91,9 @@ pub(crate) struct Job {
     /// dispatch.
     pub columns: Columns,
     pub deadline: Instant,
-    pub reply: Sender<Completion>,
+    /// The attempt's reply slot, filled once when the worker is done
+    /// with the job and closed unfilled if the job is dropped.
+    pub reply: Fill<Completion>,
     /// When the job entered the queue (for queue-wait measurement).
     pub enqueued_at: Instant,
     /// Whether to collect NPU spans for this attempt.
@@ -98,7 +101,7 @@ pub(crate) struct Job {
 }
 
 /// A control-plane operation on a running worker. Travels the same FIFO
-/// queue as jobs; each carries an ack channel the server can block on.
+/// queue as jobs; each carries an ack slot the server can block on.
 pub(crate) enum Control {
     /// Install a pinned replica into `slot`, first sleeping the modeled
     /// weight-preload time (network ship + MRF fill + setup).
@@ -127,7 +130,7 @@ pub(crate) enum Control {
 /// A message on the worker queue.
 enum WorkerMsg {
     Work(Box<Job>),
-    Control(Control, Sender<()>),
+    Control(Control, Fill<()>),
     Stop,
 }
 
@@ -242,14 +245,14 @@ impl WorkerHandle {
         if !self.alive.load(Ordering::Acquire) {
             return Err(ControlRefused::Dead);
         }
-        let (ack_tx, ack_rx) = std::sync::mpsc::channel();
+        let (ack, ack_slot) = reply_slot();
         // A blocking send: control ops may wait behind a full job queue,
         // which is exactly the drain semantics we want. A dying worker
         // drops its receiver, erroring the send instead of deadlocking.
         self.tx
-            .send(WorkerMsg::Control(op, ack_tx))
+            .send(WorkerMsg::Control(op, ack))
             .map_err(|_| ControlRefused::Dead)?;
-        ack_rx.recv().map_err(|_| ControlRefused::Dead)
+        ack_slot.wait().map_err(|_| ControlRefused::Dead)
     }
 
     /// Injects a fault: the worker stops accepting work immediately and
@@ -308,8 +311,8 @@ pub(crate) fn spawn_worker(
             while let Ok(msg) = rx.recv() {
                 if t_kill.load(Ordering::Acquire) {
                     // Injected fault: exit without serving or draining.
-                    // Dropping `rx` disconnects every queued job's reply
-                    // channel, which the lifecycle treats as worker loss.
+                    // Dropping `rx` closes every queued job's reply slot
+                    // unfilled, which the lifecycle treats as worker loss.
                     break;
                 }
                 let job = match msg {
@@ -361,7 +364,7 @@ pub(crate) fn spawn_worker(
                             }
                             Control::Flush => {}
                         }
-                        let _ = ack.send(());
+                        ack.fill(());
                         continue;
                     }
                     WorkerMsg::Stop => break,
@@ -384,8 +387,8 @@ pub(crate) fn spawn_worker(
                 t_outstanding.fetch_sub(1, Ordering::AcqRel);
                 t_processed.fetch_add(1, Ordering::Relaxed);
                 // The requester may have moved on (failover); that drops
-                // the receiver and this send becomes a no-op.
-                let _ = job.reply.send(completion);
+                // the reader and this fill becomes a no-op.
+                job.reply.fill(completion);
             }
             t_alive.store(false, Ordering::Release);
         })
@@ -442,6 +445,7 @@ fn serve(
 mod tests {
     use super::*;
     use crate::demo::{demo_input, mlp_artifact};
+    use crate::reply_slot::{ReplySlot, Unfilled};
     use std::time::Duration;
 
     fn worker_with(queue_cap: usize) -> WorkerHandle {
@@ -449,7 +453,7 @@ mod tests {
         spawn_worker(0, vec![Some(artifact.pin().unwrap())], queue_cap)
     }
 
-    fn job(reply: Sender<Completion>) -> Job {
+    fn job(reply: Fill<Completion>) -> Job {
         Job {
             model: 0,
             columns: Arc::new([demo_input(16, 0)]),
@@ -463,9 +467,9 @@ mod tests {
     #[test]
     fn worker_serves_jobs() {
         let w = worker_with(4);
-        let (tx, rx) = std::sync::mpsc::channel();
+        let (tx, rx) = reply_slot();
         w.try_dispatch(job(tx)).unwrap();
-        match rx.recv_timeout(Duration::from_secs(10)).unwrap() {
+        match rx.wait_timeout(Duration::from_secs(10)).unwrap() {
             Completion::Done(served) => {
                 assert_eq!(served.worker, 0);
                 assert_eq!(served.outputs.len(), 1, "one output per column");
@@ -485,11 +489,11 @@ mod tests {
     #[test]
     fn traced_jobs_carry_stamped_spans() {
         let w = worker_with(4);
-        let (tx, rx) = std::sync::mpsc::channel();
+        let (tx, rx) = reply_slot();
         let mut j = job(tx);
         j.collect_spans = true;
         w.try_dispatch(j).unwrap();
-        match rx.recv_timeout(Duration::from_secs(10)).unwrap() {
+        match rx.wait_timeout(Duration::from_secs(10)).unwrap() {
             Completion::Done(Served { stats, spans, .. }) => {
                 assert!(!spans.is_empty());
                 // The one-device model's ordinal; the executor stamps the
@@ -511,12 +515,12 @@ mod tests {
     #[test]
     fn expired_jobs_are_reported_not_served() {
         let w = worker_with(4);
-        let (tx, rx) = std::sync::mpsc::channel();
+        let (tx, rx) = reply_slot();
         let mut j = job(tx);
         j.deadline = Instant::now() - Duration::from_millis(1);
         w.try_dispatch(j).unwrap();
         assert!(matches!(
-            rx.recv_timeout(Duration::from_secs(10)).unwrap(),
+            rx.wait_timeout(Duration::from_secs(10)).unwrap(),
             Completion::Expired
         ));
         w.stop_and_join();
@@ -529,18 +533,18 @@ mod tests {
         // (or complete, if the worker raced past them before the kill).
         let receivers: Vec<_> = (0..4)
             .map(|_| {
-                let (tx, rx) = std::sync::mpsc::channel();
+                let (tx, rx) = reply_slot();
                 w.try_dispatch(job(tx)).unwrap();
                 rx
             })
             .collect();
         w.kill();
         assert!(!w.is_alive());
-        let (tx, _rx) = std::sync::mpsc::channel();
+        let (tx, _rx) = reply_slot();
         assert_eq!(w.try_dispatch(job(tx)), Err(DispatchRefused::Dead));
         for rx in receivers {
-            match rx.recv_timeout(Duration::from_secs(10)) {
-                Ok(_) | Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {}
+            match rx.wait_timeout(Duration::from_secs(10)) {
+                Ok(_) | Err(Unfilled::Disconnected) => {}
                 Err(e) => panic!("queued job left hanging: {e:?}"),
             }
         }
@@ -552,12 +556,14 @@ mod tests {
         let artifact = mlp_artifact("m", &[16, 8], 3);
         let w = spawn_worker(0, vec![Some(artifact.pin().unwrap())], 1);
         // The worker may already be executing the first job; keep
-        // dispatching until the bounded queue refuses.
-        let (tx, rx) = std::sync::mpsc::channel();
+        // dispatching, one reply slot per job, until the bounded queue
+        // refuses.
+        let mut accepted: Vec<ReplySlot<Completion>> = Vec::new();
         let mut refused = None;
         for _ in 0..16 {
-            match w.try_dispatch(job(tx.clone())) {
-                Ok(()) => {}
+            let (tx, rx) = reply_slot();
+            match w.try_dispatch(job(tx)) {
+                Ok(()) => accepted.push(rx),
                 Err(r) => {
                     refused = Some(r);
                     break;
@@ -565,8 +571,12 @@ mod tests {
             }
         }
         assert_eq!(refused, Some(DispatchRefused::QueueFull));
-        drop(tx);
-        while rx.recv_timeout(Duration::from_secs(10)).is_ok() {}
+        for rx in accepted {
+            assert!(matches!(
+                rx.wait_timeout(Duration::from_secs(10)),
+                Ok(Completion::Done(_))
+            ));
+        }
         w.stop_and_join();
     }
 }

@@ -437,19 +437,8 @@ impl Writer {
         self
     }
 
-    /// Writes a float in its shortest form that parses back to the same
-    /// `f64`. JSON has no NaN or infinity; those are written as `null`.
-    pub fn float(&mut self, v: f64) -> &mut Self {
-        if !v.is_finite() {
-            return self.null();
-        }
-        self.sep();
-        let _ = write!(self.out, "{v}");
-        self
-    }
-
-    /// Writes a float with exactly `decimals` digits after the point
-    /// (non-finite values as `null`, as [`Self::float`] does).
+    /// Writes a float with exactly `decimals` digits after the point.
+    /// JSON has no NaN or infinity; those are written as `null`.
     pub fn fixed(&mut self, v: f64, decimals: usize) -> &mut Self {
         if !v.is_finite() {
             return self.null();
@@ -476,36 +465,51 @@ impl Writer {
         self.out.push_str(json);
         self
     }
-
-    /// Writes a parsed [`Value`] tree.
-    pub fn value(&mut self, v: &Value) -> &mut Self {
-        match v {
-            Value::Null => self.null(),
-            Value::Bool(b) => self.bool(*b),
-            Value::Num(n) => self.float(*n),
-            Value::Str(s) => self.string(s),
-            Value::Arr(items) => {
-                self.begin_array();
-                for item in items {
-                    self.value(item);
-                }
-                self.end_array()
-            }
-            Value::Obj(fields) => {
-                self.begin_object();
-                for (k, field) in fields {
-                    self.key(k).value(field);
-                }
-                self.end_object()
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The writer's inverse of [`parse`], which only the round-trip
+    /// tests need: every emitter writes its documents field by field.
+    impl Writer {
+        /// Writes a float in its shortest form that parses back to the
+        /// same `f64` (non-finite values as `null`).
+        fn float(&mut self, v: f64) -> &mut Self {
+            if !v.is_finite() {
+                return self.null();
+            }
+            self.sep();
+            let _ = write!(self.out, "{v}");
+            self
+        }
+
+        /// Writes a parsed [`Value`] tree.
+        fn value(&mut self, v: &Value) -> &mut Self {
+            match v {
+                Value::Null => self.null(),
+                Value::Bool(b) => self.bool(*b),
+                Value::Num(n) => self.float(*n),
+                Value::Str(s) => self.string(s),
+                Value::Arr(items) => {
+                    self.begin_array();
+                    for item in items {
+                        self.value(item);
+                    }
+                    self.end_array()
+                }
+                Value::Obj(fields) => {
+                    self.begin_object();
+                    for (k, field) in fields {
+                        self.key(k).value(field);
+                    }
+                    self.end_object()
+                }
+            }
+        }
+    }
 
     /// Builds an arbitrary [`Value`] from an entropy tape: strings draw
     /// on every class the escaper distinguishes (quote, backslash, all

@@ -8,13 +8,22 @@
 //!   queue, the output vector the NPU pushes there and the output handed
 //!   back;
 //! * 1,000 warm `Client::call`s of it on a one-replica pool allocate at
-//!   most 16 times per call on average — measured 16.00 — with a slack
-//!   of one per hundred calls: a call allocates one less, or one more,
-//!   now and then, by whether the reply or the caller's wait comes first.
+//!   most 14 times per call on average — measured 14.00 — with a slack
+//!   of one per hundred calls, and ask for at most 2,048 B per call —
+//!   measured 1,904 B. A call allocates the input's copy (64 B) and the
+//!   columns that share it (40 B); the member list (40 B); the router's
+//!   candidate order (32 B); the attempt's reply slot (232 B: the
+//!   completion is held inline); the boxed job (72 B); the leg's tried
+//!   list (8 B) and the leg list (992 B: a first push reserves four legs);
+//!   the five allocations of `infer_batch` above (280 B); and the
+//!   response (144 B). Whether the reply or the caller's wait comes first
+//!   changes none of them: parking on a reply slot allocates nothing.
 //!
 //! The counting allocator is process-global, so the worker thread's
 //! allocations count with the caller's, and this file holds exactly one
 //! `#[test]` so that no concurrent test allocates inside the measurement.
+//! It counts every allocator call, `alloc_zeroed` and `realloc` among
+//! them, and sums the sizes they ask for.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -26,20 +35,27 @@ use brainwave::serve::Server;
 struct CountingAlloc;
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static BYTES: AtomicUsize = AtomicUsize::new(0);
+
+/// Counts one allocator call that asks for `size` bytes.
+fn count(size: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(size, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -51,17 +67,25 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Allocations `f` makes, on any thread, while it runs.
-fn allocations_in(f: impl FnOnce()) -> usize {
-    let before = ALLOCS.load(Ordering::Relaxed);
+/// Allocator calls `f` makes, on any thread, while it runs, and the
+/// bytes they ask for.
+fn allocations_in(f: impl FnOnce()) -> (usize, usize) {
+    let (calls, bytes) = (
+        ALLOCS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    );
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    (
+        ALLOCS.load(Ordering::Relaxed) - calls,
+        BYTES.load(Ordering::Relaxed) - bytes,
+    )
 }
 
 const WIDTHS: [usize; 4] = [16, 64, 32, 8];
 const CALLS: usize = 1_000;
-const PER_CALL: usize = 16;
+const PER_CALL: usize = 14;
 const PER_INFER_BATCH: usize = 5;
+const BYTES_PER_CALL: usize = 2_048;
 
 #[test]
 fn warm_requests_allocate_a_pinned_number_of_times() {
@@ -75,7 +99,7 @@ fn warm_requests_allocate_a_pinned_number_of_times() {
     for _ in 0..3 {
         pinned.infer_batch(&column).expect("demo MLP runs");
     }
-    let allocated = allocations_in(|| {
+    let (allocated, _) = allocations_in(|| {
         let (got, _) = pinned.infer_batch(&column).expect("demo MLP runs");
         assert_eq!(got, want, "warm runs are deterministic");
     });
@@ -99,7 +123,7 @@ fn warm_requests_allocate_a_pinned_number_of_times() {
     for _ in 0..100 {
         call();
     }
-    let allocated = allocations_in(|| {
+    let (allocated, bytes) = allocations_in(|| {
         for _ in 0..CALLS {
             assert_eq!(call().output, want[0], "the pool serves the pinned model");
         }
@@ -107,5 +131,9 @@ fn warm_requests_allocate_a_pinned_number_of_times() {
     assert!(
         allocated <= PER_CALL * CALLS + CALLS / 100,
         "{CALLS} warm calls allocated {allocated} times"
+    );
+    assert!(
+        bytes <= BYTES_PER_CALL * CALLS,
+        "{CALLS} warm calls asked for {bytes} B"
     );
 }

@@ -203,6 +203,7 @@ impl BfpBlock {
     }
 
     /// This vector as the broadcast operand of a product.
+    #[inline]
     pub(crate) fn operand(&self) -> Operand<'_> {
         Operand {
             format: self.format,

@@ -49,18 +49,29 @@
 //!   packed-format operand and narrow rows × a narrow operand. Each has a
 //!   readable portable body ([`packed_rows_body`], [`narrow_rows_body`]:
 //!   all there is under miri and off x86-64) and a `std::arch` AVX2 body
-//!   chosen per call by runtime detection (`packed_block_avx2`,
-//!   `narrow_block_avx2`). Both AVX2 bodies take rows four at a time, then
-//!   the `rows % 4` tail one at a time, and load each group of the operand
-//!   once for the four — the cost of a small tile is per row, not per MAC
-//!   — and reduce the four rows' chunk sums together. The packed body also
-//!   hints the slab into cache ahead of its loads; the narrow one
-//!   sign-extends each row's `i8` and multiplies with `pmaddwd`, and reads
-//!   a group that a chunk's end cuts short from zero-padded copies. (Left
-//!   to the autovectoriser, on a 2-vCPU Xeon, the packed loop runs at a
-//!   third of the speed, and the narrow one at 0.09 ns per MAC against
-//!   0.035 on a 400 × 400 tile and 140 against 60 ns on a 16 × 16 one.)
-//!   Any other pairing runs the oracle's loop.
+//!   chosen by runtime detection (`packed_block_avx2`,
+//!   `narrow_block_avx2`). Each AVX2 body takes a block of rows at a time
+//!   — the narrow one eight, the packed one four (eight rows of its two
+//!   accumulators would spill) — then the tail one at a time, loads each
+//!   group of the operand once for the block and reduces the block's chunk
+//!   sums together. The narrow body sign-extends each row's `i8` and
+//!   multiplies with `pmaddwd`, and reads a group that a chunk's end cuts
+//!   short from zero-padded copies; a hadd tree and one cross-lane permute
+//!   leave its eight row sums in one vector, which eight `2^e` built in the
+//!   exponent field scale and one conversion and one store (or add) write
+//!   out, so a small tile costs its MACs and a few vector operations per
+//!   eight rows. The packed body hints the slab into cache ahead of its
+//!   loads. Left to the autovectoriser, the packed loop runs at about a
+//!   tenth of the speed and the narrow one at 0.20 ns per MAC against
+//!   0.036 on a 400 × 400 tile, and 140 against 50 ns on a 16 × 16 one
+//!   (`mv_mul_into`, the fastest of 2,000 alternating timings in one
+//!   process pinned to one CPU of a 2-vCPU Xeon VM; medians on that shared
+//!   host run up to twice as long). Any other pairing runs the oracle's
+//!   loop.
+//! * [`mac_tiles`], the MVM's path, runs one grid row of tiles: a narrow
+//!   tile goes to the narrow body detected once for the row, with its
+//!   shape taken from the counts its matrix keeps, so its fixed work is
+//!   slicing, not division; any other tile goes through [`mac_rows`].
 //! * [`dot_naive`], the oracle: element-by-element 64-bit accumulation over
 //!   any layout, a packed side unpacked one group at a time.
 
@@ -341,6 +352,70 @@ pub(crate) fn dot(row: Rows<'_>, x: Operand<'_>) -> f32 {
     dot[0]
 }
 
+/// One tile of a grid row for [`mac_tiles`]: its live extent, `rows` rows
+/// of `live.cols` elements in `chunks` exponent chunks each (the matrix
+/// keeps both counts, so nothing divides to find them), and the operand
+/// its columns multiply, whole or longer.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Tile<'a> {
+    pub(crate) live: Rows<'a>,
+    pub(crate) rows: usize,
+    pub(crate) chunks: usize,
+    pub(crate) x: Operand<'a>,
+}
+
+impl Tile<'_> {
+    /// Adds this tile's product onto `acc`, one element per row of the
+    /// tile: [`mac_rows`] onto its live rows, with `narrow` as the body of
+    /// the narrow pairing, and `+0.0` onto the rows past them.
+    #[inline(always)]
+    fn mac(self, acc: &mut [f32], narrow: impl FnOnce(NarrowProduct<'_>, &mut [f32])) {
+        let (live, past) = acc.split_at_mut(self.rows);
+        match (self.live.mantissas, self.x.mantissas) {
+            (MantissaSlice::Narrow(w), MantissaSlice::Narrow(_)) => {
+                narrow(
+                    NarrowProduct::new(w, self.live, self.chunks, self.x, self.rows),
+                    live,
+                );
+            }
+            _ => mac_rows::<true>(self.live, self.x.prefix(self.live.cols), live),
+        }
+        // A row of zero mantissas adds `+0.0`, which an accumulator of
+        // `-0.0` shows.
+        past.iter_mut().for_each(|a| *a += 0.0);
+    }
+}
+
+/// The tiles of one grid row multiplied by their operands and added onto
+/// `acc` in `f32`, tile by tile in order, each tile's products rounded to
+/// `f32` first: bit for bit one [`Tile::mac`] after another. The AVX2
+/// detection is made once for the row's narrow tiles, whose per-tile work
+/// is then slicing, no division.
+///
+/// Callers have validated that every tile has `acc.len()` rows and that
+/// its operand has its columns in chunks of its block size.
+#[allow(unsafe_code)]
+pub(crate) fn mac_tiles<'a>(tiles: impl Iterator<Item = Tile<'a>>, acc: &mut [f32]) {
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: a safe `#[target_feature(enable = "avx2")]` function asks
+        // only that the running CPU supports AVX2, which was just detected.
+        return unsafe { mac_tiles_avx2(tiles, acc) };
+    }
+    for tile in tiles {
+        tile.mac(acc, narrow_rows_body::<true>);
+    }
+}
+
+/// [`mac_tiles`] with the narrow pairing's AVX2 body.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx2")]
+fn mac_tiles_avx2<'a>(tiles: impl Iterator<Item = Tile<'a>>, acc: &mut [f32]) {
+    for tile in tiles {
+        tile.mac(acc, |p, out| narrow_avx2::<true>(p, out));
+    }
+}
+
 /// Reference dot kernel of one row with `x`: element-by-element 64-bit
 /// accumulation per chunk, the oracle the fast pairings are tested against
 /// and the only kernel of the wide layout.
@@ -441,7 +516,8 @@ fn packed_rows<const ACC: bool>(w: &[u8], rows: Rows<'_>, x: Operand<'_>, out: &
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: a safe `#[target_feature(enable = "avx2")]` function asks
         // only that the running CPU supports AVX2, which was just detected.
-        // Rows four at a time, then the `rows % 4` tail (all of a `dot`).
+        // Rows four at a time — eight rows' `lanes` and `wide` accumulators
+        // would spill — then the `rows % 4` tail (all of a `dot`).
         return unsafe {
             let done = packed_block_avx2::<4, ACC>(w, rows, x, out, 0);
             packed_block_avx2::<1, ACC>(w, rows, x, out, done);
@@ -674,66 +750,91 @@ const _: () = assert!(127 * 128 * I32_RUN <= i32::MAX as usize);
 /// operand lanes.
 const NARROW_GROUP: usize = 16;
 
+/// A narrow product whose slices have been checked against its shape
+/// once: `w` holds rows of `cols` `i8` mantissas and `exponents` rows of
+/// `chunks` exponents, one row per output, and the operand is `cols` `i16`
+/// lanes in `chunks` chunks.
+#[derive(Clone, Copy, Debug)]
+struct NarrowProduct<'a> {
+    w: &'a [i8],
+    exponents: &'a [i32],
+    lanes: &'a [i16],
+    x_exponents: &'a [i32],
+    cols: usize,
+    chunks: usize,
+    /// Elements per exponent chunk.
+    chunk: usize,
+    bias: i32,
+}
+
+impl<'a> NarrowProduct<'a> {
+    /// `n` rows of `rows` — `w` is their `i8` slab — in `chunks` exponent
+    /// chunks each, times the first `rows.cols` elements of `x`. Nothing
+    /// here divides: the caller knows `chunks`.
+    #[inline]
+    fn new(w: &'a [i8], rows: Rows<'a>, chunks: usize, x: Operand<'a>, n: usize) -> Self {
+        let (cols, chunk) = (rows.cols, rows.format.block_size() as usize);
+        assert!(w.len() == n * cols && rows.exponents.len() == n * chunks);
+        debug_assert_eq!(chunks, cols.div_ceil(chunk));
+        NarrowProduct {
+            w,
+            exponents: rows.exponents,
+            lanes: &x.lanes[..cols],
+            x_exponents: &x.exponents[..chunks],
+            cols,
+            chunks,
+            chunk,
+            bias: scale_bias(rows.format, x.format),
+        }
+    }
+}
+
 /// Runs the narrow pairing — `w` is the `i8` slab of `rows`, `x` a
 /// narrow operand with its [`Operand::lanes`] — under the widest vector
 /// unit the CPU has.
 #[allow(unsafe_code)]
 fn narrow_rows<const ACC: bool>(w: &[i8], rows: Rows<'_>, x: Operand<'_>, out: &mut [f32]) {
+    let product = NarrowProduct::new(w, rows, x.exponents.len(), x, out.len());
     // A compile-time fact, not a runtime guess: under miri and off x86-64
     // only the portable body exists.
     #[cfg(all(target_arch = "x86_64", not(miri)))]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: a safe `#[target_feature(enable = "avx2")]` function asks
         // only that the running CPU supports AVX2, which was just detected.
-        // Rows four at a time, then the `rows % 4` tail (all of a `dot`).
-        return unsafe {
-            let done = narrow_block_avx2::<4, ACC>(w, rows, x, out, 0);
-            narrow_block_avx2::<1, ACC>(w, rows, x, out, done);
-        };
+        return unsafe { narrow_avx2::<ACC>(product, out) };
     }
-    narrow_rows_body::<ACC>(w, rows, x, out);
-}
-
-/// Elements and chunks per row, having asserted that every slice the
-/// narrow bodies index is exactly `n` rows, or one operand, long.
-fn narrow_shape(w: &[i8], rows: Rows<'_>, x: Operand<'_>, n: usize) -> (usize, usize) {
-    let (cols, cpr) = (rows.cols, x.exponents.len());
-    assert!(w.len() == n * cols && rows.exponents.len() == n * cpr);
-    assert!(x.lanes.len() == cols && cpr == cols.div_ceil(rows.format.block_size() as usize));
-    (cols, cpr)
+    narrow_rows_body::<ACC>(product, out);
 }
 
 /// The narrow pairing, one row at a time and the portable definition: each
 /// row's chunk sums — `i32` runs of at most [`I32_RUN`] products joined in
 /// `i64` — scaled by `2^(row exponent + x exponent - bias)` and totalled
 /// in `f64` in chunk order.
-fn narrow_rows_body<const ACC: bool>(w: &[i8], rows: Rows<'_>, x: Operand<'_>, out: &mut [f32]) {
-    let (cols, cpr) = narrow_shape(w, rows, x, out.len());
-    let chunk = rows.format.block_size() as usize;
-    let bias = scale_bias(rows.format, x.format);
+fn narrow_rows_body<const ACC: bool>(p: NarrowProduct<'_>, out: &mut [f32]) {
+    let (cols, cpr) = (p.cols, p.chunks);
     // Offsets advance by addition: `chunks()` divides to size its iterator,
     // once per row and chunk, which costs about what a chunk's MACs do.
     let (mut w_at, mut exp_at) = (0, 0);
     for slot in out.iter_mut() {
-        let row = &w[w_at..w_at + cols];
-        let row_exp = &rows.exponents[exp_at..exp_at + cpr];
+        let row = &p.w[w_at..w_at + cols];
+        let row_exp = &p.exponents[exp_at..exp_at + cpr];
         w_at += cols;
         exp_at += cpr;
         let mut total = 0.0f64;
         let mut at = 0;
-        for (&ew, &ex) in row_exp.iter().zip(x.exponents) {
-            let end = (at + chunk).min(cols);
+        for (&ew, &ex) in row_exp.iter().zip(p.x_exponents) {
+            let end = (at + p.chunk).min(cols);
             let mut sum = 0i64;
             while at < end {
                 let run_end = (at + I32_RUN).min(end);
                 let mut acc = 0i32;
-                for (&w, &x) in row[at..run_end].iter().zip(&x.lanes[at..run_end]) {
+                for (&w, &x) in row[at..run_end].iter().zip(&p.lanes[at..run_end]) {
                     acc += i32::from(w) * i32::from(x);
                 }
                 sum += i64::from(acc);
                 at = run_end;
             }
-            total += sum as f64 * exp2(ew + ex - bias);
+            total += sum as f64 * exp2(ew + ex - p.bias);
         }
         if ACC {
             *slot += total as f32;
@@ -743,82 +844,194 @@ fn narrow_rows_body<const ACC: bool>(w: &[i8], rows: Rows<'_>, x: Operand<'_>, o
     }
 }
 
-/// [`narrow_rows_body`] over rows `first..` in blocks of `R` (4 or 1) that
+/// The AVX2 narrow pairing: rows eight at a time, then the `rows % 8` tail
+/// (all of a `dot`) one at a time.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn narrow_avx2<const ACC: bool>(p: NarrowProduct<'_>, out: &mut [f32]) {
+    let done = narrow_block_avx2::<8, ACC>(p, out, 0);
+    if done < out.len() {
+        narrow_block_avx2::<1, ACC>(p, out, done);
+    }
+}
+
+/// [`narrow_rows_body`] over rows `first..` in blocks of `R` (8 or 1) that
 /// share each load of the operand; returns the first row left over. Per
 /// [`NARROW_GROUP`] elements the operand's `i16` lanes are loaded once, and
 /// each row's mantissas are sign-extended and multiplied into `i32` pair
 /// sums (`pmaddwd`); a group that a chunk's end cuts short is read from
 /// zero-padded copies. Per run of at most [`I32_RUN`] elements the block's
-/// sums are reduced together and added to `f64` chunk sums, exactly: they
-/// stay below `2^53`. Per chunk those are scaled by a vector of `2^e` built
-/// in the exponent field and added to the block's `f64` totals.
+/// sums are reduced together, row `r` in lane `r`, and added to `f64`
+/// chunk sums, exactly: they stay below `2^53`. Per chunk those are scaled
+/// by a vector of `2^e` built in the exponent field and added to the
+/// block's `f64` totals, which are rounded to `f32` and stored (or added)
+/// together.
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 #[target_feature(enable = "avx2")]
 #[allow(unsafe_code)]
 #[inline]
 fn narrow_block_avx2<const R: usize, const ACC: bool>(
-    w: &[i8],
-    rows: Rows<'_>,
-    x: Operand<'_>,
+    p: NarrowProduct<'_>,
     out: &mut [f32],
     first: usize,
 ) -> usize {
     use std::arch::x86_64::*;
-    const { assert!(R == 1 || R == 4) };
-    let (cols, cpr) = narrow_shape(w, rows, x, out.len());
-    let chunk = rows.format.block_size() as usize;
-    let bias = scale_bias(rows.format, x.format);
+    const { assert!(R == 1 || R == 8) };
+    let (cols, cpr) = (p.cols, p.chunks);
     let mut row = first;
     for slots in out[first..].chunks_exact_mut(R) {
-        let (mut ws, mut exps) = ([w; R], [rows.exponents; R]);
-        for r in 0..R {
-            ws[r] = &w[(row + r) * cols..][..cols];
-            exps[r] = &rows.exponents[(row + r) * cpr..][..cpr];
-        }
-        let mut totals = _mm256_setzero_pd();
+        // Row `r` of the block starts `r · cols` into `w`, its exponents
+        // `r · cpr` into `exps`.
+        let w = &p.w[row * cols..][..R * cols];
+        let exps = &p.exponents[row * cpr..][..R * cpr];
+        let mut totals = [_mm256_setzero_pd(); 2];
         let mut at = 0;
         for ci in 0..cpr {
-            let end = (at + chunk).min(cols);
-            let mut sums = _mm256_setzero_pd();
+            let end = (at + p.chunk).min(cols);
+            let mut sums = [_mm256_setzero_pd(); 2];
             while at < end {
                 let run_end = (at + I32_RUN).min(end);
                 let mut acc = [_mm256_setzero_si256(); R];
                 while at + NARROW_GROUP <= run_end {
                     // SAFETY: `at + 16 <= run_end <= cols`, the length
-                    // `narrow_shape` asserted `x.lanes` to have.
-                    let lanes = unsafe { load32(x.lanes, at) };
-                    for r in 0..R {
-                        // SAFETY: `at + 16 <= cols`, the length `ws[r]` was
-                        // sliced to.
-                        let wide = unsafe { widen16(ws[r], at) };
-                        acc[r] = _mm256_add_epi32(acc[r], _mm256_madd_epi16(wide, lanes));
+                    // `NarrowProduct::new` sliced `p.lanes` to.
+                    let lanes = unsafe { load32(p.lanes, at) };
+                    for (r, acc) in acc.iter_mut().enumerate() {
+                        // SAFETY: `at + 16 <= cols`, so row `r`'s group ends
+                        // by `(r + 1) · cols <= R · cols`, the length `w`
+                        // was sliced to.
+                        let wide = unsafe { widen16(w, r * cols + at) };
+                        *acc = _mm256_add_epi32(*acc, _mm256_madd_epi16(wide, lanes));
                     }
                     at += NARROW_GROUP;
                 }
                 if at < run_end {
                     let tail = at..run_end;
                     let mut padded = [0i16; NARROW_GROUP];
-                    padded[..tail.len()].copy_from_slice(&x.lanes[tail.clone()]);
+                    padded[..tail.len()].copy_from_slice(&p.lanes[tail.clone()]);
                     // SAFETY: `padded` is 16 lanes, one group, long.
                     let lanes = unsafe { load32(&padded, 0) };
-                    for r in 0..R {
+                    for (r, acc) in acc.iter_mut().enumerate() {
                         let mut padded = [0i8; NARROW_GROUP];
-                        padded[..tail.len()].copy_from_slice(&ws[r][tail.clone()]);
+                        padded[..tail.len()]
+                            .copy_from_slice(&w[r * cols + tail.start..][..tail.len()]);
                         // SAFETY: `padded` is 16 bytes, one group, long.
                         let wide = unsafe { widen16(&padded, 0) };
-                        acc[r] = _mm256_add_epi32(acc[r], _mm256_madd_epi16(wide, lanes));
+                        *acc = _mm256_add_epi32(*acc, _mm256_madd_epi16(wide, lanes));
                     }
                     at = run_end;
                 }
-                sums = _mm256_add_pd(sums, _mm256_cvtepi32_pd(row_sums(&acc)));
+                let run = block_sums(&acc);
+                sums[0] = _mm256_add_pd(sums[0], _mm256_cvtepi32_pd(_mm256_castsi256_si128(run)));
+                sums[1] = _mm256_add_pd(
+                    sums[1],
+                    _mm256_cvtepi32_pd(_mm256_extracti128_si256::<1>(run)),
+                );
             }
-            let scale = chunk_scales(&exps, ci, x.exponents[ci] - bias);
-            totals = _mm256_add_pd(totals, _mm256_mul_pd(sums, scale));
+            let scales = block_scales::<R>(exps, cpr, ci, p.x_exponents[ci] - p.bias);
+            for (total, (sum, scale)) in totals.iter_mut().zip(sums.into_iter().zip(scales)) {
+                *total = _mm256_add_pd(*total, _mm256_mul_pd(sum, scale));
+            }
         }
-        store_totals::<ACC>(slots, totals);
+        store_block::<R, ACC>(slots, totals);
         row += R;
     }
     row
+}
+
+/// Row `r`'s sum of the `i32` lanes of `acc[r]` in lane `r`: a hadd tree
+/// leaves each 128-bit half holding four rows' sums of that half's lanes,
+/// and one cross-lane permute lines the halves up. A one-row block has its
+/// row in all eight lanes.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn block_sums<const R: usize>(acc: &[std::arch::x86_64::__m256i; R]) -> std::arch::x86_64::__m256i {
+    use std::arch::x86_64::*;
+    let pair = |r: usize| _mm256_hadd_epi32(acc[r % R], acc[(r + 1) % R]);
+    // Rows 0–3, then 4–7, each half over its own four lanes.
+    let low = _mm256_hadd_epi32(pair(0), pair(2));
+    let high = _mm256_hadd_epi32(pair(4), pair(6));
+    _mm256_add_epi32(
+        _mm256_blend_epi32::<0xf0>(low, high),
+        _mm256_permute2x128_si256::<0x21>(low, high),
+    )
+}
+
+/// `2^(row exponent + e)` of chunk `ci` of row `r` in lane `r` — rows 0–3
+/// in the first vector, 4–7 in the second, a one-row block's row in all
+/// eight — where row `r`'s `cpr` exponents start `r · cpr` into `exps`.
+/// Built in the exponent field as [`exp2`] builds it, so the two agree bit
+/// for bit.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx2")]
+#[allow(unsafe_code)]
+#[inline]
+fn block_scales<const R: usize>(
+    exps: &[i32],
+    cpr: usize,
+    ci: usize,
+    e: i32,
+) -> [std::arch::x86_64::__m256d; 2] {
+    use std::arch::x86_64::*;
+    let exp = |r: usize| exps[r % R * cpr + ci];
+    let block = if R == 8 && cpr == 1 {
+        // Eight rows of one chunk each: eight consecutive exponents.
+        let exps: &[i32; 8] = exps.try_into().expect("eight rows of one chunk");
+        // SAFETY: an unaligned load of the 32 bytes of `exps`.
+        unsafe { _mm256_loadu_si256(exps.as_ptr().cast()) }
+    } else {
+        _mm256_setr_epi32(
+            exp(0),
+            exp(1),
+            exp(2),
+            exp(3),
+            exp(4),
+            exp(5),
+            exp(6),
+            exp(7),
+        )
+    };
+    let biased = _mm256_add_epi32(block, _mm256_set1_epi32(1023 + e));
+    let field = |half| _mm256_castsi256_pd(_mm256_slli_epi64::<52>(_mm256_cvtepi32_epi64(half)));
+    [
+        field(_mm256_castsi256_si128(biased)),
+        field(_mm256_extracti128_si256::<1>(biased)),
+    ]
+}
+
+/// Stores (`ACC == false`) or adds in `f32` (`ACC == true`) lane `r` of
+/// `totals` to `slots[r]`, rounded as `total as f32` rounds: a block of
+/// eight in one conversion and one store.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[target_feature(enable = "avx2")]
+#[allow(unsafe_code)]
+#[inline]
+fn store_block<const R: usize, const ACC: bool>(
+    slots: &mut [f32],
+    totals: [std::arch::x86_64::__m256d; 2],
+) {
+    use std::arch::x86_64::*;
+    if R == 1 {
+        let total = _mm256_cvtsd_f64(totals[0]) as f32;
+        if ACC {
+            slots[0] += total;
+        } else {
+            slots[0] = total;
+        }
+        return;
+    }
+    let slots: &mut [f32; 8] = slots.try_into().expect("a block of eight rows");
+    let mut y = _mm256_set_m128(_mm256_cvtpd_ps(totals[1]), _mm256_cvtpd_ps(totals[0]));
+    // SAFETY: `slots` is eight `f32`s, the 32 bytes an unaligned load and
+    // store touch.
+    unsafe {
+        if ACC {
+            y = _mm256_add_ps(_mm256_loadu_ps(slots.as_ptr()), y);
+        }
+        _mm256_storeu_ps(slots.as_mut_ptr(), y);
+    }
 }
 
 #[cfg(test)]
@@ -939,7 +1152,7 @@ mod tests {
         let all = [0, 1, 15, 16, 17, 31, 32, 33, 127, 128, 129, 400];
         let widths = if cfg!(miri) { &all[..8] } else { &all[..] };
         for &cols in widths {
-            for n in [1, 2, 3, 4, 5, 7, 8] {
+            for n in [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17] {
                 assert_narrow_matches_oracle(n, cols, 128, (cols + n) as u64);
             }
         }
@@ -965,11 +1178,11 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "every width to 1,024 in six chunk sizes: 5 s unoptimized, run by CI in release"]
+    #[ignore = "every width to 1,024 in six chunk sizes: 22 s unoptimized, run by CI in release"]
     fn narrow_pairing_matches_oracle_at_every_width_and_chunk() {
         for chunk in [4, 16, 64, 100, 128, 400] {
             for cols in 0..=1024 {
-                for n in [1, 4, 9] {
+                for n in [1, 4, 8, 9, 17] {
                     assert_narrow_matches_oracle(n, cols, chunk, (chunk * cols + n) as u64);
                 }
             }
@@ -981,15 +1194,16 @@ mod tests {
         // Where AVX2 is detected the dispatcher takes that body, so this
         // compares the two; elsewhere it compares portable to itself.
         for cols in [0, 1, 15, 16, 17, 31, 32, 33, 127, 128, 129, 400] {
-            for n in [1, 2, 3, 4, 5, 7, 8] {
+            for n in [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17] {
                 let case = NarrowCase::saturated(n, cols, 128, (cols * n) as u64);
                 let (rows, x) = (case.rows(), case.operand());
+                let product = NarrowProduct::new(&case.w, rows, x.exponents.len(), x, n);
                 let mut portable = vec![0.5f32; n];
                 let mut dispatched = portable.clone();
-                narrow_rows_body::<true>(&case.w, rows, x, &mut portable);
+                narrow_rows_body::<true>(product, &mut portable);
                 narrow_rows::<true>(&case.w, rows, x, &mut dispatched);
                 assert_eq!(bits(&portable), bits(&dispatched), "{n} × {cols}");
-                narrow_rows_body::<false>(&case.w, rows, x, &mut portable);
+                narrow_rows_body::<false>(product, &mut portable);
                 narrow_rows::<false>(&case.w, rows, x, &mut dispatched);
                 assert_eq!(bits(&portable), bits(&dispatched), "{n} × {cols}");
             }
@@ -1018,6 +1232,29 @@ mod tests {
         let mut out = [1.0f32];
         mac_rows::<false>(rows, x, &mut out);
         assert_eq!(out[0].to_bits(), (-0.0f32).to_bits());
+        // The narrow pairing's block of eight converts and stores its
+        // totals together: one block, a block and a tail, two and a tail.
+        // Added onto `-0.0` the sign stays too.
+        for n in [8, 9, 17] {
+            let (w, exponents) = (vec![-1; n], vec![-100; n]);
+            let rows = Rows {
+                mantissas: MantissaSlice::Narrow(&w),
+                exponents: &exponents,
+                ..rows
+            };
+            for (start, acc) in [(1.0f32, false), (-0.0, true)] {
+                let mut out = vec![start; n];
+                if acc {
+                    mac_rows::<true>(rows, x, &mut out);
+                } else {
+                    mac_rows::<false>(rows, x, &mut out);
+                }
+                assert!(
+                    out.iter().all(|y| y.to_bits() == (-0.0f32).to_bits()),
+                    "{n} rows"
+                );
+            }
+        }
         // The packed pairing, one row (the tail body) and five (a block and
         // a tail): every total is -1 · 2^-202.
         for n in [1, 5] {

@@ -28,15 +28,17 @@
 //! the one statement of the layouts and their kernels.
 //!
 //! The dot-product hot path ([`BfpMatrix::mv_mul_into`],
-//! [`BfpMatrix::mv_mul_acc`], [`BfpBlock::dot`]) has a vector kernel for
+//! [`BfpMatrix::mv_mul_acc_row`], [`BfpBlock::dot`]) has a vector kernel for
 //! each of the first two layouts, taken when the matrix and the input vector
 //! share it: packed rows against the vector's mantissas as zero-padded `i8`
 //! with each chunk's sum (unsigned × signed byte multiply-adds), and `i8`
 //! rows against the vector's mantissas widened to `i16` (16-bit
 //! multiply-adds). [`BfpBlock`] keeps either form from the moment it is
-//! quantized. Each kernel has a portable body and, on x86-64, an AVX2 one,
-//! four rows to one load of the vector, that a call takes when the CPU has
-//! it. Wide or mixed-layout operands run the reference
+//! quantized. Each kernel has a portable body and, on x86-64, an AVX2 one —
+//! eight `i8` rows, or four packed ones, to one load of the vector — that
+//! is taken when the CPU has it; `mv_mul_acc_row` checks a grid row of
+//! tiles and detects the CPU once for all of them. Wide or mixed-layout
+//! operands run the reference
 //! loop of [`BfpMatrix::mv_mul_naive`]:
 //! element-by-element 64-bit sums over any layout, the oracle all of the
 //! above is tested bit-for-bit against.

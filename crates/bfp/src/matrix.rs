@@ -3,7 +3,7 @@
 
 use crate::block::{quantize_append, quantizes_to_nothing, BfpBlock, DotError, Rounding};
 use crate::format::{BfpFormat, Layout};
-use crate::kernel::{self, mac_rows, Mantissas, Rows};
+use crate::kernel::{self, mac_rows, Mantissas, Rows, Tile};
 
 /// A dense matrix quantized to block floating point, row by row.
 ///
@@ -284,6 +284,7 @@ impl BfpMatrix {
     }
 
     /// The live extent as the matrix it is to the MAC kernel.
+    #[inline]
     fn live(&self) -> Rows<'_> {
         Rows {
             format: self.format,
@@ -326,33 +327,42 @@ impl BfpMatrix {
         Ok(())
     }
 
-    /// Matrix-vector product *accumulated* into `acc`: `acc[r] += row_r · x`.
+    /// One grid row of a tiled matrix-vector product, accumulated: for
+    /// each `(tile, x)` in order, `acc[r] += tile.row(r) · x`.
     ///
-    /// The per-row dot is computed as an `f32` (exactly as
-    /// [`mv_mul_into`](Self::mv_mul_into) produces it) and then added in `f32`, matching the MVM datapath's
-    /// tile-accumulation order bit-for-bit.
+    /// Each tile's per-row dot is computed as an `f32` (exactly as
+    /// [`mv_mul_into`](Self::mv_mul_into) produces it) and then added in
+    /// `f32`, tile by tile, matching the MVM datapath's tile-accumulation
+    /// order bit-for-bit. Every tile is checked before anything is added,
+    /// and the kernel is picked once for the row, not once per tile.
     ///
     /// # Errors
     ///
-    /// Returns [`DotError`] if `x` does not match the column count or chunk
-    /// size, or [`DotError::LengthMismatch`] if `acc.len() != self.rows()`.
-    pub fn mv_mul_acc(&self, x: &BfpBlock, acc: &mut [f32]) -> Result<(), DotError> {
-        if acc.len() != self.rows {
-            return Err(DotError::LengthMismatch {
-                lhs: self.rows,
-                rhs: acc.len(),
-            });
+    /// Returns [`DotError`] if an `x` does not match its tile's column
+    /// count or chunk size, or [`DotError::LengthMismatch`] if a tile does
+    /// not have `acc.len()` rows; `acc` is then left as it was.
+    pub fn mv_mul_acc_row<'a, I>(tiles: I, acc: &mut [f32]) -> Result<(), DotError>
+    where
+        I: IntoIterator<Item = (&'a BfpMatrix, &'a BfpBlock)>,
+        I::IntoIter: Clone,
+    {
+        let tiles = tiles.into_iter();
+        for (tile, x) in tiles.clone() {
+            if acc.len() != tile.rows {
+                return Err(DotError::LengthMismatch {
+                    lhs: tile.rows,
+                    rhs: acc.len(),
+                });
+            }
+            check_operand(tile.format, tile.cols, x)?;
         }
-        if self.rows == 0 {
-            return Ok(());
-        }
-        check_operand(self.format, self.cols, x)?;
-        let live = self.live();
-        let (acc, past) = acc.split_at_mut(self.live_rows);
-        mac_rows::<true>(live, x.operand().prefix(live.cols), acc);
-        // A row of zero mantissas adds `+0.0`, which an accumulator of
-        // `-0.0` shows.
-        past.iter_mut().for_each(|a| *a += 0.0);
+        let tiles = tiles.map(|(tile, x)| Tile {
+            live: tile.live(),
+            rows: tile.live_rows,
+            chunks: tile.live_chunks,
+            x: x.operand(),
+        });
+        kernel::mac_tiles(tiles, acc);
         Ok(())
     }
 
@@ -529,15 +539,30 @@ mod tests {
         let x = BfpBlock::quantize(&[1.0, 2.0, 3.0, 4.0], FMT);
         let base = m.mv_mul(&x).unwrap();
         let mut acc = base.clone();
-        m.mv_mul_acc(&x, &mut acc).unwrap();
+        BfpMatrix::mv_mul_acc_row([(&m, &x)], &mut acc).unwrap();
         for (a, b) in acc.iter().zip(&base) {
             assert_eq!(*a, b + b);
         }
+        // A row of tiles adds each tile's `f32` product in turn.
+        let mut acc = base.clone();
+        BfpMatrix::mv_mul_acc_row([(&m, &x), (&m, &x)], &mut acc).unwrap();
+        for (a, b) in acc.iter().zip(&base) {
+            assert_eq!(*a, b + b + b);
+        }
         let mut wrong = vec![0.0; 2];
         assert_eq!(
-            m.mv_mul_acc(&x, &mut wrong),
+            BfpMatrix::mv_mul_acc_row([(&m, &x)], &mut wrong),
             Err(DotError::LengthMismatch { lhs: 3, rhs: 2 })
         );
+        // A refused tile anywhere in the row leaves the accumulator as it
+        // was.
+        let short = BfpBlock::quantize(&[1.0], FMT);
+        let mut acc = base.clone();
+        assert_eq!(
+            BfpMatrix::mv_mul_acc_row([(&m, &x), (&m, &short)], &mut acc),
+            Err(DotError::LengthMismatch { lhs: 4, rhs: 1 })
+        );
+        assert_eq!(acc, base);
     }
 
     #[test]
@@ -759,7 +784,7 @@ mod tests {
             prop_assert_eq!(naive.len(), rows);
             let mut acc: Vec<f32> = (0..rows).map(|r| if r % 2 == 0 { -0.0 } else { 0.75 }).collect();
             let before = acc.clone();
-            m.mv_mul_acc(&qx, &mut acc).unwrap();
+            BfpMatrix::mv_mul_acc_row([(&m, &qx)], &mut acc).unwrap();
             for r in 0..rows {
                 prop_assert_eq!(naive[r].to_bits(), reference[r].dot_naive(&qx).unwrap().to_bits());
                 prop_assert_eq!(fast[r].to_bits(), naive[r].to_bits(), "row {}", r);
@@ -814,12 +839,12 @@ mod tests {
                 prop_assert_eq!(f.to_bits(), n.to_bits(), "fast {} vs naive {}", f, n);
             }
             // mv_mul_into reuses buffers but must produce the same values,
-            // and mv_mul_acc adds exactly them in f32.
+            // and mv_mul_acc_row adds exactly them in f32.
             let mut buf = vec![9.0f32; 3];
             m.mv_mul_into(&qx, &mut buf).unwrap();
             prop_assert_eq!(&buf, &fast);
             let mut acc = vec![0.75f32; rows];
-            m.mv_mul_acc(&qx, &mut acc).unwrap();
+            BfpMatrix::mv_mul_acc_row([(&m, &qx)], &mut acc).unwrap();
             for (a, f) in acc.iter().zip(&fast) {
                 prop_assert_eq!(a.to_bits(), (0.75f32 + f).to_bits());
             }

@@ -97,6 +97,21 @@ impl MatrixFile {
             .ok_or(SimError::MrfEntryUninitialized { index })
     }
 
+    /// The `n` tiles from entry `first` on, in order: one row of a tile
+    /// grid, every entry of it written.
+    pub(crate) fn tiles(
+        &self,
+        first: u32,
+        n: u32,
+    ) -> Result<impl Iterator<Item = &BfpMatrix> + Clone, SimError> {
+        let slots = &self.slots[first as usize..][..n as usize];
+        if let Some(at) = slots.iter().position(Option::is_none) {
+            let index = first + at as u32;
+            return Err(SimError::MrfEntryUninitialized { index });
+        }
+        Ok(slots.iter().flatten())
+    }
+
     pub(crate) fn store(&mut self, index: u32, tile: BfpMatrix) {
         self.slots[index as usize] = Some(tile);
     }
@@ -252,8 +267,8 @@ mod tests {
             assert_eq!(zero, &tile(0.0));
             assert_eq!(zero.host_bytes(), 0);
             let mut acc = [-0.0f32, 1.5];
-            zero.mv_mul_acc(&BfpBlock::quantize(&[-3.0, 7.0], fmt), &mut acc)
-                .unwrap();
+            let x = BfpBlock::quantize(&[-3.0, 7.0], fmt);
+            BfpMatrix::mv_mul_acc_row([(zero, &x)], &mut acc).unwrap();
             assert_eq!(acc.map(f32::to_bits), [0.0f32, 1.5].map(f32::to_bits));
         }
         // A slot never written stays an error.

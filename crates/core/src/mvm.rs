@@ -106,15 +106,13 @@ pub(crate) fn compute_into(
         scratch.quantized.extend(bits);
     }
 
+    // One call per grid row: bw-bfp checks the row's tiles and picks its
+    // kernel once, then adds each tile's product in column order.
     out.clear();
     out.resize(rows as usize * nd, 0.0);
-    for r in 0..rows {
-        let acc = &mut out[r as usize * nd..(r as usize + 1) * nd];
-        for c in 0..cols {
-            let tile = mrf.tile(base + r * cols + c)?;
-            tile.mv_mul_acc(&scratch.qinputs[c as usize], acc)
-                .expect(NATIVE);
-        }
+    for (r, acc) in (0..rows).zip(out.chunks_exact_mut(nd)) {
+        let tiles = mrf.tiles(base + r * cols, cols)?;
+        BfpMatrix::mv_mul_acc_row(tiles.zip(&scratch.qinputs), acc).expect(NATIVE);
     }
     Ok(())
 }
@@ -331,6 +329,59 @@ mod tests {
         assert_eq!(fast.len(), naive_flat.len());
         for (f, nv) in fast.iter().zip(&naive_flat) {
             assert_eq!(f.to_bits(), nv.to_bits(), "fast {f} vs naive {nv}");
+        }
+
+        // The demo MLP's shapes (native 16, 1s.5e.5m): its 64 × 16,
+        // 32 × 64 and 8 × 32 layers are 4 × 1, 2 × 4 and 1 × 2 grids, the
+        // last of tiles with 8 live rows (one block of the narrow kernel);
+        // 12 live rows are a block and a tail.
+        let cfg = NpuConfig::builder()
+            .native_dim(16)
+            .lanes(4)
+            .tile_engines(4)
+            .mrf_entries(64)
+            .matrix_format(bw_bfp::BfpFormat::BFP_1S_5E_5M)
+            .build()
+            .unwrap();
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for (rows, cols, grid_rows, grid_cols) in [
+            (64, 16, 4, 1),
+            (32, 64, 2, 4),
+            (8, 32, 1, 2),
+            (12, 32, 1, 2),
+        ] {
+            let mut mrf = MatrixFile::new(64);
+            let data: Vec<f32> = (0..rows * cols)
+                .map(|i| ((i * 7) % 23) as f32 / 8.0 - 1.3)
+                .collect();
+            let tiles = tile_matrix(&cfg, rows, cols, &data, grid_rows, grid_cols);
+            for (i, t) in tiles.into_iter().enumerate() {
+                mrf.store(i as u32, t);
+            }
+            assert_eq!(mrf.tile(0).unwrap().live_shape(), (rows.min(16), 16));
+            let x: Vec<f32> = (0..cols).map(|i| (i as f32 * 0.37).sin() * 3.0).collect();
+            let columns: Vec<Vec<f32>> = x.chunks(16).map(<[f32]>::to_vec).collect();
+            let fast = compute_flat(&cfg, &mrf, 0, grid_rows, grid_cols, &x).unwrap();
+            let naive = compute_naive(&cfg, &mrf, 0, grid_rows, grid_cols, &columns).unwrap();
+            let naive: Vec<f32> = naive.into_iter().flatten().collect();
+            assert_eq!(bits(&fast), bits(&naive), "{rows} × {cols}");
+            // A grid row added onto `-0.0`, which the rows past a tile's
+            // live extent turn to `+0.0`.
+            let fmt = cfg.matrix_format();
+            let qx: Vec<BfpBlock> = columns.iter().map(|c| BfpBlock::quantize(c, fmt)).collect();
+            for r in 0..grid_rows {
+                let mut acc = vec![-0.0f32; 16];
+                let row = mrf.tiles(r * grid_cols, grid_cols).unwrap();
+                BfpMatrix::mv_mul_acc_row(row.zip(&qx), &mut acc).unwrap();
+                let mut want = vec![-0.0f32; 16];
+                for (c, x) in qx.iter().enumerate() {
+                    let tile = mrf.tile(r * grid_cols + c as u32).unwrap();
+                    for (w, p) in want.iter_mut().zip(tile.mv_mul_naive(x).unwrap()) {
+                        *w += p;
+                    }
+                }
+                assert_eq!(bits(&acc), bits(&want), "{rows} × {cols}, grid row {r}");
+            }
         }
     }
 

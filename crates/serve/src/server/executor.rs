@@ -440,6 +440,8 @@ impl Run {
     /// Dispatches every leg of the in-flight stage. On error the legs
     /// already dispatched stay in `legs` for the terminal accounting.
     fn scatter(&mut self) -> Result<(), DispatchStopped> {
+        // The stage's width, not the four a first push would reserve.
+        self.legs.reserve_exact(self.plan.stages[self.stage].len());
         for leg in &self.plan.stages[self.stage] {
             if let Some(member) = &leg.member {
                 member.submitted.fetch_add(1, Ordering::Relaxed);

@@ -9,14 +9,14 @@
 //!   back;
 //! * 1,000 warm `Client::call`s of it on a one-replica pool allocate at
 //!   most 14 times per call on average — measured 14.00 — with a slack
-//!   of one per hundred calls, and ask for at most 2,048 B per call —
-//!   measured 1,904 B. A call allocates the input's copy (64 B) and the
-//!   columns that share it (40 B); the member list (40 B); the router's
-//!   candidate order (32 B); the attempt's reply slot (232 B: the
-//!   completion is held inline); the boxed job (72 B); the leg's tried
-//!   list (8 B) and the leg list (992 B: a first push reserves four legs);
-//!   the five allocations of `infer_batch` above (280 B); and the
-//!   response (144 B). Whether the reply or the caller's wait comes first
+//!   of one per hundred calls, and ask for at most 1,280 B per call —
+//!   measured 1,160 B, with about a tenth of slack. A call allocates the
+//!   input's copy (64 B) and the columns that share it (40 B); the member
+//!   list (40 B); the router's candidate order (32 B); the attempt's reply
+//!   slot (232 B: the completion is held inline); the boxed job (72 B);
+//!   the leg's tried list (8 B) and the leg list (248 B: one leg, reserved
+//!   at the stage's width); the five allocations of `infer_batch` above
+//!   (280 B); and the response (144 B). Whether the reply or the caller's wait comes first
 //!   changes none of them: parking on a reply slot allocates nothing.
 //!
 //! The counting allocator is process-global, so the worker thread's
@@ -85,7 +85,7 @@ const WIDTHS: [usize; 4] = [16, 64, 32, 8];
 const CALLS: usize = 1_000;
 const PER_CALL: usize = 14;
 const PER_INFER_BATCH: usize = 5;
-const BYTES_PER_CALL: usize = 2_048;
+const BYTES_PER_CALL: usize = 1_280;
 
 #[test]
 fn warm_requests_allocate_a_pinned_number_of_times() {

@@ -7,7 +7,7 @@
 //! position produces all `C_out` channels.
 
 use bw_core::isa::{MemId, Program, ProgramBuilder};
-use bw_core::{Npu, NpuConfig, SimError};
+use bw_core::{Npu, SimError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -65,101 +65,6 @@ impl ConvShape {
     }
 }
 
-/// A layer lowered onto one `mv_mul` chain per output position: an
-/// `outputs × inputs` matrix pinned in the MRF, and one input vector per
-/// position streamed in and out through the network queue. 2-D and 1-D
-/// convolution differ only in the shape and in how they cut the inputs.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct MvLayer {
-    positions: usize,
-    outputs: usize,
-    inputs: usize,
-    /// Native tile rows: `ceil(outputs / N)`.
-    grid_out: u32,
-    /// Native tile columns: `ceil(inputs / N)`.
-    grid_in: u32,
-}
-
-impl MvLayer {
-    pub(crate) fn new(config: &NpuConfig, positions: usize, outputs: usize, inputs: usize) -> Self {
-        let nd = config.native_dim();
-        MvLayer {
-            positions,
-            outputs,
-            inputs,
-            grid_out: (outputs as u32).div_ceil(nd),
-            grid_in: (inputs as u32).div_ceil(nd),
-        }
-    }
-
-    pub(crate) fn mrf_entries_required(&self) -> u32 {
-        self.grid_out * self.grid_in
-    }
-
-    /// One chain per position, streaming from the network queue. `relu`
-    /// fuses the activation.
-    pub(crate) fn program(&self, mrf_base: u32, relu: bool) -> Program {
-        let mut b = ProgramBuilder::new();
-        let ok = "statically valid conv firmware";
-        b.set_rows(self.grid_out).set_cols(self.grid_in);
-        b.begin_loop(self.positions as u32).expect(ok);
-        b.v_rd(MemId::NetQ, 0).mv_mul(mrf_base);
-        if relu {
-            b.v_relu();
-        }
-        b.v_wr(MemId::NetQ, 0).end_chain().expect(ok);
-        b.end_loop().expect(ok);
-        b.build()
-    }
-
-    pub(crate) fn load_weights(
-        &self,
-        npu: &mut Npu,
-        mrf_base: u32,
-        weights: &[f32],
-    ) -> Result<(), SimError> {
-        let (rows, cols) = (self.outputs, self.inputs);
-        npu.load_tiled_matrix(mrf_base, self.grid_out, self.grid_in, rows, cols, weights)?;
-        Ok(())
-    }
-
-    pub(crate) fn load_random_weights(
-        &self,
-        npu: &mut Npu,
-        mrf_base: u32,
-        seed: u64,
-    ) -> Result<(), SimError> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let scale = 1.0 / (self.inputs as f32).sqrt();
-        let weights: Vec<f32> = (0..self.outputs * self.inputs)
-            .map(|_| rng.gen_range(-scale..scale))
-            .collect();
-        self.load_weights(npu, mrf_base, &weights)
-    }
-
-    /// Runs the program over the inputs already pushed, one per position,
-    /// and returns the `positions × outputs` results.
-    pub(crate) fn run(
-        &self,
-        npu: &mut Npu,
-        mrf_base: u32,
-        relu: bool,
-    ) -> Result<(Vec<f32>, bw_core::RunStats), SimError> {
-        let stats = npu.run(&self.program(mrf_base, relu))?;
-        let mut output = vec![0.0f32; self.positions * self.outputs];
-        for row in output.chunks_exact_mut(self.outputs) {
-            let y = npu
-                .pop_output_concat(self.grid_out as usize, self.outputs)
-                .ok_or(SimError::NetQueueEmpty {
-                    requested: self.grid_out,
-                    available: 0,
-                })?;
-            row.copy_from_slice(&y);
-        }
-        Ok((output, stats))
-    }
-}
-
 /// A convolution layer mapped onto a BW NPU.
 ///
 /// # Example
@@ -184,14 +89,21 @@ impl MvLayer {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ConvLayer {
     shape: ConvShape,
-    layer: MvLayer,
+    /// Native tile rows: `ceil(C_out / N)`.
+    grid_out: u32,
+    /// Native tile columns: `ceil(K·K·C_in / N)`.
+    grid_in: u32,
 }
 
 impl ConvLayer {
     /// Plans a convolution layer for an NPU configuration.
     pub fn new(config: &bw_core::NpuConfig, shape: ConvShape) -> Self {
-        let layer = MvLayer::new(config, shape.positions(), shape.c_out, shape.patch_len());
-        ConvLayer { shape, layer }
+        let nd = config.native_dim();
+        ConvLayer {
+            shape,
+            grid_out: (shape.c_out as u32).div_ceil(nd),
+            grid_in: (shape.patch_len() as u32).div_ceil(nd),
+        }
     }
 
     /// The layer shape.
@@ -201,13 +113,23 @@ impl ConvLayer {
 
     /// MRF entries the kernel matrix occupies.
     pub fn mrf_entries_required(&self) -> u32 {
-        self.layer.mrf_entries_required()
+        self.grid_out * self.grid_in
     }
 
     /// Generates firmware: one chain per output position, streaming patches
     /// from the network queue. `relu` fuses the activation.
     pub fn program(&self, mrf_base: u32, relu: bool) -> Program {
-        self.layer.program(mrf_base, relu)
+        let mut b = ProgramBuilder::new();
+        let ok = "statically valid conv firmware";
+        b.set_rows(self.grid_out).set_cols(self.grid_in);
+        b.begin_loop(self.shape.positions() as u32).expect(ok);
+        b.v_rd(MemId::NetQ, 0).mv_mul(mrf_base);
+        if relu {
+            b.v_relu();
+        }
+        b.v_wr(MemId::NetQ, 0).end_chain().expect(ok);
+        b.end_loop().expect(ok);
+        b.build()
     }
 
     /// Pins the kernel (layout `C_out × K·K·C_in`, matching
@@ -222,7 +144,9 @@ impl ConvLayer {
         mrf_base: u32,
         kernel: &[f32],
     ) -> Result<(), SimError> {
-        self.layer.load_weights(npu, mrf_base, kernel)
+        let (rows, cols) = (self.shape.c_out, self.shape.patch_len());
+        npu.load_tiled_matrix(mrf_base, self.grid_out, self.grid_in, rows, cols, kernel)?;
+        Ok(())
     }
 
     /// Pins a random kernel (deterministic in `seed`).
@@ -236,7 +160,13 @@ impl ConvLayer {
         mrf_base: u32,
         seed: u64,
     ) -> Result<(), SimError> {
-        self.layer.load_random_weights(npu, mrf_base, seed)
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (rows, cols) = (self.shape.c_out, self.shape.patch_len());
+        let scale = 1.0 / (cols as f32).sqrt();
+        let kernel: Vec<f32> = (0..rows * cols)
+            .map(|_| rng.gen_range(-scale..scale))
+            .collect();
+        self.load_weights(npu, mrf_base, &kernel)
     }
 
     /// Runs the layer on an `H × W × C_in` HWC input, returning the
@@ -266,7 +196,18 @@ impl ConvLayer {
                 npu.push_input_padded(&patch);
             }
         }
-        self.layer.run(npu, mrf_base, relu)
+        let stats = npu.run(&self.program(mrf_base, relu))?;
+        let mut output = vec![0.0f32; s.positions() * s.c_out];
+        for row in output.chunks_exact_mut(s.c_out) {
+            let y = npu
+                .pop_output_concat(self.grid_out as usize, s.c_out)
+                .ok_or(SimError::NetQueueEmpty {
+                    requested: self.grid_out,
+                    available: 0,
+                })?;
+            row.copy_from_slice(&y);
+        }
+        Ok((output, stats))
     }
 
     /// Timing-only evaluation: reserves the kernel grid, pushes placeholder
@@ -281,11 +222,8 @@ impl ConvLayer {
         npu: &mut Npu,
         mrf_base: u32,
     ) -> Result<bw_core::RunStats, SimError> {
-        let MvLayer {
-            grid_out, grid_in, ..
-        } = self.layer;
-        npu.reserve_matrix_grid(mrf_base, grid_out, grid_in)?;
-        npu.push_input_zeros(grid_in as usize * self.shape.positions());
+        npu.reserve_matrix_grid(mrf_base, self.grid_out, self.grid_in)?;
+        npu.push_input_zeros(self.grid_in as usize * self.shape.positions());
         npu.run(&self.program(mrf_base, true))
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! Provides three layers of functionality:
 //!
-//! * [`mod@reference`] — plain `f32` golden models (LSTM/GRU cells, dense
-//!   layers, 2-D convolution) that tests validate the NPU against;
-//! * firmware generators ([`Rnn`], [`Mlp`], [`ConvLayer`]) that emit BW
+//! * [`mod@reference`] — plain `f32` golden models (LSTM/GRU cells, 2-D
+//!   convolution) that tests validate the NPU against;
+//! * firmware generators ([`Rnn`], [`ConvLayer`]) that emit BW
 //!   ISA programs, plan MRF/VRF layouts, pin weights, and drive end-to-end
 //!   runs. [`Rnn`] is one skeleton for both recurrent cells, picked by
 //!   [`RnnKind`]: a cell is a VRF layout, the chains of one step, and its
@@ -33,28 +33,19 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod accuracy;
-mod birnn;
 mod cnn;
 pub mod deepbench;
 mod gru;
 mod lstm;
-mod mlp;
 pub mod reference;
 pub mod resnet;
 mod rnn;
-mod speech;
-mod streamed;
-mod text_cnn;
 
-pub use birnn::{BiLstm, BiRunStats};
 pub use cnn::{ConvLayer, ConvShape};
 pub use deepbench::{table5_suite, RnnBenchmark, RnnKind};
 pub use gru::Gru;
 pub use lstm::Lstm;
-pub use mlp::{DenseWeights, Mlp};
 pub use rnn::{GruWeights, LstmWeights, Rnn, RnnDims, RnnWeights};
-pub use speech::{SpeechModel, SpeechModelShape, SpeechRunStats};
-pub use streamed::StreamedConvNet;
-pub use text_cnn::{Conv1d, Conv1dShape};

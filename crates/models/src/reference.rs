@@ -27,22 +27,6 @@ pub fn matvec(w: &[f32], rows: usize, cols: usize, x: &[f32]) -> Vec<f32> {
         .collect()
 }
 
-/// Dense layer `y = act(W·x + b)`.
-///
-/// # Panics
-///
-/// Panics on shape mismatch (see [`matvec`]).
-pub fn dense(w: &[f32], b: &[f32], rows: usize, cols: usize, x: &[f32], relu: bool) -> Vec<f32> {
-    let mut y = matvec(w, rows, cols, x);
-    for (yi, bi) in y.iter_mut().zip(b) {
-        *yi += bi;
-        if relu {
-            *yi = yi.max(0.0);
-        }
-    }
-    y
-}
-
 /// One LSTM cell step (the standard formulation of §III / Hochreiter &
 /// Schmidhuber), returning `(h_next, c_next)`.
 ///
@@ -213,15 +197,6 @@ mod tests {
     fn matvec_identity() {
         let w = vec![1.0, 0.0, 0.0, 1.0];
         assert_eq!(matvec(&w, 2, 2, &[3.0, 4.0]), vec![3.0, 4.0]);
-    }
-
-    #[test]
-    fn dense_applies_bias_and_relu() {
-        let w = vec![1.0, 0.0, 0.0, -1.0];
-        let y = dense(&w, &[0.5, 0.5], 2, 2, &[1.0, 2.0], true);
-        assert_eq!(y, vec![1.5, 0.0]);
-        let y = dense(&w, &[0.5, 0.5], 2, 2, &[1.0, 2.0], false);
-        assert_eq!(y, vec![1.5, -1.5]);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! |---|---|---|
 //! | [`core`] | `bw-core` | the NPU: mega-SIMD ISA, chains, cycle-level simulator, HDD |
 //! | [`bfp`] | `bw-bfp` | block floating point + software float16 |
-//! | [`models`] | `bw-models` | LSTM/GRU/MLP/CNN firmware, DeepBench + ResNet-50 workloads |
+//! | [`models`] | `bw-models` | LSTM/GRU/CNN firmware, DeepBench + ResNet-50 workloads |
 //! | [`gir`] | `bw-gir` | graph IR, fusion, multi-FPGA partitioning, lowering |
 //! | [`dataflow`] | `bw-dataflow` | UDM/SDM critical-path methodology |
 //! | [`fpga`] | `bw-fpga` | device catalog, area model, synthesis specialization |
@@ -81,9 +81,8 @@ pub mod prelude {
     pub use bw_dataflow::{ConvCriticalPath, RnnCriticalPath};
     pub use bw_fpga::{Device, ModelRequirements, ResourceEstimate};
     pub use bw_models::{
-        table5_suite, BiLstm, Conv1d, Conv1dShape, ConvLayer, ConvShape, Gru, GruWeights, Lstm,
-        LstmWeights, Mlp, Rnn, RnnBenchmark, RnnDims, RnnKind, SpeechModel, SpeechModelShape,
-        StreamedConvNet,
+        table5_suite, ConvLayer, ConvShape, Gru, GruWeights, Lstm, LstmWeights, Rnn, RnnBenchmark,
+        RnnDims, RnnKind,
     };
     pub use bw_serve::{Server, ServerConfig};
     pub use bw_system::{

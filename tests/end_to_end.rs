@@ -2,8 +2,10 @@
 //! through firmware generation, binary encoding, simulation, and
 //! golden-model validation.
 
+use brainwave::gir::{LowerOptions, ModelArtifact};
 use brainwave::models::reference;
 use brainwave::prelude::*;
+use brainwave::serve::demo::mlp_graph;
 
 fn small_cfg() -> NpuConfig {
     NpuConfig::builder()
@@ -142,12 +144,20 @@ fn conv_then_mlp_feature_pipeline() {
     let (features, _) = conv.run(&mut npu, 0, &image, true).unwrap();
     assert_eq!(features.len(), 64); // 4x4x4
 
-    // Dense head on a second NPU (a two-device microservice).
-    let mlp = Mlp::new(&cfg, &[64, 8]);
-    let mut head = Npu::new(cfg);
-    mlp.load_random_weights(&mut head, 9).unwrap();
-    let (scores, _) = mlp.run(&mut head, std::slice::from_ref(&features)).unwrap();
-    assert_eq!(scores[0].len(), 8);
+    // Dense head on a second NPU (a two-device microservice), compiled
+    // by the toolflow and checked against its graph's f32 evaluation.
+    let head = mlp_graph(&[64, 8], 9);
+    let scores = ModelArtifact::compile("head", &head, 1 << 24, &cfg, &LowerOptions::default())
+        .unwrap()
+        .pin()
+        .unwrap()
+        .infer(&features)
+        .unwrap();
+    assert_eq!(scores.len(), 8);
+    let want = head.evaluate(&features).unwrap();
+    for (got, want) in scores.iter().zip(&want) {
+        assert!((got - want).abs() < 0.05, "{got} vs {want}");
+    }
 
     // Reference.
     let ref_features: Vec<f32> = reference::conv2d(&image, 4, 4, 2, &kernel, 3, 4, 1, 1)

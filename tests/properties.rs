@@ -1,8 +1,10 @@
 //! Workspace-level property tests: randomized models and programs pushed
 //! through the whole stack.
 
+use brainwave::gir::{LowerOptions, ModelArtifact};
 use brainwave::models::reference;
 use brainwave::prelude::*;
+use brainwave::serve::demo::mlp_graph;
 use proptest::prelude::*;
 
 fn small_cfg() -> NpuConfig {
@@ -120,7 +122,8 @@ proptest! {
         prop_assert!(c2 > c1, "monotonicity: {} vs {}", c1, c2);
     }
 
-    /// MLPs of random shape match the dense reference.
+    /// MLPs of random shape, compiled by the toolflow, track their
+    /// graph's f32 evaluation.
     #[test]
     fn mlp_tracks_reference(
         l1 in 4usize..20,
@@ -128,14 +131,19 @@ proptest! {
         l3 in 2usize..12,
         seed in 0u64..100,
     ) {
-        let cfg = small_cfg();
-        let mlp = Mlp::new(&cfg, &[l1, l2, l3]);
-        let mut npu = Npu::new(cfg);
-        mlp.load_random_weights(&mut npu, seed).unwrap();
+        let graph = mlp_graph(&[l1, l2, l3], seed);
+        let mut model =
+            ModelArtifact::compile("mlp", &graph, 1 << 24, &small_cfg(), &LowerOptions::default())
+                .unwrap()
+                .pin()
+                .unwrap();
         let x: Vec<f32> = (0..l1).map(|i| ((i as f32) * 0.31).sin() * 0.5).collect();
-        let (y, _) = mlp.run(&mut npu, std::slice::from_ref(&x)).unwrap();
-        prop_assert_eq!(y[0].len(), l3);
-        prop_assert!(y[0].iter().all(|v| v.is_finite()));
+        let y = model.infer(&x).unwrap();
+        prop_assert_eq!(y.len(), l3);
+        let want = graph.evaluate(&x).unwrap();
+        for (got, want) in y.iter().zip(&want) {
+            prop_assert!((got - want).abs() < 0.05, "{} vs {}", got, want);
+        }
     }
 
     /// The fast simulator kernels are a pure optimization: on any random

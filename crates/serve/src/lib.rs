@@ -11,9 +11,10 @@
 //! - [`ServerBuilder`] — registers the published catalog of compiled
 //!   [`ModelArtifact`](bw_gir::ModelArtifact)s (firmware + BFP weights,
 //!   via `bw-gir`);
-//! - worker threads — each pins every registered model onto its own
-//!   `bw-core` NPUs (fast kernels) and drains a bounded queue, one
-//!   batch-1 inference at a time;
+//! - workers — each pins every registered model onto its own `bw-core`
+//!   NPUs (fast kernels), its device, and serves a bounded queue, one
+//!   batch-1 inference at a time, on its own thread or on the thread
+//!   waiting for the request when the device is idle;
 //! - a router — the three policies of `bw_system::Routing` (round-robin
 //!   / random / least-outstanding), applied to live queues;
 //! - a request lifecycle — deadlines, retry-with-failover onto replicas

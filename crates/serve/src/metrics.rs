@@ -484,8 +484,12 @@ pub struct MetricsSnapshot {
     pub queue_depths: Vec<usize>,
     /// Per-worker liveness, in worker order.
     pub workers_alive: Vec<bool>,
-    /// Per-worker jobs fully processed, in worker order.
+    /// Per-worker jobs fully processed, on the worker's thread or a
+    /// caller's, in worker order.
     pub worker_processed: Vec<u64>,
+    /// Per-worker jobs that a waiting caller ran on the worker's device
+    /// (a subset of `worker_processed`), in worker order.
+    pub worker_caller_runs: Vec<u64>,
     /// Per-worker model residency (which models are pinned, and for how
     /// long), in worker order.
     pub worker_models: Vec<Vec<ModelResidency>>,
@@ -529,6 +533,12 @@ impl MetricsSnapshot {
         let processed = by_index(self.worker_processed.iter().map(|&n| n as f64));
         e.counter("bw_worker_processed_total", "Jobs fully processed.")
             .rows(["worker"], processed);
+        let caller_runs = by_index(self.worker_caller_runs.iter().map(|&n| n as f64));
+        e.counter(
+            "bw_worker_caller_runs_total",
+            "Jobs a waiting caller ran on the worker's device.",
+        )
+        .rows(["worker"], caller_runs);
         let pins = || {
             let workers = self.worker_models.iter().enumerate();
             workers.flat_map(|(w, pins)| pins.iter().map(move |r| (w.to_string(), r)))
@@ -707,6 +717,7 @@ mod tests {
             queue_depths: vec![1, 0],
             workers_alive: vec![true, false],
             worker_processed: vec![2, 0],
+            worker_caller_runs: vec![1, 0],
             worker_models: vec![
                 vec![ModelResidency {
                     model: model.to_owned(),
@@ -743,6 +754,7 @@ mod tests {
         assert!(text.contains("bw_worker_alive{worker=\"1\"} 0"));
         assert!(text.contains("bw_worker_queue_depth{worker=\"0\"} 1"));
         assert!(text.contains("bw_worker_processed_total{worker=\"0\"} 2"));
+        assert!(text.contains("bw_worker_caller_runs_total{worker=\"0\"} 1"));
         assert!(text.contains("bw_worker_model_pinned{worker=\"0\",model=\"mlp\"} 1"));
         assert!(text.contains("bw_worker_pin_age_seconds{worker=\"0\",model=\"mlp\"} 12.5"));
         assert!(text.contains("bw_link_transfers_total{link=\"0\"} 4"));

@@ -162,9 +162,10 @@ mod tests {
         let workers = pool(2);
         let r = Router::new(Routing::LeastOutstanding, 0);
         // Artificially load worker 0.
-        workers[0].outstanding.fetch_add(5, Ordering::Relaxed);
+        let outstanding = &workers[0].worker.outstanding;
+        outstanding.fetch_add(5, Ordering::Relaxed);
         assert_eq!(r.plan_eligible(&workers, &[], |_| true)[0], 1);
-        workers[0].outstanding.fetch_sub(5, Ordering::Relaxed);
+        outstanding.fetch_sub(5, Ordering::Relaxed);
         for w in &workers {
             w.stop_and_join();
         }

@@ -14,7 +14,7 @@ use super::{head_sampled, Leg, Plan, ServerInner, TRACE_LOG_CAP};
 use crate::metrics::MetricsSnapshot;
 use crate::reply_slot::{reply_slot, ReplySlot, Unfilled};
 use crate::request::{Attribution, RequestId, RequestTrace, Response, ServeError};
-use crate::worker::{Columns, Completion, DispatchRefused, Job, Served};
+use crate::worker::{pay_owed_wakes, Columns, Completion, DispatchRefused, Job, Served};
 
 /// An in-process handle for submitting requests.
 #[derive(Clone)]
@@ -25,7 +25,13 @@ pub struct Client {
 impl Client {
     /// Validates, admits, and dispatches a request; the returned
     /// [`Pending`] drives the rest of the lifecycle. `deadline` is the
-    /// total end-to-end budget from this call.
+    /// total end-to-end budget from this call. Never blocks.
+    ///
+    /// A request sent to an idle replica starts no later than the first
+    /// of: this thread's next park, its next dispatch to another worker,
+    /// a modeled-network sleep, or the drop of the `Pending`. Usually
+    /// that is [`Pending::wait`], which then runs the request on the
+    /// waiting thread.
     ///
     /// # Errors
     ///
@@ -211,9 +217,14 @@ impl BatchItem {
 }
 
 /// An admitted, dispatched request (whole-model or shard-group). Call
-/// [`Pending::wait`] to drive failover and obtain the outcome. Dropping
-/// an unwaited `Pending` records the request as failed (abandoned),
-/// keeping the metrics identity intact.
+/// [`Pending::wait`] to drive failover and obtain the outcome; when the
+/// request's job heads an idle replica's queue, the wait runs it on the
+/// calling thread. A request sent to an idle replica starts no later
+/// than the first of: its submitter's next park, its next dispatch to
+/// another worker, a modeled-network sleep, or the drop of its
+/// `Pending`. Dropping an unwaited `Pending` records the request as
+/// failed (abandoned), keeping the metrics identity intact; its job
+/// still runs.
 pub struct Pending {
     run: Run,
 }
@@ -224,10 +235,10 @@ impl Pending {
         self.run.members[0].id
     }
 
-    /// Drives the request to termination: waits on the current attempt
-    /// (every shard of the current segment, for a group), failing over to
-    /// replicas on fault, death, or attempt timeout, until completion,
-    /// the deadline, or the retry budget ends it.
+    /// Drives the request to termination: runs or waits on the current
+    /// attempt (every shard of the current segment, for a group), failing
+    /// over to replicas on fault, death, or attempt timeout, until
+    /// completion, the deadline, or the retry budget ends it.
     ///
     /// # Errors
     ///
@@ -269,6 +280,9 @@ struct LegRun {
     retries: u32,
     /// When the leg's first attempt was dispatched (member-row latency).
     dispatched_at: Instant,
+    /// The current attempt's ticket on its worker's queue (the worker
+    /// is the last of `tried`).
+    ticket: u64,
     /// The current attempt's reply slot.
     reply: ReplySlot<Completion>,
     /// The accepted attempt, once the leg is in.
@@ -397,14 +411,17 @@ impl Run {
 
     /// Walks the router's order and enqueues one attempt of `leg` on the
     /// first worker that pins its slot over a live link and has queue
-    /// room, skipping `tried`. Returns the worker and the attempt's
-    /// reply slot, or what stopped dispatch.
+    /// room, skipping `tried`. A parked worker is woken at once when
+    /// `wake` is set, and otherwise owed the wake by this thread. Returns
+    /// the worker, the attempt's ticket and its reply slot, or what
+    /// stopped dispatch.
     fn dispatch(
         &self,
         leg: &Leg,
         tried: &[usize],
         now: Instant,
-    ) -> Result<(usize, ReplySlot<Completion>), DispatchStopped> {
+        wake: bool,
+    ) -> Result<(usize, u64, ReplySlot<Completion>), DispatchStopped> {
         let inner = &self.inner;
         let net = inner.network();
         let order = inner.router.plan_eligible(&inner.workers, tried, |w| {
@@ -424,8 +441,11 @@ impl Run {
                 enqueued_at: now,
                 collect_spans: self.collect_spans,
             };
-            match inner.workers[worker].try_dispatch(job) {
-                Ok(()) => return Ok((worker, reply)),
+            let handle = &inner.workers[worker];
+            // Work this thread queued elsewhere runs meanwhile.
+            pay_owed_wakes(Some(handle));
+            match handle.try_dispatch(job, wake) {
+                Ok(ticket) => return Ok((worker, ticket, reply)),
                 Err(DispatchRefused::QueueFull) => {}
                 Err(DispatchRefused::Dead) => all_full = false,
             }
@@ -437,21 +457,26 @@ impl Run {
         }
     }
 
-    /// Dispatches every leg of the in-flight stage. On error the legs
-    /// already dispatched stay in `legs` for the terminal accounting.
+    /// Dispatches every leg of the in-flight stage. Every leg but the
+    /// last wakes its worker now, so the stage's legs run side by side;
+    /// the last one's wake is owed, for the leg driver to run it here or
+    /// pay. On error the legs already dispatched stay in `legs` for the
+    /// terminal accounting.
     fn scatter(&mut self) -> Result<(), DispatchStopped> {
+        let width = self.plan.stages[self.stage].len();
         // The stage's width, not the four a first push would reserve.
-        self.legs.reserve_exact(self.plan.stages[self.stage].len());
-        for leg in &self.plan.stages[self.stage] {
+        self.legs.reserve_exact(width);
+        for (i, leg) in self.plan.stages[self.stage].iter().enumerate() {
             if let Some(member) = &leg.member {
                 member.submitted.fetch_add(1, Ordering::Relaxed);
             }
             let now = Instant::now();
-            match self.dispatch(leg, &[], now) {
-                Ok((worker, reply)) => self.legs.push(LegRun {
+            match self.dispatch(leg, &[], now, i + 1 < width) {
+                Ok((worker, ticket, reply)) => self.legs.push(LegRun {
                     tried: vec![worker],
                     retries: 0,
                     dispatched_at: now,
+                    ticket,
                     reply,
                     done: None,
                 }),
@@ -470,12 +495,22 @@ impl Run {
 
     /// The leg driver: waits for leg `i` of the in-flight stage, failing
     /// it over on worker fault, worker death or attempt timeout, until
-    /// an attempt is accepted or the request is terminal.
+    /// an attempt is accepted or the request is terminal. Before it
+    /// parks on an attempt, it runs the attempt on this thread if the
+    /// job heads its worker's queue and the device is free; otherwise
+    /// it pays this thread's owed wakes and wakes the attempt's worker.
     fn drive_leg(&mut self, i: usize) -> Result<(), ServeError> {
         loop {
             let now = Instant::now();
             if now >= self.deadline {
                 return Err(self.deadline_exceeded());
+            }
+            let leg = &self.legs[i];
+            let worker = &self.inner.workers[*leg.tried.last().expect("a dispatched leg")];
+            if !worker.run_here(leg.ticket) {
+                pay_owed_wakes(None);
+                // The attempt may have been queued by another thread.
+                worker.wake();
             }
             let budget = self.deadline - now;
             let slice = self
@@ -532,10 +567,13 @@ impl Run {
         if let Some(member) = &leg.member {
             member.retries.fetch_add(1, Ordering::Relaxed);
         }
-        match self.dispatch(leg, &self.legs[i].tried, Instant::now()) {
-            Ok((worker, reply)) => {
-                self.legs[i].tried.push(worker);
-                self.legs[i].reply = reply;
+        // The leg driver runs or wakes the new attempt next.
+        match self.dispatch(leg, &self.legs[i].tried, Instant::now(), false) {
+            Ok((worker, ticket, reply)) => {
+                let leg = &mut self.legs[i];
+                leg.tried.push(worker);
+                leg.ticket = ticket;
+                leg.reply = reply;
                 Ok(())
             }
             Err(_) => Err(self.fault_or(fault, self.no_replica())),
@@ -617,6 +655,7 @@ impl Run {
             }
         }
         if net_s > 0.0 {
+            pay_owed_wakes(None);
             let wait = delivered_at.map(|at| at.saturating_duration_since(Instant::now()));
             std::thread::sleep(wait.unwrap_or_default());
             self.network_s += net_s;
@@ -704,6 +743,9 @@ impl Run {
         if std::mem::replace(&mut self.settled, true) {
             return;
         }
+        // An abandoned attempt still runs; a shed one frees the thread's
+        // other queued work.
+        pay_owed_wakes(None);
         let metrics = &self.plan.metrics;
         let terminal = if shed { &metrics.shed } else { &metrics.failed };
         terminal.fetch_add(self.members.len() as u64, Ordering::Relaxed);
@@ -765,5 +807,92 @@ impl Drop for Run {
         // Abandoned without waiting: account it as failed so every row's
         // identity holds.
         self.settle_unserved(false, "abandoned");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::batch::{BatchConfig, Batcher};
+    use crate::demo::{demo_input, mlp_artifact};
+    use crate::server::Server;
+    use crate::worker::{tests::Panics, Control};
+    use bw_system::Routing;
+
+    const DEADLINE: Duration = Duration::from_secs(10);
+
+    /// A pool of `replicas` serving `m`, where worker 0's replica panics
+    /// whenever it runs.
+    fn pool(replicas: usize) -> Server {
+        let server = Server::builder()
+            .model(mlp_artifact("m", &[16, 8], 3))
+            .replicas(replicas)
+            .policy(Routing::LeastOutstanding)
+            .spawn()
+            .unwrap();
+        let panics = Control::Pin {
+            slot: 0,
+            model: Box::new(Panics),
+            preload_s: 0.0,
+            bytes: 0,
+        };
+        server.inner.workers[0].control(panics).unwrap();
+        server
+    }
+
+    fn assert_accounted(server: &Server, completed: u64, failed: u64) {
+        let m = &server.metrics().models[0];
+        assert_eq!((m.completed, m.failed), (completed, failed));
+        assert_eq!(m.completed + m.shed + m.failed, m.submitted);
+    }
+
+    fn assert_panic_fault(err: &ServeError) {
+        assert!(matches!(err, ServeError::WorkerFault { .. }), "{err}");
+        assert!(
+            err.to_string().contains("injected simulator panic"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_panicking_simulation_fails_over_and_its_caller_survives() {
+        let server = pool(2);
+        let resp = server
+            .client()
+            .call("m", &demo_input(16, 0), DEADLINE)
+            .unwrap();
+        assert_eq!((resp.worker, resp.retries), (1, 1));
+        assert_eq!(server.workers_alive(), [false, true]);
+        assert_accounted(&server, 1, 0);
+    }
+
+    #[test]
+    fn a_panic_without_a_replica_left_fails_the_request_not_the_thread() {
+        // A `Pending::wait` on a thread of its own.
+        let server = pool(1);
+        let pending = server
+            .client()
+            .submit("m", &demo_input(16, 0), DEADLINE)
+            .unwrap();
+        let waited = std::thread::spawn(move || pending.wait()).join();
+        assert_panic_fault(&waited.expect("the waiting thread survives").unwrap_err());
+        assert_accounted(&server, 0, 1);
+
+        // A batcher's dispatcher: it reports the fault, then serves the
+        // next window, which finds no replica left.
+        let server = pool(1);
+        let batcher = Batcher::new(
+            server.client(),
+            BatchConfig {
+                max_batch: 1,
+                dispatchers: 1,
+                ..BatchConfig::default()
+            },
+        );
+        let call = || batcher.call("m", demo_input(16, 1), DEADLINE).unwrap_err();
+        assert_panic_fault(&call());
+        assert!(matches!(call(), ServeError::NoReplica { .. }));
+        drop(batcher);
+        assert_accounted(&server, 0, 2);
     }
 }

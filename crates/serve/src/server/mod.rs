@@ -41,12 +41,15 @@
 //!    `(arrived_at, deadline_at)`, counts `submitted`, and stage 0 is
 //!    scattered at once: if every candidate queue is full the request is
 //!    *shed*, if no live worker pins a leg's slot it fails `NoReplica`.
-//! 3. **leg driver** — the only wait loop. It waits on a leg's reply
-//!    slot for the attempt timeout or the remaining deadline,
-//!    whichever is sooner; on worker fault, worker death or attempt
-//!    timeout it re-dispatches the leg to a worker that has not tried it
-//!    (each attempt has a fresh slot, so an abandoned attempt's
-//!    completion is dropped unseen), at most `max_retries` times per leg.
+//! 3. **leg driver** — the only wait loop. When the attempt's job heads
+//!    an idle device's queue, the driver runs it on its own thread
+//!    first; otherwise it pays the thread's owed wakes (the wake rule,
+//!    below) and parks. It waits on a leg's reply slot for the attempt
+//!    timeout or the remaining deadline, whichever is sooner; on worker
+//!    fault, worker death or attempt timeout it re-dispatches the leg to
+//!    a worker that has not tried it (each attempt has a fresh slot, so
+//!    an abandoned attempt's completion is dropped unseen), at most
+//!    `max_retries` times per leg.
 //! 4. **stage finisher** — once every leg of the stage is in, charges
 //!    the network (rule below), concatenates the legs' outputs column by
 //!    column in leg order, and scatters the next stage with the result.
@@ -86,14 +89,37 @@
 //! time went to queueing, execution, a coalescing hold or the modeled
 //! network.
 //!
+//! # The wake rule
+//!
+//! A job runs on its worker's thread or on the thread waiting for it,
+//! through one function (the `worker` module). A dispatch to a parked
+//! worker wakes it at once, except for the last leg of a stage and a
+//! failover's re-dispatch: the leg driver comes to those next, so the
+//! dispatching thread *owes* the wake instead. A thread pays every wake
+//! it owes before it parks without having run its job, parks on a
+//! control's ack, dispatches to another worker, runs a job itself,
+//! sleeps for the modeled network, or settles a run unserved (a shed, a
+//! failure, a dropped `Pending`). So a stage's legs, and a window's shard
+//! runs, run side by side, and a request sent to an idle replica starts
+//! no later than the first of: its submitter's next park, its next
+//! dispatch to another worker, a modeled-network sleep, or the drop of
+//! its `Pending`.
+//!
 //! # The locking rule
 //!
 //! This rule holds for every lock in the workspace. A lock guards plain
-//! data. No lock is held while the simulator runs (a worker runs its NPU
-//! outside every lock), and no caller code runs under a write guard. A
-//! poisoned lock therefore means a panic in the middle of an update,
-//! which is a bug: `lock()`, `read()`, `write()` and condvar waits are
-//! `.unwrap()`ed, and the panic propagates.
+//! data, and no caller code runs under a write guard. One lock is held
+//! while the simulator runs: a worker's *device*, the mutex over its
+//! pinned models. A caller takes a device only by `try_lock` under that
+//! worker's queue lock, and a job leaves the queue only with the device
+//! held; the worker's own thread takes the device before the queue
+//! lock, so no two threads wait on each other's order. Pin (with its
+//! preload window), unpin, drain and the kill's exit run with the device
+//! held, so they serialize with runs on either thread. A panic in the
+//! simulation is caught inside the device lock and faults the attempt,
+//! so it poisons nothing. A poisoned lock therefore means a panic in the
+//! middle of an update, which is a bug: `lock()`, `read()`, `write()`
+//! and condvar waits are `.unwrap()`ed, and the panic propagates.
 
 mod control;
 mod executor;
@@ -512,7 +538,7 @@ impl ServerInner {
             let counts = self
                 .workers
                 .iter()
-                .map(|w| read(&w.link).load(Ordering::Relaxed));
+                .map(|w| read(w.link()).load(Ordering::Relaxed));
             counts.collect::<Vec<u64>>()
         };
         let workers = self.workers.iter();
@@ -524,6 +550,7 @@ impl ServerInner {
             queue_depths: workers.clone().map(WorkerHandle::queue_depth).collect(),
             workers_alive: workers.clone().map(WorkerHandle::is_alive).collect(),
             worker_processed: workers.clone().map(WorkerHandle::processed_count).collect(),
+            worker_caller_runs: workers.clone().map(WorkerHandle::caller_runs).collect(),
             worker_models: workers.map(resident).collect(),
             link_transfers: links(|l| &l.transfers),
             link_bytes: links(|l| &l.bytes),
@@ -550,7 +577,7 @@ impl ServerInner {
             return 0.0;
         }
         let s = net.one_way_on(worker, bytes);
-        self.workers[worker].link.record(bytes, s);
+        self.workers[worker].link().record(bytes, s);
         s
     }
 }

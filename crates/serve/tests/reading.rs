@@ -137,6 +137,13 @@ fn expected_samples(snap: &MetricsSnapshot) -> Vec<Sample> {
     by_index(&mut out, "bw_worker_alive", "worker", alive.collect());
     let processed = floats(&snap.worker_processed);
     by_index(&mut out, "bw_worker_processed_total", "worker", processed);
+    let caller_runs = floats(&snap.worker_caller_runs);
+    by_index(
+        &mut out,
+        "bw_worker_caller_runs_total",
+        "worker",
+        caller_runs,
+    );
     for (family, age) in [
         ("bw_worker_model_pinned", false),
         ("bw_worker_pin_age_seconds", true),

@@ -7,9 +7,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bw_serve::demo::{demo_input, mlp_artifact};
-use bw_serve::{Routing, ServeError, Server, SpawnError};
+use bw_serve::{PreloadModel, Routing, ServeError, Server, SpawnError};
 
 const DEADLINE: Duration = Duration::from_secs(10);
+/// How long a stalled replica's preload window lasts: long enough for a
+/// burst of threads to arrive inside it, even in a slow debug build.
+const STALL: Duration = Duration::from_millis(200);
 
 #[test]
 fn serves_correct_outputs_against_reference() {
@@ -76,39 +79,55 @@ fn admission_rejects_bad_requests_without_counting_them() {
 #[test]
 fn saturation_sheds_instead_of_queueing_unboundedly() {
     // One replica, a 1-deep queue: blasting requests concurrently must
-    // shed some while every admitted request still settles.
+    // shed some while every admitted request still settles. The replica
+    // is stalled first, busy with a pin's preload window, so the blast
+    // meets a full queue by construction: the first request to arrive
+    // queues, the rest shed.
     let server = Server::builder()
         .model(mlp_artifact("mlp", &[16, 32, 32, 8], 5))
         .replicas(1)
         .queue_cap(1)
         .max_retries(0)
+        .preload(PreloadModel::free().setup(STALL.as_secs_f64()))
         .spawn()
+        .unwrap();
+    server
+        .register_model(mlp_artifact("aux", &[16, 8], 1))
         .unwrap();
     let client = server.client();
 
     let shed = Arc::new(AtomicU64::new(0));
     let done = Arc::new(AtomicU64::new(0));
-    let handles: Vec<_> = (0..32)
-        .map(|i| {
-            let client = client.clone();
-            let shed = Arc::clone(&shed);
-            let done = Arc::clone(&done);
-            std::thread::spawn(
-                move || match client.call("mlp", &demo_input(16, i), DEADLINE) {
-                    Ok(_) => {
-                        done.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(e) => {
-                        assert!(e.is_shed(), "unexpected error under saturation: {e}");
-                        shed.fetch_add(1, Ordering::Relaxed);
-                    }
-                },
-            )
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
+    std::thread::scope(|scope| {
+        scope.spawn(|| server.pin_model("aux", 0).unwrap());
+        // The worker meters the preload on its link as the window opens.
+        let start = Instant::now();
+        while server.metrics().link_transfers[0] == 0 {
+            assert!(start.elapsed() < DEADLINE, "the stall's pin never ran");
+            std::thread::yield_now();
+        }
+        let handles: Vec<_> = (0..32)
+            .map(|i| {
+                let client = client.clone();
+                let shed = Arc::clone(&shed);
+                let done = Arc::clone(&done);
+                std::thread::spawn(
+                    move || match client.call("mlp", &demo_input(16, i), DEADLINE) {
+                        Ok(_) => {
+                            done.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Err(e) => {
+                            assert!(e.is_shed(), "unexpected error under saturation: {e}");
+                            shed.fetch_add(1, Ordering::Relaxed);
+                        }
+                    },
+                )
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+    });
 
     let m = server.metrics();
     let ms = &m.models[0];
@@ -117,6 +136,101 @@ fn saturation_sheds_instead_of_queueing_unboundedly() {
     assert_eq!(ms.completed + ms.shed + ms.failed, ms.submitted);
     assert_eq!(ms.completed, done.load(Ordering::Relaxed));
     assert_eq!(ms.shed, shed.load(Ordering::Relaxed));
+}
+
+/// Jobs one replica ran, and how many of them a waiting caller ran.
+fn runs(server: &Server) -> (u64, u64) {
+    let snap = server.metrics();
+    (snap.worker_processed[0], snap.worker_caller_runs[0])
+}
+
+#[test]
+fn unloaded_calls_are_caller_runs_and_jobs_behind_a_stall_are_not() {
+    const CALLS: u64 = 50;
+    let server = Server::builder()
+        .model(mlp_artifact("mlp", &[16, 32, 8], 5))
+        .replicas(1)
+        .queue_cap(8)
+        .preload(PreloadModel::free().setup(STALL.as_secs_f64()))
+        .spawn()
+        .unwrap();
+    server
+        .register_model(mlp_artifact("aux", &[16, 8], 1))
+        .unwrap();
+    let client = server.client();
+    let call = |i| client.call("mlp", &demo_input(16, i), DEADLINE).unwrap();
+
+    // Warm-up: the worker's thread may take a call until it first parks.
+    let start = Instant::now();
+    while {
+        let before = runs(&server).1;
+        call(0);
+        runs(&server).1 == before
+    } {
+        assert!(start.elapsed() < DEADLINE, "no call ever ran on its caller");
+    }
+    let warm = runs(&server);
+    for i in 0..CALLS {
+        call(i);
+    }
+    let unloaded = runs(&server);
+    assert_eq!(unloaded.0 - warm.0, CALLS);
+    assert_eq!(
+        unloaded.1 - warm.1,
+        CALLS,
+        "every unloaded call ran on its caller"
+    );
+
+    // Jobs queued behind a pin's preload window: each waiter finds the
+    // device held, parks, and the worker's thread runs them all.
+    std::thread::scope(|scope| {
+        scope.spawn(|| server.pin_model("aux", 0).unwrap());
+        let start = Instant::now();
+        while server.metrics().link_transfers[0] == 0 {
+            assert!(start.elapsed() < DEADLINE, "the stall's pin never ran");
+            std::thread::yield_now();
+        }
+        let waiters: Vec<_> = (0..4)
+            .map(|i| client.submit("mlp", &demo_input(16, i), DEADLINE).unwrap())
+            .map(|pending| scope.spawn(move || pending.wait()))
+            .collect();
+        for waiter in waiters {
+            let resp = waiter.join().unwrap().unwrap();
+            // Queue wait runs until the device is free to take the job.
+            assert!(resp.attribution.queue_wait >= STALL / 2);
+        }
+    });
+    let stalled = runs(&server);
+    assert_eq!(stalled.0 - unloaded.0, 4);
+    assert_eq!(
+        stalled.1, unloaded.1,
+        "no caller ran a job behind the stall"
+    );
+    let m = &server.metrics().models[0];
+    assert_eq!(m.completed + m.shed + m.failed, m.submitted);
+}
+
+#[test]
+fn dropping_an_unwaited_pending_frees_its_place_in_the_queue() {
+    let server = Server::builder()
+        .model(mlp_artifact("mlp", &[16, 32, 8], 5))
+        .replicas(1)
+        .queue_cap(1)
+        .spawn()
+        .unwrap();
+    let client = server.client();
+    client.call("mlp", &demo_input(16, 0), DEADLINE).unwrap();
+    drop(client.submit("mlp", &demo_input(16, 1), DEADLINE).unwrap());
+    // The abandoned request's job still runs, and leaves the one place.
+    let start = Instant::now();
+    while server.metrics().queue_depths[0] > 0 {
+        assert!(start.elapsed() < DEADLINE, "the abandoned job never ran");
+        std::thread::yield_now();
+    }
+    client.call("mlp", &demo_input(16, 2), DEADLINE).unwrap();
+    let m = &server.metrics().models[0];
+    assert_eq!((m.completed, m.failed, m.shed), (2, 1, 0));
+    assert_eq!(m.completed + m.shed + m.failed, m.submitted);
 }
 
 #[test]

@@ -8,22 +8,24 @@
 //!   queue, the output vector the NPU pushes there and the output handed
 //!   back;
 //! * 1,000 warm `Client::call`s of it on a one-replica pool allocate at
-//!   most 14 times per call on average — measured 14.00 — with a slack
-//!   of one per hundred calls, and ask for at most 1,280 B per call —
-//!   measured 1,160 B, with about a tenth of slack. A call allocates the
+//!   most 13 times per call on average — measured 13.00 — with a slack
+//!   of one per hundred calls, and ask for at most 1,200 B per call —
+//!   measured 1,096 B, with about a tenth of slack. A call allocates the
 //!   input's copy (64 B) and the columns that share it (40 B); the member
 //!   list (40 B); the router's candidate order (32 B); the attempt's reply
-//!   slot (232 B: the completion is held inline); the boxed job (72 B);
-//!   the leg's tried list (8 B) and the leg list (248 B: one leg, reserved
-//!   at the stage's width); the five allocations of `infer_batch` above
-//!   (280 B); and the response (144 B). Whether the reply or the caller's wait comes first
-//!   changes none of them: parking on a reply slot allocates nothing.
+//!   slot (232 B: the completion is held inline); the leg's tried list
+//!   (8 B) and the leg list (256 B: one leg, reserved at the stage's
+//!   width); the five allocations of `infer_batch` above (280 B); and the
+//!   response (144 B). The job itself is held inline in the worker's
+//!   queue, which is allocated once, at spawn.
 //!
-//! The counting allocator is process-global, so the worker thread's
-//! allocations count with the caller's, and this file holds exactly one
-//! `#[test]` so that no concurrent test allocates inside the measurement.
-//! It counts every allocator call, `alloc_zeroed` and `realloc` among
-//! them, and sums the sizes they ask for.
+//! A warm call on an idle replica runs on the calling thread: its job
+//! heads the parked worker's queue, so the caller takes the device and
+//! runs it, and the worker's thread stays parked. The counting allocator
+//! is process-global all the same, so this file holds exactly one
+//! `#[test]`, and no concurrent test allocates inside the measurement. It
+//! counts every allocator call, `alloc_zeroed` and `realloc` among them,
+//! and sums the sizes they ask for.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -83,9 +85,9 @@ fn allocations_in(f: impl FnOnce()) -> (usize, usize) {
 
 const WIDTHS: [usize; 4] = [16, 64, 32, 8];
 const CALLS: usize = 1_000;
-const PER_CALL: usize = 14;
+const PER_CALL: usize = 13;
 const PER_INFER_BATCH: usize = 5;
-const BYTES_PER_CALL: usize = 1_280;
+const BYTES_PER_CALL: usize = 1_200;
 
 #[test]
 fn warm_requests_allocate_a_pinned_number_of_times() {

@@ -507,7 +507,10 @@ mod tests {
             name: "m#seg0".into(),
             program: &mat,
             config: &config,
-            options: AnalysisOptions::default().with_input_matrices(1),
+            options: AnalysisOptions {
+                netq_input_matrices: Some(1),
+                ..AnalysisOptions::default()
+            },
             input_dim: 8,
             output_dim: 8,
         });

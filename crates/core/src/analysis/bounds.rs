@@ -78,7 +78,7 @@ impl CycleBounds {
     /// Parallel composition: shards run concurrently, a gather waits for
     /// the slowest, so both ends take the max.
     #[must_use]
-    pub fn join_max(&self, other: &CycleBounds) -> CycleBounds {
+    pub(crate) fn join_max(&self, other: &CycleBounds) -> CycleBounds {
         CycleBounds {
             lower: self.lower.max(other.lower),
             upper: self.upper.max(other.upper),
@@ -295,9 +295,11 @@ mod tests {
             .end_chain()
             .unwrap();
         let program = b.build();
-        let opts = AnalysisOptions::default()
-            .with_input_vectors(2)
-            .with_input_matrices(4);
+        let opts = AnalysisOptions {
+            netq_input_matrices: Some(4),
+            ..AnalysisOptions::default()
+        }
+        .with_input_vectors(2);
 
         let bounds = cycle_bounds(&program, &cfg(), &opts).expect("bounded");
 

@@ -202,10 +202,12 @@ mod tests {
     }
 
     fn base_options() -> AnalysisOptions {
-        AnalysisOptions::default()
-            .with_input_vectors(1_000)
-            .with_input_matrices(1_000)
-            .preload(MemId::InitialVrf, 0, 32)
+        AnalysisOptions {
+            netq_input_matrices: Some(1_000),
+            ..AnalysisOptions::default()
+        }
+        .with_input_vectors(1_000)
+        .preload(MemId::InitialVrf, 0, 32)
     }
 
     #[test]

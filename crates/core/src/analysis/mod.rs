@@ -180,37 +180,6 @@ pub enum DiagCode {
 }
 
 impl DiagCode {
-    /// Every code the analyzer can emit, in numeric order.
-    pub const ALL: [DiagCode; 27] = [
-        DiagCode::ZeroRegister,
-        DiagCode::VrfOverflow,
-        DiagCode::MrfOverflow,
-        DiagCode::MissingMfu,
-        DiagCode::MfuCapacity,
-        DiagCode::StaleRegister,
-        DiagCode::UninitializedRead,
-        DiagCode::DeadStore,
-        DiagCode::ReadBeforeWrite,
-        DiagCode::MrfWriteAfterRead,
-        DiagCode::MrfDeadLoad,
-        DiagCode::MrfUninitializedRead,
-        DiagCode::NetUnderflow,
-        DiagCode::NetMatrixUnderflow,
-        DiagCode::NetOutputMismatch,
-        DiagCode::DefaultTiling,
-        DiagCode::RedundantOp,
-        DiagCode::OverlappingMulticast,
-        DiagCode::AliasedChainIo,
-        DiagCode::ShardPopUnmatched,
-        DiagCode::ShardPushExcess,
-        DiagCode::ShardDimMismatch,
-        DiagCode::ShardMatrixPop,
-        DiagCode::ShardDegenerate,
-        DiagCode::SlaViolation,
-        DiagCode::SlaAtRisk,
-        DiagCode::SlaMet,
-    ];
-
     /// The stable `BW0xx` name of this code.
     pub const fn as_str(self) -> &'static str {
         match self {
@@ -447,13 +416,6 @@ impl AnalysisOptions {
         self
     }
 
-    /// Declares the per-run input matrix-tile budget on the network queue.
-    #[must_use]
-    pub fn with_input_matrices(mut self, count: u64) -> Self {
-        self.netq_input_matrices = Some(count);
-        self
-    }
-
     /// Declares the per-run output vector count the host expects.
     #[must_use]
     pub fn with_expected_outputs(mut self, count: u64) -> Self {
@@ -505,7 +467,7 @@ impl AnalysisReport {
     }
 
     /// Findings of exactly `severity`.
-    pub fn by_severity(&self, severity: Severity) -> impl Iterator<Item = &Diagnostic> {
+    pub(crate) fn by_severity(&self, severity: Severity) -> impl Iterator<Item = &Diagnostic> {
         self.diagnostics
             .iter()
             .filter(move |d| d.severity == severity)
@@ -693,7 +655,37 @@ mod tests {
 
     #[test]
     fn codes_are_unique_and_stable() {
-        let mut names: Vec<&str> = DiagCode::ALL.iter().map(|c| c.as_str()).collect();
+        // Every code the analyzer can emit, in numeric order.
+        const ALL: [DiagCode; 27] = [
+            DiagCode::ZeroRegister,
+            DiagCode::VrfOverflow,
+            DiagCode::MrfOverflow,
+            DiagCode::MissingMfu,
+            DiagCode::MfuCapacity,
+            DiagCode::StaleRegister,
+            DiagCode::UninitializedRead,
+            DiagCode::DeadStore,
+            DiagCode::ReadBeforeWrite,
+            DiagCode::MrfWriteAfterRead,
+            DiagCode::MrfDeadLoad,
+            DiagCode::MrfUninitializedRead,
+            DiagCode::NetUnderflow,
+            DiagCode::NetMatrixUnderflow,
+            DiagCode::NetOutputMismatch,
+            DiagCode::DefaultTiling,
+            DiagCode::RedundantOp,
+            DiagCode::OverlappingMulticast,
+            DiagCode::AliasedChainIo,
+            DiagCode::ShardPopUnmatched,
+            DiagCode::ShardPushExcess,
+            DiagCode::ShardDimMismatch,
+            DiagCode::ShardMatrixPop,
+            DiagCode::ShardDegenerate,
+            DiagCode::SlaViolation,
+            DiagCode::SlaAtRisk,
+            DiagCode::SlaMet,
+        ];
+        let mut names: Vec<&str> = ALL.iter().map(|c| c.as_str()).collect();
         names.sort_unstable();
         let before = names.len();
         names.dedup();

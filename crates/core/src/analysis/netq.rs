@@ -331,7 +331,10 @@ mod tests {
         let report = analyze_with(
             &b.build(),
             &cfg(),
-            AnalysisOptions::default().with_input_matrices(7),
+            AnalysisOptions {
+                netq_input_matrices: Some(7),
+                ..AnalysisOptions::default()
+            },
         );
         let d = report
             .diagnostics

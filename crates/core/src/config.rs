@@ -255,7 +255,7 @@ impl NpuConfig {
     /// Cycles for the MFU pipeline to stream one native vector:
     /// `ceil(native_dim / mfu_lanes)`.
     #[inline]
-    pub fn mfu_stream_cycles(&self) -> u32 {
+    pub(crate) fn mfu_stream_cycles(&self) -> u32 {
         self.native_dim.div_ceil(self.mfu_lanes)
     }
 
@@ -282,7 +282,7 @@ impl NpuConfig {
     /// Cycles for one dot-product engine to stream one native vector:
     /// `native_dim / lanes` (10 on BW_S10).
     #[inline]
-    pub fn tile_stream_cycles(&self) -> u32 {
+    pub(crate) fn tile_stream_cycles(&self) -> u32 {
         self.native_dim / self.lanes
     }
 

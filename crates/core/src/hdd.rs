@@ -178,18 +178,17 @@ impl HddExpansion {
             },
         }
     }
-
-    /// The total fan-out ratio: primitive data-plane messages emitted per
-    /// compound instruction.
-    pub fn fanout(&self) -> u64 {
-        self.levels.last().map_or(0, |l| l.dispatched)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::isa::MemId;
+
+    /// Primitive data-plane messages emitted per compound instruction.
+    fn fanout(e: &HddExpansion) -> u64 {
+        e.levels.last().map_or(0, |l| l.dispatched)
+    }
 
     #[test]
     fn single_native_mv_mul_exceeds_10k_primitives() {
@@ -207,7 +206,7 @@ mod tests {
         let e = HddExpansion::expand(&cfg, &Instruction::MvMul { mrf_index: 0 }, 8, 8);
         // 2 * 64 tiles * 400^2 = 20.48M; the paper quotes "over 7 million".
         assert!(e.primitive_ops > 7_000_000);
-        assert_eq!(e.fanout(), 64 * 400 * 400);
+        assert_eq!(fanout(&e), 64 * 400 * 400);
     }
 
     #[test]
@@ -240,7 +239,7 @@ mod tests {
             5,
         );
         assert_eq!(rd.primitive_ops, 0);
-        assert_eq!(rd.fanout(), 5 * 400); // cols entries
+        assert_eq!(fanout(&rd), 5 * 400); // cols entries
         let wr = HddExpansion::expand(
             &cfg,
             &Instruction::VWr {
@@ -250,7 +249,7 @@ mod tests {
             4,
             5,
         );
-        assert_eq!(wr.fanout(), 4 * 400); // rows entries
+        assert_eq!(fanout(&wr), 4 * 400); // rows entries
     }
 
     #[test]

@@ -38,7 +38,7 @@ use super::instruction::{Instruction, MemId, Opcode};
 ///     Instruction::VSigm,
 ///     Instruction::VWr { mem: MemId::AddSubVrf(0), index: 1 },
 /// ])?;
-/// assert!(chain.has_mv_mul());
+/// assert_eq!(chain.len(), 5);
 /// # Ok::<(), bw_core::isa::ChainError>(())
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -237,13 +237,13 @@ impl Chain {
     }
 
     /// Returns `true` if this is a matrix movement chain (`m_rd` → `m_wr`).
-    pub fn is_matrix_chain(&self) -> bool {
+    pub(crate) fn is_matrix_chain(&self) -> bool {
         matches!(self.instructions[0], Instruction::MRd { .. })
     }
 
     /// Returns `true` if the chain contains an `mv_mul`.
     #[inline]
-    pub fn has_mv_mul(&self) -> bool {
+    pub(crate) fn has_mv_mul(&self) -> bool {
         self.has_mv_mul
     }
 
@@ -263,30 +263,30 @@ impl Chain {
 
     /// Number of MFU add/sub/max operations.
     #[inline]
-    pub fn addsub_ops(&self) -> usize {
+    pub(crate) fn addsub_ops(&self) -> usize {
         self.mfu_counts[0]
     }
 
     /// Number of MFU Hadamard-product operations.
     #[inline]
-    pub fn multiply_ops(&self) -> usize {
+    pub(crate) fn multiply_ops(&self) -> usize {
         self.mfu_counts[1]
     }
 
     /// Number of MFU activation operations.
     #[inline]
-    pub fn activation_ops(&self) -> usize {
+    pub(crate) fn activation_ops(&self) -> usize {
         self.mfu_counts[2]
     }
 
     /// Total MFU operations of any kind.
-    pub fn mfu_ops(&self) -> usize {
+    pub(crate) fn mfu_ops(&self) -> usize {
         self.mfu_counts.iter().sum()
     }
 
     /// The multicast `v_wr` destinations of a vector chain (empty for matrix
     /// chains).
-    pub fn write_targets(&self) -> impl Iterator<Item = (MemId, u32)> + '_ {
+    pub(crate) fn write_targets(&self) -> impl Iterator<Item = (MemId, u32)> + '_ {
         self.instructions.iter().filter_map(|i| match i {
             Instruction::VWr { mem, index } => Some((*mem, *index)),
             _ => None,

@@ -28,7 +28,7 @@ pub enum MemId {
 
 impl MemId {
     /// Returns `true` for the vector register files (not NetQ/DRAM/MRF).
-    pub fn is_vrf(self) -> bool {
+    pub(crate) fn is_vrf(self) -> bool {
         matches!(
             self,
             MemId::InitialVrf | MemId::AddSubVrf(_) | MemId::MultiplyVrf(_)
@@ -36,24 +36,24 @@ impl MemId {
     }
 
     /// Returns `true` if a `v_rd` may source from this memory.
-    pub fn vector_readable(self) -> bool {
+    pub(crate) fn vector_readable(self) -> bool {
         self.is_vrf() || matches!(self, MemId::NetQ | MemId::Dram)
     }
 
     /// Returns `true` if a `v_wr` may sink to this memory.
-    pub fn vector_writable(self) -> bool {
+    pub(crate) fn vector_writable(self) -> bool {
         self.is_vrf() || matches!(self, MemId::NetQ | MemId::Dram)
     }
 
     /// Returns `true` if an `m_rd` may source matrices from this memory
     /// (Table II: NetQ or DRAM only).
-    pub fn matrix_readable(self) -> bool {
+    pub(crate) fn matrix_readable(self) -> bool {
         matches!(self, MemId::NetQ | MemId::Dram)
     }
 
     /// Returns `true` if an `m_wr` may sink matrices to this memory
     /// (Table II: MatrixRf or DRAM only).
-    pub fn matrix_writable(self) -> bool {
+    pub(crate) fn matrix_writable(self) -> bool {
         matches!(self, MemId::MatrixRf | MemId::Dram)
     }
 }
@@ -152,7 +152,7 @@ impl Opcode {
 
     /// Returns `true` for the MFU add/subtract/max family (operand from an
     /// `AddSubVrf`).
-    pub fn is_addsub(self) -> bool {
+    pub(crate) fn is_addsub(self) -> bool {
         matches!(
             self,
             Opcode::VvAdd | Opcode::VvASubB | Opcode::VvBSubA | Opcode::VvMax
@@ -160,12 +160,12 @@ impl Opcode {
     }
 
     /// Returns `true` for the unary activation operations.
-    pub fn is_activation(self) -> bool {
+    pub(crate) fn is_activation(self) -> bool {
         matches!(self, Opcode::VRelu | Opcode::VSigm | Opcode::VTanh)
     }
 
     /// Returns `true` for any operation executed by a multifunction unit.
-    pub fn is_mfu_op(self) -> bool {
+    pub(crate) fn is_mfu_op(self) -> bool {
         self.is_addsub() || self.is_activation() || self == Opcode::VvMul
     }
 }

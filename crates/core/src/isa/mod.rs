@@ -17,20 +17,18 @@
 //!   Nios streaming "T iterations of N static instructions" (§V-C);
 //! * [`ProgramBuilder`] — a firmware-authoring API mirroring the C macro
 //!   style of the paper's LSTM kernel listing;
-//! * binary encoding/decoding ([`Program::encode`], [`Program::decode`]),
-//!   a disassembler (`Display` impls), and an assembler
-//!   ([`Program::parse_asm`]) that round-trips the textual form.
+//! * a disassembler (`Display` impls), the text goldens and the linter's
+//!   anchored diagnostics print through.
+//!
+//! Firmware reaches a device as a [`Program`] value; it has no byte or
+//! assembly-text form.
 
-mod asm;
 mod builder;
 mod chain;
-mod encode;
 mod instruction;
 mod program;
 
-pub use asm::AsmError;
 pub use builder::{BuilderError, ProgramBuilder};
 pub use chain::{Chain, ChainError};
-pub use encode::DecodeError;
 pub use instruction::{Instruction, MemId, Opcode, ScalarReg};
 pub use program::{Item, Program, Segment};

@@ -75,27 +75,6 @@ impl Program {
             .sum()
     }
 
-    /// Total compound instructions streamed by the control processor,
-    /// counting iterations, chain contents, implicit `end_chain`s, and
-    /// register writes.
-    pub fn instruction_count(&self) -> u64 {
-        self.segments
-            .iter()
-            .map(|s| {
-                let per_iter: u64 = s
-                    .items
-                    .iter()
-                    .map(|i| match i {
-                        Item::SetReg { .. } => 1,
-                        // +1 for the end_chain delimiter.
-                        Item::Chain(c) => c.len() as u64 + 1,
-                    })
-                    .sum();
-                per_iter * u64::from(s.iterations)
-            })
-            .sum()
-    }
-
     /// Iterates over `(segment_index, item)` in stream order, expanding
     /// iteration counts. The iterator is lazy, so a large unroll is never
     /// materialized: the simulator's data pass walks a run through it.
@@ -158,15 +137,12 @@ mod tests {
             }],
         };
         assert_eq!(p.chain_count(), 10);
-        // Each iteration: 1 s_wr + 2 chain instructions + 1 end_chain = 4.
-        assert_eq!(p.instruction_count(), 40);
     }
 
     #[test]
     fn empty_program() {
         let p = Program::new();
         assert_eq!(p.chain_count(), 0);
-        assert_eq!(p.instruction_count(), 0);
         assert_eq!(p.stream().count(), 0);
     }
 

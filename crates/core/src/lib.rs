@@ -8,7 +8,7 @@
 //! * [`isa`] — the single-threaded mega-SIMD instruction set: compound
 //!   matrix-vector and vector-vector operations on fixed-size native
 //!   vectors, explicit instruction chaining, scalar tiling registers, a
-//!   firmware-style [`isa::ProgramBuilder`], and a binary program format.
+//!   firmware-style [`isa::ProgramBuilder`], and a disassembler.
 //! * [`NpuConfig`] — the synthesis-specialization parameter set (§VI):
 //!   native dimension, lanes, tile engines, MFUs, precision, clock; with
 //!   the Table III instances `BW_S5`, `BW_A10`, `BW_S10` built in.
@@ -53,6 +53,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod analysis;
 mod config;

@@ -65,17 +65,6 @@ impl RunStats {
         self.latency_seconds() * 1e3
     }
 
-    /// Throughput counting every dispatched MAC as two FLOPs — the
-    /// hardware's own activity level, padding included.
-    pub fn dispatched_tflops(&self) -> f64 {
-        let s = self.latency_seconds();
-        if s > 0.0 {
-            (2 * self.mvm_macs) as f64 / s / 1e12
-        } else {
-            0.0
-        }
-    }
-
     /// Effective throughput in TFLOPS for a model whose true operation
     /// count is `model_ops` (the paper's headline metric).
     pub fn effective_tflops(&self, model_ops: u64) -> f64 {
@@ -93,15 +82,6 @@ impl RunStats {
         let peak = self.peak_flops_per_cycle as f64 * self.cycles as f64;
         if peak > 0.0 {
             model_ops as f64 / peak
-        } else {
-            0.0
-        }
-    }
-
-    /// Fraction of cycles the MVM was streaming.
-    pub fn mvm_occupancy(&self) -> f64 {
-        if self.cycles > 0 {
-            self.mvm_busy_cycles as f64 / self.cycles as f64
         } else {
             0.0
         }
@@ -188,8 +168,6 @@ mod tests {
     #[test]
     fn throughput_and_utilization() {
         let s = sample();
-        // 100M flops in 4us = 25 TFLOPS.
-        assert!((s.dispatched_tflops() - 25.0).abs() < 1e-9);
         // Effective with 96M useful ops: 96e6 / (192000*1000) = 0.5.
         assert!((s.effective_utilization(96_000_000) - 0.5).abs() < 1e-12);
         assert!((s.effective_tflops(96_000_000) - 24.0).abs() < 1e-9);
@@ -199,9 +177,7 @@ mod tests {
     fn zero_cycles_are_safe() {
         let s = RunStats::default();
         assert_eq!(s.latency_seconds(), 0.0);
-        assert_eq!(s.dispatched_tflops(), 0.0);
         assert_eq!(s.effective_utilization(100), 0.0);
-        assert_eq!(s.mvm_occupancy(), 0.0);
     }
 
     #[test]

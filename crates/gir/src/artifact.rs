@@ -8,7 +8,7 @@
 //! [`PinnedModel`] is one live instance: the artifact deployed onto a set
 //! of owned [`Npu`]s, ready to serve batch-1 inferences.
 
-use bw_core::{KernelMode, Npu, NpuConfig, RunStats, Schedule, SpanRecord};
+use bw_core::{Npu, NpuConfig, RunStats, Schedule, SpanRecord};
 
 use crate::ir::{GirError, GirGraph};
 use crate::lower::{DeployError, Deployment, LowerOptions};
@@ -133,11 +133,6 @@ impl ModelArtifact {
         &self.deployment
     }
 
-    /// Devices one pinned instance occupies.
-    pub fn devices_required(&self) -> usize {
-        self.deployment.devices_required()
-    }
-
     /// Guaranteed min/max cycle counts for one inference through this
     /// artifact's accelerator binaries, when provable.
     pub fn static_bounds(&self) -> Option<bw_core::CycleBounds> {
@@ -168,21 +163,8 @@ impl ModelArtifact {
     ///
     /// Returns [`DeployError`] if weight loading overflows a register file.
     pub fn pin(&self) -> Result<PinnedModel, DeployError> {
-        self.pin_with_kernel(KernelMode::Fast)
-    }
-
-    /// [`ModelArtifact::pin`] with an explicit simulator kernel mode.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeployError`] if weight loading overflows a register file.
-    pub fn pin_with_kernel(&self, kernel: KernelMode) -> Result<PinnedModel, DeployError> {
         let mut npus: Vec<Npu> = (0..self.deployment.devices_required())
-            .map(|_| {
-                let mut npu = Npu::new(self.config.clone());
-                npu.set_kernel_mode(kernel);
-                npu
-            })
+            .map(|_| Npu::new(self.config.clone()))
             .collect();
         self.deployment.deploy(&mut npus)?;
         Ok(PinnedModel {
@@ -238,9 +220,9 @@ impl PinnedModel {
     }
 
     /// Runs a coalesced micro-batch through the pinned devices: one
-    /// multi-column dispatch per accelerator segment
-    /// ([`Deployment::execute_batch`]), returning per-column outputs in
-    /// input order plus the accumulated statistics for the whole batch.
+    /// multi-column dispatch per accelerator segment, returning
+    /// per-column outputs in input order plus the accumulated statistics
+    /// for the whole batch.
     /// Outputs are bit-identical to calling
     /// [`PinnedModel::infer_with_stats`] once per input.
     ///
@@ -378,7 +360,6 @@ mod tests {
         assert_eq!(artifact.name(), "mlp-8-16-4");
         assert_eq!(artifact.input_dim(), 8);
         assert_eq!(artifact.output_dim(), 4);
-        assert_eq!(artifact.devices_required(), 1);
 
         let mut pinned = artifact.pin().unwrap();
         let x: Vec<f32> = (0..8).map(|i| (i as f32 - 4.0) / 10.0).collect();
@@ -441,7 +422,7 @@ mod tests {
         let g = mlp(&[16, 16, 16, 16, 16]);
         let artifact =
             ModelArtifact::compile("deep", &g, 512, &config(), &LowerOptions::default()).unwrap();
-        assert_eq!(artifact.devices_required(), 2);
+        assert_eq!(artifact.deployment().devices_required(), 2);
         let pinned = artifact.pin().unwrap();
         assert_eq!(pinned.devices(), 2);
     }

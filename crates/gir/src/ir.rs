@@ -48,8 +48,8 @@ pub enum GirOp {
     /// An operation the NPU cannot profitably accelerate; it is grouped
     /// into a CPU subgraph by the partitioner (§II-B: "Operations that are
     /// not supported ... are grouped into sub-graphs for execution on CPU
-    /// cores"). The closure-free representation names the op; execution
-    /// uses [`cpu_op_apply`].
+    /// cores"). The closure-free representation names the op; the host
+    /// runs it.
     CpuOp {
         /// Operation name (`"softmax"` and `"l2norm"` are built in).
         name: String,
@@ -60,7 +60,7 @@ pub enum GirOp {
 
 /// Executes a named CPU op (the host-runtime side of the federated
 /// execution model). Returns `None` for unknown names.
-pub fn cpu_op_apply(name: &str, x: &[f32]) -> Option<Vec<f32>> {
+pub(crate) fn cpu_op_apply(name: &str, x: &[f32]) -> Option<Vec<f32>> {
     match name {
         "softmax" => {
             let max = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);

@@ -14,17 +14,19 @@
 //! * [`split_oversized_stages`] / [`ShardedArtifact`] — intra-layer row
 //!   sharding for single layers that exceed one device (§II-A's spatial
 //!   distribution), packaged as per-worker artifacts;
-//! * [`Deployment`] — compiles accelerator segments to ISA programs, pins
-//!   weights, and executes the federated pipeline end to end;
+//! * [`Deployment`] — compiles accelerator segments to ISA programs and
+//!   gates each binary on the firmware linter;
 //! * [`ModelArtifact`] / [`PinnedModel`] — packages a compiled deployment
 //!   into the pin-able unit a serving runtime (`bw-serve`) publishes as a
-//!   hardware microservice, and a live NPU-backed instance of it.
+//!   hardware microservice, and a live NPU-backed instance of it: the
+//!   one way a compiled model runs, accelerator segments on its pinned
+//!   NPUs and CPU segments on the host.
 //!
 //! # Example
 //!
 //! ```
-//! use bw_gir::{fuse, partition, Deployment, GirGraph, GirOp, ActFn};
-//! use bw_core::{Npu, NpuConfig};
+//! use bw_gir::{ActFn, GirGraph, GirOp, LowerOptions, ModelArtifact};
+//! use bw_core::NpuConfig;
 //!
 //! let mut g = GirGraph::new();
 //! let x = g.add(GirOp::Input { dim: 4 }, &[])?;
@@ -32,22 +34,19 @@
 //! let a = g.add(GirOp::Activation(ActFn::Relu), &[m])?;
 //! g.add(GirOp::Output, &[a])?;
 //!
-//! let pipeline = fuse(&g)?;
-//! let plan = partition(&pipeline, 1 << 20)?;
 //! let cfg = NpuConfig::builder()
 //!     .native_dim(4).lanes(2).tile_engines(1)
 //!     .matrix_format(bw_bfp::BfpFormat::BFP_1S_5E_5M)
 //!     .build()?;
-//! let deployment = Deployment::compile(&pipeline, &plan, &cfg)?;
-//! let mut npus = vec![Npu::new(cfg)];
-//! deployment.deploy(&mut npus)?;
-//! let (y, _) = deployment.execute(&mut npus, &[1.0, 1.0, 1.0, 1.0])?;
+//! let artifact = ModelArtifact::compile("relu", &g, 1 << 20, &cfg, &LowerOptions::default())?;
+//! let y = artifact.pin()?.infer(&[1.0, 1.0, 1.0, 1.0])?;
 //! assert_eq!(y.len(), 4);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod artifact;
 mod ir;
@@ -58,7 +57,7 @@ mod shard;
 mod split;
 
 pub use artifact::{ArtifactError, ModelArtifact, PinnedModel};
-pub use ir::{cpu_op_apply, ActFn, GirError, GirGraph, GirNode, GirNodeId, GirOp};
+pub use ir::{ActFn, GirError, GirGraph, GirNode, GirNodeId, GirOp};
 pub use lower::{AcceleratorBinary, DeployError, Deployment, LowerOptions};
 pub use model_text::{parse_model, ModelParseError};
 pub use pipeline::{fuse, partition, PartitionError, PartitionPlan, Pipeline, Placement, Stage};

@@ -1,5 +1,5 @@
-//! Lowering partitioned pipelines to BW ISA programs and executing the
-//! federated deployment (§II-B).
+//! Lowering partitioned pipelines to BW ISA programs, and the federated
+//! execution a [`PinnedModel`](crate::PinnedModel) runs (§II-B).
 //!
 //! Each accelerator segment becomes one ISA program: a network read, then
 //! one chain per dense stage (`mv_mul` + fused `vv_add` + fused
@@ -40,11 +40,10 @@ pub struct AcceleratorBinary {
 }
 
 impl AcceleratorBinary {
-    /// The deployment facts [`Deployment::deploy`] and
-    /// [`Deployment::execute`] establish for this binary, in the form the
-    /// static analyzer consumes: pinned weights and biases are preloaded,
-    /// and the host pushes one padded input (`input_grid` vectors) and
-    /// expects `output_grid` output vectors per inference.
+    /// The deployment facts a pin establishes for this binary, in the
+    /// form the static analyzer consumes: pinned weights and biases are
+    /// preloaded, and the host pushes one padded input (`input_grid`
+    /// vectors) and expects `output_grid` output vectors per inference.
     pub fn analysis_options(&self) -> AnalysisOptions {
         let mut opts = AnalysisOptions::default()
             .with_input_vectors(u64::from(self.input_grid))
@@ -67,7 +66,7 @@ impl AcceleratorBinary {
     /// Runs the linter with the [`LowerOptions`] policy applied: a
     /// declared SLA is converted into a per-binary cycle budget so the
     /// static cycle-bound check (BW120–BW122) participates in the gate.
-    pub fn lint_with(&self, config: &NpuConfig, opts: &LowerOptions) -> AnalysisReport {
+    pub(crate) fn lint_with(&self, config: &NpuConfig, opts: &LowerOptions) -> AnalysisReport {
         let mut options = self.analysis_options();
         if let Some(cycles) = opts.sla_cycles(config) {
             options = options.with_sla_cycles(cycles);
@@ -187,31 +186,16 @@ pub struct Deployment {
 
 impl Deployment {
     /// Compiles every accelerator segment of `plan` for NPUs of
-    /// configuration `config`, gating each lowered binary on the firmware
-    /// linter with default [`LowerOptions`] (errors block, warnings pass).
+    /// configuration `config`. Every lowered binary is analyzed under its
+    /// deployment facts ([`AcceleratorBinary::analysis_options`]) and
+    /// rejected if the report blocks deployment under `opts`.
     ///
     /// # Errors
     ///
     /// Returns [`DeployError::BadPlan`] if the plan references stages the
     /// pipeline lacks, or [`DeployError::Rejected`] if a lowered binary
-    /// fails static analysis.
-    pub fn compile(
-        pipeline: &Pipeline,
-        plan: &PartitionPlan,
-        config: &NpuConfig,
-    ) -> Result<Deployment, DeployError> {
-        Self::compile_with(pipeline, plan, config, &LowerOptions::default())
-    }
-
-    /// [`Deployment::compile`] with explicit linter strictness: every
-    /// lowered binary is analyzed under its deployment facts
-    /// ([`AcceleratorBinary::analysis_options`]) and rejected if the
-    /// report blocks deployment.
-    ///
-    /// # Errors
-    ///
-    /// As [`Deployment::compile`]; with `deny_warnings` set, warnings also
-    /// reject.
+    /// fails static analysis (with `deny_warnings` set, warnings also
+    /// reject).
     pub fn compile_with(
         pipeline: &Pipeline,
         plan: &PartitionPlan,
@@ -362,7 +346,7 @@ impl Deployment {
     }
 
     /// Number of NPUs the deployment requires.
-    pub fn devices_required(&self) -> usize {
+    pub(crate) fn devices_required(&self) -> usize {
         self.plan.devices_used
     }
 
@@ -392,7 +376,7 @@ impl Deployment {
     ///
     /// Returns [`DeployError`] if too few NPUs are supplied or a load
     /// overflows capacity.
-    pub fn deploy(&self, npus: &mut [Npu]) -> Result<(), DeployError> {
+    pub(crate) fn deploy(&self, npus: &mut [Npu]) -> Result<(), DeployError> {
         if npus.len() < self.plan.devices_used {
             return Err(DeployError::NotEnoughDevices {
                 required: self.plan.devices_used,
@@ -433,32 +417,14 @@ impl Deployment {
         Ok(())
     }
 
-    /// Executes one inference across the federated deployment: accelerator
-    /// segments run on their NPUs, CPU segments on the host. Returns the
-    /// output and the accumulated accelerator statistics.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeployError`] on device shortfall, unknown CPU ops, or
-    /// simulator failures.
-    pub fn execute(
-        &self,
-        npus: &mut [Npu],
-        input: &[f32],
-    ) -> Result<(Vec<f32>, RunStats), DeployError> {
-        let (mut outputs, stats) =
-            self.execute_batch(npus, std::slice::from_ref(&input.to_vec()))?;
-        Ok((outputs.pop().expect("batch of one"), stats))
-    }
-
     /// Executes a coalesced micro-batch in one pass: each accelerator
     /// segment receives every column's input up front and runs its
     /// program once per column inside a single
     /// [`Npu::run_batch`](bw_core::Npu::run_batch) envelope, so the
     /// per-segment dispatch/streaming cost is paid once for the whole
     /// batch. Outputs come back in column order and are bit-identical
-    /// to running [`Deployment::execute`] per input sequentially (the
-    /// simulator's functional path is timing-independent). The returned
+    /// to running each input as a batch of one (the simulator's
+    /// functional path is timing-independent). The returned
     /// [`RunStats`] accumulates every column.
     ///
     /// Each call schedules every segment afresh; a
@@ -469,7 +435,7 @@ impl Deployment {
     ///
     /// Returns [`DeployError`] on device shortfall, unknown CPU ops, or
     /// simulator failures.
-    pub fn execute_batch(
+    pub(crate) fn execute_batch(
         &self,
         npus: &mut [Npu],
         inputs: &[Vec<f32>],
@@ -542,6 +508,7 @@ mod tests {
     use super::*;
     use crate::ir::{GirGraph, GirOp};
     use crate::pipeline::{fuse, partition};
+    use crate::{ModelArtifact, PinnedModel};
     use bw_bfp::BfpFormat;
 
     fn config() -> NpuConfig {
@@ -599,19 +566,22 @@ mod tests {
         g
     }
 
+    /// Compiles `g` under `budget` and pins it.
+    fn pin(g: &GirGraph, budget: u64) -> PinnedModel {
+        ModelArtifact::compile("mlp", g, budget, &config(), &LowerOptions::default())
+            .unwrap()
+            .pin()
+            .unwrap()
+    }
+
     #[test]
     fn single_device_deployment_matches_reference() {
         let g = mlp_graph(&[8, 12, 4], false);
-        let p = fuse(&g).unwrap();
-        let plan = partition(&p, 1 << 20).unwrap();
-        let cfg = config();
-        let dep = Deployment::compile(&p, &plan, &cfg).unwrap();
-        assert_eq!(dep.devices_required(), 1);
+        let mut pinned = pin(&g, 1 << 20);
+        assert_eq!(pinned.devices(), 1);
 
-        let mut npus = vec![Npu::new(cfg)];
-        dep.deploy(&mut npus).unwrap();
         let x: Vec<f32> = (0..8).map(|i| (i as f32 - 4.0) / 8.0).collect();
-        let (y, stats) = dep.execute(&mut npus, &x).unwrap();
+        let (y, stats) = pinned.infer_with_stats(&x).unwrap();
         let want = g.evaluate(&x).unwrap();
         for (a, b) in y.iter().zip(&want) {
             assert!((a - b).abs() < 0.1, "{a} vs {b}");
@@ -623,16 +593,10 @@ mod tests {
     fn multi_device_partition_round_trips() {
         // 4 layers of 16x16 = 256 params each; budget 512 -> 2 devices.
         let g = mlp_graph(&[16, 16, 16, 16, 16], false);
-        let p = fuse(&g).unwrap();
-        let plan = partition(&p, 512).unwrap();
-        assert_eq!(plan.devices_used, 2);
-        let cfg = config();
-        let dep = Deployment::compile(&p, &plan, &cfg).unwrap();
-
-        let mut npus = vec![Npu::new(cfg.clone()), Npu::new(cfg)];
-        dep.deploy(&mut npus).unwrap();
+        let mut pinned = pin(&g, 512);
+        assert_eq!(pinned.devices(), 2);
         let x = vec![0.2f32; 16];
-        let (y, _) = dep.execute(&mut npus, &x).unwrap();
+        let y = pinned.infer(&x).unwrap();
         let want = g.evaluate(&x).unwrap();
         for (a, b) in y.iter().zip(&want) {
             assert!((a - b).abs() < 0.15, "{a} vs {b}");
@@ -642,13 +606,7 @@ mod tests {
     #[test]
     fn cpu_tail_executes_on_host() {
         let g = mlp_graph(&[8, 8], true);
-        let p = fuse(&g).unwrap();
-        let plan = partition(&p, 1 << 20).unwrap();
-        let cfg = config();
-        let dep = Deployment::compile(&p, &plan, &cfg).unwrap();
-        let mut npus = vec![Npu::new(cfg)];
-        dep.deploy(&mut npus).unwrap();
-        let (y, _) = dep.execute(&mut npus, &[0.3; 8]).unwrap();
+        let y = pin(&g, 1 << 20).infer(&[0.3; 8]).unwrap();
         let sum: f32 = y.iter().sum();
         assert!((sum - 1.0).abs() < 1e-3, "softmax sums to 1, got {sum}");
     }
@@ -702,9 +660,8 @@ mod tests {
         let g = mlp_graph(&[16, 16, 16, 16, 16], false);
         let p = fuse(&g).unwrap();
         let plan = partition(&p, 512).unwrap();
-        let cfg = config();
-        let dep = Deployment::compile(&p, &plan, &cfg).unwrap();
-        let mut npus = vec![Npu::new(cfg)];
+        let dep = Deployment::compile_with(&p, &plan, &config(), &LowerOptions::default()).unwrap();
+        let mut npus = vec![Npu::new(config())];
         assert_eq!(
             dep.deploy(&mut npus).unwrap_err(),
             DeployError::NotEnoughDevices {

@@ -309,13 +309,10 @@ output
 
     #[test]
     fn end_to_end_through_the_toolflow() {
-        use crate::lower::Deployment;
-        use crate::pipeline::partition;
-        use bw_core::{Npu, NpuConfig};
+        use crate::{LowerOptions, ModelArtifact};
+        use bw_core::NpuConfig;
 
         let g = parse_model(CLASSIFIER).unwrap();
-        let p = fuse(&g).unwrap();
-        let plan = partition(&p, 1 << 20).unwrap();
         let cfg = NpuConfig::builder()
             .native_dim(8)
             .lanes(4)
@@ -325,11 +322,11 @@ output
             .matrix_format(bw_bfp::BfpFormat::BFP_1S_5E_5M)
             .build()
             .unwrap();
-        let dep = Deployment::compile(&p, &plan, &cfg).unwrap();
-        let mut npus = vec![Npu::new(cfg)];
-        dep.deploy(&mut npus).unwrap();
+        let artifact =
+            ModelArtifact::compile("classifier", &g, 1 << 20, &cfg, &LowerOptions::default())
+                .unwrap();
         let x = [0.25f32; 8];
-        let (y, _) = dep.execute(&mut npus, &x).unwrap();
+        let y = artifact.pin().unwrap().infer(&x).unwrap();
         let want = g.evaluate(&x).unwrap();
         for (a, b) in y.iter().zip(&want) {
             assert!((a - b).abs() < 0.05, "{a} vs {b}");

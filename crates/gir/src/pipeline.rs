@@ -34,7 +34,7 @@ pub enum Stage {
     },
     /// A CPU-only operation.
     Cpu {
-        /// The op name (see [`crate::cpu_op_apply`]).
+        /// The op name (see [`GirOp::CpuOp`](crate::GirOp::CpuOp)).
         name: String,
         /// Dimension.
         dim: usize,
@@ -51,7 +51,7 @@ impl Stage {
     }
 
     /// Output dimension.
-    pub fn out_dim(&self) -> usize {
+    pub(crate) fn out_dim(&self) -> usize {
         match self {
             Stage::Dense { rows, .. } => *rows,
             Stage::Pointwise { dim, .. } | Stage::Cpu { dim, .. } => *dim,

@@ -174,38 +174,6 @@ impl ShardedArtifact {
         Ok(artifact)
     }
 
-    /// Packages an already-compiled serving plan, gated on whole-artifact
-    /// static analysis: the cross-shard NetQ balance, scatter/gather
-    /// deadlock and stage-flow passes must prove the plan live before it
-    /// can exist as a [`ShardedArtifact`].
-    ///
-    /// This is the entry point for hand-assembled plans (tests, external
-    /// toolchains); [`ShardedArtifact::compile`] routes through the same
-    /// gate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArtifactError::Analysis`] carrying the blocking report if
-    /// any BW11x/BW12x error fires (warnings too under
-    /// `opts.deny_warnings`).
-    pub fn from_segments(
-        name: impl Into<String>,
-        input_dim: usize,
-        output_dim: usize,
-        segments: Vec<ShardSegment>,
-        opts: &LowerOptions,
-    ) -> Result<ShardedArtifact, ArtifactError> {
-        let artifact = ShardedArtifact {
-            name: name.into(),
-            input_dim,
-            output_dim,
-            report: SplitReport::default(),
-            segments,
-        };
-        artifact.gate(opts)?;
-        Ok(artifact)
-    }
-
     fn gate(&self, opts: &LowerOptions) -> Result<(), ArtifactError> {
         let report = self.analyze(opts);
         if report.blocks_deployment(opts.deny_warnings) {
@@ -264,7 +232,7 @@ impl ShardedArtifact {
     /// segments as scatter/gather groups. Host (CPU) stages are pointwise
     /// and relay vectors without changing dimension, so consecutive
     /// binaries chain by the default producer wiring.
-    pub fn analysis_view(&self) -> ArtifactView<'_> {
+    pub(crate) fn analysis_view(&self) -> ArtifactView<'_> {
         let mut view = ArtifactView::new(&self.name, self.input_dim);
         for segment in &self.segments {
             match segment {
@@ -351,6 +319,25 @@ mod tests {
     use super::*;
     use crate::ir::{ActFn, GirOp};
     use bw_bfp::BfpFormat;
+
+    /// Packages a hand-assembled serving plan through the gate
+    /// [`ShardedArtifact::compile`] uses.
+    fn from_segments(
+        name: &str,
+        input_dim: usize,
+        output_dim: usize,
+        segments: Vec<ShardSegment>,
+    ) -> Result<ShardedArtifact, ArtifactError> {
+        let artifact = ShardedArtifact {
+            name: name.into(),
+            input_dim,
+            output_dim,
+            report: SplitReport::default(),
+            segments,
+        };
+        artifact.gate(&LowerOptions::default())?;
+        Ok(artifact)
+    }
 
     fn config() -> NpuConfig {
         NpuConfig::builder()
@@ -489,12 +476,11 @@ mod tests {
         let member =
             ModelArtifact::compile("lone#g0s0", &g, 1 << 20, &cfg, &LowerOptions::default())
                 .unwrap();
-        let err = ShardedArtifact::from_segments(
+        let err = from_segments(
             "lone",
             8,
             8,
             vec![ShardSegment::Sharded(vec![member.clone(), member])],
-            &LowerOptions::default(),
         )
         .unwrap_err();
         match err {
@@ -519,14 +505,7 @@ mod tests {
         let g = mlp(&[16, 32, 8]);
         let whole =
             ModelArtifact::compile("ok#seg0", &g, 1 << 20, &cfg, &LowerOptions::default()).unwrap();
-        let artifact = ShardedArtifact::from_segments(
-            "ok",
-            16,
-            8,
-            vec![ShardSegment::Single(whole)],
-            &LowerOptions::default(),
-        )
-        .unwrap();
+        let artifact = from_segments("ok", 16, 8, vec![ShardSegment::Single(whole)]).unwrap();
         assert!(artifact.analyze(&LowerOptions::default()).is_clean());
         assert!(artifact.static_bounds().is_some());
     }

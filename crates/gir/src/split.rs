@@ -141,7 +141,14 @@ impl std::error::Error for SplitError {}
 /// assert_eq!(report.splits, vec![(0, 3)]);
 /// assert!(sharded.stages.iter().all(|s| s.weight_params() <= 6000));
 /// // Shards gather back to the full 4h gate vector.
-/// let rows: usize = sharded.stages.iter().map(|s| s.out_dim()).sum();
+/// let rows: usize = sharded
+///     .stages
+///     .iter()
+///     .map(|s| match s {
+///         Stage::Dense { rows, .. } => *rows,
+///         _ => 0,
+///     })
+///     .sum();
 /// assert_eq!(rows, 4 * h);
 /// # Ok::<(), bw_gir::SplitError>(())
 /// ```

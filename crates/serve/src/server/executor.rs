@@ -816,7 +816,8 @@ mod tests {
     use crate::batch::{BatchConfig, Batcher};
     use crate::demo::{demo_input, mlp_artifact};
     use crate::server::Server;
-    use crate::worker::{tests::Panics, Control};
+    use crate::worker::tests::{until_parked, Panics, Slow};
+    use crate::worker::Control;
     use bw_system::Routing;
 
     const DEADLINE: Duration = Duration::from_secs(10);
@@ -863,6 +864,38 @@ mod tests {
             .unwrap();
         assert_eq!((resp.worker, resp.retries), (1, 1));
         assert_eq!(server.workers_alive(), [false, true]);
+        assert_accounted(&server, 1, 0);
+    }
+
+    #[test]
+    fn an_attempt_its_caller_runs_is_not_cut_short_by_the_attempt_timeout() {
+        // One idle worker whose replica takes ten attempt timeouts: run by
+        // the worker's thread, the attempt would time out and fail over.
+        let server = Server::builder()
+            .model(mlp_artifact("m", &[16, 8], 3))
+            .replicas(1)
+            .attempt_timeout(Duration::from_millis(5))
+            .spawn()
+            .unwrap();
+        let worker = &server.inner.workers[0];
+        let slow = Slow(
+            Duration::from_millis(50),
+            mlp_artifact("m", &[16, 8], 3).pin().unwrap(),
+        );
+        let pin = Control::Pin {
+            slot: 0,
+            model: Box::new(slow),
+            preload_s: 0.0,
+            bytes: 0,
+        };
+        worker.control(pin).unwrap();
+        until_parked(worker);
+        let resp = server
+            .client()
+            .call("m", &demo_input(16, 0), DEADLINE)
+            .unwrap();
+        assert_eq!(resp.retries, 0);
+        assert_eq!(server.metrics().worker_caller_runs, [1]);
         assert_accounted(&server, 1, 0);
     }
 

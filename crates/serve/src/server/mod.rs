@@ -155,7 +155,10 @@ pub struct ServerConfig {
     /// Failover retries permitted per request beyond the first attempt.
     pub max_retries: u32,
     /// Per-attempt timeout. `None` gives each attempt the full remaining
-    /// deadline (failover then only triggers on faults and death).
+    /// deadline (failover then only triggers on faults and death). It
+    /// bounds an attempt that waits in a queue or runs on the worker's
+    /// thread; an attempt the waiting caller runs itself, on an idle
+    /// replica, is not cut short (the deadline still applies).
     pub attempt_timeout: Option<Duration>,
     /// Seed for the random routing policy.
     pub seed: u64,
@@ -675,7 +678,10 @@ impl ServerBuilder {
         self
     }
 
-    /// Sets the per-attempt timeout.
+    /// Sets the per-attempt timeout, after which an attempt that is
+    /// queued or running on the worker's thread fails over. An attempt
+    /// the waiting caller runs itself is not cut short (see
+    /// [`ServerConfig::attempt_timeout`]).
     pub fn attempt_timeout(mut self, timeout: Duration) -> Self {
         self.cfg.attempt_timeout = Some(timeout);
         self

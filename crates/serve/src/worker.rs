@@ -756,6 +756,16 @@ pub(crate) mod tests {
         }
     }
 
+    /// A replica that sleeps for `.0` before each run of `.1`.
+    pub(crate) struct Slow(pub(crate) Duration, pub(crate) PinnedModel);
+
+    impl Replica for Slow {
+        fn run(&mut self, columns: &[Vec<f32>], traced: bool) -> RunOutcome {
+            std::thread::sleep(self.0);
+            self.1.run(columns, traced)
+        }
+    }
+
     fn worker_with(queue_cap: usize) -> WorkerHandle {
         let artifact = mlp_artifact("m", &[16, 8], 3);
         spawn_worker(0, vec![Some(artifact.pin().unwrap())], queue_cap)
@@ -783,7 +793,7 @@ pub(crate) mod tests {
     }
 
     /// Returns once the worker's thread waits on an empty queue.
-    fn until_parked(w: &WorkerHandle) {
+    pub(crate) fn until_parked(w: &WorkerHandle) {
         let start = Instant::now();
         while !parked(w) {
             assert!(start.elapsed() < BOUND, "the worker never parked");

@@ -68,13 +68,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for member in segment.members() {
             for bin in member.deployment().binaries() {
                 println!(
-                    "    {} device {}: {} -> {}, {} MRF tiles, {} bytes encoded",
+                    "    {} device {}: {} -> {}, {} MRF tiles, {} chains",
                     member.name(),
                     bin.device,
                     bin.input_dim,
                     bin.output_dim,
                     bin.mrf_entries,
-                    bin.program.encode().len()
+                    bin.program.chain_count()
                 );
             }
         }

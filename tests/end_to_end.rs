@@ -1,6 +1,5 @@
 //! Cross-crate integration tests: the full path from model definition
-//! through firmware generation, binary encoding, simulation, and
-//! golden-model validation.
+//! through firmware generation, simulation, and golden-model validation.
 
 use brainwave::gir::{LowerOptions, ModelArtifact};
 use brainwave::models::reference;
@@ -21,19 +20,13 @@ fn small_cfg() -> NpuConfig {
 }
 
 #[test]
-fn lstm_firmware_survives_binary_round_trip_and_matches_reference() {
+fn lstm_firmware_matches_reference() {
     let cfg = small_cfg();
     let dims = RnnDims::square(16);
     let lstm = Lstm::new(&cfg, dims);
     let weights = LstmWeights::random(dims, 77);
-
-    // Encode the firmware to its deployable binary and decode it back —
-    // the toolflow's packaging step (§II-B).
     let program = lstm.program(3);
-    let decoded = Program::decode(&program.encode()).expect("round trip");
-    assert_eq!(program, decoded);
 
-    // Run the *decoded* program.
     let mut npu = Npu::new(cfg);
     lstm.load_weights(&mut npu, &weights).unwrap();
     let inputs: Vec<Vec<f32>> = (0..3)
@@ -46,7 +39,7 @@ fn lstm_firmware_survives_binary_round_trip_and_matches_reference() {
     for x in &inputs {
         lstm.push_step_input(&mut npu, x).unwrap();
     }
-    let stats = npu.run(&decoded).expect("decoded firmware runs");
+    let stats = npu.run(&program).expect("firmware runs");
     assert!(stats.cycles > 0);
 
     // Validate the last hidden state against the f32 reference.
@@ -68,31 +61,6 @@ fn lstm_firmware_survives_binary_round_trip_and_matches_reference() {
     for (got, want) in last.iter().zip(&h) {
         assert!((got - want).abs() < 0.08, "{got} vs {want}");
     }
-}
-
-#[test]
-fn lstm_firmware_binary_is_pinned() {
-    // The deployable binary of a 5-step h = 16 LSTM, byte for byte: the
-    // format a deployed device decodes does not move with the encoder.
-    const BINARY: &str = concat!(
-        "42574e500100000001000000050000000e0000000000020100020004000000000001000000000000",
-        "00000000000200010000000201000400000000000000040000000005000000000101000000000801",
-        "000400000000000000040000000405000000020101000000000a0100040000000000000004000000",
-        "0805000000040101000000000c01000400000000000000040000000c05000000060101000000000e",
-        "00010000000201000600000000000004040000001005000000080b09000000000101010000000001",
-        "0005000000000000040400000014050000000a0b0102000000000201000500000000000004040000",
-        "0018050000000c0b0102000000000401000800000000000004040000001c050000000e0c09000000",
-        "0205000000000102000000000001000000000002010005000000000000020c090000000401000000",
-        "00000401040000000000",
-    );
-    let lstm = Lstm::new(&small_cfg(), RnnDims::square(16));
-    let hex: String = lstm
-        .program(5)
-        .encode()
-        .iter()
-        .map(|b| format!("{b:02x}"))
-        .collect();
-    assert_eq!(hex, BINARY);
 }
 
 #[test]
@@ -305,7 +273,6 @@ fn a_hand_written_kernel_computes_the_f16_operators_bit_for_bit() {
         .end_chain()
         .unwrap();
     let program = b.build();
-    assert_eq!(Program::decode(&program.encode()).unwrap(), program);
 
     let x = [0.5f32, -0.5, 1.0, -1.0, 2.0, -2.0, 0.0, 0.25];
     let bias = [0.0f32, 0.125, -0.25, 0.5, -1.0, 1.5, -2.0, 3.0];

@@ -87,21 +87,6 @@ proptest! {
         }
     }
 
-    /// Every generated program round-trips through the binary format.
-    #[test]
-    fn firmware_binary_round_trip(
-        hidden in 4usize..64,
-        steps in 1u32..20,
-        lstm_not_gru in any::<bool>(),
-    ) {
-        let cfg = small_cfg();
-        let dims = RnnDims::square(hidden);
-        let kind = if lstm_not_gru { RnnKind::Lstm } else { RnnKind::Gru };
-        let program = Rnn::new(kind, &cfg, dims).program(steps);
-        let decoded = Program::decode(&program.encode()).unwrap();
-        prop_assert_eq!(program, decoded);
-    }
-
     /// Timing is deterministic: the same program on the same NPU state
     /// yields identical statistics, and doubling steps at least doubles
     /// neither... precisely: cycles scale monotonically with steps.

@@ -2,7 +2,7 @@
 //! programs must execute without panics, produce finite outputs, and agree
 //! between functional and timing-only modes on every cycle count.
 
-use brainwave::core::isa::{Item, ScalarReg, Segment};
+use brainwave::core::isa::{Chain, Instruction, Item, Opcode, ScalarReg, Segment};
 use brainwave::prelude::*;
 use proptest::prelude::*;
 
@@ -299,6 +299,170 @@ fn budget_options(vectors: u64) -> AnalysisOptions {
         .with_input_vectors(vectors)
 }
 
+/// One corruption of a built program: a single field flipped in place.
+#[derive(Clone, Copy, Debug)]
+struct Mutation {
+    /// Picks the segment, then an item in it, then an instruction of a
+    /// chain item.
+    site: u32,
+    /// 0: the segment's `iterations`; 1: an operand index or a `SetReg`
+    /// value; 2: a `MemId`; 3: the opcode, swapped for `OPCODES[bit]`.
+    field: u8,
+    bit: u8,
+}
+
+fn mutation_strategy() -> impl Strategy<Value = Mutation> {
+    (any::<u32>(), 0u8..4, 0u8..32).prop_map(|(site, field, bit)| Mutation { site, field, bit })
+}
+
+/// Every opcode of Table II, the targets of an opcode swap.
+const OPCODES: [Opcode; 15] = [
+    Opcode::VRd,
+    Opcode::VWr,
+    Opcode::MRd,
+    Opcode::MWr,
+    Opcode::MvMul,
+    Opcode::VvAdd,
+    Opcode::VvASubB,
+    Opcode::VvBSubA,
+    Opcode::VvMax,
+    Opcode::VvMul,
+    Opcode::VRelu,
+    Opcode::VSigm,
+    Opcode::VTanh,
+    Opcode::SWr,
+    Opcode::EndChain,
+];
+
+/// An instruction's operands: its memory (`InitialVrf` when it names
+/// none) and its index or value (0 when it has none).
+fn operands(i: Instruction) -> (MemId, u32) {
+    match i {
+        Instruction::VRd { mem, index }
+        | Instruction::VWr { mem, index }
+        | Instruction::MRd { mem, index }
+        | Instruction::MWr { mem, index } => (mem, index),
+        Instruction::MvMul { mrf_index: index }
+        | Instruction::VvAdd { index }
+        | Instruction::VvASubB { index }
+        | Instruction::VvBSubA { index }
+        | Instruction::VvMax { index }
+        | Instruction::VvMul { index }
+        | Instruction::SWr { value: index, .. } => (MemId::InitialVrf, index),
+        Instruction::VRelu | Instruction::VSigm | Instruction::VTanh | Instruction::EndChain => {
+            (MemId::InitialVrf, 0)
+        }
+    }
+}
+
+/// The instruction of opcode `op` with the given operands.
+fn instruction(op: Opcode, mem: MemId, index: u32) -> Instruction {
+    match op {
+        Opcode::VRd => Instruction::VRd { mem, index },
+        Opcode::VWr => Instruction::VWr { mem, index },
+        Opcode::MRd => Instruction::MRd { mem, index },
+        Opcode::MWr => Instruction::MWr { mem, index },
+        Opcode::MvMul => Instruction::MvMul { mrf_index: index },
+        Opcode::VvAdd => Instruction::VvAdd { index },
+        Opcode::VvASubB => Instruction::VvASubB { index },
+        Opcode::VvBSubA => Instruction::VvBSubA { index },
+        Opcode::VvMax => Instruction::VvMax { index },
+        Opcode::VvMul => Instruction::VvMul { index },
+        Opcode::VRelu => Instruction::VRelu,
+        Opcode::VSigm => Instruction::VSigm,
+        Opcode::VTanh => Instruction::VTanh,
+        Opcode::SWr => Instruction::SWr {
+            reg: ScalarReg::Rows,
+            value: index,
+        },
+        Opcode::EndChain => Instruction::EndChain,
+    }
+}
+
+/// `mem` with one bit of its code flipped: three bits name the file and
+/// the rest the MFU that owns it. `None` for a code that names no file.
+fn flip_mem(mem: MemId, bit: u8) -> Option<MemId> {
+    let code = match mem {
+        MemId::InitialVrf => 0,
+        MemId::AddSubVrf(k) => 1 | u32::from(k) << 3,
+        MemId::MultiplyVrf(k) => 2 | u32::from(k) << 3,
+        MemId::MatrixRf => 3,
+        MemId::NetQ => 4,
+        MemId::Dram => 5,
+    } ^ 1 << (bit % 8);
+    let k = (code >> 3) as u8;
+    match code & 7 {
+        0 => Some(MemId::InitialVrf),
+        1 => Some(MemId::AddSubVrf(k)),
+        2 => Some(MemId::MultiplyVrf(k)),
+        3 => Some(MemId::MatrixRf),
+        4 => Some(MemId::NetQ),
+        5 => Some(MemId::Dram),
+        _ => None,
+    }
+}
+
+/// `program` with `m` applied. A corrupted chain is rebuilt through
+/// [`Chain::new`]; `None` when the chain rules refuse it, or when a
+/// flipped `MemId` names no file.
+fn mutate(program: &Program, m: Mutation) -> Option<Program> {
+    let mut out = program.clone();
+    let segments = out.segments.len();
+    let seg = &mut out.segments[m.site as usize % segments];
+    let flip = 1u32 << (m.bit % 32);
+    if m.field == 0 || seg.items.is_empty() {
+        seg.iterations ^= flip;
+        return Some(out);
+    }
+    let site = m.site as usize / segments;
+    let items = seg.items.len();
+    match &mut seg.items[site % items] {
+        Item::SetReg { value, .. } => *value ^= flip,
+        Item::Chain(chain) => {
+            let mut instructions = chain.instructions().to_vec();
+            let at = site / items % instructions.len();
+            let old = instructions[at];
+            let (mem, index) = operands(old);
+            instructions[at] = match m.field {
+                1 => instruction(old.opcode(), mem, index ^ flip),
+                2 => instruction(old.opcode(), flip_mem(mem, m.bit)?, index),
+                _ => instruction(OPCODES[usize::from(m.bit) % OPCODES.len()], mem, index),
+            };
+            *chain = Chain::new(instructions).ok()?;
+        }
+    }
+    Some(out)
+}
+
+/// The mutator is not vacuous: over a fixed set of draws it yields chains
+/// the chain rules refuse, programs the linter catches, and programs that
+/// still run.
+#[test]
+fn the_mutator_reaches_every_outcome() {
+    let (mut refused, mut caught, mut ran) = (0, 0, 0);
+    for case in 0..64 {
+        let mut rng = proptest::test_runner::TestRng::for_case(case);
+        let specs = prop::collection::vec(chain_strategy(), 1..10).generate(&mut rng);
+        let mutation = mutation_strategy().generate(&mut rng);
+        let Some(program) = mutate(&build_program(&specs), mutation) else {
+            // Only a flipped `MemId` can name no file; the rest is `Chain::new`.
+            refused += usize::from(mutation.field != 2);
+            continue;
+        };
+        if analyze_with(&program, &cfg(), fuzz_options(&specs)).error_count() > 0 {
+            caught += 1;
+        } else if program.segments.iter().all(|s| s.iterations <= 1_000) {
+            let mut npu = Npu::new(cfg());
+            prepare(&mut npu, &specs);
+            ran += usize::from(npu.run(&program).is_ok());
+        }
+    }
+    assert!(
+        refused > 0 && caught > 0 && ran > 0,
+        "refused {refused}, caught {caught}, ran {ran}"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -546,18 +710,14 @@ proptest! {
     #[test]
     fn corrupted_programs_are_caught_or_fail_safely(
         specs in prop::collection::vec(chain_strategy(), 1..10),
-        byte in any::<u16>(),
-        bit in 0u8..8,
+        mutation in mutation_strategy(),
     ) {
-        let mut bytes = build_program(&specs).encode();
-        let i = usize::from(byte) % bytes.len();
-        bytes[i] ^= 1 << bit;
-        // Either the decoder rejects the corruption, or the linter flags
-        // it, or the program is still coherent enough to execute — in
-        // which case it must fault through `SimError`, never panic.
+        // Either the chain rules reject the corruption, or the linter
+        // flags it, or the program is still coherent enough to execute —
+        // in which case it must fault through `SimError`, never panic.
         // (Corruptions that only inflate a loop count are skipped to
         // bound test time.)
-        if let Ok(program) = Program::decode(&bytes) {
+        if let Some(program) = mutate(&build_program(&specs), mutation) {
             let report = analyze_with(&program, &cfg(), fuzz_options(&specs));
             let caught = report.error_count() > 0;
             let looping = program.segments.iter().any(|s| s.iterations > 1_000);
@@ -594,18 +754,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    #[test]
-    fn random_programs_round_trip_both_formats(
-        specs in prop::collection::vec(chain_strategy(), 1..10)
-    ) {
-        let program = build_program(&specs);
-        // Binary.
-        prop_assert_eq!(Program::decode(&program.encode()).unwrap(), program.clone());
-        // Assembly.
-        let text = program.to_string();
-        prop_assert_eq!(Program::parse_asm(&text).unwrap(), program);
     }
 }
 
@@ -651,7 +799,7 @@ proptest! {
 // ---------------------------------------------------------------------------
 // Whole-artifact plan fuzzing: scatter/gather pipelines assembled from
 // random shard programs, checked against a reference executor. The
-// cross-shard passes must never panic on mutated or byte-corrupted plans,
+// cross-shard passes must never panic on mutated or bit-corrupted plans,
 // and must never report an artifact as deadlocking when the reference
 // scatter/gather execution completes cleanly.
 // ---------------------------------------------------------------------------
@@ -862,22 +1010,19 @@ proptest! {
         let _ = artifact_cycle_bounds(&view);
     }
 
-    /// Bit-level corruption of one shard's firmware: whatever the bytes
-    /// decode to, the artifact checks classify it — they never panic.
+    /// Bit-level corruption of one shard's firmware: whatever a flipped
+    /// field makes of it, the artifact checks classify it — they never
+    /// panic.
     #[test]
     fn byte_corrupted_shard_plans_never_panic_the_artifact_passes(
         v0 in 1u32..4,
         stages in stages_strategy(),
         pick in any::<u16>(),
-        byte in any::<u16>(),
-        bit in 0u8..8,
+        mutation in mutation_strategy(),
     ) {
         let plan = build_plan(v0, &stages);
         let ui = usize::from(pick) % plan.programs.len();
-        let mut bytes = plan.programs[ui].encode();
-        let i = usize::from(byte) % bytes.len();
-        bytes[i] ^= 1 << bit;
-        if let Ok(corrupt) = Program::decode(&bytes) {
+        if let Some(corrupt) = mutate(&plan.programs[ui], mutation) {
             let mut programs = plan.programs.clone();
             programs[ui] = corrupt;
             let config = cfg();

@@ -1,6 +1,6 @@
 //! Shared-exponent quantized vectors.
 
-use crate::format::BfpFormat;
+use crate::format::{BfpFormat, Layout};
 use crate::kernel::{self, exp2, Mantissas, Operand, Rows, GROUP};
 
 /// Rounding discipline for quantization.
@@ -140,6 +140,9 @@ impl BfpBlock {
     /// allocations. Produces exactly the block a fresh quantization with
     /// `rounding` would.
     pub fn quantize_into(values: &[f32], format: BfpFormat, rounding: Rounding, out: &mut Self) {
+        if (format.layout(), rounding) == (Layout::Narrow, Rounding::Nearest) {
+            return quantize_narrow(values, format, out);
+        }
         out.format = format;
         out.len = values.len();
         out.mantissas.reset(format);
@@ -340,6 +343,108 @@ fn magnitude(v: f32) -> f32 {
 /// bits of the sum as two's complement.
 const ROUND_TO_INT: f64 = 6_755_399_441_055_744.0;
 
+/// The `Nearest` mantissa of `v`: scaled by `stretched`, clamped to `±cap`
+/// and rounded to the nearest integer ([`quantize_lanes`]). Every step is
+/// one IEEE operation, so a loop of it vectorized agrees bit for bit.
+#[inline(always)]
+fn round_mantissa(v: f32, stretched: f64, cap: f64) -> i32 {
+    let y = f64::from(magnitude(v).copysign(v)) * stretched;
+    let y = if y < cap { y } else { cap };
+    let y = if y > -cap { y } else { -cap };
+    (y + ROUND_TO_INT).to_bits() as u32 as i32
+}
+
+/// The shared exponent of one chunk: the smallest that represents its
+/// largest magnitude without mantissa overflow, clamped to the format's
+/// range ([`BfpBlock::quantize`]).
+#[inline(always)]
+fn chunk_exponent(group: &[f32], format: BfpFormat) -> i32 {
+    let (exp_min, exp_max) = format.exponent_range();
+    let (m, max_man) = (i32::from(format.mantissa_bits()), format.max_mantissa());
+    // Non-negative floats order like their bit patterns, and an integer
+    // maximum may be taken in any order, so this reduction vectorizes
+    // where a float one is a serial chain.
+    let amax_bits = group
+        .iter()
+        .map(|&v| magnitude(v).to_bits() as i32)
+        .fold(0, i32::max);
+    let amax = f32::from_bits(amax_bits as u32);
+    if amax == 0.0 {
+        exp_min
+    } else {
+        // floor(log2(amax)) is the f32 exponent field. A subnormal reads
+        // -127: at or above its true exponent and at or below anything
+        // storable, so the bump and the clamp land where that would.
+        let mut e = (amax.to_bits() >> 23) as i32 - 127;
+        // Rounding the largest element may overflow the mantissa field
+        // (e.g. 3.9 with 2-bit mantissas); bump the exponent if so. From
+        // the true floor one step always suffices.
+        let q_max = f64::from(amax) * exp2((m - 1) - e);
+        if q_max >= f64::from(max_man) + 0.5 && e < exp_max {
+            e += 1;
+        }
+        e.clamp(exp_min, exp_max)
+    }
+}
+
+/// [`BfpBlock::quantize_into`] of the narrow layout, to nearest: the
+/// mantissas, their `i16` lanes and the exponents in one pass per chunk,
+/// each element as [`quantize_lanes`] rounds it ([`round_mantissa`]), under
+/// the widest vector unit the CPU has: the loop is the same either way.
+#[allow(unsafe_code)]
+fn quantize_narrow(values: &[f32], format: BfpFormat, out: &mut BfpBlock) {
+    #[inline(always)]
+    fn body(values: &[f32], format: BfpFormat, out: &mut BfpBlock) {
+        (out.format, out.len) = (format, values.len());
+        out.padded.clear();
+        out.sums.clear();
+        if !matches!(out.mantissas, Mantissas::Narrow(_)) {
+            out.mantissas = Mantissas::Narrow(Vec::new());
+        }
+        let BfpBlock {
+            mantissas: Mantissas::Narrow(m),
+            lanes,
+            exponents,
+            ..
+        } = out
+        else {
+            unreachable!("narrow mantissas were just put there")
+        };
+        // Every element is written below: a steady run of one length
+        // resizes nothing.
+        m.resize(values.len(), 0);
+        lanes.resize(values.len(), 0);
+        exponents.clear();
+        let chunk = format.block_size() as usize;
+        let (cap, bits) = (
+            f64::from(format.max_mantissa()),
+            i32::from(format.mantissa_bits()),
+        );
+        let parts = m.chunks_mut(chunk).zip(lanes.chunks_mut(chunk));
+        for (group, (m, lanes)) in values.chunks(chunk).zip(parts) {
+            let e = chunk_exponent(group, format);
+            let stretched = exp2((bits - 1) - e) * (1.0 + exp2(-30));
+            for ((m, l), &v) in m.iter_mut().zip(lanes.iter_mut()).zip(group) {
+                let q = round_mantissa(v, stretched, cap);
+                (*m, *l) = (q as i8, q as i16);
+            }
+            exponents.push(e);
+        }
+    }
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    #[target_feature(enable = "avx2")]
+    fn avx2(values: &[f32], format: BfpFormat, out: &mut BfpBlock) {
+        body(values, format, out);
+    }
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: a safe `#[target_feature(enable = "avx2")]` function asks
+        // only that the running CPU supports AVX2, which was just detected.
+        return unsafe { avx2(values, format, out) };
+    }
+    body(values, format, out);
+}
+
 /// `narrow` must be lossless on `-max_mantissa..=max_mantissa`. When
 /// `grouped`, every chunk is zero-padded to whole packed groups.
 fn quantize_lanes<M: Clone + Default>(
@@ -368,7 +473,6 @@ fn quantize_lanes<M: Clone + Default>(
     };
     let chunk = format.block_size() as usize;
     let max_man = format.max_mantissa();
-    let (exp_min, exp_max) = format.exponent_range();
     let m = i32::from(format.mantissa_bits());
     mantissas.reserve(if grouped {
         kernel::padded_len(values.len(), chunk)
@@ -378,30 +482,7 @@ fn quantize_lanes<M: Clone + Default>(
     exponents.reserve(values.len().div_ceil(chunk));
 
     for group in values.chunks(chunk) {
-        // Non-negative floats order like their bit patterns, and an integer
-        // maximum may be taken in any order, so this reduction vectorizes
-        // where a float one is a serial chain.
-        let amax_bits = group
-            .iter()
-            .map(|&v| magnitude(v).to_bits() as i32)
-            .fold(0, i32::max);
-        let amax = f32::from_bits(amax_bits as u32);
-        let e = if amax == 0.0 {
-            exp_min
-        } else {
-            // floor(log2(amax)) is the f32 exponent field. A subnormal reads
-            // -127: at or above its true exponent and at or below anything
-            // storable, so the bump and the clamp land where that would.
-            let mut e = (amax.to_bits() >> 23) as i32 - 127;
-            // Rounding the largest element may overflow the mantissa field
-            // (e.g. 3.9 with 2-bit mantissas); bump the exponent if so. From
-            // the true floor one step always suffices.
-            let q_max = f64::from(amax) * exp2((m - 1) - e);
-            if q_max >= f64::from(max_man) + 0.5 && e < exp_max {
-                e += 1;
-            }
-            e.clamp(exp_min, exp_max)
-        };
+        let e = chunk_exponent(group, format);
         // Scaling by the reciprocal power of two is exact, like the divide.
         let inv_scale = exp2((m - 1) - e);
         match rounding {
@@ -416,12 +497,8 @@ fn quantize_lanes<M: Clone + Default>(
             Rounding::Nearest => {
                 let stretched = inv_scale * (1.0 + exp2(-30));
                 let cap = f64::from(max_man);
-                mantissas.extend(group.iter().map(|&v| {
-                    let y = f64::from(magnitude(v).copysign(v)) * stretched;
-                    let y = if y < cap { y } else { cap };
-                    let y = if y > -cap { y } else { -cap };
-                    narrow((y + ROUND_TO_INT).to_bits() as u32 as i32)
-                }));
+                let round = |&v: &f32| narrow(round_mantissa(v, stretched, cap));
+                mantissas.extend(group.iter().map(round));
             }
             Rounding::Stochastic(_) => mantissas.extend(group.iter().map(|&v| {
                 let v = magnitude(v).copysign(v);
@@ -446,6 +523,48 @@ mod tests {
 
     const FMT5: BfpFormat = BfpFormat::BFP_1S_5E_5M;
     const FMT2: BfpFormat = BfpFormat::BFP_1S_5E_2M;
+
+    #[test]
+    fn narrow_vectors_quantize_as_matrix_rows_do() {
+        // The narrow layout's one-pass vector quantizer against the general
+        // one a matrix row takes: specials, ties and chunk tails.
+        let specials = [
+            0.0,
+            -0.0,
+            0.5,
+            -2.5,
+            3.9,
+            1e-9,
+            -1e30,
+            f32::MAX,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+        ];
+        let mut block = BfpBlock::empty(FMT5);
+        for len in [0, 1, 7, 16, 17, 128, 129, 300] {
+            let values: Vec<f32> = (0..len)
+                .map(|i| match i % 5 {
+                    0 => specials[i / 5 % specials.len()],
+                    _ => (i as f32 * 0.37).sin() * 2.0f32.powi(i as i32 % 7 - 3),
+                })
+                .collect();
+            BfpBlock::quantize_into(&values, FMT5, Rounding::Nearest, &mut block);
+            let row = crate::BfpMatrix::quantize(1, len, &values, FMT5).unwrap();
+            if len > 0 {
+                let row = row.row(0);
+                assert!(block.mantissas().eq(row.mantissas()), "{len}");
+                assert!(block.exponents().iter().copied().eq(row.exponents()));
+            }
+            assert_eq!(block.len(), len);
+            assert!(block
+                .lanes
+                .iter()
+                .map(|&l| i32::from(l))
+                .eq(block.mantissas()));
+        }
+    }
 
     #[test]
     fn zero_vector_quantizes_to_zero() {

@@ -47,10 +47,11 @@
 //!
 //! The MAC kernels (the `kernel` module) and the binary16 element loops
 //! (the `lanes` module, AVX2 + F16C) each pair a portable body with a
-//! `std::arch` one. The crate's only `unsafe` is theirs: calling a
-//! `#[target_feature]` body once the feature is detected, and unaligned
-//! vector loads and stores; each use states why it holds. Under miri and
-//! off x86-64 only the portable bodies exist.
+//! `std::arch` one, and the quantizer's rounding loops (the `block`
+//! module) are one body compiled twice, once for AVX2. The crate's only
+//! `unsafe` is theirs: calling a `#[target_feature]` body once the feature
+//! is detected, and unaligned vector loads and stores; each use states why
+//! it holds. Under miri and off x86-64 only the portable bodies exist.
 //!
 //! # Example
 //!
@@ -66,7 +67,7 @@
 //! assert!((back[2] - 3.0).abs() < 0.5);
 //! ```
 
-// `#[allow]`ed in `kernel` and `lanes` only (crate doc, "Unsafe code").
+// `#[allow]`ed in `kernel`, `lanes` and `block` only (crate doc, "Unsafe code").
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]

@@ -655,41 +655,49 @@ mod tests {
 
     #[test]
     fn codes_are_unique_and_stable() {
-        // Every code the analyzer can emit, in numeric order.
-        const ALL: [DiagCode; 27] = [
-            DiagCode::ZeroRegister,
-            DiagCode::VrfOverflow,
-            DiagCode::MrfOverflow,
-            DiagCode::MissingMfu,
-            DiagCode::MfuCapacity,
-            DiagCode::StaleRegister,
-            DiagCode::UninitializedRead,
-            DiagCode::DeadStore,
-            DiagCode::ReadBeforeWrite,
-            DiagCode::MrfWriteAfterRead,
-            DiagCode::MrfDeadLoad,
-            DiagCode::MrfUninitializedRead,
-            DiagCode::NetUnderflow,
-            DiagCode::NetMatrixUnderflow,
-            DiagCode::NetOutputMismatch,
-            DiagCode::DefaultTiling,
-            DiagCode::RedundantOp,
-            DiagCode::OverlappingMulticast,
-            DiagCode::AliasedChainIo,
-            DiagCode::ShardPopUnmatched,
-            DiagCode::ShardPushExcess,
-            DiagCode::ShardDimMismatch,
-            DiagCode::ShardMatrixPop,
-            DiagCode::ShardDegenerate,
-            DiagCode::SlaViolation,
-            DiagCode::SlaAtRisk,
-            DiagCode::SlaMet,
-        ];
-        let mut names: Vec<&str> = ALL.iter().map(|c| c.as_str()).collect();
-        names.sort_unstable();
-        let before = names.len();
+        use DiagCode::*;
+        // Each code's successor in numeric order, and so every code the
+        // analyzer can emit, from the first. No arm is a wildcard: a new
+        // code does not compile until it is given its place here.
+        let next = |code| match code {
+            ZeroRegister => Some(VrfOverflow),
+            VrfOverflow => Some(MrfOverflow),
+            MrfOverflow => Some(MissingMfu),
+            MissingMfu => Some(MfuCapacity),
+            MfuCapacity => Some(StaleRegister),
+            StaleRegister => Some(UninitializedRead),
+            UninitializedRead => Some(DeadStore),
+            DeadStore => Some(ReadBeforeWrite),
+            ReadBeforeWrite => Some(MrfWriteAfterRead),
+            MrfWriteAfterRead => Some(MrfDeadLoad),
+            MrfDeadLoad => Some(MrfUninitializedRead),
+            MrfUninitializedRead => Some(NetUnderflow),
+            NetUnderflow => Some(NetMatrixUnderflow),
+            NetMatrixUnderflow => Some(NetOutputMismatch),
+            NetOutputMismatch => Some(DefaultTiling),
+            DefaultTiling => Some(RedundantOp),
+            RedundantOp => Some(OverlappingMulticast),
+            OverlappingMulticast => Some(AliasedChainIo),
+            AliasedChainIo => Some(ShardPopUnmatched),
+            ShardPopUnmatched => Some(ShardPushExcess),
+            ShardPushExcess => Some(ShardDimMismatch),
+            ShardDimMismatch => Some(ShardMatrixPop),
+            ShardMatrixPop => Some(ShardDegenerate),
+            ShardDegenerate => Some(SlaViolation),
+            SlaViolation => Some(SlaAtRisk),
+            SlaAtRisk => Some(SlaMet),
+            SlaMet => None,
+        };
+        let all: Vec<DiagCode> = std::iter::successors(Some(ZeroRegister), |&c| next(c)).collect();
+        // The chain follows the declaration order, and the names ascend.
+        assert!(all.windows(2).all(|w| w[0] < w[1]));
+        let mut names: Vec<&str> = all.iter().map(|c| c.as_str()).collect();
+        assert!(
+            names.windows(2).all(|w| w[0] < w[1]),
+            "codes ascend: {names:?}"
+        );
         names.dedup();
-        assert_eq!(before, names.len(), "duplicate BW0xx code");
+        assert_eq!(names.len(), all.len(), "duplicate BW0xx code");
         assert!(names.iter().all(|n| n.starts_with("BW") && n.len() == 5));
     }
 

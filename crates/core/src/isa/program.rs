@@ -74,15 +74,6 @@ impl Program {
             })
             .sum()
     }
-
-    /// Iterates over `(segment_index, item)` in stream order, expanding
-    /// iteration counts. The iterator is lazy, so a large unroll is never
-    /// materialized: the simulator's data pass walks a run through it.
-    pub fn stream(&self) -> impl Iterator<Item = (usize, &Item)> + '_ {
-        self.segments.iter().enumerate().flat_map(|(si, seg)| {
-            (0..seg.iterations).flat_map(move |_| seg.items.iter().map(move |it| (si, it)))
-        })
-    }
 }
 
 impl fmt::Display for Program {
@@ -143,28 +134,7 @@ mod tests {
     fn empty_program() {
         let p = Program::new();
         assert_eq!(p.chain_count(), 0);
-        assert_eq!(p.stream().count(), 0);
-    }
-
-    #[test]
-    fn stream_expands_iterations_in_order() {
-        let p = Program {
-            segments: vec![
-                Segment {
-                    items: vec![Item::Chain(copy_chain())],
-                    iterations: 2,
-                },
-                Segment {
-                    items: vec![Item::SetReg {
-                        reg: ScalarReg::Cols,
-                        value: 3,
-                    }],
-                    iterations: 1,
-                },
-            ],
-        };
-        let seq: Vec<usize> = p.stream().map(|(si, _)| si).collect();
-        assert_eq!(seq, vec![0, 0, 1]);
+        assert!(p.segments.is_empty());
     }
 
     #[test]

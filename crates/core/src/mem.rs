@@ -168,51 +168,63 @@ impl Dram {
     }
 }
 
+/// A flat FIFO of elements: `data[head..]` is queued.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Fifo {
+    data: Vec<f32>,
+    head: usize,
+}
+
+impl Fifo {
+    /// Queues `values`, then zeros to `len` elements in all.
+    pub(crate) fn push(&mut self, values: &[f32], len: usize) {
+        // Drop what has been popped once it is most of the storage, so the
+        // storage stays within twice what is queued.
+        if self.head > self.data.len() / 2 {
+            self.data.drain(..self.head);
+            self.head = 0;
+        }
+        self.data.extend_from_slice(values);
+        let end = self.data.len() + len.saturating_sub(values.len());
+        self.data.resize(end, 0.0);
+    }
+
+    /// Pops `n` elements, appending them to `out`.
+    pub(crate) fn pop_into(&mut self, n: usize, out: &mut Vec<f32>) {
+        out.extend_from_slice(&self.data[self.head..][..n]);
+        self.head += n;
+        if self.head == self.data.len() {
+            self.head = 0;
+            self.data.clear();
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.data.len() - self.head
+    }
+}
+
 /// The data side of the network input/output queues connecting the NPU to
 /// the datacenter network (Figure 3). Arrival stamps and queue depths are
-/// the scheduler's ([`crate::sched::Arrivals`]); this holds the payloads.
+/// the scheduler's ([`crate::sched::Arrivals`]); this holds the payloads:
+/// each vector queue one flat FIFO of elements, `native_dim` to a vector,
+/// so a warm run pushes and pops without allocating.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct NetQueues {
-    input: VecDeque<Vec<f32>>,
-    output: VecDeque<Vec<f32>>,
+    pub(crate) input: Fifo,
+    pub(crate) output: Fifo,
     input_matrices: VecDeque<BfpMatrix>,
 }
 
 impl NetQueues {
-    pub(crate) fn push_input(&mut self, vector: Vec<f32>) {
-        self.input.push_back(vector);
-    }
-
     pub(crate) fn push_input_matrix(&mut self, tile: BfpMatrix) {
         self.input_matrices.push_back(tile);
-    }
-
-    /// Pops `width` native vectors, appending their contents to `out`.
-    pub(crate) fn pop_input_into(&mut self, width: u32, out: &mut Vec<f32>) {
-        for v in self.input.drain(..width as usize) {
-            out.extend_from_slice(&v);
-        }
     }
 
     pub(crate) fn pop_input_matrix(&mut self) -> BfpMatrix {
         self.input_matrices
             .pop_front()
             .expect("the timeline popped this tile from its arrivals first")
-    }
-
-    /// Pushes native vectors from a flat slice (`native_dim` elements each).
-    pub(crate) fn push_output(&mut self, flat: &[f32], native_dim: usize) {
-        for v in flat.chunks(native_dim.max(1)) {
-            self.output.push_back(v.to_vec());
-        }
-    }
-
-    pub(crate) fn pop_output(&mut self) -> Option<Vec<f32>> {
-        self.output.pop_front()
-    }
-
-    pub(crate) fn output_len(&self) -> usize {
-        self.output.len()
     }
 }
 
@@ -330,24 +342,30 @@ mod tests {
     #[test]
     fn net_queue_input_is_fifo() {
         let mut q = NetQueues::default();
-        q.push_input(vec![1.0]);
-        q.push_input(vec![2.0]);
-        q.push_input(vec![3.0]);
+        q.input.push(&[1.0], 1);
+        q.input.push(&[2.0, 3.0], 2);
         let mut vs = Vec::new();
-        q.pop_input_into(2, &mut vs);
+        q.input.pop_into(2, &mut vs);
         assert_eq!(vs, vec![1.0, 2.0]);
-        q.pop_input_into(1, &mut vs);
+        q.input.pop_into(1, &mut vs);
         assert_eq!(vs, vec![1.0, 2.0, 3.0]);
+        // A short vector is zero-padded to the elements it fills.
+        q.input.push(&[4.0, 5.0, 6.0], 4);
+        vs.clear();
+        q.input.pop_into(4, &mut vs);
+        assert_eq!((vs, q.input.len()), (vec![4.0, 5.0, 6.0, 0.0], 0));
     }
 
     #[test]
     fn net_queue_output_side() {
         let mut q = NetQueues::default();
-        q.push_output(&[1.0, 2.0], 1);
-        assert_eq!(q.output_len(), 2);
-        assert_eq!(q.pop_output().unwrap(), vec![1.0]);
-        assert_eq!(q.pop_output().unwrap(), vec![2.0]);
-        assert!(q.pop_output().is_none());
+        q.output.push(&[1.0, 2.0], 2);
+        assert_eq!(q.output.len(), 2);
+        let mut out = Vec::new();
+        q.output.pop_into(1, &mut out);
+        assert_eq!(out, vec![1.0]);
+        q.output.pop_into(1, &mut out);
+        assert_eq!((out, q.output.len()), (vec![1.0, 2.0], 0));
     }
 
     #[test]

@@ -38,7 +38,9 @@
 //!
 //! [`KernelMode::Reference`] runs bw-bfp's portable bodies
 //! ([`f16_binary_portable`], [`f16_bits_portable`]), as it runs the naive
-//! MVM, so every run that compares the two modes compares the bodies.
+//! MVM, so every run that compares the two modes compares the bodies. An
+//! [`MfuOp`] is resolved for one mode when a program is lowered, so the
+//! data pass picks no body per element or per call.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -69,11 +71,14 @@ impl Table {
 
     /// `f(x rounded to binary16)` for every `x` of `chain`, indexed by
     /// `encode`'s bits; `f` fills the entries this is the first to touch.
-    fn map(&self, chain: &mut [f32], encode: fn(&[f32], &mut [u16]), f: impl Fn(f32) -> f32) {
+    fn map(&self, chain: &mut [f32], kernel: KernelMode, f: impl Fn(f32) -> f32) {
         let mut bits = [0u16; BLOCK];
         for block in chain.chunks_mut(BLOCK) {
             let bits = &mut bits[..block.len()];
-            encode(block, bits);
+            match kernel {
+                KernelMode::Fast => f16_bits(block, bits),
+                KernelMode::Reference => f16_bits_portable(block, bits),
+            }
             for (x, &h) in block.iter_mut().zip(&*bits) {
                 let entry = &self.0[usize::from(h)];
                 *x = match entry.load(Ordering::Relaxed) {
@@ -90,67 +95,80 @@ impl Table {
     }
 }
 
-/// Applies a unary activation in float16, element-wise over the flat chain
-/// value: the input rounds to the binary16 grid, the function evaluates in
-/// `f32`, and the result rounds back — what [`F16::relu`],
-/// [`F16::sigmoid`] and [`F16::tanh`] do, the latter two read from the
-/// activation tables (module doc).
-pub(crate) fn apply_activation(op: Opcode, chain: &mut [f32], kernel: KernelMode) {
-    let encode = match kernel {
-        KernelMode::Fast => f16_bits,
-        KernelMode::Reference => f16_bits_portable,
-    };
-    match op {
-        // [`F16::relu`]: NaN comes out canonical, negatives and -0.0 as
-        // +0.0. The input is on the grid already, so nothing rounds twice.
-        Opcode::VRelu => {
-            let nan = F16::NAN.to_f32();
-            for x in chain {
-                let h = round_to_f16(*x);
-                *x = if h.is_nan() {
-                    nan
-                } else if h > 0.0 {
-                    h
-                } else {
-                    0.0
-                };
-            }
-        }
-        Opcode::VSigm => SIGMOID.map(chain, encode, |h| round_to_f16(1.0 / (1.0 + (-h).exp()))),
-        Opcode::VTanh => TANH.map(chain, encode, |h| round_to_f16(h.tanh())),
-        _ => unreachable!("not an activation opcode"),
-    }
+/// An MFU operation resolved for one kernel mode ("Kernel modes"): what a
+/// lowered step of the data pass runs, with no opcode left to match.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum MfuOp {
+    /// `vv_add`, both subtracts and `vv_mul` (module doc).
+    F16(F16BinaryOp, KernelMode),
+    Max,
+    Relu,
+    Sigm(KernelMode),
+    Tanh(KernelMode),
 }
 
-/// Applies a binary point-wise operation in float16 (module doc): the
-/// chain value is the implicit `IN` operand (`a`), the register file
-/// supplies the explicit operand (`b`).
-pub(crate) fn apply_binary(op: Opcode, chain: &mut [f32], operand: &[f32], kernel: KernelMode) {
-    let binary = match kernel {
-        KernelMode::Fast => f16_binary,
-        KernelMode::Reference => f16_binary_portable,
-    };
-    match op {
-        Opcode::VvAdd => binary(F16BinaryOp::Add, chain, operand),
-        Opcode::VvASubB => binary(F16BinaryOp::ASubB, chain, operand),
-        Opcode::VvBSubA => binary(F16BinaryOp::BSubA, chain, operand),
-        Opcode::VvMul => binary(F16BinaryOp::Mul, chain, operand),
-        // [`F16::max`]: the strict comparator turns any NaN into the
-        // canonical one; the winner is on the grid already.
-        Opcode::VvMax => {
-            let nan = F16::NAN.to_f32();
-            for (a, &b) in chain.iter_mut().zip(operand) {
-                let (x, y) = (round_to_f16(*a), round_to_f16(b));
-                *a = if x.is_nan() || y.is_nan() {
-                    nan
-                } else if x >= y {
-                    x
-                } else {
-                    y
-                };
-            }
+impl MfuOp {
+    /// `op`, an MFU opcode, as `kernel` runs it.
+    pub(crate) fn new(op: Opcode, kernel: KernelMode) -> Self {
+        match op {
+            Opcode::VvAdd => MfuOp::F16(F16BinaryOp::Add, kernel),
+            Opcode::VvASubB => MfuOp::F16(F16BinaryOp::ASubB, kernel),
+            Opcode::VvBSubA => MfuOp::F16(F16BinaryOp::BSubA, kernel),
+            Opcode::VvMul => MfuOp::F16(F16BinaryOp::Mul, kernel),
+            Opcode::VvMax => MfuOp::Max,
+            Opcode::VRelu => MfuOp::Relu,
+            Opcode::VSigm => MfuOp::Sigm(kernel),
+            Opcode::VTanh => MfuOp::Tanh(kernel),
+            _ => unreachable!("not an MFU opcode"),
         }
-        _ => unreachable!("not a binary MFU opcode"),
+    }
+
+    /// Applies the operation in float16 over the flat chain value (module
+    /// doc). A binary one takes the chain value as its implicit `IN`
+    /// operand (`a`) and `operand`, read from its register file, as `b`;
+    /// an activation rounds its input to the binary16 grid, evaluates in
+    /// `f32` and rounds back — what [`F16::relu`], [`F16::sigmoid`] and
+    /// [`F16::tanh`] do, the latter two read from the activation tables —
+    /// and is given no operand.
+    pub(crate) fn apply(self, chain: &mut [f32], operand: &[f32]) {
+        let nan = F16::NAN.to_f32();
+        match self {
+            MfuOp::F16(op, KernelMode::Fast) => f16_binary(op, chain, operand),
+            MfuOp::F16(op, KernelMode::Reference) => f16_binary_portable(op, chain, operand),
+            // [`F16::max`]: the strict comparator turns any NaN into the
+            // canonical one; the winner is on the grid already.
+            MfuOp::Max => {
+                for (a, &b) in chain.iter_mut().zip(operand) {
+                    let (x, y) = (round_to_f16(*a), round_to_f16(b));
+                    *a = if x.is_nan() || y.is_nan() {
+                        nan
+                    } else if x >= y {
+                        x
+                    } else {
+                        y
+                    };
+                }
+            }
+            // [`F16::relu`]: NaN comes out canonical, negatives and -0.0 as
+            // +0.0. The input is on the grid already, so nothing rounds
+            // twice.
+            MfuOp::Relu => {
+                for x in chain {
+                    let h = round_to_f16(*x);
+                    *x = if h.is_nan() {
+                        nan
+                    } else if h > 0.0 {
+                        h
+                    } else {
+                        0.0
+                    };
+                }
+            }
+            MfuOp::Sigm(kernel) => {
+                SIGMOID.map(chain, kernel, |h| round_to_f16(1.0 / (1.0 + (-h).exp())))
+            }
+            MfuOp::Tanh(kernel) => TANH.map(chain, kernel, |h| round_to_f16(h.tanh())),
+        }
     }
 }
 
@@ -163,17 +181,14 @@ mod tests {
     /// sign of a NaN, which neither pins.
     fn apply_binary(op: Opcode, chain: &mut [f32], operand: &[f32]) {
         let mut portable = chain.to_vec();
-        super::apply_binary(op, &mut portable, operand, KernelMode::Reference);
-        super::apply_binary(op, chain, operand, KernelMode::Fast);
+        MfuOp::new(op, KernelMode::Reference).apply(&mut portable, operand);
+        MfuOp::new(op, KernelMode::Fast).apply(chain, operand);
         assert_same_but_nan_signs(chain, &portable, op);
     }
 
     /// [`apply_binary`]'s counterpart for the activations.
     fn apply_activation(op: Opcode, chain: &mut [f32]) {
-        let mut portable = chain.to_vec();
-        super::apply_activation(op, &mut portable, KernelMode::Reference);
-        super::apply_activation(op, chain, KernelMode::Fast);
-        assert_same_but_nan_signs(chain, &portable, op);
+        apply_binary(op, chain, &[]);
     }
 
     fn assert_same_but_nan_signs(fast: &[f32], reference: &[f32], op: Opcode) {
@@ -276,7 +291,7 @@ mod tests {
                 chain.reverse();
             }
             barrier.wait();
-            TABLE.map(&mut chain, f16_bits, f);
+            TABLE.map(&mut chain, KernelMode::Fast, f);
             if reversed {
                 chain.reverse();
             }
@@ -291,7 +306,9 @@ mod tests {
         assert_eq!(bits(&backward), bits(&want));
         // And every entry is filled with exactly that.
         let mut warm = every_f16();
-        TABLE.map(&mut warm, f16_bits, |_| unreachable!("the table is full"));
+        TABLE.map(&mut warm, KernelMode::Fast, |_| {
+            unreachable!("the table is full")
+        });
         assert_eq!(bits(&warm), bits(&want));
     }
 

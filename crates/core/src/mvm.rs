@@ -16,9 +16,10 @@
 //! whole waves of `E` tiles. An 8 × 8 grid on BW_S10 takes 107 cycles,
 //! not 110.
 //!
-//! [`compute_into`] is the fast functional path: input quantization reuses
-//! per-column scratch blocks and tile products accumulate directly into a
-//! flat output slab, so a steady-state chain performs no allocation.
+//! [`compute_into`] is the fast functional path: it multiplies input
+//! vectors quantized once into retained blocks ([`quantize_columns`]) and
+//! accumulates tile products directly into a flat output slab, so a
+//! steady-state chain performs no allocation.
 //! [`compute_naive`] retains the original allocate-per-call shape with the
 //! naive BFP kernels as the differential-testing oracle and perf baseline.
 
@@ -50,69 +51,49 @@ pub(crate) fn macs(config: &NpuConfig, rows: u32, cols: u32) -> u64 {
         * u64::from(config.native_dim())
 }
 
-/// Reusable buffers for [`compute_into`]: one quantized input block per
-/// grid column, retained across chains so steady-state MVM execution
-/// performs no allocation, and the bits of the input they hold. A scratch
-/// serves one configuration: its blocks are in that matrix format.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct MvmScratch {
-    qinputs: Vec<BfpBlock>,
-    quantized: Vec<u32>,
-}
-
 /// Why a BFP kernel cannot refuse an MRF tile: the host loaders admit only
 /// native `N × N` tiles in the configuration's format, and inputs quantize
 /// in that format from `N`-element native vectors.
 const NATIVE: &str = "MRF tiles and inputs are native to the configuration";
+
+/// Quantizes the native vectors of `input` into the first of `blocks`, one
+/// block per grid column, reusing their storage. Every tile in a column
+/// reads the same block, as the hardware broadcasts the vector.
+pub(crate) fn quantize_columns(config: &NpuConfig, input: &[f32], blocks: &mut Vec<BfpBlock>) {
+    let (nd, fmt) = (config.native_dim() as usize, config.matrix_format());
+    for (c, chunk) in input.chunks(nd).enumerate() {
+        if c == blocks.len() {
+            blocks.push(BfpBlock::empty(fmt));
+        }
+        BfpBlock::quantize_into(chunk, fmt, Rounding::Nearest, &mut blocks[c]);
+    }
+}
 
 /// Functionally computes the tiled matrix-vector product into a reusable
 /// flat output buffer.
 ///
 /// `base` is the first MRF entry; tile `(r, c)` lives at `base + r·cols + c`
 /// (row-major grid order, matching the ISA's "20 consecutive MRF entries as
-/// a tiled 4N × 5N matrix" semantics). `input` is `cols` native vectors
-/// concatenated; `out` is cleared and filled with `rows` native vectors.
-/// Accumulation across the `cols` tiles of a row happens in `f32`, modelling
-/// the wide add-reduction unit that follows the tile engines (Figure 6).
-#[allow(clippy::too_many_arguments)]
+/// a tiled 4N × 5N matrix" semantics). `inputs` holds the `cols` quantized
+/// input vectors ([`quantize_columns`]) first; `out` is cleared and filled
+/// with `rows` native vectors. Accumulation across the `cols` tiles of a
+/// row happens in `f32`, modelling the wide add-reduction unit that follows
+/// the tile engines (Figure 6).
 pub(crate) fn compute_into(
     config: &NpuConfig,
     mrf: &MatrixFile,
-    base: u32,
-    rows: u32,
-    cols: u32,
-    input: &[f32],
+    (base, rows, cols): (u32, u32, u32),
+    inputs: &[BfpBlock],
     out: &mut Vec<f32>,
-    scratch: &mut MvmScratch,
 ) -> Result<(), SimError> {
     let nd = config.native_dim() as usize;
-    let fmt = config.matrix_format();
-
-    // Quantize each native input vector once into retained scratch blocks;
-    // every tile in a column reuses the same quantized vector, as the
-    // hardware broadcasts it. Quantizing is a function of the input's bits
-    // alone (the format is the NPU's, the rounding `Nearest`), so an input
-    // bit-identical to the last one is already in the blocks: a recurrent
-    // cell quantizes `x_t` and `h_{t-1}` once a step, not once a gate.
-    let bits = input.iter().map(|x| x.to_bits());
-    if !scratch.quantized.iter().copied().eq(bits.clone()) {
-        while scratch.qinputs.len() < cols as usize {
-            scratch.qinputs.push(BfpBlock::empty(fmt));
-        }
-        for (c, chunk) in input.chunks(nd).enumerate() {
-            BfpBlock::quantize_into(chunk, fmt, Rounding::Nearest, &mut scratch.qinputs[c]);
-        }
-        scratch.quantized.clear();
-        scratch.quantized.extend(bits);
-    }
-
     // One call per grid row: bw-bfp checks the row's tiles and picks its
     // kernel once, then adds each tile's product in column order.
     out.clear();
     out.resize(rows as usize * nd, 0.0);
     for (r, acc) in (0..rows).zip(out.chunks_exact_mut(nd)) {
         let tiles = mrf.tiles(base + r * cols, cols)?;
-        BfpMatrix::mv_mul_acc_row(tiles.zip(&scratch.qinputs), acc).expect(NATIVE);
+        BfpMatrix::mv_mul_acc_row(tiles.zip(inputs), acc).expect(NATIVE);
     }
     Ok(())
 }
@@ -125,16 +106,15 @@ pub(crate) fn compute_into(
 pub(crate) fn compute_naive(
     config: &NpuConfig,
     mrf: &MatrixFile,
-    base: u32,
-    rows: u32,
-    cols: u32,
-    inputs: &[Vec<f32>],
+    (base, rows, cols): (u32, u32, u32),
+    input: &[f32],
 ) -> Result<Vec<Vec<f32>>, SimError> {
-    debug_assert_eq!(inputs.len(), cols as usize);
     let nd = config.native_dim() as usize;
     let fmt = config.matrix_format();
-
-    let qinputs: Vec<BfpBlock> = inputs.iter().map(|v| BfpBlock::quantize(v, fmt)).collect();
+    let qinputs: Vec<BfpBlock> = input
+        .chunks(nd)
+        .map(|v| BfpBlock::quantize(v, fmt))
+        .collect();
 
     let mut outputs = Vec::with_capacity(rows as usize);
     for r in 0..rows {
@@ -214,9 +194,9 @@ mod tests {
         cols: u32,
         input: &[f32],
     ) -> Result<Vec<f32>, SimError> {
-        let mut out = Vec::new();
-        let mut scratch = MvmScratch::default();
-        compute_into(cfg, mrf, base, rows, cols, input, &mut out, &mut scratch)?;
+        let (mut out, mut blocks) = (Vec::new(), Vec::new());
+        quantize_columns(cfg, input, &mut blocks);
+        compute_into(cfg, mrf, (base, rows, cols), &blocks, &mut out)?;
         Ok(out)
     }
 
@@ -323,8 +303,7 @@ mod tests {
         }
         let x: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin() * 3.0).collect();
         let fast = compute_flat(&cfg, &mrf, 0, 2, 2, &x).unwrap();
-        let naive =
-            compute_naive(&cfg, &mrf, 0, 2, 2, &[x[0..4].to_vec(), x[4..8].to_vec()]).unwrap();
+        let naive = compute_naive(&cfg, &mrf, (0, 2, 2), &x).unwrap();
         let naive_flat: Vec<f32> = naive.into_iter().flatten().collect();
         assert_eq!(fast.len(), naive_flat.len());
         for (f, nv) in fast.iter().zip(&naive_flat) {
@@ -362,7 +341,7 @@ mod tests {
             let x: Vec<f32> = (0..cols).map(|i| (i as f32 * 0.37).sin() * 3.0).collect();
             let columns: Vec<Vec<f32>> = x.chunks(16).map(<[f32]>::to_vec).collect();
             let fast = compute_flat(&cfg, &mrf, 0, grid_rows, grid_cols, &x).unwrap();
-            let naive = compute_naive(&cfg, &mrf, 0, grid_rows, grid_cols, &columns).unwrap();
+            let naive = compute_naive(&cfg, &mrf, (0, grid_rows, grid_cols), &x).unwrap();
             let naive: Vec<f32> = naive.into_iter().flatten().collect();
             assert_eq!(bits(&fast), bits(&naive), "{rows} × {cols}");
             // A grid row added onto `-0.0`, which the rows past a tile's
@@ -382,40 +361,6 @@ mod tests {
                 }
                 assert_eq!(bits(&acc), bits(&want), "{rows} × {cols}, grid row {r}");
             }
-        }
-    }
-
-    #[test]
-    fn a_kept_scratch_requantizes_exactly_when_the_input_bits_change() {
-        let cfg = tiny_config();
-        let mut mrf = MatrixFile::new(64);
-        let n = 8;
-        let data: Vec<f32> = (0..n * n).map(|i| ((i * 5) % 9) as f32 - 4.0).collect();
-        for (i, t) in tile_matrix(&cfg, n, n, &data, 2, 2).into_iter().enumerate() {
-            mrf.store(i as u32, t);
-        }
-        let x: Vec<f32> = (0..n).map(|i| (i as f32 * 0.61).cos() * 2.0).collect();
-        let mut nudged = x.clone();
-        nudged[5] = f32::from_bits(nudged[5].to_bits() + 1);
-        let scaled: Vec<f32> = x.iter().map(|v| v * 3.0).collect();
-        let mut scratch = MvmScratch::default();
-        let mut out = Vec::new();
-        // Repeats, a one-ulp change, a new input, a narrower grid.
-        let calls = [
-            (&x, 2),
-            (&x, 2),
-            (&nudged, 2),
-            (&x, 2),
-            (&scaled, 2),
-            (&x, 1),
-            (&x, 2),
-        ];
-        for (input, cols) in calls {
-            let input = &input[..cols as usize * 4];
-            compute_into(&cfg, &mrf, 0, 2, cols, input, &mut out, &mut scratch).unwrap();
-            let fresh = compute_flat(&cfg, &mrf, 0, 2, cols, input).unwrap();
-            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&out), bits(&fresh), "{input:?}");
         }
     }
 

@@ -18,10 +18,45 @@
 //! operations read their operand from the register file of the MFU they
 //! execute on: the k-th add/sub operation of a chain reads `AddSubVrf(k)`,
 //! the k-th multiply reads `MultiplyVrf(k)`.
+//!
+//! # The data pass
+//!
+//! The data pass decodes nothing. In [`ExecMode::Full`], `schedule` also
+//! lowers the program's data half into step lists the [`Schedule`] keeps,
+//! as the hardware's decode expands each compound instruction once
+//! (§V-C): a step is one instruction of a chain with its operands resolved
+//! for the tiling registers the chain runs under — register files by
+//! ordinal, entries by index, `(w_in, w_out)`, the MRF tile grid, each MFU
+//! operation with its operand file and its kernel, the multicast writes.
+//! There is one list per segment body, replayed once per iteration. A
+//! body's register writes each set a constant, so the registers it enters
+//! with take at most two values, the first iteration's and the one every
+//! later iteration starts from, and a body needs at most two lists; a
+//! batch's later columns likewise all start where the first ends. A
+//! [`ExecMode::TimingOnly`] NPU lowers nothing, and an unpinned
+//! [`Npu::run_batch`] lowers into lists the NPU keeps, so a warm run
+//! allocates nothing.
+//!
+//! The lists make visible what a chain-at-a-time interpreter could only
+//! compare at run time. An `mv_mul` quantizes its input vectors once per
+//! value written to them: a step whose input is the register range the
+//! `mv_mul` before it quantized, with no write to that range between
+//! them, multiplies the blocks already held (a recurrent cell's gates
+//! share `x_t` and `h_{t-1}` so). [`KernelMode::Reference`] is a
+//! choice each step makes when it is lowered — the naive MVM and the
+//! portable float16 loops — not a branch the pass takes per chain.
+//!
+//! The pass counts chains as it replays them and stops at the first the
+//! timeline did not place, so a content fault —
+//! [`SimError::MrfEntryUninitialized`], [`SimError::DramMatrixUninitialized`]
+//! — surfaces at the chain it always did ([`crate::sched`], "Faults").
+//! Lowering stops at a chain whose operands do not resolve: the timeline
+//! faults at that chain or before it, so no step past it runs.
 
 use std::fmt;
+use std::ops::Range;
 
-use bw_bfp::{BfpFormat, BfpMatrix};
+use bw_bfp::{BfpBlock, BfpFormat, BfpMatrix};
 
 use crate::config::NpuConfig;
 use crate::isa::{Chain, Instruction, Item, MemId, Program, ScalarReg};
@@ -29,8 +64,8 @@ use crate::mem::{Dram, MatrixFile, NetQueues, VectorFile};
 use crate::mfu;
 use crate::mvm;
 use crate::sched::{
-    dram_span, mrf_span, vrf_file, vrf_span, ChainTiming, FastForward, OperandFiles, Queued,
-    Scheduled, Timeline,
+    dram_span, mrf_span, vrf_span, ChainTiming, FastForward, OperandFiles, Queued, Scheduled,
+    Timeline,
 };
 use crate::stats::RunStats;
 use crate::trace::{SpanKind, SpanRecord};
@@ -210,7 +245,8 @@ pub enum SimError {
         format: BfpFormat,
     },
     /// A [`Schedule`] was executed on an NPU whose tiling registers or
-    /// queued arrivals are not the ones it was computed from.
+    /// queued arrivals are not the ones it was computed from, or whose
+    /// modes are not the ones its data half was lowered for.
     StaleSchedule,
 }
 
@@ -289,7 +325,7 @@ impl fmt::Display for SimError {
             }
             SimError::StaleSchedule => write!(
                 f,
-                "schedule was computed from other tiling registers or queued arrivals"
+                "schedule was computed from other tiling registers, queued arrivals or modes"
             ),
         }
     }
@@ -297,33 +333,223 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Register file `mem` of the `1 + 2·mfus` in `vrfs`, a file the timeline
-/// has checked exists (a free function so the borrow stays disjoint from a
-/// chain's value buffers).
-fn vrf_mut(vrfs: &mut [VectorFile], mem: MemId) -> &mut VectorFile {
-    let mfus = (vrfs.len() / 2) as u32;
-    let (_, file) = vrf_file(mem, mfus).expect("the timeline checked the file");
-    &mut vrfs[file]
+/// Where a lowered step reads or writes the chain value: the network
+/// queue, a DRAM entry, or entry `index` of register file `file` (in
+/// `vrf_file` order).
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Place {
+    NetQ,
+    Dram(u32),
+    Vrf(usize, u32),
+}
+
+/// One step of a lowered list: an instruction of a chain with every operand
+/// resolved for the tiling registers the chain runs under.
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    /// A chain begins: the chain-count cutoff counts here.
+    Chain,
+    /// `m_rd` → `m_wr` of `count` tiles: `(from, to, count)`.
+    Move((MemId, u32), (MemId, u32), u32),
+    /// A head `v_rd` of `width` native vectors, no `mv_mul` after it.
+    Read(Place, u32),
+    /// The head `v_rd` and the `mv_mul` of the `grid` — `(base, rows,
+    /// cols)` — by the kernels of `kernel`, its `cols` input vectors read
+    /// from `from`. The fast kernel quantizes them only if `quantize`:
+    /// otherwise the blocks already hold them, as no step wrote them since
+    /// the step that did. The reference kernel quantizes afresh.
+    MvMul {
+        from: Place,
+        quantize: bool,
+        grid: (u32, u32, u32),
+        kernel: KernelMode,
+    },
+    /// An MFU operation; a binary one reads the chain's width of its
+    /// operand file from an index.
+    Mfu(mfu::MfuOp, Option<(usize, u32)>),
+    /// A `v_wr` of the chain's final value.
+    Write(Place),
+}
+
+/// A program's data half lowered from one start state for one kernel mode:
+/// the step lists [`Npu::execute`] replays (module doc).
+#[derive(Clone, Debug, Default)]
+struct Lowered {
+    kernel: KernelMode,
+    steps: Vec<Step>,
+    /// `(steps, times)`: a step list, replayed `times` times in a row.
+    runs: Vec<(Range<usize>, u32)>,
+    /// The runs of the first batch column, and of every later one.
+    columns: [Range<usize>; 2],
+}
+
+impl Lowered {
+    /// Lowers `batch` columns of `program` from tiling registers `regs`,
+    /// reusing this list's storage. A column ends in the registers every
+    /// later one starts from (each is set to a constant or passed through),
+    /// so the later columns share one lowering.
+    fn lower(&mut self, config: &NpuConfig, program: &Program, regs: (u32, u32), batch: usize) {
+        self.steps.clear();
+        self.runs.clear();
+        let first = self.column(config, program, regs);
+        let n = self.runs.len();
+        self.columns = [0..n, 0..n];
+        if let Some(end) = first.ok().filter(|&end| batch > 1 && end != regs) {
+            let _ = self.column(config, program, end);
+            self.columns[1] = n..self.runs.len();
+        }
+    }
+
+    /// Lowers one column from `regs` and returns the registers it leaves.
+    /// A body's first iteration is lowered from its entry registers; if it
+    /// leaves them changed, the second from those, which every later
+    /// iteration starts from too. Lowering stops at a chain whose operands
+    /// do not resolve: the timeline faults at or before that chain, so no
+    /// step after it runs.
+    fn column(
+        &mut self,
+        config: &NpuConfig,
+        program: &Program,
+        mut regs: (u32, u32),
+    ) -> Result<(u32, u32), SimError> {
+        for segment in &program.segments {
+            let mut left = segment.iterations;
+            while left > 0 {
+                let (start, entry) = (self.steps.len(), regs);
+                // Each replay of a list starts with blocks of unknown contents.
+                let mut quantized = None;
+                let ended = segment.items.iter().try_for_each(|item| match *item {
+                    Item::SetReg { reg, value } => {
+                        match reg {
+                            ScalarReg::Rows => regs.0 = value,
+                            ScalarReg::Cols => regs.1 = value,
+                        }
+                        Ok(())
+                    }
+                    Item::Chain(ref chain) => {
+                        self.steps.push(Step::Chain);
+                        let widths = chain.widths(regs.0, regs.1);
+                        self.chain(config, chain, widths, &mut quantized)
+                    }
+                });
+                let times = if ended.is_ok() && regs == entry {
+                    left
+                } else {
+                    1
+                };
+                if start < self.steps.len() {
+                    self.runs.push((start..self.steps.len(), times));
+                }
+                ended?;
+                left -= times;
+            }
+        }
+        Ok(regs)
+    }
+
+    /// Lowers one chain, `w_in` native vectors in and `w_out` out;
+    /// `quantized` is the VRF range, `(file, index, width)`, that the
+    /// quantized blocks hold.
+    fn chain(
+        &mut self,
+        config: &NpuConfig,
+        chain: &Chain,
+        (w_in, w_out): (u32, u32),
+        quantized: &mut Option<(usize, u32, u32)>,
+    ) -> Result<(), SimError> {
+        use Instruction::{MRd, MWr, MvMul, VRd, VWr};
+        let place = |mem, index, width| match mem {
+            MemId::NetQ => Ok(Place::NetQ),
+            MemId::Dram => Ok(Place::Dram(index)),
+            _ => vrf_span(config, mem, index, width).map(|(file, _)| Place::Vrf(file, index)),
+        };
+        let (from, rest) = match *chain.instructions() {
+            [MRd { mem, index }, MWr { mem: to, index: at }] => {
+                self.steps.push(Step::Move((mem, index), (to, at), w_out));
+                return Ok(());
+            }
+            [VRd { mem, index }, ref rest @ ..] => (place(mem, index, w_in)?, rest),
+            _ => unreachable!("`Chain::new` admits no other head"),
+        };
+        let rest = match *rest {
+            [MvMul { mrf_index }, ref rest @ ..] => {
+                let source = match from {
+                    Place::Vrf(file, index) => Some((file, index, w_in)),
+                    _ => None,
+                };
+                self.steps.push(Step::MvMul {
+                    from,
+                    quantize: source.is_none() || source != *quantized,
+                    grid: (mrf_index, w_out, w_in),
+                    kernel: self.kernel,
+                });
+                *quantized = source;
+                rest
+            }
+            ref rest => {
+                self.steps.push(Step::Read(from, w_in));
+                rest
+            }
+        };
+        let mut operands = OperandFiles::default();
+        for instr in rest {
+            let step = match *instr {
+                VWr { mem, index } => {
+                    let to = place(mem, index, w_out)?;
+                    // A write over the quantized range makes its blocks stale.
+                    if let (Place::Vrf(file, at), Some((f, i, w))) = (to, *quantized) {
+                        if file == f && at < i + w && i < at + w_out {
+                            *quantized = None;
+                        }
+                    }
+                    Step::Write(to)
+                }
+                Instruction::VvAdd { index }
+                | Instruction::VvASubB { index }
+                | Instruction::VvBSubA { index }
+                | Instruction::VvMax { index }
+                | Instruction::VvMul { index } => {
+                    let (file, _) = vrf_span(config, operands.next(instr), index, w_out)?;
+                    Step::Mfu(
+                        mfu::MfuOp::new(instr.opcode(), self.kernel),
+                        Some((file, index)),
+                    )
+                }
+                _ => Step::Mfu(mfu::MfuOp::new(instr.opcode(), self.kernel), None),
+            };
+            self.steps.push(step);
+        }
+        Ok(())
+    }
+}
+
+/// The data pass's reusable buffers, retained across chains and runs so
+/// the steady-state hot path performs no allocation.
+#[derive(Clone, Debug, Default)]
+struct Buffers {
+    /// The chain's current value: `width` native vectors, flat.
+    cur: Vec<f32>,
+    /// An `mv_mul`'s input read from the network queue or DRAM.
+    aux: Vec<f32>,
+    /// An `mv_mul`'s quantized input vectors, one block per grid column.
+    blocks: Vec<BfpBlock>,
 }
 
 /// Everything an [`ExecMode::Full`] NPU holds beyond the timeline: storage
-/// contents and the reusable per-chain buffers (retained across chains and
-/// runs so the steady-state hot path performs no allocation).
+/// contents, the data pass's buffers and the lowering an unpinned run
+/// reuses.
 #[derive(Clone, Debug)]
 struct DataPlanes {
     mrf: MatrixFile,
-    /// The `1 + 2·mfus` vector register files, in [`vrf_file`] order.
+    /// The `1 + 2·mfus` vector register files, in `vrf_file` order.
     vrfs: Vec<VectorFile>,
     dram: Dram,
     net: NetQueues,
-    /// The kernels `mv_mul` and the MFUs run.
+    /// The kernels a program is lowered for.
     kernel: KernelMode,
-    /// The chain's current value: `width` native vectors, flat.
-    cur: Vec<f32>,
-    /// Double buffer for `mv_mul` output (swapped with `cur`).
-    aux: Vec<f32>,
-    /// MVM input-quantization scratch.
-    mvm: mvm::MvmScratch,
+    buf: Buffers,
+    /// What [`Npu::run_batch`] lowers into, run after run.
+    lowered: Lowered,
 }
 
 impl DataPlanes {
@@ -335,35 +561,102 @@ impl DataPlanes {
             dram: Dram::default(),
             net: NetQueues::default(),
             kernel: KernelMode::Fast,
-            cur: Vec::new(),
-            aux: Vec::new(),
-            mvm: mvm::MvmScratch::default(),
+            buf: Buffers::default(),
+            lowered: Lowered::default(),
         }
     }
 
-    /// The data pass: `batch` columns of `program` from tiling registers
-    /// `regs`, as far as its first `chains` chains, the ones the timeline
-    /// placed before any fault ([`crate::sched`], "Faults").
+    /// The data pass: `batch` columns of the step lists of `lowered`, as
+    /// far as their first `chains` chains, the ones the timeline placed
+    /// before any fault ([`crate::sched`], "Faults").
     fn run(
         &mut self,
         config: &NpuConfig,
-        program: &Program,
+        lowered: &Lowered,
         batch: usize,
-        (mut rows, mut cols): (u32, u32),
         mut chains: u64,
     ) -> Result<(), SimError> {
-        for (_, item) in (0..batch).flat_map(|_| program.stream()) {
-            match *item {
-                Item::SetReg { reg, value } => match reg {
-                    ScalarReg::Rows => rows = value,
-                    ScalarReg::Cols => cols = value,
-                },
-                Item::Chain(_) if chains == 0 => break,
-                Item::Chain(ref chain) => {
-                    chains -= 1;
-                    self.exec_chain(config, chain, chain.widths(rows, cols))?;
+        let mut buf = std::mem::take(&mut self.buf);
+        let mut replay = || {
+            for column in 0..batch {
+                let runs = lowered.columns[usize::from(column > 0)].clone();
+                for (steps, times) in &lowered.runs[runs] {
+                    for _ in 0..*times {
+                        for step in &lowered.steps[steps.clone()] {
+                            if let Step::Chain = step {
+                                let Some(left) = chains.checked_sub(1) else {
+                                    return Ok(());
+                                };
+                                chains = left;
+                            }
+                            self.step(config, *step, &mut buf)?;
+                        }
+                    }
                 }
             }
+            Ok(())
+        };
+        let result = replay();
+        self.buf = buf;
+        result
+    }
+
+    /// Appends `width` native vectors read from `from` to `out`.
+    fn read(&mut self, from: Place, width: u32, nd: usize, out: &mut Vec<f32>) {
+        match from {
+            Place::NetQ => self.net.input.pop_into(width as usize * nd, out),
+            Place::Dram(index) => self.dram.read_vectors_into(index, width, nd, out),
+            Place::Vrf(file, index) => out.extend_from_slice(self.vrfs[file].read(index, width)),
+        }
+    }
+
+    /// One step, which the timeline has already checked: only a content
+    /// fault can arise.
+    fn step(&mut self, config: &NpuConfig, step: Step, buf: &mut Buffers) -> Result<(), SimError> {
+        let nd = config.native_dim() as usize;
+        match step {
+            Step::Chain => buf.cur.clear(),
+            Step::Move(from, to, count) => self.move_tiles(from, to, count)?,
+            Step::Read(from, width) => self.read(from, width, nd, &mut buf.cur),
+            Step::MvMul {
+                from,
+                quantize,
+                grid,
+                kernel,
+            } => {
+                let input = match from {
+                    Place::Vrf(file, index) => self.vrfs[file].read(index, grid.2),
+                    _ => {
+                        buf.aux.clear();
+                        self.read(from, grid.2, nd, &mut buf.aux);
+                        &buf.aux
+                    }
+                };
+                match kernel {
+                    KernelMode::Fast => {
+                        if quantize {
+                            mvm::quantize_columns(config, input, &mut buf.blocks);
+                        }
+                        mvm::compute_into(config, &self.mrf, grid, &buf.blocks, &mut buf.cur)?;
+                    }
+                    KernelMode::Reference => {
+                        buf.cur = mvm::compute_naive(config, &self.mrf, grid, input)?.concat();
+                    }
+                }
+            }
+            Step::Mfu(op, operand) => {
+                let width = (buf.cur.len() / nd) as u32;
+                let operand = match operand {
+                    Some((file, index)) => self.vrfs[file].read(index, width),
+                    None => &[],
+                };
+                op.apply(&mut buf.cur, operand);
+            }
+            Step::Write(to) => match to {
+                Place::NetQ => self.net.output.push(&buf.cur, buf.cur.len()),
+                Place::Dram(index) => self.dram.write_vectors(index, &buf.cur, nd),
+                Place::Vrf(file, index) => self.vrfs[file].write(index, &buf.cur),
+            },
         }
         Ok(())
     }
@@ -386,91 +679,6 @@ impl DataPlanes {
             match dst {
                 MemId::MatrixRf => self.mrf.store(to + i, tile),
                 _ => self.dram.write_matrix(to + i, tile),
-            }
-        }
-        Ok(())
-    }
-
-    /// One chain, `w_in` native vectors in and `w_out` out, which the
-    /// timeline has already checked: only a content fault can arise.
-    fn exec_chain(
-        &mut self,
-        config: &NpuConfig,
-        chain: &Chain,
-        (w_in, w_out): (u32, u32),
-    ) -> Result<(), SimError> {
-        if let [Instruction::MRd { mem, index }, Instruction::MWr { mem: to, index: at }] =
-            *chain.instructions()
-        {
-            return self.move_tiles((mem, index), (to, at), w_out);
-        }
-        let nd = config.native_dim() as usize;
-        let mut operands = OperandFiles::default();
-        self.cur.clear();
-        for instr in chain.instructions() {
-            match *instr {
-                Instruction::VRd { mem, index } => match mem {
-                    MemId::NetQ => self.net.pop_input_into(w_in, &mut self.cur),
-                    MemId::Dram => self.dram.read_vectors_into(index, w_in, nd, &mut self.cur),
-                    _ => self
-                        .cur
-                        .extend_from_slice(vrf_mut(&mut self.vrfs, mem).read(index, w_in)),
-                },
-                Instruction::MvMul { mrf_index } => {
-                    let (rows, cols) = (w_out, w_in);
-                    if self.kernel == KernelMode::Reference {
-                        let inputs: Vec<Vec<f32>> =
-                            self.cur.chunks(nd).map(<[f32]>::to_vec).collect();
-                        let out =
-                            mvm::compute_naive(config, &self.mrf, mrf_index, rows, cols, &inputs)?;
-                        self.cur.clear();
-                        for v in out {
-                            self.cur.extend_from_slice(&v);
-                        }
-                    } else {
-                        mvm::compute_into(
-                            config,
-                            &self.mrf,
-                            mrf_index,
-                            rows,
-                            cols,
-                            &self.cur,
-                            &mut self.aux,
-                            &mut self.mvm,
-                        )?;
-                        std::mem::swap(&mut self.cur, &mut self.aux);
-                    }
-                }
-                Instruction::VvAdd { index }
-                | Instruction::VvASubB { index }
-                | Instruction::VvBSubA { index }
-                | Instruction::VvMax { index }
-                | Instruction::VvMul { index } => {
-                    let file = vrf_mut(&mut self.vrfs, operands.next(instr));
-                    mfu::apply_binary(
-                        instr.opcode(),
-                        &mut self.cur,
-                        file.read(index, w_out),
-                        self.kernel,
-                    );
-                }
-                Instruction::VRelu | Instruction::VSigm | Instruction::VTanh => {
-                    mfu::apply_activation(instr.opcode(), &mut self.cur, self.kernel);
-                }
-                // Writes apply below, once the value is final; anything
-                // else the timeline has already refused.
-                _ => {}
-            }
-        }
-
-        // A valid chain's head reads `w_in`, its `mv_mul` emits `w_out`
-        // and every MFU operation keeps the width (`Chain::widths`).
-        debug_assert_eq!(self.cur.len(), w_out as usize * nd);
-        for (mem, index) in chain.write_targets() {
-            match mem {
-                MemId::NetQ => self.net.push_output(&self.cur, nd),
-                MemId::Dram => self.dram.write_vectors(index, &self.cur, nd),
-                _ => vrf_mut(&mut self.vrfs, mem).write(index, &self.cur),
             }
         }
         Ok(())
@@ -663,7 +871,7 @@ impl Npu {
         }
         self.timeline.arrivals.push_vectors(at_cycle, 1);
         if let Some(data) = &mut self.data {
-            data.net.push_input(vector);
+            data.net.input.push(&vector, nd);
         }
         Ok(())
     }
@@ -675,12 +883,7 @@ impl Npu {
         let count = data.len().div_ceil(nd).max(1);
         self.timeline.arrivals.push_vectors(0, count as u64);
         if let Some(planes) = &mut self.data {
-            for i in 0..count {
-                let mut v = vec![0.0f32; nd];
-                let chunk = &data[(i * nd).min(data.len())..((i + 1) * nd).min(data.len())];
-                v[..chunk.len()].copy_from_slice(chunk);
-                planes.net.push_input(v);
-            }
+            planes.net.input.push(data, count * nd);
         }
         count
     }
@@ -691,9 +894,7 @@ impl Npu {
         self.timeline.arrivals.push_vectors(0, count as u64);
         if let Some(data) = &mut self.data {
             let nd = self.config.native_dim() as usize;
-            for _ in 0..count {
-                data.net.push_input(vec![0.0; nd]);
-            }
+            data.net.input.push(&[], count * nd);
         }
     }
 
@@ -814,11 +1015,11 @@ impl Npu {
         let nd = self.config.native_dim() as usize;
         let count = data.len().div_ceil(nd).max(1);
         let entries = u32::try_from(count).unwrap_or(u32::MAX);
-        vrf_span(&self.config, mem, index, entries)?;
+        let (file, _) = vrf_span(&self.config, mem, index, entries)?;
         if let Some(planes) = &mut self.data {
             let mut flat = vec![0.0f32; count * nd];
             flat[..data.len()].copy_from_slice(data);
-            vrf_mut(&mut planes.vrfs, mem).write(index, &flat);
+            planes.vrfs[file].write(index, &flat);
         }
         Ok(entries)
     }
@@ -842,13 +1043,7 @@ impl Npu {
 
     /// Pops one native vector from the network output queue.
     pub fn pop_output(&mut self) -> Option<Vec<f32>> {
-        match &mut self.data {
-            Some(data) => data.net.pop_output(),
-            None => {
-                self.zero_outputs = self.zero_outputs.checked_sub(1)?;
-                Some(vec![0.0; self.config.native_dim() as usize])
-            }
-        }
+        self.pop_output_concat(1, self.config.native_dim() as usize)
     }
 
     /// Pops and concatenates `count` native output vectors, truncated to
@@ -857,9 +1052,14 @@ impl Npu {
         if self.output_len() < count {
             return None;
         }
-        let mut out = Vec::with_capacity(count * self.config.native_dim() as usize);
-        for _ in 0..count {
-            out.extend(self.pop_output().expect("length checked"));
+        let elements = count * self.config.native_dim() as usize;
+        let mut out = Vec::with_capacity(elements);
+        match &mut self.data {
+            Some(data) => data.net.output.pop_into(elements, &mut out),
+            None => {
+                self.zero_outputs -= count;
+                out.resize(elements, 0.0);
+            }
         }
         out.truncate(len);
         Some(out)
@@ -868,7 +1068,7 @@ impl Npu {
     /// Native vectors currently waiting in the output queue.
     pub fn output_len(&self) -> usize {
         match &self.data {
-            Some(data) => data.net.output_len(),
+            Some(data) => data.net.output.len() / self.config.native_dim() as usize,
             None => self.zero_outputs,
         }
     }
@@ -918,8 +1118,17 @@ impl Npu {
     /// empties the network input and output queues, in either mode, so
     /// nothing queued before it reaches the next run.
     pub fn run_batch(&mut self, program: &Program, batch: usize) -> Result<RunStats, SimError> {
-        let schedule = self.schedule(program, batch);
-        self.execute(program, &schedule)
+        let kept = self
+            .data
+            .as_mut()
+            .map(|data| std::mem::take(&mut data.lowered));
+        let mut schedule = self.timeline_half(program, batch);
+        self.lower(program, &mut schedule, kept.unwrap_or_default());
+        let result = self.execute(&schedule);
+        if let (Some(data), Some(lowered)) = (&mut self.data, schedule.lowered.take()) {
+            data.lowered = lowered;
+        }
+        result
     }
 
     /// The timeline half of [`Npu::run_batch`]: places `batch` columns of
@@ -928,6 +1137,26 @@ impl Npu {
     /// chains and spans here; a faulting run's [`SpanKind::Run`] envelope
     /// is left out.
     pub fn schedule(&mut self, program: &Program, batch: usize) -> Schedule {
+        let mut schedule = self.timeline_half(program, batch);
+        self.lower(program, &mut schedule, Lowered::default());
+        schedule
+    }
+
+    /// In [`ExecMode::Full`], lowers `program`'s data half for `schedule`
+    /// (module doc, "The data pass") into `lowered`'s storage.
+    fn lower(&self, program: &Program, schedule: &mut Schedule, lowered: Lowered) {
+        if let Some(data) = &self.data {
+            let mut lowered = Lowered {
+                kernel: data.kernel,
+                ..lowered
+            };
+            lowered.lower(&self.config, program, schedule.regs, schedule.batch);
+            schedule.lowered = Some(lowered);
+        }
+    }
+
+    /// [`Npu::schedule`] without its data half.
+    fn timeline_half(&mut self, program: &Program, batch: usize) -> Schedule {
         let Npu {
             config,
             timeline,
@@ -975,21 +1204,28 @@ impl Npu {
             fault: timed.err(),
             end_regs,
             left,
+            lowered: None,
         }
     }
 
     /// Whether this NPU stands where `schedule` started: the same tiling
-    /// registers, and the same vectors, tiles and arrival stamps queued.
+    /// registers, and the same vectors, tiles and arrival stamps queued;
+    /// and whether the schedule's data half was lowered for this NPU's
+    /// [`ExecMode`] and [`KernelMode`].
     pub fn can_execute(&self, schedule: &Schedule) -> bool {
         let timeline = &self.timeline;
-        (timeline.rows, timeline.cols) == schedule.regs && timeline.arrivals.is(&schedule.queued)
+        let kernel = |l: &Lowered| l.kernel;
+        (timeline.rows, timeline.cols) == schedule.regs
+            && timeline.arrivals.is(&schedule.queued)
+            && schedule.lowered.as_ref().map(kernel) == self.data.as_ref().map(|d| d.kernel)
     }
 
-    /// The data half of [`Npu::run_batch`]: computes the values of the
-    /// chains `schedule` placed, in program order, then leaves the tiling
-    /// registers and the queues as the run does. `schedule` must have been
-    /// computed for `program` on an NPU of this configuration; it may be
-    /// executed any number of times, each from the state it started from.
+    /// The data half of [`Npu::run_batch`]: replays the step lists
+    /// `schedule` holds over the chains it placed, in program order, then
+    /// leaves the tiling registers and the queues as the run does.
+    /// `schedule` must have been computed on an NPU of this configuration;
+    /// it may be executed any number of times, each from the state it
+    /// started from.
     ///
     /// # Errors
     ///
@@ -998,11 +1234,7 @@ impl Npu {
     /// a fault of the data pass among the chains placed before the
     /// schedule's, else the schedule's, and either empties the network
     /// input and output queues.
-    pub fn execute(
-        &mut self,
-        program: &Program,
-        schedule: &Schedule,
-    ) -> Result<RunStats, SimError> {
+    pub fn execute(&mut self, schedule: &Schedule) -> Result<RunStats, SimError> {
         if !self.can_execute(schedule) {
             return Err(SimError::StaleSchedule);
         }
@@ -1013,17 +1245,19 @@ impl Npu {
             zero_outputs,
             ..
         } = self;
-        let computed = data.as_mut().map_or(Ok(()), |data| {
-            let chains = schedule.stats.chains;
-            data.run(config, program, schedule.batch, schedule.regs, chains)
-        });
+        let computed = match (data.as_mut(), &schedule.lowered) {
+            (Some(data), Some(lowered)) => {
+                data.run(config, lowered, schedule.batch, schedule.stats.chains)
+            }
+            _ => Ok(()),
+        };
         (timeline.rows, timeline.cols) = schedule.end_regs;
         let timed = schedule.fault.clone().map_or(Ok(()), Err);
         if let Err(e) = computed.and(timed) {
             timeline.arrivals = Default::default();
             *zero_outputs = 0;
             if let Some(data) = data {
-                data.net = Default::default();
+                data.net = NetQueues::default();
             }
             return Err(e);
         }
@@ -1041,9 +1275,11 @@ impl Npu {
 /// batch size and what the run starts from: the tiling registers and the
 /// queued arrival stamps ([`crate::sched`]). A `Schedule` records that
 /// start, the run's [`RunStats`] (which count the chains placed before a
-/// fault), the fault, and the registers and queue counts the run leaves.
-/// So one computed schedule serves every run that starts where it did;
-/// [`Npu::execute`] checks that it does.
+/// fault), the fault, and the registers and queue counts the run leaves;
+/// in [`ExecMode::Full`] it also holds the run's data half, lowered to
+/// step lists (module doc, "The data pass") for the [`KernelMode`] the NPU
+/// had. So one computed schedule serves every run that starts where it
+/// did; [`Npu::execute`] checks that it does.
 #[derive(Clone, Debug)]
 pub struct Schedule {
     batch: usize,
@@ -1058,6 +1294,8 @@ pub struct Schedule {
     /// leaves queued (a fault empties the queues instead).
     end_regs: (u32, u32),
     left: (u64, u64),
+    /// The data half's step lists (`Some` exactly in [`ExecMode::Full`]).
+    lowered: Option<Lowered>,
 }
 
 impl Schedule {
@@ -1602,6 +1840,32 @@ mod tests {
             npu.run(&b.build()).unwrap_err(),
             SimError::MrfEntryUninitialized { index: 7 }
         );
+
+        // A loop whose body widens its `mv_mul` to an unwritten tile once
+        // it has run: the second iteration's list faults at its `mv_mul`,
+        // after its first chain has counted up once more.
+        let mut npu = Npu::new(tiny_config());
+        identity_grid(&mut npu, 0, 1);
+        npu.load_vector(MemId::AddSubVrf(0), 0, &[1.0; 4]).unwrap();
+        let mut b = ProgramBuilder::new();
+        b.set_rows(1).set_cols(1);
+        b.begin_loop(3).unwrap();
+        b.v_rd(MemId::InitialVrf, 0).vv_add(0);
+        b.v_wr(MemId::InitialVrf, 0).end_chain().unwrap();
+        b.v_rd(MemId::InitialVrf, 0).mv_mul(0);
+        b.v_wr(MemId::InitialVrf, 2).end_chain().unwrap();
+        b.set_cols(2);
+        b.end_loop().unwrap();
+        let fault = SimError::MrfEntryUninitialized { index: 1 };
+        assert_eq!(npu.run(&b.build()), Err(fault));
+        // Entry 0 was counted up twice, entry 2 written by the one product.
+        let mut b = ProgramBuilder::new();
+        b.set_rows(3).set_cols(1);
+        b.v_rd(MemId::InitialVrf, 0).v_wr(MemId::NetQ, 0);
+        b.end_chain().unwrap();
+        npu.run(&b.build()).unwrap();
+        let want = [[2.0; 4], [0.0; 4], [1.0; 4]].concat();
+        assert_eq!(npu.pop_output_concat(3, 12), Some(want));
     }
 
     #[test]

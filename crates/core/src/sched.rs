@@ -1695,17 +1695,14 @@ mod tests {
         for stale in [&mut more, &mut later, &mut wider] {
             let queued = stale.input_len();
             assert!(!stale.can_execute(&schedule));
-            assert_eq!(
-                stale.execute(&program, &schedule),
-                Err(SimError::StaleSchedule)
-            );
+            assert_eq!(stale.execute(&schedule), Err(SimError::StaleSchedule));
             assert_eq!((stale.input_len(), stale.output_len()), (queued, 0));
         }
 
         // Where it started, as often as it stands there again.
         let fresh = input(0).run(&program);
         for _ in 0..2 {
-            assert_eq!(npu.execute(&program, &schedule), fresh);
+            assert_eq!(npu.execute(&schedule), fresh);
             let relu = (0..8).map(|i| (i as f32 - 3.5).max(0.0)).collect();
             assert_eq!(npu.pop_output(), Some(relu));
             npu.push_input((0..8).map(|i| i as f32 - 3.5).collect())

@@ -244,7 +244,7 @@ impl PinnedModel {
                     kept.push(npu.schedule(program, batch));
                     kept.len() - 1
                 });
-                npu.execute(program, &kept[i])
+                npu.execute(&kept[i])
             })
     }
 
@@ -414,6 +414,47 @@ mod tests {
             warm.schedules.iter().map(Vec::len).collect::<Vec<_>>(),
             kept
         );
+    }
+
+    #[test]
+    fn warm_requests_replay_the_first_ones_bits() {
+        // Layers of `mv_mul`, `vv_add` of the bias and `v_tanh`, whose
+        // step lists the first request's schedules keep.
+        let mut g = GirGraph::new();
+        let mut prev = g.add(GirOp::Input { dim: 16 }, &[]).unwrap();
+        for w in [16, 40, 24, 8].windows(2) {
+            let weights = (0..w[0] * w[1])
+                .map(|i| ((i % 7) as f32 - 3.0) / 8.0)
+                .collect();
+            let (rows, cols) = (w[1], w[0]);
+            let m = g
+                .add(
+                    GirOp::MatMul {
+                        rows,
+                        cols,
+                        weights,
+                    },
+                    &[prev],
+                )
+                .unwrap();
+            let bias = (0..rows).map(|i| (i as f32 - 9.0) / 32.0).collect();
+            let b = g.add(GirOp::BiasAdd { bias }, &[m]).unwrap();
+            prev = g.add(GirOp::Activation(ActFn::Tanh), &[b]).unwrap();
+        }
+        g.add(GirOp::Output, &[prev]).unwrap();
+        let artifact =
+            ModelArtifact::compile("biased", &g, 1 << 20, &config(), &LowerOptions::default())
+                .unwrap();
+        let mut pinned = artifact.pin().unwrap();
+        let x: Vec<f32> = (0..16).map(|i| (i as f32 * 0.7).sin()).collect();
+        let bits = |y: Vec<f32>| y.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let first = bits(pinned.infer(&x).unwrap());
+        for request in 2..=100 {
+            let again = bits(pinned.infer(&x).unwrap());
+            if request == 2 || request == 100 {
+                assert_eq!(again, first, "request {request}");
+            }
+        }
     }
 
     #[test]

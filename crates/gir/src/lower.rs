@@ -129,13 +129,6 @@ pub enum DeployError {
         /// The op name.
         String,
     ),
-    /// Fewer NPUs were supplied than the plan requires.
-    NotEnoughDevices {
-        /// Devices the plan needs.
-        required: usize,
-        /// Devices supplied.
-        supplied: usize,
-    },
     /// A simulator error during weight loading or execution.
     Sim(SimError),
     /// The firmware linter rejected a lowered binary.
@@ -158,9 +151,6 @@ impl std::fmt::Display for DeployError {
         match self {
             DeployError::BadPlan => write!(f, "partition plan does not match the pipeline"),
             DeployError::UnknownCpuOp(name) => write!(f, "unknown CPU op `{name}`"),
-            DeployError::NotEnoughDevices { required, supplied } => {
-                write!(f, "plan needs {required} NPUs, {supplied} supplied")
-            }
             DeployError::Sim(e) => write!(f, "simulator error: {e}"),
             DeployError::Rejected { device, report } => write!(
                 f,
@@ -374,15 +364,8 @@ impl Deployment {
     ///
     /// # Errors
     ///
-    /// Returns [`DeployError`] if too few NPUs are supplied or a load
-    /// overflows capacity.
+    /// Returns [`DeployError`] if a load overflows capacity.
     pub(crate) fn deploy(&self, npus: &mut [Npu]) -> Result<(), DeployError> {
-        if npus.len() < self.plan.devices_used {
-            return Err(DeployError::NotEnoughDevices {
-                required: self.plan.devices_used,
-                supplied: npus.len(),
-            });
-        }
         for bin in &self.binaries {
             let npu = &mut npus[bin.device];
             let nd = npu.config().native_dim();
@@ -453,18 +436,13 @@ impl Deployment {
         inputs: &[Vec<f32>],
         mut run: impl FnMut(usize, &mut Npu, &Program, usize) -> Result<RunStats, SimError>,
     ) -> Result<(Vec<Vec<f32>>, RunStats), DeployError> {
-        if npus.len() < self.plan.devices_used {
-            return Err(DeployError::NotEnoughDevices {
-                required: self.plan.devices_used,
-                supplied: npus.len(),
-            });
-        }
-        // One carried value per batch column. Each accelerator segment
-        // pushes every column's input before running, and the simulator's
-        // FIFO input/output queues keep the columns separated: column b
-        // pops the vectors pushed for column b and its outputs drain in
-        // the same order.
-        let mut values: Vec<Vec<f32>> = inputs.to_vec();
+        // One carried value per batch column, the caller's inputs until a
+        // segment replaces them. Each accelerator segment pushes every
+        // column's input before running, and the simulator's FIFO
+        // input/output queues keep the columns separated: column b pops
+        // the vectors pushed for column b and its outputs drain in the
+        // same order.
+        let mut values: Option<Vec<Vec<f32>>> = None;
         let mut stats = RunStats::default();
         let mut bin_iter = self.binaries.iter().enumerate();
         for segment in &self.plan.segments {
@@ -472,21 +450,25 @@ impl Deployment {
                 Placement::Accelerator { .. } => {
                     let (k, bin) = bin_iter.next().ok_or(DeployError::BadPlan)?;
                     let npu = &mut npus[bin.device];
-                    for column in &values {
+                    for column in values.as_deref().unwrap_or(inputs) {
                         npu.push_input_padded(column);
                     }
                     let run = run(k, npu, &bin.program, inputs.len())?;
                     stats.accumulate(&run);
-                    for value in values.iter_mut() {
-                        *value = npu
+                    let mut outputs = Vec::with_capacity(inputs.len());
+                    for _ in inputs {
+                        let output = npu
                             .pop_output_concat(bin.output_grid as usize, bin.output_dim)
                             .ok_or(DeployError::Sim(SimError::NetQueueEmpty {
                                 requested: bin.output_grid,
                                 available: 0,
                             }))?;
+                        outputs.push(output);
                     }
+                    values = Some(outputs);
                 }
                 Placement::Cpu { stages } => {
+                    let values = values.get_or_insert_with(|| inputs.to_vec());
                     for &si in stages {
                         let Stage::Cpu { name, .. } = &self.pipeline.stages[si] else {
                             return Err(DeployError::BadPlan);
@@ -499,7 +481,7 @@ impl Deployment {
                 }
             }
         }
-        Ok((values, stats))
+        Ok((values.unwrap_or_else(|| inputs.to_vec()), stats))
     }
 }
 
@@ -653,21 +635,5 @@ mod tests {
         let report = bin.lint(&cfg);
         assert!(report.has_errors(), "{report}");
         assert!(report.blocks_deployment(false));
-    }
-
-    #[test]
-    fn device_shortfall_is_reported() {
-        let g = mlp_graph(&[16, 16, 16, 16, 16], false);
-        let p = fuse(&g).unwrap();
-        let plan = partition(&p, 512).unwrap();
-        let dep = Deployment::compile_with(&p, &plan, &config(), &LowerOptions::default()).unwrap();
-        let mut npus = vec![Npu::new(config())];
-        assert_eq!(
-            dep.deploy(&mut npus).unwrap_err(),
-            DeployError::NotEnoughDevices {
-                required: 2,
-                supplied: 1
-            }
-        );
     }
 }

@@ -669,12 +669,76 @@ proptest! {
                 }
                 let schedule = kept.as_ref().expect("kept");
                 prop_assert_eq!(twin.can_execute(schedule), true);
-                let ran = twin.execute(&program, schedule);
+                let ran = twin.execute(schedule);
                 prop_assert_eq!(&outcome(&mut twin, ran), &want, "{:?} round {}", mode, round);
-                let ran = own.execute(&program, schedule);
+                let ran = own.execute(schedule);
                 prop_assert_eq!(&outcome(&mut own, ran), &want, "{:?} round {}", mode, round);
             }
         }
+    }
+
+    /// An `mv_mul` quantizes its input where the step list finds the
+    /// quantized blocks stale, and multiplies what they hold where no step
+    /// has written its input since (`bw_core::npu`, module doc). On chains
+    /// that rewrite the register ranges later products read, the fast
+    /// kernels give the bits of the reference ones, which quantize every
+    /// input afresh.
+    #[test]
+    fn an_mv_mul_requantizes_exactly_where_its_input_was_written(
+        specs in prop::collection::vec(chain_strategy(), 1..12),
+        low in any::<bool>(),
+    ) {
+        // Every chain reads `InitialVrf` near the ranges the others write.
+        let near = |s: &ChainSpec| ChainSpec {
+            src: 1,
+            src_index: s.src_index % 3,
+            dst_index: s.dst_index % 4,
+            ..s.clone()
+        };
+        let specs: Vec<ChainSpec> = specs.iter().map(near).collect();
+        let program = build_writing(&specs, low);
+        let run = |kernel| {
+            let mut npu = Npu::new(cfg());
+            npu.set_kernel_mode(kernel);
+            prepare(&mut npu, &specs);
+            let result = npu.run(&program);
+            let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let outputs: Vec<_> = std::iter::from_fn(|| npu.pop_output()).map(bits).collect();
+            (result, outputs)
+        };
+        prop_assert_eq!(run(KernelMode::Fast), run(KernelMode::Reference));
+    }
+
+    /// The data pass lowers a loop body once from the registers it enters
+    /// with and, when the body changes them, once more from the ones every
+    /// later iteration enters with (`bw_core::npu`, module doc). So a
+    /// resizing loop computes what its body written out once per iteration
+    /// computes — output bits, fault, and the counts of chains, MACs and
+    /// vectors in and out — at batch sizes 1 to 3.
+    #[test]
+    fn a_resizing_loop_computes_as_its_body_written_out(
+        resize in resizing_strategy(),
+        batch in 1usize..=3,
+    ) {
+        let looped = build_resizing(&resize);
+        let mut unrolled = looped.clone();
+        let body = unrolled.segments.pop().expect("a loop body");
+        let once = Segment { iterations: 1, ..body.clone() };
+        unrolled.segments.extend(std::iter::repeat_n(once, body.iterations as usize));
+        let run = |program: &Program| {
+            let mut npu = Npu::new(cfg());
+            preload(&mut npu);
+            for i in 0..16 * batch {
+                let v = (0..ND).map(|j| ((i as u32 * 5 + j) as f32 * 0.37).sin()).collect();
+                npu.push_input(v).expect("native vector");
+            }
+            let counts = |s: RunStats| (s.chains, s.mvm_macs, s.net_vectors_in, s.net_vectors_out);
+            let result = npu.run_batch(program, batch).map(counts);
+            let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let outputs: Vec<_> = std::iter::from_fn(|| npu.pop_output()).map(bits).collect();
+            (result, outputs)
+        };
+        prop_assert_eq!(run(&looped), run(&unrolled));
     }
 
     /// The deploy gate's contract (`bw_core::sched`, "Faults"), on loops

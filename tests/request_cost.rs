@@ -3,19 +3,20 @@
 //! a benchmark:
 //!
 //! * a warm one-column `PinnedModel::infer_batch` of the demo MLP
-//!   (16-64-32-8) allocates at most 5 times — measured 5: the column
-//!   vector and its copy, the native input vector pushed to the network
-//!   queue, the output vector the NPU pushes there and the output handed
-//!   back;
+//!   (16-64-32-8) allocates at most 2 times — measured 2, 88 B: the list
+//!   of outputs (24 B) and the output handed back (64 B). The input is
+//!   pushed to the network queue from the caller's column, and the
+//!   queues are flat element FIFOs the NPU keeps, so neither the pushed
+//!   vector nor the one the NPU outputs is allocated;
 //! * 1,000 warm `Client::call`s of it on a one-replica pool allocate at
-//!   most 13 times per call on average — measured 13.00 — with a slack
-//!   of one per hundred calls, and ask for at most 1,200 B per call —
-//!   measured 1,096 B, with about a tenth of slack. A call allocates the
+//!   most 10 times per call on average — measured 10.00 — with a slack
+//!   of one per hundred calls, and ask for at most 1,000 B per call —
+//!   measured 904 B, with about a tenth of slack. A call allocates the
 //!   input's copy (64 B) and the columns that share it (40 B); the member
 //!   list (40 B); the router's candidate order (32 B); the attempt's reply
 //!   slot (232 B: the completion is held inline); the leg's tried list
 //!   (8 B) and the leg list (256 B: one leg, reserved at the stage's
-//!   width); the five allocations of `infer_batch` above (280 B); and the
+//!   width); the two allocations of `infer_batch` above (88 B); and the
 //!   response (144 B). The job itself is held inline in the worker's
 //!   queue, which is allocated once, at spawn.
 //!
@@ -85,9 +86,9 @@ fn allocations_in(f: impl FnOnce()) -> (usize, usize) {
 
 const WIDTHS: [usize; 4] = [16, 64, 32, 8];
 const CALLS: usize = 1_000;
-const PER_CALL: usize = 13;
-const PER_INFER_BATCH: usize = 5;
-const BYTES_PER_CALL: usize = 1_200;
+const PER_CALL: usize = 10;
+const PER_INFER_BATCH: usize = 2;
+const BYTES_PER_CALL: usize = 1_000;
 
 #[test]
 fn warm_requests_allocate_a_pinned_number_of_times() {

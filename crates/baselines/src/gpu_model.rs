@@ -32,7 +32,7 @@ pub struct GpuBatchModel {
 
 /// Large-GEMM efficiency as a function of hidden dimension: even
 /// compute-bound kernels leave peak unreachable for small matrices.
-pub fn compute_efficiency(hidden: usize) -> f64 {
+pub(crate) fn compute_efficiency(hidden: usize) -> f64 {
     0.6 * hidden as f64 / (hidden as f64 + 1024.0)
 }
 
@@ -54,7 +54,7 @@ impl GpuBatchModel {
     /// # Panics
     ///
     /// Panics if `batch` is zero.
-    pub fn step_seconds(&self, batch: u32) -> f64 {
+    pub(crate) fn step_seconds(&self, batch: u32) -> f64 {
         assert!(batch > 0, "batch must be positive");
         let compute = f64::from(batch) * self.ops_per_step as f64
             / (self.peak_tflops * 1e12 * self.compute_efficiency);

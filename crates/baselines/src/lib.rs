@@ -30,6 +30,6 @@ mod gpu_model;
 mod p40;
 mod titan_xp;
 
-pub use gpu_model::{compute_efficiency, GpuBatchModel};
+pub use gpu_model::GpuBatchModel;
 pub use p40::{CnnServingPoint, BW_CNN_A10_BATCH1, P40_BATCH1, P40_BATCH16};
 pub use titan_xp::{table5_titan_xp, titan_xp_point, TitanXp, TitanXpPoint, TITAN_XP};

@@ -6,20 +6,20 @@ use std::process::ExitCode;
 use std::str::FromStr;
 
 /// One row of the dispatch table in `main.rs`.
-pub struct Command {
-    pub name: &'static str,
+pub(crate) struct Command {
+    pub(crate) name: &'static str,
     /// One line for `bw-bench help`.
-    pub help: &'static str,
+    pub(crate) help: &'static str,
     /// The flags the subcommand accepts: `(--name, placeholder)`, where an
     /// empty placeholder marks a switch and anything else a flag that
     /// takes one value. This is both the grammar [`Args::parse`] enforces
     /// and the text [`Command::usage`] prints.
-    pub flags: &'static [(&'static str, &'static str)],
-    pub run: fn(&Args) -> ExitCode,
+    pub(crate) flags: &'static [(&'static str, &'static str)],
+    pub(crate) run: fn(&Args) -> ExitCode,
 }
 
 impl Command {
-    pub fn usage(&self) -> String {
+    pub(crate) fn usage(&self) -> String {
         let mut out = format!("usage: bw-bench {}", self.name);
         for (flag, value) in self.flags {
             let space = if value.is_empty() { "" } else { " " };
@@ -30,7 +30,7 @@ impl Command {
 
     /// Reports a command-line mistake: message and usage on stderr,
     /// exit status 2.
-    pub fn usage_error(&self, message: &str) -> ! {
+    pub(crate) fn usage_error(&self, message: &str) -> ! {
         eprintln!("bw-bench {}: {message}", self.name);
         eprintln!("{}", self.usage());
         std::process::exit(2)
@@ -38,7 +38,7 @@ impl Command {
 }
 
 /// A subcommand's parsed command line.
-pub struct Args {
+pub(crate) struct Args {
     command: &'static Command,
     given: Vec<(&'static str, String)>,
 }
@@ -50,7 +50,7 @@ impl Args {
     /// # Errors
     ///
     /// An unknown flag, or a value flag with nothing after it.
-    pub fn parse(
+    pub(crate) fn parse(
         command: &'static Command,
         mut argv: impl Iterator<Item = String>,
     ) -> Result<Args, String> {
@@ -84,13 +84,13 @@ impl Args {
     }
 
     /// Whether the switch `flag` was given.
-    pub fn has(&self, flag: &str) -> bool {
+    pub(crate) fn has(&self, flag: &str) -> bool {
         self.lookup(flag).is_some()
     }
 
     /// The value of `flag`, if given. A value that does not parse as `T`
     /// is a usage error (exit 2).
-    pub fn get<T: FromStr>(&self, flag: &str) -> Option<T>
+    pub(crate) fn get<T: FromStr>(&self, flag: &str) -> Option<T>
     where
         T::Err: Display,
     {
@@ -101,7 +101,7 @@ impl Args {
     }
 
     /// [`Command::usage_error`] for this command line.
-    pub fn usage_error(&self, message: &str) -> ! {
+    pub(crate) fn usage_error(&self, message: &str) -> ! {
         self.command.usage_error(message)
     }
 }
@@ -110,14 +110,14 @@ impl Args {
 /// then turns them into the exit status: each failure on stderr and
 /// exit 1, or exit 0 when every check held.
 #[derive(Default)]
-pub struct Gate {
+pub(crate) struct Gate {
     failures: Vec<String>,
 }
 
 impl Gate {
     /// Records `message()` as a failure unless `ok`; returns `ok` so a
     /// caller can skip work that only makes sense when the check held.
-    pub fn check(&mut self, ok: bool, message: impl FnOnce() -> String) -> bool {
+    pub(crate) fn check(&mut self, ok: bool, message: impl FnOnce() -> String) -> bool {
         if !ok {
             self.fail(message());
         }
@@ -125,11 +125,11 @@ impl Gate {
     }
 
     /// Records a failure that was not a yes/no check (an error value).
-    pub fn fail(&mut self, message: String) {
+    pub(crate) fn fail(&mut self, message: String) {
         self.failures.push(message);
     }
 
-    pub fn finish(self) -> ExitCode {
+    pub(crate) fn finish(self) -> ExitCode {
         for failure in &self.failures {
             eprintln!("FAIL: {failure}");
         }

@@ -71,7 +71,7 @@ fn is_external(dest: &str) -> bool {
         || dest.starts_with('#')
 }
 
-pub fn run(_: &Args) -> ExitCode {
+pub(crate) fn run(_: &Args) -> ExitCode {
     let mut files = Vec::new();
     collect_markdown(Path::new("."), &mut files);
     files.sort();

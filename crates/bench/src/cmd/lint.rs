@@ -10,7 +10,7 @@ use bw_gir::LowerOptions;
 
 use crate::cli::{Args, Gate};
 
-pub fn run(args: &Args) -> ExitCode {
+pub(crate) fn run(args: &Args) -> ExitCode {
     let request = LintRequest {
         target: if args.has("--artifact") {
             LintTarget::Artifact

@@ -1,5 +1,5 @@
 //! One module per subcommand; `main.rs` holds the table that names them.
 
-pub mod doclinks;
-pub mod lint;
-pub mod profile;
+pub(crate) mod doclinks;
+pub(crate) mod lint;
+pub(crate) mod profile;

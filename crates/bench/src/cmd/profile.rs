@@ -33,7 +33,7 @@ fn write_file(gate: &mut Gate, path: &str, contents: &str) {
     }
 }
 
-pub fn run(args: &Args) -> ExitCode {
+pub(crate) fn run(args: &Args) -> ExitCode {
     let quick = args.has("--quick");
     let kind = match args.get::<String>("--kind").as_deref() {
         None | Some("lstm") => RnnKind::Lstm,

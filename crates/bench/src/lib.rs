@@ -145,7 +145,7 @@ pub fn sdm_latency_ms(bench: &RnnBenchmark) -> f64 {
 
 /// Renders a plain-text table: a header row plus data rows, columns padded
 /// to their widest cell.
-pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
     let cols = header.len();
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {

@@ -3,22 +3,12 @@
 use crate::format::{BfpFormat, Layout};
 use crate::kernel::{self, exp2, Mantissas, Operand, Rows, GROUP};
 
-/// Rounding discipline for quantization.
-///
-/// Serving uses round-to-nearest; BFP *training and fine-tuning* (the
-/// paper's "few epochs of fine-tuning", §VI) conventionally uses stochastic
-/// rounding so quantization error is unbiased and gradients survive narrow
-/// mantissas.
+/// Rounding discipline for quantization: round to the nearest
+/// representable mantissa, the one rule serving uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Rounding {
     /// Round to the nearest representable mantissa (ties away from zero).
     Nearest,
-    /// Round up or down with probability proportional to the remainder,
-    /// deterministically derived from the given seed.
-    Stochastic(
-        /// Seed for the quantizer's internal generator.
-        u64,
-    ),
 }
 
 /// A vector quantized to block floating point.
@@ -108,17 +98,8 @@ impl BfpBlock {
     /// magnitude, mirroring the saturating behaviour of the hardware
     /// quantizer.
     pub fn quantize(values: &[f32], format: BfpFormat) -> Self {
-        Self::quantize_with_rounding(values, format, Rounding::Nearest)
-    }
-
-    /// Quantizes with an explicit [`Rounding`] discipline.
-    pub(crate) fn quantize_with_rounding(
-        values: &[f32],
-        format: BfpFormat,
-        rounding: Rounding,
-    ) -> Self {
         let mut block = Self::empty(format);
-        Self::quantize_into(values, format, rounding, &mut block);
+        Self::quantize_into(values, format, Rounding::Nearest, &mut block);
         block
     }
 
@@ -137,10 +118,10 @@ impl BfpBlock {
     }
 
     /// Quantizes into an existing block, reusing its mantissa/exponent
-    /// allocations. Produces exactly the block a fresh quantization with
-    /// `rounding` would.
-    pub fn quantize_into(values: &[f32], format: BfpFormat, rounding: Rounding, out: &mut Self) {
-        if (format.layout(), rounding) == (Layout::Narrow, Rounding::Nearest) {
+    /// allocations. Produces exactly the block [`BfpBlock::quantize`]
+    /// would; [`Rounding`] has the one value.
+    pub fn quantize_into(values: &[f32], format: BfpFormat, _: Rounding, out: &mut Self) {
+        if format.layout() == Layout::Narrow {
             return quantize_narrow(values, format, out);
         }
         out.format = format;
@@ -150,7 +131,6 @@ impl BfpBlock {
         quantize_append(
             values,
             format,
-            rounding,
             &mut out.mantissas,
             &mut out.exponents,
             &mut out.padded,
@@ -297,7 +277,6 @@ impl BfpBlock {
 pub(crate) fn quantize_append(
     values: &[f32],
     format: BfpFormat,
-    rounding: Rounding,
     mantissas: &mut Mantissas,
     exponents: &mut Vec<i32>,
     padded: &mut Vec<i8>,
@@ -305,15 +284,13 @@ pub(crate) fn quantize_append(
     padded.clear();
     match mantissas {
         Mantissas::Packed(m) => {
-            quantize_lanes(values, format, rounding, padded, exponents, true, |q| {
-                q as i8
-            });
+            quantize_lanes(values, format, padded, exponents, true, |q| q as i8);
             kernel::pack_groups(padded, m);
         }
         Mantissas::Narrow(m) => {
-            quantize_lanes(values, format, rounding, m, exponents, false, |q| q as i8);
+            quantize_lanes(values, format, m, exponents, false, |q| q as i8);
         }
-        Mantissas::Wide(m) => quantize_lanes(values, format, rounding, m, exponents, false, |q| q),
+        Mantissas::Wide(m) => quantize_lanes(values, format, m, exponents, false, |q| q),
     }
 }
 
@@ -450,29 +427,13 @@ fn quantize_narrow(values: &[f32], format: BfpFormat, out: &mut BfpBlock) {
 fn quantize_lanes<M: Clone + Default>(
     values: &[f32],
     format: BfpFormat,
-    rounding: Rounding,
     mantissas: &mut Vec<M>,
     exponents: &mut Vec<i32>,
     grouped: bool,
     narrow: impl Fn(i32) -> M,
 ) {
-    // A splitmix64 generator keeps stochastic rounding dependency-free,
-    // deterministic in the seed, and well-distributed even for small,
-    // consecutive seeds.
-    let mut rng_state = match rounding {
-        Rounding::Nearest => 0u64,
-        Rounding::Stochastic(seed) => seed,
-    };
-    let mut next_unit = move || -> f64 {
-        rng_state = rng_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = rng_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        (z >> 11) as f64 / (1u64 << 53) as f64
-    };
     let chunk = format.block_size() as usize;
-    let max_man = format.max_mantissa();
+    let cap = f64::from(format.max_mantissa());
     let m = i32::from(format.mantissa_bits());
     mantissas.reserve(if grouped {
         kernel::padded_len(values.len(), chunk)
@@ -483,32 +444,18 @@ fn quantize_lanes<M: Clone + Default>(
 
     for group in values.chunks(chunk) {
         let e = chunk_exponent(group, format);
-        // Scaling by the reciprocal power of two is exact, like the divide.
-        let inv_scale = exp2((m - 1) - e);
-        match rounding {
-            // Ties away from zero, without a libm `round` or a float-to-int
-            // cast per element. The scaled value has the input's ≤ 24
-            // significant bits, so it sits at least one unit in its own last
-            // place from any half-integer it is not on. Stretching it by
-            // 1 + 2^-30 — under 1/64 of that unit — therefore moves exact
-            // ties off the tie, away from zero, and nothing else across one;
-            // rounding to nearest-even then rounds half away. Clamping to
-            // `max_man` first keeps the sum in range, whatever saturated.
-            Rounding::Nearest => {
-                let stretched = inv_scale * (1.0 + exp2(-30));
-                let cap = f64::from(max_man);
-                let round = |&v: &f32| narrow(round_mantissa(v, stretched, cap));
-                mantissas.extend(group.iter().map(round));
-            }
-            Rounding::Stochastic(_) => mantissas.extend(group.iter().map(|&v| {
-                let v = magnitude(v).copysign(v);
-                let exact = f64::from(v) * inv_scale;
-                let floor = exact.floor();
-                let frac = exact - floor;
-                let q = floor as i64 + i64::from(next_unit() < frac);
-                narrow(q.clamp(-i64::from(max_man), i64::from(max_man)) as i32)
-            })),
-        }
+        // Ties away from zero, without a libm `round` or a float-to-int
+        // cast per element. Scaling by the reciprocal power of two is
+        // exact, like the divide, and the scaled value has the input's
+        // ≤ 24 significant bits, so it sits at least one unit in its own
+        // last place from any half-integer it is not on. Stretching it by
+        // 1 + 2^-30 — under 1/64 of that unit — therefore moves exact ties
+        // off the tie, away from zero, and nothing else across one;
+        // rounding to nearest-even then rounds half away. Clamping to
+        // `max_man` first keeps the sum in range, whatever saturated.
+        let stretched = exp2((m - 1) - e) * (1.0 + exp2(-30));
+        let round = |&v: &f32| narrow(round_mantissa(v, stretched, cap));
+        mantissas.extend(group.iter().map(round));
         exponents.push(e);
         if grouped {
             mantissas.resize(mantissas.len().next_multiple_of(GROUP), M::default());
@@ -670,14 +617,9 @@ mod tests {
     fn quantize_into_matches_quantize_and_reuses_buffers() {
         let xs: Vec<f32> = (0..300).map(|i| (i as f32 * 0.77).sin() * 9.0).collect();
         let mut scratch = BfpBlock::empty(FMT2);
-        for rounding in [Rounding::Nearest, Rounding::Stochastic(7)] {
-            for fmt in [FMT2, FMT5] {
-                BfpBlock::quantize_into(&xs, fmt, rounding, &mut scratch);
-                assert_eq!(
-                    scratch,
-                    BfpBlock::quantize_with_rounding(&xs, fmt, rounding)
-                );
-            }
+        for fmt in [FMT2, FMT5] {
+            BfpBlock::quantize_into(&xs, fmt, Rounding::Nearest, &mut scratch);
+            assert_eq!(scratch, BfpBlock::quantize(&xs, fmt));
         }
         // Shrinking input must not leave stale tail data.
         BfpBlock::quantize_into(&xs[..3], FMT5, Rounding::Nearest, &mut scratch);
@@ -758,74 +700,15 @@ mod tests {
         assert_eq!(direct, via);
     }
 
-    #[test]
-    fn stochastic_rounding_is_deterministic_in_seed() {
-        let xs: Vec<f32> = (0..64).map(|i| (i as f32 * 0.37).sin()).collect();
-        let a = BfpBlock::quantize_with_rounding(&xs, FMT5, Rounding::Stochastic(9));
-        let b = BfpBlock::quantize_with_rounding(&xs, FMT5, Rounding::Stochastic(9));
-        assert_eq!(a, b);
-        let c = BfpBlock::quantize_with_rounding(&xs, FMT5, Rounding::Stochastic(10));
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn stochastic_rounding_is_unbiased() {
-        // Quantizing the same mid-step value many times must average back
-        // to the value itself (the property nearest-rounding lacks, and the
-        // reason fine-tuning uses it).
-        let fmt = BfpFormat::new(5, 3, 128).unwrap();
-        // Chunk max 7.0 -> scale 2^(2-2)=1; 3.3 sits between 3 and 4.
-        let xs = [7.0f32, 3.3];
-        let trials = 4000;
-        let mut sum = 0.0f64;
-        for seed in 0..trials {
-            let b = BfpBlock::quantize_with_rounding(&xs, fmt, Rounding::Stochastic(seed));
-            sum += f64::from(b.dequantize()[1]);
-        }
-        let mean = sum / f64::from(trials as u32);
-        assert!((mean - 3.3).abs() < 0.02, "mean {mean}");
-        // Nearest rounding is biased to 3.0 here.
-        let nearest = BfpBlock::quantize(&xs, fmt).dequantize()[1];
-        assert_eq!(nearest, 3.0);
-    }
-
-    #[test]
-    fn stochastic_error_still_bounded_by_one_step() {
-        let xs: Vec<f32> = (0..100).map(|i| (i as f32 * 0.11).cos() * 5.0).collect();
-        let b = BfpBlock::quantize_with_rounding(&xs, FMT5, Rounding::Stochastic(1));
-        let back = b.dequantize();
-        let amax = xs.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-        let step = amax / 31.0 * 1.01 + 1e-6;
-        for (v, q) in xs.iter().zip(&back) {
-            assert!((v - q).abs() <= step * 1.5, "{v} -> {q}");
-        }
-    }
-
     /// The quantizer as it stood before the exponent-field / reciprocal /
     /// narrow-lane rewrite, verbatim: `log2().floor()` start, bump loop, `f64`
     /// divide and `round()` per element. The oracle for [`quantize_append`].
     fn quantize_append_oracle(
         values: &[f32],
         format: BfpFormat,
-        rounding: Rounding,
         mantissas: &mut Vec<i32>,
         exponents: &mut Vec<i32>,
     ) {
-        // A splitmix64 generator keeps stochastic rounding dependency-free,
-        // deterministic in the seed, and well-distributed even for small,
-        // consecutive seeds.
-        let mut rng_state = match rounding {
-            Rounding::Nearest => 0u64,
-            Rounding::Stochastic(seed) => seed,
-        };
-        let mut next_unit = move || -> f64 {
-            rng_state = rng_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = rng_state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^= z >> 31;
-            (z >> 11) as f64 / (1u64 << 53) as f64
-        };
         let chunk = format.block_size() as usize;
         let max_man = format.max_mantissa();
         let (exp_min, exp_max) = format.exponent_range();
@@ -863,15 +746,7 @@ mod tests {
                 } else {
                     f32::MAX
                 };
-                let exact = f64::from(v) / scale;
-                let q = match rounding {
-                    Rounding::Nearest => exact.round() as i64,
-                    Rounding::Stochastic(_) => {
-                        let floor = exact.floor();
-                        let frac = exact - floor;
-                        floor as i64 + i64::from(next_unit() < frac)
-                    }
-                };
+                let q = (f64::from(v) / scale).round() as i64;
                 let q = q.clamp(-i64::from(max_man), i64::from(max_man));
                 mantissas.push(q as i32);
             }
@@ -880,16 +755,16 @@ mod tests {
     }
 
     /// Asserts the rewritten quantizer and the oracle agree on `values`
-    /// under `format` and `rounding`, element for element.
-    fn assert_matches_oracle(values: &[f32], format: BfpFormat, rounding: Rounding) {
+    /// under `format`, element for element.
+    fn assert_matches_oracle(values: &[f32], format: BfpFormat) {
         let (mut man, mut exp) = (Vec::new(), Vec::new());
-        quantize_append_oracle(values, format, rounding, &mut man, &mut exp);
-        let got = BfpBlock::quantize_with_rounding(values, format, rounding);
-        assert_eq!(got.exponents(), exp, "{format} {rounding:?} exponents");
+        quantize_append_oracle(values, format, &mut man, &mut exp);
+        let got = BfpBlock::quantize(values, format);
+        assert_eq!(got.exponents(), exp, "{format} exponents");
         assert_eq!(
             got.mantissas().collect::<Vec<_>>(),
             man,
-            "{format} {rounding:?} mantissas of {values:?}"
+            "{format} mantissas of {values:?}"
         );
     }
 
@@ -921,8 +796,8 @@ mod tests {
         }
         for fmt in oracle_formats() {
             for &v in &values {
-                assert_matches_oracle(&[v], fmt, Rounding::Nearest);
-                assert_matches_oracle(&[v * 0.37, v, -v * 0.81], fmt, Rounding::Nearest);
+                assert_matches_oracle(&[v], fmt);
+                assert_matches_oracle(&[v * 0.37, v, -v * 0.81], fmt);
             }
         }
     }
@@ -948,21 +823,19 @@ mod tests {
         ];
         for fmt in oracle_formats() {
             for values in cases {
-                assert_matches_oracle(values, fmt, Rounding::Nearest);
-                assert_matches_oracle(values, fmt, Rounding::Stochastic(11));
+                assert_matches_oracle(values, fmt);
             }
         }
     }
 
     #[test]
-    fn quantizer_matches_oracle_on_rounding_ties_and_stochastic_streams() {
-        // Halves round away from zero; the stochastic stream is one draw
-        // per element in order, across chunk boundaries.
+    fn quantizer_matches_oracle_on_rounding_ties() {
+        // Halves round away from zero.
         let ties: Vec<f32> = (-40..=40).map(|i| i as f32 * 0.5).collect();
         let wave: Vec<f32> = (0..300).map(|i| (i as f32 * 0.77).sin() * 9.0).collect();
         for fmt in oracle_formats() {
-            assert_matches_oracle(&ties, fmt, Rounding::Nearest);
-            assert_matches_oracle(&wave, fmt, Rounding::Nearest);
+            assert_matches_oracle(&ties, fmt);
+            assert_matches_oracle(&wave, fmt);
             // Exact ties at the format's own step: leading each group with
             // max_mantissa · 2^j pins the step at 2^j, and the rest are
             // odd multiples of half of it, with their f32 neighbours.
@@ -978,12 +851,8 @@ mod tests {
                         let (below, above) = (tie.to_bits() - 1, tie.to_bits() + 1);
                         values.extend([tie, -tie, f32::from_bits(below), -f32::from_bits(above)]);
                     }
-                    assert_matches_oracle(&values, fmt, Rounding::Nearest);
+                    assert_matches_oracle(&values, fmt);
                 }
-            }
-            for seed in [0, 7, u64::MAX] {
-                assert_matches_oracle(&ties, fmt, Rounding::Stochastic(seed));
-                assert_matches_oracle(&wave, fmt, Rounding::Stochastic(seed));
             }
         }
     }
@@ -998,7 +867,7 @@ mod tests {
         let fmt = BfpFormat::new(8, 23, 128).unwrap();
         let v = f32::from_bits(2.0f32.powi(20).to_bits() - 8);
         let (mut man, mut exp) = (Vec::new(), Vec::new());
-        quantize_append_oracle(&[v], fmt, Rounding::Nearest, &mut man, &mut exp);
+        quantize_append_oracle(&[v], fmt, &mut man, &mut exp);
         let got = BfpBlock::quantize(&[v], fmt);
         assert_eq!((exp[0], got.exponents()[0]), (20, 19));
         assert_eq!(got.dequantize()[0], v);
@@ -1091,13 +960,10 @@ mod tests {
             exponent_bits in 3u8..=8,
             block_idx in 0usize..4,
             scale_exp in -40i32..40,
-            stochastic in any::<bool>(),
-            seed in any::<u64>(),
         ) {
             let fmt = BfpFormat::new(exponent_bits, mantissa_bits, [1u32, 3, 16, 128][block_idx]).unwrap();
             let scaled: Vec<f32> = values.iter().map(|v| v * 2.0f32.powi(scale_exp)).collect();
-            let rounding = if stochastic { Rounding::Stochastic(seed) } else { Rounding::Nearest };
-            assert_matches_oracle(&scaled, fmt, rounding);
+            assert_matches_oracle(&scaled, fmt);
         }
 
         #[test]

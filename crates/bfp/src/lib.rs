@@ -70,7 +70,6 @@
 // `#[allow]`ed in `kernel`, `lanes` and `block` only (crate doc, "Unsafe code").
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
-#![warn(unreachable_pub)]
 
 mod block;
 mod error;

@@ -1,7 +1,7 @@
 //! Row-quantized BFP matrices, the storage format of the matrix register
 //! file (MRF).
 
-use crate::block::{quantize_append, quantizes_to_nothing, BfpBlock, DotError, Rounding};
+use crate::block::{quantize_append, quantizes_to_nothing, BfpBlock, DotError};
 use crate::format::{BfpFormat, Layout};
 use crate::kernel::{self, mac_rows, Mantissas, Rows, Tile};
 
@@ -207,7 +207,6 @@ impl BfpMatrix {
             quantize_append(
                 &row[..live_cols],
                 format,
-                Rounding::Nearest,
                 &mut m.mantissas,
                 &mut m.exponents,
                 &mut padded,

@@ -53,7 +53,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![warn(unreachable_pub)]
 
 pub mod analysis;
 mod config;

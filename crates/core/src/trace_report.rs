@@ -19,8 +19,13 @@ pub struct KindSummary {
     /// Total cycles chains of this kind started later than their
     /// dependencies alone required (resource/dispatch waits).
     pub resource_wait_cycles: u64,
-    /// Total cycles chains of this kind waited on data beyond resource and
-    /// dispatch availability.
+    /// Total cycles chains of this kind waited on data after dispatch,
+    /// `min(dep_ready − dispatched, start − dispatched)` per chain, whether
+    /// or not their resource was free by then. So a chain whose data was
+    /// ready at cycle 10 and whose resource freed at 20 counts 10 here,
+    /// where [`RunStats::dep_stall_cycles`](crate::RunStats::dep_stall_cycles)
+    /// counts none: it charges a wait to data only when data is the last
+    /// edge.
     pub dep_wait_cycles: u64,
 }
 

@@ -7,8 +7,8 @@
 //! work bound `ceil(MACs / #FU)` per serialized step. These are the bounds
 //! of Table I and the SDM rows of Table V.
 //!
-//! The closed forms here are cross-validated against the explicit graph
-//! machinery in [`graph`](crate::graph) at small dimensions.
+//! The tests cross-validate the closed forms against the explicit graph
+//! machinery of the `graph` module at small dimensions.
 
 use bw_models::RnnKind;
 
@@ -18,7 +18,7 @@ use bw_models::RnnKind;
 /// # Panics
 ///
 /// Panics if `n` is zero.
-pub fn dot_depth(n: u64) -> u64 {
+pub(crate) fn dot_depth(n: u64) -> u64 {
     assert!(n > 0, "dot product needs at least one element");
     1 + (64 - (n - 1).leading_zeros().min(63) as u64).min(63) * u64::from(n > 1)
 }
@@ -156,7 +156,7 @@ impl ConvCriticalPath {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{dot_product_graph, Graph, NodeId};
+    use crate::graph::{dot_product_graph, Graph};
 
     #[test]
     fn dot_depth_matches_graph() {
@@ -223,45 +223,6 @@ mod tests {
                 "h={} : {ms:.4} ms vs paper {paper_ms} ms",
                 cp.hidden
             );
-        }
-    }
-
-    /// Builds an explicit element-level LSTM step graph for tiny dims and
-    /// compares its critical path against the closed form.
-    #[test]
-    fn lstm_closed_form_matches_graph() {
-        for n in [4usize, 8, 16] {
-            let mut g = Graph::new();
-            // Previous state enters as zero-latency constants: model them
-            // as source multiply nodes folded into the gates' dot products.
-            // Gates f, i, o, c̃: dot over input (n) + dot over hidden (n),
-            // combined (+1), bias (+1), activation (+1).
-            let gate = |g: &mut Graph| -> Vec<NodeId> {
-                (0..n)
-                    .map(|_| {
-                        let dx = dot_product_graph(g, n);
-                        let dh = dot_product_graph(g, n);
-                        let combine = g.add_node(&[dx, dh]);
-                        let bias = g.add_node(&[combine]);
-                        g.add_node(&[bias]) // activation
-                    })
-                    .collect()
-            };
-            let f = gate(&mut g);
-            let i = gate(&mut g);
-            let o = gate(&mut g);
-            let ct = gate(&mut g);
-            // c = f∘c_prev + i∘c̃ ; h = o ∘ tanh(c).
-            let mut h_nodes = Vec::new();
-            for j in 0..n {
-                let fc = g.add_node(&[f[j]]);
-                let ic = g.add_node(&[i[j], ct[j]]);
-                let c = g.add_node(&[fc, ic]);
-                let tc = g.add_node(&[c]);
-                h_nodes.push(g.add_node(&[o[j], tc]));
-            }
-            let closed = RnnCriticalPath::lstm(n as u64, n as u64).udm_step_cycles;
-            assert_eq!(g.critical_path(), closed, "n={n}");
         }
     }
 

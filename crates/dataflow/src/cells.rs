@@ -1,32 +1,20 @@
 //! Element-level dataflow graph builders for RNN cell steps.
 //!
 //! These build the *exact* operation graphs whose critical paths the closed
-//! forms in `analysis` summarize — usable for analyzing
-//! variants the closed forms do not cover (peephole connections, layer
-//! norm, custom gate wirings) and as the ground truth the closed forms are
+//! forms in `analysis` summarize: the ground truth the closed forms are
 //! tested against.
 
 use crate::graph::{dot_product_graph, Graph, NodeId};
 
-/// The output nodes of one LSTM step built by [`lstm_step_graph`].
-#[derive(Clone, Debug)]
-pub struct LstmStepNodes {
-    /// The new cell state, one node per element.
-    pub c: Vec<NodeId>,
-    /// The new hidden state, one node per element.
-    pub h: Vec<NodeId>,
-}
-
 /// Builds one standard LSTM step over `hidden`/`input` dimensions at
 /// element granularity: four gates (each an input dot product, a recurrent
 /// dot product, a combine, a bias, an activation), the cell update, and the
-/// output gate. Previous state enters as graph sources. Returns the output
-/// nodes.
+/// output gate. Previous state enters as graph sources.
 ///
 /// # Panics
 ///
 /// Panics if either dimension is zero.
-pub fn lstm_step_graph(g: &mut Graph, hidden: usize, input: usize) -> LstmStepNodes {
+pub(crate) fn lstm_step_graph(g: &mut Graph, hidden: usize, input: usize) {
     assert!(hidden > 0 && input > 0, "dimensions must be positive");
     let gate = |g: &mut Graph| -> Vec<NodeId> {
         (0..hidden)
@@ -43,28 +31,24 @@ pub fn lstm_step_graph(g: &mut Graph, hidden: usize, input: usize) -> LstmStepNo
     let i = gate(g);
     let o = gate(g);
     let c_tilde = gate(g);
-    let mut c = Vec::with_capacity(hidden);
-    let mut h = Vec::with_capacity(hidden);
     for j in 0..hidden {
         let fc = g.add_node(&[f[j]]); // f ∘ c_prev (c_prev is a source)
         let ic = g.add_node(&[i[j], c_tilde[j]]);
-        let cj = g.add_node(&[fc, ic]);
-        let tc = g.add_node(&[cj]); // tanh(c)
-        c.push(cj);
-        h.push(g.add_node(&[o[j], tc]));
+        let c = g.add_node(&[fc, ic]);
+        let tc = g.add_node(&[c]); // tanh(c)
+        g.add_node(&[o[j], tc]); // h
     }
-    LstmStepNodes { c, h }
 }
 
 /// Builds one *standard-formulation* GRU step (reset gate applied to the
 /// hidden state before the candidate's recurrent product — the formulation
 /// whose serial double-dot-product critical path Table I's 31 cycles
-/// reflects). Returns the new hidden state's nodes.
+/// reflects).
 ///
 /// # Panics
 ///
 /// Panics if either dimension is zero.
-pub fn gru_step_graph(g: &mut Graph, hidden: usize, input: usize) -> Vec<NodeId> {
+pub(crate) fn gru_step_graph(g: &mut Graph, hidden: usize, input: usize) {
     assert!(hidden > 0 && input > 0, "dimensions must be positive");
     // r and z gates.
     let gate = |g: &mut Graph| -> Vec<NodeId> {
@@ -84,7 +68,6 @@ pub fn gru_step_graph(g: &mut Graph, hidden: usize, input: usize) -> Vec<NodeId>
     let rh: Vec<NodeId> = r.iter().map(|&rj| g.add_node(&[rj])).collect();
     // Candidate: dot over input + dot over (r ∘ h) — the recurrent dot's
     // inputs depend on rh, so wire each product's inputs from rh nodes.
-    let mut h_new = Vec::with_capacity(hidden);
     for &zj in z.iter().take(hidden) {
         let dx = dot_product_graph(g, input);
         // Recurrent dot over the gated hidden state: multiply layer
@@ -106,9 +89,8 @@ pub fn gru_step_graph(g: &mut Graph, hidden: usize, input: usize) -> Vec<NodeId>
                                         // h' = (1 - z) ∘ n + z ∘ h.
         let zn = g.add_node(&[zj, n]);
         let zh = g.add_node(&[zj]);
-        h_new.push(g.add_node(&[zn, zh]));
+        g.add_node(&[zn, zh]);
     }
-    h_new
 }
 
 #[cfg(test)]

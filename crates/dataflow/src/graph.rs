@@ -1,44 +1,28 @@
 //! Explicit operation-level dataflow graphs.
 //!
-//! The closed-form UDM/SDM expressions in `analysis` are
-//! validated against this exact graph machinery at small sizes: a graph of
+//! The closed-form UDM/SDM expressions in `analysis` are tested against
+//! this exact graph machinery at small sizes: a graph of
 //! unit-latency arithmetic operations, its critical path (the UDM latency),
 //! and a resource-constrained list schedule (the SDM latency).
 
 /// A node identifier within a [`Graph`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct NodeId(pub u32);
+pub(crate) struct NodeId(pub(crate) u32);
 
 /// A dataflow graph of unit-latency operations.
 ///
 /// Only functional-unit latencies are modelled, matching §III: "When
 /// modeling the critical path, only functional unit latencies are counted
 /// in the UDM and SDM."
-///
-/// # Example
-///
-/// ```
-/// use bw_dataflow::Graph;
-///
-/// // A 4-input reduction: 4 multiplies feeding a 2-level adder tree.
-/// let mut g = Graph::new();
-/// let muls: Vec<_> = (0..4).map(|_| g.add_node(&[])).collect();
-/// let a = g.add_node(&[muls[0], muls[1]]);
-/// let b = g.add_node(&[muls[2], muls[3]]);
-/// let root = g.add_node(&[a, b]);
-/// assert_eq!(g.critical_path(), 3); // mul, add, add
-/// assert_eq!(g.sdm_cycles(1), 7);   // 7 ops on one FU
-/// # let _ = root;
-/// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Graph {
+pub(crate) struct Graph {
     /// Predecessor lists, indexed by node.
     preds: Vec<Vec<NodeId>>,
 }
 
 impl Graph {
     /// Creates an empty graph.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Graph::default()
     }
 
@@ -49,7 +33,7 @@ impl Graph {
     /// # Panics
     ///
     /// Panics if any predecessor id is out of range.
-    pub fn add_node(&mut self, preds: &[NodeId]) -> NodeId {
+    pub(crate) fn add_node(&mut self, preds: &[NodeId]) -> NodeId {
         let id = NodeId(self.preds.len() as u32);
         for p in preds {
             assert!(p.0 < id.0, "predecessor {p:?} does not exist");
@@ -59,12 +43,12 @@ impl Graph {
     }
 
     /// Number of operations.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.preds.len()
     }
 
     /// Returns `true` if the graph has no operations.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.preds.is_empty()
     }
 
@@ -84,7 +68,7 @@ impl Graph {
 
     /// The UDM latency: length of the longest dependence chain with
     /// unbounded functional units (in cycles; each op takes one).
-    pub fn critical_path(&self) -> u64 {
+    pub(crate) fn critical_path(&self) -> u64 {
         self.asap_levels().iter().map(|l| l + 1).max().unwrap_or(0)
     }
 
@@ -96,7 +80,7 @@ impl Graph {
     /// # Panics
     ///
     /// Panics if `fu_limit` is zero.
-    pub fn sdm_cycles(&self, fu_limit: u64) -> u64 {
+    pub(crate) fn sdm_cycles(&self, fu_limit: u64) -> u64 {
         assert!(fu_limit > 0, "fu_limit must be positive");
         if self.preds.is_empty() {
             return 0;
@@ -154,7 +138,7 @@ impl Graph {
 /// # Panics
 ///
 /// Panics if `n` is zero.
-pub fn dot_product_graph(g: &mut Graph, n: usize) -> NodeId {
+pub(crate) fn dot_product_graph(g: &mut Graph, n: usize) -> NodeId {
     assert!(n > 0, "dot product needs at least one element");
     let mut frontier: Vec<NodeId> = (0..n).map(|_| g.add_node(&[])).collect();
     while frontier.len() > 1 {
@@ -173,7 +157,7 @@ pub fn dot_product_graph(g: &mut Graph, n: usize) -> NodeId {
 
 /// Builds one full matrix-vector product (`rows` dot products of length
 /// `cols`), returning the output nodes.
-pub fn matvec_graph(g: &mut Graph, rows: usize, cols: usize) -> Vec<NodeId> {
+pub(crate) fn matvec_graph(g: &mut Graph, rows: usize, cols: usize) -> Vec<NodeId> {
     (0..rows).map(|_| dot_product_graph(g, cols)).collect()
 }
 

@@ -11,11 +11,11 @@
 //!   number of MACs as a target accelerator: the lowest latency any
 //!   implementation with those resources could reach.
 //!
-//! Two levels of machinery are provided: closed-form characterizations for
-//! LSTM/GRU/CNN ([`RnnCriticalPath`], [`ConvCriticalPath`]) that regenerate
-//! Table I, Figure 2, and the SDM rows of Table V at full scale, and an
-//! explicit operation-level [`Graph`] engine that validates the closed
-//! forms at small sizes and supports arbitrary dataflow.
+//! The closed-form characterizations for LSTM/GRU/CNN
+//! ([`RnnCriticalPath`], [`ConvCriticalPath`]) regenerate Table I,
+//! Figure 2, and the SDM rows of Table V at full scale. The crate's tests
+//! check them at small sizes against an explicit operation-level dataflow
+//! graph (the `graph` and `cells` modules, built only under test).
 //!
 //! # Example
 //!
@@ -33,9 +33,9 @@
 #![warn(missing_docs)]
 
 mod analysis;
-pub mod cells;
-pub mod graph;
+#[cfg(test)]
+mod cells;
+#[cfg(test)]
+mod graph;
 
-pub use analysis::{dot_depth, ConvCriticalPath, RnnCriticalPath};
-pub use cells::{gru_step_graph, lstm_step_graph, LstmStepNodes};
-pub use graph::{dot_product_graph, matvec_graph, Graph, NodeId};
+pub use analysis::{ConvCriticalPath, RnnCriticalPath};

@@ -71,7 +71,7 @@ impl FleetMetrics {
     /// Records one control operation against worker `worker` as a
     /// [`SpanKind::FleetOp`] span: `[started, started + duration_s]` in
     /// nanoseconds since the controller was born.
-    pub fn record_op(&self, worker: usize, started: Instant, duration_s: f64) {
+    pub(crate) fn record_op(&self, worker: usize, started: Instant, duration_s: f64) {
         let start_ns = started.saturating_duration_since(self.born).as_nanos() as u64;
         let dur_ns = (duration_s.max(0.0) * 1e9) as u64;
         let op = self.next_op.fetch_add(1, Ordering::Relaxed);
@@ -86,7 +86,7 @@ impl FleetMetrics {
     }
 
     /// Adds simulated preload time to the running total.
-    pub fn add_preload(&self, seconds: f64) {
+    pub(crate) fn add_preload(&self, seconds: f64) {
         self.preload_ns
             .fetch_add((seconds.max(0.0) * 1e9) as u64, Ordering::Relaxed);
     }

@@ -59,11 +59,6 @@ impl Device {
             peak_watts: 125.0,
         }
     }
-
-    /// Usable M20K bytes (20 kilobits each).
-    pub fn m20k_bytes(&self) -> u64 {
-        self.m20ks * 2_560
-    }
 }
 
 #[cfg(test)]
@@ -127,10 +122,10 @@ mod tests {
 
     #[test]
     fn on_chip_memory_capacity() {
-        // Stratix 10 280: ~28.6 MiB of M20K — enough to pin a 2000-dim
-        // LSTM's 32M parameters in narrow BFP, per §V-A.
+        // Stratix 10 280: ~28.6 MiB of M20K (20 kilobits each) — enough
+        // to pin a 2000-dim LSTM's 32M parameters in narrow BFP, per §V-A.
         let s10 = Device::stratix_10_280();
-        let mib = s10.m20k_bytes() as f64 / (1024.0 * 1024.0);
+        let mib = (s10.m20ks * 2_560) as f64 / (1024.0 * 1024.0);
         assert!((27.0..30.0).contains(&mib), "{mib} MiB");
     }
 }

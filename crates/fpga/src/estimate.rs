@@ -13,8 +13,7 @@
 //! * **M20Ks** — the MRF footprint at the configured BFP width, with a
 //!   fitted overhead factor for VRFs, instruction buffers, and I/O queues.
 
-use bw_core::isa::Program;
-use bw_core::{AnalysisOptions, CycleBounds, NpuConfig};
+use bw_core::NpuConfig;
 
 use crate::device::Device;
 
@@ -76,46 +75,6 @@ impl ResourceEstimate {
             self.m20ks as f64 / device.m20ks as f64,
             self.dsps as f64 / device.dsps as f64,
         )
-    }
-}
-
-/// A provable batch-1 latency window for one firmware program on one
-/// configuration, derived from the static cycle-bound analysis (the same
-/// max-plus replay that gates deployment) rather than a peak-throughput
-/// heuristic. Peak TFLOPS says what the datapath *could* stream; this
-/// says what one inference *will* take, dependency and resource stalls
-/// included.
-#[derive(Clone, Debug, PartialEq)]
-pub struct LatencyEstimate {
-    /// Guaranteed cycle window for one run of the program.
-    pub cycles: CycleBounds,
-    /// The cycle lower bound on the config's clock, in microseconds.
-    pub lower_us: f64,
-    /// The cycle upper bound on the config's clock, in microseconds.
-    pub upper_us: f64,
-}
-
-impl LatencyEstimate {
-    /// Derives the latency window of `program` on `config` under the
-    /// declared deployment facts, or `None` when no bound is provable
-    /// (the program would fault, or its inputs are not declared).
-    pub fn for_program(
-        program: &Program,
-        config: &NpuConfig,
-        options: &AnalysisOptions,
-    ) -> Option<LatencyEstimate> {
-        let cycles = bw_core::cycle_bounds(program, config, options)?;
-        Some(LatencyEstimate {
-            cycles,
-            lower_us: config.cycles_to_seconds(cycles.lower) * 1e6,
-            upper_us: config.cycles_to_seconds(cycles.upper) * 1e6,
-        })
-    }
-
-    /// Whether the window proves an `sla_us` microsecond budget is met
-    /// (the *upper* bound fits the budget).
-    pub fn meets(&self, sla_us: f64) -> bool {
-        self.upper_us <= sla_us
     }
 }
 
@@ -214,44 +173,6 @@ mod tests {
         // 35.9 effective TFLOPS at 125 W ≈ 287 GFLOPS/W.
         let g = gflops_per_watt(35.9, &Device::stratix_10_280());
         assert!((285.0..290.0).contains(&g), "{g}");
-    }
-
-    #[test]
-    fn latency_estimate_brackets_the_simulator() {
-        use bw_core::isa::{MemId, ProgramBuilder};
-        use bw_core::{ExecMode, Npu};
-
-        let cfg = NpuConfig::builder()
-            .native_dim(8)
-            .lanes(4)
-            .tile_engines(2)
-            .build()
-            .unwrap();
-        let mut b = ProgramBuilder::new();
-        b.set_rows(1).set_cols(1);
-        b.v_rd(MemId::NetQ, 0)
-            .v_relu()
-            .v_wr(MemId::NetQ, 0)
-            .end_chain()
-            .unwrap();
-        let program = b.build();
-        let options = AnalysisOptions::default()
-            .with_input_vectors(1)
-            .with_expected_outputs(1);
-
-        let est = LatencyEstimate::for_program(&program, &cfg, &options).unwrap();
-        let mut npu = Npu::with_mode(cfg.clone(), ExecMode::TimingOnly);
-        npu.push_input(vec![0.0; 8]).unwrap();
-        let stats = npu.run(&program).unwrap();
-        assert!(
-            est.cycles.contains(stats.cycles),
-            "{:?} must contain {}",
-            est.cycles,
-            stats.cycles
-        );
-        let measured_us = cfg.cycles_to_seconds(stats.cycles) * 1e6;
-        assert!(est.lower_us <= measured_us && measured_us <= est.upper_us);
-        assert!(est.meets(est.upper_us) && !est.meets(est.lower_us / 2.0));
     }
 
     #[test]

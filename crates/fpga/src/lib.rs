@@ -33,5 +33,5 @@ mod estimate;
 mod specialize;
 
 pub use device::Device;
-pub use estimate::{gflops_per_watt, LatencyEstimate, ResourceEstimate};
-pub use specialize::{padding_efficiency, specialize, ModelRequirements, SpecializedDesign};
+pub use estimate::{gflops_per_watt, ResourceEstimate};
+pub use specialize::{specialize, ModelRequirements, SpecializedDesign};

@@ -40,7 +40,7 @@ pub struct SpecializedDesign {
 
 /// Fraction of a `rows × cols` tile-padded matrix product that is useful
 /// when both dimensions pad to multiples of `native_dim`.
-pub fn padding_efficiency(dim: u64, native_dim: u64) -> f64 {
+pub(crate) fn padding_efficiency(dim: u64, native_dim: u64) -> f64 {
     let padded = dim.div_ceil(native_dim) * native_dim;
     let linear = dim as f64 / padded as f64;
     linear * linear

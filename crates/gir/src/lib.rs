@@ -46,7 +46,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![warn(unreachable_pub)]
 
 mod artifact;
 mod ir;

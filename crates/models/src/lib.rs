@@ -33,7 +33,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![warn(unreachable_pub)]
 
 pub mod accuracy;
 mod cnn;

@@ -15,7 +15,7 @@ pub enum SloKind {
 
 impl SloKind {
     /// A stable, export-friendly name.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             SloKind::Availability => "availability",
             SloKind::Latency => "latency",
@@ -36,7 +36,7 @@ pub enum AlertSpeed {
 
 impl AlertSpeed {
     /// A stable, export-friendly name.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             AlertSpeed::Fast => "fast",
             AlertSpeed::Slow => "slow",
@@ -68,7 +68,7 @@ pub enum Transition {
 
 impl Transition {
     /// A stable, export-friendly name.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Transition::Fire => "fire",
             Transition::Clear => "clear",

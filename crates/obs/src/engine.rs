@@ -57,7 +57,7 @@ pub struct ModelObservation {
 
 impl ModelObservation {
     /// Requests that terminated badly: shed plus failed.
-    pub fn bad(&self) -> u64 {
+    pub(crate) fn bad(&self) -> u64 {
         self.shed + self.failed
     }
 }
@@ -157,13 +157,13 @@ impl SloEngine {
     }
 
     /// The burn rules applied to every spec.
-    pub fn rules(&self) -> &[BurnRule] {
+    pub(crate) fn rules(&self) -> &[BurnRule] {
         &self.rules
     }
 
     /// Scrapes observed so far (the next `observe` call is scrape
     /// ordinal `scrapes()`).
-    pub fn scrapes(&self) -> u64 {
+    pub(crate) fn scrapes(&self) -> u64 {
         self.scrapes
     }
 
@@ -248,7 +248,7 @@ impl SloEngine {
     /// The burn rate a rule of the given window would see right now for
     /// `spec`'s objective of the given kind, or `None` on insufficient
     /// data.
-    pub fn burn_rate(&self, spec: &SloSpec, kind: SloKind, window: usize) -> Option<f64> {
+    pub(crate) fn burn_rate(&self, spec: &SloSpec, kind: SloKind, window: usize) -> Option<f64> {
         Self::burn(self.models.get(&spec.model)?, spec, kind, window)
     }
 
@@ -286,7 +286,7 @@ impl SloEngine {
     }
 
     /// Whether a specific alert identity is currently firing.
-    pub fn is_firing(&self, alert: &Alert) -> bool {
+    pub(crate) fn is_firing(&self, alert: &Alert) -> bool {
         self.firing.contains(alert)
     }
 

@@ -4,20 +4,20 @@
 //! pressure; this crate decides *whether the service is keeping its
 //! promises* and says so in the shapes operators expect:
 //!
-//! * [`series`] — fixed-capacity time series over cumulative counters:
-//!   windowed deltas and rates with an explicit insufficient-data
-//!   guard, so no rule ever evaluates a partial window.
-//! * [`slo`] — declarative [`SloSpec`]s (availability + a latency
+//! * `series` — fixed-capacity time series over cumulative counters:
+//!   windowed deltas with an explicit insufficient-data guard, so no
+//!   rule ever evaluates a partial window.
+//! * `slo` — declarative [`SloSpec`]s (availability + a latency
 //!   objective at a quantile) and multi-window [`BurnRule`]s: a fast
 //!   high-threshold rule that pages within a few scrapes of an outage
 //!   and a slow low-threshold rule that catches sustained low-grade
 //!   burns.
-//! * [`engine`] — the pure, clock-free [`SloEngine`]: cumulative
+//! * `engine` — the pure, clock-free [`SloEngine`]: cumulative
 //!   [`ModelObservation`]s in, typed fire/clear [`AlertEvent`]s out,
 //!   with lifetime error-budget accounting. Window math uses
 //!   `Histogram::diff` snapshot deltas, so windowed latency quantiles
 //!   cost nothing at record time.
-//! * [`monitor`] — the live [`Monitor`]: a scrape loop over a
+//! * `monitor` — the live [`Monitor`]: a scrape loop over a
 //!   `bw-serve` server that feeds the engine, renders `bw_slo_*` /
 //!   `bw_alert_*` Prometheus series (installable onto the server's own
 //!   wire scrape endpoint), emits fire→clear chrome spans, and exposes
@@ -59,16 +59,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod alert;
-pub mod engine;
-pub mod monitor;
-pub mod series;
-pub mod slo;
+mod alert;
+mod engine;
+mod monitor;
+mod series;
+mod slo;
 mod ticker;
 
 pub use alert::{Alert, AlertEvent, AlertSpeed, SloKind, Transition};
 pub use engine::{ModelObservation, SloEngine};
 pub use monitor::{Monitor, MonitorConfig};
-pub use series::Series;
 pub use slo::{BurnRule, SloSpec};
 pub use ticker::Ticker;

@@ -111,7 +111,7 @@ impl Monitor {
     }
 
     /// The configured scrape interval.
-    pub fn interval(&self) -> Duration {
+    pub(crate) fn interval(&self) -> Duration {
         self.inner.cfg.interval
     }
 

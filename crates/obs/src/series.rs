@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 
 /// A bounded ring of cumulative counter samples, oldest evicted first.
 #[derive(Clone, Debug)]
-pub struct Series {
+pub(crate) struct Series {
     cap: usize,
     data: VecDeque<f64>,
 }
@@ -21,7 +21,7 @@ pub struct Series {
 impl Series {
     /// An empty series retaining the most recent `capacity` samples
     /// (clamped to at least 2, the minimum a delta needs).
-    pub fn new(capacity: usize) -> Series {
+    pub(crate) fn new(capacity: usize) -> Series {
         Series {
             cap: capacity.max(2),
             data: VecDeque::new(),
@@ -29,32 +29,22 @@ impl Series {
     }
 
     /// Appends one sample, evicting the oldest at capacity.
-    pub fn push(&mut self, value: f64) {
+    pub(crate) fn push(&mut self, value: f64) {
         if self.data.len() == self.cap {
             self.data.pop_front();
         }
         self.data.push_back(value);
     }
 
-    /// Samples currently retained.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether no sample has been pushed (or all have aged out).
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// The most recent sample.
-    pub fn latest(&self) -> Option<f64> {
+    pub(crate) fn latest(&self) -> Option<f64> {
         self.data.back().copied()
     }
 
     /// The sample `k` scrapes before the latest (`back(0)` is the
     /// latest). `None` when that sample was never pushed or has aged
     /// out.
-    pub fn back(&self, k: usize) -> Option<f64> {
+    pub(crate) fn back(&self, k: usize) -> Option<f64> {
         let n = self.data.len();
         if k >= n {
             return None;
@@ -65,18 +55,8 @@ impl Series {
     /// The cumulative counter's increase over the last `window` scrapes:
     /// `latest - back(window)`. `None` until `window + 1` samples have
     /// been retained — a partial window never masquerades as a full one.
-    pub fn delta(&self, window: usize) -> Option<f64> {
+    pub(crate) fn delta(&self, window: usize) -> Option<f64> {
         Some(self.latest()? - self.back(window)?)
-    }
-
-    /// The counter's average per-second rate over the last `window`
-    /// scrapes, given the scrape interval. `None` on insufficient data
-    /// or a non-positive interval/window.
-    pub fn rate(&self, window: usize, interval_s: f64) -> Option<f64> {
-        if window == 0 || interval_s <= 0.0 {
-            return None;
-        }
-        Some(self.delta(window)? / (window as f64 * interval_s))
     }
 }
 
@@ -106,22 +86,11 @@ mod tests {
         for v in [1.0, 2.0, 3.0, 4.0] {
             s.push(v);
         }
-        assert_eq!(s.len(), 3);
+        assert!(s.back(2).is_some() && s.back(3).is_none(), "three retained");
         // The window of 2 still fits (samples 2.0 and 4.0)...
         assert_eq!(s.delta(2), Some(2.0));
         // ...but a window of 3 reaches past the ring.
         assert!(s.delta(3).is_none());
-    }
-
-    #[test]
-    fn rates_average_over_the_window() {
-        let mut s = Series::new(4);
-        s.push(0.0);
-        s.push(50.0);
-        s.push(100.0);
-        assert_eq!(s.rate(2, 0.5), Some(100.0));
-        assert!(s.rate(0, 0.5).is_none());
-        assert!(s.rate(2, 0.0).is_none());
     }
 
     #[test]
@@ -130,6 +99,6 @@ mod tests {
         s.push(1.0);
         s.push(5.0);
         assert_eq!(s.delta(1), Some(4.0));
-        assert!(!s.is_empty());
+        assert_eq!(s.back(1), Some(1.0), "both samples retained");
     }
 }

@@ -15,8 +15,8 @@
 //!   NPUs (fast kernels), its device, and serves a bounded queue, one
 //!   batch-1 inference at a time, on its own thread or on the thread
 //!   waiting for the request when the device is idle;
-//! - a router — the three policies of `bw_system::Routing` (round-robin
-//!   / random / least-outstanding), applied to live queues;
+//! - a router — the two policies of `bw_system::Routing` (round-robin
+//!   / least-outstanding), applied to live queues;
 //! - a request lifecycle — deadlines, retry-with-failover onto replicas
 //!   on timeout or injected worker fault, and load shedding when every
 //!   replica's queue is full;
@@ -62,8 +62,6 @@
 //! assert_eq!(m.models[0].completed, 1);
 //! ```
 
-#![warn(unreachable_pub)]
-
 mod batch;
 pub mod demo;
 mod loadgen;
@@ -80,8 +78,7 @@ pub use batch::{BatchConfig, Batcher};
 pub use metrics::{Histogram, MetricsSnapshot, ModelResidency, ModelSnapshot};
 pub use request::{Attribution, RequestTrace, Response, ServeError};
 pub use server::{
-    BatchItem, Client, Pending, PinError, RegistryError, Server, ServerBuilder, ServerConfig,
-    SpawnError,
+    BatchItem, Client, Pending, PinError, RegistryError, Server, ServerBuilder, SpawnError,
 };
 pub use tcp::{TcpClient, TcpFrontend, TcpFrontendConfig};
 pub use wire::{read_frame, try_extract_frame, write_frame, WireError, WireRequest, WireResponse};

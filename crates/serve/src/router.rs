@@ -1,17 +1,14 @@
 //! Client-side routing over the worker pool.
 //!
-//! Implements the three policies of [`Routing`] (§II-A's client-side
-//! instance selection) — round-robin, uniform random, and
-//! least-outstanding — over *live* bounded worker queues. The router produces a preference order; the dispatcher walks it
-//! skipping dead and saturated replicas, which is what turns a policy into
-//! failover and load shedding.
+//! Implements the two policies of [`Routing`] (§II-A's client-side
+//! instance selection) — round-robin and least-outstanding — over *live*
+//! bounded worker queues. The router produces a preference order; the
+//! dispatcher walks it skipping dead and saturated replicas, which is what
+//! turns a policy into failover and load shedding.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use bw_system::Routing;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::worker::WorkerHandle;
 
@@ -19,15 +16,13 @@ use crate::worker::WorkerHandle;
 pub(crate) struct Router {
     policy: Routing,
     rr: AtomicUsize,
-    rng: Mutex<StdRng>,
 }
 
 impl Router {
-    pub(crate) fn new(policy: Routing, seed: u64) -> Router {
+    pub(crate) fn new(policy: Routing) -> Router {
         Router {
             policy,
             rr: AtomicUsize::new(0),
-            rng: Mutex::new(StdRng::seed_from_u64(seed)),
         }
     }
 
@@ -56,15 +51,6 @@ impl Router {
                 let cursor = self.rr.fetch_add(1, Ordering::Relaxed) % candidates.len();
                 candidates.rotate_left(cursor);
             }
-            Routing::Random => {
-                // Seeded Fisher–Yates: the pick and the failover order are
-                // both uniform and deterministic in the server seed.
-                let mut rng = self.rng.lock().unwrap();
-                for i in (1..candidates.len()).rev() {
-                    let j = rng.gen_range(0..i + 1);
-                    candidates.swap(i, j);
-                }
-            }
             Routing::LeastOutstanding => {
                 // Stable sort: ties resolve to the lowest index, matching
                 // the analytical model (`free_at` ties pick the first).
@@ -91,7 +77,7 @@ mod tests {
     #[test]
     fn round_robin_cycles() {
         let workers = pool(3);
-        let r = Router::new(Routing::RoundRobin, 0);
+        let r = Router::new(Routing::RoundRobin);
         let picks: Vec<usize> = (0..6)
             .map(|_| r.plan_eligible(&workers, &[], |_| true)[0])
             .collect();
@@ -104,7 +90,7 @@ mod tests {
     #[test]
     fn exclusion_and_death_shrink_the_plan() {
         let workers = pool(3);
-        let r = Router::new(Routing::RoundRobin, 0);
+        let r = Router::new(Routing::RoundRobin);
         workers[1].kill();
         let plan = r.plan_eligible(&workers, &[2], |_| true);
         assert_eq!(plan, vec![0]);
@@ -118,7 +104,7 @@ mod tests {
     #[test]
     fn eligibility_filters_the_plan() {
         let workers = pool(4);
-        let r = Router::new(Routing::RoundRobin, 0);
+        let r = Router::new(Routing::RoundRobin);
         // Only even workers are eligible (e.g. owners of one shard).
         let plan = r.plan_eligible(&workers, &[], |w| w % 2 == 0);
         let mut sorted = plan.clone();
@@ -132,35 +118,9 @@ mod tests {
     }
 
     #[test]
-    fn random_is_deterministic_in_seed_and_covers_the_pool() {
-        let workers = pool(4);
-        let a: Vec<usize> = {
-            let r = Router::new(Routing::Random, 7);
-            (0..20)
-                .map(|_| r.plan_eligible(&workers, &[], |_| true)[0])
-                .collect()
-        };
-        let b: Vec<usize> = {
-            let r = Router::new(Routing::Random, 7);
-            (0..20)
-                .map(|_| r.plan_eligible(&workers, &[], |_| true)[0])
-                .collect()
-        };
-        assert_eq!(a, b);
-        // Every plan is a permutation of the full pool.
-        let r = Router::new(Routing::Random, 9);
-        let mut plan = r.plan_eligible(&workers, &[], |_| true);
-        plan.sort_unstable();
-        assert_eq!(plan, vec![0, 1, 2, 3]);
-        for w in &workers {
-            w.stop_and_join();
-        }
-    }
-
-    #[test]
     fn least_outstanding_prefers_the_idle_replica() {
         let workers = pool(2);
-        let r = Router::new(Routing::LeastOutstanding, 0);
+        let r = Router::new(Routing::LeastOutstanding);
         // Artificially load worker 0.
         let outstanding = &workers[0].worker.outstanding;
         outstanding.fetch_add(5, Ordering::Relaxed);

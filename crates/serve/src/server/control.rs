@@ -8,7 +8,7 @@ use std::time::Duration;
 use bw_gir::ModelArtifact;
 use bw_system::NetworkModel;
 
-use super::{Catalog, Client, Plan, RegistryError, ServerBuilder, ServerConfig, ServerInner};
+use super::{Catalog, Client, Plan, RegistryError, ServerBuilder, ServerInner};
 use crate::metrics::MetricsSnapshot;
 use crate::request::RequestTrace;
 use crate::worker::{Control, WorkerHandle};
@@ -127,11 +127,6 @@ impl Server {
         Client {
             inner: Arc::clone(&self.inner),
         }
-    }
-
-    /// The pool configuration.
-    pub fn config(&self) -> &ServerConfig {
-        &self.inner.cfg
     }
 
     /// Number of workers (live or dead).

@@ -143,48 +143,18 @@ use crate::worker::{spawn_worker, WorkerHandle};
 /// Request traces the log keeps before it drops the oldest.
 const TRACE_LOG_CAP: usize = 256;
 
-/// Tunables of one server pool.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ServerConfig {
-    /// Workers in the pool; every worker pins every registered model.
-    pub replicas: usize,
-    /// Bounded per-worker queue capacity (jobs).
-    pub queue_cap: usize,
-    /// The routing policy (shared vocabulary with `bw-system`).
-    pub policy: Routing,
-    /// Failover retries permitted per request beyond the first attempt.
-    pub max_retries: u32,
-    /// Per-attempt timeout. `None` gives each attempt the full remaining
-    /// deadline (failover then only triggers on faults and death). It
-    /// bounds an attempt that waits in a queue or runs on the worker's
-    /// thread; an attempt the waiting caller runs itself, on an idle
-    /// replica, is not cut short (the deadline still applies).
-    pub attempt_timeout: Option<Duration>,
-    /// Seed for the random routing policy.
-    pub seed: u64,
-    /// Span-trace sampling: collect full NPU span traces for one request
-    /// in every `trace_sample` (by request id). `0` disables span
-    /// collection entirely; `1` traces every request. Counter
-    /// attribution (cycles, MACs, stalls, queue/service split) is always
-    /// on regardless.
-    pub trace_sample: u64,
-    /// The datacenter network between the client and the workers: every
-    /// request/response and scatter/gather leg is charged (and slept)
-    /// per this model, and a down link makes its worker unreachable. The
-    /// default ideal network charges nothing, preserving the
-    /// single-machine behavior.
-    pub network: NetworkModel,
-    /// The weight-preload cost model: what pinning a replica at runtime
-    /// costs in simulated time ([`Server::pin_model`]). The default free
-    /// model preloads instantly, preserving pre-fleet behavior.
-    pub preload: PreloadModel,
-    /// Tail sampling: when set, every request collects spans, and the
-    /// trace of each request that failed or took longer than this
-    /// objective joins the head-sampled ones ([`Server::take_traces`]).
-    /// Unlike `trace_sample` (decided at admission), this is decided at
-    /// termination, when the outcome is known. `None` (the default)
-    /// disables it.
-    pub tail_sample: Option<Duration>,
+/// Tunables of one server pool, each documented on the [`ServerBuilder`]
+/// method that sets it.
+pub(crate) struct ServerConfig {
+    pub(crate) replicas: usize,
+    pub(crate) queue_cap: usize,
+    pub(crate) policy: Routing,
+    pub(crate) max_retries: u32,
+    pub(crate) attempt_timeout: Option<Duration>,
+    pub(crate) trace_sample: u64,
+    pub(crate) network: NetworkModel,
+    pub(crate) preload: PreloadModel,
+    pub(crate) tail_sample: Option<Duration>,
 }
 
 impl Default for ServerConfig {
@@ -195,7 +165,6 @@ impl Default for ServerConfig {
             policy: Routing::RoundRobin,
             max_retries: 1,
             attempt_timeout: None,
-            seed: 0,
             trace_sample: 0,
             network: NetworkModel::ideal(),
             preload: PreloadModel::free(),
@@ -625,14 +594,19 @@ impl ServerBuilder {
         self
     }
 
-    /// Sets the client↔worker network model.
+    /// Sets the datacenter network between the client and the workers:
+    /// every request/response and scatter/gather leg is charged (and
+    /// slept) per this model, and a down link makes its worker
+    /// unreachable. The default ideal network charges nothing, preserving
+    /// the single-machine behavior.
     pub fn network(mut self, network: NetworkModel) -> Self {
         self.cfg.network = network;
         self
     }
 
-    /// Sets the weight-preload cost model charged by
-    /// [`Server::pin_model`].
+    /// Sets the weight-preload cost model: what pinning a replica at
+    /// runtime costs in simulated time ([`Server::pin_model`]). The
+    /// default free model preloads instantly.
     pub fn preload(mut self, preload: PreloadModel) -> Self {
         self.cfg.preload = preload;
         self
@@ -648,31 +622,27 @@ impl ServerBuilder {
         self
     }
 
-    /// Replaces the whole configuration.
-    pub fn config(mut self, cfg: ServerConfig) -> Self {
-        self.cfg = cfg;
-        self
-    }
-
-    /// Sets the worker count.
+    /// Sets the worker count (default 2); every worker pins every
+    /// registered model unless [`ServerBuilder::pin_on`] places it.
     pub fn replicas(mut self, replicas: usize) -> Self {
         self.cfg.replicas = replicas;
         self
     }
 
-    /// Sets the bounded per-worker queue capacity.
+    /// Sets the bounded per-worker queue capacity, in jobs (default 32).
     pub fn queue_cap(mut self, cap: usize) -> Self {
         self.cfg.queue_cap = cap;
         self
     }
 
-    /// Sets the routing policy.
+    /// Sets the routing policy (default [`Routing::RoundRobin`]).
     pub fn policy(mut self, policy: Routing) -> Self {
         self.cfg.policy = policy;
         self
     }
 
-    /// Sets the failover retry budget.
+    /// Sets the failover retries permitted per request beyond the first
+    /// attempt (default 1).
     pub fn max_retries(mut self, retries: u32) -> Self {
         self.cfg.max_retries = retries;
         self
@@ -680,22 +650,29 @@ impl ServerBuilder {
 
     /// Sets the per-attempt timeout, after which an attempt that is
     /// queued or running on the worker's thread fails over. An attempt
-    /// the waiting caller runs itself is not cut short (see
-    /// [`ServerConfig::attempt_timeout`]).
+    /// the waiting caller runs itself, on an idle replica, is not cut
+    /// short (the deadline still applies). Unset, each attempt has the
+    /// full remaining deadline, and failover triggers only on faults and
+    /// death.
     pub fn attempt_timeout(mut self, timeout: Duration) -> Self {
         self.cfg.attempt_timeout = Some(timeout);
         self
     }
 
     /// Sets span-trace sampling: full NPU span traces for one request in
-    /// every `n` (0 disables, 1 traces all).
+    /// every `n`, by request id (0, the default, disables span collection;
+    /// 1 traces all). Counter attribution (cycles, MACs, stalls,
+    /// queue/service split) is always on.
     pub fn trace_sample(mut self, n: u64) -> Self {
         self.cfg.trace_sample = n;
         self
     }
 
-    /// Sets tail sampling: also keep the trace of every request that
-    /// fails or takes longer than `objective`.
+    /// Sets tail sampling: every request collects spans, and the trace of
+    /// each request that fails or takes longer than `objective` joins the
+    /// head-sampled ones ([`Server::take_traces`]). Unlike `trace_sample`
+    /// (decided at admission), this is decided at termination, when the
+    /// outcome is known. Unset by default.
     pub fn tail_sample(mut self, objective: Duration) -> Self {
         self.cfg.tail_sample = Some(objective);
         self
@@ -812,7 +789,7 @@ impl ServerBuilder {
 
         Ok(Server {
             inner: Arc::new(ServerInner {
-                router: Router::new(self.cfg.policy, self.cfg.seed),
+                router: Router::new(self.cfg.policy),
                 catalog: RwLock::new(catalog),
                 workers,
                 net: RwLock::new(self.cfg.network),

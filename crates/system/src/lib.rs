@@ -19,7 +19,7 @@
 //!   percentile latency and utilization reporting;
 //! * [`Routing`] — the client-side routing policies of a disaggregated
 //!   instance pool (§II-A), implemented by the live pool in `bw-serve`;
-//! * [`LatencySummary`] / [`nearest_rank`] — the shared latency-statistics
+//! * [`LatencySummary`] — the shared latency-statistics
 //!   vocabulary, reused by the live serving runtime (`bw-serve`) so
 //!   analytical predictions and measured latencies compare directly.
 //!
@@ -52,4 +52,4 @@ pub use net::NetworkModel;
 pub use pool::Routing;
 pub use preload::PreloadModel;
 pub use sim::{simulate, ArrivalProcess, Microservice, ServiceModel, ServingReport};
-pub use summary::{nearest_rank, LatencySummary};
+pub use summary::LatencySummary;

@@ -3,13 +3,11 @@
 //!
 //! §II-A reaches hardware microservices "directly through an IP address"
 //! over the datacenter network, and §I's latency argument only holds if
-//! that network is accounted for. [`NetworkModel`] is the single
-//! vocabulary both layers use: `bw-system` derives a
-//! [`Microservice`](crate::Microservice)'s `network_hop_s` from it
-//! (see [`Microservice::over_network`](crate::Microservice::over_network)),
-//! and `bw-serve`'s scatter/gather coordinator charges each shard leg
-//! with [`NetworkModel::one_way_s`] and consults [`NetworkModel::link_up`]
-//! for injected link faults.
+//! that network is accounted for. `bw-serve`'s scatter/gather coordinator
+//! charges each leg with [`NetworkModel::one_way_on`] and consults
+//! [`NetworkModel::link_up`] for injected link faults, and
+//! [`PreloadModel`](crate::PreloadModel) prices a weight image's trip with
+//! the same call.
 
 /// Per-hop latency + bandwidth + optional link fault injection.
 ///
@@ -84,16 +82,6 @@ impl NetworkModel {
         self
     }
 
-    /// Restores `link` to full health: clears both the down and the
-    /// degraded bit (builder style).
-    pub fn restore_link(mut self, link: usize) -> NetworkModel {
-        if link < 64 {
-            self.down_links &= !(1 << link);
-            self.degraded_links &= !(1 << link);
-        }
-        self
-    }
-
     /// Marks `link` degraded — up, but `factor` times as expensive
     /// (builder style). The factor is shared by every degraded link and
     /// clamped to at least 1.0. Links ≥ 64 cannot be degraded.
@@ -122,7 +110,7 @@ impl NetworkModel {
     /// The one-way cost of moving `payload_bytes` over one hop:
     /// `hop_latency_s` plus the serialization time at the configured
     /// bandwidth (zero if bandwidth is unset).
-    pub fn one_way_s(&self, payload_bytes: usize) -> f64 {
+    pub(crate) fn one_way_s(&self, payload_bytes: usize) -> f64 {
         let serial = if self.bandwidth_bytes_per_s > 0.0 && self.bandwidth_bytes_per_s.is_finite() {
             payload_bytes as f64 / self.bandwidth_bytes_per_s
         } else {
@@ -132,7 +120,9 @@ impl NetworkModel {
     }
 
     /// The one-way cost of moving `payload_bytes` over `link`
-    /// specifically: the healthy [`NetworkModel::one_way_s`] price,
+    /// specifically: the healthy price over one hop (`hop_latency_s` plus
+    /// the serialization time at the configured bandwidth, zero if
+    /// bandwidth is unset),
     /// multiplied by [`degraded_factor`](NetworkModel::degraded_factor)
     /// if the link is marked degraded.
     pub fn one_way_on(&self, link: usize, payload_bytes: usize) -> f64 {
@@ -142,11 +132,6 @@ impl NetworkModel {
         } else {
             base
         }
-    }
-
-    /// The round-trip cost of a request/response pair of the given sizes.
-    pub fn round_trip_s(&self, request_bytes: usize, response_bytes: usize) -> f64 {
-        self.one_way_s(request_bytes) + self.one_way_s(response_bytes)
     }
 
     /// Whether the model charges anything at all — `false` for
@@ -165,7 +150,6 @@ mod tests {
         let net = NetworkModel::ideal();
         assert!(net.is_ideal());
         assert_eq!(net.one_way_s(1 << 20), 0.0);
-        assert_eq!(net.round_trip_s(64, 1 << 20), 0.0);
         assert!(net.link_up(0));
     }
 
@@ -176,9 +160,8 @@ mod tests {
         // 4 KiB at 1 GB/s = 4.096 µs serialization on top of the hop.
         let t = net.one_way_s(4096);
         assert!((t - (10e-6 + 4096.0 / 1e9)).abs() < 1e-12);
-        // Round trip with an empty response still pays the hop twice.
-        let rt = net.round_trip_s(4096, 0);
-        assert!((rt - (t + 10e-6)).abs() < 1e-12);
+        // An empty message still pays the hop.
+        assert_eq!(net.one_way_s(0), 10e-6);
     }
 
     #[test]
@@ -211,14 +194,6 @@ mod tests {
         let slow = net.one_way_on(3, 4096);
         assert!((healthy - net.one_way_s(4096)).abs() < 1e-15);
         assert!((slow - 4.0 * healthy).abs() < 1e-12, "{slow} vs {healthy}");
-    }
-
-    #[test]
-    fn restore_link_clears_both_fault_kinds() {
-        let net = NetworkModel::ideal().fail_link(1).degrade_link(2, 8.0);
-        let net = net.restore_link(1).restore_link(2);
-        assert!(net.link_up(1));
-        assert!(!net.link_degraded(2));
     }
 
     #[test]

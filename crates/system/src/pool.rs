@@ -12,8 +12,6 @@
 pub enum Routing {
     /// Cycle through instances in order.
     RoundRobin,
-    /// Pick uniformly at random.
-    Random,
     /// Pick the instance with the fewest requests in flight (requires the
     /// resource manager to publish occupancy, as the paper's distributed
     /// resource manager does).

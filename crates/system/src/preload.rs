@@ -54,12 +54,6 @@ impl PreloadModel {
         self
     }
 
-    /// Whether a preload under this model costs nothing at all (over an
-    /// ideal network), letting callers skip the simulated wait.
-    pub fn is_free(&self) -> bool {
-        self.fill_bandwidth_bytes_per_s == 0.0 && self.setup_s == 0.0
-    }
-
     /// The simulated seconds to preload a `weight_bytes`-byte MRF image
     /// onto the worker behind `link`: one network leg for the image
     /// (degradation-aware), the on-chip fill, and the fixed setup.
@@ -82,7 +76,6 @@ mod tests {
     #[test]
     fn free_model_costs_nothing_over_ideal_network() {
         let m = PreloadModel::free();
-        assert!(m.is_free());
         assert_eq!(m.preload_s(1 << 20, &NetworkModel::ideal(), 0), 0.0);
     }
 
@@ -90,7 +83,6 @@ mod tests {
     fn terms_compose() {
         let net = NetworkModel::with_hop(10e-6).bandwidth(1e9);
         let m = PreloadModel::free().fill_bandwidth(2e9).setup(100e-6);
-        assert!(!m.is_free());
         let bytes = 1 << 20;
         let expect = net.one_way_s(bytes) + bytes as f64 / 2e9 + 100e-6;
         assert!((m.preload_s(bytes, &net, 0) - expect).abs() < 1e-12);

@@ -114,27 +114,6 @@ pub struct Microservice {
     pub network_hop_s: f64,
 }
 
-impl Microservice {
-    /// Builds a microservice whose hop cost comes from a
-    /// [`NetworkModel`](crate::NetworkModel) instead of a hand-set
-    /// constant: the one-way cost of moving `payload_bytes` (per
-    /// direction) over the modeled link. This is the bridge that keeps
-    /// the analytical path and the live `bw-serve` runtime charging the
-    /// same network.
-    pub fn over_network(
-        service: ServiceModel,
-        servers: usize,
-        net: &crate::NetworkModel,
-        payload_bytes: usize,
-    ) -> Microservice {
-        Microservice {
-            service,
-            servers,
-            network_hop_s: net.one_way_s(payload_bytes),
-        }
-    }
-}
-
 /// Latency and throughput statistics from one simulation.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServingReport {
@@ -405,14 +384,16 @@ mod tests {
 
     #[test]
     fn network_hop_shifts_latency() {
-        // The same lightly-loaded instance behind an ideal network and
-        // behind a 500 µs hop: every request pays the hop twice, so the
-        // mean shifts by 1 ms while throughput is unchanged. (Zero
-        // payload: only the hop charge applies.)
+        // The same lightly-loaded instance with no hop and behind a
+        // 500 µs hop: every request pays the hop twice, so the mean
+        // shifts by 1 ms while throughput is unchanged.
         let arrivals = ArrivalProcess::Uniform { interval_s: 5e-3 }.generate(400, 0);
-        let over = |net| Microservice::over_network(BW.service, 1, &net, 0);
-        let near = simulate(&arrivals, &over(crate::NetworkModel::ideal()));
-        let far = simulate(&arrivals, &over(crate::NetworkModel::with_hop(500e-6)));
+        let over = |network_hop_s| Microservice {
+            network_hop_s,
+            ..BW
+        };
+        let near = simulate(&arrivals, &over(0.0));
+        let far = simulate(&arrivals, &over(500e-6));
         let shift = far.latency.mean_s - near.latency.mean_s;
         assert!(
             (shift - 2.0 * 500e-6).abs() < 1e-9,

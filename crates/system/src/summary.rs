@@ -5,7 +5,7 @@
 
 /// Nearest-rank quantile over an ascending-sorted slice (the convention
 /// every report in this workspace uses). Returns 0.0 on an empty slice.
-pub fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
+pub(crate) fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
@@ -34,7 +34,7 @@ pub struct LatencySummary {
 
 impl LatencySummary {
     /// Summarizes an ascending-sorted latency slice.
-    pub fn from_sorted(sorted: &[f64]) -> LatencySummary {
+    pub(crate) fn from_sorted(sorted: &[f64]) -> LatencySummary {
         LatencySummary {
             count: sorted.len(),
             mean_s: if sorted.is_empty() {

@@ -41,7 +41,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![warn(unreachable_pub)]
 
 pub mod chrome;
 pub mod json;

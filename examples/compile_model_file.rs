@@ -7,8 +7,9 @@
 //!
 //! Run with: `cargo run --release --example compile_model_file`
 
+use brainwave::bfp::BfpFormat;
+use brainwave::core::NpuConfig;
 use brainwave::gir::{fuse, parse_model, LowerOptions, ModelArtifact, ShardedArtifact};
-use brainwave::prelude::*;
 
 const MODEL: &str = "\
 # a text-classification head: wide encoder, two hidden layers, softmax

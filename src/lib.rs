@@ -7,8 +7,7 @@
 //! each of the paper's tables and figures.
 //!
 //! This crate is the facade: it re-exports the workspace's crates under
-//! stable module names and offers a [`prelude`] for the common path. The
-//! pieces:
+//! stable module names. The pieces:
 //!
 //! | module | crate | contents |
 //! |---|---|---|
@@ -28,7 +27,9 @@
 //! ## Quickstart
 //!
 //! ```
-//! use brainwave::prelude::*;
+//! use brainwave::bfp::BfpFormat;
+//! use brainwave::core::{Npu, NpuConfig};
+//! use brainwave::models::{Lstm, LstmWeights, RnnDims};
 //!
 //! // A small LSTM on a small NPU, end to end.
 //! let cfg = NpuConfig::builder()
@@ -45,9 +46,9 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `crates/bench/src/bin/` for
-//! the table/figure regeneration harnesses (`EXPERIMENTS.md` maps each to
-//! the paper).
+//! See `examples/` for a runnable scenario and the `bw-bench` subcommands
+//! (`crates/bench/src/main.rs`) for the table/figure regeneration harnesses
+//! (`EXPERIMENTS.md` maps each to the paper).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -64,28 +65,3 @@ pub use bw_obs as obs;
 pub use bw_serve as serve;
 pub use bw_system as system;
 pub use bw_trace as trace;
-
-/// The commonly used subset of the whole stack, for glob import.
-pub mod prelude {
-    pub use bw_bfp::{BfpBlock, BfpFormat, BfpMatrix, ErrorStats, F16};
-    pub use bw_core::isa::{Chain, Instruction, MemId, Opcode, Program, ProgramBuilder};
-    pub use bw_core::{
-        analyze, analyze_artifact, analyze_with, artifact_cycle_bounds, cycle_bounds,
-        AnalysisOptions, AnalysisReport, ArtifactStage, ArtifactUnit, ArtifactView, CycleBounds,
-        DiagCode, Diagnostic, Severity,
-    };
-    pub use bw_core::{
-        ExecMode, HddExpansion, KernelMode, Npu, NpuConfig, RunStats, SimError, SpanKind,
-        SpanRecord,
-    };
-    pub use bw_dataflow::{ConvCriticalPath, RnnCriticalPath};
-    pub use bw_fpga::{Device, ModelRequirements, ResourceEstimate};
-    pub use bw_models::{
-        table5_suite, ConvLayer, ConvShape, Gru, GruWeights, Lstm, LstmWeights, Rnn, RnnBenchmark,
-        RnnDims, RnnKind,
-    };
-    pub use bw_serve::{Server, ServerConfig};
-    pub use bw_system::{
-        simulate, ArrivalProcess, LatencySummary, Microservice, Routing, ServiceModel,
-    };
-}

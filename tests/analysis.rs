@@ -2,9 +2,16 @@
 //! clean, and seeded bugs surface as the documented `BW0xx` diagnostics
 //! anchored to the offending segment and item.
 
+use brainwave::bfp::BfpFormat;
+use brainwave::core::isa::{Chain, Instruction, MemId, Program, ProgramBuilder};
 use brainwave::core::isa::{Item, Segment};
+use brainwave::core::{
+    analyze, analyze_artifact, analyze_with, cycle_bounds, AnalysisOptions, AnalysisReport,
+    ArtifactUnit, ArtifactView, DiagCode, Diagnostic, ExecMode, Npu, NpuConfig, RunStats, Severity,
+    SimError,
+};
 use brainwave::gir;
-use brainwave::prelude::*;
+use brainwave::models::{Lstm, RnnDims};
 
 fn cfg() -> NpuConfig {
     NpuConfig::builder()

@@ -1,10 +1,15 @@
 //! Cross-crate integration tests: the full path from model definition
 //! through firmware generation, simulation, and golden-model validation.
 
+use brainwave::bfp::{BfpBlock, BfpFormat, F16};
+use brainwave::core::isa::{MemId, ProgramBuilder};
+use brainwave::core::{ExecMode, KernelMode, Npu, NpuConfig};
+use brainwave::fpga::{Device, ModelRequirements};
 use brainwave::gir::{LowerOptions, ModelArtifact};
 use brainwave::models::reference;
-use brainwave::prelude::*;
+use brainwave::models::{ConvLayer, ConvShape, Gru, GruWeights, Lstm, LstmWeights, RnnDims};
 use brainwave::serve::demo::mlp_graph;
+use brainwave::system::{simulate, ArrivalProcess, Microservice, ServiceModel};
 
 fn small_cfg() -> NpuConfig {
     NpuConfig::builder()

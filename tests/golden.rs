@@ -10,8 +10,13 @@
 //! fixture diff — regenerate with e.g.
 //! `cargo run --release -p bw-bench -- table5 > tests/golden/table5.txt`.
 
+use brainwave::bfp::{BfpFormat, BfpMatrix};
+use brainwave::core::isa::{MemId, Program, ProgramBuilder};
 use brainwave::core::{ChainTrace, TimingParams};
-use brainwave::prelude::*;
+use brainwave::core::{ExecMode, KernelMode, Npu, NpuConfig, RunStats};
+use brainwave::models::{
+    table5_suite, Gru, GruWeights, Lstm, LstmWeights, Rnn, RnnBenchmark, RnnDims, RnnKind,
+};
 use bw_bench::reports;
 
 fn fixture(name: &str) -> String {

@@ -2,8 +2,10 @@
 //! the simulated system. Each test cites the section it reproduces.
 
 use brainwave::baselines::{table5_titan_xp, titan_xp_point, GpuBatchModel, TITAN_XP};
+use brainwave::core::isa::Instruction;
+use brainwave::core::{HddExpansion, NpuConfig, RunStats};
 use brainwave::dataflow::RnnCriticalPath;
-use brainwave::prelude::*;
+use brainwave::models::{table5_suite, RnnBenchmark, RnnKind};
 
 /// Runs a Table V benchmark on a BW_S10-shaped instance (timing only).
 fn simulate_bw(bench: &RnnBenchmark) -> RunStats {

@@ -1,9 +1,11 @@
 //! Workspace-level property tests: randomized models and programs pushed
 //! through the whole stack.
 
+use brainwave::bfp::BfpFormat;
+use brainwave::core::{ExecMode, KernelMode, Npu, NpuConfig};
 use brainwave::gir::{LowerOptions, ModelArtifact};
 use brainwave::models::reference;
-use brainwave::prelude::*;
+use brainwave::models::{Gru, GruWeights, Lstm, LstmWeights, RnnDims};
 use brainwave::serve::demo::mlp_graph;
 use proptest::prelude::*;
 

@@ -2,8 +2,14 @@
 //! programs must execute without panics, produce finite outputs, and agree
 //! between functional and timing-only modes on every cycle count.
 
+use brainwave::bfp::BfpFormat;
 use brainwave::core::isa::{Chain, Instruction, Item, Opcode, ScalarReg, Segment};
-use brainwave::prelude::*;
+use brainwave::core::isa::{MemId, Program, ProgramBuilder};
+use brainwave::core::{
+    analyze_artifact, analyze_with, artifact_cycle_bounds, cycle_bounds, AnalysisOptions,
+    ArtifactUnit, ArtifactView, CycleBounds, DiagCode, ExecMode, KernelMode, Npu, NpuConfig,
+    RunStats, SimError,
+};
 use proptest::prelude::*;
 
 const ND: u32 = 8;

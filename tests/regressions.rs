@@ -2,7 +2,11 @@
 //! cross-chain scoreboards: behavioral contracts the fast kernels must
 //! not change.
 
-use brainwave::prelude::*;
+use brainwave::bfp::{BfpFormat, BfpMatrix};
+use brainwave::core::isa::{MemId, ProgramBuilder};
+use brainwave::core::{
+    cycle_bounds, AnalysisOptions, ExecMode, KernelMode, Npu, NpuConfig, SimError,
+};
 
 fn cfg() -> NpuConfig {
     NpuConfig::builder()

@@ -18,7 +18,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use brainwave::prelude::*;
+use brainwave::bfp::{BfpFormat, BfpMatrix};
+use brainwave::core::isa::{MemId, ProgramBuilder};
+use brainwave::core::{ExecMode, Npu, NpuConfig, SpanKind, SpanRecord};
+use brainwave::models::{RnnBenchmark, RnnKind};
 
 struct CountingAlloc;
 

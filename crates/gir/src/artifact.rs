@@ -1,18 +1,30 @@
 //! Pin-able model artifacts: the unit a serving runtime deploys.
 //!
 //! §II-A publishes a compiled model as a *hardware microservice*: firmware
-//! plus BFP weights pinned onto one or more NPUs, then driven by live
-//! requests. [`ModelArtifact`] packages everything that pinning needs — a
-//! name, the NPU configuration the firmware was lowered for, and the
-//! compiled [`Deployment`] (ISA binaries + weight payloads) — while
-//! [`PinnedModel`] is one live instance: the artifact deployed onto a set
-//! of owned [`Npu`]s, ready to serve batch-1 inferences.
+//! plus BFP weights pinned onto an NPU, then driven by live requests.
+//! [`ModelArtifact`] packages everything that pinning needs — a name, the
+//! NPU configuration the firmware was lowered for, the fused stages with
+//! their weights and the [`AcceleratorBinary`] they lower to — while
+//! [`PinnedModel`] is one live instance: the artifact pinned onto an owned
+//! [`Npu`], ready to serve batch-1 inferences.
+//!
+//! # One compiled model, one device
+//!
+//! A `ModelArtifact` runs on at most one NPU: its accelerable stages lower
+//! to one binary, and its host (CPU) stages run before or after it. A model
+//! that needs more devices — weights over the per-device budget, or a host
+//! op between two accelerated stages ([`partition`] opens a new device
+//! after a host hop) — is refused by [`ModelArtifact::compile`]
+//! ([`ArtifactError::MultiDevice`]). It compiles as a
+//! [`ShardedArtifact`](crate::ShardedArtifact) instead, one segment per
+//! device, each pinned on its own worker and joined over the modeled
+//! datacenter network, as the paper spreads a large model "across FPGAs".
 
-use bw_core::{Npu, NpuConfig, RunStats, Schedule, SpanRecord};
+use bw_core::{CycleBounds, Npu, NpuConfig, RunStats, Schedule, SimError, SpanRecord};
 
-use crate::ir::{GirError, GirGraph};
-use crate::lower::{DeployError, Deployment, LowerOptions};
-use crate::pipeline::{fuse, partition, PartitionError};
+use crate::ir::{cpu_op_apply, GirError, GirGraph};
+use crate::lower::{load, lower, AcceleratorBinary, DeployError, LowerOptions};
+use crate::pipeline::{fuse, partition, PartitionError, Pipeline, Placement, Stage};
 
 /// Error produced while packaging a model into an artifact.
 #[derive(Clone, Debug, PartialEq)]
@@ -25,6 +37,14 @@ pub enum ArtifactError {
     Split(crate::split::SplitError),
     /// Lowering or deployment failed.
     Deploy(DeployError),
+    /// The model needs more than one device, and a [`ModelArtifact`]
+    /// runs on one: compile it as a [`ShardedArtifact`](crate::ShardedArtifact).
+    MultiDevice {
+        /// The model's name.
+        name: String,
+        /// The devices its partition needs.
+        devices: usize,
+    },
     /// Whole-artifact static analysis refused the serving plan (BW11x
     /// cross-shard dataflow or BW12x SLA diagnostics).
     Analysis {
@@ -42,6 +62,11 @@ impl std::fmt::Display for ArtifactError {
             ArtifactError::Partition(e) => write!(f, "partition error: {e}"),
             ArtifactError::Split(e) => write!(f, "split error: {e}"),
             ArtifactError::Deploy(e) => write!(f, "deploy error: {e}"),
+            ArtifactError::MultiDevice { name, devices } => write!(
+                f,
+                "`{name}` needs {devices} devices and a compiled model runs on one: \
+                 compile it as a `ShardedArtifact`"
+            ),
             ArtifactError::Analysis { name, report } => write!(
                 f,
                 "artifact analysis refused `{name}`: {} error(s), {} warning(s)",
@@ -81,30 +106,19 @@ impl From<DeployError> for ArtifactError {
 pub struct ModelArtifact {
     name: String,
     config: NpuConfig,
-    deployment: Deployment,
+    pipeline: Pipeline,
+    binary: Option<AcceleratorBinary>,
 }
 
 impl ModelArtifact {
-    /// Packages an already-compiled deployment under `name`.
-    pub fn new(
-        name: impl Into<String>,
-        config: NpuConfig,
-        deployment: Deployment,
-    ) -> ModelArtifact {
-        ModelArtifact {
-            name: name.into(),
-            config,
-            deployment,
-        }
-    }
-
     /// Runs the full toolflow — fuse, partition under
     /// `device_param_budget`, lower with the firmware-linter gate — and
     /// packages the result.
     ///
     /// # Errors
     ///
-    /// Returns [`ArtifactError`] if any toolflow phase rejects the model.
+    /// Returns [`ArtifactError`] if any toolflow phase rejects the model,
+    /// and [`ArtifactError::MultiDevice`] if it needs more than one device.
     pub fn compile(
         name: impl Into<String>,
         graph: &GirGraph,
@@ -112,10 +126,35 @@ impl ModelArtifact {
         config: &NpuConfig,
         opts: &LowerOptions,
     ) -> Result<ModelArtifact, ArtifactError> {
+        let name = name.into();
         let pipeline = fuse(graph)?;
         let plan = partition(&pipeline, device_param_budget)?;
-        let deployment = Deployment::compile_with(&pipeline, &plan, config, opts)?;
-        Ok(ModelArtifact::new(name, config.clone(), deployment))
+        let devices = plan
+            .segments
+            .iter()
+            .filter(|p| matches!(p, Placement::Accelerator { .. }))
+            .count();
+        if devices > 1 {
+            return Err(ArtifactError::MultiDevice { name, devices });
+        }
+        Ok(ModelArtifact::lower(name, pipeline, config, opts)?)
+    }
+
+    /// Lowers `pipeline`, whose accelerable stages must fit one device and
+    /// run back to back, and packages it under `name`.
+    pub(crate) fn lower(
+        name: String,
+        pipeline: Pipeline,
+        config: &NpuConfig,
+        opts: &LowerOptions,
+    ) -> Result<ModelArtifact, DeployError> {
+        let binary = lower(&name, &pipeline, config, opts)?;
+        Ok(ModelArtifact {
+            name,
+            config: config.clone(),
+            pipeline,
+            binary,
+        })
     }
 
     /// The artifact's published name.
@@ -128,78 +167,116 @@ impl ModelArtifact {
         &self.config
     }
 
-    /// The compiled deployment.
-    pub fn deployment(&self) -> &Deployment {
-        &self.deployment
+    /// The binary the accelerated stages lower to; `None` when every
+    /// stage runs on the host.
+    pub fn binary(&self) -> Option<&AcceleratorBinary> {
+        self.binary.as_ref()
+    }
+
+    /// Weight parameters this artifact pins on its device.
+    pub fn weight_params(&self) -> u64 {
+        self.pipeline.stages.iter().map(Stage::weight_params).sum()
     }
 
     /// Guaranteed min/max cycle counts for one inference through this
-    /// artifact's accelerator binaries, when provable.
-    pub fn static_bounds(&self) -> Option<bw_core::CycleBounds> {
-        self.deployment.static_bounds(&self.config)
+    /// artifact's binary, when provable. Host stages are not cycle-modeled:
+    /// a host-only model is bounded by zero cycles.
+    pub fn static_bounds(&self) -> Option<CycleBounds> {
+        self.binary
+            .as_ref()
+            .map_or(Some(CycleBounds { lower: 0, upper: 0 }), |b| {
+                b.static_bounds(&self.config)
+            })
     }
 
     /// Input dimension one inference consumes.
     pub fn input_dim(&self) -> usize {
-        self.deployment.input_dim()
+        self.pipeline.input_dim
     }
 
     /// Output dimension one inference produces.
     pub fn output_dim(&self) -> usize {
-        self.deployment.output_dim()
+        self.pipeline
+            .stages
+            .last()
+            .map_or(self.pipeline.input_dim, Stage::out_dim)
     }
 
     /// Bytes of matrix-register-file storage this artifact's pinned
     /// weights occupy — the MRF image a replica spin-up must ship and
     /// stream, priced by `bw_system::PreloadModel`.
     pub fn mrf_fill_bytes(&self) -> u64 {
-        self.deployment.mrf_fill_bytes(&self.config)
+        self.binary
+            .as_ref()
+            .map_or(0, |b| b.mrf_fill_bytes(&self.config))
     }
 
-    /// Stands up a live instance: instantiates the NPUs (fast kernels) and
+    /// Stands up a live instance: instantiates the NPU (fast kernels) and
     /// pins the weights.
     ///
     /// # Errors
     ///
     /// Returns [`DeployError`] if weight loading overflows a register file.
     pub fn pin(&self) -> Result<PinnedModel, DeployError> {
-        let mut npus: Vec<Npu> = (0..self.deployment.devices_required())
-            .map(|_| Npu::new(self.config.clone()))
-            .collect();
-        self.deployment.deploy(&mut npus)?;
+        let device = match &self.binary {
+            Some(binary) => {
+                let mut npu = Npu::new(self.config.clone());
+                load(&mut npu, &self.pipeline)?;
+                Some((npu, binary.clone()))
+            }
+            None => None,
+        };
+        let host_ops = |stages: &[Stage]| {
+            let names = stages.iter().filter_map(|s| match s {
+                Stage::Cpu { name, .. } => Some(name.clone()),
+                _ => None,
+            });
+            names.collect()
+        };
+        let head = self.binary.as_ref().map_or(0, |b| b.stages[0]);
+        let (before, after) = self.pipeline.stages.split_at(head);
         Ok(PinnedModel {
-            deployment: self.deployment.clone(),
-            npus,
-            schedules: vec![Vec::new(); self.deployment.binaries().len()],
+            input_dim: self.input_dim(),
+            output_dim: self.output_dim(),
+            before: host_ops(before),
+            device,
+            schedules: Vec::new(),
+            after: host_ops(after),
         })
     }
 }
 
-/// One live instance of a [`ModelArtifact`]: the deployment pinned onto
-/// owned NPUs. Not `Sync` by design — a pinned model is a single device
-/// pool serving one request at a time, exactly like the hardware; replicas
-/// are separate pins.
+/// One live instance of a [`ModelArtifact`]: its binary pinned onto one
+/// owned NPU, with the host ops to run around it. Not `Sync` by design — a
+/// pinned model is a single device serving one request at a time, exactly
+/// like the hardware; replicas are separate pins.
 ///
 /// The model schedules once per pin, as the hardware's static schedule
-/// does (§V-C). It keeps every [`Schedule`] its accelerator segments have
-/// computed, keyed by batch size and by the tiling registers and queued
-/// arrivals the run starts from, and a run whose device stands where a
-/// kept schedule started ([`Npu::can_execute`]) executes that schedule:
-/// the data pass alone. Any other run schedules, and its schedule is
-/// kept. A segment keeps at most one schedule per (batch size, start
-/// state), so the batch sizes a caller sends bound the cache: a served
-/// model keeps one per batch size, from where every run after the first
-/// starts, and the first run's, from the reset registers.
+/// does (§V-C). It keeps every [`Schedule`] its binary has computed, keyed
+/// by batch size and by the tiling registers and queued arrivals the run
+/// starts from, and a run whose device stands where a kept schedule
+/// started ([`Npu::can_execute`]) executes that schedule: the data pass
+/// alone. Any other run schedules, and its schedule is kept. It keeps at
+/// most one schedule per (batch size, start state), so the batch sizes a
+/// caller sends bound the cache: a served model keeps one per batch size,
+/// from where every run after the first starts, and the first run's, from
+/// the reset registers.
 #[derive(Clone, Debug)]
 pub struct PinnedModel {
-    deployment: Deployment,
-    npus: Vec<Npu>,
-    /// The kept schedules of each accelerator binary, in binary order.
-    schedules: Vec<Vec<Schedule>>,
+    input_dim: usize,
+    output_dim: usize,
+    /// Host ops run before the binary, in order.
+    before: Vec<String>,
+    /// The NPU and the binary pinned on it; `None` for a host-only model.
+    device: Option<(Npu, AcceleratorBinary)>,
+    /// The binary's kept schedules.
+    schedules: Vec<Schedule>,
+    /// Host ops run after the binary, in order.
+    after: Vec<String>,
 }
 
 impl PinnedModel {
-    /// Runs one batch-1 inference through the pinned devices.
+    /// Runs one batch-1 inference through the pinned device.
     ///
     /// # Errors
     ///
@@ -208,8 +285,8 @@ impl PinnedModel {
         self.infer_with_stats(input).map(|(y, _)| y)
     }
 
-    /// [`PinnedModel::infer`] returning the accumulated accelerator
-    /// statistics alongside the output.
+    /// [`PinnedModel::infer`] returning the accelerator statistics
+    /// alongside the output.
     ///
     /// # Errors
     ///
@@ -219,12 +296,10 @@ impl PinnedModel {
         Ok((outputs.pop().expect("batch of one"), stats))
     }
 
-    /// Runs a coalesced micro-batch through the pinned devices: one
-    /// multi-column dispatch per accelerator segment, returning
-    /// per-column outputs in input order plus the accumulated statistics
-    /// for the whole batch.
-    /// Outputs are bit-identical to calling
-    /// [`PinnedModel::infer_with_stats`] once per input.
+    /// Runs a coalesced micro-batch through the pinned device: one
+    /// multi-column dispatch, returning per-column outputs in input order
+    /// plus the statistics for the whole batch. Outputs are bit-identical
+    /// to calling [`PinnedModel::infer_with_stats`] once per input.
     ///
     /// # Errors
     ///
@@ -233,30 +308,16 @@ impl PinnedModel {
         &mut self,
         inputs: &[Vec<f32>],
     ) -> Result<(Vec<Vec<f32>>, RunStats), DeployError> {
-        let schedules = &mut self.schedules;
-        self.deployment
-            .execute_with(&mut self.npus, inputs, |k, npu, program, batch| {
-                let kept = &mut schedules[k];
-                let found = kept
-                    .iter()
-                    .position(|s| s.batch() == batch && npu.can_execute(s));
-                let i = found.unwrap_or_else(|| {
-                    kept.push(npu.schedule(program, batch));
-                    kept.len() - 1
-                });
-                npu.execute(&kept[i])
-            })
+        self.run(inputs, false)
     }
 
-    /// [`PinnedModel::infer_batch`] with span tracing: arms every pinned
-    /// device ([`Npu::set_trace`]) for the duration of the call, then
-    /// drains each device's spans in device order — the order they ran
-    /// in, one device per accelerator segment — stamping each with its
-    /// device ordinal. Every device is disarmed again, even when the run
-    /// fails, so a traced inference leaves the instance exactly as a
-    /// plain one does. The spans come from the timeline, so a traced call
-    /// schedules afresh and neither reads nor fills the kept schedules.
-    /// The spans' `trace_id` is left for the caller.
+    /// [`PinnedModel::infer_batch`] with span tracing: arms the device
+    /// ([`Npu::set_trace`]) for the duration of the call, then drains its
+    /// spans. The device is disarmed again, even when the run fails, so a
+    /// traced inference leaves the instance exactly as a plain one does.
+    /// The spans come from the timeline, so a traced call schedules afresh
+    /// and neither reads nor fills the kept schedules. The spans'
+    /// `trace_id` and `device` are left for the caller.
     ///
     /// # Errors
     ///
@@ -266,44 +327,89 @@ impl PinnedModel {
         &mut self,
         inputs: &[Vec<f32>],
     ) -> Result<(Vec<Vec<f32>>, RunStats, Vec<SpanRecord>), DeployError> {
-        for npu in &mut self.npus {
+        if let Some((npu, _)) = &mut self.device {
             npu.set_trace(true);
         }
-        let result = self.deployment.execute_batch(&mut self.npus, inputs);
-        let mut spans = Vec::new();
-        for (d, npu) in self.npus.iter_mut().enumerate() {
-            spans.extend(npu.take_spans().into_iter().map(|mut span| {
-                span.device = d as u32;
-                span
-            }));
+        let result = self.run(inputs, true);
+        let spans = self.device.as_mut().map_or_else(Vec::new, |(npu, _)| {
+            let spans = npu.take_spans();
             npu.set_trace(false);
-        }
+            spans
+        });
         let (outputs, stats) = result?;
         Ok((outputs, stats, spans))
     }
 
     /// Input dimension one inference consumes.
     pub fn input_dim(&self) -> usize {
-        self.deployment.input_dim()
+        self.input_dim
     }
 
     /// Output dimension one inference produces.
     pub fn output_dim(&self) -> usize {
-        self.deployment.output_dim()
+        self.output_dim
     }
 
-    /// Devices this instance occupies.
-    pub fn devices(&self) -> usize {
-        self.npus.len()
+    /// Runs `inputs` through the host ops before the binary, the binary
+    /// (on a kept schedule, or a fresh one when `fresh`), then the host
+    /// ops after it. Every column's input is pushed before the run, and
+    /// the NPU's FIFO queues keep the columns apart: column b pops the
+    /// vectors pushed for it, and its outputs drain in the same order.
+    fn run(
+        &mut self,
+        inputs: &[Vec<f32>],
+        fresh: bool,
+    ) -> Result<(Vec<Vec<f32>>, RunStats), DeployError> {
+        let mut values = (!self.before.is_empty()).then(|| inputs.to_vec());
+        if let Some(values) = &mut values {
+            host(&self.before, values)?;
+        }
+        let mut stats = RunStats::default();
+        if let Some((npu, binary)) = &mut self.device {
+            let batch = inputs.len();
+            for column in values.as_deref().unwrap_or(inputs) {
+                npu.push_input_padded(column);
+            }
+            stats = if fresh {
+                npu.run_batch(&binary.program, batch)?
+            } else {
+                let kept = &mut self.schedules;
+                let found = kept
+                    .iter()
+                    .position(|s| s.batch() == batch && npu.can_execute(s));
+                let i = found.unwrap_or_else(|| {
+                    kept.push(npu.schedule(&binary.program, batch));
+                    kept.len() - 1
+                });
+                npu.execute(&kept[i])?
+            };
+            let mut outputs = Vec::with_capacity(batch);
+            for _ in inputs {
+                let output = npu
+                    .pop_output_concat(binary.output_grid as usize, binary.output_dim)
+                    .ok_or(DeployError::Sim(SimError::NetQueueEmpty {
+                        requested: binary.output_grid,
+                        available: 0,
+                    }))?;
+                outputs.push(output);
+            }
+            values = Some(outputs);
+        }
+        let mut values = values.unwrap_or_else(|| inputs.to_vec());
+        host(&self.after, &mut values)?;
+        Ok((values, stats))
     }
+}
 
-    /// The device clock in Hz (for converting span cycles to wall time).
-    pub fn clock_hz(&self) -> f64 {
-        self.npus
-            .first()
-            .map(|n| n.config().clock_hz())
-            .unwrap_or(0.0)
+/// Applies the host ops `names`, in order, to every column of `values`.
+fn host(names: &[String], values: &mut [Vec<f32>]) -> Result<(), DeployError> {
+    for name in names {
+        for value in values.iter_mut() {
+            *value =
+                cpu_op_apply(name, value).ok_or_else(|| DeployError::UnknownCpuOp(name.clone()))?;
+        }
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -387,10 +493,10 @@ mod tests {
 
     #[test]
     fn a_kept_schedule_serves_as_a_fresh_pin_does() {
-        // Two devices, so each segment keeps its own schedules.
         let g = mlp(&[16, 16, 16, 16, 16]);
         let artifact =
-            ModelArtifact::compile("deep", &g, 512, &config(), &LowerOptions::default()).unwrap();
+            ModelArtifact::compile("deep", &g, 1 << 20, &config(), &LowerOptions::default())
+                .unwrap();
         let x: Vec<f32> = (0..16).map(|i| (i as f32 - 7.5) / 9.0).collect();
         let batch = vec![x.clone(), vec![0.3; 16], x.clone()];
         let first = artifact.pin().unwrap().infer_with_stats(&x).unwrap();
@@ -402,18 +508,14 @@ mod tests {
             assert_eq!(warm.infer(&x).unwrap(), first.0);
             assert_eq!(warm.infer_batch(&batch).unwrap(), first_batch);
         }
-        // Per segment, the first call's schedule (from the reset registers)
-        // and one per batch size from where every later run starts.
-        let kept: Vec<_> = warm.schedules.iter().map(Vec::len).collect();
-        assert_eq!(kept, [3, 3]);
+        // The first call's schedule (from the reset registers) and one per
+        // batch size from where every later run starts.
+        assert_eq!(warm.schedules.len(), 3);
         // A traced call schedules afresh and leaves the kept ones alone.
         let (outputs, stats, spans) = warm.infer_batch_traced(&batch).unwrap();
         assert_eq!((outputs, stats), first_batch);
         assert!(!spans.is_empty());
-        assert_eq!(
-            warm.schedules.iter().map(Vec::len).collect::<Vec<_>>(),
-            kept
-        );
+        assert_eq!(warm.schedules.len(), 3);
     }
 
     #[test]
@@ -457,14 +559,43 @@ mod tests {
         }
     }
 
+    /// Asserts that `g` compiles only as a sharded model, naming it.
+    fn refused(g: &GirGraph, budget: u64) {
+        let err = ModelArtifact::compile("two", g, budget, &config(), &LowerOptions::default())
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ArtifactError::MultiDevice {
+                name: "two".into(),
+                devices: 2
+            }
+        );
+        assert!(err.to_string().contains("`ShardedArtifact`"), "{err}");
+    }
+
     #[test]
-    fn multi_device_artifact_pins_every_device() {
+    fn a_model_needing_two_devices_is_refused() {
         // 4 layers of 16x16 under a 512-param budget -> 2 devices.
-        let g = mlp(&[16, 16, 16, 16, 16]);
+        refused(&mlp(&[16, 16, 16, 16, 16]), 512);
+    }
+
+    #[test]
+    fn a_host_op_between_accelerated_layers_is_refused() {
+        let hop = "input 8\ndense 8 tanh seed=1\ncpu softmax\ndense 8 seed=2\noutput\n";
+        refused(&crate::parse_model(hop).unwrap(), 1 << 20);
+    }
+
+    #[test]
+    fn a_host_only_model_compiles_pins_and_matches_the_graph() {
+        let g = crate::parse_model("input 6\ncpu softmax\noutput\n").unwrap();
         let artifact =
-            ModelArtifact::compile("deep", &g, 512, &config(), &LowerOptions::default()).unwrap();
-        assert_eq!(artifact.deployment().devices_required(), 2);
-        let pinned = artifact.pin().unwrap();
-        assert_eq!(pinned.devices(), 2);
+            ModelArtifact::compile("host", &g, 1 << 20, &config(), &LowerOptions::default())
+                .unwrap();
+        assert!(artifact.binary().is_none());
+        assert_eq!(artifact.mrf_fill_bytes(), 0);
+        let x: Vec<f32> = (0..6).map(|i| i as f32 / 3.0).collect();
+        let (y, stats) = artifact.pin().unwrap().infer_with_stats(&x).unwrap();
+        assert_eq!(y, g.evaluate(&x).unwrap());
+        assert_eq!(stats, RunStats::default());
     }
 }

@@ -11,16 +11,15 @@
 //! * [`partition`] — splits the pipeline across accelerators under a
 //!   per-device on-chip weight budget, grouping unsupported operations into
 //!   CPU segments;
-//! * [`split_oversized_stages`] / [`ShardedArtifact`] — intra-layer row
-//!   sharding for single layers that exceed one device (§II-A's spatial
-//!   distribution), packaged as per-worker artifacts;
-//! * [`Deployment`] — compiles accelerator segments to ISA programs and
-//!   gates each binary on the firmware linter;
-//! * [`ModelArtifact`] / [`PinnedModel`] — packages a compiled deployment
-//!   into the pin-able unit a serving runtime (`bw-serve`) publishes as a
-//!   hardware microservice, and a live NPU-backed instance of it: the
-//!   one way a compiled model runs, accelerator segments on its pinned
-//!   NPUs and CPU segments on the host.
+//! * [`ModelArtifact`] / [`PinnedModel`] — lowers a one-device model to an
+//!   ISA binary gated on the firmware linter, the pin-able unit a serving
+//!   runtime (`bw-serve`) publishes as a hardware microservice, and a live
+//!   instance of it: the one way a compiled model runs, its binary on one
+//!   NPU and its CPU stages on the host;
+//! * [`split_oversized_stages`] / [`ShardedArtifact`] — a model over one
+//!   device, as one segment per device (row shards of a layer too large
+//!   for one, §II-A's spatial distribution), each pinned on its own
+//!   worker.
 //!
 //! # Example
 //!
@@ -57,7 +56,7 @@ mod split;
 
 pub use artifact::{ArtifactError, ModelArtifact, PinnedModel};
 pub use ir::{ActFn, GirError, GirGraph, GirNode, GirNodeId, GirOp};
-pub use lower::{AcceleratorBinary, DeployError, Deployment, LowerOptions};
+pub use lower::{AcceleratorBinary, DeployError, LowerOptions};
 pub use model_text::{parse_model, ModelParseError};
 pub use pipeline::{fuse, partition, PartitionError, PartitionPlan, Pipeline, Placement, Stage};
 pub use shard::{ShardSegment, ShardedArtifact};

@@ -1,26 +1,25 @@
-//! Lowering partitioned pipelines to BW ISA programs, and the federated
-//! execution a [`PinnedModel`](crate::PinnedModel) runs (§II-B).
+//! Lowering a model's accelerated stages to one BW ISA program (§II-B).
 //!
-//! Each accelerator segment becomes one ISA program: a network read, then
-//! one chain per dense stage (`mv_mul` + fused `vv_add` + fused
-//! activation), ping-ponging intermediate activations between two
-//! `InitialVrf` regions, and a final network write. CPU segments execute on
-//! the host, mirroring the paper's federated runtime that "executes both
-//! the CPU sub-graphs and accelerator sub-graphs".
+//! A [`ModelArtifact`](crate::ModelArtifact)'s accelerable stages become
+//! one ISA program: a network read, then one chain per stage (`mv_mul` +
+//! fused `vv_add` + fused activation), ping-ponging intermediate
+//! activations between two `InitialVrf` regions, and a final network
+//! write. Its CPU stages run on the host before and after the program
+//! ([`PinnedModel`](crate::PinnedModel)), mirroring the paper's federated
+//! runtime that "executes both the CPU sub-graphs and accelerator
+//! sub-graphs".
 
 use bw_core::isa::{MemId, Program, ProgramBuilder};
 use bw_core::{
-    analyze_with, AnalysisOptions, AnalysisReport, CycleBounds, Npu, NpuConfig, RunStats, SimError,
+    analyze_with, AnalysisOptions, AnalysisReport, CycleBounds, Npu, NpuConfig, SimError,
 };
 
-use crate::ir::{cpu_op_apply, ActFn};
-use crate::pipeline::{PartitionPlan, Pipeline, Placement, Stage};
+use crate::ir::ActFn;
+use crate::pipeline::{Pipeline, Stage};
 
-/// The compiled binary for one accelerator of the deployment.
+/// The compiled binary of a model's one accelerator.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AcceleratorBinary {
-    /// Device index within the deployment's NPU pool.
-    pub device: usize,
     /// The stage indices this binary executes.
     pub stages: Vec<usize>,
     /// The lowered ISA program.
@@ -93,7 +92,9 @@ impl AcceleratorBinary {
     }
 }
 
-/// Options controlling how strictly [`Deployment::compile_with`] gates
+/// Options controlling how strictly compilation
+/// ([`ModelArtifact::compile`](crate::ModelArtifact::compile),
+/// [`ShardedArtifact::compile`](crate::ShardedArtifact::compile)) gates
 /// lowered binaries on the firmware linter.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct LowerOptions {
@@ -119,11 +120,9 @@ impl LowerOptions {
     }
 }
 
-/// Error produced during lowering or federated execution.
+/// Error produced during lowering or execution.
 #[derive(Clone, Debug, PartialEq)]
 pub enum DeployError {
-    /// A segment referenced a stage the pipeline does not have.
-    BadPlan,
     /// An unknown CPU op name.
     UnknownCpuOp(
         /// The op name.
@@ -133,8 +132,8 @@ pub enum DeployError {
     Sim(SimError),
     /// The firmware linter rejected a lowered binary.
     Rejected {
-        /// Device index of the rejected binary.
-        device: usize,
+        /// The artifact whose binary was rejected.
+        artifact: String,
         /// The analysis report that blocked deployment.
         report: AnalysisReport,
     },
@@ -149,12 +148,11 @@ impl From<SimError> for DeployError {
 impl std::fmt::Display for DeployError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DeployError::BadPlan => write!(f, "partition plan does not match the pipeline"),
             DeployError::UnknownCpuOp(name) => write!(f, "unknown CPU op `{name}`"),
             DeployError::Sim(e) => write!(f, "simulator error: {e}"),
-            DeployError::Rejected { device, report } => write!(
+            DeployError::Rejected { artifact, report } => write!(
                 f,
-                "firmware linter rejected the binary for device {device} \
+                "firmware linter rejected the binary of `{artifact}` \
                  ({} errors, {} warnings)",
                 report.error_count(),
                 report.warning_count()
@@ -165,332 +163,150 @@ impl std::fmt::Display for DeployError {
 
 impl std::error::Error for DeployError {}
 
-/// A compiled, partitioned model ready for federated execution.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Deployment {
-    pipeline: Pipeline,
-    plan: PartitionPlan,
-    binaries: Vec<AcceleratorBinary>,
-    native_dim: u32,
+/// Lowers the accelerable stages of `pipeline`, which run back to back,
+/// to one binary for NPUs of configuration `config`, or `None` when every
+/// stage runs on the host. The binary is analyzed under its deployment
+/// facts ([`AcceleratorBinary::analysis_options`]) and refused if the
+/// report blocks deployment under `opts`.
+///
+/// # Errors
+///
+/// Returns [`DeployError::Rejected`], naming `artifact`, if the binary
+/// fails static analysis (with `deny_warnings` set, warnings also
+/// reject).
+pub(crate) fn lower(
+    artifact: &str,
+    pipeline: &Pipeline,
+    config: &NpuConfig,
+    opts: &LowerOptions,
+) -> Result<Option<AcceleratorBinary>, DeployError> {
+    let nd = config.native_dim();
+    let grid = |d: usize| (d as u32).div_ceil(nd);
+    let stages: Vec<usize> = (0..pipeline.stages.len())
+        .filter(|&i| pipeline.stages[i].accelerable())
+        .collect();
+    let Some(&first) = stages.first() else {
+        return Ok(None);
+    };
+    let input_dim = match &pipeline.stages[first] {
+        Stage::Dense { cols, .. } => *cols,
+        Stage::Pointwise { dim, .. } | Stage::Cpu { dim, .. } => *dim,
+    };
+    let output_dim = pipeline.stages[*stages.last().expect("non-empty")].out_dim();
+    let widest = stages
+        .iter()
+        .map(|&i| grid(pipeline.stages[i].out_dim()))
+        .chain(std::iter::once(grid(input_dim)))
+        .max()
+        .expect("non-empty");
+
+    let mut b = ProgramBuilder::new();
+    let ok = "statically valid lowered program";
+    let slot = |k: usize| (k as u32 % 2) * widest;
+
+    b.set_rows(grid(input_dim));
+    b.v_rd(MemId::NetQ, 0)
+        .v_wr(MemId::InitialVrf, slot(0))
+        .end_chain()
+        .expect(ok);
+
+    let mut mrf_base = 0u32;
+    let mut bias_base = 0u32;
+    for (k, &i) in stages.iter().enumerate() {
+        let act = match &pipeline.stages[i] {
+            Stage::Dense {
+                rows,
+                cols,
+                bias,
+                act,
+                ..
+            } => {
+                b.set_rows(grid(*rows)).set_cols(grid(*cols));
+                b.v_rd(MemId::InitialVrf, slot(k)).mv_mul(mrf_base);
+                mrf_base += grid(*rows) * grid(*cols);
+                if bias.is_some() {
+                    b.vv_add(bias_base);
+                    bias_base += grid(*rows);
+                }
+                *act
+            }
+            Stage::Pointwise { act, dim } => {
+                b.set_rows(grid(*dim));
+                b.v_rd(MemId::InitialVrf, slot(k));
+                Some(*act)
+            }
+            Stage::Cpu { .. } => unreachable!("host stages are not lowered"),
+        };
+        match act {
+            Some(ActFn::Relu) => b.v_relu(),
+            Some(ActFn::Sigmoid) => b.v_sigm(),
+            Some(ActFn::Tanh) => b.v_tanh(),
+            None => &mut b,
+        };
+        if k + 1 == stages.len() {
+            b.v_wr(MemId::NetQ, 0);
+        } else {
+            b.v_wr(MemId::InitialVrf, slot(k + 1));
+        }
+        b.end_chain().expect(ok);
+    }
+
+    let binary = AcceleratorBinary {
+        stages,
+        program: b.build(),
+        input_dim,
+        output_dim,
+        output_grid: grid(output_dim),
+        input_grid: grid(input_dim),
+        mrf_entries: mrf_base,
+        bias_entries: bias_base,
+    };
+    let report = binary.lint_with(config, opts);
+    if report.blocks_deployment(opts.deny_warnings) {
+        return Err(DeployError::Rejected {
+            artifact: artifact.to_owned(),
+            report,
+        });
+    }
+    Ok(Some(binary))
 }
 
-impl Deployment {
-    /// Compiles every accelerator segment of `plan` for NPUs of
-    /// configuration `config`. Every lowered binary is analyzed under its
-    /// deployment facts ([`AcceleratorBinary::analysis_options`]) and
-    /// rejected if the report blocks deployment under `opts`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeployError::BadPlan`] if the plan references stages the
-    /// pipeline lacks, or [`DeployError::Rejected`] if a lowered binary
-    /// fails static analysis (with `deny_warnings` set, warnings also
-    /// reject).
-    pub fn compile_with(
-        pipeline: &Pipeline,
-        plan: &PartitionPlan,
-        config: &NpuConfig,
-        opts: &LowerOptions,
-    ) -> Result<Deployment, DeployError> {
-        let nd = config.native_dim();
-        let grid = |d: usize| (d as u32).div_ceil(nd);
-        let mut binaries = Vec::new();
-
-        for segment in &plan.segments {
-            let Placement::Accelerator { device, stages } = segment else {
-                continue;
-            };
-            let denses: Vec<&Stage> = stages
-                .iter()
-                .map(|&i| pipeline.stages.get(i).ok_or(DeployError::BadPlan))
-                .collect::<Result<_, _>>()?;
-
-            // Dimensions through the segment.
-            let input_dim = match denses.first().ok_or(DeployError::BadPlan)? {
-                Stage::Dense { cols, .. } => *cols,
-                Stage::Pointwise { dim, .. } => *dim,
-                Stage::Cpu { .. } => return Err(DeployError::BadPlan),
-            };
-            let output_dim = denses.last().expect("non-empty").out_dim();
-
-            let widest = denses
-                .iter()
-                .map(|s| grid(s.out_dim()))
-                .chain(std::iter::once(grid(input_dim)))
-                .max()
-                .expect("non-empty");
-
-            let mut b = ProgramBuilder::new();
-            let ok = "statically valid lowered program";
-            let slot = |k: usize| (k as u32 % 2) * widest;
-
-            b.set_rows(grid(input_dim));
-            b.v_rd(MemId::NetQ, 0)
-                .v_wr(MemId::InitialVrf, slot(0))
-                .end_chain()
-                .expect(ok);
-
-            let mut mrf_base = 0u32;
-            let mut bias_base = 0u32;
-            let mut in_dim = input_dim;
-            for (k, stage) in denses.iter().enumerate() {
-                let last = k + 1 == denses.len();
-                match stage {
-                    Stage::Dense {
-                        rows,
-                        cols,
-                        bias,
-                        act,
-                        ..
-                    } => {
-                        debug_assert_eq!(*cols, in_dim);
-                        b.set_rows(grid(*rows)).set_cols(grid(*cols));
-                        b.v_rd(MemId::InitialVrf, slot(k)).mv_mul(mrf_base);
-                        if bias.is_some() {
-                            b.vv_add(bias_base);
-                        }
-                        if let Some(act) = act {
-                            match act {
-                                ActFn::Relu => b.v_relu(),
-                                ActFn::Sigmoid => b.v_sigm(),
-                                ActFn::Tanh => b.v_tanh(),
-                            };
-                        }
-                        if last {
-                            b.v_wr(MemId::NetQ, 0);
-                        } else {
-                            b.v_wr(MemId::InitialVrf, slot(k + 1));
-                        }
-                        b.end_chain().expect(ok);
-                        mrf_base += grid(*rows) * grid(*cols);
-                        if bias.is_some() {
-                            bias_base += grid(*rows);
-                        }
-                        in_dim = *rows;
-                    }
-                    Stage::Pointwise { act, dim } => {
-                        b.set_rows(grid(*dim));
-                        b.v_rd(MemId::InitialVrf, slot(k));
-                        match act {
-                            ActFn::Relu => b.v_relu(),
-                            ActFn::Sigmoid => b.v_sigm(),
-                            ActFn::Tanh => b.v_tanh(),
-                        };
-                        if last {
-                            b.v_wr(MemId::NetQ, 0);
-                        } else {
-                            b.v_wr(MemId::InitialVrf, slot(k + 1));
-                        }
-                        b.end_chain().expect(ok);
-                        in_dim = *dim;
-                    }
-                    Stage::Cpu { .. } => return Err(DeployError::BadPlan),
-                }
-            }
-
-            let binary = AcceleratorBinary {
-                device: *device,
-                stages: stages.clone(),
-                program: b.build(),
-                input_dim,
-                output_dim,
-                output_grid: grid(output_dim),
-                input_grid: grid(input_dim),
-                mrf_entries: mrf_base,
-                bias_entries: bias_base,
-            };
-            let report = binary.lint_with(config, opts);
-            if report.blocks_deployment(opts.deny_warnings) {
-                return Err(DeployError::Rejected {
-                    device: *device,
-                    report,
-                });
-            }
-            binaries.push(binary);
-        }
-
-        Ok(Deployment {
-            pipeline: pipeline.clone(),
-            plan: plan.clone(),
-            binaries,
-            native_dim: nd,
-        })
-    }
-
-    /// The compiled accelerator binaries.
-    pub fn binaries(&self) -> &[AcceleratorBinary] {
-        &self.binaries
-    }
-
-    /// Input dimension one inference consumes.
-    pub fn input_dim(&self) -> usize {
-        self.pipeline.input_dim
-    }
-
-    /// Output dimension one inference produces.
-    pub fn output_dim(&self) -> usize {
-        self.pipeline
-            .stages
-            .last()
-            .map_or(self.pipeline.input_dim, Stage::out_dim)
-    }
-
-    /// Number of NPUs the deployment requires.
-    pub(crate) fn devices_required(&self) -> usize {
-        self.plan.devices_used
-    }
-
-    /// Total bytes of matrix-register-file storage the deployment's
-    /// pinned weights occupy on `config`, summed across every
-    /// accelerator binary — the image a fleet controller must ship to
-    /// spin up a replica (see `bw_system::PreloadModel`).
-    pub fn mrf_fill_bytes(&self, config: &NpuConfig) -> u64 {
-        self.binaries.iter().map(|b| b.mrf_fill_bytes(config)).sum()
-    }
-
-    /// Guaranteed min/max cycle counts for one inference through every
-    /// accelerator segment of the deployment (binaries run sequentially,
-    /// so per-binary bounds add). `None` when any binary has no provable
-    /// bound. Host CPU stages are not cycle-modeled and excluded.
-    pub fn static_bounds(&self, config: &NpuConfig) -> Option<CycleBounds> {
-        let mut total = CycleBounds { lower: 0, upper: 0 };
-        for binary in &self.binaries {
-            total = total.then(&binary.static_bounds(config)?);
-        }
-        Some(total)
-    }
-
-    /// Pins every accelerator segment's weights into its NPU.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeployError`] if a load overflows capacity.
-    pub(crate) fn deploy(&self, npus: &mut [Npu]) -> Result<(), DeployError> {
-        for bin in &self.binaries {
-            let npu = &mut npus[bin.device];
-            let nd = npu.config().native_dim();
-            let grid = |d: usize| (d as u32).div_ceil(nd);
-            let mut mrf_base = 0u32;
-            let mut bias_base = 0u32;
-            for &si in &bin.stages {
-                if let Stage::Dense {
-                    rows,
-                    cols,
-                    weights,
-                    bias,
-                    ..
-                } = &self.pipeline.stages[si]
-                {
-                    npu.load_tiled_matrix(
-                        mrf_base,
-                        grid(*rows),
-                        grid(*cols),
-                        *rows,
-                        *cols,
-                        weights,
-                    )?;
-                    mrf_base += grid(*rows) * grid(*cols);
-                    if let Some(bias) = bias {
-                        npu.load_vector(MemId::AddSubVrf(0), bias_base, bias)?;
-                        bias_base += grid(*rows);
-                    }
-                }
+/// Pins `pipeline`'s dense weights and biases into `npu`, where
+/// [`lower`]'s program reads them.
+///
+/// # Errors
+///
+/// Returns [`SimError`] if a load overflows a register file.
+pub(crate) fn load(npu: &mut Npu, pipeline: &Pipeline) -> Result<(), SimError> {
+    let nd = npu.config().native_dim();
+    let grid = |d: usize| (d as u32).div_ceil(nd);
+    let mut mrf_base = 0u32;
+    let mut bias_base = 0u32;
+    for stage in &pipeline.stages {
+        if let Stage::Dense {
+            rows,
+            cols,
+            weights,
+            bias,
+            ..
+        } = stage
+        {
+            npu.load_tiled_matrix(mrf_base, grid(*rows), grid(*cols), *rows, *cols, weights)?;
+            mrf_base += grid(*rows) * grid(*cols);
+            if let Some(bias) = bias {
+                npu.load_vector(MemId::AddSubVrf(0), bias_base, bias)?;
+                bias_base += grid(*rows);
             }
         }
-        Ok(())
     }
-
-    /// Executes a coalesced micro-batch in one pass: each accelerator
-    /// segment receives every column's input up front and runs its
-    /// program once per column inside a single
-    /// [`Npu::run_batch`](bw_core::Npu::run_batch) envelope, so the
-    /// per-segment dispatch/streaming cost is paid once for the whole
-    /// batch. Outputs come back in column order and are bit-identical
-    /// to running each input as a batch of one (the simulator's
-    /// functional path is timing-independent). The returned
-    /// [`RunStats`] accumulates every column.
-    ///
-    /// Each call schedules every segment afresh; a
-    /// [`PinnedModel`](crate::PinnedModel) keeps the schedules and runs
-    /// only their data pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeployError`] on device shortfall, unknown CPU ops, or
-    /// simulator failures.
-    pub(crate) fn execute_batch(
-        &self,
-        npus: &mut [Npu],
-        inputs: &[Vec<f32>],
-    ) -> Result<(Vec<Vec<f32>>, RunStats), DeployError> {
-        self.execute_with(npus, inputs, |_, npu, program, batch| {
-            npu.run_batch(program, batch)
-        })
-    }
-
-    /// [`Deployment::execute_batch`], with `run(k, npu, program, batch)`
-    /// running the `k`-th accelerator binary's program.
-    pub(crate) fn execute_with(
-        &self,
-        npus: &mut [Npu],
-        inputs: &[Vec<f32>],
-        mut run: impl FnMut(usize, &mut Npu, &Program, usize) -> Result<RunStats, SimError>,
-    ) -> Result<(Vec<Vec<f32>>, RunStats), DeployError> {
-        // One carried value per batch column, the caller's inputs until a
-        // segment replaces them. Each accelerator segment pushes every
-        // column's input before running, and the simulator's FIFO
-        // input/output queues keep the columns separated: column b pops
-        // the vectors pushed for column b and its outputs drain in the
-        // same order.
-        let mut values: Option<Vec<Vec<f32>>> = None;
-        let mut stats = RunStats::default();
-        let mut bin_iter = self.binaries.iter().enumerate();
-        for segment in &self.plan.segments {
-            match segment {
-                Placement::Accelerator { .. } => {
-                    let (k, bin) = bin_iter.next().ok_or(DeployError::BadPlan)?;
-                    let npu = &mut npus[bin.device];
-                    for column in values.as_deref().unwrap_or(inputs) {
-                        npu.push_input_padded(column);
-                    }
-                    let run = run(k, npu, &bin.program, inputs.len())?;
-                    stats.accumulate(&run);
-                    let mut outputs = Vec::with_capacity(inputs.len());
-                    for _ in inputs {
-                        let output = npu
-                            .pop_output_concat(bin.output_grid as usize, bin.output_dim)
-                            .ok_or(DeployError::Sim(SimError::NetQueueEmpty {
-                                requested: bin.output_grid,
-                                available: 0,
-                            }))?;
-                        outputs.push(output);
-                    }
-                    values = Some(outputs);
-                }
-                Placement::Cpu { stages } => {
-                    let values = values.get_or_insert_with(|| inputs.to_vec());
-                    for &si in stages {
-                        let Stage::Cpu { name, .. } = &self.pipeline.stages[si] else {
-                            return Err(DeployError::BadPlan);
-                        };
-                        for value in values.iter_mut() {
-                            *value = cpu_op_apply(name, value)
-                                .ok_or_else(|| DeployError::UnknownCpuOp(name.clone()))?;
-                        }
-                    }
-                }
-            }
-        }
-        Ok((values.unwrap_or_else(|| inputs.to_vec()), stats))
-    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ir::{GirGraph, GirOp};
-    use crate::pipeline::{fuse, partition};
-    use crate::{ModelArtifact, PinnedModel};
+    use crate::{ModelArtifact, PinnedModel, ShardSegment, ShardedArtifact};
     use bw_bfp::BfpFormat;
 
     fn config() -> NpuConfig {
@@ -560,7 +376,6 @@ mod tests {
     fn single_device_deployment_matches_reference() {
         let g = mlp_graph(&[8, 12, 4], false);
         let mut pinned = pin(&g, 1 << 20);
-        assert_eq!(pinned.devices(), 1);
 
         let x: Vec<f32> = (0..8).map(|i| (i as f32 - 4.0) / 8.0).collect();
         let (y, stats) = pinned.infer_with_stats(&x).unwrap();
@@ -569,20 +384,6 @@ mod tests {
             assert!((a - b).abs() < 0.1, "{a} vs {b}");
         }
         assert!(stats.cycles > 0);
-    }
-
-    #[test]
-    fn multi_device_partition_round_trips() {
-        // 4 layers of 16x16 = 256 params each; budget 512 -> 2 devices.
-        let g = mlp_graph(&[16, 16, 16, 16, 16], false);
-        let mut pinned = pin(&g, 512);
-        assert_eq!(pinned.devices(), 2);
-        let x = vec![0.2f32; 16];
-        let y = pinned.infer(&x).unwrap();
-        let want = g.evaluate(&x).unwrap();
-        for (a, b) in y.iter().zip(&want) {
-            assert!((a - b).abs() < 0.15, "{a} vs {b}");
-        }
     }
 
     #[test]
@@ -595,18 +396,18 @@ mod tests {
 
     #[test]
     fn lowered_binaries_lint_clean_even_under_deny_warnings() {
+        // 4 layers of 16x16 = 256 params each; budget 512 -> 2 segments.
         let g = mlp_graph(&[16, 16, 16, 16, 16], false);
-        let p = fuse(&g).unwrap();
-        let plan = partition(&p, 512).unwrap();
         let cfg = config();
         let strict = LowerOptions {
             deny_warnings: true,
             ..LowerOptions::default()
         };
-        let dep = Deployment::compile_with(&p, &plan, &cfg, &strict).unwrap();
-        for bin in dep.binaries() {
-            let report = bin.lint(&cfg);
-            assert!(report.is_clean(), "device {}: {report}", bin.device);
+        let sharded = ShardedArtifact::compile("mlp", &g, 512, &cfg, &strict).unwrap();
+        assert_eq!(sharded.segments().len(), 2);
+        for member in sharded.segments().iter().flat_map(ShardSegment::members) {
+            let report = member.binary().expect("accelerated").lint(&cfg);
+            assert!(report.is_clean(), "{}: {report}", member.name());
         }
     }
 
@@ -622,7 +423,6 @@ mod tests {
             .end_chain()
             .unwrap();
         let bin = AcceleratorBinary {
-            device: 0,
             stages: vec![0],
             program: b.build(),
             input_dim: 8,

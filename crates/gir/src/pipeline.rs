@@ -149,10 +149,8 @@ pub fn fuse(graph: &GirGraph) -> Result<Pipeline, GirError> {
 /// Where one contiguous run of stages executes.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Placement {
-    /// On accelerator `device` (an index into the deployment's NPU pool).
+    /// On one accelerator.
     Accelerator {
-        /// Device index.
-        device: usize,
         /// Stage indices (into [`Pipeline::stages`]) in order.
         stages: Vec<usize>,
     },
@@ -168,8 +166,6 @@ pub enum Placement {
 pub struct PartitionPlan {
     /// Execution segments in pipeline order.
     pub segments: Vec<Placement>,
-    /// Number of accelerators used.
-    pub devices_used: usize,
 }
 
 /// Error produced by partitioning.
@@ -207,7 +203,7 @@ impl std::error::Error for PartitionError {}
 /// `device_param_budget` weight parameters on chip, grouping CPU-only
 /// stages into host segments (§II-B). Greedy first-fit in pipeline order,
 /// which preserves the dataflow and matches the paper's linear multi-FPGA
-/// pipelines.
+/// pipelines; a stage after a host segment opens a new device.
 ///
 /// # Errors
 ///
@@ -220,7 +216,6 @@ pub fn partition(
 ) -> Result<PartitionPlan, PartitionError> {
     let mut segments: Vec<Placement> = Vec::new();
     let mut used: u64 = 0;
-    let mut devices_used = 0usize;
 
     for (i, stage) in pipeline.stages.iter().enumerate() {
         if !stage.accelerable() {
@@ -245,23 +240,16 @@ pub fn partition(
             _ => true,
         };
         if need_new_device {
-            segments.push(Placement::Accelerator {
-                device: devices_used,
-                stages: Vec::new(),
-            });
-            devices_used += 1;
+            segments.push(Placement::Accelerator { stages: Vec::new() });
             used = 0;
         }
         used += params;
         match segments.last_mut() {
-            Some(Placement::Accelerator { stages, .. }) => stages.push(i),
+            Some(Placement::Accelerator { stages }) => stages.push(i),
             _ => unreachable!("accelerator segment just ensured"),
         }
     }
-    Ok(PartitionPlan {
-        segments,
-        devices_used,
-    })
+    Ok(PartitionPlan { segments })
 }
 
 #[cfg(test)]
@@ -359,11 +347,10 @@ mod tests {
         let p = fuse(&g).unwrap();
         // Budget of 2 layers per device -> 2 devices.
         let plan = partition(&p, 8192).unwrap();
-        assert_eq!(plan.devices_used, 2);
         assert_eq!(plan.segments.len(), 2);
         // Budget for everything -> 1 device.
         let plan = partition(&p, 1 << 20).unwrap();
-        assert_eq!(plan.devices_used, 1);
+        assert_eq!(plan.segments.len(), 1);
     }
 
     #[test]

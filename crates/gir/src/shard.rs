@@ -6,8 +6,8 @@
 //! [`crate::split_oversized_stages`] rewrites an oversized dense stage
 //! into row shards; this module packages the rewritten pipeline as a
 //! [`ShardedArtifact`] — an ordered list of [`ShardSegment`]s, each a
-//! self-contained [`ModelArtifact`] (or a scatter/gather group of them)
-//! that a serving runtime pins on a *different* worker. The federated
+//! self-contained one-device [`ModelArtifact`] (or a scatter/gather group
+//! of them) that a serving runtime pins on a *different* worker. The federated
 //! runtime (`bw-serve`) streams the input to every shard of a group,
 //! concatenates the row-shard outputs, and forwards the result to the
 //! next segment; because row sharding preserves each output row's dot
@@ -21,8 +21,8 @@ use bw_core::{
 
 use crate::artifact::{ArtifactError, ModelArtifact};
 use crate::ir::GirGraph;
-use crate::lower::{Deployment, LowerOptions};
-use crate::pipeline::{fuse, partition, Pipeline, Stage};
+use crate::lower::LowerOptions;
+use crate::pipeline::{fuse, partition, Pipeline, Placement, Stage};
 use crate::split::{split_oversized_stages, SplitReport};
 
 /// One stage of a sharded model's serving plan, in pipeline order.
@@ -31,7 +31,7 @@ use crate::split::{split_oversized_stages, SplitReport};
 #[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug, PartialEq)]
 pub enum ShardSegment {
-    /// A contiguous run of stages that fits one worker: pinned and served
+    /// A contiguous run of stages that fits one device: pinned and served
     /// like any whole model.
     Single(ModelArtifact),
     /// A row-sharded stage: every member receives the same input
@@ -60,8 +60,9 @@ impl ShardSegment {
 
 /// A model compiled for distributed serving: the fused pipeline split
 /// under a per-worker parameter budget, with every oversized stage row-
-/// sharded into a scatter/gather group and every segment packaged as an
-/// independently pin-able [`ModelArtifact`].
+/// sharded into a scatter/gather group and every other device packaged as
+/// its own `Single` segment. Each member is an independently pin-able
+/// one-device [`ModelArtifact`] within the budget.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ShardedArtifact {
     name: String,
@@ -73,10 +74,11 @@ pub struct ShardedArtifact {
 
 impl ShardedArtifact {
     /// Compiles `graph` for distributed serving: fuse, row-shard every
-    /// stage over `worker_param_budget`, then compile each segment (a
-    /// shard, or a contiguous run of fitting stages) into its own
-    /// [`ModelArtifact`] named `{name}#g{group}s{shard}` /
-    /// `{name}#seg{index}`.
+    /// stage over `worker_param_budget` into a scatter/gather group of
+    /// [`ModelArtifact`]s named `{name}#g{group}s{shard}`, and partition
+    /// the runs of stages between the groups, each device its own `Single`
+    /// segment named `{name}#seg{index}` in order. A host stage rides with
+    /// the device before it or, heading a run, with the one after.
     ///
     /// A model that fits entirely produces one `Single` segment — the
     /// sharded path degenerates to ordinary serving.
@@ -96,77 +98,51 @@ impl ShardedArtifact {
         let pipeline = fuse(graph)?;
         let (split, report) = split_oversized_stages(&pipeline, worker_param_budget)?;
 
-        // Stage index -> (group ordinal, shard ordinal) for shard stages.
-        let mut shard_of = vec![None; split.stages.len()];
-        for (g, group) in report.groups.iter().enumerate() {
-            for (s, &stage) in group.iter().enumerate() {
-                shard_of[stage] = Some((g, s));
-            }
-        }
-
-        let mut segments = Vec::new();
-        let mut run: Vec<Stage> = Vec::new();
-        let mut run_input = split.input_dim;
-        let mut cursor_dim = split.input_dim;
-        let mut seg_ordinal = 0usize;
-        let mut flush =
-            |run: &mut Vec<Stage>, run_input: usize, segments: &mut Vec<ShardSegment>| {
-                if run.is_empty() {
-                    return Ok(());
-                }
-                let artifact = compile_stages(
-                    format!("{name}#seg{seg_ordinal}"),
-                    run_input,
-                    std::mem::take(run),
-                    worker_param_budget,
-                    config,
-                    opts,
-                )?;
-                seg_ordinal += 1;
-                segments.push(ShardSegment::Single(artifact));
-                Ok::<(), ArtifactError>(())
+        let lower = |name: String, input_dim: usize, stages: Vec<Stage>| {
+            ModelArtifact::lower(name, Pipeline { input_dim, stages }, config, opts)
+        };
+        let (mut segments, mut seg, mut at, mut dim) = (Vec::new(), 0, 0, split.input_dim);
+        let group_heads = report.groups.iter().map(|group| group[0]);
+        for (g, end) in group_heads.chain([split.stages.len()]).enumerate() {
+            // The run of stages up to group `g`: each device of its
+            // partition after the first starts a segment.
+            let run = Pipeline {
+                input_dim: dim,
+                stages: split.stages[at..end].to_vec(),
             };
-
-        let mut i = 0;
-        while i < split.stages.len() {
-            match shard_of[i] {
-                None => {
-                    if run.is_empty() {
-                        run_input = cursor_dim;
-                    }
-                    cursor_dim = split.stages[i].out_dim();
-                    run.push(split.stages[i].clone());
-                    i += 1;
-                }
-                Some((g, _)) => {
-                    flush(&mut run, run_input, &mut segments)?;
-                    let group = &report.groups[g];
-                    let scatter_dim = cursor_dim;
-                    let mut members = Vec::with_capacity(group.len());
-                    let mut gathered = 0usize;
-                    for (s, &stage) in group.iter().enumerate() {
-                        gathered += split.stages[stage].out_dim();
-                        members.push(compile_stages(
-                            format!("{name}#g{g}s{s}"),
-                            scatter_dim,
-                            vec![split.stages[stage].clone()],
-                            worker_param_budget,
-                            config,
-                            opts,
-                        )?);
-                    }
-                    cursor_dim = gathered;
-                    segments.push(ShardSegment::Sharded(members));
-                    i += group.len();
-                }
+            let plan = partition(&run, worker_param_budget)?;
+            let devices = plan.segments.iter().filter_map(|p| match p {
+                Placement::Accelerator { stages } => Some(stages[0]),
+                Placement::Cpu { .. } => None,
+            });
+            let bounds: Vec<usize> = std::iter::once(0)
+                .chain(devices.skip(1))
+                .chain([run.stages.len()])
+                .collect();
+            let mut stages = run.stages.into_iter();
+            for w in bounds.windows(2).filter(|w| w[0] < w[1]) {
+                let piece = stages.by_ref().take(w[1] - w[0]).collect();
+                let member = lower(format!("{name}#seg{seg}"), dim, piece)?;
+                (seg, dim) = (seg + 1, member.output_dim());
+                segments.push(ShardSegment::Single(member));
             }
+            let Some(group) = report.groups.get(g) else {
+                break;
+            };
+            let mut members = Vec::with_capacity(group.len());
+            for (s, &i) in group.iter().enumerate() {
+                let shard = vec![split.stages[i].clone()];
+                members.push(lower(format!("{name}#g{g}s{s}"), dim, shard)?);
+            }
+            dim = members.iter().map(ModelArtifact::output_dim).sum();
+            at = end + group.len();
+            segments.push(ShardSegment::Sharded(members));
         }
-        flush(&mut run, run_input, &mut segments)?;
 
         let artifact = ShardedArtifact {
             name,
             input_dim: split.input_dim,
-            output_dim: cursor_dim,
+            output_dim: dim,
             report,
             segments,
         };
@@ -228,50 +204,33 @@ impl ShardedArtifact {
     }
 
     /// The whole-artifact analysis view over the serving plan: one unit
-    /// per accelerator binary, one view stage per pipeline hop, sharded
+    /// per member with a binary, one view stage per pipeline hop, sharded
     /// segments as scatter/gather groups. Host (CPU) stages are pointwise
     /// and relay vectors without changing dimension, so consecutive
     /// binaries chain by the default producer wiring.
     pub(crate) fn analysis_view(&self) -> ArtifactView<'_> {
         let mut view = ArtifactView::new(&self.name, self.input_dim);
         for segment in &self.segments {
-            match segment {
-                ShardSegment::Single(a) => {
-                    let binaries = a.deployment().binaries();
-                    for b in binaries {
-                        let unit = view.add_unit(ArtifactUnit {
-                            name: if binaries.len() == 1 {
-                                a.name().to_owned()
-                            } else {
-                                format!("{}#d{}", a.name(), b.device)
-                            },
-                            program: &b.program,
-                            config: a.config(),
-                            options: b.analysis_options(),
-                            input_dim: b.input_dim,
-                            output_dim: b.output_dim,
-                        });
-                        view.push_single(unit);
-                    }
-                }
-                ShardSegment::Sharded(members) => {
-                    let units: Vec<usize> = members
-                        .iter()
-                        .filter_map(|m| {
-                            let b = m.deployment().binaries().first()?;
-                            Some(view.add_unit(ArtifactUnit {
-                                name: m.name().to_owned(),
-                                program: &b.program,
-                                config: m.config(),
-                                options: b.analysis_options(),
-                                input_dim: b.input_dim,
-                                output_dim: b.output_dim,
-                            }))
-                        })
-                        .collect();
-                    view.push_sharded(units);
-                }
-            }
+            let units: Vec<usize> = segment
+                .members()
+                .into_iter()
+                .filter_map(|m| {
+                    let b = m.binary()?;
+                    Some(view.add_unit(ArtifactUnit {
+                        name: m.name().to_owned(),
+                        program: &b.program,
+                        config: m.config(),
+                        options: b.analysis_options(),
+                        input_dim: b.input_dim,
+                        output_dim: b.output_dim,
+                    }))
+                })
+                .collect();
+            match (segment, units.as_slice()) {
+                (ShardSegment::Sharded(_), _) => view.push_sharded(units),
+                (ShardSegment::Single(_), &[unit]) => view.push_single(unit),
+                (ShardSegment::Single(_), _) => continue,
+            };
         }
         view
     }
@@ -297,21 +256,6 @@ impl ShardedArtifact {
     pub fn static_bounds(&self) -> Option<CycleBounds> {
         artifact_cycle_bounds(&self.analysis_view())
     }
-}
-
-/// Compiles a contiguous stage slice as its own pipeline.
-fn compile_stages(
-    name: String,
-    input_dim: usize,
-    stages: Vec<Stage>,
-    budget: u64,
-    config: &NpuConfig,
-    opts: &LowerOptions,
-) -> Result<ModelArtifact, ArtifactError> {
-    let sub = Pipeline { input_dim, stages };
-    let plan = partition(&sub, budget)?;
-    let deployment = Deployment::compile_with(&sub, &plan, config, opts)?;
-    Ok(ModelArtifact::new(name, config.clone(), deployment))
 }
 
 #[cfg(test)]
@@ -446,6 +390,47 @@ mod tests {
             }
         }
         assert_eq!(value, ref_pin.infer(&x).unwrap(), "bit-identity");
+    }
+
+    #[test]
+    fn each_device_of_an_over_budget_run_is_its_own_segment() {
+        // Four 64x64 layers of 4,096 weights at 8,192 per device: two
+        // devices, which one artifact refuses and a sharded one splits.
+        let cfg = NpuConfig::builder()
+            .native_dim(16)
+            .lanes(4)
+            .tile_engines(2)
+            .mrf_entries(64)
+            .vrf_entries(128)
+            .matrix_format(BfpFormat::BFP_1S_5E_5M)
+            .build()
+            .unwrap();
+        let (g, opts) = (mlp(&[64, 64, 64, 64, 64]), LowerOptions::default());
+        let refused = ModelArtifact::compile("m", &g, 8192, &cfg, &opts);
+        assert!(matches!(
+            refused,
+            Err(ArtifactError::MultiDevice { devices: 2, .. })
+        ));
+
+        let sharded = ShardedArtifact::compile("m", &g, 8192, &cfg, &opts).unwrap();
+        let x: Vec<f32> = (0..64).map(|i| ((i as f32) * 0.23).cos() * 0.5).collect();
+        let mut value = x.clone();
+        for (k, segment) in sharded.segments().iter().enumerate() {
+            let ShardSegment::Single(member) = segment else {
+                panic!("segment {k} is a group");
+            };
+            assert_eq!(member.name(), format!("m#seg{k}"));
+            assert_eq!(member.binary().map(|b| b.stages.len()), Some(2));
+            assert!(member.weight_params() <= 8192);
+            value = member.pin().unwrap().infer(&value).unwrap();
+        }
+        assert_eq!(sharded.segments().len(), 2);
+        let whole = ModelArtifact::compile("whole", &g, 1 << 20, &cfg, &opts).unwrap();
+        assert_eq!(
+            value,
+            whole.pin().unwrap().infer(&x).unwrap(),
+            "bit-identity"
+        );
     }
 
     #[test]

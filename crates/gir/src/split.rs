@@ -346,6 +346,6 @@ mod tests {
         let (q, report) = split_oversized_stages(&p, 1200).unwrap();
         assert_eq!(report.splits.len(), 1);
         let plan = partition(&q, 1200).unwrap();
-        assert_eq!(plan.devices_used, q.stages.len());
+        assert_eq!(plan.segments.len(), q.stages.len());
     }
 }

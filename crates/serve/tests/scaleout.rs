@@ -145,6 +145,38 @@ fn oversized_model_serves_sharded_bit_identical_to_single_device() {
     assert!(prom.contains("bw_requests_completed_total{model=\"big#g0s0\"} 4"));
 }
 
+/// A host op between two accelerated layers needs two devices: the model
+/// compiles as two segments, and serving it chains them exactly.
+#[test]
+fn a_host_hop_serves_as_its_chained_segments() {
+    let model = "input 16\ndense 16 tanh seed=1\ncpu softmax\ndense 8 seed=2\noutput\n";
+    let graph = bw_gir::parse_model(model).unwrap();
+    let sharded = ShardedArtifact::compile(
+        "hop",
+        &graph,
+        BUDGET,
+        &small_config(),
+        &LowerOptions::default(),
+    )
+    .unwrap();
+    assert_eq!((sharded.segments().len(), sharded.max_width()), (2, 1));
+
+    let input = demo_input(16, 5);
+    let mut chained = input.clone();
+    for segment in sharded.segments() {
+        for member in segment.members() {
+            chained = member.pin().unwrap().infer(&chained).unwrap();
+        }
+    }
+    let server = Server::builder()
+        .sharded_model(sharded)
+        .replicas(2)
+        .spawn()
+        .unwrap();
+    let got = server.client().call("hop", &input, DEADLINE).unwrap();
+    assert_eq!(got.output, chained);
+}
+
 #[test]
 fn sharded_group_needs_one_worker_per_shard() {
     let err = Server::builder()

@@ -8,7 +8,7 @@
 //! streaming it into on-chip SRAM before the first request can land, and
 //! that window is exactly what the controller must hide. [`PreloadModel`]
 //! prices that window from the artifact's MRF fill size (see
-//! `Deployment::mrf_fill_bytes` in `bw-gir`) and the shared
+//! `ModelArtifact::mrf_fill_bytes` in `bw-gir`) and the shared
 //! [`NetworkModel`](crate::NetworkModel) — including its degraded-link
 //! multiplier, so preloading over a sick link is honestly slower.
 

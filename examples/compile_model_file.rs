@@ -43,9 +43,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Shard, partition and lower under a deliberately tight on-chip
     //    budget so the model needs several devices (the paper's
-    //    capacity-driven multi-FPGA case, §II-B). Every segment is its own
-    //    pin-able artifact; the oversized layer becomes a scatter/gather
-    //    segment of row shards.
+    //    capacity-driven multi-FPGA case, §II-B). Every device is its own
+    //    pin-able one-NPU artifact; the oversized layer becomes a
+    //    scatter/gather segment of row shards.
     let config = |mrf_entries| {
         NpuConfig::builder()
             .name("toolflow-node")
@@ -67,11 +67,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for segment in sharded.segments() {
         println!("  width {}:", segment.width());
         for member in segment.members() {
-            for bin in member.deployment().binaries() {
+            if let Some(bin) = member.binary() {
                 println!(
-                    "    {} device {}: {} -> {}, {} MRF tiles, {} chains",
+                    "    {} on one NPU: {} -> {}, {} MRF tiles, {} chains",
                     member.name(),
-                    bin.device,
                     bin.input_dim,
                     bin.output_dim,
                     bin.mrf_entries,

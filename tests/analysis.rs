@@ -248,19 +248,12 @@ fn gir_deployment_gate_passes_clean_pipelines_and_blocks_bad_binaries() {
         )
         .unwrap();
     g.add(gir::GirOp::Output, &[m]).unwrap();
-    let p = gir::fuse(&g).unwrap();
-    let plan = gir::partition(&p, 1 << 20).unwrap();
-    let dep = gir::Deployment::compile_with(
-        &p,
-        &plan,
-        &cfg(),
-        &gir::LowerOptions {
-            deny_warnings: true,
-            ..gir::LowerOptions::default()
-        },
-    )
-    .unwrap();
-    assert!(dep.binaries().iter().all(|b| b.lint(&cfg()).is_clean()));
+    let strict = gir::LowerOptions {
+        deny_warnings: true,
+        ..gir::LowerOptions::default()
+    };
+    let artifact = gir::ModelArtifact::compile("clean", &g, 1 << 20, &cfg(), &strict).unwrap();
+    assert!(artifact.binary().unwrap().lint(&cfg()).is_clean());
 
     // A binary whose program reads state nothing initializes is refused.
     let mut b = ProgramBuilder::new();
@@ -270,7 +263,6 @@ fn gir_deployment_gate_passes_clean_pipelines_and_blocks_bad_binaries() {
         .end_chain()
         .unwrap();
     let bad = gir::AcceleratorBinary {
-        device: 0,
         stages: vec![0],
         program: b.build(),
         input_dim: 8,

@@ -288,6 +288,10 @@ proptest! {
             &LowerOptions::default(),
         ).unwrap();
         let width = sharded.max_width();
+        for member in sharded.segments().iter().flat_map(|s| s.members()) {
+            prop_assert!(member.binary().is_some(), "{} has no binary", member.name());
+            prop_assert!(member.weight_params() <= budget, "{} over budget", member.name());
+        }
 
         let expected = mlp_artifact("ref", &widths, seed)
             .pin()

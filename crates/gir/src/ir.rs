@@ -58,22 +58,32 @@ pub enum GirOp {
     Output,
 }
 
-/// Executes a named CPU op (the host-runtime side of the federated
-/// execution model). Returns `None` for unknown names.
-pub(crate) fn cpu_op_apply(name: &str, x: &[f32]) -> Option<Vec<f32>> {
+/// A host op's implementation: one column in, one out.
+type HostOp = fn(&[f32]) -> Vec<f32>;
+
+/// The host's implementation of a named CPU op (the host-runtime side of
+/// the federated execution model), or `None` for a name it does not know.
+/// [`GirGraph::add`] refuses an unknown name, so a built graph's ops all
+/// resolve.
+pub(crate) fn cpu_op(name: &str) -> Option<HostOp> {
     match name {
-        "softmax" => {
+        "softmax" => Some(|x| {
             let max = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
             let exps: Vec<f32> = x.iter().map(|v| (v - max).exp()).collect();
             let sum: f32 = exps.iter().sum();
-            Some(exps.into_iter().map(|e| e / sum).collect())
-        }
-        "l2norm" => {
+            exps.into_iter().map(|e| e / sum).collect()
+        }),
+        "l2norm" => Some(|x| {
             let norm = x.iter().map(|v| v * v).sum::<f32>().sqrt().max(1e-12);
-            Some(x.iter().map(|v| v / norm).collect())
-        }
+            x.iter().map(|v| v / norm).collect()
+        }),
         _ => None,
     }
+}
+
+/// Applies the host op `name`, which [`GirGraph::add`] admitted.
+pub(crate) fn cpu_op_apply(name: &str, x: &[f32]) -> Vec<f32> {
+    cpu_op(name).expect("a built graph names only known host ops")(x)
 }
 
 /// One node: an op plus its input edges.
@@ -124,6 +134,13 @@ pub enum GirError {
     },
     /// The graph has no `Input` or no `Output`.
     MissingEndpoints,
+    /// A `CpuOp` names an op the host does not implement.
+    UnknownCpuOp {
+        /// The offending node.
+        node: u32,
+        /// The unknown name.
+        name: String,
+    },
 }
 
 impl std::fmt::Display for GirError {
@@ -145,6 +162,9 @@ impl std::fmt::Display for GirError {
                 write!(f, "node {node} breaks the linear pipeline structure")
             }
             GirError::MissingEndpoints => write!(f, "graph needs an Input and an Output"),
+            GirError::UnknownCpuOp { node, name } => {
+                write!(f, "node {node} names unknown CPU op `{name}`")
+            }
         }
     }
 }
@@ -184,8 +204,8 @@ impl GirGraph {
     ///
     /// # Errors
     ///
-    /// Returns [`GirError`] on dangling edges, arity violations, or shape
-    /// mismatches.
+    /// Returns [`GirError`] on dangling edges, arity violations, shape
+    /// mismatches, or a host op the host does not implement.
     pub fn add(&mut self, op: GirOp, inputs: &[GirNodeId]) -> Result<GirNodeId, GirError> {
         let id = self.nodes.len() as u32;
         for e in inputs {
@@ -235,6 +255,12 @@ impl GirGraph {
                     });
                 }
                 actual
+            }
+            GirOp::CpuOp { name } if cpu_op(name).is_none() => {
+                return Err(GirError::UnknownCpuOp {
+                    node: id,
+                    name: name.clone(),
+                });
             }
             GirOp::Activation(_) | GirOp::CpuOp { .. } | GirOp::Output => {
                 in_dim.expect("arity checked")
@@ -324,7 +350,7 @@ impl GirGraph {
                 }
                 GirOp::CpuOp { name } => {
                     let x = value.take().ok_or(GirError::MissingEndpoints)?;
-                    cpu_op_apply(name, &x).ok_or(GirError::NotAChain { node: i as u32 })?
+                    cpu_op_apply(name, &x)
                 }
                 GirOp::Output => value.take().ok_or(GirError::MissingEndpoints)?,
             };
@@ -436,10 +462,25 @@ mod tests {
 
     #[test]
     fn cpu_op_builtins() {
-        let s = cpu_op_apply("softmax", &[0.0, 0.0]).unwrap();
+        let s = cpu_op_apply("softmax", &[0.0, 0.0]);
         assert_eq!(s, vec![0.5, 0.5]);
-        let n = cpu_op_apply("l2norm", &[3.0, 4.0]).unwrap();
+        let n = cpu_op_apply("l2norm", &[3.0, 4.0]);
         assert!((n[0] - 0.6).abs() < 1e-6);
-        assert!(cpu_op_apply("unknown", &[1.0]).is_none());
+        assert!(cpu_op("unknown").is_none());
+    }
+
+    #[test]
+    fn an_unknown_host_op_is_refused_where_it_is_added() {
+        let mut g = GirGraph::new();
+        let x = g.add(GirOp::Input { dim: 4 }, &[]).unwrap();
+        let typo = GirOp::CpuOp {
+            name: "sofmax".into(),
+        };
+        let want = GirError::UnknownCpuOp {
+            node: 1,
+            name: "sofmax".into(),
+        };
+        assert_eq!(g.add(typo, &[x]).unwrap_err(), want);
+        assert_eq!(g.nodes().len(), 1, "nothing was added");
     }
 }

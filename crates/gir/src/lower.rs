@@ -123,11 +123,6 @@ impl LowerOptions {
 /// Error produced during lowering or execution.
 #[derive(Clone, Debug, PartialEq)]
 pub enum DeployError {
-    /// An unknown CPU op name.
-    UnknownCpuOp(
-        /// The op name.
-        String,
-    ),
     /// A simulator error during weight loading or execution.
     Sim(SimError),
     /// The firmware linter rejected a lowered binary.
@@ -148,7 +143,6 @@ impl From<SimError> for DeployError {
 impl std::fmt::Display for DeployError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DeployError::UnknownCpuOp(name) => write!(f, "unknown CPU op `{name}`"),
             DeployError::Sim(e) => write!(f, "simulator error: {e}"),
             DeployError::Rejected { artifact, report } => write!(
                 f,

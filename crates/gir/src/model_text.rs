@@ -299,6 +299,11 @@ output
             ("input 4\noutput\ninput 4\n", 3, "after `output`"),
             ("input 4\ndense 4\n", 2, "without `output`"),
             ("input 4\ninput 4\noutput\n", 2, "must be the first"),
+            (
+                "input 4\ncpu sofmax\noutput\n",
+                2,
+                "unknown CPU op `sofmax`",
+            ),
         ];
         for (text, line, needle) in cases {
             let e = parse_model(text).unwrap_err();

@@ -17,7 +17,7 @@
 //! whole block of message slots.
 
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Why a read found no value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,19 +101,21 @@ impl<T> Drop for Fill<T> {
 }
 
 impl<T> ReplySlot<T> {
+    /// Takes the value if the slot is filled or closed, without waiting:
+    /// [`Unfilled::Timeout`] means not yet.
+    pub(crate) fn try_take(&self) -> Result<T, Unfilled> {
+        take(&mut self.shared.inner.lock().unwrap().state)
+    }
+
     /// Blocks until the slot is filled or closed.
     pub(crate) fn wait(&self) -> Result<T, Unfilled> {
         self.wait_until(None)
     }
 
-    /// Blocks until the slot is filled or closed, or `timeout` passes;
-    /// a zero `timeout` only looks.
-    pub(crate) fn wait_timeout(&self, timeout: Duration) -> Result<T, Unfilled> {
-        self.wait_until(Instant::now().checked_add(timeout))
-    }
-
-    /// `deadline: None` waits without a bound.
-    fn wait_until(&self, deadline: Option<Instant>) -> Result<T, Unfilled> {
+    /// Blocks until the slot is filled or closed, or `deadline` passes;
+    /// `None` waits without a bound. Only a reader that must park with a
+    /// bound reads the clock.
+    pub(crate) fn wait_until(&self, deadline: Option<Instant>) -> Result<T, Unfilled> {
         let mut inner = self.shared.inner.lock().unwrap();
         loop {
             match take(&mut inner.state) {
@@ -153,10 +155,15 @@ fn take<T>(state: &mut State<T>) -> Result<T, Unfilled> {
 mod tests {
     use super::*;
     use std::thread::JoinHandle;
+    use std::time::Duration;
 
     /// Long enough that a reader left parked fails the test rather than
     /// reading its outcome by luck.
     const BOUND: Duration = Duration::from_secs(30);
+
+    fn bound() -> Option<Instant> {
+        Some(Instant::now() + BOUND)
+    }
 
     /// Runs `then` on another thread once the reader is parked on the
     /// condvar, so the wake-up is what the test checks.
@@ -179,10 +186,7 @@ mod tests {
         fill.fill(7);
         assert_eq!(slot.wait(), Ok(7));
         // One-shot: the value is gone and the filler with it.
-        assert_eq!(
-            slot.wait_timeout(Duration::ZERO),
-            Err(Unfilled::Disconnected)
-        );
+        assert_eq!(slot.try_take(), Err(Unfilled::Disconnected));
     }
 
     #[test]
@@ -190,7 +194,7 @@ mod tests {
         let (fill, slot) = reply_slot();
         let filler = after_the_reader_parks(fill, |fill| fill.fill("done"));
         let start = Instant::now();
-        assert_eq!(slot.wait_timeout(BOUND), Ok("done"));
+        assert_eq!(slot.wait_until(bound()), Ok("done"));
         assert!(start.elapsed() < BOUND / 2, "the fill woke the reader");
         filler.join().unwrap();
     }
@@ -198,29 +202,24 @@ mod tests {
     #[test]
     fn a_late_fill_still_reads_after_a_timeout() {
         let (fill, slot) = reply_slot();
-        assert_eq!(slot.wait_timeout(Duration::ZERO), Err(Unfilled::Timeout));
-        assert_eq!(
-            slot.wait_timeout(Duration::from_millis(5)),
-            Err(Unfilled::Timeout)
-        );
+        assert_eq!(slot.try_take(), Err(Unfilled::Timeout));
+        let soon = Instant::now() + Duration::from_millis(5);
+        assert_eq!(slot.wait_until(Some(soon)), Err(Unfilled::Timeout));
         fill.fill(3);
-        assert_eq!(slot.wait_timeout(BOUND), Ok(3));
+        assert_eq!(slot.wait_until(bound()), Ok(3));
     }
 
     #[test]
     fn a_filler_dropped_unfilled_reads_disconnected() {
         let (fill, slot) = reply_slot::<u32>();
         drop(fill);
-        assert_eq!(
-            slot.wait_timeout(Duration::ZERO),
-            Err(Unfilled::Disconnected)
-        );
+        assert_eq!(slot.try_take(), Err(Unfilled::Disconnected));
         assert_eq!(slot.wait(), Err(Unfilled::Disconnected));
         // A parked reader is woken by the drop, not left to its timeout.
         let (fill, slot) = reply_slot::<u32>();
         let dropper = after_the_reader_parks(fill, drop);
         let start = Instant::now();
-        assert_eq!(slot.wait_timeout(BOUND), Err(Unfilled::Disconnected));
+        assert_eq!(slot.wait_until(bound()), Err(Unfilled::Disconnected));
         assert!(start.elapsed() < BOUND / 2, "the drop woke the reader");
         dropper.join().unwrap();
     }

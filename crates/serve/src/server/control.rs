@@ -196,14 +196,15 @@ impl Server {
         let bytes = usize::try_from(artifact.mrf_fill_bytes()).unwrap_or(usize::MAX);
         let net = inner.network();
         let preload_s = inner.cfg.preload.preload_s(bytes, &net, worker);
-        handle
-            .control(Control::Pin {
-                slot,
-                model: Box::new(pin),
-                preload_s,
-                bytes,
-            })
-            .map_err(|_| PinError::WorkerDead(worker))?;
+        let pin = Control::Pin {
+            slot,
+            model: Box::new(pin),
+            preload_s,
+            bytes,
+        };
+        if !handle.control(pin) {
+            return Err(PinError::WorkerDead(worker));
+        }
         Ok(Duration::from_secs_f64(preload_s))
     }
 
@@ -281,11 +282,11 @@ impl Server {
     }
 
     /// Replaces the live network model (fault injection and repair).
-    /// Routing, transfer charging, and preload costs see the new model
-    /// immediately; requests already sleeping a leg finish at the old
-    /// cost.
+    /// Requests admitted from now on, and preload costs, see the new
+    /// model; a request already admitted routes and is charged by the
+    /// model it read at admission.
     pub fn set_network(&self, net: NetworkModel) {
-        *self.inner.net.write().unwrap() = net;
+        self.inner.catalog.write().unwrap().network = net;
     }
 
     /// A copy of the live network model.

@@ -9,7 +9,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bw_core::{RunStats, SpanKind, SpanRecord};
+use bw_system::NetworkModel;
 
+use super::few::Few;
 use super::{head_sampled, Leg, Plan, ServerInner, TRACE_LOG_CAP};
 use crate::metrics::MetricsSnapshot;
 use crate::reply_slot::{reply_slot, ReplySlot, Unfilled};
@@ -45,7 +47,7 @@ impl Client {
         input: &[f32],
         deadline: Duration,
     ) -> Result<Pending, ServeError> {
-        let plan = self
+        let (plan, net) = self
             .inner
             .resolve(model)
             .ok_or_else(|| ServeError::UnknownModel(model.to_owned()))?;
@@ -53,7 +55,7 @@ impl Client {
         let now = Instant::now();
         let columns = std::iter::once(input.to_vec()).collect();
         let epochs = std::iter::once((now, now + deadline));
-        Run::admit(&self.inner, plan, columns, epochs).map(|run| Pending { run })
+        Run::admit(&self.inner, (plan, net), columns, epochs, now).map(|run| Pending { run })
     }
 
     /// [`Client::submit`] + [`Pending::wait`] in one call.
@@ -94,7 +96,7 @@ impl Client {
         items: &[BatchItem],
     ) -> Vec<Result<Response, ServeError>> {
         let inner = &self.inner;
-        let Some(plan) = inner.resolve(model) else {
+        let Some((plan, net)) = inner.resolve(model) else {
             let unknown = Err(ServeError::UnknownModel(model.to_owned()));
             return vec![unknown; items.len()];
         };
@@ -104,9 +106,9 @@ impl Client {
             .map(|item| plan.check(item.input.len(), item.slack(now)).err().map(Err))
             .collect();
         let admitted: Vec<usize> = (0..items.len()).filter(|&i| results[i].is_none()).collect();
-        // A one-leg plan takes the whole window as the columns of one
-        // run; any other plan takes each member as a run of its own.
-        let windows: Vec<Vec<usize>> = if !plan.coalesces() {
+        // A whole model takes the window as the columns of one run; a
+        // shard group takes each member as a run of its own.
+        let windows: Vec<Vec<usize>> = if plan.stages[0][0].member.is_some() {
             admitted.into_iter().map(|i| vec![i]).collect()
         } else if admitted.is_empty() {
             Vec::new()
@@ -123,7 +125,7 @@ impl Client {
             let epochs = window
                 .iter()
                 .map(|&i| (items[i].arrived_at, items[i].deadline_at));
-            match Run::admit(inner, Arc::clone(&plan), columns, epochs) {
+            match Run::admit(inner, (Arc::clone(&plan), net), columns, epochs, now) {
                 Ok(run) => runs.push((window, run)),
                 Err(e) => window
                     .into_iter()
@@ -133,10 +135,10 @@ impl Client {
         // Stage by stage across the runs, so their stages overlap.
         while !runs.is_empty() {
             runs.retain_mut(|(window, run)| {
-                let Some(outcomes) = run.step() else {
+                let Some(mut outcomes) = run.step() else {
                     return true;
                 };
-                for (&i, outcome) in window.iter().zip(outcomes) {
+                for (&i, outcome) in window.iter().zip(outcomes.drain()) {
                     results[i] = Some(outcome);
                 }
                 false
@@ -164,13 +166,13 @@ impl Client {
     /// microseconds, when provable (whole models and shard groups
     /// alike). This is the bound admission compares deadlines against.
     pub fn static_bound_us(&self, model: &str) -> Option<u64> {
-        self.inner.resolve(model)?.bound_us
+        self.inner.resolve(model)?.0.bound_us
     }
 
     /// The input width `model` expects, if registered (whole models and
     /// shard groups alike).
     pub fn input_dim_of(&self, model: &str) -> Option<usize> {
-        self.inner.resolve(model).map(|plan| plan.input_dim)
+        self.inner.resolve(model).map(|(plan, _)| plan.input_dim)
     }
 
     /// Addressable model names in metrics-row order: whole models and
@@ -248,18 +250,9 @@ impl Pending {
         let mut run = self.run;
         loop {
             if let Some(mut outcomes) = run.step() {
-                return outcomes.pop().expect("one member, one outcome");
+                return outcomes.drain().next().expect("one member, one outcome");
             }
         }
-    }
-}
-
-impl Plan {
-    /// Whether a window of requests for this plan travels as one
-    /// multi-column leg: a whole model does, a shard group does not.
-    fn coalesces(&self) -> bool {
-        let first = self.stages.first().and_then(|stage| stage.first());
-        first.is_some_and(|leg| leg.member.is_none())
     }
 }
 
@@ -272,12 +265,14 @@ struct Member {
     deadline_at: Instant,
 }
 
+/// Each member's outcome, in member order.
+type Outcomes = Few<Result<Response, ServeError>>;
+
 /// One leg of the in-flight stage.
 struct LegRun {
-    /// Workers that already tried this leg.
-    tried: Vec<usize>,
-    /// Failover retries this leg consumed.
-    retries: u32,
+    /// Workers that already tried this leg: one more than the failover
+    /// retries it consumed.
+    tried: Few<usize>,
     /// When the leg's first attempt was dispatched (member-row latency).
     dispatched_at: Instant,
     /// The current attempt's ticket on its worker's queue (the worker
@@ -285,8 +280,9 @@ struct LegRun {
     ticket: u64,
     /// The current attempt's reply slot.
     reply: ReplySlot<Completion>,
-    /// The accepted attempt, once the leg is in.
-    done: Option<Served>,
+    /// Whether an attempt was accepted: the leg completed on its member
+    /// row.
+    done: bool,
 }
 
 enum DispatchStopped {
@@ -301,7 +297,10 @@ enum DispatchStopped {
 struct Run {
     inner: Arc<ServerInner>,
     plan: Arc<Plan>,
-    members: Vec<Member>,
+    /// The network model read with the plan: the run routes and charges
+    /// by it to the end.
+    net: NetworkModel,
+    members: Few<Member>,
     /// The latest member deadline: workers expire jobs at it and the leg
     /// driver waits no longer. Earlier member deadlines are checked by
     /// the late-response rule.
@@ -315,7 +314,10 @@ struct Run {
     stage: usize,
     /// The in-flight stage's input columns.
     input: Columns,
-    legs: Vec<LegRun>,
+    legs: Few<LegRun>,
+    /// The driving thread's latest clock reading (the staleness rule in
+    /// the [module documentation](super)).
+    stamp: Instant,
     /// Failover retries across all legs and stages.
     retries: u32,
     network_s: f64,
@@ -329,16 +331,18 @@ struct Run {
 }
 
 impl Run {
-    /// Admits one run of `plan` over `input` — one column and one
-    /// `(arrived_at, deadline_at)` epoch per member request — and
-    /// scatters stage 0, so that a full pool sheds at admission.
+    /// Admits one run of a resolved `(plan, network)` over `input` — one
+    /// column and one `(arrived_at, deadline_at)` epoch per member
+    /// request — and scatters stage 0 stamped `now`, so that a full pool
+    /// sheds at admission.
     fn admit(
         inner: &Arc<ServerInner>,
-        plan: Arc<Plan>,
+        (plan, net): (Arc<Plan>, NetworkModel),
         input: Columns,
         epochs: impl Iterator<Item = (Instant, Instant)>,
+        now: Instant,
     ) -> Result<Run, ServeError> {
-        let members: Vec<Member> = epochs
+        let members: Few<Member> = epochs
             .map(|(arrived_at, deadline_at)| Member {
                 id: inner.next_request_id(),
                 arrived_at,
@@ -358,12 +362,14 @@ impl Run {
         let mut run = Run {
             inner: Arc::clone(inner),
             plan,
+            net,
             members,
             deadline,
             collect_spans,
             stage: 0,
             input,
-            legs: Vec::new(),
+            legs: Few::new(),
+            stamp: now,
             retries: 0,
             network_s: 0.0,
             queue_wait_s: 0.0,
@@ -409,28 +415,23 @@ impl Run {
         }
     }
 
-    /// Walks the router's order and enqueues one attempt of `leg` on the
-    /// first worker that pins its slot over a live link and has queue
-    /// room, skipping `tried`. A parked worker is woken at once when
-    /// `wake` is set, and otherwise owed the wake by this thread. Returns
-    /// the worker, the attempt's ticket and its reply slot, or what
-    /// stopped dispatch.
+    /// Walks the router's order and enqueues one attempt of `leg`,
+    /// stamped `self.stamp`, on the first worker that pins its slot over
+    /// a live link and has queue room, skipping `tried`. A parked worker
+    /// is woken at once when `wake` is set, and otherwise owed the wake
+    /// by this thread. Returns the worker, the attempt's ticket and its
+    /// reply slot, or what stopped dispatch.
     fn dispatch(
         &self,
         leg: &Leg,
-        tried: &[usize],
-        now: Instant,
+        tried: &Few<usize>,
         wake: bool,
     ) -> Result<(usize, u64, ReplySlot<Completion>), DispatchStopped> {
-        let inner = &self.inner;
-        let net = inner.network();
-        let order = inner.router.plan_eligible(&inner.workers, tried, |w| {
-            inner.workers[w].pins(leg.slot) && net.link_up(w)
+        let workers = &self.inner.workers;
+        let order = self.inner.router.order(workers, |w| {
+            !tried.iter().any(|&t| t == w) && workers[w].pins(leg.slot) && self.net.link_up(w)
         });
-        if order.is_empty() {
-            return Err(DispatchStopped::NoReplica);
-        }
-        let mut all_full = true;
+        let (mut full, mut dead) = (false, false);
         for worker in order {
             let (fill, reply) = reply_slot();
             let job = Job {
@@ -438,19 +439,20 @@ impl Run {
                 columns: Arc::clone(&self.input),
                 deadline: self.deadline,
                 reply: fill,
-                enqueued_at: now,
+                enqueued_at: self.stamp,
                 collect_spans: self.collect_spans,
             };
-            let handle = &inner.workers[worker];
+            let handle = &workers[worker];
             // Work this thread queued elsewhere runs meanwhile.
             pay_owed_wakes(Some(handle));
             match handle.try_dispatch(job, wake) {
                 Ok(ticket) => return Ok((worker, ticket, reply)),
-                Err(DispatchRefused::QueueFull) => {}
-                Err(DispatchRefused::Dead) => all_full = false,
+                Err(DispatchRefused::QueueFull) => full = true,
+                Err(DispatchRefused::Dead) => dead = true,
             }
         }
-        if all_full {
+        // No candidate, or one that died under us, is no replica.
+        if full && !dead {
             Err(DispatchStopped::AllFull)
         } else {
             Err(DispatchStopped::NoReplica)
@@ -464,21 +466,17 @@ impl Run {
     /// terminal accounting.
     fn scatter(&mut self) -> Result<(), DispatchStopped> {
         let width = self.plan.stages[self.stage].len();
-        // The stage's width, not the four a first push would reserve.
-        self.legs.reserve_exact(width);
         for (i, leg) in self.plan.stages[self.stage].iter().enumerate() {
             if let Some(member) = &leg.member {
                 member.submitted.fetch_add(1, Ordering::Relaxed);
             }
-            let now = Instant::now();
-            match self.dispatch(leg, &[], now, i + 1 < width) {
+            match self.dispatch(leg, &Few::new(), i + 1 < width) {
                 Ok((worker, ticket, reply)) => self.legs.push(LegRun {
-                    tried: vec![worker],
-                    retries: 0,
-                    dispatched_at: now,
+                    tried: std::iter::once(worker).collect(),
+                    dispatched_at: self.stamp,
                     ticket,
                     reply,
-                    done: None,
+                    done: false,
                 }),
                 Err(stop) => {
                     // Admitted on the member's row but never dispatched:
@@ -495,44 +493,58 @@ impl Run {
 
     /// The leg driver: waits for leg `i` of the in-flight stage, failing
     /// it over on worker fault, worker death or attempt timeout, until
-    /// an attempt is accepted or the request is terminal. Before it
-    /// parks on an attempt, it runs the attempt on this thread if the
-    /// job heads its worker's queue and the device is free; otherwise
-    /// it pays this thread's owed wakes and wakes the attempt's worker.
-    fn drive_leg(&mut self, i: usize) -> Result<(), ServeError> {
+    /// an attempt is accepted (its reply is returned) or the request is
+    /// terminal. The driver first runs the attempt on this thread if the
+    /// job heads its worker's queue and the device is free. A reply that
+    /// is then in — run here, or already by another thread — is taken
+    /// without waking anyone; otherwise the driver pays this thread's
+    /// owed wakes, wakes the attempt's worker and parks.
+    fn drive_leg(&mut self, i: usize) -> Result<Served, ServeError> {
         loop {
-            let now = Instant::now();
-            if now >= self.deadline {
+            // The one check that may read a stale stamp.
+            if self.stamp >= self.deadline {
                 return Err(self.deadline_exceeded());
             }
             let leg = &self.legs[i];
             let worker = &self.inner.workers[*leg.tried.last().expect("a dispatched leg")];
-            if !worker.run_here(leg.ticket) {
-                pay_owed_wakes(None);
-                // The attempt may have been queued by another thread.
-                worker.wake();
-            }
-            let budget = self.deadline - now;
-            let slice = self
-                .inner
-                .cfg
-                .attempt_timeout
-                .map_or(budget, |t| t.min(budget));
-            let fault = match self.legs[i].reply.wait_timeout(slice) {
+            let ran_here = worker.run_here(leg.ticket);
+            let reply = match leg.reply.try_take() {
+                Err(Unfilled::Timeout) => {
+                    pay_owed_wakes(None);
+                    // The attempt may have been queued by another thread.
+                    worker.wake();
+                    // The attempt timeout runs from the park.
+                    let timeout = self.inner.cfg.attempt_timeout;
+                    let attempt = timeout.and_then(|t| Instant::now().checked_add(t));
+                    let end = attempt.map_or(self.deadline, |end| end.min(self.deadline));
+                    leg.reply.wait_until(Some(end))
+                }
+                // Run here, or by another thread already: nothing to wake.
+                taken => taken,
+            };
+            let fault = match reply {
                 Ok(Completion::Done(served)) => {
+                    // The end of a run this thread made, else the receipt.
+                    self.stamp = if ran_here {
+                        served.done_at
+                    } else {
+                        Instant::now()
+                    };
                     let leg = &mut self.legs[i];
                     if let Some(member) = &self.plan.stages[self.stage][i].member {
                         // Network time is attributed on the request's row.
                         member.complete(
-                            leg.dispatched_at.elapsed().as_secs_f64(),
+                            self.stamp
+                                .saturating_duration_since(leg.dispatched_at)
+                                .as_secs_f64(),
                             served.queue_wait_s,
                             served.service_s,
                             0.0,
                             &served.stats,
                         );
                     }
-                    leg.done = Some(served);
-                    return Ok(());
+                    leg.done = true;
+                    return Ok(served);
                 }
                 Ok(Completion::Fault { worker, message }) => {
                     Some(format!("worker {worker}: {message}"))
@@ -553,11 +565,10 @@ impl Run {
     /// Re-dispatches leg `i` to a worker that has not tried it, or
     /// returns the error that ends the request.
     fn failover(&mut self, i: usize, fault: Option<String>) -> Result<(), ServeError> {
-        if self.legs[i].retries >= self.inner.cfg.max_retries {
+        if self.legs[i].tried.len() > self.inner.cfg.max_retries as usize {
             return Err(self.fault_or(fault, self.deadline_exceeded()));
         }
         self.retries += 1;
-        self.legs[i].retries += 1;
         let members = self.members.len() as u64;
         self.plan
             .metrics
@@ -568,7 +579,8 @@ impl Run {
             member.retries.fetch_add(1, Ordering::Relaxed);
         }
         // The leg driver runs or wakes the new attempt next.
-        match self.dispatch(leg, &self.legs[i].tried, Instant::now(), false) {
+        self.stamp = Instant::now();
+        match self.dispatch(leg, &self.legs[i].tried, false) {
             Ok((worker, ticket, reply)) => {
                 let leg = &mut self.legs[i];
                 leg.tried.push(worker);
@@ -583,13 +595,15 @@ impl Run {
     /// Drives the in-flight stage to its end: gathers its legs, finishes
     /// the stage, then scatters the next stage (`None`) or finishes the
     /// request (one outcome per member).
-    fn step(&mut self) -> Option<Vec<Result<Response, ServeError>>> {
+    fn step(&mut self) -> Option<Outcomes> {
+        let mut replies = Few::new();
         for i in 0..self.legs.len() {
-            if let Err(e) = self.drive_leg(i) {
-                return Some(self.fail(e));
+            match self.drive_leg(i) {
+                Ok(served) => replies.push(served),
+                Err(e) => return Some(self.fail(e)),
             }
         }
-        let outputs = self.finish_stage();
+        let outputs = self.finish_stage(replies);
         self.stage += 1;
         if self.stage == self.plan.stages.len() {
             return Some(self.finish(outputs));
@@ -600,27 +614,31 @@ impl Run {
         self.scatter().err().map(|_| self.fail(self.no_replica()))
     }
 
-    /// The stage finisher: charges every leg's request and response
-    /// message, sleeps until the slowest leg's response is delivered,
-    /// accumulates attribution and spans, and concatenates the legs'
-    /// outputs column by column in leg order.
-    fn finish_stage(&mut self) -> Vec<Vec<f32>> {
-        let inner = &self.inner;
-        let net = inner.network();
+    /// The stage finisher, given every leg's accepted reply in leg order:
+    /// charges each leg's request and response message, sleeps until the
+    /// slowest leg's response is delivered, accumulates attribution and
+    /// spans, and concatenates the legs' outputs column by column.
+    fn finish_stage(&mut self, mut replies: Few<Served>) -> Vec<Vec<f32>> {
+        self.legs = Few::new();
+        let (inner, net) = (&self.inner, &self.net);
         let bytes = |columns: &[Vec<f32>]| columns.iter().map(|c| c.len() * 4).sum::<usize>();
         let in_bytes = bytes(&self.input);
         let (mut net_s, mut queue_s, mut service_s) = (0.0f64, 0.0f64, 0.0f64);
         let mut delivered_at = None;
         let mut outputs: Vec<Vec<f32>> = Vec::new();
-        let legs = self.plan.stages[self.stage].iter().zip(self.legs.drain(..));
-        for (ordinal, (leg, run)) in legs.enumerate() {
-            let done = run.done.expect("stage gathered");
-            let leg_s = inner.charge_leg(&net, done.worker, in_bytes)
-                + inner.charge_leg(&net, done.worker, bytes(&done.outputs));
+        let legs = self.plan.stages[self.stage].iter().zip(replies.drain());
+        for (ordinal, (leg, done)) in legs.enumerate() {
+            // An ideal network charges and delays nothing.
+            let mut leg_s = 0.0;
+            if !net.is_ideal() {
+                leg_s = inner.charge_leg(net, done.worker, in_bytes)
+                    + inner.charge_leg(net, done.worker, bytes(&done.outputs));
+                let at = done.done_at + Duration::from_secs_f64(leg_s);
+                delivered_at = delivered_at.max(Some(at));
+            }
             net_s = net_s.max(leg_s);
             queue_s = queue_s.max(done.queue_wait_s);
             service_s = service_s.max(done.service_s);
-            delivered_at = delivered_at.max(Some(done.done_at + Duration::from_secs_f64(leg_s)));
             self.stats.accumulate(&done.stats);
             self.worker = done.worker;
             if self.collect_spans {
@@ -658,6 +676,7 @@ impl Run {
             pay_owed_wakes(None);
             let wait = delivered_at.map(|at| at.saturating_duration_since(Instant::now()));
             std::thread::sleep(wait.unwrap_or_default());
+            self.stamp = Instant::now();
             self.network_s += net_s;
         }
         self.queue_wait_s += queue_s;
@@ -667,11 +686,13 @@ impl Run {
 
     /// The request finisher for a served run: one terminal per member —
     /// completed, or failed by the late-response rule — with its share
-    /// of the attribution, its trace retention and its response.
-    fn finish(&mut self, outputs: Vec<Vec<f32>>) -> Vec<Result<Response, ServeError>> {
+    /// of the attribution, its trace retention and its response. The
+    /// run's stamp is its delivery: it was taken after the last output
+    /// reached this thread.
+    fn finish(&mut self, outputs: Vec<Vec<f32>>) -> Outcomes {
         self.settled = true;
         let plan = &self.plan;
-        let delivered_at = Instant::now();
+        let delivered_at = self.stamp;
         let k = self.members.len() as u64;
         let service_s = self.service_s / k as f64;
         let network_s = self.network_s / k as f64;
@@ -723,8 +744,9 @@ impl Run {
     }
 
     /// Ends the request with `err` for every member.
-    fn fail(&mut self, err: ServeError) -> Vec<Result<Response, ServeError>> {
-        vec![Err(self.settle(err)); self.members.len()]
+    fn fail(&mut self, err: ServeError) -> Outcomes {
+        let err = self.settle(err);
+        (0..self.members.len()).map(|_| Err(err.clone())).collect()
     }
 
     /// The request finisher for a run that ends without a response:
@@ -750,14 +772,14 @@ impl Run {
         let terminal = if shed { &metrics.shed } else { &metrics.failed };
         terminal.fetch_add(self.members.len() as u64, Ordering::Relaxed);
         let stage = self.plan.stages.get(self.stage).into_iter().flatten();
-        for (leg, run) in stage.zip(self.legs.drain(..)) {
-            if let (Some(member), None) = (&leg.member, &run.done) {
+        for (leg, run) in stage.zip(self.legs.drain()) {
+            if let (Some(member), false) = (&leg.member, run.done) {
                 member.failed.fetch_add(1, Ordering::Relaxed);
             }
         }
         if !shed {
             let now = Instant::now();
-            for member in &self.members {
+            for member in self.members.iter() {
                 let latency = now.saturating_duration_since(member.arrived_at);
                 self.retain(member, latency, Err(why));
             }
@@ -816,7 +838,7 @@ mod tests {
     use crate::batch::{BatchConfig, Batcher};
     use crate::demo::{demo_input, mlp_artifact};
     use crate::server::Server;
-    use crate::worker::tests::{until_parked, Panics, Slow};
+    use crate::worker::tests::{parked, until_parked, Panics, Slow};
     use crate::worker::Control;
     use bw_system::Routing;
 
@@ -837,7 +859,7 @@ mod tests {
             preload_s: 0.0,
             bytes: 0,
         };
-        server.inner.workers[0].control(panics).unwrap();
+        assert!(server.inner.workers[0].control(panics));
         server
     }
 
@@ -888,7 +910,7 @@ mod tests {
             preload_s: 0.0,
             bytes: 0,
         };
-        worker.control(pin).unwrap();
+        assert!(worker.control(pin));
         until_parked(worker);
         let resp = server
             .client()
@@ -897,6 +919,32 @@ mod tests {
         assert_eq!(resp.retries, 0);
         assert_eq!(server.metrics().worker_caller_runs, [1]);
         assert_accounted(&server, 1, 0);
+    }
+
+    #[test]
+    fn a_wait_whose_job_another_thread_ran_wakes_nobody() {
+        let server = Server::builder()
+            .model(mlp_artifact("m", &[16, 8], 3))
+            .replicas(1)
+            .spawn()
+            .unwrap();
+        let worker = &server.inner.workers[0];
+        let client = server.client();
+        until_parked(worker);
+        let a = client.submit("m", &demo_input(16, 0), DEADLINE).unwrap();
+        // The flush waits behind A, so the worker's thread runs A.
+        assert!(worker.control(Control::Flush));
+        until_parked(worker);
+        let b = client.submit("m", &demo_input(16, 1), DEADLINE).unwrap();
+        a.wait().unwrap();
+        assert!(parked(worker), "taking A's reply woke the worker for B");
+        b.wait().unwrap();
+        assert_eq!(
+            server.metrics().worker_caller_runs,
+            [1],
+            "B ran on its caller"
+        );
+        assert_accounted(&server, 2, 0);
     }
 
     #[test]

@@ -34,7 +34,8 @@
 //! # Lifecycle
 //!
 //! 1. **resolve** — one catalog read maps the name to its plan (metrics
-//!    row, static bound, input width, stages). Unknown names, wrong
+//!    row, static bound, input width, stages) and copies the network
+//!    model the run routes and charges by. Unknown names, wrong
 //!    input widths and deadlines below the static bound are rejected
 //!    here, before anything is counted.
 //! 2. **admit** — every member request gets an id and an absolute
@@ -43,11 +44,13 @@
 //!    *shed*, if no live worker pins a leg's slot it fails `NoReplica`.
 //! 3. **leg driver** — the only wait loop. When the attempt's job heads
 //!    an idle device's queue, the driver runs it on its own thread
-//!    first; otherwise it pays the thread's owed wakes (the wake rule,
-//!    below) and parks. It waits on a leg's reply slot for the attempt
-//!    timeout or the remaining deadline, whichever is sooner; on worker
-//!    fault, worker death or attempt timeout it re-dispatches the leg to
-//!    a worker that has not tried it (each attempt has a fresh slot, so
+//!    first. A reply that is then in — run here, or already by another
+//!    thread — is taken without waking anything; otherwise the driver
+//!    pays the thread's owed wakes (the wake rule, below) and parks. It
+//!    waits on a leg's reply slot for the attempt timeout or the
+//!    remaining deadline, whichever is sooner; on worker fault, worker
+//!    death or attempt timeout it re-dispatches the leg to a worker that
+//!    has not tried it (each attempt has a fresh slot, so
 //!    an abandoned attempt's completion is dropped unseen), at most
 //!    `max_retries` times per leg.
 //! 4. **stage finisher** — once every leg of the stage is in, charges
@@ -89,6 +92,24 @@
 //! time went to queueing, execution, a coalescing hold or the modeled
 //! network.
 //!
+//! # The staleness rule
+//!
+//! A run reads the clock once per stage boundary and carries the
+//! reading, its *stamp*, instead of reading again. Admission's stamp is
+//! the arrival epoch, the deadline's start and the first dispatch. A
+//! device stamps a job when it takes it and when the run ends. The leg
+//! driver stamps a reply another thread produced as it takes it, and a
+//! modeled-network sleep stamps its end. Only the leg driver's check
+//! before it looks at a reply may use a stale stamp (admission's, or
+//! the previous reply's), so a wait that begins after the deadline goes
+//! on to the reply. A lapsed request is still caught, because the two
+//! checks that decide its outcome read fresh stamps: a device that
+//! takes the job past its deadline reports it expired, and the late-
+//! response check reads a stamp taken after the work (the run's end
+//! when the finishing thread ran the last leg, else its receipt). A
+//! wait that must park reads the clock to bound the park, so no park
+//! outlasts the deadline.
+//!
 //! # The wake rule
 //!
 //! A job runs on its worker's thread or on the thread waiting for it,
@@ -123,6 +144,7 @@
 
 mod control;
 mod executor;
+mod few;
 
 pub use control::{PinError, Server};
 pub use executor::{BatchItem, Client, Pending};
@@ -152,7 +174,6 @@ pub(crate) struct ServerConfig {
     pub(crate) max_retries: u32,
     pub(crate) attempt_timeout: Option<Duration>,
     pub(crate) trace_sample: u64,
-    pub(crate) network: NetworkModel,
     pub(crate) preload: PreloadModel,
     pub(crate) tail_sample: Option<Duration>,
 }
@@ -166,7 +187,6 @@ impl Default for ServerConfig {
             max_retries: 1,
             attempt_timeout: None,
             trace_sample: 0,
-            network: NetworkModel::ideal(),
             preload: PreloadModel::free(),
             tail_sample: None,
         }
@@ -343,9 +363,10 @@ impl Plan {
     }
 }
 
-/// The published catalog: the artifacts workers pin, by slot, and one
-/// resolved [`Plan`] per published name. Kept under one lock so a reader
-/// never sees a model without its plan.
+/// The published catalog: the artifacts workers pin, by slot, one
+/// resolved [`Plan`] per published name, and the live network model.
+/// Kept under one lock so a reader never sees a model without its plan,
+/// and a request reads its plan and its network in one read.
 ///
 /// A slot holds a whole model or one member of a shard group (named
 /// `model#g0s1`, `model#seg0`, …, by [`ShardedArtifact::compile`]), in
@@ -360,6 +381,10 @@ pub(crate) struct Catalog {
     models: Vec<Arc<Plan>>,
     /// One plan per shard group, fixed at spawn.
     groups: Vec<Arc<Plan>>,
+    /// The live network model. Replaceable at runtime
+    /// ([`Server::set_network`]) so a fleet controller can inject and
+    /// repair link faults while traffic flows.
+    network: NetworkModel,
 }
 
 impl Catalog {
@@ -441,17 +466,14 @@ impl Catalog {
 }
 
 pub(crate) struct ServerInner {
-    /// The published artifacts and their plans. Behind a lock
-    /// because models can be registered at runtime
-    /// ([`Server::register_model`]); shard groups are fixed at spawn.
+    /// The published artifacts, their plans and the network. Behind a
+    /// lock because models can be registered at runtime
+    /// ([`Server::register_model`]) and the network replaced; shard
+    /// groups are fixed at spawn.
     catalog: RwLock<Catalog>,
     workers: Vec<WorkerHandle>,
     router: Router,
     cfg: ServerConfig,
-    /// The live network model. Replaceable at runtime
-    /// ([`Server::set_network`]) so a fleet controller can inject and
-    /// repair link faults while traffic flows.
-    net: RwLock<NetworkModel>,
     next_id: AtomicU64,
     /// Kept request traces (head- and tail-sampled), oldest first,
     /// bounded at [`TRACE_LOG_CAP`].
@@ -471,15 +493,16 @@ impl ServerInner {
 
     /// A copy of the live network model.
     fn network(&self) -> NetworkModel {
-        *self.net.read().unwrap()
+        self.catalog.read().unwrap().network
     }
 
     /// The plan published as `name` (whole models and shard groups
-    /// alike): the one catalog read of a request.
-    fn resolve(&self, name: &str) -> Option<Arc<Plan>> {
+    /// alike) and a copy of the live network model: the one catalog
+    /// read of a request.
+    fn resolve(&self, name: &str) -> Option<(Arc<Plan>, NetworkModel)> {
         let catalog = self.catalog.read().unwrap();
         let plan = catalog.plans().find(|p| p.name == name)?;
-        Some(Arc::clone(plan))
+        Some((Arc::clone(plan), catalog.network))
     }
 
     /// Every plan, in metrics-row order.
@@ -542,12 +565,9 @@ impl ServerInner {
     }
 
     /// Meters one modeled message of `bytes` over worker `worker`'s link
-    /// and returns its modeled seconds (zero on an ideal network; a
-    /// degraded link multiplies the cost).
+    /// and returns its modeled seconds (a degraded link multiplies the
+    /// cost).
     fn charge_leg(&self, net: &NetworkModel, worker: usize, bytes: usize) -> f64 {
-        if net.is_ideal() {
-            return 0.0;
-        }
         let s = net.one_way_on(worker, bytes);
         self.workers[worker].link().record(bytes, s);
         s
@@ -600,7 +620,7 @@ impl ServerBuilder {
     /// unreachable. The default ideal network charges nothing, preserving
     /// the single-machine behavior.
     pub fn network(mut self, network: NetworkModel) -> Self {
-        self.cfg.network = network;
+        self.catalog.network = network;
         self
     }
 
@@ -792,7 +812,6 @@ impl ServerBuilder {
                 router: Router::new(self.cfg.policy),
                 catalog: RwLock::new(catalog),
                 workers,
-                net: RwLock::new(self.cfg.network),
                 cfg: self.cfg,
                 next_id: AtomicU64::new(1),
                 trace_log: Mutex::new(VecDeque::new()),

@@ -559,7 +559,7 @@ fn drain_pending(conn: &mut Conn) {
     while let Some(front) = conn.pending.front_mut() {
         let payload = match front {
             PendingReply::Ready(p) => std::mem::take(p),
-            PendingReply::Infer(slot) => match slot.wait_timeout(Duration::ZERO) {
+            PendingReply::Infer(slot) => match slot.try_take() {
                 Ok(result) => encode_outcome(result),
                 Err(Unfilled::Timeout) => break,
                 Err(Unfilled::Disconnected) => {

@@ -322,28 +322,45 @@ impl Worker {
     /// the not-pinned fault, then the simulation, under `catch_unwind` so
     /// that a panic leaves the device usable and the thread alive.
     fn run(&self, device: &mut Device, job: Job) {
-        let popped = Instant::now();
+        let (worker, popped) = (self.id, Instant::now());
         let completion = if popped >= job.deadline {
             Completion::Expired
         } else if let Some(replica) = device.get_mut(job.model).and_then(Option::as_mut) {
-            let queue_wait_s = (popped - job.enqueued_at).as_secs_f64();
-            let served = catch_unwind(AssertUnwindSafe(|| {
-                serve(replica.as_mut(), &job, self.id, queue_wait_s, popped)
-            }));
-            served.unwrap_or_else(|panic| {
-                // The replica's state is unknown: out of service.
-                self.kill();
-                Completion::Fault {
-                    worker: self.id,
-                    message: format!("the simulation panicked: {}", panic_message(&*panic)),
+            // One multi-column dispatch; a single column takes the
+            // batch-1 kernel path inside it.
+            let run = || replica.run(&job.columns, job.collect_spans);
+            let ran = catch_unwind(AssertUnwindSafe(run));
+            let done_at = Instant::now();
+            match ran {
+                Ok(Ok((outputs, stats, spans))) => Completion::Done(Served {
+                    worker,
+                    outputs,
+                    queue_wait_s: (popped - job.enqueued_at).as_secs_f64(),
+                    service_s: (done_at - popped).as_secs_f64(),
+                    done_at,
+                    stats,
+                    spans,
+                }),
+                Ok(Err(e)) => Completion::Fault {
+                    worker,
+                    message: e.to_string(),
+                },
+                Err(panic) => {
+                    // The replica's state is unknown: out of service.
+                    self.kill();
+                    let message = panic_message(&*panic);
+                    Completion::Fault {
+                        worker,
+                        message: format!("the simulation panicked: {message}"),
+                    }
                 }
-            })
+            }
         } else {
             // A mis-routed job for a slot this worker does not pin:
             // fault so the request fails over to an owner.
             Completion::Fault {
-                worker: self.id,
-                message: format!("model slot {} not pinned on worker {}", job.model, self.id),
+                worker,
+                message: format!("model slot {} not pinned on worker {worker}", job.model),
             }
         };
         self.outstanding.fetch_sub(1, Ordering::AcqRel);
@@ -466,13 +483,6 @@ pub(crate) enum DispatchRefused {
     /// The bounded queue is full.
     QueueFull,
     /// The worker is dead.
-    Dead,
-}
-
-/// Why a control operation was refused.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum ControlRefused {
-    /// The worker is dead (or died before acking).
     Dead,
 }
 
@@ -615,19 +625,17 @@ impl WorkerHandle {
     }
 
     /// Sends a control message and blocks until the worker acks it —
-    /// i.e. until everything queued ahead of it has been served. Errors
-    /// if the worker is dead (or dies mid-wait).
-    pub(crate) fn control(&self, op: Control) -> Result<(), ControlRefused> {
-        if !self.is_alive() {
-            return Err(ControlRefused::Dead);
-        }
+    /// i.e. until everything queued ahead of it has been served. Returns
+    /// whether it was acked: `false` if the worker is dead (or dies
+    /// mid-wait).
+    pub(crate) fn control(&self, op: Control) -> bool {
         let (ack, ack_slot) = reply_slot();
-        if !self.send(Msg::Control(op, ack)) {
-            return Err(ControlRefused::Dead);
+        if !self.is_alive() || !self.send(Msg::Control(op, ack)) {
+            return false;
         }
         // The ack may wait behind jobs this thread queued elsewhere.
         pay_owed_wakes(None);
-        ack_slot.wait().map_err(|_| ControlRefused::Dead)
+        ack_slot.wait().is_ok()
     }
 
     /// Injects a fault: the worker stops accepting work immediately and
@@ -695,34 +703,6 @@ pub(crate) fn spawn_worker(
     }
 }
 
-/// Runs one popped job on its replica as one multi-column dispatch; a
-/// single column takes the batch-1 kernel path inside it.
-fn serve(
-    replica: &mut dyn Replica,
-    job: &Job,
-    worker: usize,
-    queue_wait_s: f64,
-    popped: Instant,
-) -> Completion {
-    let result = replica.run(&job.columns, job.collect_spans);
-    let done_at = Instant::now();
-    match result {
-        Ok((outputs, stats, spans)) => Completion::Done(Served {
-            worker,
-            outputs,
-            queue_wait_s,
-            service_s: (done_at - popped).as_secs_f64(),
-            done_at,
-            stats,
-            spans,
-        }),
-        Err(e) => Completion::Fault {
-            worker,
-            message: e.to_string(),
-        },
-    }
-}
-
 /// The message a panic was raised with, when it is a string.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -744,6 +724,10 @@ pub(crate) mod tests {
     /// Long enough that a job left queued fails the test rather than
     /// reading its outcome by luck.
     const BOUND: Duration = Duration::from_secs(10);
+
+    fn bound() -> Option<Instant> {
+        Some(Instant::now() + BOUND)
+    }
     /// A preload window: long enough for the test to act inside it.
     const STALL: Duration = Duration::from_millis(200);
 
@@ -788,7 +772,8 @@ pub(crate) mod tests {
         (w.try_dispatch(job(tx), wake).unwrap(), rx)
     }
 
-    fn parked(w: &WorkerHandle) -> bool {
+    /// Whether the worker's thread waits on its queue's condvar.
+    pub(crate) fn parked(w: &WorkerHandle) -> bool {
         w.worker.queue.lock().unwrap().parked
     }
 
@@ -829,7 +814,7 @@ pub(crate) mod tests {
     fn worker_serves_jobs() {
         let w = worker_with(4);
         let (_, rx) = dispatch(&w, true);
-        match rx.wait_timeout(BOUND).unwrap() {
+        match rx.wait_until(bound()).unwrap() {
             Completion::Done(served) => {
                 assert_eq!(served.worker, 0);
                 assert_eq!(served.outputs.len(), 1, "one output per column");
@@ -853,7 +838,7 @@ pub(crate) mod tests {
         let mut j = job(tx);
         j.collect_spans = true;
         w.try_dispatch(j, true).unwrap();
-        match rx.wait_timeout(BOUND).unwrap() {
+        match rx.wait_until(bound()).unwrap() {
             Completion::Done(Served { stats, spans, .. }) => {
                 assert!(!spans.is_empty());
                 // The one-device model's ordinal; the executor stamps the
@@ -880,7 +865,7 @@ pub(crate) mod tests {
         j.deadline = Instant::now() - Duration::from_millis(1);
         w.try_dispatch(j, true).unwrap();
         assert!(matches!(
-            rx.wait_timeout(BOUND).unwrap(),
+            rx.wait_until(bound()).unwrap(),
             Completion::Expired
         ));
         w.stop_and_join();
@@ -897,7 +882,7 @@ pub(crate) mod tests {
         let (tx, _rx) = reply_slot();
         assert_eq!(w.try_dispatch(job(tx), true), Err(DispatchRefused::Dead));
         for rx in receivers {
-            match rx.wait_timeout(BOUND) {
+            match rx.wait_until(bound()) {
                 Ok(_) | Err(Unfilled::Disconnected) => {}
                 Err(e) => panic!("queued job left hanging: {e:?}"),
             }
@@ -925,7 +910,7 @@ pub(crate) mod tests {
         }
         assert_eq!(refused, Some(DispatchRefused::QueueFull));
         for rx in accepted {
-            assert!(matches!(rx.wait_timeout(BOUND), Ok(Completion::Done(_))));
+            assert!(matches!(rx.wait_until(bound()), Ok(Completion::Done(_))));
         }
         w.stop_and_join();
     }
@@ -938,10 +923,7 @@ pub(crate) mod tests {
         assert!(parked(&w), "an unwoken dispatch leaves the worker parked");
         assert!(w.run_here(ticket));
         // Done before any wait: the caller ran it.
-        assert!(matches!(
-            rx.wait_timeout(Duration::ZERO),
-            Ok(Completion::Done(_))
-        ));
+        assert!(matches!(rx.try_take(), Ok(Completion::Done(_))));
         assert!(parked(&w), "the worker's thread never woke");
         assert_eq!((w.processed_count(), w.caller_runs()), (1, 1));
         assert_eq!(w.queue_depth(), 0);
@@ -961,14 +943,14 @@ pub(crate) mod tests {
         );
         w.wake();
         for rx in [first, second] {
-            assert!(matches!(rx.wait_timeout(BOUND), Ok(Completion::Done(_))));
+            assert!(matches!(rx.wait_until(bound()), Ok(Completion::Done(_))));
         }
         assert_eq!((w.processed_count(), w.caller_runs()), (2, 0));
 
         let pin = stall(&w);
         let (ticket, rx) = dispatch(&w, false);
         assert!(!w.run_here(ticket), "the pin holds the device");
-        match rx.wait_timeout(BOUND) {
+        match rx.wait_until(bound()) {
             Ok(Completion::Done(served)) => {
                 // Queue wait runs until a device takes the job: here, the
                 // end of the preload window.
@@ -993,7 +975,7 @@ pub(crate) mod tests {
             !w.run_here(ticket),
             "a caller never takes a killed worker's job"
         );
-        assert_eq!(rx.wait_timeout(BOUND).err(), Some(Unfilled::Disconnected));
+        assert_eq!(rx.wait_until(bound()).err(), Some(Unfilled::Disconnected));
         w.stop_and_join();
         assert_eq!(w.queue_depth(), 0);
     }
@@ -1017,7 +999,7 @@ pub(crate) mod tests {
             std::thread::yield_now();
         }
         let (_, rx) = dispatch(&w, true);
-        assert!(matches!(rx.wait_timeout(BOUND), Ok(Completion::Done(_))));
+        assert!(matches!(rx.wait_until(bound()), Ok(Completion::Done(_))));
         assert_eq!(w.caller_runs(), 0);
         w.stop_and_join();
     }
@@ -1037,7 +1019,7 @@ pub(crate) mod tests {
         );
         assert_eq!(w.queue_depth(), 1);
         assert!(matches!(
-            queued.wait_timeout(BOUND),
+            queued.wait_until(bound()),
             Ok(Completion::Done(_))
         ));
         pin.join().unwrap();
@@ -1048,19 +1030,18 @@ pub(crate) mod tests {
     fn a_panicking_simulation_faults_the_attempt_and_retires_the_replica() {
         for caller_runs in [true, false] {
             let w = worker_with(4);
-            w.control(Control::Pin {
+            assert!(w.control(Control::Pin {
                 slot: 0,
                 model: Box::new(Panics),
                 preload_s: 0.0,
                 bytes: 0,
-            })
-            .unwrap();
+            }));
             until_parked(&w);
             let (ticket, rx) = dispatch(&w, !caller_runs);
             if caller_runs {
                 assert!(w.run_here(ticket), "the caller survives the panic");
             }
-            match rx.wait_timeout(BOUND) {
+            match rx.wait_until(bound()) {
                 Ok(Completion::Fault { worker, message }) => {
                     assert_eq!(worker, 0);
                     assert!(message.contains("injected simulator panic"), "{message}");

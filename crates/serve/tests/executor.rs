@@ -293,6 +293,39 @@ fn deadline_lapse_fails_without_retries() {
     }
 }
 
+/// A wait that begins after the deadline fails the request: the leg
+/// driver's first check may read admission's stale stamp, but a device
+/// that takes the job past its deadline reports it expired, and the
+/// late-response check reads a stamp taken after the work. A coalesced
+/// window has no wait apart from its admission, so its members, made
+/// before the sleep, are refused before admission instead.
+#[test]
+fn a_wait_that_begins_after_the_deadline_fails() {
+    let deadline = Duration::from_millis(20);
+    for shape in SHAPES {
+        let case = Case::boot(shape, |b| b);
+        if shape == Shape::Batched {
+            let items: Vec<BatchItem> = (case.inputs.iter())
+                .map(|x| BatchItem::new(x.clone(), deadline))
+                .collect();
+            std::thread::sleep(2 * deadline);
+            let outcomes = case.client.call_batch(MODEL, &items);
+            case.assert_all(&outcomes, "stale", |e| {
+                matches!(e, ServeError::SlaUnmeetable { .. })
+            });
+            assert_eq!(case.settled("stale"), (0, 0, 0));
+            continue;
+        }
+        let pending = case.client.submit(MODEL, &case.inputs[0], deadline);
+        std::thread::sleep(2 * deadline);
+        let outcomes = vec![pending.unwrap().wait()];
+        case.assert_all(&outcomes, "stale", |e| {
+            matches!(e, ServeError::DeadlineExceeded { retries: 0, .. })
+        });
+        assert_eq!(case.settled("stale"), (0, 0, 1));
+    }
+}
+
 #[test]
 fn dropped_unwaited_request_is_accounted() {
     for shape in SHAPES {

@@ -9,15 +9,15 @@
 //!   queues are flat element FIFOs the NPU keeps, so neither the pushed
 //!   vector nor the one the NPU outputs is allocated;
 //! * 1,000 warm `Client::call`s of it on a one-replica pool allocate at
-//!   most 10 times per call on average — measured 10.00 — with a slack
-//!   of one per hundred calls, and ask for at most 1,000 B per call —
-//!   measured 904 B, with about a tenth of slack. A call allocates the
-//!   input's copy (64 B) and the columns that share it (40 B); the member
-//!   list (40 B); the router's candidate order (32 B); the attempt's reply
-//!   slot (232 B: the completion is held inline); the leg's tried list
-//!   (8 B) and the leg list (256 B: one leg, reserved at the stage's
-//!   width); the two allocations of `infer_batch` above (88 B); and the
-//!   response (144 B). The job itself is held inline in the worker's
+//!   most 5 times per call on average — measured 5.00 — with a slack
+//!   of one per hundred calls, and ask for at most 470 B per call —
+//!   measured 424 B, with about a tenth of slack. A call allocates the
+//!   input's copy (64 B) and the columns that share it (40 B); the
+//!   attempt's reply slot (232 B: the completion is held inline); and
+//!   the two allocations of `infer_batch` above (88 B), whose output is
+//!   the response's. The run's member, leg, tried-worker and outcome
+//!   lists keep their one element inline, the router walks its order
+//!   without collecting it, and the job is held inline in the worker's
 //!   queue, which is allocated once, at spawn.
 //!
 //! A warm call on an idle replica runs on the calling thread: its job
@@ -86,9 +86,9 @@ fn allocations_in(f: impl FnOnce()) -> (usize, usize) {
 
 const WIDTHS: [usize; 4] = [16, 64, 32, 8];
 const CALLS: usize = 1_000;
-const PER_CALL: usize = 10;
+const PER_CALL: usize = 5;
 const PER_INFER_BATCH: usize = 2;
-const BYTES_PER_CALL: usize = 1_000;
+const BYTES_PER_CALL: usize = 470;
 
 #[test]
 fn warm_requests_allocate_a_pinned_number_of_times() {

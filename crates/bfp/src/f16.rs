@@ -11,6 +11,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::atomic::{AtomicU32, Ordering as AtomicOrdering};
 
 /// An IEEE 754 binary16 floating point number (1 sign, 5 exponent, 10
 /// mantissa bits), stored as its raw bit pattern.
@@ -254,6 +255,52 @@ pub fn round_to_f16(value: f32) -> f32 {
         f32::from_bits(bits.wrapping_add(0xFFF + ((bits >> 13) & 1)) & !0x1FFF)
     } else {
         F16::from_f32(value).to_f32()
+    }
+}
+
+/// One activation's result for every binary16 input, as the MFU reads
+/// `v_sigm` and `v_tanh`: each rounds its input to the binary16 grid first,
+/// so it is a function of 65,536 possible inputs, indexed by the input's
+/// bits. An entry is filled on its first touch by the [`F16`] function, so
+/// a table costs no set-up, is bit-identical to evaluating every element by
+/// construction, and holds resident pages only for the binades inputs land
+/// in (1,024 entries, one 4 KiB page, per sign and binade).
+///
+/// `0` is an entry not yet filled; a filled one is the result's `f32` bits
+/// with bit 0 set, which a value on the binary16 grid leaves clear.
+/// Lookups and fills are single `Relaxed` atomic loads and stores, never a
+/// vector gather, which could race a thread filling the same entry: an
+/// entry publishes nothing but itself, and threads that race to fill one
+/// store the same bits.
+pub(crate) struct Table([AtomicU32; 1 << 16]);
+
+/// [`F16::sigmoid`] of every binary16 input.
+pub(crate) static SIGMOID: Table = Table::new();
+/// [`F16::tanh`] of every binary16 input.
+pub(crate) static TANH: Table = Table::new();
+
+impl Table {
+    pub(crate) const fn new() -> Self {
+        Table([const { AtomicU32::new(0) }; 1 << 16])
+    }
+
+    /// `f` of the binary16 value with bits `h`, as an `f32`; `f` is the
+    /// table's function, which fills the entry if this is its first touch.
+    #[inline(always)]
+    pub(crate) fn get(&self, h: u16, f: fn(F16) -> F16) -> f32 {
+        match self.0[usize::from(h)].load(AtomicOrdering::Relaxed) {
+            0 => self.fill(h, f),
+            filled => f32::from_bits(filled & !1),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn fill(&self, h: u16, f: fn(F16) -> F16) -> f32 {
+        let y = f(F16::from_bits(h)).to_f32();
+        debug_assert_eq!(y.to_bits() & 1, 0, "{y} is not on the binary16 grid");
+        self.0[usize::from(h)].store(y.to_bits() | 1, AtomicOrdering::Relaxed);
+        y
     }
 }
 
@@ -505,6 +552,46 @@ mod tests {
             if round_to_f16(x).to_bits() != want.to_bits() {
                 panic!("{x:e} ({bits:#010x})");
             }
+        }
+    }
+
+    #[test]
+    fn two_threads_filling_one_table_agree() {
+        // A table of this test's own, so that both threads meet it cold; the
+        // barrier starts them on the same entries at the same time, from
+        // opposite ends.
+        static TABLE: Table = Table::new();
+        let every_f16 = || (0..=u16::MAX).map(|h| F16::from_bits(h).to_f32());
+        let barrier = std::sync::Barrier::new(2);
+        let run = |reversed: bool| {
+            let mut chain: Vec<f32> = every_f16().collect();
+            if reversed {
+                chain.reverse();
+            }
+            barrier.wait();
+            for x in &mut chain {
+                *x = TABLE.get(F16::from_f32(*x).to_bits(), F16::tanh);
+            }
+            if reversed {
+                chain.reverse();
+            }
+            chain
+        };
+        let (forward, backward) = std::thread::scope(|s| {
+            let backward = s.spawn(|| run(true));
+            (run(false), backward.join().expect("the filling thread ran"))
+        });
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let want: Vec<f32> = every_f16()
+            .map(|x| F16::from_f32(x).tanh().to_f32())
+            .collect();
+        assert_eq!(bits(&forward), bits(&want));
+        assert_eq!(bits(&backward), bits(&want));
+        // And every entry read is filled with exactly that.
+        for (x, y) in every_f16().zip(&want) {
+            let h = F16::from_f32(x).to_bits();
+            let filled = TABLE.0[usize::from(h)].load(AtomicOrdering::Relaxed);
+            assert_eq!(filled, y.to_bits() | 1, "entry {h:#06x}");
         }
     }
 

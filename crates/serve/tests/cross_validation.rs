@@ -34,21 +34,23 @@ use bw_serve::{run_loadgen, ArrivalProcess, LoadgenConfig, Routing, Server};
 use bw_system::{simulate, Microservice, ServiceModel};
 
 const MODEL: &str = "xval-mlp";
-const WIDTHS: &[usize] = &[256, 1024, 1024, 1024, 1024, 256];
+const WIDTHS: &[usize] = &[256, 1024, 1024, 1024, 1024, 1024, 1024, 1024, 1024, 256];
 const SEED: u64 = 29;
 const UTILIZATION: f64 = 0.3;
 const REQUESTS: usize = 80;
 
-/// The demo NPU shape with an 8× larger MRF, so that 3.7 M weights pin and
-/// one warm inference costs the host about a millisecond.
+/// The demo NPU shape with a 16× larger MRF (and a VRF to hold every
+/// layer's bias), so that 7.9 M weights pin
+/// and one warm inference costs the host one to two milliseconds: twice
+/// the 0.5 ms the protocol needs, however fast the narrow kernels get.
 fn artifact() -> ModelArtifact {
     let config = NpuConfig::builder()
         .name("BW_XVAL")
         .native_dim(16)
         .lanes(4)
         .tile_engines(4)
-        .mrf_entries(16384)
-        .vrf_entries(512)
+        .mrf_entries(32768)
+        .vrf_entries(1024)
         .clock_mhz(250.0)
         .matrix_format(BfpFormat::BFP_1S_5E_5M)
         .build()
@@ -60,7 +62,7 @@ fn artifact() -> ModelArtifact {
 #[test]
 #[cfg_attr(
     debug_assertions,
-    ignore = "wall-clock ratio band, 23 s unoptimized: runs under `cargo test --release`"
+    ignore = "wall-clock ratio band, slow unoptimized: runs under `cargo test --release`"
 )]
 fn live_pool_p99_tracks_the_analytical_simulator() {
     // 1. Ground-truth service time on a private replica of the same
@@ -75,6 +77,7 @@ fn live_pool_p99_tracks_the_analytical_simulator() {
         pinned.infer(&input).unwrap();
     }
     let service_s = t0.elapsed().as_secs_f64() / f64::from(probes);
+    println!("probe service time {:.0} µs", service_s * 1e6);
     assert!(
         service_s >= 0.5e-3,
         "service time {:.1} µs is too short for sleep-paced arrivals; widen WIDTHS",

@@ -36,7 +36,9 @@ struct ChainSpec {
     src: u8,
     src_index: u32,
     with_mvmul: bool,
-    /// MFU ops: subset encoded as bitmask (add, mul, tanh, relu, max).
+    /// MFU ops: subset encoded as bitmask (add, mul, tanh, relu, max);
+    /// bits 5 and 6 make the add one of the subtracts (`vv_a_sub_b`, then
+    /// `vv_b_sub_a`), bit 7 the `tanh` a `sigm`.
     ops: u8,
     dst_index: u32,
     to_net: bool,
@@ -47,7 +49,7 @@ fn chain_strategy() -> impl Strategy<Value = ChainSpec> {
         0u8..4,
         0u32..(VRF / 2),
         any::<bool>(),
-        0u8..32,
+        any::<u8>(),
         0u32..(VRF / 2),
         any::<bool>(),
     )
@@ -89,13 +91,22 @@ fn build_writing(specs: &[ChainSpec], low: bool) -> Program {
         // allow up to two add/sub-family ops and keep one multiply and two
         // activations.
         if s.ops & 1 != 0 {
-            b.vv_add(s.src_index % (VRF / 2));
+            let index = s.src_index % (VRF / 2);
+            match s.ops >> 5 & 3 {
+                1 => b.vv_a_sub_b(index),
+                2 => b.vv_b_sub_a(index),
+                _ => b.vv_add(index),
+            };
         }
         if s.ops & 2 != 0 {
             b.vv_mul(s.dst_index % (VRF / 2));
         }
         if s.ops & 4 != 0 {
-            b.v_tanh();
+            if s.ops & 128 != 0 {
+                b.v_sigm();
+            } else {
+                b.v_tanh();
+            }
         }
         if s.ops & 8 != 0 {
             b.v_relu();

@@ -340,6 +340,7 @@ impl BfpMatrix {
     /// Returns [`DotError`] if an `x` does not match its tile's column
     /// count or chunk size, or [`DotError::LengthMismatch`] if a tile does
     /// not have `acc.len()` rows; `acc` is then left as it was.
+    #[inline]
     pub fn mv_mul_acc_row<'a, I>(tiles: I, acc: &mut [f32]) -> Result<(), DotError>
     where
         I: IntoIterator<Item = (&'a BfpMatrix, &'a BfpBlock)>,

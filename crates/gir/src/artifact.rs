@@ -292,7 +292,7 @@ impl PinnedModel {
     ///
     /// Returns [`DeployError`] on simulator failures.
     pub fn infer_with_stats(&mut self, input: &[f32]) -> Result<(Vec<f32>, RunStats), DeployError> {
-        let (mut outputs, stats) = self.infer_batch(std::slice::from_ref(&input.to_vec()))?;
+        let (mut outputs, stats) = self.run(&[input], false)?;
         Ok((outputs.pop().expect("batch of one"), stats))
     }
 
@@ -357,31 +357,36 @@ impl PinnedModel {
     /// vectors pushed for it, and its outputs drain in the same order.
     fn run(
         &mut self,
-        inputs: &[Vec<f32>],
+        inputs: &[impl AsRef<[f32]>],
         fresh: bool,
     ) -> Result<(Vec<Vec<f32>>, RunStats), DeployError> {
-        let mut values = (!self.before.is_empty()).then(|| inputs.to_vec());
+        let copy = || inputs.iter().map(|x| x.as_ref().to_vec()).collect();
+        let mut values: Option<Vec<Vec<f32>>> = (!self.before.is_empty()).then(copy);
         if let Some(values) = &mut values {
             host(&self.before, values);
         }
         let mut stats = RunStats::default();
         if let Some((npu, binary)) = &mut self.device {
             let batch = inputs.len();
-            for column in values.as_deref().unwrap_or(inputs) {
-                npu.push_input_padded(column);
+            for (b, column) in inputs.iter().enumerate() {
+                // The host ops' result, where host ops come first.
+                npu.push_input_padded(values.as_ref().map_or(column.as_ref(), |v| &v[b]));
             }
             stats = if fresh {
                 npu.run_batch(&binary.program, batch)?
             } else {
+                // Newest first; `execute` refuses a stale schedule and
+                // changes nothing.
                 let kept = &mut self.schedules;
-                let found = kept
-                    .iter()
-                    .position(|s| s.batch() == batch && npu.can_execute(s));
-                let i = found.unwrap_or_else(|| {
-                    kept.push(npu.schedule(&binary.program, batch));
-                    kept.len() - 1
-                });
-                npu.execute(&kept[i])?
+                let warm = kept.iter().rev().filter(|s| s.batch() == batch);
+                let mut ran = warm.map(|s| npu.execute(s));
+                match ran.find(|r| !matches!(r, Err(SimError::StaleSchedule))) {
+                    Some(ran) => ran?,
+                    None => {
+                        kept.push(npu.schedule(&binary.program, batch));
+                        npu.execute(kept.last().expect("just kept"))?
+                    }
+                }
             };
             let mut outputs = Vec::with_capacity(batch);
             for _ in inputs {
@@ -395,7 +400,7 @@ impl PinnedModel {
             }
             values = Some(outputs);
         }
-        let mut values = values.unwrap_or_else(|| inputs.to_vec());
+        let mut values = values.unwrap_or_else(copy);
         host(&self.after, &mut values);
         Ok((values, stats))
     }

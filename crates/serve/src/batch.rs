@@ -18,13 +18,12 @@
 //! 2. The request joins its model's pending queue. The queue flushes
 //!    when it reaches `max_batch` members **or** when any member's hold
 //!    budget expires, whichever comes first.
-//! 3. A flushed batch travels as **one** multi-column dispatch
-//!    ([`Client::call_batch`]): one queue slot, one worker pop, one
-//!    [`Npu::run_batch`](bw_core::Npu::run_batch) envelope. Results
-//!    split back into per-member responses, and the accounting identity
-//!    `completed + shed + failed == submitted` holds member-for-member.
-//!    (A shard group's window does not coalesce: its members are
-//!    admitted together as separate requests and overlap.)
+//! 3. A flushed batch travels as **one** multi-column run
+//!    ([`Client::call_batch`]): one queue slot, one worker pop and one
+//!    [`Npu::run_batch`](bw_core::Npu::run_batch) envelope per leg.
+//!    Results split back into per-member responses, and the accounting
+//!    identity `completed + shed + failed == submitted` holds
+//!    member-for-member.
 //!
 //! The batcher never mixes models in one batch (columns must share the
 //! pinned program) and never holds a request past its own hold budget
@@ -248,10 +247,9 @@ impl Batcher {
     }
 
     /// The hold budget for one arriving member:
-    /// `min(max_hold, slack_fraction × remaining slack)`.
+    /// `min(max_hold, slack_fraction × its deadline budget)`.
     fn hold_budget(&self, item: &BatchItem) -> Duration {
-        let slack = item.slack(item.arrived_at);
-        let from_slack = slack.mul_f64(self.inner.cfg.slack_fraction);
+        let from_slack = item.budget().mul_f64(self.inner.cfg.slack_fraction);
         from_slack.min(self.inner.cfg.max_hold)
     }
 
@@ -313,13 +311,15 @@ fn next_work(inner: &BatcherInner) -> Option<BatchWork> {
     Some(work)
 }
 
-/// Drives one flushed batch through the blocking coalesced lifecycle
-/// and fans the per-member outcomes back to their replies.
+/// Drives one flushed batch through the blocking coalesced lifecycle,
+/// handing its members' inputs over, and fans the per-member outcomes
+/// back to their replies.
 fn dispatch_batch(client: &Client, work: BatchWork) {
-    let items: Vec<BatchItem> = work.members.iter().map(|m| m.item.clone()).collect();
-    let results = client.call_batch(&work.model, &items);
-    for (member, result) in work.members.into_iter().zip(results) {
-        (member.reply)(result);
+    let (items, replies): (Vec<BatchItem>, Vec<Reply>) =
+        work.members.into_iter().map(|m| (m.item, m.reply)).unzip();
+    let results = client.call_batch(&work.model, items);
+    for (reply, result) in replies.into_iter().zip(results) {
+        reply(result);
     }
 }
 

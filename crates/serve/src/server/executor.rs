@@ -74,80 +74,58 @@ impl Client {
 
     /// Serves a flushed micro-batch window of same-model requests,
     /// returning one [`Response`] (or [`ServeError`]) per member, in
-    /// input order. A whole model's window travels as **one**
-    /// multi-column leg; a shard group's members do not coalesce — each
-    /// is admitted as its own request, all of them before any is waited
-    /// on, so they run side by side.
+    /// input order. The window is **one** run of the model's plan, whole
+    /// model or shard group, its members the columns of every leg; their
+    /// inputs move into the run uncopied.
     ///
     /// Every member is its own request in the ledger: it gets a request
     /// id, counts toward `submitted` when admitted, and terminates
     /// exactly once — also under a mid-batch worker kill, where the leg
-    /// fails over with every member on board. Members that fail
-    /// validation ([`ServeError::BadInput`],
-    /// [`ServeError::SlaUnmeetable`]) are rejected without admission and
+    /// fails over with every member on board. Each member is checked by
+    /// [`Client::submit`]'s rule, its [`BatchItem::budget`] against the
+    /// static bound; one that fails ([`ServeError::BadInput`],
+    /// [`ServeError::SlaUnmeetable`]) is rejected without admission and
     /// without blocking the rest.
     ///
     /// Latency and the deadline are measured from each member's
     /// [`BatchItem::arrived_at`] and [`BatchItem::deadline_at`], so time
-    /// spent in a batcher window is charged to the request that waited.
+    /// spent in a batcher window is charged to the request that waited:
+    /// a member whose deadline lapsed in the window fails
+    /// [`ServeError::DeadlineExceeded`].
     pub fn call_batch(
         &self,
         model: &str,
-        items: &[BatchItem],
+        mut items: Vec<BatchItem>,
     ) -> Vec<Result<Response, ServeError>> {
-        let inner = &self.inner;
-        let Some((plan, net)) = inner.resolve(model) else {
+        let Some((plan, net)) = self.inner.resolve(model) else {
             let unknown = Err(ServeError::UnknownModel(model.to_owned()));
             return vec![unknown; items.len()];
         };
-        let now = Instant::now();
-        let mut results: Vec<Option<Result<Response, ServeError>>> = items
-            .iter()
-            .map(|item| plan.check(item.input.len(), item.slack(now)).err().map(Err))
-            .collect();
-        let admitted: Vec<usize> = (0..items.len()).filter(|&i| results[i].is_none()).collect();
-        // A whole model takes the window as the columns of one run; a
-        // shard group takes each member as a run of its own.
-        let windows: Vec<Vec<usize>> = if plan.stages[0][0].member.is_some() {
-            admitted.into_iter().map(|i| vec![i]).collect()
-        } else if admitted.is_empty() {
-            Vec::new()
-        } else {
+        let mut results = Vec::with_capacity(items.len());
+        items.retain(|item| {
+            let rejected = plan.check(item.input.len(), item.budget()).err();
+            results.push(rejected.map(Err));
+            results.last().is_some_and(Option::is_none)
+        });
+        let mut outcomes = Few::new();
+        if !items.is_empty() {
             plan.metrics.batches.fetch_add(1, Ordering::Relaxed);
             plan.metrics
                 .batched_requests
-                .fetch_add(admitted.len() as u64, Ordering::Relaxed);
-            vec![admitted]
-        };
-        let mut runs: Vec<(Vec<usize>, Run)> = Vec::with_capacity(windows.len());
-        for window in windows {
-            let columns = window.iter().map(|&i| items[i].input.clone()).collect();
-            let epochs = window
-                .iter()
-                .map(|&i| (items[i].arrived_at, items[i].deadline_at));
-            match Run::admit(inner, (Arc::clone(&plan), net), columns, epochs, now) {
-                Ok(run) => runs.push((window, run)),
-                Err(e) => window
-                    .into_iter()
-                    .for_each(|i| results[i] = Some(Err(e.clone()))),
-            }
+                .fetch_add(items.len() as u64, Ordering::Relaxed);
+            let columns = items.iter_mut().map(|item| std::mem::take(&mut item.input));
+            let columns = columns.collect();
+            let epochs = items.iter().map(|item| (item.arrived_at, item.deadline_at));
+            let admitted = Run::admit(&self.inner, (plan, net), columns, epochs, Instant::now());
+            outcomes = match admitted {
+                Ok(run) => run.drive(),
+                Err(e) => items.iter().map(|_| Err(e.clone())).collect(),
+            };
         }
-        // Stage by stage across the runs, so their stages overlap.
-        while !runs.is_empty() {
-            runs.retain_mut(|(window, run)| {
-                let Some(mut outcomes) = run.step() else {
-                    return true;
-                };
-                for (&i, outcome) in window.iter().zip(outcomes.drain()) {
-                    results[i] = Some(outcome);
-                }
-                false
-            });
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every member settled"))
-            .collect()
+        // Each admitted member's outcome fills its `None`, in order.
+        let mut outcomes = outcomes.drain();
+        let settled = results.into_iter().map(|r| r.or_else(|| outcomes.next()));
+        settled.map(|r| r.expect("every member settled")).collect()
     }
 
     /// A point-in-time metrics reading (same as [`Server::metrics`](super::Server::metrics)).
@@ -212,9 +190,9 @@ impl BatchItem {
         }
     }
 
-    /// The member's remaining deadline slack from `now`.
-    pub fn slack(&self, now: Instant) -> Duration {
-        self.deadline_at.saturating_duration_since(now)
+    /// The member's whole deadline budget, from its arrival.
+    pub fn budget(&self) -> Duration {
+        self.deadline_at.saturating_duration_since(self.arrived_at)
     }
 }
 
@@ -247,12 +225,9 @@ impl Pending {
     /// Returns the terminal [`ServeError`]; every error path is recorded
     /// in the metrics exactly once.
     pub fn wait(self) -> Result<Response, ServeError> {
-        let mut run = self.run;
-        loop {
-            if let Some(mut outcomes) = run.step() {
-                return outcomes.drain().next().expect("one member, one outcome");
-            }
-        }
+        let mut outcomes = self.run.drive();
+        let outcome = outcomes.drain().next();
+        outcome.expect("one member, one outcome")
     }
 }
 
@@ -592,26 +567,30 @@ impl Run {
         }
     }
 
-    /// Drives the in-flight stage to its end: gathers its legs, finishes
-    /// the stage, then scatters the next stage (`None`) or finishes the
-    /// request (one outcome per member).
-    fn step(&mut self) -> Option<Outcomes> {
-        let mut replies = Few::new();
-        for i in 0..self.legs.len() {
-            match self.drive_leg(i) {
-                Ok(served) => replies.push(served),
-                Err(e) => return Some(self.fail(e)),
+    /// Drives the run to its end, one stage at a time: gathers the
+    /// stage's legs, finishes the stage, then scatters the next one or
+    /// finishes the request. One outcome per member.
+    fn drive(mut self) -> Outcomes {
+        loop {
+            let mut replies = Few::new();
+            for i in 0..self.legs.len() {
+                match self.drive_leg(i) {
+                    Ok(served) => replies.push(served),
+                    Err(e) => return self.fail(e),
+                }
+            }
+            let outputs = self.finish_stage(replies);
+            self.stage += 1;
+            if self.stage == self.plan.stages.len() {
+                return self.finish(outputs);
+            }
+            self.input = outputs.into();
+            // Shedding is an admission outcome: past stage 0 a full pool
+            // is a failure like a missing replica.
+            if self.scatter().is_err() {
+                return self.fail(self.no_replica());
             }
         }
-        let outputs = self.finish_stage(replies);
-        self.stage += 1;
-        if self.stage == self.plan.stages.len() {
-            return Some(self.finish(outputs));
-        }
-        self.input = outputs.into();
-        // Shedding is an admission outcome: past stage 0 a full pool is
-        // a failure like a missing replica.
-        self.scatter().err().map(|_| self.fail(self.no_replica()))
     }
 
     /// The stage finisher, given every leg's accepted reply in leg order:

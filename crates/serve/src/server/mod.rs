@@ -14,14 +14,16 @@
 //! that pins this model, over the datacenter network*. Every published
 //! name resolves to a [`Plan`]: an ordered list of **stages**, each
 //! stage one or more **legs**, a leg being "run the stage's input
-//! columns on a worker that pins catalog slot `S`". The three request
-//! shapes are three sizes of the same thing:
+//! columns on a worker that pins catalog slot `S`". The request shapes
+//! are sizes of the same thing, and a window of N member requests
+//! ([`Client::call_batch`]) is one run of its plan with N columns:
 //!
 //! | shape | stages | legs per stage | columns |
 //! |---|---|---|---|
 //! | single (batch-1, the BW default) | 1 | 1 | 1 |
 //! | batched (a coalesced window of N member requests) | 1 | 1 | N |
 //! | sharded (a model partitioned across workers) | segments | K shards | 1 |
+//! | coalesced shard group | segments | K shards | N |
 //!
 //! A whole model's plan is one leg on its own slot. A shard group
 //! ([`ServerBuilder::sharded_model`]) gets one stage per scatter/gather
@@ -68,7 +70,8 @@
 //! `Pending` dropped unwaited counts as failed. Shard legs keep the same
 //! identity on their member rows: a leg counts `submitted` when
 //! scattered, `completed` when its attempt is accepted, and `failed`
-//! when the request ends first. The N members of one coalesced leg split
+//! when the request ends first — one leg, one count, however many
+//! columns it carries. The N members of one coalesced leg split
 //! its NPU counters into exact integer shares (remainders to the
 //! earliest members) and its service and network time evenly, so the
 //! per-model totals equal the dispatch totals.
@@ -120,11 +123,10 @@
 //! it owes before it parks without having run its job, parks on a
 //! control's ack, dispatches to another worker, runs a job itself,
 //! sleeps for the modeled network, or settles a run unserved (a shed, a
-//! failure, a dropped `Pending`). So a stage's legs, and a window's shard
-//! runs, run side by side, and a request sent to an idle replica starts
-//! no later than the first of: its submitter's next park, its next
-//! dispatch to another worker, a modeled-network sleep, or the drop of
-//! its `Pending`.
+//! failure, a dropped `Pending`). So a stage's legs run side by side,
+//! and a request sent to an idle replica starts no later than the first
+//! of: its submitter's next park, its next dispatch to another worker, a
+//! modeled-network sleep, or the drop of its `Pending`.
 //!
 //! # The locking rule
 //!

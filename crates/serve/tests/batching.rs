@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bw_serve::demo::{demo_input, mlp_artifact};
+use bw_serve::demo::{demo_input, mlp_artifact, sharded_mlp};
 use bw_serve::{BatchConfig, BatchItem, Batcher, Routing, ServeError, Server};
 use proptest::prelude::*;
 
@@ -14,47 +14,54 @@ const DEADLINE: Duration = Duration::from_secs(10);
 
 /// A coalesced K-batch must produce exactly the outputs of K sequential
 /// batch-1 calls: batching is a scheduling decision, never a numerics
-/// one.
+/// one. A shard group's window is one run too: each of its legs carries
+/// the K columns, so every member row counts one leg per window.
 #[test]
 fn coalesced_batch_is_bit_identical_to_sequential_runs() {
-    let server = Server::builder()
-        .model(mlp_artifact("mlp", &[16, 32, 8], 7))
-        .spawn()
-        .unwrap();
-    let client = server.client();
+    let whole = Server::builder().model(mlp_artifact("mlp", &[16, 32, 8], 7));
+    // A 2-wide shard segment, then the tail whole: three legs.
+    let sharded = Server::builder().sharded_model(sharded_mlp("mlp", &[16, 64, 8], 7, 600));
+    for builder in [whole, sharded] {
+        let server = builder.spawn().unwrap();
+        let client = server.client();
 
-    for k in [1usize, 2, 4, 8] {
-        let inputs: Vec<Vec<f32>> = (0..k).map(|i| demo_input(16, i as u64 * 31)).collect();
-        let sequential: Vec<Vec<f32>> = inputs
-            .iter()
-            .map(|input| client.call("mlp", input, DEADLINE).unwrap().output)
-            .collect();
+        for k in [1usize, 2, 4, 8] {
+            let inputs: Vec<Vec<f32>> = (0..k).map(|i| demo_input(16, i as u64 * 31)).collect();
+            let sequential: Vec<Vec<f32>> = inputs
+                .iter()
+                .map(|input| client.call("mlp", input, DEADLINE).unwrap().output)
+                .collect();
 
-        let items: Vec<BatchItem> = inputs
-            .iter()
-            .map(|input| BatchItem::new(input.clone(), DEADLINE))
-            .collect();
-        let batched: Vec<Vec<f32>> = client
-            .call_batch("mlp", &items)
-            .into_iter()
-            .map(|r| r.unwrap().output)
-            .collect();
+            let items: Vec<BatchItem> = inputs
+                .into_iter()
+                .map(|input| BatchItem::new(input, DEADLINE))
+                .collect();
+            let batched: Vec<Vec<f32>> = client
+                .call_batch("mlp", items)
+                .into_iter()
+                .map(|r| r.unwrap().output)
+                .collect();
 
-        assert_eq!(
-            batched, sequential,
-            "K={k}: coalesced outputs must match batch-1 bit for bit"
-        );
+            assert_eq!(
+                batched, sequential,
+                "K={k}: coalesced outputs must match batch-1 bit for bit"
+            );
+        }
+
+        let m = client.metrics();
+        let ms = m.models.iter().find(|r| r.model == "mlp").unwrap();
+        // 15 sequential + 15 batched members; every call_batch was one
+        // coalesced run.
+        assert_eq!(ms.submitted, 30);
+        assert_eq!(ms.completed, 30);
+        assert_eq!(ms.batches, 4);
+        assert_eq!(ms.batched_requests, 15);
+        assert_eq!(ms.completed + ms.shed + ms.failed, ms.submitted);
+        // A member row: one leg per sequential call, one per window.
+        for row in m.models.iter().filter(|r| r.model != "mlp") {
+            assert_eq!((row.submitted, row.completed), (15 + 4, 15 + 4), "{row:?}");
+        }
     }
-
-    let m = client.metrics();
-    let ms = &m.models[0];
-    // 15 sequential + 15 batched members; every call_batch was one
-    // coalesced dispatch.
-    assert_eq!(ms.submitted, 30);
-    assert_eq!(ms.completed, 30);
-    assert_eq!(ms.batches, 4);
-    assert_eq!(ms.batched_requests, 15);
-    assert_eq!(ms.completed + ms.shed + ms.failed, ms.submitted);
 }
 
 /// Per-member attribution of a coalesced batch splits the NPU counters
@@ -73,7 +80,7 @@ fn batch_attribution_splits_counters_exactly() {
         .map(|i| BatchItem::new(demo_input(16, i as u64), DEADLINE))
         .collect();
     let responses: Vec<_> = client
-        .call_batch("mlp", &items)
+        .call_batch("mlp", items)
         .into_iter()
         .map(|r| r.unwrap())
         .collect();
@@ -130,7 +137,7 @@ fn mid_batch_worker_kill_keeps_the_accounting_identity() {
                 let items: Vec<BatchItem> = (0..k)
                     .map(|i| BatchItem::new(demo_input(16, (b * k + i) as u64), DEADLINE))
                     .collect();
-                client.call_batch("mlp", &items)
+                client.call_batch("mlp", items)
             })
         })
         .collect();

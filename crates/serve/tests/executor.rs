@@ -1,7 +1,7 @@
 //! The request executor, shape × fault: every fault script below runs
-//! over the three request shapes — single, sharded, coalesced batch —
-//! and asserts the terminal variant, `Response::retries`, bit-identity
-//! where served, and `completed + shed + failed == submitted` on every
+//! over the four request shapes — a whole model or a shard group, each
+//! alone or as a coalesced window — and asserts the terminal variant,
+//! `Response::retries`, bit-identity where served, and `completed + shed + failed == submitted` on every
 //! metrics row (group and member rows alike). A traced request of each
 //! shape checks how the executor stamps its spans.
 //!
@@ -19,8 +19,8 @@ use std::time::{Duration, Instant};
 use bw_core::{SpanKind, SpanRecord};
 use bw_serve::demo::{demo_input, mlp_artifact, sharded_mlp};
 use bw_serve::{
-    BatchConfig, BatchItem, Batcher, Client, NetworkModel, PreloadModel, Response, Routing,
-    ServeError, Server, ServerBuilder,
+    BatchConfig, BatchItem, Batcher, Client, NetworkModel, Pending, PreloadModel, Response,
+    Routing, ServeError, Server, ServerBuilder,
 };
 
 const MODEL: &str = "m";
@@ -42,9 +42,28 @@ enum Shape {
     Single,
     Sharded,
     Batched,
+    /// A window of [`BATCH`] members of the shard group: one run.
+    ShardedBatch,
 }
 
-const SHAPES: [Shape; 3] = [Shape::Single, Shape::Sharded, Shape::Batched];
+const SHAPES: [Shape; 4] = [
+    Shape::Single,
+    Shape::Sharded,
+    Shape::Batched,
+    Shape::ShardedBatch,
+];
+
+impl Shape {
+    fn sharded(self) -> bool {
+        matches!(self, Shape::Sharded | Shape::ShardedBatch)
+    }
+
+    /// Whether a request of this shape is a window through
+    /// `Client::call_batch`.
+    fn coalesced(self) -> bool {
+        matches!(self, Shape::Batched | Shape::ShardedBatch)
+    }
+}
 
 type Outcomes = Vec<Result<Response, ServeError>>;
 
@@ -60,22 +79,19 @@ struct Case {
 
 impl Case {
     fn boot(shape: Shape, tune: impl FnOnce(ServerBuilder) -> ServerBuilder) -> Case {
-        let widths = match shape {
-            Shape::Sharded => SHARDED_WIDTHS,
-            _ => SINGLE_WIDTHS,
+        let (widths, builder) = if shape.sharded() {
+            let group = sharded_mlp(MODEL, &SHARDED_WIDTHS, SEED, SHARD_BUDGET);
+            (SHARDED_WIDTHS, Server::builder().sharded_model(group))
+        } else {
+            let model = mlp_artifact(MODEL, &SINGLE_WIDTHS, SEED);
+            (SINGLE_WIDTHS, Server::builder().model(model))
         };
-        let members = if shape == Shape::Batched { BATCH } else { 1 };
+        let members = if shape.coalesced() { BATCH } else { 1 };
         let inputs: Vec<Vec<f32>> = (0..members as u64)
             .map(|i| demo_input(widths[0], 3 + i))
             .collect();
         let mut reference = mlp_artifact("reference", &widths, SEED).pin().unwrap();
         let expected = inputs.iter().map(|x| reference.infer(x).unwrap()).collect();
-        let builder = match shape {
-            Shape::Sharded => {
-                Server::builder().sharded_model(sharded_mlp(MODEL, &widths, SEED, SHARD_BUDGET))
-            }
-            _ => Server::builder().model(mlp_artifact(MODEL, &widths, SEED)),
-        };
         let builder = builder
             .replicas(4)
             .policy(Routing::LeastOutstanding)
@@ -98,7 +114,23 @@ impl Case {
 
     /// One blocking request of the case's shape: one outcome per member.
     fn request(&self, deadline: Duration) -> Outcomes {
-        request(self.shape, &self.client, &self.inputs, deadline)
+        self.request_after(deadline, Duration::ZERO)
+    }
+
+    /// [`Case::request`] that sleeps for `lag` between the request's
+    /// arrival and its wait: between `submit` and `Pending::wait`, or
+    /// between the window's members arriving and `Client::call_batch`.
+    fn request_after(&self, deadline: Duration, lag: Duration) -> Outcomes {
+        if self.shape.coalesced() {
+            let member = |x: &Vec<f32>| BatchItem::new(x.clone(), deadline);
+            let items = self.inputs.iter().map(member).collect();
+            std::thread::sleep(lag);
+            self.client.call_batch(MODEL, items)
+        } else {
+            let pending = self.client.submit(MODEL, &self.inputs[0], deadline);
+            std::thread::sleep(lag);
+            vec![pending.and_then(Pending::wait)]
+        }
     }
 
     /// Stalls `worker` for [`STALL`]. Returns once the worker has taken
@@ -163,19 +195,6 @@ impl Case {
     }
 }
 
-fn request(shape: Shape, client: &Client, inputs: &[Vec<f32>], deadline: Duration) -> Outcomes {
-    match shape {
-        Shape::Single | Shape::Sharded => vec![client.call(MODEL, &inputs[0], deadline)],
-        Shape::Batched => {
-            let items: Vec<BatchItem> = inputs
-                .iter()
-                .map(|x| BatchItem::new(x.clone(), deadline))
-                .collect();
-            client.call_batch(MODEL, &items)
-        }
-    }
-}
-
 #[test]
 fn no_fault_serves_bit_identically_without_retries() {
     for shape in SHAPES {
@@ -190,16 +209,15 @@ fn worker_killed_with_the_job_queued_fails_over_once() {
     for shape in SHAPES {
         let case = Case::boot(shape, |b| b);
         let stalled = case.stall(0);
-        let flying = {
-            let (client, inputs) = (case.client.clone(), case.inputs.clone());
-            std::thread::spawn(move || request(shape, &client, &inputs, LONG))
-        };
-        // The first leg is queued behind the stall on worker 0.
-        while case.server.metrics().queue_depths[0] == 0 {
-            std::thread::yield_now();
-        }
-        assert!(case.server.kill_worker(0));
-        case.assert_served(flying.join().unwrap(), 1, "kill");
+        std::thread::scope(|scope| {
+            let flying = scope.spawn(|| case.request(LONG));
+            // The first leg is queued behind the stall on worker 0.
+            while case.server.metrics().queue_depths[0] == 0 {
+                std::thread::yield_now();
+            }
+            assert!(case.server.kill_worker(0));
+            case.assert_served(flying.join().unwrap(), 1, "kill");
+        });
         stalled.join().unwrap();
         assert_eq!(case.settled("kill"), (case.members(), 0, 0));
         assert!(!case.server.workers_alive()[0]);
@@ -296,33 +314,19 @@ fn deadline_lapse_fails_without_retries() {
 /// A wait that begins after the deadline fails the request: the leg
 /// driver's first check may read admission's stale stamp, but a device
 /// that takes the job past its deadline reports it expired, and the
-/// late-response check reads a stamp taken after the work. A coalesced
-/// window has no wait apart from its admission, so its members, made
-/// before the sleep, are refused before admission instead.
+/// late-response check reads a stamp taken after the work. A window's
+/// members whose deadlines lapsed before `call_batch` are admitted by
+/// their budgets, as `submit` admits, and fail the same way.
 #[test]
 fn a_wait_that_begins_after_the_deadline_fails() {
     let deadline = Duration::from_millis(20);
     for shape in SHAPES {
         let case = Case::boot(shape, |b| b);
-        if shape == Shape::Batched {
-            let items: Vec<BatchItem> = (case.inputs.iter())
-                .map(|x| BatchItem::new(x.clone(), deadline))
-                .collect();
-            std::thread::sleep(2 * deadline);
-            let outcomes = case.client.call_batch(MODEL, &items);
-            case.assert_all(&outcomes, "stale", |e| {
-                matches!(e, ServeError::SlaUnmeetable { .. })
-            });
-            assert_eq!(case.settled("stale"), (0, 0, 0));
-            continue;
-        }
-        let pending = case.client.submit(MODEL, &case.inputs[0], deadline);
-        std::thread::sleep(2 * deadline);
-        let outcomes = vec![pending.unwrap().wait()];
+        let outcomes = case.request_after(deadline, 2 * deadline);
         case.assert_all(&outcomes, "stale", |e| {
             matches!(e, ServeError::DeadlineExceeded { retries: 0, .. })
         });
-        assert_eq!(case.settled("stale"), (0, 0, 1));
+        assert_eq!(case.settled("stale"), (0, 0, case.members()));
     }
 }
 
@@ -330,20 +334,17 @@ fn a_wait_that_begins_after_the_deadline_fails() {
 fn dropped_unwaited_request_is_accounted() {
     for shape in SHAPES {
         let case = Case::boot(shape, |b| b);
-        match shape {
-            // A dropped `Pending` is an abandoned request: failed.
-            Shape::Single | Shape::Sharded => {
-                drop(case.client.submit(MODEL, &case.inputs[0], LONG).unwrap());
-                assert_eq!(case.settled("dropped"), (0, 0, 1));
-            }
+        if shape.coalesced() {
             // A coalesced member has no `Pending`; a caller that drops
             // its reply channel is still served, and counted.
-            Shape::Batched => {
-                let batcher = Batcher::new(case.client.clone(), BatchConfig::default());
-                drop(batcher.submit(MODEL, case.inputs[0].clone(), LONG));
-                drop(batcher);
-                assert_eq!(case.settled("dropped"), (1, 0, 0));
-            }
+            let batcher = Batcher::new(case.client.clone(), BatchConfig::default());
+            drop(batcher.submit(MODEL, case.inputs[0].clone(), LONG));
+            drop(batcher);
+            assert_eq!(case.settled("dropped"), (1, 0, 0));
+        } else {
+            // A dropped `Pending` is an abandoned request: failed.
+            drop(case.client.submit(MODEL, &case.inputs[0], LONG).unwrap());
+            assert_eq!(case.settled("dropped"), (0, 0, 1));
         }
     }
 }
@@ -356,11 +357,8 @@ fn late_response_is_a_deadline_failure_on_every_shape() {
     let deadline = Duration::from_millis(120);
     // Two messages per leg: 200 ms for the one-leg plans, 2 × 80 ms for
     // the sharded plan's two stages. Execution takes well under 1 ms.
-    for (shape, hop_s) in [
-        (Shape::Single, 0.100),
-        (Shape::Sharded, 0.040),
-        (Shape::Batched, 0.100),
-    ] {
+    for shape in SHAPES {
+        let hop_s = if shape.sharded() { 0.040 } else { 0.100 };
         let case = Case::boot(shape, |b| {
             b.network(NetworkModel::with_hop(hop_s))
                 .tail_sample(Duration::from_secs(100))
@@ -397,12 +395,8 @@ fn sampled_traces_carry_their_trace_id_on_every_shape() {
         let traces = case.server.take_traces();
         assert_eq!(traces.len() as u64, case.members(), "{shape:?}");
         // A sharded request runs three legs, all of group members
-        // (`SHARDED_WIDTHS`).
-        let (runs, shard_legs) = if shape == Shape::Sharded {
-            (3, 3)
-        } else {
-            (1, 0)
-        };
+        // (`SHARDED_WIDTHS`), whatever its columns.
+        let (runs, shard_legs) = if shape.sharded() { (3, 3) } else { (1, 0) };
         for t in &traces {
             assert_eq!(t.trace_id, first, "{shape:?}");
             assert!(
@@ -432,9 +426,9 @@ fn sampled_traces_carry_their_trace_id_on_every_shape() {
     }
 }
 
-/// Shard-group members of one batcher window are all admitted, then
-/// waited on: they overlap instead of running one after another, and
-/// the time a member spent held in the window is part of its latency.
+/// Shard-group members of one batcher window run as one run: not one
+/// after another, and the time a member spent held in the window is
+/// part of its latency.
 #[test]
 fn sharded_members_of_a_window_overlap_and_are_charged_their_hold() {
     // 25 ms per message: 2 stages × 2 messages put 100 ms of modeled
